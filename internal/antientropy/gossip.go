@@ -433,9 +433,10 @@ type RoundStats struct {
 // does not fail, it just cannot happen, exactly like mobile nodes out of
 // range.
 //
-// Concurrent exchanges touching the same replica are safe: the responder
-// reconciles under its stripe locks, and an initiator installs a round's
-// outcome only over copies that did not move while the round was in flight.
+// Exchanges that share a node (or, in ring mode, a stripe) run one after the
+// other within a round — see runGossip; writers racing a round are safe: the
+// responder reconciles under its stripe locks, and an initiator installs a
+// round's outcome only over copies that did not move while it was in flight.
 func (c *Cluster) GossipRound(k int) (int, error) {
 	stats, err := c.GossipRoundStats(k)
 	return stats.Exchanges, err
@@ -570,13 +571,35 @@ type exTally struct {
 // per-stripe serialization is exactly the needed exclusion, while different
 // stripes touch disjoint keys and parallelize freely.
 func (c *Cluster) runGossip(tasks []gossipTask, stats *RoundStats, track map[exKey]*exTally) error {
-	// Whole-replica tasks (stripe -1) each form their own chain, preserving
-	// full-replication mode's round concurrency.
+	// Whole-replica tasks (stripe -1) touch every key of both endpoints, so
+	// the same exclusion is per node: exchanges sharing an endpoint, directly
+	// or through other exchanges, run on one chain in task order, and only
+	// disjoint groups of nodes proceed in parallel. That also makes a seeded
+	// full-replication round's outcome independent of GOMAXPROCS.
 	chains := make([][]gossipTask, 0, len(tasks))
 	byStripe := make(map[int]int)
+	byNode := make(map[int]int)
 	for _, t := range tasks {
 		if t.stripe < 0 {
-			chains = append(chains, []gossipTask{t})
+			ci, okI := byNode[t.i]
+			cj, okJ := byNode[t.j]
+			switch {
+			case !okI && !okJ:
+				ci = len(chains)
+				chains = append(chains, nil)
+			case !okI:
+				ci = cj
+			case okJ && ci != cj:
+				chains[ci] = append(chains[ci], chains[cj]...)
+				chains[cj] = nil
+				for n, c := range byNode {
+					if c == cj {
+						byNode[n] = ci
+					}
+				}
+			}
+			byNode[t.i], byNode[t.j] = ci, ci
+			chains[ci] = append(chains[ci], t)
 			continue
 		}
 		ci, ok := byStripe[t.stripe]

@@ -41,13 +41,18 @@ func fnvMix(h uint64, b []byte) uint64 {
 }
 
 // SummarizeDigests hashes a stripe's digest set, which must be sorted by key
-// (the order both endpoints agree on). The scratch buffer is reused across
-// digests, so summarizing allocates only once regardless of stripe size —
-// and each stamp's contribution is its handle's cached canonical encoding,
-// so an epoch-bump recompute re-encodes no tries.
+// (the order both endpoints agree on). Each stamp's contribution is its
+// handle's cached canonical encoding, so a recompute re-encodes no tries.
 func SummarizeDigests(ds []Digest) uint64 {
+	h, _ := SummarizeDigestsBuf(ds, nil)
+	return h
+}
+
+// SummarizeDigestsBuf is SummarizeDigests over a caller-owned scratch buffer,
+// returned (possibly grown) for the next call — so hashing many small runs,
+// a digest tree's leaves, allocates once rather than once per run.
+func SummarizeDigestsBuf(ds []Digest, scratch []byte) (uint64, []byte) {
 	h := uint64(fnvOffset64)
-	var scratch []byte
 	for _, d := range ds {
 		scratch = scratch[:0]
 		scratch = binary.AppendUvarint(scratch, uint64(len(d.Key)))
@@ -55,7 +60,7 @@ func SummarizeDigests(ds []Digest) uint64 {
 		scratch = AppendUpdateTrie(scratch, d.Stamp)
 		h = fnvMix(h, scratch)
 	}
-	return h
+	return h, scratch
 }
 
 // RootSummarySeed starts an incremental root-hash computation (FoldSummary).

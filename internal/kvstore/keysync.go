@@ -145,6 +145,11 @@ func (r *Replica) MergeVersioned(key string, in Versioned, resolve Resolver) (Sy
 	}
 
 	rel := core.Compare(local.Stamp, in.Stamp)
+	if rel == core.Concurrent && local.Deleted == in.Deleted && bytes.Equal(local.Value, in.Value) {
+		// Already resolved to the same bytes elsewhere: absorbing the
+		// incoming stamp is all there is to do (see reconcileKey).
+		rel = core.Equal
+	}
 	if rel == core.Concurrent && resolve == nil {
 		res.Conflicts = append(res.Conflicts, key)
 		return res, nil

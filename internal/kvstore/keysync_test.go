@@ -278,3 +278,85 @@ func TestForkCopyMergeEquivalentToSync(t *testing.T) {
 		t.Fatalf("stamps compare %v", core.Compare(va.Stamp, vb.Stamp))
 	}
 }
+
+// TestConflictResolvedTwiceMergesOnce is the regression test for the
+// resolver contract: two pairs of replicas resolve the same conflict
+// independently — as concurrent gossip exchanges do — and then meet. The
+// byte-identical merge results must join without the resolver and without a
+// fresh update, so the conflict ends as one bounded value under stamps that
+// compare Equal after one more sync, instead of a merge of merges that is
+// concurrent with every other pair's.
+func TestConflictResolvedTwiceMergesOnce(t *testing.T) {
+	r := [4]*Replica{NewReplica("r0")}
+	r[0].Put("k", []byte("base"))
+	for i := 1; i < 4; i++ {
+		r[i] = r[0].Clone("r")
+	}
+	mustSync := func(a, b *Replica, resolve Resolver) SyncResult {
+		t.Helper()
+		res, err := SyncKey(a, b, "k", resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// Two sides write concurrently; each side converges internally.
+	r[0].Put("k", []byte("left"))
+	r[2].Put("k", []byte("right"))
+	mustSync(r[0], r[1], nil)
+	mustSync(r[2], r[3], nil)
+
+	// Each left copy meets a right copy: the same conflict, resolved twice.
+	calls := 0
+	counting := func(key string, a, b Versioned) ([]byte, bool, error) {
+		calls++
+		return KeepBoth([]byte("|"))(key, a, b)
+	}
+	if res := mustSync(r[0], r[2], counting); res.Merged != 1 {
+		t.Fatalf("first resolution: %+v", res)
+	}
+	if res := mustSync(r[1], r[3], counting); res.Merged != 1 {
+		t.Fatalf("second resolution: %+v", res)
+	}
+	if calls != 2 {
+		t.Fatalf("resolver ran %d times for two independent resolutions", calls)
+	}
+	v0, _ := r[0].Version("k")
+	v1, _ := r[1].Version("k")
+	if core.Compare(v0.Stamp, v1.Stamp) != core.Concurrent {
+		t.Fatalf("independent resolutions compare %v, want Concurrent", core.Compare(v0.Stamp, v1.Stamp))
+	}
+
+	// The merged copies meet, with no resolver to fall back on: identical
+	// bytes need none.
+	if res := mustSync(r[0], r[1], nil); len(res.Conflicts) != 0 || res.Merged != 0 || res.Reconciled != 1 {
+		t.Fatalf("meeting of identical merges: %+v", res)
+	}
+	// A drained hint carrying the other pair's identical merge is absorbed
+	// the same way.
+	cp, ok := r[3].ForkCopy("k")
+	if !ok {
+		t.Fatal("ForkCopy failed")
+	}
+	if res, err := r[2].MergeVersioned("k", cp, nil); err != nil || len(res.Conflicts) != 0 || res.Merged != 0 {
+		t.Fatalf("MergeVersioned of an identical merge: %+v, %v", res, err)
+	}
+	// One more sync around the ring and everybody holds one bounded value
+	// under equivalent stamps.
+	for _, p := range [][2]int{{0, 2}, {1, 3}, {0, 1}, {2, 3}, {0, 3}} {
+		mustSync(r[p[0]], r[p[1]], nil)
+	}
+	want, _ := r[0].Version("k")
+	if string(want.Value) != "left|right" {
+		t.Fatalf("merged value = %q, want one merge of the two writes", want.Value)
+	}
+	for i := 1; i < 4; i++ {
+		got, _ := r[i].Version("k")
+		if !bytes.Equal(got.Value, want.Value) {
+			t.Fatalf("r%d holds %q, r0 holds %q", i, got.Value, want.Value)
+		}
+		if rel := core.Compare(got.Stamp, want.Stamp); rel != core.Equal {
+			t.Fatalf("r%d's stamp compares %v to r0's, want Equal", i, rel)
+		}
+	}
+}

@@ -73,6 +73,14 @@ type Versioned struct {
 // Resolver merges two conflicting copies of a key during Sync, returning
 // the merged value (merged deletions are expressed by returning
 // deleted=true).
+//
+// Contract: one conflict is routinely resolved more than once — two pairs
+// of replicas meet the same two copies before they meet each other — so a
+// Resolver must be deterministic (a function of the copies' values and
+// tombstone flags alone), commutative (the same bytes whichever copy arrives
+// as a) and idempotent over its own output. Copies that already agree byte
+// for byte never reach it: they join without it (see reconcileKey). A
+// resolver short of the contract still converges, one more merge at a time.
 type Resolver func(key string, a, b Versioned) (value []byte, deleted bool, err error)
 
 // KeepBoth is a Resolver that concatenates both values with a separator —
@@ -116,28 +124,36 @@ type shard struct {
 	tombs map[string]uint64
 
 	// epoch advances on every write-lock acquisition (conservatively: a
-	// locked stripe may have mutated). The summary cache below is keyed by
-	// it, so repeated reads over a quiet stripe do no per-key work.
+	// locked stripe may have mutated). It is the clock of the tombstone
+	// ledger and of the v2/v3 digest cache below.
 	epoch atomic.Uint64
 
-	// cacheMu guards the lazily computed digest cache: the stripe's digests
-	// sorted by key plus their summary hash, both valid for epoch
-	// cacheEpoch only. Mutators never touch these fields — they just bump
-	// epoch — so the lock order cacheMu -> mu.RLock can never deadlock
-	// against writers, which take mu alone.
+	// dirty holds the keys whose stamp or presence changed since the stripe's
+	// digest tree last folded them in (noteDirtyLocked). dirtyCap bounds it,
+	// and is zero while there is no tree to maintain: nobody has asked for
+	// one, or a whole-stripe change left it due a full build. Guarded by mu:
+	// writers hold the write lock, a tree request cacheMu plus the read lock.
+	dirty    map[string]struct{}
+	dirtyCap int
+
+	// cacheMu guards what readers derive from the stripe. Mutators never
+	// touch these fields, so the lock order cacheMu -> mu.RLock can never
+	// deadlock against writers, which take mu alone.
+	//
+	// tree is the stripe's digest tree (tree.go) at the replica's own shape
+	// for its key count: built by the first request, patched from the dirty
+	// set by each later one, immutable in between. scratch is the patch's.
+	//
+	// summary and digestCache (summary.go) are the v2/v3 view, valid for
+	// epoch cacheEpoch only: built when such a peer or Digest asks, never by
+	// a v4 round.
 	cacheMu     sync.Mutex
+	tree        *DigestTree
+	scratch     treeScratch
 	cacheValid  bool
 	cacheEpoch  uint64
 	summary     uint64
 	digestCache []encoding.Digest
-
-	// tree caches the stripe's adaptive digest tree (tree.go) at the shape
-	// the replica itself chooses for the stripe's key count, valid for
-	// epoch treeEpoch only. Shares cacheMu with the digest cache above;
-	// foreign-shape requests build throwaway trees and never touch it.
-	treeValid bool
-	treeEpoch uint64
-	tree      *DigestTree
 
 	// quar mirrors the replica's quarantine set for this stripe as a lock-
 	// free flag, so the per-write logSet check costs one atomic load. The
@@ -151,6 +167,24 @@ func (sh *shard) lockMut() {
 	sh.mu.Lock()
 	sh.epoch.Add(1)
 }
+
+// noteDirtyLocked records that key's stored stamp or presence changed, for
+// the stripe's digest tree to fold in on its next request. Forks are noted
+// too: an id-only change moves no hash, but leaf runs ship full stamps. A
+// set past its cap is dropped for one full build. Stripe write lock held.
+func (sh *shard) noteDirtyLocked(key string) {
+	switch {
+	case sh.dirtyCap == 0:
+	case len(sh.dirty) < sh.dirtyCap:
+		sh.dirty[key] = struct{}{}
+	default:
+		sh.dropTreeLocked()
+	}
+}
+
+// dropTreeLocked leaves the stripe's digest tree due a full build, as any
+// wholesale replacement of the stripe must. Stripe write lock held.
+func (sh *shard) dropTreeLocked() { sh.dirty, sh.dirtyCap = nil, 0 }
 
 // Replica is one store replica. The label is purely cosmetic — replicas
 // have no identity beyond their stamps, which is the point of the paper.
@@ -242,11 +276,13 @@ func (r *Replica) shardFor(key string) *shard {
 	return &r.shards[ShardIndex(key, len(r.shards))]
 }
 
-// logSet appends key's new state to stripe si's durable log. Called with the
-// stripe's write lock held, so the log order is exactly the apply order. A
-// backend failure is recorded (first one wins) and the in-memory write
-// stands; see PersistErr.
+// logSet is the one door every per-key mutation leaves through: it notes the
+// key for the stripe's digest tree and appends its new state to stripe si's
+// durable log. Called with the stripe's write lock held, so the log order is
+// exactly the apply order. A backend failure is recorded (first one wins)
+// and the in-memory write stands; see PersistErr.
 func (r *Replica) logSet(si int, key string, v Versioned) {
+	r.shards[si].noteDirtyLocked(key)
 	if r.backend == nil {
 		return
 	}
@@ -286,6 +322,7 @@ func (r *Replica) logSet(si int, key string, v Versioned) {
 // instead of growing it by the keyspace on every whole-snapshot sync
 // round. Stripe write lock held, so no append interleaves.
 func (r *Replica) logAdopt(si int) {
+	r.shards[si].dropTreeLocked()
 	if r.backend == nil {
 		return
 	}
@@ -303,9 +340,6 @@ func (r *Replica) logAdopt(si int) {
 // logKey re-reads key's current state and logs it — the helper the sync
 // paths use after syncKey mutated a raw shard map in place.
 func (r *Replica) logKey(key string) {
-	if r.backend == nil {
-		return
-	}
 	si := ShardIndex(key, len(r.shards))
 	if v, ok := r.shards[si].data[key]; ok {
 		r.logSet(si, key, v)
@@ -1091,6 +1125,15 @@ func reconcileKey(key string, va, vb *Versioned, resolve Resolver) (reconcileOut
 		*vb = Versioned{Value: append([]byte(nil), va.Value...), Deleted: va.Deleted, Stamp: give}
 		return outcomeReconciled, nil
 	case core.Concurrent:
+		if va.Deleted == vb.Deleted && bytes.Equal(va.Value, vb.Value) {
+			// Two pairs of replicas already resolved this conflict to the
+			// same bytes: the join alone dominates both histories. Resolving
+			// again would run the resolver on its own output, and a fresh
+			// update would make the result concurrent with the next pair's.
+			value, deleted = va.Value, va.Deleted
+			outcome = outcomeReconciled
+			break
+		}
 		if resolve == nil {
 			return outcomeConflictSkipped, nil
 		}
@@ -1103,13 +1146,15 @@ func reconcileKey(key string, va, vb *Versioned, resolve Resolver) (reconcileOut
 	}
 
 	// Concurrent merge: the join is semantically required (the merged copy
-	// must dominate both inputs), and the resolver's verdict is a new
-	// update on the joined stamp.
+	// must dominate both inputs), and a resolver's verdict is a new update
+	// on the joined stamp.
 	joined, err := core.Join(va.Stamp, vb.Stamp)
 	if err != nil {
 		return 0, fmt.Errorf("kvstore: join stamps for %q: %w", key, err)
 	}
-	joined = joined.Update()
+	if outcome == outcomeMerged {
+		joined = joined.Update()
+	}
 	sa, sb := joined.Fork()
 	*va = Versioned{Value: append([]byte(nil), value...), Deleted: deleted, Stamp: sa}
 	*vb = Versioned{Value: append([]byte(nil), value...), Deleted: deleted, Stamp: sb}

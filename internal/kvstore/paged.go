@@ -352,6 +352,7 @@ func (r *Replica) DiscardTombstones(i int, expect map[string]uint64) int {
 			}
 		}
 		delete(sh.tombs, k)
+		sh.noteDirtyLocked(k)
 		n++
 	}
 	return n

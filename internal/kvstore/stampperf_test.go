@@ -95,3 +95,68 @@ func TestDiffAgainstDuplicateDigestKeys(t *testing.T) {
 		t.Errorf("LocalOnly = %d, want 0", d.LocalOnly)
 	}
 }
+
+// warmedSingleStripe builds a one-stripe replica of n forked keys (so every
+// first Put of a key moves its update component) whose digest tree has been
+// asked for once, and returns it with its keys.
+func warmedSingleStripe(tb testing.TB, n int) (*Replica, []string) {
+	tb.Helper()
+	r := NewReplicaShards("r", 1)
+	keys := make([]string, n)
+	batch := make(map[string][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%07d", i)
+		batch[keys[i]] = []byte("value")
+	}
+	r.PutBatch(batch)
+	_ = r.Clone("peer")
+	if _, err := r.StripeTree(0); err != nil {
+		tb.Fatal(err)
+	}
+	return r, keys
+}
+
+// stripeTreeAfterOneWriteBudget bounds the allocations of one Put plus the
+// tree request that folds it in: the value copy and dirty note of the Put,
+// then one leaf run, one child slice per level of the path and the new tree
+// header. A constant: what it must never be is proportional to the stripe.
+const stripeTreeAfterOneWriteBudget = 16
+
+// TestStripeTreeAfterOneWriteAllocBudget is the counted gate for "O(dirty),
+// not O(stripe)": the same budget holds at 10 000 and at 100 000 keys.
+func TestStripeTreeAfterOneWriteAllocBudget(t *testing.T) {
+	for _, n := range []int{10_000, 100_000} {
+		r, keys := warmedSingleStripe(t, n)
+		value := []byte("edited")
+		next := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			r.Put(keys[next], value)
+			next += 97
+			before := r.shards[0].tree
+			tr, err := r.StripeTree(0)
+			if err != nil || tr == before || tr.leafHashes != before.leafHashes+1 {
+				t.Fatalf("one Put: tree %p (was %p), err %v", tr, before, err)
+			}
+		})
+		t.Logf("%d keys, depth %d: one Put + StripeTree = %.1f allocs", n, r.shards[0].tree.Depth(), allocs)
+		if allocs > stripeTreeAfterOneWriteBudget {
+			t.Errorf("%d keys: one Put + StripeTree allocates %.1f/op; budget is %d",
+				n, allocs, stripeTreeAfterOneWriteBudget)
+		}
+	}
+}
+
+// BenchmarkStripeTreeAfterOneWrite records what a root check costs a 100k-key
+// stripe after a single write — the hot1 round's store half. Not gated.
+func BenchmarkStripeTreeAfterOneWrite(b *testing.B) {
+	r, keys := warmedSingleStripe(b, 100_000)
+	value := []byte("edited")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Put(keys[i%len(keys)], value)
+		if _, err := r.StripeTree(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,7 +2,8 @@ package kvstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
@@ -17,8 +18,9 @@ import (
 // Summaries are served from a per-stripe cache keyed by the stripe's epoch
 // counter, which every mutation path bumps (see shard.lockMut). The cached
 // digest list doubles as the source for Digest/DigestShard, so repeated
-// gossip rounds over a quiet store do no per-key work at all — not even the
-// digest collection the v2 protocol pays every round.
+// v2/v3 rounds over a quiet store do no per-key work at all. Only those
+// callers fill it: v4 rounds read the stripe's digest tree (tree.go), which
+// keeps its own (position, key) order and never touches this cache.
 
 // stripeCache returns stripe i's summary and its digests sorted by key,
 // recomputing both only when the stripe's epoch moved since the last call.
@@ -28,20 +30,11 @@ func (r *Replica) stripeCache(i int) (uint64, []encoding.Digest) {
 	sh := &r.shards[i]
 	sh.cacheMu.Lock()
 	defer sh.cacheMu.Unlock()
-	return r.stripeCacheLocked(i)
-}
-
-// stripeCacheLocked is stripeCache's core for callers already holding the
-// stripe's cacheMu (the digest-tree cache shares the lock and the digest
-// snapshot — see tree.go).
-func (r *Replica) stripeCacheLocked(i int) (uint64, []encoding.Digest) {
-	sh := &r.shards[i]
 	sh.mu.RLock()
 	e := sh.epoch.Load()
 	if sh.cacheValid && sh.cacheEpoch == e {
-		sum, ds := sh.summary, sh.digestCache
 		sh.mu.RUnlock()
-		return sum, ds
+		return sh.summary, sh.digestCache
 	}
 	ds := make([]encoding.Digest, 0, sh.countLocked())
 	sh.eachMetaLocked(func(k string, _ bool, st core.Stamp) {
@@ -51,11 +44,10 @@ func (r *Replica) stripeCacheLocked(i int) (uint64, []encoding.Digest) {
 	// Sorting and hashing happen outside the stripe lock: the snapshot is
 	// already taken, and a writer that sneaks in meanwhile bumped the epoch
 	// past e, so the stale cache entry can never be mistaken for current.
-	sort.Slice(ds, func(a, b int) bool { return ds[a].Key < ds[b].Key })
-	sum := encoding.SummarizeDigests(ds)
-	sh.summary, sh.digestCache = sum, ds
+	slices.SortFunc(ds, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
+	sh.summary, sh.digestCache = encoding.SummarizeDigests(ds), ds
 	sh.cacheEpoch, sh.cacheValid = e, true
-	return sum, ds
+	return sh.summary, ds
 }
 
 // StripeSummary returns the summary hash of stripe idx under the replica's

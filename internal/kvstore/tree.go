@@ -1,10 +1,13 @@
 package kvstore
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
+	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
 )
 
@@ -18,16 +21,18 @@ import (
 // and a divergent key is located by descending only the differing children
 // — O(log n) fixed-size frames instead of O(stripe) digests.
 //
-// The tree is served from a per-stripe cache keyed by the same epoch counter
-// as the summary cache, so converged stripes answer in O(1) without touching
-// a key. When a stripe's key count crosses a width threshold the next
-// rebuild simply picks the deeper (or shallower) shape — an online rebalance
-// that needs no coordination, because the wire protocol always descends at
-// the *client's* declared shape: a server whose own shape differs evaluates
-// its data under the client's (fanout, depth) on demand, exactly as
+// Each stripe keeps its tree once a peer has asked for it: writers note the
+// keys they touch and the next request patches just those leaves and their
+// paths to the root (stripeTree), so converged stripes answer in O(1) and a
+// written one in O(dirty keys × depth), without re-reading the stripe. When a
+// stripe's key count crosses a width threshold the request re-levels the
+// tree at the deeper (or shallower) shape — an online rebalance that needs
+// no coordination, because the wire protocol always descends at the
+// *client's* declared shape: a server whose own shape differs evaluates its
+// data under the client's (fanout, depth) on demand, exactly as
 // SummariesScoped regroups digests under a foreign stripe layout. Converged
 // replicas hold equal per-stripe key counts, so their shapes agree and both
-// sides run fully cached.
+// sides answer from the trees they hold.
 
 const (
 	// treeFanout is the fan-out of locally built trees: 4 position bits per
@@ -50,7 +55,7 @@ const (
 // with for a stripe of n keys: the shallowest depth whose leaf count keeps
 // leaves near treeLeafTarget keys. Deterministic in n, so converged
 // replicas (equal counts) always agree on shape, and a stripe crossing a
-// count threshold rebalances to the new depth on its next rebuild.
+// count threshold rebalances to the new depth on its next request.
 func TreeShape(n int) (fanout, depth int) {
 	fanout = treeFanout
 	leaves := (n + treeLeafTarget - 1) / treeLeafTarget
@@ -97,12 +102,16 @@ func NodeRange(fanout, level int, path uint64) TreeRange {
 	return TreeRange{Lo: path << shift, Hi: (path + 1) << shift}
 }
 
-// treeNode is one materialized node: its path at its level, the digest run
-// it spans (tree order), and its subtree hash.
+// treeNode is one non-empty node: its child index under its parent, its
+// subtree hash, and either its non-empty children in ascending index order
+// (level < depth) or its digest run ordered by (TreePos, key) (level ==
+// depth). A node is never modified once the tree holding it is handed out:
+// patch copies the path to each touched leaf and shares everything else.
 type treeNode struct {
-	path       uint64
-	start, end int32
-	hash       uint64
+	hash uint64
+	idx  uint8
+	kids []treeNode
+	run  []encoding.Digest
 }
 
 // DigestTree is an immutable k-ary hash tree over one stripe's digests,
@@ -113,83 +122,173 @@ type treeNode struct {
 // at one agreed shape. Safe for concurrent use once built.
 type DigestTree struct {
 	fanout, depth, fbits int
-	pos                  []uint64          // TreePos per digest, tree order
-	digests              []encoding.Digest // sorted by (pos, key)
-	levels               [][]treeNode      // levels[l]: non-empty nodes, ascending path
+	n                    int      // digests spanned
+	root                 treeNode // zero while n == 0
+	leafHashes           int      // leaf runs hashed to build and patch this tree so far
 }
 
-// treeSorter sorts pos and digests together by (pos, key).
-type treeSorter struct {
-	pos []uint64
-	ds  []encoding.Digest
+// treeUpdate is one key's digest at its tree position — or, in a patch, its
+// absence.
+type treeUpdate struct {
+	pos     uint64
+	d       encoding.Digest
+	present bool
 }
 
-func (s *treeSorter) Len() int { return len(s.pos) }
-func (s *treeSorter) Less(a, b int) bool {
-	if s.pos[a] != s.pos[b] {
-		return s.pos[a] < s.pos[b]
+func treeUpdates(ds []encoding.Digest) []treeUpdate {
+	ups := make([]treeUpdate, len(ds))
+	for i, d := range ds {
+		ups[i] = treeUpdate{pos: encoding.TreePos(d.Key), d: d, present: true}
 	}
-	return s.ds[a].Key < s.ds[b].Key
-}
-func (s *treeSorter) Swap(a, b int) {
-	s.pos[a], s.pos[b] = s.pos[b], s.pos[a]
-	s.ds[a], s.ds[b] = s.ds[b], s.ds[a]
+	return ups
 }
 
-// buildDigestTree arranges ds (any order; not aliased afterwards) into a
-// tree of the given shape. The shape must satisfy encoding.ValidTreeShape.
+// cmpPosKey is the tree order: by position, ties (hash collisions) by key.
+func cmpPosKey(ap uint64, ak string, bp uint64, bk string) int {
+	return cmp.Or(cmp.Compare(ap, bp), strings.Compare(ak, bk))
+}
+
+func cmpUpdates(a, b treeUpdate) int { return cmpPosKey(a.pos, a.d.Key, b.pos, b.d.Key) }
+
+// buildDigestTree arranges ds (any order, left alone) into a tree of the
+// given shape, which must satisfy encoding.ValidTreeShape. This is the first
+// build of a stripe's tree, the foreign-layout path, and the oracle the
+// patched tree is tested against.
 func buildDigestTree(ds []encoding.Digest, fanout, depth int) *DigestTree {
-	t := &DigestTree{
-		fanout: fanout, depth: depth,
-		fbits:   bits.TrailingZeros(uint(fanout)),
-		pos:     make([]uint64, len(ds)),
-		digests: make([]encoding.Digest, len(ds)),
-	}
-	copy(t.digests, ds)
-	for i := range t.digests {
-		t.pos[i] = encoding.TreePos(t.digests[i].Key)
-	}
-	sort.Sort(&treeSorter{pos: t.pos, ds: t.digests})
+	ups := treeUpdates(ds)
+	slices.SortFunc(ups, cmpUpdates)
+	return levelSorted(ups, fanout, depth)
+}
 
-	t.levels = make([][]treeNode, depth+1)
-	// Leaves: group the ordered digests by their top depth×fbits position
-	// bits and hash each run.
-	shift := uint(64 - depth*t.fbits)
-	var leaves []treeNode
-	for i := 0; i < len(t.digests); {
-		p := t.pos[i] >> shift
-		j := i
-		for j < len(t.digests) && t.pos[j]>>shift == p {
-			j++
-		}
-		leaves = append(leaves, treeNode{
-			path: p, start: int32(i), end: int32(j),
-			hash: encoding.SummarizeDigests(t.digests[i:j]),
-		})
-		i = j
-	}
-	t.levels[depth] = leaves
-	// Internal levels: fold each run of children sharing a parent path.
-	for l := depth - 1; l >= 0; l-- {
-		child := t.levels[l+1]
-		var cur []treeNode
-		for i := 0; i < len(child); {
-			p := child[i].path >> t.fbits
-			h := encoding.RootSummarySeed
-			start, end := child[i].start, child[i].end
-			j := i
-			for j < len(child) && child[j].path>>t.fbits == p {
-				h = encoding.FoldSummary(h, child[j].path&uint64(fanout-1))
-				h = encoding.FoldSummary(h, child[j].hash)
-				end = child[j].end
-				j++
-			}
-			cur = append(cur, treeNode{path: p, start: start, end: end, hash: h})
-			i = j
-		}
-		t.levels[l] = cur
+// levelSorted builds the tree over digests already in tree order.
+func levelSorted(ups []treeUpdate, fanout, depth int) *DigestTree {
+	t := &DigestTree{fanout: fanout, depth: depth, fbits: bits.TrailingZeros(uint(fanout)), n: len(ups)}
+	if len(ups) > 0 {
+		t.root = t.level(ups, 0, new(treeScratch))
 	}
 	return t
+}
+
+// level builds the node at the given level over its (non-empty) span of
+// digests: a leaf hashes the span, an internal node groups it by the next
+// fbits position bits and folds the children. Every leaf owns its run, so
+// that patching one later frees the old run instead of pinning a shared
+// array.
+func (t *DigestTree) level(ups []treeUpdate, level int, sc *treeScratch) treeNode {
+	if level == t.depth {
+		nd := treeNode{run: make([]encoding.Digest, len(ups))}
+		for i := range ups {
+			nd.run[i] = ups[i].d
+		}
+		nd.hash, sc.hash = encoding.SummarizeDigestsBuf(nd.run, sc.hash)
+		t.leafHashes++
+		return nd
+	}
+	nd := treeNode{kids: make([]treeNode, 0, min(t.fanout, len(ups)))}
+	for len(ups) > 0 {
+		c, j := t.childIndex(ups[0].pos, level), 1
+		for j < len(ups) && t.childIndex(ups[j].pos, level) == c {
+			j++
+		}
+		kid := t.level(ups[:j], level+1, sc)
+		kid.idx = c
+		nd.kids, ups = append(nd.kids, kid), ups[j:]
+	}
+	nd.hash = foldKids(nd.kids)
+	return nd
+}
+
+// childIndex returns which child of a node at `level` position p falls under.
+func (t *DigestTree) childIndex(p uint64, level int) uint8 {
+	return uint8(p >> uint(64-(level+1)*t.fbits) & uint64(t.fanout-1))
+}
+
+func foldKids(kids []treeNode) uint64 {
+	h := encoding.RootSummarySeed
+	for i := range kids {
+		h = encoding.FoldSummary(h, uint64(kids[i].idx))
+		h = encoding.FoldSummary(h, kids[i].hash)
+	}
+	return h
+}
+
+// treeScratch holds the buffers building and patching reuse from leaf to
+// leaf and, kept by the stripe, from one request to the next.
+type treeScratch struct {
+	hash []byte            // SummarizeDigestsBuf's encoding buffer
+	run  []encoding.Digest // a patched leaf's run, merged here before it is sized
+}
+
+// patch returns the tree with ups applied, leaving t as it was: only the
+// paths to the touched leaves are copied, only leaves whose key set or update
+// components moved are rehashed (an id-only change — a fork — just swaps the
+// stamp in the run), and the result equals buildDigestTree over the updated
+// digest set bit for bit. ups is non-empty, holds each key once, and is
+// reordered.
+func (t *DigestTree) patch(ups []treeUpdate, sc *treeScratch) *DigestTree {
+	slices.SortFunc(ups, cmpUpdates)
+	nt := *t
+	nt.root, _ = nt.patchNode(t.root, 0, ups, sc)
+	clear(sc.run[:cap(sc.run)]) // keep the buffer, not what it pointed at
+	return &nt
+}
+
+// patchNode returns nd (the zero node when the subtree was empty) with ups,
+// all of which fall under it, applied, and whether anything is left of it.
+func (t *DigestTree) patchNode(nd treeNode, level int, ups []treeUpdate, sc *treeScratch) (treeNode, bool) {
+	if level == t.depth {
+		run, old, rehash := sc.run[:0], nd.run, false
+		for _, u := range ups {
+			for len(old) > 0 && cmpPosKey(encoding.TreePos(old[0].Key), old[0].Key, u.pos, u.d.Key) < 0 {
+				run, old = append(run, old[0]), old[1:]
+			}
+			if len(old) > 0 && old[0].Key == u.d.Key {
+				rehash = rehash || !u.present || !old[0].Stamp.UpdateHandle().Equal(u.d.Stamp.UpdateHandle())
+				old = old[1:]
+			} else {
+				rehash = rehash || u.present
+			}
+			if u.present {
+				run = append(run, u.d)
+			}
+		}
+		run = append(run, old...)
+		t.n += len(run) - len(nd.run)
+		sc.run, nd.run = run, slices.Clone(run) // exactly sized: the tree keeps it
+		if rehash && len(run) > 0 {
+			nd.hash, sc.hash = encoding.SummarizeDigestsBuf(run, sc.hash)
+			t.leafHashes++
+		}
+		return nd, len(run) > 0
+	}
+	kids := make([]treeNode, 0, min(t.fanout, len(nd.kids)+len(ups)))
+	old := nd.kids
+	for len(ups) > 0 {
+		c, j := t.childIndex(ups[0].pos, level), 1
+		for j < len(ups) && t.childIndex(ups[j].pos, level) == c {
+			j++
+		}
+		for len(old) > 0 && old[0].idx < c {
+			kids, old = append(kids, old[0]), old[1:]
+		}
+		kid := treeNode{idx: c}
+		if len(old) > 0 && old[0].idx == c {
+			kid, old = old[0], old[1:]
+		}
+		if kid, ok := t.patchNode(kid, level+1, ups[:j], sc); ok {
+			kids = append(kids, kid)
+		}
+		ups = ups[j:]
+	}
+	nd.kids = append(kids, old...)
+	nd.hash = foldKids(nd.kids)
+	return nd, len(nd.kids) > 0
+}
+
+// relevel arranges the tree's digests under another shape. They are already
+// in tree order, so nothing is collected from the stripe or sorted.
+func (t *DigestTree) relevel(fanout, depth int) *DigestTree {
+	return levelSorted(treeUpdates(t.RunRange(TreeRange{})), fanout, depth)
 }
 
 // Fanout returns the tree's fan-out.
@@ -199,15 +298,15 @@ func (t *DigestTree) Fanout() int { return t.fanout }
 func (t *DigestTree) Depth() int { return t.depth }
 
 // Len returns the number of digests the tree spans.
-func (t *DigestTree) Len() int { return len(t.digests) }
+func (t *DigestTree) Len() int { return t.n }
 
 // Root returns the tree's root hash; an empty stripe roots at
 // encoding.EmptySummary regardless of shape.
 func (t *DigestTree) Root() uint64 {
-	if len(t.levels[0]) == 0 {
+	if t.n == 0 {
 		return encoding.EmptySummary
 	}
-	return t.levels[0][0].hash
+	return t.root.hash
 }
 
 // Children snapshots the children of the node at (level, path): bit c of
@@ -215,78 +314,150 @@ func (t *DigestTree) Root() uint64 {
 // child order. An absent or bottom-level node yields an all-zero bitmap.
 func (t *DigestTree) Children(level int, path uint64) (bitmap []byte, hashes []uint64) {
 	bitmap = make([]byte, encoding.TreeBitmapLen(t.fanout))
-	if level < 0 || level >= t.depth {
+	if t.n == 0 || level < 0 || level >= t.depth {
 		return bitmap, nil
 	}
-	lo := path << uint(t.fbits)
-	hi := lo + uint64(t.fanout)
-	lvl := t.levels[level+1]
-	i := sort.Search(len(lvl), func(i int) bool { return lvl[i].path >= lo })
-	for ; i < len(lvl) && lvl[i].path < hi; i++ {
-		c := int(lvl[i].path & uint64(t.fanout-1))
-		encoding.BitmapSet(bitmap, c)
-		hashes = append(hashes, lvl[i].hash)
+	if used := uint(level * t.fbits); used < 64 && path>>used != 0 {
+		return bitmap, nil // no node of this level has such a path
+	}
+	nd := t.root
+	for l := level - 1; l >= 0; l-- {
+		c := uint8(path >> uint(l*t.fbits) & uint64(t.fanout-1))
+		i := slices.IndexFunc(nd.kids, func(k treeNode) bool { return k.idx >= c })
+		if i < 0 || nd.kids[i].idx != c {
+			return bitmap, nil
+		}
+		nd = nd.kids[i]
+	}
+	hashes = make([]uint64, len(nd.kids))
+	for i, kid := range nd.kids {
+		encoding.BitmapSet(bitmap, int(kid.idx))
+		hashes[i] = kid.hash
 	}
 	return bitmap, hashes
 }
 
 // Run returns the digest run (tree order) under the node at (level, path).
-// The slice aliases the tree; callers must treat it as read-only.
+// The slice may alias the tree; callers must treat it as read-only.
 func (t *DigestTree) Run(level int, path uint64) []encoding.Digest {
 	return t.RunRange(NodeRange(t.fanout, level, path))
 }
 
 // RunRange returns the digests whose positions fall inside rg (tree order).
-// The slice aliases the tree; callers must treat it as read-only.
+// The slice may alias the tree; callers must treat it as read-only.
 func (t *DigestTree) RunRange(rg TreeRange) []encoding.Digest {
-	lo := sort.Search(len(t.pos), func(i int) bool { return t.pos[i] >= rg.Lo })
-	hi := len(t.pos)
-	if rg.Hi != 0 {
-		hi = sort.Search(len(t.pos), func(i int) bool { return t.pos[i] >= rg.Hi })
+	last := rg.Hi - 1 // inclusive; Hi == 0 wraps to the top of the space
+	if t.n == 0 || rg.Lo > last {
+		return nil
 	}
-	return t.digests[lo:hi]
+	runs := t.appendRuns(nil, t.root, 0, 0, rg.Lo, last)
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	return slices.Concat(runs...)
 }
 
-// stripeTreeShaped returns stripe i's digest tree. fanout == 0 selects the
-// replica's own shape (TreeShape of the live count). The tree is cached per
-// stripe epoch when the requested shape is the stripe's own shape — the
-// converged steady state, where peers' counts (hence shapes) agree — and
-// built as a throwaway snapshot otherwise, so one foreign-shaped peer
-// cannot thrash the cache.
-func (r *Replica) stripeTreeShaped(i, fanout, depth int) *DigestTree {
+// appendRuns appends, in tree order, the leaf runs (or the parts of them)
+// under nd — the node at (level, path) — whose positions lie in [lo, last].
+func (t *DigestTree) appendRuns(runs [][]encoding.Digest, nd treeNode, level int, path, lo, last uint64) [][]encoding.Digest {
+	first, end := uint64(0), ^uint64(0) // the node's own interval, inclusive
+	if shift := uint(64 - level*t.fbits); shift < 64 {
+		first = path << shift
+		end = first | (1<<shift - 1)
+	}
+	if last < first || lo > end {
+		return runs
+	}
+	if level < t.depth {
+		for _, kid := range nd.kids {
+			runs = t.appendRuns(runs, kid, level+1, path<<uint(t.fbits)|uint64(kid.idx), lo, last)
+		}
+		return runs
+	}
+	run := nd.run
+	if lo > first || last < end {
+		run = slices.DeleteFunc(slices.Clone(run), func(d encoding.Digest) bool {
+			p := encoding.TreePos(d.Key)
+			return p < lo || p > last
+		})
+	}
+	if len(run) > 0 {
+		runs = append(runs, run)
+	}
+	return runs
+}
+
+// stripeTree returns stripe i's digest tree at the replica's own shape
+// (TreeShape of the live count), brought up to date. The first request
+// collects, sorts and hashes the stripe once; from then on writers note the
+// keys they touch (shard.noteDirtyLocked) and a request folds only those in:
+// O(dirty keys × depth), nothing when the stripe was quiet. A full build
+// recurs only after a whole-stripe replacement or a dirty-set overflow;
+// crossing a TreeShape depth threshold re-levels the digests the tree
+// already holds in order. The result is immutable, so a round descends a
+// consistent snapshot while later requests patch copies.
+func (r *Replica) stripeTree(i int) *DigestTree {
 	sh := &r.shards[i]
 	sh.cacheMu.Lock()
 	defer sh.cacheMu.Unlock()
-	_, ds := r.stripeCacheLocked(i)
-	e := sh.cacheEpoch
-	ownF, ownD := TreeShape(len(ds))
-	if fanout == 0 {
-		fanout, depth = ownF, ownD
-	}
-	if sh.treeValid && sh.treeEpoch == e && sh.tree.fanout == fanout && sh.tree.depth == depth {
+	sh.mu.RLock()
+	if sh.tree == nil || sh.dirtyCap == 0 {
+		ds := make([]encoding.Digest, 0, sh.countLocked())
+		sh.eachMetaLocked(func(k string, _ bool, st core.Stamp) {
+			ds = append(ds, encoding.Digest{Key: k, Stamp: st})
+		})
+		// Writers that get in before the build below finishes are already
+		// noted against the snapshot it is built from.
+		sh.dirty, sh.dirtyCap = make(map[string]struct{}), dirtyCapFor(len(ds))
+		sh.mu.RUnlock()
+		fanout, depth := TreeShape(len(ds))
+		sh.tree = buildDigestTree(ds, fanout, depth)
 		return sh.tree
 	}
-	t := buildDigestTree(ds, fanout, depth)
-	if fanout == ownF && depth == ownD {
-		sh.tree, sh.treeEpoch, sh.treeValid = t, e, true
+	sh.dirtyCap = dirtyCapFor(sh.tree.n)
+	if len(sh.dirty) == 0 {
+		sh.mu.RUnlock()
+		return sh.tree
 	}
+	ups := make([]treeUpdate, 0, len(sh.dirty))
+	for k := range sh.dirty {
+		v, ok := sh.metaLocked(k)
+		ups = append(ups, treeUpdate{encoding.TreePos(k), encoding.Digest{Key: k, Stamp: v.Stamp}, ok})
+	}
+	// A fresh set rather than a cleared one: a burst's worth of buckets
+	// should not stay with the stripe.
+	sh.dirty = make(map[string]struct{})
+	sh.mu.RUnlock()
+	// Patching happens outside the stripe lock: the dirty keys' states are
+	// already read, and a writer that sneaks in meanwhile notes its key for
+	// the next request.
+	t := sh.tree.patch(ups, &sh.scratch)
+	if fanout, depth := TreeShape(t.n); fanout != t.fanout || depth != t.depth {
+		t = t.relevel(fanout, depth)
+	}
+	sh.tree = t
 	return t
 }
 
+// dirtyCapFor bounds a stripe's dirty set by its key count: a burst touching
+// over a quarter of the stripe forgets its notes and pays one full build
+// (about 3x the patch it replaces) rather than hold a set the tree's size.
+func dirtyCapFor(n int) int { return n/4 + 64 }
+
 // StripeTree returns stripe idx's digest tree at the replica's own shape,
-// lazily recomputed only when the stripe mutated.
+// brought up to date with the keys written since the last request.
 func (r *Replica) StripeTree(idx int) (*DigestTree, error) {
 	if idx < 0 || idx >= len(r.shards) {
 		return nil, fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
 	}
-	return r.stripeTreeShaped(idx, 0, 0), nil
+	return r.stripeTree(idx), nil
 }
 
 // TreeScoped returns the digest tree a peer with `of` stripes sees for its
 // stripe idx, evaluated at the peer-declared (fanout, depth). When the
-// layouts agree this is the cached fast path (or a one-off build at the
-// foreign shape); otherwise every digest is regrouped under the foreign
-// layout first — correct for any pair of layouts, exactly like
+// layouts agree this is the maintained tree, re-leveled when the peer's
+// shape is not the stripe's own; otherwise every digest is regrouped under
+// the foreign layout first — correct for any pair of layouts, exactly like
 // SummariesScoped, just not O(1) on a quiet store.
 func (r *Replica) TreeScoped(idx, of, fanout, depth int) (*DigestTree, error) {
 	if of < 1 || idx < 0 || idx >= of {
@@ -296,7 +467,11 @@ func (r *Replica) TreeScoped(idx, of, fanout, depth int) (*DigestTree, error) {
 		return nil, fmt.Errorf("kvstore: bad tree shape fanout=%d depth=%d", fanout, depth)
 	}
 	if of == len(r.shards) {
-		return r.stripeTreeShaped(idx, fanout, depth), nil
+		t := r.stripeTree(idx)
+		if t.fanout != fanout || t.depth != depth {
+			t = t.relevel(fanout, depth)
+		}
+		return t, nil
 	}
 	var group []encoding.Digest
 	for _, d := range r.Digest() {
@@ -319,7 +494,7 @@ func (r *Replica) TreeRootsScoped(of int) ([]uint64, error) {
 	out := make([]uint64, of)
 	if of == len(r.shards) {
 		for i := range r.shards {
-			out[i] = r.stripeTreeShaped(i, 0, 0).Root()
+			out[i] = r.stripeTree(i).Root()
 		}
 		return out, nil
 	}

@@ -1,9 +1,15 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
 )
 
@@ -138,6 +144,36 @@ func TestDigestTreeStructure(t *testing.T) {
 	// part of the hash domain, which is why the wire pins one shape.
 	if buildDigestTree(ds, 16, 3).Root() == tr.Root() {
 		t.Fatal("depth 2 and depth 3 trees share a root")
+	}
+}
+
+// TestRunRangeUnaligned: ranges that cut through leaves, wrap to the top of
+// the space or are empty must select exactly the digests Contains selects,
+// in tree order.
+func TestRunRangeUnaligned(t *testing.T) {
+	tr := buildDigestTree(treeDigests(t, 500), 16, 2)
+	all := tr.RunRange(TreeRange{})
+	if len(all) != 500 {
+		t.Fatalf("whole range holds %d digests", len(all))
+	}
+	mid := encoding.TreePos(all[250].Key)
+	for _, rg := range []TreeRange{
+		{Lo: encoding.TreePos(all[3].Key), Hi: mid}, {Lo: mid, Hi: 0}, {Lo: 0, Hi: mid + 1},
+		{Lo: mid, Hi: mid + 1}, {Lo: mid, Hi: mid}, {Lo: mid + 1, Hi: mid},
+	} {
+		var want []string
+		for _, d := range all {
+			if rg.Contains(encoding.TreePos(d.Key)) {
+				want = append(want, d.Key)
+			}
+		}
+		var got []string
+		for _, d := range tr.RunRange(rg) {
+			got = append(got, d.Key)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("RunRange(%+v) = %d digests, want %d", rg, len(got), len(want))
+		}
 	}
 }
 
@@ -290,4 +326,377 @@ func mustSnapshot(t *testing.T, r *Replica) []byte {
 		t.Fatal(err)
 	}
 	return snap
+}
+
+// stripeDigests collects stripe i's digests straight off the stripe — the
+// fresh collection the maintained tree is checked against.
+func stripeDigests(r *Replica, i int) []encoding.Digest {
+	sh := &r.shards[i]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	var ds []encoding.Digest
+	sh.eachMetaLocked(func(k string, _ bool, st core.Stamp) {
+		ds = append(ds, encoding.Digest{Key: strings.Clone(k), Stamp: st})
+	})
+	return ds
+}
+
+// requireSameTree fails unless got answers exactly as want does: length,
+// root, every node's Children at every level, every leaf's Run (keys and
+// full stamps, ids included) and the whole-tree run.
+func requireSameTree(t *testing.T, what string, got, want *DigestTree) {
+	t.Helper()
+	if got.Fanout() != want.Fanout() || got.Depth() != want.Depth() || got.Len() != want.Len() {
+		t.Fatalf("%s: shape (%d,%d) over %d digests, want (%d,%d) over %d", what,
+			got.Fanout(), got.Depth(), got.Len(), want.Fanout(), want.Depth(), want.Len())
+	}
+	if got.Root() != want.Root() {
+		t.Fatalf("%s: root %x, want %x", what, got.Root(), want.Root())
+	}
+	sameRun := func(where string, g, w []encoding.Digest) {
+		if len(g) != len(w) {
+			t.Fatalf("%s: %s holds %d digests, want %d", what, where, len(g), len(w))
+		}
+		for i := range w {
+			if g[i].Key != w[i].Key || !g[i].Stamp.Equal(w[i].Stamp) {
+				t.Fatalf("%s: %s[%d] = %q %v, want %q %v", what, where, i,
+					g[i].Key, g[i].Stamp, w[i].Key, w[i].Stamp)
+			}
+		}
+	}
+	fbits := encoding.TreeFanoutBits(want.Fanout())
+	var walk func(level int, path uint64)
+	walk = func(level int, path uint64) {
+		where := fmt.Sprintf("node (%d,%x)", level, path)
+		if level == want.Depth() {
+			sameRun(where, got.Run(level, path), want.Run(level, path))
+			return
+		}
+		gbm, gh := got.Children(level, path)
+		wbm, wh := want.Children(level, path)
+		if !bytes.Equal(gbm, wbm) || !slices.Equal(gh, wh) {
+			t.Fatalf("%s: %s children %x %x, want %x %x", what, where, gbm, gh, wbm, wh)
+		}
+		for c := 0; c < want.Fanout(); c++ {
+			if encoding.BitmapGet(wbm, c) {
+				walk(level+1, path<<uint(fbits)|uint64(c))
+			}
+		}
+	}
+	walk(0, 0)
+	sameRun("whole run", got.RunRange(TreeRange{}), want.RunRange(TreeRange{}))
+}
+
+// requireTreesMatchOracle checks every stripe's maintained tree against
+// buildDigestTree over a fresh collection at the stripe's own shape, and
+// returns the depths it saw.
+func requireTreesMatchOracle(t *testing.T, what string, r *Replica) []int {
+	t.Helper()
+	depths := make([]int, r.Shards())
+	for i := 0; i < r.Shards(); i++ {
+		got, err := r.StripeTree(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := stripeDigests(r, i)
+		fanout, depth := TreeShape(len(ds))
+		requireSameTree(t, fmt.Sprintf("%s: %s stripe %d", what, r.Label(), i), got, buildDigestTree(ds, fanout, depth))
+		depths[i] = depth
+	}
+	return depths
+}
+
+// TestMaintainedTreeMatchesFreshBuild is the differential property of the
+// maintained tree: after every step of a seeded random sequence over every
+// mutation path, each stripe's patched tree must equal a from-scratch build
+// — over in-memory, durable and paged replicas, across a dirty-set overflow
+// and across the TreeShape depth threshold in both directions.
+func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
+	const shards = 2
+	kinds := map[string]func(t *testing.T, label string) *Replica{
+		"memory": func(_ *testing.T, label string) *Replica { return NewReplicaShards(label, shards) },
+		"durable": func(t *testing.T, label string) *Replica {
+			r, err := Open(t.TempDir(), Options{Label: label, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = r.Close() })
+			return r
+		},
+		"paged": func(t *testing.T, label string) *Replica {
+			opts := pagedOpts(shards)
+			opts.Label = label
+			r, err := Open(t.TempDir(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = r.Close() })
+			return r
+		},
+	}
+	steps := 240
+	if testing.Short() {
+		steps = 90
+	}
+	for kind, open := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(20021001))
+			a, b := open(t, "a"), open(t, "b")
+			pair := [2]*Replica{a, b}
+			// 800 keys over 2 stripes: depth 1, a batch away from the
+			// 512-key threshold.
+			key := func(i int) string { return fmt.Sprintf("key-%04d", i) }
+			seedKeys := make(map[string][]byte)
+			for i := 0; i < 800; i++ {
+				seedKeys[key(i)] = []byte("v0")
+			}
+			a.PutBatch(seedKeys)
+			if _, err := Sync(a, b, nil); err != nil {
+				t.Fatal(err)
+			}
+			resolve := KeepBoth([]byte("|"))
+			sawDepth := map[int]bool{}
+			check := func(what string) {
+				t.Helper()
+				for _, r := range pair {
+					for _, d := range requireTreesMatchOracle(t, what, r) {
+						sawDepth[d] = true
+					}
+				}
+			}
+			check("seed")
+			someKeys := func(n, universe int) []string {
+				ks := make([]string, n)
+				for i := range ks {
+					ks[i] = key(rng.Intn(universe))
+				}
+				return ks
+			}
+			for step := 0; step < steps; step++ {
+				r, o := pair[rng.Intn(2)], pair[0]
+				if r == o {
+					o = pair[1]
+				}
+				var what string
+				switch op := rng.Intn(12); {
+				case step == steps/3:
+					// Grow both stripes past the depth threshold in one
+					// batch big enough to overflow the dirty set.
+					what = "grow"
+					grow := make(map[string][]byte)
+					for i := 800; i < 1400; i++ {
+						grow[key(i)] = []byte("grown")
+					}
+					r.PutBatch(grow)
+				case step == 2*steps/3:
+					// Shrink back under it: delete most keys everywhere, then
+					// discard the tombstones on one side.
+					what = "shrink"
+					var doomed []string
+					for i := 300; i < 1400; i++ {
+						doomed = append(doomed, key(i))
+					}
+					r.DeleteBatch(doomed)
+					if _, err := Sync(r, o, resolve); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < shards; i++ {
+						r.DiscardTombstones(i, r.Tombstones(i))
+					}
+				case op == 0:
+					what = "Put"
+					r.Put(key(rng.Intn(1000)), []byte(fmt.Sprintf("v%d", step)))
+				case op == 1:
+					what = "Delete"
+					r.Delete(key(rng.Intn(1000)))
+				case op == 2:
+					what = "PutBatch"
+					batch := make(map[string][]byte)
+					for _, k := range someKeys(1+rng.Intn(40), 1000) {
+						batch[k] = []byte(fmt.Sprintf("b%d", step))
+					}
+					r.PutBatch(batch)
+				case op == 3:
+					what = "DeleteBatch"
+					r.DeleteBatch(someKeys(1+rng.Intn(20), 1000))
+				case op == 4 || op == 5:
+					what = "SyncKey"
+					if _, err := SyncKey(r, o, key(rng.Intn(1000)), resolve); err != nil {
+						t.Fatal(err)
+					}
+				case op == 6:
+					what = "Sync"
+					if _, err := Sync(r, o, resolve); err != nil {
+						t.Fatal(err)
+					}
+				case op == 7:
+					what = "ApplyDelta+ApplyDeltaReply"
+					deltaRound(t, r, o, resolve)
+				case op == 8:
+					what = "AdoptShard"
+					idx := rng.Intn(shards)
+					snap, err := o.SnapshotShardBinary(idx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := r.AdoptShard(idx, snap); err != nil {
+						t.Fatal(err)
+					}
+				case op == 9:
+					what = "DiscardTombstones"
+					idx := rng.Intn(shards)
+					r.DiscardTombstones(idx, r.Tombstones(idx))
+				case op == 10:
+					what = "Checkpoint"
+					if err := r.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				default:
+					what = "ForkCopy+MergeVersioned"
+					k := key(rng.Intn(1000))
+					if cp, ok := r.ForkCopy(k); ok {
+						if _, err := o.MergeVersioned(k, cp, resolve); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				check(fmt.Sprintf("step %d (%s)", step, what))
+			}
+			if !sawDepth[1] || !sawDepth[2] {
+				t.Fatalf("sequence never crossed the depth threshold: depths seen %v", sawDepth)
+			}
+		})
+	}
+}
+
+// TestMaintainedTreeUnderRace: writers hammer one stripe while one reader
+// walks a descent snapshot taken before they started — which must keep
+// answering exactly as it did then — and another polls the current root.
+// Once the writers quiesce the maintained tree must equal a fresh build.
+// Run with -race.
+func TestMaintainedTreeUnderRace(t *testing.T) {
+	r := NewReplicaShards("r", 1)
+	seed := make(map[string][]byte)
+	for i := 0; i < 2000; i++ {
+		seed[fmt.Sprintf("key-%04d", i)] = []byte("v")
+	}
+	r.PutBatch(seed)
+	_ = r.Clone("peer") // forked stamps: every later Put moves an update component
+	snap, _ := r.StripeTree(0)
+	frozen := buildDigestTree(stripeDigests(r, 0), snap.Fanout(), snap.Depth())
+
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 400; i++ {
+				k := fmt.Sprintf("key-%04d", rng.Intn(2400))
+				if i%5 == 4 {
+					r.Delete(k)
+				} else {
+					r.Put(k, []byte(fmt.Sprintf("w%d-%d", w, i)))
+				}
+			}
+		}(w)
+	}
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if snap.Root() != frozen.Root() || snap.Len() != frozen.Len() {
+				t.Error("descent snapshot moved under its holder")
+				return
+			}
+			bm, hashes := snap.Children(0, 0)
+			wbm, whashes := frozen.Children(0, 0)
+			if !bytes.Equal(bm, wbm) || !slices.Equal(hashes, whashes) {
+				t.Error("descent snapshot's children moved under its holder")
+				return
+			}
+			for c := 0; c < snap.Fanout(); c++ {
+				run, want := snap.Run(1, uint64(c)), frozen.Run(1, uint64(c))
+				if len(run) != len(want) {
+					t.Error("descent snapshot's runs moved under its holder")
+					return
+				}
+				for i := range run {
+					if run[i].Key != want[i].Key || !run[i].Stamp.Equal(want[i].Stamp) {
+						t.Error("descent snapshot's digests moved under its holder")
+						return
+					}
+				}
+			}
+		}
+	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur, err := r.StripeTree(0)
+			if err != nil || cur.Root() == encoding.EmptySummary {
+				t.Errorf("polled root: tree %v, err %v", cur, err)
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	requireSameTree(t, "snapshot after the writers", snap, frozen)
+	requireTreesMatchOracle(t, "after the writers", r)
+}
+
+// TestIDOnlyChangeRehashesNothing: the source side of a SyncKey transfer
+// only forks its stamp. The tree must ship the new stamp from its leaf run,
+// keep its root, and hash no leaf to get there; the tree handed out before
+// keeps the stamp it was built with.
+func TestIDOnlyChangeRehashesNothing(t *testing.T) {
+	a, b := NewReplicaShards("a", 1), NewReplicaShards("b", 1)
+	for i := 0; i < 600; i++ {
+		a.Put(fmt.Sprintf("key-%03d", i), []byte("v"))
+	}
+	before, _ := a.StripeTree(0)
+	old, _ := a.Version("key-007")
+	if res, err := SyncKey(a, b, "key-007", nil); err != nil || res.Transferred != 1 {
+		t.Fatalf("SyncKey: %+v, %v", res, err)
+	}
+	cur, _ := a.Version("key-007")
+	if cur.Stamp.Equal(old.Stamp) {
+		t.Fatal("transfer did not fork the source stamp")
+	}
+	after, _ := a.StripeTree(0)
+	if after.Root() != before.Root() {
+		t.Fatal("an id-only change moved the root")
+	}
+	if after.leafHashes != before.leafHashes {
+		t.Fatalf("an id-only change hashed %d leaves", after.leafHashes-before.leafHashes)
+	}
+	stampIn := func(tr *DigestTree) core.Stamp {
+		for _, d := range tr.RunRange(TreeRange{}) {
+			if d.Key == "key-007" {
+				return d.Stamp
+			}
+		}
+		t.Fatal("key-007 missing from the tree")
+		return core.Stamp{}
+	}
+	if !stampIn(after).Equal(cur.Stamp) {
+		t.Fatal("the tree still ships the pre-fork stamp")
+	}
+	if !stampIn(before).Equal(old.Stamp) {
+		t.Fatal("the tree handed out earlier was modified")
+	}
+	requireTreesMatchOracle(t, "after the transfer", a)
 }

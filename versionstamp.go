@@ -88,10 +88,22 @@
 //   - Tree shape follows the data. Each stripe hashes its keys to 64-bit
 //     positions and summarizes them under a fan-out-16 tree whose depth is
 //     the shallowest that bounds expected leaf runs to ~32 keys, so the
-//     tree deepens (and rebalances, epoch-cached, on the next round that
-//     looks) as the stripe grows. Shape is part of the hash domain; a
+//     tree deepens as the stripe grows. Shape is part of the hash domain; a
 //     session pins the client's shape, and a peer with a different live
 //     shape or stripe count evaluates the client's layout on the fly.
+//   - The tree is maintained, not rebuilt. The first round to ask collects,
+//     sorts and hashes the stripe once, O(n log n). After that every write
+//     notes its key under the stripe lock it already holds, and the next
+//     request patches just those keys' leaves and the path above each:
+//     O(dirty keys × depth), nothing for a quiet stripe, and no hashing at
+//     all for a write that only forked an id. Trees are immutable — a patch
+//     copies the paths it touches and shares the rest — so a round descends
+//     a consistent snapshot for free while writers carry on. A full build
+//     recurs only after adoption, restore or a burst dirtying over a
+//     quarter of the stripe; crossing a depth threshold (growth, or a
+//     tombstone discard shrinking the stripe) re-levels the digests the
+//     tree already holds in order, without reading or sorting the stripe. A
+//     stripe no peer has asked a tree for pays one comparison per write.
 //   - A converged round costs O(1) bytes, not O(stripes). Pooled sessions
 //     pipeline the next round's root probe behind the current round's
 //     result, so the steady-state round reads the answer that is already
