@@ -3,19 +3,21 @@
 // proportional to the stripes it owns — not to the total keyspace, and not
 // to the cluster size. It runs ring clusters at several node counts over a
 // fixed keyspace, measures the converged ("idle") round, compares against a
-// v1 whole-snapshot exchange of the same keyspace (what a full-replica
-// gossip round costs a node regardless of convergence), and emits the
+// whole-keyspace exchange (two binary snapshots of it: what shipping state
+// instead of digests costs a node regardless of convergence), and emits the
 // comparison as machine-readable JSON — the artifact CI tracks across PRs.
 //
 // The command exits non-zero when a gate fails:
 //
-//   - the v1 baseline must be at least -gate times the worst idle per-node
-//     cost at every cluster size (converged rounds scale with owned
-//     stripes, not keyspace);
+//   - the whole-keyspace baseline must be at least -gate times the worst
+//     idle per-node cost at every cluster size (converged rounds scale with
+//     owned stripes, not keyspace);
 //   - the worst idle per-node cost must shrink as nodes are added (each
 //     node owns fewer stripes in a bigger cluster);
-//   - the idle cost must stay flat when the keyspace grows (summaries, not
+//   - the idle cost must stay flat when the keyspace grows (tree roots, not
 //     contents, travel in a converged round).
+//
+// Usage:
 //
 //	benchring -keys 1000 -out BENCH_ring.json
 package main
@@ -49,7 +51,7 @@ type Report struct {
 	Keys          int           `json:"keys"`
 	Stripes       int           `json:"stripes"`
 	Replication   int           `json:"replication"`
-	BaselineBytes int64         `json:"baselineBytes"` // one v1 snapshot exchange
+	BaselineBytes int64         `json:"baselineBytes"` // one whole-keyspace exchange
 	GateRatio     float64       `json:"gateRatio"`     // required baseline/idle margin
 	Results       []Measurement `json:"results"`
 	BigKeyspace   *Measurement  `json:"bigKeyspace,omitempty"` // keyspace-independence probe
@@ -115,26 +117,19 @@ func measure(n, replication, stripes, keys int) (Measurement, error) {
 	}, nil
 }
 
-// baseline measures one v1 whole-snapshot exchange over the keyspace: the
-// O(keyspace) per-round cost a full-replica gossip node pays whether or not
-// anything diverged.
+// baseline is the cost of one whole-keyspace exchange — a binary snapshot
+// out and the merged one back: the O(keyspace) per-round cost of shipping
+// state instead of digests, paid whether or not anything diverged.
 func baseline(stripes, keys int) (int64, error) {
-	server := kvstore.NewReplicaShards("full-a", stripes)
-	client := kvstore.NewReplicaShards("full-b", stripes)
+	r := kvstore.NewReplicaShards("full", stripes)
 	for i := 0; i < keys; i++ {
-		server.Put(fmt.Sprintf("key-%05d", i), value(i))
+		r.Put(fmt.Sprintf("key-%05d", i), value(i))
 	}
-	srv := antientropy.NewServer(server, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
+	snap, err := r.SnapshotBinary()
 	if err != nil {
 		return 0, err
 	}
-	defer srv.Close()
-	res, err := antientropy.SyncWith(addr, client)
-	if err != nil {
-		return 0, fmt.Errorf("v1 exchange: %w", err)
-	}
-	return res.BytesSent + res.BytesReceived, nil
+	return 2 * int64(len(snap)), nil
 }
 
 func run(keys, stripes int, gate float64, out string, log io.Writer) error {
@@ -170,7 +165,7 @@ func run(keys, stripes int, gate float64, out string, log io.Writer) error {
 	// Gates.
 	for _, m := range report.Results {
 		if float64(m.IdleMaxBytes)*gate > float64(base) {
-			return fmt.Errorf("gate: n=%d idle %d B not %.1fx below v1 baseline %d B",
+			return fmt.Errorf("gate: n=%d idle %d B not %.1fx below whole-keyspace baseline %d B",
 				m.Nodes, m.IdleMaxBytes, gate, base)
 		}
 	}
@@ -179,7 +174,7 @@ func run(keys, stripes int, gate float64, out string, log io.Writer) error {
 		return fmt.Errorf("gate: idle cost did not shrink with cluster growth (n=%d: %d B, n=%d: %d B)",
 			small.Nodes, small.IdleMaxBytes, large.Nodes, large.IdleMaxBytes)
 	}
-	// Allow slack for stamp-size jitter in summaries; the v1 baseline grows
+	// Allow slack for stamp-size jitter; the whole-keyspace baseline grows
 	// ~4x here, the idle round must not grow materially at all.
 	if float64(big.IdleMaxBytes) > 1.5*float64(report.Results[0].IdleMaxBytes) {
 		return fmt.Errorf("gate: idle cost grew with keyspace (%d B at %d keys vs %d B at %d keys)",

@@ -1,5 +1,5 @@
 // Command benchstamp measures the interned stamp kernel — Compare, Join,
-// Fork, Update and the kvstore's batched DiffAgainst — and emits ns/op and
+// Fork, Update and the kvstore's batched digest diff (DiffRanges) — and emits ns/op and
 // allocs/op as machine-readable JSON, the artifact CI tracks across PRs so
 // kernel regressions show up as a diff in BENCH_stamp.json rather than a
 // buried log line.
@@ -41,8 +41,8 @@ type Report struct {
 }
 
 func main() {
-	keys := flag.Int("keys", 1000, "small keyspace size for DiffAgainst")
-	largeKeys := flag.Int("large-keys", 100000, "large keyspace size for DiffAgainst (0 = skip)")
+	keys := flag.Int("keys", 1000, "small keyspace size for the digest diff")
+	largeKeys := flag.Int("large-keys", 100000, "large keyspace size for the digest diff (0 = skip)")
 	out := flag.String("out", "BENCH_stamp.json", `output path ("-" = stdout)`)
 	flag.Parse()
 	if err := run(*keys, *largeKeys, *out, os.Stdout); err != nil {
@@ -133,13 +133,13 @@ func run(keys, largeKeys int, out string, progress io.Writer) error {
 	for _, n := range sizes {
 		server, digest := diffPair(n, 0)
 		add(measure("diffAgainst", "converged", n, func() {
-			if _, err := server.DiffAgainst(digest, 0, 0); err != nil {
+			if _, err := server.DiffRanges(digest, 0, 0, nil); err != nil {
 				panic(err)
 			}
 		}))
 		server, digest = diffPair(n, 100) // 1% of keys diverged
 		add(measure("diffAgainst", "divergent", n, func() {
-			if _, err := server.DiffAgainst(digest, 0, 0); err != nil {
+			if _, err := server.DiffRanges(digest, 0, 0, nil); err != nil {
 				panic(err)
 			}
 		}))

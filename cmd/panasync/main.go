@@ -290,9 +290,9 @@ func serve(ws *panasync.Workspace, out io.Writer, listen string, linger time.Dur
 }
 
 // netsync synchronizes the whole workspace with a serving peer: one
-// hierarchical (v3) anti-entropy round over a pooled connection — stripe
-// summaries travel first, digests only for stripes whose summaries differ,
-// stamps prune the unchanged files from the wire — then the merged state is
+// anti-entropy round over a pooled connection — digest-tree roots travel
+// first, digests only for the leaves under roots that differ, stamps prune
+// the unchanged files from the wire — then the merged state is
 // written back into the workspace. Conflicts are resolved by the serving
 // side's -merge setting; unresolved ones are reported here.
 func netsync(ws *panasync.Workspace, out io.Writer, addr string) error {

@@ -45,38 +45,18 @@ func run() error {
 	edge1.Put("sensor:1", []byte("21.5C"))
 	edge2.Put("sensor:2", []byte("17.0C"))
 
-	// edge-2 finds the hub: one TCP round trip merges both directions.
+	// edge-2 finds the hub: one round merges both directions.
 	res, err := antientropy.SyncWith(hubAddr, edge2)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("edge-2 <-> hub: %d keys transferred\n", res.Transferred)
 
-	// Heavy-traffic variant: one scoped round per store stripe, all in
-	// flight concurrently — the hub locks only the matching stripe per
-	// request, so this scales with cores instead of serializing.
-	res, err = antientropy.SyncWithSharded(hubAddr, edge2)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("edge-2 <-> hub (per-shard, %d stripes): idle resync, %d reconciled\n",
-		edge2.Shards(), res.Reconciled)
-
-	// Delta anti-entropy: digests travel first, and stamp comparison prunes
-	// every key the peers already agree on. Right after the sync above the
-	// pair is converged, so this round ships zero entries — the wire carries
-	// only the digest, no matter how large the keyspace is.
-	res, err = antientropy.SyncWithDelta(hubAddr, edge2)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("edge-2 <-> hub (delta, converged): %d entries shipped, %d pruned by stamps, %dB on the wire\n",
-		res.Transferred+res.Reconciled+res.Merged, res.Pruned, res.BytesSent+res.BytesReceived)
-
-	// Hierarchical anti-entropy over a pooled session: per-stripe summary
-	// hashes travel first, so the converged keyspace costs O(stripes) bytes
-	// — not even the digests move — and repeated rounds reuse one TCP
-	// connection instead of dialing each time.
+	// The steady state is a pooled session: rounds to one peer ride one TCP
+	// connection. Right after the sync above the pair is converged, so each
+	// round compares one 8-byte root and moves nothing else — no matter how
+	// large the keyspace is — and from the second round on the answer is
+	// already in flight when the round starts.
 	pool := antientropy.NewPool()
 	defer pool.Close()
 	for round := 1; round <= 3; round++ {
@@ -84,9 +64,21 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("edge-2 <-> hub (v3 round %d): %d/%d stripes skipped by summaries, %dB on the wire, %d dial(s) so far\n",
+		fmt.Printf("edge-2 <-> hub (pooled round %d): %d/%d stripes skipped at the root, %dB on the wire, %d dial(s) so far\n",
 			round, res.StripesSkipped, edge2.Shards(), res.BytesSent+res.BytesReceived, pool.Dials())
 	}
+
+	// One edit, one stripe: a round scoped to the stripe that owns the key
+	// descends that stripe's digest tree to the one leaf that differs and
+	// ships a single copy, on the same session.
+	edge2.Put("sensor:2", []byte("17.4C"))
+	stripe := kvstore.ShardIndex("sensor:2", edge2.Shards())
+	res, err = pool.SyncStripes(hubAddr, edge2, []int{stripe})
+	if err != nil {
+		return err
+	}
+	fmt.Printf("edge-2 <-> hub (stripe %d of %d only): %d reconciled, %dB on the wire\n",
+		stripe, edge2.Shards(), res.Reconciled, res.BytesSent+res.BytesReceived)
 
 	// edge-2 later meets edge-1 directly (no hub involved).
 	res, err = antientropy.SyncWith(edge1Addr, edge2)

@@ -81,7 +81,7 @@ func run() error {
 	}
 	fmt.Printf("reopened: %d live keys, label %q preserved\n", revived.Len(), revived.Label())
 
-	// Anti-entropy picks up where it left off: a v3 round against the
+	// Anti-entropy picks up where it left off: a round against the
 	// untouched peer moves only what the stamps cannot prove equivalent —
 	// the peer's new order and whatever the torn record cost us.
 	srv := antientropy.NewServer(revived, kvstore.KeepBoth([]byte(" | ")))

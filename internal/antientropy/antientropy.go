@@ -3,148 +3,41 @@
 // any two replicas that happen to find connectivity exchange state; no
 // membership, no coordinator, no identifier service.
 //
-// The protocol is a single round trip of newline-delimited JSON:
-//
-//	client -> server: {"v":1,"snapshot":<client snapshot>}
-//	server -> client: {"v":1,"snapshot":<merged snapshot>,"result":{...}}
-//
-// The snapshot field carries either a legacy JSON snapshot (embedded raw, a
-// JSON object) or a binary snapshot (kvstore.SnapshotBinary, riding as a
-// base64 JSON string) — the value's first character distinguishes them, and
-// kvstore.Restore sniffs the decoded bytes' version byte, so old JSON
-// clients interoperate forever. This package's own clients send binary
-// snapshots, and the server mirrors the client's format in its reply. Like
-// every protocol change in this package, compatibility is one-directional:
-// upgrade servers before clients (a pre-binary server rejects the base64
-// form with "bad snapshot"; see Protocol negotiation below).
-//
-// The server restores the client's snapshot into a shadow replica, runs one
-// kvstore.Sync between its own replica and the shadow (exactly the
-// in-process semantics: transfers fork stamps, dominance reconciles,
-// conflicts use the server's resolver or are skipped), and returns the
-// shadow's merged state, which the client adopts. Stamps do all causality
-// work; the transport carries only opaque snapshots.
-//
-// A request may instead be scoped to one stripe of the client's sharded
-// store by adding {"shard":i,"of":n}: the snapshot then carries only the
-// keys of client shard i, and the server reconciles exactly the keys that
-// hash to shard i of n (kvstore.SyncShard), locking only the matching
-// stripe of its own store when its layout agrees. SyncWithSharded issues
-// one such scoped round per local stripe concurrently, so two heavily
-// loaded replicas exchange and merge shard deltas in parallel instead of
-// serializing the whole keyspace under one request.
-//
-// # Protocol negotiation
-//
-// All protocol versions share one port; the first byte of a connection
-// selects the handler:
-//
-//	'{'  v1: one JSON whole-snapshot round, newline-delimited
-//	0x02 v2: one binary two-phase delta round (digests, then entries)
-//	0x03 v3: a persistent session of hierarchical summary-first rounds
-//	0x04 v4: a persistent session of adaptive digest-tree rounds
-//
-// v1–v3 clients therefore interoperate with newer servers unchanged; newer
-// clients need a server of at least their vintage (an older server
-// JSON-decodes the version byte and fails the round with an error; SyncWith
-// is the portable fallback against old peers). v4 is special: its server
-// acks the version byte, so a pooled v4 client detects a v3-era server from
-// the first reply byte and transparently redials that peer as v3 —
-// ProtocolAuto pools interoperate in both directions.
-//
-// # Delta protocol (v2)
-//
-// SyncWithDelta and SyncWithDeltaSharded speak a binary two-phase protocol
-// that moves only what the stamps cannot prove equivalent — the paper's
+// A round moves only what the stamps cannot prove equivalent — the paper's
 // central property (stamp comparison classifies two copies without looking
-// at the data) applied to the wire.
+// at the data) applied to the wire. Each stripe of a replica keeps an
+// adaptive k-ary digest tree (kvstore.DigestTree): keys hash to 64-bit
+// positions, leaves cover equal position ranges, internal nodes hash their
+// children, and (fanout, depth) follow the stripe's live key count
+// (kvstore.TreeShape). A round descends from the replica root toward the
+// handful of leaves that actually differ, exchanges per-key digests (key +
+// stamp, no value) for just those leaves, and ships full copies only where
+// the digests leave the server unable to reconcile. The server applies them
+// exactly as an in-process kvstore.Sync would — transfers fork stamps,
+// dominance reconciles, conflicts use the server's resolver or stay reported
+// — and replies with the entries the client must adopt. Converged replicas
+// therefore exchange one 8-byte root; isolating one divergent key among n
+// costs O(log n) fixed-size frames.
 //
-// After the version byte, a v2 connection is a fixed sequence of
-// length-prefixed frames, each [uvarint length][kind byte][body], integers
-// uvarint-encoded and stamps in the compact trie-structural format of
-// internal/encoding:
+// # Wire protocol
 //
-//	client -> server  kindDigest (0x01): of, shard, count, count×digest
-//	server -> client  kindNeed   (0x02): count, count×key
-//	client -> server  kindEntries(0x03): count, count×entry
-//	server -> client  kindResult (0x04): transferred, reconciled, merged,
-//	                  pruned, conflicts, reply entries
-//	server -> client  kindError  (0x7F): error text, terminating the round
+// There is one protocol. A connection is a session: the client opens it with
+// the version byte 0x04, the server acks with the same byte, and any number
+// of rounds (whole-replica, or scoped to chosen stripes) ride it back to
+// back. A server closes a connection that opens with anything else; a client
+// whose opening is answered by anything else reports ErrProtocol. After the
+// version byte everything is a frame, [uvarint length][kind byte][body],
+// integers uvarint-encoded, hashes 8 bytes big-endian, stamps in the compact
+// trie-structural format of internal/encoding:
 //
-// where digest = key + stamp (encoding.AppendDigest) and entry = key +
-// tombstone flag + value + stamp (encoding.AppendEntry). Phase 1 is the
-// digest exchange: the server compares each digest stamp with its own copy
-// (kvstore.DiffAgainst) and requests only the copies it cannot prove
-// equivalent or obsolete. Phase 2 ships those entries, the server
-// reconciles under its stripe locks (kvstore.ApplyDelta — dominance, merge
-// and transfer semantics identical to Sync), and replies with exactly the
-// entries the client must adopt. Converged replicas therefore exchange
-// digests and nothing else, making idle sync cost independent of value
-// sizes and proportional only to key count — and per-stripe rounds
-// (of > 0) scope all of it to one stripe, locking nothing else.
-//
-// The client installs a reply entry only while its own copy still carries
-// the stamp it shipped; copies that moved mid-round are left alone for the
-// next round, which makes concurrent rounds against one replica safe.
-//
-// # Hierarchical protocol (v3) and connection pooling
-//
-// The v2 digest exchange still costs O(keys) per round even between
-// converged replicas. Protocol v3 prepends a summary phase: each stripe of
-// the keyspace is condensed to a fixed-size hash over its sorted digest set
-// (encoding.SummarizeDigests, served from the store's epoch-keyed cache —
-// kvstore.Summaries — so a quiet store answers without touching a single
-// key). Only stripes whose summaries differ proceed to the digest phase,
-// and from there the round is exactly v2: needs, entries, result. A
-// converged 1000-key round therefore moves 32 summaries instead of 1000
-// digests — O(stripes), independent of key count.
-//
-// The v3 version byte opens a session, not a round: any number of rounds
-// (whole-replica or scoped to chosen stripes) ride the same connection as
-// back-to-back frame sequences. A whole-replica round opens with a second
-// summary level — a single 8-byte FNV-64a root hash over all stripe
-// summaries — so two converged replicas complete the round in ~14 bytes,
-// before even the per-stripe summaries travel:
-//
-//	client -> server  kindRoot         (0x08): of, 8-byte root hash
-//	server -> client  kindRootMatch    (0x09): 1 = converged, round over
-//	— on a root mismatch (or a stripe-scoped round, which skips the root
-//	  phase) the round proceeds —
-//	client -> server  kindSummary      (0x05): of, count, count×(stripe, hash)
-//	server -> client  kindSummaryDiff  (0x06): count, count×stripe
-//	— round ends here when no summaries differ; otherwise —
-//	client -> server  kindStripeDigests(0x07): nStripes, each: stripe,
-//	                  count, count×digest
-//	server -> client  kindNeed, then kindEntries / kindResult as in v2
-//
-// Between rounds the server waits with a generous idle deadline and drops
-// silent sessions; during a round the usual tight deadline applies.
-//
-// A Pool keeps one such session per peer address: rounds to the same peer
-// are framed back to back over the pooled connection (a 100-round gossip
-// session dials each peer once, not 100 times), concurrent rounds to one
-// peer serialize, and a round that fails on a previously working session
-// is retried once on a fresh dial — transparent recovery from server
-// restarts and idle drops. Cluster gossip holds one pool per node.
-//
-// # Tree protocol (v4)
-//
-// v3's weak spot is a *barely* divergent stripe: one hot key forces the
-// stripe's entire digest list onto the wire. Protocol v4 replaces the
-// two-level summary hierarchy with an adaptive k-ary digest tree per stripe
-// (kvstore.DigestTree): keys hash to 64-bit positions, leaves cover equal
-// position ranges, internal nodes hash their children, and the tree's
-// (fanout, depth) adapts to the stripe's live key count
-// (kvstore.TreeShape). A round descends from the root toward the handful of
-// leaves that actually differ:
-//
-//	client -> server  kindRoot          (0x08): of, 8-byte root (fold of
-//	                  the stripe tree roots; whole-replica rounds only)
+//	client -> server  kindRoot          (0x08): of, root (the fold of the
+//	                  stripe tree roots; whole-replica rounds only)
 //	server -> client  kindRootMatch     (0x09): 1 = converged, round over
 //	client -> server  kindStripeRoots   (0x0A): of, fanout, count,
-//	                  count×(stripe, depth, 8-byte tree root)
+//	                  count×(stripe, depth, tree root)
 //	server -> client  kindStripeRootDiff(0x0B): count, count×stripe
-//	— repeated, one level at a time, for the divergent stripes —
+//	— round ends here when no stripe differs; otherwise, repeated one level
+//	  at a time for the divergent stripes —
 //	client -> server  kindTreeNodes     (0x0C): fanout, count, count×(stripe,
 //	                  depth, level, path, child bitmap, child hashes)
 //	server -> client  kindTreeDiff      (0x0D): per node: differ bitmap +
@@ -152,33 +45,49 @@
 //	— at the bottom (or where either side's subtree is empty) —
 //	client -> server  kindLeafDigests   (0x0E): count, count×(stripe, depth,
 //	                  level, path, digest run)
-//	server -> client  kindNeed, then kindEntries / kindResult as in v2/v3
+//	server -> client  kindNeed          (0x02): count, count×key
+//	client -> server  kindEntries       (0x03): count, count×entry
+//	server -> client  kindResult        (0x04): transferred, reconciled,
+//	                  merged, pruned, conflicts, reply entries
+//	— between rounds, on pooled whole-replica sessions —
+//	client -> server  kindRootProbe     (0x0F): of, root; answered with
+//	                  kindRootMatch, outside any round
+//	— instead of any reply —
+//	server -> client  kindError         (0x7F): error text, ending the session
 //
-// The tree shape on the wire is the client's choice; the server evaluates
-// its own stripes under that shape (cached when it matches its own policy,
-// which converged replicas' shapes do). Isolating one divergent key among
-// n therefore costs O(log n) fixed-size frames instead of one O(n) digest
-// list.
+// where digest = key + stamp (encoding.AppendDigest) and entry = key +
+// tombstone flag + value + stamp (encoding.AppendEntry). The tree shape on
+// the wire is the client's choice; the server evaluates its own stripes
+// under that shape and layout (kvstore.TreeScoped — the maintained tree when
+// they match its own, which converged replicas' do).
 //
-// A v4 server acks the session's version byte with one 0x04 byte; the
-// client pipelines its first round behind the opening and reads the ack
-// before the first reply frame, so negotiation is free against a v4 server
-// and detects an older one from its first reply byte (see Protocol
-// negotiation). On pooled whole-replica sessions each completed round also
-// pipelines a root probe for the *next* round (kindRootProbe 0x0F: of,
-// 8-byte root — answered with kindRootMatch, outside any round), so a
-// steady-state converged round writes its probe and reads the previous
-// answer without ever waiting on the wire: ~14 bytes and zero blocking
-// round trips per converged exchange.
+// The client pipelines its first round behind the version byte and reads the
+// ack before the first reply frame, so opening a session costs no round
+// trip. Each completed whole-replica round also pipelines a root probe for
+// the next one, so a steady-state converged round writes its probe and reads
+// the previous answer without ever waiting on the wire: ~14 bytes and zero
+// blocking round trips per converged exchange. Between rounds the server
+// waits with a generous idle deadline and drops silent sessions; during a
+// round the usual tight deadline applies.
+//
+// The client installs a reply entry only while its own copy still carries
+// the stamp it shipped; copies that moved mid-round are left alone for the
+// next round, which makes concurrent rounds against one replica safe.
+//
+// A Pool keeps one session per peer address: rounds to the same peer are
+// framed back to back over the pooled connection (a 100-round gossip session
+// dials each peer once, not 100 times), concurrent rounds to one peer
+// serialize, and a round that fails on a previously working session is
+// retried once on a fresh dial — transparent recovery from server restarts
+// and idle drops — unless its entries may already have been applied
+// (ErrRetryUnsafe). Cluster gossip holds one pool per node; SyncWith is the
+// one-shot form.
 package antientropy
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,59 +95,16 @@ import (
 	"versionstamp/internal/kvstore"
 )
 
-// protocolVersion guards against skew between endpoints.
-const protocolVersion = 1
-
 // defaultTimeout bounds each network round trip.
 const defaultTimeout = 10 * time.Second
 
+// serverSessionIdle bounds how long a session may sit idle between rounds
+// before the server drops it. Pooled clients transparently redial, so an
+// expired session costs one reconnect, never a failed round.
+const serverSessionIdle = 2 * time.Minute
+
 // ErrProtocol is returned for malformed or version-skewed messages.
 var ErrProtocol = errors.New("antientropy: protocol error")
-
-// request is the client's opening message. Of > 0 scopes the round to the
-// keys of client shard Shard under a layout of Of stripes; Of == 0 is a
-// whole-replica round.
-type request struct {
-	V        int             `json:"v"`
-	Snapshot json.RawMessage `json:"snapshot"`
-	Shard    int             `json:"shard,omitempty"`
-	Of       int             `json:"of,omitempty"`
-}
-
-// response is the server's reply.
-type response struct {
-	V        int                `json:"v"`
-	Snapshot json.RawMessage    `json:"snapshot"`
-	Result   kvstore.SyncResult `json:"result"`
-	Error    string             `json:"error,omitempty"`
-}
-
-// wrapSnapshot embeds a snapshot in the JSON envelope: a JSON snapshot
-// (starting with '{') embeds raw, a binary snapshot rides as a base64 JSON
-// string.
-func wrapSnapshot(snap []byte) (json.RawMessage, error) {
-	if len(snap) > 0 && snap[0] == '{' {
-		return json.RawMessage(snap), nil
-	}
-	quoted, err := json.Marshal(snap) // []byte marshals to a base64 string
-	if err != nil {
-		return nil, err
-	}
-	return quoted, nil
-}
-
-// unwrapSnapshot recovers snapshot bytes from the envelope; Restore sniffs
-// the result's own version byte.
-func unwrapSnapshot(raw json.RawMessage) ([]byte, error) {
-	if len(raw) > 0 && raw[0] == '"' {
-		var b []byte
-		if err := json.Unmarshal(raw, &b); err != nil {
-			return nil, fmt.Errorf("bad base64 snapshot: %w", err)
-		}
-		return b, nil
-	}
-	return raw, nil
-}
 
 // Server exposes a replica for anti-entropy over TCP.
 type Server struct {
@@ -323,7 +189,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// track registers an open connection so Close can interrupt long-lived v3
+// track registers an open connection so Close can interrupt long-lived
 // sessions (which otherwise sit in a read with a generous idle deadline).
 // It reports false when the server is already closed.
 func (s *Server) track(conn net.Conn) bool {
@@ -345,84 +211,8 @@ func (s *Server) untrack(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
-	br := bufio.NewReader(conn)
-	// The first byte selects the protocol: '{' opens a v1 JSON round,
-	// deltaProtocolVersion a v2 binary delta round, hierProtocolVersion a
-	// v3 summary-first session. v1 clients keep working against this
-	// server; newer clients need a server of at least their vintage (an
-	// older server JSON-decodes the version byte and fails the round with
-	// an error).
-	if b, err := br.Peek(1); err == nil {
-		switch b[0] {
-		case deltaProtocolVersion:
-			s.handleDelta(conn, br)
-			return
-		case hierProtocolVersion:
-			s.handleHier(conn, br)
-			return
-		case treeProtocolVersion:
-			s.handleTree(conn, br)
-			return
-		}
-	}
-	dec := json.NewDecoder(br)
-	enc := json.NewEncoder(conn)
-
-	var req request
-	if err := dec.Decode(&req); err != nil {
-		_ = enc.Encode(response{V: protocolVersion, Error: "bad request: " + err.Error()})
-		return
-	}
-	if req.V != protocolVersion {
-		_ = enc.Encode(response{V: protocolVersion,
-			Error: fmt.Sprintf("version skew: got %d, want %d", req.V, protocolVersion)})
-		return
-	}
-	snapBytes, err := unwrapSnapshot(req.Snapshot)
-	if err != nil {
-		_ = enc.Encode(response{V: protocolVersion, Error: "bad snapshot: " + err.Error()})
-		return
-	}
-	shadow, err := kvstore.Restore(snapBytes)
-	if err != nil {
-		_ = enc.Encode(response{V: protocolVersion, Error: "bad snapshot: " + err.Error()})
-		return
-	}
-	var result kvstore.SyncResult
-	if req.Of > 0 {
-		result, err = kvstore.SyncShard(s.replica, shadow, s.resolve, req.Shard, req.Of)
-	} else {
-		result, err = kvstore.Sync(s.replica, shadow, s.resolve)
-	}
-	if err != nil {
-		_ = enc.Encode(response{V: protocolVersion, Error: "sync: " + err.Error()})
-		return
-	}
-	// Mirror the client's snapshot format: binary for this package's own
-	// clients, JSON for legacy peers, so either vintage round-trips.
-	var merged []byte
-	if len(req.Snapshot) > 0 && req.Snapshot[0] == '"' {
-		merged, err = shadow.SnapshotBinary()
-	} else {
-		merged, err = shadow.Snapshot()
-	}
-	if err != nil {
-		_ = enc.Encode(response{V: protocolVersion, Error: "snapshot: " + err.Error()})
-		return
-	}
-	wrapped, err := wrapSnapshot(merged)
-	if err != nil {
-		_ = enc.Encode(response{V: protocolVersion, Error: "snapshot: " + err.Error()})
-		return
-	}
-	_ = enc.Encode(response{V: protocolVersion, Snapshot: wrapped, Result: result})
-}
-
 // Close stops the listener, interrupts open sessions and waits for their
-// handlers to finish. Pooled v3 clients see the drop and transparently
+// handlers to finish. Pooled clients see the drop and transparently
 // redial on their next round (against whatever serves the address then).
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -443,104 +233,15 @@ func (s *Server) Close() error {
 }
 
 // SyncWith performs one anti-entropy round between the local replica and
-// the server at addr: the local replica adopts the merged state. The
-// returned SyncResult is from the server's perspective of the pair
-// (transfers count both directions).
+// the server at addr over a throwaway session: both replicas converge on
+// every key the stamps can order, conflicts go to the server's resolver or
+// come back in SyncResult.Conflicts. The returned SyncResult carries the
+// server's reconciliation counters plus the wire bytes this client saw. For
+// session reuse across rounds — the intended steady state — use a Pool.
 func SyncWith(addr string, local *kvstore.Replica) (kvstore.SyncResult, error) {
-	return syncWith(addr, local, defaultTimeout)
-}
-
-func syncWith(addr string, local *kvstore.Replica, timeout time.Duration) (kvstore.SyncResult, error) {
-	snap, err := local.SnapshotBinary()
-	if err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: %w", err)
-	}
-	wrapped, err := wrapSnapshot(snap)
-	if err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: %w", err)
-	}
-	resp, err := roundTrip(addr, request{V: protocolVersion, Snapshot: wrapped}, timeout)
-	if err != nil {
-		return kvstore.SyncResult{}, err
-	}
-	merged, err := unwrapSnapshot(resp.Snapshot)
-	if err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: %w", err)
-	}
-	if err := local.Adopt(merged); err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: adopt merged state: %w", err)
-	}
-	return resp.Result, nil
-}
-
-// SyncWithSharded performs one anti-entropy round per local stripe, all
-// rounds in flight concurrently: each carries only that stripe's keys, and
-// the server reconciles each scoped request under the matching stripe lock
-// of its own store. The aggregated SyncResult covers the whole keyspace.
-// On error the successfully completed stripes keep their merged state (the
-// next round converges the rest) and the first error is returned.
-func SyncWithSharded(addr string, local *kvstore.Replica) (kvstore.SyncResult, error) {
-	return syncAllShards(local.Shards(), "shard", func(i int) (kvstore.SyncResult, error) {
-		return syncShardWith(addr, local, i, defaultTimeout)
-	})
-}
-
-// syncAllShards runs one scoped round per stripe, all concurrently, and
-// aggregates the results. On error the successfully completed stripes keep
-// their merged state and the first error is returned, tagged with its
-// stripe and the given label.
-func syncAllShards(n int, label string, round func(i int) (kvstore.SyncResult, error)) (kvstore.SyncResult, error) {
-	var (
-		mu       sync.Mutex
-		total    kvstore.SyncResult
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := round(i)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("antientropy: %s %d/%d: %w", label, i, n, err)
-				}
-				return
-			}
-			total.Add(res)
-		}(i)
-	}
-	wg.Wait()
-	sort.Strings(total.Conflicts)
-	return total, firstErr
-}
-
-// syncShardWith runs one scoped round for local stripe idx.
-func syncShardWith(addr string, local *kvstore.Replica, idx int, timeout time.Duration) (kvstore.SyncResult, error) {
-	snap, err := local.SnapshotShardBinary(idx)
-	if err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: %w", err)
-	}
-	wrapped, err := wrapSnapshot(snap)
-	if err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: %w", err)
-	}
-	resp, err := roundTrip(addr, request{
-		V: protocolVersion, Snapshot: wrapped, Shard: idx, Of: local.Shards(),
-	}, timeout)
-	if err != nil {
-		return kvstore.SyncResult{}, err
-	}
-	merged, err := unwrapSnapshot(resp.Snapshot)
-	if err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: %w", err)
-	}
-	if err := local.AdoptShard(idx, merged); err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: adopt merged state: %w", err)
-	}
-	return resp.Result, nil
+	p := NewPool()
+	defer p.Close()
+	return p.SyncWith(addr, local)
 }
 
 // countingConn wraps a net.Conn, counting payload bytes in each direction so
@@ -560,35 +261,4 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	c.sent.Add(int64(n))
 	return n, err
-}
-
-// roundTrip sends one request and decodes the reply, recording the wire
-// bytes of both directions in the returned result.
-func roundTrip(addr string, req request, timeout time.Duration) (response, error) {
-	raw, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return response{}, fmt.Errorf("antientropy: dial %s: %w", addr, err)
-	}
-	conn := &countingConn{Conn: raw}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-
-	enc := json.NewEncoder(conn)
-	dec := json.NewDecoder(conn)
-	if err := enc.Encode(req); err != nil {
-		return response{}, fmt.Errorf("antientropy: send: %w", err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		return response{}, fmt.Errorf("antientropy: receive: %w", err)
-	}
-	if resp.Error != "" {
-		return response{}, fmt.Errorf("%w: %s", ErrProtocol, resp.Error)
-	}
-	if resp.V != protocolVersion {
-		return response{}, fmt.Errorf("%w: version skew %d", ErrProtocol, resp.V)
-	}
-	resp.Result.BytesSent = conn.sent.Load()
-	resp.Result.BytesReceived = conn.recv.Load()
-	return resp, nil
 }

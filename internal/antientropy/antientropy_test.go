@@ -1,11 +1,14 @@
 package antientropy
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +25,40 @@ func startServer(t *testing.T, r *kvstore.Replica, resolve kvstore.Resolver) (*S
 	}
 	t.Cleanup(func() { _ = srv.Close() })
 	return srv, addr
+}
+
+// clonedPair seeds n keys and clones, so both replicas share causal origins.
+func clonedPair(n int) (*kvstore.Replica, *kvstore.Replica) {
+	a := kvstore.NewReplica("server")
+	for i := 0; i < n; i++ {
+		a.Put(fmt.Sprintf("key-%04d", i), []byte(fmt.Sprintf("value-%d-with-some-padding", i)))
+	}
+	return a, a.Clone("client")
+}
+
+func requireConverged(t *testing.T, a, b *kvstore.Replica) {
+	t.Helper()
+	keys := map[string]bool{}
+	for _, k := range a.Keys() {
+		keys[k] = true
+	}
+	for _, k := range b.Keys() {
+		keys[k] = true
+	}
+	for k := range keys {
+		va, okA := a.Get(k)
+		vb, okB := b.Get(k)
+		if okA != okB || !bytes.Equal(va, vb) {
+			t.Errorf("key %q: %q/%v vs %q/%v", k, va, okA, vb, okB)
+		}
+	}
+}
+
+// quickSync is SyncWith with a short timeout, for rounds expected to fail.
+func quickSync(addr string, local *kvstore.Replica) (kvstore.SyncResult, error) {
+	p := NewPoolOptions(PoolOptions{Timeout: 500 * time.Millisecond})
+	defer p.Close()
+	return p.SyncWith(addr, local)
 }
 
 func TestBasicSync(t *testing.T) {
@@ -168,7 +205,7 @@ func TestThreeNodeConvergence(t *testing.T) {
 func TestServerDown(t *testing.T) {
 	client := kvstore.NewReplica("client")
 	client.Put("k", []byte("v"))
-	if _, err := syncWith("127.0.0.1:1", client, 500*time.Millisecond); err == nil {
+	if _, err := quickSync("127.0.0.1:1", client); err == nil {
 		t.Error("sync with a dead server must fail")
 	}
 	// Client state untouched by the failure.
@@ -177,73 +214,105 @@ func TestServerDown(t *testing.T) {
 	}
 }
 
+// TestGarbageRequestRejected covers both ends of the one-protocol rule: a
+// server closes a connection that opens with anything but the version byte,
+// without answering; and a client whose opening is not acked reports
+// ErrProtocol and leaves its replica untouched.
 func TestGarbageRequestRejected(t *testing.T) {
 	server := kvstore.NewReplica("server")
+	server.Put("k", []byte("server-side"))
 	_, addr := startServer(t, server, nil)
-	conn, err := net.Dial("tcp", addr)
+	for _, opening := range []string{"{\"v\":1,\"snapshot\":{}}\n", "\x02", "\x03", "this is not a session\n"} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(opening)); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		got, err := io.ReadAll(conn)
+		if len(got) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("opening %q: server answered %q (err %v), want a silent close", opening, got, err)
+		}
+		conn.Close()
+	}
+
+	// A listener that answers the opening with something other than the ack.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not json\n")); err != nil {
-		t.Fatal(err)
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// Take in the whole pipelined opening before answering, so the
+			// client is reading when the answer and the close arrive.
+			br := bufio.NewReader(conn)
+			_, _ = br.ReadByte()
+			_, _ = readFrame(br)
+			_, _ = conn.Write([]byte("{\"v\":1,\"error\":\"bad request\"}\n"))
+			conn.Close()
+		}
+	}()
+	client := kvstore.NewReplica("client")
+	client.Put("k", []byte("client-side"))
+	before, _ := client.Version("k")
+	p := NewPool()
+	defer p.Close()
+	if _, err := p.SyncWith(ln.Addr().String(), client); !errors.Is(err, ErrProtocol) {
+		t.Errorf("want ErrProtocol, got %v", err)
 	}
-	var resp response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatalf("decode error reply: %v", err)
+	if p.Dials() != 1 {
+		t.Errorf("Dials = %d, want 1: a refused opening is not retried", p.Dials())
 	}
-	if resp.Error == "" {
-		t.Error("server accepted garbage")
+	after, _ := client.Version("k")
+	if string(after.Value) != "client-side" || !after.Stamp.Equal(before.Stamp) || len(client.Keys()) != 1 {
+		t.Errorf("client replica changed by a refused session: %+v", after)
 	}
 }
 
-func TestVersionSkewRejected(t *testing.T) {
+// TestBadFrameRejected: a session whose first frame is malformed gets an
+// error frame back and is closed; the server's replica is untouched.
+func TestBadFrameRejected(t *testing.T) {
 	server := kvstore.NewReplica("server")
+	server.Put("k", []byte("v"))
 	_, addr := startServer(t, server, nil)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	snap, _ := kvstore.NewReplica("x").Snapshot()
-	if err := json.NewEncoder(conn).Encode(request{V: 99, Snapshot: snap}); err != nil {
+	// Version byte, then a kindStripeRoots frame declaring zero stripes.
+	if _, err := conn.Write([]byte{protocolVersion, 2, kindStripeRoots, 0}); err != nil {
 		t.Fatal(err)
 	}
-	var resp response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatal(err)
+	br := bufio.NewReader(conn)
+	if b, err := br.ReadByte(); err != nil || b != protocolVersion {
+		t.Fatalf("ack = 0x%02x, %v", b, err)
 	}
-	if resp.Error == "" {
-		t.Error("server accepted version skew")
-	}
-	// And the client side rejects skewed responses.
-	clientSide := kvstore.NewReplica("c")
-	_ = clientSide
-}
-
-func TestBadSnapshotRejected(t *testing.T) {
-	server := kvstore.NewReplica("server")
-	_, addr := startServer(t, server, nil)
-	conn, err := net.Dial("tcp", addr)
+	body, err := readFrame(br)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read error frame: %v", err)
 	}
-	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(request{V: protocolVersion,
-		Snapshot: json.RawMessage(`{"label":"x","entries":[{"key":"k","stamp":"[1|0]"}]}`)}); err != nil {
-		t.Fatal(err)
+	if _, err := expectKind(body, kindStripeRootDiff); !errors.Is(err, ErrProtocol) {
+		t.Errorf("server accepted a zero-stripe layout: body %x, err %v", body, err)
 	}
-	var resp response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatal(err)
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Errorf("session stayed open after an error frame: %v", err)
 	}
-	if resp.Error == "" {
-		t.Error("server accepted an invalid stamp")
+	if got, ok := server.Get("k"); !ok || string(got) != "v" {
+		t.Errorf("server state damaged: %q, %v", got, ok)
 	}
 }
 
+// TestProtocolErrorSurfacedToClient: an error frame from the server reaches
+// the caller as ErrProtocol carrying the server's text.
 func TestProtocolErrorSurfacedToClient(t *testing.T) {
-	// A fake "server" that replies with a protocol error.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -255,14 +324,16 @@ func TestProtocolErrorSurfacedToClient(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		var req request
-		_ = json.NewDecoder(conn).Decode(&req)
-		_ = json.NewEncoder(conn).Encode(response{V: protocolVersion, Error: "nope"})
+		br := bufio.NewReader(conn)
+		_, _ = br.ReadByte()
+		_, _ = conn.Write([]byte{protocolVersion})
+		_, _ = readFrame(br)
+		_ = writeFrame(conn, appendString([]byte{kindError}, "nope"))
 	}()
 	client := kvstore.NewReplica("client")
 	_, err = SyncWith(ln.Addr().String(), client)
-	if !errors.Is(err, ErrProtocol) {
-		t.Errorf("want ErrProtocol, got %v", err)
+	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "nope") {
+		t.Errorf("want ErrProtocol carrying the server's text, got %v", err)
 	}
 }
 
@@ -303,78 +374,11 @@ func TestCloseStopsServer(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	client := kvstore.NewReplica("client")
-	if _, err := syncWith(addr, client, 500*time.Millisecond); err == nil {
+	if _, err := quickSync(addr, client); err == nil {
 		t.Error("sync with a closed server must fail")
 	}
 	// Listen after Close is rejected.
 	if _, err := srv.Listen("127.0.0.1:0"); err == nil {
 		t.Error("Listen after Close must fail")
-	}
-}
-
-// TestLegacyJSONClientInterop simulates a pre-binary-snapshot client: the
-// request embeds a raw JSON snapshot, and the server must both accept it and
-// mirror the legacy format in its reply so the old client can decode it.
-func TestLegacyJSONClientInterop(t *testing.T) {
-	server := kvstore.NewReplica("server")
-	server.Put("greeting", []byte("hello"))
-	_, addr := startServer(t, server, nil)
-
-	legacy := kvstore.NewReplica("legacy")
-	legacy.Put("name", []byte("world"))
-	snap, err := legacy.Snapshot() // the old JSON format
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(request{V: protocolVersion, Snapshot: snap}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := json.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Error != "" {
-		t.Fatalf("server rejected legacy JSON snapshot: %s", resp.Error)
-	}
-	if len(resp.Snapshot) == 0 || resp.Snapshot[0] != '{' {
-		t.Fatalf("reply to a JSON client is not a raw JSON snapshot: %.16q", string(resp.Snapshot))
-	}
-	if err := legacy.Adopt(resp.Snapshot); err != nil {
-		t.Fatalf("legacy client cannot adopt the reply: %v", err)
-	}
-	if v, ok := legacy.Get("greeting"); !ok || string(v) != "hello" {
-		t.Errorf("legacy client did not converge: %q %v", v, ok)
-	}
-	if res := resp.Result; res.Transferred != 2 {
-		t.Errorf("result = %+v", res)
-	}
-}
-
-// TestBinarySnapshotOnV1Wire asserts the package's own v1 clients ship
-// binary snapshots (base64 strings in the JSON envelope), not JSON ones.
-func TestBinarySnapshotOnV1Wire(t *testing.T) {
-	server := kvstore.NewReplica("server")
-	for i := 0; i < 50; i++ {
-		server.Put(fmt.Sprintf("key-%03d", i), []byte("some-padding-value"))
-	}
-	client := server.Clone("client")
-	_, addr := startServer(t, server, nil)
-	res, err := SyncWith(addr, client)
-	if err != nil {
-		t.Fatalf("SyncWith: %v", err)
-	}
-	requireConverged(t, server, client)
-	// A JSON snapshot of 50 padded keys with text stamps runs several hundred
-	// bytes per key; the binary round must come in well under that.
-	jsonSnap, _ := server.Snapshot()
-	wire := res.BytesSent + res.BytesReceived
-	if wire >= 2*int64(len(jsonSnap)) {
-		t.Errorf("v1 round moved %dB; JSON snapshot alone is %dB — binary format not in effect?",
-			wire, len(jsonSnap))
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"versionstamp/internal/kvstore"
 )
 
-// These tests run the real protocol stack — version negotiation, v3
-// sessions, the pool's retry discipline, ring clusters — over an injected
+// These tests run the real protocol stack — session opening and ack, rounds,
+// the pool's retry discipline, ring clusters — over an injected
 // chaosnet transport instead of TCP. The production code paths are
 // identical; only the Transport differs.
 
@@ -72,7 +72,7 @@ func TestPoolSyncSurvivesLossyLink(t *testing.T) {
 	fab := chaosnet.New(2)
 	defer fab.Close()
 	// Lossy but not hostile: drops are retransmitted, dups discarded,
-	// reorder reassembled. The v3 frames must come through intact.
+	// reorder reassembled. The frames must come through intact.
 	fab.SetDefaultFaults(chaosnet.Faults{
 		DelayTicks: 1, JitterTicks: 3,
 		DropProb: 0.1, DupProb: 0.1, ReorderProb: 0.2,

@@ -62,7 +62,7 @@ func pairKey(x, y string, stripe int) divKey {
 
 // Cluster manages a set of replicas that gossip over TCP: each node runs a
 // Server, and every gossip round each node pushes/pulls with a handful of
-// peers through its pooled v3 sessions. Two replication topologies share
+// peers through its pooled sessions. Two replication topologies share
 // the machinery:
 //
 //   - Full replication (NewCluster): every node holds the whole keyspace
@@ -645,10 +645,9 @@ func (c *Cluster) runGossip(tasks []gossipTask, stats *RoundStats, track map[exK
 // runChain executes one chain's tasks in order, recording results.
 func (c *Cluster) runChain(chain []gossipTask, stats *RoundStats, mu *sync.Mutex, firstErr *error, track map[exKey]*exTally) {
 	for _, t := range chain {
-		// Every exchange is a hierarchical (v3) round over the initiator's
-		// pooled session to the peer — whole-replica with a root-hash fast
-		// path, or scoped to one stripe so only that stripe's summary
-		// travels.
+		// Every exchange is a round over the initiator's pooled session to
+		// the peer — whole-replica with a root-hash fast path, or scoped to
+		// one stripe so only that stripe's tree root travels.
 		var res kvstore.SyncResult
 		var info RoundInfo
 		var err error

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,20 +17,7 @@ import (
 // server does.
 const defaultPoolIdle = 90 * time.Second
 
-// Protocol selections for PoolOptions.Protocol.
-const (
-	// ProtocolAuto opens v4 tree sessions and transparently falls back to a
-	// v3 session per peer whose server does not ack the v4 version byte.
-	ProtocolAuto = 0
-	// ProtocolHier forces v3 hierarchical sessions.
-	ProtocolHier = 3
-	// ProtocolTree forces v4 tree sessions; a peer that cannot speak v4
-	// fails the round instead of falling back.
-	ProtocolTree = 4
-)
-
-// Pool maintains persistent sessions (v4 tree rounds, falling back to v3
-// per peer that cannot speak v4) keyed by peer address, so a gossip loop
+// Pool maintains persistent sessions keyed by peer address, so a gossip loop
 // dials each peer once instead of once per round. Rounds to the same peer
 // are serialized over that peer's single connection (they are multiplexed
 // in time, framed back to back); rounds to different peers run
@@ -45,7 +31,6 @@ type Pool struct {
 	timeout   time.Duration
 	transport Transport
 	backoff   BackoffPolicy
-	protocol  int
 
 	mu     sync.Mutex
 	conns  map[string]*poolConn
@@ -64,14 +49,9 @@ type poolConn struct {
 	fails    int // consecutive failed rounds (armed backoff)
 	skip     int // rounds left to skip before trying this peer again
 
-	// v4 session state. proto is the live session's protocol version;
-	// nextProto forces the next dial's version (how the v4→v3 fallback
-	// sticks for a peer) and is consumed by ensure. ackPending means the
-	// server's one-byte session ack has not been read yet; probePending
-	// means a kindRootProbe for probedRoot is in flight and its answer is
-	// the next frame on the wire.
-	proto        int
-	nextProto    int
+	// ackPending means the server's one-byte session ack has not been read
+	// yet; probePending means a kindRootProbe for probedRoot is in flight and
+	// its answer is the next frame on the wire.
 	ackPending   bool
 	probePending bool
 	probedRoot   uint64
@@ -145,9 +125,6 @@ type PoolOptions struct {
 	// Backoff skips rounds to repeatedly-failing peers; the zero policy
 	// disables it.
 	Backoff BackoffPolicy
-	// Protocol selects the session protocol: ProtocolAuto (v4 with
-	// per-peer v3 fallback, the default), ProtocolHier, or ProtocolTree.
-	Protocol int
 }
 
 // NewPool creates an empty pool with the default transport (TCP), idle and
@@ -163,7 +140,6 @@ func NewPoolOptions(opts PoolOptions) *Pool {
 		timeout:   opts.Timeout,
 		transport: opts.Transport,
 		backoff:   opts.Backoff,
-		protocol:  opts.Protocol,
 		conns:     make(map[string]*poolConn),
 	}
 	if p.idle == 0 {
@@ -230,22 +206,6 @@ func (p *Pool) ensure(pc *poolConn, addr string) (fresh bool, err error) {
 	if pc.conn != nil {
 		return false, nil
 	}
-	// Pick the session protocol: the pool's forced option wins, then a
-	// one-shot per-peer override (the v4→v3 fallback for this dial), else
-	// v4. The override is consumed here so a later redial re-probes v4 —
-	// the address may be served by an upgraded server by then.
-	proto := p.protocol
-	if proto == ProtocolAuto {
-		proto = ProtocolTree
-		if pc.nextProto != 0 {
-			proto = pc.nextProto
-			pc.nextProto = 0
-		}
-	}
-	ver := byte(hierProtocolVersion)
-	if proto == ProtocolTree {
-		ver = treeProtocolVersion
-	}
 	raw, err := p.transport.Dial(addr, p.timeout)
 	if err != nil {
 		return false, fmt.Errorf("antientropy: dial %s: %w", addr, err)
@@ -253,15 +213,14 @@ func (p *Pool) ensure(pc *poolConn, addr string) (fresh bool, err error) {
 	p.dials.Add(1)
 	conn := &countingConn{Conn: raw}
 	_ = conn.SetDeadline(time.Now().Add(p.timeout))
-	if _, err := conn.Write([]byte{ver}); err != nil {
+	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
 		_ = conn.Close()
 		return false, fmt.Errorf("antientropy: open session %s: %w", addr, err)
 	}
 	pc.conn = conn
 	pc.br = bufio.NewReader(conn)
 	pc.rounds = 0
-	pc.proto = proto
-	pc.ackPending = proto == ProtocolTree
+	pc.ackPending = true
 	pc.probePending = false
 	return true, nil
 }
@@ -322,7 +281,7 @@ type RoundInfo struct {
 // repeated failures make subsequent rounds to the same peer fail fast with
 // ErrPeerBackoff instead of re-paying the dial timeout.
 func (p *Pool) round(addr string,
-	fn func(pc *poolConn, conn net.Conn, br *bufio.Reader) (kvstore.SyncResult, error)) (kvstore.SyncResult, RoundInfo, error) {
+	fn func(pc *poolConn) (kvstore.SyncResult, error)) (kvstore.SyncResult, RoundInfo, error) {
 	var info RoundInfo
 	pc, err := p.entry(addr)
 	if err != nil {
@@ -357,7 +316,7 @@ func (p *Pool) round(addr string,
 		}
 		_ = pc.conn.SetDeadline(time.Now().Add(p.timeout))
 		startSent, startRecv := pc.conn.sent.Load(), pc.conn.recv.Load()
-		res, err := fn(pc, pc.conn, pc.br)
+		res, err := fn(pc)
 		if err == nil {
 			res.BytesSent = pc.conn.sent.Load() - startSent
 			res.BytesReceived = pc.conn.recv.Load() - startRecv
@@ -365,14 +324,6 @@ func (p *Pool) round(addr string,
 			pc.lastUsed = time.Now()
 			pc.fails, pc.skip = 0, 0
 			return res, info, nil
-		}
-		if errors.Is(err, errV4Unsupported) && p.protocol == ProtocolAuto {
-			// The peer answered the v4 opening with something else: an
-			// older server. Redial the session as v3 — not a failure, so no
-			// backoff and no retriable() involvement.
-			p.drop(pc)
-			pc.nextProto = ProtocolHier
-			continue
 		}
 		retry := retriable(err, fresh, pc.rounds)
 		p.drop(pc)
@@ -392,9 +343,8 @@ func (p *Pool) armBackoff(pc *poolConn, addr string) {
 }
 
 // SyncWith performs one anti-entropy round between the local replica and
-// the server at addr over the pooled session — a v4 tree round (roots, then
-// diverging tree nodes, then leaf digest runs, copies only where stamps
-// require them), or a v3 hierarchical round on sessions that fell back. The
+// the server at addr over the pooled session: roots, then diverging tree
+// nodes, then leaf digest runs, copies only where stamps require them. The
 // byte counters in the result cover exactly this round's frames.
 func (p *Pool) SyncWith(addr string, local *kvstore.Replica) (kvstore.SyncResult, error) {
 	res, _, err := p.SyncWithInfo(addr, local)
@@ -404,11 +354,8 @@ func (p *Pool) SyncWith(addr string, local *kvstore.Replica) (kvstore.SyncResult
 // SyncWithInfo is SyncWith plus the round's RoundInfo (attempts, fresh
 // dials, retry and backoff verdicts).
 func (p *Pool) SyncWithInfo(addr string, local *kvstore.Replica) (kvstore.SyncResult, RoundInfo, error) {
-	return p.round(addr, func(pc *poolConn, conn net.Conn, br *bufio.Reader) (kvstore.SyncResult, error) {
-		if pc.proto == ProtocolTree {
-			return treeClientRound(pc, conn, br, local, nil)
-		}
-		return hierClientRound(conn, br, local, nil)
+	return p.round(addr, func(pc *poolConn) (kvstore.SyncResult, error) {
+		return treeClientRound(pc, local, nil)
 	})
 }
 
@@ -434,10 +381,7 @@ func (p *Pool) SyncStripesInfo(addr string, local *kvstore.Replica, stripes []in
 		seen[idx] = true
 	}
 	scoped := append([]int(nil), stripes...)
-	return p.round(addr, func(pc *poolConn, conn net.Conn, br *bufio.Reader) (kvstore.SyncResult, error) {
-		if pc.proto == ProtocolTree {
-			return treeClientRound(pc, conn, br, local, scoped)
-		}
-		return hierClientRound(conn, br, local, scoped)
+	return p.round(addr, func(pc *poolConn) (kvstore.SyncResult, error) {
+		return treeClientRound(pc, local, scoped)
 	})
 }

@@ -175,7 +175,7 @@ func TestPoolConcurrentRounds(t *testing.T) {
 }
 
 // cutProxy relays TCP between a pooled client and a real server, parsing
-// the client's v3 frame stream. When armed it blackholes the server's reply
+// the client's frame stream. When armed it blackholes the server's reply
 // and drops both connections right after forwarding the client's entries
 // frame — the fault where the request was fully written, the server (may
 // have) applied it, and the session died mid-reply.
@@ -315,9 +315,9 @@ func TestPoolNoRetryAfterEntriesFrame(t *testing.T) {
 
 // TestPoolSyncWithRevivedDurableServer is the acceptance scenario for the
 // durable backend: a WAL-backed server killed mid-write (no Close, no
-// checkpoint) reopens from its log and a v3 round against an untouched
+// checkpoint) reopens from its log and a round against an untouched
 // peer converges — the revived stamps slot straight back into the
-// protocol, so the follow-up round is summary-only.
+// protocol, so the follow-up round matches at the root.
 func TestPoolSyncWithRevivedDurableServer(t *testing.T) {
 	dir := t.TempDir()
 	server, err := kvstore.Open(dir, kvstore.Options{Label: "durable", Shards: 8})
@@ -356,7 +356,7 @@ func TestPoolSyncWithRevivedDurableServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.StripesSkipped != client.Shards() {
-		t.Errorf("revived pair not summary-converged: %+v", res)
+		t.Errorf("revived pair did not match at the root: %+v", res)
 	}
 }
 

@@ -35,8 +35,8 @@ import (
 //  4. Scrub: each durable up node re-verifies one stripe's at-rest bytes
 //     (frame CRCs, checkpoint checksum) per round, quarantining a live
 //     stripe the moment rot is found instead of at the next restart.
-//  5. Anti-entropy: each node runs stripe-scoped v3 rounds with co-owners
-//     of the stripes it owns. A converged stripe costs one summary frame,
+//  5. Anti-entropy: each node runs stripe-scoped rounds with co-owners
+//     of the stripes it owns. A converged stripe costs one tree-root frame,
 //     so a node's idle wire cost is O(stripes it owns), independent of the
 //     keyspace and of cluster size. A quarantined stripe is treated as
 //     maximally divergent: its holder exchanges with every live co-owner

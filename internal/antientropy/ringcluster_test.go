@@ -490,8 +490,8 @@ func TestStatusReportsMembership(t *testing.T) {
 // Acceptance: a deterministic 9-node R=3 ring over 64 stripes survives an
 // owner being killed and revived — quorum-readable throughout for keys with
 // 2 live owners, hinted handoff drains on revival — and a converged round's
-// per-node wire cost is O(owned stripes): at least 3x below what one v1
-// full-snapshot exchange of the same keyspace costs a node.
+// per-node wire cost is O(owned stripes): at least 3x below what shipping
+// the same keyspace whole (a binary snapshot each way) costs a node.
 func TestRingAcceptance9Nodes(t *testing.T) {
 	const (
 		nodes   = 9
@@ -561,25 +561,19 @@ func TestRingAcceptance9Nodes(t *testing.T) {
 		t.Fatal("idle round recorded no wire bytes")
 	}
 
-	// Baseline: one v1 whole-snapshot exchange of the same keyspace — what
-	// full-replica gossip costs a node per round regardless of convergence.
-	full := kvstore.NewReplicaShards("full-a", stripes)
-	peer := kvstore.NewReplicaShards("full-b", stripes)
+	// Baseline: one whole-keyspace exchange, a binary snapshot each way —
+	// what shipping state instead of digests costs a node per round
+	// regardless of convergence.
+	full := kvstore.NewReplicaShards("full", stripes)
 	for i := 0; i < keyN; i++ {
 		full.Put(fmt.Sprintf("key-%d", i), val(i))
 	}
-	srv := NewServer(full, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
+	snap, err := full.SnapshotBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	base, err := SyncWith(addr, peer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := base.BytesSent + base.BytesReceived
-	t.Logf("idle ring round max per-node bytes = %d; v1 snapshot exchange = %d (%.1fx)",
+	baseline := 2 * int64(len(snap))
+	t.Logf("idle ring round max per-node bytes = %d; whole-keyspace exchange = %d (%.1fx)",
 		idleMax, baseline, float64(baseline)/float64(idleMax))
 	if idleMax*3 > baseline {
 		t.Fatalf("converged-round bytes %d not 3x below full-replica baseline %d", idleMax, baseline)
@@ -590,7 +584,7 @@ func TestRingAcceptance9Nodes(t *testing.T) {
 // rots while it is down, and on revival the damage is scoped to that stripe
 // — quarantined, excluded from quorums, rebuilt from the other owners by
 // anti-entropy, re-checkpointed, and cleared. The round after repair is
-// summary-only for the rebuilt stripe.
+// roots-only for the rebuilt stripe.
 func TestQuarantineRepairFromPeers(t *testing.T) {
 	dir := t.TempDir()
 	c := newRingCluster(t, RingConfig{
@@ -701,8 +695,8 @@ func TestQuarantineRepairFromPeers(t *testing.T) {
 		t.Fatalf("repaired node's copy of %s = %q, %v", wrote, v, ok)
 	}
 
-	// The round after repair is summary-only: stripes verify by one summary
-	// frame each, nothing moves, nothing is quarantined.
+	// The round after repair is roots-only: stripes verify by one tree root
+	// each, nothing moves, nothing is quarantined.
 	stats, err := c.GossipRoundStats(2)
 	if err != nil {
 		t.Fatal(err)
@@ -711,7 +705,7 @@ func TestQuarantineRepairFromPeers(t *testing.T) {
 		t.Errorf("post-repair round moved %d keys, want 0", stats.Moved)
 	}
 	if stats.StripesSkipped == 0 {
-		t.Error("post-repair round reported no summary-only stripes")
+		t.Error("post-repair round reported no roots-only stripes")
 	}
 	if stats.StripesQuarantined != 0 || stats.StripesRepaired != 0 {
 		t.Errorf("post-repair round stats = %+v, want no quarantine activity", stats)

@@ -1,13 +1,34 @@
 package antientropy
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"versionstamp/internal/kvstore"
 )
+
+// syncEachStripe runs one scoped round per local stripe over p's session to
+// addr — the whole keyspace, one stripe at a time — and aggregates the
+// results.
+func syncEachStripe(p *Pool, addr string, local *kvstore.Replica) (kvstore.SyncResult, error) {
+	var total kvstore.SyncResult
+	for i := 0; i < local.Shards(); i++ {
+		res, err := p.SyncStripes(addr, local, []int{i})
+		if err != nil {
+			return total, fmt.Errorf("stripe %d/%d: %w", i, local.Shards(), err)
+		}
+		total.Add(res)
+	}
+	sort.Strings(total.Conflicts)
+	return total, nil
+}
 
 func TestShardedSyncConverges(t *testing.T) {
 	server := kvstore.NewReplica("server")
@@ -20,9 +41,11 @@ func TestShardedSyncConverges(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		client.Put(fmt.Sprintf("c-key-%02d", i), []byte("from-client"))
 	}
-	res, err := SyncWithSharded(addr, client)
+	p := NewPool()
+	defer p.Close()
+	res, err := syncEachStripe(p, addr, client)
 	if err != nil {
-		t.Fatalf("SyncWithSharded: %v", err)
+		t.Fatalf("per-stripe rounds: %v", err)
 	}
 	if res.Transferred != 80 {
 		t.Errorf("result = %+v", res)
@@ -36,18 +59,21 @@ func TestShardedSyncConverges(t *testing.T) {
 			}
 		}
 	}
-	// A repeated sharded round is a no-op.
-	res, err = SyncWithSharded(addr, client)
+	// A repeated pass is a no-op: every stripe matches at its tree root.
+	res, err = syncEachStripe(p, addr, client)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Transferred != 0 || res.Reconciled != 0 || res.Merged != 0 {
-		t.Errorf("second sharded round not a no-op: %+v", res)
+	if res.Transferred != 0 || res.Reconciled != 0 || res.Merged != 0 || res.StripesSkipped != client.Shards() {
+		t.Errorf("second per-stripe pass not a no-op: %+v", res)
+	}
+	if p.Dials() != 1 {
+		t.Errorf("Dials = %d, want 1: scoped rounds share the session", p.Dials())
 	}
 }
 
 func TestShardedSyncMatchesWholeSync(t *testing.T) {
-	// Two identical divergence scenarios, one synced per shard, one whole.
+	// Two identical divergence scenarios, one synced per stripe, one whole.
 	build := func() (*kvstore.Replica, *kvstore.Replica) {
 		s := kvstore.NewReplica("s")
 		for i := 0; i < 30; i++ {
@@ -63,7 +89,9 @@ func TestShardedSyncMatchesWholeSync(t *testing.T) {
 
 	s1, c1 := build()
 	_, addr1 := startServer(t, s1, nil)
-	resSharded, err := SyncWithSharded(addr1, c1)
+	p := NewPool()
+	defer p.Close()
+	resSharded, err := syncEachStripe(p, addr1, c1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +106,9 @@ func TestShardedSyncMatchesWholeSync(t *testing.T) {
 		resSharded.Merged != resWhole.Merged {
 		t.Errorf("sharded %+v vs whole %+v", resSharded, resWhole)
 	}
-	for i := 0; i < 30; i++ {
-		k := fmt.Sprintf("key-%02d", i)
-		v1, ok1 := c1.Get(k)
-		v2, ok2 := c2.Get(k)
-		if ok1 != ok2 || !bytes.Equal(v1, v2) {
-			t.Fatalf("per-shard and whole sync disagree on %q: %q/%v vs %q/%v",
-				k, v1, ok1, v2, ok2)
-		}
-	}
+	requireConverged(t, c1, c2)
+	requireConverged(t, s1, s2)
+	requireConverged(t, s1, c1)
 }
 
 func TestShardedSyncConflictsReported(t *testing.T) {
@@ -94,12 +116,14 @@ func TestShardedSyncConflictsReported(t *testing.T) {
 	server.Put("k", []byte("base"))
 	_, addr := startServer(t, server, nil)
 	client := kvstore.NewReplica("client")
-	if _, err := SyncWithSharded(addr, client); err != nil {
+	p := NewPool()
+	defer p.Close()
+	if _, err := syncEachStripe(p, addr, client); err != nil {
 		t.Fatal(err)
 	}
 	server.Put("k", []byte("S"))
 	client.Put("k", []byte("C"))
-	res, err := SyncWithSharded(addr, client)
+	res, err := syncEachStripe(p, addr, client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,33 +138,58 @@ func TestShardedSyncConflictsReported(t *testing.T) {
 func TestShardedSyncServerDown(t *testing.T) {
 	client := kvstore.NewReplica("client")
 	client.Put("k", []byte("v"))
-	if _, err := SyncWithSharded("127.0.0.1:1", client); err == nil {
-		t.Error("sharded sync with a dead server must fail")
+	p := NewPoolOptions(PoolOptions{Timeout: 500 * time.Millisecond})
+	defer p.Close()
+	if _, err := syncEachStripe(p, "127.0.0.1:1", client); err == nil {
+		t.Error("scoped sync with a dead server must fail")
 	}
 	if got, ok := client.Get("k"); !ok || string(got) != "v" {
 		t.Errorf("client state damaged by failed sync: %q, %v", got, ok)
 	}
 }
 
+// TestShardScopedRequestValidation: a stripe outside the layout is refused
+// on both ends — by the pool before anything is dialed, and by the server
+// when a peer puts one on the wire anyway.
 func TestShardScopedRequestValidation(t *testing.T) {
 	server := kvstore.NewReplica("server")
 	_, addr := startServer(t, server, nil)
-	client := kvstore.NewReplica("client")
-	// A scoped round with an out-of-range shard index is rejected
-	// server-side and surfaces as a protocol error.
-	snap, err := client.SnapshotShard(0)
+	client := kvstore.NewReplicaShards("client", 4)
+	p := NewPool()
+	defer p.Close()
+	for _, stripes := range [][]int{{99}, {-1}, {2, 2}} {
+		if _, err := p.SyncStripes(addr, client, stripes); err == nil {
+			t.Errorf("SyncStripes accepted stripes %v of 4", stripes)
+		}
+	}
+	if p.Dials() != 0 {
+		t.Errorf("Dials = %d: invalid scopes must fail before dialing", p.Dials())
+	}
+
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = roundTrip(addr, request{
-		V: protocolVersion, Snapshot: snap, Shard: 99, Of: 4,
-	}, defaultTimeout)
-	if err == nil {
-		t.Error("server accepted an out-of-range shard index")
+	defer conn.Close()
+	// kindStripeRoots: of=4, fanout=16, count=1, then stripe 99 (depth 1, a root).
+	frame := []byte{kindStripeRoots, 4, 16, 1, 99, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+	if _, err := conn.Write(append([]byte{protocolVersion, byte(len(frame))}, frame...)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if b, err := br.ReadByte(); err != nil || b != protocolVersion {
+		t.Fatalf("ack = 0x%02x, %v", b, err)
+	}
+	body, err := readFrame(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := expectKind(body, kindStripeRootDiff); !errors.Is(err, ErrProtocol) {
+		t.Errorf("server accepted an out-of-range stripe: body %x, err %v", body, err)
 	}
 }
 
-// TestShardedConcurrentClients: several clients run full per-shard rounds
+// TestShardedConcurrentClients: several clients run full per-stripe passes
 // against one server at once; all stripes stay coherent.
 func TestShardedConcurrentClients(t *testing.T) {
 	server := kvstore.NewReplica("server")
@@ -156,7 +205,9 @@ func TestShardedConcurrentClients(t *testing.T) {
 			for j := 0; j < 10; j++ {
 				c.Put(fmt.Sprintf("k%d-%d", i, j), []byte("x"))
 			}
-			if _, err := SyncWithSharded(addr, c); err != nil {
+			p := NewPool()
+			defer p.Close()
+			if _, err := syncEachStripe(p, addr, c); err != nil {
 				errs <- err
 			}
 		}(i)

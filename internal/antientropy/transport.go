@@ -7,9 +7,9 @@ import (
 
 // Transport abstracts how this package reaches peers: production code runs
 // over TCP, tests and the chaos lab inject an in-memory fabric
-// (internal/chaosnet) so the identical protocol code paths — negotiation,
-// framing, pooling, retry — execute under injected faults. Implementations
-// must be safe for concurrent use.
+// (internal/chaosnet) so the identical protocol code paths — session
+// opening, framing, pooling, retry — execute under injected faults.
+// Implementations must be safe for concurrent use.
 type Transport interface {
 	// Dial opens a connection to addr, giving up after timeout (transports
 	// without wall-clock time may ignore it).

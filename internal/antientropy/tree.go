@@ -13,77 +13,29 @@ import (
 	"versionstamp/internal/kvstore"
 )
 
-// Protocol v4: adaptive digest-tree rounds over a persistent session. Where
-// v3 jumps from a divergent stripe summary straight to the stripe's full
-// digest list, a v4 round descends the stripe's k-ary digest tree
-// (kvstore.DigestTree): root hash, then the stripe tree roots, then only the
-// *differing* children level by level, then digest runs for just the leaf
-// ranges that still differ — O(log n) fixed-size frames to isolate one hot
-// key in a millions-of-keys stripe. From the leaf runs on, the round is the
-// familiar tail: kindNeed, kindEntries, kindResult, with v3's exact
-// retry-safety semantics.
+// The session: the server's round loop and the client's round, both walking
+// the stripes' digest trees (kvstore.DigestTree) from the replica root
+// toward the leaves that differ. See the package comment for the frame
+// grammar.
 //
 // The tree shape (fanout, depth) is the *client's* choice, declared on the
 // wire per stripe; the server evaluates its own data under that shape
-// (kvstore.TreeScoped), cached whenever the shape matches its own policy —
-// which it does between converged replicas, whose per-stripe key counts
-// (and therefore TreeShape results) agree. A stripe whose count crosses a
-// shape threshold simply descends at the new depth next round.
-//
-// A v4 session opens with the 0x04 version byte and the server answers with
-// a single 0x04 ack byte. The client pipelines its first round behind the
-// version byte and reads the ack before the first reply frame, so
-// negotiation costs zero extra round trips against a v4 server — and
-// against an older server the first byte back is '{' (a JSON error), which
-// the pool recognizes and transparently redials as v3 for that session:
-// v1/v2/v3/v4 coexist on one port.
-//
-// Pooled whole-replica rounds additionally pipeline the *next* round's root
-// check behind the current round's result (kindRootProbe): the server
-// answers a probe with kindRootMatch without opening round state, the
-// client reads the answer at the start of its next round, and a
-// steady-state converged round therefore completes without waiting on a
-// single round trip.
+// (kvstore.TreeScoped), the maintained tree whenever the shape matches its
+// own policy — which it does between converged replicas, whose per-stripe
+// key counts (and therefore TreeShape results) agree. A stripe whose count
+// crosses a shape threshold simply descends at the new depth next round.
 
-// treeProtocolVersion is the first byte of a v4 connection, and the ack
-// byte a v4 server answers the session opening with.
-const treeProtocolVersion = 0x04
-
-// v4 frame kinds. kindRoot/kindRootMatch are reused from v3 (same shapes:
-// the v4 root is the fold of the stripe *tree* roots instead of the stripe
-// summaries), and the kindNeed/kindEntries/kindResult/kindError tail is
-// shared with v2/v3.
-const (
-	kindStripeRoots    = 0x0A // client: of, fanout, count×(stripe, depth, root)
-	kindStripeRootDiff = 0x0B // server: stripes whose tree roots differ
-	kindTreeNodes      = 0x0C // client: fanout, count×tree-node (child bitmap + hashes)
-	kindTreeDiff       = 0x0D // server: per queried node: differ bitmap + server bitmap
-	kindLeafDigests    = 0x0E // client: count×leaf digest run
-	kindRootProbe      = 0x0F // client: of, root; answered kindRootMatch, no round state
-)
-
-// errV4Unsupported marks a session whose peer did not ack the v4 version
-// byte — an older server that answered the opening with something else. The
-// pool falls back to a v3 session for that peer and retries transparently.
-var errV4Unsupported = errors.New("antientropy: peer does not speak v4")
-
-// decodeRootBody parses the shared body of kindRoot/kindRootProbe:
-// of (uvarint) + 8-byte root.
-func decodeRootBody(body []byte) (of int, root uint64, err error) {
-	of64, used := binary.Uvarint(body)
-	if used <= 0 || of64 < 1 || of64 > maxWireStripes || len(body[used:]) != 8 {
-		return 0, 0, errors.New("bad root frame")
+// handle serves one connection: check and ack the version byte, then a loop
+// of rounds. The deadline is relaxed to serverSessionIdle while waiting for
+// a round to open and tightened to defaultTimeout while one is in flight.
+func (s *Server) handle(conn net.Conn) {
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
+	br := bufio.NewReader(conn)
+	if b, err := br.ReadByte(); err != nil || b != protocolVersion {
+		return // not a session opening: closed unanswered
 	}
-	return int(of64), binary.BigEndian.Uint64(body[used:]), nil
-}
-
-// handleTree serves one v4 session: ack the version byte, then a loop of
-// rounds with the same idle/active deadline dance as v3 sessions.
-func (s *Server) handleTree(conn net.Conn, br *bufio.Reader) {
-	if _, err := br.Discard(1); err != nil { // the version byte, already peeked
-		return
-	}
-	if _, err := conn.Write([]byte{treeProtocolVersion}); err != nil {
+	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
 		return
 	}
 	for {
@@ -99,7 +51,7 @@ func (s *Server) handleTree(conn net.Conn, br *bufio.Reader) {
 	}
 }
 
-// treeFoldRoots folds per-stripe tree roots into the v4 replica root.
+// treeFoldRoots folds per-stripe tree roots into the replica root.
 func treeFoldRoots(roots []uint64) uint64 {
 	h := encoding.RootSummarySeed
 	for _, r := range roots {
@@ -132,7 +84,7 @@ type treeStripeState struct {
 	ranges  []kvstore.TreeRange
 }
 
-// treeRound serves one v4 round, the opening frame already read. It reports
+// treeRound serves one round, the opening frame already read. It reports
 // whether the session should continue.
 func (s *Server) treeRound(conn net.Conn, br *bufio.Reader, opening []byte) bool {
 	fail := func(err error) bool {
@@ -322,8 +274,7 @@ descend:
 
 	// Leaf phase: the client's digest runs for the still-divergent leaf
 	// ranges. Every digest must belong to its run's stripe and fall inside
-	// the run's position range — the range-scoped analogue of v3's
-	// wantStripe check.
+	// the run's position range.
 	n, used := binary.Uvarint(body)
 	if used <= 0 {
 		return fail(errors.New("bad leaf run count"))
@@ -429,13 +380,11 @@ descend:
 	return writeFrame(conn, encodeResultFrame(res, reply)) == nil
 }
 
-// treeClientRound runs one v4 round over an established session. stripes
+// treeClientRound runs one round over pc's established session. stripes
 // selects the scoped stripe set; nil means every local stripe (a
-// whole-replica round, with the root fast path and probe pipelining). pc
-// carries the session's ack/probe state; it may be nil for sessions without
-// pooling state (no probes are sent then).
-func treeClientRound(pc *poolConn, conn net.Conn, br *bufio.Reader,
-	local *kvstore.Replica, stripes []int) (kvstore.SyncResult, error) {
+// whole-replica round, with the root fast path and probe pipelining).
+func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, error) {
+	conn, br := pc.conn, pc.br
 	of := local.Shards()
 	wholeReplica := stripes == nil
 	if stripes == nil {
@@ -456,9 +405,9 @@ func treeClientRound(pc *poolConn, conn net.Conn, br *bufio.Reader,
 
 	// readAck consumes the server's one-byte session ack the first time a
 	// frame reply is awaited on a fresh session. Called after the opening
-	// frame is written, so negotiation rides the same round trip.
+	// frame is written, so the session opening rides the same round trip.
 	readAck := func() error {
-		if pc == nil || !pc.ackPending {
+		if !pc.ackPending {
 			return nil
 		}
 		pc.ackPending = false
@@ -466,8 +415,9 @@ func treeClientRound(pc *poolConn, conn net.Conn, br *bufio.Reader,
 		if err != nil {
 			return fmt.Errorf("antientropy: session ack: %w", err)
 		}
-		if b != treeProtocolVersion {
-			return fmt.Errorf("%w (opening byte 0x%02x)", errV4Unsupported, b)
+		if b != protocolVersion {
+			return fmt.Errorf("%w: session opening answered with 0x%02x, not the 0x%02x ack",
+				ErrProtocol, b, protocolVersion)
 		}
 		return nil
 	}
@@ -476,7 +426,7 @@ func treeClientRound(pc *poolConn, conn net.Conn, br *bufio.Reader,
 	// succeeded on both sides, and the dead connection is discovered (and
 	// redialed) by the next round's opening instead.
 	sendProbe := func(root uint64) {
-		if pc == nil || !wholeReplica {
+		if !wholeReplica {
 			return
 		}
 		frame := []byte{kindRootProbe}
@@ -507,7 +457,7 @@ func treeClientRound(pc *poolConn, conn net.Conn, br *bufio.Reader,
 		}
 		root = treeFoldRoots(roots)
 	}
-	if pc != nil && pc.probePending {
+	if pc.probePending {
 		// The previous round left a probe in flight; its answer is the next
 		// frame on the wire and must be consumed before anything else.
 		pc.probePending = false
@@ -703,8 +653,7 @@ func treeClientRound(pc *poolConn, conn net.Conn, br *bufio.Reader,
 		return res, fmt.Errorf("antientropy: send leaf digests: %w", err)
 	}
 
-	// Tail: needs in, entries out, result in — v2/v3's exact retry-safety
-	// semantics, including the point of no return at the entries frame.
+	// Tail: needs in, entries out, result in.
 	if body, err = readFrame(br); err != nil {
 		return res, fmt.Errorf("antientropy: receive: %w", err)
 	}
@@ -740,9 +689,15 @@ func treeClientRound(pc *poolConn, conn net.Conn, br *bufio.Reader,
 	}
 	entriesFrame = binary.AppendUvarint(entriesFrame, sentEntries)
 	entriesFrame = append(entriesFrame, entryBodies...)
-	// Point of no return: identical to the v3 round — once any entries byte
-	// is on the wire the server may apply them, so every failure from here
-	// on is ErrRetryUnsafe and the pool surfaces it instead of redialing.
+	// Point of no return: once any byte of the entries frame is on the wire,
+	// the server may receive the complete frame and apply it even if this
+	// side only sees a dead connection. Retrying such a round on a fresh
+	// dial would ship the same entries against already-forked server stamps
+	// — the copies would compare as causally unrelated and reconcile by
+	// reseeding (double-apply). Every failure from here on is therefore
+	// marked ErrRetryUnsafe; the pool surfaces it instead of redialing, and
+	// the next round's digest exchange reconciles whatever state the server
+	// actually reached.
 	if err := writeFrame(conn, entriesFrame); err != nil {
 		return res, fmt.Errorf("%w: send entries: %w", ErrRetryUnsafe, err)
 	}

@@ -2,11 +2,10 @@ package antientropy
 
 import (
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"testing"
 
+	"versionstamp/internal/encoding"
 	"versionstamp/internal/kvstore"
 )
 
@@ -21,9 +20,9 @@ func TestSyncWithTreeConverges(t *testing.T) {
 	client.Delete("key-0003")
 
 	_, addr := startServer(t, server, kvstore.KeepBoth([]byte("|")))
-	res, err := SyncWithTree(addr, client)
+	res, err := SyncWith(addr, client)
 	if err != nil {
-		t.Fatalf("SyncWithTree: %v", err)
+		t.Fatalf("SyncWith: %v", err)
 	}
 	if res.Transferred != 2 || res.Reconciled != 3 || res.Merged != 1 {
 		t.Errorf("result = %+v", res)
@@ -43,7 +42,7 @@ func TestSyncWithTreeConverges(t *testing.T) {
 	}
 
 	// The now-converged pair's next round matches at the root.
-	res, err = SyncWithTree(addr, client)
+	res, err = SyncWith(addr, client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,53 +52,59 @@ func TestSyncWithTreeConverges(t *testing.T) {
 	if res.StripesSkipped != client.Shards() {
 		t.Errorf("StripesSkipped = %d, want %d", res.StripesSkipped, client.Shards())
 	}
+	// Even on a throwaway session (version byte, ack, no probe to ride) a
+	// converged round is one root each way, whatever the stripe count.
+	if wire := res.BytesSent + res.BytesReceived; wire >= 64 {
+		t.Errorf("converged one-shot round moved %dB, want < 64", wire)
+	}
 }
 
-// TestTreeHotKeyWireSavings is the tentpole's acceptance property at test
-// scale: with one divergent key in an otherwise converged keyspace, a v4
-// round must move far fewer bytes than a v3 round, because the tree descent
-// ships O(log n) fixed-size frames where v3 ships the stripe's whole digest
-// list. (cmd/benchwire gates the 1M-key version of this at ≥20x.)
+// TestTreeHotKeyWireSavings gates the wire cost of one divergent key in an
+// otherwise converged keyspace, against nothing but the data itself: the
+// round must cost fewer bytes than the hot stripe's digest list alone (what
+// any flat per-stripe digest exchange ships), and growing the keyspace 5x
+// may at most double it — the tree descent ships O(log n) fixed-size frames
+// and one leaf run, not O(n) digests.
 func TestTreeHotKeyWireSavings(t *testing.T) {
-	keys, minRatio := 20000, int64(4)
-	if testing.Short() {
-		keys, minRatio = 4000, 2
-	}
-	server, client := clonedPair(keys)
-	_, addr := startServer(t, server, nil)
-
-	hierPool := NewPoolOptions(PoolOptions{Protocol: ProtocolHier})
-	defer hierPool.Close()
-	treePool := NewPoolOptions(PoolOptions{Protocol: ProtocolTree})
-	defer treePool.Close()
-
-	measure := func(p *Pool, key string) int64 {
+	hotKeyBytes := func(keys int) int64 {
 		t.Helper()
-		client.Put(key, []byte("hot"))
+		server, client := clonedPair(keys)
+		_, addr := startServer(t, server, nil)
+		p := NewPool()
+		defer p.Close()
+		// Warm the session (and both sides' trees) before measuring.
+		if _, err := p.SyncWith(addr, client); err != nil {
+			t.Fatal(err)
+		}
+		client.Put("key-0000", []byte("hot"))
 		res, err := p.SyncWith(addr, client)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Transferred+res.Reconciled != 1 {
-			t.Fatalf("hot-key round: %+v", res)
+		if res.Reconciled != 1 || res.StripesSkipped != client.Shards()-1 {
+			t.Fatalf("hot-key round at %d keys: %+v", keys, res)
 		}
-		return res.BytesSent + res.BytesReceived
+		wire := res.BytesSent + res.BytesReceived
+
+		stripe, err := client.StripeTree(kvstore.ShardIndex("key-0000", client.Shards()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var digestList []byte
+		for _, d := range stripe.RunRange(kvstore.TreeRange{}) {
+			digestList = encoding.AppendDigest(digestList, d)
+		}
+		if wire >= int64(len(digestList)) {
+			t.Errorf("hot key at %d keys: round %dB, the stripe's digest list alone %dB",
+				keys, wire, len(digestList))
+		}
+		t.Logf("hot key at %d keys: round %dB, stripe digest list %dB", keys, wire, len(digestList))
+		return wire
 	}
-	// Warm both sessions (and converge) before measuring.
-	if _, err := hierPool.SyncWith(addr, client); err != nil {
-		t.Fatal(err)
+	small, large := hotKeyBytes(4000), hotKeyBytes(20000)
+	if large > 2*small {
+		t.Errorf("hot key: %dB at 20000 keys vs %dB at 4000 — more than 2x for 5x the keys", large, small)
 	}
-	if _, err := treePool.SyncWith(addr, client); err != nil {
-		t.Fatal(err)
-	}
-	hierBytes := measure(hierPool, "hot-key-hier")
-	treeBytes := measure(treePool, "hot-key-tree")
-	if treeBytes*minRatio > hierBytes {
-		t.Errorf("hot key at %d keys: v4 %dB vs v3 %dB — less than %dx savings",
-			keys, treeBytes, hierBytes, minRatio)
-	}
-	t.Logf("hot key at %d keys: v3 %dB, v4 %dB (%.1fx)",
-		keys, hierBytes, treeBytes, float64(hierBytes)/float64(treeBytes))
 }
 
 // TestTreeProbePipelining: on a pooled session, converged round N+1 rides
@@ -108,7 +113,7 @@ func TestTreeHotKeyWireSavings(t *testing.T) {
 func TestTreeProbePipelining(t *testing.T) {
 	server, client := clonedPair(1000)
 	_, addr := startServer(t, server, nil)
-	p := NewPoolOptions(PoolOptions{Protocol: ProtocolTree})
+	p := NewPool()
 	defer p.Close()
 
 	if _, err := p.SyncWith(addr, client); err != nil {
@@ -144,95 +149,12 @@ func TestTreeProbePipelining(t *testing.T) {
 	requireConverged(t, server, client)
 }
 
-// v3OnlyProxy fronts a real server but answers any v4 session opening the
-// way a pre-v4 server would: the 0x04 byte JSON-decodes as garbage, so the
-// "server" replies with a JSON error object and closes. Everything else is
-// piped through to the real server untouched.
-func v3OnlyProxy(t *testing.T, backend string) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				first := make([]byte, 1)
-				if _, err := io.ReadFull(conn, first); err != nil {
-					return
-				}
-				if first[0] == treeProtocolVersion {
-					_, _ = conn.Write([]byte(`{"v":1,"error":"bad request: invalid character"}` + "\n"))
-					return
-				}
-				up, err := net.Dial("tcp", backend)
-				if err != nil {
-					return
-				}
-				defer up.Close()
-				if _, err := up.Write(first); err != nil {
-					return
-				}
-				done := make(chan struct{})
-				go func() { _, _ = io.Copy(up, conn); _ = up.(*net.TCPConn).CloseWrite(); close(done) }()
-				_, _ = io.Copy(conn, up)
-				<-done
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestTreeFallsBackToHier: an auto-protocol pool meeting a v3-only server
-// redials the session as v3 transparently — same round, no error, and the
-// fallback sticks for the session.
-func TestTreeFallsBackToHier(t *testing.T) {
-	server, client := clonedPair(64)
-	client.Put("key-0000", []byte("edit"))
-	_, addr := startServer(t, server, nil)
-	proxy := v3OnlyProxy(t, addr)
-
-	p := NewPool() // ProtocolAuto
-	defer p.Close()
-	res, err := p.SyncWith(proxy, client)
-	if err != nil {
-		t.Fatalf("fallback round: %v", err)
-	}
-	if res.Reconciled != 1 {
-		t.Errorf("fallback round result: %+v", res)
-	}
-	requireConverged(t, server, client)
-	if p.Dials() != 2 {
-		t.Errorf("Dials = %d, want 2 (v4 attempt + v3 fallback)", p.Dials())
-	}
-	// The v3 session persists: further rounds reuse it without redialing.
-	if _, err := p.SyncWith(proxy, client); err != nil {
-		t.Fatal(err)
-	}
-	if p.Dials() != 2 {
-		t.Errorf("Dials = %d after reuse, want 2", p.Dials())
-	}
-
-	// A forced-v4 pool must surface the incompatibility instead.
-	forced := NewPoolOptions(PoolOptions{Protocol: ProtocolTree})
-	defer forced.Close()
-	if _, err := forced.SyncWith(proxy, client); err == nil {
-		t.Error("forced v4 against a v3-only server did not fail")
-	}
-}
-
-// TestTreeScopedStripes mirrors the v3 scoped-round test on v4, and checks
-// that scoped rounds drain a pending whole-replica probe correctly.
+// TestTreeScopedStripes: a scoped round syncs its stripes and nothing else,
+// and drains a pending whole-replica probe correctly.
 func TestTreeScopedStripes(t *testing.T) {
 	server, client := clonedPair(64)
 	_, addr := startServer(t, server, nil)
-	p := NewPoolOptions(PoolOptions{Protocol: ProtocolTree})
+	p := NewPool()
 	defer p.Close()
 
 	// Arm a probe with a whole-replica round first.
@@ -270,8 +192,8 @@ func TestTreeScopedStripes(t *testing.T) {
 	}
 }
 
-// TestTreeLayoutMismatch syncs replicas with different stripe counts over
-// v4: the server regroups its keys and evaluates trees under the client's
+// TestTreeLayoutMismatch syncs replicas with different stripe counts: the
+// server regroups its keys and evaluates trees under the client's
 // layout and shape.
 func TestTreeLayoutMismatch(t *testing.T) {
 	server, client8 := clonedPair(100)
@@ -287,16 +209,16 @@ func TestTreeLayoutMismatch(t *testing.T) {
 	server.Put("extra", []byte("server-side"))
 
 	_, addr := startServer(t, server, nil)
-	res, err := SyncWithTree(addr, client)
+	res, err := SyncWith(addr, client)
 	if err != nil {
-		t.Fatalf("SyncWithTree across layouts: %v", err)
+		t.Fatalf("SyncWith across layouts: %v", err)
 	}
 	if res.Transferred != 1 || res.Reconciled != 1 {
 		t.Errorf("result = %+v", res)
 	}
 	requireConverged(t, server, client)
 
-	res, err = SyncWithTree(addr, client)
+	res, err = SyncWith(addr, client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +227,14 @@ func TestTreeLayoutMismatch(t *testing.T) {
 	}
 }
 
-// TestTreeConflictReportedOverWire mirrors the v2/v3 conflict test on v4.
+// TestTreeConflictReportedOverWire: without a server resolver a conflicting
+// key comes back in Conflicts and neither copy changes.
 func TestTreeConflictReportedOverWire(t *testing.T) {
 	server, client := clonedPair(4)
 	server.Put("key-0000", []byte("conc-s"))
 	client.Put("key-0000", []byte("conc-c"))
 	_, addr := startServer(t, server, nil)
-	res, err := SyncWithTree(addr, client)
+	res, err := SyncWith(addr, client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,16 +246,17 @@ func TestTreeConflictReportedOverWire(t *testing.T) {
 	}
 }
 
-// TestTreeDifferentialProperty: across randomized divergence patterns, a v4
-// round leaves both replicas exactly where v3 and v1 (full snapshot) rounds
-// leave identically diverged pairs — including across a mid-test rebalance,
-// where the key count crossing a TreeShape threshold changes the tree depth
+// TestTreeDifferentialProperty: across randomized divergence patterns, a wire
+// round leaves both replicas exactly where the in-process kvstore.Sync leaves
+// an identically built pair — including across a mid-test rebalance, where
+// the key count crossing a TreeShape threshold changes the tree depth
 // between rounds.
 func TestTreeDifferentialProperty(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
 		seeds = 3
 	}
+	keepBoth := kvstore.KeepBoth([]byte("|"))
 	for seed := 0; seed < seeds; seed++ {
 		// Few stripes so the per-stripe key count crosses the depth-1→2
 		// threshold (512 keys) within an affordable test.
@@ -369,59 +293,66 @@ func TestTreeDifferentialProperty(t *testing.T) {
 			}
 		}
 
-		type lane struct {
-			name           string
-			server, client *kvstore.Replica
-			round          func(addr string, client *kvstore.Replica) error
+		wireServer, wireClient := build("wire")
+		_, addr := startServer(t, wireServer, keepBoth)
+		pool := NewPool()
+		defer pool.Close()
+		oracleServer, oracleClient := build("oracle")
+		rounds := []struct {
+			name  string
+			round func() error
+		}{
+			{"wire", func() error { _, err := pool.SyncWith(addr, wireClient); return err }},
+			{"oracle", func() error { _, err := kvstore.Sync(oracleServer, oracleClient, keepBoth); return err }},
 		}
-		treePool := NewPoolOptions(PoolOptions{Protocol: ProtocolTree})
-		defer treePool.Close()
-		hierPool := NewPoolOptions(PoolOptions{Protocol: ProtocolHier})
-		defer hierPool.Close()
-		lanes := []*lane{
-			{name: "tree", round: func(addr string, c *kvstore.Replica) error {
-				_, err := treePool.SyncWith(addr, c)
-				return err
-			}},
-			{name: "hier", round: func(addr string, c *kvstore.Replica) error {
-				_, err := hierPool.SyncWith(addr, c)
-				return err
-			}},
-			{name: "full", round: func(addr string, c *kvstore.Replica) error {
-				_, err := SyncWith(addr, c)
-				return err
-			}},
-		}
-		for _, l := range lanes {
-			l.server, l.client = build(l.name)
-			_, addr := startServer(t, l.server, kvstore.KeepBoth([]byte("|")))
-			if err := l.round(addr, l.client); err != nil {
-				t.Fatalf("seed %d %s: first round: %v", seed, l.name, err)
+		depthBefore := treeDepth(t, wireClient)
+		for _, r := range rounds {
+			if err := r.round(); err != nil {
+				t.Fatalf("seed %d %s: first round: %v", seed, r.name, err)
 			}
-			// Grow both sides identically across the depth threshold, then
-			// sync again: the rebalanced trees must still converge the pair.
-			grow(l.server, 0, 700)
-			grow(l.client, 700, 1400)
-			if err := l.round(addr, l.client); err != nil {
-				t.Fatalf("seed %d %s: post-rebalance round: %v", seed, l.name, err)
-			}
-			requireConverged(t, l.server, l.client)
 		}
-		// All three protocols land every pair in the same state.
-		requireConverged(t, lanes[0].server, lanes[1].server)
-		requireConverged(t, lanes[0].server, lanes[2].server)
-		requireConverged(t, lanes[0].client, lanes[1].client)
+		requireConverged(t, wireServer, oracleServer)
+		requireConverged(t, wireClient, oracleClient)
+		// Grow both sides differently across the depth threshold, then sync
+		// again: the rebalanced trees must still converge the pair.
+		for _, pair := range [][2]*kvstore.Replica{{wireServer, wireClient}, {oracleServer, oracleClient}} {
+			grow(pair[0], 0, 700)
+			grow(pair[1], 700, 1400)
+		}
+		for _, r := range rounds {
+			if err := r.round(); err != nil {
+				t.Fatalf("seed %d %s: post-rebalance round: %v", seed, r.name, err)
+			}
+		}
+		if depth := treeDepth(t, wireClient); depth <= depthBefore {
+			t.Fatalf("seed %d: tree depth %d -> %d, the growth did not cross a shape threshold",
+				seed, depthBefore, depth)
+		}
+		requireConverged(t, wireServer, wireClient)
+		requireConverged(t, wireServer, oracleServer)
+		requireConverged(t, wireClient, oracleClient)
 	}
 }
 
-// TestTreeConcurrentWritersNeverMaskDivergence mirrors the v3 race test on
-// v4: writers keep mutating the client while tree rounds run; no divergent
-// key may ever hide behind a stale cached tree or a pipelined probe. Run
-// with -race.
+// treeDepth returns the depth of r's stripe-0 digest tree.
+func treeDepth(t *testing.T, r *kvstore.Replica) int {
+	t.Helper()
+	tree, err := r.StripeTree(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree.Depth()
+}
+
+// TestTreeConcurrentWritersNeverMaskDivergence: writers keep mutating the
+// client while rounds run; no divergent key may ever hide behind a stale
+// tree or a pipelined probe. After the writers stop, at most two more rounds
+// (one for copies that moved mid-flight during the last racy round) must
+// reach full convergence. Run with -race.
 func TestTreeConcurrentWritersNeverMaskDivergence(t *testing.T) {
 	server, client := clonedPair(64)
 	_, addr := startServer(t, server, kvstore.KeepBoth([]byte("|")))
-	p := NewPoolOptions(PoolOptions{Protocol: ProtocolTree})
+	p := NewPool()
 	defer p.Close()
 
 	const writers = 4
@@ -464,33 +395,4 @@ func TestTreeConcurrentWritersNeverMaskDivergence(t *testing.T) {
 		}
 	}
 	requireConverged(t, server, client)
-}
-
-// TestAllProtocolsCoexistWithTree drives v1–v4 rounds at one server port.
-func TestAllProtocolsCoexistWithTree(t *testing.T) {
-	server, client := clonedPair(8)
-	_, addr := startServer(t, server, nil)
-
-	client.Put("via-json", []byte("1"))
-	if _, err := SyncWith(addr, client); err != nil {
-		t.Fatalf("v1 round: %v", err)
-	}
-	client.Put("via-delta", []byte("2"))
-	if _, err := SyncWithDelta(addr, client); err != nil {
-		t.Fatalf("v2 round: %v", err)
-	}
-	client.Put("via-hier", []byte("3"))
-	if _, err := SyncWithHier(addr, client); err != nil {
-		t.Fatalf("v3 round: %v", err)
-	}
-	client.Put("via-tree", []byte("4"))
-	if _, err := SyncWithTree(addr, client); err != nil {
-		t.Fatalf("v4 round: %v", err)
-	}
-	requireConverged(t, server, client)
-	for _, k := range []string{"via-json", "via-delta", "via-hier", "via-tree"} {
-		if _, ok := server.Get(k); !ok {
-			t.Errorf("server missing %q", k)
-		}
-	}
 }

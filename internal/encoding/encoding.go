@@ -78,9 +78,9 @@ func AppendCompact(dst []byte, s core.Stamp) []byte {
 // AppendUpdateTrie appends the trie encoding of the stamp's update component
 // alone. Compare relates stamps by their update components only, so this is
 // the part of a stamp that two equivalent copies share byte for byte — the
-// input stripe summaries hash over (the id components always differ between
-// replicas, every transfer forks them). Served from the handle's cached
-// encoding: summary recomputes after an epoch bump re-encode no tries.
+// input digest-tree leaves hash over (the id components always differ
+// between replicas, every transfer forks them). Served from the handle's
+// cached encoding: rehashing a leaf re-encodes no tries.
 func AppendUpdateTrie(dst []byte, s core.Stamp) []byte {
 	return s.UpdateHandle().AppendEncoding(dst)
 }

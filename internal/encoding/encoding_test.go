@@ -141,9 +141,8 @@ func TestCompactBeatsFlatOnBushyStamps(t *testing.T) {
 // TestCompactBytesMatchTrieReference is the wire-stability property of the
 // interned kernel: AppendCompact serves each component's cached intern key,
 // and those bytes must be identical to encoding the component tries directly
-// (the pre-interning construction). Digest and entry frames, snapshots and
-// the v2/v3 protocols all embed this format, so byte equality here pins the
-// whole wire surface.
+// (the pre-interning construction). Digest and entry frames and snapshots
+// all embed this format, so byte equality here pins the whole wire surface.
 func TestCompactBytesMatchTrieReference(t *testing.T) {
 	reference := func(s core.Stamp) []byte {
 		out := []byte{0x02} // compactFormat
@@ -191,8 +190,8 @@ func TestCompactBytesMatchTrieReference(t *testing.T) {
 }
 
 // TestAppendCompactAllocationFree: marshaling an interned stamp into a
-// pre-sized buffer must not allocate — the per-digest cost of every summary
-// recompute and wire frame build.
+// pre-sized buffer must not allocate — the per-digest cost of every wire
+// frame build.
 func TestAppendCompactAllocationFree(t *testing.T) {
 	s := core.Seed().Update()
 	a, _ := s.Fork()

@@ -12,6 +12,11 @@ func forkedPair() (core.Stamp, core.Stamp) {
 	return core.Seed().Update().Fork()
 }
 
+func summarize(ds []Digest) uint64 {
+	h, _ := SummarizeDigestsBuf(ds, nil)
+	return h
+}
+
 func TestSummarizeEquivalentCopiesMatch(t *testing.T) {
 	var mine, theirs []Digest
 	for _, k := range []string{"alpha", "beta", "gamma"} {
@@ -22,7 +27,7 @@ func TestSummarizeEquivalentCopiesMatch(t *testing.T) {
 		mine = append(mine, Digest{Key: k, Stamp: a})
 		theirs = append(theirs, Digest{Key: k, Stamp: b})
 	}
-	if SummarizeDigests(mine) != SummarizeDigests(theirs) {
+	if summarize(mine) != summarize(theirs) {
 		t.Error("equivalent stripes summarize differently")
 	}
 }
@@ -31,22 +36,22 @@ func TestSummarizeDivergenceDetected(t *testing.T) {
 	a, b := forkedPair()
 	base := []Digest{{Key: "k", Stamp: a}}
 	moved := []Digest{{Key: "k", Stamp: b.Update()}}
-	if SummarizeDigests(base) == SummarizeDigests(moved) {
+	if summarize(base) == summarize(moved) {
 		t.Error("an updated copy summarized as unchanged")
 	}
 	// A key present on one side only must also show.
-	if SummarizeDigests(base) == SummarizeDigests(nil) {
+	if summarize(base) == summarize(nil) {
 		t.Error("non-empty stripe summarized as empty")
 	}
 	extra := append(append([]Digest(nil), base...), Digest{Key: "k2", Stamp: a})
-	if SummarizeDigests(base) == SummarizeDigests(extra) {
+	if summarize(base) == summarize(extra) {
 		t.Error("extra key summarized as unchanged")
 	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if SummarizeDigests(nil) != EmptySummary {
-		t.Errorf("empty summary = %d, want EmptySummary", SummarizeDigests(nil))
+	if summarize(nil) != RootSummarySeed {
+		t.Errorf("empty summary = %d, want RootSummarySeed", summarize(nil))
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"math/bits"
 )
 
-// Digest-tree frames: the wire shapes of the adaptive k-ary hash tree the v4
+// Digest-tree frames: the wire shapes of the adaptive k-ary hash tree the
 // anti-entropy protocol descends. A stripe's digests are ordered by TreePos
 // (a 64-bit hash of the key), the position space is partitioned k ways per
 // level, and every node is a fixed-size hash over its subtree — so two

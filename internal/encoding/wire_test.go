@@ -66,8 +66,8 @@ func TestEntryRoundTrip(t *testing.T) {
 }
 
 func TestEntrySmallerThanJSONStamp(t *testing.T) {
-	// The binary entry must beat the JSON snapshot entry shape the v1
-	// protocol shipped (key + base64 value + text stamp in a JSON object).
+	// The binary entry must beat the JSON snapshot's entry shape (key +
+	// base64 value + text stamp in a JSON object).
 	s := core.Seed().Update()
 	for i := 0; i < 6; i++ {
 		half, _ := s.Fork()

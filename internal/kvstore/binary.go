@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -36,23 +35,8 @@ const maxSnapshotShards = 1 << 16
 // it back (sniffing the leading byte). It carries exactly the state of
 // Snapshot at a fraction of the bytes.
 func (r *Replica) SnapshotBinary() ([]byte, error) {
-	return r.snapshotBinary(-1)
-}
-
-// SnapshotShardBinary serializes only stripe idx in the binary format.
-func (r *Replica) SnapshotShardBinary(idx int) ([]byte, error) {
-	if idx < 0 || idx >= len(r.shards) {
-		return nil, fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
-	}
-	return r.snapshotBinary(idx)
-}
-
-func (r *Replica) snapshotBinary(idx int) ([]byte, error) {
 	var entries []encoding.Entry
 	for i := range r.shards {
-		if idx >= 0 && i != idx {
-			continue
-		}
 		sh := &r.shards[i]
 		sh.mu.RLock()
 		for k, v := range sh.data {
@@ -87,8 +71,8 @@ func (r *Replica) snapshotBinary(idx int) ([]byte, error) {
 }
 
 // encodeBinarySnapshot builds the binary snapshot document from already
-// collected entries — shared by the lock-per-stripe snapshot paths and the
-// durable checkpoint path, which holds the stripe lock itself.
+// collected entries — shared by SnapshotBinary and the durable checkpoint
+// path, which holds the stripe lock itself.
 func encodeBinarySnapshot(label string, shards int, entries []encoding.Entry) []byte {
 	sort.Slice(entries, func(a, b int) bool { return entries[a].Key < entries[b].Key })
 	out := []byte{binarySnapshotVersion}
@@ -100,36 +84,6 @@ func encodeBinarySnapshot(label string, shards int, entries []encoding.Entry) []
 		out = encoding.AppendEntry(out, e)
 	}
 	return out
-}
-
-// snapshotLayout reports the stripe count a snapshot records, without
-// decoding its entries; 0 means the snapshot predates layout recording.
-func snapshotLayout(data []byte) (int, error) {
-	if len(data) > 0 && data[0] == binarySnapshotVersion {
-		off := 1
-		n, used := binary.Uvarint(data[off:])
-		if used <= 0 || n > 1<<16 {
-			return 0, fmt.Errorf("kvstore: snapshot layout: bad label length")
-		}
-		off += used
-		if uint64(len(data)-off) < n {
-			return 0, fmt.Errorf("kvstore: snapshot layout: truncated label")
-		}
-		off += int(n)
-		shards, used := binary.Uvarint(data[off:])
-		if used <= 0 || shards > maxSnapshotShards {
-			return 0, fmt.Errorf("kvstore: snapshot layout: bad shard count")
-		}
-		return int(shards), nil
-	}
-	var snap snapshotDoc
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return 0, fmt.Errorf("kvstore: snapshot layout: %w", err)
-	}
-	if snap.Shards < 0 || snap.Shards > maxSnapshotShards {
-		return 0, fmt.Errorf("kvstore: snapshot layout: bad shard count %d", snap.Shards)
-	}
-	return snap.Shards, nil
 }
 
 // decodeBinarySnapshot parses a binary snapshot document (data starts at

@@ -9,21 +9,21 @@ import (
 	"versionstamp/internal/encoding"
 )
 
-// This file is the store half of the two-phase delta anti-entropy protocol:
-// phase 1 exchanges per-key digests (key + stamp, no value) and each side
-// decides locally which copies the stamps cannot prove equivalent; phase 2
-// ships only those. The paper's whole point is that stamp comparison
-// classifies two copies as equivalent, obsolete or conflicting without
-// looking at the data — so converged replicas can verify convergence for the
-// price of the digests alone.
+// This file is the store half of an anti-entropy round's leaf phase: the
+// initiator ships per-key digests (key + stamp, no value) for the position
+// ranges the tree descent (tree.go) left divergent, and the responder decides
+// locally which copies the stamps cannot prove equivalent; only those travel
+// in full. The paper's whole point is that stamp comparison classifies two
+// copies as equivalent, obsolete or conflicting without looking at the data.
 //
-// The scope arguments (idx, of) mirror SyncShard: of > 0 restricts the round
-// to the keys of stripe idx under a layout of `of` stripes, locking only the
-// matching local stripe when this replica's layout agrees; of == 0 covers
-// the whole keyspace under all stripe locks.
+// The scope arguments (idx, of): of > 0 restricts the call to the keys of
+// stripe idx under a layout of `of` stripes, locking only the matching local
+// stripe when this replica's layout agrees; of == 0 covers the whole
+// keyspace under all stripe locks. ranges narrows the scope further to tree
+// positions; nil means every position.
 
-// Diff classifies a peer's digest against local state — the output of
-// phase 1 on the responding side.
+// Diff classifies a peer's digest against local state — what DiffRanges
+// reports on the responding side.
 type Diff struct {
 	// Need lists peer keys whose full copies are required to reconcile:
 	// keys unknown here, keys where the peer dominates, and keys the stamps
@@ -37,41 +37,7 @@ type Diff struct {
 	LocalOnly int
 }
 
-// Digest returns the (key, stamp) pairs of every stored copy — including
-// tombstones — sorted by key: the phase-1 payload of a whole-replica delta
-// round. Quiet stripes are served from the per-stripe digest cache, and the
-// result slice is pre-sized from the cached stripe lengths, so an idle
-// round's digest collection is one allocation and a merge sort of
-// already-sorted runs.
-func (r *Replica) Digest() []encoding.Digest {
-	stripes := make([][]encoding.Digest, len(r.shards))
-	total := 0
-	for i := range r.shards {
-		_, stripes[i] = r.stripeCache(i)
-		total += len(stripes[i])
-	}
-	out := make([]encoding.Digest, 0, total)
-	for _, ds := range stripes {
-		out = append(out, ds...)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
-	return out
-}
-
-// DigestShard returns the digests of stripe idx only, sorted by key: the
-// phase-1 payload of one per-stripe delta round. Served from the stripe's
-// digest cache; the copy is exactly sized.
-func (r *Replica) DigestShard(idx int) ([]encoding.Digest, error) {
-	if idx < 0 || idx >= len(r.shards) {
-		return nil, fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
-	}
-	_, ds := r.stripeCache(idx)
-	out := make([]encoding.Digest, len(ds))
-	copy(out, ds)
-	return out, nil
-}
-
-// diffScratch is the pooled per-call scratch of DiffAgainst: the peer
+// diffScratch is the pooled per-call scratch of DiffRanges: the peer
 // digests' local stripe assignments and their counting-sort grouping. Pooled
 // so steady-state digest phases allocate nothing however often they run.
 type diffScratch struct {
@@ -99,32 +65,21 @@ func (sc *diffScratch) grow(npeer, nshards int) {
 	}
 }
 
-// DiffAgainst compares a peer digest with local state and reports which peer
-// copies must travel in full. Read locks only; the comparison is advisory —
-// ApplyDelta re-validates every key under write locks, so state changing
-// between the two phases costs at most one extra round, never correctness.
+// DiffRanges compares a peer digest with local state and reports which peer
+// copies must travel in full. Only peer digests and local keys whose
+// encoding.TreePos falls inside ranges take part — the tree descent has
+// already narrowed divergence to a few position intervals. Read locks only;
+// the comparison is advisory — ApplyDeltaRanges re-validates every key under
+// write locks, so state changing between the two calls costs at most one
+// extra round, never correctness.
 //
-// This is the phase every idle sync round pays, so it is engineered as a
-// batch: peer digests are grouped by owning local stripe (counting sort over
-// pooled scratch, no per-key maps), each stripe is read-locked once while
-// its group is probed directly against the stripe map, and stamp
-// classification runs through a batch Comparer — converged copies share
-// interned update handles, so the common outcome is a pointer comparison.
-// A converged pass allocates nothing beyond pool warm-up.
-func (r *Replica) DiffAgainst(peer []encoding.Digest, idx, of int) (Diff, error) {
-	return r.diffRanges(peer, idx, of, nil)
-}
-
-// DiffRanges is DiffAgainst additionally scoped to the given tree-position
-// ranges (tree.go): only peer digests and local keys whose encoding.TreePos
-// falls inside a range take part — the leaf phase of a v4 round, where the
-// tree descent has already narrowed divergence to a few position intervals.
-// A nil ranges slice means unscoped (exactly DiffAgainst).
+// Peer digests are grouped by owning local stripe (counting sort over pooled
+// scratch, no per-key maps), each stripe is read-locked once while its group
+// is probed directly against the stripe map, and stamp classification runs
+// through a batch Comparer — converged copies share interned update handles,
+// so the common outcome is a pointer comparison. A converged pass allocates
+// nothing beyond pool warm-up.
 func (r *Replica) DiffRanges(peer []encoding.Digest, idx, of int, ranges []TreeRange) (Diff, error) {
-	return r.diffRanges(peer, idx, of, ranges)
-}
-
-func (r *Replica) diffRanges(peer []encoding.Digest, idx, of int, ranges []TreeRange) (Diff, error) {
 	if err := checkScope(idx, of); err != nil {
 		return Diff{}, err
 	}
@@ -223,7 +178,7 @@ func (r *Replica) diffRanges(peer []encoding.Digest, idx, of int, ranges []TreeR
 		}
 		sh.mu.RUnlock()
 	}
-	// Peer digests are unique-keyed (Digest/DigestShard emit each key once),
+	// Peer digests are unique-keyed (a tree's runs hold each key once),
 	// so every in-scope local key the probes did not match is local-only.
 	// Clamped so a malformed duplicate-keyed digest cannot report negative.
 	if d.LocalOnly = localInScope - matched; d.LocalOnly < 0 {
@@ -248,34 +203,21 @@ func compactSorted(ss []string) []string {
 	return out
 }
 
-// ApplyDelta runs the responder half of phase 2: it reconciles the peer's
-// full entries (and, for keys this side dominates, just their digest stamps)
+// ApplyDeltaRanges runs the responder's apply: it reconciles the peer's full
+// entries (and, for keys this side dominates, just their digest stamps)
 // against local state and returns the entries the peer must adopt to
 // converge. Local state is mutated exactly as Sync would mutate it —
 // transfers fork stamps, dominance reconciles, conflicts use the resolver or
 // stay reported — and every key the stamps already prove equivalent is
-// pruned: it is neither touched nor returned.
+// pruned: it is neither touched nor returned. Peer digests and entries must
+// fall inside ranges, and only in-range local keys are enumerated as
+// local-only — so the local keys of the divergent subtrees transfer without
+// every unmentioned in-stripe key being treated as missing on the peer.
 //
 // Keys whose digest says this side should dominate but whose local copy
-// moved since phase 1 (a concurrent writer) are skipped this round; the next
-// digest exchange reconciles them.
-func (r *Replica) ApplyDelta(peerDigest []encoding.Digest, peerEntries []encoding.Entry,
-	resolve Resolver, idx, of int) ([]encoding.Entry, SyncResult, error) {
-	return r.applyDeltaRanges(peerDigest, peerEntries, resolve, idx, of, nil)
-}
-
-// ApplyDeltaRanges is ApplyDelta additionally scoped to the given
-// tree-position ranges: peer digests and entries must fall inside them, and
-// only in-range local keys are enumerated as local-only — so a v4 leaf
-// phase transfers the local keys of the divergent subtrees without treating
-// every unmentioned in-stripe key as missing on the peer. A nil ranges
-// slice means unscoped (exactly ApplyDelta).
+// moved since DiffRanges (a concurrent writer) are skipped this round; the
+// next digest exchange reconciles them.
 func (r *Replica) ApplyDeltaRanges(peerDigest []encoding.Digest, peerEntries []encoding.Entry,
-	resolve Resolver, idx, of int, ranges []TreeRange) ([]encoding.Entry, SyncResult, error) {
-	return r.applyDeltaRanges(peerDigest, peerEntries, resolve, idx, of, ranges)
-}
-
-func (r *Replica) applyDeltaRanges(peerDigest []encoding.Digest, peerEntries []encoding.Entry,
 	resolve Resolver, idx, of int, ranges []TreeRange) ([]encoding.Entry, SyncResult, error) {
 	if err := checkScope(idx, of); err != nil {
 		return nil, SyncResult{}, err
@@ -411,7 +353,7 @@ func (r *Replica) applyDeltaRanges(peerDigest []encoding.Digest, peerEntries []e
 }
 
 // ApplyDeltaReply installs the responder's reply entries — the initiator
-// half of phase 2. sent maps each key to the stamp this replica shipped in
+// half of the apply. sent maps each key to the stamp this replica shipped in
 // its digest or full entry; a reply entry is applied only if the local copy
 // still carries exactly that stamp (or the key is still absent, for keys the
 // digest did not mention). Copies that moved concurrently are left alone —

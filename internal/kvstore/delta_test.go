@@ -36,14 +36,14 @@ func entriesFor(r *Replica, keys []string) []encoding.Entry {
 func deltaRound(t *testing.T, a, b *Replica, resolve Resolver) SyncResult {
 	t.Helper()
 	digest := b.Digest()
-	diff, err := a.DiffAgainst(digest, 0, 0)
+	diff, err := a.DiffRanges(digest, 0, 0, nil)
 	if err != nil {
-		t.Fatalf("DiffAgainst: %v", err)
+		t.Fatalf("DiffRanges: %v", err)
 	}
 	entries := entriesFor(b, diff.Need)
-	reply, res, err := a.ApplyDelta(digest, entries, resolve, 0, 0)
+	reply, res, err := a.ApplyDeltaRanges(digest, entries, resolve, 0, 0, nil)
 	if err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+		t.Fatalf("ApplyDeltaRanges: %v", err)
 	}
 	sent := make(map[string]core.Stamp, len(digest))
 	for _, d := range digest {
@@ -87,23 +87,30 @@ func TestDigestSortedAndComplete(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < a.Shards(); i++ {
-		ds, err := a.DigestShard(i)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ds := stripeTreeRun(t, a, i)
 		for _, x := range ds {
 			if ShardIndex(x.Key, a.Shards()) != i {
-				t.Errorf("shard %d digest holds foreign key %q", i, x.Key)
+				t.Errorf("stripe %d tree holds foreign key %q", i, x.Key)
 			}
 		}
 		total += len(ds)
 	}
 	if total != 20 {
-		t.Errorf("per-shard digests cover %d keys, want 20", total)
+		t.Errorf("per-stripe trees cover %d keys, want 20", total)
 	}
-	if _, err := a.DigestShard(a.Shards()); err == nil {
-		t.Error("out-of-range DigestShard accepted")
+	if _, err := a.StripeTree(a.Shards()); err == nil {
+		t.Error("out-of-range StripeTree accepted")
 	}
+}
+
+// stripeTreeRun returns the digests of stripe idx, read off its tree.
+func stripeTreeRun(t *testing.T, r *Replica, idx int) []encoding.Digest {
+	t.Helper()
+	tree, err := r.StripeTree(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree.RunRange(TreeRange{})
 }
 
 func TestDiffAgainstClassification(t *testing.T) {
@@ -115,7 +122,7 @@ func TestDiffAgainstClassification(t *testing.T) {
 	b.Put("only-b", []byte("x")) // unknown to a
 	a.Put("only-a", []byte("y")) // unknown to b
 
-	diff, err := a.DiffAgainst(b.Digest(), 0, 0)
+	diff, err := a.DiffRanges(b.Digest(), 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,15 +241,12 @@ func TestDeltaShardScoped(t *testing.T) {
 	of := a.Shards()
 	var total SyncResult
 	for idx := 0; idx < of; idx++ {
-		digest, err := b.DigestShard(idx)
+		digest := stripeTreeRun(t, b, idx)
+		diff, err := a.DiffRanges(digest, idx, of, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		diff, err := a.DiffAgainst(digest, idx, of)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reply, res, err := a.ApplyDelta(digest, entriesFor(b, diff.Need), nil, idx, of)
+		reply, res, err := a.ApplyDeltaRanges(digest, entriesFor(b, diff.Need), nil, idx, of, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,11 +267,11 @@ func TestDeltaShardScoped(t *testing.T) {
 	// Foreign keys are rejected in every scoped input.
 	badDigest := []encoding.Digest{{Key: "key-000", Stamp: core.Seed()}}
 	wrong := (ShardIndex("key-000", of) + 1) % of
-	if _, err := a.DiffAgainst(badDigest, wrong, of); err == nil {
-		t.Error("DiffAgainst accepted a foreign key")
+	if _, err := a.DiffRanges(badDigest, wrong, of, nil); err == nil {
+		t.Error("DiffRanges accepted a foreign key")
 	}
-	if _, _, err := a.ApplyDelta(badDigest, nil, nil, wrong, of); err == nil {
-		t.Error("ApplyDelta accepted a foreign digest key")
+	if _, _, err := a.ApplyDeltaRanges(badDigest, nil, nil, wrong, of, nil); err == nil {
+		t.Error("ApplyDeltaRanges accepted a foreign digest key")
 	}
 	if _, err := b.ApplyDeltaReply([]encoding.Entry{{Key: "key-000", Stamp: core.Seed()}}, nil, wrong, of); err == nil {
 		t.Error("ApplyDeltaReply accepted a foreign key")
@@ -279,11 +283,11 @@ func TestApplyDeltaReplySkipsMovedCopies(t *testing.T) {
 	a.Put("key-000", []byte("newer-on-a"))
 
 	digest := b.Digest()
-	diff, err := a.DiffAgainst(digest, 0, 0)
+	diff, err := a.DiffRanges(digest, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, _, err := a.ApplyDelta(digest, entriesFor(b, diff.Need), nil, 0, 0)
+	reply, _, err := a.ApplyDeltaRanges(digest, entriesFor(b, diff.Need), nil, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,22 +353,5 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := Restore(bin[:len(bin)/2]); err == nil {
 		t.Error("truncated binary snapshot accepted")
-	}
-
-	shardBin, err := a.SnapshotShardBinary(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardRestored, err := Restore(shardBin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range shardRestored.Keys() {
-		if ShardIndex(k, a.Shards()) != 3 {
-			t.Errorf("shard snapshot holds foreign key %q", k)
-		}
-	}
-	if _, err := a.SnapshotShardBinary(-1); err == nil {
-		t.Error("out-of-range shard snapshot accepted")
 	}
 }

@@ -333,7 +333,7 @@ func (r *Replica) Checkpoint() error {
 // checkpointShard snapshots stripe i and hands it to the backend while
 // holding the stripe lock, so no append can fall between the snapshot and
 // the backend's log truncation. The lock is taken without an epoch bump —
-// a checkpoint mutates nothing, so summary caches stay warm.
+// a checkpoint mutates nothing.
 func (r *Replica) checkpointShard(i int) error {
 	sh := &r.shards[i]
 	sh.mu.Lock()

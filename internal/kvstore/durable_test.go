@@ -392,8 +392,8 @@ func TestSyncMutationsAreDurable(t *testing.T) {
 	}
 }
 
-// TestAdoptDurable covers the wholesale paths: Adopt and AdoptShard must
-// persist the replacement, including the implied clearing of dropped keys.
+// TestAdoptDurable covers the wholesale path: Adopt must persist the
+// replacement, including the implied clearing of dropped keys.
 func TestAdoptDurable(t *testing.T) {
 	dir := t.TempDir()
 	r, err := Open(dir, Options{Shards: 4})

@@ -125,7 +125,7 @@ type shard struct {
 
 	// epoch advances on every write-lock acquisition (conservatively: a
 	// locked stripe may have mutated). It is the clock of the tombstone
-	// ledger and of the v2/v3 digest cache below.
+	// ledger.
 	epoch atomic.Uint64
 
 	// dirty holds the keys whose stamp or presence changed since the stripe's
@@ -143,17 +143,9 @@ type shard struct {
 	// tree is the stripe's digest tree (tree.go) at the replica's own shape
 	// for its key count: built by the first request, patched from the dirty
 	// set by each later one, immutable in between. scratch is the patch's.
-	//
-	// summary and digestCache (summary.go) are the v2/v3 view, valid for
-	// epoch cacheEpoch only: built when such a peer or Digest asks, never by
-	// a v4 round.
-	cacheMu     sync.Mutex
-	tree        *DigestTree
-	scratch     treeScratch
-	cacheValid  bool
-	cacheEpoch  uint64
-	summary     uint64
-	digestCache []encoding.Digest
+	cacheMu sync.Mutex
+	tree    *DigestTree
+	scratch treeScratch
 
 	// quar mirrors the replica's quarantine set for this stripe as a lock-
 	// free flag, so the per-write logSet check costs one atomic load. The
@@ -161,8 +153,8 @@ type shard struct {
 	quar atomic.Bool
 }
 
-// lockMut write-locks the stripe for a mutation and advances its epoch so
-// cached summaries are recomputed on the next read. Unlock with mu.Unlock.
+// lockMut write-locks the stripe for a mutation and advances its epoch.
+// Unlock with mu.Unlock.
 func (sh *shard) lockMut() {
 	sh.mu.Lock()
 	sh.epoch.Add(1)
@@ -193,6 +185,10 @@ func (sh *shard) dropTreeLocked() { sh.dirty, sh.dirtyCap = nil, 0 }
 type Replica struct {
 	label  string
 	shards []shard
+
+	// seq is unique per process and fixes the order two replicas' stripe
+	// locks are taken in (replicaBefore).
+	seq uint64
 
 	// backend, when non-nil, receives every mutation as an appended record
 	// before the stripe lock releases (see Open/OpenBackend in durable.go).
@@ -232,6 +228,9 @@ type Replica struct {
 	pending []func() error
 }
 
+// replicaSeq numbers the replicas of this process in construction order.
+var replicaSeq atomic.Uint64
+
 // NewReplica creates an empty replica with a cosmetic label and
 // DefaultShards stripes.
 func NewReplica(label string) *Replica {
@@ -245,7 +244,7 @@ func NewReplicaShards(label string, n int) *Replica {
 	if n < 1 {
 		n = 1
 	}
-	r := &Replica{label: label, shards: make([]shard, n)}
+	r := &Replica{label: label, shards: make([]shard, n), seq: replicaSeq.Add(1)}
 	for i := range r.shards {
 		r.shards[i].data = make(map[string]Versioned)
 		r.shards[i].tombs = make(map[string]uint64)
@@ -316,11 +315,11 @@ func (r *Replica) logSet(si int, key string, v Versioned) {
 	}
 }
 
-// logAdopt persists a wholesale stripe replacement (Adopt/AdoptShard) as a
-// backend checkpoint rather than a reset plus one record per key: adoption
+// logAdopt persists a wholesale stripe replacement (Adopt) as a backend
+// checkpoint rather than a reset plus one record per key: adoption
 // rewrites the entire stripe anyway, so a checkpoint leaves the log empty
-// instead of growing it by the keyspace on every whole-snapshot sync
-// round. Stripe write lock held, so no append interleaves.
+// instead of growing it by the keyspace. Stripe write lock held, so no
+// append interleaves.
 func (r *Replica) logAdopt(si int) {
 	r.shards[si].dropTreeLocked()
 	if r.backend == nil {
@@ -722,13 +721,14 @@ type SyncResult struct {
 	Reconciled int
 	// Merged counts conflicting keys merged by the resolver.
 	Merged int
-	// Pruned counts keys whose stamps proved the copies equivalent, so no
-	// data moved. Only delta rounds prune; full syncs report zero.
+	// Pruned counts keys whose digests traveled and whose stamps proved the
+	// copies equivalent, so no data moved. Only wire rounds prune;
+	// in-process syncs report zero.
 	Pruned int `json:"Pruned,omitempty"`
-	// StripesSkipped counts stripes whose summary hashes matched in a
-	// hierarchical (v3) round, so not even their digests traveled. Keys in
-	// skipped stripes are not counted in Pruned — the whole point is that
-	// nobody enumerated them.
+	// StripesSkipped counts stripes whose digest-tree roots matched in a
+	// wire round, so nothing below the root traveled. Keys in skipped
+	// stripes are not counted in Pruned — the whole point is that nobody
+	// enumerated them.
 	StripesSkipped int `json:"StripesSkipped,omitempty"`
 	// BytesSent and BytesReceived count wire payload bytes from the
 	// initiator's perspective. In-process syncs report zero; the network
@@ -763,10 +763,8 @@ func (r *SyncResult) add(o SyncResult) {
 func (r *SyncResult) Add(o SyncResult) { r.add(o) }
 
 // replicaBefore orders two distinct replicas for deadlock-free lock
-// acquisition, as the seed did for its single pair of locks.
-func replicaBefore(a, b *Replica) bool {
-	return fmt.Sprintf("%p", a) < fmt.Sprintf("%p", b)
-}
+// acquisition.
+func replicaBefore(a, b *Replica) bool { return a.seq < b.seq }
 
 // Sync performs pairwise anti-entropy between two replicas: every key known
 // to either side converges on both, except conflicting keys when resolve is
@@ -778,8 +776,8 @@ func replicaBefore(a, b *Replica) bool {
 // the keyspace is never serialized under a single lock, and only the two
 // stripes under reconciliation are blocked at any moment. Replicas with
 // different stripe counts fall back to a whole-keyspace pass under all
-// locks. Either way locks are taken in a global order (replica address,
-// then stripe index), so concurrent syncs of overlapping pairs cannot
+// locks. Either way locks are taken in a global order (replica sequence
+// number, then stripe index), so concurrent syncs of overlapping pairs cannot
 // deadlock.
 func Sync(a, b *Replica, resolve Resolver) (SyncResult, error) {
 	if a == b {
@@ -823,14 +821,13 @@ func syncStriped(a, b *Replica, resolve Resolver) (SyncResult, error) {
 				if i >= nShards || failed.Load() {
 					return
 				}
-				sa, sb := &a.shards[i], &b.shards[i]
-				first, second := sa, sb
+				first, second := &a.shards[i], &b.shards[i]
 				if !replicaBefore(a, b) {
-					first, second = sb, sa
+					first, second = second, first
 				}
 				first.lockMut()
 				second.lockMut()
-				part, err := syncStripePair(a, b, i, resolve)
+				part, err := syncStripes(a, b, a.shards[i:i+1], b.shards[i:i+1], resolve)
 				second.mu.Unlock()
 				first.mu.Unlock()
 				mu.Lock()
@@ -862,15 +859,28 @@ func syncGlobal(a, b *Replica, resolve Resolver) (SyncResult, error) {
 		second.shards[i].lockMut()
 		defer second.shards[i].mu.Unlock()
 	}
-	var res SyncResult
-	keys := map[string]struct{}{}
-	for _, r := range []*Replica{a, b} {
-		for i := range r.shards {
-			r.shards[i].eachMetaLocked(func(k string, _ bool, _ core.Stamp) {
-				keys[k] = struct{}{}
-			})
+	return syncStripes(a, b, a.shards, b.shards, resolve)
+}
+
+// syncStripes reconciles, in key order, the union of the keys the given
+// stripes of a and of b hold. The two sets must cover the same slice of the
+// keyspace, and their write locks must be held.
+func syncStripes(a, b *Replica, as, bs []shard, resolve Resolver) (SyncResult, error) {
+	both := [2][]shard{as, bs}
+	n := 0
+	for _, shards := range both {
+		for i := range shards {
+			n += shards[i].countLocked()
 		}
 	}
+	keys := make(map[string]struct{}, n)
+	collect := func(k string, _ bool, _ core.Stamp) { keys[k] = struct{}{} }
+	for _, shards := range both {
+		for i := range shards {
+			shards[i].eachMetaLocked(collect)
+		}
+	}
+	var res SyncResult
 	for _, k := range sortedKeys(keys) {
 		part, err := syncKeyPromoted(a, b, k, resolve)
 		res.add(part)
@@ -879,69 +889,6 @@ func syncGlobal(a, b *Replica, resolve Resolver) (SyncResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// SyncShard reconciles only the keys belonging to stripe idx of a
-// layout with `of` stripes — the unit of per-shard network anti-entropy:
-// two endpoints agreeing on (idx, of) can run `of` independent scoped
-// syncs concurrently and converge exactly as one whole-keyspace Sync
-// would. When a replica's own layout matches `of`, only its stripe idx is
-// locked; otherwise all its stripes are (the matching keys may live
-// anywhere).
-func SyncShard(a, b *Replica, resolve Resolver, idx, of int) (SyncResult, error) {
-	res, err := syncShard(a, b, resolve, idx, of)
-	a.awaitDurable()
-	b.awaitDurable()
-	return res, err
-}
-
-func syncShard(a, b *Replica, resolve Resolver, idx, of int) (SyncResult, error) {
-	if a == b {
-		return SyncResult{}, fmt.Errorf("kvstore: sync of a replica with itself")
-	}
-	if of < 1 || idx < 0 || idx >= of {
-		return SyncResult{}, fmt.Errorf("kvstore: shard %d out of range of %d", idx, of)
-	}
-	first, second := a, b
-	if !replicaBefore(a, b) {
-		first, second = b, a
-	}
-	for _, r := range []*Replica{first, second} {
-		if len(r.shards) == of {
-			r.shards[idx].lockMut()
-			defer r.shards[idx].mu.Unlock()
-			continue
-		}
-		for i := range r.shards {
-			r.shards[i].lockMut()
-			defer r.shards[i].mu.Unlock()
-		}
-	}
-	var res SyncResult
-	keys := map[string]struct{}{}
-	for _, r := range []*Replica{a, b} {
-		for i := range r.shards {
-			if len(r.shards) == of && i != idx {
-				continue
-			}
-			r.shards[i].eachMetaLocked(func(k string, _ bool, _ core.Stamp) {
-				if ShardIndex(k, of) == idx {
-					keys[k] = struct{}{}
-				}
-			})
-		}
-	}
-	var err error
-	for _, k := range sortedKeys(keys) {
-		var part SyncResult
-		part, err = syncKeyPromoted(a, b, k, resolve)
-		res.add(part)
-		if err != nil {
-			break
-		}
-	}
-	sort.Strings(res.Conflicts)
-	return res, err
 }
 
 func sortedKeys(set map[string]struct{}) []string {
@@ -951,25 +898,6 @@ func sortedKeys(set map[string]struct{}) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// syncStripePair reconciles the union of stripe i of two same-layout
-// replicas. Both stripes' write locks must be held.
-func syncStripePair(a, b *Replica, i int, resolve Resolver) (SyncResult, error) {
-	sa, sb := &a.shards[i], &b.shards[i]
-	keys := make(map[string]struct{}, sa.countLocked()+sb.countLocked())
-	collect := func(k string, _ bool, _ core.Stamp) { keys[k] = struct{}{} }
-	sa.eachMetaLocked(collect)
-	sb.eachMetaLocked(collect)
-	var res SyncResult
-	for _, k := range sortedKeys(keys) {
-		part, err := syncKeyPromoted(a, b, k, resolve)
-		res.add(part)
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
 }
 
 // syncKeyPromoted converges one key between two replicas whose relevant
@@ -1209,7 +1137,7 @@ type snapshotEntry struct {
 	Stamp   string `json:"stamp"`
 }
 
-// snapshotDoc is the JSON form of a replica (or one of its stripes).
+// snapshotDoc is the JSON form of a replica.
 type snapshotDoc struct {
 	Label string `json:"label"`
 	// Shards records the stripe count so Restore reproduces the layout.
@@ -1223,36 +1151,19 @@ type snapshotDoc struct {
 // Together they support crash/restart testing. Each stripe is read
 // atomically; the snapshot is a per-key-consistent view.
 func (r *Replica) Snapshot() ([]byte, error) {
-	entries, err := r.collectEntries(-1)
+	entries, err := r.collectEntries()
 	if err != nil {
 		return nil, err
 	}
 	return json.Marshal(snapshotDoc{Label: r.label, Shards: len(r.shards), Entries: entries})
 }
 
-// SnapshotShard serializes only stripe idx — the payload of one per-shard
-// anti-entropy round.
-func (r *Replica) SnapshotShard(idx int) ([]byte, error) {
-	if idx < 0 || idx >= len(r.shards) {
-		return nil, fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
-	}
-	entries, err := r.collectEntries(idx)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(snapshotDoc{Label: r.label, Shards: len(r.shards), Entries: entries})
-}
-
-// collectEntries gathers sorted entries from stripe idx, or from all
-// stripes when idx is negative. Paged stripes fault their cold values in
-// (through the cache, without promoting them) — a snapshot is a full copy
-// by definition.
-func (r *Replica) collectEntries(idx int) ([]snapshotEntry, error) {
+// collectEntries gathers sorted entries from all stripes. Paged stripes
+// fault their cold values in (through the cache, without promoting them) — a
+// snapshot is a full copy by definition.
+func (r *Replica) collectEntries() ([]snapshotEntry, error) {
 	var entries []snapshotEntry
 	for i := range r.shards {
-		if idx >= 0 && i != idx {
-			continue
-		}
 		sh := &r.shards[i]
 		sh.mu.RLock()
 		for k, v := range sh.data {
@@ -1288,9 +1199,7 @@ func (r *Replica) collectEntries(idx int) ([]snapshotEntry, error) {
 }
 
 // Adopt replaces this replica's entire contents with the snapshot's,
-// keeping the replica pointer, label and shard layout stable. It is used
-// by the anti-entropy client to take over the merged state returned by a
-// peer.
+// keeping the replica pointer, label and shard layout stable.
 func (r *Replica) Adopt(snapshot []byte) error {
 	restored, err := Restore(snapshot)
 	if err != nil {
@@ -1316,52 +1225,6 @@ func (r *Replica) Adopt(snapshot []byte) error {
 		}
 		r.logAdopt(i)
 	}
-	return nil
-}
-
-// AdoptShard replaces only stripe idx with the snapshot's entries — the
-// client half of one per-shard anti-entropy round.
-//
-// Adoption is wholesale: keys of stripe idx absent from the snapshot are
-// dropped. That is only sound when the snapshot was produced under this
-// replica's own stripe layout — a snapshot of "stripe idx" from a peer with
-// a different stripe count covers a different slice of the keyspace, and
-// adopting it would silently discard the rest of the local stripe. A
-// snapshot recording a disagreeing layout is therefore rejected outright;
-// snapshots predating layout recording fall back to the per-key check,
-// which still keeps foreign keys out of the stripe.
-func (r *Replica) AdoptShard(idx int, snapshot []byte) error {
-	if idx < 0 || idx >= len(r.shards) {
-		return fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
-	}
-	if rec, err := snapshotLayout(snapshot); err == nil && rec > 0 && rec != len(r.shards) {
-		return fmt.Errorf("kvstore: adopt shard %d: snapshot records a %d-stripe layout, replica has %d",
-			idx, rec, len(r.shards))
-	}
-	restored, err := Restore(snapshot)
-	if err != nil {
-		return err
-	}
-	data := make(map[string]Versioned)
-	for i := range restored.shards {
-		for k, v := range restored.shards[i].data {
-			if ShardIndex(k, len(r.shards)) != idx {
-				return fmt.Errorf("kvstore: adopt shard %d: key %q belongs to shard %d",
-					idx, k, ShardIndex(k, len(r.shards)))
-			}
-			data[k] = v
-		}
-	}
-	sh := &r.shards[idx]
-	sh.lockMut()
-	defer sh.mu.Unlock()
-	sh.data = data
-	sh.cold = nil
-	sh.rebuildTombsLocked()
-	if r.cache != nil {
-		r.cache.InvalidateShard(idx)
-	}
-	r.logAdopt(idx)
 	return nil
 }
 

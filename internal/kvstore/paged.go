@@ -251,8 +251,8 @@ func (sh *shard) noteTombLocked(key string) {
 }
 
 // rebuildTombsLocked rebuilds the stripe's tombstone ledger from its current
-// contents — the wholesale-replacement paths (Adopt/AdoptShard) use it after
-// swapping the stripe's maps. Stripe write lock held.
+// contents — wholesale replacement (Adopt) uses it after swapping the
+// stripe's maps. Stripe write lock held.
 func (sh *shard) rebuildTombsLocked() {
 	sh.tombs = make(map[string]uint64)
 	e := sh.epoch.Load()

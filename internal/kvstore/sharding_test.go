@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -173,72 +172,6 @@ func TestShardedMatchesSingleLockReference(t *testing.T) {
 	}
 }
 
-// TestSyncShardCoversKeyspace: running one scoped SyncShard per stripe
-// converges the pair exactly as one whole-keyspace Sync would.
-func TestSyncShardCoversKeyspace(t *testing.T) {
-	const shards = 8
-	a, b := NewReplicaShards("a", shards), NewReplicaShards("b", shards)
-	for i := 0; i < 50; i++ {
-		a.Put(fmt.Sprintf("key-%02d", i), []byte(fmt.Sprintf("v%d", i)))
-	}
-	if _, err := Sync(a, b, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i += 2 {
-		b.Put(fmt.Sprintf("key-%02d", i), []byte("newer"))
-	}
-	a.Put("only-at-a", []byte("x"))
-
-	var total SyncResult
-	for s := 0; s < shards; s++ {
-		res, err := SyncShard(a, b, nil, s, shards)
-		if err != nil {
-			t.Fatalf("SyncShard(%d): %v", s, err)
-		}
-		total.add(res)
-	}
-	if total.Reconciled != 25 || total.Transferred != 1 {
-		t.Fatalf("aggregate result = %+v", total)
-	}
-	for _, k := range a.Keys() {
-		va, okA := a.Get(k)
-		vb, okB := b.Get(k)
-		if okA != okB || !bytes.Equal(va, vb) {
-			t.Fatalf("diverged on %q after per-shard sync", k)
-		}
-	}
-}
-
-func TestSyncShardValidation(t *testing.T) {
-	a, b := NewReplica("a"), NewReplica("b")
-	if _, err := SyncShard(a, a, nil, 0, 4); err == nil {
-		t.Error("self-sync must fail")
-	}
-	for _, bad := range [][2]int{{-1, 4}, {4, 4}, {0, 0}} {
-		if _, err := SyncShard(a, b, nil, bad[0], bad[1]); err == nil {
-			t.Errorf("SyncShard(%d, %d) must fail", bad[0], bad[1])
-		}
-	}
-}
-
-// TestSyncShardMismatchedLayouts: scoped sync still converges when either
-// replica's own stripe count differs from the round's layout.
-func TestSyncShardMismatchedLayouts(t *testing.T) {
-	a, b := NewReplicaShards("a", 8), NewReplicaShards("b", 5)
-	for i := 0; i < 30; i++ {
-		a.Put(fmt.Sprintf("key-%02d", i), []byte("v"))
-	}
-	const of = 4
-	for s := 0; s < of; s++ {
-		if _, err := SyncShard(a, b, nil, s, of); err != nil {
-			t.Fatalf("SyncShard(%d/%d): %v", s, of, err)
-		}
-	}
-	if a.Len() != b.Len() || b.Len() != 30 {
-		t.Fatalf("lens = %d, %d", a.Len(), b.Len())
-	}
-}
-
 // TestSyncMixedShardCounts exercises the whole-keyspace fallback between
 // replicas with different stripe counts.
 func TestSyncMixedShardCounts(t *testing.T) {
@@ -284,103 +217,6 @@ func TestSnapshotPreservesShardLayout(t *testing.T) {
 	}
 	if legacy.Shards() != DefaultShards {
 		t.Fatalf("legacy shards = %d, want %d", legacy.Shards(), DefaultShards)
-	}
-}
-
-func TestSnapshotShardAdoptShardRoundTrip(t *testing.T) {
-	const shards = 4
-	a := NewReplicaShards("a", shards)
-	for i := 0; i < 30; i++ {
-		a.Put(fmt.Sprintf("key-%02d", i), []byte(fmt.Sprintf("v%d", i)))
-	}
-	b := NewReplicaShards("b", shards)
-	for s := 0; s < shards; s++ {
-		snap, err := a.SnapshotShard(s)
-		if err != nil {
-			t.Fatalf("SnapshotShard(%d): %v", s, err)
-		}
-		if err := b.AdoptShard(s, snap); err != nil {
-			t.Fatalf("AdoptShard(%d): %v", s, err)
-		}
-	}
-	if fmt.Sprint(a.Keys()) != fmt.Sprint(b.Keys()) {
-		t.Fatalf("keys differ: %v vs %v", a.Keys(), b.Keys())
-	}
-	if _, err := a.SnapshotShard(shards); err == nil {
-		t.Error("out-of-range SnapshotShard must fail")
-	}
-	if err := b.AdoptShard(shards, nil); err == nil {
-		t.Error("out-of-range AdoptShard must fail")
-	}
-	// Entries landing in the wrong stripe are protocol corruption.
-	wrong, err := a.SnapshotShard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hasKeys := false
-	for s := 1; s < shards; s++ {
-		if err := b.AdoptShard(s, wrong); err != nil {
-			hasKeys = true
-			break
-		}
-	}
-	if !hasKeys {
-		t.Error("AdoptShard accepted keys of a different stripe")
-	}
-}
-
-// TestAdoptShardRejectsForeignLayout is the regression test for the
-// cross-layout adoption bug: AdoptShard replaces the stripe wholesale, so a
-// snapshot cut under a different stripe layout — whose keys can
-// nevertheless all hash into the receiver's stripe — would silently drop
-// every local key the foreign slice does not cover. Snapshots recording a
-// disagreeing layout must be rejected outright.
-func TestAdoptShardRejectsForeignLayout(t *testing.T) {
-	donor := NewReplicaShards("donor", 2)
-	receiver := NewReplicaShards("receiver", 4)
-
-	// Keys in receiver stripe 0 of 4 also live in donor stripe 0 of 2
-	// (4 is a multiple of 2), so the per-key stripe check alone cannot
-	// catch the layout mismatch.
-	var keys []string
-	for i := 0; len(keys) < 3; i++ {
-		k := fmt.Sprintf("key-%03d", i)
-		if ShardIndex(k, 4) == 0 {
-			keys = append(keys, k)
-		}
-	}
-	donor.Put(keys[0], []byte("donor-0"))
-	donor.Put(keys[1], []byte("donor-1"))
-	receiver.Put(keys[2], []byte("must-survive")) // absent from the donor slice
-
-	snap, err := donor.SnapshotShard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := receiver.AdoptShard(0, snap); err == nil {
-		t.Fatal("AdoptShard accepted a snapshot recording a 2-stripe layout into a 4-stripe replica")
-	}
-	if _, ok := receiver.Get(keys[2]); !ok {
-		t.Fatal("local key lost to a rejected adoption")
-	}
-
-	// Legacy snapshots record no layout; they fall back to the per-key
-	// check and keep loading.
-	v, _ := donor.Version(keys[0])
-	legacy, err := json.Marshal(snapshotDoc{
-		Label: "legacy",
-		Entries: []snapshotEntry{
-			{Key: keys[0], Value: v.Value, Stamp: v.Stamp.String()},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := receiver.AdoptShard(0, legacy); err != nil {
-		t.Fatalf("layout-free legacy snapshot rejected: %v", err)
-	}
-	if _, ok := receiver.Get(keys[0]); !ok {
-		t.Fatal("legacy adoption did not load")
 	}
 }
 

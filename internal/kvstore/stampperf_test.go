@@ -8,13 +8,13 @@ import (
 )
 
 // Performance acceptance for the interned stamp kernel on the store's
-// hottest read path. The pre-PR implementation of DiffAgainst built two maps
-// per call and compared slice-backed stamps; measured on the same converged
+// hottest read path, the digest diff (DiffRanges). Its first implementation
+// built two maps per call and compared slice-backed stamps; measured on the same converged
 // 1000-key workload it cost 10 allocs/op and ~202 KB/op. The batched
 // implementation over interned handles must beat that by at least 5x.
 
-// preInterningDiffAllocs is the recorded pre-PR baseline: allocs/op of
-// DiffAgainst over a converged 1000-key replica pair (go test -bench,
+// preInterningDiffAllocs is the recorded pre-PR baseline: allocs/op of the
+// digest diff over a converged 1000-key replica pair (go test -bench,
 // 2026-07, this repository at PR 3).
 const preInterningDiffAllocs = 10
 
@@ -30,21 +30,21 @@ func convergedDiffPair(keys int) (*Replica, []encoding.Digest) {
 
 func TestDiffAgainstAllocBudget(t *testing.T) {
 	server, digest := convergedDiffPair(1000)
-	if _, err := server.DiffAgainst(digest, 0, 0); err != nil {
+	if _, err := server.DiffRanges(digest, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		d, err := server.DiffAgainst(digest, 0, 0)
+		d, err := server.DiffRanges(digest, 0, 0, nil)
 		if err != nil || len(d.Need) != 0 || d.Equivalent != 1000 {
 			t.Fatalf("diff = %+v, err %v", d, err)
 		}
 	})
 	budget := float64(preInterningDiffAllocs) / 5
 	if allocs > budget {
-		t.Errorf("converged DiffAgainst allocates %.1f/op; budget is %.1f (pre-interning baseline %d / 5)",
+		t.Errorf("converged DiffRanges allocates %.1f/op; budget is %.1f (pre-interning baseline %d / 5)",
 			allocs, budget, preInterningDiffAllocs)
 	}
-	t.Logf("converged 1000-key DiffAgainst: %.1f allocs/op (pre-interning baseline %d)",
+	t.Logf("converged 1000-key DiffRanges: %.1f allocs/op (pre-interning baseline %d)",
 		allocs, preInterningDiffAllocs)
 }
 
@@ -53,7 +53,7 @@ func BenchmarkDiffAgainstConverged(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := server.DiffAgainst(digest, 0, 0); err != nil {
+		if _, err := server.DiffRanges(digest, 0, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkDiffAgainstDivergent(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := server.DiffAgainst(digest, 0, 0); err != nil {
+		if _, err := server.DiffRanges(digest, 0, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestDiffAgainstDuplicateDigestKeys(t *testing.T) {
 	dup := append(append([]encoding.Digest(nil), digest...), digest...)
 	dup = append(dup, encoding.Digest{Key: "unknown", Stamp: digest[0].Stamp})
 	dup = append(dup, encoding.Digest{Key: "unknown", Stamp: digest[0].Stamp})
-	d, err := server.DiffAgainst(dup, 0, 0)
+	d, err := server.DiffRanges(dup, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +157,29 @@ func BenchmarkStripeTreeAfterOneWrite(b *testing.B) {
 		r.Put(keys[i%len(keys)], value)
 		if _, err := r.StripeTree(0); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSyncKeyConvergedAllocs: a SyncKey over a key both replicas already hold
+// equivalent copies of — what each owner of each quorum write sees once the
+// key has propagated — takes two stripe locks in replica order, compares two
+// stamps and allocates nothing; ordering the locks must not cost a formatted
+// pointer.
+func TestSyncKeyConvergedAllocs(t *testing.T) {
+	a := NewReplica("a")
+	a.Put("k", []byte("v"))
+	b := a.Clone("b")
+	for _, pair := range [][2]*Replica{{a, b}, {b, a}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			res, err := SyncKey(pair[0], pair[1], "k", nil)
+			if err != nil || res.Transferred+res.Reconciled+res.Merged != 0 {
+				t.Fatalf("converged SyncKey: %+v, %v", res, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("converged SyncKey(%s, %s) allocates %.1f/op, want 0",
+				pair[0].Label(), pair[1].Label(), allocs)
 		}
 	}
 }

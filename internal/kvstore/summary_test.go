@@ -2,69 +2,105 @@ package kvstore
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"versionstamp/internal/encoding"
 )
 
-// recomputeSummary hashes a stripe's digests from scratch, straight off the
-// shard map and bypassing the cache entirely — the oracle the cached path is
-// checked against.
-func recomputeSummary(t *testing.T, r *Replica, idx int) uint64 {
-	t.Helper()
-	sh := &r.shards[idx]
-	sh.mu.RLock()
-	ds := make([]encoding.Digest, 0, len(sh.data))
-	for k, v := range sh.data {
-		ds = append(ds, encoding.Digest{Key: k, Stamp: v.Stamp})
+// Digest and Summaries are the two whole-replica views read off the stripes'
+// maintained digest trees. These tests hold them against the stripes
+// themselves.
+
+// freshDigest enumerates every stored copy straight off the stripes,
+// bypassing the trees, and sorts it by key — the oracle for Digest.
+func freshDigest(r *Replica) []encoding.Digest {
+	var ds []encoding.Digest
+	for i := range r.shards {
+		ds = append(ds, stripeDigests(r, i)...)
 	}
-	sh.mu.RUnlock()
-	sort.Slice(ds, func(a, b int) bool { return ds[a].Key < ds[b].Key })
-	return encoding.SummarizeDigests(ds)
+	slices.SortFunc(ds, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
+	return ds
 }
 
-func TestStripeSummaryTracksMutations(t *testing.T) {
-	r := NewReplicaShards("r", 4)
-	base, err := r.StripeSummary(0)
-	if err != nil {
+func requireDigestMatchesStripes(t *testing.T, what string, r *Replica) {
+	t.Helper()
+	got, want := r.Digest(), freshDigest(r)
+	if len(got) != len(want) {
+		t.Fatalf("%s: Digest has %d entries, the stripes %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if i > 0 && got[i-1].Key >= got[i].Key {
+			t.Fatalf("%s: Digest unsorted at %d: %q >= %q", what, i, got[i-1].Key, got[i].Key)
+		}
+		if got[i].Key != want[i].Key || !got[i].Stamp.Equal(want[i].Stamp) {
+			t.Fatalf("%s: Digest[%d] = %q %v, the stripe holds %q %v", what, i,
+				got[i].Key, got[i].Stamp, want[i].Key, want[i].Stamp)
+		}
+	}
+}
+
+// TestDigestAndSummariesFollowTheStripes drives a seeded Put / Delete / Sync
+// sequence over a same-layout pair, asking for Digest along the way so the
+// trees behind it are patched rather than freshly built, and checks after
+// every step that Digest is key-sorted and equals a fresh enumeration of the
+// stripes. Whenever the pair has just synced, their Summaries must be equal;
+// a fork alone must not move them, a write must.
+func TestDigestAndSummariesFollowTheStripes(t *testing.T) {
+	rng := rand.New(rand.NewSource(20021001))
+	a := NewReplicaShards("a", 8)
+	key := func(i int) string { return fmt.Sprintf("key-%03d", i) }
+	for i := 0; i < 300; i++ {
+		a.Put(key(i), []byte("v0"))
+	}
+	b := a.Clone("b")
+	pair := [2]*Replica{a, b}
+	resolve := KeepBoth([]byte("|"))
+	for step := 0; step < 200; step++ {
+		r := pair[rng.Intn(2)]
+		what := fmt.Sprintf("step %d", step)
+		switch op := rng.Intn(10); {
+		case op < 5:
+			r.Put(key(rng.Intn(400)), []byte(fmt.Sprintf("v%d", step)))
+		case op < 8:
+			r.Delete(key(rng.Intn(400)))
+		default:
+			if _, err := Sync(a, b, resolve); err != nil {
+				t.Fatal(err)
+			}
+			if sa, sb := a.Summaries(), b.Summaries(); !slices.Equal(sa, sb) {
+				t.Fatalf("%s: summaries differ right after a sync:\n%v\n%v", what, sa, sb)
+			}
+		}
+		requireDigestMatchesStripes(t, what, a)
+		requireDigestMatchesStripes(t, what, b)
+	}
+
+	if _, err := Sync(a, b, resolve); err != nil {
 		t.Fatal(err)
 	}
-	if base != encoding.EmptySummary {
-		t.Errorf("empty stripe summary = %d, want EmptySummary", base)
+	before := b.Summaries()
+	if !slices.Equal(a.Summaries(), before) {
+		t.Fatal("summaries differ after the closing sync")
 	}
-
-	r.Put("k", []byte("v"))
-	idx := ShardIndex("k", 4)
-	afterPut, _ := r.StripeSummary(idx)
-	if afterPut == encoding.EmptySummary {
-		t.Error("summary unchanged after Put")
+	// A fork moves ids only: every copy stays equivalent, no summary moves.
+	_ = a.Clone("c")
+	if !slices.Equal(a.Summaries(), before) {
+		t.Error("summaries moved on an id-only change")
 	}
-	// Stable across repeated reads of a quiet stripe.
-	if again, _ := r.StripeSummary(idx); again != afterPut {
-		t.Errorf("quiet stripe summary moved: %d vs %d", again, afterPut)
+	// One key's update component moves: so does a summary.
+	a.Put(key(0), []byte("edited"))
+	if slices.Equal(a.Summaries(), before) {
+		t.Error("summaries did not move after a write")
 	}
-
-	// Causality becomes visible in the update name only once a stamp has
-	// forked (a sole unforked copy sits at ε, the top update name), so the
-	// mutation-tracking check uses the forked shape every synced key has.
-	_ = r.Clone("peer")
-	forked, _ := r.StripeSummary(idx)
-	r.Delete("k")
-	afterDel, _ := r.StripeSummary(idx)
-	if afterDel == forked {
-		t.Error("summary unchanged after Delete on a forked copy")
-	}
-	if got := recomputeSummary(t, r, idx); got != afterDel {
-		t.Errorf("cached summary %d != recomputed %d", afterDel, got)
-	}
+	requireDigestMatchesStripes(t, "after the edit", a)
 }
 
-// TestSummariesEquivalentAcrossSync is the property the v3 protocol rests
-// on: after a sync, both replicas' stripes summarize identically even though
-// their stamps' id components differ, and a local write breaks exactly the
-// touched stripe's agreement.
+// TestSummariesEquivalentAcrossSync: after a sync, both replicas' stripes
+// summarize identically even though their stamps' id components differ, and
+// a local write breaks exactly the touched stripe's agreement.
 func TestSummariesEquivalentAcrossSync(t *testing.T) {
 	a := NewReplica("a")
 	for i := 0; i < 200; i++ {
@@ -94,97 +130,32 @@ func TestSummariesEquivalentAcrossSync(t *testing.T) {
 	}
 }
 
-func TestSummariesScopedMatchesForeignLayout(t *testing.T) {
-	// Two replicas with different stripe counts but causally identical
-	// contents must agree on summaries under any shared layout.
-	a := NewReplicaShards("a", 8)
-	for i := 0; i < 100; i++ {
-		a.Put(fmt.Sprintf("key-%03d", i), []byte("v"))
-	}
-	snap, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewReplicaShards("b", 32)
-	if err := b.Adopt(snap); err != nil {
-		t.Fatal(err)
-	}
-	for _, of := range []int{1, 8, 32, 50} {
-		sa, err := a.SummariesScoped(of)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, err := b.SummariesScoped(of)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range sa {
-			if sa[i] != sb[i] {
-				t.Errorf("layout %d: stripe %d summaries differ across shard counts", of, i)
-			}
+// TestSummariesTrackMutations: an empty stripe summarizes as the empty hash,
+// a quiet stripe keeps its summary, and a delete moves it.
+func TestSummariesTrackMutations(t *testing.T) {
+	r := NewReplicaShards("r", 4)
+	for i, sum := range r.Summaries() {
+		if sum != encoding.RootSummarySeed {
+			t.Errorf("empty stripe %d summary = %d, want RootSummarySeed", i, sum)
 		}
 	}
-	if _, err := a.SummariesScoped(0); err == nil {
-		t.Error("SummariesScoped(0) accepted")
+	r.Put("k", []byte("v"))
+	idx := ShardIndex("k", 4)
+	afterPut := r.Summaries()[idx]
+	if afterPut == encoding.RootSummarySeed {
+		t.Error("summary unchanged after Put")
 	}
-}
+	if again := r.Summaries()[idx]; again != afterPut {
+		t.Errorf("quiet stripe summary moved: %d vs %d", again, afterPut)
+	}
 
-// TestSummaryCacheInvalidationUnderRace is the satellite property test:
-// concurrent writers racing summary readers must never leave a stale cached
-// summary behind — after the writers quiesce, every stripe's cached summary
-// must equal a from-scratch recompute, so no divergent key can hide behind
-// a stale stripe summary. Run with -race.
-func TestSummaryCacheInvalidationUnderRace(t *testing.T) {
-	r := NewReplicaShards("r", 8)
-	const writers = 4
-	const opsPerWriter = 300
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// Readers hammer the cached paths while writers mutate.
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				_ = r.Summaries()
-				_ = r.Digest()
-			}
-		}()
-	}
-	var writerWg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		writerWg.Add(1)
-		go func(w int) {
-			defer writerWg.Done()
-			for i := 0; i < opsPerWriter; i++ {
-				k := fmt.Sprintf("w%d-key-%d", w, i%50)
-				switch i % 3 {
-				case 0, 1:
-					r.Put(k, []byte(fmt.Sprintf("v%d", i)))
-				case 2:
-					r.Delete(k)
-				}
-			}
-		}(w)
-	}
-	writerWg.Wait()
-	close(stop)
-	wg.Wait()
-
-	// Quiescent: cache must agree with a from-scratch recompute per stripe.
-	for i := 0; i < r.Shards(); i++ {
-		cached, err := r.StripeSummary(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := recomputeSummary(t, r, i); got != cached {
-			t.Errorf("stripe %d: cached summary %d != recomputed %d (stale cache)", i, cached, got)
-		}
+	// Causality becomes visible in the update name only once a stamp has
+	// forked (a sole unforked copy sits at ε, the top update name), so the
+	// mutation-tracking check uses the forked shape every synced key has.
+	_ = r.Clone("peer")
+	forked := r.Summaries()[idx]
+	r.Delete("k")
+	if r.Summaries()[idx] == forked {
+		t.Error("summary unchanged after Delete on a forked copy")
 	}
 }

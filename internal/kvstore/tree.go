@@ -11,15 +11,13 @@ import (
 	"versionstamp/internal/encoding"
 )
 
-// Adaptive digest trees: the store half of the v4 anti-entropy protocol.
-// The v3 hierarchy is frozen at two levels (root hash -> stripe summaries ->
-// full per-stripe digest lists), so at millions of keys one divergent key
-// re-ships a whole stripe's digest list every round. Here each stripe's
-// digests are arranged into a k-ary hash tree over their 64-bit tree
-// positions (encoding.TreePos): every node hashes its subtree, the leaf
-// width and depth are derived from the stripe's live key count (TreeShape),
-// and a divergent key is located by descending only the differing children
-// — O(log n) fixed-size frames instead of O(stripe) digests.
+// Adaptive digest trees: the store half of the anti-entropy protocol. Each
+// stripe's digests (key + stamp) are arranged into a k-ary hash tree over
+// their 64-bit tree positions (encoding.TreePos): every node hashes its
+// subtree, the leaf width and depth are derived from the stripe's live key
+// count (TreeShape), and a divergent key is located by descending only the
+// differing children — O(log n) fixed-size frames instead of the stripe's
+// whole O(n) digest list.
 //
 // Each stripe keeps its tree once a peer has asked for it: writers note the
 // keys they touch and the next request patches just those leaves and their
@@ -29,10 +27,10 @@ import (
 // tree at the deeper (or shallower) shape — an online rebalance that needs
 // no coordination, because the wire protocol always descends at the
 // *client's* declared shape: a server whose own shape differs evaluates its
-// data under the client's (fanout, depth) on demand, exactly as
-// SummariesScoped regroups digests under a foreign stripe layout. Converged
-// replicas hold equal per-stripe key counts, so their shapes agree and both
-// sides answer from the trees they hold.
+// data under the client's (fanout, depth) on demand, as it regroups its
+// digests under a client's foreign stripe layout. Converged replicas hold
+// equal per-stripe key counts, so their shapes agree and both sides answer
+// from the trees they hold.
 
 const (
 	// treeFanout is the fan-out of locally built trees: 4 position bits per
@@ -78,8 +76,7 @@ func (rg TreeRange) Contains(p uint64) bool {
 }
 
 // RangesContain reports whether any range contains p. A nil slice means
-// "unscoped" and contains everything — the whole-stripe semantics of the
-// pre-tree protocols.
+// "unscoped" and contains everything.
 func RangesContain(ranges []TreeRange, p uint64) bool {
 	if ranges == nil {
 		return true
@@ -116,7 +113,7 @@ type treeNode struct {
 
 // DigestTree is an immutable k-ary hash tree over one stripe's digests,
 // ordered by (TreePos, key). Leaf nodes (level == depth) hash their digest
-// run with encoding.SummarizeDigests; internal nodes fold each non-empty
+// run with encoding.SummarizeDigestsBuf; internal nodes fold each non-empty
 // child's (index, hash) pair, so the root pins the whole stripe — and
 // depends on the declared shape, which is why the wire always compares trees
 // at one agreed shape. Safe for concurrent use once built.
@@ -301,10 +298,10 @@ func (t *DigestTree) Depth() int { return t.depth }
 func (t *DigestTree) Len() int { return t.n }
 
 // Root returns the tree's root hash; an empty stripe roots at
-// encoding.EmptySummary regardless of shape.
+// encoding.RootSummarySeed regardless of shape.
 func (t *DigestTree) Root() uint64 {
 	if t.n == 0 {
-		return encoding.EmptySummary
+		return encoding.RootSummarySeed
 	}
 	return t.root.hash
 }
@@ -457,8 +454,8 @@ func (r *Replica) StripeTree(idx int) (*DigestTree, error) {
 // stripe idx, evaluated at the peer-declared (fanout, depth). When the
 // layouts agree this is the maintained tree, re-leveled when the peer's
 // shape is not the stripe's own; otherwise every digest is regrouped under
-// the foreign layout first — correct for any pair of layouts, exactly like
-// SummariesScoped, just not O(1) on a quiet store.
+// the foreign layout first — correct for any pair of layouts, just not O(1)
+// on a quiet store.
 func (r *Replica) TreeScoped(idx, of, fanout, depth int) (*DigestTree, error) {
 	if of < 1 || idx < 0 || idx >= of {
 		return nil, fmt.Errorf("kvstore: shard %d out of range of %d", idx, of)
@@ -474,38 +471,74 @@ func (r *Replica) TreeScoped(idx, of, fanout, depth int) (*DigestTree, error) {
 		return t, nil
 	}
 	var group []encoding.Digest
-	for _, d := range r.Digest() {
+	r.eachDigest(func(d encoding.Digest) {
 		if ShardIndex(d.Key, of) == idx {
 			group = append(group, d)
 		}
-	}
+	})
 	return buildDigestTree(group, fanout, depth), nil
 }
 
 // TreeRootsScoped returns one digest-tree root per stripe of a peer layout
 // with `of` stripes, each at the shape this replica's own count policy
-// picks for that stripe — the v4 root-phase payload. Converged peers hold
+// picks for that stripe — the root-phase payload. Converged peers hold
 // equal per-stripe counts, so their shape choices (and therefore roots)
 // agree.
 func (r *Replica) TreeRootsScoped(of int) ([]uint64, error) {
 	if of < 1 {
 		return nil, fmt.Errorf("kvstore: tree layout of %d stripes", of)
 	}
-	out := make([]uint64, of)
 	if of == len(r.shards) {
-		for i := range r.shards {
-			out[i] = r.stripeTree(i).Root()
-		}
-		return out, nil
+		return r.Summaries(), nil
 	}
+	out := make([]uint64, of)
 	groups := make([][]encoding.Digest, of)
-	for _, d := range r.Digest() {
+	r.eachDigest(func(d encoding.Digest) {
 		i := ShardIndex(d.Key, of)
 		groups[i] = append(groups[i], d)
-	}
+	})
 	for i, g := range groups {
 		f, dep := TreeShape(len(g))
 		out[i] = buildDigestTree(g, f, dep).Root()
 	}
 	return out, nil
+}
+
+// each calls fn with every digest under nd, in tree order.
+func (nd *treeNode) each(fn func(encoding.Digest)) {
+	for i := range nd.kids {
+		nd.kids[i].each(fn)
+	}
+	for _, d := range nd.run {
+		fn(d)
+	}
+}
+
+// eachDigest calls fn with the (key, stamp) pair of every stored copy —
+// tombstones included — stripe by stripe, in each stripe's tree order.
+func (r *Replica) eachDigest(fn func(encoding.Digest)) {
+	for i := range r.shards {
+		r.stripeTree(i).root.each(fn)
+	}
+}
+
+// Digest returns the (key, stamp) pairs of every stored copy — including
+// tombstones — sorted by key, read off the stripes' digest trees.
+func (r *Replica) Digest() []encoding.Digest {
+	var out []encoding.Digest
+	r.eachDigest(func(d encoding.Digest) { out = append(out, d) })
+	slices.SortFunc(out, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
+	return out
+}
+
+// Summaries returns one hash per stripe under the replica's own layout: the
+// stripe's digest-tree root, which covers every key and the update component
+// of every stamp in it. Two same-layout replicas whose summaries are equal
+// hold equivalent copies of every key.
+func (r *Replica) Summaries() []uint64 {
+	out := make([]uint64, len(r.shards))
+	for i := range r.shards {
+		out[i] = r.stripeTree(i).Root()
+	}
+	return out
 }

@@ -86,8 +86,8 @@ func TestDigestTreeStructure(t *testing.T) {
 	if tr.Len() != 500 || tr.Fanout() != 16 || tr.Depth() != 2 {
 		t.Fatalf("shape: len=%d fanout=%d depth=%d", tr.Len(), tr.Fanout(), tr.Depth())
 	}
-	if tr.Root() == encoding.EmptySummary {
-		t.Fatal("non-empty tree roots at EmptySummary")
+	if tr.Root() == encoding.RootSummarySeed {
+		t.Fatal("non-empty tree roots at RootSummarySeed")
 	}
 	// Descending every child from the root must reach all digests exactly
 	// once, each inside its node's position range, and every leaf hash must
@@ -117,7 +117,7 @@ func TestDigestTreeStructure(t *testing.T) {
 			if len(leafRun) == 0 {
 				t.Fatalf("leaf %x flagged non-empty with an empty run", leafPath)
 			}
-			if lhashes[li] != encoding.SummarizeDigests(leafRun) {
+			if h, _ := encoding.SummarizeDigestsBuf(leafRun, nil); lhashes[li] != h {
 				t.Fatalf("leaf %x hash != summary of its run", leafPath)
 			}
 			li++
@@ -179,8 +179,8 @@ func TestRunRangeUnaligned(t *testing.T) {
 
 func TestDigestTreeEmpty(t *testing.T) {
 	tr := buildDigestTree(nil, 16, 2)
-	if tr.Root() != encoding.EmptySummary {
-		t.Fatal("empty tree must root at EmptySummary")
+	if tr.Root() != encoding.RootSummarySeed {
+		t.Fatal("empty tree must root at RootSummarySeed")
 	}
 	bm, hashes := tr.Children(0, 0)
 	for _, b := range bm {
@@ -533,13 +533,8 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 					what = "ApplyDelta+ApplyDeltaReply"
 					deltaRound(t, r, o, resolve)
 				case op == 8:
-					what = "AdoptShard"
-					idx := rng.Intn(shards)
-					snap, err := o.SnapshotShardBinary(idx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := r.AdoptShard(idx, snap); err != nil {
+					what = "Adopt"
+					if err := r.Adopt(mustSnapshot(t, o)); err != nil {
 						t.Fatal(err)
 					}
 				case op == 9:
@@ -645,7 +640,7 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 			default:
 			}
 			cur, err := r.StripeTree(0)
-			if err != nil || cur.Root() == encoding.EmptySummary {
+			if err != nil || cur.Root() == encoding.RootSummarySeed {
 				t.Errorf("polled root: tree %v, err %v", cur, err)
 				return
 			}

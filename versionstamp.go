@@ -78,12 +78,12 @@
 // # Sync model
 //
 // Anti-entropy (internal/antientropy) converges replicas by shipping only
-// what the stamps cannot prove equivalent. Four wire protocols coexist on
-// one port, selected by the session's first byte, each a refinement of the
-// last: v1 exchanges full snapshots, v2 exchanges per-key digests first,
-// v3 fronts the digests with per-stripe summary hashes under one 8-byte
-// root, and v4 — the default — replaces each stripe's flat digest list
-// with an adaptive k-ary digest tree. The v4 cost model:
+// what the stamps cannot prove equivalent. There is one wire protocol: a
+// session opens with a version byte the server acks, and every round on it
+// descends an adaptive k-ary digest tree per stripe — root hash, stripe
+// roots, differing children level by level, per-key digests for the leaves
+// that still differ, full copies only where the digests leave a copy
+// unreconciled. The cost model:
 //
 //   - Tree shape follows the data. Each stripe hashes its keys to 64-bit
 //     positions and summarizes them under a fan-out-16 tree whose depth is
@@ -112,16 +112,16 @@
 //   - A localized edit costs O(log n) frames. One hot key in a converged
 //     million-key store descends root → stripe roots → one divergent
 //     child per level → one ~32-digest leaf run, a few hundred bytes
-//     where v3 re-ships the stripe's whole ~31k-digest list (the CI gate
-//     in cmd/benchwire demands ≥20x; measured ~500x). Wide divergence
-//     degrades gracefully to v3-like digest exchange, because diverging
-//     subtrees are enumerated breadth-first and leaf runs carry the same
-//     digests v3 would have sent.
-//   - Downgrade is per peer, not per process. A v4 opening answered by
-//     anything but the v4 ack marks that session's peer as v3 and redials
-//     without a failed round; mixed fleets converge during rolling
-//     upgrades, and the scoped (ring), scrub-repair, and tombstone-GC
-//     paths ride whichever protocol the session negotiated.
+//     where the stripe's flat digest list is ~31k digests (the antientropy
+//     tests gate it: fewer bytes than that list, and at most 2x for 5x the
+//     keys). Wide divergence degrades gracefully to a plain digest
+//     exchange, because diverging subtrees are enumerated breadth-first
+//     and the leaf runs together carry each divergent stripe's digests.
+//   - Whole-replica, stripe-scoped (ring), scrub-repair and tombstone-GC
+//     exchanges are all this one round, scoped to different stripe sets.
+//     There are no deployed peers of an older protocol to stay compatible
+//     with: a peer that does not ack the session opening is a protocol
+//     error, not a downgrade.
 //
 // # Durability model
 //
@@ -198,7 +198,7 @@
 // the design:
 //
 //   - Anti-entropy is owner-scoped. A gossip round exchanges each stripe
-//     only among its R owners, as stripe-scoped hierarchical (v3) rounds,
+//     only among its R owners, as stripe-scoped digest-tree rounds,
 //     so a converged round costs a node wire bytes proportional to the
 //     stripes it owns — not to the keyspace and not to the cluster size.
 //     Divergence bias is tracked per (peer, stripe) and survives churn.
@@ -236,7 +236,7 @@
 //     loses that round only: the pool redials and retries when the failure
 //     provably preceded any state transfer (first-frame rule), and
 //     otherwise surfaces the error and lets the next gossip round repair,
-//     because a v3 exchange applies deltas per stripe and every applied
+//     because an exchange applies deltas per stripe and every applied
 //     delta is a sound join even if its round dies halfway.
 //   - Crash and restart. A durable node that crashes loses memory, not
 //     promises: its replica WAL replays checkpoint plus log tail, its hint
