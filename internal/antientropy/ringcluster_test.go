@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"versionstamp/internal/kvstore"
@@ -577,6 +578,39 @@ func TestRingAcceptance9Nodes(t *testing.T) {
 		idleMax, baseline, float64(baseline)/float64(idleMax))
 	if idleMax*3 > baseline {
 		t.Fatalf("converged-round bytes %d not 3x below full-replica baseline %d", idleMax, baseline)
+	}
+}
+
+// A converged ring round costs a node wire bytes in proportion to the
+// stripes it owns: the worst node pays less as nodes are added (each owns
+// fewer stripes), and no more when the keyspace quadruples (tree roots
+// travel, not contents). The 1.5x allowance is for stamp-size jitter; a
+// whole-keyspace exchange grows 4x there.
+func TestRingIdleRoundScaling(t *testing.T) {
+	idleMax := func(nodes, keys int) int64 {
+		c := newRingCluster(t, RingConfig{Nodes: nodes, Replication: 3, Stripes: 64, Seed: 1})
+		for i := 0; i < keys; i++ {
+			if _, err := c.Write(fmt.Sprintf("key-%05d", i), []byte(fmt.Sprintf("value-%d-with-some-padding", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.GossipUntilConverged(40 + 4*nodes); err != nil {
+			t.Fatalf("%d nodes, %d keys: %v", nodes, keys, err)
+		}
+		idle, err := c.GossipRoundStats(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return slices.Max(idle.BytesPerNode)
+	}
+	const keys = 500
+	small, large, bigKeys := idleMax(16, keys), idleMax(64, keys), idleMax(16, 4*keys)
+	t.Logf("idle round max per-node bytes: 16 nodes %d, 64 nodes %d, 16 nodes at 4x keys %d", small, large, bigKeys)
+	if large == 0 || large >= small {
+		t.Fatalf("idle cost did not shrink with cluster growth: %d B at 16 nodes, %d B at 64", small, large)
+	}
+	if 2*bigKeys > 3*small {
+		t.Fatalf("idle cost grew with the keyspace: %d B at %d keys, %d B at %d", small, keys, bigKeys, 4*keys)
 	}
 }
 

@@ -112,9 +112,9 @@ func TestForkJoinHandleIdentity(t *testing.T) {
 }
 
 // TestCompareAllocationFree pins Compare on interned stamps to zero
-// allocations — the acceptance bar the benchstamp CI gate enforces. Covered
-// shapes: identical handles (converged), cached divergent pairs, and
-// uncached deep walks.
+// allocations; this test is the kernel's allocation gate. Covered shapes:
+// identical handles (converged), cached divergent pairs, and uncached deep
+// walks.
 func TestCompareAllocationFree(t *testing.T) {
 	s := Seed().Update()
 	a, b := s.Fork()

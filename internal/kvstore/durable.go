@@ -134,12 +134,19 @@ func loadOrInitMeta(dir string, opts Options) (metaDoc, error) {
 // between replicas.
 //
 // A stripe whose durable bytes are corrupt (the backend reports a
-// *storage.CorruptError) does not fail the open: the intact prefix the
-// backend streamed stays loaded, the stripe is quarantined — reads serve
-// what replayed, durable appends are refused, PersistErr reports the damage
-// — and peer repair (RepairStripe after an anti-entropy rebuild) restores
-// it. Only corruption is tolerated this way; replay I/O failures still fail
-// the whole open.
+// *storage.CorruptError) does not fail the open: the stripe comes up empty
+// and quarantined — durable appends are refused, PersistErr reports the
+// damage — and peer repair (RepairStripe after an anti-entropy rebuild)
+// restores it. The intact prefix the backend streamed is discarded, not
+// served: it is a rollback, and a rolled-back copy carries a stamp id the
+// stripe has since forked away, a prefix of ids handed out later. Stamp
+// order is only defined between ids of one fork-join frontier, so that
+// copy would compare as independently created against every co-owner's and
+// wedge (or, with a resolver, resurrect the stale value into the merge).
+// Emptied, the rebuild is pure transfer. The price: a store with no peers
+// loses the readable prefix of a damaged stripe along with its tail. Only
+// corruption is tolerated this way; replay I/O failures still fail the
+// whole open.
 func OpenBackend(be storage.Backend, label string, shards int) (*Replica, error) {
 	return openBackend(be, label, shards, false, 0)
 }
@@ -167,6 +174,11 @@ func openBackend(be storage.Backend, label string, shards int, paged bool, cache
 	damaged := make(map[int]error)
 	for i := 0; i < n; i++ {
 		sh := &r.shards[i]
+		reset := func() {
+			sh.data = make(map[string]Versioned)
+			sh.cold = nil
+			sh.tombs = make(map[string]uint64)
+		}
 		err := be.ReplayShard(i,
 			func(snap []byte) error {
 				if r.paged {
@@ -176,9 +188,7 @@ func openBackend(be storage.Backend, label string, shards int, paged bool, cache
 			},
 			func(rec storage.Record) error {
 				if rec.Reset {
-					sh.data = make(map[string]Versioned)
-					sh.cold = nil
-					sh.tombs = make(map[string]uint64)
+					reset()
 					return nil
 				}
 				e := rec.Entry
@@ -200,6 +210,7 @@ func openBackend(be storage.Backend, label string, shards int, paged bool, cache
 				return nil, err
 			}
 			damaged[i] = err
+			reset()
 		}
 		if r.paged && sh.cold != nil {
 			// The checkpoint callback stored payload-relative value offsets
@@ -295,9 +306,9 @@ func (r *Replica) loadShardCheckpointPaged(i int, snap []byte) error {
 // appends covered are now in the checkpoints, and PersistErr resets —
 // unless a new failure arrived during the pass, which stays reported.
 // Quarantined stripes are skipped: checkpointing one would overwrite the
-// damaged log with only the intact prefix that replayed, silently blessing
-// the data loss. They heal through RepairStripe after a peer rebuild, and
-// while any remain PersistErr stays set.
+// damaged log with whatever the rebuild has transferred so far, silently
+// blessing the data loss. They heal through RepairStripe after a peer
+// rebuild, and while any remain PersistErr stays set.
 func (r *Replica) Checkpoint() error {
 	if r.backend == nil {
 		return nil

@@ -453,8 +453,8 @@ func TestMemoryBackendMatchesWAL(t *testing.T) {
 
 // TestQuarantineAndRepair corrupts one stripe's WAL at rest and walks the
 // self-healing contract end to end: reopen loads the healthy stripes and
-// quarantines the damaged one, PersistErr reports it, writes to the stripe
-// stay in memory without touching the latched log, and RepairStripe
+// quarantines the damaged one, empty; PersistErr reports it, writes to the
+// stripe stay in memory without touching the latched log, and RepairStripe
 // (standing in for the anti-entropy rebuild) re-checkpoints, clears the
 // quarantine and PersistErr, and the next reopen is clean.
 func TestQuarantineAndRepair(t *testing.T) {
@@ -503,6 +503,17 @@ func TestQuarantineAndRepair(t *testing.T) {
 	var ce *storage.CorruptError
 	if err := r2.QuarantineErr(1); !errors.As(err, &ce) {
 		t.Fatalf("QuarantineErr(1) = %v, want *storage.CorruptError", err)
+	}
+	// The damaged stripe comes up empty. Whatever prefix of hot's rewrites
+	// replayed is a rollback — an older version under a stamp id the key has
+	// since forked away — and must reach neither a reader nor a peer.
+	if v, ok := r2.Version(hot); ok {
+		t.Fatalf("rolled-back %s = %q under %v is observable", hot, v.Value, v.Stamp)
+	}
+	for _, d := range r2.Digest() {
+		if d.Key == hot {
+			t.Fatalf("rolled-back %s under %v would be sent in a digest", hot, d.Stamp)
+		}
 	}
 	// The healthy stripe is intact and writable.
 	if v, ok := r2.Get(other); !ok || string(v) != "safe" {

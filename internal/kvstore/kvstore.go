@@ -81,6 +81,13 @@ type Versioned struct {
 // as a) and idempotent over its own output. Copies that already agree byte
 // for byte never reach it: they join without it (see reconcileKey). A
 // resolver short of the contract still converges, one more merge at a time.
+//
+// What counts as a conflict is decided by the stamps, and stamp order only
+// holds between copies of one fork-join frontier. A copy restored from an
+// older state carries an id that overlaps ids forked from it later, and the
+// pair reads as independently created — a conflict — however stale one side
+// is. That is why a stripe found corrupt at open comes up empty instead of
+// with its readable prefix (see OpenBackend).
 type Resolver func(key string, a, b Versioned) (value []byte, deleted bool, err error)
 
 // KeepBoth is a Resolver that concatenates both values with a separator —
@@ -207,8 +214,9 @@ type Replica struct {
 
 	// quarMu guards the quarantine record (stripe index -> damage report)
 	// and the incremental scrubber's cursor. A quarantined stripe serves
-	// reads from whatever replayed, refuses durable appends, and waits for
-	// peer repair (see QuarantineStripe/RepairStripe in durable.go).
+	// reads from memory (nothing, when it was found corrupt at open),
+	// refuses durable appends, and waits for peer repair (see
+	// QuarantineStripe/RepairStripe in durable.go).
 	quarMu      sync.Mutex
 	quar        map[int]error
 	scrubCursor int

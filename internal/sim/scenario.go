@@ -37,7 +37,7 @@ func deleteWins(_ string, a, b kvstore.Versioned) ([]byte, bool, error) {
 // schedule order, the write workload is a seeded Zipf stream, and time is
 // logical (rounds and fabric ticks, no wall clock). The same Scenario with
 // the same Seed therefore produces byte-identical ScenarioMetrics, which
-// cmd/benchconverge turns into a CI gate.
+// TestScenarioDeterminism and TestThousandNodeScenario check by rerunning.
 
 // ActionKind enumerates the fault-schedule verbs.
 type ActionKind int
@@ -111,10 +111,13 @@ type Scenario struct {
 	KeySpace int     // default 256
 	ZipfS    float64 // default 1.2 (must be > 1)
 
-	// DeleteWins resolves conflicting copies in favor of deletion instead
-	// of the default keep-both merge. It is what makes "a deleted key stays
-	// deleted until rewritten" a sound invariant, so the resurrection gate
-	// (ScenarioMetrics.Resurrections) only runs for DeleteWins scenarios.
+	// DeleteWins resolves conflicting copies in favor of deletion. The
+	// default is no resolver at all: conflicts are reported and left
+	// standing (ScenarioMetrics.Conflicts), and the scenario converges only
+	// if none outlives the faults. DeleteWins is what makes "a deleted key
+	// stays deleted until rewritten" a sound invariant, so the resurrection
+	// sweep (ScenarioMetrics.Resurrections) only runs for DeleteWins
+	// scenarios.
 	DeleteWins bool
 
 	// Script is the fault schedule. Rounds past the last scripted action
@@ -145,8 +148,7 @@ func (s Scenario) withDefaults() Scenario {
 }
 
 // ScenarioMetrics is a run's complete, deterministic result — every field
-// is a pure function of (Scenario, Seed), which is what the determinism
-// gate in cmd/benchconverge checks by running each scenario twice.
+// is a pure function of (Scenario, Seed).
 type ScenarioMetrics struct {
 	Name        string `json:"name"`
 	Seed        int64  `json:"seed"`
@@ -179,15 +181,20 @@ type ScenarioMetrics struct {
 	KeysMoved      int   `json:"keys_moved"`
 	WireBytes      int64 `json:"wire_bytes"`
 
+	// Conflicts sums the conflicting keys exchanges left unresolved, round
+	// by round; ConflictsEnd is the final round's share. A key wedged in
+	// arbitration (no resolver, copies that never order) shows as a
+	// ConflictsEnd that never reaches zero.
+	Conflicts    int `json:"conflicts"`
+	ConflictsEnd int `json:"conflicts_end"`
+
 	HintsDrained int   `json:"hints_drained"`
 	HintsDropped int64 `json:"hints_dropped"` // evicted by the per-target cap
 	HintsPeak    int   `json:"hints_peak"`    // max queued cluster-wide
 
 	// Self-healing ledger: scrub verifications run, quarantined stripes
 	// rebuilt from peers, the worst per-round quarantine level, and what
-	// remained damaged (or degraded) when the run ended. A healthy gate
-	// demands the End fields be zero — convergence with standing damage is
-	// not convergence.
+	// remained damaged (or degraded) when the run ended.
 	Scrubbed        int `json:"scrubbed"`
 	Repaired        int `json:"repaired"`
 	QuarantinedPeak int `json:"quarantined_peak"`
@@ -275,6 +282,8 @@ func (s Scenario) Run() (*ScenarioMetrics, error) {
 		m.Rounds = round + 1
 		m.Exchanges += stats.Exchanges
 		m.KeysMoved += stats.Moved
+		m.Conflicts += stats.Conflicts
+		m.ConflictsEnd = stats.Conflicts
 		m.HintsDrained += stats.HintsDrained
 		m.TombstonesDiscarded += stats.TombstonesDiscarded
 		m.Scrubbed += stats.StripesScrubbed

@@ -8,10 +8,11 @@ import (
 	"versionstamp/internal/ring"
 )
 
-// The predefined scenario catalog: the fault schedules cmd/benchconverge
-// gates in CI. Each is a small, fully scripted story — inject a fault
-// class, keep writing through it, repair, and demand convergence within a
-// bounded number of gossip rounds.
+// The predefined scenario catalog. Each is a small, fully scripted story —
+// inject a fault class, keep writing through it, repair, and demand
+// convergence within a bounded number of gossip rounds. The invariants every
+// one of them must hold are asserted in one place, runScenario in
+// scenario_test.go.
 
 // PartitionHeal splits a 12-node ring in half, writes on both sides of the
 // split, then heals and requires the halves to reconcile.
@@ -138,9 +139,8 @@ func ThousandNode(seed int64, dataDir string) Scenario {
 // WAL stripes rots while it is down (a flipped byte in the busiest stripe's
 // log), and the revival must scope the damage to that stripe — quarantine
 // it, keep serving everything else, rebuild it from the other owners by
-// anti-entropy, re-checkpoint, and clear the quarantine. The gate demands
-// QuarantinedEnd and PersistErrsEnd of zero: converging while still damaged
-// does not count. dataDir must be a fresh writable directory.
+// anti-entropy, re-checkpoint, and clear the quarantine. dataDir must be a
+// fresh writable directory.
 func DiskCorrupt(seed int64, dataDir string) Scenario {
 	return Scenario{
 		Name: "disk-corrupt", Seed: seed,
@@ -237,24 +237,5 @@ func TombstoneGC(seed int64) Scenario {
 			{Round: 12, Kind: ActDelete, Count: 10},
 		},
 		RoundBudget: 96,
-	}
-}
-
-// Suite returns the scenario set benchconverge runs. short drops nothing —
-// the whole point of logical time is that even the 1000-node story fits a
-// -short CI budget — but it is kept as a hook for heavier future entries.
-// The durable scenarios each get their own subdirectory of dataDir so their
-// WAL trees never collide.
-func Suite(seed int64, dataDir string, short bool) []Scenario {
-	_ = short
-	return []Scenario{
-		PartitionHeal(seed),
-		LossyQuorum(seed),
-		CrashRestart(seed, dataDir),
-		Churn(seed),
-		ThousandNode(seed, ""),
-		DiskCorrupt(seed, dataDir+"-corrupt"),
-		OwnerSetFailure(seed, dataDir+"-ownerset"),
-		TombstoneGC(seed),
 	}
 }

@@ -33,9 +33,10 @@ var ErrStaleLoc = errors.New("storage: stale value location")
 // checkpoint that fails its checksum). It names the damaged file and the
 // offset where the damage starts, so operators and tests can point at the
 // exact bytes. Backends return it from ReplayShard *after* streaming the
-// intact prefix, so a caller can keep what is readable, quarantine the shard
-// and repair it from peers — whole-replica death is never the right scope
-// for one bad sector.
+// intact prefix, so a caller can see what is readable, quarantine the shard
+// and repair it from peers (kvstore drops the prefix — a rollback must not
+// meet its peers' stamps, see kvstore.OpenBackend) — whole-replica death is
+// never the right scope for one bad sector.
 type CorruptError struct {
 	// Shard is the damaged stripe.
 	Shard int

@@ -106,49 +106,74 @@ func TestGroupCommitAckedSurviveStripeLoss(t *testing.T) {
 	}
 }
 
-// TestGroupCommitConcurrentAcksSurvive drives 32 writers through shared
-// commit windows, then loses the whole stripe file: every acked record must
-// come back.
+// TestGroupCommitConcurrentAcksSurvive drives 32 writers, 8 appends each
+// spread over 8 shards, through both durable modes — a per-append fsync and
+// shared commit windows — then closes and reopens: every acked record must
+// come back. Under group commit the stripe files are lost first, so the
+// commit log alone has to carry them.
 func TestGroupCommitConcurrentAcksSurvive(t *testing.T) {
-	dir := t.TempDir()
-	w := openGroup(t, dir)
-	const writers = 32
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			wait, err := w.AppendAsync(0, rec(fmt.Sprintf("w%02d", i), "x"))
-			if err == nil && wait != nil {
-				err = wait()
+	const writers, perWriter, shards = 32, 8, 8
+	key := func(i, j int) string { return fmt.Sprintf("w%02d-%d", i, j) }
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"fsync", Options{Fsync: true}},
+		{"group", Options{GroupCommit: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir, tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("writer %d: %v", i, err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(LogPath(dir, 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	w2 := openGroup(t, dir)
-	defer w2.Close()
-	_, recs := replay(t, w2, 0)
-	seen := map[string]bool{}
-	for _, r := range recs {
-		seen[r.Entry.Key] = true
-	}
-	for i := 0; i < writers; i++ {
-		if k := fmt.Sprintf("w%02d", i); !seen[k] {
-			t.Fatalf("acked write %s lost (recovered %d records)", k, len(recs))
-		}
+			var wg sync.WaitGroup
+			errs := make([]error, writers)
+			for i := 0; i < writers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for j := 0; j < perWriter && errs[i] == nil; j++ {
+						errs[i] = w.Append(i%shards, rec(key(i, j), "x"))
+					}
+				}(i)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("writer %d: %v", i, err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.opts.GroupCommit {
+				for shard := 0; shard < shards; shard++ {
+					if err := os.Truncate(LogPath(dir, shard), 0); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			w2, err := Open(dir, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			seen := map[string]bool{}
+			for shard := 0; shard < shards; shard++ {
+				_, recs := replay(t, w2, shard)
+				for _, r := range recs {
+					seen[r.Entry.Key] = true
+				}
+			}
+			for i := 0; i < writers; i++ {
+				for j := 0; j < perWriter; j++ {
+					if !seen[key(i, j)] {
+						t.Fatalf("acked write %s lost (recovered %d records)", key(i, j), len(seen))
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -851,12 +851,17 @@ func (c *committer) run(b *commitBatch) {
 		last = n
 		runtime.Gosched()
 	}
+	// Take the flush lock before closing the window. The next window can
+	// then only open once this one holds it, so windows reach the commit
+	// log in the order they opened and a stripe's frames stay in offset
+	// order there — recovery skips a frame that arrives ahead of its
+	// predecessor. A window waiting out the previous flush keeps batching.
+	c.flushMu.Lock()
 	c.mu.Lock()
 	if c.cur == b {
 		c.cur = nil // close the window: later registrations start the next one
 	}
 	c.mu.Unlock()
-	c.flushMu.Lock()
 	b.err = c.flush(b.reqs)
 	c.flushMu.Unlock()
 	close(b.done)

@@ -184,9 +184,9 @@
 // owners up, un-quarantined, hints drained, conflict-free exchanges at or
 // past the tombstone's epoch), so a discarded delete can never resurrect;
 // with replication factor 1 the local copy is the whole owner set and
-// tombstones discard trivially. cmd/benchmem gates the result: a
-// million-key durable replica under 40% of the load-everything heap with
-// hot-read p50 within 2x of all-in-RAM.
+// tombstones discard trivially. The repository benchmark gates the result:
+// cmd/bench's store-read-paged workload holds a working set six times the
+// cache, and its live_heap_mb may not rise against the committed baseline.
 //
 // # Cluster model
 //
@@ -226,8 +226,8 @@
 //
 // What the cluster promises under faults, and what it deliberately does
 // not — each promise backed by a deterministic chaos scenario (the
-// internal/sim scenario runner over the internal/chaosnet fabric, gated in
-// CI by cmd/benchconverge):
+// internal/sim scenario runner over the internal/chaosnet fabric; the sim
+// package's tests hold every scenario to one set of invariants):
 //
 //   - Lossy, duplicating, reordering, delaying links. The anti-entropy
 //     protocol runs over a stream transport; chaosnet injects faults at
@@ -272,11 +272,14 @@
 //   - Damage is scoped to the stripe, never the node. A WAL that finds
 //     mid-log corruption or a bad checkpoint checksum at open loads every
 //     healthy stripe and quarantines the damaged one, reporting the file
-//     and byte offset. A quarantined stripe keeps serving its (possibly
-//     incomplete) in-memory copy, refuses durable appends, is excluded
-//     from read quorums and write acknowledgments (it gets hints instead
-//     — a quarantined stripe cannot promise durability), and surfaces
-//     through PersistErr and the cluster's node status.
+//     and byte offset. The damaged stripe comes up empty: the prefix of
+//     its log that still reads is a rollback, and a rolled-back copy holds
+//     a stamp id the stripe has since forked away, which would compare as
+//     independently created against its co-owners' copies. A quarantined
+//     stripe serves what it has in memory, refuses durable appends, is
+//     excluded from read quorums and write acknowledgments (it gets hints
+//     instead — a quarantined stripe cannot promise durability), and
+//     surfaces through PersistErr and the cluster's node status.
 //   - Rot is found while running, not at the next restart. Each ring
 //     round, every durable node re-verifies one stripe's at-rest bytes —
 //     frame CRCs and checkpoint checksums — and a failed verification
@@ -292,22 +295,23 @@
 //     holder re-checkpoints it (replacing the damaged log wholesale) and
 //     lifts the quarantine; the last repair clears PersistErr.
 //
-// The cycle is gated in CI twice over: cmd/benchscrub measures scrub
-// throughput and the round count of a one-stripe rebuild (BENCH_scrub.json)
-// and fails on any standing quarantine, and the disk-corrupt chaos scenario
-// (kill, flip a byte in a stripe's log, revive, repair from peers) must
-// converge deterministically with zero quarantined stripes at the end.
+// The cycle is tested at each layer: kvstore's TestQuarantineAndRepair and
+// TestScrubDemotesLiveStripe, antientropy's TestQuarantineRepairFromPeers,
+// and the disk-corrupt chaos scenario (kill, flip a byte in a stripe's log,
+// revive, repair from peers), which must converge with no resolver to lean
+// on and zero quarantined stripes at the end.
 //
-// Convergence under all of the above is measured, not hoped for:
-// cmd/benchconverge emits BENCH_convergence.json — one sim.ScenarioMetrics
-// document per scenario: rounds to convergence against the round budget,
-// quorum writes attempted and failed, exchange and backoff counts, wire
-// bytes, hint-queue peak/drain/drop counts, compact stamp size max and
-// mean, and the fabric's fault ledger (delivered, dropped, duplicated,
-// reordered, cut, reset) — and CI fails unless every scenario converges
-// within budget and replays to byte-identical metrics, which only holds
-// because faults are seeded hash decisions over logical ticks — same seed,
-// same chaos, same outcome.
+// Convergence under all of the above is measured, not hoped for. A scenario
+// run yields one sim.ScenarioMetrics document: rounds to convergence
+// against the round budget, quorum writes attempted and failed, exchange,
+// conflict and backoff counts, wire bytes, hint-queue peak/drain/drop
+// counts, compact stamp size max and mean, and the fabric's fault ledger
+// (delivered, dropped, duplicated, reordered, cut, reset). The sim tests
+// fail unless every scenario converges within budget, ends healed with its
+// tombstones collected and no delete resurrected, keeps its stamps under a
+// cap, and replays to byte-identical metrics — which only holds because
+// faults are seeded hash decisions over logical ticks: same seed, same
+// chaos, same outcome.
 //
 // The implementation lives in internal packages (core, name, trie, bitstr);
 // this package is the stable public API. Interval tree clocks — the
