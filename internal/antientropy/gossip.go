@@ -18,18 +18,16 @@ import (
 const DefaultFanout = 2
 
 // node is one cluster member: its replica, its server endpoint, its pooled
-// client sessions, and — in ring mode — its membership view, its ring, and
-// its durable hint queue. The cosmetic IDs ("node-0", "node-1", …) double
-// as the stable addresses of the placement and membership layers; replica
-// indexes are only a convenience of the embedding API.
+// client sessions, its membership view, its ring, and its durable hint
+// queue. The cosmetic IDs ("node-0", "node-1", …) double as the stable
+// addresses of the placement and membership layers; replica indexes are
+// only a convenience of the embedding API.
 type node struct {
 	id      string
 	replica *kvstore.Replica
 	server  *Server
 	addr    string
 	pool    *Pool
-
-	// Ring mode only (nil/zero in full-replication clusters).
 	view    *membership.View
 	ring    *ring.Ring
 	ringVer uint64 // MemberVersion the ring was built from
@@ -44,8 +42,7 @@ type node struct {
 }
 
 // divKey identifies one unit of divergence-bias state: an unordered node
-// pair plus the stripe their last exchange covered (stripe -1 for the
-// whole-replica exchanges of full-replication mode). Keying by node ID
+// pair plus the stripe their last exchange covered. Keying by node ID
 // rather than index keeps the state meaningful across membership churn —
 // nodes joining or dying never shift another pair's entry.
 type divKey struct {
@@ -62,16 +59,11 @@ func pairKey(x, y string, stripe int) divKey {
 
 // Cluster manages a set of replicas that gossip over TCP: each node runs a
 // Server, and every gossip round each node pushes/pulls with a handful of
-// peers through its pooled sessions. Two replication topologies share
-// the machinery:
-//
-//   - Full replication (NewCluster): every node holds the whole keyspace
-//     and gossips whole-replica rounds with random peers — the original
-//     fixed-n epidemic group.
-//   - Ring partitioning (NewRingCluster): every stripe of the keyspace has
-//     R owners on a consistent-hash ring, gossip rounds are stripe-scoped
-//     and run only between a stripe's owners, and reads/writes go through
-//     quorums with hinted handoff for dead owners. See ringcluster.go.
+// peers through its pooled sessions. Every stripe of the keyspace has R
+// owners on a consistent-hash ring, gossip rounds are stripe-scoped and run
+// only between a stripe's owners, and reads/writes go through quorums with
+// hinted handoff for dead owners (see ringcluster.go). Full replication —
+// every node holds every key — is the ring at Replication == Nodes.
 //
 // Partitions can be injected to model the paper's operating environment:
 // gossip simply never selects pairs that cannot reach each other, and
@@ -119,7 +111,7 @@ type Cluster struct {
 	// runs set 1 so a round's exchange order is deterministic.
 	workers int
 
-	// Ring mode configuration (replication 0 = full-replication mode).
+	// Placement and quorum configuration.
 	replication int
 	writeQuorum int
 	readQuorum  int
@@ -128,7 +120,7 @@ type Cluster struct {
 	dataDir     string
 	ringCache   map[string]*ring.Ring // member-set key -> shared immutable ring
 
-	// Transport and pool configuration, shared by both topologies.
+	// Transport and pool configuration.
 	transport    TransportProvider
 	roundTimeout time.Duration
 	poolIdle     time.Duration
@@ -147,45 +139,8 @@ func (c *Cluster) transportFor(id string) Transport {
 	return TCP
 }
 
-// NewCluster starts n full-replication nodes with servers on loopback
-// ports: every node holds the whole keyspace and whole-replica gossip
-// rounds converge the group. The resolver is shared by all servers. Close
-// the cluster to release the listeners.
-func NewCluster(n int, resolve kvstore.Resolver, seed int64) (*Cluster, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("antientropy: cluster size %d is not positive", n)
-	}
-	if n < 2 {
-		return nil, fmt.Errorf("antientropy: cluster needs >= 2 nodes, got %d", n)
-	}
-	c := &Cluster{
-		resolve: resolve,
-		index:   make(map[string]int, n),
-		group:   make([]int, n),
-		fanout:  DefaultFanout,
-		rng:     rand.New(rand.NewSource(seed)),
-		div:     make(map[divKey]bool),
-		wire:    make([]int64, n),
-	}
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("node-%d", i)
-		nd := &node{id: id, replica: kvstore.NewReplica(id)}
-		nd.server = NewServer(nd.replica, resolve)
-		addr, err := nd.server.Listen("127.0.0.1:0")
-		if err != nil {
-			_ = c.Close()
-			return nil, err
-		}
-		nd.addr = addr
-		nd.pool = NewPool()
-		c.nodes = append(c.nodes, nd)
-		c.index[id] = i
-	}
-	return c, nil
-}
-
 // Close drops every node's pooled sessions, shuts down every server, and
-// releases durable resources (replica WALs, hint queues) of ring nodes.
+// releases durable resources (replica WALs, hint queues).
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -203,10 +158,8 @@ func (c *Cluster) Close() error {
 				firstErr = err
 			}
 		}
-		if n.hints != nil {
-			if err := n.hints.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := n.hints.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
 	return firstErr
@@ -231,9 +184,9 @@ func (c *Cluster) Size() int {
 	return len(c.nodes)
 }
 
-// Replica returns node i's store for reads and writes. In ring mode the
-// pointer changes when a killed durable node revives (it reopens its WAL),
-// so re-fetch after Revive.
+// Replica returns node i's store for reads and writes. The pointer changes
+// when a killed durable node revives (it reopens its WAL), so re-fetch
+// after Revive.
 func (c *Cluster) Replica(i int) (*kvstore.Replica, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -296,9 +249,9 @@ type confKey struct {
 }
 
 // gossipTask is one scheduled exchange: node i initiates a round against
-// node j's server, whole-replica (stripe -1) or scoped to one stripe. The
-// endpoint fields are captured at scheduling time under the cluster lock,
-// so a concurrent Kill/Revive cannot race the worker's reads. epochI/epochJ
+// node j's server, scoped to one stripe. The endpoint fields are captured
+// at scheduling time under the cluster lock, so a concurrent Kill/Revive
+// cannot race the worker's reads. epochI/epochJ
 // are the two stripes' mutation epochs at scheduling time: if the exchange
 // completes without conflicts, each side's state as of its sampled epoch is
 // proven propagated to the other (sampling before the exchange makes the
@@ -315,17 +268,14 @@ type gossipTask struct {
 // task builds a gossipTask from current node state. Caller holds mu (or is
 // a single-threaded test).
 func (c *Cluster) task(i, j, stripe int) gossipTask {
-	t := gossipTask{
+	return gossipTask{
 		i: i, j: j, stripe: stripe,
-		rep:  c.nodes[i].replica,
-		pool: c.nodes[i].pool,
-		addr: c.nodes[j].addr,
+		rep:    c.nodes[i].replica,
+		pool:   c.nodes[i].pool,
+		addr:   c.nodes[j].addr,
+		epochI: c.nodes[i].replica.StripeEpoch(stripe),
+		epochJ: c.nodes[j].replica.StripeEpoch(stripe),
 	}
-	if stripe >= 0 {
-		t.epochI = c.nodes[i].replica.StripeEpoch(stripe)
-		t.epochJ = c.nodes[j].replica.StripeEpoch(stripe)
-	}
-	return t
 }
 
 // confRecord folds a completed conflict-free stripe exchange into the
@@ -361,7 +311,7 @@ func (c *Cluster) confClearFor(n int) {
 type RoundError struct {
 	From   string // initiating node ID
 	To     string // peer node ID
-	Stripe int    // stripe the exchange was scoped to; -1 = whole replica
+	Stripe int    // stripe the exchange was scoped to
 	Err    string // error text
 	// Retried reports that the pool transparently retried the exchange on
 	// a fresh dial before giving up.
@@ -384,7 +334,7 @@ type RoundStats struct {
 	// Conflicts counts conflicting keys left unresolved.
 	Conflicts int
 	// HintsDrained counts hinted writes delivered to revived owners this
-	// round (ring mode).
+	// round.
 	HintsDrained int
 	// StripesSkipped counts stripe-scoped exchanges that completed
 	// summary-only — the converged fast path, where one summary frame
@@ -393,21 +343,21 @@ type RoundStats struct {
 	// rebuild.
 	StripesSkipped int
 	// StripesScrubbed counts background scrub verifications run this round
-	// (ring mode: one stripe per durable up node per round).
+	// (one stripe per durable up node per round).
 	StripesScrubbed int
 	// StripesQuarantined is the total quarantined stripes across up nodes
-	// at the end of the round (ring mode) — the cluster's damage level,
+	// at the end of the round — the cluster's damage level,
 	// not a per-round delta.
 	StripesQuarantined int
 	// StripesRepaired counts quarantined stripes rebuilt from their
-	// co-owners and re-checkpointed this round (ring mode).
+	// co-owners and re-checkpointed this round.
 	StripesRepaired int
 	// TombstonesDiscarded counts tombstones the GC phase dropped this round
 	// across all owners — each one a delete whose propagation to every
 	// owner of its stripe was proven before its memory was reclaimed.
 	TombstonesDiscarded int
 	// TombstonesLive is the total tombstones still held across up nodes at
-	// the end of the round (ring mode) — a gauge, not a delta; it should
+	// the end of the round — a gauge, not a delta; it should
 	// fall to zero once deletes have propagated and the GC has caught up.
 	TombstonesLive int
 	// BytesPerNode is this round's wire bytes per node (both endpoints of
@@ -423,93 +373,55 @@ type RoundStats struct {
 // GossipRound performs one fan-out round and returns how many exchanges
 // ran. k must be positive.
 //
-// In full-replication mode every node initiates whole-replica delta
-// exchanges with up to k distinct random peers in its partition group. In
-// ring mode the round is owner-scoped: membership heartbeats gossip first,
-// rings rebuild if the member set changed, pending hints drain to revived
-// owners, and then every node runs stripe-scoped exchanges with up to k
-// co-owners of each stripe it owns — wire cost O(stripes it owns), not
-// O(cluster keyspace). Nodes with no reachable peer are skipped — gossip
-// does not fail, it just cannot happen, exactly like mobile nodes out of
-// range.
+// The round is owner-scoped: membership heartbeats gossip first, rings
+// rebuild if the member set changed, pending hints drain to revived owners,
+// and then every node runs stripe-scoped exchanges with up to k co-owners
+// in its partition group of each stripe it owns — wire cost O(stripes it
+// owns), not O(cluster keyspace). Nodes with no reachable peer are skipped —
+// gossip does not fail, it just cannot happen, exactly like mobile nodes out
+// of range.
 //
-// Exchanges that share a node (or, in ring mode, a stripe) run one after the
-// other within a round — see runGossip; writers racing a round are safe: the
-// responder reconciles under its stripe locks, and an initiator installs a
-// round's outcome only over copies that did not move while it was in flight.
+// Exchanges that share a stripe run one after the other within a round —
+// see runGossip; writers racing a round are safe: the responder reconciles
+// under its stripe locks, and an initiator installs a round's outcome only
+// over copies that did not move while it was in flight.
 func (c *Cluster) GossipRound(k int) (int, error) {
 	stats, err := c.GossipRoundStats(k)
 	return stats.Exchanges, err
 }
 
-// GossipRoundStats is GossipRound with the round's statistics.
-func (c *Cluster) GossipRoundStats(k int) (RoundStats, error) {
-	if k <= 0 {
-		return RoundStats{}, fmt.Errorf("antientropy: fanout %d is not positive", k)
-	}
-	if c.ringMode() {
-		return c.ringRound(k)
-	}
-	// Peer selection is serialized under mu (one shared rng, deterministic
-	// under a fixed seed); only the network exchanges fan out.
-	c.mu.Lock()
-	tasks := c.taskScratch[:0]
-	for i := range c.nodes {
-		peers := c.selectPeers(i, k)
-		for _, j := range peers {
-			tasks = append(tasks, c.task(i, j, -1))
-		}
-		c.peerScratch = peers
-	}
-	c.taskScratch = tasks
-	c.mu.Unlock()
-	stats := RoundStats{BytesPerNode: make([]int64, len(c.nodes))}
-	err := c.runGossip(tasks, &stats, nil)
-	return stats, err
-}
-
-func (c *Cluster) ringMode() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.replication > 0
-}
-
 // hotBias is the per-round probability of applying the hot-first partition
-// in selectPeers; the complementary rounds select uniformly. Biased-but-not-
+// in pickPeers; the complementary rounds select uniformly. Biased-but-not-
 // deterministic choice (ε-greedy) keeps convergence fast where divergence
 // was last seen while guaranteeing every reachable pair is still selected
 // with positive probability each round — a deterministic hot preference
 // could starve cold-but-divergent pairs under sustained churn.
 const hotBias = 3.0 / 4
 
-// selectPeers picks up to k gossip partners for node i: a uniform shuffle of
-// the reachable peers and, on hotBias of the rounds, a partition that moves
-// peers whose previous exchange with i reported divergence to the front — a
-// node chasing known divergence converges in fewer rounds than one
-// re-verifying converged pairs. The shuffle keeps choice within (and beyond)
-// the hot set random, and the uniform rounds keep cold pairs live. The
-// returned slice is the cluster's scratch. Caller holds mu.
-func (c *Cluster) selectPeers(i, k int) []int {
-	peers := c.peerScratch[:0]
-	for j := range c.nodes {
-		if j != i && c.group[i] == c.group[j] && !c.nodes[j].down {
-			peers = append(peers, j)
-		}
-	}
-	c.rng.Shuffle(len(peers), func(a, b int) { peers[a], peers[b] = peers[b], peers[a] })
-	if len(peers) > k {
+// pickPeers picks node i's gossip partners for stripe s from cand, its
+// reachable co-owners: a uniform shuffle and, when cand is capped at k, on
+// hotBias of the rounds a partition that moves peers whose previous exchange
+// with i over s reported divergence to the front — a node chasing known
+// divergence converges in fewer rounds than one re-verifying converged
+// pairs. The shuffle keeps choice within (and beyond) the hot set random,
+// and the uniform rounds keep cold pairs live. all lifts the cap (a
+// quarantined stripe contacts every co-owner). Reorders cand in place.
+// Caller holds mu.
+func (c *Cluster) pickPeers(i, s, k int, cand []int, all bool) []int {
+	c.rng.Shuffle(len(cand), func(a, b int) { cand[a], cand[b] = cand[b], cand[a] })
+	if len(cand) > k && !all {
 		if c.rng.Float64() < hotBias {
 			front := 0
-			for x := 0; x < len(peers); x++ {
-				if c.div[pairKey(c.nodes[i].id, c.nodes[peers[x]].id, -1)] {
-					peers[front], peers[x] = peers[x], peers[front]
+			for x := 0; x < len(cand); x++ {
+				if c.divergent(i, cand[x], s) {
+					cand[front], cand[x] = cand[x], cand[front]
 					front++
 				}
 			}
 		}
-		peers = peers[:k]
+		cand = cand[:k]
 	}
-	return peers
+	return cand
 }
 
 // markDiv records divergence state for a (pair, stripe). Caller holds mu.
@@ -571,37 +483,9 @@ type exTally struct {
 // per-stripe serialization is exactly the needed exclusion, while different
 // stripes touch disjoint keys and parallelize freely.
 func (c *Cluster) runGossip(tasks []gossipTask, stats *RoundStats, track map[exKey]*exTally) error {
-	// Whole-replica tasks (stripe -1) touch every key of both endpoints, so
-	// the same exclusion is per node: exchanges sharing an endpoint, directly
-	// or through other exchanges, run on one chain in task order, and only
-	// disjoint groups of nodes proceed in parallel. That also makes a seeded
-	// full-replication round's outcome independent of GOMAXPROCS.
 	chains := make([][]gossipTask, 0, len(tasks))
 	byStripe := make(map[int]int)
-	byNode := make(map[int]int)
 	for _, t := range tasks {
-		if t.stripe < 0 {
-			ci, okI := byNode[t.i]
-			cj, okJ := byNode[t.j]
-			switch {
-			case !okI && !okJ:
-				ci = len(chains)
-				chains = append(chains, nil)
-			case !okI:
-				ci = cj
-			case okJ && ci != cj:
-				chains[ci] = append(chains[ci], chains[cj]...)
-				chains[cj] = nil
-				for n, c := range byNode {
-					if c == cj {
-						byNode[n] = ci
-					}
-				}
-			}
-			byNode[t.i], byNode[t.j] = ci, ci
-			chains[ci] = append(chains[ci], t)
-			continue
-		}
 		ci, ok := byStripe[t.stripe]
 		if !ok {
 			ci = len(chains)
@@ -646,16 +530,9 @@ func (c *Cluster) runGossip(tasks []gossipTask, stats *RoundStats, track map[exK
 func (c *Cluster) runChain(chain []gossipTask, stats *RoundStats, mu *sync.Mutex, firstErr *error, track map[exKey]*exTally) {
 	for _, t := range chain {
 		// Every exchange is a round over the initiator's pooled session to
-		// the peer — whole-replica with a root-hash fast path, or scoped to
-		// one stripe so only that stripe's tree root travels.
-		var res kvstore.SyncResult
-		var info RoundInfo
-		var err error
-		if t.stripe >= 0 {
-			res, info, err = t.pool.SyncStripesInfo(t.addr, t.rep, []int{t.stripe})
-		} else {
-			res, info, err = t.pool.SyncWithInfo(t.addr, t.rep)
-		}
+		// the peer, scoped to one stripe so only that stripe's tree root
+		// travels.
+		res, info, err := t.pool.SyncStripesInfo(t.addr, t.rep, []int{t.stripe})
 		mu.Lock()
 		if err != nil {
 			down := c.nodeDown(t.j)
@@ -678,7 +555,7 @@ func (c *Cluster) runChain(chain []gossipTask, stats *RoundStats, mu *sync.Mutex
 			stats.Exchanges++
 			stats.Moved += moved
 			stats.Conflicts += len(res.Conflicts)
-			if t.stripe >= 0 && moved == 0 && len(res.Conflicts) == 0 {
+			if moved == 0 && len(res.Conflicts) == 0 {
 				stats.StripesSkipped++
 			}
 			if tl := track[exKey{t.i, t.stripe}]; tl != nil {
@@ -692,7 +569,7 @@ func (c *Cluster) runChain(chain []gossipTask, stats *RoundStats, mu *sync.Mutex
 			// symmetric: a round reconciles both sides.
 			c.mu.Lock()
 			c.markDiv(t.i, t.j, t.stripe, moved+len(res.Conflicts) > 0)
-			if t.stripe >= 0 && len(res.Conflicts) == 0 {
+			if len(res.Conflicts) == 0 {
 				// The two owners now agree on the stripe (no conflict was
 				// left standing), so each side's pre-exchange state is
 				// proven propagated to the other — tombstone GC evidence.
@@ -730,16 +607,15 @@ var ErrNotConverged = errors.New("antientropy: cluster did not converge")
 // GossipUntilConverged runs fan-out gossip rounds until convergence, or
 // maxRounds is exhausted. It returns the number of rounds used.
 //
-// Full-replication mode converges when every pair of up nodes in the same
-// partition group stores identical live contents. Ring mode converges when
-// every stripe's up owners agree on the stripe's live contents, all up
-// nodes have the same ring, and no hints remain queued for up targets.
+// The cluster has converged when every stripe's up owners in one partition
+// group agree on the stripe's live contents, all up nodes have the same
+// ring, and no hints remain queued for up targets.
 func (c *Cluster) GossipUntilConverged(maxRounds int) (int, error) {
 	for round := 1; round <= maxRounds; round++ {
 		if _, err := c.GossipRound(c.Fanout()); err != nil {
 			return round, err
 		}
-		if c.converged() {
+		if c.Converged() {
 			return round, nil
 		}
 	}
@@ -758,42 +634,8 @@ func (c *Cluster) Fanout() int {
 // GossipUntilConverged applies after each round, exported for scenario
 // drivers that manage their own round loop (and must keep looping through
 // rounds that partially fail, which GossipUntilConverged treats as fatal).
-func (c *Cluster) Converged() bool { return c.converged() }
-
-// converged dispatches on topology.
-func (c *Cluster) converged() bool {
+func (c *Cluster) Converged() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.replication > 0 {
-		return c.ringConvergedLocked()
-	}
-	for i := 0; i < len(c.nodes); i++ {
-		for j := i + 1; j < len(c.nodes); j++ {
-			if c.group[i] != c.group[j] || c.nodes[i].down || c.nodes[j].down {
-				continue
-			}
-			if !sameContents(c.nodes[i].replica, c.nodes[j].replica) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func sameContents(a, b *kvstore.Replica) bool {
-	keys := map[string]bool{}
-	for _, k := range a.Keys() {
-		keys[k] = true
-	}
-	for _, k := range b.Keys() {
-		keys[k] = true
-	}
-	for k := range keys {
-		va, okA := a.Get(k)
-		vb, okB := b.Get(k)
-		if okA != okB || string(va) != string(vb) {
-			return false
-		}
-	}
-	return true
+	return c.convergedLocked()
 }

@@ -8,14 +8,10 @@ import (
 	"versionstamp/internal/kvstore"
 )
 
+// newCluster builds n fully replicated nodes: the ring at R = N.
 func newCluster(t *testing.T, n int) *Cluster {
 	t.Helper()
-	c, err := NewCluster(n, kvstore.KeepBoth([]byte("|")), 7)
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	return c
+	return newRingCluster(t, RingConfig{Nodes: n, Replication: n, Seed: 7})
 }
 
 func TestClusterBasics(t *testing.T) {
@@ -25,9 +21,6 @@ func TestClusterBasics(t *testing.T) {
 	}
 	if _, err := c.Replica(3); err == nil {
 		t.Error("out-of-range replica accepted")
-	}
-	if _, err := NewCluster(1, nil, 1); err == nil {
-		t.Error("1-node cluster accepted")
 	}
 	if err := c.Partition([]int{0}); err == nil {
 		t.Error("wrong-length partition accepted")
@@ -136,19 +129,17 @@ func TestGossipNonConvergenceBudget(t *testing.T) {
 // select it, yet cold peers must keep positive selection probability — the
 // ε-greedy contract that makes biased gossip still live under churn.
 func TestSelectPeersBiasesTowardDivergence(t *testing.T) {
-	c, err := NewCluster(5, nil, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.markDiv(0, 3, -1, true)
+	c := newCluster(t, 5)
+	const stripe = 0
+	pick := func() []int { return c.pickPeers(0, stripe, 2, []int{1, 2, 3, 4}, false) }
+	c.markDiv(0, 3, stripe, true)
 	const trials = 400
 	hotHits := 0
 	coldSeen := map[int]bool{}
 	for trial := 0; trial < trials; trial++ {
-		peers := c.selectPeers(0, 2)
+		peers := pick()
 		if len(peers) != 2 {
-			t.Fatalf("selectPeers returned %d peers, want 2", len(peers))
+			t.Fatalf("pickPeers returned %d peers, want 2", len(peers))
 		}
 		for _, j := range peers {
 			if j == 3 {
@@ -170,10 +161,10 @@ func TestSelectPeersBiasesTowardDivergence(t *testing.T) {
 		}
 	}
 	// All cold: selection is the plain shuffle, every peer reachable.
-	c.markDiv(0, 3, -1, false)
+	c.markDiv(0, 3, stripe, false)
 	seen := map[int]bool{}
 	for trial := 0; trial < 60; trial++ {
-		for _, j := range c.selectPeers(0, 2) {
+		for _, j := range pick() {
 			seen[j] = true
 		}
 	}
@@ -187,29 +178,26 @@ func TestSelectPeersBiasesTowardDivergence(t *testing.T) {
 // TestGossipRecordsDivergence: an exchange that moved data marks the pair
 // hot; a following converged exchange cools it back down.
 func TestGossipRecordsDivergence(t *testing.T) {
-	c, err := NewCluster(2, nil, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := newCluster(t, 2)
 	r0, _ := c.Replica(0)
 	r0.Put("k", []byte("v"))
+	stripe := kvstore.ShardIndex("k", c.stripes)
 	// Drive a single directed exchange (a full GossipRound runs both
 	// directions, and the second, already-converged exchange would cool the
 	// pair again within the same round — correctly, but uselessly here).
 	round := func() {
 		t.Helper()
 		stats := RoundStats{BytesPerNode: make([]int64, 2)}
-		if err := c.runGossip([]gossipTask{c.task(0, 1, -1)}, &stats, nil); err != nil {
+		if err := c.runGossip([]gossipTask{c.task(0, 1, stripe)}, &stats, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	round()
-	if !c.divergent(0, 1, -1) || !c.divergent(1, 0, -1) {
+	if !c.divergent(0, 1, stripe) || !c.divergent(1, 0, stripe) {
 		t.Errorf("divergent exchange did not mark the pair hot: %v", c.div)
 	}
 	round()
-	if c.divergent(0, 1, -1) || c.divergent(1, 0, -1) {
+	if c.divergent(0, 1, stripe) || c.divergent(1, 0, stripe) {
 		t.Errorf("converged exchange did not cool the pair: %v", c.div)
 	}
 }

@@ -17,9 +17,9 @@ import (
 	"versionstamp/internal/storage/wal"
 )
 
-// This file is the partitioned topology of Cluster: keys hash to stripes,
-// stripes live on a consistent-hash ring with R owners each, gossip is
-// owner-scoped, and reads/writes run through quorums with hinted handoff.
+// This file is the topology of Cluster: keys hash to stripes, stripes live
+// on a consistent-hash ring with R owners each, gossip is owner-scoped, and
+// reads/writes run through quorums with hinted handoff.
 //
 // The division of labor per GossipRound:
 //
@@ -185,9 +185,9 @@ func (c *Cluster) durableLocked(i int) bool {
 	return c.durableCount == 0 || i < c.durableCount
 }
 
-// newRingNode builds one ring-mode node: replica (WAL-backed when durable),
-// server, pool, hint queue, membership view seeded with roster, and the
-// ring over that roster.
+// newRingNode builds one node: replica (WAL-backed when durable), server,
+// pool, hint queue, membership view seeded with roster, and the ring over
+// that roster.
 func (c *Cluster) newRingNode(id string, roster []string, durable bool) (*node, error) {
 	nd := &node{id: id}
 	if durable {
@@ -240,9 +240,6 @@ func (c *Cluster) ringFor(members []string) (*ring.Ring, error) {
 	rg, err := ring.New(members, c.stripes, c.replication)
 	if err != nil {
 		return nil, err
-	}
-	if c.ringCache == nil {
-		c.ringCache = make(map[string]*ring.Ring)
 	}
 	c.ringCache[key] = rg
 	return rg, nil
@@ -311,9 +308,12 @@ func (c *Cluster) releaseNode(nd *node) error {
 	return firstErr
 }
 
-// ringRound is one owner-scoped gossip round; see the file comment for the
-// phases.
-func (c *Cluster) ringRound(k int) (RoundStats, error) {
+// GossipRoundStats is GossipRound with the round's statistics; see the file
+// comment for the phases.
+func (c *Cluster) GossipRoundStats(k int) (RoundStats, error) {
+	if k <= 0 {
+		return RoundStats{}, fmt.Errorf("antientropy: fanout %d is not positive", k)
+	}
 	c.mu.Lock()
 	stats := RoundStats{BytesPerNode: make([]int64, len(c.nodes))}
 
@@ -412,11 +412,9 @@ func (c *Cluster) ringRound(k int) (RoundStats, error) {
 
 	// Phase 5: schedule stripe-scoped exchanges. For each stripe a node
 	// owns, it contacts up to k co-owners, divergence-hot ones first on
-	// hotBias of the draws (same ε-greedy contract as full-replication
-	// selection, per (pair, stripe) instead of per pair). A quarantined
-	// stripe bypasses the cap: its holder contacts every live co-owner,
-	// marks each pairing divergence-hot, and the repair pass watches the
-	// outcomes.
+	// hotBias of the draws (see pickPeers). A quarantined stripe bypasses
+	// the cap: its holder contacts every live co-owner, marks each pairing
+	// divergence-hot, and the repair pass watches the outcomes.
 	tasks := c.taskScratch[:0]
 	track := make(map[exKey]*exTally)
 	for i, nd := range c.nodes {
@@ -441,19 +439,7 @@ func (c *Cluster) ringRound(k int) (RoundStats, error) {
 				}
 				cand = append(cand, j)
 			}
-			c.rng.Shuffle(len(cand), func(a, b int) { cand[a], cand[b] = cand[b], cand[a] })
-			if len(cand) > k && !quar {
-				if c.rng.Float64() < hotBias {
-					front := 0
-					for x := 0; x < len(cand); x++ {
-						if c.div[pairKey(nd.id, c.nodes[cand[x]].id, s)] {
-							cand[front], cand[x] = cand[x], cand[front]
-							front++
-						}
-					}
-				}
-				cand = cand[:k]
-			}
+			cand = c.pickPeers(i, s, k, cand, quar)
 			if quar {
 				track[exKey{i, s}] = &exTally{}
 				for _, j := range cand {
@@ -538,9 +524,6 @@ func (c *Cluster) ringRound(k int) (RoundStats, error) {
 // ring growth (c.conf = nil above), so GC pauses until exchanges under the
 // new placement re-prove propagation — correct, just conservative.
 func (c *Cluster) gcTombstonesLocked(stats *RoundStats) {
-	if c.replication < 1 {
-		return
-	}
 	var base *node
 	for _, nd := range c.nodes {
 		if nd.down {
@@ -549,7 +532,7 @@ func (c *Cluster) gcTombstonesLocked(stats *RoundStats) {
 			}
 			continue
 		}
-		if nd.hints != nil && nd.hints.Len() > 0 {
+		if nd.hints.Len() > 0 {
 			return
 		}
 		if base == nil {
@@ -738,9 +721,6 @@ func (c *Cluster) Delete(key string) (int, error) {
 func (c *Cluster) write(key string, value []byte, del bool) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.replication == 0 {
-		return 0, fmt.Errorf("antientropy: quorum writes need a ring cluster")
-	}
 	stripe := kvstore.ShardIndex(key, c.stripes)
 	owners := c.ownersLocked(stripe)
 	var coord *node
@@ -812,9 +792,6 @@ func (c *Cluster) write(key string, value []byte, del bool) (int, error) {
 func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.replication == 0 {
-		return nil, false, fmt.Errorf("antientropy: quorum reads need a ring cluster")
-	}
 	stripe := kvstore.ShardIndex(key, c.stripes)
 	owners := c.ownersLocked(stripe)
 	// The first up owner coordinates; owners across a partition are
@@ -889,16 +866,11 @@ func (c *Cluster) Kill(i int) error {
 	if nd.down {
 		return nil
 	}
-	if c.replication == 0 {
-		return fmt.Errorf("antientropy: kill/revive needs a ring cluster")
-	}
 	nd.down = true
 	// Freeze the queued-hint count (the GC gate keeps counting a down
 	// node's undelivered hints) and drop propagation evidence involving
 	// the node — its post-revive state must be re-proven.
-	if nd.hints != nil {
-		nd.frozenHints = nd.hints.Len()
-	}
+	nd.frozenHints = nd.hints.Len()
 	c.confClearFor(i)
 	_ = nd.pool.Close()
 	err := nd.server.Close()
@@ -963,9 +935,6 @@ func (c *Cluster) Revive(i int) error {
 func (c *Cluster) AddNode() (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.replication == 0 {
-		return 0, fmt.Errorf("antientropy: AddNode needs a ring cluster")
-	}
 	id := fmt.Sprintf("node-%d", len(c.nodes))
 	if _, taken := c.index[id]; taken {
 		return 0, fmt.Errorf("antientropy: node ID %s already exists", id)
@@ -993,7 +962,7 @@ func (c *Cluster) HintsPending() int {
 	defer c.mu.Unlock()
 	total := 0
 	for _, nd := range c.nodes {
-		if !nd.down && nd.hints != nil {
+		if !nd.down {
 			total += nd.hints.Len()
 		}
 	}
@@ -1050,33 +1019,29 @@ func (c *Cluster) Status(i int) (NodeStatus, error) {
 		return NodeStatus{}, fmt.Errorf("antientropy: node %d out of range", i)
 	}
 	nd := c.nodes[i]
-	st := NodeStatus{ID: nd.id, Addr: nd.addr, Down: nd.down}
-	if nd.ring != nil {
-		st.OwnedStripes = nd.ring.StripesOwnedBy(nd.id)
+	st := NodeStatus{
+		ID: nd.id, Addr: nd.addr, Down: nd.down,
+		OwnedStripes:   nd.ring.StripesOwnedBy(nd.id),
+		Quarantined:    nd.replica.Quarantined(),
+		TombstonesLive: nd.replica.TombstonesLive(),
 	}
+	// A killed durable node's queue is closed until Revive reopens it.
 	if nd.hints != nil {
 		st.HintsPending = nd.hints.Len()
 	}
-	if nd.replica != nil {
-		st.Quarantined = nd.replica.Quarantined()
-		if pe := nd.replica.PersistErr(); pe != nil {
-			st.PersistErr = pe.Error()
-		}
-		st.TombstonesLive = nd.replica.TombstonesLive()
+	if pe := nd.replica.PersistErr(); pe != nil {
+		st.PersistErr = pe.Error()
 	}
-	if nd.view != nil {
-		for _, id := range nd.view.Members() {
-			st.Members = append(st.Members, MemberStatus{ID: id, State: nd.view.State(id).String()})
-		}
+	for _, id := range nd.view.Members() {
+		st.Members = append(st.Members, MemberStatus{ID: id, State: nd.view.State(id).String()})
 	}
 	return st, nil
 }
 
-// ringConvergedLocked reports ring-mode convergence: all up nodes agree on
-// the ring, every stripe's up owners (same partition group) agree on the
-// stripe's live contents, and no hints remain addressed to up targets.
-// Caller holds mu.
-func (c *Cluster) ringConvergedLocked() bool {
+// convergedLocked reports convergence: all up nodes agree on the ring, every
+// stripe's up owners (same partition group) agree on the stripe's live
+// contents, and no hints remain addressed to up targets. Caller holds mu.
+func (c *Cluster) convergedLocked() bool {
 	var base *node
 	for _, nd := range c.nodes {
 		if !nd.down {

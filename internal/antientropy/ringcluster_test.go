@@ -43,14 +43,8 @@ func TestRingConfigValidation(t *testing.T) {
 	}
 }
 
-// Legacy constructor and fanout validation (the satellite bugfix).
+// Fanout validation (the satellite bugfix).
 func TestClusterArgValidation(t *testing.T) {
-	if _, err := NewCluster(0, nil, 1); err == nil {
-		t.Error("NewCluster(0) accepted")
-	}
-	if _, err := NewCluster(-2, nil, 1); err == nil {
-		t.Error("NewCluster(-2) accepted")
-	}
 	c := newCluster(t, 2)
 	if err := c.SetFanout(0); err == nil {
 		t.Error("SetFanout(0) accepted")
@@ -409,23 +403,8 @@ func TestAddNodeJoinsRing(t *testing.T) {
 	}
 }
 
-// The quorum surface rejects calls on a full-replication cluster, and
 // ErrQuorum surfaces when too few owners are up.
 func TestQuorumErrors(t *testing.T) {
-	legacy := newCluster(t, 2)
-	if _, err := legacy.Write("k", nil); err == nil {
-		t.Error("Write on full-replication cluster accepted")
-	}
-	if _, _, err := legacy.Read("k"); err == nil {
-		t.Error("Read on full-replication cluster accepted")
-	}
-	if _, err := legacy.AddNode(); err == nil {
-		t.Error("AddNode on full-replication cluster accepted")
-	}
-	if err := legacy.Kill(0); err == nil {
-		t.Error("Kill on full-replication cluster accepted")
-	}
-
 	c := newRingCluster(t, RingConfig{Nodes: 3, Replication: 3, Stripes: 4, Seed: 2})
 	if err := c.Kill(99); err == nil {
 		t.Error("Kill out of range accepted")
@@ -569,7 +548,7 @@ func TestRingAcceptance9Nodes(t *testing.T) {
 	for i := 0; i < keyN; i++ {
 		full.Put(fmt.Sprintf("key-%d", i), val(i))
 	}
-	snap, err := full.SnapshotBinary()
+	snap, err := full.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,32 +9,31 @@ import (
 	"versionstamp/internal/encoding"
 )
 
-// Binary snapshots: the same label + shard layout + entries a JSON snapshot
-// carries, but with the length-prefixed entry codec and compact binary
-// stamps instead of a JSON document with text stamps. A leading version byte
-// distinguishes the two on disk and on the wire: JSON snapshots start with
-// '{', binary ones with binarySnapshotVersion, and Restore/Adopt sniff it,
-// so old snapshots keep loading forever.
+// Snapshots: a replica's label, shard layout and entries, in the
+// length-prefixed entry codec with compact binary stamps, behind a leading
+// version byte. This is the one snapshot format — Snapshot, Restore, Adopt
+// and the durable checkpoints all use it — and anything else is rejected.
 //
 //	snapshot := version-byte uvarint(len(label)) label uvarint(shards)
 //	            uvarint(count) entry*
 
-// binarySnapshotVersion tags the binary snapshot format. It can never
-// collide with the first byte of a JSON document.
+// binarySnapshotVersion tags the snapshot format.
 const binarySnapshotVersion = 0x02
 
 // maxSnapshotEntries bounds the entry count a decoder will pre-trust.
 const maxSnapshotEntries = 1 << 31
 
 // maxSnapshotShards bounds a snapshot's recorded stripe count: a corrupt or
-// hostile layout field must not force allocating millions of stripes. The
-// bound applies to both snapshot formats.
+// hostile layout field must not force allocating millions of stripes.
 const maxSnapshotShards = 1 << 16
 
-// SnapshotBinary serializes the replica in the binary format; Restore loads
-// it back (sniffing the leading byte). It carries exactly the state of
-// Snapshot at a fraction of the bytes.
-func (r *Replica) SnapshotBinary() ([]byte, error) {
+// Snapshot serializes the replica (label, shard layout and all entries
+// including tombstones) for durable storage; Restore loads it back.
+// Together they support crash/restart testing. Each stripe is read
+// atomically; the snapshot is a per-key-consistent view. Paged stripes fault
+// their cold values in (through the cache, without promoting them) — a
+// snapshot is a full copy by definition.
+func (r *Replica) Snapshot() ([]byte, error) {
 	var entries []encoding.Entry
 	for i := range r.shards {
 		sh := &r.shards[i]
@@ -71,7 +70,7 @@ func (r *Replica) SnapshotBinary() ([]byte, error) {
 }
 
 // encodeBinarySnapshot builds the binary snapshot document from already
-// collected entries — shared by SnapshotBinary and the durable checkpoint
+// collected entries — shared by Snapshot and the durable checkpoint
 // path, which holds the stripe lock itself.
 func encodeBinarySnapshot(label string, shards int, entries []encoding.Entry) []byte {
 	sort.Slice(entries, func(a, b int) bool { return entries[a].Key < entries[b].Key })
@@ -192,8 +191,12 @@ func capEntries(count uint64, rest []byte) int {
 	return int(count)
 }
 
-// restoreBinary deserializes a binary snapshot into a fresh replica.
-func restoreBinary(data []byte) (*Replica, error) {
+// Restore deserializes a snapshot into a fresh replica with the stripe
+// layout recorded in the snapshot.
+func Restore(data []byte) (*Replica, error) {
+	if len(data) == 0 || data[0] != binarySnapshotVersion {
+		return nil, fmt.Errorf("kvstore: restore: not a snapshot")
+	}
 	label, shards, entries, err := decodeBinarySnapshot(data)
 	if err != nil {
 		return nil, err

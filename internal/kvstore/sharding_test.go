@@ -209,15 +209,6 @@ func TestSnapshotPreservesShardLayout(t *testing.T) {
 	if back.Shards() != 5 {
 		t.Fatalf("restored shards = %d, want 5", back.Shards())
 	}
-	// Snapshots without a layout (pre-sharding format) restore to the
-	// default.
-	legacy, err := Restore([]byte(`{"label":"x","entries":[]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Shards() != DefaultShards {
-		t.Fatalf("legacy shards = %d, want %d", legacy.Shards(), DefaultShards)
-	}
 }
 
 // TestConcurrentShardedAccess hammers every public operation — point ops,

@@ -321,7 +321,7 @@ func TestTreeScopedForeignLayout(t *testing.T) {
 
 func mustSnapshot(t *testing.T, r *Replica) []byte {
 	t.Helper()
-	snap, err := r.SnapshotBinary()
+	snap, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

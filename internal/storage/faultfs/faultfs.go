@@ -272,22 +272,19 @@ func FlipLogByte(dir string, shard int, seed int64) (int64, error) {
 	return off, nil
 }
 
-// CorruptCheckpoint flips one byte of the shard's checkpoint payload under
-// dir, deterministically from seed.
+// CorruptCheckpoint flips one byte of the shard's checkpoint file under
+// dir, deterministically from seed. Any byte will do: the magic, the
+// checksum and the payload are all verified.
 func CorruptCheckpoint(dir string, shard int, seed int64) (int64, error) {
 	path := wal.CheckpointPath(dir, shard)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("faultfs: %w", err)
 	}
-	// Flip inside the checksummed payload, past the 8-byte header: damaging
-	// the magic itself would make the file sniff as a legacy (unchecked)
-	// checkpoint instead of a corrupt one.
-	const header = 8
-	if len(data) <= header {
-		return 0, fmt.Errorf("faultfs: shard %d checkpoint too small to corrupt", shard)
+	if len(data) == 0 {
+		return 0, fmt.Errorf("faultfs: shard %d checkpoint is empty", shard)
 	}
-	off := header + int64(hash3(seed, opCkpt, uint64(shard), 0xf11b)%uint64(len(data)-header))
+	off := int64(hash3(seed, opCkpt, uint64(shard), 0xf11b) % uint64(len(data)))
 	data[off] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return 0, fmt.Errorf("faultfs: %w", err)

@@ -159,13 +159,7 @@ func TestGroupCommitConcurrentAcksSurvive(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w2.Close()
-			seen := map[string]bool{}
-			for shard := 0; shard < shards; shard++ {
-				_, recs := replay(t, w2, shard)
-				for _, r := range recs {
-					seen[r.Entry.Key] = true
-				}
-			}
+			seen := replayedKeys(t, w2, shards)
 			for i := 0; i < writers; i++ {
 				for j := 0; j < perWriter; j++ {
 					if !seen[key(i, j)] {
@@ -174,6 +168,114 @@ func TestGroupCommitConcurrentAcksSurvive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// replayedKeys replays shards 0..shards-1 and returns the keys seen.
+func replayedKeys(t *testing.T, w *WAL, shards int) map[string]bool {
+	t.Helper()
+	seen := map[string]bool{}
+	for shard := 0; shard < shards; shard++ {
+		_, recs := replay(t, w, shard)
+		for _, r := range recs {
+			seen[r.Entry.Key] = true
+		}
+	}
+	return seen
+}
+
+// TestGroupCommitRotatesAtCap shrinks the commit-log cap so the background
+// rotation in committer.run fires many times under concurrent writers, and
+// checks both halves of its contract: the commit log stays bounded, and no
+// acked record is lost across a rotation. A rotation moves durability from
+// the commit log to the stripe files it fsyncs, so the crash it must survive
+// loses exactly the stripe bytes no fsync covered: each stripe log is cut
+// back to the earliest offset the surviving commit log still holds.
+func TestGroupCommitRotatesAtCap(t *testing.T) {
+	const writers, perWriter, shards, logCap = 16, 128, 8, 1 << 10
+	key := func(i, j int) string { return fmt.Sprintf("w%02d-%d", i, j) }
+	dir := t.TempDir()
+	w := openGroup(t, dir)
+	w.group.cap = logCap
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	var peak int64 // largest commit-log size any writer saw after an ack; under w.group.mu
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < perWriter && errs[i] == nil; j++ {
+				wait, err := w.AppendAsync((i+j)%shards, rec(key(i, j), "x"))
+				if err == nil {
+					err = wait()
+				}
+				errs[i] = err
+				w.group.mu.Lock()
+				if w.group.size > peak {
+					peak = w.group.size
+				}
+				w.group.mu.Unlock()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", i, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Without rotation the commit log would hold more than every stripe log
+	// together; with it, a window or two past the cap.
+	var written int64
+	for shard := 0; shard < shards; shard++ {
+		fi, err := os.Stat(LogPath(dir, shard))
+		if err != nil {
+			t.Fatal(err)
+		}
+		written += fi.Size()
+	}
+	const bound = 8 * logCap
+	if written < 4*bound {
+		t.Fatalf("only %d bytes appended: too few to force rotations past %d", written, bound)
+	}
+	if peak > bound {
+		t.Fatalf("commit log reached %d bytes, cap %d", peak, logCap)
+	}
+
+	commit, err := os.ReadFile(filepath.Join(dir, commitLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := map[int]int64{} // shard -> earliest stripe offset still in the commit log
+	if _, err := scanFrames(commit, func(_ int, payload []byte) error {
+		shard, n := binary.Uvarint(payload[1:])
+		off, _ := binary.Uvarint(payload[1+n:])
+		if cur, ok := covered[int(shard)]; !ok || int64(off) < cur {
+			covered[int(shard)] = int64(off)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for shard, off := range covered {
+		if err := os.Truncate(LogPath(dir, shard), off); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w2 := openGroup(t, dir)
+	defer w2.Close()
+	seen := replayedKeys(t, w2, shards)
+	for i := 0; i < writers; i++ {
+		for j := 0; j < perWriter; j++ {
+			if !seen[key(i, j)] {
+				t.Fatalf("acked write %s lost (recovered %d records)", key(i, j), len(seen))
+			}
+		}
 	}
 }
 

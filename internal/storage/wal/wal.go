@@ -21,7 +21,7 @@
 // Instead each append writes its frame to the stripe log (no sync), then
 // registers the raw frame bytes with a shared committer and receives a wait
 // function — the commit barrier. The committer coalesces all registrations
-// arriving within a short window (bounded by Options.CommitWindow), writes
+// arriving within a short window (bounded by defaultCommitWindow), writes
 // one batch of commit frames — each carrying the shard, the frame's offset
 // in its stripe log, and the frame bytes themselves — to the single shared
 // commit.wal, issues ONE fsync for the whole window, and releases every
@@ -40,7 +40,7 @@
 // Checkpoint and Compact rotate first — fsync every stripe file the
 // committer dirtied, then truncate and fsync commit.wal — so no stale
 // commit frame can outlive the log truncation it refers into; the commit
-// log also rotates in the background when it exceeds Options.CommitLogCap.
+// log also rotates in the background when it exceeds defaultCommitLogCap.
 //
 // # Crash safety
 //
@@ -56,10 +56,10 @@
 // crashes, not power loss); Options.Fsync syncs every append for full
 // durability at a large throughput cost. Checkpoints always fsync and
 // rename, whatever the option, so a half-written checkpoint can never
-// replace a good one. Checkpoints written by this version carry a
-// checksummed header (ckptMagic + CRC32-Castagnoli over the payload), so
-// at-rest checkpoint damage is detected exactly like frame damage; files
-// from before the header load unchecked.
+// replace a good one. Every checkpoint carries a checksummed header
+// (ckptMagic + CRC32-Castagnoli over the payload), so at-rest checkpoint
+// damage is detected exactly like frame damage; a file without the header
+// is corrupt.
 //
 // # Quarantine
 //
@@ -135,11 +135,13 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // wrapping this sentinel.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
-// ckptMagic heads checksummed checkpoint files: the magic, a big-endian
-// CRC32-Castagnoli of the payload, then the payload. Chosen to collide with
-// neither JSON ('{') nor the kvstore binary snapshot version byte, so
-// legacy headerless checkpoints sniff apart cleanly.
+// ckptMagic heads every checkpoint file: the magic, a big-endian
+// CRC32-Castagnoli of the payload, then the payload. A file that does not
+// start with it is damaged.
 const ckptMagic = "WCK1"
+
+// ckptHeaderLen is the byte offset of a checkpoint's payload in its file.
+const ckptHeaderLen = len(ckptMagic) + 4
 
 // FaultInjector intercepts the WAL's physical operations, letting
 // internal/storage/faultfs inject deterministic disk faults under tests and
@@ -193,13 +195,6 @@ type Options struct {
 	// Implies full power-loss durability like Fsync, at a fraction of the
 	// fsync count.
 	GroupCommit bool
-	// CommitWindow bounds how long the committer waits for a window's batch
-	// to stop growing before flushing it (default 150µs). Larger windows
-	// trade single-writer latency for bigger batches.
-	CommitWindow time.Duration
-	// CommitLogCap rotates the shared commit log once it exceeds this many
-	// bytes (default 64 MiB).
-	CommitLogCap int64
 	// Fault, when non-nil, intercepts physical operations for deterministic
 	// fault injection (see FaultInjector and internal/storage/faultfs).
 	Fault FaultInjector
@@ -234,11 +229,10 @@ type walShard struct {
 	// locations against log truncation (logGen: Checkpoint, Compact) and
 	// checkpoint replacement (ckptGen); the read handles serve point preads
 	// and are closed whenever their file is truncated or replaced.
-	logGen   uint32
-	ckptGen  uint32
-	ckptBase int64    // byte offset of the checkpoint payload past the header
-	rf       *os.File // log read handle, opened lazily
-	cf       *os.File // checkpoint read handle, opened lazily
+	logGen  uint32
+	ckptGen uint32
+	rf      *os.File // log read handle, opened lazily
+	cf      *os.File // checkpoint read handle, opened lazily
 }
 
 // dropReadHandles closes the shard's pread handles; callers hold sh.mu and
@@ -293,15 +287,10 @@ func Open(dir string, opts Options) (*WAL, error) {
 		}}
 	}
 	if opts.GroupCommit {
-		window := opts.CommitWindow
-		if window <= 0 {
-			window = defaultCommitWindow
+		w.group = &committer{
+			w: w, window: defaultCommitWindow, cap: defaultCommitLogCap,
+			dirty: make(map[int]bool),
 		}
-		cap := opts.CommitLogCap
-		if cap <= 0 {
-			cap = defaultCommitLogCap
-		}
-		w.group = &committer{w: w, window: window, cap: cap, dirty: make(map[int]bool)}
 		if err := w.recoverCommitLog(); err != nil {
 			_ = w.unlock()
 			return nil, err
@@ -469,24 +458,19 @@ func corrupt(sh *walShard, shard int, path string, off int64, err error) *storag
 
 // wrapCheckpoint prefixes payload with the checksummed checkpoint header.
 func wrapCheckpoint(payload []byte) []byte {
-	out := make([]byte, 0, len(ckptMagic)+4+len(payload))
+	out := make([]byte, 0, ckptHeaderLen+len(payload))
 	out = append(out, ckptMagic...)
 	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
 	return append(out, payload...)
 }
 
-// unwrapCheckpoint strips and verifies the checkpoint header. Files without
-// the magic predate the header and load unchecked (their payload is still
-// sanity-checked by the snapshot decoder above).
+// unwrapCheckpoint strips and verifies the checkpoint header.
 func unwrapCheckpoint(data []byte) ([]byte, error) {
-	if len(data) < len(ckptMagic) || string(data[:len(ckptMagic)]) != ckptMagic {
-		return data, nil
-	}
-	if len(data) < len(ckptMagic)+4 {
-		return nil, fmt.Errorf("%w: truncated checkpoint header", ErrCorrupt)
+	if len(data) < ckptHeaderLen || string(data[:len(ckptMagic)]) != ckptMagic {
+		return nil, fmt.Errorf("%w: bad checkpoint header", ErrCorrupt)
 	}
 	crc := binary.BigEndian.Uint32(data[len(ckptMagic):])
-	payload := data[len(ckptMagic)+4:]
+	payload := data[ckptHeaderLen:]
 	if crc32.Checksum(payload, crcTable) != crc {
 		return nil, fmt.Errorf("%w: checkpoint checksum mismatch", ErrCorrupt)
 	}
@@ -1051,14 +1035,9 @@ func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(storage.R
 			if damage == nil {
 				damage = corrupt(sh, shard, w.ckptPath(shard), 0, cerr)
 			}
-		} else {
-			// Record the payload's byte base (0 for legacy headerless files)
-			// so CheckpointRegion can address values inside this checkpoint.
-			sh.ckptBase = int64(len(snap) - len(payload))
-			if ckpt != nil {
-				if err := ckpt(payload); err != nil {
-					return err
-				}
+		} else if ckpt != nil {
+			if err := ckpt(payload); err != nil {
+				return err
 			}
 		}
 	case !errors.Is(err, fs.ErrNotExist):
@@ -1156,9 +1135,8 @@ func (w *WAL) checkpoint(shard int, snapshot []byte) (uint32, int64, error) {
 	// offsets now address the fresh file.
 	sh.logGen++
 	sh.ckptGen++
-	sh.ckptBase = int64(len(ckptMagic) + 4)
 	sh.dropReadHandles(true, true)
-	return sh.ckptGen, sh.ckptBase, nil
+	return sh.ckptGen, int64(ckptHeaderLen), nil
 }
 
 // Compact rewrites the shard's log keeping only the records replay still
@@ -1316,7 +1294,7 @@ func (w *WAL) CheckpointRegion(shard int) (uint32, int64) {
 		return 0, 0
 	}
 	defer sh.mu.Unlock()
-	return sh.ckptGen, sh.ckptBase
+	return sh.ckptGen, int64(ckptHeaderLen)
 }
 
 // CheckpointPayload implements storage.Pager: a bulk re-read of the whole

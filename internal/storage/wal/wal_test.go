@@ -256,60 +256,51 @@ func TestMidLogCorruptionStreamsPrefix(t *testing.T) {
 	}
 }
 
-// TestCheckpointCorruptionDetected damages a checksummed checkpoint and
-// asserts replay quarantines the shard instead of loading garbage.
+// TestCheckpointCorruptionDetected damages a checkpoint — a payload byte, one
+// bit of the magic, or the whole header missing — and asserts replay
+// quarantines the shard instead of loading garbage, and the scrub agrees.
 func TestCheckpointCorruptionDetected(t *testing.T) {
-	dir := t.TempDir()
-	w := open(t, dir)
-	if err := w.Checkpoint(0, []byte("snapshot-payload")); err != nil {
-		t.Fatal(err)
+	damage := map[string]func([]byte) []byte{
+		"payload":    func(d []byte) []byte { d[len(d)-1] ^= 0xFF; return d },
+		"magic-bit":  func(d []byte) []byte { d[0] ^= 0x01; return d },
+		"headerless": func(d []byte) []byte { return d[ckptHeaderLen:] },
 	}
-	path := w.ckptPath(0)
-	w.Close()
+	for name, dmg := range damage {
+		dmg := dmg
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			w := open(t, dir)
+			if err := w.Checkpoint(0, []byte("snapshot-payload")); err != nil {
+				t.Fatal(err)
+			}
+			path := w.ckptPath(0)
+			w.Close()
 
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xFF
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, dmg(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	w2 := open(t, dir)
-	var ce *storage.CorruptError
-	err = w2.ReplayShard(0, func([]byte) error {
-		t.Fatal("corrupt checkpoint must not reach the callback")
-		return nil
-	}, nil)
-	if !errors.As(err, &ce) || ce.Path != path {
-		t.Fatalf("ReplayShard = %v, want *storage.CorruptError for %s", err, path)
-	}
-	w2.Close()
-	// VerifyShard (the scrub) reports the same damage on a live shard.
-	w3 := open(t, dir)
-	defer w3.Close()
-	if err := w3.VerifyShard(0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("VerifyShard = %v, want ErrCorrupt", err)
-	}
-}
-
-// TestLegacyCheckpointLoads writes a headerless (pre-checksum) checkpoint
-// directly and asserts it still loads — old data directories upgrade in
-// place.
-func TestLegacyCheckpointLoads(t *testing.T) {
-	dir := t.TempDir()
-	w := open(t, dir)
-	defer w.Close()
-	if err := WriteFileAtomic(w.ckptPath(0), []byte("legacy-snapshot")); err != nil {
-		t.Fatal(err)
-	}
-	ckpt, _ := replay(t, w, 0)
-	if string(ckpt) != "legacy-snapshot" {
-		t.Fatalf("legacy checkpoint = %q", ckpt)
-	}
-	if err := w.VerifyShard(0); err != nil {
-		t.Fatalf("VerifyShard on legacy checkpoint: %v", err)
+			w2 := open(t, dir)
+			var ce *storage.CorruptError
+			err = w2.ReplayShard(0, func([]byte) error {
+				t.Fatal("corrupt checkpoint must not reach the callback")
+				return nil
+			}, nil)
+			if !errors.As(err, &ce) || ce.Path != path {
+				t.Fatalf("ReplayShard = %v, want *storage.CorruptError for %s", err, path)
+			}
+			w2.Close()
+			// VerifyShard (the scrub) reports the same damage on a live shard.
+			w3 := open(t, dir)
+			defer w3.Close()
+			if err := w3.VerifyShard(0); !errors.As(err, &ce) || ce.Path != path {
+				t.Fatalf("VerifyShard = %v, want *storage.CorruptError for %s", err, path)
+			}
+		})
 	}
 }
 

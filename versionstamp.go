@@ -190,12 +190,12 @@
 //
 // # Cluster model
 //
-// The partitioned cluster (internal/antientropy's ring mode, built on
-// internal/ring and internal/membership) replaces "every node holds every
-// key" with Dynamo-style ownership: keys hash to virtual stripes, stripes
-// hash onto a consistent-hash ring of node identities, and the R distinct
-// ring successors of a stripe's position own it. The decisions that shape
-// the design:
+// The cluster (internal/antientropy's Cluster, built on internal/ring and
+// internal/membership) places keys by Dynamo-style ownership: keys hash to
+// virtual stripes, stripes hash onto a consistent-hash ring of node
+// identities, and the R distinct ring successors of a stripe's position own
+// it. There is one topology: "every node holds every key" is the same ring
+// with Replication == Nodes. The decisions that shape the design:
 //
 //   - Anti-entropy is owner-scoped. A gossip round exchanges each stripe
 //     only among its R owners, as stripe-scoped digest-tree rounds,
