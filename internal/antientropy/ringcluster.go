@@ -258,7 +258,7 @@ func (c *Cluster) openHints(nd *node) (*hints.Queue, error) {
 	} else {
 		be = storage.NewMemory()
 	}
-	return hints.OpenOptions(be, hints.Options{CapPerTarget: c.hintCap})
+	return hints.Open(be, hints.Options{CapPerTarget: c.hintCap})
 }
 
 // startNode gives the node a fresh server, listener and pool, over the

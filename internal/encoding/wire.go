@@ -77,24 +77,6 @@ func AppendEntry(dst []byte, e Entry) []byte {
 	return AppendCompact(dst, e.Stamp)
 }
 
-// EntryValueOffset returns the byte offset of e's value bytes within the
-// encoding AppendEntry produces: past the uvarint key prefix, the key, the
-// flags byte and the uvarint value length. Meaningless for tombstones,
-// which encode no value field.
-func EntryValueOffset(e Entry) int {
-	return uvarintLen(uint64(len(e.Key))) + len(e.Key) + 1 + uvarintLen(uint64(len(e.Value)))
-}
-
-// uvarintLen is the encoded size of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
 // DecodeEntryMeta parses one entry from the front of data like DecodeEntry,
 // but does not copy the value bytes: the returned entry has a nil Value, and
 // valOff/valLen locate the value field within data (valOff = -1 for

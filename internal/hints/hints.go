@@ -67,24 +67,15 @@ type Options struct {
 }
 
 // Open loads a queue from its backend (replaying checkpoint and log) and
-// takes ownership of it: Close closes the backend.
-func Open(be storage.Backend) (*Queue, error) {
-	return OpenOptions(be, Options{})
-}
-
-// OpenOptions is Open with explicit options. A cap applies to replayed
-// hints too, so reopening an over-full queue under a (new) cap trims it.
-func OpenOptions(be storage.Backend, opts Options) (*Queue, error) {
+// takes ownership of it: Close closes the backend. A cap applies to
+// replayed hints too, so reopening an over-full queue under a (new) cap
+// trims it.
+func Open(be storage.Backend, opts Options) (*Queue, error) {
 	q := &Queue{be: be, pending: make(map[string][]Hint), cap: opts.CapPerTarget}
 	err := be.ReplayShard(hintSlot,
 		func(snapshot []byte) error { return q.loadSnapshot(snapshot) },
-		func(rec storage.Record) error {
-			if rec.Reset {
-				q.pending = make(map[string][]Hint)
-				q.count = 0
-				return nil
-			}
-			h, err := decodeHint(rec.Entry)
+		func(e encoding.Entry) error {
+			h, err := decodeHint(e)
 			if err != nil {
 				return err
 			}
@@ -131,7 +122,7 @@ func (q *Queue) Add(h Hint) error {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.be.Append(hintSlot, storage.Record{Entry: encodeHint(h)}); err != nil {
+	if err := q.be.Append(hintSlot, encodeHint(h)); err != nil {
 		return fmt.Errorf("hints: append: %w", err)
 	}
 	q.push(h)

@@ -15,7 +15,7 @@ func mkHint(target, key, val string) Hint {
 }
 
 func TestAddTakeFIFO(t *testing.T) {
-	q, err := Open(storage.NewMemory())
+	q, err := Open(storage.NewMemory(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAddTakeFIFO(t *testing.T) {
 }
 
 func TestAddValidation(t *testing.T) {
-	q, _ := Open(storage.NewMemory())
+	q, _ := Open(storage.NewMemory(), Options{})
 	if err := q.Add(Hint{Target: "", Key: "k"}); err == nil {
 		t.Fatal("empty target should error")
 	}
@@ -59,7 +59,7 @@ func TestAddValidation(t *testing.T) {
 }
 
 func TestRequeue(t *testing.T) {
-	q, _ := Open(storage.NewMemory())
+	q, _ := Open(storage.NewMemory(), Options{})
 	h := mkHint("b", "k", "v")
 	if err := q.Add(h); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestDurableAcrossReopen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := Open(be)
+		q, err := Open(be, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestDurableAcrossReopen(t *testing.T) {
 }
 
 func TestCapDropsOldest(t *testing.T) {
-	q, err := OpenOptions(storage.NewMemory(), Options{CapPerTarget: 3})
+	q, err := Open(storage.NewMemory(), Options{CapPerTarget: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestCapAppliesOnReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := Open(w) // unbounded writer
+	q, err := Open(w, Options{}) // unbounded writer
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCapAppliesOnReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err = OpenOptions(w, Options{CapPerTarget: 4})
+	q, err = Open(w, Options{CapPerTarget: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,19 +32,15 @@ type Options struct {
 	// Reopening a directory with a different non-zero Shards is an error:
 	// the layout is part of the durable state.
 	Shards int
-	// Fsync syncs the log after every append. Off by default: writes then
-	// survive process crashes but not power loss.
-	Fsync bool
-	// GroupCommit coalesces fsyncs: appends stage their frames and block on
-	// a shared commit barrier, so many concurrent writers amortize one sync.
-	// Durability semantics are unchanged — no mutator returns before its
-	// window's fsync — only the fsync count drops. Implies Fsync-grade
-	// durability regardless of the Fsync flag.
+	// GroupCommit makes every acknowledged write survive power loss: appends
+	// stage their frames and block on a shared commit barrier, so many
+	// concurrent writers amortize one fsync and no mutator returns before
+	// its window's fsync. Off by default: writes then survive process
+	// crashes (the OS holds the bytes) but not power loss.
 	GroupCommit bool
 	// Paged keeps only per-key metadata (stamp, tombstone flag, value
 	// location) resident for checkpointed entries; value bytes stay in the
-	// checkpoint files and fault in through a sized cache. Requires a
-	// backend implementing storage.Pager. See paged.go.
+	// checkpoint files and fault in through a sized cache. See paged.go.
 	Paged bool
 	// CacheBytes bounds the paged read cache (0 = DefaultCacheBytes).
 	CacheBytes int64
@@ -72,7 +68,7 @@ func Open(dir string, opts Options) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	be, err := wal.Open(dir, wal.Options{Fsync: opts.Fsync, GroupCommit: opts.GroupCommit})
+	be, err := wal.Open(dir, wal.Options{GroupCommit: opts.GroupCommit})
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open %s: %w", dir, err)
 	}
@@ -174,11 +170,6 @@ func openBackend(be storage.Backend, label string, shards int, paged bool, cache
 	damaged := make(map[int]error)
 	for i := 0; i < n; i++ {
 		sh := &r.shards[i]
-		reset := func() {
-			sh.data = make(map[string]Versioned)
-			sh.cold = nil
-			sh.tombs = make(map[string]uint64)
-		}
 		err := be.ReplayShard(i,
 			func(snap []byte) error {
 				if r.paged {
@@ -186,12 +177,7 @@ func openBackend(be storage.Backend, label string, shards int, paged bool, cache
 				}
 				return r.loadShardCheckpoint(i, snap)
 			},
-			func(rec storage.Record) error {
-				if rec.Reset {
-					reset()
-					return nil
-				}
-				e := rec.Entry
+			func(e encoding.Entry) error {
 				if ShardIndex(e.Key, n) != i {
 					return fmt.Errorf("kvstore: replay shard %d: key %q belongs to shard %d",
 						i, e.Key, ShardIndex(e.Key, n))
@@ -210,7 +196,9 @@ func openBackend(be storage.Backend, label string, shards int, paged bool, cache
 				return nil, err
 			}
 			damaged[i] = err
-			reset()
+			sh.data = make(map[string]Versioned)
+			sh.cold = nil
+			sh.tombs = make(map[string]uint64)
 		}
 		if r.paged && sh.cold != nil {
 			// The checkpoint callback stored payload-relative value offsets
@@ -435,24 +423,6 @@ func (r *Replica) checkpointShardPagedLocked(i int) error {
 	sh.cold = ncs
 	sh.data = make(map[string]Versioned)
 	r.cache.InvalidateShard(i)
-	return nil
-}
-
-// Compact asks the backend to drop log records superseded within each
-// stripe's log — cheaper than a checkpoint (no snapshot is written) and
-// safe to run concurrently with writers. No-op without a backend.
-func (r *Replica) Compact() error {
-	if r.backend == nil {
-		return nil
-	}
-	for i := range r.shards {
-		if r.StripeQuarantined(i) {
-			continue // the backend would refuse; repair goes through RepairStripe
-		}
-		if err := r.backend.Compact(i); err != nil {
-			return fmt.Errorf("kvstore: compact shard %d: %w", i, err)
-		}
-	}
 	return nil
 }
 

@@ -307,41 +307,6 @@ func TestCheckpointBoundsReplayAndKeepsWrites(t *testing.T) {
 	requireEqualStamps(t, r, reopened)
 }
 
-func TestCompactShrinksDurableLog(t *testing.T) {
-	dir := t.TempDir()
-	r, err := Open(dir, Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		r.Put("hot", []byte(fmt.Sprintf("v%d", i)))
-	}
-	path := filepath.Join(dir, "shard-0000.wal")
-	before, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() >= before.Size()/10 {
-		t.Errorf("compact left %d of %d bytes", after.Size(), before.Size())
-	}
-	if err := r.Abandon(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	requireEqualStamps(t, r, reopened)
-}
-
 // TestSyncMutationsAreDurable drives the in-process Sync write path (which
 // bypasses Put/Delete) between two durable replicas and asserts both sides'
 // logs captured the reconciliation.

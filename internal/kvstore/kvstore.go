@@ -299,15 +299,13 @@ func (r *Replica) logSet(si int, key string, v Versioned) {
 		// the quarantine.
 		return
 	}
-	rec := storage.Record{Entry: encoding.Entry{
-		Key: key, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp,
-	}}
+	e := encoding.Entry{Key: key, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp}
 	if r.asyncBE != nil {
 		// Group commit: stage the append under the stripe lock (preserving
 		// log order) and park the durability barrier; the public mutator
 		// drains it after the lock releases, so many writers' appends share
 		// one fsync. Nothing is acknowledged before the barrier resolves.
-		wait, err := r.asyncBE.AppendAsync(si, rec)
+		wait, err := r.asyncBE.AppendAsync(si, e)
 		if err != nil {
 			r.notePersistErr(err)
 			return
@@ -317,13 +315,13 @@ func (r *Replica) logSet(si int, key string, v Versioned) {
 		}
 		return
 	}
-	if err := r.backend.Append(si, rec); err != nil {
+	if err := r.backend.Append(si, e); err != nil {
 		r.notePersistErr(err)
 	}
 }
 
 // logAdopt persists a wholesale stripe replacement (Adopt) as a backend
-// checkpoint rather than a reset plus one record per key: adoption
+// checkpoint rather than one log entry per key: adoption
 // rewrites the entire stripe anyway, so a checkpoint leaves the log empty
 // instead of growing it by the keyspace. Stripe write lock held, so no
 // append interleaves.
@@ -445,7 +443,7 @@ func (r *Replica) Get(key string) (value []byte, ok bool) {
 	// Cache probe before the index: a hot key that is already faulted in
 	// skips the binary search entirely (see coldValue for why a name hit is
 	// always a current live value).
-	if buf, hit := r.cache.Lookup(pagecache.Key{Shard: si, Gen: cs.gen, Ckpt: true, Name: key}); hit {
+	if buf, hit := r.cache.Lookup(pagecache.Key{Shard: si, Gen: cs.gen, Name: key}); hit {
 		sh.mu.RUnlock()
 		return buf, true
 	}

@@ -118,11 +118,9 @@ func (r *Replica) coldValue(si int, cs *coldStripe, x int, key string) ([]byte, 
 	if cs.lens[x] == 0 {
 		return nil, nil
 	}
-	ck := pagecache.Key{Shard: si, Gen: cs.gen, Ckpt: true, Name: key}
+	ck := pagecache.Key{Shard: si, Gen: cs.gen, Name: key}
 	return r.cache.Get(ck, func() ([]byte, error) {
-		return r.pager.ReadValueAt(si, storage.ValueLoc{
-			Off: cs.offs[x], Len: cs.lens[x], Gen: cs.gen, Ckpt: true,
-		})
+		return r.pager.ReadValueAt(si, storage.ValueLoc{Off: cs.offs[x], Len: cs.lens[x], Gen: cs.gen})
 	})
 }
 

@@ -1,7 +1,7 @@
 // Package pagecache is the admission cache between the replica's read path
 // and the WAL's point reads. A paged replica keeps only key → (stamp,
-// location) resident; the value bytes live in the shard's log or checkpoint
-// file and are faulted in on demand. This cache bounds how many of those
+// location) resident; the value bytes live in the shard's checkpoint file
+// and are faulted in on demand. This cache bounds how many of those
 // faulted values stay in RAM: a sharded LRU with a byte budget, singleflight
 // fills so a hot key being faulted by many readers costs one disk read, and
 // hit/miss/byte counters the memory benchmark reports.
@@ -17,17 +17,16 @@ import (
 	"sync/atomic"
 )
 
-// Key identifies one cached value by (store shard, generation, region,
-// user-visible key). Keying by name rather than file offset lets the read
-// path probe the cache BEFORE resolving the key to a location — a hit skips
-// the cold index's binary search entirely. Generations advance when a
-// checkpoint or compaction rewrites a file, so entries cached against a
-// superseded layout can never be returned — they simply stop being looked
-// up and age out of the LRU.
+// Key identifies one cached value by (store shard, checkpoint generation,
+// user-visible key); values come from checkpoints only. Keying by name
+// rather than file offset lets the read path probe the cache BEFORE
+// resolving the key to a location — a hit skips the cold index's binary
+// search entirely. Generations advance when a checkpoint replaces the file,
+// so entries cached against a superseded layout can never be returned —
+// they simply stop being looked up and age out of the LRU.
 type Key struct {
 	Shard int
 	Gen   uint32
-	Ckpt  bool
 	Name  string
 }
 
@@ -161,7 +160,7 @@ func (c *Cache) Peek(key Key) ([]byte, bool) {
 }
 
 // InvalidateShard drops every cached entry for the given store shard. Called
-// after a checkpoint or compaction rewrites the shard's files: the
+// after a checkpoint replaces the shard's files: the
 // generation in the key already prevents stale hits, so this only releases
 // budget the rewritten locations can no longer earn back.
 func (c *Cache) InvalidateShard(shard int) {
@@ -257,17 +256,15 @@ func (sh *cacheShard) moveToFront(n *node) {
 }
 
 // shardOf hashes a key to its cache shard (FNV-1a over the name, mixed
-// with the location fields through a splitmix64 finalizer).
+// with the location fields through a splitmix64 finalizer). The top bit is
+// the retired checkpoint-region flag, kept so keys spread exactly as before.
 func shardOf(k Key) int {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(k.Name); i++ {
 		h ^= uint64(k.Name[i])
 		h *= 1099511628211
 	}
-	x := h ^ uint64(k.Shard)<<40 ^ uint64(k.Gen)<<32
-	if k.Ckpt {
-		x ^= 1 << 63
-	}
+	x := h ^ uint64(k.Shard)<<40 ^ uint64(k.Gen)<<32 ^ 1<<63
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

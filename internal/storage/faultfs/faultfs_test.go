@@ -10,10 +10,8 @@ import (
 	"versionstamp/internal/storage/wal"
 )
 
-func rec(key, value string) storage.Record {
-	return storage.Record{Entry: encoding.Entry{
-		Key: key, Value: []byte(value), Stamp: core.Seed().Update(),
-	}}
+func rec(key, value string) encoding.Entry {
+	return encoding.Entry{Key: key, Value: []byte(value), Stamp: core.Seed().Update()}
 }
 
 // TestDeterministicDecisions runs the same fault schedule twice and demands
@@ -129,11 +127,11 @@ func TestInjectedNoSpaceRollsBackWAL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after rollback: %v", err)
 	}
-	var recs []storage.Record
-	if err := w2.ReplayShard(0, nil, func(r storage.Record) error { recs = append(recs, r); return nil }); err != nil {
+	var recs []encoding.Entry
+	if err := w2.ReplayShard(0, nil, func(e encoding.Entry) error { recs = append(recs, e); return nil }); err != nil {
 		t.Fatalf("replay after rollback: %v", err)
 	}
-	if len(recs) != 1 || string(recs[0].Entry.Value) != "2" {
+	if len(recs) != 1 || string(recs[0].Value) != "2" {
 		t.Fatalf("records after rollback = %+v, want just value 2", recs)
 	}
 	w2.Close()

@@ -7,15 +7,15 @@ import (
 	"versionstamp/internal/encoding"
 )
 
-func rec(key, value string) Record {
-	return Record{Entry: encoding.Entry{Key: key, Value: []byte(value), Stamp: core.Seed().Update()}}
+func rec(key, value string) encoding.Entry {
+	return encoding.Entry{Key: key, Value: []byte(value), Stamp: core.Seed().Update()}
 }
 
-func replayAll(t *testing.T, be Backend, shard int) (ckpt []byte, recs []Record) {
+func replayAll(t *testing.T, be Backend, shard int) (ckpt []byte, recs []encoding.Entry) {
 	t.Helper()
 	err := be.ReplayShard(shard,
 		func(snap []byte) error { ckpt = append([]byte(nil), snap...); return nil },
-		func(r Record) error { recs = append(recs, r); return nil })
+		func(e encoding.Entry) error { recs = append(recs, e); return nil })
 	if err != nil {
 		t.Fatalf("ReplayShard(%d): %v", shard, err)
 	}
@@ -37,10 +37,10 @@ func TestMemoryAppendReplay(t *testing.T) {
 	if ckpt != nil {
 		t.Errorf("unexpected checkpoint %q", ckpt)
 	}
-	if len(recs) != 2 || recs[0].Entry.Key != "a" || recs[1].Entry.Key != "b" {
+	if len(recs) != 2 || recs[0].Key != "a" || recs[1].Key != "b" {
 		t.Errorf("shard 0 records = %+v", recs)
 	}
-	if _, recs := replayAll(t, m, 3); len(recs) != 1 || recs[0].Entry.Key != "c" {
+	if _, recs := replayAll(t, m, 3); len(recs) != 1 || recs[0].Key != "c" {
 		t.Errorf("shard 3 records = %+v", recs)
 	}
 	if _, recs := replayAll(t, m, 7); len(recs) != 0 {
@@ -59,45 +59,7 @@ func TestMemoryCheckpointTruncatesLog(t *testing.T) {
 	if string(ckpt) != "snapshot" {
 		t.Errorf("checkpoint = %q", ckpt)
 	}
-	if len(recs) != 1 || recs[0].Entry.Key != "b" {
+	if len(recs) != 1 || recs[0].Key != "b" {
 		t.Errorf("post-checkpoint records = %+v", recs)
-	}
-}
-
-func TestCompactRecords(t *testing.T) {
-	log := []Record{
-		rec("a", "1"),
-		rec("b", "1"),
-		{Reset: true},
-		rec("a", "2"),
-		rec("c", "1"),
-		rec("a", "3"),
-	}
-	got := CompactRecords(log)
-	if len(got) != 3 || !got[0].Reset {
-		t.Fatalf("compacted = %+v", got)
-	}
-	// The reset survives, then each key's last record in original order.
-	if got[1].Entry.Key != "c" || got[2].Entry.Key != "a" || string(got[2].Entry.Value) != "3" {
-		t.Errorf("compacted tail = %+v", got[1:])
-	}
-
-	if got := CompactRecords(nil); len(got) != 0 {
-		t.Errorf("compacting empty log = %+v", got)
-	}
-}
-
-func TestMemoryCompact(t *testing.T) {
-	m := NewMemory()
-	for i := 0; i < 5; i++ {
-		_ = m.Append(0, rec("hot", string(rune('0'+i))))
-	}
-	_ = m.Append(0, rec("cold", "x"))
-	if err := m.Compact(0); err != nil {
-		t.Fatal(err)
-	}
-	_, recs := replayAll(t, m, 0)
-	if len(recs) != 2 {
-		t.Fatalf("compacted to %d records, want 2: %+v", len(recs), recs)
 	}
 }

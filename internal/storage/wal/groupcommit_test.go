@@ -68,10 +68,15 @@ func commitFrame(shard int, stripeOff int64, frame []byte) []byte {
 	payload = binary.AppendUvarint(payload, uint64(shard))
 	payload = binary.AppendUvarint(payload, uint64(stripeOff))
 	payload = append(payload, frame...)
+	return rawFrame(payload)
+}
+
+// rawFrame hand-encodes one frame around payload: length prefix, payload,
+// CRC — whatever the payload's kind.
+func rawFrame(payload []byte) []byte {
 	out := binary.AppendUvarint(nil, uint64(len(payload)))
 	out = append(out, payload...)
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	return out
+	return binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
 }
 
 // TestGroupCommitAckedSurviveStripeLoss is the headline durability claim:
@@ -87,8 +92,8 @@ func TestGroupCommitAckedSurviveStripeLoss(t *testing.T) {
 		t.Fatalf("recovered %d records, want 8", len(recs))
 	}
 	for i, r := range recs {
-		if want := fmt.Sprintf("v%d", i); string(r.Entry.Value) != want {
-			t.Fatalf("record %d = %q, want %q", i, r.Entry.Value, want)
+		if want := fmt.Sprintf("v%d", i); string(r.Value) != want {
+			t.Fatalf("record %d = %q, want %q", i, r.Value, want)
 		}
 	}
 	// Recovery rebuilt the stripe log byte-for-byte and emptied the commit
@@ -107,10 +112,11 @@ func TestGroupCommitAckedSurviveStripeLoss(t *testing.T) {
 }
 
 // TestGroupCommitConcurrentAcksSurvive drives 32 writers, 8 appends each
-// spread over 8 shards, through both durable modes — a per-append fsync and
-// shared commit windows — then closes and reopens: every acked record must
-// come back. Under group commit the stripe files are lost first, so the
-// commit log alone has to carry them.
+// spread over 8 shards, through both modes — the default buffered appends
+// (what ring nodes and panasync serve -data-dir run) and shared commit
+// windows — then closes and reopens: every acked record must come back.
+// Under group commit the stripe files are lost first, so the commit log
+// alone has to carry them.
 func TestGroupCommitConcurrentAcksSurvive(t *testing.T) {
 	const writers, perWriter, shards = 32, 8, 8
 	key := func(i, j int) string { return fmt.Sprintf("w%02d-%d", i, j) }
@@ -118,7 +124,7 @@ func TestGroupCommitConcurrentAcksSurvive(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"fsync", Options{Fsync: true}},
+		{"buffered", Options{}},
 		{"group", Options{GroupCommit: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,7 +184,7 @@ func replayedKeys(t *testing.T, w *WAL, shards int) map[string]bool {
 	for shard := 0; shard < shards; shard++ {
 		_, recs := replay(t, w, shard)
 		for _, r := range recs {
-			seen[r.Entry.Key] = true
+			seen[r.Key] = true
 		}
 	}
 	return seen
@@ -295,8 +301,8 @@ func TestGroupCommitStripeCutProperty(t *testing.T) {
 			t.Fatalf("cut at %d: recovered %d records, want 8", cut, len(recs))
 		}
 		for i, r := range recs {
-			if want := fmt.Sprintf("v%d", i); string(r.Entry.Value) != want {
-				t.Fatalf("cut at %d: record %d = %q, want %q", cut, i, r.Entry.Value, want)
+			if want := fmt.Sprintf("v%d", i); string(r.Value) != want {
+				t.Fatalf("cut at %d: record %d = %q, want %q", cut, i, r.Value, want)
 			}
 		}
 		got, err := os.ReadFile(LogPath(dir, 0))
@@ -326,16 +332,16 @@ func TestGroupCommitCommitCutProperty(t *testing.T) {
 		}
 		_, recs := replay(t, w, 0)
 		for i, r := range recs {
-			if want := fmt.Sprintf("v%d", i); string(r.Entry.Value) != want {
+			if want := fmt.Sprintf("v%d", i); string(r.Value) != want {
 				t.Fatalf("cut at %d: replay is not an op prefix: record %d = %q, want %q",
-					cut, i, r.Entry.Value, want)
+					cut, i, r.Value, want)
 			}
 		}
 		if err := w.Append(0, rec("key", "post")); err != nil {
 			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
 		}
 		_, recs2 := replay(t, w, 0)
-		if len(recs2) != len(recs)+1 || string(recs2[len(recs)].Entry.Value) != "post" {
+		if len(recs2) != len(recs)+1 || string(recs2[len(recs)].Value) != "post" {
 			t.Fatalf("cut at %d: post-recovery append lost (%d -> %d records)",
 				cut, len(recs), len(recs2))
 		}
@@ -391,8 +397,8 @@ func TestGroupCommitStaleAndDanglingFramesSkipped(t *testing.T) {
 		t.Fatalf("recovered %d records, want 4 (3 original + 1 materialized)", len(recs))
 	}
 	for i, want := range []string{"v0", "v1", "v2", "v0"} {
-		if string(recs[i].Entry.Value) != want {
-			t.Fatalf("record %d = %q, want %q", i, recs[i].Entry.Value, want)
+		if string(recs[i].Value) != want {
+			t.Fatalf("record %d = %q, want %q", i, recs[i].Value, want)
 		}
 	}
 	if fi, err := os.Stat(LogPath(dir, 0)); err != nil || fi.Size() != end+int64(len(frame0)) {
@@ -493,7 +499,7 @@ func TestGroupCommitShortBatchRollsBack(t *testing.T) {
 	_, recs := replay(t, w2, 0)
 	keys := map[string]bool{}
 	for _, r := range recs {
-		keys[r.Entry.Key] = true
+		keys[r.Key] = true
 	}
 	if !keys["b"] {
 		t.Fatalf("acked record b lost after short-batch rollback: %+v", recs)

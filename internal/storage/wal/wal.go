@@ -1,25 +1,27 @@
 // Package wal implements the log-structured file-per-stripe storage.Backend:
 // each stripe owns an append-only log of length-prefixed, CRC-protected
-// record frames plus a checkpoint file holding the stripe's latest binary
+// entry frames plus a checkpoint file holding the stripe's latest binary
 // snapshot. Appends are a single write to one file; restart replays the
 // checkpoint and then the log tail.
 //
 // # On-disk layout
 //
-//	<dir>/shard-NNNN.wal   record log, a sequence of frames
+//	<dir>/shard-NNNN.wal   entry log, a sequence of frames
 //	<dir>/shard-NNNN.ckpt  latest checkpoint (kvstore binary shard snapshot)
 //	<dir>/commit.wal       group-commit log (GroupCommit mode only)
 //
 //	frame   := uvarint(len(payload)) payload crc32c(payload)   // crc big-endian
 //	payload := 0x01 entry            // set: encoding.AppendEntry bytes
-//	         | 0x02                  // reset: clear the stripe
 //	         | 0x03 uvarint(shard) uvarint(off) raw-frame      // commit.wal only
+//
+// Any other payload kind — including 0x02, a retired stripe-reset record —
+// is corruption, even under a valid CRC.
 //
 // # Group commit
 //
-// With Options.GroupCommit, appends stop fsyncing their stripe file inline.
-// Instead each append writes its frame to the stripe log (no sync), then
-// registers the raw frame bytes with a shared committer and receives a wait
+// With Options.GroupCommit, each append writes its frame to the stripe log
+// (no sync), then registers the raw frame bytes with a shared committer and
+// receives a wait
 // function — the commit barrier. The committer coalesces all registrations
 // arriving within a short window (bounded by defaultCommitWindow), writes
 // one batch of commit frames — each carrying the shard, the frame's offset
@@ -37,10 +39,10 @@
 // is truncated, so the ordinary checkpoint + log-tail replay machinery runs
 // over complete stripe logs and never sees the commit log at all.
 //
-// Checkpoint and Compact rotate first — fsync every stripe file the
-// committer dirtied, then truncate and fsync commit.wal — so no stale
-// commit frame can outlive the log truncation it refers into; the commit
-// log also rotates in the background when it exceeds defaultCommitLogCap.
+// Checkpoint rotates first — fsync every stripe file the committer
+// dirtied, then truncate and fsync commit.wal — so no stale commit frame
+// can outlive the log truncation it refers into; the commit log also
+// rotates in the background when it exceeds defaultCommitLogCap.
 //
 // # Crash safety
 //
@@ -53,13 +55,13 @@
 // write and is reported as corruption instead of silently truncated.
 //
 // By default appends reach the OS buffer cache (durable across process
-// crashes, not power loss); Options.Fsync syncs every append for full
-// durability at a large throughput cost. Checkpoints always fsync and
-// rename, whatever the option, so a half-written checkpoint can never
-// replace a good one. Every checkpoint carries a checksummed header
-// (ckptMagic + CRC32-Castagnoli over the payload), so at-rest checkpoint
-// damage is detected exactly like frame damage; a file without the header
-// is corrupt.
+// crashes, not power loss); Options.GroupCommit makes every acknowledged
+// append survive power loss too, through the commit log's shared fsync
+// (above). Checkpoints always fsync and rename, whatever the option, so a
+// half-written checkpoint can never replace a good one. Every checkpoint
+// carries a checksummed header (ckptMagic + CRC32-Castagnoli over the
+// payload), so at-rest checkpoint damage is detected exactly like frame
+// damage; a file without the header is corrupt.
 //
 // # Quarantine
 //
@@ -67,9 +69,9 @@
 // shard it lives in, never to the directory. Open records the damage (a
 // *storage.CorruptError naming the file and byte offset) and keeps going:
 // healthy shards recover and serve normally, while the damaged shard
-// latches — appends and Compact return the corruption, and ReplayShard
-// streams the intact prefix before reporting it, so a caller keeps every
-// readable record. Checkpoint is the repair path: a fresh checkpoint holds
+// latches — appends return the corruption, and ReplayShard streams the
+// intact prefix before reporting it, so a caller keeps every readable
+// entry. Checkpoint is the repair path: a fresh checkpoint holds
 // the shard's full state, so it truncates the damaged log and clears the
 // latch. VerifyShard is the scrub path: it re-reads a live shard's frames
 // and checkpoint against their checksums and latches on damage, demoting
@@ -103,10 +105,9 @@ import (
 	"versionstamp/internal/storage"
 )
 
-// Record payload kinds.
+// Frame payload kinds.
 const (
 	recSet    = 0x01
-	recReset  = 0x02
 	recCommit = 0x03 // commit.wal only: uvarint(shard) uvarint(off) raw frame
 )
 
@@ -157,10 +158,11 @@ type FaultInjector interface {
 	Append(shard int, frame []byte) (int, error)
 	// Truncate is consulted before the rollback truncation that removes a
 	// partial frame; an error simulates a rollback that cannot complete, so
-	// the shard latches read-only until a checkpoint or compact heals it.
+	// the shard latches read-only until a checkpoint heals it.
 	Truncate(shard int) error
-	// Sync is consulted before an fsync; an error fails the append after its
-	// bytes landed (durability in doubt, frames intact).
+	// Sync is consulted before a stripe-log fsync (the group-commit rotation
+	// ahead of a checkpoint or at the commit-log cap); an error fails that
+	// rotation with its frames intact, leaving the commit log in place.
 	Sync(shard int) error
 	// Checkpoint is consulted before a checkpoint write; an error fails the
 	// checkpoint before anything on disk is replaced.
@@ -184,16 +186,11 @@ type CommitFaultInjector interface {
 
 // Options configures a WAL.
 type Options struct {
-	// Fsync syncs the log file after every append. Off by default: appends
-	// then survive process crashes (the OS holds the bytes) but not power
-	// loss.
-	Fsync bool
 	// GroupCommit turns on the group-commit pipeline (see the package
 	// comment): appends become durable through the shared commit log's
-	// batched fsync instead of a per-append stripe-file sync, and callers
-	// that can overlap writers should use AppendAsync to share windows.
-	// Implies full power-loss durability like Fsync, at a fraction of the
-	// fsync count.
+	// batched fsync, and callers that can overlap writers should use
+	// AppendAsync to share windows. Off by default: appends then survive
+	// process crashes (the OS holds the bytes) but not power loss.
 	GroupCommit bool
 	// Fault, when non-nil, intercepts physical operations for deterministic
 	// fault injection (see FaultInjector and internal/storage/faultfs).
@@ -204,7 +201,6 @@ type Options struct {
 // on the same shard serialize on the shard's mutex.
 type WAL struct {
 	dir   string
-	fsync bool
 	fault FaultInjector // nil = healthy disk
 	group *committer    // nil unless Options.GroupCommit
 	lock  *os.File      // advisory directory lock, released by Close (or process death)
@@ -219,30 +215,22 @@ type walShard struct {
 	f      *os.File // append handle, opened lazily
 	size   int64    // current log length, maintained so a partial write can be undone
 	failed error    // set when a partial frame could not be rolled back: shard read-only
-	// quar records proven corruption scoped to this shard: appends and
-	// Compact refuse with it, ReplayShard streams the intact prefix then
-	// reports it, and Checkpoint (whose snapshot supersedes the damaged
-	// bytes) clears it.
+	// quar records proven corruption scoped to this shard: appends refuse
+	// with it, ReplayShard streams the intact prefix then reports it, and
+	// Checkpoint (whose snapshot supersedes the damaged bytes) clears it.
 	quar *storage.CorruptError
 
-	// Paging state (storage.Pager): generations guard outstanding value
-	// locations against log truncation (logGen: Checkpoint, Compact) and
-	// checkpoint replacement (ckptGen); the read handles serve point preads
-	// and are closed whenever their file is truncated or replaced.
-	logGen  uint32
+	// Paging state (storage.Pager): ckptGen guards outstanding value
+	// locations against checkpoint replacement; cf serves point preads and
+	// is closed whenever the checkpoint is replaced.
 	ckptGen uint32
-	rf      *os.File // log read handle, opened lazily
 	cf      *os.File // checkpoint read handle, opened lazily
 }
 
-// dropReadHandles closes the shard's pread handles; callers hold sh.mu and
-// bump the matching generation so outstanding locations die with them.
-func (sh *walShard) dropReadHandles(log, ckpt bool) {
-	if log && sh.rf != nil {
-		_ = sh.rf.Close()
-		sh.rf = nil
-	}
-	if ckpt && sh.cf != nil {
+// dropReadHandle closes the shard's checkpoint pread handle; callers hold
+// sh.mu and bump ckptGen so outstanding locations die with it.
+func (sh *walShard) dropReadHandle() {
+	if sh.cf != nil {
 		_ = sh.cf.Close()
 		sh.cf = nil
 	}
@@ -264,7 +252,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &WAL{dir: dir, fsync: opts.Fsync, fault: opts.Fault, lock: lock, shards: make(map[int]*walShard)}
+	w := &WAL{dir: dir, fault: opts.Fault, lock: lock, shards: make(map[int]*walShard)}
 	logs, err := filepath.Glob(filepath.Join(dir, "shard-*.wal"))
 	if err != nil {
 		_ = w.unlock()
@@ -495,44 +483,30 @@ func (w *WAL) shard(i int) (*walShard, error) {
 	return sh, nil
 }
 
-// appendFrame encodes rec as one frame.
-func appendFrame(dst []byte, rec storage.Record) []byte {
-	var payload []byte
-	if rec.Reset {
-		payload = []byte{recReset}
-	} else {
-		payload = append(make([]byte, 0, 64), recSet)
-		payload = encoding.AppendEntry(payload, rec.Entry)
-	}
+// appendFrame encodes e as one set frame.
+func appendFrame(dst []byte, e encoding.Entry) []byte {
+	payload := append(make([]byte, 0, 64), recSet)
+	payload = encoding.AppendEntry(payload, e)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	dst = append(dst, payload...)
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
 }
 
-// decodePayload parses one checksummed payload into a Record. A payload that
-// passes its CRC but does not decode is corruption, never a torn write.
-func decodePayload(payload []byte) (storage.Record, error) {
-	if len(payload) == 0 {
-		return storage.Record{}, fmt.Errorf("%w: empty record", ErrCorrupt)
+// decodePayload parses one checksummed set payload. A payload that passes
+// its CRC but does not decode — any other kind included — is corruption,
+// never a torn write.
+func decodePayload(payload []byte) (encoding.Entry, error) {
+	if len(payload) == 0 || payload[0] != recSet {
+		return encoding.Entry{}, fmt.Errorf("%w: not a set record", ErrCorrupt)
 	}
-	switch payload[0] {
-	case recReset:
-		if len(payload) != 1 {
-			return storage.Record{}, fmt.Errorf("%w: reset record with body", ErrCorrupt)
-		}
-		return storage.Record{Reset: true}, nil
-	case recSet:
-		e, used, err := encoding.DecodeEntry(payload[1:])
-		if err != nil {
-			return storage.Record{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if used != len(payload)-1 {
-			return storage.Record{}, fmt.Errorf("%w: %d trailing record bytes", ErrCorrupt, len(payload)-1-used)
-		}
-		return storage.Record{Entry: e}, nil
-	default:
-		return storage.Record{}, fmt.Errorf("%w: unknown record kind 0x%02x", ErrCorrupt, payload[0])
+	e, used, err := encoding.DecodeEntry(payload[1:])
+	if err != nil {
+		return encoding.Entry{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	if used != len(payload)-1 {
+		return encoding.Entry{}, fmt.Errorf("%w: %d trailing record bytes", ErrCorrupt, len(payload)-1-used)
+	}
+	return e, nil
 }
 
 // scanFrames walks the frames of data, calling fn (when non-nil) with each
@@ -578,15 +552,15 @@ func scanFrames(data []byte, fn func(off int, payload []byte) error) (valid int,
 }
 
 // scanLog is scanFrames plus payload decoding: fn (when non-nil) receives
-// each intact record with its frame's byte offset.
-func scanLog(data []byte, fn func(off int, rec storage.Record) error) (valid int, err error) {
+// each intact entry with its frame's byte offset.
+func scanLog(data []byte, fn func(off int, e encoding.Entry) error) (valid int, err error) {
 	return scanFrames(data, func(off int, payload []byte) error {
-		rec, err := decodePayload(payload)
+		e, err := decodePayload(payload)
 		if err != nil {
 			return fmt.Errorf("%w (offset %d)", err, off)
 		}
 		if fn != nil {
-			return fn(off, rec)
+			return fn(off, e)
 		}
 		return nil
 	})
@@ -615,10 +589,10 @@ func recoverLog(path string) (int64, error) {
 	return int64(valid), nil
 }
 
-// appendLocked writes rec's frame to the shard's log under sh.mu (held by
-// the caller), rolling back failed or short writes by truncation. It does
-// not sync. Returns the frame's starting offset and the frame bytes.
-func (w *WAL) appendLocked(sh *walShard, shard int, rec storage.Record) (int64, []byte, error) {
+// appendLocked writes e's frame to the shard's log under sh.mu (held by the
+// caller), rolling back failed or short writes by truncation. It does not
+// sync. Returns the frame's starting offset and the frame bytes.
+func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) (int64, []byte, error) {
 	if sh.quar != nil {
 		return 0, nil, sh.quar
 	}
@@ -637,7 +611,7 @@ func (w *WAL) appendLocked(sh *walShard, shard int, rec storage.Record) (int64, 
 		}
 		sh.f, sh.size = f, fi.Size()
 	}
-	frame := appendFrame(make([]byte, 0, 64), rec)
+	frame := appendFrame(make([]byte, 0, 64), e)
 	allow, injected := len(frame), error(nil)
 	if w.fault != nil {
 		allow, injected = w.fault.Append(shard, frame)
@@ -715,49 +689,40 @@ func (w *WAL) syncLocked(sh *walShard, shard int) error {
 	return nil
 }
 
-// Append logs one record for the shard. A failed or short write is rolled
+// Append logs one entry for the shard. A failed or short write is rolled
 // back by truncating the log to its pre-append length: without that, the
 // partial frame would sit between intact frames once later appends succeed,
 // and the next open would refuse the shard as corrupt instead of recovering
 // a torn tail. A quarantined shard refuses appends outright — nothing may
 // land after damaged bytes. In group-commit mode, Append blocks on the
-// record's commit window; concurrent writers wanting to share a window use
+// entry's commit window; concurrent writers wanting to share a window use
 // AppendAsync.
-func (w *WAL) Append(shard int, rec storage.Record) error {
-	wait, err := w.AppendAsync(shard, rec)
+func (w *WAL) Append(shard int, e encoding.Entry) error {
+	wait, err := w.AppendAsync(shard, e)
 	if err != nil || wait == nil {
 		return err
 	}
 	return wait()
 }
 
-// AppendAsync implements storage.AsyncBackend: it stages the record in the
+// AppendAsync implements storage.AsyncBackend: it stages the entry in the
 // stripe log and returns the commit-window barrier as a wait function (nil
-// outside group-commit mode, where Append's inline durability already
-// applied). Callers must invoke wait outside the stripe lock and must not
-// acknowledge the write before it returns nil.
-func (w *WAL) AppendAsync(shard int, rec storage.Record) (func() error, error) {
+// outside group-commit mode, where the write to the OS buffer is all the
+// durability there is). Callers must invoke wait outside the stripe lock
+// and must not acknowledge the write before it returns nil.
+func (w *WAL) AppendAsync(shard int, e encoding.Entry) (func() error, error) {
 	sh, err := w.shard(shard)
 	if err != nil {
 		return nil, err
 	}
-	off, frame, err := w.appendLocked(sh, shard, rec)
-	if err != nil {
-		sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	off, frame, err := w.appendLocked(sh, shard, e)
+	if err != nil || w.group == nil {
 		return nil, err
 	}
-	if w.group != nil {
-		// Register under sh.mu so the commit log sees this stripe's frames
-		// in offset order — recovery materializes strictly in that order.
-		wait := w.group.register(shard, off, frame)
-		sh.mu.Unlock()
-		return wait, nil
-	}
-	if w.fsync {
-		err = w.syncLocked(sh, shard)
-	}
-	sh.mu.Unlock()
-	return nil, err
+	// Register under sh.mu so the commit log sees this stripe's frames in
+	// offset order — recovery materializes strictly in that order.
+	return w.group.register(shard, off, frame), nil
 }
 
 // committer is the group-commit engine: one per WAL, batching every
@@ -953,9 +918,9 @@ func (c *committer) flush(reqs []commitReq) error {
 
 // rotate makes the stripe files self-sufficient and empties the commit log:
 // fsync every stripe file the committer dirtied, then truncate and fsync
-// commit.wal. Checkpoint and Compact rotate first so no commit frame can
-// refer into a log region they are about to truncate or rewrite; callers
-// must NOT hold any shard's mutex (rotation takes them one at a time).
+// commit.wal. Checkpoint rotates first so no commit frame can refer into a
+// log region it is about to truncate; callers must NOT hold any shard's
+// mutex (rotation takes them one at a time).
 func (c *committer) rotate() error {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
@@ -1015,12 +980,12 @@ func (c *committer) close() error {
 	return err
 }
 
-// ReplayShard streams the shard's checkpoint, then its log records. On a
+// ReplayShard streams the shard's checkpoint, then its log entries. On a
 // damaged shard it still streams everything intact — the checkpoint if its
 // checksum holds, then every log frame before the damage — and only then
 // returns the *storage.CorruptError, so a caller keeps the readable prefix
 // and can quarantine the shard instead of losing it.
-func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(storage.Record) error) error {
+func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(encoding.Entry) error) error {
 	sh, err := w.shard(shard)
 	if err != nil {
 		return err
@@ -1053,11 +1018,11 @@ func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(storage.R
 		}
 		return fmt.Errorf("wal: %w", err)
 	}
-	valid, err := scanLog(data, func(_ int, r storage.Record) error {
+	valid, err := scanLog(data, func(_ int, e encoding.Entry) error {
 		if rec == nil {
 			return nil
 		}
-		return rec(r)
+		return rec(e)
 	})
 	if err != nil {
 		if !errors.Is(err, ErrCorrupt) {
@@ -1131,146 +1096,31 @@ func (w *WAL) checkpoint(shard int, snapshot []byte) (uint32, int64, error) {
 	// The checkpoint holds everything the log did (and more): the log is
 	// empty again and a previously latched or quarantined shard is healthy.
 	sh.size, sh.failed, sh.quar = 0, nil, nil
-	// Both regions moved: log offsets died with the truncation, checkpoint
-	// offsets now address the fresh file.
-	sh.logGen++
+	// Checkpoint offsets now address the fresh file.
 	sh.ckptGen++
-	sh.dropReadHandles(true, true)
+	sh.dropReadHandle()
 	return sh.ckptGen, int64(ckptHeaderLen), nil
 }
 
-// Compact rewrites the shard's log keeping only the records replay still
-// needs (storage.CompactRecords), atomically via temp file and rename. A
-// quarantined shard refuses — compaction would silently discard the damage
-// report; repair goes through Checkpoint.
-func (w *WAL) Compact(shard int) error {
-	if w.group != nil {
-		// Commit frames hold offsets into the log this rewrite replaces;
-		// rotate them away first (the rewrite is synced by rename anyway).
-		if err := w.group.rotate(); err != nil {
-			return fmt.Errorf("wal: compact shard %d: %w", shard, err)
-		}
-	}
-	sh, err := w.shard(shard)
-	if err != nil {
-		return err
-	}
-	defer sh.mu.Unlock()
-	if sh.quar != nil {
-		return sh.quar
-	}
-	data, err := os.ReadFile(w.logPath(shard))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("wal: %w", err)
-	}
-	var records []storage.Record
-	if valid, err := scanLog(data, func(_ int, r storage.Record) error {
-		records = append(records, r)
-		return nil
-	}); err != nil {
-		return corrupt(sh, shard, w.logPath(shard), int64(valid), err)
-	}
-	var out []byte
-	for _, r := range storage.CompactRecords(records) {
-		out = appendFrame(out, r)
-	}
-	if err := WriteFileAtomic(w.logPath(shard), out); err != nil {
-		return err
-	}
-	// The rewrite dropped any torn tail, so a latched shard is healthy again.
-	sh.failed = nil
-	// Record positions moved wholesale: outstanding log locations are stale.
-	sh.logGen++
-	sh.dropReadHandles(true, false)
-	// The old append handle points at the replaced inode; reopen lazily
-	// (the reopen re-stats the rewritten file's length).
-	if sh.f != nil {
-		err := sh.f.Close()
-		sh.f = nil
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	}
-	return nil
-}
-
-// AppendLocate implements storage.Pager: Append plus the location of the
-// record's value bytes within the stripe log, so the store can drop its
-// in-memory copy and pread it back. wait is the group-commit barrier (nil
-// outside group mode).
-func (w *WAL) AppendLocate(shard int, rec storage.Record) (storage.ValueLoc, bool, func() error, error) {
-	sh, err := w.shard(shard)
-	if err != nil {
-		return storage.ValueLoc{}, false, nil, err
-	}
-	off, frame, err := w.appendLocked(sh, shard, rec)
-	if err != nil {
-		sh.mu.Unlock()
-		return storage.ValueLoc{}, false, nil, err
-	}
-	var loc storage.ValueLoc
-	ok := !rec.Reset && !rec.Entry.Deleted
-	if ok {
-		// The value sits inside the frame past the payload length prefix,
-		// the record kind byte and the entry's own key/flags/length prefix.
-		_, used := binary.Uvarint(frame)
-		valOff := used + 1 + encoding.EntryValueOffset(rec.Entry)
-		loc = storage.ValueLoc{
-			Off: off + int64(valOff),
-			Len: uint32(len(rec.Entry.Value)),
-			Gen: sh.logGen,
-		}
-	}
-	var wait func() error
-	if w.group != nil {
-		wait = w.group.register(shard, off, frame)
-		sh.mu.Unlock()
-		return loc, ok, wait, nil
-	}
-	if w.fsync {
-		err = w.syncLocked(sh, shard)
-	}
-	sh.mu.Unlock()
-	return loc, ok, nil, err
-}
-
 // ReadValueAt implements storage.Pager: a point pread of value bytes a
-// prior AppendLocate or checkpoint layout addressed. Stale generations —
-// the log was truncated or the checkpoint replaced since — return
-// storage.ErrStaleLoc, never other data's bytes.
+// checkpoint layout addressed. Stale generations — the checkpoint was
+// replaced since — return storage.ErrStaleLoc, never other data's bytes.
 func (w *WAL) ReadValueAt(shard int, loc storage.ValueLoc) ([]byte, error) {
 	sh, err := w.shard(shard)
 	if err != nil {
 		return nil, err
 	}
 	defer sh.mu.Unlock()
-	var f *os.File
-	if loc.Ckpt {
-		if loc.Gen != sh.ckptGen {
-			return nil, storage.ErrStaleLoc
-		}
-		if sh.cf == nil {
-			sh.cf, err = os.Open(w.ckptPath(shard))
-			if err != nil {
-				return nil, fmt.Errorf("wal: read shard %d: %w", shard, err)
-			}
-		}
-		f = sh.cf
-	} else {
-		if loc.Gen != sh.logGen {
-			return nil, storage.ErrStaleLoc
-		}
-		if sh.rf == nil {
-			sh.rf, err = os.Open(w.logPath(shard))
-			if err != nil {
-				return nil, fmt.Errorf("wal: read shard %d: %w", shard, err)
-			}
-		}
-		f = sh.rf
+	if loc.Gen != sh.ckptGen {
+		return nil, storage.ErrStaleLoc
 	}
+	if sh.cf == nil {
+		sh.cf, err = os.Open(w.ckptPath(shard))
+		if err != nil {
+			return nil, fmt.Errorf("wal: read shard %d: %w", shard, err)
+		}
+	}
+	f := sh.cf
 	buf := make([]byte, loc.Len)
 	if _, err := f.ReadAt(buf, loc.Off); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -1383,7 +1233,7 @@ func FrameOffsets(path string) ([]int64, error) {
 		return nil, err
 	}
 	var offs []int64
-	_, _ = scanLog(data, func(off int, _ storage.Record) error {
+	_, _ = scanLog(data, func(off int, _ encoding.Entry) error {
 		offs = append(offs, int64(off))
 		return nil
 	})
@@ -1406,7 +1256,7 @@ func (w *WAL) Close() error {
 			}
 			sh.f = nil
 		}
-		sh.dropReadHandles(true, true)
+		sh.dropReadHandle()
 		sh.mu.Unlock()
 	}
 	if w.group != nil {

@@ -12,10 +12,8 @@ import (
 	"versionstamp/internal/storage"
 )
 
-func rec(key, value string) storage.Record {
-	return storage.Record{Entry: encoding.Entry{
-		Key: key, Value: []byte(value), Stamp: core.Seed().Update(),
-	}}
+func rec(key, value string) encoding.Entry {
+	return encoding.Entry{Key: key, Value: []byte(value), Stamp: core.Seed().Update()}
 }
 
 func open(t *testing.T, dir string) *WAL {
@@ -27,11 +25,11 @@ func open(t *testing.T, dir string) *WAL {
 	return w
 }
 
-func replay(t *testing.T, w *WAL, shard int) (ckpt []byte, recs []storage.Record) {
+func replay(t *testing.T, w *WAL, shard int) (ckpt []byte, recs []encoding.Entry) {
 	t.Helper()
 	err := w.ReplayShard(shard,
 		func(snap []byte) error { ckpt = append([]byte(nil), snap...); return nil },
-		func(r storage.Record) error { recs = append(recs, r); return nil })
+		func(e encoding.Entry) error { recs = append(recs, e); return nil })
 	if err != nil {
 		t.Fatalf("ReplayShard(%d): %v", shard, err)
 	}
@@ -42,9 +40,6 @@ func TestAppendSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	w := open(t, dir)
 	if err := w.Append(0, rec("a", "1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(0, storage.Record{Reset: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Append(0, rec("b", "2")); err != nil {
@@ -60,13 +55,13 @@ func TestAppendSurvivesReopen(t *testing.T) {
 	w2 := open(t, dir)
 	defer w2.Close()
 	_, recs := replay(t, w2, 0)
-	if len(recs) != 3 || recs[0].Entry.Key != "a" || !recs[1].Reset || recs[2].Entry.Key != "b" {
+	if len(recs) != 2 || recs[0].Key != "a" || recs[1].Key != "b" {
 		t.Fatalf("shard 0 records = %+v", recs)
 	}
-	if !recs[2].Entry.Stamp.Equal(core.Seed().Update()) {
-		t.Errorf("stamp did not round-trip: %v", recs[2].Entry.Stamp)
+	if !recs[1].Stamp.Equal(core.Seed().Update()) {
+		t.Errorf("stamp did not round-trip: %v", recs[1].Stamp)
 	}
-	if _, recs := replay(t, w2, 2); len(recs) != 1 || string(recs[0].Entry.Value) != "3" {
+	if _, recs := replay(t, w2, 2); len(recs) != 1 || string(recs[0].Value) != "3" {
 		t.Errorf("shard 2 records = %+v", recs)
 	}
 }
@@ -124,7 +119,7 @@ func TestTornTailTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, recs = replay(t, w, 0)
-		if len(recs) != 3 || string(recs[2].Entry.Value) != "4444" {
+		if len(recs) != 3 || string(recs[2].Value) != "4444" {
 			t.Fatalf("cut at %d: post-recovery append lost: %+v", cut, recs)
 		}
 		w.Close()
@@ -170,13 +165,13 @@ func TestMidLogCorruptionReported(t *testing.T) {
 	defer w2.Close()
 
 	// The healthy shard loads untouched.
-	if _, recs := replay(t, w2, 1); len(recs) != 1 || recs[0].Entry.Key != "other" {
+	if _, recs := replay(t, w2, 1); len(recs) != 1 || recs[0].Key != "other" {
 		t.Fatalf("healthy shard 1 records = %+v", recs)
 	}
 	// The damaged shard reports a *storage.CorruptError naming file+offset,
 	// after streaming nothing (the damage is in frame 0).
 	var ce *storage.CorruptError
-	err = w2.ReplayShard(0, nil, func(storage.Record) error { return nil })
+	err = w2.ReplayShard(0, nil, func(encoding.Entry) error { return nil })
 	if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReplayShard(0) = %v, want *storage.CorruptError wrapping ErrCorrupt", err)
 	}
@@ -207,6 +202,64 @@ func TestMidLogCorruptionReported(t *testing.T) {
 	}
 	if q := w2.Quarantined(); len(q) != 0 {
 		t.Fatalf("quarantine not cleared: %v", q)
+	}
+}
+
+// TestRetiredResetKindIsCorruption appends a frame whose CRC holds but whose
+// payload is {0x02}, the retired stripe-reset kind. No writer produces one,
+// so it is damage, not a record: Open quarantines the shard, the other shard
+// loads, and the scrub reports the same damage.
+func TestRetiredResetKindIsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	w := open(t, dir)
+	path := w.logPath(0)
+	for _, k := range []string{"a", "b"} {
+		if err := w.Append(0, rec(k, "v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Append(1, rec("other", "ok")); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rawFrame([]byte{0x02})); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("Open: %v, want shard-scoped quarantine", err)
+	}
+	defer w2.Close()
+	q := w2.Quarantined()
+	if len(q) != 1 || q[0] == nil {
+		t.Fatalf("Quarantined() after Open = %v, want shard 0 only", q)
+	}
+	if _, recs := replay(t, w2, 1); len(recs) != 1 || recs[0].Key != "other" {
+		t.Fatalf("healthy shard 1 records = %+v", recs)
+	}
+	var ce *storage.CorruptError
+	err = w2.ReplayShard(0, nil, nil)
+	if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReplayShard(0) = %v, want *storage.CorruptError wrapping ErrCorrupt", err)
+	}
+	if ce.Shard != 0 || ce.Path != path || ce.Offset != fi.Size() {
+		t.Fatalf("damage report = shard %d path %q offset %d, want shard 0 %q offset %d",
+			ce.Shard, ce.Path, ce.Offset, path, fi.Size())
+	}
+	var vce *storage.CorruptError
+	if err := w2.VerifyShard(0); !errors.As(err, &vce) || vce.Path != ce.Path || vce.Offset != ce.Offset {
+		t.Fatalf("VerifyShard(0) = %v, want the same damage as replay (%v)", err, ce)
 	}
 }
 
@@ -242,16 +295,16 @@ func TestMidLogCorruptionStreamsPrefix(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer w2.Close()
-	var recs []storage.Record
+	var recs []encoding.Entry
 	var ce *storage.CorruptError
-	err = w2.ReplayShard(0, nil, func(r storage.Record) error { recs = append(recs, r); return nil })
+	err = w2.ReplayShard(0, nil, func(e encoding.Entry) error { recs = append(recs, e); return nil })
 	if !errors.As(err, &ce) {
 		t.Fatalf("ReplayShard = %v, want *storage.CorruptError", err)
 	}
 	if ce.Offset != offs[2] {
 		t.Fatalf("damage offset = %d, want %d", ce.Offset, offs[2])
 	}
-	if len(recs) != 2 || string(recs[0].Entry.Value) != "v0" || string(recs[1].Entry.Value) != "v1" {
+	if len(recs) != 2 || string(recs[0].Value) != "v0" || string(recs[1].Value) != "v1" {
 		t.Fatalf("intact prefix = %+v, want v0,v1", recs)
 	}
 }
@@ -362,7 +415,7 @@ func TestShortWriteRollsBack(t *testing.T) {
 	w2 := open(t, dir)
 	defer w2.Close()
 	_, recs := replay(t, w2, 0)
-	if len(recs) != 2 || recs[0].Entry.Key != "a" || recs[1].Entry.Key != "c" {
+	if len(recs) != 2 || recs[0].Key != "a" || recs[1].Key != "c" {
 		t.Fatalf("records after rollback = %+v, want a,c", recs)
 	}
 }
@@ -400,7 +453,7 @@ func TestUnremovableShortWriteLatches(t *testing.T) {
 		t.Fatalf("append after healing checkpoint: %v", err)
 	}
 	ckpt, recs := replay(t, w, 0)
-	if string(ckpt) != "healed" || len(recs) != 1 || recs[0].Entry.Key != "d" {
+	if string(ckpt) != "healed" || len(recs) != 1 || recs[0].Key != "d" {
 		t.Fatalf("post-heal state = %q %+v", ckpt, recs)
 	}
 }
@@ -418,40 +471,8 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	if string(ckpt) != "snapshot" {
 		t.Errorf("checkpoint = %q", ckpt)
 	}
-	if len(recs) != 1 || recs[0].Entry.Key != "b" {
+	if len(recs) != 1 || recs[0].Key != "b" {
 		t.Errorf("post-checkpoint records = %+v", recs)
-	}
-}
-
-func TestCompactRewritesLog(t *testing.T) {
-	dir := t.TempDir()
-	w := open(t, dir)
-	defer w.Close()
-	for i := 0; i < 50; i++ {
-		_ = w.Append(0, rec("hot", "x"))
-	}
-	_ = w.Append(0, rec("cold", "y"))
-	before, _ := os.Stat(w.logPath(0))
-	if err := w.Compact(0); err != nil {
-		t.Fatal(err)
-	}
-	after, err := os.Stat(w.logPath(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Size() >= before.Size() {
-		t.Errorf("compact did not shrink the log: %d -> %d", before.Size(), after.Size())
-	}
-	_, recs := replay(t, w, 0)
-	if len(recs) != 2 {
-		t.Fatalf("compacted log replays %d records, want 2", len(recs))
-	}
-	// The reopened append handle must keep working on the new inode.
-	if err := w.Append(0, rec("hot", "z")); err != nil {
-		t.Fatal(err)
-	}
-	if _, recs := replay(t, w, 0); len(recs) != 3 {
-		t.Fatalf("post-compact append lost: %+v", recs)
 	}
 }
 
@@ -488,20 +509,5 @@ func TestRandomCutProperty(t *testing.T) {
 			t.Fatalf("trial %d: more records than appended", trial)
 		}
 		w2.Close()
-	}
-}
-
-func TestFsyncOptionAppends(t *testing.T) {
-	dir := t.TempDir()
-	w, err := Open(dir, Options{Fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.Append(0, rec("a", "1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, recs := replay(t, w, 0); len(recs) != 1 {
-		t.Fatalf("records = %+v", recs)
 	}
 }

@@ -148,9 +148,11 @@
 //   - Checkpoint serializes each stripe under its lock and truncates the
 //     stripe's log, bounding restart replay; Close checkpoints everything,
 //     so a graceful restart replays nothing. By default appends reach the
-//     OS buffer cache (durable across process crashes); an fsync option
-//     trades throughput for power-loss durability. Checkpoints always
-//     fsync-and-rename regardless.
+//     OS buffer cache (durable across process crashes); the group-commit
+//     mode (below) adds power-loss durability, one shared fsync per commit
+//     window. Checkpoints always fsync-and-rename regardless. Append,
+//     checkpoint and replay are the whole storage contract: the stamps
+//     carry each key's causal state, so nothing else needs to persist.
 //
 // # Memory model
 //
