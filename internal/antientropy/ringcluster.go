@@ -30,8 +30,9 @@ import (
 //     ring (deterministically — same members, same ring everywhere), and
 //     divergence-bias entries involving dead peers are dropped.
 //  3. Handoff: hints queued for targets whose heartbeats resumed drain by
-//     MergeVersioned — the stamps decide on delivery whether each hinted
-//     write is news, already obsolete, or a conflict.
+//     MergeVersioned, which runs kvstore's one per-key reconcile with the
+//     hint as a detached copy — the stamps decide on delivery whether each
+//     hinted write is news, already obsolete, or a conflict.
 //  4. Scrub: each durable up node re-verifies one stripe's at-rest bytes
 //     (frame CRCs, checkpoint checksum) per round, quarantining a live
 //     stripe the moment rot is found instead of at the next restart.

@@ -3,10 +3,11 @@
 // coordinator forks the key's stamp (kvstore.ForkCopy) and queues the
 // detached copy here, addressed to the unreachable owner. When the owner's
 // heartbeats resume, the queue drains: each copy is delivered by
-// MergeVersioned, which joins the hint's stamp into the owner's — so the
-// handoff is exactly a deferred synchronization in the paper's fork-join
-// model, and the stamps prove on delivery whether the hinted write is still
-// news, already obsolete, or in conflict.
+// MergeVersioned, which reconciles it as a detached copy against the
+// owner's (see kvstore's reconcile) and so joins the hint's stamp into the
+// owner's — the handoff is exactly a deferred synchronization in the paper's
+// fork-join model, and the stamps prove on delivery whether the hinted write
+// is still news, already obsolete, or in conflict.
 //
 // Queues persist through the same storage.Backend abstraction as the store
 // itself (a WAL on disk, memory under test): every Add appends a record,

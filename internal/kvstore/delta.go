@@ -161,18 +161,14 @@ func (r *Replica) DiffRanges(peer []encoding.Digest, idx, of int, ranges []TreeR
 				continue
 			}
 			matched++
-			if !v.Stamp.IDHandle().IncomparableTo(pd.Stamp.IDHandle()) {
-				// Overlapping ids: independently created copies with no
-				// causal order; reconciliation needs the peer's value.
-				d.Need = append(d.Need, pd.Key)
-				continue
-			}
-			switch cmp.Compare(v.Stamp, pd.Stamp) {
+			switch classify(&cmp, v.Stamp, pd.Stamp) {
 			case core.Equal:
 				d.Equivalent++
 			case core.After:
 				// We dominate: our copy travels in the reply, theirs need not.
-			default: // Before, Concurrent
+			default:
+				// Before, Concurrent, or independent copies with no causal
+				// order: reconciliation needs the peer's value.
 				d.Need = append(d.Need, pd.Key)
 			}
 		}
@@ -279,57 +275,35 @@ func (r *Replica) ApplyDeltaRanges(peerDigest []encoding.Digest, peerEntries []e
 	var reply []encoding.Entry
 	var cmp core.Comparer // batch memo: digest stamps recur across keys
 	for _, k := range sortedKeys(keys) {
-		si := ShardIndex(k, len(r.shards))
-		sh := &r.shards[si]
-		local, hasLocal := sh.metaLocked(k)
-		pv, hasFull := full[k]
-		ps, hasDigest := stampOf[k]
-
-		// db is the peer's side of the pairwise reconciliation for this key.
-		db := map[string]Versioned{}
-		switch {
-		case hasFull:
-			db[k] = pv
-		case hasDigest && hasLocal:
-			if !local.Stamp.IDHandle().IncomparableTo(ps.IDHandle()) {
-				// Independently created copies need the peer's value; it did
-				// not arrive, so leave both sides for the next round.
+		// The peer's side of the reconcile is a held slot whose result is
+		// the reply entry; it is absent for a local-only key, which then
+		// transfers.
+		cs := [2]keyCopy{r.heldLocked(k), {held: true}}
+		if pv, ok := full[k]; ok {
+			cs[1].Versioned, cs[1].ok = pv, true
+		} else if ps, ok := stampOf[k]; ok {
+			if !cs[0].ok {
+				// Peer-only key that did not arrive in full: under-sent or
+				// tombstone-raced; leave for the next round.
 				continue
 			}
-			switch cmp.Compare(local.Stamp, ps) {
+			switch classify(&cmp, cs[0].Stamp, ps) {
 			case core.Equal:
 				res.Pruned++
 				continue
 			case core.After:
 				// Dominance reconciliation needs only the peer's stamp: the
 				// value that survives is ours.
-				db[k] = Versioned{Stamp: ps}
+				cs[1].Stamp, cs[1].ok = ps, true
 			default:
-				// The digest promised dominance but local state moved (or the
-				// peer under-sent). Without the peer's value nothing sound can
-				// happen here; the next round's digest exchange catches it.
+				// The digest promised dominance but local state moved (or
+				// the peer under-sent), or the copies are independent: either
+				// way the peer's value is needed and did not arrive. The next
+				// round's digest exchange catches it.
 				continue
 			}
-		case hasDigest:
-			// Peer-only key that did not arrive in full: under-sent or
-			// tombstone-raced; leave for the next round.
-			continue
-		default:
-			// Local-only key: syncKey transfers it, forking our stamp.
 		}
-		// The stamps could not prove equivalence, so syncKey needs the local
-		// copy resident (its value may transfer to the peer or feed the
-		// resolver). Converged keys never reach this line — paged rounds
-		// fault nothing while quiet.
-		if err := r.promoteLocked(si, k); err != nil {
-			sort.Strings(res.Conflicts)
-			return reply, res, err
-		}
-		part, err := syncKey(k, sh.data, db, resolve)
-		if part.Transferred+part.Reconciled+part.Merged > 0 {
-			sh.noteTombLocked(k)
-			r.logKey(k) // the local copy moved; persist before the locks drop
-		}
+		part, err := reconcile(k, cs[:], resolve)
 		res.add(part)
 		if err != nil {
 			sort.Strings(res.Conflicts)
@@ -343,7 +317,7 @@ func (r *Replica) ApplyDeltaRanges(peerDigest []encoding.Digest, peerEntries []e
 			}
 			continue
 		}
-		out := db[k]
+		out := cs[1]
 		reply = append(reply, encoding.Entry{
 			Key: k, Value: out.Value, Deleted: out.Deleted, Stamp: out.Stamp,
 		})

@@ -1,26 +1,17 @@
-// Kvstore: an optimistically replicated shopping-cart store. Each key's
-// copies carry version stamps; synchronization transfers missing keys,
-// fast-forwards stale ones, and surfaces true conflicts to a merge
-// function — the Dynamo-style pattern, with stamps instead of version
-// vectors, so replicas can be cloned with no identifier assignment.
-//
-//	go run ./examples/kvstore
-package main
+package kvstore_test
 
 import (
 	"fmt"
-	"log"
 
 	"versionstamp/internal/kvstore"
 )
 
-func main() {
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func run() error {
+// An optimistically replicated shopping-cart store. Each key's copies carry
+// version stamps; synchronization transfers missing keys, fast-forwards stale
+// ones, and surfaces true conflicts to a merge function — the Dynamo-style
+// pattern, with stamps instead of version vectors, so replicas can be cloned
+// with no identifier assignment.
+func ExampleSync() {
 	// The store starts on one node; a second node is cloned from it (every
 	// key's stamp forks — replica creation without coordination). Each
 	// replica is striped over lock-per-shard partitions, so heavy
@@ -42,7 +33,8 @@ func run() error {
 	// Anti-entropy: causality decides everything automatically here.
 	res, err := kvstore.Sync(nodeA, nodeB, nil)
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("sync #1: %d transferred, %d reconciled, %d conflicts\n",
 		res.Transferred, res.Reconciled, len(res.Conflicts))
@@ -54,14 +46,16 @@ func run() error {
 	nodeB.Put("cart:42", []byte("2×book,1×lamp,6×candle"))
 	res, err = kvstore.Sync(nodeA, nodeB, nil)
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("sync #2 without resolver: conflicts on %v (left untouched)\n", res.Conflicts)
 
 	// Resolve with a merge function (here: keep both order lines).
 	res, err = kvstore.Sync(nodeA, nodeB, kvstore.KeepBoth([]byte(" & ")))
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("sync #3 with resolver: %d merged\n", res.Merged)
 	dump("node-a", nodeA)
@@ -70,22 +64,52 @@ func run() error {
 	// Crash/restart: stamps survive serialization.
 	snap, err := nodeB.Snapshot()
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	restored, err := kvstore.Restore(snap)
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	nodeA.Put("cart:90", []byte("3×mug,1×spoon"))
 	res, err = kvstore.Sync(nodeA, restored, nil)
 	if err != nil {
-		return err
+		fmt.Println(err)
+		return
 	}
 	fmt.Printf("after node-b restart, sync reconciled %d keys\n", res.Reconciled)
 	dump("restored", restored)
-	return nil
+
+	// Output:
+	// node-b cloned from node-a (32 shards each)
+	// sync #1: 1 transferred, 2 reconciled, 0 conflicts
+	//   [node-a]
+	//     cart:42  = 2×book,1×lamp
+	//     cart:77  = (deleted)
+	//     cart:90  = 3×mug
+	//   [node-b]
+	//     cart:42  = 2×book,1×lamp
+	//     cart:77  = (deleted)
+	//     cart:90  = 3×mug
+	// sync #2 without resolver: conflicts on [cart:42] (left untouched)
+	// sync #3 with resolver: 1 merged
+	//   [node-a]
+	//     cart:42  = 2×book,1×lamp,1×rug & 2×book,1×lamp,6×candle
+	//     cart:77  = (deleted)
+	//     cart:90  = 3×mug
+	//   [node-b]
+	//     cart:42  = 2×book,1×lamp,1×rug & 2×book,1×lamp,6×candle
+	//     cart:77  = (deleted)
+	//     cart:90  = 3×mug
+	// after node-b restart, sync reconciled 1 keys
+	//   [restored]
+	//     cart:42  = 2×book,1×lamp,1×rug & 2×book,1×lamp,6×candle
+	//     cart:77  = (deleted)
+	//     cart:90  = 3×mug,1×spoon
 }
 
+// dump prints a replica's keys in order, tombstones included.
 func dump(label string, r *kvstore.Replica) {
 	fmt.Printf("  [%s]\n", label)
 	keys := r.Keys()

@@ -10,7 +10,8 @@
 // and re-forks. Comparing two replicas' stamps for a key classifies the
 // copies as equivalent, obsolete or conflicting, exactly as Section 2 of
 // the paper prescribes; deletions are tombstones so removal also propagates
-// causally.
+// causally. Every sync path makes that decision in one place, reconcile,
+// whose doc comment states the rules.
 //
 // # Shard layout
 //
@@ -34,11 +35,10 @@
 // Sync detects this (their stamp ids overlap, which Invariant I2 rules out
 // within one system), reconciles by value and restarts the key's stamp
 // system — sound for a two-replica deployment, best-effort beyond that
-// (see reconcileIndependent).
+// (rule 4 of reconcile).
 package kvstore
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -78,7 +78,7 @@ type Versioned struct {
 // Resolver must be deterministic (a function of the copies' values and
 // tombstone flags alone), commutative (the same bytes whichever copy arrives
 // as a) and idempotent over its own output. Copies that already agree byte
-// for byte never reach it: they join without it (see reconcileKey). A
+// for byte never reach it: they join without it (rule 5 of reconcile). A
 // resolver short of the contract still converges, one more merge at a time.
 //
 // What counts as a conflict is decided by the stamps, and stamp order only
@@ -339,28 +339,6 @@ func (r *Replica) logAdopt(si int) {
 	if err := r.checkpointShardLocked(si); err != nil {
 		r.notePersistErr(err)
 	}
-}
-
-// logKey re-reads key's current state and logs it — the helper the sync
-// paths use after syncKey mutated a raw shard map in place.
-func (r *Replica) logKey(key string) {
-	si := ShardIndex(key, len(r.shards))
-	if v, ok := r.shards[si].data[key]; ok {
-		r.logSet(si, key, v)
-	}
-}
-
-// logSyncMutation persists one syncKey outcome on both replicas: a key whose
-// counters show any movement changed on both sides (transfers fork the
-// source stamp too). Stripe locks are held by the calling sync path.
-func logSyncMutation(a, b *Replica, key string, part SyncResult) {
-	if part.Transferred+part.Reconciled+part.Merged == 0 {
-		return
-	}
-	a.shardFor(key).noteTombLocked(key)
-	b.shardFor(key).noteTombLocked(key)
-	a.logKey(key)
-	b.logKey(key)
 }
 
 func (r *Replica) notePersistErr(err error) {
@@ -887,7 +865,8 @@ func syncStripes(a, b *Replica, as, bs []shard, resolve Resolver) (SyncResult, e
 	}
 	var res SyncResult
 	for _, k := range sortedKeys(keys) {
-		part, err := syncKeyPromoted(a, b, k, resolve)
+		cs := [2]keyCopy{a.heldLocked(k), b.heldLocked(k)}
+		part, err := reconcile(k, cs[:], resolve)
 		res.add(part)
 		if err != nil {
 			return res, err
@@ -903,235 +882,6 @@ func sortedKeys(set map[string]struct{}) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// syncKeyPromoted converges one key between two replicas whose relevant
-// stripe write locks are held: the shared front door of every in-process
-// sync path. Copies whose metadata already proves them equivalent are left
-// alone without faulting any paged value; otherwise both sides promote the
-// key into their hot maps (faulting cold values in) and the raw-map syncKey
-// runs as it always has.
-func syncKeyPromoted(a, b *Replica, key string, resolve Resolver) (SyncResult, error) {
-	sia, sib := ShardIndex(key, len(a.shards)), ShardIndex(key, len(b.shards))
-	sa, sb := &a.shards[sia], &b.shards[sib]
-	va, okA := sa.metaLocked(key)
-	vb, okB := sb.metaLocked(key)
-	if !okA && !okB {
-		return SyncResult{}, nil
-	}
-	// Converged fast path: both copies exist, their ids are disjoint (a
-	// genuine forked pair — overlapping ids mean independent origins, which
-	// need the full reconcile below) and the stamps are causally equal.
-	// reconcileKey would return outcomeNoop without touching either value,
-	// so neither side needs its value promoted out of the cold index.
-	if okA && okB && va.Deleted == vb.Deleted &&
-		va.Stamp.IDName().IncomparableTo(vb.Stamp.IDName()) &&
-		core.Compare(va.Stamp, vb.Stamp) == core.Equal {
-		var res SyncResult
-		if va.Deleted {
-			res.TombstonesLive++
-		}
-		return res, nil
-	}
-	if err := a.promoteLocked(sia, key); err != nil {
-		return SyncResult{}, err
-	}
-	if err := b.promoteLocked(sib, key); err != nil {
-		return SyncResult{}, err
-	}
-	res, err := syncKey(key, sa.data, sb.data, resolve)
-	logSyncMutation(a, b, key, res)
-	return res, err
-}
-
-// syncKey converges one key across two raw shard maps (locks held). The
-// first map is always the logical "a" side, so resolver argument order is
-// independent of lock order.
-func syncKey(k string, da, db map[string]Versioned, resolve Resolver) (SyncResult, error) {
-	var res SyncResult
-	va, hasA := da[k]
-	vb, hasB := db[k]
-	switch {
-	case !hasA && !hasB:
-		// Neither side holds the key (a caller named it explicitly, e.g. a
-		// quorum write propagating a delete of a never-written key): nothing
-		// to converge. Falling through would install zero-stamp entries on
-		// both sides — copies no real write could ever dominate.
-	case hasA && !hasB:
-		mine, theirs := va.Stamp.Fork()
-		va.Stamp = mine
-		da[k] = va
-		db[k] = Versioned{
-			Value:   append([]byte(nil), va.Value...),
-			Deleted: va.Deleted,
-			Stamp:   theirs,
-		}
-		res.Transferred++
-	case hasB && !hasA:
-		mine, theirs := vb.Stamp.Fork()
-		vb.Stamp = mine
-		db[k] = vb
-		da[k] = Versioned{
-			Value:   append([]byte(nil), vb.Value...),
-			Deleted: vb.Deleted,
-			Stamp:   theirs,
-		}
-		res.Transferred++
-	default:
-		outcome, err := reconcileKey(k, &va, &vb, resolve)
-		if err != nil {
-			return res, err
-		}
-		switch outcome {
-		case outcomeConflictSkipped:
-			res.Conflicts = append(res.Conflicts, k)
-			return res, nil
-		case outcomeReconciled:
-			res.Reconciled++
-		case outcomeMerged:
-			res.Merged++
-		case outcomeNoop:
-		}
-		da[k] = va
-		db[k] = vb
-	}
-	if v, ok := da[k]; ok && v.Deleted {
-		res.TombstonesLive++
-	}
-	return res, nil
-}
-
-type reconcileOutcome int
-
-const (
-	outcomeNoop reconcileOutcome = iota + 1
-	outcomeReconciled
-	outcomeMerged
-	outcomeConflictSkipped
-)
-
-// reconcileKey merges two existing copies in place.
-func reconcileKey(key string, va, vb *Versioned, resolve Resolver) (reconcileOutcome, error) {
-	if !va.Stamp.IDName().IncomparableTo(vb.Stamp.IDName()) {
-		// Overlapping ids mean the copies do NOT descend from a common seed:
-		// the key was created independently at two replicas. Version stamps
-		// order only elements of one fork-join system (Invariant I2
-		// guarantees same-frontier ids never overlap), so no causal order
-		// exists between these copies. Treat them as conflicting and restart
-		// the key's stamp system from a fresh seed after merging.
-		return reconcileIndependent(key, va, vb, resolve)
-	}
-	rel := core.Compare(va.Stamp, vb.Stamp)
-	outcome := outcomeNoop
-
-	var value []byte
-	var deleted bool
-	switch rel {
-	case core.Equal:
-		// Already equivalent: leave both stamps untouched. Joining and
-		// re-forking here would be correct but would grow the merged id on
-		// every idle sync — the known growth weakness of version stamps
-		// under rotating sync partners (addressed by the ITC successor
-		// design); skipping idle churn keeps ids proportional to actual
-		// data flow.
-		return outcomeNoop, nil
-	case core.Before:
-		// vb's version is strictly newer: va becomes a copy of it. The
-		// winner forks its stamp and hands the loser one half — the same
-		// detached-copy move as ForkCopy — rather than joining both stamps
-		// and re-forking. Join-and-refork looks tidier (it collects the
-		// loser's id for reduction) but under rotating sync partners (a
-		// quorum write pushing to R-1 followers in turn) the interleaved
-		// forks leave ids no reduction can collapse, compounding ~3x per
-		// write — the paper's growth weakness in its worst shape. Forking
-		// the winner abandons the loser's id instead: sound, because the
-		// winner's history strictly contains the loser's, so the forked
-		// half dominates everything the abandoned stamp proved; and linear,
-		// one fork per actual data transfer.
-		keep, give := vb.Stamp.Fork()
-		vb.Stamp = keep
-		*va = Versioned{Value: append([]byte(nil), vb.Value...), Deleted: vb.Deleted, Stamp: give}
-		return outcomeReconciled, nil
-	case core.After:
-		keep, give := va.Stamp.Fork()
-		va.Stamp = keep
-		*vb = Versioned{Value: append([]byte(nil), va.Value...), Deleted: va.Deleted, Stamp: give}
-		return outcomeReconciled, nil
-	case core.Concurrent:
-		if va.Deleted == vb.Deleted && bytes.Equal(va.Value, vb.Value) {
-			// Two pairs of replicas already resolved this conflict to the
-			// same bytes: the join alone dominates both histories. Resolving
-			// again would run the resolver on its own output, and a fresh
-			// update would make the result concurrent with the next pair's.
-			value, deleted = va.Value, va.Deleted
-			outcome = outcomeReconciled
-			break
-		}
-		if resolve == nil {
-			return outcomeConflictSkipped, nil
-		}
-		var err error
-		value, deleted, err = resolve(key, *va, *vb)
-		if err != nil {
-			return 0, fmt.Errorf("kvstore: resolve %q: %w", key, err)
-		}
-		outcome = outcomeMerged
-	}
-
-	// Concurrent merge: the join is semantically required (the merged copy
-	// must dominate both inputs), and a resolver's verdict is a new update
-	// on the joined stamp.
-	joined, err := core.Join(va.Stamp, vb.Stamp)
-	if err != nil {
-		return 0, fmt.Errorf("kvstore: join stamps for %q: %w", key, err)
-	}
-	if outcome == outcomeMerged {
-		joined = joined.Update()
-	}
-	sa, sb := joined.Fork()
-	*va = Versioned{Value: append([]byte(nil), value...), Deleted: deleted, Stamp: sa}
-	*vb = Versioned{Value: append([]byte(nil), value...), Deleted: deleted, Stamp: sb}
-	return outcome, nil
-}
-
-// reconcileIndependent merges two copies with no common seed. Identical
-// contents merge silently; different contents need the resolver. Either way
-// the key's stamp system restarts from a fresh seed, updated so the merged
-// copy dominates any future copy forked from it.
-//
-// CONTRACT: restarting the stamp system is sound only while these two
-// replicas hold the key's only copies. If a third replica also created the
-// key independently, its copy can later compare as causally related to the
-// reseeded stamps while holding unrelated data — without globally unique
-// identifiers there is no way to causally order copies that share no common
-// ancestor (this is inherent to identifier-free operation, not a bug of
-// this implementation). Deployments should originate each key at one
-// replica and propagate it by Sync/Clone, as the fork-join model assumes;
-// see the package comment.
-func reconcileIndependent(key string, va, vb *Versioned, resolve Resolver) (reconcileOutcome, error) {
-	var (
-		value   []byte
-		deleted bool
-		outcome reconcileOutcome
-	)
-	if va.Deleted == vb.Deleted && bytes.Equal(va.Value, vb.Value) {
-		value, deleted = va.Value, va.Deleted
-		outcome = outcomeReconciled
-	} else {
-		if resolve == nil {
-			return outcomeConflictSkipped, nil
-		}
-		var err error
-		value, deleted, err = resolve(key, *va, *vb)
-		if err != nil {
-			return 0, fmt.Errorf("kvstore: resolve %q: %w", key, err)
-		}
-		outcome = outcomeMerged
-	}
-	sa, sb := core.Seed().Update().Fork()
-	*va = Versioned{Value: append([]byte(nil), value...), Deleted: deleted, Stamp: sa}
-	*vb = Versioned{Value: append([]byte(nil), value...), Deleted: deleted, Stamp: sb}
-	return outcome, nil
 }
 
 // Adopt replaces this replica's entire contents with the snapshot's,

@@ -181,8 +181,8 @@ func (sh *shard) countLocked() int {
 	return n
 }
 
-// promoteLocked faults key's cold entry into the hot map so the raw-map sync
-// machinery (syncKey and friends) can work on it in place. No-op for
+// promoteLocked faults key's cold entry into the hot map so a mutation path
+// (reconcile, ForkCopy) can work on it in place. No-op for
 // non-paged replicas, hot keys, and keys the cold index does not hold.
 // Stripe write lock held. The tombstone ledger is untouched — promotion
 // changes residency, not state.

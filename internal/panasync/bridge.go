@@ -91,7 +91,7 @@ func MergeIntoReplica(w *Workspace, r *kvstore.Replica) (*Baseline, error) {
 		case !st.Stamp.IDHandle().Equal(cur.Stamp.IDHandle()) &&
 			!st.Stamp.IDHandle().IncomparableTo(cur.Stamp.IDHandle()):
 			// Partially overlapping ids: no causal order exists between these
-			// copies (cf. kvstore's reconcileIndependent), so Compare's answer
+			// copies (cf. rule 4 of kvstore's reconcile), so Compare's answer
 			// would be meaningless. Leave both sides; report via write-back.
 			continue
 		default:

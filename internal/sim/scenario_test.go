@@ -51,7 +51,9 @@ func runScenario(t *testing.T, s Scenario) *ScenarioMetrics {
 
 // sameMetrics fails unless a rerun of one (scenario, seed) reproduced the
 // first run's metrics byte for byte — every counter, down to the fabric's
-// fault ledger. Logical time and seeded faults leave nothing to luck.
+// fault ledger. Logical time and seeded faults leave nothing to luck. The
+// first run's metrics are logged as one JSON line, so `go test -v` output of
+// two builds can be diffed to show a change replays the same scenarios.
 func sameMetrics(t *testing.T, first *ScenarioMetrics, rerun Scenario) {
 	t.Helper()
 	second, err := rerun.Run()
@@ -60,6 +62,7 @@ func sameMetrics(t *testing.T, first *ScenarioMetrics, rerun Scenario) {
 	}
 	ja, _ := json.Marshal(first)
 	jb, _ := json.Marshal(second)
+	t.Logf("%s: %s", rerun.Name, ja)
 	if string(ja) != string(jb) {
 		t.Fatalf("%s: two runs with one seed diverged:\n%s\n%s", rerun.Name, ja, jb)
 	}

@@ -224,6 +224,13 @@
 //     causality. Per-stripe serialization is a stamp-soundness
 //     requirement, not a tuning choice.
 //
+// Every path above converges a key through one decision, kvstore's
+// reconcile: a quorum write's and read-repair's pairwise pushes, the
+// anti-entropy apply and the hint drain hand it the key's copies — held
+// slots that receive the result, and detached copies such as a hint being
+// absorbed — and it applies the paper's sync (Join, then Fork) under the
+// rules its doc comment states.
+//
 // # Failure model
 //
 // What the cluster promises under faults, and what it deliberately does
