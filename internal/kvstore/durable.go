@@ -18,7 +18,8 @@ import (
 
 // Durable replicas: a Replica whose mutations are appended, stripe by
 // stripe, to a storage.Backend before the stripe lock releases. Restart is
-// local — load each stripe's latest checkpoint and replay its log tail —
+// local — load each stripe's latest snapshot, replay the entries folded
+// into it, then its log tail —
 // so a replica comes back after a crash with every acknowledged write and
 // the exact stamps it had, and anti-entropy picks up precisely where it
 // left off. No peer, and no whole-state snapshot, is needed to restart.
@@ -57,7 +58,8 @@ type metaDoc struct {
 // Open opens (creating if needed) a WAL-backed replica in dir. Every write
 // that returns is on disk — in the stripe's log, or in its checkpoint after
 // Checkpoint — and reopening the directory reconstructs the replica from
-// checkpoints plus log tails, torn tail records truncated away by the WAL.
+// snapshots, their folds and log tails, torn tail records truncated away
+// by the WAL.
 // Close checkpoints and releases the directory; a replica that crashes
 // without Close just replays more log on the next Open.
 func Open(dir string, opts Options) (*Replica, error) {
@@ -284,15 +286,24 @@ func (r *Replica) loadShardCheckpointPaged(i int, snap []byte) error {
 	return nil
 }
 
-// Checkpoint writes every stripe's state as a binary snapshot into the
-// backend and truncates the stripe logs, bounding replay work on the next
-// Open. Each stripe checkpoints atomically under its own lock; writers to
-// other stripes are never blocked. No-op without a backend.
+// Checkpoint persists every stripe's state into the backend and truncates
+// the stripe logs, bounding replay work on the next Open: reopening
+// replays each stripe's snapshot and its folds. Each stripe checkpoints
+// atomically under its own lock; writers to other stripes are never
+// blocked. No-op without a backend.
 //
-// A checkpoint captures the full in-memory state, so a successful pass over
-// every stripe also heals an earlier append failure: the writes the failed
-// appends covered are now in the checkpoints, and PersistErr resets —
-// unless a new failure arrived during the pass, which stays reported.
+// A stripe whose log holds every change since its last full checkpoint is
+// folded: the backend appends each changed key's last log entry to the
+// snapshot instead of rewriting every key (storage.Backend.Fold). The
+// stripe is rewritten in full when it is paged, when a key was removed
+// without a log entry (DiscardTombstones), when PersistErr reports a write
+// the log may lack, or when the backend refuses the fold.
+//
+// A full checkpoint captures the full in-memory state, so a successful pass
+// that began with PersistErr set rewrites every stripe and heals an earlier
+// append failure: the writes the failed appends covered are now in the
+// checkpoints, and PersistErr resets — unless a new failure arrived during
+// the pass, which stays reported.
 // Quarantined stripes are skipped: checkpointing one would overwrite the
 // damaged log with whatever the rebuild has transferred so far, silently
 // blessing the data loss. They heal through RepairStripe after a peer
@@ -329,14 +340,24 @@ func (r *Replica) Checkpoint() error {
 	return nil
 }
 
-// checkpointShard snapshots stripe i and hands it to the backend while
-// holding the stripe lock, so no append can fall between the snapshot and
-// the backend's log truncation. The lock is taken without an epoch bump —
-// a checkpoint mutates nothing.
+// checkpointShard folds or snapshots stripe i while holding the stripe
+// lock, so no append can fall between the snapshot and the backend's log
+// truncation. The lock is taken without an epoch bump — a checkpoint
+// mutates nothing. PersistErr is read under the lock, after every failed
+// append to this stripe has been noted.
 func (r *Replica) checkpointShard(i int) error {
 	sh := &r.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if !r.paged && !sh.removed && r.PersistErr() == nil {
+		ok, err := r.backend.Fold(i)
+		if err != nil {
+			return fmt.Errorf("kvstore: fold shard %d: %w", i, err)
+		}
+		if ok {
+			return nil
+		}
+	}
 	if err := r.checkpointShardLocked(i); err != nil {
 		return fmt.Errorf("kvstore: checkpoint shard %d: %w", i, err)
 	}
@@ -344,9 +365,9 @@ func (r *Replica) checkpointShard(i int) error {
 }
 
 // checkpointShardLocked builds stripe i's binary snapshot and hands it to
-// the backend. The stripe's lock must be held — shared by the Checkpoint
-// path and the wholesale-adoption persistence path, so both always produce
-// identical checkpoint documents.
+// the backend: a full checkpoint. The stripe's lock must be held — shared
+// by the Checkpoint path, RepairStripe and the wholesale-adoption
+// persistence path, so all of them produce identical checkpoint documents.
 func (r *Replica) checkpointShardLocked(i int) error {
 	sh := &r.shards[i]
 	if r.paged {
@@ -358,7 +379,11 @@ func (r *Replica) checkpointShardLocked(i int) error {
 			Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp,
 		})
 	}
-	return r.backend.Checkpoint(i, encodeBinarySnapshot(r.label, len(r.shards), entries))
+	if err := r.backend.Checkpoint(i, encodeBinarySnapshot(r.label, len(r.shards), entries)); err != nil {
+		return err
+	}
+	sh.removed = false
+	return nil
 }
 
 // checkpointShardPagedLocked is the paged checkpoint: cold values are bulk
@@ -560,7 +585,8 @@ func (r *Replica) ScrubNext() (int, error) {
 }
 
 // Close checkpoints every stripe and releases the backend — the graceful
-// shutdown path, after which reopening replays no log at all. No-op
+// shutdown path, after which reopening replays the snapshots and their
+// folds, and no log. No-op
 // without a backend. The replica remains readable in memory afterwards;
 // writes after Close fail their backend appends and surface through
 // PersistErr (the backend field stays set so concurrent writers never

@@ -6,10 +6,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"versionstamp/internal/storage"
 	"versionstamp/internal/storage/faultfs"
+	"versionstamp/internal/storage/wal"
 )
 
 // stateOf fingerprints a replica's full stored state — every key including
@@ -152,10 +155,17 @@ func TestOpenRejectsLayoutChange(t *testing.T) {
 }
 
 // TestCrashRecoveryProperty is the satellite crash property: a random op
-// sequence against a single-stripe durable replica, the WAL hard-cut at a
-// random byte offset, and the reopened store must equal the state after
-// some prefix of the applied ops — never a mix, never garbage — and still
-// converge with a live peer through tier-1 Sync.
+// sequence against a single-stripe durable replica, with one full
+// checkpoint partway through and one fold a few ops later, then a crash
+// whose cut falls on one of two places. Either the log is hard-cut at a
+// random byte offset, or the fold is cut, with the log as it was before the
+// fold put back: the checkpoint holds the old file plus a random part of
+// the fold's frames (a crash before the header rewrite), or the whole new
+// file (a crash between the header rewrite and the log truncation). The
+// reopened store must equal the state
+// after some prefix of the applied ops — never a mix, never garbage, and
+// never short of what the fold made durable — and still converge with a
+// live peer through tier-1 Sync.
 func TestCrashRecoveryProperty(t *testing.T) {
 	trials := 30
 	if testing.Short() {
@@ -166,17 +176,28 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("trial-%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial) * 7919))
 			dir := t.TempDir()
-			r, err := Open(dir, Options{Label: "crash", Shards: 1})
+			// The long label pads the snapshot, so a fold of a few ops never
+			// outgrows it and is never refused.
+			r, err := Open(dir, Options{Label: strings.Repeat("crash", 40), Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
+			logPath := filepath.Join(dir, "shard-0000.wal")
+			ckptPath := filepath.Join(dir, "shard-0000.ckpt")
 
 			key := func() string { return fmt.Sprintf("key-%d", rng.Intn(12)) }
 			// prefixes[i] is the state after i ops.
 			prefixes := []map[string]string{stateOf(r)}
 			var peer *Replica
 			nOps := 10 + rng.Intn(40)
+			// A full checkpoint after op ckptAt, a fold after op foldAt.
+			ckptAt := nOps/3 + rng.Intn(nOps/3)
+			foldAt := ckptAt + 1 + rng.Intn(3)
 			cloneAt := rng.Intn(nOps)
+			if cloneAt > ckptAt && cloneAt <= foldAt {
+				cloneAt = ckptAt // a clone forks every key: too much to fold
+			}
+			var preFoldLog, preFoldCkpt []byte
 			for i := 0; i < nOps; i++ {
 				if i == cloneAt {
 					peer = r.Clone("peer") // stamp forks hit the log too
@@ -187,6 +208,31 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					r.Put(key(), []byte(fmt.Sprintf("v%d-%d", trial, i)))
 				}
 				prefixes = append(prefixes, stateOf(r))
+				if i == foldAt {
+					if preFoldLog, err = os.ReadFile(logPath); err != nil {
+						t.Fatal(err)
+					}
+					if preFoldCkpt, err = os.ReadFile(ckptPath); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i == ckptAt || i == foldAt {
+					if err := r.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i == foldAt {
+					// A fold commits frames after the old end of the file; a
+					// rewrite leaves no fold frames at all.
+					folds, err := wal.FrameOffsets(ckptPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					log, err := os.ReadFile(logPath)
+					if err != nil || len(folds) == 0 || folds[len(folds)-1] < int64(len(preFoldCkpt)) || len(log) != 0 {
+						t.Fatalf("checkpoint after op %d did not fold (%v)", i, err)
+					}
+				}
 			}
 			if err := r.PersistErr(); err != nil {
 				t.Fatal(err)
@@ -195,33 +241,50 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Hard-cut the single stripe's log at a random offset.
-			path := filepath.Join(dir, "shard-0000.wal")
+			// Everything up to the fold is durable whatever the log cut; a
+			// crash mid-fold must leave exactly the state the fold began at.
+			path, hi := logPath, len(prefixes)
 			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cut := rng.Intn(len(data) + 1)
-			if err := os.Truncate(path, int64(cut)); err != nil {
+			crashed := data[:cut]
+			if rng.Intn(2) == 0 {
+				// Some of the fold's frames land after the old file; only the
+				// whole new file carries the header rewrite that commits them.
+				path, hi = ckptPath, foldAt+2
+				if data, err = os.ReadFile(path); err != nil {
+					t.Fatal(err)
+				}
+				cut = len(preFoldCkpt) + rng.Intn(len(data)-len(preFoldCkpt)+1)
+				crashed = append(append([]byte(nil), preFoldCkpt...), data[len(preFoldCkpt):cut]...)
+				if cut == len(data) {
+					crashed = data
+				}
+				if err := os.WriteFile(logPath, preFoldLog, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(path, crashed, 0o644); err != nil {
 				t.Fatal(err)
 			}
 
 			reopened, err := Open(dir, Options{})
 			if err != nil {
-				t.Fatalf("reopen after cut at %d/%d: %v", cut, len(data), err)
+				t.Fatalf("reopen after cut at %s+%d/%d: %v", filepath.Base(path), cut, len(data), err)
 			}
 			defer reopened.Close()
 			got := stateOf(reopened)
 			matched := -1
-			for i, want := range prefixes {
-				if sameState(got, want) {
+			for i := foldAt + 1; i < hi && matched < 0; i++ {
+				if sameState(got, prefixes[i]) {
 					matched = i
-					break
 				}
 			}
 			if matched < 0 {
-				t.Fatalf("cut at %d/%d: reopened state %v is no prefix of the op sequence",
-					cut, len(data), got)
+				t.Fatalf("cut at %s+%d/%d: reopened state %v is no prefix of ops [%d, %d)",
+					filepath.Base(path), cut, len(data), got, foldAt+1, hi)
 			}
 
 			// The survivor still speaks anti-entropy: sync with the live peer
@@ -408,11 +471,183 @@ func TestMemoryBackendMatchesWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Put("c", []byte("3"))
+	r.Put("b", []byte("4"))
+	if err := r.Checkpoint(); err != nil { // folds c and b
+		t.Fatal(err)
+	}
+	r.Put("c", []byte("5"))
 
 	reopened, err := OpenBackend(be, "mem", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireEqualStamps(t, r, reopened)
+}
+
+// TestRemovalForcesFullCheckpoint: a fold replays the log over the old
+// snapshot and cannot say a key is gone, so once DiscardTombstones has
+// removed a key the next checkpoint rewrites the stripe. Put k, checkpoint,
+// delete k, checkpoint (a fold), discard k's tombstone, checkpoint, crash:
+// k must come back as neither a value nor a tombstone, on both backends.
+func TestRemovalForcesFullCheckpoint(t *testing.T) {
+	mem, dir := storage.NewMemory(), t.TempDir()
+	for name, open := range map[string]func() (storage.Backend, error){
+		"memory": func() (storage.Backend, error) { return mem, nil },
+		"wal":    func() (storage.Backend, error) { return wal.Open(dir, wal.Options{}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			be, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenBackend(be, "removal", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Other keys give the snapshot room for the folds.
+			for i := 0; i < 20; i++ {
+				r.Put(fmt.Sprintf("other-%02d", i), []byte("0123456789"))
+			}
+			r.Put("k", []byte("v"))
+			checkpoint := func() {
+				t.Helper()
+				if err := r.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkpoint()
+			r.Delete("k")
+			checkpoint()
+			if n := r.DiscardTombstones(0, r.Tombstones(0)); n != 1 {
+				t.Fatalf("DiscardTombstones dropped %d tombstones, want 1", n)
+			}
+			checkpoint()
+			if err := r.Abandon(); err != nil {
+				t.Fatal(err)
+			}
+
+			if be, err = open(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := OpenBackend(be, "removal", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Abandon()
+			if v, ok := reopened.Version("k"); ok {
+				t.Fatalf("discarded key came back after reopen: %+v", v)
+			}
+			requireEqualStamps(t, r, reopened)
+		})
+	}
+}
+
+// TestPersistErrForcesFullCheckpoint: a write whose append failed is in
+// memory but not in the log, so a fold would drop it. While PersistErr is
+// set the next checkpoint rewrites every stripe instead, which heals
+// PersistErr, and the write survives a crash.
+func TestPersistErrForcesFullCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	in := faultfs.New(1, faultfs.Faults{})
+	open := func() *Replica {
+		t.Helper()
+		be, err := wal.Open(dir, wal.Options{Fault: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenBackend(be, "persist", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	r := open()
+	for i := 0; i < 20; i++ {
+		r.Put(fmt.Sprintf("other-%02d", i), []byte("0123456789"))
+	}
+	r.Put("k", []byte("v1"))
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	in.SetFaults(faultfs.Faults{AppendErrProb: 1})
+	r.Put("k", []byte("v2"))
+	in.SetFaults(faultfs.Faults{})
+	if r.PersistErr() == nil {
+		t.Fatal("failed append left PersistErr nil")
+	}
+	if err := r.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the failed append: %v", err)
+	}
+	if err := r.PersistErr(); err != nil {
+		t.Fatalf("PersistErr after a full checkpoint pass: %v", err)
+	}
+	if err := r.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := open()
+	defer reopened.Abandon()
+	if v, ok := reopened.Get("k"); !ok || string(v) != "v2" {
+		t.Fatalf("k after reopen = %q, %v; want the write whose append failed, v2", v, ok)
+	}
+}
+
+// TestConcurrentFoldsKeepAckedWrites races writers against a checkpoint
+// loop on a group-commit replica — folds, and full rewrites once the folds
+// outgrow a snapshot — then crashes and reopens: every key must come back
+// with its last value and stamp.
+func TestConcurrentFoldsKeepAckedWrites(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir, Options{Shards: 4, GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		r.Put(fmt.Sprintf("base-%03d", i), []byte("0123456789abcdef"))
+	}
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				r.Put(fmt.Sprintf("w%d-%d", g, i%10), []byte(fmt.Sprint(i)))
+			}
+		}(g)
+	}
+	stop, ckptErr := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				ckptErr <- nil
+				return
+			default:
+				if err := r.Checkpoint(); err != nil {
+					ckptErr <- err
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-ckptErr; err != nil {
+		t.Fatal(err)
+	}
+	if err := r.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
 	requireEqualStamps(t, r, reopened)
 }
 

@@ -157,6 +157,12 @@ type shard struct {
 	// free flag, so the per-write logSet check costs one atomic load. The
 	// authoritative record (with the damage report) is Replica.quar.
 	quar atomic.Bool
+
+	// removed is set when a key left the stripe with no log entry saying so
+	// (DiscardTombstones) since its last full checkpoint. A fold replays
+	// the log over the old snapshot, which still holds the key, so the
+	// next checkpoint must rewrite the stripe. Guarded by mu.
+	removed bool
 }
 
 // lockMut write-locks the stripe for a mutation and advances its epoch.

@@ -351,6 +351,7 @@ func (r *Replica) DiscardTombstones(i int, expect map[string]uint64) int {
 		}
 		delete(sh.tombs, k)
 		sh.noteDirtyLocked(k)
+		sh.removed = true
 		n++
 	}
 	return n

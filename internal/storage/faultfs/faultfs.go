@@ -273,8 +273,11 @@ func FlipLogByte(dir string, shard int, seed int64) (int64, error) {
 }
 
 // CorruptCheckpoint flips one byte of the shard's checkpoint file under
-// dir, deterministically from seed. Any byte will do: the magic, the
-// checksum and the payload are all verified.
+// dir, deterministically from seed, returning the byte offset flipped. Any
+// byte will do: the header carries its own checksum, the snapshot is
+// checksummed, and every fold frame lies inside the committed length the
+// header names, where a damaged frame — the last one included — is
+// corruption, never a torn tail.
 func CorruptCheckpoint(dir string, shard int, seed int64) (int64, error) {
 	path := wal.CheckpointPath(dir, shard)
 	data, err := os.ReadFile(path)

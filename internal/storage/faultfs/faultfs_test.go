@@ -2,6 +2,7 @@ package faultfs
 
 import (
 	"errors"
+	"os"
 	"testing"
 
 	"versionstamp/internal/core"
@@ -225,28 +226,53 @@ func TestFlipLogByteQuarantines(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointDetected damages a checkpoint at rest and asserts
-// the scrub catches it.
+// TestCorruptCheckpointDetected damages a checkpoint at rest — a bare
+// snapshot, and one followed by two folds — and asserts the scrub catches
+// every seed's flip, wherever it lands: header, snapshot, or any byte of
+// any fold frame, the last one included.
 func TestCorruptCheckpointDetected(t *testing.T) {
-	dir := t.TempDir()
-	w, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Checkpoint(2, []byte("snapshot-bytes")); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
-	if _, err := CorruptCheckpoint(dir, 2, 5); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	var ce *storage.CorruptError
-	if err := w2.VerifyShard(2); !errors.As(err, &ce) || ce.Shard != 2 {
-		t.Fatalf("VerifyShard = %v, want *storage.CorruptError for shard 2", err)
+	for _, folds := range []int{0, 2} {
+		dir := t.TempDir()
+		w, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Checkpoint(2, make([]byte, 300)); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < folds; f++ {
+			for _, k := range []string{"a", "b", "c"} {
+				if err := w.Append(2, rec(k, "vvvv")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ok, err := w.Fold(2); !ok || err != nil {
+				t.Fatalf("Fold = %v, %v", ok, err)
+			}
+		}
+		w.Close()
+		clean, err := os.ReadFile(wal.CheckpointPath(dir, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(0); seed < 80; seed++ {
+			if err := os.WriteFile(wal.CheckpointPath(dir, 2), clean, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			off, err := CorruptCheckpoint(dir, 2, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ce *storage.CorruptError
+			if err := w.VerifyShard(2); !errors.As(err, &ce) || ce.Shard != 2 {
+				t.Fatalf("%d folds, seed %d, byte %d: VerifyShard = %v, want *storage.CorruptError for shard 2",
+					folds, seed, off, err)
+			}
+			w.Close()
+		}
 	}
 }

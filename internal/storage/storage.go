@@ -2,11 +2,13 @@
 // kvstore. A Backend persists one replica's mutations as a per-stripe entry
 // log plus an occasional per-stripe checkpoint, so a replica can restart
 // from local state instead of a whole-replica snapshot: restart = load the
-// latest checkpoint of each stripe, then replay the stripe's log tail.
-// Because log entries carry full version stamps (encoding.Entry), a
-// restarted replica resumes anti-entropy exactly where it left off — the
-// stamps, not the storage layer, decide what still needs to move. That is
-// the whole contract: append, checkpoint, replay.
+// latest snapshot of each stripe and the entries folded into it, then
+// replay the stripe's log tail. Because log entries carry full version
+// stamps (encoding.Entry), each is its key's whole state: a restarted
+// replica resumes anti-entropy exactly where it left off — the stamps, not
+// the storage layer, decide what still needs to move — and a checkpoint
+// can keep a key's last entry instead of rewriting the stripe. That is the
+// whole contract: append, checkpoint or fold, replay.
 //
 // Two implementations exist: Memory, an in-process log that preserves the
 // engine's historical all-in-memory behaviour (nothing survives the
@@ -59,8 +61,8 @@ func (e *CorruptError) Error() string {
 func (e *CorruptError) Unwrap() error { return e.Err }
 
 // Verifier is the optional scrub surface of a Backend: VerifyShard re-reads
-// the shard's durable bytes — log frames against their CRCs, the checkpoint
-// against its checksum — without mutating anything, returning a
+// the shard's durable bytes — log and fold frames against their CRCs, the
+// snapshot against its checksum — without mutating anything, returning a
 // *CorruptError on damage. Backends without durable bytes (Memory) simply
 // do not implement it; the scrubber skips them.
 type Verifier interface {
@@ -70,9 +72,9 @@ type Verifier interface {
 // Backend persists per-stripe entry logs and checkpoints. Each log entry is
 // one durable mutation: the key it names now holds exactly that state
 // (value, tombstone flag and stamp). Implementations must serialize
-// operations on the same shard internally; the kvstore calls Append and
-// Checkpoint under the stripe's write lock, but Close can race with appends
-// to other shards.
+// operations on the same shard internally; the kvstore calls Append,
+// Checkpoint and Fold under the stripe's write lock, but Close can race
+// with appends to other shards.
 type Backend interface {
 	// Append durably adds one entry to the shard's log. The kvstore
 	// acknowledges a write only after Append returns, so an implementation's
@@ -80,18 +82,29 @@ type Backend interface {
 	Append(shard int, e encoding.Entry) error
 
 	// ReplayShard streams the shard's durable state in apply order: the
-	// latest checkpoint (if one exists) through ckpt first, then every log
-	// entry appended after that checkpoint through rec, oldest first.
-	// Either callback may be nil to skip that part.
+	// latest snapshot (if one exists) through ckpt first, then every entry
+	// folded into it and every log entry appended since through rec,
+	// oldest first. Either callback may be nil to skip that part.
 	ReplayShard(shard int, ckpt func(snapshot []byte) error, rec func(encoding.Entry) error) error
 
-	// Checkpoint atomically replaces the shard's checkpoint with snapshot
-	// and truncates its log: after Checkpoint, ReplayShard yields the
-	// snapshot and nothing else. It is the one truncation path, and the
-	// repair path for a damaged shard. The kvstore calls it under the
-	// stripe's write lock so no append can fall between the snapshot and
-	// the truncation.
+	// Checkpoint atomically replaces the shard's checkpoint with snapshot,
+	// dropping its folds, and truncates its log: after Checkpoint,
+	// ReplayShard yields the snapshot and nothing else. It is the repair
+	// path for a damaged shard. The kvstore calls it under the stripe's
+	// write lock so no append can fall between the snapshot and the
+	// truncation.
 	Checkpoint(shard int, snapshot []byte) error
+
+	// Fold is the incremental checkpoint: it moves the last log entry of
+	// each key into the shard's checkpoint, after the snapshot and earlier
+	// folds, and truncates the log, so ReplayShard yields the same state
+	// with an empty log. It is correct only while the log holds every
+	// change since the last Checkpoint; a key removed without a log entry
+	// needs a Checkpoint. An empty log folds nothing. ok is false, with
+	// nothing changed, when no snapshot exists, the shard is damaged, or
+	// the folds would grow larger than the snapshot; the caller then
+	// writes a full Checkpoint.
+	Fold(shard int) (ok bool, err error)
 
 	// Close releases the backend's resources. The log is not checkpointed;
 	// callers wanting a clean restart checkpoint first (kvstore's
@@ -163,8 +176,10 @@ type Memory struct {
 }
 
 type memShard struct {
-	ckpt []byte
-	log  []encoding.Entry
+	ckpt   []byte
+	folds  []encoding.Entry
+	folded int // encoded bytes of folds, held to at most len(ckpt)
+	log    []encoding.Entry
 }
 
 // NewMemory creates an empty in-process backend.
@@ -190,12 +205,12 @@ func (m *Memory) Append(shard int, e encoding.Entry) error {
 	return nil
 }
 
-// ReplayShard streams the shard's checkpoint and log.
+// ReplayShard streams the shard's checkpoint, its folds and its log.
 func (m *Memory) ReplayShard(shard int, ckpt func([]byte) error, rec func(encoding.Entry) error) error {
 	m.mu.Lock()
 	sh := m.shard(shard)
 	snapshot := sh.ckpt
-	log := append([]encoding.Entry(nil), sh.log...)
+	entries := append(append([]encoding.Entry(nil), sh.folds...), sh.log...)
 	m.mu.Unlock()
 	if snapshot != nil && ckpt != nil {
 		if err := ckpt(snapshot); err != nil {
@@ -203,7 +218,7 @@ func (m *Memory) ReplayShard(shard int, ckpt func([]byte) error, rec func(encodi
 		}
 	}
 	if rec != nil {
-		for _, e := range log {
+		for _, e := range entries {
 			if err := rec(e); err != nil {
 				return err
 			}
@@ -218,8 +233,37 @@ func (m *Memory) Checkpoint(shard int, snapshot []byte) error {
 	defer m.mu.Unlock()
 	sh := m.shard(shard)
 	sh.ckpt = append([]byte(nil), snapshot...)
-	sh.log = nil
+	sh.folds, sh.folded, sh.log = nil, 0, nil
 	return nil
+}
+
+// Fold moves the last log entry of each key onto the shard's fold list,
+// under the same rules as the wal backend's: no snapshot, no fold, and the
+// folds' encoded size stays within the snapshot's.
+func (m *Memory) Fold(shard int) (bool, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sh := m.shard(shard)
+	if sh.ckpt == nil {
+		return false, nil
+	}
+	last := make(map[string]int, len(sh.log))
+	for i, e := range sh.log {
+		last[e.Key] = i
+	}
+	var kept []encoding.Entry
+	n := 0
+	for i, e := range sh.log {
+		if last[e.Key] == i {
+			kept = append(kept, e)
+			n += len(encoding.AppendEntry(nil, e))
+		}
+	}
+	if sh.folded+n > len(sh.ckpt) {
+		return false, nil
+	}
+	sh.folds, sh.folded, sh.log = append(sh.folds, kept...), sh.folded+n, nil
+	return true, nil
 }
 
 // Close is a no-op for the in-process backend.

@@ -63,3 +63,40 @@ func TestMemoryCheckpointTruncatesLog(t *testing.T) {
 		t.Errorf("post-checkpoint records = %+v", recs)
 	}
 }
+
+// TestMemoryFold holds the in-process backend to the wal backend's fold
+// contract: no snapshot, no fold; each key's last entry moves from the log
+// to the folds; folds may not outgrow the snapshot; Checkpoint drops them.
+func TestMemoryFold(t *testing.T) {
+	m := NewMemory()
+	_ = m.Append(0, rec("a", "1"))
+	if ok, err := m.Fold(0); ok || err != nil {
+		t.Fatalf("Fold without a snapshot = %v, %v; want false, nil", ok, err)
+	}
+	if err := m.Checkpoint(0, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	for _, kv := range [][2]string{{"a", "1"}, {"b", "2"}, {"a", "3"}} {
+		_ = m.Append(0, rec(kv[0], kv[1]))
+	}
+	if ok, err := m.Fold(0); !ok || err != nil {
+		t.Fatalf("Fold = %v, %v", ok, err)
+	}
+	_ = m.Append(0, rec("c", "4"))
+	if _, recs := replayAll(t, m, 0); len(recs) != 3 ||
+		recs[0].Key != "b" || string(recs[1].Value) != "3" || recs[2].Key != "c" {
+		t.Fatalf("replay after fold = %+v, want folds b, a=3 then log c", recs)
+	}
+	for i := 0; i < 8; i++ {
+		_ = m.Append(0, rec(string(rune('k'+i)), "0123456789"))
+	}
+	if ok, err := m.Fold(0); ok || err != nil {
+		t.Fatalf("oversized fold = %v, %v; want false, nil", ok, err)
+	}
+	if err := m.Checkpoint(0, []byte("snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if ckpt, recs := replayAll(t, m, 0); string(ckpt) != "snapshot" || len(recs) != 0 {
+		t.Fatalf("replay after Checkpoint = %q, %+v", ckpt, recs)
+	}
+}

@@ -505,3 +505,45 @@ func TestGroupCommitShortBatchRollsBack(t *testing.T) {
 		t.Fatalf("acked record b lost after short-batch rollback: %+v", recs)
 	}
 }
+
+// TestGroupCommitFoldRotatesFirst: a fold rotates the commit log before it
+// truncates the stripe log, so no commit frame from before the fold can
+// materialize against the emptied log. Losing every un-fsynced stripe byte
+// afterwards still recovers the folds plus the appends made since.
+func TestGroupCommitFoldRotatesFirst(t *testing.T) {
+	dir := t.TempDir()
+	w := openGroup(t, dir)
+	if err := w.Checkpoint(0, make([]byte, 200)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := w.Append(0, rec(fmt.Sprintf("k%d", i%2), fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := w.Fold(0); !ok || err != nil {
+		t.Fatalf("Fold = %v, %v", ok, err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, commitLogName)); err != nil || fi.Size() != 0 {
+		t.Fatalf("commit log after the fold: %v, %v; want empty", fi, err)
+	}
+	if err := w.Append(0, rec("k2", "v4")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(LogPath(dir, 0), 0); err != nil {
+		t.Fatal(err)
+	}
+	w2 := openGroup(t, dir)
+	defer w2.Close()
+	_, recs := replay(t, w2, 0)
+	var got []string
+	for _, r := range recs {
+		got = append(got, r.Key+"="+string(r.Value))
+	}
+	if fmt.Sprint(got) != "[k0=v2 k1=v3 k2=v4]" {
+		t.Fatalf("recovered %v, want the folds k0=v2 k1=v3 then k2=v4", got)
+	}
+}

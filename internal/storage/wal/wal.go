@@ -1,21 +1,39 @@
 // Package wal implements the log-structured file-per-stripe storage.Backend:
 // each stripe owns an append-only log of length-prefixed, CRC-protected
 // entry frames plus a checkpoint file holding the stripe's latest binary
-// snapshot. Appends are a single write to one file; restart replays the
-// checkpoint and then the log tail.
+// snapshot and the log frames folded in after it. Appends are a single
+// write to one file; restart replays the snapshot, its folds and then the
+// log tail.
 //
 // # On-disk layout
 //
 //	<dir>/shard-NNNN.wal   entry log, a sequence of frames
-//	<dir>/shard-NNNN.ckpt  latest checkpoint (kvstore binary shard snapshot)
+//	<dir>/shard-NNNN.ckpt  checkpoint: header snapshot fold
 //	<dir>/commit.wal       group-commit log (GroupCommit mode only)
 //
-//	frame   := uvarint(len(payload)) payload crc32c(payload)   // crc big-endian
-//	payload := 0x01 entry            // set: encoding.AppendEntry bytes
-//	         | 0x03 uvarint(shard) uvarint(off) raw-frame      // commit.wal only
+//	frame    := uvarint(len(payload)) payload crc32c(payload)   // crc big-endian
+//	payload  := 0x01 entry           // set: encoding.AppendEntry bytes
+//	          | 0x03 uvarint(shard) uvarint(off) raw-frame     // commit.wal only
+//	header   := "WCK2" crc32c(snapshot) uint64(len(snapshot))
+//	            uint64(len(fold)) crc32c(header bytes before it)  // big-endian
+//	snapshot := kvstore binary shard snapshot
+//	fold     := frame*               // set frames only
 //
 // Any other payload kind — including 0x02, a retired stripe-reset record —
-// is corruption, even under a valid CRC.
+// is corruption, even under a valid CRC, in a log and in a fold alike.
+//
+// # Checkpoints and folds
+//
+// Checkpoint writes a new file — header and snapshot, no folds — through
+// write-to-temp, fsync, rename, then truncates the log. Fold is the
+// incremental checkpoint: it keeps the last log frame of each key, writes
+// those raw frames after the snapshot and earlier folds and fsyncs them,
+// then commits them by rewriting the header with the longer fold length and
+// fsyncing again, and only then truncates the log. Every frame carries its
+// key's whole state, so the snapshot plus its folds plus the log, applied
+// in order, is the stripe. Fold refuses (and the caller rewrites the stripe
+// with Checkpoint) when the fold region would outgrow the snapshot it
+// follows, so dead space never exceeds live data.
 //
 // # Group commit
 //
@@ -39,7 +57,7 @@
 // is truncated, so the ordinary checkpoint + log-tail replay machinery runs
 // over complete stripe logs and never sees the commit log at all.
 //
-// Checkpoint rotates first — fsync every stripe file the committer
+// Checkpoint and Fold rotate first — fsync every stripe file the committer
 // dirtied, then truncate and fsync commit.wal — so no stale commit frame
 // can outlive the log truncation it refers into; the commit log also
 // rotates in the background when it exceeds defaultCommitLogCap.
@@ -54,14 +72,26 @@
 // dropped. A CRC mismatch followed by further bytes cannot be a torn tail
 // write and is reported as corruption instead of silently truncated.
 //
+// A fold has no torn tail. Its header names exactly the committed fold
+// bytes, and names them only once they are durable, so every byte of a
+// checkpoint up to that length is covered by a checksum and any damage
+// there is corruption — the last fold frame included. Bytes past the
+// committed length are a fold the crash interrupted before its header
+// write; Open truncates them, which is safe because the log is truncated
+// only after the header is durable, so their frames are all still in the
+// log. A crash between the header write and the log truncation replays the
+// folded frames and then the same frames from the log — the same state.
+// The header is one 28-byte write at offset 0, inside the first sector,
+// which disks write whole.
+//
 // By default appends reach the OS buffer cache (durable across process
 // crashes, not power loss); Options.GroupCommit makes every acknowledged
 // append survive power loss too, through the commit log's shared fsync
-// (above). Checkpoints always fsync and rename, whatever the option, so a
-// half-written checkpoint can never replace a good one. Every checkpoint
-// carries a checksummed header (ckptMagic + CRC32-Castagnoli over the
-// payload), so at-rest checkpoint damage is detected exactly like frame
-// damage; a file without the header is corrupt.
+// (above). Checkpoints always fsync and rename, and folds always fsync
+// before the log truncates, whatever the option, so a half-written
+// checkpoint can never replace a good one. Every checkpoint carries a
+// checksummed header (above), so at-rest checkpoint damage is detected
+// exactly like frame damage; a file without the header is corrupt.
 //
 // # Quarantine
 //
@@ -73,9 +103,10 @@
 // intact prefix before reporting it, so a caller keeps every readable
 // entry. Checkpoint is the repair path: a fresh checkpoint holds
 // the shard's full state, so it truncates the damaged log and clears the
-// latch. VerifyShard is the scrub path: it re-reads a live shard's frames
-// and checkpoint against their checksums and latches on damage, demoting
-// bad sectors found long after Open.
+// latch; Fold refuses a latched or quarantined shard. VerifyShard is the
+// scrub path: it re-reads a live shard's snapshot, folds and log against
+// their checksums, without decoding entries, and latches on damage,
+// demoting bad sectors found long after Open.
 //
 // # Fault injection
 //
@@ -87,6 +118,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -96,6 +128,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -136,13 +169,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // wrapping this sentinel.
 var ErrCorrupt = errors.New("wal: corrupt log")
 
-// ckptMagic heads every checkpoint file: the magic, a big-endian
-// CRC32-Castagnoli of the payload, then the payload. A file that does not
-// start with it is damaged.
-const ckptMagic = "WCK1"
+// ckptMagic heads every checkpoint file. The header goes on with a
+// CRC32-Castagnoli of the snapshot, the snapshot's length, the committed
+// fold region's length and a CRC32-Castagnoli of the header bytes before
+// it, all big-endian; the snapshot and the fold region follow. A file whose
+// header does not check is damaged.
+const ckptMagic = "WCK2"
 
-// ckptHeaderLen is the byte offset of a checkpoint's payload in its file.
-const ckptHeaderLen = len(ckptMagic) + 4
+// ckptHeaderLen is the byte offset of a checkpoint's snapshot in its file.
+const ckptHeaderLen = len(ckptMagic) + 4 + 8 + 8 + 4
 
 // FaultInjector intercepts the WAL's physical operations, letting
 // internal/storage/faultfs inject deterministic disk faults under tests and
@@ -164,9 +199,10 @@ type FaultInjector interface {
 	// ahead of a checkpoint or at the commit-log cap); an error fails that
 	// rotation with its frames intact, leaving the commit log in place.
 	Sync(shard int) error
-	// Checkpoint is consulted before a checkpoint write; an error fails the
-	// checkpoint before anything on disk is replaced.
-	Checkpoint(shard int, snapshot []byte) error
+	// Checkpoint is consulted before a checkpoint write with the snapshot,
+	// and before a fold with exactly the frames the fold appends; an error
+	// fails the checkpoint or fold before anything on disk changes.
+	Checkpoint(shard int, data []byte) error
 }
 
 // CommitFaultInjector optionally extends FaultInjector with the
@@ -239,11 +275,13 @@ func (sh *walShard) dropReadHandle() {
 // Open prepares dir (creating it if needed), takes the directory's
 // advisory lock — two live processes appending to the same logs would
 // destroy each other's acknowledged writes — and recovers every existing
-// shard log: torn tail frames are truncated away here, once, so appends
-// can never land after garbage. Mid-log corruption does not fail the open:
-// the damaged shard is quarantined (file and byte offset recorded) and
-// every other shard recovers normally. The lock dies with the process; a
-// crashed owner never blocks the next Open.
+// shard log and checkpoint: torn log tails and interrupted folds are
+// truncated away here, once, so appends and folds can never land after
+// garbage. Mid-log corruption, or damage to a checkpoint's header or
+// committed folds, does not fail the open: the damaged shard is
+// quarantined (file and byte offset recorded) and every other shard
+// recovers normally. The lock dies with the process; a crashed owner never
+// blocks the next Open.
 func Open(dir string, opts Options) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -253,13 +291,21 @@ func Open(dir string, opts Options) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{dir: dir, fault: opts.Fault, lock: lock, shards: make(map[int]*walShard)}
-	logs, err := filepath.Glob(filepath.Join(dir, "shard-*.wal"))
-	if err != nil {
-		_ = w.unlock()
-		return nil, fmt.Errorf("wal: %w", err)
+	var files []string
+	for _, pattern := range []string{"shard-*.ckpt", "shard-*.wal"} {
+		matches, err := filepath.Glob(filepath.Join(dir, pattern))
+		if err != nil {
+			_ = w.unlock()
+			return nil, fmt.Errorf("wal: %w", err)
+		}
+		files = append(files, matches...)
 	}
-	for _, path := range logs {
-		off, err := recoverLog(path)
+	for _, path := range files {
+		recoverFile := recoverTail
+		if filepath.Ext(path) == ".ckpt" {
+			recoverFile = recoverFolds
+		}
+		off, err := recoverFile(path)
 		if err == nil {
 			continue
 		}
@@ -270,9 +316,11 @@ func Open(dir string, opts Options) (*WAL, error) {
 			_ = w.unlock()
 			return nil, err
 		}
-		w.shards[shard] = &walShard{quar: &storage.CorruptError{
-			Shard: shard, Path: path, Offset: off, Err: err,
-		}}
+		if w.shards[shard] == nil { // the first damage found is reported
+			w.shards[shard] = &walShard{quar: &storage.CorruptError{
+				Shard: shard, Path: path, Offset: off, Err: err,
+			}}
+		}
 	}
 	if opts.GroupCommit {
 		w.group = &committer{
@@ -397,9 +445,10 @@ func (w *WAL) recoverCommitLog() error {
 	return nil
 }
 
-// shardFromPath parses the shard index out of a shard-NNNN.wal path.
+// shardFromPath parses the shard index out of a shard-NNNN.wal or
+// shard-NNNN.ckpt path.
 func shardFromPath(path string) (int, bool) {
-	base := strings.TrimSuffix(filepath.Base(path), ".wal")
+	base := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	base = strings.TrimPrefix(base, "shard-")
 	n, err := strconv.Atoi(base)
 	if err != nil || n < 0 {
@@ -444,25 +493,101 @@ func corrupt(sh *walShard, shard int, path string, off int64, err error) *storag
 	return ce
 }
 
-// wrapCheckpoint prefixes payload with the checksummed checkpoint header.
-func wrapCheckpoint(payload []byte) []byte {
-	out := make([]byte, 0, ckptHeaderLen+len(payload))
-	out = append(out, ckptMagic...)
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
+// ckptHeader is a checkpoint file's parsed header.
+type ckptHeader struct {
+	sum          uint32 // CRC32-Castagnoli of the snapshot
+	snap, folded int64  // lengths of the snapshot and of the committed folds
 }
 
-// unwrapCheckpoint strips and verifies the checkpoint header.
-func unwrapCheckpoint(data []byte) ([]byte, error) {
-	if len(data) < ckptHeaderLen || string(data[:len(ckptMagic)]) != ckptMagic {
-		return nil, fmt.Errorf("%w: bad checkpoint header", ErrCorrupt)
+// folds returns the file offset where the fold region starts.
+func (h ckptHeader) folds() int64 { return int64(ckptHeaderLen) + h.snap }
+
+// end returns the file offset where the committed folds end.
+func (h ckptHeader) end() int64 { return h.folds() + h.folded }
+
+// encode returns the header's bytes, its own checksum last.
+func (h ckptHeader) encode() []byte {
+	b := make([]byte, 0, ckptHeaderLen)
+	b = append(b, ckptMagic...)
+	b = binary.BigEndian.AppendUint32(b, h.sum)
+	b = binary.BigEndian.AppendUint64(b, uint64(h.snap))
+	b = binary.BigEndian.AppendUint64(b, uint64(h.folded))
+	return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
+}
+
+// wrapCheckpoint prefixes snapshot with its header: a checkpoint file with
+// an empty fold region.
+func wrapCheckpoint(snapshot []byte) []byte {
+	h := ckptHeader{sum: crc32.Checksum(snapshot, crcTable), snap: int64(len(snapshot))}
+	return append(h.encode(), snapshot...)
+}
+
+// parseHeader checks the header at the front of a checkpoint file of size
+// bytes against its own checksum and the file's length. The snapshot's
+// checksum is not checked here.
+func parseHeader(hdr []byte, size int64) (ckptHeader, error) {
+	n := ckptHeaderLen - 4
+	if len(hdr) < ckptHeaderLen || size < int64(ckptHeaderLen) ||
+		string(hdr[:len(ckptMagic)]) != ckptMagic ||
+		crc32.Checksum(hdr[:n], crcTable) != binary.BigEndian.Uint32(hdr[n:]) {
+		return ckptHeader{}, fmt.Errorf("%w: bad checkpoint header", ErrCorrupt)
 	}
-	crc := binary.BigEndian.Uint32(data[len(ckptMagic):])
-	payload := data[ckptHeaderLen:]
-	if crc32.Checksum(payload, crcTable) != crc {
-		return nil, fmt.Errorf("%w: checkpoint checksum mismatch", ErrCorrupt)
+	snap := binary.BigEndian.Uint64(hdr[len(ckptMagic)+4:])
+	folded := binary.BigEndian.Uint64(hdr[len(ckptMagic)+12:])
+	if room := uint64(size) - uint64(ckptHeaderLen); snap > room || folded > room-snap {
+		return ckptHeader{}, fmt.Errorf("%w: checkpoint of %d+%d bytes overruns the file", ErrCorrupt, snap, folded)
 	}
-	return payload, nil
+	return ckptHeader{sum: binary.BigEndian.Uint32(hdr[len(ckptMagic):]), snap: int64(snap), folded: int64(folded)}, nil
+}
+
+// splitCheckpoint verifies a checkpoint file's header and snapshot checksum
+// and returns the snapshot and the committed fold region after it.
+func splitCheckpoint(data []byte) (snapshot, fold []byte, err error) {
+	h, err := parseHeader(data, int64(len(data)))
+	if err != nil {
+		return nil, nil, err
+	}
+	snapshot = data[ckptHeaderLen:h.folds()]
+	if crc32.Checksum(snapshot, crcTable) != h.sum {
+		return nil, nil, fmt.Errorf("%w: checkpoint checksum mismatch", ErrCorrupt)
+	}
+	return snapshot, data[h.folds():h.end()], nil
+}
+
+// readHeader reads and checks the header of the checkpoint file f, without
+// reading the snapshot, and returns it with the file's size.
+func readHeader(f *os.File) (ckptHeader, int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return ckptHeader{}, 0, err
+	}
+	hdr := make([]byte, ckptHeaderLen)
+	n, err := f.ReadAt(hdr, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return ckptHeader{}, 0, err
+	}
+	h, err := parseHeader(hdr[:n], fi.Size())
+	return h, fi.Size(), err
+}
+
+// readFolds reads the committed fold region of the checkpoint at path — the
+// header is checked, the snapshot is not read — and returns it with its
+// offset in the file and the file's size.
+func readFolds(path string) (region []byte, base, size int64, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	defer f.Close()
+	h, size, err := readHeader(f)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	region = make([]byte, h.folded)
+	if _, err := f.ReadAt(region, h.folds()); err != nil {
+		return nil, 0, 0, err
+	}
+	return region, h.folds(), size, nil
 }
 
 // shard returns (creating if needed) the per-shard state, with its mutex
@@ -566,10 +691,48 @@ func scanLog(data []byte, fn func(off int, e encoding.Entry) error) (valid int, 
 	})
 }
 
-// recoverLog truncates path back to its last intact frame. Corruption
-// (damage that is provably not a torn tail) is returned, not repaired; the
-// returned offset is where the damage starts.
-func recoverLog(path string) (int64, error) {
+// checkFrames is scanFrames with each payload's kind and key prefix checked
+// and nothing decoded: the pass Open's recovery and the scrub make, which
+// costs a CRC per frame rather than a stamp decode.
+func checkFrames(data []byte) (valid int, err error) {
+	return scanFrames(data, func(off int, payload []byte) error {
+		if _, ok := frameKey(payload); !ok {
+			return fmt.Errorf("%w: not a set record (offset %d)", ErrCorrupt, off)
+		}
+		return nil
+	})
+}
+
+// frameKey returns the key of a set payload from the key prefix
+// encoding.AppendEntry writes (uvarint length, key bytes), without
+// decoding the value or the stamp; false means the payload is no set
+// record.
+func frameKey(payload []byte) ([]byte, bool) {
+	if len(payload) == 0 || payload[0] != recSet {
+		return nil, false
+	}
+	n, used := binary.Uvarint(payload[1:])
+	if used <= 0 || n > uint64(len(payload)-1-used) {
+		return nil, false
+	}
+	return payload[1+used : 1+used+int(n)], true
+}
+
+// foldErr is the scan result err for a committed fold region whose intact
+// frames end at valid. A fold has no torn tail — its header names its bytes
+// only once they are durable — so frames that stop short of the region's
+// end are corruption too.
+func foldErr(region []byte, valid int, err error) error {
+	if err == nil && valid < len(region) {
+		return fmt.Errorf("%w: damaged fold frame at offset %d", ErrCorrupt, valid)
+	}
+	return err
+}
+
+// recoverTail truncates the stripe log at path back to its last intact
+// frame. Corruption (damage that is provably not a torn tail) is returned,
+// not repaired; the returned offset is where the damage starts.
+func recoverTail(path string) (int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -577,7 +740,7 @@ func recoverLog(path string) (int64, error) {
 		}
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	valid, err := scanLog(data, nil)
+	valid, err := checkFrames(data)
 	if err != nil {
 		return int64(valid), err
 	}
@@ -587,6 +750,35 @@ func recoverLog(path string) (int64, error) {
 		}
 	}
 	return int64(valid), nil
+}
+
+// recoverFolds checks the checkpoint at path: its header, and every frame of
+// the fold region the header commits, where any damage is corruption. Bytes
+// past the committed folds are a fold the crash interrupted before its
+// header write; its frames are all still in the log, so they are truncated
+// away. The snapshot is left to ReplayShard and VerifyShard. The returned
+// offset is where damage starts.
+func recoverFolds(path string) (int64, error) {
+	region, base, size, err := readFolds(path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return 0, nil
+		}
+		if errors.Is(err, ErrCorrupt) {
+			return 0, err
+		}
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	valid, err := checkFrames(region)
+	if err = foldErr(region, valid, err); err != nil {
+		return base + int64(valid), err
+	}
+	if end := base + int64(len(region)); size > end {
+		if err := os.Truncate(path, end); err != nil {
+			return end, fmt.Errorf("wal: truncate interrupted fold: %w", err)
+		}
+	}
+	return 0, nil
 }
 
 // appendLocked writes e's frame to the shard's log under sh.mu (held by the
@@ -980,11 +1172,12 @@ func (c *committer) close() error {
 	return err
 }
 
-// ReplayShard streams the shard's checkpoint, then its log entries. On a
-// damaged shard it still streams everything intact — the checkpoint if its
-// checksum holds, then every log frame before the damage — and only then
-// returns the *storage.CorruptError, so a caller keeps the readable prefix
-// and can quarantine the shard instead of losing it.
+// ReplayShard streams the shard's snapshot through ckpt, then its fold
+// frames and its log entries through rec. On a damaged shard it still
+// streams everything intact before the damage — the snapshot if its
+// checksum holds, then every fold and log frame before the first bad one —
+// and only then returns the *storage.CorruptError, so a caller keeps the
+// readable prefix and can quarantine the shard instead of losing it.
 func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(encoding.Entry) error) error {
 	sh, err := w.shard(shard)
 	if err != nil {
@@ -992,23 +1185,50 @@ func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(encoding.
 	}
 	defer sh.mu.Unlock()
 	damage := sh.quar
-	snap, err := os.ReadFile(w.ckptPath(shard))
+	// scan streams one frame region of path, which starts at base in the
+	// file, and returns the end of its intact frames; a fold region must be
+	// intact to its end. Damage is recorded and returned as the shard's
+	// damage report.
+	scan := func(path string, base int, region []byte, fold bool) (int, error) {
+		valid, err := scanLog(region, func(_ int, e encoding.Entry) error {
+			if rec == nil {
+				return nil
+			}
+			return rec(e)
+		})
+		if fold {
+			err = foldErr(region, valid, err)
+		}
+		if errors.Is(err, ErrCorrupt) {
+			if damage == nil {
+				damage = corrupt(sh, shard, path, int64(base+valid), err)
+			}
+			return valid, damage
+		}
+		return valid, err // nil, or a rec callback error
+	}
+	data, err := os.ReadFile(w.ckptPath(shard))
 	switch {
 	case err == nil:
-		payload, cerr := unwrapCheckpoint(snap)
+		snap, fold, cerr := splitCheckpoint(data)
 		if cerr != nil {
 			if damage == nil {
 				damage = corrupt(sh, shard, w.ckptPath(shard), 0, cerr)
 			}
-		} else if ckpt != nil {
-			if err := ckpt(payload); err != nil {
+			return damage
+		}
+		if ckpt != nil {
+			if err := ckpt(snap); err != nil {
 				return err
 			}
+		}
+		if _, err := scan(w.ckptPath(shard), len(snap)+ckptHeaderLen, fold, true); err != nil {
+			return err
 		}
 	case !errors.Is(err, fs.ErrNotExist):
 		return fmt.Errorf("wal: %w", err)
 	}
-	data, err := os.ReadFile(w.logPath(shard))
+	data, err = os.ReadFile(w.logPath(shard))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			if damage != nil {
@@ -1018,20 +1238,9 @@ func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(encoding.
 		}
 		return fmt.Errorf("wal: %w", err)
 	}
-	valid, err := scanLog(data, func(_ int, e encoding.Entry) error {
-		if rec == nil {
-			return nil
-		}
-		return rec(e)
-	})
+	valid, err := scan(w.logPath(shard), 0, data, false)
 	if err != nil {
-		if !errors.Is(err, ErrCorrupt) {
-			return err // a rec callback error, not log damage
-		}
-		if damage == nil {
-			damage = corrupt(sh, shard, w.logPath(shard), int64(valid), err)
-		}
-		return damage
+		return err
 	}
 	if valid < len(data) && sh.quar == nil {
 		// A torn tail can only appear here if the file was damaged after
@@ -1081,25 +1290,152 @@ func (w *WAL) checkpoint(shard int, snapshot []byte) (uint32, int64, error) {
 	if err := WriteFileAtomic(path, wrapCheckpoint(snapshot)); err != nil {
 		return 0, 0, err
 	}
+	// Checkpoint offsets now address the fresh file, which has no folds.
+	sh.ckptGen++
+	sh.dropReadHandle()
+	if err := w.truncateLogLocked(sh, shard); err != nil {
+		return 0, 0, err
+	}
+	// The checkpoint holds everything the log did (and more): a previously
+	// latched or quarantined shard is healthy.
+	sh.failed, sh.quar = nil, nil
+	return sh.ckptGen, int64(ckptHeaderLen), nil
+}
+
+// truncateLogLocked empties the shard's log once a checkpoint or fold holds
+// everything in it, fsyncing the truncation in group-commit mode so it
+// survives power loss too. Callers hold sh.mu.
+func (w *WAL) truncateLogLocked(sh *walShard, shard int) error {
 	if sh.f != nil {
 		if err := sh.f.Truncate(0); err != nil {
-			return 0, 0, fmt.Errorf("wal: truncate log %d: %w", shard, err)
+			return fmt.Errorf("wal: truncate log %d: %w", shard, err)
 		}
 		if w.group != nil {
 			if err := sh.f.Sync(); err != nil {
-				return 0, 0, fmt.Errorf("wal: truncate log %d: %w", shard, err)
+				return fmt.Errorf("wal: truncate log %d: %w", shard, err)
 			}
 		}
 	} else if err := os.Truncate(w.logPath(shard), 0); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return 0, 0, fmt.Errorf("wal: truncate log %d: %w", shard, err)
+		return fmt.Errorf("wal: truncate log %d: %w", shard, err)
 	}
-	// The checkpoint holds everything the log did (and more): the log is
-	// empty again and a previously latched or quarantined shard is healthy.
-	sh.size, sh.failed, sh.quar = 0, nil, nil
-	// Checkpoint offsets now address the fresh file.
-	sh.ckptGen++
-	sh.dropReadHandle()
-	return sh.ckptGen, int64(ckptHeaderLen), nil
+	sh.size = 0
+	return nil
+}
+
+// Fold implements storage.Backend: the incremental checkpoint. It keeps the
+// last log frame of each key — found by the frame's key prefix, nothing is
+// decoded — writes those raw frames after the checkpoint's snapshot and
+// committed folds and fsyncs them, commits them by rewriting the header
+// with the longer fold length and fsyncing again, and only then truncates
+// the log. An empty log folds nothing and writes nothing.
+//
+// ok is false, with nothing written, when there is no checkpoint to fold
+// into or its header does not check, the shard is latched or quarantined,
+// the log holds anything but intact set frames, or the fold region would
+// grow larger than the snapshot; the caller then writes a full Checkpoint.
+// A failed fold leaves the log untouched. Frames it wrote past the
+// committed folds are cut off again; if that fails they stay harmless, as
+// nothing reads past the committed length, the next fold writes over them,
+// and the next Open truncates them.
+func (w *WAL) Fold(shard int) (bool, error) {
+	if w.group != nil {
+		if err := w.group.rotate(); err != nil {
+			return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
+		}
+	}
+	sh, err := w.shard(shard)
+	if err != nil {
+		return false, err
+	}
+	defer sh.mu.Unlock()
+	if sh.quar != nil || sh.failed != nil {
+		return false, nil
+	}
+	f, err := os.OpenFile(w.ckptPath(shard), os.O_RDWR, 0)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return false, nil
+		}
+		return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
+	}
+	defer f.Close()
+	h, _, err := readHeader(f)
+	if err != nil {
+		if errors.Is(err, ErrCorrupt) {
+			return false, nil // a rewrite replaces the damaged header
+		}
+		return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
+	}
+	log, err := os.ReadFile(w.logPath(shard))
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
+	}
+	if len(log) == 0 {
+		return true, nil
+	}
+	frames, ok := lastFrames(log)
+	if !ok || h.folded+int64(len(frames)) > h.snap {
+		return false, nil
+	}
+	if w.fault != nil {
+		if err := w.fault.Checkpoint(shard, frames); err != nil {
+			return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
+		}
+	}
+	end := h.end()
+	_, err = f.WriteAt(frames, end)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		_ = f.Truncate(end)
+		return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
+	}
+	// The frames are durable; the header write commits them.
+	h.folded += int64(len(frames))
+	_, err = f.WriteAt(h.encode(), 0)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
+	}
+	return true, w.truncateLogLocked(sh, shard)
+}
+
+// lastFrames returns the last frame of each key in log, in key order. ok
+// is false unless log is entirely intact set frames: a fold must never skip
+// past damage or a torn tail.
+func lastFrames(log []byte) (frames []byte, ok bool) {
+	type frame struct {
+		key      []byte // aliases log
+		off, end int
+	}
+	var all []frame
+	valid, err := scanFrames(log, func(off int, payload []byte) error {
+		key, ok := frameKey(payload)
+		if !ok {
+			return ErrCorrupt
+		}
+		if n := len(all); n > 0 {
+			all[n-1].end = off
+		}
+		all = append(all, frame{key: key, off: off, end: len(log)})
+		return nil
+	})
+	if err != nil || valid != len(log) {
+		return nil, false
+	}
+	// Sorted stably, each key's frames stay in log order: the last of a run
+	// of equal keys is that key's latest state.
+	slices.SortStableFunc(all, func(a, b frame) int { return bytes.Compare(a.key, b.key) })
+	frames = make([]byte, 0, len(log))
+	for i, f := range all {
+		if i+1 == len(all) || !bytes.Equal(f.key, all[i+1].key) {
+			frames = append(frames, log[f.off:f.end]...)
+		}
+	}
+	return frames, true
 }
 
 // ReadValueAt implements storage.Pager: a point pread of value bytes a
@@ -1148,7 +1484,8 @@ func (w *WAL) CheckpointRegion(shard int) (uint32, int64) {
 }
 
 // CheckpointPayload implements storage.Pager: a bulk re-read of the whole
-// checkpoint payload for cold-stripe rewrites.
+// checkpoint snapshot for cold-stripe rewrites. The fold region is not part
+// of it.
 func (w *WAL) CheckpointPayload(shard int, gen uint32) ([]byte, error) {
 	sh, err := w.shard(shard)
 	if err != nil {
@@ -1158,23 +1495,24 @@ func (w *WAL) CheckpointPayload(shard int, gen uint32) ([]byte, error) {
 	if gen != sh.ckptGen {
 		return nil, storage.ErrStaleLoc
 	}
-	snap, err := os.ReadFile(w.ckptPath(shard))
+	data, err := os.ReadFile(w.ckptPath(shard))
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	payload, cerr := unwrapCheckpoint(snap)
+	snap, _, cerr := splitCheckpoint(data)
 	if cerr != nil {
 		return nil, corrupt(sh, shard, w.ckptPath(shard), 0, cerr)
 	}
-	return payload, nil
+	return snap, nil
 }
 
 // VerifyShard is the scrub path (storage.Verifier): it re-reads the shard's
-// checkpoint against its checksum and every log frame against its CRC,
-// without mutating anything. Damage quarantines the shard — a live stripe
-// demotes the moment a bad sector is found, not at the next restart — and
-// returns the *storage.CorruptError. A torn log tail is not damage (Open
-// and ReplayShard repair those silently); neither is a missing file.
+// snapshot against its checksum and every fold and log frame against its
+// CRC, checking each frame's kind but decoding no entry, without mutating
+// anything. Damage quarantines the shard — a live stripe demotes the moment
+// a bad sector is found, not at the next restart — and returns the
+// *storage.CorruptError. A torn tail is not damage (Open repairs those
+// silently); neither is a missing file.
 func (w *WAL) VerifyShard(shard int) error {
 	sh, err := w.shard(shard)
 	if err != nil {
@@ -1184,23 +1522,28 @@ func (w *WAL) VerifyShard(shard int) error {
 	if sh.quar != nil {
 		return sh.quar
 	}
-	snap, err := os.ReadFile(w.ckptPath(shard))
+	data, err := os.ReadFile(w.ckptPath(shard))
 	switch {
 	case err == nil:
-		if _, cerr := unwrapCheckpoint(snap); cerr != nil {
+		snap, fold, cerr := splitCheckpoint(data)
+		if cerr != nil {
 			return corrupt(sh, shard, w.ckptPath(shard), 0, cerr)
+		}
+		valid, err := checkFrames(fold)
+		if err = foldErr(fold, valid, err); err != nil {
+			return corrupt(sh, shard, w.ckptPath(shard), int64(ckptHeaderLen+len(snap)+valid), err)
 		}
 	case !errors.Is(err, fs.ErrNotExist):
 		return fmt.Errorf("wal: %w", err)
 	}
-	data, err := os.ReadFile(w.logPath(shard))
+	data, err = os.ReadFile(w.logPath(shard))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil
 		}
 		return fmt.Errorf("wal: %w", err)
 	}
-	if valid, err := scanLog(data, nil); err != nil {
+	if valid, err := checkFrames(data); err != nil {
 		return corrupt(sh, shard, w.logPath(shard), int64(valid), err)
 	}
 	return nil
@@ -1223,18 +1566,26 @@ func (w *WAL) Quarantined() map[int]*storage.CorruptError {
 	return out
 }
 
-// FrameOffsets scans path's log and returns the byte offset of every intact
-// frame, oldest first — the targeting map for fault injectors that flip
-// bits in a chosen frame. Damage and torn tails are not errors here; only
-// the intact prefix's frames return.
+// FrameOffsets scans path — a stripe log, or a checkpoint file's committed
+// fold region — and returns the file offset of every intact frame, oldest
+// first: the targeting map for fault injectors that flip bits in a chosen
+// frame. Damage and torn tails are not errors here; only the intact
+// prefix's frames return.
 func FrameOffsets(path string) ([]int64, error) {
-	data, err := os.ReadFile(path)
+	var region []byte
+	var base int64
+	var err error
+	if filepath.Ext(path) == ".ckpt" {
+		region, base, _, err = readFolds(path)
+	} else {
+		region, err = os.ReadFile(path)
+	}
 	if err != nil {
 		return nil, err
 	}
 	var offs []int64
-	_, _ = scanLog(data, func(off int, _ encoding.Entry) error {
-		offs = append(offs, int64(off))
+	_, _ = scanFrames(region, func(off int, _ []byte) error {
+		offs = append(offs, base+int64(off))
 		return nil
 	})
 	return offs, nil

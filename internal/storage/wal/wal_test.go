@@ -1,7 +1,10 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -362,6 +365,8 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 type faultScript struct {
 	appends []appendFault
 	trunc   error
+	ckpt    error    // returned by every Checkpoint call
+	shown   [][]byte // the bytes each Checkpoint call was shown
 }
 
 type appendFault struct {
@@ -381,9 +386,13 @@ func (f *faultScript) Append(shard int, frame []byte) (int, error) {
 	return step.short, step.err
 }
 
-func (f *faultScript) Truncate(int) error           { return f.trunc }
-func (f *faultScript) Sync(int) error               { return nil }
-func (f *faultScript) Checkpoint(int, []byte) error { return nil }
+func (f *faultScript) Truncate(int) error { return f.trunc }
+func (f *faultScript) Sync(int) error     { return nil }
+
+func (f *faultScript) Checkpoint(_ int, data []byte) error {
+	f.shown = append(f.shown, append([]byte(nil), data...))
+	return f.ckpt
+}
 
 var errNoSpace = errors.New("injected: no space left on device")
 
@@ -509,5 +518,283 @@ func TestRandomCutProperty(t *testing.T) {
 			t.Fatalf("trial %d: more records than appended", trial)
 		}
 		w2.Close()
+	}
+}
+
+func fileBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestFold walks the fold contract: nothing to fold into without a
+// snapshot, an empty log writes nothing, only each key's last frame lands
+// (raw, in key order, exactly the bytes the fault hook was shown), a failed
+// fold changes nothing on disk, a fold that would outgrow the snapshot is
+// refused, and a Checkpoint drops the folds.
+func TestFold(t *testing.T) {
+	dir := t.TempDir()
+	script := &faultScript{}
+	w, err := Open(dir, Options{Fault: script})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ckptPath, logPath := w.ckptPath(0), w.logPath(0)
+	if err := w.Append(0, rec("a", "0")); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := w.Fold(0); ok || err != nil {
+		t.Fatalf("Fold without a snapshot = %v, %v; want false, nil", ok, err)
+	}
+	snapshot := bytes.Repeat([]byte("s"), 300)
+	if err := w.Checkpoint(0, snapshot); err != nil {
+		t.Fatal(err)
+	}
+	base := fileBytes(t, ckptPath)
+	script.shown = nil
+	if ok, err := w.Fold(0); !ok || err != nil {
+		t.Fatalf("Fold of an empty log = %v, %v; want true, nil", ok, err)
+	}
+	if got := fileBytes(t, ckptPath); !bytes.Equal(got, base) || len(script.shown) != 0 {
+		t.Fatalf("empty fold wrote %d bytes, showed the hook %d calls", len(got)-len(base), len(script.shown))
+	}
+
+	for _, kv := range [][2]string{{"a", "1"}, {"b", "2"}, {"a", "3"}, {"c", "4"}, {"b", "5"}} {
+		if err := w.Append(0, rec(kv[0], kv[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := appendFrame(appendFrame(appendFrame(nil, rec("a", "3")), rec("b", "5")), rec("c", "4"))
+	if ok, err := w.Fold(0); !ok || err != nil {
+		t.Fatalf("Fold = %v, %v", ok, err)
+	}
+	if len(script.shown) != 1 || !bytes.Equal(script.shown[0], want) {
+		t.Fatalf("fault hook shown %q, want the three last frames", script.shown)
+	}
+	got := fileBytes(t, ckptPath)
+	h, err := parseHeader(got, int64(len(got)))
+	if err != nil || h.folded != int64(len(want)) ||
+		!bytes.Equal(got[ckptHeaderLen:], append(append([]byte(nil), base[ckptHeaderLen:]...), want...)) {
+		t.Fatalf("checkpoint after fold is %d bytes (header %+v, %v), want snapshot + %d committed fold bytes",
+			len(got), h, err, len(want))
+	}
+	if n := len(fileBytes(t, logPath)); n != 0 {
+		t.Fatalf("log holds %d bytes after the fold", n)
+	}
+	ckpt, recs := replay(t, w, 0)
+	if !bytes.Equal(ckpt, snapshot) || len(recs) != 3 ||
+		string(recs[0].Value) != "3" || string(recs[1].Value) != "5" || string(recs[2].Value) != "4" {
+		t.Fatalf("replay after fold = %d-byte snapshot, %+v", len(ckpt), recs)
+	}
+
+	// A failed fold leaves both files as they were.
+	if err := w.Append(0, rec("d", "6")); err != nil {
+		t.Fatal(err)
+	}
+	folded, pending := fileBytes(t, ckptPath), fileBytes(t, logPath)
+	script.ckpt = errors.New("injected: fold refused")
+	if ok, err := w.Fold(0); ok || !errors.Is(err, script.ckpt) {
+		t.Fatalf("injected fold failure = %v, %v", ok, err)
+	}
+	script.ckpt = nil
+	if !bytes.Equal(fileBytes(t, ckptPath), folded) || !bytes.Equal(fileBytes(t, logPath), pending) {
+		t.Fatal("failed fold changed the checkpoint or the log")
+	}
+
+	// Folds may not grow larger than the snapshot they follow.
+	for i := 0; i < 12; i++ {
+		if err := w.Append(0, rec(fmt.Sprintf("k%02d", i), "0123456789")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending = fileBytes(t, logPath)
+	if ok, err := w.Fold(0); ok || err != nil {
+		t.Fatalf("oversized fold = %v, %v; want false, nil", ok, err)
+	}
+	if !bytes.Equal(fileBytes(t, ckptPath), folded) || !bytes.Equal(fileBytes(t, logPath), pending) {
+		t.Fatal("refused fold changed the checkpoint or the log")
+	}
+
+	if err := w.Checkpoint(0, snapshot); err != nil {
+		t.Fatal(err)
+	}
+	if ckpt, recs := replay(t, w, 0); !bytes.Equal(ckpt, snapshot) || len(recs) != 0 {
+		t.Fatalf("replay after Checkpoint = %d-byte snapshot, %d entries; want the snapshot alone", len(ckpt), len(recs))
+	}
+}
+
+// foldedShard checkpoints shard 0 and folds three frames (keys a, b, c)
+// into it, returning the checkpoint's path and its fold frame offsets.
+func foldedShard(t *testing.T, w *WAL) (string, []int64) {
+	t.Helper()
+	if err := w.Checkpoint(0, bytes.Repeat([]byte("s"), 200)); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if err := w.Append(0, rec(k, k+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ok, err := w.Fold(0); !ok || err != nil {
+		t.Fatalf("Fold = %v, %v", ok, err)
+	}
+	offs, err := FrameOffsets(w.ckptPath(0))
+	if err != nil || len(offs) != 3 {
+		t.Fatalf("fold FrameOffsets = %v, %v", offs, err)
+	}
+	return w.ckptPath(0), offs
+}
+
+// replayKeys replays shard 0 and returns the keys it streamed, in order.
+func replayKeys(t *testing.T, w *WAL) string {
+	t.Helper()
+	_, recs := replay(t, w, 0)
+	var keys string
+	for _, r := range recs {
+		keys += r.Key
+	}
+	return keys
+}
+
+// TestTornFoldTailTruncated crashes a second fold after every byte of its
+// frames, up to all of them written but the header not yet rewritten, with
+// the log as it was before the fold. Open truncates the uncommitted bytes
+// without quarantine, the committed folds and the log replay, and the next
+// fold lands cleanly after them.
+func TestTornFoldTailTruncated(t *testing.T) {
+	dir := t.TempDir()
+	w := open(t, dir)
+	path, _ := foldedShard(t, w)
+	logPath := w.logPath(0)
+	for _, k := range []string{"d", "e"} {
+		if err := w.Append(0, rec(k, k+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre, preLog := fileBytes(t, path), fileBytes(t, logPath)
+	if ok, err := w.Fold(0); !ok || err != nil {
+		t.Fatalf("Fold = %v, %v", ok, err)
+	}
+	full := fileBytes(t, path)
+	w.Close()
+	for cut := len(pre); cut <= len(full); cut++ {
+		// The old header and folds, then what the crash let land of the new
+		// fold's frames.
+		crashed := append(append([]byte(nil), pre...), full[len(pre):cut]...)
+		if err := os.WriteFile(path, crashed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(logPath, preLog, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w := open(t, dir)
+		if q := w.Quarantined(); len(q) != 0 {
+			t.Fatalf("cut at %d: interrupted fold quarantined the shard: %v", cut, q)
+		}
+		if n := len(fileBytes(t, path)); n != len(pre) {
+			t.Fatalf("cut at %d: checkpoint is %d bytes, want the committed %d", cut, n, len(pre))
+		}
+		if keys := replayKeys(t, w); keys != "abcde" {
+			t.Fatalf("cut at %d: replayed %q, want folds abc then log de", cut, keys)
+		}
+		if err := w.Append(0, rec("f", "ff")); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := w.Fold(0); !ok || err != nil {
+			t.Fatalf("cut at %d: Fold after recovery = %v, %v", cut, ok, err)
+		}
+		if keys := replayKeys(t, w); keys != "abcdef" {
+			t.Fatalf("cut at %d: fold after recovery replays %q", cut, keys)
+		}
+		w.Close()
+	}
+}
+
+// TestFoldCorruptionQuarantines flips, one at a time, every header byte and
+// every byte of every committed fold frame — the last frame and the length
+// prefixes included. None reads as a torn tail. The scrub catches each flip
+// on the live shard, at offset 0 for the header or at the damaged frame's
+// offset; the next Open quarantines the shard at the same offset; replay
+// streams only the folds before the damage and never the log after it; and
+// a quarantined shard does not fold.
+func TestFoldCorruptionQuarantines(t *testing.T) {
+	dir := t.TempDir()
+	w := open(t, dir)
+	path, offs := foldedShard(t, w)
+	if err := w.Append(0, rec("d", "dd")); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	clean := fileBytes(t, path)
+	for pos := 0; pos < len(clean); pos++ {
+		if pos == ckptHeaderLen {
+			pos = int(offs[0]) // snapshot flips are TestCheckpointCorruptionDetected's
+		}
+		want, keys := int64(0), ""
+		for i, off := range offs {
+			if int64(pos) >= off {
+				want, keys = off, "abc"[:i]
+			}
+		}
+		if err := os.WriteFile(path, clean, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w := open(t, dir)
+		data := append([]byte(nil), clean...)
+		data[pos] ^= 0xFF
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var live *storage.CorruptError
+		if err := w.VerifyShard(0); !errors.As(err, &live) || live.Path != path || live.Offset != want {
+			t.Fatalf("byte %d: VerifyShard = %v, want damage at %s+%d", pos, err, path, want)
+		}
+		w.Close()
+
+		w2 := open(t, dir)
+		ce := w2.Quarantined()[0]
+		if ce == nil || ce.Path != live.Path || ce.Offset != live.Offset {
+			t.Fatalf("byte %d: Open quarantined %v, want the scrub's %v", pos, ce, live)
+		}
+		if err := w2.VerifyShard(0); !errors.As(err, &ce) || ce.Offset != live.Offset {
+			t.Fatalf("byte %d: VerifyShard after Open = %v", pos, err)
+		}
+		got := ""
+		err := w2.ReplayShard(0, nil, func(e encoding.Entry) error { got += e.Key; return nil })
+		if !errors.As(err, &ce) || got != keys {
+			t.Fatalf("byte %d: ReplayShard = %q then %v; want folds %q, then the damage", pos, got, err, keys)
+		}
+		if ok, err := w2.Fold(0); ok || err != nil {
+			t.Fatalf("byte %d: Fold on a quarantined shard = %v, %v; want false, nil", pos, ok, err)
+		}
+		w2.Close()
+	}
+}
+
+// TestVerifyShardAllocsFlat: the scrub checks CRCs and record kinds without
+// decoding entries, so a 10 000-frame log costs it no more allocations than
+// a 100-frame one.
+func TestVerifyShardAllocsFlat(t *testing.T) {
+	allocs := func(frames int) float64 {
+		w := open(t, t.TempDir())
+		defer w.Close()
+		for i := 0; i < frames; i++ {
+			if err := w.Append(0, rec(fmt.Sprintf("key-%d", i%100), "value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := w.VerifyShard(0); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(100), allocs(10_000)
+	if large > small+4 {
+		t.Fatalf("VerifyShard allocates %.0f times on 10 000 frames, %.0f on 100", large, small)
 	}
 }

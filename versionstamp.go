@@ -145,14 +145,22 @@
 //     record was never acknowledged, so nothing promised is lost. Damage
 //     that is provably not a torn tail (a bad frame with intact frames
 //     after it) is reported as corruption, never repaired silently.
-//   - Checkpoint serializes each stripe under its lock and truncates the
-//     stripe's log, bounding restart replay; Close checkpoints everything,
-//     so a graceful restart replays nothing. By default appends reach the
-//     OS buffer cache (durable across process crashes); the group-commit
-//     mode (below) adds power-loss durability, one shared fsync per commit
-//     window. Checkpoints always fsync-and-rename regardless. Append,
-//     checkpoint and replay are the whole storage contract: the stamps
-//     carry each key's causal state, so nothing else needs to persist.
+//   - Checkpoint truncates each stripe's log under the stripe's lock,
+//     bounding restart replay; Close checkpoints everything, so a graceful
+//     restart replays each stripe's snapshot and its folds, and no log.
+//     Because a key's last logged record is its whole durable state, a
+//     checkpoint need not rewrite the stripe: it folds, appending the last
+//     log record of each changed key after the stripe's snapshot, and
+//     rewrites the snapshot only when the folds would outgrow it or the
+//     log cannot describe the change (a key removed by tombstone GC, or a
+//     write whose append failed). By default appends reach the OS buffer
+//     cache (durable across process crashes); the group-commit mode
+//     (below) adds power-loss durability, one shared fsync per commit
+//     window. Checkpoints always fsync-and-rename, and a fold fsyncs its
+//     records and then the checksummed header that commits them before
+//     the log truncates, regardless. Append, checkpoint or fold, and replay
+//     are the whole storage contract: the stamps carry each key's causal
+//     state, so nothing else needs to persist.
 //
 // # Memory model
 //
