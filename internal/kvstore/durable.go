@@ -36,8 +36,10 @@ type Options struct {
 	// GroupCommit makes every acknowledged write survive power loss: appends
 	// stage their frames and block on a shared commit barrier, so many
 	// concurrent writers amortize one fsync and no mutator returns before
-	// its window's fsync. Off by default: writes then survive process
-	// crashes (the OS holds the bytes) but not power loss.
+	// its window's fsync. A lone writer's window fsyncs its stripe log
+	// directly; only windows spanning stripes go through the WAL's shared
+	// commit log. Off by default: writes then survive process crashes (the
+	// OS holds the bytes) but not power loss.
 	GroupCommit bool
 	// Paged keeps only per-key metadata (stamp, tombstone flag, value
 	// location) resident for checkpointed entries; value bytes stay in the

@@ -39,15 +39,29 @@
 //
 // With Options.GroupCommit, each append writes its frame to the stripe log
 // (no sync), then registers the raw frame bytes with a shared committer and
-// receives a wait
-// function — the commit barrier. The committer coalesces all registrations
-// arriving within a short window (bounded by defaultCommitWindow), writes
-// one batch of commit frames — each carrying the shard, the frame's offset
-// in its stripe log, and the frame bytes themselves — to the single shared
-// commit.wal, issues ONE fsync for the whole window, and releases every
-// waiter. Nothing may be acknowledged before its wait returns nil: the
-// record is then durable in commit.wal even if its stripe file's bytes are
-// still in the page cache.
+// receives a wait function — the commit barrier. The committer coalesces
+// all registrations arriving within a short window (bounded by
+// defaultCommitWindow), issues ONE fsync for the whole window, and releases
+// every waiter. Nothing may be acknowledged before its wait returns nil.
+// Which file the fsync covers depends on the window:
+//
+//   - A window whose frames all live in one stripe log — a lone writer's
+//     window, always — fsyncs that stripe log. Every frame is a complete
+//     record of its key, so the stripe log alone is a durable copy, and
+//     everything in it up to the fsync needs no commit frame.
+//   - A window spanning stripes writes one batch of commit frames — each
+//     carrying the shard, the frame's offset in its stripe log, and the
+//     frame bytes themselves — to the single shared commit.wal and fsyncs
+//     that. The records are then durable in commit.wal even if their
+//     stripe files' bytes are still in the page cache.
+//
+// Windows flush one at a time under one lock, in the order they opened, so
+// a stripe's frames become durable in offset order whichever file carries
+// them: a frame a one-stripe window fsyncs was appended after every frame
+// an earlier commit batch copied, and a later commit batch only holds
+// frames past it. After a crash each stripe log therefore still holds every
+// frame up to its last fsync, and every acknowledged frame past that point
+// is in the commit log, in offset order — what recovery needs.
 //
 // Recovery makes the redundancy whole: Open first recovers every stripe log
 // (torn tails truncated as always), then scans commit.wal in order and
@@ -86,10 +100,12 @@
 //
 // By default appends reach the OS buffer cache (durable across process
 // crashes, not power loss); Options.GroupCommit makes every acknowledged
-// append survive power loss too, through the commit log's shared fsync
-// (above). Checkpoints always fsync and rename, and folds always fsync
-// before the log truncates, whatever the option, so a half-written
-// checkpoint can never replace a good one. Every checkpoint carries a
+// append survive power loss too, through its window's fsync (above). In
+// that mode a newly created stripe log or commit log is also durable by
+// name: its directory is fsynced once, when the file is created.
+// Checkpoints always fsync and rename, and folds always fsync before the
+// log truncates, whatever the option, so a half-written checkpoint can
+// never replace a good one. Every checkpoint carries a
 // checksummed header (above), so at-rest checkpoint damage is detected
 // exactly like frame damage; a file without the header is corrupt.
 //
@@ -195,9 +211,11 @@ type FaultInjector interface {
 	// partial frame; an error simulates a rollback that cannot complete, so
 	// the shard latches read-only until a checkpoint heals it.
 	Truncate(shard int) error
-	// Sync is consulted before a stripe-log fsync (the group-commit rotation
-	// ahead of a checkpoint or at the commit-log cap); an error fails that
-	// rotation with its frames intact, leaving the commit log in place.
+	// Sync is consulted before a group-commit stripe-log fsync: the one
+	// that releases a one-stripe window, where an error fails every append
+	// in the window, and the rotation ahead of a checkpoint or fold or at
+	// the commit-log cap, where an error fails the rotation and leaves the
+	// commit log in place. The frames stay in the log either way.
 	Sync(shard int) error
 	// Checkpoint is consulted before a checkpoint write with the snapshot,
 	// and before a fold with exactly the frames the fold appends; an error
@@ -205,28 +223,33 @@ type FaultInjector interface {
 	Checkpoint(shard int, data []byte) error
 }
 
-// CommitFaultInjector optionally extends FaultInjector with the
-// group-commit pipeline's physical operations. Injectors that do not
-// implement it run group commit fault-free.
+// CommitFaultInjector optionally extends FaultInjector with the commit
+// log's physical operations, which only windows spanning more than one
+// stripe reach; a one-stripe window goes through FaultInjector.Sync.
+// Injectors that do not implement it run the commit log fault-free.
 type CommitFaultInjector interface {
 	FaultInjector
-	// CommitAppend is consulted before a window's batch of commit frames is
-	// written to the shared commit log; the short-write semantics match
-	// FaultInjector.Append (the partial batch is rolled back by truncation,
-	// and a failed rollback latches the committer until rotation heals it).
+	// CommitAppend is consulted before a multi-stripe window's batch of
+	// commit frames is written to the shared commit log; the short-write
+	// semantics match FaultInjector.Append (the partial batch is rolled
+	// back by truncation, and a failed rollback latches the committer until
+	// rotation heals it).
 	CommitAppend(buf []byte) (int, error)
 	// CommitSync is consulted before the commit-log fsync that releases a
-	// window's waiters; an error fails every append in the window.
+	// multi-stripe window's waiters; an error fails every append in the
+	// window.
 	CommitSync() error
 }
 
 // Options configures a WAL.
 type Options struct {
 	// GroupCommit turns on the group-commit pipeline (see the package
-	// comment): appends become durable through the shared commit log's
-	// batched fsync, and callers that can overlap writers should use
-	// AppendAsync to share windows. Off by default: appends then survive
-	// process crashes (the OS holds the bytes) but not power loss.
+	// comment): each append becomes durable through its window's one fsync —
+	// of the stripe log when the window touches one stripe, as a lone
+	// writer's does, and of the shared commit log otherwise — and callers
+	// that can overlap writers should use AppendAsync to share windows. Off
+	// by default: appends then survive process crashes (the OS holds the
+	// bytes) but not power loss.
 	GroupCommit bool
 	// Fault, when non-nil, intercepts physical operations for deterministic
 	// fault injection (see FaultInjector and internal/storage/faultfs).
@@ -406,7 +429,7 @@ func (w *WAL) recoverCommitLog() error {
 		}
 		f, ok := files[si]
 		if !ok {
-			f, err = os.OpenFile(w.logPath(si), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			f, err = w.openAppend(w.logPath(si))
 			if err != nil {
 				return err
 			}
@@ -792,7 +815,7 @@ func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) (int64, []
 		return 0, nil, sh.failed
 	}
 	if sh.f == nil {
-		f, err := os.OpenFile(w.logPath(shard), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := w.openAppend(w.logPath(shard))
 		if err != nil {
 			return 0, nil, fmt.Errorf("wal: %w", err)
 		}
@@ -918,8 +941,8 @@ func (w *WAL) AppendAsync(shard int, e encoding.Entry) (func() error, error) {
 }
 
 // committer is the group-commit engine: one per WAL, batching every
-// stripe's appends into commit windows flushed with a single fsync of the
-// shared commit log.
+// stripe's appends into commit windows flushed with a single fsync — of
+// the one stripe log a window touches, or of the shared commit log.
 type committer struct {
 	w      *WAL
 	window time.Duration
@@ -933,7 +956,7 @@ type committer struct {
 	mu     sync.Mutex
 	f      *os.File // commit log append handle, opened lazily (under flushMu)
 	size   int64
-	dirty  map[int]bool // stripes with un-fsynced stripe-file bytes since the last rotation
+	dirty  map[int]bool // stripes whose bytes past their last fsync only commit frames cover
 	cur    *commitBatch // window currently accepting registrations
 	failed error        // unremovable partial commit batch: refuse until rotation heals
 }
@@ -993,10 +1016,10 @@ func (c *committer) run(b *commitBatch) {
 		runtime.Gosched()
 	}
 	// Take the flush lock before closing the window. The next window can
-	// then only open once this one holds it, so windows reach the commit
-	// log in the order they opened and a stripe's frames stay in offset
-	// order there — recovery skips a frame that arrives ahead of its
-	// predecessor. A window waiting out the previous flush keeps batching.
+	// then only open once this one holds it, so windows flush in the order
+	// they opened and a stripe's frames become durable in offset order —
+	// recovery skips a commit frame that arrives ahead of its predecessor.
+	// A window waiting out the previous flush keeps batching.
 	c.flushMu.Lock()
 	c.mu.Lock()
 	if c.cur == b {
@@ -1016,8 +1039,11 @@ func (c *committer) run(b *commitBatch) {
 	}
 }
 
-// flush writes the window's commit frames and fsyncs the commit log once.
-// Called under flushMu. Any failure fails every append in the window; a
+// flush makes the window durable with one fsync. Called under flushMu. A
+// window whose frames all live in one stripe log fsyncs that log: its frames
+// are complete records already, so copying them into the commit log would
+// only double their bytes. Any other window writes its commit frames and
+// fsyncs the commit log. Any failure fails every append in the window; a
 // partial batch write is rolled back by truncation, and an unremovable one
 // latches the committer until rotation replaces the log.
 func (c *committer) flush(reqs []commitReq) error {
@@ -1028,6 +1054,9 @@ func (c *committer) flush(reqs []commitReq) error {
 		return err
 	}
 	c.mu.Unlock()
+	if shard, ok := oneShard(reqs); ok {
+		return c.syncStripe(shard)
+	}
 	var buf []byte
 	for _, r := range reqs {
 		payload := make([]byte, 0, 16+len(r.frame))
@@ -1040,7 +1069,7 @@ func (c *committer) flush(reqs []commitReq) error {
 		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
 	}
 	if c.f == nil {
-		f, err := os.OpenFile(c.w.commitLogPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := c.w.openAppend(c.w.commitLogPath())
 		if err != nil {
 			return fmt.Errorf("wal: commit log: %w", err)
 		}
@@ -1108,6 +1137,36 @@ func (c *committer) flush(reqs []commitReq) error {
 	return nil
 }
 
+// oneShard reports whether every request in the window is for one shard.
+func oneShard(reqs []commitReq) (int, bool) {
+	for _, r := range reqs[1:] {
+		if r.shard != reqs[0].shard {
+			return 0, false
+		}
+	}
+	return reqs[0].shard, true
+}
+
+// syncStripe fsyncs one stripe log under its mutex: every byte of it is
+// then durable, so no commit frame needs to cover it and it leaves the
+// dirty set. Called under flushMu, which keeps this fsync in window order
+// with the commit-log fsyncs before and after it.
+func (c *committer) syncStripe(shard int) error {
+	sh, err := c.w.shard(shard)
+	if err != nil {
+		return err
+	}
+	err = c.w.syncLocked(sh, shard)
+	sh.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	delete(c.dirty, shard)
+	c.mu.Unlock()
+	return nil
+}
+
 // rotate makes the stripe files self-sufficient and empties the commit log:
 // fsync every stripe file the committer dirtied, then truncate and fsync
 // commit.wal. Checkpoint rotates first so no commit frame can refer into a
@@ -1141,7 +1200,7 @@ func (c *committer) rotate() error {
 		}
 	}
 	if c.f == nil {
-		f, err := os.OpenFile(c.w.commitLogPath(), os.O_CREATE|os.O_WRONLY, 0o644)
+		f, err := c.w.openAppend(c.w.commitLogPath())
 		if err != nil {
 			return fmt.Errorf("wal: commit log: %w", err)
 		}
@@ -1649,13 +1708,43 @@ func WriteFileAtomic(path string, data []byte) error {
 	// A rename is durable only once the containing directory is synced;
 	// without this, a power loss could keep a later log truncation while
 	// losing the checkpoint the truncation depended on.
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer dir.Close()
-	if err := dir.Sync(); err != nil {
+	if err := syncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
+}
+
+// openAppend opens path for appending, creating it if it is missing. In
+// group-commit mode a file it creates is made durable by name: fsyncing a
+// new file does not persist the directory entry that names it, so a power
+// cut could drop the whole file, acked frames included, unless the
+// directory is fsynced too. That costs one directory fsync per file ever
+// created and none per append.
+func (w *WAL) openAppend(path string) (*os.File, error) {
+	flag := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	if w.group == nil {
+		return os.OpenFile(path, flag, 0o644)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return f, err
+	}
+	if f, err = os.OpenFile(path, flag|os.O_EXCL, 0o644); err != nil {
+		return nil, err
+	}
+	if err := syncDir(w.dir); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return f, nil
+}
+
+// syncDir fsyncs the directory dir, making its entries durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

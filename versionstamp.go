@@ -155,8 +155,7 @@
 //     log cannot describe the change (a key removed by tombstone GC, or a
 //     write whose append failed). By default appends reach the OS buffer
 //     cache (durable across process crashes); the group-commit mode
-//     (below) adds power-loss durability, one shared fsync per commit
-//     window. Checkpoints always fsync-and-rename, and a fold fsyncs its
+//     (below) adds power-loss durability, one fsync per commit window. Checkpoints always fsync-and-rename, and a fold fsyncs its
 //     records and then the checksummed header that commits them before
 //     the log truncates, regardless. Append, checkpoint or fold, and replay
 //     are the whole storage contract: the stamps carry each key's causal
@@ -183,9 +182,14 @@
 // On the write path, group commit (the wal package's GroupCommit option)
 // decouples acknowledgment from fsync frequency: appends from concurrent
 // writers coalesce into a commit window, one fsync makes the whole window
-// durable, and every writer in the window is released only after that
-// fsync — nothing is acknowledged before its window's barrier, and a crash
-// replays exactly the acknowledged prefix.
+// durable — of the stripe log when the window touches one stripe, as a
+// lone writer's does, and of a shared commit log holding copies of the
+// window's records otherwise — and every writer in the window is released
+// only after that fsync. Nothing is acknowledged before its window's
+// barrier, and a crash replays exactly the acknowledged prefix. A stripe
+// log needs no commit-log copy of its own records because each record is
+// the key's whole causal state: the commit log exists only so writers on
+// different stripes can share one fsync.
 //
 // Deletion completes the lifecycle. A delete writes a tombstone — a
 // stamped entry with no value — that propagates like any write. A
