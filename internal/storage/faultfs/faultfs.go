@@ -44,8 +44,9 @@ type Faults struct {
 	// TruncFailProb fails the rollback truncation after a short write, so
 	// the shard latches read-only (the unremovable-partial-frame path).
 	TruncFailProb float64
-	// SyncErrProb fails an fsync after its frame landed: bytes intact,
-	// durability in doubt.
+	// SyncErrProb fails a group-commit fsync — any stripe-log fsync of a
+	// commit window — after its frames landed: bytes intact, durability in
+	// doubt, and every append in the window refused.
 	SyncErrProb float64
 	// CheckpointErrProb fails a checkpoint before it replaces anything.
 	CheckpointErrProb float64
@@ -54,16 +55,6 @@ type Faults struct {
 	// further append fails with ErrNoSpace until the budget is raised. This
 	// models a full volume rather than a flaky sector.
 	NoSpaceAfterBytes int64
-	// CommitAppendErrProb fails a group-commit log write cleanly: no commit
-	// frames land, every waiter in the window sees the error.
-	CommitAppendErrProb float64
-	// CommitShortProb lands a deterministic prefix of the commit-frame
-	// batch and then fails with ErrNoSpace, exercising the commit-log
-	// rollback truncation.
-	CommitShortProb float64
-	// CommitSyncErrProb fails the window's single fsync after its frames
-	// landed: every waiter in the window is refused durability.
-	CommitSyncErrProb float64
 }
 
 // Stats counts what the injector actually did — the fault ledger a
@@ -76,11 +67,6 @@ type Stats struct {
 	SyncErrs      int64 // fsync failures injected
 	CheckpointErr int64 // checkpoint failures injected
 	NoSpace       int64 // appends refused by the byte budget
-
-	CommitAppends    int64 // commit-log write decisions consulted
-	CommitAppendErrs int64 // clean commit-log write failures injected
-	CommitShorts     int64 // partial commit-frame batches injected
-	CommitSyncErrs   int64 // commit-window fsync failures injected
 }
 
 // Injector implements wal.FaultInjector with seeded decisions. Safe for
@@ -109,15 +95,7 @@ const (
 	opTrunc  = 0x7472756e // "trun"
 	opSync   = 0x73796e63 // "sync"
 	opCkpt   = 0x636b7074 // "ckpt"
-	opCAppnd = 0x63617070 // "capp" — group-commit log write
-	opCShort = 0x63736872 // "cshr" — group-commit short write
-	opCSync  = 0x6373796e // "csyn" — group-commit window fsync
 )
-
-// commitShard is the pseudo-shard the shared commit log draws sequences
-// under: the commit log is cross-stripe, so its fault stream is keyed off a
-// sentinel rather than any real shard index.
-const commitShard = -1
 
 // New creates an injector whose every decision derives from seed.
 func New(seed int64, faults Faults) *Injector {
@@ -206,39 +184,7 @@ func (in *Injector) Checkpoint(shard int, _ []byte) error {
 	return nil
 }
 
-// CommitAppend decides the fate of one group-commit window's batched write
-// to the shared commit log: all frames land, a clean failure, or a short
-// write whose landed length is itself a hash draw.
-func (in *Injector) CommitAppend(buf []byte) (int, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.stats.CommitAppends++
-	if chance(in.draw(commitShard, opCAppnd), in.faults.CommitAppendErrProb) {
-		in.stats.CommitAppendErrs++
-		return 0, fmt.Errorf("%w: commit-log append", ErrInjected)
-	}
-	h := in.draw(commitShard, opCShort)
-	if chance(h, in.faults.CommitShortProb) && len(buf) > 1 {
-		in.stats.CommitShorts++
-		n := 1 + int(h%uint64(len(buf)-1))
-		return n, ErrNoSpace
-	}
-	return len(buf), nil
-}
-
-// CommitSync decides whether a commit window's single fsync fails.
-func (in *Injector) CommitSync() error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if chance(in.draw(commitShard, opCSync), in.faults.CommitSyncErrProb) {
-		in.stats.CommitSyncErrs++
-		return fmt.Errorf("%w: commit-log fsync", ErrInjected)
-	}
-	return nil
-}
-
 var _ wal.FaultInjector = (*Injector)(nil)
-var _ wal.CommitFaultInjector = (*Injector)(nil)
 
 // FlipLogByte injects at-rest corruption: it flips one payload byte of a
 // deterministically chosen non-final frame in the shard's log under dir,

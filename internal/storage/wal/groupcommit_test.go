@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -76,57 +77,17 @@ func mustWindow(t *testing.T, w *WAL, batch ...shardEntry) {
 	}
 }
 
-// buildGroupLog appends n acked records to shard 0 of a group-commit WAL,
-// each in a window shared with a record on shard 1 so that it goes through
-// the commit log, and returns shard 0's raw stripe-log bytes and the
-// commit-log bytes at crash time (Close releases handles without rotating,
-// so the commit log keeps every frame).
-func buildGroupLog(t *testing.T, n int) (stripe, commit []byte) {
+// crashDir materializes a simulated post-crash directory holding logs[i]
+// as stripe i's log.
+func crashDir(t *testing.T, logs ...[]byte) string {
 	t.Helper()
 	dir := t.TempDir()
-	w := openGroup(t, dir)
-	for i := 0; i < n; i++ {
-		v := fmt.Sprintf("v%d", i)
-		mustWindow(t, w, shardEntry{0, rec("key", v)}, shardEntry{1, rec("side", v)})
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stripe, err := os.ReadFile(LogPath(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	commit, err = os.ReadFile(filepath.Join(dir, commitLogName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stripe, commit
-}
-
-// crashDir materializes a simulated post-crash directory: a prefix of the
-// stripe log (un-fsynced stripe bytes may be lost) alongside a prefix of
-// the commit log (fsynced, but the crash may still tear its tail).
-func crashDir(t *testing.T, stripe, commit []byte) string {
-	t.Helper()
-	dir := t.TempDir()
-	if err := os.WriteFile(LogPath(dir, 0), stripe, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, commitLogName), commit, 0o644); err != nil {
-		t.Fatal(err)
+	for shard, data := range logs {
+		if err := os.WriteFile(LogPath(dir, shard), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return dir
-}
-
-// commitFrame hand-encodes one commit-log frame carrying raw stripe-frame
-// bytes destined for (shard, stripeOff) — the format recoverCommitLog
-// parses.
-func commitFrame(shard int, stripeOff int64, frame []byte) []byte {
-	payload := []byte{recCommit}
-	payload = binary.AppendUvarint(payload, uint64(shard))
-	payload = binary.AppendUvarint(payload, uint64(stripeOff))
-	payload = append(payload, frame...)
-	return rawFrame(payload)
 }
 
 // rawFrame hand-encodes one frame around payload: length prefix, payload,
@@ -137,20 +98,21 @@ func rawFrame(payload []byte) []byte {
 	return binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
 }
 
-// syncTracker is a CommitFaultInjector that records what the WAL made
-// durable: per shard the stripe log's fsync count and its length at the
-// last fsync (zero again once a checkpoint or fold truncates the log), and
-// the commit log's bytes and fsyncs. Its only fault is syncErr, returned by
-// stripe-log Syncs while set.
+// syncTracker is a FaultInjector that records what the WAL made durable:
+// per shard the stripe log's fsync count and its length at the last fsync
+// (zero again once a checkpoint or fold truncates the log), and the order
+// of all fsyncs. Its only fault is syncErr, returned by the stripe-log
+// Syncs of the shards in failOn (of every shard when failOn is empty)
+// while set.
 type syncTracker struct {
 	dir string
 
-	mu          sync.Mutex
-	syncErr     error
-	syncs       map[int]int
-	durable     map[int]int64
-	commitBytes int
-	commitSyncs int
+	mu      sync.Mutex
+	syncErr error
+	failOn  []int
+	syncs   map[int]int
+	order   []int
+	durable map[int]int64
 }
 
 func newSyncTracker(dir string) *syncTracker {
@@ -165,10 +127,11 @@ func (s *syncTracker) Truncate(int) error                      { return nil }
 func (s *syncTracker) Sync(shard int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.syncErr != nil {
+	if s.syncErr != nil && (len(s.failOn) == 0 || slices.Contains(s.failOn, shard)) {
 		return s.syncErr
 	}
 	s.syncs[shard]++
+	s.order = append(s.order, shard)
 	if fi, err := os.Stat(LogPath(s.dir, shard)); err == nil {
 		s.durable[shard] = fi.Size()
 	}
@@ -184,23 +147,11 @@ func (s *syncTracker) Checkpoint(shard int, _ []byte) error {
 	return nil
 }
 
-func (s *syncTracker) CommitAppend(buf []byte) (int, error) {
+// setSyncErr makes the stripe-log Syncs of shards — of every shard when
+// none is named — fail with err; nil heals them all.
+func (s *syncTracker) setSyncErr(err error, shards ...int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commitBytes += len(buf)
-	return len(buf), nil
-}
-
-func (s *syncTracker) CommitSync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.commitSyncs++
-	return nil
-}
-
-func (s *syncTracker) setSyncErr(err error) {
-	s.mu.Lock()
-	s.syncErr = err
+	s.syncErr, s.failOn = err, shards
 	s.mu.Unlock()
 }
 
@@ -235,49 +186,16 @@ func openTracked(t *testing.T) (*WAL, *syncTracker) {
 	return w, tr
 }
 
-// TestGroupCommitAckedSurviveStripeLoss is the headline durability claim:
-// every acked append of a multi-stripe window lives in the fsynced commit
-// log, so losing ALL un-fsynced stripe-file bytes (truncate to zero) loses
-// nothing.
-func TestGroupCommitAckedSurviveStripeLoss(t *testing.T) {
-	stripe, commit := buildGroupLog(t, 8)
-	dir := crashDir(t, nil, commit)
-	w := openGroup(t, dir)
-	defer w.Close()
-	_, recs := replay(t, w, 0)
-	if len(recs) != 8 {
-		t.Fatalf("recovered %d records, want 8", len(recs))
-	}
-	for i, r := range recs {
-		if want := fmt.Sprintf("v%d", i); string(r.Value) != want {
-			t.Fatalf("record %d = %q, want %q", i, r.Value, want)
-		}
-	}
-	// Recovery rebuilt the stripe log byte-for-byte and emptied the commit
-	// log, so the stripe file is self-sufficient again.
-	got, err := os.ReadFile(LogPath(dir, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(stripe) {
-		t.Fatalf("materialized stripe log differs from the original (%d vs %d bytes)",
-			len(got), len(stripe))
-	}
-	if fi, err := os.Stat(filepath.Join(dir, commitLogName)); err != nil || fi.Size() != 0 {
-		t.Fatalf("commit log not drained after recovery: %v, %v", fi, err)
-	}
-}
-
 // TestGroupCommitConcurrentAcksSurvive drives 32 writers, 8 appends each
 // spread over 8 shards, through both modes — the default buffered appends
 // (what ring nodes and panasync serve -data-dir run) and shared commit
 // windows — then closes and reopens: every acked record must come back.
-// The "mixed" case interleaves every kind of window with rotations: writer
-// 0 makes each append alone in its window (a one-stripe window), the others
-// alternate plain appends with forced two-stripe windows, and another
-// goroutine folds and checkpoints shards throughout.
-// Under group commit the power is cut first: each stripe log loses every
-// byte no fsync covered, and the commit log has to carry the rest.
+// The "mixed" case interleaves one-stripe and multi-stripe windows with
+// folds and checkpoints: writer 0 makes each append alone in its window (a
+// one-stripe window), the others alternate plain appends with forced
+// two-stripe windows, and another goroutine folds and checkpoints shards
+// throughout. Under group commit the power is cut first: each stripe log
+// loses every byte no fsync covered.
 func TestGroupCommitConcurrentAcksSurvive(t *testing.T) {
 	const writers, perWriter, shards = 32, 8, 8
 	key := func(i, j int) string { return fmt.Sprintf("w%02d-%d", i, j) }
@@ -380,7 +298,7 @@ func TestGroupCommitConcurrentAcksSurvive(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.group {
-				t.Logf("stripe fsyncs %v, commit fsyncs %d", tr.syncs, tr.commitSyncs)
+				t.Logf("stripe fsyncs %v", tr.syncs)
 				tr.powerCut(t, shards)
 			}
 			w2, err := Open(tr.dir, Options{GroupCommit: tc.group})
@@ -477,307 +395,184 @@ func replayedKeys(t *testing.T, w *WAL, shards int) map[string]bool {
 	return seen
 }
 
-// TestGroupCommitRotatesAtCap shrinks the commit-log cap so the background
-// rotation in committer.run fires many times under concurrent writers, and
-// checks both halves of its contract: the commit log stays bounded, and no
-// acked record is lost across a rotation. A rotation moves durability from
-// the commit log to the stripe files it fsyncs, so the crash it must survive
-// loses exactly the stripe bytes no fsync covered: each stripe log is cut
-// back to its length at its last fsync.
-func TestGroupCommitRotatesAtCap(t *testing.T) {
-	const writers, perWriter, shards, logCap = 16, 128, 8, 1 << 10
-	key := func(i, j int) string { return fmt.Sprintf("w%02d-%d", i, j) }
+// TestGroupCommitStripeCutProperty interleaves one-stripe and multi-stripe
+// windows over three stripes, then stages one more window whose fsyncs all
+// fail, so its frames land but are never acked. A power cut leaves each
+// stripe log anywhere at or past its last fsync: each stripe in turn is cut
+// at every such byte, the others at their fsynced length. Every acked frame
+// must come back, in order, followed by a prefix of the un-acked ones.
+func TestGroupCommitStripeCutProperty(t *testing.T) {
+	const stripes = 3
 	w, tr := openTracked(t)
-	dir := tr.dir
-	w.group.cap = logCap
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	var peak int64 // largest commit-log size any writer saw after an ack; under w.group.mu
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < perWriter && errs[i] == nil; j++ {
-				wait, err := w.AppendAsync((i+j)%shards, rec(key(i, j), "x"))
-				if err == nil {
-					err = wait()
-				}
-				errs[i] = err
-				w.group.mu.Lock()
-				if w.group.size > peak {
-					peak = w.group.size
-				}
-				w.group.mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("writer %d: %v", i, err)
+	// The last acked window touches every stripe, stripe 2 first: a flush
+	// that fsynced only part of a window would lose acked frames below.
+	windows := [][]int{{0}, {0, 1}, {1}, {2, 0}, {0}, {1, 2, 1}, {2}, {2, 0, 1}}
+	var acked, unacked [stripes][]string
+	entries := func(i int, shards []int) []shardEntry {
+		batch := make([]shardEntry, len(shards))
+		for j, s := range shards {
+			batch[j] = shardEntry{s, rec(fmt.Sprintf("s%d", s), fmt.Sprintf("w%d.%d", i, j))}
 		}
+		return batch
+	}
+	for i, shards := range windows {
+		batch := entries(i, shards)
+		mustWindow(t, w, batch...)
+		for _, b := range batch {
+			acked[b.shard] = append(acked[b.shard], string(b.e.Value))
+		}
+	}
+	tr.setSyncErr(errNoSpace)
+	batch := entries(len(windows), []int{1, 0, 2, 1})
+	for i, err := range appendWindow(t, w, batch...) {
+		if !errors.Is(err, errNoSpace) {
+			t.Fatalf("append %d of a window whose fsyncs fail = %v, want %v", i, err, errNoSpace)
+		}
+	}
+	for _, b := range batch {
+		unacked[b.shard] = append(unacked[b.shard], string(b.e.Value))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Without rotation the commit log would hold more than every stripe log
-	// together; with it, a window or two past the cap.
-	var written int64
-	for shard := 0; shard < shards; shard++ {
-		fi, err := os.Stat(LogPath(dir, shard))
-		if err != nil {
-			t.Fatal(err)
+	var full, synced [stripes][]byte
+	for s := range full {
+		full[s] = fileBytes(t, LogPath(tr.dir, s))
+		synced[s] = full[s][:tr.durableLen(s)]
+	}
+	for s := 0; s < stripes; s++ {
+		if len(synced[s]) == len(full[s]) {
+			t.Fatalf("stripe %d fsynced through all %d bytes: nothing to cut", s, len(full[s]))
 		}
-		written += fi.Size()
+		for cut := len(synced[s]); cut <= len(full[s]); cut++ {
+			logs := synced
+			logs[s] = full[s][:cut]
+			w, err := Open(crashDir(t, logs[:]...), Options{GroupCommit: true})
+			if err != nil {
+				t.Fatalf("stripe %d cut at %d: Open: %v", s, cut, err)
+			}
+			for shard := 0; shard < stripes; shard++ {
+				_, recs := replay(t, w, shard)
+				want := append(slices.Clone(acked[shard]), unacked[shard]...)
+				if len(recs) < len(acked[shard]) || len(recs) > len(want) {
+					t.Fatalf("stripe %d cut at %d: shard %d recovered %d records, want %d to %d",
+						s, cut, shard, len(recs), len(acked[shard]), len(want))
+				}
+				for i, r := range recs {
+					if string(r.Value) != want[i] {
+						t.Fatalf("stripe %d cut at %d: shard %d record %d = %q, want %q",
+							s, cut, shard, i, r.Value, want[i])
+					}
+				}
+			}
+			w.Close()
+		}
 	}
-	const bound = 8 * logCap
-	if written < 4*bound {
-		t.Fatalf("only %d bytes appended: too few to force rotations past %d", written, bound)
-	}
-	if peak > bound {
-		t.Fatalf("commit log reached %d bytes, cap %d", peak, logCap)
-	}
+}
 
-	tr.powerCut(t, shards)
-	w2 := openGroup(t, dir)
+// TestGroupCommitLoneThenSharedWindowOrder: a one-stripe window fsyncs
+// stripe 0's first frame, then a multi-stripe window appends stripe 0's
+// next frame and fsyncs stripes 0 and 1 through every byte it wrote. A
+// power cut that drops every stripe byte no fsync covered drops nothing
+// acked, so both of stripe 0's frames recover, in order.
+func TestGroupCommitLoneThenSharedWindowOrder(t *testing.T) {
+	w, tr := openTracked(t)
+	if err := w.Append(0, rec("a", "1")); err != nil {
+		t.Fatal(err)
+	}
+	mustWindow(t, w, shardEntry{0, rec("b", "2")}, shardEntry{1, rec("c", "3")})
+	if tr.syncs[0] != 2 || tr.syncs[1] != 1 {
+		t.Fatalf("stripe fsyncs %v; want two of stripe 0 and one of stripe 1", tr.syncs)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for shard := 0; shard < 2; shard++ {
+		if full := int64(len(fileBytes(t, LogPath(tr.dir, shard)))); tr.durableLen(shard) != full {
+			t.Fatalf("stripe %d fsynced through %d of %d acked bytes", shard, tr.durableLen(shard), full)
+		}
+	}
+	tr.powerCut(t, 2)
+	w2 := openGroup(t, tr.dir)
 	defer w2.Close()
-	seen := replayedKeys(t, w2, shards)
-	for i := 0; i < writers; i++ {
-		for j := 0; j < perWriter; j++ {
-			if !seen[key(i, j)] {
-				t.Fatalf("acked write %s lost (recovered %d records)", key(i, j), len(seen))
-			}
+	for shard, want := range []string{"[a b]", "[c]"} {
+		_, recs := replay(t, w2, shard)
+		var got []string
+		for _, r := range recs {
+			got = append(got, r.Key)
+		}
+		if fmt.Sprint(got) != want {
+			t.Fatalf("shard %d recovered %v, want %s", shard, got, want)
 		}
 	}
 }
 
-// TestGroupCommitStripeCutProperty cuts the stripe log at EVERY byte offset
-// while the commit log is intact: no acked write may be lost at any cut,
-// and recovery must leave the stripe log identical to the uncut original.
-func TestGroupCommitStripeCutProperty(t *testing.T) {
-	stripe, commit := buildGroupLog(t, 8)
-	for cut := 0; cut <= len(stripe); cut++ {
-		dir := crashDir(t, stripe[:cut], commit)
-		w, err := Open(dir, Options{GroupCommit: true})
-		if err != nil {
-			t.Fatalf("cut at %d: Open: %v", cut, err)
-		}
-		_, recs := replay(t, w, 0)
-		if len(recs) != 8 {
-			t.Fatalf("cut at %d: recovered %d records, want 8", cut, len(recs))
-		}
-		for i, r := range recs {
-			if want := fmt.Sprintf("v%d", i); string(r.Value) != want {
-				t.Fatalf("cut at %d: record %d = %q, want %q", cut, i, r.Value, want)
-			}
-		}
-		got, err := os.ReadFile(LogPath(dir, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(stripe) {
-			t.Fatalf("cut at %d: stripe log not rebuilt to the original", cut)
-		}
-		w.Close()
-	}
-}
-
-// TestGroupCommitCommitCutProperty loses the stripe file entirely AND cuts
-// the commit log at every byte offset — the crash landing mid-window, mid
-// frame. Recovery must always succeed (a torn commit tail is truncation,
-// not corruption) and replay must yield an exact prefix of the append
-// sequence: un-acked suffixes may vanish, but nothing reorders and no hole
-// opens. The WAL must accept new appends afterwards.
-func TestGroupCommitCommitCutProperty(t *testing.T) {
-	_, commit := buildGroupLog(t, 8)
-	for cut := 0; cut <= len(commit); cut++ {
-		dir := crashDir(t, nil, commit[:cut])
-		w, err := Open(dir, Options{GroupCommit: true})
-		if err != nil {
-			t.Fatalf("cut at %d: Open: %v", cut, err)
-		}
-		_, recs := replay(t, w, 0)
-		for i, r := range recs {
-			if want := fmt.Sprintf("v%d", i); string(r.Value) != want {
-				t.Fatalf("cut at %d: replay is not an op prefix: record %d = %q, want %q",
-					cut, i, r.Value, want)
-			}
-		}
-		if err := w.Append(0, rec("key", "post")); err != nil {
-			t.Fatalf("cut at %d: append after recovery: %v", cut, err)
-		}
-		_, recs2 := replay(t, w, 0)
-		if len(recs2) != len(recs)+1 || string(recs2[len(recs)].Value) != "post" {
-			t.Fatalf("cut at %d: post-recovery append lost (%d -> %d records)",
-				cut, len(recs), len(recs2))
-		}
-		w.Close()
-	}
-}
-
-// TestGroupCommitGarbageTailTolerated appends random garbage to the commit
-// log — a crash that tore the tail into nonsense rather than cutting it
-// clean. The garbage must be discarded as a torn tail, keeping every acked
-// record.
-func TestGroupCommitGarbageTailTolerated(t *testing.T) {
-	_, commit := buildGroupLog(t, 8)
-	garbage := append(append([]byte(nil), commit...),
-		0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0xff)
-	dir := crashDir(t, nil, garbage)
-	w := openGroup(t, dir)
+// TestGroupCommitWindowSyncsEachStripeOnce: a window over stripes {0, 1, 2}
+// fsyncs each of them exactly once, in the order the window first touched
+// them, through every byte the window wrote, however many of its frames
+// each stripe holds.
+func TestGroupCommitWindowSyncsEachStripeOnce(t *testing.T) {
+	w, tr := openTracked(t)
 	defer w.Close()
-	_, recs := replay(t, w, 0)
-	if len(recs) != 8 {
-		t.Fatalf("recovered %d records, want 8", len(recs))
+	mustWindow(t, w, shardEntry{2, rec("a", "1")}, shardEntry{0, rec("b", "1")},
+		shardEntry{2, rec("c", "1")}, shardEntry{1, rec("d", "1")}, shardEntry{0, rec("e", "1")})
+	if fmt.Sprint(tr.order) != "[2 0 1]" {
+		t.Fatalf("stripe fsyncs in order %v, want [2 0 1]", tr.order)
 	}
-}
-
-// TestGroupCommitStaleAndDanglingFramesSkipped exercises recoverCommitLog's
-// offset discipline: frames below the stripe log's end are already present
-// (stale — skipped), frames beyond it are dangling (their predecessor never
-// became durable — skipped), and only a frame at the exact end
-// materializes.
-func TestGroupCommitStaleAndDanglingFramesSkipped(t *testing.T) {
-	stripe, commit := buildGroupLog(t, 3)
-	offs, err := FrameOffsets(crashPath(t, stripe))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(offs) != 3 {
-		t.Fatalf("FrameOffsets = %v", offs)
-	}
-	frame0 := stripe[offs[0]:offs[1]] // raw first stripe frame ("v0")
-	end := int64(len(stripe))
-
-	// Commit log: 3 stale frames (stripe intact, all below end), one
-	// dangling frame far past the end, one valid frame at the exact end.
-	crafted := append([]byte(nil), commit...)
-	crafted = append(crafted, commitFrame(0, end+1000, frame0)...)
-	crafted = append(crafted, commitFrame(0, end, frame0)...)
-
-	dir := crashDir(t, stripe, crafted)
-	w := openGroup(t, dir)
-	defer w.Close()
-	_, recs := replay(t, w, 0)
-	if len(recs) != 4 {
-		t.Fatalf("recovered %d records, want 4 (3 original + 1 materialized)", len(recs))
-	}
-	for i, want := range []string{"v0", "v1", "v2", "v0"} {
-		if string(recs[i].Value) != want {
-			t.Fatalf("record %d = %q, want %q", i, recs[i].Value, want)
+	for shard := 0; shard < 3; shard++ {
+		if fi, err := os.Stat(LogPath(tr.dir, shard)); err != nil || tr.durableLen(shard) != fi.Size() {
+			t.Fatalf("stripe %d fsynced at %d bytes, holds %v (%v)", shard, tr.durableLen(shard), fi, err)
 		}
 	}
-	if fi, err := os.Stat(LogPath(dir, 0)); err != nil || fi.Size() != end+int64(len(frame0)) {
-		t.Fatalf("stripe log size = %v (err %v), want %d", fi.Size(), err, end+int64(len(frame0)))
-	}
 }
 
-// crashPath writes data to a scratch stripe-log file and returns its path —
-// FrameOffsets wants a file, not bytes.
-func crashPath(t *testing.T, data []byte) string {
-	t.Helper()
-	p := filepath.Join(t.TempDir(), "scratch.wal")
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// commitFaultScript injects scripted faults into the group-commit pipeline
-// while leaving stripe-file operations healthy.
-type commitFaultScript struct {
-	appendShort int // bytes of the commit batch allowed to land (-1 = all)
-	appendErr   error
-	syncErr     error
-}
-
-func (f *commitFaultScript) Append(_ int, frame []byte) (int, error) { return len(frame), nil }
-func (f *commitFaultScript) Truncate(int) error                      { return nil }
-func (f *commitFaultScript) Sync(int) error                          { return nil }
-func (f *commitFaultScript) Checkpoint(int, []byte) error            { return nil }
-func (f *commitFaultScript) CommitAppend(buf []byte) (int, error) {
-	if f.appendShort < 0 || f.appendShort > len(buf) {
-		return len(buf), f.appendErr
-	}
-	return f.appendShort, f.appendErr
-}
-func (f *commitFaultScript) CommitSync() error { return f.syncErr }
-
-// TestGroupCommitNothingAckedBeforeFsync fails a multi-stripe window's
-// single commit-log fsync: every waiter in the window must see the error —
-// an append is never acked until its window's fsync returned. The frames
-// DID land in the commit log, so a reopen may legally resurrect the
-// un-acked writes (un-acked writes may appear or vanish; they must never
-// corrupt the log).
+// TestGroupCommitNothingAckedBeforeFsync fails the second of a three-stripe
+// window's stripe fsyncs: every waiter in the window must see the error,
+// although the first stripe's fsync succeeded — an append is never acked
+// until every fsync of its window returned. Once the disk heals the next
+// window acks, and a power cut keeps what it acked.
 func TestGroupCommitNothingAckedBeforeFsync(t *testing.T) {
-	dir := t.TempDir()
-	fs := &commitFaultScript{appendShort: -1, syncErr: errNoSpace}
-	w, err := Open(dir, Options{GroupCommit: true, Fault: fs})
-	if err != nil {
-		t.Fatal(err)
+	w, tr := openTracked(t)
+	window := func(v string) []shardEntry {
+		return []shardEntry{{0, rec("a", v)}, {1, rec("b", v)}, {2, rec("c", v)}}
 	}
-	for i, err := range appendWindow(t, w, shardEntry{0, rec("a", "1")}, shardEntry{1, rec("c", "1")}) {
-		if err == nil {
-			t.Fatalf("append %d acked although the commit fsync failed", i)
+	tr.setSyncErr(errNoSpace, 1)
+	for i, err := range appendWindow(t, w, window("1")...) {
+		if !errors.Is(err, errNoSpace) {
+			t.Fatalf("append %d = %v although stripe 1's fsync failed, want %v", i, err, errNoSpace)
 		}
 	}
-	// Heal the disk: the next window must ack cleanly again.
-	fs.syncErr = nil
-	mustWindow(t, w, shardEntry{0, rec("b", "2")}, shardEntry{1, rec("d", "2")})
-	w.Close()
-
-	w2 := openGroup(t, dir)
+	if tr.syncs[0] != 1 {
+		t.Fatalf("stripe fsyncs %v; want stripe 0 fsynced before stripe 1 failed", tr.syncs)
+	}
+	tr.setSyncErr(nil)
+	mustWindow(t, w, window("2")...)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr.powerCut(t, 3)
+	w2 := openGroup(t, tr.dir)
 	defer w2.Close()
-	_, recs := replay(t, w2, 0)
-	if n := len(recs); n != 2 {
-		t.Fatalf("recovered %d records, want 2 (un-acked frame landed before the failed fsync)", n)
+	for shard := 0; shard < 3; shard++ {
+		_, recs := replay(t, w2, shard)
+		var got []string
+		for _, r := range recs {
+			got = append(got, string(r.Value))
+		}
+		if fmt.Sprint(got) != "[1 2]" {
+			t.Fatalf("shard %d recovered %v, want the un-acked 1 (it landed) then the acked 2", shard, got)
+		}
 	}
 }
 
-// TestGroupCommitShortBatchRollsBack lands a prefix of a multi-stripe
-// window's commit batch and fails: the partial batch must be truncated away
-// so later windows append to a clean commit log, and the failed appends
-// must not ack.
-func TestGroupCommitShortBatchRollsBack(t *testing.T) {
-	dir := t.TempDir()
-	fs := &commitFaultScript{appendShort: 5, appendErr: errNoSpace}
-	w, err := Open(dir, Options{GroupCommit: true, Fault: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, err := range appendWindow(t, w, shardEntry{0, rec("a", "1")}, shardEntry{1, rec("c", "1")}) {
-		if err == nil {
-			t.Fatalf("append %d acked although the commit batch landed short", i)
-		}
-	}
-	fs.appendShort = -1
-	fs.appendErr = nil
-	mustWindow(t, w, shardEntry{0, rec("b", "2")}, shardEntry{1, rec("d", "2")})
-	w.Close()
-
-	// The stripe file still holds the un-acked "a" frame (it may legally
-	// survive), but the commit log's clean prefix must replay without error
-	// and include the acked "b".
-	w2 := openGroup(t, dir)
-	defer w2.Close()
-	_, recs := replay(t, w2, 0)
-	keys := map[string]bool{}
-	for _, r := range recs {
-		keys[r.Key] = true
-	}
-	if !keys["b"] {
-		t.Fatalf("acked record b lost after short-batch rollback: %+v", recs)
-	}
-}
-
-// TestGroupCommitFoldRotatesFirst: a fold rotates the commit log before it
-// truncates the stripe log, so no commit frame from before the fold can
-// materialize against the emptied log. Losing every un-fsynced stripe byte
-// afterwards still recovers the folds plus the appends made since.
-func TestGroupCommitFoldRotatesFirst(t *testing.T) {
-	dir := t.TempDir()
-	w := openGroup(t, dir)
+// TestGroupCommitFoldSurvivesPowerCut folds a stripe between group-commit
+// windows. The fold keeps each key's last frame durable in the checkpoint
+// and fsyncs the log's truncation, and the next window fsyncs the log
+// again, so a power cut that drops every stripe byte no fsync covered —
+// here an append whose fsync failed — recovers the folds and then the
+// acked append made since.
+func TestGroupCommitFoldSurvivesPowerCut(t *testing.T) {
+	w, tr := openTracked(t)
 	if err := w.Checkpoint(0, make([]byte, 200)); err != nil {
 		t.Fatal(err)
 	}
@@ -788,17 +583,19 @@ func TestGroupCommitFoldRotatesFirst(t *testing.T) {
 	if ok, err := w.Fold(0); !ok || err != nil {
 		t.Fatalf("Fold = %v, %v", ok, err)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, commitLogName)); err != nil || fi.Size() != 0 {
-		t.Fatalf("commit log after the fold: %v, %v; want empty", fi, err)
+	if fi, err := os.Stat(LogPath(tr.dir, 0)); err != nil || fi.Size() != 0 {
+		t.Fatalf("stripe log after the fold: %v, %v; want empty", fi, err)
 	}
 	mustWindow(t, w, shardEntry{0, rec("k2", "v4")}, shardEntry{1, rec("side", "v4")})
+	tr.setSyncErr(errNoSpace)
+	if err := w.Append(0, rec("k3", "v5")); !errors.Is(err, errNoSpace) {
+		t.Fatalf("append with a failed fsync = %v, want %v", err, errNoSpace)
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(LogPath(dir, 0), 0); err != nil {
-		t.Fatal(err)
-	}
-	w2 := openGroup(t, dir)
+	tr.powerCut(t, 2)
+	w2 := openGroup(t, tr.dir)
 	defer w2.Close()
 	_, recs := replay(t, w2, 0)
 	var got []string
@@ -811,20 +608,19 @@ func TestGroupCommitFoldRotatesFirst(t *testing.T) {
 }
 
 // TestGroupCommitLoneWriterSkipsCommitLog: a lone writer's window touches
-// one stripe, so it fsyncs that stripe log once and writes nothing to the
-// commit log.
+// one stripe, so it fsyncs that stripe log once, through its last byte, and
+// writes no other file — no shared commit log appears.
 func TestGroupCommitLoneWriterSkipsCommitLog(t *testing.T) {
 	w, tr := openTracked(t)
 	defer w.Close()
 	if err := w.Append(3, rec("a", "1")); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(tr.syncs) != "map[3:1]" || tr.commitBytes != 0 || tr.commitSyncs != 0 {
-		t.Fatalf("stripe fsyncs %v, commit log %d bytes / %d fsyncs; want map[3:1], 0, 0",
-			tr.syncs, tr.commitBytes, tr.commitSyncs)
+	if fmt.Sprint(tr.syncs) != "map[3:1]" {
+		t.Fatalf("stripe fsyncs %v; want map[3:1]", tr.syncs)
 	}
-	if fi, err := os.Stat(filepath.Join(tr.dir, commitLogName)); err == nil && fi.Size() != 0 {
-		t.Fatalf("commit log holds %d bytes after a lone append", fi.Size())
+	if _, err := os.Stat(filepath.Join(tr.dir, legacyCommitLog)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a commit log exists after a lone append: %v", err)
 	}
 	if fi, err := os.Stat(LogPath(tr.dir, 3)); err != nil || tr.durableLen(3) != fi.Size() {
 		t.Fatalf("stripe log fsynced at %d bytes, holds %v (%v)", tr.durableLen(3), fi, err)
@@ -883,7 +679,7 @@ func TestGroupCommitLoneCutProperty(t *testing.T) {
 	}
 	want := []string{"v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7", "u0", "u1", "u2"}
 	for cut := synced; cut <= int64(len(stripe)); cut++ {
-		dir := crashDir(t, stripe[:cut], nil)
+		dir := crashDir(t, stripe[:cut])
 		w, err := Open(dir, Options{GroupCommit: true})
 		if err != nil {
 			t.Fatalf("cut at %d: Open: %v", cut, err)
@@ -901,37 +697,42 @@ func TestGroupCommitLoneCutProperty(t *testing.T) {
 	}
 }
 
-// TestGroupCommitLoneThenSharedWindowOrder: a one-stripe window fsyncs
-// stripe 0's first frame, then a multi-stripe window carries stripe 0's
-// next frame through the commit log. A power cut that drops every stripe
-// byte no fsync covered leaves stripe 0 ending exactly where that commit
-// frame begins, so both acked frames recover, in order.
-func TestGroupCommitLoneThenSharedWindowOrder(t *testing.T) {
-	w, tr := openTracked(t)
-	if err := w.Append(0, rec("a", "1")); err != nil {
+// TestOpenRefusesLegacyCommitLog: a non-empty commit log left by the
+// earlier group-commit format may hold acked frames its stripe logs lack,
+// so Open refuses the directory in either mode, naming the file, and
+// leaves the log as it found it.
+func TestOpenRefusesLegacyCommitLog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, legacyCommitLog)
+	if err := os.WriteFile(path, rawFrame([]byte{0x03, 0, 0}), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mustWindow(t, w, shardEntry{0, rec("b", "2")}, shardEntry{1, rec("c", "3")})
-	if tr.syncs[0] != 1 || tr.commitSyncs != 1 {
-		t.Fatalf("stripe fsyncs %v, commit fsyncs %d; want one of each", tr.syncs, tr.commitSyncs)
+	for _, group := range []bool{false, true} {
+		w, err := Open(dir, Options{GroupCommit: group})
+		if err == nil {
+			w.Close()
+			t.Fatalf("Open(GroupCommit: %v) accepted a directory holding a non-empty %s", group, legacyCommitLog)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Fatalf("Open(GroupCommit: %v) = %v; want the error to name %s", group, err, path)
+		}
 	}
-	if err := w.Close(); err != nil {
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("refused Open changed the commit log: %v, %v", fi, err)
+	}
+}
+
+// TestOpenRemovesEmptyLegacyCommitLog: an empty commit log of the earlier
+// format holds nothing to lose, so Open deletes it and opens the directory.
+func TestOpenRemovesEmptyLegacyCommitLog(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, legacyCommitLog)
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if full := int64(len(fileBytes(t, LogPath(tr.dir, 0)))); tr.durableLen(0) >= full {
-		t.Fatalf("stripe 0 fsynced through %d of %d bytes: the cut drops nothing", tr.durableLen(0), full)
-	}
-	tr.powerCut(t, 2)
-	w2 := openGroup(t, tr.dir)
-	defer w2.Close()
-	for shard, want := range []string{"[a b]", "[c]"} {
-		_, recs := replay(t, w2, shard)
-		var got []string
-		for _, r := range recs {
-			got = append(got, r.Key)
-		}
-		if fmt.Sprint(got) != want {
-			t.Fatalf("shard %d recovered %v, want %s", shard, got, want)
-		}
+	w := openGroup(t, dir)
+	defer w.Close()
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("empty commit log still present after Open: %v", err)
 	}
 }

@@ -9,11 +9,9 @@
 //
 //	<dir>/shard-NNNN.wal   entry log, a sequence of frames
 //	<dir>/shard-NNNN.ckpt  checkpoint: header snapshot fold
-//	<dir>/commit.wal       group-commit log (GroupCommit mode only)
 //
 //	frame    := uvarint(len(payload)) payload crc32c(payload)   // crc big-endian
 //	payload  := 0x01 entry           // set: encoding.AppendEntry bytes
-//	          | 0x03 uvarint(shard) uvarint(off) raw-frame     // commit.wal only
 //	header   := "WCK2" crc32c(snapshot) uint64(len(snapshot))
 //	            uint64(len(fold)) crc32c(header bytes before it)  // big-endian
 //	snapshot := kvstore binary shard snapshot
@@ -38,43 +36,26 @@
 // # Group commit
 //
 // With Options.GroupCommit, each append writes its frame to the stripe log
-// (no sync), then registers the raw frame bytes with a shared committer and
+// (no sync), then registers its stripe with a shared committer and
 // receives a wait function — the commit barrier. The committer coalesces
 // all registrations arriving within a short window (bounded by
-// defaultCommitWindow), issues ONE fsync for the whole window, and releases
-// every waiter. Nothing may be acknowledged before its wait returns nil.
-// Which file the fsync covers depends on the window:
+// defaultCommitWindow), then flushes the window: a window fsyncs each
+// stripe log it touched; an fsync covers every earlier byte of its file.
+// Each touched stripe log is fsynced once, in the order the window first
+// touched it, and every waiter is released only after the last fsync; any
+// failure fails every waiter. Nothing may be acknowledged before its wait
+// returns nil. Windows flush one at a time, in the order they opened.
 //
-//   - A window whose frames all live in one stripe log — a lone writer's
-//     window, always — fsyncs that stripe log. Every frame is a complete
-//     record of its key, so the stripe log alone is a durable copy, and
-//     everything in it up to the fsync needs no commit frame.
-//   - A window spanning stripes writes one batch of commit frames — each
-//     carrying the shard, the frame's offset in its stripe log, and the
-//     frame bytes themselves — to the single shared commit.wal and fsyncs
-//     that. The records are then durable in commit.wal even if their
-//     stripe files' bytes are still in the page cache.
+// Every frame is a complete record of its key — its version stamp orders
+// it against any other copy — so a stripe log holds a durable copy of every
+// frame up to its last fsync and needs no second log. After a crash, the
+// ordinary torn-tail repair and checkpoint + log replay recover every
+// acknowledged append.
 //
-// Windows flush one at a time under one lock, in the order they opened, so
-// a stripe's frames become durable in offset order whichever file carries
-// them: a frame a one-stripe window fsyncs was appended after every frame
-// an earlier commit batch copied, and a later commit batch only holds
-// frames past it. After a crash each stripe log therefore still holds every
-// frame up to its last fsync, and every acknowledged frame past that point
-// is in the commit log, in offset order — what recovery needs.
-//
-// Recovery makes the redundancy whole: Open first recovers every stripe log
-// (torn tails truncated as always), then scans commit.wal in order and
-// re-appends ("materializes") any frame whose recorded offset equals its
-// stripe log's current end — exactly the frames the crash took from the
-// un-synced stripe files. Materialized stripes are fsynced and commit.wal
-// is truncated, so the ordinary checkpoint + log-tail replay machinery runs
-// over complete stripe logs and never sees the commit log at all.
-//
-// Checkpoint and Fold rotate first — fsync every stripe file the committer
-// dirtied, then truncate and fsync commit.wal — so no stale commit frame
-// can outlive the log truncation it refers into; the commit log also
-// rotates in the background when it exceeds defaultCommitLogCap.
+// An earlier format kept a shared commit log beside the stripe logs, with
+// copies of the frames of windows that spanned stripes. Open refuses a
+// directory holding a non-empty one, whose frames the stripe logs may lack,
+// and deletes an empty one.
 //
 // # Crash safety
 //
@@ -101,8 +82,8 @@
 // By default appends reach the OS buffer cache (durable across process
 // crashes, not power loss); Options.GroupCommit makes every acknowledged
 // append survive power loss too, through its window's fsync (above). In
-// that mode a newly created stripe log or commit log is also durable by
-// name: its directory is fsynced once, when the file is created.
+// that mode a newly created stripe log is also durable by name: its
+// directory is fsynced once, when the file is created.
 // Checkpoints always fsync and rename, and folds always fsync before the
 // log truncates, whatever the option, so a half-written checkpoint can
 // never replace a good one. Every checkpoint carries a
@@ -154,20 +135,18 @@ import (
 	"versionstamp/internal/storage"
 )
 
-// Frame payload kinds.
-const (
-	recSet    = 0x01
-	recCommit = 0x03 // commit.wal only: uvarint(shard) uvarint(off) raw frame
-)
+// recSet is the one frame payload kind: a set record.
+const recSet = 0x01
 
-// commitLogName is the shared group-commit log file under the WAL dir.
-const commitLogName = "commit.wal"
+// logExt is the file extension of a stripe's entry log.
+const logExt = ".wal"
 
-// Group-commit defaults.
-const (
-	defaultCommitWindow = 150 * time.Microsecond
-	defaultCommitLogCap = 64 << 20
-)
+// legacyCommitLog names the shared group-commit log an earlier format kept
+// beside the stripe logs (see checkLegacyCommitLog).
+const legacyCommitLog = "commit" + logExt
+
+// defaultCommitWindow bounds how long a group-commit window stays open.
+const defaultCommitWindow = 150 * time.Microsecond
 
 // maxRecordLen bounds a frame's payload so a corrupt length prefix cannot
 // force an unbounded allocation.
@@ -211,11 +190,9 @@ type FaultInjector interface {
 	// partial frame; an error simulates a rollback that cannot complete, so
 	// the shard latches read-only until a checkpoint heals it.
 	Truncate(shard int) error
-	// Sync is consulted before a group-commit stripe-log fsync: the one
-	// that releases a one-stripe window, where an error fails every append
-	// in the window, and the rotation ahead of a checkpoint or fold or at
-	// the commit-log cap, where an error fails the rotation and leaves the
-	// commit log in place. The frames stay in the log either way.
+	// Sync is consulted before each stripe-log fsync of a group-commit
+	// window; an error fails every append in the window. The frames stay in
+	// the log.
 	Sync(shard int) error
 	// Checkpoint is consulted before a checkpoint write with the snapshot,
 	// and before a fold with exactly the frames the fold appends; an error
@@ -223,33 +200,13 @@ type FaultInjector interface {
 	Checkpoint(shard int, data []byte) error
 }
 
-// CommitFaultInjector optionally extends FaultInjector with the commit
-// log's physical operations, which only windows spanning more than one
-// stripe reach; a one-stripe window goes through FaultInjector.Sync.
-// Injectors that do not implement it run the commit log fault-free.
-type CommitFaultInjector interface {
-	FaultInjector
-	// CommitAppend is consulted before a multi-stripe window's batch of
-	// commit frames is written to the shared commit log; the short-write
-	// semantics match FaultInjector.Append (the partial batch is rolled
-	// back by truncation, and a failed rollback latches the committer until
-	// rotation heals it).
-	CommitAppend(buf []byte) (int, error)
-	// CommitSync is consulted before the commit-log fsync that releases a
-	// multi-stripe window's waiters; an error fails every append in the
-	// window.
-	CommitSync() error
-}
-
 // Options configures a WAL.
 type Options struct {
 	// GroupCommit turns on the group-commit pipeline (see the package
-	// comment): each append becomes durable through its window's one fsync —
-	// of the stripe log when the window touches one stripe, as a lone
-	// writer's does, and of the shared commit log otherwise — and callers
-	// that can overlap writers should use AppendAsync to share windows. Off
-	// by default: appends then survive process crashes (the OS holds the
-	// bytes) but not power loss.
+	// comment): each append becomes durable when its window fsyncs the
+	// stripe logs it touched, and callers that can overlap writers should
+	// use AppendAsync to share windows. Off by default: appends then survive
+	// process crashes (the OS holds the bytes) but not power loss.
 	GroupCommit bool
 	// Fault, when non-nil, intercepts physical operations for deterministic
 	// fault injection (see FaultInjector and internal/storage/faultfs).
@@ -304,7 +261,8 @@ func (sh *walShard) dropReadHandle() {
 // committed folds, does not fail the open: the damaged shard is
 // quarantined (file and byte offset recorded) and every other shard
 // recovers normally. The lock dies with the process; a crashed owner never
-// blocks the next Open.
+// blocks the next Open. A directory holding a non-empty commit log of the
+// earlier group-commit format is refused (see checkLegacyCommitLog).
 func Open(dir string, opts Options) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
@@ -314,8 +272,12 @@ func Open(dir string, opts Options) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{dir: dir, fault: opts.Fault, lock: lock, shards: make(map[int]*walShard)}
+	if err := checkLegacyCommitLog(dir); err != nil {
+		_ = w.unlock()
+		return nil, err
+	}
 	var files []string
-	for _, pattern := range []string{"shard-*.ckpt", "shard-*.wal"} {
+	for _, pattern := range []string{"shard-*.ckpt", "shard-*" + logExt} {
 		matches, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			_ = w.unlock()
@@ -346,124 +308,28 @@ func Open(dir string, opts Options) (*WAL, error) {
 		}
 	}
 	if opts.GroupCommit {
-		w.group = &committer{
-			w: w, window: defaultCommitWindow, cap: defaultCommitLogCap,
-			dirty: make(map[int]bool),
-		}
-		if err := w.recoverCommitLog(); err != nil {
-			_ = w.unlock()
-			return nil, err
-		}
+		w.group = &committer{w: w, window: defaultCommitWindow}
 	}
 	return w, nil
 }
 
-// commitLogPath returns the shared commit log's path.
-func (w *WAL) commitLogPath() string { return filepath.Join(w.dir, commitLogName) }
-
-// recoverCommitLog replays the shared commit log into the stripe logs: any
-// commit frame whose recorded offset equals its stripe log's current end is
-// the next frame that stripe lost to the crash, so its raw bytes are
-// appended ("materialized") there; frames already present (offset below the
-// end) or dangling past a later truncation (offset beyond the end) are
-// skipped. Materialized logs are fsynced, then the commit log truncates.
-// Damage that is provably not a torn commit-log tail fails the open — the
-// commit log is shared across stripes, so its corruption cannot be
-// quarantined to one.
-func (w *WAL) recoverCommitLog() error {
-	path := w.commitLogPath()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return fmt.Errorf("wal: %w", err)
-	}
-	sizes := make(map[int]int64)    // stripe log ends, tracked as we materialize
-	files := make(map[int]*os.File) // append handles for materialized stripes
-	defer func() {
-		for _, f := range files {
-			_ = f.Close()
-		}
-	}()
-	logSize := func(shard int) (int64, error) {
-		if sz, ok := sizes[shard]; ok {
-			return sz, nil
-		}
-		fi, err := os.Stat(w.logPath(shard))
-		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				sizes[shard] = 0
-				return 0, nil
-			}
-			return 0, err
-		}
-		sizes[shard] = fi.Size()
-		return fi.Size(), nil
-	}
-	valid, err := scanFrames(data, func(off int, payload []byte) error {
-		if len(payload) == 0 || payload[0] != recCommit {
-			return fmt.Errorf("%w: bad commit record at offset %d", ErrCorrupt, off)
-		}
-		rest := payload[1:]
-		shard, used := binary.Uvarint(rest)
-		if used <= 0 || shard > 1<<20 {
-			return fmt.Errorf("%w: bad commit shard at offset %d", ErrCorrupt, off)
-		}
-		rest = rest[used:]
-		stripeOff, used := binary.Uvarint(rest)
-		if used <= 0 {
-			return fmt.Errorf("%w: bad commit offset at offset %d", ErrCorrupt, off)
-		}
-		raw := rest[used:]
-		si := int(shard)
-		if sh := w.shards[si]; sh != nil && sh.quar != nil {
-			return nil // nothing may land after a quarantined stripe's damage
-		}
-		cur, err := logSize(si)
-		if err != nil {
-			return err
-		}
-		if int64(stripeOff) != cur {
-			return nil // already present, or dangling past a truncation
-		}
-		f, ok := files[si]
-		if !ok {
-			f, err = w.openAppend(w.logPath(si))
-			if err != nil {
-				return err
-			}
-			files[si] = f
-		}
-		if _, err := f.Write(raw); err != nil {
-			return err
-		}
-		sizes[si] = cur + int64(len(raw))
+// checkLegacyCommitLog refuses dir when it holds a non-empty commit log of
+// the earlier group-commit format: after a crash that log may hold
+// acknowledged frames its stripe logs lack, and this format cannot replay
+// it. An empty one holds nothing and is deleted.
+func checkLegacyCommitLog(dir string) error {
+	path := filepath.Join(dir, legacyCommitLog)
+	fi, err := os.Stat(path)
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
 		return nil
-	})
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			return &storage.CorruptError{Shard: -1, Path: path, Offset: int64(valid), Err: err}
-		}
-		return fmt.Errorf("wal: recover commit log: %w", err)
+	case err != nil:
+		return fmt.Errorf("wal: %w", err)
+	case fi.Size() > 0:
+		return fmt.Errorf("wal: %s is a %d-byte commit log of an earlier format, whose frames the stripe logs may lack; this version cannot replay it", path, fi.Size())
 	}
-	for _, f := range files {
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("wal: recover commit log: %w", err)
-		}
-	}
-	// The stripe logs now hold everything the commit log promised; empty it
-	// durably so stale commit frames can never materialize twice.
-	if err := os.Truncate(path, 0); err != nil {
-		return fmt.Errorf("wal: recover commit log: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: recover commit log: %w", err)
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: recover commit log: %w", err)
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
 }
@@ -492,7 +358,7 @@ func (w *WAL) unlock() error {
 // LogPath returns the shard's log file path under dir. Exported for fault
 // injectors and tools that damage or inspect logs from outside the WAL.
 func LogPath(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", shard))
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d", shard)+logExt)
 }
 
 // CheckpointPath returns the shard's checkpoint file path under dir.
@@ -806,23 +672,23 @@ func recoverFolds(path string) (int64, error) {
 
 // appendLocked writes e's frame to the shard's log under sh.mu (held by the
 // caller), rolling back failed or short writes by truncation. It does not
-// sync. Returns the frame's starting offset and the frame bytes.
-func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) (int64, []byte, error) {
+// sync.
+func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) error {
 	if sh.quar != nil {
-		return 0, nil, sh.quar
+		return sh.quar
 	}
 	if sh.failed != nil {
-		return 0, nil, sh.failed
+		return sh.failed
 	}
 	if sh.f == nil {
 		f, err := w.openAppend(w.logPath(shard))
 		if err != nil {
-			return 0, nil, fmt.Errorf("wal: %w", err)
+			return fmt.Errorf("wal: %w", err)
 		}
 		fi, err := f.Stat()
 		if err != nil {
 			_ = f.Close()
-			return 0, nil, fmt.Errorf("wal: %w", err)
+			return fmt.Errorf("wal: %w", err)
 		}
 		sh.f, sh.size = f, fi.Size()
 	}
@@ -851,7 +717,7 @@ func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) (int64, []
 		}
 		if n == 0 {
 			// Nothing landed; the log is exactly as it was.
-			return 0, nil, fmt.Errorf("wal: append shard %d: %w", shard, werr)
+			return fmt.Errorf("wal: append shard %d: %w", shard, werr)
 		}
 		terr := error(nil)
 		if w.fault != nil {
@@ -867,13 +733,12 @@ func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) (int64, []
 			sh.failed = fmt.Errorf("wal: shard %d latched after unremovable partial frame: %w", shard, werr)
 			_ = sh.f.Close()
 			sh.f = nil
-			return 0, nil, sh.failed
+			return sh.failed
 		}
-		return 0, nil, fmt.Errorf("wal: append shard %d: %w", shard, werr)
+		return fmt.Errorf("wal: append shard %d: %w", shard, werr)
 	}
-	off := sh.size
 	sh.size += int64(len(frame))
-	return off, frame, nil
+	return nil
 }
 
 // syncLocked fsyncs the shard's log under sh.mu, consulting the fault
@@ -931,66 +796,54 @@ func (w *WAL) AppendAsync(shard int, e encoding.Entry) (func() error, error) {
 		return nil, err
 	}
 	defer sh.mu.Unlock()
-	off, frame, err := w.appendLocked(sh, shard, e)
-	if err != nil || w.group == nil {
+	if err := w.appendLocked(sh, shard, e); err != nil || w.group == nil {
 		return nil, err
 	}
-	// Register under sh.mu so the commit log sees this stripe's frames in
-	// offset order — recovery materializes strictly in that order.
-	return w.group.register(shard, off, frame), nil
+	// The window registered here fsyncs this stripe log only after it
+	// closes, so its fsync covers the frame just written.
+	return w.group.register(shard), nil
 }
 
 // committer is the group-commit engine: one per WAL, batching every
-// stripe's appends into commit windows flushed with a single fsync — of
-// the one stripe log a window touches, or of the shared commit log.
+// stripe's appends into commit windows, each flushed by fsyncing the
+// stripe logs it touched.
 type committer struct {
 	w      *WAL
 	window time.Duration
-	cap    int64
 
-	// flushMu serializes commit-log file access: window flushes, rotations
-	// and Close. Never held while a stripe's sh.mu is wanted by an append
-	// path, so appends keep flowing while a window flushes.
+	// flushMu serializes window flushes. Never held while a stripe's sh.mu
+	// is wanted by an append path, so appends keep flowing while a window
+	// flushes.
 	flushMu sync.Mutex
 
-	mu     sync.Mutex
-	f      *os.File // commit log append handle, opened lazily (under flushMu)
-	size   int64
-	dirty  map[int]bool // stripes whose bytes past their last fsync only commit frames cover
-	cur    *commitBatch // window currently accepting registrations
-	failed error        // unremovable partial commit batch: refuse until rotation heals
+	mu  sync.Mutex
+	cur *commitBatch // window currently accepting registrations
 }
 
-// commitBatch is one commit window: the registrations it accumulated and
-// the barrier its waiters block on.
+// commitBatch is one commit window: the registrations it accumulated, the
+// distinct shards they touched in first-touch order, and the barrier its
+// waiters block on.
 type commitBatch struct {
-	reqs []commitReq
-	done chan struct{}
-	err  error
-}
-
-type commitReq struct {
-	shard int
-	off   int64
-	frame []byte
+	n      int
+	shards []int
+	done   chan struct{}
+	err    error
 }
 
 // register adds one staged frame to the open window (opening one — and its
 // flush goroutine — if none is), returning the barrier wait function.
-func (c *committer) register(shard int, off int64, frame []byte) func() error {
+func (c *committer) register(shard int) func() error {
 	c.mu.Lock()
-	if c.failed != nil {
-		err := c.failed
-		c.mu.Unlock()
-		return func() error { return err }
-	}
 	b := c.cur
 	if b == nil {
 		b = &commitBatch{done: make(chan struct{})}
 		c.cur = b
 		go c.run(b)
 	}
-	b.reqs = append(b.reqs, commitReq{shard: shard, off: off, frame: frame})
+	b.n++
+	if !slices.Contains(b.shards, shard) {
+		b.shards = append(b.shards, shard)
+	}
 	c.mu.Unlock()
 	return func() error {
 		<-b.done
@@ -1000,14 +853,14 @@ func (c *committer) register(shard int, off int64, frame []byte) func() error {
 
 // run drives one window: spin while the batch is still growing (bounded by
 // the window deadline — timers on this scale oversleep by milliseconds, so
-// the wait is a yield loop), then detach the batch, flush it with one
-// fsync, and release every waiter.
+// the wait is a yield loop), then detach the batch, flush it, and release
+// every waiter.
 func (c *committer) run(b *commitBatch) {
 	deadline := time.Now().Add(c.window)
 	last := -1
 	for {
 		c.mu.Lock()
-		n := len(b.reqs)
+		n := b.n
 		c.mu.Unlock()
 		if n == last || time.Now().After(deadline) {
 			break
@@ -1016,219 +869,42 @@ func (c *committer) run(b *commitBatch) {
 		runtime.Gosched()
 	}
 	// Take the flush lock before closing the window. The next window can
-	// then only open once this one holds it, so windows flush in the order
-	// they opened and a stripe's frames become durable in offset order —
-	// recovery skips a commit frame that arrives ahead of its predecessor.
-	// A window waiting out the previous flush keeps batching.
+	// then only open once this one holds it, so windows flush one at a time
+	// in the order they opened. A window waiting out the previous flush
+	// keeps batching.
 	c.flushMu.Lock()
 	c.mu.Lock()
 	if c.cur == b {
 		c.cur = nil // close the window: later registrations start the next one
 	}
 	c.mu.Unlock()
-	b.err = c.flush(b.reqs)
+	b.err = c.flush(b.shards)
 	c.flushMu.Unlock()
 	close(b.done)
-	if b.err == nil {
-		c.mu.Lock()
-		over := c.size > c.cap
-		c.mu.Unlock()
-		if over {
-			_ = c.rotate() // background rotation at the size cap
-		}
-	}
 }
 
-// flush makes the window durable with one fsync. Called under flushMu. A
-// window whose frames all live in one stripe log fsyncs that log: its frames
-// are complete records already, so copying them into the commit log would
-// only double their bytes. Any other window writes its commit frames and
-// fsyncs the commit log. Any failure fails every append in the window; a
-// partial batch write is rolled back by truncation, and an unremovable one
-// latches the committer until rotation replaces the log.
-func (c *committer) flush(reqs []commitReq) error {
-	c.mu.Lock()
-	if c.failed != nil {
-		err := c.failed
-		c.mu.Unlock()
-		return err
-	}
-	c.mu.Unlock()
-	if shard, ok := oneShard(reqs); ok {
-		return c.syncStripe(shard)
-	}
-	var buf []byte
-	for _, r := range reqs {
-		payload := make([]byte, 0, 16+len(r.frame))
-		payload = append(payload, recCommit)
-		payload = binary.AppendUvarint(payload, uint64(r.shard))
-		payload = binary.AppendUvarint(payload, uint64(r.off))
-		payload = append(payload, r.frame...)
-		buf = binary.AppendUvarint(buf, uint64(len(payload)))
-		buf = append(buf, payload...)
-		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	}
-	if c.f == nil {
-		f, err := c.w.openAppend(c.w.commitLogPath())
-		if err != nil {
-			return fmt.Errorf("wal: commit log: %w", err)
+// flush makes a window durable: it fsyncs each stripe log the window
+// touched, once, in the order the window first touched them. Every frame is
+// a complete record of its key, so a stripe log fsynced past a frame is a
+// durable copy of it. Called under flushMu. The first failure fails every
+// append in the window.
+func (c *committer) flush(shards []int) error {
+	for _, shard := range shards {
+		if err := c.syncStripe(shard); err != nil {
+			return err
 		}
-		fi, err := f.Stat()
-		if err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: commit log: %w", err)
-		}
-		c.f = f
-		c.mu.Lock()
-		c.size = fi.Size()
-		c.mu.Unlock()
-	}
-	allow, injected := len(buf), error(nil)
-	if cf, ok := c.w.fault.(CommitFaultInjector); ok && cf != nil {
-		allow, injected = cf.CommitAppend(buf)
-		if allow < 0 {
-			allow = 0
-		}
-		if allow > len(buf) {
-			allow = len(buf)
-		}
-	}
-	var n int
-	var werr error
-	if allow > 0 {
-		n, werr = c.f.Write(buf[:allow])
-	}
-	if werr == nil {
-		werr = injected
-	}
-	if werr != nil || n < len(buf) {
-		if werr == nil {
-			werr = io.ErrShortWrite
-		}
-		if n > 0 {
-			c.mu.Lock()
-			pre := c.size
-			c.mu.Unlock()
-			if terr := c.f.Truncate(pre); terr != nil {
-				// A partial batch that cannot be removed would read as
-				// mid-commit-log corruption with later batches after it.
-				// Latch; rotation (which truncates the whole log) heals.
-				c.mu.Lock()
-				c.failed = fmt.Errorf("wal: commit log latched after unremovable partial batch: %w", werr)
-				c.mu.Unlock()
-			}
-		}
-		return fmt.Errorf("wal: commit append: %w", werr)
-	}
-	c.mu.Lock()
-	c.size += int64(len(buf))
-	for _, r := range reqs {
-		c.dirty[r.shard] = true
-	}
-	c.mu.Unlock()
-	if cf, ok := c.w.fault.(CommitFaultInjector); ok && cf != nil {
-		if err := cf.CommitSync(); err != nil {
-			return fmt.Errorf("wal: commit sync: %w", err)
-		}
-	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("wal: commit sync: %w", err)
 	}
 	return nil
 }
 
-// oneShard reports whether every request in the window is for one shard.
-func oneShard(reqs []commitReq) (int, bool) {
-	for _, r := range reqs[1:] {
-		if r.shard != reqs[0].shard {
-			return 0, false
-		}
-	}
-	return reqs[0].shard, true
-}
-
-// syncStripe fsyncs one stripe log under its mutex: every byte of it is
-// then durable, so no commit frame needs to cover it and it leaves the
-// dirty set. Called under flushMu, which keeps this fsync in window order
-// with the commit-log fsyncs before and after it.
+// syncStripe fsyncs one stripe log under its mutex.
 func (c *committer) syncStripe(shard int) error {
 	sh, err := c.w.shard(shard)
 	if err != nil {
 		return err
 	}
-	err = c.w.syncLocked(sh, shard)
-	sh.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	delete(c.dirty, shard)
-	c.mu.Unlock()
-	return nil
-}
-
-// rotate makes the stripe files self-sufficient and empties the commit log:
-// fsync every stripe file the committer dirtied, then truncate and fsync
-// commit.wal. Checkpoint rotates first so no commit frame can refer into a
-// log region it is about to truncate; callers must NOT hold any shard's
-// mutex (rotation takes them one at a time).
-func (c *committer) rotate() error {
-	c.flushMu.Lock()
-	defer c.flushMu.Unlock()
-	c.mu.Lock()
-	if c.size == 0 && len(c.dirty) == 0 && c.failed == nil {
-		c.mu.Unlock()
-		return nil
-	}
-	dirty := c.dirty
-	c.dirty = make(map[int]bool)
-	c.mu.Unlock()
-	for shard := range dirty {
-		sh, err := c.w.shard(shard)
-		if err == nil {
-			err = c.w.syncLocked(sh, shard)
-			sh.mu.Unlock()
-		}
-		if err != nil {
-			// Put the unsynced shards back; the rotation did not happen.
-			c.mu.Lock()
-			for s := range dirty {
-				c.dirty[s] = true
-			}
-			c.mu.Unlock()
-			return err
-		}
-	}
-	if c.f == nil {
-		f, err := c.w.openAppend(c.w.commitLogPath())
-		if err != nil {
-			return fmt.Errorf("wal: commit log: %w", err)
-		}
-		c.f = f
-	}
-	if err := c.f.Truncate(0); err != nil {
-		return fmt.Errorf("wal: rotate commit log: %w", err)
-	}
-	if err := c.f.Sync(); err != nil {
-		return fmt.Errorf("wal: rotate commit log: %w", err)
-	}
-	c.mu.Lock()
-	c.size = 0
-	c.failed = nil // the partial batch, if any, is gone with the log
-	c.mu.Unlock()
-	return nil
-}
-
-// close shuts the commit log handle after in-flight flushes finish.
-func (c *committer) close() error {
-	c.flushMu.Lock()
-	defer c.flushMu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Close()
-	c.f = nil
-	return err
+	defer sh.mu.Unlock()
+	return c.w.syncLocked(sh, shard)
 }
 
 // ReplayShard streams the shard's snapshot through ckpt, then its fold
@@ -1326,15 +1002,9 @@ func (w *WAL) Checkpoint(shard int, snapshot []byte) error {
 }
 
 // checkpoint is Checkpoint returning the new checkpoint region (the Pager's
-// CheckpointLocate). In group-commit mode it rotates the commit log first,
-// so no commit frame survives to materialize against the truncated log, and
-// fsyncs the truncated log so the truncation survives power loss too.
+// CheckpointLocate). In group-commit mode it fsyncs the truncated log so the
+// truncation survives power loss too.
 func (w *WAL) checkpoint(shard int, snapshot []byte) (uint32, int64, error) {
-	if w.group != nil {
-		if err := w.group.rotate(); err != nil {
-			return 0, 0, fmt.Errorf("wal: checkpoint shard %d: %w", shard, err)
-		}
-	}
 	sh, err := w.shard(shard)
 	if err != nil {
 		return 0, 0, err
@@ -1397,11 +1067,6 @@ func (w *WAL) truncateLogLocked(sh *walShard, shard int) error {
 // nothing reads past the committed length, the next fold writes over them,
 // and the next Open truncates them.
 func (w *WAL) Fold(shard int) (bool, error) {
-	if w.group != nil {
-		if err := w.group.rotate(); err != nil {
-			return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
-		}
-	}
 	sh, err := w.shard(shard)
 	if err != nil {
 		return false, err
@@ -1668,11 +1333,6 @@ func (w *WAL) Close() error {
 		}
 		sh.dropReadHandle()
 		sh.mu.Unlock()
-	}
-	if w.group != nil {
-		if err := w.group.close(); err != nil && first == nil {
-			first = fmt.Errorf("wal: %w", err)
-		}
 	}
 	if err := w.unlock(); err != nil && first == nil {
 		first = fmt.Errorf("wal: %w", err)
