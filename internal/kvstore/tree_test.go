@@ -695,3 +695,17 @@ func TestIDOnlyChangeRehashesNothing(t *testing.T) {
 	}
 	requireTreesMatchOracle(t, "after the transfer", a)
 }
+
+// TestRunRangeOneLeafIsSubslice: a range inside one leaf is served from that
+// leaf's run, not copied out of the tree.
+func TestRunRangeOneLeafIsSubslice(t *testing.T) {
+	tr := buildDigestTree(treeDigests(t, 500), 16, 2)
+	all := tr.RunRange(TreeRange{})
+	p := encoding.TreePos(all[250].Key)
+	leaf := tr.Run(tr.Depth(), p>>(64-uint(tr.Depth()*encoding.TreeFanoutBits(tr.Fanout()))))
+	part := tr.RunRange(TreeRange{Lo: p, Hi: p + 1})
+	i := slices.IndexFunc(leaf, func(d encoding.Digest) bool { return d.Key == all[250].Key })
+	if len(part) == 0 || i < 0 || &part[0] != &leaf[i] {
+		t.Fatal("a range inside one leaf was copied out of the tree, not sliced")
+	}
+}
