@@ -1,0 +1,140 @@
+package antientropy
+
+import (
+	"bufio"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"testing"
+
+	"versionstamp/internal/kvstore"
+)
+
+// allocPair builds a converged pair of 32-stripe replicas holding
+// keysPerStripe keys per stripe on average, serves the first and returns a
+// pool that has already run the rounds that warm the session.
+func allocPair(t *testing.T, keysPerStripe int) (server, client *kvstore.Replica, p *Pool, addr string) {
+	t.Helper()
+	server = kvstore.NewReplicaShards("server", 32)
+	for i := 0; i < 32*keysPerStripe; i++ {
+		server.Put(fmt.Sprintf("key-%06d", i), []byte(fmt.Sprintf("value-%d", i)))
+	}
+	client = server.Clone("client")
+	_, addr = startServer(t, server, nil)
+	p = NewPool()
+	t.Cleanup(func() { _ = p.Close() })
+	for i := 0; i < 3; i++ {
+		if _, err := p.SyncWith(addr, client); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return server, client, p, addr
+}
+
+func allocKeysPerStripe() int {
+	if testing.Short() {
+		return 200
+	}
+	return 2000
+}
+
+// TestConvergedRoundAllocs: a converged pooled round allocates nothing at
+// either end — the client folds its stripe roots and answers the pipelined
+// probe from the session's buffers, the server folds its roots and replies
+// from its own.
+func TestConvergedRoundAllocs(t *testing.T) {
+	_, client, p, addr := allocPair(t, allocKeysPerStripe())
+	allocs := testing.AllocsPerRun(200, func() {
+		res, err := p.SyncWith(addr, client)
+		if err != nil || res.StripesSkipped != client.Shards() {
+			t.Fatalf("converged round: %+v, %v", res, err)
+		}
+	})
+	t.Logf("converged pooled round: %.2f allocs", allocs)
+	if allocs != 0 {
+		t.Errorf("converged pooled round allocates %.2f/op, want 0", allocs)
+	}
+}
+
+// hot1RoundAllocBudget is what a pooled round after one client write may
+// allocate across both ends, the write included. Measured at 32 stripes of
+// 2 000 keys: 95 (98 under -race); 216 before sessions kept their frame
+// buffers and the store walked its trees.
+const hot1RoundAllocBudget = 120
+
+// TestHot1RoundAllocs: a round that reconciles one written key stays within
+// its recorded budget.
+func TestHot1RoundAllocs(t *testing.T) {
+	_, client, p, addr := allocPair(t, allocKeysPerStripe())
+	next := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		client.Put(fmt.Sprintf("key-%06d", next), []byte("edited"))
+		next += 97
+		res, err := p.SyncWith(addr, client)
+		if err != nil || res.Reconciled != 1 {
+			t.Fatalf("hot1 round: %+v, %v", res, err)
+		}
+	})
+	t.Logf("hot1 pooled round: %.1f allocs", allocs)
+	if allocs > hot1RoundAllocBudget {
+		t.Errorf("hot1 round allocates %.1f/op; budget is %d", allocs, hot1RoundAllocBudget)
+	}
+}
+
+// TestFrameLengthPrefixCannotPinMemory: a peer that declares a maxFrame body,
+// sends ten bytes and closes costs the reader at most its first chunk.
+func TestFrameLengthPrefixCannotPinMemory(t *testing.T) {
+	srv, cli := net.Pipe()
+	go func() {
+		msg := binary.AppendUvarint(nil, maxFrame)
+		msg = append(msg, make([]byte, 10)...)
+		_, _ = srv.Write(msg)
+		_ = srv.Close()
+	}()
+	fr := frameReader{br: bufio.NewReader(cli)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := fr.read()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a truncated frame was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > frameKeep+4096 {
+		t.Errorf("a %d-byte length prefix backed by 10 bytes allocated %d bytes; first chunk is %d",
+			uint64(maxFrame), grew, frameKeep)
+	}
+}
+
+// TestFrameReaderRetention: bodies up to frameKeep reuse one buffer; a
+// larger body is read whole but not kept.
+func TestFrameReaderRetention(t *testing.T) {
+	srv, cli := net.Pipe()
+	sizes := []int{2, 100, frameKeep, 3*frameKeep + 5, 7}
+	go func() {
+		for i, n := range sizes {
+			body := make([]byte, n)
+			body[0], body[n-1] = byte(i), byte(i)
+			frame := append(make([]byte, lenSlot), body...)
+			_ = writeFrame(srv, frame)
+		}
+		_ = srv.Close()
+	}()
+	fr := frameReader{br: bufio.NewReader(cli)}
+	for i, n := range sizes {
+		body, err := fr.read()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if len(body) != n || body[0] != byte(i) || body[n-1] != byte(i) {
+			t.Fatalf("frame %d: got %d bytes [%d..%d], want %d", i, len(body), body[0], body[len(body)-1], n)
+		}
+		if cap(fr.buf) > frameKeep {
+			t.Fatalf("after a %d-byte frame the reader keeps %d bytes; cap is %d", n, cap(fr.buf), frameKeep)
+		}
+	}
+	if _, err := fr.read(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want EOF", err)
+	}
+}

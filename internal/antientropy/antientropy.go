@@ -70,6 +70,15 @@
 // waits with a generous idle deadline and drops silent sessions; during a
 // round the usual tight deadline applies.
 //
+// Each end of a session owns its buffers: a frame reader whose body buffer
+// is reused from frame to frame (a body is valid until the next read on the
+// session, and decoders copy what outlives it), and a buffer outgoing frames
+// are built in, with a slot for the length so that every frame goes out in
+// one Write without a copy. Both keep at most 64 KiB between frames; a
+// larger frame gets a buffer of its own, dropped after use. The client also
+// keeps a stripe-indexed slot per stripe tree, cleared after each round, so
+// a converged round allocates nothing at either end.
+//
 // The client installs a reply entry only while its own copy still carries
 // the stamp it shipped; copies that moved mid-round are left alone for the
 // next round, which makes concurrent rounds against one replica safe.

@@ -252,9 +252,9 @@ func TestGarbageRequestRejected(t *testing.T) {
 			}
 			// Take in the whole pipelined opening before answering, so the
 			// client is reading when the answer and the close arrive.
-			br := bufio.NewReader(conn)
-			_, _ = br.ReadByte()
-			_, _ = readFrame(br)
+			fr := frameReader{br: bufio.NewReader(conn)}
+			_, _ = fr.br.ReadByte()
+			_, _ = fr.read()
 			_, _ = conn.Write([]byte("{\"v\":1,\"error\":\"bad request\"}\n"))
 			conn.Close()
 		}
@@ -291,18 +291,18 @@ func TestBadFrameRejected(t *testing.T) {
 	if _, err := conn.Write([]byte{protocolVersion, 2, kindStripeRoots, 0}); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(conn)
-	if b, err := br.ReadByte(); err != nil || b != protocolVersion {
+	fr := frameReader{br: bufio.NewReader(conn)}
+	if b, err := fr.br.ReadByte(); err != nil || b != protocolVersion {
 		t.Fatalf("ack = 0x%02x, %v", b, err)
 	}
-	body, err := readFrame(br)
+	body, err := fr.read()
 	if err != nil {
 		t.Fatalf("read error frame: %v", err)
 	}
 	if _, err := expectKind(body, kindStripeRootDiff); !errors.Is(err, ErrProtocol) {
 		t.Errorf("server accepted a zero-stripe layout: body %x, err %v", body, err)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
+	if _, err := fr.br.ReadByte(); err != io.EOF {
 		t.Errorf("session stayed open after an error frame: %v", err)
 	}
 	if got, ok := server.Get("k"); !ok || string(got) != "v" {
@@ -324,11 +324,11 @@ func TestProtocolErrorSurfacedToClient(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		br := bufio.NewReader(conn)
-		_, _ = br.ReadByte()
+		fr := frameReader{br: bufio.NewReader(conn)}
+		_, _ = fr.br.ReadByte()
 		_, _ = conn.Write([]byte{protocolVersion})
-		_, _ = readFrame(br)
-		_ = writeFrame(conn, appendString([]byte{kindError}, "nope"))
+		_, _ = fr.read()
+		_ = writeFrame(conn, appendString(startFrame(nil, kindError, 0), "nope"))
 	}()
 	client := kvstore.NewReplica("client")
 	_, err = SyncWith(ln.Addr().String(), client)

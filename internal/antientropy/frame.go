@@ -2,7 +2,6 @@ package antientropy
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,20 +48,70 @@ const maxFrame = 1 << 30
 // cannot force a huge allocation.
 const maxWireStripes = 1 << 16
 
-// writeFrame sends one [uvarint length][body] frame as a single write, so a
-// frame never splits into a header-only TCP segment.
-func writeFrame(w io.Writer, body []byte) error {
-	buf := binary.AppendUvarint(make([]byte, 0, len(body)+binary.MaxVarintLen64), uint64(len(body)))
-	buf = append(buf, body...)
-	_, err := w.Write(buf)
+// frameKeep caps the buffers a session keeps from one frame to the next: the
+// body a frameReader reads into and the buffer outgoing frames are built in.
+// Anything larger is allocated for its frame and dropped after it.
+const frameKeep = 64 << 10
+
+// frameGrowth bounds how far a large body's buffer runs ahead of the bytes
+// that have arrived: each step is at most this multiple of what the peer has
+// already sent.
+const frameGrowth = 8
+
+// lenSlot is the room a frame under construction keeps in front of its kind
+// byte for the uvarint body length, which writeFrame fills in.
+const lenSlot = binary.MaxVarintLen64
+
+// startFrame starts a frame of the given kind in buf, reusing its array when
+// it can hold the length slot, the kind byte and size more bytes, and
+// allocating exactly that much when it cannot — so a frame sized from the
+// counts in hand is encoded once, with no growth on the way.
+func startFrame(buf []byte, kind byte, size int) []byte {
+	if need := lenSlot + 1 + size; cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	buf = append(buf[:0], make([]byte, lenSlot)...)
+	return append(buf, kind)
+}
+
+// writeFrame sends a frame built with startFrame: it fills the body length
+// in at the end of the length slot and writes [uvarint length][kind][body]
+// with one Write, copying nothing. A frame never splits into a header-only
+// segment, and a session's write boundaries are exactly its frames.
+func writeFrame(w io.Writer, frame []byte) error {
+	n := uint64(len(frame) - lenSlot)
+	at := lenSlot - encoding.UvarintLen(n)
+	binary.PutUvarint(frame[at:], n)
+	_, err := w.Write(frame[at:])
 	return err
 }
 
-// readFrame reads one frame body. The body buffer grows with the bytes that
-// actually arrive, so a length prefix near maxFrame cannot pin memory the
-// peer never sends.
-func readFrame(br *bufio.Reader) ([]byte, error) {
-	n, err := binary.ReadUvarint(br)
+// keepBuf returns buf for reuse by the session's next frame, or nil when it
+// grew past frameKeep.
+func keepBuf(buf []byte) []byte {
+	if cap(buf) > frameKeep {
+		return nil
+	}
+	return buf
+}
+
+// frameReader reads one session's frames. A body up to frameKeep bytes is
+// read into a buffer the reader keeps, so a session's steady state allocates
+// nothing; a larger body gets a buffer of its own that is dropped after use.
+// Either way a body is valid only until the next read on the session.
+// Decoders copy whatever outlives it: keys, values, strings and tree-node
+// bitmaps are copied out, and stamps are interned.
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte // kept body buffer, at most frameKeep bytes
+}
+
+// read reads one frame body. A body larger than frameKeep starts in a
+// frameKeep-byte chunk and grows at most frameGrowth-fold per step as its
+// bytes arrive, the last step to its exact size, so a length prefix near
+// maxFrame cannot pin memory the peer never sends.
+func (fr *frameReader) read() ([]byte, error) {
+	n, err := binary.ReadUvarint(fr.br)
 	if err != nil {
 		return nil, err
 	}
@@ -72,11 +121,30 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("frame of %d bytes exceeds limit", n)
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, br, int64(n)); err != nil {
+	size := int(n)
+	if size <= frameKeep {
+		if cap(fr.buf) < size {
+			fr.buf = make([]byte, max(size, min(2*cap(fr.buf), frameKeep)))
+		}
+		body := fr.buf[:size]
+		if _, err := io.ReadFull(fr.br, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	body := make([]byte, frameKeep)
+	if _, err := io.ReadFull(fr.br, body); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	for len(body) < size {
+		next := make([]byte, min(frameGrowth*len(body), size))
+		copy(next, body)
+		if _, err := io.ReadFull(fr.br, next[len(body):]); err != nil {
+			return nil, err
+		}
+		body = next
+	}
+	return body, nil
 }
 
 // capCount bounds a wire-supplied element count by the bytes actually
@@ -129,23 +197,30 @@ func decodeRootBody(body []byte) (of int, root uint64, err error) {
 	return int(of64), binary.BigEndian.Uint64(body[used:]), nil
 }
 
-// encodeResultFrame builds the kindResult body: kind, four counters,
-// conflicts, reply entries.
-func encodeResultFrame(res kvstore.SyncResult, reply []encoding.Entry) []byte {
-	body := []byte{kindResult}
-	body = binary.AppendUvarint(body, uint64(res.Transferred))
-	body = binary.AppendUvarint(body, uint64(res.Reconciled))
-	body = binary.AppendUvarint(body, uint64(res.Merged))
-	body = binary.AppendUvarint(body, uint64(res.Pruned))
-	body = binary.AppendUvarint(body, uint64(len(res.Conflicts)))
+// encodeResultFrame builds the kindResult frame in buf: kind, four counters,
+// conflicts, reply entries. The frame is sized before it is encoded.
+func encodeResultFrame(buf []byte, res kvstore.SyncResult, reply []encoding.Entry) []byte {
+	size := 6 * lenSlot
 	for _, k := range res.Conflicts {
-		body = appendString(body, k)
+		size += encoding.UvarintLen(uint64(len(k))) + len(k)
 	}
-	body = binary.AppendUvarint(body, uint64(len(reply)))
 	for _, e := range reply {
-		body = encoding.AppendEntry(body, e)
+		size += encoding.EntryLen(e)
 	}
-	return body
+	buf = startFrame(buf, kindResult, size)
+	buf = binary.AppendUvarint(buf, uint64(res.Transferred))
+	buf = binary.AppendUvarint(buf, uint64(res.Reconciled))
+	buf = binary.AppendUvarint(buf, uint64(res.Merged))
+	buf = binary.AppendUvarint(buf, uint64(res.Pruned))
+	buf = binary.AppendUvarint(buf, uint64(len(res.Conflicts)))
+	for _, k := range res.Conflicts {
+		buf = appendString(buf, k)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(reply)))
+	for _, e := range reply {
+		buf = encoding.AppendEntry(buf, e)
+	}
+	return buf
 }
 
 // decodeResultFrame parses a kindResult body (kind byte already stripped).

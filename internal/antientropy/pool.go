@@ -43,7 +43,8 @@ type Pool struct {
 type poolConn struct {
 	mu       sync.Mutex // serializes rounds on this session
 	conn     *countingConn
-	br       *bufio.Reader
+	fr       frameReader // the session's frames in; keeps its buffer across rounds
+	out      []byte      // outgoing frames are built here; kept up to frameKeep
 	lastUsed time.Time
 	rounds   int // rounds completed on the current connection
 	fails    int // consecutive failed rounds (armed backoff)
@@ -55,6 +56,47 @@ type poolConn struct {
 	ackPending   bool
 	probePending bool
 	probedRoot   uint64
+
+	// trees holds the round's stripe trees, indexed by stripe: loaded (and
+	// the stripe set validated against it) before the round, cleared after it
+	// so the session pins no snapshot. all is 0..n-1, the whole-replica set.
+	trees []*kvstore.DigestTree
+	all   []int
+}
+
+// every returns the stripe set 0..of-1, kept by the session.
+func (pc *poolConn) every(of int) []int {
+	for len(pc.all) < of {
+		pc.all = append(pc.all, len(pc.all))
+	}
+	return pc.all[:of]
+}
+
+// load fills pc.trees with local's trees for the round's stripes (nil: all
+// of them), rejecting a stripe outside the layout or named twice.
+func (pc *poolConn) load(local *kvstore.Replica, stripes []int) error {
+	of := local.Shards()
+	if cap(pc.trees) < of {
+		pc.trees = make([]*kvstore.DigestTree, of)
+	}
+	pc.trees = pc.trees[:of]
+	if stripes == nil {
+		stripes = pc.every(of)
+	}
+	for _, idx := range stripes {
+		if idx < 0 || idx >= of {
+			return fmt.Errorf("antientropy: stripe %d out of range of %d", idx, of)
+		}
+		if pc.trees[idx] != nil {
+			return fmt.Errorf("antientropy: duplicate stripe %d", idx)
+		}
+		t, err := local.StripeTree(idx)
+		if err != nil {
+			return fmt.Errorf("antientropy: %w", err)
+		}
+		pc.trees[idx] = t
+	}
+	return nil
 }
 
 // BackoffPolicy skips rounds to a repeatedly-failing peer, so one dead or
@@ -218,7 +260,11 @@ func (p *Pool) ensure(pc *poolConn, addr string) (fresh bool, err error) {
 		return false, fmt.Errorf("antientropy: open session %s: %w", addr, err)
 	}
 	pc.conn = conn
-	pc.br = bufio.NewReader(conn)
+	if pc.fr.br == nil {
+		pc.fr.br = bufio.NewReader(conn)
+	} else {
+		pc.fr.br.Reset(conn)
+	}
 	pc.rounds = 0
 	pc.ackPending = true
 	pc.probePending = false
@@ -230,7 +276,7 @@ func (p *Pool) drop(pc *poolConn) {
 	if pc.conn != nil {
 		_ = pc.conn.Close()
 		pc.conn = nil
-		pc.br = nil
+		pc.fr.br.Reset(nil)
 	}
 	pc.ackPending = false
 	pc.probePending = false
@@ -273,15 +319,16 @@ type RoundInfo struct {
 	Backoff    bool // the round was skipped by the peer's backoff window
 }
 
-// round runs fn over addr's pooled session, redialing transparently: a
-// round that fails on a session that had already served rounds (the server
-// restarted, or idled the session out under our idle threshold) is retried
-// exactly once on a fresh dial, unless retrying could double-apply the
-// round's entries (see retriable). With a backoff policy configured,
-// repeated failures make subsequent rounds to the same peer fail fast with
-// ErrPeerBackoff instead of re-paying the dial timeout.
-func (p *Pool) round(addr string,
-	fn func(pc *poolConn) (kvstore.SyncResult, error)) (kvstore.SyncResult, RoundInfo, error) {
+// round runs one tree round of local's stripes (nil: all of them) over
+// addr's pooled session, redialing transparently: a round that fails on a
+// session that had already served rounds (the server restarted, or idled
+// the session out under our idle threshold) is retried exactly once on a
+// fresh dial, unless retrying could double-apply the round's entries (see
+// retriable). With a backoff policy configured, repeated failures make
+// subsequent rounds to the same peer fail fast with ErrPeerBackoff instead
+// of re-paying the dial timeout. An invalid stripe set fails before anything
+// is dialed.
+func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, RoundInfo, error) {
 	var info RoundInfo
 	pc, err := p.entry(addr)
 	if err != nil {
@@ -289,6 +336,13 @@ func (p *Pool) round(addr string,
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
+	defer func() {
+		clear(pc.trees)
+		pc.out = keepBuf(pc.out)
+	}()
+	if err := pc.load(local, stripes); err != nil {
+		return kvstore.SyncResult{}, info, err
+	}
 	if pc.skip > 0 {
 		pc.skip--
 		info.Backoff = true
@@ -316,7 +370,7 @@ func (p *Pool) round(addr string,
 		}
 		_ = pc.conn.SetDeadline(time.Now().Add(p.timeout))
 		startSent, startRecv := pc.conn.sent.Load(), pc.conn.recv.Load()
-		res, err := fn(pc)
+		res, err := treeClientRound(pc, local, stripes)
 		if err == nil {
 			res.BytesSent = pc.conn.sent.Load() - startSent
 			res.BytesReceived = pc.conn.recv.Load() - startRecv
@@ -354,9 +408,7 @@ func (p *Pool) SyncWith(addr string, local *kvstore.Replica) (kvstore.SyncResult
 // SyncWithInfo is SyncWith plus the round's RoundInfo (attempts, fresh
 // dials, retry and backoff verdicts).
 func (p *Pool) SyncWithInfo(addr string, local *kvstore.Replica) (kvstore.SyncResult, RoundInfo, error) {
-	return p.round(addr, func(pc *poolConn) (kvstore.SyncResult, error) {
-		return treeClientRound(pc, local, nil)
-	})
+	return p.round(addr, local, nil)
 }
 
 // SyncStripes performs one round scoped to the given local stripes —
@@ -369,19 +421,8 @@ func (p *Pool) SyncStripes(addr string, local *kvstore.Replica, stripes []int) (
 
 // SyncStripesInfo is SyncStripes plus the round's RoundInfo.
 func (p *Pool) SyncStripesInfo(addr string, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, RoundInfo, error) {
-	seen := make(map[int]bool, len(stripes))
-	for _, idx := range stripes {
-		if idx < 0 || idx >= local.Shards() {
-			return kvstore.SyncResult{}, RoundInfo{}, fmt.Errorf("antientropy: stripe %d out of range of %d",
-				idx, local.Shards())
-		}
-		if seen[idx] {
-			return kvstore.SyncResult{}, RoundInfo{}, fmt.Errorf("antientropy: duplicate stripe %d", idx)
-		}
-		seen[idx] = true
+	if len(stripes) == 0 {
+		stripes = nil // no stripes named: the whole replica, as ever
 	}
-	scoped := append([]int(nil), stripes...)
-	return p.round(addr, func(pc *poolConn) (kvstore.SyncResult, error) {
-		return treeClientRound(pc, local, scoped)
-	})
+	return p.round(addr, local, stripes)
 }

@@ -176,11 +176,11 @@ func TestShardScopedRequestValidation(t *testing.T) {
 	if _, err := conn.Write(append([]byte{protocolVersion, byte(len(frame))}, frame...)); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(conn)
-	if b, err := br.ReadByte(); err != nil || b != protocolVersion {
+	fr := frameReader{br: bufio.NewReader(conn)}
+	if b, err := fr.br.ReadByte(); err != nil || b != protocolVersion {
 		t.Fatalf("ack = 0x%02x, %v", b, err)
 	}
-	body, err := readFrame(br)
+	body, err := fr.read()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,13 @@ package antientropy
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sort"
 	"time"
 
 	"versionstamp/internal/core"
@@ -25,14 +28,23 @@ import (
 // key counts (and therefore TreeShape results) agree. A stripe whose count
 // crosses a shape threshold simply descends at the new depth next round.
 
+// serverSession is the server's state for one connection: the frame reader
+// and the buffer replies are built in, both kept from round to round.
+type serverSession struct {
+	*Server
+	conn net.Conn
+	fr   frameReader
+	out  []byte
+}
+
 // handle serves one connection: check and ack the version byte, then a loop
 // of rounds. The deadline is relaxed to serverSessionIdle while waiting for
 // a round to open and tightened to defaultTimeout while one is in flight.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
-	br := bufio.NewReader(conn)
-	if b, err := br.ReadByte(); err != nil || b != protocolVersion {
+	ss := &serverSession{Server: s, conn: conn, fr: frameReader{br: bufio.NewReader(conn)}}
+	if b, err := ss.fr.br.ReadByte(); err != nil || b != protocolVersion {
 		return // not a session opening: closed unanswered
 	}
 	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
@@ -40,16 +52,21 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	for {
 		_ = conn.SetDeadline(time.Now().Add(serverSessionIdle))
-		body, err := readFrame(br)
+		body, err := ss.fr.read()
 		if err != nil {
 			return // session over: peer closed, or idled out
 		}
 		_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
-		if !s.treeRound(conn, br, body) {
+		ok := ss.treeRound(body)
+		ss.out = keepBuf(ss.out)
+		if !ok {
 			return
 		}
 	}
 }
+
+// send writes the frame built in ss.out, reporting success.
+func (ss *serverSession) send() bool { return writeFrame(ss.conn, ss.out) == nil }
 
 // treeFoldRoots folds per-stripe tree roots into the replica root.
 func treeFoldRoots(roots []uint64) uint64 {
@@ -61,13 +78,27 @@ func treeFoldRoots(roots []uint64) uint64 {
 }
 
 // treeRootMatch answers a root or probe body: 1 when the peer's root equals
-// the fold of this replica's stripe tree roots under the peer's layout.
+// the fold of this replica's stripe tree roots under the peer's layout. Under
+// the replica's own layout the roots are folded as the maintained trees
+// yield them, with nothing collected.
 func (s *Server) treeRootMatch(of int, peerRoot uint64) (byte, error) {
-	roots, err := s.replica.TreeRootsScoped(of)
-	if err != nil {
-		return 0, err
+	root := encoding.RootSummarySeed
+	if of == s.replica.Shards() {
+		for i := 0; i < of; i++ {
+			t, err := s.replica.StripeTree(i)
+			if err != nil {
+				return 0, err
+			}
+			root = encoding.FoldSummary(root, t.Root())
+		}
+	} else {
+		roots, err := s.replica.TreeRootsScoped(of)
+		if err != nil {
+			return 0, err
+		}
+		root = treeFoldRoots(roots)
 	}
-	if treeFoldRoots(roots) == peerRoot {
+	if root == peerRoot {
 		return 1, nil
 	}
 	return 0, nil
@@ -75,20 +106,39 @@ func (s *Server) treeRootMatch(of int, peerRoot uint64) (byte, error) {
 
 // treeStripeState is the server's per-round state for one divergent stripe:
 // the tree snapshot evaluated at the client's declared shape (consistent
-// across the whole round), and — once leaf runs arrive — the client's
-// digests and the position ranges they cover.
+// across the whole round), and — once leaf runs arrive — the client's runs,
+// then their ranges and digests in tree order, the keys this side needs and
+// the entries that came for them.
 type treeStripeState struct {
 	tree    *kvstore.DigestTree
 	depth   int
+	runs    []leafRun
 	digests []encoding.Digest
 	ranges  []kvstore.TreeRange
+	need    []string
+	entries []encoding.Entry
+}
+
+// leafRun is one shipped digest run and the position range it covers.
+type leafRun struct {
+	stripe  int
+	rg      kvstore.TreeRange
+	digests []encoding.Digest
+}
+
+// cmpLeafRuns orders runs by stripe, then position.
+func cmpLeafRuns(a, b leafRun) int {
+	return cmp.Or(cmp.Compare(a.stripe, b.stripe), cmp.Compare(a.rg.Lo, b.rg.Lo))
 }
 
 // treeRound serves one round, the opening frame already read. It reports
 // whether the session should continue.
-func (s *Server) treeRound(conn net.Conn, br *bufio.Reader, opening []byte) bool {
+func (ss *serverSession) treeRound(opening []byte) bool {
+	s := ss.Server
 	fail := func(err error) bool {
-		_ = writeFrame(conn, appendString([]byte{kindError}, err.Error()))
+		msg := err.Error()
+		ss.out = appendString(startFrame(ss.out, kindError, lenSlot+len(msg)), msg)
+		_ = ss.send()
 		return false
 	}
 
@@ -104,7 +154,8 @@ func (s *Server) treeRound(conn net.Conn, br *bufio.Reader, opening []byte) bool
 		if err != nil {
 			return fail(err)
 		}
-		return writeFrame(conn, []byte{kindRootMatch, match}) == nil
+		ss.out = append(startFrame(ss.out, kindRootMatch, 1), match)
+		return ss.send()
 	}
 
 	// Whole-replica rounds open with the root fold; matching roots end the
@@ -118,13 +169,14 @@ func (s *Server) treeRound(conn net.Conn, br *bufio.Reader, opening []byte) bool
 		if err != nil {
 			return fail(err)
 		}
-		if writeFrame(conn, []byte{kindRootMatch, match}) != nil {
+		ss.out = append(startFrame(ss.out, kindRootMatch, 1), match)
+		if !ss.send() {
 			return false
 		}
 		if match == 1 {
 			return true // converged: round over, session stays open
 		}
-		if opening, err = readFrame(br); err != nil {
+		if opening, err = ss.fr.read(); err != nil {
 			return fail(fmt.Errorf("bad stripe roots frame: %v", err))
 		}
 	}
@@ -181,14 +233,16 @@ func (s *Server) treeRound(conn net.Conn, br *bufio.Reader, opening []byte) bool
 		if tree.Root() != root {
 			stripes[idx] = &treeStripeState{tree: tree, depth: int(depth64)}
 			divergent = append(divergent, idx)
+		} else {
+			stripes[idx] = nil // declared and converged
 		}
 	}
-	diff := []byte{kindStripeRootDiff}
-	diff = binary.AppendUvarint(diff, uint64(len(divergent)))
+	ss.out = startFrame(ss.out, kindStripeRootDiff, lenSlot*(1+len(divergent)))
+	ss.out = binary.AppendUvarint(ss.out, uint64(len(divergent)))
 	for _, idx := range divergent {
-		diff = binary.AppendUvarint(diff, uint64(idx))
+		ss.out = binary.AppendUvarint(ss.out, uint64(idx))
 	}
-	if err := writeFrame(conn, diff); err != nil {
+	if !ss.send() {
 		return false
 	}
 	if len(divergent) == 0 {
@@ -197,11 +251,10 @@ func (s *Server) treeRound(conn net.Conn, br *bufio.Reader, opening []byte) bool
 
 	// Descent: any number of kindTreeNodes queries, answered from the
 	// per-round tree snapshots, until the leaf runs arrive.
-	var order []int // stripes with leaf runs, first-seen order
-	seenRun := make(map[uint64]bool)
+	nb := encoding.TreeBitmapLen(fanout)
 descend:
 	for {
-		if body, err = readFrame(br); err != nil {
+		if body, err = ss.fr.read(); err != nil {
 			return fail(fmt.Errorf("bad descent frame: %v", err))
 		}
 		switch {
@@ -225,9 +278,8 @@ descend:
 			return fail(errors.New("bad tree nodes count"))
 		}
 		body = body[used:]
-		nb := encoding.TreeBitmapLen(fanout)
-		reply := []byte{kindTreeDiff}
-		reply = binary.AppendUvarint(reply, n)
+		ss.out = startFrame(ss.out, kindTreeDiff, lenSlot+capCount(n, body)*2*nb)
+		ss.out = binary.AppendUvarint(ss.out, n)
 		for i := uint64(0); i < n; i++ {
 			node, used, err := encoding.DecodeTreeNode(body, fanout, of)
 			if err != nil {
@@ -244,7 +296,8 @@ descend:
 			srvBm, srvHashes := st.tree.Children(node.Level, node.Path)
 			// differ bit c: exactly one side has child c, or both do with
 			// different hashes.
-			differ := make([]byte, nb)
+			ss.out = append(ss.out, make([]byte, nb)...)
+			differ := ss.out[len(ss.out)-nb:]
 			ci, si := 0, 0
 			for c := 0; c < fanout; c++ {
 				cliHas, srvHas := encoding.BitmapGet(node.Bitmap, c), encoding.BitmapGet(srvBm, c)
@@ -261,13 +314,12 @@ descend:
 					encoding.BitmapSet(differ, c)
 				}
 			}
-			reply = append(reply, differ...)
-			reply = append(reply, srvBm...)
+			ss.out = append(ss.out, srvBm...)
 		}
 		if len(body) != 0 {
 			return fail(errors.New("trailing bytes in tree nodes frame"))
 		}
-		if err := writeFrame(conn, reply); err != nil {
+		if !ss.send() {
 			return false
 		}
 	}
@@ -280,6 +332,7 @@ descend:
 		return fail(errors.New("bad leaf run count"))
 	}
 	body = body[used:]
+	var order []int // stripes with leaf runs, first-seen order
 	for i := uint64(0); i < n; i++ {
 		run, usedRun, err := encoding.DecodeLeafRun(body, fanout, of)
 		if err != nil {
@@ -293,11 +346,6 @@ descend:
 		if run.Depth != st.depth {
 			return fail(fmt.Errorf("leaf run depth %d, stripe declared %d", run.Depth, st.depth))
 		}
-		key := uint64(run.Stripe)<<40 | uint64(run.Level)<<32 | run.Path
-		if seenRun[key] {
-			return fail(errors.New("duplicate leaf run"))
-		}
-		seenRun[key] = true
 		rg := kvstore.NodeRange(fanout, run.Level, run.Path)
 		for _, d := range run.Digests {
 			if kvstore.ShardIndex(d.Key, of) != run.Stripe {
@@ -307,38 +355,59 @@ descend:
 				return fail(fmt.Errorf("leaf digest %q outside its run range", d.Key))
 			}
 		}
-		if len(st.ranges) == 0 {
+		if len(st.runs) == 0 {
 			order = append(order, run.Stripe)
 		}
-		st.ranges = append(st.ranges, rg)
-		st.digests = append(st.digests, run.Digests...)
+		st.runs = append(st.runs, leafRun{stripe: run.Stripe, rg: rg, digests: run.Digests})
 	}
 	if len(body) != 0 {
 		return fail(errors.New("trailing bytes in leaf digests frame"))
 	}
 
-	need := []byte{kindNeed}
-	needCount := 0
-	var needBody []byte
+	// Each stripe's runs, put in position order, give the store its ranges
+	// and its digests in tree order. Runs of one descent never overlap; two
+	// that do are the same node sent twice.
+	needCount, needSize := 0, 0
 	for _, idx := range order {
 		st := stripes[idx]
+		slices.SortFunc(st.runs, cmpLeafRuns)
+		total := 0
+		for i, run := range st.runs {
+			if i > 0 && run.rg.Lo == st.runs[i-1].rg.Lo {
+				return fail(errors.New("duplicate leaf run"))
+			}
+			total += len(run.digests)
+		}
+		st.ranges = make([]kvstore.TreeRange, len(st.runs))
+		st.digests = make([]encoding.Digest, 0, total)
+		for i, run := range st.runs {
+			st.ranges[i] = run.rg
+			st.digests = append(st.digests, run.digests...)
+		}
+		st.runs = nil
 		diff, err := s.replica.DiffRanges(st.digests, idx, of, st.ranges)
 		if err != nil {
 			return fail(err)
 		}
+		st.need = diff.Need
 		for _, k := range diff.Need {
-			needBody = appendString(needBody, k)
-			needCount++
+			needSize += encoding.UvarintLen(uint64(len(k))) + len(k)
+		}
+		needCount += len(diff.Need)
+	}
+	ss.out = startFrame(ss.out, kindNeed, encoding.UvarintLen(uint64(needCount))+needSize)
+	ss.out = binary.AppendUvarint(ss.out, uint64(needCount))
+	for _, idx := range order {
+		for _, k := range stripes[idx].need {
+			ss.out = appendString(ss.out, k)
 		}
 	}
-	need = binary.AppendUvarint(need, uint64(needCount))
-	need = append(need, needBody...)
-	if err := writeFrame(conn, need); err != nil {
+	if !ss.send() {
 		return false
 	}
 
 	// Tail: full entries in, range-scoped applies per stripe, one result.
-	if body, err = readFrame(br); err != nil {
+	if body, err = ss.fr.read(); err != nil {
 		return fail(fmt.Errorf("bad entries frame: %v", err))
 	}
 	if body, err = expectKind(body, kindEntries); err != nil {
@@ -349,7 +418,9 @@ descend:
 		return fail(errors.New("bad entry count"))
 	}
 	body = body[used:]
-	entries := make(map[int][]encoding.Entry, len(order))
+	// The client sends the entries stripe by stripe, in the need frame's
+	// order; each stripe's run of them is handed to the store as it stands.
+	entries := make([]encoding.Entry, 0, capCount(count, body))
 	for i := uint64(0); i < count; i++ {
 		e, n, err := encoding.DecodeEntry(body)
 		if err != nil {
@@ -362,46 +433,54 @@ descend:
 			!kvstore.RangesContain(st.ranges, encoding.TreePos(e.Key)) {
 			return fail(fmt.Errorf("entry %q outside the divergent leaf ranges", e.Key))
 		}
-		entries[idx] = append(entries[idx], e)
+		if len(st.entries) > 0 && kvstore.ShardIndex(entries[len(entries)-1].Key, of) != idx {
+			return fail(fmt.Errorf("entry %q out of stripe order", e.Key))
+		}
+		entries = append(entries, e)
+		st.entries = entries[len(entries)-len(st.entries)-1:]
 	}
 
 	var res kvstore.SyncResult
 	var reply []encoding.Entry
 	for _, idx := range order {
 		st := stripes[idx]
-		stripeReply, part, err := s.replica.ApplyDeltaRanges(
-			st.digests, entries[idx], s.resolve, idx, of, st.ranges)
+		var part kvstore.SyncResult
+		reply, part, err = s.replica.ApplyDeltaRanges(reply,
+			st.digests, st.entries, s.resolve, idx, of, st.ranges)
 		if err != nil {
 			return fail(err)
 		}
 		res.Add(part)
-		reply = append(reply, stripeReply...)
 	}
-	return writeFrame(conn, encodeResultFrame(res, reply)) == nil
+	// Fold this round's writes into the maintained trees before answering:
+	// the root probe that follows the result then finds them current, and
+	// the patch never races the writes that come after the round.
+	if of == s.replica.Shards() {
+		for _, idx := range order {
+			if _, err := s.replica.StripeTree(idx); err != nil {
+				return fail(err)
+			}
+		}
+	}
+	ss.out = encodeResultFrame(ss.out, res, reply)
+	return ss.send()
 }
 
-// treeClientRound runs one round over pc's established session. stripes
-// selects the scoped stripe set; nil means every local stripe (a
-// whole-replica round, with the root fast path and probe pipelining).
+// treeClientRound runs one round over pc's established session, on the
+// stripe trees the pool loaded into pc.trees. stripes selects the scoped
+// stripe set; nil means every local stripe (a whole-replica round, with the
+// root fast path and probe pipelining).
 func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, error) {
-	conn, br := pc.conn, pc.br
+	conn, trees := pc.conn, pc.trees
 	of := local.Shards()
 	wholeReplica := stripes == nil
-	if stripes == nil {
-		stripes = make([]int, of)
-		for i := range stripes {
-			stripes[i] = i
-		}
+	if wholeReplica {
+		stripes = pc.every(of)
 	}
-	trees := make(map[int]*kvstore.DigestTree, len(stripes))
-	for _, idx := range stripes {
-		t, err := local.StripeTree(idx)
-		if err != nil {
-			return kvstore.SyncResult{}, fmt.Errorf("antientropy: %w", err)
-		}
-		trees[idx] = t
+	fanout := treeFanout
+	if len(stripes) > 0 {
+		fanout = trees[stripes[0]].Fanout() // TreeShape picks one fan-out for every stripe
 	}
-	fanout := treeFanoutOf(trees, stripes)
 
 	// readAck consumes the server's one-byte session ack the first time a
 	// frame reply is awaited on a fresh session. Called after the opening
@@ -411,7 +490,7 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 			return nil
 		}
 		pc.ackPending = false
-		b, err := br.ReadByte()
+		b, err := pc.fr.br.ReadByte()
 		if err != nil {
 			return fmt.Errorf("antientropy: session ack: %w", err)
 		}
@@ -429,51 +508,45 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		if !wholeReplica {
 			return
 		}
-		frame := []byte{kindRootProbe}
-		frame = binary.AppendUvarint(frame, uint64(of))
-		frame = binary.BigEndian.AppendUint64(frame, root)
-		if writeFrame(conn, frame) == nil {
+		pc.out = startFrame(pc.out, kindRootProbe, lenSlot+8)
+		pc.out = binary.AppendUvarint(pc.out, uint64(of))
+		pc.out = binary.BigEndian.AppendUint64(pc.out, root)
+		if writeFrame(conn, pc.out) == nil {
 			pc.probePending, pc.probedRoot = true, root
 		}
 	}
-	currentRoot := func() uint64 {
-		roots := make([]uint64, 0, len(stripes))
-		for _, idx := range stripes {
-			t, err := local.StripeTree(idx)
-			if err != nil {
-				return 0
-			}
-			roots = append(roots, t.Root())
+	// readRootMatch reads a kindRootMatch answer: true when the roots agree.
+	readRootMatch := func() (bool, error) {
+		body, err := pc.fr.read()
+		if err != nil {
+			return false, fmt.Errorf("antientropy: receive: %w", err)
 		}
-		return treeFoldRoots(roots)
+		if body, err = expectKind(body, kindRootMatch); err != nil {
+			return false, err
+		}
+		if len(body) != 1 || body[0] > 1 {
+			return false, fmt.Errorf("%w: bad root match frame", ErrProtocol)
+		}
+		return body[0] == 1, nil
 	}
 
 	skipRoot := false
-	var root uint64
+	root := encoding.RootSummarySeed
 	if wholeReplica {
-		roots := make([]uint64, 0, len(stripes))
 		for _, idx := range stripes {
-			roots = append(roots, trees[idx].Root())
+			root = encoding.FoldSummary(root, trees[idx].Root())
 		}
-		root = treeFoldRoots(roots)
 	}
 	if pc.probePending {
 		// The previous round left a probe in flight; its answer is the next
 		// frame on the wire and must be consumed before anything else.
 		pc.probePending = false
-		body, err := readFrame(br)
-		if err != nil {
-			return kvstore.SyncResult{}, fmt.Errorf("antientropy: receive probe answer: %w", err)
-		}
-		body, err = expectKind(body, kindRootMatch)
+		match, err := readRootMatch()
 		if err != nil {
 			return kvstore.SyncResult{}, err
 		}
-		if len(body) != 1 || body[0] > 1 {
-			return kvstore.SyncResult{}, fmt.Errorf("%w: bad root match frame", ErrProtocol)
-		}
 		if wholeReplica && root == pc.probedRoot {
-			if body[0] == 1 {
+			if match {
 				// The probe *was* this round's root exchange: converged, and
 				// nothing moved locally since. Re-arm and finish without a
 				// single unanswered frame on the wire.
@@ -486,60 +559,49 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	}
 
 	if wholeReplica && !skipRoot {
-		frame := []byte{kindRoot}
-		frame = binary.AppendUvarint(frame, uint64(of))
-		frame = binary.BigEndian.AppendUint64(frame, root)
-		if err := writeFrame(conn, frame); err != nil {
+		pc.out = startFrame(pc.out, kindRoot, lenSlot+8)
+		pc.out = binary.AppendUvarint(pc.out, uint64(of))
+		pc.out = binary.BigEndian.AppendUint64(pc.out, root)
+		if err := writeFrame(conn, pc.out); err != nil {
 			return kvstore.SyncResult{}, fmt.Errorf("antientropy: send root: %w", err)
 		}
 		if err := readAck(); err != nil {
 			return kvstore.SyncResult{}, err
 		}
-		body, err := readFrame(br)
-		if err != nil {
-			return kvstore.SyncResult{}, fmt.Errorf("antientropy: receive: %w", err)
-		}
-		body, err = expectKind(body, kindRootMatch)
+		match, err := readRootMatch()
 		if err != nil {
 			return kvstore.SyncResult{}, err
 		}
-		if len(body) != 1 || body[0] > 1 {
-			return kvstore.SyncResult{}, fmt.Errorf("%w: bad root match frame", ErrProtocol)
-		}
-		if body[0] == 1 {
+		if match {
 			sendProbe(root)
 			return kvstore.SyncResult{StripesSkipped: of}, nil
 		}
 	}
 
 	// Stripe-root phase: one (stripe, depth, root) triple per scoped stripe.
-	frame := []byte{kindStripeRoots}
-	frame = binary.AppendUvarint(frame, uint64(of))
-	frame = binary.AppendUvarint(frame, uint64(fanout))
-	frame = binary.AppendUvarint(frame, uint64(len(stripes)))
+	pc.out = startFrame(pc.out, kindStripeRoots, 3*lenSlot+len(stripes)*(2*lenSlot+8))
+	pc.out = binary.AppendUvarint(pc.out, uint64(of))
+	pc.out = binary.AppendUvarint(pc.out, uint64(fanout))
+	pc.out = binary.AppendUvarint(pc.out, uint64(len(stripes)))
 	for _, idx := range stripes {
 		t := trees[idx]
-		frame = binary.AppendUvarint(frame, uint64(idx))
-		frame = binary.AppendUvarint(frame, uint64(t.Depth()))
-		frame = binary.BigEndian.AppendUint64(frame, t.Root())
+		pc.out = binary.AppendUvarint(pc.out, uint64(idx))
+		pc.out = binary.AppendUvarint(pc.out, uint64(t.Depth()))
+		pc.out = binary.BigEndian.AppendUint64(pc.out, t.Root())
 	}
-	if err := writeFrame(conn, frame); err != nil {
+	if err := writeFrame(conn, pc.out); err != nil {
 		return kvstore.SyncResult{}, fmt.Errorf("antientropy: send stripe roots: %w", err)
 	}
 	if err := readAck(); err != nil {
 		return kvstore.SyncResult{}, err
 	}
-	body, err := readFrame(br)
+	body, err := pc.fr.read()
 	if err != nil {
 		return kvstore.SyncResult{}, fmt.Errorf("antientropy: receive: %w", err)
 	}
 	body, err = expectKind(body, kindStripeRootDiff)
 	if err != nil {
 		return kvstore.SyncResult{}, err
-	}
-	sent := make(map[int]bool, len(stripes))
-	for _, idx := range stripes {
-		sent[idx] = true
 	}
 	count, used := binary.Uvarint(body)
 	if used <= 0 || count > uint64(len(stripes)) {
@@ -549,7 +611,7 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	divergent := make([]int, 0, count)
 	for i := uint64(0); i < count; i++ {
 		idx64, used := binary.Uvarint(body)
-		if used <= 0 || !sent[int(idx64)] {
+		if used <= 0 || idx64 >= uint64(of) || trees[idx64] == nil { // only stripes this round sent
 			return kvstore.SyncResult{}, fmt.Errorf("%w: bad stripe root diff stripe", ErrProtocol)
 		}
 		body = body[used:]
@@ -578,21 +640,21 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	}
 	var leafReqs []nodeCoord
 	for len(frontier) > 0 {
-		frame := []byte{kindTreeNodes}
-		frame = binary.AppendUvarint(frame, uint64(fanout))
-		frame = binary.AppendUvarint(frame, uint64(len(frontier)))
+		pc.out = startFrame(pc.out, kindTreeNodes, 2*lenSlot+len(frontier)*(4*lenSlot+nb+8*fanout))
+		pc.out = binary.AppendUvarint(pc.out, uint64(fanout))
+		pc.out = binary.AppendUvarint(pc.out, uint64(len(frontier)))
 		for _, nc := range frontier {
 			t := trees[nc.stripe]
 			bm, hashes := t.Children(nc.level, nc.path)
-			frame = encoding.AppendTreeNode(frame, encoding.TreeNode{
+			pc.out = encoding.AppendTreeNode(pc.out, encoding.TreeNode{
 				Stripe: nc.stripe, Depth: t.Depth(), Level: nc.level, Path: nc.path,
 				Bitmap: bm, Hashes: hashes,
 			})
 		}
-		if err := writeFrame(conn, frame); err != nil {
+		if err := writeFrame(conn, pc.out); err != nil {
 			return res, fmt.Errorf("antientropy: send tree nodes: %w", err)
 		}
-		if body, err = readFrame(br); err != nil {
+		if body, err = pc.fr.read(); err != nil {
 			return res, fmt.Errorf("antientropy: receive: %w", err)
 		}
 		if body, err = expectKind(body, kindTreeDiff); err != nil {
@@ -631,30 +693,34 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		frontier = next
 	}
 
-	// Leaf phase: ship the digest runs under the divergent leaf ranges, and
-	// remember the ranges per stripe — the reply may only touch them.
-	sentStamps := make(map[string]core.Stamp)
-	rangesOf := make(map[int][]kvstore.TreeRange, len(divergent))
-	frame = []byte{kindLeafDigests}
-	frame = binary.AppendUvarint(frame, uint64(len(leafReqs)))
-	for _, nc := range leafReqs {
-		t := trees[nc.stripe]
-		ds := t.Run(nc.level, nc.path)
-		frame = encoding.AppendLeafRun(frame, encoding.LeafRun{
-			Stripe: nc.stripe, Depth: t.Depth(), Level: nc.level, Path: nc.path,
-			Digests: ds,
-		})
+	// Leaf phase: ship the digest runs under the divergent leaf ranges, sized
+	// before they are encoded. The runs are kept: the reply may only touch
+	// their ranges, and is applied against the stamps they carried.
+	shipped := shippedRuns{of: of, runs: make([]leafRun, len(leafReqs))}
+	size := lenSlot
+	for i, nc := range leafReqs {
+		ds := trees[nc.stripe].Run(nc.level, nc.path)
+		shipped.runs[i] = leafRun{stripe: nc.stripe, rg: kvstore.NodeRange(fanout, nc.level, nc.path), digests: ds}
+		size += 5 * lenSlot
 		for _, d := range ds {
-			sentStamps[d.Key] = d.Stamp
+			size += encoding.DigestLen(d)
 		}
-		rangesOf[nc.stripe] = append(rangesOf[nc.stripe], kvstore.NodeRange(fanout, nc.level, nc.path))
 	}
-	if err := writeFrame(conn, frame); err != nil {
+	pc.out = startFrame(pc.out, kindLeafDigests, size)
+	pc.out = binary.AppendUvarint(pc.out, uint64(len(leafReqs)))
+	for i, nc := range leafReqs {
+		pc.out = encoding.AppendLeafRun(pc.out, encoding.LeafRun{
+			Stripe: nc.stripe, Depth: trees[nc.stripe].Depth(), Level: nc.level, Path: nc.path,
+			Digests: shipped.runs[i].digests,
+		})
+	}
+	if err := writeFrame(conn, pc.out); err != nil {
 		return res, fmt.Errorf("antientropy: send leaf digests: %w", err)
 	}
+	slices.SortFunc(shipped.runs, cmpLeafRuns)
 
 	// Tail: needs in, entries out, result in.
-	if body, err = readFrame(br); err != nil {
+	if body, err = pc.fr.read(); err != nil {
 		return res, fmt.Errorf("antientropy: receive: %w", err)
 	}
 	if body, err = expectKind(body, kindNeed); err != nil {
@@ -665,9 +731,8 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		return res, fmt.Errorf("%w: bad need count", ErrProtocol)
 	}
 	body = body[used:]
-	entriesFrame := []byte{kindEntries}
-	entryBodies := make([]byte, 0, 64)
-	sentEntries := uint64(0)
+	sends := make([]encoding.Entry, 0, capCount(count, body))
+	size = lenSlot
 	for i := uint64(0); i < count; i++ {
 		k, n, err := readString(body)
 		if err != nil {
@@ -678,17 +743,21 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		if !ok {
 			// Vanished since the digest (Adopt can drop keys); the next
 			// round reconciles it.
-			delete(sentStamps, k)
+			shipped.note(k, core.Stamp{}, false)
 			continue
 		}
-		sentStamps[k] = v.Stamp
-		entryBodies = encoding.AppendEntry(entryBodies, encoding.Entry{
-			Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp,
-		})
-		sentEntries++
+		if st, sent := shipped.stamp(k); !sent || !st.Equal(v.Stamp) {
+			shipped.note(k, v.Stamp, true) // moved since its digest
+		}
+		e := encoding.Entry{Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp}
+		sends = append(sends, e)
+		size += encoding.EntryLen(e)
 	}
-	entriesFrame = binary.AppendUvarint(entriesFrame, sentEntries)
-	entriesFrame = append(entriesFrame, entryBodies...)
+	pc.out = startFrame(pc.out, kindEntries, size)
+	pc.out = binary.AppendUvarint(pc.out, uint64(len(sends)))
+	for _, e := range sends {
+		pc.out = encoding.AppendEntry(pc.out, e)
+	}
 	// Point of no return: once any byte of the entries frame is on the wire,
 	// the server may receive the complete frame and apply it even if this
 	// side only sees a dead connection. Retrying such a round on a fresh
@@ -698,11 +767,11 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	// marked ErrRetryUnsafe; the pool surfaces it instead of redialing, and
 	// the next round's digest exchange reconciles whatever state the server
 	// actually reached.
-	if err := writeFrame(conn, entriesFrame); err != nil {
+	if err := writeFrame(conn, pc.out); err != nil {
 		return res, fmt.Errorf("%w: send entries: %w", ErrRetryUnsafe, err)
 	}
 
-	if body, err = readFrame(br); err != nil {
+	if body, err = pc.fr.read(); err != nil {
 		return res, fmt.Errorf("%w: receive result: %w", ErrRetryUnsafe, err)
 	}
 	if body, err = expectKind(body, kindResult); err != nil {
@@ -718,30 +787,84 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	// check, so a faulty peer cannot slip keys into subtrees this round
 	// declared converged.
 	for _, e := range reply {
-		rngs, ok := rangesOf[kvstore.ShardIndex(e.Key, of)]
-		if !ok || !kvstore.RangesContain(rngs, encoding.TreePos(e.Key)) {
+		if shipped.find(e.Key) < 0 {
 			return res, fmt.Errorf("%w: reply entry %q outside the divergent leaf ranges",
 				ErrProtocol, e.Key)
 		}
 	}
 	// The reply spans several stripes, so it is applied under the
-	// whole-keyspace scope; the sentStamps guard still pins every entry to
-	// the exact copy this round shipped.
-	if _, err := local.ApplyDeltaReply(reply, sentStamps, 0, 0); err != nil {
+	// whole-keyspace scope; the shipped stamps still pin every entry to the
+	// exact copy this round sent.
+	if _, err := local.ApplyDeltaReply(reply, shipped.stamp, 0, 0); err != nil {
 		return res, fmt.Errorf("%w: apply delta reply: %w", ErrRetryUnsafe, err)
 	}
-	sendProbe(currentRoot())
+	root = encoding.RootSummarySeed
+	for _, idx := range stripes {
+		t, err := local.StripeTree(idx)
+		if err != nil {
+			return res, fmt.Errorf("antientropy: %w", err)
+		}
+		root = encoding.FoldSummary(root, t.Root())
+	}
+	sendProbe(root)
 	return res, nil
 }
 
-// treeFanoutOf returns the fan-out shared by the round's stripe trees.
-// TreeShape always picks the same fan-out, so any tree answers; an empty
-// stripe set (impossible: of >= 1) falls back to the local policy.
-func treeFanoutOf(trees map[int]*kvstore.DigestTree, stripes []int) int {
-	for _, idx := range stripes {
-		return trees[idx].Fanout()
+// shippedRuns is what a client round sent for the server to reconcile: its
+// digest runs, sorted by stripe and position, plus the keys whose entry
+// shipped with a stamp other than their digest's (or that had vanished).
+type shippedRuns struct {
+	of    int
+	runs  []leafRun
+	moved map[string]shippedStamp // nil until a copy moves mid-round
+}
+
+type shippedStamp struct {
+	stamp core.Stamp
+	ok    bool
+}
+
+// find returns the index of the run whose range holds key, or -1.
+func (sr *shippedRuns) find(key string) int {
+	stripe, pos := kvstore.ShardIndex(key, sr.of), encoding.TreePos(key)
+	i := sort.Search(len(sr.runs), func(i int) bool {
+		r := sr.runs[i]
+		return r.stripe > stripe || r.stripe == stripe && (r.rg.Hi == 0 || r.rg.Hi > pos)
+	})
+	if i == len(sr.runs) || sr.runs[i].stripe != stripe || !sr.runs[i].rg.Contains(pos) {
+		return -1
 	}
-	return treeFanout
+	return i
+}
+
+// stamp returns the stamp the round shipped for key, and whether it shipped
+// one at all — the guard ApplyDeltaReply installs the reply under.
+func (sr *shippedRuns) stamp(key string) (core.Stamp, bool) {
+	if m, ok := sr.moved[key]; ok {
+		return m.stamp, m.ok
+	}
+	i := sr.find(key)
+	if i < 0 {
+		return core.Stamp{}, false
+	}
+	ds, pos := sr.runs[i].digests, encoding.TreePos(key)
+	j := sort.Search(len(ds), func(j int) bool {
+		p := encoding.TreePos(ds[j].Key)
+		return p > pos || p == pos && ds[j].Key >= key
+	})
+	if j == len(ds) || ds[j].Key != key {
+		return core.Stamp{}, false
+	}
+	return ds[j].Stamp, true
+}
+
+// note records that key shipped as stamp (ok), or not at all (!ok), whatever
+// its digest said.
+func (sr *shippedRuns) note(key string, stamp core.Stamp, ok bool) {
+	if sr.moved == nil {
+		sr.moved = make(map[string]shippedStamp)
+	}
+	sr.moved[key] = shippedStamp{stamp, ok}
 }
 
 // treeFanout mirrors kvstore's local fan-out policy for the degenerate

@@ -75,6 +75,12 @@ func AppendCompact(dst []byte, s core.Stamp) []byte {
 	return s.IDHandle().AppendEncoding(dst)
 }
 
+// CompactLen returns the length of AppendCompact's output for s, read off the
+// handles' cached encodings.
+func CompactLen(s core.Stamp) int {
+	return 1 + s.UpdateHandle().EncodedLen() + s.IDHandle().EncodedLen()
+}
+
 // AppendUpdateTrie appends the trie encoding of the stamp's update component
 // alone. Compare relates stamps by their update components only, so this is
 // the part of a stamp that two equivalent copies share byte for byte — the

@@ -3,6 +3,7 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"versionstamp/internal/core"
 )
@@ -41,6 +42,24 @@ type Entry struct {
 	Deleted bool
 	Stamp   core.Stamp
 }
+
+// DigestLen returns the length of AppendDigest's output for d, so a frame of
+// digests can be sized before it is encoded.
+func DigestLen(d Digest) int {
+	return UvarintLen(uint64(len(d.Key))) + len(d.Key) + CompactLen(d.Stamp)
+}
+
+// EntryLen returns the length of AppendEntry's output for e.
+func EntryLen(e Entry) int {
+	n := UvarintLen(uint64(len(e.Key))) + len(e.Key) + 1 + CompactLen(e.Stamp)
+	if !e.Deleted {
+		n += UvarintLen(uint64(len(e.Value))) + len(e.Value)
+	}
+	return n
+}
+
+// UvarintLen returns the length of x's uvarint encoding.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // AppendDigest appends the length-prefixed binary form of d.
 func AppendDigest(dst []byte, d Digest) []byte {

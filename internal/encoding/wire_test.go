@@ -22,6 +22,9 @@ func TestDigestRoundTrip(t *testing.T) {
 	for i, s := range wireStamps() {
 		d := Digest{Key: string(rune('a'+i)) + "-key", Stamp: s}
 		digests = append(digests, d)
+		if n := len(AppendDigest(nil, d)); DigestLen(d) != n {
+			t.Errorf("DigestLen(%q) = %d, encoding is %d bytes", d.Key, DigestLen(d), n)
+		}
 		buf = AppendDigest(buf, d)
 	}
 	for _, want := range digests {
@@ -47,6 +50,9 @@ func TestEntryRoundTrip(t *testing.T) {
 	}
 	var buf []byte
 	for _, e := range entries {
+		if n := len(AppendEntry(nil, e)); EntryLen(e) != n {
+			t.Errorf("EntryLen(%q) = %d, encoding is %d bytes", e.Key, EntryLen(e), n)
+		}
 		buf = AppendEntry(buf, e)
 	}
 	for _, want := range entries {

@@ -41,18 +41,23 @@ func deltaRound(t *testing.T, a, b *Replica, resolve Resolver) SyncResult {
 		t.Fatalf("DiffRanges: %v", err)
 	}
 	entries := entriesFor(b, diff.Need)
-	reply, res, err := a.ApplyDeltaRanges(digest, entries, resolve, 0, 0, nil)
+	reply, res, err := a.ApplyDeltaRanges(nil, digest, entries, resolve, 0, 0, nil)
 	if err != nil {
 		t.Fatalf("ApplyDeltaRanges: %v", err)
 	}
+	if _, err := b.ApplyDeltaReply(reply, shippedIn(digest), 0, 0); err != nil {
+		t.Fatalf("ApplyDeltaReply: %v", err)
+	}
+	return res
+}
+
+// shippedIn is ApplyDeltaReply's guard for a round that shipped digest.
+func shippedIn(digest []encoding.Digest) func(string) (core.Stamp, bool) {
 	sent := make(map[string]core.Stamp, len(digest))
 	for _, d := range digest {
 		sent[d.Key] = d.Stamp
 	}
-	if _, err := b.ApplyDeltaReply(reply, sent, 0, 0); err != nil {
-		t.Fatalf("ApplyDeltaReply: %v", err)
-	}
-	return res
+	return func(k string) (core.Stamp, bool) { st, ok := sent[k]; return st, ok }
 }
 
 func requireSameContents(t *testing.T, a, b *Replica) {
@@ -246,15 +251,11 @@ func TestDeltaShardScoped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply, res, err := a.ApplyDeltaRanges(digest, entriesFor(b, diff.Need), nil, idx, of, nil)
+		reply, res, err := a.ApplyDeltaRanges(nil, digest, entriesFor(b, diff.Need), nil, idx, of, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sent := map[string]core.Stamp{}
-		for _, d := range digest {
-			sent[d.Key] = d.Stamp
-		}
-		if _, err := b.ApplyDeltaReply(reply, sent, idx, of); err != nil {
+		if _, err := b.ApplyDeltaReply(reply, shippedIn(digest), idx, of); err != nil {
 			t.Fatal(err)
 		}
 		total.Add(res)
@@ -270,7 +271,7 @@ func TestDeltaShardScoped(t *testing.T) {
 	if _, err := a.DiffRanges(badDigest, wrong, of, nil); err == nil {
 		t.Error("DiffRanges accepted a foreign key")
 	}
-	if _, _, err := a.ApplyDeltaRanges(badDigest, nil, nil, wrong, of, nil); err == nil {
+	if _, _, err := a.ApplyDeltaRanges(nil, badDigest, nil, nil, wrong, of, nil); err == nil {
 		t.Error("ApplyDeltaRanges accepted a foreign digest key")
 	}
 	if _, err := b.ApplyDeltaReply([]encoding.Entry{{Key: "key-000", Stamp: core.Seed()}}, nil, wrong, of); err == nil {
@@ -287,17 +288,13 @@ func TestApplyDeltaReplySkipsMovedCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, _, err := a.ApplyDeltaRanges(digest, entriesFor(b, diff.Need), nil, 0, 0, nil)
+	reply, _, err := a.ApplyDeltaRanges(nil, digest, entriesFor(b, diff.Need), nil, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// b's copy moves while the round is in flight.
 	b.Put("key-000", []byte("raced"))
-	sent := map[string]core.Stamp{}
-	for _, d := range digest {
-		sent[d.Key] = d.Stamp
-	}
-	applied, err := b.ApplyDeltaReply(reply, sent, 0, 0)
+	applied, err := b.ApplyDeltaReply(reply, shippedIn(digest), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

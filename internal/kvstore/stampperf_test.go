@@ -183,3 +183,49 @@ func TestSyncKeyConvergedAllocs(t *testing.T) {
 		}
 	}
 }
+
+// deltaPairOneKeyBudget bounds one leaf phase over a one-key divergence: the
+// peer's write and the leaf run it ships, DiffRanges, ApplyDeltaRanges (the
+// reconcile, its log record and reply entry) and the tree patch that follows.
+// A constant: the walk takes the in-range keys off the stripe's digest tree,
+// so nothing in it may grow with the stripe.
+const deltaPairOneKeyBudget = 40
+
+// TestDeltaPairOneKeyAllocBudget is the counted gate for "the store side of
+// a round scans only the divergent ranges": the same budget holds at 10 000
+// and at 100 000 keys.
+func TestDeltaPairOneKeyAllocBudget(t *testing.T) {
+	for _, n := range []int{10_000, 100_000} {
+		a, keys := warmedSingleStripe(t, n)
+		b := a.Clone("peer")
+		next := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			k := keys[next]
+			next += 97
+			b.Put(k, []byte("edited"))
+			tb, err := b.StripeTree(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shift := uint(64 - tb.Depth()*encoding.TreeFanoutBits(tb.Fanout()))
+			rg := NodeRange(tb.Fanout(), tb.Depth(), encoding.TreePos(k)>>shift)
+			ranges := []TreeRange{rg}
+			digest := tb.RunRange(rg)
+			diff, err := a.DiffRanges(digest, 0, 1, ranges)
+			if err != nil || len(diff.Need) != 1 {
+				t.Fatalf("diff over one written key: %+v, %v", diff, err)
+			}
+			v, _ := b.Version(k)
+			entries := []encoding.Entry{{Key: k, Value: v.Value, Stamp: v.Stamp}}
+			reply, res, err := a.ApplyDeltaRanges(nil, digest, entries, nil, 0, 1, ranges)
+			if err != nil || res.Reconciled != 1 || len(reply) != 1 {
+				t.Fatalf("apply over one written key: %+v, %d reply entries, %v", res, len(reply), err)
+			}
+		})
+		t.Logf("%d keys: one-key DiffRanges + ApplyDeltaRanges = %.1f allocs", n, allocs)
+		if allocs > deltaPairOneKeyBudget {
+			t.Errorf("%d keys: one-key leaf phase allocates %.1f/op; budget is %d",
+				n, allocs, deltaPairOneKeyBudget)
+		}
+	}
+}

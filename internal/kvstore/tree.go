@@ -76,18 +76,15 @@ func (rg TreeRange) Contains(p uint64) bool {
 	return p >= rg.Lo && (rg.Hi == 0 || p < rg.Hi)
 }
 
-// RangesContain reports whether any range contains p. A nil slice means
-// "unscoped" and contains everything.
+// RangesContain reports whether any of ranges — sorted by Lo and disjoint,
+// as a tree descent's leaf ranges are once put in position order — contains
+// p, by binary search. A nil slice means "unscoped" and contains everything.
 func RangesContain(ranges []TreeRange, p uint64) bool {
 	if ranges == nil {
 		return true
 	}
-	for _, rg := range ranges {
-		if rg.Contains(p) {
-			return true
-		}
-	}
-	return false
+	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].Hi == 0 || ranges[i].Hi > p })
+	return i < len(ranges) && ranges[i].Contains(p)
 }
 
 // NodeRange returns the position interval covered by the node at (level,
@@ -342,63 +339,50 @@ func (t *DigestTree) Run(level int, path uint64) []encoding.Digest {
 }
 
 // RunRange returns the digests whose positions fall inside rg (tree order).
-// When they all sit in one leaf the result is a subslice of that leaf's run;
-// only a range spanning several runs is copied into a slice of its own.
-// Either way callers must treat the result as read-only.
+// A range inside one leaf is served as a subslice of that leaf's run, capped
+// so an append cannot reach the tree; only a range spanning several runs is
+// copied. Either way callers must treat the result as read-only.
 func (t *DigestTree) RunRange(rg TreeRange) []encoding.Digest {
-	n, runs := 0, 0
-	var only []encoding.Digest
-	t.eachRun(rg, func(run []encoding.Digest) { n, runs, only = n+len(run), runs+1, run })
-	if runs <= 1 {
-		return only
-	}
-	out := make([]encoding.Digest, 0, n)
-	t.eachRun(rg, func(run []encoding.Digest) { out = append(out, run...) })
-	return out
-}
-
-// has reports whether the tree holds key, whose position is pos.
-func (t *DigestTree) has(pos uint64, key string) bool {
-	return slices.ContainsFunc(t.RunRange(TreeRange{Lo: pos, Hi: pos + 1}),
-		func(d encoding.Digest) bool { return d.Key == key })
-}
-
-// eachRun calls fn, in tree order, with the part of every leaf run whose
-// positions fall inside rg: a subslice of the run, never empty.
-func (t *DigestTree) eachRun(rg TreeRange, fn func([]encoding.Digest)) {
 	last := rg.Hi - 1 // inclusive; Hi == 0 wraps to the top of the space
-	if t.n > 0 && rg.Lo <= last {
-		t.walkRuns(t.root, 0, 0, rg.Lo, last, fn)
+	if t.n == 0 || rg.Lo > last {
+		return nil
 	}
+	runs := t.appendRuns(nil, t.root, 0, 0, rg.Lo, last)
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	return slices.Concat(runs...)
 }
 
-// walkRuns is eachRun under nd, the node at (level, path), for the positions
-// [lo, last]. A leaf run is ordered by (position, key), so the part of it
-// inside the interval is contiguous and found by binary search.
-func (t *DigestTree) walkRuns(nd treeNode, level int, path, lo, last uint64, fn func([]encoding.Digest)) {
+// appendRuns appends, in tree order, the leaf runs (or the parts of them)
+// under nd — the node at (level, path) — whose positions lie in [lo, last].
+// A run is ordered by (position, key), so its part inside the interval is
+// contiguous and found by binary search.
+func (t *DigestTree) appendRuns(runs [][]encoding.Digest, nd treeNode, level int, path, lo, last uint64) [][]encoding.Digest {
 	first, end := uint64(0), ^uint64(0) // the node's own interval, inclusive
 	if shift := uint(64 - level*t.fbits); shift < 64 {
 		first = path << shift
 		end = first | (1<<shift - 1)
 	}
 	if last < first || lo > end {
-		return
+		return runs
 	}
 	if level < t.depth {
 		for _, kid := range nd.kids {
-			t.walkRuns(kid, level+1, path<<uint(t.fbits)|uint64(kid.idx), lo, last, fn)
+			runs = t.appendRuns(runs, kid, level+1, path<<uint(t.fbits)|uint64(kid.idx), lo, last)
 		}
-		return
+		return runs
 	}
 	run := nd.run
 	if lo > first || last < end {
 		i := sort.Search(len(run), func(i int) bool { return encoding.TreePos(run[i].Key) >= lo })
 		j := sort.Search(len(run), func(i int) bool { return encoding.TreePos(run[i].Key) > last })
-		run = run[i:j]
+		run = run[i:j:j]
 	}
 	if len(run) > 0 {
-		fn(run)
+		runs = append(runs, run)
 	}
+	return runs
 }
 
 // stripeTree returns stripe i's digest tree at the replica's own shape

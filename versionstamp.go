@@ -73,7 +73,14 @@
 //
 // Equality of interned stamps is therefore cheap enough to use as a guard
 // in hot loops, and bulk comparison over converged data (anti-entropy
-// digest phases) runs allocation-free end to end.
+// digest phases) runs allocation-free end to end. The same holds one layer
+// up: a converged pooled anti-entropy round allocates nothing at either end
+// (each session reuses its frame buffers and stripe-tree slots; the roots
+// are folded as they are read), and a divergent round allocates in
+// proportion to what it moves — frames are sized from the counts in hand
+// and encoded once, and the store's leaf phase merges the divergent ranges
+// of its digest trees with the peer's sorted digests instead of building key
+// sets.
 //
 // # Sync model
 //
@@ -117,6 +124,10 @@
 //     keys). Wide divergence degrades gracefully to a plain digest
 //     exchange, because diverging subtrees are enumerated breadth-first
 //     and the leaf runs together carry each divergent stripe's digests.
+//   - The responder's work follows the divergence too. It takes the local
+//     keys of each divergent range straight off its stripe's digest tree
+//     (already in position order) and merges them with the peer's digests
+//     and entries; a stripe's other keys are never visited.
 //   - Whole-replica, stripe-scoped (ring), scrub-repair and tombstone-GC
 //     exchanges are all this one round, scoped to different stripe sets.
 //     There are no deployed peers of an older protocol to stay compatible
