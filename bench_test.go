@@ -193,9 +193,9 @@ func BenchmarkNameLeqSlice(b *testing.B) {
 
 func BenchmarkNameLeqTrie(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	tries := make([]*trie.Node, 64)
+	tries := make([]*trie.Interned, 64)
 	for i := range tries {
-		tries[i] = trie.FromName(randomName(rng, 24, 16))
+		tries[i] = trie.Intern(randomName(rng, 24, 16))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -217,13 +217,13 @@ func BenchmarkNameJoinSlice(b *testing.B) {
 
 func BenchmarkNameJoinTrie(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
-	tries := make([]*trie.Node, 64)
+	tries := make([]*trie.Interned, 64)
 	for i := range tries {
-		tries[i] = trie.FromName(randomName(rng, 24, 16))
+		tries[i] = trie.Intern(randomName(rng, 24, 16))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = trie.Join(tries[i%64], tries[(i+1)%64])
+		_ = trie.JoinInterned(tries[i%64], tries[(i+1)%64])
 	}
 }
 

@@ -1,6 +1,6 @@
-// Command experiments regenerates the paper-reproduction tables recorded in
-// EXPERIMENTS.md — one experiment per figure/claim of the paper (see
-// DESIGN.md's per-experiment index):
+// Command experiments regenerates the paper-reproduction tables — one
+// experiment per figure/claim of the paper (internal/experiments documents
+// each):
 //
 //	$ experiments -exp e2     # Figure 2/4 stamps
 //	$ experiments -exp all    # everything

@@ -1,5 +1,7 @@
 package core
 
+import "versionstamp/internal/trie"
+
 // Ordering is the outcome of comparing two coexisting elements by their
 // version stamps. The paper distinguishes three situations relevant to
 // optimistic replication (Section 2): equivalence, obsolescence (one element
@@ -49,38 +51,39 @@ func (o Ordering) String() string {
 //
 // Compare is allocation-free: identical interned update handles short-circuit
 // to Equal (the converged steady state), repeated pairs are answered from a
-// bounded process-wide cache keyed by handle ids, and the fallback walks both
-// operands in place without building any intermediate structure.
-func Compare(a, b Stamp) Ordering {
-	if a.u == b.u {
+// bounded process-wide cache keyed by handle ids, and the fallback recurses
+// over both component tries without building anything.
+func Compare(a, b Stamp) Ordering { return order(a.u, b.u) }
+
+// order relates two names under ⊑, answering repeated pairs from the
+// comparison cache.
+func order(x, y *trie.Interned) Ordering {
+	if x == y {
 		return Equal
 	}
-	ka, kb := a.u.ID(), b.u.ID()
-	key, cacheable := cmpCacheKey(ka, kb)
+	key, cacheable := cmpCacheKey(x.ID(), y.ID())
 	if cacheable {
 		if rel, ok := cmpCacheGet(key); ok {
 			return rel
 		}
 	}
-	rel := compareSlow(a, b)
+	rel := orderSlow(x, y)
 	if cacheable {
 		cmpCachePut(key, rel)
 	}
 	return rel
 }
 
-// compareSlow relates two stamps whose update handles differ, by in-place
-// walks of the sorted-slice representations.
-func compareSlow(a, b Stamp) Ordering {
-	nu, mu := a.u.Name(), b.u.Name()
-	ab := nu.Leq(mu)
-	ba := mu.Leq(nu)
+// orderSlow relates two names by recursing over both tries.
+func orderSlow(x, y *trie.Interned) Ordering {
+	xy := x.Leq(y)
+	yx := y.Leq(x)
 	switch {
-	case ab && ba:
+	case xy && yx:
 		return Equal
-	case ab:
+	case xy:
 		return Before
-	case ba:
+	case yx:
 		return After
 	default:
 		return Concurrent

@@ -7,15 +7,17 @@ import "sync/atomic"
 // same (a, b) update pairs recur across millions of keys during anti-entropy.
 // Two layers exploit that:
 //
-//   - a process-wide bounded cache of Compare outcomes, direct-mapped over
-//     atomic slots so concurrent sync rounds share it without locks or
-//     allocations (a collision just overwrites — it is a cache, not a table);
+//   - a process-wide bounded cache of name-order outcomes — Compare's
+//     update pairs, and the I1 check (u, i) of every decoded stamp —
+//     direct-mapped over atomic slots so concurrent sync rounds share it
+//     without locks or allocations (a collision just overwrites — it is a
+//     cache, not a table);
 //   - Comparer, a per-batch memo for single-threaded loops (DiffAgainst,
 //     ApplyDelta) that skips even the atomic traffic.
 //
-// Cache keys pack the two handle ids (issued monotonically and capped
-// under 2^31 by trie's id-issuance bound; never reused even when the
-// intern table rotates a record out) into 62 bits, leaving 2 bits for the
+// Cache keys pack the two handle ids (issued monotonically and capped at
+// 2^30 by trie's id-issuance bound, so 31 bits each; never reused even when
+// the intern table rotates a node out) into 62 bits, leaving 2 bits for the
 // outcome. Id 0 marks ∅ or an uninterned overflow handle; those pairs are
 // computed directly.
 
@@ -73,7 +75,7 @@ func (c *Comparer) Compare(a, b Stamp) Ordering {
 	}
 	key, cacheable := cmpCacheKey(a.u.ID(), b.u.ID())
 	if !cacheable {
-		return compareSlow(a, b)
+		return orderSlow(a.u, b.u)
 	}
 	if rel, ok := c.memo[key]; ok {
 		return rel

@@ -32,9 +32,10 @@ func (s Stamp) MarshalBinary() ([]byte, error) {
 }
 
 // EncodedSize returns the exact length in bytes of the binary encoding,
-// the size measure reported by the E5/E6 space experiments.
+// the size measure reported by the E5/E6 space experiments. It is read off
+// the components' cached flat sizes; no name is materialized.
 func (s Stamp) EncodedSize() int {
-	return 1 + s.u.Name().EncodedSize() + s.i.Name().EncodedSize()
+	return 1 + s.u.FlatSize() + s.i.FlatSize()
 }
 
 // DecodeBinary reads one stamp from the front of src, returning the number

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"versionstamp/internal/bitstr"
-	"versionstamp/internal/name"
-	"versionstamp/internal/trie"
-)
+import "versionstamp/internal/trie"
 
 // Reduce applies the rewriting rule of Section 6 until it no longer applies,
 // returning the unique normal form of the stamp:
@@ -20,72 +16,12 @@ import (
 // the order relation R between all frontier elements (proved in the paper);
 // TestReducePreservesR re-checks this mechanically.
 //
-// Reduce is idempotent and is applied automatically by Join. An
-// already-reduced stamp (the common case: most joins collapse nothing) is
-// returned unchanged, handles intact, without allocating.
+// The rewriting runs as one bottom-up pass over both component tries
+// (trie.Reduce), memoized by handle pair. Reduce is idempotent and is
+// applied automatically by Join. An already-reduced stamp (the common case:
+// most joins collapse nothing) is returned unchanged, handles intact,
+// without allocating.
 func (s Stamp) Reduce() Stamp {
-	i := s.i.Name()
-	if _, ok := i.SiblingPair(); !ok {
-		return s
-	}
-	u := s.u.Name()
-	for {
-		parent, ok := i.SiblingPair()
-		if !ok {
-			return Stamp{u: trie.Intern(u), i: trie.Intern(i)}
-		}
-		u, i = rewriteOnce(u, i, parent)
-	}
-}
-
-// IsReduced reports whether no rewriting applies to s (s is in normal form).
-func (s Stamp) IsReduced() bool {
-	_, ok := s.i.Name().SiblingPair()
-	return !ok
-}
-
-// rewriteOnce applies a single rewriting step at the given parent string s,
-// whose children s·0 and s·1 must both be present in id.
-func rewriteOnce(u, id name.Name, s bitstr.Bits) (name.Name, name.Name) {
-	newID, ok := id.CollapseSiblings(s)
-	if !ok {
-		// Caller guarantees the pair exists; treat a miss as a no-op so the
-		// function stays total.
-		return u, id
-	}
-	c0, c1 := s.Append0(), s.Append1()
-	if !u.Contains(c0) && !u.Contains(c1) {
-		return u, newID
-	}
-	newU := u
-	if removed, ok := newU.Remove(c0); ok {
-		newU = removed
-	}
-	if removed, ok := newU.Remove(c1); ok {
-		newU = removed
-	}
-	added, ok := newU.Add(s)
-	if !ok {
-		// Unreachable for stamps satisfying I1 (the paper proves u' is an
-		// antichain); fall back to the down-set-preserving construction so
-		// corrupted inputs still yield a well-formed name.
-		added = name.MaxOf(append(newU.Bits(), s)...)
-	}
-	return added, newID
-}
-
-// ReduceSteps reports the number of rewriting steps Reduce performs to reach
-// the normal form; used by the E5 experiments to report reduction
-// effectiveness.
-func (s Stamp) ReduceSteps() int {
-	u, i := s.u.Name(), s.i.Name()
-	steps := 0
-	for {
-		parent, ok := i.SiblingPair()
-		if !ok {
-			return steps
-		}
-		u, i = rewriteOnce(u, i, parent)
-		steps++
-	}
+	u, i := trie.Reduce(s.u, s.i)
+	return Stamp{u: u, i: i}
 }

@@ -48,17 +48,17 @@ var ErrOverlappingIDs = errors.New("core: join of stamps with overlapping ids")
 // Seed().
 //
 // Stamp values are immutable; operations return new stamps. Both components
-// are held as hash-consed handles (trie.Interned): each distinct name exists
-// once per process, so structural equality is pointer comparison, Update and
-// Fork shuffle pointers instead of copying slices, and the wire encoding of
-// a component is cached on its handle. See the "Performance model" section
-// of the package versionstamp documentation.
+// are held as handles to hash-consed tries (trie.Interned): each distinct
+// name exists once per process while its nodes are table-resident, so
+// structural equality is usually pointer comparison, Update is two pointer
+// copies, Fork, Join and Reduce are memoized recursions over the tries, and
+// the wire encoding of a component is cached on its handle. See the
+// "Performance model" section of the package versionstamp documentation.
 type Stamp struct {
-	// The zero-width func field makes Stamp non-comparable, as it was when
-	// the components were slice-backed names: handle pointers are an
-	// implementation detail (intern-table overflow yields unshared handles
-	// for equal names), so == would silently report false negatives. Use
-	// Equal.
+	// The zero-width func field makes Stamp non-comparable: handle pointers
+	// are an implementation detail (oversized names and nodes rotated out of
+	// the intern table yield unshared handles for equal names), so == would
+	// silently report false negatives. Use Equal.
 	_ [0]func()
 
 	u *trie.Interned // update component: which updates this element has seen
@@ -74,25 +74,19 @@ func Seed() Stamp {
 	return Stamp{u: epsilonHandle, i: epsilonHandle}
 }
 
-// New assembles a stamp from explicit components, validating them and
-// Invariant I1 (u ⊑ i). It is intended for decoding and tests; normal use
-// derives stamps exclusively through Seed, Update, Fork and Join.
-//
-// Validation happens before interning: the intern table is keyed by the
-// canonical encoding, and admitting an ill-formed name would poison the
-// shared record for its well-formed encoding.
+// New assembles a stamp from explicit components, validating Invariant I1
+// (u ⊑ i). It is intended for decoding and tests; normal use derives stamps
+// exclusively through Seed, Update, Fork and Join.
 func New(update, id name.Name) (Stamp, error) {
-	if err := checkI1Names(update, id); err != nil {
-		return Stamp{}, err
-	}
-	return Stamp{u: trie.Intern(update), i: trie.Intern(id)}, nil
+	return NewInterned(trie.Intern(update), trie.Intern(id))
 }
 
 // NewInterned assembles a stamp from already-interned components, validating
 // Invariant I1. It is the allocation-free constructor decoders use once the
-// components have been deduped against the intern table.
+// components have been deduped against the intern table; the I1 check of a
+// pair it has seen before is a comparison-cache hit.
 func NewInterned(update, id *trie.Interned) (Stamp, error) {
-	if !update.Leq(id) {
+	if rel := order(update, id); rel != Equal && rel != Before {
 		return Stamp{}, fmt.Errorf("core: I1 violated: u = %v ⋢ i = %v", update, id)
 	}
 	return Stamp{u: update, i: id}, nil
@@ -135,8 +129,8 @@ func (s Stamp) Update() Stamp {
 // Fork splits the element in two: (u, i) -> (u, i·0), (u, i·1). Both
 // descendants know the same updates; their ids partition the ancestor's
 // identity space, so they remain distinguishable anywhere in the frontier
-// without any coordination. The appended ids are memoized on the interned
-// record, so forking an id the process has forked before allocates nothing.
+// without any coordination. The appended ids are memoized by handle, so
+// forking an id the process has forked recently allocates nothing.
 func (s Stamp) Fork() (Stamp, Stamp) {
 	return Stamp{u: s.u, i: s.i.Append0()},
 		Stamp{u: s.u, i: s.i.Append1()}

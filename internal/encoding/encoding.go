@@ -33,8 +33,8 @@ type StampJSON struct {
 // MarshalJSON serializes a stamp to JSON.
 func MarshalJSON(s core.Stamp) ([]byte, error) {
 	return json.Marshal(StampJSON{
-		Update: s.UpdateName().String(),
-		ID:     s.IDName().String(),
+		Update: s.UpdateHandle().String(),
+		ID:     s.IDHandle().String(),
 	})
 }
 
@@ -66,9 +66,9 @@ func MarshalCompact(s core.Stamp) []byte {
 
 // AppendCompact appends the trie-structural format of s to dst — the
 // buffer-reusing form of MarshalCompact for encoders that build frames
-// incrementally. The component encodings are the stamp handles' cached
-// intern keys, so nothing is walked or rebuilt; the bytes are identical to
-// encoding the components' tries directly (the intern key is canonical).
+// incrementally. The component encodings are cached on the stamp handles,
+// so nothing is walked or rebuilt after a handle's first encoding; the bytes
+// are identical to encoding the components' tries directly.
 func AppendCompact(dst []byte, s core.Stamp) []byte {
 	dst = append(dst, compactFormat)
 	dst = s.UpdateHandle().AppendEncoding(dst)

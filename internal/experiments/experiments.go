@@ -1,7 +1,9 @@
-// Package experiments regenerates the paper-reproduction artifacts recorded
-// in EXPERIMENTS.md: one function per experiment E1–E8 of DESIGN.md, each
-// returning a human-readable report whose numbers are produced live by the
-// library. cmd/experiments is a thin CLI over this package.
+// Package experiments regenerates the paper-reproduction artifacts: one
+// function per experiment E1–E8 (each documented at its function — the
+// paper's figures 1–4, Proposition 5.1, the space claims, interval tree
+// clocks and the identification problem), each returning a human-readable
+// report whose numbers are produced live by the library. cmd/experiments is
+// a thin CLI over this package.
 package experiments
 
 import (

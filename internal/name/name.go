@@ -16,6 +16,13 @@
 // Version stamps (package core) are pairs of names. The id component of a
 // stamp denotes a non-overlapping part of "the whole"; the update component
 // collects ids as they were when updates were performed.
+//
+// At run time the kernel holds names as hash-consed tries (package trie).
+// This package is the paper's set notation (Parse, String), the validated
+// input the tries are built from, and the specification the kernel is
+// tested against: its sorted-slice operations, including the one-step
+// sibling rewriting of Section 6 (SiblingPair, CollapseSiblings), are the
+// oracles of the trie operations.
 package name
 
 import (

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"versionstamp/internal/core"
 	"versionstamp/internal/vv"
 )
 
@@ -440,5 +441,28 @@ func TestOpAndRelationStrings(t *testing.T) {
 	if Equal.String() != "equal" || Concurrent.String() != "concurrent" ||
 		Relation(0).String() != "invalid" {
 		t.Error("Relation.String incorrect")
+	}
+}
+
+// TestLeakedZeroAlongTraces: the kernel conserves the id space, so along
+// random fork/join/update traces no stamp frontier, reducing or not, ever
+// loses any of it.
+func TestLeakedZeroAlongTraces(t *testing.T) {
+	for _, reduce := range []bool{true, false} {
+		for seed := int64(0); seed < 4; seed++ {
+			st := NewStampTracker(reduce)
+			for step, op := range Random(seed, 150, Balanced, 8) {
+				if err := applyOp(st, op); err != nil {
+					t.Fatalf("%s seed %d step %d: %v", st.Name(), seed, step, err)
+				}
+				if leaked := core.Leaked(st.stamps); leaked != 0 {
+					t.Fatalf("%s seed %d step %d (%v): leaked %g of the id space",
+						st.Name(), seed, step, op, leaked)
+				}
+				if err := core.CheckCover(st.stamps); err != nil {
+					t.Fatalf("%s seed %d step %d: %v", st.Name(), seed, step, err)
+				}
+			}
+		}
 	}
 }

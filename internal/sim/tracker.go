@@ -10,8 +10,8 @@
 // that each subject mechanism induces exactly the causal-history pre-order
 // on the frontier — for all pairs (paper Corollary 5.2) and for random
 // (x, S) subset queries (the stronger Proposition 5.1) — and that the stamp
-// invariants I1–I3 hold. The same machinery collects the size statistics
-// behind experiments E5 and E6.
+// invariants I1–I3 and the id-space cover hold. The same machinery collects
+// the size statistics behind experiments E5 and E6.
 package sim
 
 import (
@@ -19,7 +19,7 @@ import (
 
 	"versionstamp/internal/causal"
 	"versionstamp/internal/core"
-	"versionstamp/internal/name"
+	"versionstamp/internal/trie"
 	"versionstamp/internal/vv"
 )
 
@@ -90,7 +90,7 @@ type SizeReporter interface {
 }
 
 // InvariantChecker is implemented by mechanisms with internal invariants to
-// re-verify during traces (version stamps re-check I1–I3).
+// re-verify during traces (version stamps re-check I1–I3 and id cover).
 type InvariantChecker interface {
 	// CheckInvariants verifies all internal invariants of the current
 	// frontier.
@@ -216,14 +216,14 @@ func (t *StampTracker) LeqUnion(x int, set []int) (bool, error) {
 	if err := checkSlot(len(t.stamps), x); err != nil {
 		return false, err
 	}
-	joined := name.Empty()
+	var joined *trie.Interned
 	for _, y := range set {
 		if err := checkSlot(len(t.stamps), y); err != nil {
 			return false, err
 		}
-		joined = name.Join(joined, t.stamps[y].UpdateName())
+		joined = trie.JoinInterned(joined, t.stamps[y].UpdateHandle())
 	}
-	return t.stamps[x].UpdateName().Leq(joined), nil
+	return t.stamps[x].UpdateHandle().Leq(joined), nil
 }
 
 // SizeOf implements SizeReporter.
@@ -234,9 +234,13 @@ func (t *StampTracker) SizeOf(a int) int {
 	return t.stamps[a].EncodedSize()
 }
 
-// CheckInvariants implements InvariantChecker: I1–I3 over the frontier.
+// CheckInvariants implements InvariantChecker: I1–I3 over the frontier,
+// and that the frontier's ids still cover the whole id space.
 func (t *StampTracker) CheckInvariants() error {
-	return core.CheckFrontier(t.stamps)
+	if err := core.CheckFrontier(t.stamps); err != nil {
+		return err
+	}
+	return core.CheckCover(t.stamps)
 }
 
 // ---------------------------------------------------------------------------

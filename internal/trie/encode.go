@@ -8,13 +8,13 @@ import (
 
 // Structural bit encoding. Each node costs:
 //
-//	present leaf:   1 bit  ("1")
+//	leaf:           1 bit  ("1")
 //	interior node:  3 bits ("0" + zero-child flag + one-child flag)
 //
-// preceded by one root flag bit (0 = empty set). Strings sharing prefixes
-// share the bits of those prefixes, so bushy names encode smaller than the
-// flat per-string format of package name (compared in the E5 benchmarks).
-// The stream is padded to a byte boundary and framed by a uvarint bit
+// in pre-order, preceded by one root flag bit (0 = empty set). Strings
+// sharing prefixes share the bits of those prefixes, so bushy names encode
+// smaller than the flat per-string format of package name. The stream is
+// padded with zero bits to a byte boundary and framed by a uvarint bit
 // count.
 
 // errCorrupt is returned for syntactically invalid encodings.
@@ -23,20 +23,116 @@ var errCorrupt = errors.New("trie: corrupt encoding")
 // maxEncodedBits bounds decoder work against adversarial input.
 const maxEncodedBits = 1 << 26
 
-// bitWriter accumulates MSB-first bits.
+// emptyEncoding is the canonical encoding of ∅: bit count 1, a zero bit.
+const emptyEncoding = "\x01\x00"
+
+// bitWriter appends MSB-first bits to buf; n counts the bits written.
 type bitWriter struct {
-	buf  []byte
-	nbit int
+	buf []byte
+	n   int
 }
 
-func (w *bitWriter) writeBit(b bool) {
-	if w.nbit%8 == 0 {
+func (w *bitWriter) bit(b bool) {
+	if w.n%8 == 0 {
 		w.buf = append(w.buf, 0)
 	}
 	if b {
-		w.buf[len(w.buf)-1] |= 1 << (7 - uint(w.nbit%8))
+		w.buf[len(w.buf)-1] |= 0x80 >> (w.n % 8)
 	}
-	w.nbit++
+	w.n++
+}
+
+// bodyBits is the size of the node's body: its encoding minus the root flag.
+func (t *Interned) bodyBits() int {
+	if t == nil {
+		return 0
+	}
+	return int(t.nbits) - 1
+}
+
+// appendBody appends the node's body in pre-order.
+func (t *Interned) appendBody(w *bitWriter) {
+	switch {
+	case t == nil:
+	case t == leaf:
+		w.bit(true)
+	default:
+		w.bit(false)
+		w.bit(t.zero != nil)
+		w.bit(t.one != nil)
+		t.zero.appendBody(w)
+		t.one.appendBody(w)
+	}
+}
+
+// appendEncoding appends the framed encoding of the interior node with
+// children z and o, which encodes in nbits bits.
+func appendEncoding(dst []byte, nbits int, z, o *Interned) []byte {
+	w := bitWriter{buf: binary.AppendUvarint(dst, uint64(nbits))}
+	w.bit(true) // root flag
+	w.bit(false)
+	w.bit(z != nil)
+	w.bit(o != nil)
+	z.appendBody(&w)
+	o.appendBody(&w)
+	return w.buf
+}
+
+// encodedLen is the framed size in bytes of an nbits-bit encoding.
+func encodedLen(nbits int) int { return uvarintLen(nbits) + (nbits+7)/8 }
+
+func uvarintLen(v int) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// AppendEncoding appends the canonical encoding, cached on the node after
+// its first use.
+func (t *Interned) AppendEncoding(dst []byte) []byte {
+	if t == nil {
+		return append(dst, emptyEncoding...)
+	}
+	if t.id == 0 {
+		return appendEncoding(dst, int(t.nbits), t.zero, t.one) // not cached
+	}
+	return append(dst, t.encoding()...)
+}
+
+// encoding returns the table-resident node's encoding, computing and
+// caching it on first use. Concurrent first uses store equal strings.
+func (t *Interned) encoding() string {
+	if enc := t.enc.Load(); enc != nil {
+		return *enc
+	}
+	enc := string(appendEncoding(nil, int(t.nbits), t.zero, t.one))
+	t.enc.Store(&enc)
+	return enc
+}
+
+// EncodedLen returns the length of AppendEncoding's output.
+func (t *Interned) EncodedLen() int {
+	if t == nil {
+		return len(emptyEncoding)
+	}
+	return encodedLen(int(t.nbits))
+}
+
+// frameLen reads the uvarint bit count at the front of src and returns the
+// encoding's total byte length and its bit count, or 0 when the frame is
+// malformed or truncated.
+func frameLen(src []byte) (int, int) {
+	nbits, off := binary.Uvarint(src)
+	if off <= 0 || nbits > maxEncodedBits {
+		return 0, 0
+	}
+	total := off + (int(nbits)+7)/8
+	if total > len(src) {
+		return 0, 0
+	}
+	return total, int(nbits)
 }
 
 // bitReader consumes MSB-first bits.
@@ -46,129 +142,61 @@ type bitReader struct {
 	nbit int
 }
 
-func (r *bitReader) readBit() (bool, error) {
+func (r *bitReader) bit() (bool, error) {
 	if r.pos >= r.nbit {
 		return false, errCorrupt
 	}
-	byteIdx := r.pos / 8
-	if byteIdx >= len(r.buf) {
-		return false, errCorrupt
-	}
-	bit := r.buf[byteIdx]&(1<<(7-uint(r.pos%8))) != 0
+	b := r.buf[r.pos/8]&(0x80>>(r.pos%8)) != 0
 	r.pos++
-	return bit, nil
+	return b, nil
 }
 
-// EncodedBits returns the exact size of the structural encoding in bits
-// (excluding the byte-level framing).
-func (t *Node) EncodedBits() int {
-	return 1 + nodeBits(t)
-}
-
-func nodeBits(t *Node) int {
-	if t == nil {
-		return 0
-	}
-	if t.present {
-		return 1
-	}
-	return 3 + nodeBits(t.zero) + nodeBits(t.one)
-}
-
-// Encode serializes the trie: uvarint bit count followed by the padded bit
-// stream.
-func (t *Node) Encode() []byte {
-	var w bitWriter
-	if t == nil {
-		w.writeBit(false)
-	} else {
-		w.writeBit(true)
-		encodeNode(&w, t)
-	}
-	out := binary.AppendUvarint(nil, uint64(w.nbit))
-	return append(out, w.buf...)
-}
-
-func encodeNode(w *bitWriter, t *Node) {
-	if t.present {
-		w.writeBit(true)
-		return
-	}
-	w.writeBit(false)
-	w.writeBit(t.zero != nil)
-	w.writeBit(t.one != nil)
-	if t.zero != nil {
-		encodeNode(w, t.zero)
-	}
-	if t.one != nil {
-		encodeNode(w, t.one)
-	}
-}
-
-// Decode reads one encoded trie from the front of src and returns the bytes
-// consumed. The result is structurally validated.
-func Decode(src []byte) (*Node, int, error) {
-	nbit, off := binary.Uvarint(src)
-	if off <= 0 {
-		return nil, 0, errCorrupt
-	}
-	if nbit > maxEncodedBits {
-		return nil, 0, fmt.Errorf("trie: implausible encoding of %d bits", nbit)
-	}
-	nbytes := (int(nbit) + 7) / 8
-	if off+nbytes > len(src) {
-		return nil, 0, errCorrupt
-	}
-	r := &bitReader{buf: src[off : off+nbytes], nbit: int(nbit)}
-	rootFlag, err := r.readBit()
+// decode builds the name encoded by the nbits-bit stream in payload through
+// the normalizing constructor; every bit must be used.
+func decode(payload []byte, nbits int) (*Interned, error) {
+	r := &bitReader{buf: payload, nbit: nbits}
+	root, err := r.bit()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	var root *Node
-	if rootFlag {
-		root, err = decodeNode(r)
-		if err != nil {
-			return nil, 0, err
+	var t *Interned
+	if root {
+		if t, err = r.node(); err != nil {
+			return nil, err
 		}
 	}
 	if r.pos != r.nbit {
-		return nil, 0, fmt.Errorf("trie: %d unread bits", r.nbit-r.pos)
+		return nil, fmt.Errorf("trie: %d unread bits", r.nbit-r.pos)
 	}
-	if err := root.Validate(); err != nil {
-		return nil, 0, err
-	}
-	return root, off + nbytes, nil
+	return t, nil
 }
 
-func decodeNode(r *bitReader) (*Node, error) {
-	present, err := r.readBit()
+func (r *bitReader) node() (*Interned, error) {
+	isLeaf, err := r.bit()
+	if err != nil || isLeaf {
+		return leaf, err
+	}
+	hasZero, err := r.bit()
 	if err != nil {
 		return nil, err
 	}
-	if present {
-		return leaf, nil
-	}
-	hasZero, err := r.readBit()
-	if err != nil {
-		return nil, err
-	}
-	hasOne, err := r.readBit()
+	hasOne, err := r.bit()
 	if err != nil {
 		return nil, err
 	}
 	if !hasZero && !hasOne {
 		return nil, errCorrupt
 	}
-	var z, o *Node
+	var z, o *Interned
 	if hasZero {
-		if z, err = decodeNode(r); err != nil {
+		if z, err = r.node(); err != nil {
 			return nil, err
 		}
 	}
 	if hasOne {
-		if o, err = decodeNode(r); err != nil {
+		if o, err = r.node(); err != nil {
 			return nil, err
 		}
 	}
-	return &Node{zero: z, one: o}, nil
+	return node(z, o), nil
 }

@@ -1,26 +1,33 @@
 package trie
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"versionstamp/internal/name"
 )
 
+// encodedBits reads the bit count that frames a handle's encoding.
+func encodedBits(h *Interned) int {
+	nbits, _ := binary.Uvarint(h.AppendEncoding(nil))
+	return int(nbits)
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 500; i++ {
-		n := FromName(randName(rng, 10, 10))
-		data := n.Encode()
-		back, used, err := Decode(data)
+		h := Intern(randName(rng, 10, 10))
+		data := h.AppendEncoding(nil)
+		back, used, err := InternEncoded(data)
 		if err != nil {
-			t.Fatalf("Decode(%v): %v", n, err)
+			t.Fatalf("InternEncoded(%v): %v", h, err)
 		}
 		if used != len(data) {
 			t.Fatalf("consumed %d of %d bytes", used, len(data))
 		}
-		if !back.Equal(n) {
-			t.Fatalf("round trip %v -> %v", n, back)
+		if !back.Equal(h) {
+			t.Fatalf("round trip %v -> %v", h, back)
 		}
 	}
 }
@@ -37,27 +44,27 @@ func TestEncodedBitsExact(t *testing.T) {
 		{"00+01+1", 10}, // root + int(3) + int(3) + leaf + leaf + leaf
 	}
 	for _, tt := range tests {
-		n := FromName(name.MustParse(tt.in))
-		if got := n.EncodedBits(); got != tt.want {
-			t.Errorf("EncodedBits(%s) = %d, want %d", tt.in, got, tt.want)
+		if got := encodedBits(Intern(name.MustParse(tt.in))); got != tt.want {
+			t.Errorf("encoded bits of %s = %d, want %d", tt.in, got, tt.want)
 		}
 	}
 }
 
 func TestEncodeEmptyAndStream(t *testing.T) {
-	var empty *Node
-	data := empty.Encode()
-	back, used, err := Decode(data)
+	var empty *Interned
+	data := empty.AppendEncoding(nil)
+	back, used, err := InternEncoded(data)
 	if err != nil || used != len(data) || back != nil {
-		t.Fatalf("Decode(empty) = %v,%d,%v", back, used, err)
+		t.Fatalf("InternEncoded(empty) = %v,%d,%v", back, used, err)
 	}
-	// Two tries back to back.
-	buf := append(Leaf().Encode(), FromName(name.MustParse("0+10")).Encode()...)
-	first, used, err := Decode(buf)
-	if err != nil || !first.Equal(Leaf()) {
+	// Two names back to back.
+	eps := Intern(name.Epsilon())
+	buf := Intern(name.MustParse("0+10")).AppendEncoding(eps.AppendEncoding(nil))
+	first, used, err := InternEncoded(buf)
+	if err != nil || first != eps {
 		t.Fatalf("stream decode 1: %v, %v", first, err)
 	}
-	second, used2, err := Decode(buf[used:])
+	second, used2, err := InternEncoded(buf[used:])
 	if err != nil || second.String() != "0+10" {
 		t.Fatalf("stream decode 2: %v, %v", second, err)
 	}
@@ -70,16 +77,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{0x08},             // claims 8 bits, no payload
-		{0x03, 0b10000000}, // root flag 1 then truncated node... 3 bits: "100" = interior with no children
-		{0x01, 0x00, 0xFF}, // trailing? (decode takes prefix; this is fine) — replaced below
+		{0x03, 0b10000000}, // root flag 1 then truncated node
+		{0x04, 0b10000000}, // root flag 1, interior node with both child flags 0
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // huge bit count
 	}
-	// Rebuild case 3 to be genuinely bad: interior node with both child
-	// flags 0 ("0 00") preceded by root flag 1 -> bits "1000", 4 bits.
-	cases[3] = []byte{0x04, 0b10000000}
 	for _, data := range cases {
-		if _, _, err := Decode(data); err == nil {
-			t.Errorf("Decode(%x) accepted garbage", data)
+		if _, _, err := InternEncoded(data); err == nil {
+			t.Errorf("InternEncoded(%x) accepted garbage", data)
 		}
 	}
 }
@@ -87,7 +91,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestDecodeRejectsUnreadBits(t *testing.T) {
 	// Valid leaf ("1" after root flag "1") but bit count claims 10 bits.
 	data := []byte{0x0A, 0b11000000, 0x00}
-	if _, _, err := Decode(data); err == nil {
+	if _, _, err := InternEncoded(data); err == nil {
 		t.Error("unread bits must be rejected")
 	}
 }
@@ -97,10 +101,12 @@ func TestCompactness(t *testing.T) {
 	// the flat encoding repeats them. 8 strings of length 3 = full level:
 	// flat: 1 + 8*(1+1) = 17 bytes; trie: 1+7*3+8 = 30 bits ≈ 4 bytes + frame.
 	full := name.MustParse("000+001+010+011+100+101+110+111")
-	tr := FromName(full)
+	h := Intern(full)
 	flatBytes := full.EncodedSize()
-	trieBytes := len(tr.Encode())
-	if trieBytes >= flatBytes {
+	if h.FlatSize() != flatBytes {
+		t.Errorf("FlatSize = %d, name encodes in %d", h.FlatSize(), flatBytes)
+	}
+	if trieBytes := h.EncodedLen(); trieBytes >= flatBytes {
 		t.Errorf("trie encoding (%d B) not smaller than flat (%d B) for %v",
 			trieBytes, flatBytes, full)
 	}
@@ -109,17 +115,18 @@ func TestCompactness(t *testing.T) {
 func TestEncodedBitsMatchesEncodeLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 300; i++ {
-		n := FromName(randName(rng, 12, 8))
-		bits := n.EncodedBits()
-		data := n.Encode()
+		h := Intern(randName(rng, 12, 8))
+		bits := encodedBits(h)
+		data := h.AppendEncoding(nil)
 		// Frame: uvarint(bits) + ceil(bits/8) payload bytes.
 		wantPayload := (bits + 7) / 8
 		frame := 1
 		for v := uint64(bits); v >= 0x80; v >>= 7 {
 			frame++
 		}
-		if len(data) != frame+wantPayload {
-			t.Fatalf("Encode length %d, want %d (bits=%d)", len(data), frame+wantPayload, bits)
+		if len(data) != frame+wantPayload || h.EncodedLen() != len(data) {
+			t.Fatalf("encoding length %d (EncodedLen %d), want %d (bits=%d)",
+				len(data), h.EncodedLen(), frame+wantPayload, bits)
 		}
 	}
 }

@@ -3,18 +3,19 @@ package trie
 import (
 	"bytes"
 	"testing"
+
+	"versionstamp/internal/name"
 )
 
-// FuzzDecode checks the structural decoder on arbitrary bytes: no panics,
-// only valid tries, canonical re-encoding.
+// FuzzDecode checks the decoder on arbitrary bytes: no panics, only valid
+// tries, canonical re-encoding.
 func FuzzDecode(f *testing.F) {
-	var empty *Node
-	f.Add(empty.Encode())
-	f.Add(Leaf().Encode())
+	f.Add((*Interned)(nil).AppendEncoding(nil))
+	f.Add(Intern(name.Epsilon()).AppendEncoding(nil))
 	f.Add([]byte{0x04, 0b10000000})
 	f.Add([]byte{0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, used, err := Decode(data)
+		n, used, err := InternEncoded(data)
 		if err != nil {
 			return
 		}
@@ -24,15 +25,18 @@ func FuzzDecode(f *testing.F) {
 		if err := n.Validate(); err != nil {
 			t.Fatalf("decoder accepted invalid trie: %v", err)
 		}
-		re := n.Encode()
-		back, used2, err := Decode(re)
+		re := n.AppendEncoding(nil)
+		back, used2, err := InternEncoded(re)
 		if err != nil || used2 != len(re) || !back.Equal(n) {
 			t.Fatalf("re-encode not canonical: %v", err)
 		}
-		// The decoded trie represents a valid name.
-		if err := n.ToName().Validate(); err != nil {
+		// The decoded trie represents a valid name, which interns back to it.
+		nm := n.Name()
+		if err := nm.Validate(); err != nil {
 			t.Fatalf("decoded trie yields invalid name: %v", err)
 		}
-		_ = bytes.Equal(re, data[:used]) // encodings may differ only in frame slack; not asserted
+		if !bytes.Equal(Intern(nm).AppendEncoding(nil), re) {
+			t.Fatalf("name %v re-interns to a different encoding", nm)
+		}
 	})
 }

@@ -1,294 +1,216 @@
 package trie
 
 import (
-	"fmt"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
-
-	"versionstamp/internal/bitstr"
-	"versionstamp/internal/name"
 )
 
-// Hash-consed canonical names. Every distinct name the process works with is
-// represented at most once by an *Interned record keyed by the name's
-// structural trie encoding (Encode), which is canonical: one name, one byte
-// string. Handing stamps around as handles instead of slice-backed names
-// turns the operations the kvstore hot paths hammer into pointer work:
-//
-//   - equality of interned names is pointer comparison;
-//   - Leq/Covers/Compare walk the two operands in place (package name's
-//     sorted-slice walks) and never build a trie or an intermediate slice;
-//   - Join returns the dominating operand's handle unchanged when one side
-//     already contains the other, and Append0/Append1 memoize their results
-//     per record, so a fork of an already-seen id allocates nothing;
-//   - the wire encoding of an interned name is the table key itself, so
-//     marshaling appends cached bytes and decoding dedups on arrival
-//     (InternEncoded) without re-walking anything.
-//
-// The paper's stamps grow with the width of the current frontier, not with
+// The intern table. Every table-resident node is keyed by its children's
+// ids — the unique table of a hash-consed DAG — so the constructor's probe is
+// one map lookup on an integer. Wire ingestion has its own front door, a
+// direct-mapped cache from raw encoded bytes to the node they decode to
+// (encCache), which dedups a known name without decoding anything. The
+// paper's stamps grow with the width of the current frontier, not with
 // history, so a store of millions of keys draws its stamp components from a
-// tiny set of distinct names — the table stays small while hit rates stay
-// near perfect. The nil *Interned is the empty name ∅, mirroring the nil
-// *Node convention.
+// small set of distinct nodes — the table stays small while hit rates stay
+// near perfect.
 //
-// Records are immutable once published. The table holds at most maxInterned
-// resident records (of at most maxInternedEncoding bytes each) using a
+// Nodes are immutable once published. The table holds at most maxInterned
+// resident nodes (of at most maxInternedEncoding encoded bytes each) using a
 // two-generation rotation per shard: when a shard's current generation
 // fills its budget, it becomes the old generation and a fresh one starts;
-// records still in use get promoted back on their next lookup (same
-// pointer, so handle identity survives promotion), and records nobody asks
-// for again age out with the generation after next. A fork/join storm of
-// transient names therefore cannot grow the table without bound, while the
-// steady-state working set — the paper's frontier names, a tiny recurring
-// set — stays permanently hot. Eviction is safe because equality falls back
-// to canonical-encoding comparison (Equal/Leq check enc, not just
-// pointers), and ids are issued monotonically and never reused, so a
-// dangling handle still compares correctly against a re-interned copy of
-// the same name and stale comparison-cache entries can never alias.
+// nodes still in use get promoted back on their next lookup (same pointer,
+// so handle identity survives promotion), and nodes nobody asks for again
+// age out with the generation after next. A fork/join storm of transient
+// names therefore cannot grow the table without bound, while the
+// steady-state working set — the paper's frontier names, a small recurring
+// set — stays hot. Eviction costs sharing, not correctness: a node holds its
+// children by pointer, equality falls back to structural recursion, and ids
+// are issued monotonically and never reused, so memo and comparison-cache
+// entries for evicted nodes can never alias.
 
 // internShards is the stripe count of the intern table; interning from many
 // goroutines (32 kvstore shards, gossip workers) contends on a shard each,
 // not on one lock.
 const internShards = 64
 
-// maxInterned bounds the total number of table-resident records across both
+// maxInterned bounds the total number of table-resident nodes across both
 // generations of every shard. Each shard rotates generations when its
-// current one reaches maxInterned/(2*internShards) records, so residency
-// can never exceed the bound — new names keep interning forever, old unused
+// current one reaches maxInterned/(2*internShards) nodes, so residency can
+// never exceed the bound — new nodes keep interning forever, old unused
 // ones age out instead of the table refusing service.
 const maxInterned = 1 << 18
 
-// internShardBudget is one generation's record budget in one shard.
+// internShardBudget is one generation's node budget in one shard.
 const internShardBudget = maxInterned / (2 * internShards)
 
 // maxInternedID caps id issuance. Ids are monotonic and never reused (so
-// comparison-cache entries for evicted records cannot alias); a process
-// that somehow interns a billion distinct names falls back to id-0 handles,
-// which stay correct but skip the comparison caches. The cap keeps packed
-// (id, id) cache keys under 62 bits — see core's comparison cache.
+// cache entries for evicted nodes cannot alias); a process that somehow
+// interns a billion distinct nodes falls back to id-0 nodes, which stay
+// correct but are unshared (and so are their parents) and skip the memo and
+// comparison caches. Ids therefore fit in 31 bits, and two of them pack
+// into one cache key.
 const maxInternedID = 1 << 30
 
-// maxInternedEncoding bounds the encoded size of a table-resident record.
-// The table is fed by wire decoding (InternEncoded) and never evicts, so
-// without a size bound an untrusted peer could pin arbitrarily large decoded
-// names for the process lifetime; a 2^26-bit encoding expands to a name of
-// millions of strings. Honest stamps encode in tens of bytes (they grow with
-// frontier width, not history), so 256 bytes is far above any real name
-// while capping worst-case resident table memory at a few tens of MB.
-// Oversized names still work — as unshared overflow handles that the GC
-// reclaims with the data that references them.
+// maxInternedEncoding bounds the encoded size of a table-resident node, so
+// that the table's worst-case memory is maxInterned × maxInternedEncoding
+// bytes however large the names a peer sends. Honest stamps encode in tens
+// of bytes (they grow with frontier width, not history), so 256 bytes is
+// far above any real name. Larger nodes still work — as unshared id-0 nodes
+// that cache no encoding and that the GC reclaims with the data referencing
+// them; their children are interned as usual.
 const maxInternedEncoding = 256
-
-// Interned is a hash-consed name: a shared, immutable record holding the
-// name, its canonical trie encoding (the intern key), and a small unique id
-// for use as a comparison-cache key. The zero id marks an overflow record
-// that is not table-resident. The nil *Interned is the empty name.
-type Interned struct {
-	id   uint32
-	enc  string    // canonical trie encoding, the hash-cons key
-	name name.Name // sorted-slice representation for in-place walks
-
-	// zero and one memoize AppendBit results: forking an id that has been
-	// forked before is two pointer loads. Benign races store the same
-	// table-resident pointer; overflow records may store distinct but equal
-	// handles, which every comparison treats as equal via enc.
-	zero, one atomic.Pointer[Interned]
-}
 
 type internShard struct {
 	mu  sync.RWMutex
-	m   map[string]*Interned // current generation
-	old map[string]*Interned // previous generation; hits promote back to m
+	m   map[uint64]*Interned // current generation
+	old map[uint64]*Interned // previous generation; hits promote back to m
 }
 
 var (
 	internTable [internShards]internShard
-	// internCount counts ids ever issued; a new record's id is the count
-	// after its own insertion, which is unique for the process lifetime —
-	// rotation evicts records but never frees their ids for reuse.
+	// internCount counts ids ever issued; a new node's id is the count after
+	// its own insertion, which is unique for the process lifetime —
+	// rotation evicts nodes but never frees their ids for reuse.
 	internCount atomic.Int64
 )
 
 func init() {
 	for i := range internTable {
-		internTable[i].m = make(map[string]*Interned)
+		internTable[i].m = make(map[uint64]*Interned)
 	}
 }
 
-// lookup probes both generations for enc, promoting an old-generation hit
+// internShardFor picks the table stripe for a key (Fibonacci hashing).
+func internShardFor(key uint64) *internShard {
+	return &internTable[(key*0x9E3779B97F4A7C15)>>58]
+}
+
+// lookup probes both generations for key, promoting an old-generation hit
 // back into the current one (same pointer, so handle identity is stable).
-func (sh *internShard) lookup(enc string) *Interned {
+func (sh *internShard) lookup(key uint64) *Interned {
 	sh.mu.RLock()
-	rec := sh.m[enc]
+	rec := sh.m[key]
+	inOld := false
 	if rec == nil && sh.old != nil {
-		rec = sh.old[enc]
+		rec = sh.old[key]
+		inOld = rec != nil
 	}
 	sh.mu.RUnlock()
-	if rec == nil {
-		return nil
-	}
-	sh.mu.Lock()
-	// Re-probe under the lock: a concurrent rotation may have moved things.
-	if cur := sh.m[enc]; cur != nil {
+	if inOld {
+		sh.mu.Lock()
+		rec = sh.promoteLocked(key, rec)
 		sh.mu.Unlock()
+	}
+	return rec
+}
+
+// publish inserts a new candidate node, built outside the lock. Losing a
+// publish race returns the winner, so one key never has two resident nodes.
+func (sh *internShard) publish(key uint64, cand *Interned) *Interned {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if rec := sh.m[key]; rec != nil {
+		return rec
+	}
+	if rec := sh.old[key]; rec != nil {
+		return sh.promoteLocked(key, rec)
+	}
+	if internCount.Load() < maxInternedID {
+		cand.id = uint32(internCount.Add(1))
+	}
+	sh.insertLocked(key, cand)
+	return cand
+}
+
+// promoteLocked moves an old-generation node into the current one, unless a
+// concurrent lookup already did. sh.mu must be held.
+func (sh *internShard) promoteLocked(key uint64, rec *Interned) *Interned {
+	if cur := sh.m[key]; cur != nil {
 		return cur
 	}
-	if sh.old != nil {
-		if or := sh.old[enc]; or != nil {
-			rec = or
-			delete(sh.old, enc)
-		}
-	}
-	sh.insertLocked(enc, rec)
-	sh.mu.Unlock()
+	delete(sh.old, key)
+	sh.insertLocked(key, rec)
 	return rec
 }
 
 // insertLocked publishes rec in the current generation, rotating first when
 // the generation is at budget. sh.mu must be held.
-func (sh *internShard) insertLocked(enc string, rec *Interned) {
+func (sh *internShard) insertLocked(key uint64, rec *Interned) {
 	if len(sh.m) >= internShardBudget {
 		sh.old = sh.m
-		sh.m = make(map[string]*Interned, internShardBudget/4)
+		sh.m = make(map[uint64]*Interned, internShardBudget)
 	}
-	sh.m[enc] = rec
+	sh.m[key] = rec
 }
 
-// emptyEncoding is the canonical encoding of the empty trie (one 0 bit):
-// uvarint bit count 1, then a zero byte.
-var emptyEncoding = (*Node)(nil).Encode()
+// encCacheBits sizes the raw-bytes cache: 4096 slots.
+const encCacheBits = 12
 
-// internShardFor picks the table stripe for an encoding (FNV-1a).
-func internShardFor(enc string) *internShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(enc); i++ {
-		h ^= uint32(enc[i])
-		h *= 16777619
-	}
-	return &internTable[h%internShards]
+// encCache maps the canonical encoding of a recently decoded node, by hash,
+// to that node. A collision overwrites; a slot is only trusted after
+// comparing the node's cached encoding with the probe bytes, and its node
+// is only returned while the table still holds it.
+var encCache [1 << encCacheBits]atomic.Pointer[Interned]
+
+// encSeed seeds the raw-bytes cache's hash.
+var encSeed = maphash.MakeSeed()
+
+// encSlot picks the cache slot for an encoding's hash.
+func encSlot(h uint64) *atomic.Pointer[Interned] {
+	return &encCache[h>>(64-encCacheBits)]
 }
 
-// lookupOrInsert returns the table record for enc, inserting the candidate
-// build result on a miss. The candidate is built outside the lock by the
-// caller; losing a publish race returns the winner, so one name never has
-// two table-resident records.
-func lookupOrInsert(enc string, build func() name.Name) *Interned {
-	sh := internShardFor(enc)
-	if rec := sh.lookup(enc); rec != nil {
-		return rec
-	}
-	cand := &Interned{enc: enc, name: build()}
-	if len(enc) > maxInternedEncoding {
-		return cand // oversized: correct but unshared and GC-able, id 0
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if rec := sh.m[enc]; rec != nil {
-		return rec
-	}
-	if sh.old != nil {
-		if rec := sh.old[enc]; rec != nil {
-			delete(sh.old, enc)
-			sh.insertLocked(enc, rec)
-			return rec
-		}
-	}
-	if internCount.Load() < maxInternedID {
-		// Beyond the id cap, records still intern and dedup — they just
-		// carry id 0 and skip the comparison caches.
-		cand.id = uint32(internCount.Add(1))
-	}
-	sh.insertLocked(enc, cand)
-	return cand
-}
-
-// Intern returns the canonical handle for n. The empty name interns to nil.
-// n must be a valid Name (the package name API guarantees this); Intern does
-// not re-validate.
-func Intern(n name.Name) *Interned {
-	if n.IsEmpty() {
-		return nil
-	}
-	enc := string(FromName(n).Encode())
-	return lookupOrInsert(enc, func() name.Name { return n })
-}
-
-// InternEncoded reads one trie-encoded name from the front of src and
-// returns its canonical handle plus the bytes consumed. A table hit costs a
-// map lookup on the raw bytes — no trie is decoded, no name built — which is
-// what makes wire ingestion dedup on arrival. Misses decode, validate and
-// re-encode canonically (wire padding bits are not part of the key).
+// InternEncoded reads one encoded name from the front of src and returns its
+// canonical handle plus the bytes consumed. A cache hit costs a hash and a
+// comparison of the raw bytes — nothing is decoded or built — which is what
+// makes wire ingestion dedup on arrival. Misses decode through the
+// normalizing constructor, which allocates only for nodes the table does
+// not hold, and non-canonical padding bits still land on the canonical node.
 func InternEncoded(src []byte) (*Interned, int, error) {
-	n, used := encodedLen(src)
-	if used <= 0 {
+	n, nbits := frameLen(src)
+	if n <= 0 {
 		return nil, 0, errCorrupt
 	}
 	raw := src[:n]
-	sh := internShardFor(string(raw))
-	sh.mu.RLock()
-	rec := sh.m[string(raw)] // compiler-recognized no-alloc map lookup
-	inOld := false
-	if rec == nil && sh.old != nil {
-		rec = sh.old[string(raw)]
-		inOld = rec != nil
-	}
-	sh.mu.RUnlock()
-	if rec != nil {
-		if inOld {
-			// Old-generation hit: promote so the record survives the next
-			// rotation. The allocation is paid at most once per generation.
-			sh.lookup(string(raw))
+	if t := encSlot(maphash.Bytes(encSeed, raw)).Load(); t != nil && *t.enc.Load() == string(raw) {
+		if t == leaf {
+			return t, n, nil
 		}
-		return rec, n, nil
+		// The table's node for t's children: t itself, promoted if it is in
+		// the old generation, unless rotation has dropped it since.
+		if r := t.resident(); r != nil {
+			return r, n, nil
+		}
 	}
-	root, used, err := Decode(src)
+	t, err := decode(raw[n-(nbits+7)/8:], nbits)
 	if err != nil {
 		return nil, 0, err
 	}
-	if root == nil {
-		return nil, used, nil
+	if t != nil && t.id != 0 {
+		encSlot(maphash.String(encSeed, t.encoding())).Store(t)
 	}
-	// Key under the canonical re-encoding: a peer that pads its bit stream
-	// differently must still dedup onto the same record.
-	enc := string(root.Encode())
-	return lookupOrInsert(enc, root.ToName), used, nil
+	return t, n, nil
 }
 
-// encodedLen returns the total byte length of one encoded trie at the front
-// of src (uvarint frame plus padded bit stream), or 0,-1 on truncation. It
-// mirrors Decode's framing without touching the bits.
-func encodedLen(src []byte) (int, int) {
-	var nbit uint64
-	var shift uint
-	for i := 0; i < len(src); i++ {
-		b := src[i]
-		if shift >= 63 {
-			return 0, -1
-		}
-		nbit |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			if nbit > maxEncodedBits {
-				return 0, -1
-			}
-			total := i + 1 + (int(nbit)+7)/8
-			if total > len(src) {
-				return 0, -1
-			}
-			return total, i + 1
-		}
-		shift += 7
-	}
-	return 0, -1
+// resident returns the table-resident node with t's children, or nil.
+func (t *Interned) resident() *Interned {
+	key := nodeKey(t.zero, t.one)
+	return internShardFor(key).lookup(key)
 }
+
+// nodeKey is the table key of the node with children z and o.
+func nodeKey(z, o *Interned) uint64 { return uint64(z.ID())<<32 | uint64(o.ID()) }
 
 // InternedCount reports how many table ids have ever been issued — a
-// monotone counter over the process lifetime (rotation evicts records but
+// monotone counter over the process lifetime (rotation evicts nodes but
 // never reuses ids). For the current table footprint see InternedResident.
 func InternedCount() int64 { return internCount.Load() }
 
-// InternedResident reports how many records the table currently holds
-// across both generations of every shard — bounded by maxInterned no matter
-// how many distinct names the process has interned.
+// InternedResident reports how many nodes the table currently holds across
+// both generations of every shard — bounded by maxInterned no matter how
+// many distinct names the process has interned.
 func InternedResident() int {
 	total := 0
 	for i := range internTable {
@@ -298,168 +220,4 @@ func InternedResident() int {
 		sh.mu.RUnlock()
 	}
 	return total
-}
-
-// Name returns the sorted-slice representation. The nil handle is ∅.
-func (t *Interned) Name() name.Name {
-	if t == nil {
-		return name.Empty()
-	}
-	return t.name
-}
-
-// ID returns the record's table id: nonzero and unique for the process
-// lifetime (never reused after eviction), 0 for nil (∅) and overflow
-// records. Ids never exceed maxInternedID (2^30), so they pack into
-// comparison-cache keys.
-func (t *Interned) ID() uint32 {
-	if t == nil {
-		return 0
-	}
-	return t.id
-}
-
-// IsEmpty reports whether the handle is the empty name.
-func (t *Interned) IsEmpty() bool { return t == nil }
-
-// Len returns the number of strings in the name.
-func (t *Interned) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.name.Len()
-}
-
-// AppendEncoding appends the canonical trie encoding — the intern key
-// itself, no trie rebuilt, no walk.
-func (t *Interned) AppendEncoding(dst []byte) []byte {
-	if t == nil {
-		return append(dst, emptyEncoding...)
-	}
-	return append(dst, t.enc...)
-}
-
-// EncodedLen returns the length of AppendEncoding's output.
-func (t *Interned) EncodedLen() int {
-	if t == nil {
-		return len(emptyEncoding)
-	}
-	return len(t.enc)
-}
-
-// Equal reports set equality: pointer comparison for table-resident
-// handles, canonical-encoding comparison across overflow duplicates.
-func (t *Interned) Equal(u *Interned) bool {
-	if t == u {
-		return true
-	}
-	if t == nil || u == nil {
-		return false
-	}
-	return t.enc == u.enc
-}
-
-// Leq reports the name order t ⊑ u by walking both operands in place.
-func (t *Interned) Leq(u *Interned) bool {
-	if t == u || t == nil {
-		return true
-	}
-	if u == nil {
-		return false
-	}
-	if t.enc == u.enc {
-		return true
-	}
-	return t.name.Leq(u.name)
-}
-
-// Covers reports {b} ⊑ t.
-func (t *Interned) Covers(b bitstr.Bits) bool {
-	if t == nil {
-		return false
-	}
-	return t.name.Covers(b)
-}
-
-// IncomparableTo reports pairwise incomparability of every string pair —
-// the Invariant I2 relation between frontier ids.
-func (t *Interned) IncomparableTo(u *Interned) bool {
-	if t == nil || u == nil {
-		return true // vacuous: no strings to compare
-	}
-	if t == u || t.enc == u.enc {
-		return false // a nonempty name is comparable to itself
-	}
-	return t.name.IncomparableTo(u.name)
-}
-
-// JoinInterned returns the canonical handle of t ⊔ u. When one side already
-// dominates, the dominating handle is returned unchanged — the steady state
-// of converged stores, costing two in-place walks and zero allocations.
-func JoinInterned(t, u *Interned) *Interned {
-	if t == nil || t == u {
-		return u
-	}
-	if u == nil {
-		return t
-	}
-	if t.Leq(u) {
-		return u
-	}
-	if u.Leq(t) {
-		return t
-	}
-	return Intern(name.Join(t.name, u.name))
-}
-
-// Append0 returns the handle of t·0, memoized per record: repeated forks of
-// the same id are two pointer loads after the first.
-func (t *Interned) Append0() *Interned { return t.appendBit(bitstr.Zero) }
-
-// Append1 returns the handle of t·1.
-func (t *Interned) Append1() *Interned { return t.appendBit(bitstr.One) }
-
-func (t *Interned) appendBit(bit byte) *Interned {
-	if t == nil {
-		return nil
-	}
-	slot := &t.zero
-	if bit == bitstr.One {
-		slot = &t.one
-	}
-	if child := slot.Load(); child != nil {
-		return child
-	}
-	var appended name.Name
-	if bit == bitstr.Zero {
-		appended = t.name.Append0()
-	} else {
-		appended = t.name.Append1()
-	}
-	child := Intern(appended)
-	slot.Store(child)
-	return child
-}
-
-// String renders the name in the paper's notation.
-func (t *Interned) String() string {
-	if t == nil {
-		return "∅"
-	}
-	return t.name.String()
-}
-
-// Validate checks the record's internal consistency (name validity and
-// encoding agreement); used by fuzzing.
-func (t *Interned) Validate() error {
-	if t == nil {
-		return nil
-	}
-	if err := t.name.Validate(); err != nil {
-		return err
-	}
-	if got := string(FromName(t.name).Encode()); got != t.enc {
-		return fmt.Errorf("trie: interned encoding mismatch: %q vs %q", got, t.enc)
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package trie
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -205,15 +204,18 @@ func TestAppendBitMemoized(t *testing.T) {
 }
 
 func TestInternedEncodingMatchesTrieEncode(t *testing.T) {
-	for _, s := range []string{"∅", "ε", "0+1", "00+01+10+11"} {
-		n := mustName(t, s)
-		want := FromName(n).Encode()
-		got := Intern(n).AppendEncoding(nil)
-		if !bytes.Equal(got, want) {
-			t.Errorf("cached encoding of %q = % x, trie encode = % x", s, got, want)
+	for _, c := range []struct{ name, enc string }{
+		{"∅", "\x01\x00"},
+		{"ε", "\x02\xc0"},
+		{"0+1", "\x06\xbc"},
+		{"00+01+10+11", "\x0e\xb7\xbc"},
+	} {
+		h := Intern(mustName(t, c.name))
+		if got := h.AppendEncoding(nil); string(got) != c.enc {
+			t.Errorf("encoding of %q = % x, want % x", c.name, got, c.enc)
 		}
-		if Intern(n).EncodedLen() != len(want) {
-			t.Errorf("EncodedLen(%q) = %d, want %d", s, Intern(n).EncodedLen(), len(want))
+		if h.EncodedLen() != len(c.enc) {
+			t.Errorf("EncodedLen(%q) = %d, want %d", c.name, h.EncodedLen(), len(c.enc))
 		}
 	}
 }
@@ -378,6 +380,35 @@ func TestInternRotationBoundsResidency(t *testing.T) {
 			if got, want := a.h.IncomparableTo(b.h), a.n.IncomparableTo(b.n); got != want {
 				t.Fatalf("samples %d vs %d: interned IncomparableTo = %v, naive = %v", i, j, got, want)
 			}
+		}
+	}
+}
+
+// TestHandleOpsAllocs gates the handle kernel at zero allocations once its
+// inputs are interned and its results memoized or cached: a genuine merge
+// join, an id reduction, a fork append, encoding into a sized buffer, the
+// flat size, and wire ingestion of a known name.
+func TestHandleOpsAllocs(t *testing.T) {
+	a := Intern(mustName(t, "00+0100+10"))
+	b := Intern(mustName(t, "0101+011+11"))
+	ids := JoinInterned(a, b)
+	enc := ids.AppendEncoding(nil)
+	if _, _, err := InternEncoded(enc); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 64)
+	ops := map[string]func(){
+		"JoinInterned":   func() { _ = JoinInterned(a, b) },
+		"Reduce":         func() { _, _ = Reduce(a, ids) },
+		"Append0":        func() { _ = ids.Append0() },
+		"AppendEncoding": func() { buf = ids.AppendEncoding(buf[:0]) },
+		"FlatSize":       func() { _ = ids.FlatSize() },
+		"InternEncoded":  func() { _, _, _ = InternEncoded(enc) },
+	}
+	for op, fn := range ops {
+		fn() // warm the memo and the caches
+		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", op, allocs)
 		}
 	}
 }

@@ -26,37 +26,49 @@ func randName(rng *rand.Rand, maxStrings, maxLen int) name.Name {
 	return name.MaxOf(bits...)
 }
 
+// collapseFixpoint is the id half of the Section 6 reduction at the name
+// level: collapse sibling pairs one at a time until none is left.
+func collapseFixpoint(n name.Name) name.Name {
+	for {
+		s, ok := n.SiblingPair()
+		if !ok {
+			return n
+		}
+		n, _ = n.CollapseSiblings(s)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 500; i++ {
 		n := randName(rng, 10, 8)
-		tr := FromName(n)
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("FromName(%v) invalid: %v", n, err)
+		h := Intern(n)
+		if err := h.Validate(); err != nil {
+			t.Fatalf("Intern(%v) invalid: %v", n, err)
 		}
-		back := tr.ToName()
-		if !back.Equal(n) {
+		if back := h.Name(); !back.Equal(n) {
 			t.Fatalf("round trip %v -> %v", n, back)
 		}
 	}
 }
 
 func TestEmptyAndLeaf(t *testing.T) {
-	var empty *Node
-	if !empty.IsEmpty() || empty.Len() != 0 {
-		t.Error("nil trie must be empty")
+	var empty *Interned
+	if !empty.IsEmpty() || empty.Len() != 0 || empty.IsLeaf() {
+		t.Error("nil handle must be empty")
 	}
 	if empty.String() != "∅" {
 		t.Errorf("String(∅) = %q", empty.String())
 	}
-	if Leaf().Len() != 1 || Leaf().String() != "ε" {
-		t.Errorf("Leaf() = %v", Leaf())
+	eps := Intern(name.Epsilon())
+	if !eps.IsLeaf() || eps.Len() != 1 || eps.String() != "ε" {
+		t.Errorf("Intern({ε}) = %v", eps)
 	}
-	if !FromName(name.Empty()).IsEmpty() {
-		t.Error("FromName(∅) must be nil")
+	if z, o := eps.Children(); z != nil || o != nil {
+		t.Error("the leaf has children")
 	}
-	if !FromName(name.Epsilon()).Equal(Leaf()) {
-		t.Error("FromName({ε}) must be the leaf")
+	if Intern(name.Empty()) != nil {
+		t.Error("Intern(∅) must be nil")
 	}
 }
 
@@ -64,7 +76,7 @@ func TestLenMatchesName(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 300; i++ {
 		n := randName(rng, 10, 6)
-		if got := FromName(n).Len(); got != n.Len() {
+		if got := Intern(n).Len(); got != n.Len() {
 			t.Fatalf("Len(%v) = %d, want %d", n, got, n.Len())
 		}
 	}
@@ -74,13 +86,13 @@ func TestCoversAgreesWithName(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 800; i++ {
 		n := randName(rng, 8, 6)
-		tr := FromName(n)
+		h := Intern(n)
 		probeName := randName(rng, 1, 6)
 		probe := bitstr.Epsilon
 		if probeName.Len() == 1 {
 			probe, _ = probeName.At(0)
 		}
-		if got, want := tr.Covers(probe), n.Covers(probe); got != want {
+		if got, want := h.Covers(probe), n.Covers(probe); got != want {
 			t.Fatalf("Covers(%v, %v) = %v, want %v", n, probe, got, want)
 		}
 	}
@@ -90,7 +102,7 @@ func TestLeqAgreesWithName(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 800; i++ {
 		a, b := randName(rng, 8, 6), randName(rng, 8, 6)
-		if got, want := FromName(a).Leq(FromName(b)), a.Leq(b); got != want {
+		if got, want := Intern(a).Leq(Intern(b)), a.Leq(b); got != want {
 			t.Fatalf("Leq(%v, %v) = %v, want %v", a, b, got, want)
 		}
 	}
@@ -100,13 +112,12 @@ func TestJoinAgreesWithName(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 800; i++ {
 		a, b := randName(rng, 8, 6), randName(rng, 8, 6)
-		got := Join(FromName(a), FromName(b))
+		got := JoinInterned(Intern(a), Intern(b))
 		if err := got.Validate(); err != nil {
 			t.Fatalf("Join(%v,%v) invalid: %v", a, b, err)
 		}
-		want := name.Join(a, b)
-		if !got.ToName().Equal(want) {
-			t.Fatalf("Join(%v, %v) = %v, want %v", a, b, got.ToName(), want)
+		if want := name.Join(a, b); !got.Name().Equal(want) {
+			t.Fatalf("Join(%v, %v) = %v, want %v", a, b, got, want)
 		}
 	}
 }
@@ -115,7 +126,7 @@ func TestEqualAgreesWithName(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for i := 0; i < 500; i++ {
 		a, b := randName(rng, 6, 5), randName(rng, 6, 5)
-		if got, want := FromName(a).Equal(FromName(b)), a.Equal(b); got != want {
+		if got, want := Intern(a).Equal(Intern(b)), a.Equal(b); got != want {
 			t.Fatalf("Equal(%v, %v) = %v, want %v", a, b, got, want)
 		}
 	}
@@ -136,32 +147,25 @@ func TestCollapse(t *testing.T) {
 		{"00+011+10", "00+011+10"}, // nothing collapses
 	}
 	for _, tt := range tests {
-		got := FromName(name.MustParse(tt.in)).Collapse()
+		_, got := Reduce(nil, Intern(name.MustParse(tt.in)))
 		if err := got.Validate(); err != nil {
-			t.Fatalf("Collapse(%s) invalid: %v", tt.in, err)
+			t.Fatalf("Reduce(∅, %s) invalid: %v", tt.in, err)
 		}
 		if got.String() != tt.want {
-			t.Errorf("Collapse(%s) = %v, want %s", tt.in, got, tt.want)
+			t.Errorf("Reduce(∅, %s) = %v, want %s", tt.in, got, tt.want)
 		}
 	}
 }
 
 func TestCollapseAgreesWithSiblingFixpoint(t *testing.T) {
-	// Collapse must compute exactly the fixpoint of name.CollapseSiblings.
+	// The id normalization must compute exactly the fixpoint of
+	// name.CollapseSiblings.
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		n := randName(rng, 10, 6)
-		got := FromName(n).Collapse().ToName()
-		want := n
-		for {
-			s, ok := want.SiblingPair()
-			if !ok {
-				break
-			}
-			want, _ = want.CollapseSiblings(s)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("Collapse(%v) = %v, want fixpoint %v", n, got, want)
+		_, got := Reduce(nil, Intern(n))
+		if want := collapseFixpoint(n); !got.Name().Equal(want) {
+			t.Fatalf("Reduce(∅, %v) = %v, want fixpoint %v", n, got, want)
 		}
 	}
 }
@@ -169,37 +173,25 @@ func TestCollapseAgreesWithSiblingFixpoint(t *testing.T) {
 func TestCollapseIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 300; i++ {
-		n := FromName(randName(rng, 10, 6)).Collapse()
-		if !n.Collapse().Equal(n) {
-			t.Fatalf("Collapse not idempotent on %v", n)
+		_, n := Reduce(nil, Intern(randName(rng, 10, 6)))
+		if _, again := Reduce(nil, n); again != n {
+			t.Fatalf("Reduce not idempotent on %v", n)
 		}
 	}
 }
 
 func TestAppendBit(t *testing.T) {
 	n := name.MustParse("0+10")
-	tr := FromName(n)
-	z, err := tr.AppendBit(bitstr.Zero)
-	if err != nil {
-		t.Fatalf("AppendBit: %v", err)
+	h := Intern(n)
+	if z := h.Append0(); !z.Name().Equal(n.Append0()) {
+		t.Errorf("Append0 = %v, want %v", z, n.Append0())
 	}
-	if !z.ToName().Equal(n.Append0()) {
-		t.Errorf("AppendBit(0) = %v, want %v", z.ToName(), n.Append0())
+	if o := h.Append1(); !o.Name().Equal(n.Append1()) {
+		t.Errorf("Append1 = %v, want %v", o, n.Append1())
 	}
-	o, err := tr.AppendBit(bitstr.One)
-	if err != nil {
-		t.Fatalf("AppendBit: %v", err)
-	}
-	if !o.ToName().Equal(n.Append1()) {
-		t.Errorf("AppendBit(1) = %v, want %v", o.ToName(), n.Append1())
-	}
-	if _, err := tr.AppendBit('x'); err == nil {
-		t.Error("AppendBit('x') must fail")
-	}
-	var empty *Node
-	z2, err := empty.AppendBit(bitstr.Zero)
-	if err != nil || z2 != nil {
-		t.Error("AppendBit on empty must stay empty")
+	var empty *Interned
+	if empty.Append0() != nil || empty.Append1() != nil {
+		t.Error("appending to ∅ must stay ∅")
 	}
 }
 
@@ -207,10 +199,8 @@ func TestAppendBitAgreesWithName(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 300; i++ {
 		n := randName(rng, 8, 5)
-		tr := FromName(n)
-		z, _ := tr.AppendBit(bitstr.Zero)
-		if !z.ToName().Equal(n.Append0()) {
-			t.Fatalf("AppendBit(0) disagrees on %v", n)
+		if z := Intern(n).Append0(); !z.Name().Equal(n.Append0()) {
+			t.Fatalf("Append0 disagrees on %v", n)
 		}
 	}
 }
@@ -218,10 +208,11 @@ func TestAppendBitAgreesWithName(t *testing.T) {
 func TestImmutability(t *testing.T) {
 	a := name.MustParse("00+01")
 	b := name.MustParse("1")
-	ta, tb := FromName(a), FromName(b)
-	_ = Join(ta, tb)
-	_ = ta.Collapse()
-	if !ta.ToName().Equal(a) || !tb.ToName().Equal(b) {
+	ha, hb := Intern(a), Intern(b)
+	_ = JoinInterned(ha, hb)
+	_, _ = Reduce(nil, ha)
+	_ = ha.Append1()
+	if !ha.Name().Equal(a) || !hb.Name().Equal(b) {
 		t.Error("operations mutated their inputs")
 	}
 }
@@ -233,8 +224,21 @@ func TestStringRendering(t *testing.T) {
 		{"0+10+111", "0+10+111"},
 	}
 	for _, tt := range tests {
-		if got := FromName(name.MustParse(tt.in)).String(); got != tt.want {
+		if got := Intern(name.MustParse(tt.in)).String(); got != tt.want {
 			t.Errorf("String(%s) = %q, want %q", tt.in, got, tt.want)
 		}
+	}
+}
+
+func TestFlatSizeMatchesName(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < 300; i++ {
+		n := randName(rng, 12, 20)
+		if got, want := Intern(n).FlatSize(), n.EncodedSize(); got != want {
+			t.Fatalf("FlatSize(%v) = %d, want %d", n, got, want)
+		}
+	}
+	if got, want := (*Interned)(nil).FlatSize(), name.Empty().EncodedSize(); got != want {
+		t.Errorf("FlatSize(∅) = %d, want %d", got, want)
 	}
 }

@@ -47,29 +47,33 @@
 //
 // # Performance model
 //
-// Stamps are immutable values over hash-consed (interned) name components:
-// each distinct name exists once per process, as a shared record keyed by
-// its canonical trie encoding, and a stamp holds two pointers to such
-// records. The paper's central property — stamps grow with the width of the
-// current frontier, not with history — means a store of millions of keys
-// draws its components from a tiny set of distinct names, so the intern
-// table stays small while hit rates stay near perfect. Consequences:
+// Stamps are immutable values over hash-consed name components: a
+// component is a binary trie whose nodes are interned — each distinct node
+// exists once per process, keyed by its children — and a stamp holds two
+// pointers to trie roots. The paper's central property — stamps grow with
+// the width of the current frontier, not with history — means a store of
+// millions of keys draws its components from a small set of distinct
+// nodes, so the intern table stays small while hit rates stay near perfect.
+// Consequences:
 //
-//   - Compare of stamps with the same interned update component (converged
-//     replicas, the steady state of anti-entropy) is a pointer comparison:
-//     O(1), zero allocations. Divergent pairs are answered from a bounded
-//     process-wide cache of outcomes keyed by handle pair, still O(1) and
-//     allocation-free; a cache miss walks both sorted components in place,
-//     O(total strings × string length), allocating nothing.
-//   - Update is two pointer copies. Fork reuses memoized child records, so
-//     forking a previously seen id allocates nothing. Join returns the
-//     dominating side's record unchanged when one side contains the other
-//     (every idle reconciliation); only a genuine merge of concurrent
-//     knowledge builds — and interns — a new name, O(total strings).
-//   - Serialization appends the record's cached canonical bytes (no walk),
-//     and decoding deduplicates against the intern table by raw encoded
-//     bytes before building anything, so wire ingestion of known names is
-//     one map probe and yields pointer-comparable stamps.
+//   - Compare of stamps with the same update component (converged replicas,
+//     the steady state of anti-entropy) is a pointer comparison: O(1), zero
+//     allocations. Divergent pairs are answered from a bounded process-wide
+//     cache of outcomes keyed by handle pair, still O(1) and
+//     allocation-free; a cache miss recurses over both tries, stopping at
+//     shared subtries, allocating nothing.
+//   - Update is two pointer copies. Fork, Join and the Section 6 reduction
+//     are recursions over the tries, memoized by handle in a bounded
+//     process-wide table, so repeating one allocates nothing. Join returns
+//     the dominating side's handle unchanged when one side contains the
+//     other (every idle reconciliation), and reduction of an id already in
+//     normal form (a flag cached on each node) returns the stamp as is. A
+//     result that is new to the process allocates one node per trie node
+//     it does not share.
+//   - Serialization appends the root's cached canonical bytes (no walk after
+//     the first), and decoding deduplicates by raw encoded bytes before
+//     building anything, so wire ingestion of known names is one hash probe
+//     and yields pointer-comparable stamps.
 //
 // Equality of interned stamps is therefore cheap enough to use as a guard
 // in hot loops, and bulk comparison over converged data (anti-entropy
