@@ -991,7 +991,7 @@ type MemberStatus struct {
 }
 
 // NodeStatus is a point-in-time report of one node — the ring-status
-// surface behind `panasync serve -join` and examples/cluster.
+// surface behind `panasync serve -join` and ExampleNewRingCluster.
 type NodeStatus struct {
 	ID           string
 	Addr         string

@@ -9,7 +9,7 @@ import (
 
 // This file reproduces the paper's worked figures as executable artifacts:
 // Figure 2's execution as a Trace (its stamps are Figure 4, checked in the
-// tests and in cmd/experiments), and Figure 3's encoding of a fixed
+// tests and in internal/experiments' E2), and Figure 3's encoding of a fixed
 // replica set under fork-and-join dynamics.
 
 // Figure2Trace returns the execution of Figure 2 in slot form:

@@ -23,8 +23,6 @@ const (
 type Config struct {
 	// Check selects the verification level (default CheckPairs).
 	Check CheckLevel
-	// CheckEvery verifies every k-th step (default 1: every step).
-	CheckEvery int
 	// SubsetQueries is the number of random (x, S) queries per checked step
 	// at CheckSubsets level (default 8).
 	SubsetQueries int
@@ -38,9 +36,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Check == 0 {
 		c.Check = CheckPairs
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 1
 	}
 	if c.SubsetQueries <= 0 {
 		c.SubsetQueries = 8
@@ -75,8 +70,6 @@ type Report struct {
 	// Sizes maps tracker name to its per-step size series (when
 	// CollectSizes is set).
 	Sizes map[string][]SizeSample
-	// FinalWidth is the frontier width at the end of the run.
-	FinalWidth int
 }
 
 // DisagreementError reports a subject mechanism disagreeing with the oracle;
@@ -130,7 +123,7 @@ func (r *Runner) Run(trace Trace) (*Report, error) {
 			}
 		}
 		report.Ops++
-		if r.cfg.Check != CheckNone && step%r.cfg.CheckEvery == 0 {
+		if r.cfg.Check != CheckNone {
 			if err := r.verify(step, op, report); err != nil {
 				return report, err
 			}
@@ -139,7 +132,6 @@ func (r *Runner) Run(trace Trace) (*Report, error) {
 			r.collectSizes(step, report)
 		}
 	}
-	report.FinalWidth = r.oracle.Width()
 	return report, nil
 }
 

@@ -106,20 +106,29 @@ func TestRandomRespectsMaxWidth(t *testing.T) {
 // (Corollary 5.2) and for random subset queries (Proposition 5.1), with
 // stamp invariants I1–I3 checked at every step.
 func TestEquivalenceAllMechanisms(t *testing.T) {
-	workloads := map[string]Weights{
-		"balanced":  Balanced,
-		"forkheavy": ForkHeavy,
-		"syncheavy": SyncHeavy,
-	}
 	seeds, traceOps := int64(4), 180
 	if testing.Short() {
 		// Stamp growth is superlinear in ops; shrunk traces keep every
 		// mechanism pair covered at a fraction of the runtime.
 		seeds, traceOps = 2, 120
 	}
-	for label, w := range workloads {
+	random := func(w Weights) func(int64) Trace {
+		return func(seed int64) Trace { return Random(seed, traceOps, w, 8) }
+	}
+	// The sync patterns run ~40 ops whatever the mode: rotating pairwise
+	// syncs grow stamp ids multiplicatively (internal/experiments' E5).
+	workloads := map[string]func(seed int64) Trace{
+		"balanced":    random(Balanced),
+		"forkheavy":   random(ForkHeavy),
+		"syncheavy":   random(SyncHeavy),
+		"updateheavy": random(UpdateHeavy),
+		"fixedN":      func(seed int64) Trace { return FixedN(seed, 6, 11) },
+		"star":        func(seed int64) Trace { return StarSync(seed, 7, 11) },
+		"partitioned": func(seed int64) Trace { return PartitionedEpochs(seed, 2, 20, 8) },
+	}
+	for label, gen := range workloads {
 		for seed := int64(0); seed < seeds; seed++ {
-			trace := Random(seed*17+3, traceOps, w, 8)
+			trace := gen(seed*17 + 3)
 			dvv, err := NewDynamicVVTracker(vv.NewCentralServer(), "dynamic-vv")
 			if err != nil {
 				t.Fatalf("dvv: %v", err)
