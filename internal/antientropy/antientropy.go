@@ -58,8 +58,11 @@
 // where digest = key + stamp (encoding.AppendDigest) and entry = key +
 // tombstone flag + value + stamp (encoding.AppendEntry). The tree shape on
 // the wire is the client's choice; the server evaluates its own stripes
-// under that shape and layout (kvstore.TreeScoped — the maintained tree when
-// they match its own, which converged replicas' do).
+// under that shape (kvstore.Replica.StripeTreeAt — the maintained tree when
+// it matches its own, which converged replicas' does). The layout is not:
+// `of`, the client's stripe count, must equal the server's, and a server
+// answers a root, probe or stripe-roots opening declaring any other count
+// with kindError naming both counts, before either replica is touched.
 //
 // The client pipelines its first round behind the version byte and reads the
 // ack before the first reply frame, so opening a session costs no round

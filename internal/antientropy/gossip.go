@@ -113,8 +113,7 @@ type Cluster struct {
 
 	// Placement and quorum configuration.
 	replication int
-	writeQuorum int
-	readQuorum  int
+	quorum      int // R/2+1: the acks a Write and the live owners a Read need
 	stripes     int
 	memberCfg   membership.Config
 	dataDir     string
@@ -122,7 +121,6 @@ type Cluster struct {
 
 	// Transport and pool configuration.
 	transport    TransportProvider
-	roundTimeout time.Duration
 	poolIdle     time.Duration
 	backoff      BackoffPolicy
 	hintCap      int

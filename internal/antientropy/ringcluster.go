@@ -61,14 +61,12 @@ import (
 type RingConfig struct {
 	// Nodes is the initial member count (>= 1).
 	Nodes int
-	// Replication is the owner count per stripe (1 <= R <= Nodes).
+	// Replication is the owner count per stripe (1 <= R <= Nodes). A Write
+	// needs acks from, and a Read live copies at, a majority of R owners.
 	Replication int
-	// WriteQuorum is the ack count a Write needs (default: majority of R).
-	WriteQuorum int
-	// ReadQuorum is the live-owner count a Read needs (default: majority).
-	ReadQuorum int
 	// Stripes is the virtual stripe count (default kvstore.DefaultShards).
-	// Every node's replica is striped identically so scoped rounds align.
+	// Every node's replica is striped identically: the wire protocol syncs
+	// only replicas with equal stripe counts.
 	Stripes int
 	// Seed drives peer selection; fixed seed, reproducible schedule.
 	Seed int64
@@ -90,9 +88,6 @@ type RingConfig struct {
 	// The chaos lab passes a chaosnet fabric here, so the identical
 	// server/pool/protocol code paths run under injected faults.
 	Transport TransportProvider
-	// RoundTimeout bounds each node's network rounds and dials (0 = the
-	// 10s default).
-	RoundTimeout time.Duration
 	// PoolIdle is the pooled-session idle expiry (0 = the 90s default,
 	// negative = never expire — for logical-time transports).
 	PoolIdle time.Duration
@@ -127,18 +122,6 @@ func NewRingCluster(cfg RingConfig) (*Cluster, error) {
 	if cfg.Stripes < 1 {
 		return nil, fmt.Errorf("antientropy: stripe count %d is not positive", cfg.Stripes)
 	}
-	if cfg.WriteQuorum == 0 {
-		cfg.WriteQuorum = cfg.Replication/2 + 1
-	}
-	if cfg.ReadQuorum == 0 {
-		cfg.ReadQuorum = cfg.Replication/2 + 1
-	}
-	if cfg.WriteQuorum < 1 || cfg.WriteQuorum > cfg.Replication {
-		return nil, fmt.Errorf("antientropy: write quorum %d outside [1, %d]", cfg.WriteQuorum, cfg.Replication)
-	}
-	if cfg.ReadQuorum < 1 || cfg.ReadQuorum > cfg.Replication {
-		return nil, fmt.Errorf("antientropy: read quorum %d outside [1, %d]", cfg.ReadQuorum, cfg.Replication)
-	}
 	c := &Cluster{
 		resolve:      cfg.Resolver,
 		index:        make(map[string]int, cfg.Nodes),
@@ -149,14 +132,12 @@ func NewRingCluster(cfg RingConfig) (*Cluster, error) {
 		wire:         make([]int64, cfg.Nodes),
 		workers:      cfg.GossipWorkers,
 		replication:  cfg.Replication,
-		writeQuorum:  cfg.WriteQuorum,
-		readQuorum:   cfg.ReadQuorum,
+		quorum:       cfg.Replication/2 + 1,
 		stripes:      cfg.Stripes,
 		memberCfg:    membership.Config{SuspectAfter: cfg.SuspectAfter, DeadAfter: cfg.DeadAfter},
 		dataDir:      cfg.DataDir,
 		ringCache:    make(map[string]*ring.Ring),
 		transport:    cfg.Transport,
-		roundTimeout: cfg.RoundTimeout,
 		poolIdle:     cfg.PoolIdle,
 		backoff:      cfg.Backoff,
 		hintCap:      cfg.HintCap,
@@ -274,7 +255,6 @@ func (c *Cluster) startNode(nd *node) error {
 	nd.addr = addr
 	nd.pool = NewPoolOptions(PoolOptions{
 		Transport: tr,
-		Timeout:   c.roundTimeout,
 		Idle:      c.poolIdle,
 		Backoff:   c.backoff,
 	})
@@ -778,8 +758,8 @@ func (c *Cluster) write(key string, value []byte, del bool) (int, error) {
 			acks++
 		}
 	}
-	if acks < c.writeQuorum {
-		return acks, fmt.Errorf("%w: %d of %d acks", ErrQuorum, acks, c.writeQuorum)
+	if acks < c.quorum {
+		return acks, fmt.Errorf("%w: %d of %d acks", ErrQuorum, acks, c.quorum)
 	}
 	return acks, nil
 }
@@ -789,7 +769,7 @@ func (c *Cluster) write(key string, value []byte, del bool) (int, error) {
 // lacks the key) it read-repairs by converging the owners pairwise before
 // answering — the stamps prove which copies are obsolete, so repair moves
 // only stale ones. ok=false means the key is absent (or tombstoned) at the
-// quorum. ErrQuorum means fewer than ReadQuorum owners are up.
+// quorum. ErrQuorum means fewer than a majority of the owners are up.
 func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -816,8 +796,8 @@ func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 			live = append(live, c.nodes[j])
 		}
 	}
-	if len(live) < c.readQuorum {
-		return nil, false, fmt.Errorf("%w: %d of %d owners up", ErrQuorum, len(live), c.readQuorum)
+	if len(live) < c.quorum {
+		return nil, false, fmt.Errorf("%w: %d of %d owners up", ErrQuorum, len(live), c.quorum)
 	}
 
 	copies := make([]kvstore.Versioned, len(live))

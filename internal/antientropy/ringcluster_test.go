@@ -33,8 +33,6 @@ func TestRingConfigValidation(t *testing.T) {
 		{Nodes: 3, Replication: 0},
 		{Nodes: 3, Replication: 4},
 		{Nodes: 3, Replication: 3, Stripes: -1},
-		{Nodes: 3, Replication: 3, WriteQuorum: 4},
-		{Nodes: 3, Replication: 3, ReadQuorum: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewRingCluster(cfg); err == nil {

@@ -23,10 +23,12 @@ import (
 //
 // The tree shape (fanout, depth) is the *client's* choice, declared on the
 // wire per stripe; the server evaluates its own data under that shape
-// (kvstore.TreeScoped), the maintained tree whenever the shape matches its
-// own policy — which it does between converged replicas, whose per-stripe
-// key counts (and therefore TreeShape results) agree. A stripe whose count
-// crosses a shape threshold simply descends at the new depth next round.
+// (kvstore.Replica.StripeTreeAt), the maintained tree whenever the shape
+// matches its own policy — which it does between converged replicas, whose
+// per-stripe key counts (and therefore TreeShape results) agree. A stripe
+// whose count crosses a shape threshold simply descends at the new depth
+// next round. The stripe layout is not a choice: both ends must stripe the
+// keyspace the same way, and the server refuses any other peer (checkLayout).
 
 // serverSession is the server's state for one connection: the frame reader
 // and the buffer replies are built in, both kept from round to round.
@@ -68,35 +70,30 @@ func (s *Server) handle(conn net.Conn) {
 // send writes the frame built in ss.out, reporting success.
 func (ss *serverSession) send() bool { return writeFrame(ss.conn, ss.out) == nil }
 
-// treeFoldRoots folds per-stripe tree roots into the replica root.
-func treeFoldRoots(roots []uint64) uint64 {
-	h := encoding.RootSummarySeed
-	for _, r := range roots {
-		h = encoding.FoldSummary(h, r)
+// checkLayout refuses a peer whose stripe count `of` is not this replica's:
+// every tree a round compares is one stripe's, so both ends must agree on
+// which keys each stripe holds.
+func (s *Server) checkLayout(of int) error {
+	if n := s.replica.Shards(); of != n {
+		return fmt.Errorf("stripe layout mismatch: peer has %d stripes, this replica %d", of, n)
 	}
-	return h
+	return nil
 }
 
 // treeRootMatch answers a root or probe body: 1 when the peer's root equals
-// the fold of this replica's stripe tree roots under the peer's layout. Under
-// the replica's own layout the roots are folded as the maintained trees
-// yield them, with nothing collected.
+// the fold of this replica's stripe tree roots, folded as the maintained
+// trees yield them, with nothing collected.
 func (s *Server) treeRootMatch(of int, peerRoot uint64) (byte, error) {
+	if err := s.checkLayout(of); err != nil {
+		return 0, err
+	}
 	root := encoding.RootSummarySeed
-	if of == s.replica.Shards() {
-		for i := 0; i < of; i++ {
-			t, err := s.replica.StripeTree(i)
-			if err != nil {
-				return 0, err
-			}
-			root = encoding.FoldSummary(root, t.Root())
-		}
-	} else {
-		roots, err := s.replica.TreeRootsScoped(of)
+	for i := 0; i < of; i++ {
+		t, err := s.replica.StripeTree(i)
 		if err != nil {
 			return 0, err
 		}
-		root = treeFoldRoots(roots)
+		root = encoding.FoldSummary(root, t.Root())
 	}
 	if root == peerRoot {
 		return 1, nil
@@ -193,6 +190,9 @@ func (ss *serverSession) treeRound(opening []byte) bool {
 	}
 	body = body[used:]
 	of := int(of64)
+	if err := s.checkLayout(of); err != nil {
+		return fail(err)
+	}
 	fan64, used := binary.Uvarint(body)
 	if used <= 0 || !encoding.ValidTreeShape(int(fan64), 1) {
 		return fail(errors.New("bad tree fanout"))
@@ -226,7 +226,7 @@ func (ss *serverSession) treeRound(opening []byte) bool {
 		if _, dup := stripes[idx]; dup {
 			return fail(errors.New("duplicate stripe"))
 		}
-		tree, err := s.replica.TreeScoped(idx, of, fanout, int(depth64))
+		tree, err := s.replica.StripeTreeAt(idx, fanout, int(depth64))
 		if err != nil {
 			return fail(err)
 		}
@@ -385,7 +385,7 @@ descend:
 			st.digests = append(st.digests, run.digests...)
 		}
 		st.runs = nil
-		diff, err := s.replica.DiffRanges(st.digests, idx, of, st.ranges)
+		diff, err := s.replica.DiffRanges(st.digests, idx, st.ranges)
 		if err != nil {
 			return fail(err)
 		}
@@ -446,7 +446,7 @@ descend:
 		st := stripes[idx]
 		var part kvstore.SyncResult
 		reply, part, err = s.replica.ApplyDeltaRanges(reply,
-			st.digests, st.entries, s.resolve, idx, of, st.ranges)
+			st.digests, st.entries, s.resolve, idx, st.ranges)
 		if err != nil {
 			return fail(err)
 		}
@@ -455,11 +455,9 @@ descend:
 	// Fold this round's writes into the maintained trees before answering:
 	// the root probe that follows the result then finds them current, and
 	// the patch never races the writes that come after the round.
-	if of == s.replica.Shards() {
-		for _, idx := range order {
-			if _, err := s.replica.StripeTree(idx); err != nil {
-				return fail(err)
-			}
+	for _, idx := range order {
+		if _, err := s.replica.StripeTree(idx); err != nil {
+			return fail(err)
 		}
 	}
 	ss.out = encodeResultFrame(ss.out, res, reply)
@@ -741,8 +739,8 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		body = body[n:]
 		v, ok := local.Version(k)
 		if !ok {
-			// Vanished since the digest (Adopt can drop keys); the next
-			// round reconciles it.
+			// Vanished since the digest (a tombstone GC can drop keys); the
+			// next round reconciles it.
 			shipped.note(k, core.Stamp{}, false)
 			continue
 		}
@@ -792,12 +790,9 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 				ErrProtocol, e.Key)
 		}
 	}
-	// The reply spans several stripes, so it is applied under the
-	// whole-keyspace scope; the shipped stamps still pin every entry to the
-	// exact copy this round sent.
-	if _, err := local.ApplyDeltaReply(reply, shipped.stamp, 0, 0); err != nil {
-		return res, fmt.Errorf("%w: apply delta reply: %w", ErrRetryUnsafe, err)
-	}
+	// The shipped stamps pin every reply entry to the exact copy this round
+	// sent.
+	local.ApplyDeltaReply(reply, shipped.stamp)
 	root = encoding.RootSummarySeed
 	for _, idx := range stripes {
 		t, err := local.StripeTree(idx)

@@ -1,7 +1,13 @@
 package antientropy
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -192,38 +198,74 @@ func TestTreeScopedStripes(t *testing.T) {
 	}
 }
 
-// TestTreeLayoutMismatch syncs replicas with different stripe counts: the
-// server regroups its keys and evaluates trees under the client's
-// layout and shape.
+// TestTreeLayoutMismatch: a server refuses a client that stripes the
+// keyspace differently — on the whole-replica, stripe-scoped and probe
+// openings alike — with an error naming both stripe counts, and neither
+// replica changes.
 func TestTreeLayoutMismatch(t *testing.T) {
-	server, client8 := clonedPair(100)
-	snap, err := client8.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	server := kvstore.NewReplicaShards("server", 32)
 	client := kvstore.NewReplicaShards("client8", 8)
-	if err := client.Adopt(snap); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 100; i++ {
+		server.Put(fmt.Sprintf("key-%04d", i), []byte("server"))
 	}
 	client.Put("key-0000", []byte("edited"))
-	server.Put("extra", []byte("server-side"))
-
-	_, addr := startServer(t, server, nil)
-	res, err := SyncWith(addr, client)
-	if err != nil {
-		t.Fatalf("SyncWith across layouts: %v", err)
+	client.Put("extra", []byte("client-side"))
+	snapshot := func(r *kvstore.Replica) []byte {
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	if res.Transferred != 1 || res.Reconciled != 1 {
-		t.Errorf("result = %+v", res)
+	serverBefore, clientBefore := snapshot(server), snapshot(client)
+	_, addr := startServer(t, server, kvstore.KeepBoth([]byte("|")))
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s across stripe layouts succeeded", what)
+		}
+		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "32") ||
+			!strings.Contains(err.Error(), "8") {
+			t.Errorf("%s: %v, want a protocol error naming both stripe counts", what, err)
+		}
 	}
-	requireConverged(t, server, client)
 
-	res, err = SyncWith(addr, client)
+	_, err := SyncWith(addr, client)
+	refused("whole-replica round", err)
+	p := NewPool()
+	defer p.Close()
+	_, err = p.SyncStripes(addr, client, []int{0, 5})
+	refused("stripe-scoped round", err)
+
+	// A root probe is only ever pipelined behind a completed round, which a
+	// mismatched pair never has; speak it directly.
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.StripesSkipped != 8 || res.Transferred+res.Reconciled+res.Merged != 0 {
-		t.Errorf("converged cross-layout round: %+v", res)
+	defer conn.Close()
+	frame := startFrame(nil, kindRootProbe, lenSlot+8)
+	frame = binary.AppendUvarint(frame, uint64(client.Shards()))
+	frame = binary.BigEndian.AppendUint64(frame, encoding.RootSummarySeed)
+	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, frame); err != nil {
+		t.Fatal(err)
+	}
+	fr := frameReader{br: bufio.NewReader(conn)}
+	if b, err := fr.br.ReadByte(); err != nil || b != protocolVersion {
+		t.Fatalf("ack = 0x%02x, %v", b, err)
+	}
+	body, err := fr.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = expectKind(body, kindRootMatch)
+	refused("root probe", err)
+
+	if !bytes.Equal(snapshot(server), serverBefore) || !bytes.Equal(snapshot(client), clientBefore) {
+		t.Fatal("a refused round changed a replica")
 	}
 }
 

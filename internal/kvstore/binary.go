@@ -11,8 +11,8 @@ import (
 
 // Snapshots: a replica's label, shard layout and entries, in the
 // length-prefixed entry codec with compact binary stamps, behind a leading
-// version byte. This is the one snapshot format — Snapshot, Restore, Adopt
-// and the durable checkpoints all use it — and anything else is rejected.
+// version byte. This is the one snapshot format — Snapshot, Restore and the
+// durable checkpoints all use it — and anything else is rejected.
 //
 //	snapshot := version-byte uvarint(len(label)) label uvarint(shards)
 //	            uvarint(count) entry*

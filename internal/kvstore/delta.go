@@ -18,11 +18,11 @@ import (
 // in full. The paper's whole point is that stamp comparison classifies two
 // copies as equivalent, obsolete or conflicting without looking at the data.
 //
-// The scope arguments (idx, of): of > 0 restricts the call to the keys of
-// stripe idx under a layout of `of` stripes, locking only the matching local
-// stripe when this replica's layout agrees; of == 0 covers the whole
-// keyspace under all stripe locks. ranges narrows the scope further to tree
-// positions; nil means every position.
+// Every call is scoped to one stripe of this replica and to position ranges
+// of that stripe's digest tree, sorted by Lo and disjoint; the zero TreeRange
+// covers the whole stripe. The peer stripes the keyspace the same way (the
+// wire layer refuses any other peer), so the scope's keys all live in the
+// one local stripe, and only its lock is taken.
 
 // Diff classifies a peer's digest against local state — what DiffRanges
 // reports on the responding side.
@@ -39,23 +39,17 @@ type Diff struct {
 	LocalOnly int
 }
 
-// deltaScope is a delta call's (idx, of, ranges) scope resolved against this
-// replica's layout. Both halves of the leaf phase walk it in tree order: by
-// local stripe, then by (position, key) — the order of a stripe's digest
-// tree, so the in-range local keys come straight off RunRange.
+// deltaScope is a delta call's (stripe, ranges) scope. Both halves of the
+// leaf phase walk it in tree order, by (position, key) — the order of the
+// stripe's digest tree, so the in-range local keys come straight off RunRange.
 type deltaScope struct {
-	idx, of int
-	nShards int
-	scoped  bool        // layouts agree: in-scope keys live in local stripe idx only
-	ranges  []TreeRange // sorted and disjoint; nil covers every position
+	idx, of int         // the stripe, and this replica's stripe count
+	ranges  []TreeRange // sorted and disjoint
 }
 
-// wholeSpace is the one range of an unscoped call.
-var wholeSpace = []TreeRange{{}}
-
-func (r *Replica) deltaScope(idx, of int, ranges []TreeRange) (deltaScope, error) {
-	if err := checkScope(idx, of); err != nil {
-		return deltaScope{}, err
+func (r *Replica) deltaScope(idx int, ranges []TreeRange) (deltaScope, error) {
+	if idx < 0 || idx >= len(r.shards) {
+		return deltaScope{}, fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
 	}
 	cmpLo := func(a, b TreeRange) int { return cmp.Compare(a.Lo, b.Lo) }
 	if !slices.IsSortedFunc(ranges, cmpLo) {
@@ -64,121 +58,67 @@ func (r *Replica) deltaScope(idx, of int, ranges []TreeRange) (deltaScope, error
 	}
 	for i := 1; i < len(ranges); i++ {
 		if prev := ranges[i-1]; prev.Hi == 0 || prev.Hi > ranges[i].Lo {
-			return deltaScope{}, fmt.Errorf("kvstore: delta shard %d/%d: overlapping ranges", idx, of)
+			return deltaScope{}, fmt.Errorf("kvstore: delta shard %d: overlapping ranges", idx)
 		}
 	}
-	return deltaScope{idx: idx, of: of, nShards: len(r.shards),
-		scoped: of > 0 && len(r.shards) == of, ranges: ranges}, nil
+	return deltaScope{idx: idx, of: len(r.shards), ranges: ranges}, nil
 }
 
-// stripes returns the local stripes [first, end) in-scope keys can live in.
-func (sc *deltaScope) stripes() (first, end int) {
-	if sc.scoped {
-		return sc.idx, sc.idx + 1
-	}
-	return 0, sc.nShards
-}
-
-// stripeOf returns the local stripe holding key.
-func (sc *deltaScope) stripeOf(key string) int {
-	if sc.scoped {
-		return sc.idx
-	}
-	return ShardIndex(key, sc.nShards)
-}
-
-// owns reports whether a local key belongs to the scope's stripe.
-func (sc *deltaScope) owns(key string) bool {
-	return sc.of == 0 || sc.scoped || ShardIndex(key, sc.of) == sc.idx
-}
-
-// cmp orders keys in the scope's walk order: local stripe, then tree order.
-func (sc *deltaScope) cmp(a, b string) int {
-	if !sc.scoped {
-		if c := cmp.Compare(sc.stripeOf(a), sc.stripeOf(b)); c != 0 {
-			return c
-		}
-	}
+// cmpTreeOrder orders keys in tree order.
+func cmpTreeOrder(a, b string) int {
 	return cmpPosKey(encoding.TreePos(a), a, encoding.TreePos(b), b)
 }
 
 func digestKey(d encoding.Digest) string { return d.Key }
 func entryKey(e encoding.Entry) string   { return e.Key }
 
-// inWalkOrder puts the peer's xs into walk order in place — input that
+// inWalkOrder puts the peer's xs into tree order in place — input that
 // already is, as every digest run a tree round ships, is only checked — and
-// verifies in one pass, with a range cursor per local stripe, that each key
-// belongs to the scope's stripe and falls inside its ranges.
+// verifies in one pass, with a range cursor, that each key belongs to the
+// scope's stripe and falls inside its ranges.
 func inWalkOrder[T any](sc *deltaScope, what string, xs []T, key func(T) string) error {
-	f := func(a, b T) int { return sc.cmp(key(a), key(b)) }
+	f := func(a, b T) int { return cmpTreeOrder(key(a), key(b)) }
 	if !slices.IsSortedFunc(xs, f) {
 		slices.SortFunc(xs, f)
 	}
-	c, stripe := 0, -1
+	c := 0
 	for _, x := range xs {
 		k := key(x)
-		if sc.of > 0 && ShardIndex(k, sc.of) != sc.idx {
-			return fmt.Errorf("kvstore: %s shard %d/%d: key %q belongs to shard %d",
-				what, sc.idx, sc.of, k, ShardIndex(k, sc.of))
-		}
-		if sc.ranges == nil {
-			continue
-		}
-		if s := sc.stripeOf(k); s != stripe {
-			c, stripe = 0, s
+		if s := ShardIndex(k, sc.of); s != sc.idx {
+			return fmt.Errorf("kvstore: %s shard %d: key %q belongs to shard %d", what, sc.idx, k, s)
 		}
 		p := encoding.TreePos(k)
 		for c < len(sc.ranges) && sc.ranges[c].Hi != 0 && sc.ranges[c].Hi <= p {
 			c++
 		}
 		if c == len(sc.ranges) || !sc.ranges[c].Contains(p) {
-			return fmt.Errorf("kvstore: %s shard %d/%d: key %q outside the scoped ranges",
-				what, sc.idx, sc.of, k)
+			return fmt.Errorf("kvstore: %s shard %d: key %q outside the scoped ranges", what, sc.idx, k)
 		}
 	}
 	return nil
 }
 
-// stripeSpan splits walk-ordered xs into the elements of local stripe si and
-// the rest.
-func stripeSpan[T any](sc *deltaScope, si int, xs []T, key func(T) string) (span, rest []T) {
-	i := 0
-	for i < len(xs) && sc.stripeOf(key(xs[i])) == si {
-		i++
-	}
-	return xs[:i], xs[i:]
-}
-
 // count returns how many of t's digests are in scope.
 func (sc *deltaScope) count(t *DigestTree) int {
-	ranges := sc.ranges
-	if ranges == nil {
-		ranges = wholeSpace
-	}
 	n := 0
-	for _, rg := range ranges {
-		for _, d := range t.RunRange(rg) {
-			if sc.owns(d.Key) {
-				n++
-			}
+	for _, rg := range sc.ranges {
+		if rg == (TreeRange{}) {
+			n += t.Len() // the whole stripe, without gathering its runs
+		} else {
+			n += len(t.RunRange(rg))
 		}
 	}
 	return n
 }
 
-// walk calls fn once per in-scope key of one local stripe, in tree order:
-// the keys of the stripe's tree t and of extra (keys written since t, in
-// tree order), and the peer's digests ds and entries es for the stripe
-// (walk-ordered, checked to lie in scope). fn gets the peer's digest and
-// entry for the key, or nil where the peer sent none. Each range is one
-// merge of four sorted runs; no key set is built.
+// walk calls fn once per in-scope key, in tree order: the keys of the
+// stripe's tree t and of extra (keys written since t, in tree order), and the
+// peer's digests ds and entries es (tree-ordered, checked to lie in scope).
+// fn gets the peer's digest and entry for the key, or nil where the peer sent
+// none. Each range is one merge of four sorted runs; no key set is built.
 func (sc *deltaScope) walk(t *DigestTree, extra []string, ds []encoding.Digest, es []encoding.Entry,
 	fn func(key string, d *encoding.Digest, e *encoding.Entry) error) error {
-	ranges := sc.ranges
-	if ranges == nil {
-		ranges = wholeSpace
-	}
-	for _, rg := range ranges {
+	for _, rg := range sc.ranges {
 		local := t.RunRange(rg)
 		for len(extra) > 0 && encoding.TreePos(extra[0]) < rg.Lo {
 			extra = extra[1:]
@@ -192,9 +132,6 @@ func (sc *deltaScope) walk(t *DigestTree, extra []string, ds []encoding.Digest, 
 				if p := encoding.TreePos(k); !ok || cmpPosKey(p, k, pos, key) < 0 {
 					key, pos, ok = k, p, true
 				}
-			}
-			for len(local) > 0 && !sc.owns(local[0].Key) {
-				local = local[1:]
 			}
 			if len(local) > 0 {
 				least(local[0].Key, true)
@@ -233,23 +170,22 @@ func (sc *deltaScope) walk(t *DigestTree, extra []string, ds []encoding.Digest, 
 	return nil
 }
 
-// DiffRanges compares a peer digest with local state and reports which peer
-// copies must travel in full. Only peer digests and local keys whose
-// encoding.TreePos falls inside ranges take part — the tree descent has
-// already narrowed divergence to a few position intervals, given sorted by
-// Lo and disjoint. Read locks only; the comparison is advisory —
-// ApplyDeltaRanges re-validates every key under write locks, so state
-// changing between the two calls costs at most one extra round, never
-// correctness.
+// DiffRanges compares a peer digest of stripe idx with local state and
+// reports which peer copies must travel in full. Only peer digests and local
+// keys whose encoding.TreePos falls inside ranges take part — the tree
+// descent has already narrowed divergence to a few position intervals. Read
+// locks only; the comparison is advisory — ApplyDeltaRanges re-validates
+// every key under the write lock, so state changing between the two calls
+// costs at most one extra round, never correctness.
 //
-// peer is put into tree order in place (a round's digests already are). Each
-// local stripe is read-locked once while its span of peer digests is probed
-// against the stripe map, stamp classification runs through a batch
-// Comparer — converged copies share interned update handles, so the common
-// outcome is a pointer comparison — and the in-scope local keys are counted
-// off the stripe's digest tree, never by scanning the stripe.
-func (r *Replica) DiffRanges(peer []encoding.Digest, idx, of int, ranges []TreeRange) (Diff, error) {
-	sc, err := r.deltaScope(idx, of, ranges)
+// peer is put into tree order in place (a round's digests already are). The
+// stripe is read-locked once while the peer digests are probed against the
+// stripe map, stamp classification runs through a batch Comparer — converged
+// copies share interned update handles, so the common outcome is a pointer
+// comparison — and the in-scope local keys are counted off the stripe's
+// digest tree, never by scanning the stripe.
+func (r *Replica) DiffRanges(peer []encoding.Digest, idx int, ranges []TreeRange) (Diff, error) {
+	sc, err := r.deltaScope(idx, ranges)
 	if err != nil {
 		return Diff{}, err
 	}
@@ -258,46 +194,33 @@ func (r *Replica) DiffRanges(peer []encoding.Digest, idx, of int, ranges []TreeR
 	}
 	var d Diff
 	var cmp core.Comparer
-	matched, localInScope := 0, 0
-	first, end := sc.stripes()
-	for si := first; si < end; si++ {
-		var group []encoding.Digest
-		group, peer = stripeSpan(&sc, si, peer, digestKey)
-		// A stripe's own keys are all in scope unless ranges or a foreign
-		// layout narrow it; then its tree, brought current first (a tree
-		// request takes the read lock itself), counts them.
-		var t *DigestTree
-		if ranges != nil || of > 0 && !sc.scoped {
-			t = r.stripeTree(si)
+	matched := 0
+	// The tree is brought current before the read lock: a tree request
+	// takes it itself.
+	t := r.stripeTree(idx)
+	sh := &r.shards[idx]
+	sh.mu.RLock()
+	localInScope := sc.count(t)
+	for i := range peer {
+		pd := &peer[i]
+		v, ok := sh.metaLocked(pd.Key)
+		if !ok {
+			d.Need = append(d.Need, pd.Key) // unknown here: the copy must travel
+			continue
 		}
-		sh := &r.shards[si]
-		sh.mu.RLock()
-		if t == nil {
-			localInScope += sh.countLocked()
-		} else {
-			localInScope += sc.count(t)
+		matched++
+		switch classify(&cmp, v.Stamp, pd.Stamp) {
+		case core.Equal:
+			d.Equivalent++
+		case core.After:
+			// We dominate: our copy travels in the reply, theirs need not.
+		default:
+			// Before, Concurrent, or independent copies with no causal
+			// order: reconciliation needs the peer's value.
+			d.Need = append(d.Need, pd.Key)
 		}
-		for i := range group {
-			pd := &group[i]
-			v, ok := sh.metaLocked(pd.Key)
-			if !ok {
-				d.Need = append(d.Need, pd.Key) // unknown here: the copy must travel
-				continue
-			}
-			matched++
-			switch classify(&cmp, v.Stamp, pd.Stamp) {
-			case core.Equal:
-				d.Equivalent++
-			case core.After:
-				// We dominate: our copy travels in the reply, theirs need not.
-			default:
-				// Before, Concurrent, or independent copies with no causal
-				// order: reconciliation needs the peer's value.
-				d.Need = append(d.Need, pd.Key)
-			}
-		}
-		sh.mu.RUnlock()
 	}
+	sh.mu.RUnlock()
 	// Peer digests are unique-keyed (a tree's runs hold each key once),
 	// so every in-scope local key the probes did not match is local-only.
 	// Clamped so a malformed duplicate-keyed digest cannot report negative.
@@ -323,32 +246,31 @@ func compactSorted(ss []string) []string {
 	return out
 }
 
-// ApplyDeltaRanges runs the responder's apply: it reconciles the peer's full
-// entries (and, for keys this side dominates, just their digest stamps)
-// against local state and appends to reply, sorted by key, the entries the
-// peer must adopt to converge. Local state is mutated exactly as Sync would mutate it
-// — transfers fork stamps, dominance reconciles, conflicts use the resolver
-// or stay reported — and every key the stamps already prove equivalent is
-// pruned: it is neither touched nor returned. Peer digests and entries must
-// fall inside ranges (sorted by Lo, disjoint), and only in-range local keys
-// are enumerated as local-only — so the local keys of the divergent subtrees
-// transfer without every unmentioned in-stripe key being treated as missing
-// on the peer.
+// ApplyDeltaRanges runs the responder's apply for stripe idx: it reconciles
+// the peer's full entries (and, for keys this side dominates, just their
+// digest stamps) against local state and appends to reply, sorted by key, the
+// entries the peer must adopt to converge. Local state is mutated exactly as
+// Sync would mutate it — transfers fork stamps, dominance reconciles,
+// conflicts use the resolver or stay reported — and every key the stamps
+// already prove equivalent is pruned: it is neither touched nor returned.
+// Peer digests and entries must fall inside ranges, and only in-range local
+// keys are enumerated as local-only — so the local keys of the divergent
+// subtrees transfer without every unmentioned in-stripe key being treated as
+// missing on the peer.
 //
 // The walk is a merge in tree order, with peerDigest and peerEntries put
-// into that order in place: each local stripe's digest tree is brought
-// current just before the write locks are taken, and under them its
-// in-range keys plus the keys writers noted in the stripe's dirty set since
-// are exactly the stripe's current keys. (A dirty set that overflowed in
-// that window is gone; a local-only key written then waits for the next
-// round.)
+// into that order in place: the stripe's digest tree is brought current just
+// before the write lock is taken, and under it its in-range keys plus the
+// keys writers noted in the stripe's dirty set since are exactly the
+// stripe's current keys. (A dirty set that overflowed in that window is
+// gone; a local-only key written then waits for the next round.)
 //
 // Keys whose digest says this side should dominate but whose local copy
 // moved since DiffRanges (a concurrent writer) are skipped this round; the
 // next digest exchange reconciles them.
 func (r *Replica) ApplyDeltaRanges(reply []encoding.Entry, peerDigest []encoding.Digest, peerEntries []encoding.Entry,
-	resolve Resolver, idx, of int, ranges []TreeRange) ([]encoding.Entry, SyncResult, error) {
-	sc, err := r.deltaScope(idx, of, ranges)
+	resolve Resolver, idx int, ranges []TreeRange) ([]encoding.Entry, SyncResult, error) {
+	sc, err := r.deltaScope(idx, ranges)
 	if err != nil {
 		return reply, SyncResult{}, err
 	}
@@ -359,16 +281,13 @@ func (r *Replica) ApplyDeltaRanges(reply []encoding.Entry, peerDigest []encoding
 		return reply, SyncResult{}, err
 	}
 
-	first, end := sc.stripes()
-	trees := make([]*DigestTree, end-first)
-	for si := first; si < end; si++ {
-		trees[si-first] = r.stripeTree(si)
-	}
-	// Registered before the locks so it runs after they release: group-commit
+	t := r.stripeTree(idx)
+	// Registered before the lock so it runs after it releases: group-commit
 	// barriers must never be awaited under stripe locks.
 	defer r.awaitDurable()
-	r.lockScope(idx, of)
-	defer r.unlockScope(idx, of)
+	sh := &r.shards[idx]
+	sh.lockMut()
+	defer sh.mu.Unlock()
 
 	var res SyncResult
 	var cmp core.Comparer // batch memo: digest stamps recur across keys
@@ -426,23 +345,11 @@ func (r *Replica) ApplyDeltaRanges(reply []encoding.Entry, peerDigest []encoding
 		return nil
 	}
 	var extra []string
-	for si := first; si < end; si++ {
-		sh := &r.shards[si]
-		extra = extra[:0]
-		for k := range sh.dirty {
-			if sc.owns(k) {
-				extra = append(extra, k)
-			}
-		}
-		slices.SortFunc(extra, sc.cmp)
-		var ds []encoding.Digest
-		var es []encoding.Entry
-		ds, peerDigest = stripeSpan(&sc, si, peerDigest, digestKey)
-		es, peerEntries = stripeSpan(&sc, si, peerEntries, entryKey)
-		if err = sc.walk(trees[si-first], extra, ds, es, apply); err != nil {
-			break
-		}
+	for k := range sh.dirty {
+		extra = append(extra, k)
 	}
+	slices.SortFunc(extra, cmpTreeOrder)
+	err = sc.walk(t, extra, peerDigest, peerEntries, apply)
 	sort.Strings(res.Conflicts)
 	slices.SortFunc(reply[start:], func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
 	return reply, res, err
@@ -456,17 +363,9 @@ func (r *Replica) ApplyDeltaRanges(reply []encoding.Entry, peerDigest []encoding
 // moved concurrently are left alone — the round's fork is simply abandoned
 // on this side, which only discards id space, never causality — and the
 // next round reconciles them. Returns how many entries were applied.
-func (r *Replica) ApplyDeltaReply(entries []encoding.Entry, sent func(key string) (core.Stamp, bool),
-	idx, of int) (int, error) {
-	if err := checkScope(idx, of); err != nil {
-		return 0, err
-	}
+func (r *Replica) ApplyDeltaReply(entries []encoding.Entry, sent func(key string) (core.Stamp, bool)) int {
 	applied := 0
 	for _, e := range entries {
-		if of > 0 && ShardIndex(e.Key, of) != idx {
-			return applied, fmt.Errorf("kvstore: delta reply shard %d/%d: key %q belongs to shard %d",
-				idx, of, e.Key, ShardIndex(e.Key, of))
-		}
 		si := ShardIndex(e.Key, len(r.shards))
 		sh := &r.shards[si]
 		sh.lockMut()
@@ -487,40 +386,5 @@ func (r *Replica) ApplyDeltaReply(entries []encoding.Entry, sent func(key string
 		sh.mu.Unlock()
 	}
 	r.awaitDurable()
-	return applied, nil
-}
-
-// checkScope validates a (idx, of) scope pair.
-func checkScope(idx, of int) error {
-	if of == 0 {
-		return nil
-	}
-	if of < 0 || idx < 0 || idx >= of {
-		return fmt.Errorf("kvstore: shard %d out of range of %d", idx, of)
-	}
-	return nil
-}
-
-// lockScope write-locks the stripes a scoped delta apply may touch: just
-// stripe idx when this replica's layout matches `of`, every stripe
-// otherwise (scope keys may live anywhere, or of == 0 means the whole
-// keyspace).
-func (r *Replica) lockScope(idx, of int) {
-	if of > 0 && len(r.shards) == of {
-		r.shards[idx].lockMut()
-		return
-	}
-	for i := range r.shards {
-		r.shards[i].lockMut()
-	}
-}
-
-func (r *Replica) unlockScope(idx, of int) {
-	if of > 0 && len(r.shards) == of {
-		r.shards[idx].mu.Unlock()
-		return
-	}
-	for i := range r.shards {
-		r.shards[i].mu.Unlock()
-	}
+	return applied
 }

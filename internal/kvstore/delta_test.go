@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 
 	"versionstamp/internal/core"
@@ -31,24 +32,61 @@ func entriesFor(r *Replica, keys []string) []encoding.Entry {
 	return out
 }
 
+// wholeStripe is the range scope of a whole stripe.
+var wholeStripe = []TreeRange{{}}
+
 // deltaRound runs a full in-process two-phase round with b as initiator and
-// a as responder, applying the reply on b.
+// a as responder, stripe by stripe over whole stripes, applying each
+// stripe's reply on b.
 func deltaRound(t *testing.T, a, b *Replica, resolve Resolver) SyncResult {
 	t.Helper()
-	digest := b.Digest()
-	diff, err := a.DiffRanges(digest, 0, 0, nil)
-	if err != nil {
-		t.Fatalf("DiffRanges: %v", err)
+	var res SyncResult
+	for idx, digest := range stripeRuns(t, b) {
+		diff, err := a.DiffRanges(digest, idx, wholeStripe)
+		if err != nil {
+			t.Fatalf("DiffRanges: %v", err)
+		}
+		entries := entriesFor(b, diff.Need)
+		reply, part, err := a.ApplyDeltaRanges(nil, digest, entries, resolve, idx, wholeStripe)
+		if err != nil {
+			t.Fatalf("ApplyDeltaRanges: %v", err)
+		}
+		b.ApplyDeltaReply(reply, shippedIn(digest))
+		res.Add(part)
 	}
-	entries := entriesFor(b, diff.Need)
-	reply, res, err := a.ApplyDeltaRanges(nil, digest, entries, resolve, 0, 0, nil)
-	if err != nil {
-		t.Fatalf("ApplyDeltaRanges: %v", err)
-	}
-	if _, err := b.ApplyDeltaReply(reply, shippedIn(digest), 0, 0); err != nil {
-		t.Fatalf("ApplyDeltaReply: %v", err)
-	}
+	sort.Strings(res.Conflicts)
 	return res
+}
+
+// stripeRuns returns r's digests stripe by stripe, each in tree order.
+func stripeRuns(t testing.TB, r *Replica) [][]encoding.Digest {
+	t.Helper()
+	out := make([][]encoding.Digest, r.Shards())
+	for i := range out {
+		tree, err := r.StripeTree(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = tree.RunRange(TreeRange{})
+	}
+	return out
+}
+
+// diffStripes runs DiffRanges over every stripe's whole range, digests[i]
+// being the peer's digests of stripe i, and sums the results.
+func diffStripes(r *Replica, digests [][]encoding.Digest) (Diff, error) {
+	var d Diff
+	for i, ds := range digests {
+		part, err := r.DiffRanges(ds, i, wholeStripe)
+		if err != nil {
+			return d, err
+		}
+		d.Need = append(d.Need, part.Need...)
+		d.Equivalent += part.Equivalent
+		d.LocalOnly += part.LocalOnly
+	}
+	sort.Strings(d.Need)
+	return d, nil
 }
 
 // shippedIn is ApplyDeltaReply's guard for a round that shipped digest.
@@ -127,7 +165,7 @@ func TestDiffAgainstClassification(t *testing.T) {
 	b.Put("only-b", []byte("x")) // unknown to a
 	a.Put("only-a", []byte("y")) // unknown to b
 
-	diff, err := a.DiffRanges(b.Digest(), 0, 0, nil)
+	diff, err := diffStripes(a, stripeRuns(t, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,17 +285,15 @@ func TestDeltaShardScoped(t *testing.T) {
 	var total SyncResult
 	for idx := 0; idx < of; idx++ {
 		digest := stripeTreeRun(t, b, idx)
-		diff, err := a.DiffRanges(digest, idx, of, nil)
+		diff, err := a.DiffRanges(digest, idx, wholeStripe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply, res, err := a.ApplyDeltaRanges(nil, digest, entriesFor(b, diff.Need), nil, idx, of, nil)
+		reply, res, err := a.ApplyDeltaRanges(nil, digest, entriesFor(b, diff.Need), nil, idx, wholeStripe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.ApplyDeltaReply(reply, shippedIn(digest), idx, of); err != nil {
-			t.Fatal(err)
-		}
+		b.ApplyDeltaReply(reply, shippedIn(digest))
 		total.Add(res)
 	}
 	if total.Reconciled != 1 || total.Pruned != 31 {
@@ -265,17 +301,18 @@ func TestDeltaShardScoped(t *testing.T) {
 	}
 	requireSameContents(t, a, b)
 
-	// Foreign keys are rejected in every scoped input.
+	// Foreign keys are rejected in every scoped input, and so is a stripe
+	// this replica does not have.
 	badDigest := []encoding.Digest{{Key: "key-000", Stamp: core.Seed()}}
 	wrong := (ShardIndex("key-000", of) + 1) % of
-	if _, err := a.DiffRanges(badDigest, wrong, of, nil); err == nil {
+	if _, err := a.DiffRanges(badDigest, wrong, wholeStripe); err == nil {
 		t.Error("DiffRanges accepted a foreign key")
 	}
-	if _, _, err := a.ApplyDeltaRanges(nil, badDigest, nil, nil, wrong, of, nil); err == nil {
+	if _, _, err := a.ApplyDeltaRanges(nil, badDigest, nil, nil, wrong, wholeStripe); err == nil {
 		t.Error("ApplyDeltaRanges accepted a foreign digest key")
 	}
-	if _, err := b.ApplyDeltaReply([]encoding.Entry{{Key: "key-000", Stamp: core.Seed()}}, nil, wrong, of); err == nil {
-		t.Error("ApplyDeltaReply accepted a foreign key")
+	if _, err := a.DiffRanges(nil, of, wholeStripe); err == nil {
+		t.Error("DiffRanges accepted an out-of-range stripe")
 	}
 }
 
@@ -283,23 +320,23 @@ func TestApplyDeltaReplySkipsMovedCopies(t *testing.T) {
 	a, b := pairFromClone(2)
 	a.Put("key-000", []byte("newer-on-a"))
 
-	digest := b.Digest()
-	diff, err := a.DiffRanges(digest, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, _, err := a.ApplyDeltaRanges(nil, digest, entriesFor(b, diff.Need), nil, 0, 0, nil)
-	if err != nil {
-		t.Fatal(err)
+	var digest []encoding.Digest
+	var reply []encoding.Entry
+	for idx, ds := range stripeRuns(t, b) {
+		diff, err := a.DiffRanges(ds, idx, wholeStripe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply, _, err = a.ApplyDeltaRanges(reply, ds, entriesFor(b, diff.Need), nil, idx, wholeStripe); err != nil {
+			t.Fatal(err)
+		}
+		digest = append(digest, ds...)
 	}
 	// b's copy moves while the round is in flight.
 	b.Put("key-000", []byte("raced"))
-	applied, err := b.ApplyDeltaReply(reply, shippedIn(digest), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 0 {
-		t.Errorf("applied %d entries over a moved copy", applied)
+	applied := b.ApplyDeltaReply(reply, shippedIn(digest))
+	if len(reply) != 1 || applied != 0 {
+		t.Errorf("applied %d of %d reply entries over a moved copy", applied, len(reply))
 	}
 	if v, _ := b.Get("key-000"); string(v) != "raced" {
 		t.Errorf("concurrent write clobbered: %q", v)

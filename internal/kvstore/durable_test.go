@@ -420,42 +420,6 @@ func TestSyncMutationsAreDurable(t *testing.T) {
 	}
 }
 
-// TestAdoptDurable covers the wholesale path: Adopt must persist the
-// replacement, including the implied clearing of dropped keys.
-func TestAdoptDurable(t *testing.T) {
-	dir := t.TempDir()
-	r, err := Open(dir, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Put("stale", []byte("x"))
-
-	donor := NewReplicaShards("donor", 4)
-	donor.Put("fresh", []byte("y"))
-	snap, err := donor.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Adopt(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Abandon(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reopened.Close()
-	requireEqualStamps(t, r, reopened)
-	if _, ok := reopened.Get("stale"); ok {
-		t.Fatal("adopt-dropped key survived restart")
-	}
-	if _, ok := reopened.Get("fresh"); !ok {
-		t.Fatal("adopted key lost on restart")
-	}
-}
-
 // TestMemoryBackendMatchesWAL runs the same mutations against a Memory
 // backend to keep both implementations honest about the Backend contract.
 func TestMemoryBackendMatchesWAL(t *testing.T) {

@@ -22,12 +22,16 @@
 // sync.RWMutex. Point operations (Put/Get/Delete/Version) therefore
 // contend only with operations on the same shard; batched operations
 // (PutBatch/GetBatch/DeleteBatch) group keys by shard and take each shard
-// lock once; and Sync between two replicas with the same shard count
-// reconciles shard pairs concurrently, one goroutine per stripe, instead
-// of serializing the whole keyspace under a single lock. Because version
-// stamps track causality per key, no cross-shard coordination is ever
-// needed for correctness — sharding changes only the locking granularity,
-// never the fork/update/join semantics.
+// lock once; and Sync reconciles shard pairs concurrently, one goroutine
+// per stripe, instead of serializing the whole keyspace under a single
+// lock. Because version stamps track causality per key, no cross-shard
+// coordination is ever needed for correctness — sharding changes only the
+// locking granularity, never the fork/update/join semantics.
+//
+// Syncing replicas must stripe the keyspace the same way: Sync refuses a
+// pair with unequal shard counts, and the anti-entropy wire protocol refuses
+// such a peer too. Clone keeps the layout, and Open refuses to change a
+// durable replica's.
 //
 // Causal ordering is defined only among copies descending from one seed:
 // originate each key at a single replica and let Sync/Clone propagate it.
@@ -322,27 +326,6 @@ func (r *Replica) logSet(si int, key string, v Versioned) {
 		return
 	}
 	if err := r.backend.Append(si, e); err != nil {
-		r.notePersistErr(err)
-	}
-}
-
-// logAdopt persists a wholesale stripe replacement (Adopt) as a backend
-// checkpoint rather than one log entry per key: adoption
-// rewrites the entire stripe anyway, so a checkpoint leaves the log empty
-// instead of growing it by the keyspace. Stripe write lock held, so no
-// append interleaves.
-func (r *Replica) logAdopt(si int) {
-	r.shards[si].dropTreeLocked()
-	if r.backend == nil {
-		return
-	}
-	if r.shards[si].quar.Load() {
-		// Repair syncs adopt state into a quarantined stripe before
-		// RepairStripe re-checkpoints it; persisting here would clear the
-		// backend's quarantine behind the replica's back.
-		return
-	}
-	if err := r.checkpointShardLocked(si); err != nil {
 		r.notePersistErr(err)
 	}
 }
@@ -758,27 +741,23 @@ func replicaBefore(a, b *Replica) bool { return a.seq < b.seq }
 // Sync performs pairwise anti-entropy between two replicas: every key known
 // to either side converges on both, except conflicting keys when resolve is
 // nil, which are reported in SyncResult.Conflicts and left for a later sync
-// with a resolver.
+// with a resolver. The replicas must have the same shard count; Sync
+// refuses any other pair and changes neither side.
 //
-// When both replicas have the same shard count, shard pairs are
-// reconciled concurrently (one worker per stripe, capped at GOMAXPROCS):
-// the keyspace is never serialized under a single lock, and only the two
-// stripes under reconciliation are blocked at any moment. Replicas with
-// different stripe counts fall back to a whole-keyspace pass under all
-// locks. Either way locks are taken in a global order (replica sequence
-// number, then stripe index), so concurrent syncs of overlapping pairs cannot
-// deadlock.
+// Shard pairs are reconciled concurrently (one worker per stripe, capped at
+// GOMAXPROCS): the keyspace is never serialized under a single lock, and
+// only the two stripes under reconciliation are blocked at any moment. Locks
+// are taken in a global order (replica sequence number, then stripe index),
+// so concurrent syncs of overlapping pairs cannot deadlock.
 func Sync(a, b *Replica, resolve Resolver) (SyncResult, error) {
 	if a == b {
 		return SyncResult{}, fmt.Errorf("kvstore: sync of a replica with itself")
 	}
-	var res SyncResult
-	var err error
-	if len(a.shards) == len(b.shards) {
-		res, err = syncStriped(a, b, resolve)
-	} else {
-		res, err = syncGlobal(a, b, resolve)
+	if len(a.shards) != len(b.shards) {
+		return SyncResult{}, fmt.Errorf("kvstore: sync of a %d-stripe replica with a %d-stripe one",
+			len(a.shards), len(b.shards))
 	}
+	res, err := syncStriped(a, b, resolve)
 	a.awaitDurable()
 	b.awaitDurable()
 	sort.Strings(res.Conflicts)
@@ -816,7 +795,7 @@ func syncStriped(a, b *Replica, resolve Resolver) (SyncResult, error) {
 				}
 				first.lockMut()
 				second.lockMut()
-				part, err := syncStripes(a, b, a.shards[i:i+1], b.shards[i:i+1], resolve)
+				part, err := syncStripe(a, b, i, resolve)
 				second.mu.Unlock()
 				first.mu.Unlock()
 				mu.Lock()
@@ -833,42 +812,14 @@ func syncStriped(a, b *Replica, resolve Resolver) (SyncResult, error) {
 	return res, firstErr
 }
 
-// syncGlobal reconciles replicas with different stripe counts under all
-// locks of both, taken in global order.
-func syncGlobal(a, b *Replica, resolve Resolver) (SyncResult, error) {
-	first, second := a, b
-	if !replicaBefore(a, b) {
-		first, second = b, a
-	}
-	for i := range first.shards {
-		first.shards[i].lockMut()
-		defer first.shards[i].mu.Unlock()
-	}
-	for i := range second.shards {
-		second.shards[i].lockMut()
-		defer second.shards[i].mu.Unlock()
-	}
-	return syncStripes(a, b, a.shards, b.shards, resolve)
-}
-
-// syncStripes reconciles, in key order, the union of the keys the given
-// stripes of a and of b hold. The two sets must cover the same slice of the
-// keyspace, and their write locks must be held.
-func syncStripes(a, b *Replica, as, bs []shard, resolve Resolver) (SyncResult, error) {
-	both := [2][]shard{as, bs}
-	n := 0
-	for _, shards := range both {
-		for i := range shards {
-			n += shards[i].countLocked()
-		}
-	}
-	keys := make(map[string]struct{}, n)
+// syncStripe reconciles, in key order, the union of the keys stripe i of a
+// and of b hold. Both stripes' write locks must be held.
+func syncStripe(a, b *Replica, i int, resolve Resolver) (SyncResult, error) {
+	as, bs := &a.shards[i], &b.shards[i]
+	keys := make(map[string]struct{}, as.countLocked()+bs.countLocked())
 	collect := func(k string, _ bool, _ core.Stamp) { keys[k] = struct{}{} }
-	for _, shards := range both {
-		for i := range shards {
-			shards[i].eachMetaLocked(collect)
-		}
-	}
+	as.eachMetaLocked(collect)
+	bs.eachMetaLocked(collect)
 	var res SyncResult
 	for _, k := range sortedKeys(keys) {
 		cs := [2]keyCopy{a.heldLocked(k), b.heldLocked(k)}
@@ -888,34 +839,4 @@ func sortedKeys(set map[string]struct{}) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Adopt replaces this replica's entire contents with the snapshot's,
-// keeping the replica pointer, label and shard layout stable.
-func (r *Replica) Adopt(snapshot []byte) error {
-	restored, err := Restore(snapshot)
-	if err != nil {
-		return err
-	}
-	for i := range r.shards {
-		r.shards[i].lockMut()
-		defer r.shards[i].mu.Unlock()
-	}
-	for i := range r.shards {
-		r.shards[i].data = make(map[string]Versioned)
-		r.shards[i].cold = nil // wholesale replacement: the old checkpoint index dies
-	}
-	for i := range restored.shards {
-		for k, v := range restored.shards[i].data {
-			r.shardFor(k).data[k] = v
-		}
-	}
-	for i := range r.shards {
-		r.shards[i].rebuildTombsLocked()
-		if r.cache != nil {
-			r.cache.InvalidateShard(i)
-		}
-		r.logAdopt(i)
-	}
-	return nil
 }

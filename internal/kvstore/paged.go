@@ -248,21 +248,6 @@ func (sh *shard) noteTombLocked(key string) {
 	}
 }
 
-// rebuildTombsLocked rebuilds the stripe's tombstone ledger from its current
-// contents — wholesale replacement (Adopt) uses it after swapping the
-// stripe's maps. Stripe write lock held.
-func (sh *shard) rebuildTombsLocked() {
-	sh.tombs = make(map[string]uint64)
-	e := sh.epoch.Load()
-	sh.eachMetaLocked(func(key string, deleted bool, _ core.Stamp) {
-		if deleted {
-			// Cold keys are blob substrings; clone so the ledger does not
-			// pin a superseded index's blob across checkpoint rebuilds.
-			sh.tombs[strings.Clone(key)] = e
-		}
-	})
-}
-
 // StripeEpoch returns stripe i's current mutation epoch — the clock the
 // tombstone ledger and the anti-entropy layer's propagation evidence are
 // expressed in. Monotonic per stripe; advances on every write-locked

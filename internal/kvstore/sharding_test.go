@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -172,27 +173,39 @@ func TestShardedMatchesSingleLockReference(t *testing.T) {
 	}
 }
 
-// TestSyncMixedShardCounts exercises the whole-keyspace fallback between
-// replicas with different stripe counts.
+// TestSyncMixedShardCounts: Sync refuses replicas with different stripe
+// counts, and neither side changes.
 func TestSyncMixedShardCounts(t *testing.T) {
 	a, b := NewReplicaShards("a", 8), NewReplicaShards("b", 3)
 	for i := 0; i < 40; i++ {
 		a.Put(fmt.Sprintf("key-%02d", i), []byte("v"))
 	}
-	res, err := Sync(a, b, nil)
+	b.Put("key-00", []byte("newer"))
+	b.Put("only-b", []byte("x"))
+	beforeA, beforeB := mustSnapshot(t, a), mustSnapshot(t, b)
+	for _, pair := range [][2]*Replica{{a, b}, {b, a}} {
+		res, err := Sync(pair[0], pair[1], KeepBoth(nil))
+		if err == nil {
+			t.Fatalf("Sync(%s, %s) across stripe layouts succeeded: %+v", pair[0].Label(), pair[1].Label(), res)
+		}
+		for _, n := range []string{"8", "3"} {
+			if !strings.Contains(err.Error(), n) {
+				t.Errorf("error %q does not name the stripe count %s", err, n)
+			}
+		}
+	}
+	if !bytes.Equal(mustSnapshot(t, a), beforeA) || !bytes.Equal(mustSnapshot(t, b), beforeB) {
+		t.Fatal("a refused Sync changed a replica")
+	}
+}
+
+func mustSnapshot(t *testing.T, r *Replica) []byte {
+	t.Helper()
+	snap, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Transferred != 40 {
-		t.Fatalf("result = %+v", res)
-	}
-	b.Put("key-00", []byte("newer"))
-	if _, err := Sync(a, b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := a.Get("key-00"); string(got) != "newer" {
-		t.Fatalf("a.key-00 = %q", got)
-	}
+	return snap
 }
 
 func TestSnapshotPreservesShardLayout(t *testing.T) {
@@ -276,8 +289,8 @@ func TestConcurrentShardedAccess(t *testing.T) {
 }
 
 // TestConcurrentOverlappingSyncs runs striped syncs of overlapping replica
-// pairs in parallel — the deadlock scenario the global lock order exists
-// for — together with a mixed-layout pair to cover the global path.
+// pairs in parallel, in both argument orders — the deadlock scenario the
+// global lock order exists for.
 func TestConcurrentOverlappingSyncs(t *testing.T) {
 	r0 := NewReplica("r0")
 	for i := 0; i < 20; i++ {
@@ -285,8 +298,7 @@ func TestConcurrentOverlappingSyncs(t *testing.T) {
 	}
 	r1 := r0.Clone("r1")
 	r2 := r0.Clone("r2")
-	r3 := NewReplicaShards("r3", 7) // different layout: global-lock path
-	pairs := [][2]*Replica{{r0, r1}, {r1, r2}, {r2, r0}, {r0, r3}, {r3, r1}}
+	pairs := [][2]*Replica{{r0, r1}, {r1, r2}, {r2, r0}, {r1, r0}, {r0, r2}}
 	var wg sync.WaitGroup
 	for g := 0; g < 10; g++ {
 		wg.Add(1)

@@ -18,23 +18,24 @@ import (
 // 2026-07, this repository at PR 3).
 const preInterningDiffAllocs = 10
 
-// convergedDiffPair builds a server and the digest of a converged clone.
-func convergedDiffPair(keys int) (*Replica, []encoding.Digest) {
+// convergedDiffPair builds a server and, stripe by stripe, the digests of a
+// converged clone.
+func convergedDiffPair(tb testing.TB, keys int) (*Replica, [][]encoding.Digest) {
 	server := NewReplica("server")
 	for i := 0; i < keys; i++ {
 		server.Put(fmt.Sprintf("key-%06d", i), []byte("value-with-some-padding"))
 	}
 	client := server.Clone("client")
-	return server, client.Digest()
+	return server, stripeRuns(tb, client)
 }
 
 func TestDiffAgainstAllocBudget(t *testing.T) {
-	server, digest := convergedDiffPair(1000)
-	if _, err := server.DiffRanges(digest, 0, 0, nil); err != nil {
+	server, digests := convergedDiffPair(t, 1000)
+	if _, err := diffStripes(server, digests); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		d, err := server.DiffRanges(digest, 0, 0, nil)
+		d, err := diffStripes(server, digests)
 		if err != nil || len(d.Need) != 0 || d.Equivalent != 1000 {
 			t.Fatalf("diff = %+v, err %v", d, err)
 		}
@@ -49,25 +50,25 @@ func TestDiffAgainstAllocBudget(t *testing.T) {
 }
 
 func BenchmarkDiffAgainstConverged(b *testing.B) {
-	server, digest := convergedDiffPair(1000)
+	server, digests := convergedDiffPair(b, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := server.DiffRanges(digest, 0, 0, nil); err != nil {
+		if _, err := diffStripes(server, digests); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkDiffAgainstDivergent(b *testing.B) {
-	server, digest := convergedDiffPair(1000)
+	server, digests := convergedDiffPair(b, 1000)
 	for i := 0; i < 1000; i += 100 {
 		server.Put(fmt.Sprintf("key-%06d", i), []byte("edited"))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := server.DiffRanges(digest, 0, 0, nil); err != nil {
+		if _, err := diffStripes(server, digests); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +85,12 @@ func TestDiffAgainstDuplicateDigestKeys(t *testing.T) {
 	dup := append(append([]encoding.Digest(nil), digest...), digest...)
 	dup = append(dup, encoding.Digest{Key: "unknown", Stamp: digest[0].Stamp})
 	dup = append(dup, encoding.Digest{Key: "unknown", Stamp: digest[0].Stamp})
-	d, err := server.DiffRanges(dup, 0, 0, nil)
+	byStripe := make([][]encoding.Digest, server.Shards())
+	for _, d := range dup {
+		i := ShardIndex(d.Key, server.Shards())
+		byStripe[i] = append(byStripe[i], d)
+	}
+	d, err := diffStripes(server, byStripe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +217,13 @@ func TestDeltaPairOneKeyAllocBudget(t *testing.T) {
 			rg := NodeRange(tb.Fanout(), tb.Depth(), encoding.TreePos(k)>>shift)
 			ranges := []TreeRange{rg}
 			digest := tb.RunRange(rg)
-			diff, err := a.DiffRanges(digest, 0, 1, ranges)
+			diff, err := a.DiffRanges(digest, 0, ranges)
 			if err != nil || len(diff.Need) != 1 {
 				t.Fatalf("diff over one written key: %+v, %v", diff, err)
 			}
 			v, _ := b.Version(k)
 			entries := []encoding.Entry{{Key: k, Value: v.Value, Stamp: v.Stamp}}
-			reply, res, err := a.ApplyDeltaRanges(nil, digest, entries, nil, 0, 1, ranges)
+			reply, res, err := a.ApplyDeltaRanges(nil, digest, entries, nil, 0, ranges)
 			if err != nil || res.Reconciled != 1 || len(reply) != 1 {
 				t.Fatalf("apply over one written key: %+v, %d reply entries, %v", res, len(reply), err)
 			}

@@ -28,10 +28,9 @@ import (
 // tree at the deeper (or shallower) shape — an online rebalance that needs
 // no coordination, because the wire protocol always descends at the
 // *client's* declared shape: a server whose own shape differs evaluates its
-// data under the client's (fanout, depth) on demand, as it regroups its
-// digests under a client's foreign stripe layout. Converged replicas hold
-// equal per-stripe key counts, so their shapes agree and both sides answer
-// from the trees they hold.
+// data under the client's (fanout, depth) on demand (StripeTreeAt).
+// Converged replicas hold equal per-stripe key counts, so their shapes agree
+// and both sides answer from the trees they hold.
 
 const (
 	// treeFanout is the fan-out of locally built trees: 4 position bits per
@@ -147,8 +146,7 @@ func cmpUpdates(a, b treeUpdate) int { return cmpPosKey(a.pos, a.d.Key, b.pos, b
 
 // buildDigestTree arranges ds (any order, left alone) into a tree of the
 // given shape, which must satisfy encoding.ValidTreeShape. This is the first
-// build of a stripe's tree, the foreign-layout path, and the oracle the
-// patched tree is tested against.
+// build of a stripe's tree and the oracle the patched tree is tested against.
 func buildDigestTree(ds []encoding.Digest, fanout, depth int) *DigestTree {
 	ups := treeUpdates(ds)
 	slices.SortFunc(ups, cmpUpdates)
@@ -451,58 +449,32 @@ func (r *Replica) StripeTree(idx int) (*DigestTree, error) {
 	return r.stripeTree(idx), nil
 }
 
-// TreeScoped returns the digest tree a peer with `of` stripes sees for its
-// stripe idx, evaluated at the peer-declared (fanout, depth). When the
-// layouts agree this is the maintained tree, re-leveled when the peer's
-// shape is not the stripe's own; otherwise every digest is regrouped under
-// the foreign layout first — correct for any pair of layouts, just not O(1)
-// on a quiet store.
-func (r *Replica) TreeScoped(idx, of, fanout, depth int) (*DigestTree, error) {
-	if of < 1 || idx < 0 || idx >= of {
-		return nil, fmt.Errorf("kvstore: shard %d out of range of %d", idx, of)
-	}
+// StripeTreeAt returns stripe idx's digest tree evaluated at a peer-declared
+// (fanout, depth): the maintained tree when that is the stripe's own shape,
+// as it is between converged replicas, and otherwise its digests re-leveled.
+func (r *Replica) StripeTreeAt(idx, fanout, depth int) (*DigestTree, error) {
 	if !encoding.ValidTreeShape(fanout, depth) {
 		return nil, fmt.Errorf("kvstore: bad tree shape fanout=%d depth=%d", fanout, depth)
 	}
-	if of == len(r.shards) {
-		t := r.stripeTree(idx)
-		if t.fanout != fanout || t.depth != depth {
-			t = t.relevel(fanout, depth)
-		}
-		return t, nil
+	t, err := r.StripeTree(idx)
+	if err != nil {
+		return nil, err
 	}
-	var group []encoding.Digest
-	r.eachDigest(func(d encoding.Digest) {
-		if ShardIndex(d.Key, of) == idx {
-			group = append(group, d)
-		}
-	})
-	return buildDigestTree(group, fanout, depth), nil
+	if t.fanout != fanout || t.depth != depth {
+		t = t.relevel(fanout, depth)
+	}
+	return t, nil
 }
 
-// TreeRootsScoped returns one digest-tree root per stripe of a peer layout
-// with `of` stripes, each at the shape this replica's own count policy
-// picks for that stripe — the root-phase payload. Converged peers hold
-// equal per-stripe counts, so their shape choices (and therefore roots)
-// agree.
-func (r *Replica) TreeRootsScoped(of int) ([]uint64, error) {
-	if of < 1 {
-		return nil, fmt.Errorf("kvstore: tree layout of %d stripes", of)
+// Digest returns the (key, stamp) pairs of every stored copy — including
+// tombstones — sorted by key, read off the stripes' digest trees.
+func (r *Replica) Digest() []encoding.Digest {
+	var out []encoding.Digest
+	for i := range r.shards {
+		r.stripeTree(i).root.each(func(d encoding.Digest) { out = append(out, d) })
 	}
-	if of == len(r.shards) {
-		return r.Summaries(), nil
-	}
-	out := make([]uint64, of)
-	groups := make([][]encoding.Digest, of)
-	r.eachDigest(func(d encoding.Digest) {
-		i := ShardIndex(d.Key, of)
-		groups[i] = append(groups[i], d)
-	})
-	for i, g := range groups {
-		f, dep := TreeShape(len(g))
-		out[i] = buildDigestTree(g, f, dep).Root()
-	}
-	return out, nil
+	slices.SortFunc(out, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
+	return out
 }
 
 // each calls fn with every digest under nd, in tree order.
@@ -513,23 +485,6 @@ func (nd *treeNode) each(fn func(encoding.Digest)) {
 	for _, d := range nd.run {
 		fn(d)
 	}
-}
-
-// eachDigest calls fn with the (key, stamp) pair of every stored copy —
-// tombstones included — stripe by stripe, in each stripe's tree order.
-func (r *Replica) eachDigest(fn func(encoding.Digest)) {
-	for i := range r.shards {
-		r.stripeTree(i).root.each(fn)
-	}
-}
-
-// Digest returns the (key, stamp) pairs of every stored copy — including
-// tombstones — sorted by key, read off the stripes' digest trees.
-func (r *Replica) Digest() []encoding.Digest {
-	var out []encoding.Digest
-	r.eachDigest(func(d encoding.Digest) { out = append(out, d) })
-	slices.SortFunc(out, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
-	return out
 }
 
 // Summaries returns one hash per stripe under the replica's own layout: the

@@ -266,73 +266,35 @@ func TestStripeTreeRebalance(t *testing.T) {
 	}
 }
 
-func TestTreeScopedForeignLayout(t *testing.T) {
+// TestStripeTreeAtForeignShape: at the stripe's own shape StripeTreeAt is
+// the maintained tree itself; at a peer's other shape it spans the same
+// digests and equals a fresh build at that shape.
+func TestStripeTreeAtForeignShape(t *testing.T) {
 	r := NewReplicaShards("a", 4)
 	for i := 0; i < 200; i++ {
 		r.Put(fmt.Sprintf("k%d", i), []byte("v"))
 	}
-	// Under a foreign 2-stripe layout, stripe 0 must cover exactly the keys
-	// hashing to 0 of 2.
-	tr, err := r.TreeScoped(0, 2, 16, 1)
+	own, err := r.StripeTree(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0
-	for _, d := range r.Digest() {
-		if ShardIndex(d.Key, 2) == 0 {
-			want++
-		}
+	if at, err := r.StripeTreeAt(0, own.Fanout(), own.Depth()); err != nil || at != own {
+		t.Fatalf("own shape: not the maintained tree (err %v)", err)
 	}
-	if tr.Len() != want {
-		t.Fatalf("foreign stripe tree spans %d keys, want %d", tr.Len(), want)
+	tr, err := r.StripeTreeAt(0, 4, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.TreeScoped(0, 2, 3, 1); err == nil {
+	if tr.Len() != own.Len() {
+		t.Fatalf("foreign-shape tree spans %d keys, want %d", tr.Len(), own.Len())
+	}
+	requireSameTree(t, "foreign shape", tr, buildDigestTree(stripeDigests(r, 0), 4, 3))
+	if _, err := r.StripeTreeAt(0, 3, 1); err == nil {
 		t.Fatal("invalid fanout accepted")
 	}
-	if _, err := r.TreeScoped(5, 2, 16, 1); err == nil {
+	if _, err := r.StripeTreeAt(5, 16, 1); err == nil {
 		t.Fatal("out-of-range stripe accepted")
 	}
-
-	// TreeRootsScoped under the replica's own layout must agree with the
-	// per-stripe trees.
-	roots, err := r.TreeRootsScoped(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, root := range roots {
-		st, _ := r.StripeTree(i)
-		if st.Root() != root {
-			t.Fatalf("stripe %d root mismatch", i)
-		}
-	}
-	// And under a foreign layout it must agree with what a replica actually
-	// sharded that way computes.
-	o := NewReplicaShards("a", 2)
-	if err := o.Adopt(mustSnapshot(t, r)); err != nil {
-		t.Fatal(err)
-	}
-	fRoots, err := r.TreeRootsScoped(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oRoots, err := o.TreeRootsScoped(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fRoots {
-		if fRoots[i] != oRoots[i] {
-			t.Fatalf("foreign-layout root %d disagrees with a natively %d-striped replica", i, 2)
-		}
-	}
-}
-
-func mustSnapshot(t *testing.T, r *Replica) []byte {
-	t.Helper()
-	snap, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
 }
 
 // stripeDigests collects stripe i's digests straight off the stripe — the
@@ -485,7 +447,7 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 					o = pair[1]
 				}
 				var what string
-				switch op := rng.Intn(12); {
+				switch op := rng.Intn(11); {
 				case step == steps/3:
 					// Grow both stripes past the depth threshold in one
 					// batch big enough to overflow the dirty set.
@@ -540,15 +502,10 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 					what = "ApplyDelta+ApplyDeltaReply"
 					deltaRound(t, r, o, resolve)
 				case op == 8:
-					what = "Adopt"
-					if err := r.Adopt(mustSnapshot(t, o)); err != nil {
-						t.Fatal(err)
-					}
-				case op == 9:
 					what = "DiscardTombstones"
 					idx := rng.Intn(shards)
 					r.DiscardTombstones(idx, r.Tombstones(idx))
-				case op == 10:
+				case op == 9:
 					what = "Checkpoint"
 					if err := r.Checkpoint(); err != nil {
 						t.Fatal(err)
