@@ -60,9 +60,11 @@ func TestConvergedRoundAllocs(t *testing.T) {
 
 // hot1RoundAllocBudget is what a pooled round after one client write may
 // allocate across both ends, the write included. Measured at 32 stripes of
-// 2 000 keys: 95 (98 under -race); 216 before sessions kept their frame
-// buffers and the store walked its trees.
-const hot1RoundAllocBudget = 120
+// 2 000 keys: 79 (88 under -race). Before DigestTree.Children appended
+// into session scratch and the result restamped the written copy instead of
+// echoing it, 93 (96) against a budget of 120; before sessions kept their
+// frame buffers and the store walked its trees, 216.
+const hot1RoundAllocBudget = 100
 
 // TestHot1RoundAllocs: a round that reconciles one written key stays within
 // its recorded budget.

@@ -15,14 +15,16 @@
 // the digests leave the server unable to reconcile. The server applies them
 // exactly as an in-process kvstore.Sync would — transfers fork stamps,
 // dominance reconciles, conflicts use the server's resolver or stay reported
-// — and replies with the entries the client must adopt. Converged replicas
-// therefore exchange one 8-byte root; isolating one divergent key among n
-// costs O(log n) fixed-size frames.
+// — and replies with what the client must adopt: for a copy whose value the
+// client shipped and the server kept, only the client's half of the fork (a
+// restamp), as the client already holds the value; every other copy in full.
+// Converged replicas therefore exchange one 8-byte root; isolating one
+// divergent key among n costs O(log n) fixed-size frames.
 //
 // # Wire protocol
 //
 // There is one protocol. A connection is a session: the client opens it with
-// the version byte 0x04, the server acks with the same byte, and any number
+// the version byte 0x05, the server acks with the same byte, and any number
 // of rounds (whole-replica, or scoped to chosen stripes) ride it back to
 // back. A server closes a connection that opens with anything else; a client
 // whose opening is answered by anything else reports ErrProtocol. After the
@@ -48,7 +50,8 @@
 //	server -> client  kindNeed          (0x02): count, count×key
 //	client -> server  kindEntries       (0x03): count, count×entry
 //	server -> client  kindResult        (0x04): transferred, reconciled,
-//	                  merged, pruned, conflicts, reply entries
+//	                  merged, pruned, conflicts, count×restamp, then
+//	                  entries to the end of the frame
 //	— between rounds, on pooled whole-replica sessions —
 //	client -> server  kindRootProbe     (0x0F): of, root; answered with
 //	                  kindRootMatch, outside any round
@@ -56,7 +59,10 @@
 //	server -> client  kindError         (0x7F): error text, ending the session
 //
 // where digest = key + stamp (encoding.AppendDigest) and entry = key +
-// tombstone flag + value + stamp (encoding.AppendEntry). The tree shape on
+// tombstone flag + value + stamp (encoding.AppendEntry); a restamp is a
+// digest. The result's restamps name keys the entries frame shipped in full
+// whose outcome kept that value; its entries are everything else. Each list
+// is sorted by key, and no key is in both. The tree shape on
 // the wire is the client's choice; the server evaluates its own stripes
 // under that shape (kvstore.Replica.StripeTreeAt — the maintained tree when
 // it matches its own, which converged replicas' does). The layout is not:
@@ -82,9 +88,14 @@
 // keeps a stripe-indexed slot per stripe tree, cleared after each round, so
 // a converged round allocates nothing at either end.
 //
-// The client installs a reply entry only while its own copy still carries
-// the stamp it shipped; copies that moved mid-round are left alone for the
-// next round, which makes concurrent rounds against one replica safe.
+// Before applying anything the client checks the result against what it
+// shipped: entries only inside the leaf ranges this round sent, restamps
+// only for keys its entries frame carried in full, each list sorted, no key
+// in both; anything else is ErrProtocol. It installs a reply copy only while
+// its own copy still carries the stamp it shipped; copies that moved
+// mid-round are left alone for the next round, which makes concurrent rounds
+// against one replica safe (see kvstore.Replica.ApplyDeltaReply for the one
+// move a stamp cannot show).
 //
 // A Pool keeps one session per peer address: rounds to the same peer are
 // framed back to back over the pooled connection (a 100-round gossip session

@@ -20,14 +20,14 @@ import (
 
 // protocolVersion is the first byte of a session, and the byte the server
 // acks the opening with.
-const protocolVersion = 0x04
+const protocolVersion = 0x05
 
 // Frame kinds. The numbering has gaps where retired protocols had frames of
 // their own.
 const (
 	kindNeed           = 0x02 // server: keys whose full copies it needs
 	kindEntries        = 0x03 // client: the requested full entries
-	kindResult         = 0x04 // server: sync counters + entries the client adopts
+	kindResult         = 0x04 // server: sync counters, restamps + entries the client adopts
 	kindRoot           = 0x08 // client: layout + fold of its stripe tree roots
 	kindRootMatch      = 0x09 // server: 1 = roots agree (round over), 0 = diverged
 	kindStripeRoots    = 0x0A // client: of, fanout, count×(stripe, depth, root)
@@ -198,13 +198,21 @@ func decodeRootBody(body []byte) (of int, root uint64, err error) {
 }
 
 // encodeResultFrame builds the kindResult frame in buf: kind, four counters,
-// conflicts, reply entries. The frame is sized before it is encoded.
-func encodeResultFrame(buf []byte, res kvstore.SyncResult, reply []encoding.Entry) []byte {
+// conflicts, counted restamps, then the reply entries to the end of the
+// frame. The frame is sized before it is encoded.
+//
+// The entries carry no count of their own: the frame's length delimits them.
+// So a result is never longer than the same copies all sent in full would
+// be, since the restamp count is no wider than a count of every copy.
+func encodeResultFrame(buf []byte, res kvstore.SyncResult, reply kvstore.DeltaReply) []byte {
 	size := 6 * lenSlot
 	for _, k := range res.Conflicts {
 		size += encoding.UvarintLen(uint64(len(k))) + len(k)
 	}
-	for _, e := range reply {
+	for _, d := range reply.Restamps {
+		size += encoding.DigestLen(d)
+	}
+	for _, e := range reply.Entries {
 		size += encoding.EntryLen(e)
 	}
 	buf = startFrame(buf, kindResult, size)
@@ -216,51 +224,71 @@ func encodeResultFrame(buf []byte, res kvstore.SyncResult, reply []encoding.Entr
 	for _, k := range res.Conflicts {
 		buf = appendString(buf, k)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(reply)))
-	for _, e := range reply {
+	buf = binary.AppendUvarint(buf, uint64(len(reply.Restamps)))
+	for _, d := range reply.Restamps {
+		buf = encoding.AppendDigest(buf, d)
+	}
+	for _, e := range reply.Entries {
 		buf = encoding.AppendEntry(buf, e)
 	}
 	return buf
 }
 
 // decodeResultFrame parses a kindResult body (kind byte already stripped).
-func decodeResultFrame(body []byte) (kvstore.SyncResult, []encoding.Entry, error) {
+// It checks the grammar only; what the reply may name is the round's to
+// check (checkReply). The counters size the entries list: each key the round
+// transferred, reconciled or merged is one reply copy, so their sum less the
+// restamps is the entry count. It is only a capacity hint, bounded by the
+// body like every wire-supplied count.
+func decodeResultFrame(body []byte) (kvstore.SyncResult, kvstore.DeltaReply, error) {
 	var res kvstore.SyncResult
+	var reply kvstore.DeltaReply
 	counters := []*int{&res.Transferred, &res.Reconciled, &res.Merged, &res.Pruned}
 	for _, c := range counters {
 		v, used := binary.Uvarint(body)
 		if used <= 0 {
-			return res, nil, fmt.Errorf("%w: bad result counters", ErrProtocol)
+			return res, reply, fmt.Errorf("%w: bad result counters", ErrProtocol)
 		}
 		*c = int(v)
 		body = body[used:]
 	}
 	nConf, used := binary.Uvarint(body)
 	if used <= 0 {
-		return res, nil, fmt.Errorf("%w: bad conflict count", ErrProtocol)
+		return res, reply, fmt.Errorf("%w: bad conflict count", ErrProtocol)
 	}
 	body = body[used:]
 	for i := uint64(0); i < nConf; i++ {
 		k, n, err := readString(body)
 		if err != nil {
-			return res, nil, fmt.Errorf("%w: bad conflict key", ErrProtocol)
+			return res, reply, fmt.Errorf("%w: bad conflict key", ErrProtocol)
 		}
 		body = body[n:]
 		res.Conflicts = append(res.Conflicts, k)
 	}
-	nEntries, used := binary.Uvarint(body)
+	nRestamps, used := binary.Uvarint(body)
 	if used <= 0 {
-		return res, nil, fmt.Errorf("%w: bad reply entry count", ErrProtocol)
+		return res, reply, fmt.Errorf("%w: bad restamp count", ErrProtocol)
 	}
 	body = body[used:]
-	reply := make([]encoding.Entry, 0, capCount(nEntries, body))
-	for i := uint64(0); i < nEntries; i++ {
-		e, n, err := encoding.DecodeEntry(body)
+	reply.Restamps = make([]encoding.Digest, 0, capCount(nRestamps, body))
+	for i := uint64(0); i < nRestamps; i++ {
+		d, n, err := encoding.DecodeDigest(body)
 		if err != nil {
-			return res, nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+			return res, reply, fmt.Errorf("%w: %v", ErrProtocol, err)
 		}
 		body = body[n:]
-		reply = append(reply, e)
+		reply.Restamps = append(reply.Restamps, d)
+	}
+	if copies := uint64(res.Transferred + res.Reconciled + res.Merged); copies > nRestamps && len(body) > 0 {
+		reply.Entries = make([]encoding.Entry, 0, capCount(copies-nRestamps, body))
+	}
+	for len(body) > 0 {
+		e, n, err := encoding.DecodeEntry(body)
+		if err != nil {
+			return res, reply, fmt.Errorf("%w: %v", ErrProtocol, err)
+		}
+		body = body[n:]
+		reply.Entries = append(reply.Entries, e)
 	}
 	return res, reply, nil
 }

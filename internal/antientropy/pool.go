@@ -62,6 +62,10 @@ type poolConn struct {
 	// so the session pins no snapshot. all is 0..n-1, the whole-replica set.
 	trees []*kvstore.DigestTree
 	all   []int
+
+	// bm and hashes are the descent's DigestTree.Children scratch.
+	bm     []byte
+	hashes []uint64
 }
 
 // every returns the stripe set 0..of-1, kept by the session.

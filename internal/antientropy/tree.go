@@ -9,6 +9,7 @@ import (
 	"net"
 	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"versionstamp/internal/core"
@@ -30,13 +31,16 @@ import (
 // next round. The stripe layout is not a choice: both ends must stripe the
 // keyspace the same way, and the server refuses any other peer (checkLayout).
 
-// serverSession is the server's state for one connection: the frame reader
-// and the buffer replies are built in, both kept from round to round.
+// serverSession is the server's state for one connection: the frame reader,
+// the buffer replies are built in and the scratch tree-node children are
+// read into, all kept from round to round.
 type serverSession struct {
 	*Server
-	conn net.Conn
-	fr   frameReader
-	out  []byte
+	conn   net.Conn
+	fr     frameReader
+	out    []byte
+	bm     []byte   // DigestTree.Children scratch: child bitmap
+	hashes []uint64 // DigestTree.Children scratch: child hashes
 }
 
 // handle serves one connection: check and ack the version byte, then a loop
@@ -293,7 +297,8 @@ descend:
 			if node.Depth != st.depth {
 				return fail(fmt.Errorf("tree node depth %d, stripe declared %d", node.Depth, st.depth))
 			}
-			srvBm, srvHashes := st.tree.Children(node.Level, node.Path)
+			ss.bm, ss.hashes = st.tree.Children(ss.bm[:0], ss.hashes[:0], node.Level, node.Path)
+			srvBm, srvHashes := ss.bm, ss.hashes
 			// differ bit c: exactly one side has child c, or both do with
 			// different hashes.
 			ss.out = append(ss.out, make([]byte, nb)...)
@@ -441,7 +446,7 @@ descend:
 	}
 
 	var res kvstore.SyncResult
-	var reply []encoding.Entry
+	var reply kvstore.DeltaReply
 	for _, idx := range order {
 		st := stripes[idx]
 		var part kvstore.SyncResult
@@ -452,6 +457,9 @@ descend:
 		}
 		res.Add(part)
 	}
+	// Each stripe's part is sorted by key; the frame's lists are sorted whole.
+	slices.SortFunc(reply.Restamps, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortFunc(reply.Entries, func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
 	// Fold this round's writes into the maintained trees before answering:
 	// the root probe that follows the result then finds them current, and
 	// the patch never races the writes that come after the round.
@@ -643,10 +651,10 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		pc.out = binary.AppendUvarint(pc.out, uint64(len(frontier)))
 		for _, nc := range frontier {
 			t := trees[nc.stripe]
-			bm, hashes := t.Children(nc.level, nc.path)
+			pc.bm, pc.hashes = t.Children(pc.bm[:0], pc.hashes[:0], nc.level, nc.path)
 			pc.out = encoding.AppendTreeNode(pc.out, encoding.TreeNode{
 				Stripe: nc.stripe, Depth: t.Depth(), Level: nc.level, Path: nc.path,
-				Bitmap: bm, Hashes: hashes,
+				Bitmap: pc.bm, Hashes: pc.hashes,
 			})
 		}
 		if err := writeFrame(conn, pc.out); err != nil {
@@ -671,7 +679,8 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 			differ, srvBm := body[:nb], body[nb:2*nb]
 			body = body[2*nb:]
 			t := trees[nc.stripe]
-			cliBm, _ := t.Children(nc.level, nc.path)
+			pc.bm, pc.hashes = t.Children(pc.bm[:0], pc.hashes[:0], nc.level, nc.path)
+			cliBm := pc.bm
 			for c := 0; c < fanout; c++ {
 				if !encoding.BitmapGet(differ, c) {
 					continue
@@ -768,6 +777,7 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	if err := writeFrame(conn, pc.out); err != nil {
 		return res, fmt.Errorf("%w: send entries: %w", ErrRetryUnsafe, err)
 	}
+	slices.SortFunc(sends, func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
 
 	if body, err = pc.fr.read(); err != nil {
 		return res, fmt.Errorf("%w: receive result: %w", ErrRetryUnsafe, err)
@@ -780,19 +790,12 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		return res, err
 	}
 	res.Add(part)
-	// The server may only reply about the leaf ranges this round shipped —
-	// reject anything else before applying, mirroring the server's own
-	// check, so a faulty peer cannot slip keys into subtrees this round
-	// declared converged.
-	for _, e := range reply {
-		if shipped.find(e.Key) < 0 {
-			return res, fmt.Errorf("%w: reply entry %q outside the divergent leaf ranges",
-				ErrProtocol, e.Key)
-		}
+	if err := checkReply(reply, sends, &shipped); err != nil {
+		return res, err
 	}
-	// The shipped stamps pin every reply entry to the exact copy this round
+	// The shipped copies pin every reply copy to the exact copy this round
 	// sent.
-	local.ApplyDeltaReply(reply, shipped.stamp)
+	local.ApplyDeltaReply(reply, sends, shipped.stamp)
 	root = encoding.RootSummarySeed
 	for _, idx := range stripes {
 		t, err := local.StripeTree(idx)
@@ -803,6 +806,45 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	}
 	sendProbe(root)
 	return res, nil
+}
+
+// checkReply refuses, before anything is applied, a result that names a key
+// the round did not hand the server. The server may only reply about the
+// leaf ranges this round shipped — mirroring the server's own check, so a
+// faulty peer cannot slip keys into subtrees this round declared converged —
+// and may restamp only a key whose entry this round shipped in full (sent,
+// sorted by key): a restamp carries no value, so the client must already
+// hold the one it names. Each list must be strictly sorted by key, and no
+// key may be in both.
+func checkReply(reply kvstore.DeltaReply, sent []encoding.Entry, shipped *shippedRuns) error {
+	for i, d := range reply.Restamps {
+		if i > 0 && reply.Restamps[i-1].Key >= d.Key {
+			return fmt.Errorf("%w: reply restamps not sorted by key at %q", ErrProtocol, d.Key)
+		}
+		for len(sent) > 0 && sent[0].Key < d.Key {
+			sent = sent[1:]
+		}
+		if len(sent) == 0 || sent[0].Key != d.Key || shipped.find(d.Key) < 0 {
+			return fmt.Errorf("%w: reply restamp %q for a copy this round did not ship in full",
+				ErrProtocol, d.Key)
+		}
+	}
+	restamps := reply.Restamps
+	for i, e := range reply.Entries {
+		if i > 0 && reply.Entries[i-1].Key >= e.Key {
+			return fmt.Errorf("%w: reply entries not sorted by key at %q", ErrProtocol, e.Key)
+		}
+		if shipped.find(e.Key) < 0 {
+			return fmt.Errorf("%w: reply entry %q outside the divergent leaf ranges", ErrProtocol, e.Key)
+		}
+		for len(restamps) > 0 && restamps[0].Key < e.Key {
+			restamps = restamps[1:]
+		}
+		if len(restamps) > 0 && restamps[0].Key == e.Key {
+			return fmt.Errorf("%w: reply names %q as both a restamp and an entry", ErrProtocol, e.Key)
+		}
+	}
+	return nil
 }
 
 // shippedRuns is what a client round sent for the server to reconcile: its

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
 	"versionstamp/internal/kvstore"
 )
@@ -290,7 +291,7 @@ func TestTreeConflictReportedOverWire(t *testing.T) {
 
 // TestTreeDifferentialProperty: across randomized divergence patterns, a wire
 // round leaves both replicas exactly where the in-process kvstore.Sync leaves
-// an identically built pair — including across a mid-test rebalance, where
+// an identically built pair, values and stamps alike — including across a mid-test rebalance, where
 // the key count crossing a TreeShape threshold changes the tree depth
 // between rounds.
 func TestTreeDifferentialProperty(t *testing.T) {
@@ -355,6 +356,8 @@ func TestTreeDifferentialProperty(t *testing.T) {
 		}
 		requireConverged(t, wireServer, oracleServer)
 		requireConverged(t, wireClient, oracleClient)
+		requireSameStamps(t, wireServer, oracleServer)
+		requireSameStamps(t, wireClient, oracleClient)
 		// Grow both sides differently across the depth threshold, then sync
 		// again: the rebalanced trees must still converge the pair.
 		for _, pair := range [][2]*kvstore.Replica{{wireServer, wireClient}, {oracleServer, oracleClient}} {
@@ -373,6 +376,25 @@ func TestTreeDifferentialProperty(t *testing.T) {
 		requireConverged(t, wireServer, wireClient)
 		requireConverged(t, wireServer, oracleServer)
 		requireConverged(t, wireClient, oracleClient)
+		requireSameStamps(t, wireServer, oracleServer)
+		requireSameStamps(t, wireClient, oracleClient)
+	}
+}
+
+// requireSameStamps fails unless a and b hold the same keys, tombstones
+// included, under Equal stamps — the same fork halves, not merely stamps
+// that compare Equal.
+func requireSameStamps(t *testing.T, a, b *kvstore.Replica) {
+	t.Helper()
+	da, db := a.Digest(), b.Digest()
+	if len(da) != len(db) {
+		t.Errorf("%s holds %d keys, %s %d", a.Label(), len(da), b.Label(), len(db))
+		return
+	}
+	for i := range da {
+		if da[i].Key != db[i].Key || !da[i].Stamp.Equal(db[i].Stamp) {
+			t.Errorf("%s %q %v vs %s %q %v", a.Label(), da[i].Key, da[i].Stamp, b.Label(), db[i].Key, db[i].Stamp)
+		}
 	}
 }
 
@@ -437,4 +459,187 @@ func TestTreeConcurrentWritersNeverMaskDivergence(t *testing.T) {
 		}
 	}
 	requireConverged(t, server, client)
+}
+
+// TestRestampRepliesCarryNoValue is the deterministic wire gate of restamp
+// replies: after the client writes one key with a 4 KiB value, a pooled
+// round ships the value once, client to server, and the result carries only
+// its forked stamp back.
+func TestRestampRepliesCarryNoValue(t *testing.T) {
+	server, client := clonedPair(1000)
+	_, addr := startServer(t, server, nil)
+	p := NewPool()
+	defer p.Close()
+	if _, err := p.SyncWith(addr, client); err != nil {
+		t.Fatal(err)
+	}
+	value := bytes.Repeat([]byte{'v'}, 4096)
+	client.Put("key-0042", value)
+	res, err := p.SyncWith(addr, client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Reconciled != 1 {
+		t.Fatalf("round after one write: %+v", res)
+	}
+	t.Logf("4 KiB write: %dB sent, %dB received", res.BytesSent, res.BytesReceived)
+	if res.BytesSent < 4096 || res.BytesReceived >= 4096 {
+		t.Errorf("4 KiB write: %dB sent, %dB received; want the value sent once and not echoed back",
+			res.BytesSent, res.BytesReceived)
+	}
+	if v, _ := server.Get("key-0042"); !bytes.Equal(v, value) {
+		t.Errorf("server holds %d bytes, want the 4 KiB value", len(v))
+	}
+	cv, _ := client.Version("key-0042")
+	sv, _ := server.Version("key-0042")
+	if !bytes.Equal(cv.Value, value) || cv.Stamp.Equal(sv.Stamp) || !cv.Stamp.IDHandle().IncomparableTo(sv.Stamp.IDHandle()) {
+		t.Errorf("client copy %v after the restamp, server %v: want the two halves of one fork", cv.Stamp, sv.Stamp)
+	}
+}
+
+// resultTamperer sits between a client and a real server and forwards every
+// frame of a round until the client's entries frame. That frame it keeps
+// from the server, which therefore applies nothing, and answers the client
+// with the result frame forge builds from the entries the client shipped.
+func resultTamperer(t *testing.T, serverAddr string, forge func(shipped []encoding.Entry) kvstore.DeltaReply) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	forward := func(fr *frameReader, to net.Conn) ([]byte, error) {
+		body, err := fr.read()
+		if err != nil {
+			return nil, err
+		}
+		return body, writeFrame(to, append(make([]byte, lenSlot), body...))
+	}
+	go func() {
+		for {
+			cli, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer cli.Close()
+				srv, err := net.Dial("tcp", serverAddr)
+				if err != nil {
+					return
+				}
+				defer srv.Close()
+				cfr, sfr := &frameReader{br: bufio.NewReader(cli)}, &frameReader{br: bufio.NewReader(srv)}
+				v, err := cfr.br.ReadByte()
+				if err != nil {
+					return
+				}
+				if _, err := srv.Write([]byte{v}); err != nil {
+					return
+				}
+				if v, err = sfr.br.ReadByte(); err != nil {
+					return
+				}
+				if _, err := cli.Write([]byte{v}); err != nil {
+					return
+				}
+				for {
+					body, err := cfr.read()
+					if err != nil {
+						return
+					}
+					if body[0] != kindEntries {
+						if err := writeFrame(srv, append(make([]byte, lenSlot), body...)); err != nil {
+							return
+						}
+						if _, err := forward(sfr, cli); err != nil {
+							return
+						}
+						continue
+					}
+					body = body[1:]
+					n, used := binary.Uvarint(body)
+					body = body[used:]
+					var shipped []encoding.Entry
+					for i := uint64(0); i < n; i++ {
+						e, used, err := encoding.DecodeEntry(body)
+						if err != nil {
+							return
+						}
+						body = body[used:]
+						shipped = append(shipped, e)
+					}
+					_ = writeFrame(cli, encodeResultFrame(nil, kvstore.SyncResult{}, forge(shipped)))
+					return
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientRefusesForgedRestamps: the client checks a result against what
+// its round shipped before applying any of it, and refuses with ErrProtocol a
+// restamp for a key it did not ship in full (it may not hold the value the
+// stamp names), a key in both lists, and either list out of key order.
+// Neither replica changes.
+func TestClientRefusesForgedRestamps(t *testing.T) {
+	server, client := clonedPair(64)
+	client.Put("key-0001", []byte("client-1")) // shipped in full
+	client.Put("key-0002", []byte("client-2")) // shipped in full
+	server.Put("key-0005", []byte("server-5")) // shipped as a digest only
+	snapshot := func(r *kvstore.Replica) []byte {
+		snap, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	serverBefore, clientBefore := snapshot(server), snapshot(client)
+	_, addr := startServer(t, server, nil)
+
+	restamp := func(shipped []encoding.Entry, key string) encoding.Digest {
+		for _, e := range shipped {
+			if e.Key == key {
+				a, _ := e.Stamp.Fork()
+				return encoding.Digest{Key: key, Stamp: a}
+			}
+		}
+		t.Errorf("the round did not ship %q in full", key)
+		return encoding.Digest{Key: key}
+	}
+	entry := func(key string) encoding.Entry {
+		return encoding.Entry{Key: key, Value: []byte("forged"), Stamp: core.Seed().Update()}
+	}
+	for _, tc := range []struct {
+		name  string
+		forge func(shipped []encoding.Entry) kvstore.DeltaReply
+	}{
+		{"restamp of a digest-only key", func(sh []encoding.Entry) kvstore.DeltaReply {
+			s := restamp(sh, "key-0001")
+			return kvstore.DeltaReply{Restamps: []encoding.Digest{s, {Key: "key-0005", Stamp: s.Stamp}}}
+		}},
+		{"key in both lists", func(sh []encoding.Entry) kvstore.DeltaReply {
+			return kvstore.DeltaReply{
+				Restamps: []encoding.Digest{restamp(sh, "key-0001")},
+				Entries:  []encoding.Entry{entry("key-0001")},
+			}
+		}},
+		{"unsorted restamps", func(sh []encoding.Entry) kvstore.DeltaReply {
+			return kvstore.DeltaReply{Restamps: []encoding.Digest{restamp(sh, "key-0002"), restamp(sh, "key-0001")}}
+		}},
+		{"unsorted entries", func(sh []encoding.Entry) kvstore.DeltaReply {
+			return kvstore.DeltaReply{Entries: []encoding.Entry{entry("key-0005"), entry("key-0001")}}
+		}},
+	} {
+		p := NewPool()
+		_, err := p.SyncWith(resultTamperer(t, addr, tc.forge), client)
+		_ = p.Close()
+		t.Logf("%s: %v", tc.name, err)
+		if !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: %v, want ErrProtocol", tc.name, err)
+		}
+	}
+	if !bytes.Equal(snapshot(server), serverBefore) || !bytes.Equal(snapshot(client), clientBefore) {
+		t.Fatal("a refused result changed a replica")
+	}
 }

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -23,6 +24,12 @@ import (
 // covers the whole stripe. The peer stripes the keyspace the same way (the
 // wire layer refuses any other peer), so the scope's keys all live in the
 // one local stripe, and only its lock is taken.
+//
+// The reply is split the same way. A stamp identifies a version, so a copy
+// whose outcome value is the one the peer shipped in full goes back as a
+// restamp — key and new stamp, the digest shape — and the peer keeps the
+// value it already holds. Only copies whose value the peer lacks travel in
+// full.
 
 // Diff classifies a peer's digest against local state — what DiffRanges
 // reports on the responding side.
@@ -246,11 +253,28 @@ func compactSorted(ss []string) []string {
 	return out
 }
 
+// DeltaReply is what a responder's apply hands the initiator to adopt. Each
+// ApplyDeltaRanges call appends its part of each list sorted by key.
+type DeltaReply struct {
+	// Restamps are copies whose outcome value is the one the peer shipped
+	// in full: the peer keeps its value and takes only the new stamp.
+	Restamps []encoding.Digest
+	// Entries are the full copies for everything else: merged and
+	// responder-won values, and keys the peer sent only a digest of.
+	Entries []encoding.Entry
+}
+
+// Len returns how many keys the reply names.
+func (d DeltaReply) Len() int { return len(d.Restamps) + len(d.Entries) }
+
 // ApplyDeltaRanges runs the responder's apply for stripe idx: it reconciles
 // the peer's full entries (and, for keys this side dominates, just their
-// digest stamps) against local state and appends to reply, sorted by key, the
-// entries the peer must adopt to converge. Local state is mutated exactly as
-// Sync would mutate it — transfers fork stamps, dominance reconciles,
+// digest stamps) against local state and appends to reply what the peer must
+// adopt to converge, each list sorted by key. A key goes into Restamps when
+// the peer shipped its entry and the outcome keeps that entry's value — a
+// peer-won transfer or reconcile, or a byte-identical concurrent pair — and
+// into Entries otherwise. Local state is mutated exactly as Sync would
+// mutate it — transfers fork stamps, dominance reconciles,
 // conflicts use the resolver or stay reported — and every key the stamps
 // already prove equivalent is pruned: it is neither touched nor returned.
 // Peer digests and entries must fall inside ranges, and only in-range local
@@ -268,8 +292,8 @@ func compactSorted(ss []string) []string {
 // Keys whose digest says this side should dominate but whose local copy
 // moved since DiffRanges (a concurrent writer) are skipped this round; the
 // next digest exchange reconciles them.
-func (r *Replica) ApplyDeltaRanges(reply []encoding.Entry, peerDigest []encoding.Digest, peerEntries []encoding.Entry,
-	resolve Resolver, idx int, ranges []TreeRange) ([]encoding.Entry, SyncResult, error) {
+func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peerDigest []encoding.Digest, peerEntries []encoding.Entry,
+	resolve Resolver, idx int, ranges []TreeRange) (DeltaReply, SyncResult, error) {
 	sc, err := r.deltaScope(idx, ranges)
 	if err != nil {
 		return reply, SyncResult{}, err
@@ -291,7 +315,7 @@ func (r *Replica) ApplyDeltaRanges(reply []encoding.Entry, peerDigest []encoding
 
 	var res SyncResult
 	var cmp core.Comparer // batch memo: digest stamps recur across keys
-	start := len(reply)
+	startR, startE := len(reply.Restamps), len(reply.Entries)
 	apply := func(k string, pd *encoding.Digest, pe *encoding.Entry) error {
 		// The peer's side of the reconcile is a held slot whose result is
 		// the reply entry; it is absent for a local-only key, which then
@@ -339,7 +363,11 @@ func (r *Replica) ApplyDeltaRanges(reply []encoding.Entry, peerDigest []encoding
 			return nil
 		}
 		out := cs[1]
-		reply = append(reply, encoding.Entry{
+		if pe != nil && out.Deleted == pe.Deleted && (out.Deleted || bytes.Equal(out.Value, pe.Value)) {
+			reply.Restamps = append(reply.Restamps, encoding.Digest{Key: k, Stamp: out.Stamp})
+			return nil
+		}
+		reply.Entries = append(reply.Entries, encoding.Entry{
 			Key: k, Value: out.Value, Deleted: out.Deleted, Stamp: out.Stamp,
 		})
 		return nil
@@ -351,27 +379,58 @@ func (r *Replica) ApplyDeltaRanges(reply []encoding.Entry, peerDigest []encoding
 	slices.SortFunc(extra, cmpTreeOrder)
 	err = sc.walk(t, extra, peerDigest, peerEntries, apply)
 	sort.Strings(res.Conflicts)
-	slices.SortFunc(reply[start:], func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortFunc(reply.Restamps[startR:], func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortFunc(reply.Entries[startE:], func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
 	return reply, res, err
 }
 
-// ApplyDeltaReply installs the responder's reply entries — the initiator
-// half of the apply. sent reports the stamp this replica shipped for a key
-// in its digest or full entry, and whether it shipped one; a reply entry is
-// applied only if the local copy still carries exactly that stamp (or the
-// key is still absent, for keys the digest did not mention). Copies that
-// moved concurrently are left alone — the round's fork is simply abandoned
-// on this side, which only discards id space, never causality — and the
-// next round reconciles them. Returns how many entries were applied.
-func (r *Replica) ApplyDeltaReply(entries []encoding.Entry, sent func(key string) (core.Stamp, bool)) int {
+// ApplyDeltaReply installs the responder's reply — the initiator half of the
+// apply. full lists the entries this replica shipped in full, sorted by key,
+// and sent reports the stamp it shipped for a key in its digest or full
+// entry, and whether it shipped one.
+//
+// A reply copy is applied only if the local copy still carries exactly the
+// stamp shipped (or, for an entry, the key is still absent, for keys the
+// digest did not mention). A restamp applies only to a key in full; it keeps
+// the local value and swaps in the new stamp, copying no value (a cold copy
+// of a paged replica is faulted in, so its log record carries the value).
+//
+// A copy shipped in full may also have been overwritten here with its stamp
+// unchanged: until the round's fork lands, a write at an element whose
+// update component already covers its id leaves the stamp as it was. Only
+// the value shows such a write, so it is compared too. A restamp then keeps
+// the newer copy under the restamp updated, since the newer copy supersedes
+// the one shipped that the responder now holds — under the bare restamp the
+// two different values would compare Equal. An entry is then refused, like
+// any copy that moved.
+//
+// Refused copies are left alone — the round's fork is simply abandoned on
+// this side, which only discards id space, never causality — and the next
+// round reconciles them. Returns how many reply copies were applied.
+func (r *Replica) ApplyDeltaReply(reply DeltaReply, full []encoding.Entry, sent func(key string) (core.Stamp, bool)) int {
+	shipped := func(key string) (encoding.Entry, bool) {
+		i, ok := slices.BinarySearchFunc(full, key, func(e encoding.Entry, k string) int { return strings.Compare(e.Key, k) })
+		if !ok {
+			return encoding.Entry{}, false
+		}
+		return full[i], true
+	}
 	applied := 0
-	for _, e := range entries {
+	for _, d := range reply.Restamps {
+		if f, ok := shipped(d.Key); ok && r.restamp(d, f) {
+			applied++
+		}
+	}
+	for _, e := range reply.Entries {
 		si := ShardIndex(e.Key, len(r.shards))
 		sh := &r.shards[si]
 		sh.lockMut()
 		cur, has := sh.metaLocked(e.Key)
 		want, wasSent := sent(e.Key)
 		ok := (wasSent && has && cur.Stamp.Equal(want)) || (!wasSent && !has)
+		if f, inFull := shipped(e.Key); ok && inFull {
+			ok = !r.overwrittenLocked(si, f)
+		}
 		if ok {
 			v := Versioned{
 				Value:   append([]byte(nil), e.Value...),
@@ -387,4 +446,42 @@ func (r *Replica) ApplyDeltaReply(entries []encoding.Entry, sent func(key string
 	}
 	r.awaitDurable()
 	return applied
+}
+
+// restamp installs d's stamp over the local copy of d.Key if that copy
+// still carries the stamp of f, the entry this replica shipped.
+func (r *Replica) restamp(d encoding.Digest, f encoding.Entry) bool {
+	si := ShardIndex(d.Key, len(r.shards))
+	sh := &r.shards[si]
+	sh.lockMut()
+	defer sh.mu.Unlock()
+	if cur, has := sh.metaLocked(d.Key); !has || !cur.Stamp.Equal(f.Stamp) {
+		return false
+	}
+	overwritten := r.overwrittenLocked(si, f)
+	v, ok := sh.data[d.Key]
+	if !ok {
+		return false // the cold copy could not be faulted in
+	}
+	v.Stamp = d.Stamp
+	if overwritten {
+		v.Stamp = v.Stamp.Update()
+	}
+	sh.data[d.Key] = v
+	sh.noteTombLocked(d.Key)
+	r.logSet(si, d.Key, v)
+	return true
+}
+
+// overwrittenLocked faults in the local copy of f.Key, which still carries
+// the stamp f shipped with, and reports whether its value is no longer f's.
+// A copy that cannot be faulted in counts as overwritten. Stripe write lock
+// held.
+func (r *Replica) overwrittenLocked(si int, f encoding.Entry) bool {
+	if err := r.promoteLocked(si, f.Key); err != nil {
+		r.notePersistErr(err)
+		return true
+	}
+	v := r.shards[si].data[f.Key]
+	return v.Deleted != f.Deleted || !bytes.Equal(v.Value, f.Value)
 }

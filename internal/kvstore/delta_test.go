@@ -47,11 +47,11 @@ func deltaRound(t *testing.T, a, b *Replica, resolve Resolver) SyncResult {
 			t.Fatalf("DiffRanges: %v", err)
 		}
 		entries := entriesFor(b, diff.Need)
-		reply, part, err := a.ApplyDeltaRanges(nil, digest, entries, resolve, idx, wholeStripe)
+		reply, part, err := a.ApplyDeltaRanges(DeltaReply{}, digest, entries, resolve, idx, wholeStripe)
 		if err != nil {
 			t.Fatalf("ApplyDeltaRanges: %v", err)
 		}
-		b.ApplyDeltaReply(reply, shippedIn(digest))
+		b.ApplyDeltaReply(reply, entries, shippedIn(digest))
 		res.Add(part)
 	}
 	sort.Strings(res.Conflicts)
@@ -289,11 +289,12 @@ func TestDeltaShardScoped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply, res, err := a.ApplyDeltaRanges(nil, digest, entriesFor(b, diff.Need), nil, idx, wholeStripe)
+		entries := entriesFor(b, diff.Need)
+		reply, res, err := a.ApplyDeltaRanges(DeltaReply{}, digest, entries, nil, idx, wholeStripe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.ApplyDeltaReply(reply, shippedIn(digest))
+		b.ApplyDeltaReply(reply, entries, shippedIn(digest))
 		total.Add(res)
 	}
 	if total.Reconciled != 1 || total.Pruned != 31 {
@@ -308,7 +309,7 @@ func TestDeltaShardScoped(t *testing.T) {
 	if _, err := a.DiffRanges(badDigest, wrong, wholeStripe); err == nil {
 		t.Error("DiffRanges accepted a foreign key")
 	}
-	if _, _, err := a.ApplyDeltaRanges(nil, badDigest, nil, nil, wrong, wholeStripe); err == nil {
+	if _, _, err := a.ApplyDeltaRanges(DeltaReply{}, badDigest, nil, nil, wrong, wholeStripe); err == nil {
 		t.Error("ApplyDeltaRanges accepted a foreign digest key")
 	}
 	if _, err := a.DiffRanges(nil, of, wholeStripe); err == nil {
@@ -316,30 +317,223 @@ func TestDeltaShardScoped(t *testing.T) {
 	}
 }
 
-func TestApplyDeltaReplySkipsMovedCopies(t *testing.T) {
-	a, b := pairFromClone(2)
-	a.Put("key-000", []byte("newer-on-a"))
+// shippedRound is what an initiator shipped in one round: its digests and
+// its full entries, sorted by key.
+type shippedRound struct {
+	digest []encoding.Digest
+	full   []encoding.Entry
+}
 
-	var digest []encoding.Digest
-	var reply []encoding.Entry
+// apply installs reply on b under the round's guard.
+func (sr shippedRound) apply(b *Replica, reply DeltaReply) int {
+	return b.ApplyDeltaReply(reply, sr.full, shippedIn(sr.digest))
+}
+
+// replyFor runs the responder half of a round with b as initiator and a as
+// responder over every stripe, returning the reply and what b shipped,
+// without applying anything on b.
+func replyFor(t *testing.T, a, b *Replica, resolve Resolver) (DeltaReply, shippedRound) {
+	t.Helper()
+	var sr shippedRound
+	var reply DeltaReply
 	for idx, ds := range stripeRuns(t, b) {
 		diff, err := a.DiffRanges(ds, idx, wholeStripe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reply, _, err = a.ApplyDeltaRanges(reply, ds, entriesFor(b, diff.Need), nil, idx, wholeStripe); err != nil {
+		entries := entriesFor(b, diff.Need)
+		if reply, _, err = a.ApplyDeltaRanges(reply, ds, entries, resolve, idx, wholeStripe); err != nil {
 			t.Fatal(err)
 		}
-		digest = append(digest, ds...)
+		sr.digest = append(sr.digest, ds...)
+		sr.full = append(sr.full, entries...)
 	}
-	// b's copy moves while the round is in flight.
+	sort.Slice(sr.full, func(i, j int) bool { return sr.full[i].Key < sr.full[j].Key })
+	return reply, sr
+}
+
+func TestApplyDeltaReplySkipsMovedCopies(t *testing.T) {
+	a, b := pairFromClone(5)
+	a.Put("key-000", []byte("newer-on-a")) // comes back as a full entry
+	b.Put("key-001", []byte("newer-on-b")) // shipped in full: comes back as a restamp
+	b.Put("key-003", []byte("conc-b"))     // shipped in full and merged: a full entry
+	a.Put("key-003", []byte("conc-a"))
+	b.Put("key-004", []byte("doomed-on-b")) // shipped in full: a restamp
+	// key-c reaches b from a third replica, so b's copy has an update
+	// component short of its id, and a has never seen it: shipped in full,
+	// it comes back as a restamp.
+	c := NewReplica("c")
+	c.Put("key-c", []byte("from-c"))
+	if _, err := SyncKey(c, b, "key-c", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	keepBoth := KeepBoth([]byte("|"))
+	reply, shipped := replyFor(t, a, b, keepBoth)
+	if len(reply.Entries) != 2 || len(reply.Restamps) != 3 {
+		t.Fatalf("reply = %d entries, %d restamps; want 2 and 3", len(reply.Entries), len(reply.Restamps))
+	}
+	// b's copies move while the round is in flight. key-000's and key-c's
+	// stamps move with them. The writes to key-001, key-003 and key-004
+	// leave their stamps as they were — b's element already owns its whole
+	// id until the round's fork lands — so only the values show them.
+	stamps := map[string]core.Stamp{}
+	for _, k := range []string{"key-001", "key-c", "key-003", "key-004"} {
+		v, _ := b.Version(k)
+		stamps[k] = v.Stamp
+	}
 	b.Put("key-000", []byte("raced"))
-	applied := b.ApplyDeltaReply(reply, shippedIn(digest))
-	if len(reply) != 1 || applied != 0 {
-		t.Errorf("applied %d of %d reply entries over a moved copy", applied, len(reply))
+	b.Put("key-001", []byte("raced-1"))
+	b.Put("key-c", []byte("raced-c"))
+	b.Put("key-003", []byte("raced-3"))
+	b.Delete("key-004")
+	for k, st := range stamps {
+		v, _ := b.Version(k)
+		if moved := !v.Stamp.Equal(st); moved != (k == "key-c") {
+			t.Fatalf("%s: stamp %v -> %v after the raced write", k, st, v.Stamp)
+		}
+	}
+
+	// Only the restamps of key-001 and key-004 apply, and they keep the
+	// newer writes: each copy takes the returned fork, updated, so it
+	// dominates the shipped value a now holds instead of comparing Equal
+	// to it. The moved key-c and the two entries are refused.
+	if applied := shipped.apply(b, reply); applied != 2 {
+		t.Errorf("applied %d of %d reply copies; want the restamps of key-001 and key-004", applied, reply.Len())
 	}
 	if v, _ := b.Get("key-000"); string(v) != "raced" {
 		t.Errorf("concurrent write clobbered: %q", v)
+	}
+	if v, _ := b.Get("key-003"); string(v) != "raced-3" {
+		t.Errorf("merged entry clobbered a write its stamp could not show: %q", v)
+	}
+	if v, _ := b.Version("key-c"); string(v.Value) != "raced-c" || v.Stamp.Equal(stamps["key-c"]) {
+		t.Errorf("restamp landed on a moved copy: %q under %v", v.Value, v.Stamp)
+	}
+	for _, d := range reply.Restamps {
+		if d.Key == "key-c" {
+			continue
+		}
+		v, _ := b.Version(d.Key)
+		va, _ := a.Version(d.Key)
+		if !v.Stamp.Equal(d.Stamp.Update()) || core.Compare(v.Stamp, va.Stamp) != core.After {
+			t.Errorf("%s under %v; want %v, after a's %v", d.Key, v.Stamp, d.Stamp.Update(), va.Stamp)
+		}
+	}
+
+	// The next round converges without losing any raced write.
+	deltaRound(t, a, b, keepBoth)
+	requireSameContents(t, a, b)
+	if v, _ := a.Get("key-001"); string(v) != "raced-1" {
+		t.Errorf("key-001 after the next round = %q, want %q", v, "raced-1")
+	}
+	if _, ok := a.Get("key-004"); ok {
+		t.Error("key-004's raced delete was lost")
+	}
+	for k, w := range map[string]string{"key-c": "raced-c", "key-003": "raced-3"} {
+		if v, _ := a.Get(k); !bytes.Contains(v, []byte(w)) {
+			t.Errorf("%s after the next round = %q; the raced write was lost", k, v)
+		}
+	}
+}
+
+// TestApplyDeltaRangesRestampsOnlyShippedValues: the responder answers a
+// copy with a restamp exactly when the outcome keeps the value the peer
+// shipped in full — a peer-won transfer or reconcile, a peer tombstone, or a
+// byte-identical concurrent pair. Merged, responder-won and digest-only keys
+// come back in full. Applying the reply converges the pair.
+func TestApplyDeltaRangesRestampsOnlyShippedValues(t *testing.T) {
+	a, b := pairFromClone(8)
+	b.Put("key-000", []byte("newer-on-b")) // peer won: restamp
+	b.Put("only-b", []byte("x"))           // peer-only, transferred: restamp
+	a.Put("key-001", []byte("newer-on-a")) // responder won, digest only: entry
+	a.Put("key-002", []byte("conc-a"))     // concurrent, merged: entry
+	b.Put("key-002", []byte("conc-b"))
+	a.Put("key-003", []byte("same")) // concurrent, byte-identical: restamp
+	b.Put("key-003", []byte("same"))
+	b.Delete("key-004")          // peer tombstone won: restamp
+	a.Put("only-a", []byte("y")) // responder-only: entry
+
+	reply, shipped := replyFor(t, a, b, KeepBoth([]byte("|")))
+	var restamped, full []string
+	for _, d := range reply.Restamps {
+		restamped = append(restamped, d.Key)
+	}
+	for _, e := range reply.Entries {
+		full = append(full, e.Key)
+	}
+	sort.Strings(restamped)
+	sort.Strings(full)
+	if got, want := fmt.Sprint(restamped), "[key-000 key-003 key-004 only-b]"; got != want {
+		t.Errorf("restamps = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(full), "[key-001 key-002 only-a]"; got != want {
+		t.Errorf("entries = %s, want %s", got, want)
+	}
+	for _, d := range reply.Restamps {
+		va, _ := a.Version(d.Key)
+		if va.Stamp.Equal(d.Stamp) || core.Compare(va.Stamp, d.Stamp) != core.Equal {
+			t.Errorf("restamp %q: %v is not the other half of the responder's fork %v", d.Key, d.Stamp, va.Stamp)
+		}
+	}
+	if n := shipped.apply(b, reply); n != reply.Len() {
+		t.Errorf("applied %d of %d reply copies", n, reply.Len())
+	}
+	requireSameContents(t, a, b)
+	for _, d := range reply.Restamps {
+		if vb, _ := b.Version(d.Key); !vb.Stamp.Equal(d.Stamp) {
+			t.Errorf("%q: stamp %v after the restamp, want %v", d.Key, vb.Stamp, d.Stamp)
+		}
+	}
+	if res := deltaRound(t, a, b, nil); res.Transferred+res.Reconciled+res.Merged != 0 {
+		t.Errorf("round after the restamps moved data: %+v", res)
+	}
+}
+
+// TestApplyDeltaReplyRestampsColdCopy: a durable, paged initiator whose
+// shipped copy was checkpointed cold before the reply landed faults the
+// value in for the restamp's log record, so a crash-reopen brings the key
+// back with the shipped value under the new stamp.
+func TestApplyDeltaReplyRestampsColdCopy(t *testing.T) {
+	dir := t.TempDir()
+	b, err := Open(dir, pagedOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewReplicaShards("a", 4)
+	b.Put("key-000", []byte("shipped-value"))
+
+	reply, shipped := replyFor(t, a, b, nil)
+	if len(reply.Restamps) != 1 || len(reply.Entries) != 0 {
+		t.Fatalf("reply = %d entries, %d restamps; want one restamp", len(reply.Entries), len(reply.Restamps))
+	}
+	if err := b.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, hot := b.shardFor("key-000").data["key-000"]; hot {
+		t.Fatal("the shipped copy is still hot after a paged checkpoint")
+	}
+	if n := shipped.apply(b, reply); n != 1 {
+		t.Fatalf("applied %d reply copies, want 1", n)
+	}
+	if err := b.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+	newStamp := reply.Restamps[0].Stamp
+	if err := b.Abandon(); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := Open(dir, pagedOpts(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b2.Close()
+	v, ok := b2.Version("key-000")
+	if !ok || v.Deleted || string(v.Value) != "shipped-value" || !v.Stamp.Equal(newStamp) {
+		t.Fatalf("after reopen: %+v, %v; want %q under %v", v, ok, "shipped-value", newStamp)
+	}
+	if va, _ := a.Version("key-000"); core.Compare(v.Stamp, va.Stamp) != core.Equal {
+		t.Errorf("reopened stamp %v does not match the responder's %v", v.Stamp, va.Stamp)
 	}
 }
 

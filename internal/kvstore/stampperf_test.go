@@ -223,9 +223,9 @@ func TestDeltaPairOneKeyAllocBudget(t *testing.T) {
 			}
 			v, _ := b.Version(k)
 			entries := []encoding.Entry{{Key: k, Value: v.Value, Stamp: v.Stamp}}
-			reply, res, err := a.ApplyDeltaRanges(nil, digest, entries, nil, 0, ranges)
-			if err != nil || res.Reconciled != 1 || len(reply) != 1 {
-				t.Fatalf("apply over one written key: %+v, %d reply entries, %v", res, len(reply), err)
+			reply, res, err := a.ApplyDeltaRanges(DeltaReply{}, digest, entries, nil, 0, ranges)
+			if err != nil || res.Reconciled != 1 || reply.Len() != 1 {
+				t.Fatalf("apply over one written key: %+v, %d reply copies, %v", res, reply.Len(), err)
 			}
 		})
 		t.Logf("%d keys: one-key DiffRanges + ApplyDeltaRanges = %.1f allocs", n, allocs)

@@ -302,30 +302,32 @@ func (t *DigestTree) Root() uint64 {
 	return t.root.hash
 }
 
-// Children snapshots the children of the node at (level, path): bit c of
-// the bitmap is set iff child c is non-empty, with one hash per set bit in
-// child order. An absent or bottom-level node yields an all-zero bitmap.
-func (t *DigestTree) Children(level int, path uint64) (bitmap []byte, hashes []uint64) {
-	bitmap = make([]byte, encoding.TreeBitmapLen(t.fanout))
+// Children appends to bitmap and hashes a snapshot of the children of the
+// node at (level, path): TreeBitmapLen(fanout) bitmap bytes, bit c set iff
+// child c is non-empty, and one hash per set bit in child order. An absent
+// or bottom-level node appends an all-zero bitmap and no hashes. Callers pass
+// their own scratch (truncated) so a round's descent allocates nothing.
+func (t *DigestTree) Children(bitmap []byte, hashes []uint64, level int, path uint64) ([]byte, []uint64) {
+	at := len(bitmap)
+	bitmap = append(bitmap, make([]byte, encoding.TreeBitmapLen(t.fanout))...)
 	if t.n == 0 || level < 0 || level >= t.depth {
-		return bitmap, nil
+		return bitmap, hashes
 	}
 	if used := uint(level * t.fbits); used < 64 && path>>used != 0 {
-		return bitmap, nil // no node of this level has such a path
+		return bitmap, hashes // no node of this level has such a path
 	}
 	nd := t.root
 	for l := level - 1; l >= 0; l-- {
 		c := uint8(path >> uint(l*t.fbits) & uint64(t.fanout-1))
 		i := slices.IndexFunc(nd.kids, func(k treeNode) bool { return k.idx >= c })
 		if i < 0 || nd.kids[i].idx != c {
-			return bitmap, nil
+			return bitmap, hashes
 		}
 		nd = nd.kids[i]
 	}
-	hashes = make([]uint64, len(nd.kids))
-	for i, kid := range nd.kids {
-		encoding.BitmapSet(bitmap, int(kid.idx))
-		hashes[i] = kid.hash
+	for _, kid := range nd.kids {
+		encoding.BitmapSet(bitmap[at:], int(kid.idx))
+		hashes = append(hashes, kid.hash)
 	}
 	return bitmap, hashes
 }

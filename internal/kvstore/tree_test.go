@@ -94,7 +94,7 @@ func TestDigestTreeStructure(t *testing.T) {
 	// equal the summary of its run — the invariant the wire descent relies
 	// on to stop at matching subtrees.
 	total := 0
-	bm, _ := tr.Children(0, 0)
+	bm, _ := tr.Children(nil, nil, 0, 0)
 	for c := 0; c < 16; c++ {
 		if !encoding.BitmapGet(bm, c) {
 			continue
@@ -106,7 +106,7 @@ func TestDigestTreeStructure(t *testing.T) {
 				t.Fatalf("digest %q leaked outside child %d", d.Key, c)
 			}
 		}
-		lbm, lhashes := tr.Children(1, uint64(c))
+		lbm, lhashes := tr.Children(nil, nil, 1, uint64(c))
 		li := 0
 		for l := 0; l < 16; l++ {
 			if !encoding.BitmapGet(lbm, l) {
@@ -189,7 +189,7 @@ func TestDigestTreeEmpty(t *testing.T) {
 	if tr.Root() != encoding.RootSummarySeed {
 		t.Fatal("empty tree must root at RootSummarySeed")
 	}
-	bm, hashes := tr.Children(0, 0)
+	bm, hashes := tr.Children(nil, nil, 0, 0)
 	for _, b := range bm {
 		if b != 0 {
 			t.Fatal("empty tree has children")
@@ -341,8 +341,8 @@ func requireSameTree(t *testing.T, what string, got, want *DigestTree) {
 			sameRun(where, got.Run(level, path), want.Run(level, path))
 			return
 		}
-		gbm, gh := got.Children(level, path)
-		wbm, wh := want.Children(level, path)
+		gbm, gh := got.Children(nil, nil, level, path)
+		wbm, wh := want.Children(nil, nil, level, path)
 		if !bytes.Equal(gbm, wbm) || !slices.Equal(gh, wh) {
 			t.Fatalf("%s: %s children %x %x, want %x %x", what, where, gbm, gh, wbm, wh)
 		}
@@ -574,8 +574,8 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 				t.Error("descent snapshot moved under its holder")
 				return
 			}
-			bm, hashes := snap.Children(0, 0)
-			wbm, whashes := frozen.Children(0, 0)
+			bm, hashes := snap.Children(nil, nil, 0, 0)
+			wbm, whashes := frozen.Children(nil, nil, 0, 0)
 			if !bytes.Equal(bm, wbm) || !slices.Equal(hashes, whashes) {
 				t.Error("descent snapshot's children moved under its holder")
 				return

@@ -132,6 +132,10 @@
 //     keys of each divergent range straight off its stripe's digest tree
 //     (already in position order) and merges them with the peer's digests
 //     and entries; a stripe's other keys are never visited.
+//   - A value crosses the wire once per round. A copy the client shipped in
+//     full and the server kept comes back as the client's half of the fork
+//     alone (a restamp: key and stamp), since the client already holds the
+//     value; only merged and server-won copies come back in full.
 //   - Whole-replica, stripe-scoped (ring), scrub-repair and tombstone-GC
 //     exchanges are all this one round, scoped to different stripe sets.
 //     There are no deployed peers of an older protocol to stay compatible
