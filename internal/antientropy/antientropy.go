@@ -75,7 +75,10 @@
 // trip. Each completed whole-replica round also pipelines a root probe for
 // the next one, so a steady-state converged round writes its probe and reads
 // the previous answer without ever waiting on the wire: ~14 bytes and zero
-// blocking round trips per converged exchange. Between rounds the server
+// blocking round trips per converged exchange. A probe reads the server's
+// trees as they stand and never folds writes into them: a server whose
+// stripes hold writes not yet folded answers "no match", and the next round
+// goes to the stripe roots, where it folds them. Between rounds the server
 // waits with a generous idle deadline and drops silent sessions; during a
 // round the usual tight deadline applies.
 //

@@ -107,6 +107,11 @@ type Cluster struct {
 	// per round.
 	peerScratch []int
 	taskScratch []gossipTask
+	// readLive and readMeta are Read's scratch: the live owners it asks and
+	// their copies' metadata, reused so a quorum read allocates only the
+	// value it returns.
+	readLive []*node
+	readMeta []ownerMeta
 	// workers caps the gossip worker pool; 0 means GOMAXPROCS. Scenario
 	// runs set 1 so a round's exchange order is deterministic.
 	workers int

@@ -770,6 +770,11 @@ func (c *Cluster) write(key string, value []byte, del bool) (int, error) {
 // answering — the stamps prove which copies are obsolete, so repair moves
 // only stale ones. ok=false means the key is absent (or tombstoned) at the
 // quorum. ErrQuorum means fewer than a majority of the owners are up.
+//
+// The owners are compared by their copies' metadata alone (Replica.Meta),
+// gathered into scratch the Cluster keeps under mu; only the answering Get
+// touches a value, so a converged key costs the returned value and nothing
+// else.
 func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -777,7 +782,13 @@ func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 	owners := c.ownersLocked(stripe)
 	// The first up owner coordinates; owners across a partition are
 	// unreachable from it and cannot serve the quorum.
-	var live []*node
+	live, copies := c.readLive[:0], c.readMeta[:0]
+	defer func() {
+		// Zeroed, the kept scratch pins no node or stamp past the call.
+		clear(live)
+		clear(copies)
+		c.readLive, c.readMeta = live[:0], copies[:0]
+	}()
 	coordGroup, haveCoord := 0, false
 	for _, oid := range owners {
 		j, ok := c.index[oid]
@@ -800,22 +811,18 @@ func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 		return nil, false, fmt.Errorf("%w: %d of %d owners up", ErrQuorum, len(live), c.quorum)
 	}
 
-	copies := make([]kvstore.Versioned, len(live))
-	present := make([]bool, len(live))
 	anyPresent, divergent := false, false
-	for i, nd := range live {
-		copies[i], present[i] = nd.replica.Version(key)
-		anyPresent = anyPresent || present[i]
+	for _, nd := range live {
+		v, present := nd.replica.Meta(key)
+		copies = append(copies, ownerMeta{v, present})
+		anyPresent = anyPresent || present
 	}
 	if !anyPresent {
 		return nil, false, nil
 	}
-	for i := 1; i < len(live); i++ {
-		if present[i] != present[0] {
-			divergent = true
-			break
-		}
-		if present[i] && core.Compare(copies[0].Stamp, copies[i].Stamp) != core.Equal {
+	for _, cp := range copies[1:] {
+		if cp.present != copies[0].present ||
+			cp.present && core.Compare(copies[0].v.Stamp, cp.v.Stamp) != core.Equal {
 			divergent = true
 			break
 		}
@@ -829,6 +836,13 @@ func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 	}
 	v, ok := live[0].replica.Get(key)
 	return v, ok, nil
+}
+
+// ownerMeta is one owner's copy of a key as a quorum read compares it: the
+// stamp and tombstone flag, and whether the owner holds the key at all.
+type ownerMeta struct {
+	v       kvstore.Versioned
+	present bool
 }
 
 // Kill takes node i down: its server and pooled sessions close, and a

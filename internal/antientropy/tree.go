@@ -87,15 +87,31 @@ func (s *Server) checkLayout(of int) error {
 // treeRootMatch answers a root or probe body: 1 when the peer's root equals
 // the fold of this replica's stripe tree roots, folded as the maintained
 // trees yield them, with nothing collected.
-func (s *Server) treeRootMatch(of int, peerRoot uint64) (byte, error) {
+//
+// A probe never folds writes into the trees. It arrives after a round, at
+// a time the round does not decide, and may race writes still landing; a
+// fold then would split one burst over two patches, so the work a later
+// round does would depend on timing. A probe that finds a stripe with
+// unfolded writes answers 0 instead. That sends the client to the stripe
+// roots, whose round folds them.
+func (s *Server) treeRootMatch(of int, peerRoot uint64, probe bool) (byte, error) {
 	if err := s.checkLayout(of); err != nil {
 		return 0, err
 	}
 	root := encoding.RootSummarySeed
 	for i := 0; i < of; i++ {
-		t, err := s.replica.StripeTree(i)
-		if err != nil {
-			return 0, err
+		var t *kvstore.DigestTree
+		if probe {
+			folded, ok := s.replica.FoldedStripeTree(i)
+			if !ok {
+				return 0, nil
+			}
+			t = folded
+		} else {
+			var err error
+			if t, err = s.replica.StripeTree(i); err != nil {
+				return 0, err
+			}
 		}
 		root = encoding.FoldSummary(root, t.Root())
 	}
@@ -151,7 +167,7 @@ func (ss *serverSession) treeRound(opening []byte) bool {
 		if err != nil {
 			return fail(err)
 		}
-		match, err := s.treeRootMatch(of, root)
+		match, err := s.treeRootMatch(of, root, true)
 		if err != nil {
 			return fail(err)
 		}
@@ -166,7 +182,7 @@ func (ss *serverSession) treeRound(opening []byte) bool {
 		if err != nil {
 			return fail(err)
 		}
-		match, err := s.treeRootMatch(of, root)
+		match, err := s.treeRootMatch(of, root, false)
 		if err != nil {
 			return fail(err)
 		}

@@ -156,6 +156,108 @@ func TestTreeProbePipelining(t *testing.T) {
 	requireConverged(t, server, client)
 }
 
+// TestTreeProbeNeverFolds: a root probe answered while a stripe has
+// unfolded writes answers "no match" and leaves every tree as it was — the
+// written stripe still pending, the others the same snapshots — so a burst
+// still landing is never folded in two patches. The next round folds the
+// writes and converges, and a probe over clean trees matches again.
+func TestTreeProbeNeverFolds(t *testing.T) {
+	server, client := clonedPair(300)
+	_, addr := startServer(t, server, nil)
+	p := NewPool()
+	defer p.Close()
+	if _, err := p.SyncWith(addr, client); err != nil {
+		t.Fatal(err)
+	}
+	of := server.Shards()
+	before := make([]*kvstore.DigestTree, of)
+	for i := range before {
+		tr, ok := server.FoldedStripeTree(i)
+		if !ok {
+			t.Fatalf("stripe %d not folded after a round", i)
+		}
+		before[i] = tr
+	}
+	clientRoot := func() uint64 {
+		root := encoding.RootSummarySeed
+		for i := 0; i < of; i++ {
+			tr, err := client.StripeTree(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root = encoding.FoldSummary(root, tr.Root())
+		}
+		return root
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	fr := frameReader{br: bufio.NewReader(conn)}
+	if b, err := fr.br.ReadByte(); err != nil || b != protocolVersion {
+		t.Fatalf("ack = 0x%02x, %v", b, err)
+	}
+	probe := func() byte {
+		t.Helper()
+		frame := startFrame(nil, kindRootProbe, lenSlot+8)
+		frame = binary.AppendUvarint(frame, uint64(of))
+		frame = binary.BigEndian.AppendUint64(frame, clientRoot())
+		if err := writeFrame(conn, frame); err != nil {
+			t.Fatal(err)
+		}
+		body, err := fr.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err = expectKind(body, kindRootMatch)
+		if err != nil || len(body) != 1 {
+			t.Fatalf("probe answer %x, %v", body, err)
+		}
+		return body[0]
+	}
+	if m := probe(); m != 1 {
+		t.Fatalf("probe over converged, folded trees answered %d, want 1", m)
+	}
+
+	const key = "key-0007"
+	written := kvstore.ShardIndex(key, of)
+	server.Put(key, []byte("server-edit"))
+	if m := probe(); m != 0 {
+		t.Fatalf("probe with a written stripe pending answered %d, want 0", m)
+	}
+	for i := 0; i < of; i++ {
+		tr, ok := server.FoldedStripeTree(i)
+		switch {
+		case i == written && ok:
+			t.Fatalf("the probe folded written stripe %d", i)
+		case i != written && (!ok || tr != before[i]):
+			t.Fatalf("the probe replaced quiet stripe %d's tree", i)
+		}
+	}
+
+	// A fresh session: the pool's own probe, pipelined behind the first
+	// round, was answered before the write.
+	res, err := SyncWith(addr, client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Transferred+res.Reconciled != 1 {
+		t.Fatalf("round after the probe: %+v", res)
+	}
+	requireConverged(t, server, client)
+	if _, ok := server.FoldedStripeTree(written); !ok {
+		t.Fatal("the round left the written stripe unfolded")
+	}
+	if m := probe(); m != 1 {
+		t.Fatalf("probe after the converging round answered %d, want 1", m)
+	}
+}
+
 // TestTreeScopedStripes: a scoped round syncs its stripes and nothing else,
 // and drains a pending whole-replica probe correctly.
 func TestTreeScopedStripes(t *testing.T) {

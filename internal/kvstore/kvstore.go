@@ -654,6 +654,18 @@ func (r *Replica) Version(key string) (Versioned, bool) {
 	return v, true
 }
 
+// Meta returns key's stored stamp and tombstone flag, and whether the key
+// has stored state: Version without the value. It copies nothing and never
+// faults a cold paged copy in, so a caller that only orders copies by their
+// stamps (a quorum read) pays no value copy and no page-cache miss. The
+// returned Value is always nil.
+func (r *Replica) Meta(key string) (Versioned, bool) {
+	sh := &r.shards[ShardIndex(key, len(r.shards))]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.metaLocked(key)
+}
+
 // Keys returns all keys with stored state (including tombstones), sorted.
 func (r *Replica) Keys() []string {
 	var out []string

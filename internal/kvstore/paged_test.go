@@ -282,3 +282,60 @@ func TestPagedSnapshotAndClone(t *testing.T) {
 		t.Fatalf("clone lost the tombstone: %+v, %v", v, ok)
 	}
 }
+
+// TestMetaAgreesWithVersion: Meta reports the stamp, tombstone flag and
+// presence Version does — for hot, cold, hot-over-cold, tombstoned,
+// discarded and missing keys — and reads no value: a paged replica's cache
+// sees no miss from it.
+func TestMetaAgreesWithVersion(t *testing.T) {
+	r, err := Open(t.TempDir(), pagedOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var keys []string
+	for i := 0; i < 120; i++ {
+		k := fmt.Sprintf("key-%03d", i)
+		keys = append(keys, k)
+		r.Put(k, []byte(fmt.Sprintf("value-%03d", i)))
+	}
+	for i := 0; i < 120; i += 10 {
+		r.Delete(keys[i]) // cold tombstones after the checkpoint
+	}
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 120; i += 10 {
+		r.Put(keys[i], []byte("hot again")) // hot copies shadowing cold ones
+	}
+	for i := 2; i < 120; i += 10 {
+		r.Delete(keys[i]) // hot tombstones over cold values
+	}
+	r.Put("hot-only", []byte("never checkpointed"))
+	keys = append(keys, "hot-only", "missing")
+	discarded := 0
+	for s := 0; s < r.Shards(); s++ {
+		discarded += r.DiscardTombstones(s, r.Tombstones(s))
+	}
+	if discarded == 0 {
+		t.Fatal("no tombstone was discarded; the test covers nothing")
+	}
+
+	misses := r.CacheStats().Misses
+	metas := make([]Versioned, len(keys))
+	present := make([]bool, len(keys))
+	for i, k := range keys {
+		metas[i], present[i] = r.Meta(k)
+	}
+	if got := r.CacheStats().Misses; got != misses {
+		t.Fatalf("Meta caused %d page-cache misses", got-misses)
+	}
+	for i, k := range keys {
+		v, ok := r.Version(k)
+		m := metas[i]
+		if present[i] != ok || m.Deleted != v.Deleted || !m.Stamp.Equal(v.Stamp) || m.Value != nil {
+			t.Errorf("%s: Meta = (%v, deleted %v, %v, %d value bytes), Version = (%v, deleted %v, %v)",
+				k, present[i], m.Deleted, m.Stamp, len(m.Value), ok, v.Deleted, v.Stamp)
+		}
+	}
+}

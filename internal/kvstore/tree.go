@@ -451,6 +451,26 @@ func (r *Replica) StripeTree(idx int) (*DigestTree, error) {
 	return r.stripeTree(idx), nil
 }
 
+// FoldedStripeTree returns stripe idx's digest tree only when it is already
+// current: built, with no write noted since its last fold. Otherwise ok is
+// false. Unlike StripeTree it never builds or patches, so a caller that
+// only asks whether anything moved (a pipelined root probe) never folds
+// part of a burst of writes that is still landing.
+func (r *Replica) FoldedStripeTree(idx int) (t *DigestTree, ok bool) {
+	if idx < 0 || idx >= len(r.shards) {
+		return nil, false
+	}
+	sh := &r.shards[idx]
+	sh.cacheMu.Lock()
+	defer sh.cacheMu.Unlock()
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if sh.tree == nil || sh.dirtyCap == 0 || len(sh.dirty) > 0 {
+		return nil, false
+	}
+	return sh.tree, true
+}
+
 // StripeTreeAt returns stripe idx's digest tree evaluated at a peer-declared
 // (fanout, depth): the maintained tree when that is the stripe's own shape,
 // as it is between converged replicas, and otherwise its digests re-leveled.

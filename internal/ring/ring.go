@@ -154,11 +154,17 @@ func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 // stripe's primary (the preferred write coordinator); order is the
 // clockwise walk, so it is stable across rebuilds that do not touch these
 // nodes.
+//
+// The slice is a read-only view of the ring's own table, not a copy, so
+// the call allocates nothing. Its capacity is clipped to its length: an
+// append copies first and leaves the ring unchanged. Writing an element in
+// place is not allowed.
 func (r *Ring) Owners(s int) ([]string, error) {
 	if s < 0 || s >= r.stripes {
 		return nil, fmt.Errorf("ring: stripe %d out of range of %d", s, r.stripes)
 	}
-	return append([]string(nil), r.owners[s]...), nil
+	o := r.owners[s]
+	return o[:len(o):len(o)], nil
 }
 
 // Owns reports whether node id owns stripe s.

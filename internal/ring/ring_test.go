@@ -237,3 +237,31 @@ func TestOwnersRangeErrors(t *testing.T) {
 		t.Fatal("Owns out of range should be false")
 	}
 }
+
+// TestOwnersIsAReadOnlyView: Owners allocates nothing, and appending to the
+// slice it returns — then writing the appended copy — leaves the ring's
+// table unchanged.
+func TestOwnersIsAReadOnlyView(t *testing.T) {
+	r, err := New(ids(5), 16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]string, r.Stripes())
+	for s := range want {
+		o, _ := r.Owners(s)
+		want[s] = append([]string(nil), o...)
+	}
+	for s := range want {
+		o, _ := r.Owners(s)
+		grown := append(o, "intruder")
+		grown[0] = "overwritten"
+	}
+	for s := range want {
+		if got, _ := r.Owners(s); !reflect.DeepEqual(got, want[s]) {
+			t.Fatalf("stripe %d owners %v after an append to the view, want %v", s, got, want[s])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = r.Owners(7) }); allocs != 0 {
+		t.Errorf("Owners allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -20,6 +20,13 @@
 // Any other payload kind — including 0x02, a retired stripe-reset record —
 // is corruption, even under a valid CRC, in a log and in a fold alike.
 //
+// An append encodes its frame in place: the payload length is computed
+// up front (encoding.EntryLen), the entry is encoded straight into a
+// buffer the stripe keeps under its mutex, and the CRC is taken over those
+// bytes where they lie. The kept buffer is capped at frameKeep (4 KiB); a
+// larger frame is encoded into a buffer of its own that is dropped after
+// the write. A buffered append of a frame under the cap allocates nothing.
+//
 // # Checkpoints and folds
 //
 // Checkpoint writes a new file — header and snapshot, no folds — through
@@ -184,7 +191,9 @@ type FaultInjector interface {
 	// let the whole frame land; (n, err) with 0 <= n < len(frame) lands only
 	// frame[:n] — a short write, ENOSPC mid-frame — and fails the append
 	// with err after the partial frame is on disk, exercising the rollback
-	// path. (0, err) is a clean failure with nothing written.
+	// path. (0, err) is a clean failure with nothing written. frame is the
+	// stripe's reused frame buffer, valid only during the call: an injector
+	// that keeps the bytes copies them.
 	Append(shard int, frame []byte) (int, error)
 	// Truncate is consulted before the rollback truncation that removes a
 	// partial frame; an error simulates a rollback that cannot complete, so
@@ -241,6 +250,10 @@ type walShard struct {
 	// is closed whenever the checkpoint is replaced.
 	ckptGen uint32
 	cf      *os.File // checkpoint read handle, opened lazily
+
+	// buf is the stripe's frame buffer: appendLocked encodes each frame
+	// into it, at most frameKeep bytes (see frameBuf).
+	buf []byte
 }
 
 // dropReadHandle closes the shard's checkpoint pread handle; callers hold
@@ -497,13 +510,40 @@ func (w *WAL) shard(i int) (*walShard, error) {
 	return sh, nil
 }
 
-// appendFrame encodes e as one set frame.
+// frameKeep caps the frame buffer a stripe keeps between appends: a frame
+// up to this size is encoded in the stripe's buffer, a larger one in a
+// buffer of its own that is dropped after the write, so one big value does
+// not pin its size for the life of the stripe.
+const frameKeep = 4 << 10
+
+// frameLen returns the length of e's set frame.
+func frameLen(e encoding.Entry) int {
+	n := 1 + encoding.EntryLen(e)
+	return encoding.UvarintLen(uint64(n)) + n + 4
+}
+
+// appendFrame appends e's set frame to dst: the payload length, the payload
+// encoded in place, and its CRC, taken over the payload where it lies.
 func appendFrame(dst []byte, e encoding.Entry) []byte {
-	payload := append(make([]byte, 0, 64), recSet)
-	payload = encoding.AppendEntry(payload, e)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
+	dst = binary.AppendUvarint(dst, uint64(1+encoding.EntryLen(e)))
+	start := len(dst)
+	dst = append(dst, recSet)
+	dst = encoding.AppendEntry(dst, e)
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable))
+}
+
+// frameBuf returns an empty buffer with room for a size-byte frame: the
+// stripe's own when the frame fits under frameKeep (growing it, up to that
+// cap, if it is short), otherwise a fresh one the stripe does not keep.
+// sh.mu held.
+func (sh *walShard) frameBuf(size int) []byte {
+	switch {
+	case size > frameKeep:
+		return make([]byte, 0, size)
+	case cap(sh.buf) < size:
+		sh.buf = make([]byte, 0, min(max(size, 2*cap(sh.buf)), frameKeep))
+	}
+	return sh.buf[:0]
 }
 
 // decodePayload parses one checksummed set payload. A payload that passes
@@ -672,7 +712,8 @@ func recoverFolds(path string) (int64, error) {
 
 // appendLocked writes e's frame to the shard's log under sh.mu (held by the
 // caller), rolling back failed or short writes by truncation. It does not
-// sync.
+// sync. The frame is encoded straight into the stripe's buffer (frameBuf),
+// so an append of a frame up to frameKeep bytes allocates nothing.
 func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) error {
 	if sh.quar != nil {
 		return sh.quar
@@ -692,7 +733,7 @@ func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) error {
 		}
 		sh.f, sh.size = f, fi.Size()
 	}
-	frame := appendFrame(make([]byte, 0, 64), e)
+	frame := appendFrame(sh.frameBuf(frameLen(e)), e)
 	allow, injected := len(frame), error(nil)
 	if w.fault != nil {
 		allow, injected = w.fault.Append(shard, frame)

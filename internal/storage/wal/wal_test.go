@@ -2,12 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"versionstamp/internal/core"
@@ -568,7 +570,7 @@ func TestFold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := appendFrame(appendFrame(appendFrame(nil, rec("a", "3")), rec("b", "5")), rec("c", "4"))
+	want := unhex(t, frameA3+frameB5+frameC4)
 	if ok, err := w.Fold(0); !ok || err != nil {
 		t.Fatalf("Fold = %v, %v", ok, err)
 	}
@@ -796,5 +798,132 @@ func TestVerifyShardAllocsFlat(t *testing.T) {
 	small, large := allocs(100), allocs(10_000)
 	if large > small+4 {
 		t.Fatalf("VerifyShard allocates %.0f times on 10 000 frames, %.0f on 100", large, small)
+	}
+}
+
+// Set frames as the format defines them, byte for byte: any change to how
+// a frame is built must leave these bytes alone, or logs written before it
+// stop replaying.
+const (
+	frameA3 = "0b0101610001330202c002c047952e2f" // rec("a", "3")
+	frameB5 = "0b0101620001350202c002c03743b5b2" // rec("b", "5")
+	frameC4 = "0b0101630001340202c002c02c4d08e3" // rec("c", "4")
+)
+
+func unhex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestFrameBytesPinned: a live value, an empty value, a tombstone and a
+// value above frameKeep encode to the pinned frame bytes, both through
+// appendFrame and through an append that reuses the stripe's buffer.
+func TestFrameBytesPinned(t *testing.T) {
+	_, forked := core.Seed().Fork()
+	forked = forked.Update()
+	big := bytes.Repeat([]byte("x"), 5000)
+	cases := []struct {
+		e    encoding.Entry
+		want []byte
+	}{
+		{encoding.Entry{Key: "key", Value: []byte("value"), Stamp: core.Seed().Update()},
+			unhex(t, "1101036b6579000576616c75650202c002c0c3e472ef")},
+		{encoding.Entry{Key: "empty", Value: []byte{}, Stamp: forked},
+			unhex(t, "0e0105656d7074790000020598059820feb3a6")},
+		{encoding.Entry{Key: "gone", Deleted: true, Stamp: forked},
+			unhex(t, "0c0104676f6e650102059805988392680e")},
+		{encoding.Entry{Key: "big", Value: big, Stamp: forked},
+			slices.Concat(unhex(t, "95270103626967008827"), big, unhex(t, "0205980598a0e31f39"))},
+	}
+	dir := t.TempDir()
+	w := open(t, dir)
+	var log []byte
+	for _, c := range cases {
+		if got := appendFrame(nil, c.e); !bytes.Equal(got, c.want) {
+			t.Errorf("frame of %q:\n got %x\nwant %x", c.e.Key, got, c.want)
+		}
+		if n := frameLen(c.e); n != len(c.want) {
+			t.Errorf("frameLen(%q) = %d, frame is %d bytes", c.e.Key, n, len(c.want))
+		}
+		if err := w.Append(0, c.e); err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, c.want...)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileBytes(t, LogPath(dir, 0)); !bytes.Equal(got, log) {
+		t.Fatalf("log holds %d bytes, want the %d pinned frame bytes", len(got), len(log))
+	}
+}
+
+// TestFrameBufferCapped: a frame above frameKeep is built in a buffer the
+// stripe does not keep, and a small frame after it reuses the kept one.
+func TestFrameBufferCapped(t *testing.T) {
+	w := open(t, t.TempDir())
+	defer w.Close()
+	if err := w.Append(0, rec("small", "v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(0, rec("huge", string(bytes.Repeat([]byte("h"), 1<<20)))); err != nil {
+		t.Fatal(err)
+	}
+	sh := w.shards[0]
+	if c := cap(sh.buf); c == 0 || c > frameKeep {
+		t.Fatalf("after a 1 MiB append the stripe keeps a %d-byte frame buffer; cap is %d", c, frameKeep)
+	}
+	_, recs := replay(t, w, 0)
+	if len(recs) != 2 || len(recs[1].Value) != 1<<20 {
+		t.Fatalf("replay = %d records", len(recs))
+	}
+}
+
+// groupAppendAllocs is what a lone writer's group-commit append allocates:
+// the window it opens (the batch, its done channel, its flush goroutine and
+// shard list) and the wait function it returns. Measured: 5, with and
+// without -race.
+const groupAppendAllocs = 5
+
+// TestWALAppendAllocs: a buffered append of a 128-byte value allocates
+// nothing — the frame is encoded in the stripe's kept buffer. In
+// group-commit mode an append allocates only its window's share of the
+// commit objects.
+func TestWALAppendAllocs(t *testing.T) {
+	e := rec("key-000001", string(bytes.Repeat([]byte("v"), 128)))
+	w := open(t, t.TempDir())
+	defer w.Close()
+	if err := w.Append(0, e); err != nil { // opens the log, sizes the buffer
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := w.Append(0, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("buffered append allocates %.2f/op, want 0", allocs)
+	}
+
+	g, err := Open(t.TempDir(), Options{GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.Append(0, e); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		if err := g.Append(0, e); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("group-commit append: %.2f allocs", allocs)
+	if allocs > groupAppendAllocs {
+		t.Errorf("group-commit append allocates %.2f/op; its window's objects are %d", allocs, groupAppendAllocs)
 	}
 }
