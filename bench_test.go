@@ -16,7 +16,6 @@ import (
 
 	"versionstamp"
 	"versionstamp/internal/core"
-	"versionstamp/internal/encoding"
 	"versionstamp/internal/itc"
 	"versionstamp/internal/kvstore"
 	"versionstamp/internal/name"
@@ -115,7 +114,7 @@ func BenchmarkReduce(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Codec benchmarks (E5's format comparison).
+// Codec benchmarks: the binary form the store and the wire carry.
 
 func BenchmarkMarshalBinary(b *testing.B) {
 	frontier := benchFrontier(b, 300)
@@ -137,24 +136,6 @@ func BenchmarkUnmarshalBinary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var s core.Stamp
 		if err := s.UnmarshalBinary(blobs[i%len(blobs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMarshalCompact(b *testing.B) {
-	frontier := benchFrontier(b, 300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = encoding.MarshalCompact(frontier[i%len(frontier)])
-	}
-}
-
-func BenchmarkMarshalJSON(b *testing.B) {
-	frontier := benchFrontier(b, 300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := encoding.MarshalJSON(frontier[i%len(frontier)]); err != nil {
 			b.Fatal(err)
 		}
 	}

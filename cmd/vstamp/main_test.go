@@ -99,6 +99,13 @@ func TestEncodeCommand(t *testing.T) {
 	if !strings.Contains(out, "(5 bytes)") {
 		t.Errorf("encode = %q", out)
 	}
+	out, err = runCmd(t, "encode", "[1|0+1]")
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if strings.TrimSpace(out) != "02059806bc (5 bytes)" {
+		t.Errorf("encode [1|0+1] = %q, want 02059806bc (5 bytes)", out)
+	}
 }
 
 func TestHelp(t *testing.T) {

@@ -29,8 +29,8 @@
 // back. A server closes a connection that opens with anything else; a client
 // whose opening is answered by anything else reports ErrProtocol. After the
 // version byte everything is a frame, [uvarint length][kind byte][body],
-// integers uvarint-encoded, hashes 8 bytes big-endian, stamps in the compact
-// trie-structural format of internal/encoding:
+// integers uvarint-encoded, hashes 8 bytes big-endian, stamps in core's
+// binary format (core.Stamp.AppendBinary):
 //
 //	client -> server  kindRoot          (0x08): of, root (the fold of the
 //	                  stripe tree roots; whole-replica rounds only)

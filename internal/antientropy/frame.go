@@ -13,9 +13,9 @@ import (
 
 // Frames: everything after a session's version byte is a sequence of
 // [uvarint length][kind byte][body] messages. All multi-byte integers are
-// uvarints except hashes (8 bytes, big-endian); stamps use the compact
-// trie-structural format (encoding.MarshalCompact), keys and entries the
-// length-prefixed codec of internal/encoding. See the package comment for
+// uvarints except hashes (8 bytes, big-endian); stamps use core's binary
+// format (core.Stamp.AppendBinary), keys and entries the length-prefixed
+// codec of internal/encoding. See the package comment for
 // which kind follows which.
 
 // protocolVersion is the first byte of a session, and the byte the server

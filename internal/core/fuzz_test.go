@@ -35,7 +35,8 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzDecodeBinary checks the binary decoder against arbitrary bytes: no
-// panics, no invalid stamps, and canonical re-encoding of accepted input.
+// panics, no stamp that breaks I1, and canonical re-encoding of accepted
+// input (non-canonical padding bits decode to the canonical stamp).
 func FuzzDecodeBinary(f *testing.F) {
 	for _, s := range []Stamp{Seed(), MustParse("[1|0+1]"), MustParse("[ε|00]")} {
 		data, _ := s.MarshalBinary()
@@ -43,7 +44,8 @@ func FuzzDecodeBinary(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
-	f.Add([]byte{0x01, 0xff, 0xff})
+	f.Add([]byte{binaryFormat, 0xff, 0xff})
+	f.Add([]byte{binaryFormat, 0x02, 0xc1, 0x02, 0xc0}) // [ε|ε], a padding bit set
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, used, err := DecodeBinary(data)
 		if err != nil {
@@ -57,7 +59,7 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		re := s.AppendBinary(nil)
 		back, used2, err := DecodeBinary(re)
-		if err != nil || used2 != len(re) || !back.Equal(s) {
+		if err != nil || used2 != len(re) || len(re) != s.BinaryLen() || !back.Equal(s) {
 			t.Fatalf("re-encode of %v not canonical: %v", s, err)
 		}
 	})

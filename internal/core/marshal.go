@@ -6,59 +6,74 @@ import (
 	"strings"
 
 	"versionstamp/internal/name"
+	"versionstamp/internal/trie"
 )
 
-// Binary wire format for a stamp: a format byte (currently formatV1)
-// followed by the canonical encodings of the update and id components.
-// The format is canonical: equal stamps encode to identical bytes.
+// Binary format of a stamp: the format byte binaryFormat, then the trie
+// encodings (package trie) of the update and id components. It is the one
+// form the system stores: the WAL, checkpoints, snapshots, hint queues and
+// the sync wire all carry it. The format is canonical: equal stamps encode
+// to identical bytes.
 
-// formatV1 identifies the current stamp wire format.
-const formatV1 = 0x01
+// binaryFormat identifies the stamp binary format.
+const binaryFormat = 0x02
 
-// errBadFormat is returned when decoding input with an unknown format byte.
-var errBadFormat = errors.New("core: unknown stamp wire format")
-
-// AppendBinary appends the canonical binary encoding of s to dst.
+// AppendBinary appends the binary encoding of s to dst. The component
+// encodings are cached on the handles, so nothing is walked after a
+// handle's first encoding, and appending into a buffer with room allocates
+// nothing.
 func (s Stamp) AppendBinary(dst []byte) []byte {
-	dst = append(dst, formatV1)
-	dst = s.u.Name().AppendBinary(dst)
-	dst = s.i.Name().AppendBinary(dst)
-	return dst
+	dst = append(dst, binaryFormat)
+	dst = s.u.AppendEncoding(dst)
+	return s.i.AppendEncoding(dst)
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (s Stamp) MarshalBinary() ([]byte, error) {
-	return s.AppendBinary(nil), nil
+	return s.AppendBinary(make([]byte, 0, s.BinaryLen())), nil
 }
 
-// EncodedSize returns the exact length in bytes of the binary encoding,
-// the size measure reported by the E5/E6 space experiments. It is read off
-// the components' cached flat sizes; no name is materialized.
+// BinaryLen returns the length of AppendBinary's output, read off the
+// handles' cached encodings.
+func (s Stamp) BinaryLen() int {
+	return 1 + s.u.EncodedLen() + s.i.EncodedLen()
+}
+
+// EncodedSize returns the stamp's size in the paper's flat measure: one
+// format byte, then per component a string count and each string's bit
+// length and packed bits (trie.Interned.FlatSize). It is a measure, not a
+// codec: nothing writes this form, and the bytes the system stores number
+// BinaryLen. The E3/E5/E6 tables report it. It is read off the components'
+// cached flat sizes; no name is materialized.
 func (s Stamp) EncodedSize() int {
 	return 1 + s.u.FlatSize() + s.i.FlatSize()
 }
 
 // DecodeBinary reads one stamp from the front of src, returning the number
 // of bytes consumed. The decoded stamp is validated against Invariant I1.
+// Both components intern on arrival (trie.InternEncoded): a component
+// already known to the process costs a map probe on the raw bytes, builds
+// nothing, and yields the handle the local copies already hold, so
+// downstream comparison is pointer equality.
 func DecodeBinary(src []byte) (Stamp, int, error) {
 	if len(src) == 0 {
 		return Stamp{}, 0, errors.New("core: empty input")
 	}
-	if src[0] != formatV1 {
-		return Stamp{}, 0, fmt.Errorf("%w: 0x%02x", errBadFormat, src[0])
+	if src[0] != binaryFormat {
+		return Stamp{}, 0, fmt.Errorf("core: stamp format byte 0x%02x, want 0x%02x", src[0], binaryFormat)
 	}
 	off := 1
-	u, used, err := name.DecodeBinary(src[off:])
+	u, used, err := trie.InternEncoded(src[off:])
 	if err != nil {
 		return Stamp{}, 0, fmt.Errorf("core: update component: %w", err)
 	}
 	off += used
-	i, used, err := name.DecodeBinary(src[off:])
+	i, used, err := trie.InternEncoded(src[off:])
 	if err != nil {
 		return Stamp{}, 0, fmt.Errorf("core: id component: %w", err)
 	}
 	off += used
-	s, err := New(u, i)
+	s, err := NewInterned(u, i)
 	if err != nil {
 		return Stamp{}, 0, err
 	}

@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding"
+	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"versionstamp/internal/bitstr"
+	"versionstamp/internal/name"
 )
 
 var (
@@ -63,8 +67,8 @@ func TestBinaryRoundTripStamp(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MarshalBinary(%v): %v", s, err)
 			}
-			if len(data) != s.EncodedSize() {
-				t.Fatalf("EncodedSize(%v) = %d, actual %d", s, s.EncodedSize(), len(data))
+			if len(data) != s.BinaryLen() {
+				t.Fatalf("BinaryLen(%v) = %d, actual %d", s, s.BinaryLen(), len(data))
 			}
 			var back Stamp
 			if err := back.UnmarshalBinary(data); err != nil {
@@ -108,11 +112,14 @@ func TestTextRoundTripStamp(t *testing.T) {
 func TestDecodeBinaryRejects(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{0x02},           // unknown format
-		{formatV1},       // truncated update
-		{formatV1, 0x01}, // truncated string header
-		{formatV1, 0x00}, // missing id component
-		{formatV1, 0x01, 0x01, 0x80, 0x01, 0x01, 0x00}, // u={1}, i={0}: I1 violated
+		// [1|0+1] in the flat string-list format, format byte 0x01:
+		{0x01, 0x01, 0x01, 0x80, 0x02, 0x01, 0x00, 0x01, 0x80},
+		{0x03},                                 // unknown format
+		{binaryFormat},                         // truncated update
+		{binaryFormat, 0x01},                   // truncated trie
+		{binaryFormat, 0x02, 0xc0},             // missing id component
+		{binaryFormat, 0x02, 0xc0, 0x00},       // id trie with no bits
+		{binaryFormat, 0x05, 0x98, 0x05, 0xa8}, // u={1}, i={0}: I1 violated
 	}
 	for _, data := range cases {
 		if _, _, err := DecodeBinary(data); err == nil {
@@ -153,8 +160,117 @@ func TestDecodeBinaryStreamStamps(t *testing.T) {
 }
 
 func TestSeedEncodedSize(t *testing.T) {
-	// ({ε},{ε}) encodes to 1 (format) + 2 (count=1, len=0) * 2 = 5 bytes.
+	// ({ε},{ε}) measures 1 (format) + 2 (count=1, len=0) * 2 = 5 flat bytes.
 	if got := Seed().EncodedSize(); got != 5 {
 		t.Errorf("Seed().EncodedSize() = %d, want 5", got)
+	}
+}
+
+func TestCompactBeatsFlatOnBushyStamps(t *testing.T) {
+	// A wide full-level id is the trie format's best case.
+	s := MustParse("[ε|000+001+010+011+100+101+110+111]")
+	if s.BinaryLen() >= s.EncodedSize() {
+		t.Errorf("binary (%d B) not smaller than flat (%d B) for %v", s.BinaryLen(), s.EncodedSize(), s)
+	}
+}
+
+// referenceTrieEncoding encodes a name's trie straight from its sorted
+// strings — pre-order, a leaf as "1", an interior node as "0" plus two
+// child-present flags, after a root flag, framed by a uvarint bit count —
+// independently of the interned handles' cached bytes.
+func referenceTrieEncoding(n name.Name) []byte {
+	ss := n.Bits()
+	bits := []bool{len(ss) > 0}
+	var walk func(ss []bitstr.Bits, depth int)
+	walk = func(ss []bitstr.Bits, depth int) {
+		if ss[0].Len() == depth {
+			bits = append(bits, true)
+			return
+		}
+		split := 0
+		for split < len(ss) && ss[split][depth] == bitstr.Zero {
+			split++
+		}
+		bits = append(bits, false, split > 0, split < len(ss))
+		if split > 0 {
+			walk(ss[:split], depth+1)
+		}
+		if split < len(ss) {
+			walk(ss[split:], depth+1)
+		}
+	}
+	if len(ss) > 0 {
+		walk(ss, 0)
+	}
+	packed := make([]byte, (len(bits)+7)/8)
+	for k, b := range bits {
+		if b {
+			packed[k/8] |= 0x80 >> (k % 8)
+		}
+	}
+	return append(binary.AppendUvarint(nil, uint64(len(bits))), packed...)
+}
+
+// TestCompactBytesMatchTrieReference is the wire-stability property of the
+// interned kernel: AppendBinary serves each component's cached encoding,
+// and those bytes must be identical to encoding the component names'
+// tries directly. Digest and entry frames, WAL records and snapshots all
+// embed this format, so byte equality here pins the whole stored surface.
+func TestCompactBytesMatchTrieReference(t *testing.T) {
+	reference := func(s Stamp) []byte {
+		out := []byte{binaryFormat}
+		out = append(out, referenceTrieEncoding(s.UpdateName())...)
+		return append(out, referenceTrieEncoding(s.IDName())...)
+	}
+	rng := rand.New(rand.NewSource(5))
+	frontier := []Stamp{Seed()}
+	check := func(s Stamp) {
+		t.Helper()
+		got, _ := s.MarshalBinary()
+		want := reference(s)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("MarshalBinary(%v) = % x, trie reference % x", s, got, want)
+		}
+		back, used, err := DecodeBinary(got)
+		if err != nil || used != len(got) || !back.Equal(s) {
+			t.Fatalf("round trip of %v: %v (used %d) err %v", s, back, used, err)
+		}
+	}
+	for k := 0; k < 300; k++ {
+		switch op := rng.Intn(3); {
+		case op == 0:
+			i := rng.Intn(len(frontier))
+			frontier[i] = frontier[i].Update()
+		case op == 1 || len(frontier) == 1:
+			i := rng.Intn(len(frontier))
+			a, b := frontier[i].Fork()
+			frontier[i] = a
+			frontier = append(frontier, b)
+		default:
+			i, j := rng.Intn(len(frontier)), rng.Intn(len(frontier))
+			if i == j {
+				continue
+			}
+			if joined, err := Join(frontier[i], frontier[j]); err == nil {
+				frontier[i] = joined
+				frontier = append(frontier[:j], frontier[j+1:]...)
+			}
+		}
+		for _, s := range frontier {
+			check(s)
+		}
+	}
+}
+
+// TestAppendBinaryAllocs: encoding an interned stamp into a pre-sized
+// buffer allocates nothing — the per-stamp cost of every WAL record and
+// wire frame.
+func TestAppendBinaryAllocs(t *testing.T) {
+	a, _ := Seed().Update().Fork()
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(500, func() {
+		buf = a.AppendBinary(buf[:0])
+	}); allocs != 0 {
+		t.Errorf("AppendBinary allocates %.1f/op, want 0", allocs)
 	}
 }

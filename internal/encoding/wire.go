@@ -9,12 +9,12 @@ import (
 )
 
 // This file defines the length-prefixed binary codec the delta anti-entropy
-// protocol ships entries with. Both shapes reuse the compact (trie-structural)
-// stamp format, so a converged keyspace costs a few bytes per key on the wire
-// instead of a JSON document with text stamps.
+// protocol ships entries with. Both shapes end in the stamp's binary form
+// (core.Stamp.AppendBinary), so a converged keyspace costs a few bytes per
+// key on the wire instead of a JSON document with text stamps.
 //
-//	digest := uvarint(len(key)) key compact-stamp
-//	entry  := uvarint(len(key)) key flags [uvarint(len(value)) value] compact-stamp
+//	digest := uvarint(len(key)) key stamp
+//	entry  := uvarint(len(key)) key flags [uvarint(len(value)) value] stamp
 //
 // flags bit 0 marks a tombstone; tombstones carry no value field.
 
@@ -46,12 +46,12 @@ type Entry struct {
 // DigestLen returns the length of AppendDigest's output for d, so a frame of
 // digests can be sized before it is encoded.
 func DigestLen(d Digest) int {
-	return UvarintLen(uint64(len(d.Key))) + len(d.Key) + CompactLen(d.Stamp)
+	return UvarintLen(uint64(len(d.Key))) + len(d.Key) + d.Stamp.BinaryLen()
 }
 
 // EntryLen returns the length of AppendEntry's output for e.
 func EntryLen(e Entry) int {
-	n := UvarintLen(uint64(len(e.Key))) + len(e.Key) + 1 + CompactLen(e.Stamp)
+	n := UvarintLen(uint64(len(e.Key))) + len(e.Key) + 1 + e.Stamp.BinaryLen()
 	if !e.Deleted {
 		n += UvarintLen(uint64(len(e.Value))) + len(e.Value)
 	}
@@ -65,7 +65,7 @@ func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 func AppendDigest(dst []byte, d Digest) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(d.Key)))
 	dst = append(dst, d.Key...)
-	return AppendCompact(dst, d.Stamp)
+	return d.Stamp.AppendBinary(dst)
 }
 
 // DecodeDigest parses one digest from the front of data, returning the bytes
@@ -75,7 +75,7 @@ func DecodeDigest(data []byte) (Digest, int, error) {
 	if err != nil {
 		return Digest{}, 0, fmt.Errorf("encoding: digest: %w", err)
 	}
-	s, used, err := UnmarshalCompact(data[off:])
+	s, used, err := core.DecodeBinary(data[off:])
 	if err != nil {
 		return Digest{}, 0, fmt.Errorf("encoding: digest %q: %w", key, err)
 	}
@@ -93,7 +93,7 @@ func AppendEntry(dst []byte, e Entry) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(e.Value)))
 		dst = append(dst, e.Value...)
 	}
-	return AppendCompact(dst, e.Stamp)
+	return e.Stamp.AppendBinary(dst)
 }
 
 // DecodeEntryMeta parses one entry from the front of data like DecodeEntry,
@@ -131,7 +131,7 @@ func DecodeEntryMeta(data []byte) (e Entry, valOff, valLen, used int, err error)
 	default:
 		return Entry{}, 0, 0, 0, fmt.Errorf("encoding: entry %q: unknown flags 0x%02x", key, flags)
 	}
-	s, u, err := UnmarshalCompact(data[off:])
+	s, u, err := core.DecodeBinary(data[off:])
 	if err != nil {
 		return Entry{}, 0, 0, 0, fmt.Errorf("encoding: entry %q: %w", key, err)
 	}
@@ -169,7 +169,7 @@ func DecodeEntry(data []byte) (Entry, int, error) {
 	default:
 		return Entry{}, 0, fmt.Errorf("encoding: entry %q: unknown flags 0x%02x", key, flags)
 	}
-	s, used, err := UnmarshalCompact(data[off:])
+	s, used, err := core.DecodeBinary(data[off:])
 	if err != nil {
 		return Entry{}, 0, fmt.Errorf("encoding: entry %q: %w", key, err)
 	}

@@ -1,96 +1,15 @@
 package name
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
-	"versionstamp/internal/bitstr"
-)
-
-// Binary wire format for a name:
-//
-//	uvarint  count                 number of strings
-//	repeated (uvarint bitLen, packed bits MSB-first, ceil(bitLen/8) bytes)
-//
-// Strings are stored in the canonical lexicographic order, so equal names
-// produce identical encodings (the format is canonical). The decoder
-// re-validates the antichain property, so corrupted or adversarial input
-// cannot produce an ill-formed name.
-
-// maxDecodedStrings bounds decoder allocations against corrupt input.
-const maxDecodedStrings = 1 << 20
-
-// errTruncated is returned when the input ends mid-value.
-var errTruncated = errors.New("name: truncated binary input")
-
-// AppendBinary appends the canonical binary encoding of n to dst.
-func (n Name) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(n.ss)))
-	for _, s := range n.ss {
-		dst = binary.AppendUvarint(dst, uint64(s.Len()))
-		dst = appendPackedBits(dst, s)
-	}
-	return dst
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (n Name) MarshalBinary() ([]byte, error) {
-	return n.AppendBinary(nil), nil
-}
-
-// EncodedSize returns the exact length in bytes of the binary encoding.
+// EncodedSize returns the name's size in the flat measure: a uvarint string
+// count, then for each string in canonical order a uvarint bit length and
+// its bits packed eight to a byte. No codec writes this form; it is the
+// oracle trie.Interned.FlatSize is tested against.
 func (n Name) EncodedSize() int {
 	size := uvarintLen(uint64(len(n.ss)))
 	for _, s := range n.ss {
 		size += uvarintLen(uint64(s.Len())) + (s.Len()+7)/8
 	}
 	return size
-}
-
-// DecodeBinary reads one name from the front of src and returns the number
-// of bytes consumed. The decoded value is fully validated.
-func DecodeBinary(src []byte) (Name, int, error) {
-	count, off := binary.Uvarint(src)
-	if off <= 0 {
-		return Name{}, 0, errTruncated
-	}
-	if count > maxDecodedStrings {
-		return Name{}, 0, fmt.Errorf("name: implausible string count %d", count)
-	}
-	bits := make([]bitstr.Bits, 0, count)
-	for i := uint64(0); i < count; i++ {
-		bitLen, m := binary.Uvarint(src[off:])
-		if m <= 0 {
-			return Name{}, 0, errTruncated
-		}
-		off += m
-		byteLen := (int(bitLen) + 7) / 8
-		if bitLen > uint64(maxDecodedStrings) || off+byteLen > len(src) {
-			return Name{}, 0, errTruncated
-		}
-		bits = append(bits, unpackBits(src[off:off+byteLen], int(bitLen)))
-		off += byteLen
-	}
-	n, err := New(bits...)
-	if err != nil {
-		return Name{}, 0, fmt.Errorf("name: decode: %w", err)
-	}
-	return n, off, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. The input must
-// contain exactly one encoded name.
-func (n *Name) UnmarshalBinary(data []byte) error {
-	decoded, used, err := DecodeBinary(data)
-	if err != nil {
-		return err
-	}
-	if used != len(data) {
-		return fmt.Errorf("name: %d trailing bytes after encoded name", len(data)-used)
-	}
-	*n = decoded
-	return nil
 }
 
 // MarshalText implements encoding.TextMarshaler using the paper's notation.
@@ -106,36 +25,6 @@ func (n *Name) UnmarshalText(text []byte) error {
 	}
 	*n = decoded
 	return nil
-}
-
-func appendPackedBits(dst []byte, s bitstr.Bits) []byte {
-	var cur byte
-	for i := 0; i < s.Len(); i++ {
-		bit, _ := s.Bit(i)
-		if bit == bitstr.One {
-			cur |= 1 << (7 - uint(i%8))
-		}
-		if i%8 == 7 {
-			dst = append(dst, cur)
-			cur = 0
-		}
-	}
-	if s.Len()%8 != 0 {
-		dst = append(dst, cur)
-	}
-	return dst
-}
-
-func unpackBits(data []byte, bitLen int) bitstr.Bits {
-	buf := make([]byte, bitLen)
-	for i := 0; i < bitLen; i++ {
-		if data[i/8]&(1<<(7-uint(i%8))) != 0 {
-			buf[i] = bitstr.One
-		} else {
-			buf[i] = bitstr.Zero
-		}
-	}
-	return bitstr.Bits(buf)
 }
 
 func uvarintLen(v uint64) int {

@@ -1,118 +1,15 @@
 package name
 
 import (
-	"bytes"
 	"encoding"
 	"math/rand"
 	"testing"
 )
 
 var (
-	_ encoding.BinaryMarshaler   = Name{}
-	_ encoding.BinaryUnmarshaler = (*Name)(nil)
-	_ encoding.TextMarshaler     = Name{}
-	_ encoding.TextUnmarshaler   = (*Name)(nil)
+	_ encoding.TextMarshaler   = Name{}
+	_ encoding.TextUnmarshaler = (*Name)(nil)
 )
-
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	for i := 0; i < 500; i++ {
-		n := randName(rng, 10, 16)
-		data, err := n.MarshalBinary()
-		if err != nil {
-			t.Fatalf("MarshalBinary(%v): %v", n, err)
-		}
-		if len(data) != n.EncodedSize() {
-			t.Fatalf("EncodedSize(%v) = %d, actual %d", n, n.EncodedSize(), len(data))
-		}
-		var back Name
-		if err := back.UnmarshalBinary(data); err != nil {
-			t.Fatalf("UnmarshalBinary(%v): %v", n, err)
-		}
-		if !back.Equal(n) {
-			t.Fatalf("round trip %v -> %v", n, back)
-		}
-	}
-}
-
-func TestBinaryCanonical(t *testing.T) {
-	// Equal names (however constructed) encode identically.
-	a := MustParse("0+10+111")
-	b := MustParse("111 + 0 + 10")
-	da, _ := a.MarshalBinary()
-	db, _ := b.MarshalBinary()
-	if !bytes.Equal(da, db) {
-		t.Errorf("equal names encoded differently: %x vs %x", da, db)
-	}
-}
-
-func TestBinaryKnownEncodings(t *testing.T) {
-	tests := []struct {
-		name string
-		want []byte
-	}{
-		{"∅", []byte{0x00}},
-		{"ε", []byte{0x01, 0x00}},
-		{"1", []byte{0x01, 0x01, 0x80}},
-		{"0+1", []byte{0x02, 0x01, 0x00, 0x01, 0x80}},
-		{"01+10", []byte{0x02, 0x02, 0x40, 0x02, 0x80}},
-	}
-	for _, tt := range tests {
-		got, _ := MustParse(tt.name).MarshalBinary()
-		if !bytes.Equal(got, tt.want) {
-			t.Errorf("encode(%s) = %x, want %x", tt.name, got, tt.want)
-		}
-	}
-}
-
-func TestDecodeBinaryRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,                // empty
-		{0x05},             // count=5 then truncated
-		{0x01, 0x09, 0xff}, // bitLen=9 needs 2 bytes, only 1
-		{0x01},             // count=1 then truncated
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // huge count
-		{0x02, 0x01, 0x00, 0x02, 0x00},                               // {0, 00}: not an antichain
-		{0x02, 0x01, 0x00, 0x01, 0x00},                               // {0, 0}: duplicate
-	}
-	for _, data := range cases {
-		if _, _, err := DecodeBinary(data); err == nil {
-			t.Errorf("DecodeBinary(%x) accepted garbage", data)
-		}
-	}
-}
-
-func TestUnmarshalBinaryRejectsTrailing(t *testing.T) {
-	data, _ := MustParse("0+1").MarshalBinary()
-	data = append(data, 0xAA)
-	var n Name
-	if err := n.UnmarshalBinary(data); err == nil {
-		t.Error("UnmarshalBinary must reject trailing bytes")
-	}
-}
-
-func TestDecodeBinaryStream(t *testing.T) {
-	// Several names back to back decode sequentially via DecodeBinary.
-	names := []Name{MustParse("∅"), MustParse("ε"), MustParse("00+01+1"), MustParse("101")}
-	var buf []byte
-	for _, n := range names {
-		buf = n.AppendBinary(buf)
-	}
-	off := 0
-	for i, want := range names {
-		got, used, err := DecodeBinary(buf[off:])
-		if err != nil {
-			t.Fatalf("decode #%d: %v", i, err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("decode #%d = %v, want %v", i, got, want)
-		}
-		off += used
-	}
-	if off != len(buf) {
-		t.Fatalf("stream not fully consumed: %d of %d", off, len(buf))
-	}
-}
 
 func TestTextRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -101,22 +101,6 @@ func TestQuickLeqIffJoinAbsorbs(t *testing.T) {
 	}
 }
 
-func TestQuickBinaryRoundTrip(t *testing.T) {
-	if err := quick.Check(func(a genName) bool {
-		data, err := a.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var back Name
-		if err := back.UnmarshalBinary(data); err != nil {
-			return false
-		}
-		return back.Equal(a.Name)
-	}, quickCfg()); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickTextRoundTrip(t *testing.T) {
 	if err := quick.Check(func(a genName) bool {
 		back, err := Parse(a.String())

@@ -8,7 +8,6 @@ import (
 
 	"versionstamp/internal/antientropy"
 	"versionstamp/internal/chaosnet"
-	"versionstamp/internal/encoding"
 	"versionstamp/internal/kvstore"
 	"versionstamp/internal/storage/faultfs"
 )
@@ -202,7 +201,7 @@ type ScenarioMetrics struct {
 	PersistErrsEnd  int `json:"persist_errs_end"`
 
 	// Stamp growth over every up replica at the end of the run, measured
-	// on the compact wire encoding.
+	// in the stamps' binary form (core.Stamp.BinaryLen).
 	KeysTotal      int     `json:"keys_total"`
 	StampBytesMax  int     `json:"stamp_bytes_max"`
 	StampBytesMean float64 `json:"stamp_bytes_mean"`
@@ -434,9 +433,9 @@ func (s Scenario) apply(a Action, c *antientropy.Cluster, fab *chaosnet.Fabric,
 	}
 }
 
-// measureStamps sizes every stamp on every up replica with the compact
-// wire encoding — the paper's core cost metric: version stamps must stay
-// small even after fault-heavy histories.
+// measureStamps sizes every stamp on every up replica in the binary form
+// the replicas store and ship — the paper's core cost metric: version
+// stamps must stay small even after fault-heavy histories.
 func (s Scenario) measureStamps(c *antientropy.Cluster, m *ScenarioMetrics) {
 	var total int64
 	for i := 0; i < c.Size(); i++ {
@@ -453,7 +452,7 @@ func (s Scenario) measureStamps(c *antientropy.Cluster, m *ScenarioMetrics) {
 			if !ok {
 				continue
 			}
-			n := len(encoding.MarshalCompact(v.Stamp))
+			n := v.Stamp.BinaryLen()
 			m.KeysTotal++
 			total += int64(n)
 			if n > m.StampBytesMax {

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// stampCapBytes bounds the largest compact stamp any scenario may end with.
+// stampCapBytes bounds the largest binary-encoded stamp any scenario may end with.
 // It is a blow-up alarm, not the paper's bound: ROADMAP item 2 replaces it
 // with a function of the replication factor.
 const stampCapBytes = 4096

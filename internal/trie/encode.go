@@ -13,7 +13,7 @@ import (
 //
 // in pre-order, preceded by one root flag bit (0 = empty set). Strings
 // sharing prefixes share the bits of those prefixes, so bushy names encode
-// smaller than the flat per-string format of package name. The stream is
+// smaller than their flat per-string size (FlatSize). The stream is
 // padded with zero bits to a byte boundary and framed by a uvarint bit
 // count.
 

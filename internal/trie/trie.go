@@ -358,10 +358,11 @@ func Reduce(u, i *Interned) (*Interned, *Interned) {
 	return ru, ri
 }
 
-// FlatSize returns the length of the name's flat encoding (package name's
-// AppendBinary: a string count, then each string's bit length and packed
-// bits), the size measure of the stamp experiments. It is computed once per
-// node and cached.
+// FlatSize returns the name's size in the flat measure: a uvarint string
+// count, then for each member string a uvarint bit length and its bits
+// packed eight to a byte. No codec writes this form; it is the size measure
+// of the stamp experiments, and name.Name.EncodedSize is its oracle. It is
+// computed once per node and cached.
 func (t *Interned) FlatSize() int {
 	if t == nil {
 		return uvarintLen(0)

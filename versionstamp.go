@@ -42,8 +42,12 @@
 //	}
 //	merged, _ := versionstamp.Join(a, b) // back to one replica: [ε|ε]
 //
-// Stamps serialize with MarshalBinary/MarshalText (and parse back with
-// Parse), so they embed directly in storage formats and wire protocols.
+// Stamps serialize with MarshalBinary (read back with Decode) and
+// MarshalText (read back with Parse). The binary form is the one this
+// repository's own store keeps in its WAL, checkpoints and snapshots and
+// ships on its sync wire: a format byte 0x02, then each component as a
+// structural trie whose shared prefixes are written once, so [ε|ε] and
+// [1|0+1] each take 5 bytes.
 //
 // # Performance model
 //
@@ -344,7 +348,7 @@
 // run yields one sim.ScenarioMetrics document: rounds to convergence
 // against the round budget, quorum writes attempted and failed, exchange,
 // conflict and backoff counts, wire bytes, hint-queue peak/drain/drop
-// counts, compact stamp size max and mean, and the fabric's fault ledger
+// counts, binary stamp size max and mean, and the fabric's fault ledger
 // (delivered, dropped, duplicated, reordered, cut, reset). The sim tests
 // fail unless every scenario converges within budget, ends healed with its
 // tombstones collected and no delete resurrected, keeps its stamps under a
@@ -418,8 +422,9 @@ func Parse(text string) (Stamp, error) { return core.Parse(text) }
 func MustParse(text string) Stamp { return core.MustParse(text) }
 
 // Decode reads one binary-encoded stamp from the front of data, returning
-// the bytes consumed. Stamps encode with Stamp.MarshalBinary or
-// Stamp.AppendBinary.
+// the bytes consumed. The format is the one the WAL, snapshots and sync wire
+// store (format byte 0x02); any other format byte is an error that names
+// it. Stamps encode with Stamp.MarshalBinary or Stamp.AppendBinary.
 func Decode(data []byte) (Stamp, int, error) { return core.DecodeBinary(data) }
 
 // NewStamp assembles a stamp from explicit components, validating the

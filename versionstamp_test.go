@@ -1,7 +1,9 @@
 package versionstamp_test
 
 import (
+	"encoding/hex"
 	"errors"
+	"strings"
 	"testing"
 
 	"versionstamp"
@@ -66,6 +68,26 @@ func TestPublicBinaryDecode(t *testing.T) {
 	}
 	if !back.Equal(s) {
 		t.Fatal("binary round trip changed the stamp")
+	}
+}
+
+// TestPublicBinaryBytesPinned pins MarshalBinary's output: the bytes the
+// WAL, snapshots and sync wire store. A flat string-list blob (format byte
+// 0x01) is refused with an error that names the byte.
+func TestPublicBinaryBytesPinned(t *testing.T) {
+	for text, want := range map[string]string{
+		"[ε|ε]":                     "0202c002c0",
+		"[1|0+1]":                   "02059806bc",
+		"[ε|000+001+01+10+110+111]": "0202c016b6fbbc",
+	} {
+		data, err := versionstamp.MustParse(text).MarshalBinary()
+		if err != nil || hex.EncodeToString(data) != want {
+			t.Errorf("MarshalBinary(%s) = %x, %v; want %s", text, data, err, want)
+		}
+	}
+	flat, _ := hex.DecodeString("010101800201000180") // [1|0+1], flat
+	if _, _, err := versionstamp.Decode(flat); err == nil || !strings.Contains(err.Error(), "0x01") {
+		t.Errorf("Decode(flat [1|0+1]) = %v, want an error naming format byte 0x01", err)
 	}
 }
 
