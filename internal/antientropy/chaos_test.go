@@ -123,7 +123,7 @@ func TestPoolBackoffSkipsDeadPeer(t *testing.T) {
 	defer pool.Close()
 
 	// No listener for "ghost": every real attempt fails at dial.
-	_, info, err := pool.SyncWithInfo("ghost", client)
+	_, info, err := pool.SyncStripes("ghost", client, nil)
 	if err == nil {
 		t.Fatal("dial to missing host succeeded")
 	}
@@ -135,7 +135,7 @@ func TestPoolBackoffSkipsDeadPeer(t *testing.T) {
 	dialsFailed := fab.Stats().DialsFailed
 	skips := 0
 	for i := 0; i < 3; i++ {
-		_, info, err = pool.SyncWithInfo("ghost", client)
+		_, info, err = pool.SyncStripes("ghost", client, nil)
 		if errors.Is(err, ErrPeerBackoff) {
 			if !info.Backoff || info.Attempts != 0 {
 				t.Fatalf("backoff round did work: %+v", info)
@@ -160,7 +160,7 @@ func TestPoolBackoffSkipsDeadPeer(t *testing.T) {
 	defer srv.Close()
 	ok := false
 	for i := 0; i < 30 && !ok; i++ {
-		_, _, err := pool.SyncWithInfo("ghost", client)
+		_, _, err := pool.SyncStripes("ghost", client, nil)
 		ok = err == nil
 	}
 	if !ok {

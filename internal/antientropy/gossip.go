@@ -535,7 +535,7 @@ func (c *Cluster) runChain(chain []gossipTask, stats *RoundStats, mu *sync.Mutex
 		// Every exchange is a round over the initiator's pooled session to
 		// the peer, scoped to one stripe so only that stripe's tree root
 		// travels.
-		res, info, err := t.pool.SyncStripesInfo(t.addr, t.rep, []int{t.stripe})
+		res, info, err := t.pool.SyncStripes(t.addr, t.rep, []int{t.stripe})
 		mu.Lock()
 		if err != nil {
 			down := c.nodeDown(t.j)

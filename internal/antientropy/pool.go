@@ -405,28 +405,18 @@ func (p *Pool) armBackoff(pc *poolConn, addr string) {
 // nodes, then leaf digest runs, copies only where stamps require them. The
 // byte counters in the result cover exactly this round's frames.
 func (p *Pool) SyncWith(addr string, local *kvstore.Replica) (kvstore.SyncResult, error) {
-	res, _, err := p.SyncWithInfo(addr, local)
+	res, _, err := p.round(addr, local, nil)
 	return res, err
 }
 
-// SyncWithInfo is SyncWith plus the round's RoundInfo (attempts, fresh
-// dials, retry and backoff verdicts).
-func (p *Pool) SyncWithInfo(addr string, local *kvstore.Replica) (kvstore.SyncResult, RoundInfo, error) {
-	return p.round(addr, local, nil)
-}
-
-// SyncStripes performs one round scoped to the given local stripes —
-// the pooled, multiplexed replacement for dialing one connection per
-// stripe: all scoped exchanges ride the same session.
-func (p *Pool) SyncStripes(addr string, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, error) {
-	res, _, err := p.SyncStripesInfo(addr, local, stripes)
-	return res, err
-}
-
-// SyncStripesInfo is SyncStripes plus the round's RoundInfo.
-func (p *Pool) SyncStripesInfo(addr string, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, RoundInfo, error) {
+// SyncStripes performs one round scoped to the given local stripes — the
+// pooled, multiplexed replacement for dialing one connection per stripe:
+// all scoped exchanges ride the same session. Nil or empty stripes mean
+// the whole replica, as SyncWith. Beside the result it returns the round's
+// RoundInfo (attempts, fresh dials, retry and backoff verdicts).
+func (p *Pool) SyncStripes(addr string, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, RoundInfo, error) {
 	if len(stripes) == 0 {
-		stripes = nil // no stripes named: the whole replica, as ever
+		stripes = nil
 	}
 	return p.round(addr, local, stripes)
 }

@@ -13,7 +13,6 @@ import (
 	"versionstamp/internal/kvstore"
 	"versionstamp/internal/membership"
 	"versionstamp/internal/ring"
-	"versionstamp/internal/storage"
 	"versionstamp/internal/storage/wal"
 )
 
@@ -74,8 +73,7 @@ type RingConfig struct {
 	Resolver kvstore.Resolver
 	// DataDir, when set, makes nodes durable: node i's replica WAL lives
 	// in DataDir/node-i and its hint queue in DataDir/node-i/hints. Empty
-	// means in-memory (hint queues still run the storage.Backend code
-	// path, over memory).
+	// means in-memory: replicas without a WAL and volatile hint queues.
 	DataDir string
 	// DurableCount limits durability to the first N nodes when DataDir is
 	// set (0 = all nodes durable). Large simulated clusters use it to keep
@@ -227,20 +225,17 @@ func (c *Cluster) ringFor(members []string) (*ring.Ring, error) {
 	return rg, nil
 }
 
-// openHints opens the node's hint queue over its durable directory, or over
-// a fresh in-process backend, applying the cluster's per-target cap.
+// openHints opens the node's hint queue over its durable directory, or a
+// volatile one for an in-memory node, applying the cluster's per-target cap.
 func (c *Cluster) openHints(nd *node) (*hints.Queue, error) {
-	var be storage.Backend
+	var w *wal.WAL
 	if nd.dataDir != "" {
-		w, err := wal.Open(filepath.Join(nd.dataDir, "hints"), wal.Options{})
-		if err != nil {
+		var err error
+		if w, err = wal.Open(filepath.Join(nd.dataDir, "hints"), wal.Options{}); err != nil {
 			return nil, err
 		}
-		be = w
-	} else {
-		be = storage.NewMemory()
 	}
-	return hints.Open(be, hints.Options{CapPerTarget: c.hintCap})
+	return hints.Open(w, hints.Options{CapPerTarget: c.hintCap})
 }
 
 // startNode gives the node a fresh server, listener and pool, over the
@@ -384,7 +379,7 @@ func (c *Cluster) GossipRoundStats(k int) (RoundStats, error) {
 			stats.StripesScrubbed++
 		}
 		if err != nil {
-			var ce *storage.CorruptError
+			var ce *wal.CorruptError
 			if !errors.As(err, &ce) && firstErr == nil {
 				firstErr = fmt.Errorf("antientropy: scrub %s stripe %d: %w", nd.id, s, err)
 			}

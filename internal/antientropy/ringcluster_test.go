@@ -207,7 +207,7 @@ func TestRingQuorumConvergesLikeFullSync(t *testing.T) {
 	}
 }
 
-// ringChurnConfig is shared by the churn test and the acceptance test.
+// tickUntilDead runs gossip rounds so the peers declare a killed node dead.
 func tickUntilDead(t *testing.T, c *Cluster, rounds int) {
 	t.Helper()
 	for i := 0; i < rounds; i++ {
@@ -217,104 +217,117 @@ func tickUntilDead(t *testing.T, c *Cluster, rounds int) {
 	}
 }
 
-// Membership churn with durable nodes: an owner dies, writes to its
-// stripes hint to it; on revival it replays its WAL, hints drain, and the
-// cluster converges with the revived node holding the missed writes.
+// Membership churn: an owner dies, writes to its stripes hint to it; on
+// revival it replays its WAL (durable nodes) or resumes (in-memory nodes,
+// whose coordinators hold the hints in volatile queues), hints drain, and
+// the cluster converges with the revived node holding the missed writes.
 func TestRingChurnHintedHandoff(t *testing.T) {
-	c := newRingCluster(t, RingConfig{
-		Nodes: 9, Replication: 3, Stripes: 64, Seed: 42,
-		DataDir:      t.TempDir(),
-		SuspectAfter: 1, DeadAfter: 2,
-	})
-	// Seed data and converge.
-	for i := 0; i < 40; i++ {
-		if _, err := c.Write(fmt.Sprintf("seed-%d", i), []byte("s")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := c.GossipUntilConverged(80); err != nil {
-		t.Fatalf("initial convergence: %v", err)
-	}
-
-	// Kill a node and write keys it owns: quorum must still be reached
-	// (the two surviving owners ack) and a hint queued for the dead one.
-	const victim = 4
-	if err := c.Kill(victim); err != nil {
-		t.Fatalf("Kill: %v", err)
-	}
-	victimID := fmt.Sprintf("node-%d", victim)
-	st, err := c.Status(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Down {
-		t.Fatal("victim not reported down")
-	}
-	var hinted []string
-	for i := 0; i < 400 && len(hinted) < 6; i++ {
-		k := fmt.Sprintf("churn-%d", i)
-		s := kvstore.ShardIndex(k, 64)
-		c.mu.Lock()
-		owned := false
-		for _, oid := range c.ownersLocked(s) {
-			if oid == victimID {
-				owned = true
+	for _, tc := range []struct {
+		name    string
+		durable bool
+	}{{"durable", true}, {"in-memory", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := RingConfig{
+				Nodes: 9, Replication: 3, Stripes: 64, Seed: 42,
+				SuspectAfter: 1, DeadAfter: 2,
 			}
-		}
-		c.mu.Unlock()
-		if !owned {
-			continue
-		}
-		acks, err := c.Write(k, []byte("missed"))
-		if err != nil {
-			t.Fatalf("Write(%s) with dead owner: %v", k, err)
-		}
-		if acks != 2 {
-			t.Errorf("Write(%s) acks = %d, want 2 (dead owner hinted, not acked)", k, acks)
-		}
-		hinted = append(hinted, k)
-	}
-	if len(hinted) < 6 {
-		t.Fatalf("only %d keys landed on the victim's stripes", len(hinted))
-	}
-	if got := c.HintsPending(); got < len(hinted) {
-		t.Errorf("HintsPending = %d, want >= %d", got, len(hinted))
-	}
-	// Reads of hinted keys succeed from the surviving owners.
-	for _, k := range hinted {
-		if v, ok, err := c.Read(k); err != nil || !ok || string(v) != "missed" {
-			t.Fatalf("Read(%s) with dead owner = %q, %v, %v", k, v, ok, err)
-		}
-	}
-	// Let the peers declare the victim dead (hints must not drain early).
-	tickUntilDead(t, c, 4)
-	if got := c.HintsPending(); got < len(hinted) {
-		t.Errorf("hints drained to a dead node: pending = %d", got)
-	}
+			if tc.durable {
+				cfg.DataDir = t.TempDir()
+			}
+			c := newRingCluster(t, cfg)
+			// Seed data and converge.
+			for i := 0; i < 40; i++ {
+				if _, err := c.Write(fmt.Sprintf("seed-%d", i), []byte("s")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := c.GossipUntilConverged(80); err != nil {
+				t.Fatalf("initial convergence: %v", err)
+			}
 
-	// Revive: WAL replay restores the pre-kill state, membership re-alives
-	// it, hints drain, and convergence completes.
-	if err := c.Revive(victim); err != nil {
-		t.Fatalf("Revive: %v", err)
-	}
-	r, err := c.Replica(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.Get("seed-0"); len(r.Keys()) == 0 && !ok {
-		t.Error("revived replica lost its durable state")
-	}
-	if _, err := c.GossipUntilConverged(120); err != nil {
-		t.Fatalf("post-revival convergence: %v", err)
-	}
-	if got := c.HintsPending(); got != 0 {
-		t.Errorf("HintsPending = %d after convergence", got)
-	}
-	r, _ = c.Replica(victim)
-	for _, k := range hinted {
-		if v, ok := r.Get(k); !ok || string(v) != "missed" {
-			t.Errorf("revived node missing hinted key %s (= %q, %v)", k, v, ok)
-		}
+			// Kill a node and write keys it owns: quorum must still be reached
+			// (the two surviving owners ack) and a hint queued for the dead one.
+			const victim = 4
+			if err := c.Kill(victim); err != nil {
+				t.Fatalf("Kill: %v", err)
+			}
+			victimID := fmt.Sprintf("node-%d", victim)
+			st, err := c.Status(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Down {
+				t.Fatal("victim not reported down")
+			}
+			var hinted []string
+			for i := 0; i < 400 && len(hinted) < 6; i++ {
+				k := fmt.Sprintf("churn-%d", i)
+				s := kvstore.ShardIndex(k, 64)
+				c.mu.Lock()
+				owned := false
+				for _, oid := range c.ownersLocked(s) {
+					if oid == victimID {
+						owned = true
+					}
+				}
+				c.mu.Unlock()
+				if !owned {
+					continue
+				}
+				acks, err := c.Write(k, []byte("missed"))
+				if err != nil {
+					t.Fatalf("Write(%s) with dead owner: %v", k, err)
+				}
+				if acks != 2 {
+					t.Errorf("Write(%s) acks = %d, want 2 (dead owner hinted, not acked)", k, acks)
+				}
+				hinted = append(hinted, k)
+			}
+			if len(hinted) < 6 {
+				t.Fatalf("only %d keys landed on the victim's stripes", len(hinted))
+			}
+			if got := c.HintsPending(); got < len(hinted) {
+				t.Errorf("HintsPending = %d, want >= %d", got, len(hinted))
+			}
+			// Reads of hinted keys succeed from the surviving owners.
+			for _, k := range hinted {
+				if v, ok, err := c.Read(k); err != nil || !ok || string(v) != "missed" {
+					t.Fatalf("Read(%s) with dead owner = %q, %v, %v", k, v, ok, err)
+				}
+			}
+			// Let the peers declare the victim dead (hints must not drain early).
+			tickUntilDead(t, c, 4)
+			if got := c.HintsPending(); got < len(hinted) {
+				t.Errorf("hints drained to a dead node: pending = %d", got)
+			}
+
+			// Revive: a durable node replays its WAL, an in-memory one resumes
+			// the state it kept; membership re-alives it, hints drain, and
+			// convergence completes.
+			if err := c.Revive(victim); err != nil {
+				t.Fatalf("Revive: %v", err)
+			}
+			r, err := c.Replica(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := r.Get("seed-0"); len(r.Keys()) == 0 && !ok {
+				t.Error("revived replica lost its durable state")
+			}
+			if _, err := c.GossipUntilConverged(120); err != nil {
+				t.Fatalf("post-revival convergence: %v", err)
+			}
+			if got := c.HintsPending(); got != 0 {
+				t.Errorf("HintsPending = %d after convergence", got)
+			}
+			r, _ = c.Replica(victim)
+			for _, k := range hinted {
+				if v, ok := r.Get(k); !ok || string(v) != "missed" {
+					t.Errorf("revived node missing hinted key %s (= %q, %v)", k, v, ok)
+				}
+			}
+
+		})
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 func syncEachStripe(p *Pool, addr string, local *kvstore.Replica) (kvstore.SyncResult, error) {
 	var total kvstore.SyncResult
 	for i := 0; i < local.Shards(); i++ {
-		res, err := p.SyncStripes(addr, local, []int{i})
+		res, _, err := p.SyncStripes(addr, local, []int{i})
 		if err != nil {
 			return total, fmt.Errorf("stripe %d/%d: %w", i, local.Shards(), err)
 		}
@@ -158,7 +158,7 @@ func TestShardScopedRequestValidation(t *testing.T) {
 	p := NewPool()
 	defer p.Close()
 	for _, stripes := range [][]int{{99}, {-1}, {2, 2}} {
-		if _, err := p.SyncStripes(addr, client, stripes); err == nil {
+		if _, _, err := p.SyncStripes(addr, client, stripes); err == nil {
 			t.Errorf("SyncStripes accepted stripes %v of 4", stripes)
 		}
 	}

@@ -278,7 +278,7 @@ func TestTreeScopedStripes(t *testing.T) {
 	if in == out {
 		t.Fatalf("test keys landed in one stripe; pick different keys")
 	}
-	res, err := p.SyncStripes(addr, client, []int{in})
+	res, _, err := p.SyncStripes(addr, client, []int{in})
 	if err != nil {
 		t.Fatalf("SyncStripes: %v", err)
 	}
@@ -337,7 +337,7 @@ func TestTreeLayoutMismatch(t *testing.T) {
 	refused("whole-replica round", err)
 	p := NewPool()
 	defer p.Close()
-	_, err = p.SyncStripes(addr, client, []int{0, 5})
+	_, _, err = p.SyncStripes(addr, client, []int{0, 5})
 	refused("stripe-scoped round", err)
 
 	// A root probe is only ever pipelined behind a completed round, which a

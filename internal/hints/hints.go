@@ -9,10 +9,11 @@
 // fork-join model, and the stamps prove on delivery whether the hinted write
 // is still news, already obsolete, or in conflict.
 //
-// Queues persist through the same storage.Backend abstraction as the store
-// itself (a WAL on disk, memory under test): every Add appends a record,
-// and a drain checkpoints the survivors, so a coordinator crash loses no
-// promised handoff.
+// A queue opened over a WAL persists exactly like the store itself: every
+// Add appends a record, and a drain checkpoints the survivors, so a
+// coordinator crash loses no promised handoff. A queue opened over a nil
+// WAL is volatile — the queue of an in-memory node, which has no disk to
+// crash-restart from.
 package hints
 
 import (
@@ -24,7 +25,7 @@ import (
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
-	"versionstamp/internal/storage"
+	"versionstamp/internal/storage/wal"
 )
 
 // Hint is one write owed to a currently unreachable owner.
@@ -39,17 +40,18 @@ type Hint struct {
 	Stamp   core.Stamp
 }
 
-// hintSlot is the single backend stripe the queue uses: hints are few and
+// hintSlot is the single WAL stripe the queue uses: hints are few and
 // drained wholesale per target, so one log suffices.
 const hintSlot = 0
 
 // snapshotVersion tags the checkpoint format.
 const snapshotVersion = 0x01
 
-// Queue is a durable multi-target FIFO of hints. Safe for concurrent use.
+// Queue is a multi-target FIFO of hints, durable when opened over a WAL.
+// Safe for concurrent use.
 type Queue struct {
 	mu      sync.Mutex
-	be      storage.Backend
+	w       *wal.WAL          // nil = volatile
 	pending map[string][]Hint // target -> hints in Add order
 	count   int
 	cap     int   // per-target bound; 0 = unbounded
@@ -67,13 +69,16 @@ type Options struct {
 	CapPerTarget int
 }
 
-// Open loads a queue from its backend (replaying checkpoint and log) and
-// takes ownership of it: Close closes the backend. A cap applies to
-// replayed hints too, so reopening an over-full queue under a (new) cap
-// trims it.
-func Open(be storage.Backend, opts Options) (*Queue, error) {
-	q := &Queue{be: be, pending: make(map[string][]Hint), cap: opts.CapPerTarget}
-	err := be.ReplayShard(hintSlot,
+// Open loads a queue from its WAL (replaying checkpoint and log) and takes
+// ownership of it: Close closes the WAL. A nil WAL opens an empty volatile
+// queue. A cap applies to replayed hints too, so reopening an over-full
+// queue under a (new) cap trims it.
+func Open(w *wal.WAL, opts Options) (*Queue, error) {
+	q := &Queue{w: w, pending: make(map[string][]Hint), cap: opts.CapPerTarget}
+	if w == nil {
+		return q, nil
+	}
+	err := w.ReplayShard(hintSlot,
 		func(snapshot []byte) error { return q.loadSnapshot(snapshot) },
 		func(e encoding.Entry) error {
 			h, err := decodeHint(e)
@@ -113,7 +118,7 @@ func (q *Queue) Dropped() int64 {
 	return q.dropped
 }
 
-// Add durably queues one hint.
+// Add queues one hint, durably when the queue has a WAL.
 func (q *Queue) Add(h Hint) error {
 	if h.Target == "" || strings.ContainsRune(h.Target, 0) {
 		return fmt.Errorf("hints: invalid target %q", h.Target)
@@ -123,8 +128,10 @@ func (q *Queue) Add(h Hint) error {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if err := q.be.Append(hintSlot, encodeHint(h)); err != nil {
-		return fmt.Errorf("hints: append: %w", err)
+	if q.w != nil {
+		if err := q.w.Append(hintSlot, encodeHint(h)); err != nil {
+			return fmt.Errorf("hints: append: %w", err)
+		}
 	}
 	q.push(h)
 	return nil
@@ -140,19 +147,17 @@ func (q *Queue) Take(target string) ([]Hint, error) {
 	if len(taken) == 0 {
 		return nil, nil
 	}
-	snap, err := q.snapshotLocked(target)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.be.Checkpoint(hintSlot, snap); err != nil {
-		return nil, fmt.Errorf("hints: checkpoint: %w", err)
+	if q.w != nil {
+		if err := q.w.Checkpoint(hintSlot, q.snapshotLocked(target)); err != nil {
+			return nil, fmt.Errorf("hints: checkpoint: %w", err)
+		}
 	}
 	delete(q.pending, target)
 	q.count -= len(taken)
 	return taken, nil
 }
 
-// Requeue durably re-adds hints whose delivery did not complete (e.g. a
+// Requeue re-adds hints whose delivery did not complete (e.g. a
 // conflict awaiting a resolver, or the target died again mid-drain).
 func (q *Queue) Requeue(hs []Hint) error {
 	for _, h := range hs {
@@ -191,17 +196,20 @@ func (q *Queue) Targets() []string {
 	return out
 }
 
-// Close releases the backend. Pending hints stay durable; a later Open
-// resumes them.
+// Close releases the WAL. Pending hints stay durable; a later Open resumes
+// them. A volatile queue has nothing to release.
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.be.Close()
+	if q.w == nil {
+		return nil
+	}
+	return q.w.Close()
 }
 
 // snapshotLocked serializes every pending hint except those addressed to
 // skip ("" skips nothing). Targets in sorted order, hints in Add order.
-func (q *Queue) snapshotLocked(skip string) ([]byte, error) {
+func (q *Queue) snapshotLocked(skip string) []byte {
 	var n uint64
 	for t, hs := range q.pending {
 		if t != skip {
@@ -222,7 +230,7 @@ func (q *Queue) snapshotLocked(skip string) ([]byte, error) {
 			out = encoding.AppendEntry(out, encodeHint(h))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // loadSnapshot parses a checkpoint produced by snapshotLocked.

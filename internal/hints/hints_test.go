@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"versionstamp/internal/core"
-	"versionstamp/internal/storage"
 	"versionstamp/internal/storage/wal"
 )
 
@@ -15,7 +14,7 @@ func mkHint(target, key, val string) Hint {
 }
 
 func TestAddTakeFIFO(t *testing.T) {
-	q, err := Open(storage.NewMemory(), Options{})
+	q, err := Open(nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func TestAddTakeFIFO(t *testing.T) {
 }
 
 func TestAddValidation(t *testing.T) {
-	q, _ := Open(storage.NewMemory(), Options{})
+	q, _ := Open(nil, Options{})
 	if err := q.Add(Hint{Target: "", Key: "k"}); err == nil {
 		t.Fatal("empty target should error")
 	}
@@ -59,7 +58,7 @@ func TestAddValidation(t *testing.T) {
 }
 
 func TestRequeue(t *testing.T) {
-	q, _ := Open(storage.NewMemory(), Options{})
+	q, _ := Open(nil, Options{})
 	h := mkHint("b", "k", "v")
 	if err := q.Add(h); err != nil {
 		t.Fatal(err)
@@ -139,7 +138,7 @@ func TestDurableAcrossReopen(t *testing.T) {
 }
 
 func TestCapDropsOldest(t *testing.T) {
-	q, err := Open(storage.NewMemory(), Options{CapPerTarget: 3})
+	q, err := Open(nil, Options{CapPerTarget: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -496,7 +496,7 @@ func TestApplyDeltaRangesRestampsOnlyShippedValues(t *testing.T) {
 // back with the shipped value under the new stamp.
 func TestApplyDeltaReplyRestampsColdCopy(t *testing.T) {
 	dir := t.TempDir()
-	b, err := Open(dir, pagedOpts(4))
+	b, err := openPaged(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestApplyDeltaReplyRestampsColdCopy(t *testing.T) {
 	if err := b.Abandon(); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := Open(dir, pagedOpts(0))
+	b2, err := openPaged(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

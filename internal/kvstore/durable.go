@@ -12,17 +12,16 @@ import (
 
 	"versionstamp/internal/encoding"
 	"versionstamp/internal/pagecache"
-	"versionstamp/internal/storage"
 	"versionstamp/internal/storage/wal"
 )
 
 // Durable replicas: a Replica whose mutations are appended, stripe by
-// stripe, to a storage.Backend before the stripe lock releases. Restart is
-// local — load each stripe's latest snapshot, replay the entries folded
-// into it, then its log tail —
-// so a replica comes back after a crash with every acknowledged write and
-// the exact stamps it had, and anti-entropy picks up precisely where it
-// left off. No peer, and no whole-state snapshot, is needed to restart.
+// stripe, to a write-ahead log (package wal) before the stripe lock
+// releases. Restart is local — load each stripe's latest snapshot, replay
+// the entries folded into it, then its log tail — so a replica comes back
+// after a crash with every acknowledged write and the exact stamps it had,
+// and anti-entropy picks up precisely where it left off. No peer, and no
+// whole-state snapshot, is needed to restart.
 
 // Options configures Open.
 type Options struct {
@@ -33,19 +32,6 @@ type Options struct {
 	// Reopening a directory with a different non-zero Shards is an error:
 	// the layout is part of the durable state.
 	Shards int
-	// GroupCommit makes every acknowledged write survive power loss: appends
-	// stage their frames and block on a shared commit barrier, so many
-	// concurrent writers on a stripe amortize one fsync and no mutator
-	// returns before its window has fsynced every stripe log it touched.
-	// Off by default: writes then survive process crashes (the OS holds the
-	// bytes) but not power loss.
-	GroupCommit bool
-	// Paged keeps only per-key metadata (stamp, tombstone flag, value
-	// location) resident for checkpointed entries; value bytes stay in the
-	// checkpoint files and fault in through a sized cache. See paged.go.
-	Paged bool
-	// CacheBytes bounds the paged read cache (0 = DefaultCacheBytes).
-	CacheBytes int64
 }
 
 // metaFile records the immutable facts of a data directory.
@@ -61,6 +47,10 @@ type metaDoc struct {
 // Checkpoint — and reopening the directory reconstructs the replica from
 // snapshots, their folds and log tails, torn tail records truncated away
 // by the WAL.
+// Writes survive process crashes (the OS holds the bytes) but not power
+// loss; a caller that needs group commit or paging opens the WAL itself
+// (wal.Options.GroupCommit) and hands it to OpenBackend or
+// OpenBackendPaged.
 // Close checkpoints and releases the directory; a replica that crashes
 // without Close just replays more log on the next Open.
 func Open(dir string, opts Options) (*Replica, error) {
@@ -71,11 +61,11 @@ func Open(dir string, opts Options) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	be, err := wal.Open(dir, wal.Options{GroupCommit: opts.GroupCommit})
+	be, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: open %s: %w", dir, err)
 	}
-	r, err := openBackend(be, meta.Label, meta.Shards, opts.Paged, opts.CacheBytes)
+	r, err := OpenBackend(be, meta.Label, meta.Shards)
 	if err != nil {
 		_ = be.Close()
 		return nil, err
@@ -127,13 +117,13 @@ func loadOrInitMeta(dir string, opts Options) (metaDoc, error) {
 	}
 }
 
-// OpenBackend builds a replica over an explicit backend: each stripe's
-// checkpoint is loaded and its log replayed in order, then the backend
-// starts receiving every new mutation. The backend must not be shared
-// between replicas.
+// OpenBackend builds a replica over an open WAL: each stripe's checkpoint
+// is loaded and its log replayed in order, then the WAL starts receiving
+// every new mutation. The WAL must not be shared between replicas; once
+// OpenBackend succeeds the replica owns it (Close and Abandon close it).
 //
-// A stripe whose durable bytes are corrupt (the backend reports a
-// *storage.CorruptError) does not fail the open: the stripe comes up empty
+// A stripe whose durable bytes are corrupt (the WAL reports a
+// *wal.CorruptError) does not fail the open: the stripe comes up empty
 // and quarantined — durable appends are refused, PersistErr reports the
 // damage — and peer repair (RepairStripe after an anti-entropy rebuild)
 // restores it. The intact prefix the backend streamed is discarded, not
@@ -146,28 +136,25 @@ func loadOrInitMeta(dir string, opts Options) (metaDoc, error) {
 // loses the readable prefix of a damaged stripe along with its tail. Only
 // corruption is tolerated this way; replay I/O failures still fail the
 // whole open.
-func OpenBackend(be storage.Backend, label string, shards int) (*Replica, error) {
+func OpenBackend(be *wal.WAL, label string, shards int) (*Replica, error) {
 	return openBackend(be, label, shards, false, 0)
 }
 
-// OpenBackendPaged is OpenBackend with value paging enabled: the backend
-// must implement storage.Pager. Checkpointed entries keep only metadata
-// resident; see Options.Paged.
-func OpenBackendPaged(be storage.Backend, label string, shards int, cacheBytes int64) (*Replica, error) {
+// OpenBackendPaged is OpenBackend with value paging: checkpointed entries
+// keep only per-key metadata (stamp, tombstone flag, value location)
+// resident, and value bytes fault in from the checkpoint files through a
+// cache of cacheBytes (DefaultCacheBytes when not positive). See paged.go.
+func OpenBackendPaged(be *wal.WAL, label string, shards int, cacheBytes int64) (*Replica, error) {
 	return openBackend(be, label, shards, true, cacheBytes)
 }
 
-func openBackend(be storage.Backend, label string, shards int, paged bool, cacheBytes int64) (*Replica, error) {
+func openBackend(be *wal.WAL, label string, shards int, paged bool, cacheBytes int64) (*Replica, error) {
 	r := NewReplicaShards(label, shards)
 	if paged {
-		pager, ok := be.(storage.Pager)
-		if !ok {
-			return nil, fmt.Errorf("kvstore: paged replica needs a backend implementing storage.Pager, got %T", be)
-		}
 		if cacheBytes <= 0 {
 			cacheBytes = DefaultCacheBytes
 		}
-		r.paged, r.pager, r.cache = true, pager, pagecache.New(cacheBytes)
+		r.paged, r.cache = true, pagecache.New(cacheBytes)
 	}
 	n := len(r.shards) // NewReplicaShards clamps to >= 1
 	damaged := make(map[int]error)
@@ -194,7 +181,7 @@ func openBackend(be storage.Backend, label string, shards int, paged bool, cache
 				return nil
 			})
 		if err != nil {
-			var ce *storage.CorruptError
+			var ce *wal.CorruptError
 			if !errors.As(err, &ce) {
 				return nil, err
 			}
@@ -206,7 +193,7 @@ func openBackend(be storage.Backend, label string, shards int, paged bool, cache
 		if r.paged && sh.cold != nil {
 			// The checkpoint callback stored payload-relative value offsets
 			// (the region isn't known mid-replay); anchor them now.
-			gen, base := r.pager.CheckpointRegion(i)
+			gen, base := be.CheckpointRegion(i)
 			cs := sh.cold
 			cs.gen, cs.base = gen, base
 			for x := range cs.offs {
@@ -217,9 +204,6 @@ func openBackend(be storage.Backend, label string, shards int, paged bool, cache
 		}
 	}
 	r.backend = be
-	if ab, ok := be.(storage.AsyncBackend); ok {
-		r.asyncBE = ab
-	}
 	for i, err := range damaged {
 		r.QuarantineStripe(i, err)
 	}
@@ -235,15 +219,15 @@ func (r *Replica) loadShardCheckpoint(i int, snap []byte) error {
 		return nil
 	}
 	if snap[0] != binarySnapshotVersion {
-		// A checkpoint that is not a snapshot at all is at-rest damage no
-		// backend checksum covered (storage.Memory has none): scope it to
-		// the stripe like any other corruption.
-		return &storage.CorruptError{Shard: i,
+		// A checkpoint that is not a snapshot at all is at-rest damage the
+		// WAL's checksum did not catch (it guards the bytes, not what they
+		// mean): scope it to the stripe like any other corruption.
+		return &wal.CorruptError{Shard: i,
 			Err: fmt.Errorf("kvstore: shard %d checkpoint: not a binary snapshot", i)}
 	}
 	_, _, entries, err := decodeBinarySnapshot(snap)
 	if err != nil {
-		return &storage.CorruptError{Shard: i,
+		return &wal.CorruptError{Shard: i,
 			Err: fmt.Errorf("kvstore: shard %d checkpoint: %w", i, err)}
 	}
 	for _, e := range entries {
@@ -269,12 +253,12 @@ func (r *Replica) loadShardCheckpointPaged(i int, snap []byte) error {
 		return nil
 	}
 	if snap[0] != binarySnapshotVersion {
-		return &storage.CorruptError{Shard: i,
+		return &wal.CorruptError{Shard: i,
 			Err: fmt.Errorf("kvstore: shard %d checkpoint: not a binary snapshot", i)}
 	}
 	cs, err := buildColdStripe(i, len(r.shards), snap, 0, 0)
 	if err != nil {
-		return &storage.CorruptError{Shard: i,
+		return &wal.CorruptError{Shard: i,
 			Err: fmt.Errorf("kvstore: shard %d checkpoint: %w", i, err)}
 	}
 	sh := &r.shards[i]
@@ -295,7 +279,7 @@ func (r *Replica) loadShardCheckpointPaged(i int, snap []byte) error {
 //
 // A stripe whose log holds every change since its last full checkpoint is
 // folded: the backend appends each changed key's last log entry to the
-// snapshot instead of rewriting every key (storage.Backend.Fold). The
+// snapshot instead of rewriting every key (wal.WAL.Fold). The
 // stripe is rewritten in full when it is paged, when a key was removed
 // without a log entry (DiscardTombstones), when PersistErr reports a write
 // the log may lack, or when the backend refuses the fold.
@@ -397,7 +381,7 @@ func (r *Replica) checkpointShardPagedLocked(i int) error {
 	sh := &r.shards[i]
 	cs := sh.cold
 	if len(sh.data) == 0 && cs != nil && !cs.dirty {
-		if gen, _ := r.pager.CheckpointRegion(i); gen == cs.gen {
+		if gen, _ := r.backend.CheckpointRegion(i); gen == cs.gen {
 			return nil
 		}
 	}
@@ -421,7 +405,7 @@ func (r *Replica) checkpointShardPagedLocked(i int) error {
 			if !e.Deleted && cs.lens[x] > 0 {
 				if payload == nil {
 					var err error
-					payload, err = r.pager.CheckpointPayload(i, cs.gen)
+					payload, err = r.backend.CheckpointPayload(i, cs.gen)
 					if err != nil {
 						return err
 					}
@@ -438,7 +422,7 @@ func (r *Replica) checkpointShardPagedLocked(i int) error {
 		}
 	}
 	snap := encodeBinarySnapshot(r.label, len(r.shards), entries)
-	gen, base, err := r.pager.CheckpointLocate(i, snap)
+	gen, base, err := r.backend.CheckpointLocate(i, snap)
 	if err != nil {
 		return err
 	}
@@ -486,7 +470,7 @@ func (r *Replica) QuarantineStripe(i int, err error) {
 		return
 	}
 	if err == nil {
-		err = &storage.CorruptError{Shard: i, Err: fmt.Errorf("quarantined")}
+		err = &wal.CorruptError{Shard: i, Err: fmt.Errorf("quarantined")}
 	}
 	r.quar[i] = err
 	r.quarMu.Unlock()
@@ -556,16 +540,15 @@ func (r *Replica) RepairStripe(i int) error {
 }
 
 // ScrubNext advances the background scrubber by one stripe: it re-verifies
-// the next stripe's durable bytes (frame CRCs, checkpoint checksum) against
-// the backend's storage.Verifier and quarantines the stripe if damage is
-// found — demoting a live stripe the moment a sector rots, instead of at
-// the next restart. Returns the stripe verified and its damage report (nil
-// when healthy). Backends without verification (Memory, nil) return (-1,
-// nil); a full pass is Shards() calls. Already-quarantined stripes are
-// skipped — their damage is known.
+// the next stripe's durable bytes (frame CRCs, checkpoint checksum) through
+// wal.WAL.VerifyShard and quarantines the stripe if damage is found —
+// demoting a live stripe the moment a sector rots, instead of at the next
+// restart. Returns the stripe verified and its damage report (nil when
+// healthy). An in-memory replica returns (-1, nil); a full pass is
+// Shards() calls. Already-quarantined stripes are skipped — their damage
+// is known.
 func (r *Replica) ScrubNext() (int, error) {
-	v, ok := r.backend.(storage.Verifier)
-	if !ok {
+	if r.backend == nil {
 		return -1, nil
 	}
 	r.quarMu.Lock()
@@ -575,8 +558,8 @@ func (r *Replica) ScrubNext() (int, error) {
 	if r.StripeQuarantined(i) {
 		return i, nil
 	}
-	if err := v.VerifyShard(i); err != nil {
-		var ce *storage.CorruptError
+	if err := r.backend.VerifyShard(i); err != nil {
+		var ce *wal.CorruptError
 		if errors.As(err, &ce) {
 			r.QuarantineStripe(i, err)
 		}

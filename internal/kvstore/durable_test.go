@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"versionstamp/internal/storage"
 	"versionstamp/internal/storage/faultfs"
 	"versionstamp/internal/storage/wal"
 )
@@ -80,7 +79,8 @@ func TestOpenReopenPreservesStateAndStamps(t *testing.T) {
 	r.Put("a", []byte("3"))
 	r.Delete("b")
 	r.PutBatch(map[string][]byte{"c": []byte("4"), "d": []byte("5")})
-	r.DeleteBatch([]string{"d", "never-seen"})
+	r.Delete("d")
+	r.Delete("never-seen")
 
 	// Crash path: abandon (no checkpoint) and reopen — everything must come
 	// back from the log alone.
@@ -420,90 +420,57 @@ func TestSyncMutationsAreDurable(t *testing.T) {
 	}
 }
 
-// TestMemoryBackendMatchesWAL runs the same mutations against a Memory
-// backend to keep both implementations honest about the Backend contract.
-func TestMemoryBackendMatchesWAL(t *testing.T) {
-	be := storage.NewMemory()
-	r, err := OpenBackend(be, "mem", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Put("a", []byte("1"))
-	r.Delete("a")
-	r.Put("b", []byte("2"))
-	if err := r.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	r.Put("c", []byte("3"))
-	r.Put("b", []byte("4"))
-	if err := r.Checkpoint(); err != nil { // folds c and b
-		t.Fatal(err)
-	}
-	r.Put("c", []byte("5"))
-
-	reopened, err := OpenBackend(be, "mem", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualStamps(t, r, reopened)
-}
-
 // TestRemovalForcesFullCheckpoint: a fold replays the log over the old
 // snapshot and cannot say a key is gone, so once DiscardTombstones has
 // removed a key the next checkpoint rewrites the stripe. Put k, checkpoint,
 // delete k, checkpoint (a fold), discard k's tombstone, checkpoint, crash:
-// k must come back as neither a value nor a tombstone, on both backends.
+// k must come back as neither a value nor a tombstone.
 func TestRemovalForcesFullCheckpoint(t *testing.T) {
-	mem, dir := storage.NewMemory(), t.TempDir()
-	for name, open := range map[string]func() (storage.Backend, error){
-		"memory": func() (storage.Backend, error) { return mem, nil },
-		"wal":    func() (storage.Backend, error) { return wal.Open(dir, wal.Options{}) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			be, err := open()
-			if err != nil {
+	t.Run("wal", func(t *testing.T) {
+		dir := t.TempDir()
+		be, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenBackend(be, "removal", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Other keys give the snapshot room for the folds.
+		for i := 0; i < 20; i++ {
+			r.Put(fmt.Sprintf("other-%02d", i), []byte("0123456789"))
+		}
+		r.Put("k", []byte("v"))
+		checkpoint := func() {
+			t.Helper()
+			if err := r.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			r, err := OpenBackend(be, "removal", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Other keys give the snapshot room for the folds.
-			for i := 0; i < 20; i++ {
-				r.Put(fmt.Sprintf("other-%02d", i), []byte("0123456789"))
-			}
-			r.Put("k", []byte("v"))
-			checkpoint := func() {
-				t.Helper()
-				if err := r.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			checkpoint()
-			r.Delete("k")
-			checkpoint()
-			if n := r.DiscardTombstones(0, r.Tombstones(0)); n != 1 {
-				t.Fatalf("DiscardTombstones dropped %d tombstones, want 1", n)
-			}
-			checkpoint()
-			if err := r.Abandon(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		checkpoint()
+		r.Delete("k")
+		checkpoint()
+		if n := r.DiscardTombstones(0, r.Tombstones(0)); n != 1 {
+			t.Fatalf("DiscardTombstones dropped %d tombstones, want 1", n)
+		}
+		checkpoint()
+		if err := r.Abandon(); err != nil {
+			t.Fatal(err)
+		}
 
-			if be, err = open(); err != nil {
-				t.Fatal(err)
-			}
-			reopened, err := OpenBackend(be, "removal", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer reopened.Abandon()
-			if v, ok := reopened.Version("k"); ok {
-				t.Fatalf("discarded key came back after reopen: %+v", v)
-			}
-			requireEqualStamps(t, r, reopened)
-		})
-	}
+		if be, err = wal.Open(dir, wal.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := OpenBackend(be, "removal", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Abandon()
+		if v, ok := reopened.Version("k"); ok {
+			t.Fatalf("discarded key came back after reopen: %+v", v)
+		}
+		requireEqualStamps(t, r, reopened)
+	})
 }
 
 // TestPersistErrForcesFullCheckpoint: a write whose append failed is in
@@ -561,7 +528,11 @@ func TestPersistErrForcesFullCheckpoint(t *testing.T) {
 // with its last value and stamp.
 func TestConcurrentFoldsKeepAckedWrites(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, Options{Shards: 4, GroupCommit: true})
+	be, err := wal.Open(dir, wal.Options{GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenBackend(be, "", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +578,10 @@ func TestConcurrentFoldsKeepAckedWrites(t *testing.T) {
 	if err := r.Abandon(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := Open(dir, Options{})
+	if be, err = wal.Open(dir, wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenBackend(be, "", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,9 +638,9 @@ func TestQuarantineAndRepair(t *testing.T) {
 	if r2.PersistErr() == nil {
 		t.Fatal("PersistErr must report the quarantine")
 	}
-	var ce *storage.CorruptError
+	var ce *wal.CorruptError
 	if err := r2.QuarantineErr(1); !errors.As(err, &ce) {
-		t.Fatalf("QuarantineErr(1) = %v, want *storage.CorruptError", err)
+		t.Fatalf("QuarantineErr(1) = %v, want *wal.CorruptError", err)
 	}
 	// The damaged stripe comes up empty. Whatever prefix of hot's rewrites
 	// replayed is a rollback — an older version under a stamp id the key has

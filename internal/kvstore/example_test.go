@@ -82,10 +82,11 @@ func ExampleOpen() {
 	fmt.Println("crash: the orders:1003 record torn mid-write")
 
 	// Restart: Open replays each stripe's snapshot, its folds and its log
-	// tail, truncating the torn record away. Without Options.GroupCommit a
-	// write survives a process crash but not a power cut, so orders:1003 is
-	// gone; everything before it is back, stamps intact — orders:1001's
-	// update and orders:1002's delete from the folds.
+	// tail, truncating the torn record away. Open does not group-commit
+	// (wal.Options.GroupCommit), so a write survives a process crash but
+	// not a power cut, and orders:1003 is gone; everything before it is
+	// back, stamps intact — orders:1001's update and orders:1002's delete
+	// from the folds.
 	revived, err := kvstore.Open(dir, kvstore.Options{})
 	if err != nil {
 		fmt.Println(err)
@@ -266,9 +267,8 @@ func ExampleSync() {
 func dump(label string, r *kvstore.Replica) {
 	fmt.Printf("  [%s]\n", label)
 	keys := r.Keys()
-	live := r.GetBatch(keys) // one lock acquisition per shard, not per key
 	for _, k := range keys {
-		if v, ok := live[k]; ok {
+		if v, ok := r.Get(k); ok {
 			fmt.Printf("    %-8s = %s\n", k, v)
 		} else {
 			fmt.Printf("    %-8s = (deleted)\n", k)

@@ -20,13 +20,13 @@
 // one shard, chosen by ShardIndex — an FNV-1a hash of the key modulo the
 // shard count — and each shard guards its own map with its own
 // sync.RWMutex. Point operations (Put/Get/Delete/Version) therefore
-// contend only with operations on the same shard; batched operations
-// (PutBatch/GetBatch/DeleteBatch) group keys by shard and take each shard
-// lock once; and Sync reconciles shard pairs concurrently, one goroutine
-// per stripe, instead of serializing the whole keyspace under a single
-// lock. Because version stamps track causality per key, no cross-shard
-// coordination is ever needed for correctness — sharding changes only the
-// locking granularity, never the fork/update/join semantics.
+// contend only with operations on the same shard; PutBatch groups keys
+// by shard and takes each shard lock once; and Sync reconciles shard pairs
+// concurrently, one goroutine per stripe, instead of serializing the whole
+// keyspace under a single lock. Because version stamps track causality per
+// key, no cross-shard coordination is ever needed for correctness —
+// sharding changes only the locking granularity, never the
+// fork/update/join semantics.
 //
 // Syncing replicas must stripe the keyspace the same way: Sync refuses a
 // pair with unequal shard counts, and the anti-entropy wire protocol refuses
@@ -53,7 +53,7 @@ import (
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
 	"versionstamp/internal/pagecache"
-	"versionstamp/internal/storage"
+	"versionstamp/internal/storage/wal"
 )
 
 // DefaultShards is the stripe count of replicas built with NewReplica.
@@ -210,7 +210,7 @@ type Replica struct {
 	// before the stripe lock releases (see Open/OpenBackend in durable.go).
 	// Replicas built with NewReplica keep it nil: the historical all-in-
 	// memory behaviour, with a single pointer check per write as its cost.
-	backend storage.Backend
+	backend *wal.WAL
 
 	// persistMu guards persistErr (the first backend append failure since
 	// the last clean checkpoint) and persistSeq (bumped on every failure,
@@ -230,17 +230,14 @@ type Replica struct {
 	quar        map[int]error
 	scrubCursor int
 
-	// Paged residency (see paged.go): pager re-reads value bytes the
+	// Paged residency (see paged.go): the backend re-reads value bytes the
 	// stripes dropped, cache bounds how many faulted values stay resident.
-	// All nil/false for ordinary replicas.
+	// Both zero for ordinary replicas.
 	paged bool
-	pager storage.Pager
 	cache *pagecache.Cache
 
-	// asyncBE is the backend's group-commit surface when it has one; logSet
-	// stages appends through it and parks the durability barriers in
-	// pending, drained by awaitDurable after the stripe locks release.
-	asyncBE storage.AsyncBackend
+	// pending parks the group-commit barriers logSet's appends return,
+	// drained by awaitDurable after the stripe locks release.
 	pendMu  sync.Mutex
 	pending []func() error
 }
@@ -309,24 +306,18 @@ func (r *Replica) logSet(si int, key string, v Versioned) {
 		// the quarantine.
 		return
 	}
+	// Stage the append under the stripe lock (preserving log order) and
+	// park the group-commit barrier, if any; the public mutator drains it
+	// after the lock releases, so many writers' appends share one fsync.
+	// Nothing is acknowledged before the barrier resolves.
 	e := encoding.Entry{Key: key, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp}
-	if r.asyncBE != nil {
-		// Group commit: stage the append under the stripe lock (preserving
-		// log order) and park the durability barrier; the public mutator
-		// drains it after the lock releases, so many writers' appends share
-		// one fsync. Nothing is acknowledged before the barrier resolves.
-		wait, err := r.asyncBE.AppendAsync(si, e)
-		if err != nil {
-			r.notePersistErr(err)
-			return
-		}
-		if wait != nil {
-			r.enqueueWait(wait)
-		}
+	wait, err := r.backend.AppendAsync(si, e)
+	if err != nil {
+		r.notePersistErr(err)
 		return
 	}
-	if err := r.backend.Append(si, e); err != nil {
-		r.notePersistErr(err)
+	if wait != nil {
+		r.enqueueWait(wait)
 	}
 }
 
@@ -534,62 +525,6 @@ func (r *Replica) PutBatch(entries map[string][]byte) {
 		sh.mu.Unlock()
 	}
 	r.awaitDurable()
-}
-
-// GetBatch returns the live values of the given keys (missing and
-// tombstoned keys are absent from the result), taking each involved shard
-// lock exactly once. Like Get, the returned buffers are immutable by
-// contract — hot reads are zero-copy and paged reads share the page cache's
-// buffers.
-func (r *Replica) GetBatch(keys []string) map[string][]byte {
-	out := make(map[string][]byte, len(keys))
-	for _, group := range r.groupKeys(keys) {
-		sh := &r.shards[group.shard]
-		sh.mu.RLock()
-		for _, k := range group.keys {
-			if v, found := sh.data[k]; found {
-				if !v.Deleted {
-					out[k] = v.Value
-				}
-				continue
-			}
-			cs := sh.cold
-			if cs == nil {
-				continue
-			}
-			x := cs.find(k)
-			if x < 0 || cs.dropped[x] || cs.deleted[x] {
-				continue
-			}
-			buf, err := r.coldValue(group.shard, cs, x, k)
-			if err != nil {
-				r.notePersistErr(fmt.Errorf("kvstore: get %q (shard %d): %w", k, group.shard, err))
-				continue
-			}
-			out[k] = buf
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
-// DeleteBatch tombstones every given key, returning how many were live,
-// taking each involved shard lock exactly once.
-func (r *Replica) DeleteBatch(keys []string) int {
-	n := 0
-	for _, group := range r.groupKeys(keys) {
-		sh := &r.shards[group.shard]
-		sh.lockMut()
-		for _, k := range group.keys {
-			if v, ok := r.deleteLocked(group.shard, k); ok {
-				r.logSet(group.shard, k, v)
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	r.awaitDurable()
-	return n
 }
 
 // keyGroup is a batch's keys owned by one shard.

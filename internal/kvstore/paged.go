@@ -7,10 +7,10 @@ import (
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/pagecache"
-	"versionstamp/internal/storage"
+	"versionstamp/internal/storage/wal"
 )
 
-// Paged residency: a replica opened with Options.Paged keeps only per-key
+// Paged residency: a replica opened with OpenBackendPaged keeps only per-key
 // metadata resident for the entries of each stripe's checkpoint — key, stamp,
 // tombstone flag and the value's location inside the checkpoint file — while
 // the value bytes stay on disk and fault in through a sized page cache.
@@ -25,8 +25,8 @@ import (
 // as a tombstone — hides any cold entry of the same name. Lookups consult hot
 // first, then cold; enumeration is hot ∪ (cold minus dropped minus shadowed).
 
-// DefaultCacheBytes is the paged read cache budget when Options.CacheBytes
-// is zero.
+// DefaultCacheBytes is the paged read cache budget when OpenBackendPaged's
+// cacheBytes is not positive.
 const DefaultCacheBytes = 32 << 20
 
 // coldStripe is the checkpoint-resident slice of one paged stripe: parallel
@@ -120,7 +120,7 @@ func (r *Replica) coldValue(si int, cs *coldStripe, x int, key string) ([]byte, 
 	}
 	ck := pagecache.Key{Shard: si, Gen: cs.gen, Name: key}
 	return r.cache.Get(ck, func() ([]byte, error) {
-		return r.pager.ReadValueAt(si, storage.ValueLoc{Off: cs.offs[x], Len: cs.lens[x], Gen: cs.gen})
+		return r.backend.ReadValueAt(si, wal.ValueLoc{Off: cs.offs[x], Len: cs.lens[x], Gen: cs.gen})
 	})
 }
 

@@ -4,17 +4,28 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"versionstamp/internal/storage/wal"
 )
 
-// pagedOpts opens a paged, group-committed durable replica — the
+// openPaged opens a paged, group-committed durable replica over dir — the
 // memory-bounded configuration the paging machinery exists for.
-func pagedOpts(shards int) Options {
-	return Options{Label: "paged", Shards: shards, GroupCommit: true, Paged: true}
+func openPaged(dir string, shards int) (*Replica, error) {
+	be, err := wal.Open(dir, wal.Options{GroupCommit: true})
+	if err != nil {
+		return nil, err
+	}
+	r, err := OpenBackendPaged(be, "paged", shards, 0)
+	if err != nil {
+		_ = be.Close()
+		return nil, err
+	}
+	return r, nil
 }
 
 func TestPagedCheckpointDropsValues(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, pagedOpts(4))
+	r, err := openPaged(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +78,7 @@ func TestPagedCheckpointDropsValues(t *testing.T) {
 
 func TestPagedReopen(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, pagedOpts(4))
+	r, err := openPaged(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +101,7 @@ func TestPagedReopen(t *testing.T) {
 	if err := r.Abandon(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Open(dir, pagedOpts(0))
+	r2, err := openPaged(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestPagedReopen(t *testing.T) {
 
 func TestPagedSyncConverges(t *testing.T) {
 	dir := t.TempDir()
-	a, err := Open(dir, pagedOpts(8))
+	a, err := openPaged(dir, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +174,7 @@ func TestPagedSyncConverges(t *testing.T) {
 
 func TestPagedDiscardTombstones(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, pagedOpts(1))
+	r, err := openPaged(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +213,7 @@ func TestPagedDiscardTombstones(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Open(dir, pagedOpts(0))
+	r2, err := openPaged(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +228,7 @@ func TestPagedDiscardTombstones(t *testing.T) {
 
 func TestPagedDiscardColdTombstone(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, pagedOpts(1))
+	r, err := openPaged(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +259,7 @@ func TestPagedDiscardColdTombstone(t *testing.T) {
 
 func TestPagedSnapshotAndClone(t *testing.T) {
 	dir := t.TempDir()
-	r, err := Open(dir, pagedOpts(4))
+	r, err := openPaged(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +299,7 @@ func TestPagedSnapshotAndClone(t *testing.T) {
 // discarded and missing keys — and reads no value: a paged replica's cache
 // sees no miss from it.
 func TestMetaAgreesWithVersion(t *testing.T) {
-	r, err := Open(t.TempDir(), pagedOpts(4))
+	r, err := openPaged(t.TempDir(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

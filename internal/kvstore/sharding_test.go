@@ -52,31 +52,38 @@ func TestBatchOps(t *testing.T) {
 	if r.Len() != 100 {
 		t.Fatalf("Len = %d after PutBatch", r.Len())
 	}
-	got := r.GetBatch(append(keys, "missing"))
-	if len(got) != 100 {
-		t.Fatalf("GetBatch returned %d entries", len(got))
-	}
 	for k, v := range entries {
-		if !bytes.Equal(got[k], v) {
-			t.Fatalf("GetBatch[%q] = %q, want %q", k, got[k], v)
+		if got, ok := r.Get(k); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("Get(%q) = %q, %v; want %q", k, got, ok, v)
 		}
 	}
-	// Batch buffers are immutable views: a later overwrite installs a fresh
+	if got, ok := r.Get("missing"); ok {
+		t.Fatalf("Get(missing) = %q, true", got)
+	}
+	// Read buffers are immutable views: a later overwrite installs a fresh
 	// buffer rather than mutating the handed-out one.
-	before := got[keys[0]]
+	before, _ := r.Get(keys[0])
 	r.Put(keys[0], []byte("overwritten"))
 	if !bytes.Equal(before, entries[keys[0]]) {
-		t.Error("GetBatch buffer changed under a later Put")
+		t.Error("Get buffer changed under a later Put")
 	}
 	r.Put(keys[0], entries[keys[0]])
-	if n := r.DeleteBatch(keys[:40]); n != 40 {
-		t.Fatalf("DeleteBatch = %d, want 40", n)
+	deleted := func() (n int) {
+		for _, k := range keys[:40] {
+			if r.Delete(k) {
+				n++
+			}
+		}
+		return n
 	}
-	if n := r.DeleteBatch(keys[:40]); n != 0 {
-		t.Fatalf("repeated DeleteBatch = %d, want 0", n)
+	if n := deleted(); n != 40 {
+		t.Fatalf("deleted %d keys, want 40", n)
+	}
+	if n := deleted(); n != 0 {
+		t.Fatalf("repeated deletes hit %d keys, want 0", n)
 	}
 	if r.Len() != 60 {
-		t.Fatalf("Len = %d after DeleteBatch", r.Len())
+		t.Fatalf("Len = %d after deletes", r.Len())
 	}
 	// Batched writes carry stamps exactly like point writes.
 	v, ok := r.Version(keys[50])
@@ -121,7 +128,8 @@ func applyScript(t *testing.T, seed int64, a, b *Replica) {
 		case 0:
 			r.Delete(k)
 		case 1:
-			r.DeleteBatch([]string{k, keys[rng.Intn(len(keys))]})
+			r.Delete(k)
+			r.Delete(keys[rng.Intn(len(keys))])
 		case 2:
 			r.PutBatch(map[string][]byte{k: []byte(fmt.Sprintf("b%d", step))})
 		case 3, 4:
@@ -253,11 +261,14 @@ func TestConcurrentShardedAccess(t *testing.T) {
 				case 1:
 					b.PutBatch(map[string][]byte{k: {byte(i)}, keys[rng.Intn(len(keys))]: {1}})
 				case 2:
-					a.GetBatch(keys)
+					for _, k := range keys {
+						a.Get(k)
+					}
 					b.Get(k)
 				case 3:
 					a.Delete(k)
-					b.DeleteBatch(keys[:2])
+					b.Delete(keys[0])
+					b.Delete(keys[1])
 				case 4:
 					if _, err := a.Snapshot(); err != nil {
 						t.Error(err)

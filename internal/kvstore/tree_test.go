@@ -11,6 +11,7 @@ import (
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
+	"versionstamp/internal/storage/wal"
 )
 
 func TestTreeShape(t *testing.T) {
@@ -393,9 +394,11 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 			return r
 		},
 		"paged": func(t *testing.T, label string) *Replica {
-			opts := pagedOpts(shards)
-			opts.Label = label
-			r, err := Open(t.TempDir(), opts)
+			be, err := wal.Open(t.TempDir(), wal.Options{GroupCommit: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenBackendPaged(be, label, shards, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -465,7 +468,9 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 					for i := 300; i < 1400; i++ {
 						doomed = append(doomed, key(i))
 					}
-					r.DeleteBatch(doomed)
+					for _, k := range doomed {
+						r.Delete(k)
+					}
 					if _, err := Sync(r, o, resolve); err != nil {
 						t.Fatal(err)
 					}
@@ -486,8 +491,10 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 					}
 					r.PutBatch(batch)
 				case op == 3:
-					what = "DeleteBatch"
-					r.DeleteBatch(someKeys(1+rng.Intn(20), 1000))
+					what = "Delete loop"
+					for _, k := range someKeys(1+rng.Intn(20), 1000) {
+						r.Delete(k)
+					}
 				case op == 4 || op == 5:
 					what = "SyncKey"
 					if _, err := SyncKey(r, o, key(rng.Intn(1000)), resolve); err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
-	"versionstamp/internal/storage"
 	"versionstamp/internal/storage/wal"
 )
 
@@ -267,9 +266,9 @@ func TestCorruptCheckpointDetected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ce *storage.CorruptError
+			var ce *wal.CorruptError
 			if err := w.VerifyShard(2); !errors.As(err, &ce) || ce.Shard != 2 {
-				t.Fatalf("%d folds, seed %d, byte %d: VerifyShard = %v, want *storage.CorruptError for shard 2",
+				t.Fatalf("%d folds, seed %d, byte %d: VerifyShard = %v, want *wal.CorruptError for shard 2",
 					folds, seed, off, err)
 			}
 			w.Close()

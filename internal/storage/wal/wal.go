@@ -1,5 +1,10 @@
-// Package wal implements the log-structured file-per-stripe storage.Backend:
-// each stripe owns an append-only log of length-prefixed, CRC-protected
+// Package wal is the store's one durability layer: the log-structured
+// file-per-stripe log under every durable kvstore replica and hint queue.
+// Every log entry carries its key's whole version stamp, so the contract
+// is small — append, checkpoint or fold, replay — and the stamps, not the
+// storage layer, decide what a restarted replica still has to move.
+//
+// Each stripe owns an append-only log of length-prefixed, CRC-protected
 // entry frames plus a checkpoint file holding the stripe's latest binary
 // snapshot and the log frames folded in after it. Appends are a single
 // write to one file; restart replays the snapshot, its folds and then the
@@ -101,7 +106,7 @@
 //
 // Corruption — damage that is provably not a torn tail — is scoped to the
 // shard it lives in, never to the directory. Open records the damage (a
-// *storage.CorruptError naming the file and byte offset) and keeps going:
+// *CorruptError naming the file and byte offset) and keeps going:
 // healthy shards recover and serve normally, while the damaged shard
 // latches — appends return the corruption, and ReplayShard streams the
 // intact prefix before reporting it, so a caller keeps every readable
@@ -139,7 +144,6 @@ import (
 	"time"
 
 	"versionstamp/internal/encoding"
-	"versionstamp/internal/storage"
 )
 
 // recSet is the one frame payload kind: a set record.
@@ -167,9 +171,61 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // frame with intact frames after it, a checksummed payload that does not
 // decode, or a checkpoint failing its checksum. Torn tails are repaired
 // silently; corruption never is — it is scoped to its shard (see the
-// package comment on quarantine) and reported as a *storage.CorruptError
+// package comment on quarantine) and reported as a *CorruptError
 // wrapping this sentinel.
 var ErrCorrupt = errors.New("wal: corrupt log")
+
+// CorruptError reports durable damage scoped to one shard: bytes that are
+// provably not a torn tail write (a flipped bit mid-log, a checkpoint that
+// fails its checksum). It names the damaged file and the offset where the
+// damage starts, so operators and tests can point at the exact bytes.
+// ReplayShard returns it *after* streaming the intact prefix, so a caller
+// can see what is readable, quarantine the shard and repair it from peers
+// (kvstore drops the prefix — a rollback must not meet its peers' stamps,
+// see kvstore.OpenBackend) — whole-replica death is never the right scope
+// for one bad sector.
+type CorruptError struct {
+	// Shard is the damaged stripe.
+	Shard int
+	// Path is the damaged file (empty when no file is named).
+	Path string
+	// Offset is where the damage starts within Path (-1 = unknown).
+	Offset int64
+	// Err is the underlying corruption report (wraps ErrCorrupt when the
+	// WAL found the damage).
+	Err error
+}
+
+func (e *CorruptError) Error() string {
+	if e.Path != "" {
+		return fmt.Sprintf("wal: shard %d corrupt at %s+%d: %v", e.Shard, e.Path, e.Offset, e.Err)
+	}
+	return fmt.Sprintf("wal: shard %d corrupt: %v", e.Shard, e.Err)
+}
+
+func (e *CorruptError) Unwrap() error { return e.Err }
+
+// ErrStaleLoc reports a ValueLoc whose generation no longer matches the
+// shard's checkpoint: a later Checkpoint replaced the file since the
+// location was handed out. Callers holding stale locations re-derive them —
+// the value itself is never lost, only its address.
+var ErrStaleLoc = errors.New("wal: stale value location")
+
+// ValueLoc addresses one value's bytes inside a shard's checkpoint, so a
+// store can drop the in-memory copy and page it back on demand. Values
+// written since the last checkpoint stay resident, so the checkpoint is the
+// only region a location ever names. A location is valid only while its
+// generation matches the shard's checkpoint generation; every Checkpoint
+// bumps it, and reads through a stale location return ErrStaleLoc instead
+// of garbage.
+type ValueLoc struct {
+	// Off is the byte offset of the value within the shard's checkpoint file.
+	Off int64
+	// Len is the value's length in bytes.
+	Len uint32
+	// Gen is the checkpoint generation Off addresses.
+	Gen uint32
+}
 
 // ckptMagic heads every checkpoint file. The header goes on with a
 // CRC32-Castagnoli of the snapshot, the snapshot's length, the committed
@@ -243,11 +299,11 @@ type walShard struct {
 	// quar records proven corruption scoped to this shard: appends refuse
 	// with it, ReplayShard streams the intact prefix then reports it, and
 	// Checkpoint (whose snapshot supersedes the damaged bytes) clears it.
-	quar *storage.CorruptError
+	quar *CorruptError
 
-	// Paging state (storage.Pager): ckptGen guards outstanding value
-	// locations against checkpoint replacement; cf serves point preads and
-	// is closed whenever the checkpoint is replaced.
+	// Paging state (ReadValueAt, CheckpointPayload): ckptGen guards
+	// outstanding value locations against checkpoint replacement; cf serves
+	// point preads and is closed whenever the checkpoint is replaced.
 	ckptGen uint32
 	cf      *os.File // checkpoint read handle, opened lazily
 
@@ -315,7 +371,7 @@ func Open(dir string, opts Options) (*WAL, error) {
 			return nil, err
 		}
 		if w.shards[shard] == nil { // the first damage found is reported
-			w.shards[shard] = &walShard{quar: &storage.CorruptError{
+			w.shards[shard] = &walShard{quar: &CorruptError{
 				Shard: shard, Path: path, Offset: off, Err: err,
 			}}
 		}
@@ -384,13 +440,13 @@ func (w *WAL) ckptPath(shard int) string { return CheckpointPath(w.dir, shard) }
 
 // corrupt quarantines sh with a damage report and returns it. Callers hold
 // sh.mu.
-func corrupt(sh *walShard, shard int, path string, off int64, err error) *storage.CorruptError {
-	var ce *storage.CorruptError
+func corrupt(sh *walShard, shard int, path string, off int64, err error) *CorruptError {
+	var ce *CorruptError
 	if errors.As(err, &ce) {
 		sh.quar = ce
 		return ce
 	}
-	ce = &storage.CorruptError{Shard: shard, Path: path, Offset: off, Err: err}
+	ce = &CorruptError{Shard: shard, Path: path, Offset: off, Err: err}
 	sh.quar = ce
 	return ce
 }
@@ -826,7 +882,7 @@ func (w *WAL) Append(shard int, e encoding.Entry) error {
 	return wait()
 }
 
-// AppendAsync implements storage.AsyncBackend: it stages the entry in the
+// AppendAsync is the group-commit append: it stages the entry in the
 // stripe log and returns the commit-window barrier as a wait function (nil
 // outside group-commit mode, where the write to the OS buffer is all the
 // durability there is). Callers must invoke wait outside the stripe lock
@@ -952,7 +1008,7 @@ func (c *committer) syncStripe(shard int) error {
 // frames and its log entries through rec. On a damaged shard it still
 // streams everything intact before the damage — the snapshot if its
 // checksum holds, then every fold and log frame before the first bad one —
-// and only then returns the *storage.CorruptError, so a caller keeps the
+// and only then returns the *CorruptError, so a caller keeps the
 // readable prefix and can quarantine the shard instead of losing it.
 func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(encoding.Entry) error) error {
 	sh, err := w.shard(shard)
@@ -1038,14 +1094,16 @@ func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(encoding.
 // repair path: the snapshot supersedes whatever the damaged log held, so a
 // quarantined or latched shard comes back healthy.
 func (w *WAL) Checkpoint(shard int, snapshot []byte) error {
-	_, _, err := w.checkpoint(shard, snapshot)
+	_, _, err := w.CheckpointLocate(shard, snapshot)
 	return err
 }
 
-// checkpoint is Checkpoint returning the new checkpoint region (the Pager's
-// CheckpointLocate). In group-commit mode it fsyncs the truncated log so the
-// truncation survives power loss too.
-func (w *WAL) checkpoint(shard int, snapshot []byte) (uint32, int64, error) {
+// CheckpointLocate is Checkpoint plus the fresh checkpoint region for cold
+// value locations: the generation locations against it must carry, and the
+// byte offset within the checkpoint file where the snapshot starts. In
+// group-commit mode it fsyncs the truncated log so the truncation survives
+// power loss too.
+func (w *WAL) CheckpointLocate(shard int, snapshot []byte) (uint32, int64, error) {
 	sh, err := w.shard(shard)
 	if err != nil {
 		return 0, 0, err
@@ -1092,12 +1150,12 @@ func (w *WAL) truncateLogLocked(sh *walShard, shard int) error {
 	return nil
 }
 
-// Fold implements storage.Backend: the incremental checkpoint. It keeps the
-// last log frame of each key — found by the frame's key prefix, nothing is
-// decoded — writes those raw frames after the checkpoint's snapshot and
-// committed folds and fsyncs them, commits them by rewriting the header
-// with the longer fold length and fsyncing again, and only then truncates
-// the log. An empty log folds nothing and writes nothing.
+// Fold is the incremental checkpoint. It keeps the last log frame of each
+// key — found by the frame's key prefix, nothing is decoded — writes those
+// raw frames after the checkpoint's snapshot and committed folds and fsyncs
+// them, commits them by rewriting the header with the longer fold length and
+// fsyncing again, and only then truncates the log. An empty log folds
+// nothing and writes nothing.
 //
 // ok is false, with nothing written, when there is no checkpoint to fold
 // into or its header does not check, the shard is latched or quarantined,
@@ -1203,17 +1261,17 @@ func lastFrames(log []byte) (frames []byte, ok bool) {
 	return frames, true
 }
 
-// ReadValueAt implements storage.Pager: a point pread of value bytes a
+// ReadValueAt is the paging read: a point pread of value bytes a
 // checkpoint layout addressed. Stale generations — the checkpoint was
-// replaced since — return storage.ErrStaleLoc, never other data's bytes.
-func (w *WAL) ReadValueAt(shard int, loc storage.ValueLoc) ([]byte, error) {
+// replaced since — return ErrStaleLoc, never other data's bytes.
+func (w *WAL) ReadValueAt(shard int, loc ValueLoc) ([]byte, error) {
 	sh, err := w.shard(shard)
 	if err != nil {
 		return nil, err
 	}
 	defer sh.mu.Unlock()
 	if loc.Gen != sh.ckptGen {
-		return nil, storage.ErrStaleLoc
+		return nil, ErrStaleLoc
 	}
 	if sh.cf == nil {
 		sh.cf, err = os.Open(w.ckptPath(shard))
@@ -1225,20 +1283,16 @@ func (w *WAL) ReadValueAt(shard int, loc storage.ValueLoc) ([]byte, error) {
 	buf := make([]byte, loc.Len)
 	if _, err := f.ReadAt(buf, loc.Off); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, storage.ErrStaleLoc
+			return nil, ErrStaleLoc
 		}
 		return nil, fmt.Errorf("wal: read shard %d: %w", shard, err)
 	}
 	return buf, nil
 }
 
-// CheckpointLocate implements storage.Pager: Checkpoint plus the fresh
-// checkpoint region for cold value locations.
-func (w *WAL) CheckpointLocate(shard int, snapshot []byte) (uint32, int64, error) {
-	return w.checkpoint(shard, snapshot)
-}
-
-// CheckpointRegion implements storage.Pager.
+// CheckpointRegion reports the shard's current checkpoint generation and
+// snapshot offset: what CheckpointLocate last returned, or the values for
+// the checkpoint ReplayShard just streamed.
 func (w *WAL) CheckpointRegion(shard int) (uint32, int64) {
 	sh, err := w.shard(shard)
 	if err != nil {
@@ -1248,9 +1302,8 @@ func (w *WAL) CheckpointRegion(shard int) (uint32, int64) {
 	return sh.ckptGen, int64(ckptHeaderLen)
 }
 
-// CheckpointPayload implements storage.Pager: a bulk re-read of the whole
-// checkpoint snapshot for cold-stripe rewrites. The fold region is not part
-// of it.
+// CheckpointPayload is a bulk re-read of the whole checkpoint snapshot for
+// cold-stripe rewrites. The fold region is not part of it.
 func (w *WAL) CheckpointPayload(shard int, gen uint32) ([]byte, error) {
 	sh, err := w.shard(shard)
 	if err != nil {
@@ -1258,7 +1311,7 @@ func (w *WAL) CheckpointPayload(shard int, gen uint32) ([]byte, error) {
 	}
 	defer sh.mu.Unlock()
 	if gen != sh.ckptGen {
-		return nil, storage.ErrStaleLoc
+		return nil, ErrStaleLoc
 	}
 	data, err := os.ReadFile(w.ckptPath(shard))
 	if err != nil {
@@ -1271,13 +1324,13 @@ func (w *WAL) CheckpointPayload(shard int, gen uint32) ([]byte, error) {
 	return snap, nil
 }
 
-// VerifyShard is the scrub path (storage.Verifier): it re-reads the shard's
-// snapshot against its checksum and every fold and log frame against its
-// CRC, checking each frame's kind but decoding no entry, without mutating
-// anything. Damage quarantines the shard — a live stripe demotes the moment
-// a bad sector is found, not at the next restart — and returns the
-// *storage.CorruptError. A torn tail is not damage (Open repairs those
-// silently); neither is a missing file.
+// VerifyShard is the scrub path: it re-reads the shard's snapshot against
+// its checksum and every fold and log frame against its CRC, checking each
+// frame's kind but decoding no entry, without mutating anything. Damage
+// quarantines the shard — a live stripe demotes the moment a bad sector is
+// found, not at the next restart — and returns the *CorruptError. A torn
+// tail is not damage (Open repairs those silently); neither is a missing
+// file.
 func (w *WAL) VerifyShard(shard int) error {
 	sh, err := w.shard(shard)
 	if err != nil {
@@ -1317,10 +1370,10 @@ func (w *WAL) VerifyShard(shard int) error {
 // Quarantined returns the damage report of every quarantined shard, keyed
 // by shard index. Shards quarantine at Open (mid-log corruption), replay
 // (checkpoint damage) or scrub (VerifyShard on a live stripe).
-func (w *WAL) Quarantined() map[int]*storage.CorruptError {
+func (w *WAL) Quarantined() map[int]*CorruptError {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make(map[int]*storage.CorruptError)
+	out := make(map[int]*CorruptError)
 	for i, sh := range w.shards {
 		sh.mu.Lock()
 		if sh.quar != nil {

@@ -14,7 +14,6 @@ import (
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
-	"versionstamp/internal/storage"
 )
 
 func rec(key, value string) encoding.Entry {
@@ -173,12 +172,12 @@ func TestMidLogCorruptionReported(t *testing.T) {
 	if _, recs := replay(t, w2, 1); len(recs) != 1 || recs[0].Key != "other" {
 		t.Fatalf("healthy shard 1 records = %+v", recs)
 	}
-	// The damaged shard reports a *storage.CorruptError naming file+offset,
+	// The damaged shard reports a *CorruptError naming file+offset,
 	// after streaming nothing (the damage is in frame 0).
-	var ce *storage.CorruptError
+	var ce *CorruptError
 	err = w2.ReplayShard(0, nil, func(encoding.Entry) error { return nil })
 	if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReplayShard(0) = %v, want *storage.CorruptError wrapping ErrCorrupt", err)
+		t.Fatalf("ReplayShard(0) = %v, want *CorruptError wrapping ErrCorrupt", err)
 	}
 	if ce.Shard != 0 || ce.Path != path || ce.Offset != 0 {
 		t.Fatalf("damage report = shard %d path %q offset %d, want shard 0 %q offset 0",
@@ -253,16 +252,16 @@ func TestRetiredResetKindIsCorruption(t *testing.T) {
 	if _, recs := replay(t, w2, 1); len(recs) != 1 || recs[0].Key != "other" {
 		t.Fatalf("healthy shard 1 records = %+v", recs)
 	}
-	var ce *storage.CorruptError
+	var ce *CorruptError
 	err = w2.ReplayShard(0, nil, nil)
 	if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("ReplayShard(0) = %v, want *storage.CorruptError wrapping ErrCorrupt", err)
+		t.Fatalf("ReplayShard(0) = %v, want *CorruptError wrapping ErrCorrupt", err)
 	}
 	if ce.Shard != 0 || ce.Path != path || ce.Offset != fi.Size() {
 		t.Fatalf("damage report = shard %d path %q offset %d, want shard 0 %q offset %d",
 			ce.Shard, ce.Path, ce.Offset, path, fi.Size())
 	}
-	var vce *storage.CorruptError
+	var vce *CorruptError
 	if err := w2.VerifyShard(0); !errors.As(err, &vce) || vce.Path != ce.Path || vce.Offset != ce.Offset {
 		t.Fatalf("VerifyShard(0) = %v, want the same damage as replay (%v)", err, ce)
 	}
@@ -301,10 +300,10 @@ func TestMidLogCorruptionStreamsPrefix(t *testing.T) {
 	}
 	defer w2.Close()
 	var recs []encoding.Entry
-	var ce *storage.CorruptError
+	var ce *CorruptError
 	err = w2.ReplayShard(0, nil, func(e encoding.Entry) error { recs = append(recs, e); return nil })
 	if !errors.As(err, &ce) {
-		t.Fatalf("ReplayShard = %v, want *storage.CorruptError", err)
+		t.Fatalf("ReplayShard = %v, want *CorruptError", err)
 	}
 	if ce.Offset != offs[2] {
 		t.Fatalf("damage offset = %d, want %d", ce.Offset, offs[2])
@@ -343,20 +342,20 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 			}
 
 			w2 := open(t, dir)
-			var ce *storage.CorruptError
+			var ce *CorruptError
 			err = w2.ReplayShard(0, func([]byte) error {
 				t.Fatal("corrupt checkpoint must not reach the callback")
 				return nil
 			}, nil)
 			if !errors.As(err, &ce) || ce.Path != path {
-				t.Fatalf("ReplayShard = %v, want *storage.CorruptError for %s", err, path)
+				t.Fatalf("ReplayShard = %v, want *CorruptError for %s", err, path)
 			}
 			w2.Close()
 			// VerifyShard (the scrub) reports the same damage on a live shard.
 			w3 := open(t, dir)
 			defer w3.Close()
 			if err := w3.VerifyShard(0); !errors.As(err, &ce) || ce.Path != path {
-				t.Fatalf("VerifyShard = %v, want *storage.CorruptError for %s", err, path)
+				t.Fatalf("VerifyShard = %v, want *CorruptError for %s", err, path)
 			}
 		})
 	}
@@ -751,7 +750,7 @@ func TestFoldCorruptionQuarantines(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		var live *storage.CorruptError
+		var live *CorruptError
 		if err := w.VerifyShard(0); !errors.As(err, &live) || live.Path != path || live.Offset != want {
 			t.Fatalf("byte %d: VerifyShard = %v, want damage at %s+%d", pos, err, path, want)
 		}

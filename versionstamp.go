@@ -148,11 +148,10 @@
 //
 // # Durability model
 //
-// The sharded store (internal/kvstore) optionally persists through a
-// pluggable backend (internal/storage): each stripe owns an append-only
-// log of CRC-protected records plus an occasional binary checkpoint, the
-// log-structured file-per-stripe WAL of internal/storage/wal being the
-// durable implementation. The contract:
+// The sharded store (internal/kvstore) optionally persists through the
+// log-structured file-per-stripe WAL of internal/storage/wal, its one
+// durable backend: each stripe owns an append-only log of CRC-protected
+// records plus an occasional binary checkpoint. The contract:
 //
 //   - A write is acknowledged only after its record — the key's full new
 //     state, version stamp included — is appended to the owning stripe's
@@ -242,9 +241,9 @@
 //     Ring ownership changes only when the member set grows; a dead node
 //     KEEPS its stripes, because handing them elsewhere would make every
 //     transient outage a data migration. Writes that miss a dead or
-//     unreachable owner queue a durable hint (the write's value and stamp,
-//     on the same storage backend as the WAL) at the coordinator, and
-//     hints drain when the target is seen alive again.
+//     unreachable owner queue a hint (the write's value and stamp, in a
+//     WAL of its own on a durable node) at the coordinator, and hints
+//     drain when the target is seen alive again.
 //   - Reads and writes are quorum operations: a write coordinator applies
 //     locally and pushes the key to the other live owners, acknowledging
 //     at W of R; a read gathers the live owners' copies and lets the
