@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -587,6 +588,134 @@ func TestConcurrentFoldsKeepAckedWrites(t *testing.T) {
 	}
 	defer reopened.Close()
 	requireEqualStamps(t, r, reopened)
+}
+
+// TestGroupCommitPutAllocs is the counted gate of the durable write path:
+// on a group-commit replica a Put of an existing key allocates only its
+// value copy — the commit window, its wait function and the replica's
+// barrier queue are all reused — and a Delete of a live key allocates
+// nothing. The Delete is measured as a Put+Delete pair, so every Delete
+// finds its key live.
+func TestGroupCommitPutAllocs(t *testing.T) {
+	be, err := wal.Open(t.TempDir(), wal.Options{GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenBackend(be, "r", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	value := make([]byte, 128)
+	r.Put("k", value) // creates the key, opens its stripe log, sizes the queues
+	put := testing.AllocsPerRun(200, func() { r.Put("k", value) })
+	pair := testing.AllocsPerRun(200, func() {
+		r.Put("k", value)
+		if !r.Delete("k") {
+			t.Fatal("Delete of a live key reported no key")
+		}
+	})
+	if err := r.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("durable Put %.2f allocs, Put+Delete %.2f", put, pair)
+	if put != 1 {
+		t.Errorf("durable Put allocates %.2f/op, want 1 (its value copy)", put)
+	}
+	if pair != put {
+		t.Errorf("durable Delete allocates %.2f/op, want 0", pair-put)
+	}
+}
+
+// durableTracker is a wal.FaultInjector that records, per stripe, the
+// log's length at its last fsync. Sync is consulted under the stripe log's
+// mutex just before the fsync, so that length is exactly what it covers.
+type durableTracker struct {
+	dir     string
+	mu      sync.Mutex
+	durable map[int]int64
+}
+
+func (d *durableTracker) Append(_ int, frame []byte) (int, error) { return len(frame), nil }
+func (d *durableTracker) Truncate(int) error                      { return nil }
+func (d *durableTracker) Checkpoint(int, []byte) error            { return nil }
+
+func (d *durableTracker) Sync(shard int) error {
+	fi, err := os.Stat(wal.LogPath(d.dir, shard))
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.durable[shard] = fi.Size()
+	d.mu.Unlock()
+	return nil
+}
+
+// fsynced reports whether key's frame lies in the fsynced prefix of its
+// stripe log. Keys are written once each, so finding the key is finding
+// its frame.
+func (d *durableTracker) fsynced(key string, shards int) (bool, error) {
+	shard := ShardIndex(key, shards)
+	d.mu.Lock()
+	n := d.durable[shard]
+	d.mu.Unlock()
+	data, err := os.ReadFile(wal.LogPath(d.dir, shard))
+	if err != nil || int64(len(data)) < n {
+		return false, err
+	}
+	return bytes.Contains(data[:n], []byte(key)), nil
+}
+
+// TestGroupCommitAcksAfterFsync races writers on one group-commit replica,
+// each Put or PutBatch (every fourth op, eight keys over the stripes)
+// sharing windows and barrier queue with the others. A mutator must not
+// return before the window holding each of its frames has fsynced, even
+// when another mutator's drain took its barriers; every waiter of a
+// many-stripe window is released, and PersistErr stays nil.
+func TestGroupCommitAcksAfterFsync(t *testing.T) {
+	const shards, writers, ops = 8, 8, 40
+	tr := &durableTracker{dir: t.TempDir(), durable: map[int]int64{}}
+	be, err := wal.Open(tr.dir, wal.Options{GroupCommit: true, Fault: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenBackend(be, "r", shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < ops; j++ {
+				var keys []string
+				if j%4 == 3 {
+					batch := map[string][]byte{}
+					for b := 0; b < 8; b++ {
+						k := fmt.Sprintf("w%02d-op%03d-b%d", i, j, b)
+						batch[k], keys = []byte("v"), append(keys, k)
+					}
+					r.PutBatch(batch)
+				} else {
+					k := fmt.Sprintf("w%02d-op%03d", i, j)
+					r.Put(k, []byte("v"))
+					keys = append(keys, k)
+				}
+				for _, k := range keys {
+					if ok, err := tr.fsynced(k, shards); !ok || err != nil {
+						t.Errorf("write of %s returned before its frame was fsynced (%v)", k, err)
+						return
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := r.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestQuarantineAndRepair corrupts one stripe's WAL at rest and walks the

@@ -237,9 +237,15 @@ type Replica struct {
 	cache *pagecache.Cache
 
 	// pending parks the group-commit barriers logSet's appends return,
-	// drained by awaitDurable after the stripe locks release.
+	// drained by awaitDurable after the stripe locks release. drainMu
+	// serializes drains, so a mutator whose barrier another drain took
+	// returns only once that drain has waited it out. spare, under drainMu,
+	// is the queue's second buffer: a drain swaps it in for pending and
+	// keeps the drained slice as the next spare.
 	pendMu  sync.Mutex
 	pending []func() error
+	drainMu sync.Mutex
+	spare   []func() error
 }
 
 // replicaSeq numbers the replicas of this process in construction order.

@@ -345,7 +345,8 @@ func (r *Replica) DiscardTombstones(i int, expect map[string]uint64) int {
 // enqueueWait queues one group-commit durability barrier. Appends staged
 // under stripe locks park their barriers here; public mutators drain the
 // queue after releasing the locks (awaitDurable), so the fsync wait never
-// blocks the stripe.
+// blocks the stripe. The queue's slices are reused (see awaitDurable), so
+// queueing allocates nothing in steady state.
 func (r *Replica) enqueueWait(w func() error) {
 	r.pendMu.Lock()
 	r.pending = append(r.pending, w)
@@ -356,16 +357,28 @@ func (r *Replica) enqueueWait(w func() error) {
 // the group-commit acknowledgement point. Barrier failures surface through
 // PersistErr exactly like synchronous append failures. Must be called with
 // no stripe locks held.
+//
+// Drains run one at a time. A concurrent mutator's drain may take this
+// caller's barriers with its own; waiting for drainMu then waits them out,
+// so no mutator returns before its appends are durable. The queue is
+// double-buffered: the drain swaps the spare slice in for pending, calls
+// each wait once (a wait function is called at most once per append) and
+// clears its slot, then keeps the drained slice as the spare, so neither
+// buffer is reallocated.
 func (r *Replica) awaitDurable() {
+	r.drainMu.Lock()
+	defer r.drainMu.Unlock()
 	r.pendMu.Lock()
 	ws := r.pending
-	r.pending = nil
+	r.pending = r.spare[:0]
 	r.pendMu.Unlock()
-	for _, w := range ws {
+	for i, w := range ws {
+		ws[i] = nil
 		if err := w(); err != nil {
 			r.notePersistErr(err)
 		}
 	}
+	r.spare = ws[:0]
 }
 
 // CacheStats returns the paged read cache's counters (zero for non-paged

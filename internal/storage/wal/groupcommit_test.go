@@ -607,6 +607,99 @@ func TestGroupCommitFoldSurvivesPowerCut(t *testing.T) {
 	}
 }
 
+// freeBatches returns the committer's free list of reusable windows.
+func freeBatches(w *WAL) []*commitBatch {
+	w.group.mu.Lock()
+	defer w.group.mu.Unlock()
+	return slices.Clone(w.group.free)
+}
+
+// TestGroupCommitBatchReuse pins the recycling of commit windows, one
+// window at a time:
+//   - a window whose fsync fails fails every one of its waiters, and its
+//     batch goes back on the free list once the last of them returns;
+//   - the next window reuses that batch (it leaves the free list while the
+//     window is in use and is the only batch there after) and acks every
+//     waiter: no stale error leaks into it;
+//   - a window with a wait never called stays off the free list, so the
+//     window after it runs on a new batch;
+//   - a window over sixteen stripes fsyncs each once, releases every
+//     waiter and is recycled like any other.
+func TestGroupCommitBatchReuse(t *testing.T) {
+	w, tr := openTracked(t)
+	defer w.Close()
+	window := func(v string, shards ...int) []shardEntry {
+		batch := make([]shardEntry, len(shards))
+		for i, s := range shards {
+			batch[i] = shardEntry{s, rec(fmt.Sprintf("k%d", s), v)}
+		}
+		return batch
+	}
+	requireFree := func(step string, want ...*commitBatch) {
+		t.Helper()
+		if got := freeBatches(w); !slices.Equal(got, want) {
+			t.Fatalf("%s: free list %p, want %p", step, got, want)
+		}
+	}
+
+	tr.setSyncErr(errNoSpace, 1)
+	for i, err := range appendWindow(t, w, window("a", 0, 1, 2, 1)...) {
+		if !errors.Is(err, errNoSpace) {
+			t.Fatalf("failed window: waiter %d = %v, want %v", i, err, errNoSpace)
+		}
+	}
+	tr.setSyncErr(nil)
+	free := freeBatches(w)
+	if len(free) != 1 {
+		t.Fatalf("failed window: free list holds %d batches, want its 1", len(free))
+	}
+	a := free[0]
+
+	before := len(tr.order)
+	waits, err := stageWindow(w, window("b", 2, 0, 1)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireFree("reusing window staged")
+	for i, wait := range waits {
+		if err := wait(); err != nil {
+			t.Fatalf("window after a failed one: waiter %d = %v, want nil", i, err)
+		}
+	}
+	requireFree("reusing window acked", a)
+	if got := tr.order[before:]; fmt.Sprint(got) != "[2 0 1]" {
+		t.Fatalf("reusing window fsynced stripes %v, want its own [2 0 1]", got)
+	}
+
+	waits, err = stageWindow(w, window("c", 0, 3)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := waits[0](); err != nil {
+		t.Fatalf("window with an uncalled wait: waiter 0 = %v", err)
+	}
+	requireFree("window with an uncalled wait")
+
+	shards := make([]int, 0, 20)
+	for s := 15; s >= 0; s-- {
+		shards = append(shards, s)
+	}
+	shards = append(shards, 15, 0, 7, 8)
+	before = len(tr.order)
+	for i, err := range appendWindow(t, w, window("d", shards...)...) {
+		if err != nil {
+			t.Fatalf("sixteen-stripe window: waiter %d = %v", i, err)
+		}
+	}
+	if got := tr.order[before:]; !slices.Equal(got, shards[:16]) {
+		t.Fatalf("sixteen-stripe window fsynced stripes %v, want %v", got, shards[:16])
+	}
+	free = freeBatches(w)
+	if len(free) != 1 || free[0] == a {
+		t.Fatalf("sixteen-stripe window: free list %p, want one new batch (%p was never returned)", free, a)
+	}
+}
+
 // TestGroupCommitLoneWriterSkipsCommitLog: a lone writer's window touches
 // one stripe, so it fsyncs that stripe log once, through its last byte, and
 // writes no other file — no shared commit log appears.

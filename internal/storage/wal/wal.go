@@ -55,8 +55,17 @@
 // stripe log it touched; an fsync covers every earlier byte of its file.
 // Each touched stripe log is fsynced once, in the order the window first
 // touched it, and every waiter is released only after the last fsync; any
-// failure fails every waiter. Nothing may be acknowledged before its wait
-// returns nil. Windows flush one at a time, in the order they opened.
+// failure fails every waiter of that window and of no other. Nothing may be
+// acknowledged before its wait returns nil. Windows flush one at a time, in
+// the order they opened.
+//
+// Every append of one window receives the same wait function, and a wait
+// function is called at most once per append that returned it. Windows are
+// reused: once every waiter of a window has returned from its wait, the
+// window's objects — its barrier, its shard list, its flush goroutine's
+// body and its wait function — go back on a small free list for a later
+// window, so a group-commit append allocates nothing in steady state. A
+// wait that is never called only keeps its window from being reused.
 //
 // Every frame is a complete record of its key — its version stamp orders
 // it against any other copy — so a stripe log holds a durable copy of every
@@ -141,6 +150,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"versionstamp/internal/encoding"
@@ -885,8 +895,11 @@ func (w *WAL) Append(shard int, e encoding.Entry) error {
 // AppendAsync is the group-commit append: it stages the entry in the
 // stripe log and returns the commit-window barrier as a wait function (nil
 // outside group-commit mode, where the write to the OS buffer is all the
-// durability there is). Callers must invoke wait outside the stripe lock
-// and must not acknowledge the write before it returns nil.
+// durability there is). Callers must invoke wait outside the stripe lock,
+// at most once per AppendAsync that returned it, and must not acknowledge
+// the write before it returns nil. The wait function belongs to the
+// window, not to the append: every append of one window receives the same
+// one, and the window is reused once each of those calls has returned.
 func (w *WAL) AppendAsync(shard int, e encoding.Entry) (func() error, error) {
 	sh, err := w.shard(shard)
 	if err != nil {
@@ -901,9 +914,15 @@ func (w *WAL) AppendAsync(shard int, e encoding.Entry) (func() error, error) {
 	return w.group.register(shard), nil
 }
 
+// maxFreeBatches bounds the committer's free list: a window open, one
+// flushing and one releasing its waiters need three, so a burst of
+// overlapping windows pins no more than this once it passes.
+const maxFreeBatches = 4
+
 // committer is the group-commit engine: one per WAL, batching every
 // stripe's appends into commit windows, each flushed by fsyncing the
-// stripe logs it touched.
+// stripe logs it touched. Closed windows are recycled through a small free
+// list, so in steady state opening one allocates nothing.
 type committer struct {
 	w      *WAL
 	window time.Duration
@@ -913,39 +932,84 @@ type committer struct {
 	// flushes.
 	flushMu sync.Mutex
 
-	mu  sync.Mutex
-	cur *commitBatch // window currently accepting registrations
+	mu   sync.Mutex
+	cur  *commitBatch   // window currently accepting registrations
+	free []*commitBatch // windows every waiter has returned from
 }
 
 // commitBatch is one commit window: the registrations it accumulated, the
 // distinct shards they touched in first-touch order, and the barrier its
-// waiters block on.
+// waiters block on. A batch outlives its window: once the last of its n
+// waiters returns from wait, it goes back on the committer's free list and
+// a later window reuses it, with its shard slice truncated and its barrier
+// re-armed. A wait that is never called keeps its batch off the free list.
 type commitBatch struct {
-	n      int
-	shards []int
-	done   chan struct{}
-	err    error
+	run  func()       // the flush goroutine's body, bound once per batch
+	wait func() error // the barrier every register of the window returns
+
+	n        int            // registrations; under committer.mu until the window closes
+	shards   []int          // under committer.mu until the window closes
+	done     sync.WaitGroup // held from the window's opening until its flush returns
+	err      error          // the flush's result, written before done is released
+	returned atomic.Int32   // waiters that have returned from wait
 }
 
 // register adds one staged frame to the open window (opening one — and its
-// flush goroutine — if none is), returning the barrier wait function.
+// flush goroutine — if none is), returning the window's wait function.
 func (c *committer) register(shard int) func() error {
 	c.mu.Lock()
 	b := c.cur
 	if b == nil {
-		b = &commitBatch{done: make(chan struct{})}
-		c.cur = b
-		go c.run(b)
+		b = c.openLocked()
+		go b.run()
 	}
 	b.n++
 	if !slices.Contains(b.shards, shard) {
 		b.shards = append(b.shards, shard)
 	}
 	c.mu.Unlock()
-	return func() error {
-		<-b.done
-		return b.err
+	return b.wait
+}
+
+// openLocked makes a batch the open window, taking one off the free list
+// when there is one. Called under c.mu. A batch is on the free list only
+// once every waiter of its last window has returned, so resetting it and
+// re-arming done races with no one.
+func (c *committer) openLocked() *commitBatch {
+	var b *commitBatch
+	if n := len(c.free); n > 0 {
+		b = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+		b.n, b.shards, b.err = 0, b.shards[:0], nil
+		b.returned.Store(0)
+	} else {
+		b = new(commitBatch)
+		b.run = func() { c.run(b) }
+		b.wait = func() error { return c.await(b) }
 	}
+	b.done.Add(1)
+	c.cur = b
+	return b
+}
+
+// await is a batch's wait function: it blocks until the window's flush
+// returns and reports its result. The last waiter to return puts the batch
+// back on the free list (if the list has room), after reading err.
+func (c *committer) await(b *commitBatch) error {
+	b.done.Wait()
+	// Read everything before counting this waiter out: once the last one
+	// is counted, the batch may be reset for the next window. n is final,
+	// as the window closed before its flush released done.
+	err, n := b.err, b.n
+	if int(b.returned.Add(1)) == n {
+		c.mu.Lock()
+		if len(c.free) < maxFreeBatches {
+			c.free = append(c.free, b)
+		}
+		c.mu.Unlock()
+	}
+	return err
 }
 
 // run drives one window: spin while the batch is still growing (bounded by
@@ -977,7 +1041,7 @@ func (c *committer) run(b *commitBatch) {
 	c.mu.Unlock()
 	b.err = c.flush(b.shards)
 	c.flushMu.Unlock()
-	close(b.done)
+	b.done.Done()
 }
 
 // flush makes a window durable: it fsyncs each stripe log the window

@@ -882,16 +882,10 @@ func TestFrameBufferCapped(t *testing.T) {
 	}
 }
 
-// groupAppendAllocs is what a lone writer's group-commit append allocates:
-// the window it opens (the batch, its done channel, its flush goroutine and
-// shard list) and the wait function it returns. Measured: 5, with and
-// without -race.
-const groupAppendAllocs = 5
-
 // TestWALAppendAllocs: a buffered append of a 128-byte value allocates
-// nothing — the frame is encoded in the stripe's kept buffer. In
-// group-commit mode an append allocates only its window's share of the
-// commit objects.
+// nothing — the frame is encoded in the stripe's kept buffer. A lone
+// writer's group-commit append allocates nothing either: each window
+// reuses the batch, barrier, shard list and functions of the last.
 func TestWALAppendAllocs(t *testing.T) {
 	e := rec("key-000001", string(bytes.Repeat([]byte("v"), 128)))
 	w := open(t, t.TempDir())
@@ -921,8 +915,7 @@ func TestWALAppendAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("group-commit append: %.2f allocs", allocs)
-	if allocs > groupAppendAllocs {
-		t.Errorf("group-commit append allocates %.2f/op; its window's objects are %d", allocs, groupAppendAllocs)
+	if allocs != 0 {
+		t.Errorf("group-commit append allocates %.2f/op, want 0", allocs)
 	}
 }
