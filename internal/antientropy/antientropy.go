@@ -91,6 +91,15 @@
 // keeps a stripe-indexed slot per stripe tree, cleared after each round, so
 // a converged round allocates nothing at either end.
 //
+// A key named on the wire is mostly one the receiver already holds, and it
+// takes its own string for it instead of copying the bytes: the server
+// resolves leaf-digest keys against the round's tree snapshot of the run's
+// node and entry keys against the stripe's need list, and the client
+// resolves need keys against the digest runs it shipped (its own tree
+// snapshot) and result keys against the entries it sent, then those runs.
+// Only an exact byte match is taken; every other key is copied, and each is
+// checked as before.
+//
 // Before applying anything the client checks the result against what it
 // shipped: entries only inside the leaf ranges this round sent, restamps
 // only for keys its entries frame carried in full, each list sorted, no key

@@ -99,8 +99,10 @@ func keepBuf(buf []byte) []byte {
 // read into a buffer the reader keeps, so a session's steady state allocates
 // nothing; a larger body gets a buffer of its own that is dropped after use.
 // Either way a body is valid only until the next read on the session.
-// Decoders copy whatever outlives it: keys, values, strings and tree-node
-// bitmaps are copied out, and stamps are interned.
+// Nothing a round keeps aliases it: values and strings are copied out, a key
+// is copied or resolved to a string the receiver already holds
+// (encoding.DecodeDigest), stamps are interned, and a decoded tree node's
+// bitmap, which does alias the body, is used before the next read.
 type frameReader struct {
 	br  *bufio.Reader
 	buf []byte // kept body buffer, at most frameKeep bytes
@@ -163,19 +165,28 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// readString consumes a uvarint-prefixed string from data.
-func readString(data []byte) (string, int, error) {
+// readString consumes a uvarint-prefixed string from data. known resolves
+// it as encoding.DecodeDigest resolves a key: a string it returns with
+// exactly these bytes is taken as it is, and anything else is copied. nil
+// copies.
+func readString(data []byte, known func(key []byte) (string, bool)) (string, int, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 || uint64(len(data)-used) < n {
 		return "", 0, errors.New("bad string")
 	}
-	return string(data[used : used+int(n)]), used + int(n), nil
+	b := data[used : used+int(n)]
+	if known != nil {
+		if k, ok := known(b); ok && k == string(b) {
+			return k, used + int(n), nil
+		}
+	}
+	return string(b), used + int(n), nil
 }
 
 // expectKind strips and checks the kind byte of a frame body.
 func expectKind(body []byte, kind byte) ([]byte, error) {
 	if body[0] == kindError {
-		msg, _, err := readString(body[1:])
+		msg, _, err := readString(body[1:], nil)
 		if err != nil {
 			return nil, fmt.Errorf("%w: unreadable error frame", ErrProtocol)
 		}
@@ -239,8 +250,9 @@ func encodeResultFrame(buf []byte, res kvstore.SyncResult, reply kvstore.DeltaRe
 // check (checkReply). The counters size the entries list: each key the round
 // transferred, reconciled or merged is one reply copy, so their sum less the
 // restamps is the entry count. It is only a capacity hint, bounded by the
-// body like every wire-supplied count.
-func decodeResultFrame(body []byte) (kvstore.SyncResult, kvstore.DeltaReply, error) {
+// body like every wire-supplied count. known resolves the keys it names, as
+// for readString.
+func decodeResultFrame(body []byte, known func(key []byte) (string, bool)) (kvstore.SyncResult, kvstore.DeltaReply, error) {
 	var res kvstore.SyncResult
 	var reply kvstore.DeltaReply
 	counters := []*int{&res.Transferred, &res.Reconciled, &res.Merged, &res.Pruned}
@@ -258,7 +270,7 @@ func decodeResultFrame(body []byte) (kvstore.SyncResult, kvstore.DeltaReply, err
 	}
 	body = body[used:]
 	for i := uint64(0); i < nConf; i++ {
-		k, n, err := readString(body)
+		k, n, err := readString(body, known)
 		if err != nil {
 			return res, reply, fmt.Errorf("%w: bad conflict key", ErrProtocol)
 		}
@@ -272,7 +284,7 @@ func decodeResultFrame(body []byte) (kvstore.SyncResult, kvstore.DeltaReply, err
 	body = body[used:]
 	reply.Restamps = make([]encoding.Digest, 0, capCount(nRestamps, body))
 	for i := uint64(0); i < nRestamps; i++ {
-		d, n, err := encoding.DecodeDigest(body)
+		d, n, err := encoding.DecodeDigest(body, known)
 		if err != nil {
 			return res, reply, fmt.Errorf("%w: %v", ErrProtocol, err)
 		}
@@ -283,7 +295,7 @@ func decodeResultFrame(body []byte) (kvstore.SyncResult, kvstore.DeltaReply, err
 		reply.Entries = make([]encoding.Entry, 0, capCount(copies-nRestamps, body))
 	}
 	for len(body) > 0 {
-		e, n, err := encoding.DecodeEntry(body)
+		e, n, err := encoding.DecodeEntry(body, known)
 		if err != nil {
 			return res, reply, fmt.Errorf("%w: %v", ErrProtocol, err)
 		}

@@ -32,15 +32,17 @@ import (
 // keyspace the same way, and the server refuses any other peer (checkLayout).
 
 // serverSession is the server's state for one connection: the frame reader,
-// the buffer replies are built in and the scratch tree-node children are
-// read into, all kept from round to round.
+// the buffer replies are built in, the scratch tree-node children are read
+// into and the scratch the client's node hashes are decoded into, all kept
+// from round to round.
 type serverSession struct {
 	*Server
-	conn   net.Conn
-	fr     frameReader
-	out    []byte
-	bm     []byte   // DigestTree.Children scratch: child bitmap
-	hashes []uint64 // DigestTree.Children scratch: child hashes
+	conn      net.Conn
+	fr        frameReader
+	out       []byte
+	bm        []byte   // DigestTree.Children scratch: child bitmap
+	hashes    []uint64 // DigestTree.Children scratch: child hashes
+	cliHashes []uint64 // encoding.DecodeTreeNode scratch: the client's child hashes
 }
 
 // handle serves one connection: check and ack the version byte, then a loop
@@ -301,10 +303,11 @@ descend:
 		ss.out = startFrame(ss.out, kindTreeDiff, lenSlot+capCount(n, body)*2*nb)
 		ss.out = binary.AppendUvarint(ss.out, n)
 		for i := uint64(0); i < n; i++ {
-			node, used, err := encoding.DecodeTreeNode(body, fanout, of)
+			node, used, err := encoding.DecodeTreeNode(body, fanout, of, ss.cliHashes[:0])
 			if err != nil {
 				return fail(err)
 			}
+			ss.cliHashes = node.Hashes
 			body = body[used:]
 			st := stripes[node.Stripe]
 			if st == nil {
@@ -347,15 +350,22 @@ descend:
 
 	// Leaf phase: the client's digest runs for the still-divergent leaf
 	// ranges. Every digest must belong to its run's stripe and fall inside
-	// the run's position range.
+	// the run's position range. A key this side holds under the run's node
+	// is taken from the round's tree snapshot rather than copied.
 	n, used := binary.Uvarint(body)
 	if used <= 0 {
 		return fail(errors.New("bad leaf run count"))
 	}
 	body = body[used:]
+	local := func(stripe, level int, path uint64) []encoding.Digest {
+		if st := stripes[stripe]; st != nil {
+			return st.tree.RunRange(kvstore.NodeRange(fanout, level, path))
+		}
+		return nil
+	}
 	var order []int // stripes with leaf runs, first-seen order
 	for i := uint64(0); i < n; i++ {
-		run, usedRun, err := encoding.DecodeLeafRun(body, fanout, of)
+		run, usedRun, err := encoding.DecodeLeafRun(body, fanout, of, local)
 		if err != nil {
 			return fail(err)
 		}
@@ -441,9 +451,22 @@ descend:
 	body = body[used:]
 	// The client sends the entries stripe by stripe, in the need frame's
 	// order; each stripe's run of them is handed to the store as it stands.
+	// A key is taken from its stripe's need list, where this side asked
+	// for it.
+	needed := func(key []byte) (string, bool) {
+		st := stripes[kvstore.ShardIndex(key, of)]
+		if st == nil {
+			return "", false
+		}
+		i := sort.Search(len(st.need), func(i int) bool { return st.need[i] >= string(key) })
+		if i == len(st.need) || st.need[i] != string(key) {
+			return "", false
+		}
+		return st.need[i], true
+	}
 	entries := make([]encoding.Entry, 0, capCount(count, body))
 	for i := uint64(0); i < count; i++ {
-		e, n, err := encoding.DecodeEntry(body)
+		e, n, err := encoding.DecodeEntry(body, needed)
 		if err != nil {
 			return fail(err)
 		}
@@ -757,7 +780,7 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	sends := make([]encoding.Entry, 0, capCount(count, body))
 	size = lenSlot
 	for i := uint64(0); i < count; i++ {
-		k, n, err := readString(body)
+		k, n, err := readString(body, shipped.key)
 		if err != nil {
 			return res, fmt.Errorf("%w: bad need key", ErrProtocol)
 		}
@@ -801,7 +824,16 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	if body, err = expectKind(body, kindResult); err != nil {
 		return res, err
 	}
-	part, reply, err := decodeResultFrame(body)
+	// A reply key is taken from the entries this round sent, or else from
+	// the digest runs it shipped.
+	sent := func(key []byte) (string, bool) {
+		i := sort.Search(len(sends), func(i int) bool { return sends[i].Key >= string(key) })
+		if i < len(sends) && sends[i].Key == string(key) {
+			return sends[i].Key, true
+		}
+		return shipped.key(key)
+	}
+	part, reply, err := decodeResultFrame(body, sent)
 	if err != nil {
 		return res, err
 	}
@@ -879,7 +911,11 @@ type shippedStamp struct {
 
 // find returns the index of the run whose range holds key, or -1.
 func (sr *shippedRuns) find(key string) int {
-	stripe, pos := kvstore.ShardIndex(key, sr.of), encoding.TreePos(key)
+	return sr.runAt(kvstore.ShardIndex(key, sr.of), encoding.TreePos(key))
+}
+
+// runAt returns the index of the run of stripe whose range holds pos, or -1.
+func (sr *shippedRuns) runAt(stripe int, pos uint64) int {
 	i := sort.Search(len(sr.runs), func(i int) bool {
 		r := sr.runs[i]
 		return r.stripe > stripe || r.stripe == stripe && (r.rg.Hi == 0 || r.rg.Hi > pos)
@@ -909,6 +945,26 @@ func (sr *shippedRuns) stamp(key string) (core.Stamp, bool) {
 		return core.Stamp{}, false
 	}
 	return ds[j].Stamp, true
+}
+
+// key returns the string the round's digest runs hold for the key spelled
+// b, if they hold it: the client's own copy of the key, from its tree
+// snapshot.
+func (sr *shippedRuns) key(b []byte) (string, bool) {
+	pos := encoding.TreePos(b)
+	i := sr.runAt(kvstore.ShardIndex(b, sr.of), pos)
+	if i < 0 {
+		return "", false
+	}
+	ds := sr.runs[i].digests
+	j := sort.Search(len(ds), func(j int) bool {
+		p := encoding.TreePos(ds[j].Key)
+		return p > pos || p == pos && ds[j].Key >= string(b)
+	})
+	if j == len(ds) || ds[j].Key != string(b) {
+		return "", false
+	}
+	return ds[j].Key, true
 }
 
 // note records that key shipped as stamp (ok), or not at all (!ok), whatever

@@ -663,7 +663,7 @@ func resultTamperer(t *testing.T, serverAddr string, forge func(shipped []encodi
 					body = body[used:]
 					var shipped []encoding.Entry
 					for i := uint64(0); i < n; i++ {
-						e, used, err := encoding.DecodeEntry(body)
+						e, used, err := encoding.DecodeEntry(body, nil)
 						if err != nil {
 							return
 						}

@@ -25,8 +25,9 @@ import (
 // TreePos maps a key to its position in the 64-bit tree keyspace (FNV-64a
 // over the key bytes). Both endpoints order and partition a stripe's digests
 // by this position, which — unlike positional splits of a sorted list — is
-// stable across replicas whose key sets differ.
-func TreePos(key string) uint64 {
+// stable across replicas whose key sets differ. A key still in a frame body
+// is hashed in place, as bytes, to the same position.
+func TreePos[K string | []byte](key K) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
@@ -157,8 +158,13 @@ func decodeTreeCoord(data []byte, fanout, maxStripe int, leaf bool) (stripe, dep
 // the bytes consumed. fanout is the frame-level fanout (already validated by
 // the caller); maxStripe bounds the stripe field. Padding bits of the bitmap
 // beyond fanout must be zero, and exactly popcount(Bitmap) hashes must be
-// present — a hostile frame errors before anything unbounded is allocated.
-func DecodeTreeNode(data []byte, fanout, maxStripe int) (TreeNode, int, error) {
+// present — a hostile frame errors before anything is allocated.
+//
+// The node allocates nothing: its Bitmap aliases data, so it is valid only
+// until the buffer data came from is reused (for a frame body, the next
+// frame read), and its Hashes are appended to hashes, the caller's scratch,
+// which grows to at most fanout entries.
+func DecodeTreeNode(data []byte, fanout, maxStripe int, hashes []uint64) (TreeNode, int, error) {
 	total := len(data)
 	stripe, depth, level, path, data, err := decodeTreeCoord(data, fanout, maxStripe, false)
 	if err != nil {
@@ -168,7 +174,7 @@ func DecodeTreeNode(data []byte, fanout, maxStripe int) (TreeNode, int, error) {
 	if len(data) < nb {
 		return TreeNode{}, 0, errors.New("encoding: tree frame: truncated bitmap")
 	}
-	bm := append([]byte(nil), data[:nb]...)
+	bm := data[:nb:nb]
 	data = data[nb:]
 	set := 0
 	for i, b := range bm {
@@ -180,9 +186,8 @@ func DecodeTreeNode(data []byte, fanout, maxStripe int) (TreeNode, int, error) {
 	if len(data) < 8*set {
 		return TreeNode{}, 0, errors.New("encoding: tree frame: truncated hashes")
 	}
-	hashes := make([]uint64, set)
-	for i := range hashes {
-		hashes[i] = binary.BigEndian.Uint64(data[8*i:])
+	for i := 0; i < set; i++ {
+		hashes = append(hashes, binary.BigEndian.Uint64(data[8*i:]))
 	}
 	data = data[8*set:]
 	return TreeNode{
@@ -217,9 +222,17 @@ func AppendLeafRun(dst []byte, r LeafRun) []byte {
 }
 
 // DecodeLeafRun parses one leaf run from the front of data, returning the
-// bytes consumed. The digest preallocation is bounded by the bytes present,
-// so a hostile count cannot force a huge allocation.
-func DecodeLeafRun(data []byte, fanout, maxStripe int) (LeafRun, int, error) {
+// bytes consumed. The digest slice is made once, its capacity bounded by the
+// bytes present, so a hostile count cannot force a huge allocation.
+//
+// local, when not nil, returns the receiver's own digests under the run's
+// node, in (position, key) order, as its digest tree holds them. A digest
+// key that matches one of them exactly is taken from it, found with a
+// cursor that moves forward only (the run is in the same order), and any
+// other key is copied (decodeKey). So a run the receiver mostly holds
+// copies only the keys that are new to it, and an unsorted or hostile run
+// decodes to the same digests, copying more. A nil local copies every key.
+func DecodeLeafRun(data []byte, fanout, maxStripe int, local func(stripe, level int, path uint64) []Digest) (LeafRun, int, error) {
 	total := len(data)
 	stripe, depth, level, path, data, err := decodeTreeCoord(data, fanout, maxStripe, true)
 	if err != nil {
@@ -233,9 +246,29 @@ func DecodeLeafRun(data []byte, fanout, maxStripe int) (LeafRun, int, error) {
 	if capped > uint64(len(data)) { // every digest takes >= 1 byte
 		capped = uint64(len(data))
 	}
+	var known func(key []byte) (string, bool)
+	if local != nil && count > 0 {
+		mine := local(stripe, level, path)
+		known = func(key []byte) (string, bool) {
+			pos := TreePos(key)
+			for len(mine) > 0 {
+				p := TreePos(mine[0].Key)
+				if p > pos || p == pos && mine[0].Key >= string(key) {
+					break
+				}
+				mine = mine[1:]
+			}
+			if len(mine) == 0 || mine[0].Key != string(key) {
+				return "", false
+			}
+			k := mine[0].Key
+			mine = mine[1:]
+			return k, true
+		}
+	}
 	ds := make([]Digest, 0, capped)
 	for i := uint64(0); i < count; i++ {
-		d, n, err := DecodeDigest(data)
+		d, n, err := DecodeDigest(data, known)
 		if err != nil {
 			return LeafRun{}, 0, err
 		}

@@ -2,6 +2,10 @@ package encoding
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"versionstamp/internal/core"
@@ -56,7 +60,7 @@ func TestTreeNodeRoundtrip(t *testing.T) {
 		Bitmap: bm, Hashes: []uint64{1, 1 << 40, ^uint64(0)},
 	}
 	buf := AppendTreeNode(nil, node)
-	got, used, err := DecodeTreeNode(buf, fanout, 32)
+	got, used, err := DecodeTreeNode(buf, fanout, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +95,14 @@ func TestDecodeTreeNodeRejects(t *testing.T) {
 			Stripe: 1, Depth: 3, Level: 1, Path: 16, Bitmap: make([]byte, 2)}),
 	}
 	for name, buf := range cases {
-		if _, _, err := DecodeTreeNode(buf, fanout, 32); err == nil {
+		if _, _, err := DecodeTreeNode(buf, fanout, 32, nil); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
 	// Padding bits beyond the fan-out must be zero (fanout 2: 6 spare bits).
 	pad := AppendTreeNode(nil, TreeNode{Stripe: 1, Depth: 3, Level: 1, Path: 1,
 		Bitmap: []byte{0x80}})
-	if _, _, err := DecodeTreeNode(pad, 2, 32); err == nil {
+	if _, _, err := DecodeTreeNode(pad, 2, 32, nil); err == nil {
 		t.Error("padding bits set: decoded without error")
 	}
 }
@@ -110,7 +114,7 @@ func TestLeafRunRoundtrip(t *testing.T) {
 		Digests: []Digest{{Key: "a", Stamp: st}, {Key: "bb", Stamp: st}},
 	}
 	buf := AppendLeafRun(nil, run)
-	got, used, err := DecodeLeafRun(buf, 16, 32)
+	got, used, err := DecodeLeafRun(buf, 16, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +155,7 @@ func FuzzDecodeTreeNode(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 64, 65536)
 	f.Add([]byte{0}, 2, 1)
 	f.Fuzz(func(t *testing.T, data []byte, fanout, maxStripe int) {
-		node, used, err := DecodeTreeNode(data, fanout, maxStripe)
+		node, used, err := DecodeTreeNode(data, fanout, maxStripe, nil)
 		if err != nil {
 			return
 		}
@@ -174,20 +178,82 @@ func FuzzDecodeTreeNode(f *testing.F) {
 }
 
 // FuzzDecodeLeafRun feeds hostile bytes to the leaf-run decoder: declared
-// digest counts must never make it allocate past the input's own size.
+// digest counts must never make it allocate past the input's own size. Each
+// input is decoded twice, once copying every key and once resolving keys
+// against a local run derived from the input — unsorted, with duplicates,
+// partly matching or reversed — and both must return the same digests,
+// length and error, with no key aliasing the input.
 func FuzzDecodeLeafRun(f *testing.F) {
+	st := core.Seed().Update()
 	f.Add([]byte{1, 3, 3, 0, 0}, 16, 32)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0}, 2, 4)
+	f.Add(AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 2, Level: 2, Path: 9, Digests: []Digest{
+		{Key: "k1", Stamp: st}, {Key: "k2", Stamp: st}, {Key: "k1", Stamp: st}, {Key: "zz", Stamp: st}}}), 16, 32)
 	f.Fuzz(func(t *testing.T, data []byte, fanout, maxStripe int) {
-		run, used, err := DecodeLeafRun(data, fanout, maxStripe)
-		if err != nil {
-			return
+		run, used, err := DecodeLeafRun(data, fanout, maxStripe, nil)
+		if err == nil {
+			if used <= 0 || used > len(data) {
+				t.Fatalf("used %d of %d bytes", used, len(data))
+			}
+			if len(run.Digests) > len(data) {
+				t.Fatalf("%d digests out of %d input bytes", len(run.Digests), len(data))
+			}
 		}
-		if used <= 0 || used > len(data) {
-			t.Fatalf("used %d of %d bytes", used, len(data))
+		mine := fuzzLocalRun(run.Digests, data)
+		input := slices.Clone(data)
+		local := func(stripe, level int, path uint64) []Digest {
+			if err == nil && (stripe != run.Stripe || level != run.Level || path != run.Path) {
+				t.Fatalf("local asked for (%d, %d, %#x), run is at (%d, %d, %#x)",
+					stripe, level, path, run.Stripe, run.Level, run.Path)
+			}
+			return mine
 		}
-		if len(run.Digests) > len(data) {
-			t.Fatalf("%d digests out of %d input bytes", len(run.Digests), len(data))
+		run2, used2, err2 := DecodeLeafRun(input, fanout, maxStripe, local)
+		clear(input) // a key that aliased the input would change here
+		if fmt.Sprint(err) != fmt.Sprint(err2) || used != used2 {
+			t.Fatalf("resolving decode: %d bytes, error %v; copying decode: %d bytes, error %v", used2, err2, used, err)
+		}
+		if len(run2.Digests) != len(run.Digests) {
+			t.Fatalf("resolving decode: %d digests, copying decode %d", len(run2.Digests), len(run.Digests))
+		}
+		for i, d := range run2.Digests {
+			if want := run.Digests[i]; d.Key != want.Key || !d.Stamp.Equal(want.Stamp) {
+				t.Fatalf("digest %d: resolving decode %q, copying decode %q", i, d.Key, want.Key)
+			}
 		}
 	})
+}
+
+// fuzzLocalRun derives a receiver's run from a decoded one (or, when the
+// input did not decode, from snippets of the input), shaped by the input's
+// length: as decoded, sorted with every digest twice, every other digest
+// plus a key the run lacks, or reversed.
+func fuzzLocalRun(ds []Digest, data []byte) []Digest {
+	local := slices.Clone(ds)
+	if len(local) == 0 {
+		for i := 0; i < len(data) && i < 8; i++ {
+			local = append(local, Digest{Key: string(data[i:min(i+3, len(data))])})
+		}
+	}
+	byPos := func(a, b Digest) int {
+		return cmp.Or(cmp.Compare(TreePos(a.Key), TreePos(b.Key)), strings.Compare(a.Key, b.Key))
+	}
+	switch len(data) % 4 {
+	case 1:
+		local = append(local, local...)
+		slices.SortFunc(local, byPos)
+	case 2:
+		var half []Digest
+		for i := 0; i < len(local); i += 2 {
+			half = append(half, local[i])
+		}
+		local = append(half, Digest{Key: "not-in-the-run"})
+		slices.SortFunc(local, byPos)
+	case 3:
+		slices.Reverse(local)
+	}
+	for i := range local {
+		local[i].Key = strings.Clone(local[i].Key)
+	}
+	return local
 }

@@ -69,9 +69,11 @@ func AppendDigest(dst []byte, d Digest) []byte {
 }
 
 // DecodeDigest parses one digest from the front of data, returning the bytes
-// consumed.
-func DecodeDigest(data []byte) (Digest, int, error) {
-	key, off, err := decodeKey(data)
+// consumed. known resolves the key under the package's resolver contract:
+// a string it returns with exactly the key's bytes is taken, anything else
+// is copied, and nil copies.
+func DecodeDigest(data []byte, known func(key []byte) (string, bool)) (Digest, int, error) {
+	key, off, err := decodeKey(data, known)
 	if err != nil {
 		return Digest{}, 0, fmt.Errorf("encoding: digest: %w", err)
 	}
@@ -103,7 +105,7 @@ func AppendEntry(dst []byte, e Entry) []byte {
 // the caller keeps keys, stamps and value locations resident and leaves the
 // bytes where they are.
 func DecodeEntryMeta(data []byte) (e Entry, valOff, valLen, used int, err error) {
-	key, off, err := decodeKey(data)
+	key, off, err := decodeKey(data, nil)
 	if err != nil {
 		return Entry{}, 0, 0, 0, fmt.Errorf("encoding: entry: %w", err)
 	}
@@ -140,9 +142,10 @@ func DecodeEntryMeta(data []byte) (e Entry, valOff, valLen, used int, err error)
 }
 
 // DecodeEntry parses one entry from the front of data, returning the bytes
-// consumed.
-func DecodeEntry(data []byte) (Entry, int, error) {
-	key, off, err := decodeKey(data)
+// consumed. known resolves the key as for DecodeDigest; the value is always
+// copied.
+func DecodeEntry(data []byte, known func(key []byte) (string, bool)) (Entry, int, error) {
+	key, off, err := decodeKey(data, known)
 	if err != nil {
 		return Entry{}, 0, fmt.Errorf("encoding: entry: %w", err)
 	}
@@ -177,8 +180,10 @@ func DecodeEntry(data []byte) (Entry, int, error) {
 	return e, off + used, nil
 }
 
-// decodeKey parses a uvarint-prefixed key from the front of data.
-func decodeKey(data []byte) (string, int, error) {
+// decodeKey parses a uvarint-prefixed key from the front of data. The key
+// never aliases data: it is known's answer when that equals the key's bytes
+// exactly, and a copy otherwise.
+func decodeKey(data []byte, known func(key []byte) (string, bool)) (string, int, error) {
 	n, used := binary.Uvarint(data)
 	if used <= 0 || n > maxKeyLen {
 		return "", 0, fmt.Errorf("bad key length")
@@ -187,5 +192,12 @@ func decodeKey(data []byte) (string, int, error) {
 	if uint64(len(data)-off) < n {
 		return "", 0, fmt.Errorf("truncated key")
 	}
-	return string(data[off : off+int(n)]), off + int(n), nil
+	end := off + int(n)
+	b := data[off:end]
+	if known != nil {
+		if k, ok := known(b); ok && k == string(b) {
+			return k, end, nil
+		}
+	}
+	return string(b), end, nil
 }

@@ -28,7 +28,7 @@ func TestDigestRoundTrip(t *testing.T) {
 		buf = AppendDigest(buf, d)
 	}
 	for _, want := range digests {
-		got, used, err := DecodeDigest(buf)
+		got, used, err := DecodeDigest(buf, nil)
 		if err != nil {
 			t.Fatalf("DecodeDigest(%q): %v", want.Key, err)
 		}
@@ -56,7 +56,7 @@ func TestEntryRoundTrip(t *testing.T) {
 		buf = AppendEntry(buf, e)
 	}
 	for _, want := range entries {
-		got, used, err := DecodeEntry(buf)
+		got, used, err := DecodeEntry(buf, nil)
 		if err != nil {
 			t.Fatalf("DecodeEntry(%q): %v", want.Key, err)
 		}
@@ -89,13 +89,13 @@ func TestEntrySmallerThanJSONStamp(t *testing.T) {
 func TestDecodeTruncated(t *testing.T) {
 	full := AppendEntry(nil, Entry{Key: "k", Value: []byte("vvv"), Stamp: core.Seed().Update()})
 	for n := 0; n < len(full); n++ {
-		if _, _, err := DecodeEntry(full[:n]); err == nil {
+		if _, _, err := DecodeEntry(full[:n], nil); err == nil {
 			t.Errorf("truncation at %d accepted", n)
 		}
 	}
 	fullD := AppendDigest(nil, Digest{Key: "k", Stamp: core.Seed().Update()})
 	for n := 0; n < len(fullD); n++ {
-		if _, _, err := DecodeDigest(fullD[:n]); err == nil {
+		if _, _, err := DecodeDigest(fullD[:n], nil); err == nil {
 			t.Errorf("digest truncation at %d accepted", n)
 		}
 	}
@@ -104,7 +104,7 @@ func TestDecodeTruncated(t *testing.T) {
 func TestDecodeBadFlags(t *testing.T) {
 	buf := AppendEntry(nil, Entry{Key: "k", Value: []byte("v"), Stamp: core.Seed()})
 	buf[2] = 0x40 // flags byte of a 1-byte key
-	if _, _, err := DecodeEntry(buf); err == nil {
+	if _, _, err := DecodeEntry(buf, nil); err == nil {
 		t.Error("unknown flags accepted")
 	}
 }

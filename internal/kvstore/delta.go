@@ -105,14 +105,14 @@ func inWalkOrder[T any](sc *deltaScope, what string, xs []T, key func(T) string)
 	return nil
 }
 
-// count returns how many of t's digests are in scope.
+// count returns how many of t's digests are in scope, gathering no runs.
 func (sc *deltaScope) count(t *DigestTree) int {
 	n := 0
 	for _, rg := range sc.ranges {
 		if rg == (TreeRange{}) {
-			n += t.Len() // the whole stripe, without gathering its runs
+			n += t.Len() // the whole stripe, without visiting its leaves
 		} else {
-			n += len(t.RunRange(rg))
+			n += t.rangeLen(rg)
 		}
 	}
 	return n

@@ -44,7 +44,6 @@ package kvstore
 
 import (
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"sync"
@@ -280,14 +279,19 @@ func (r *Replica) Shards() int { return len(r.shards) }
 
 // ShardIndex returns the shard owning key in a replica striped over n
 // shards. It is exported so network layers can scope a sync round to one
-// stripe and compute the same partition on both endpoints.
-func ShardIndex(key string, n int) int {
+// stripe and compute the same partition on both endpoints. The partition is
+// a 32-bit FNV-1a of the key modulo n; a key still in a frame body is hashed
+// in place, as bytes.
+func ShardIndex[K string | []byte](key K, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // shardFor returns the stripe owning key.

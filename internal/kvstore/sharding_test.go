@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strings"
 	"sync"
@@ -25,6 +26,22 @@ func TestShardIndexStable(t *testing.T) {
 	}
 	if ShardIndex("k", 0) != 0 || ShardIndex("k", -3) != 0 {
 		t.Error("degenerate shard counts must map to shard 0")
+	}
+	// The partition is FNV-1a 32 modulo n, and a key's bytes land where the
+	// key does.
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("key-%d/%x", i, i*7919)
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(k))
+		for _, n := range []int{2, 7, 32} {
+			want := int(h.Sum32() % uint32(n))
+			if got := ShardIndex(k, n); got != want {
+				t.Fatalf("ShardIndex(%q, %d) = %d, want FNV-1a's %d", k, n, got, want)
+			}
+			if got := ShardIndex([]byte(k), n); got != want {
+				t.Fatalf("ShardIndex([]byte(%q), %d) = %d, want %d", k, n, got, want)
+			}
+		}
 	}
 }
 

@@ -340,38 +340,56 @@ func (t *DigestTree) Run(level int, path uint64) []encoding.Digest {
 
 // RunRange returns the digests whose positions fall inside rg (tree order).
 // A range inside one leaf is served as a subslice of that leaf's run, capped
-// so an append cannot reach the tree; only a range spanning several runs is
-// copied. Either way callers must treat the result as read-only.
+// so an append cannot reach the tree, and allocates nothing; only a range
+// spanning several runs is copied. Either way callers must treat the result
+// as read-only.
 func (t *DigestTree) RunRange(rg TreeRange) []encoding.Digest {
-	last := rg.Hi - 1 // inclusive; Hi == 0 wraps to the top of the space
-	if t.n == 0 || rg.Lo > last {
+	var buf [4][]encoding.Digest
+	runs := buf[:0]
+	t.eachRun(rg, func(run []encoding.Digest) { runs = append(runs, run) })
+	switch len(runs) {
+	case 0:
 		return nil
-	}
-	runs := t.appendRuns(nil, t.root, 0, 0, rg.Lo, last)
-	if len(runs) == 1 {
+	case 1:
 		return runs[0]
 	}
 	return slices.Concat(runs...)
 }
 
-// appendRuns appends, in tree order, the leaf runs (or the parts of them)
-// under nd — the node at (level, path) — whose positions lie in [lo, last].
-// A run is ordered by (position, key), so its part inside the interval is
-// contiguous and found by binary search.
-func (t *DigestTree) appendRuns(runs [][]encoding.Digest, nd treeNode, level int, path, lo, last uint64) [][]encoding.Digest {
+// rangeLen returns len(t.RunRange(rg)) without gathering the runs.
+func (t *DigestTree) rangeLen(rg TreeRange) int {
+	n := 0
+	t.eachRun(rg, func(run []encoding.Digest) { n += len(run) })
+	return n
+}
+
+// eachRun calls fn, in tree order, with each non-empty leaf run (or the part
+// of it) whose positions lie in rg.
+func (t *DigestTree) eachRun(rg TreeRange, fn func([]encoding.Digest)) {
+	last := rg.Hi - 1 // inclusive; Hi == 0 wraps to the top of the space
+	if t.n == 0 || rg.Lo > last {
+		return
+	}
+	t.eachRunUnder(t.root, 0, 0, rg.Lo, last, fn)
+}
+
+// eachRunUnder is eachRun under nd, the node at (level, path), for the
+// positions in [lo, last]. A run is ordered by (position, key), so its part
+// inside the interval is contiguous and found by binary search.
+func (t *DigestTree) eachRunUnder(nd treeNode, level int, path, lo, last uint64, fn func([]encoding.Digest)) {
 	first, end := uint64(0), ^uint64(0) // the node's own interval, inclusive
 	if shift := uint(64 - level*t.fbits); shift < 64 {
 		first = path << shift
 		end = first | (1<<shift - 1)
 	}
 	if last < first || lo > end {
-		return runs
+		return
 	}
 	if level < t.depth {
 		for _, kid := range nd.kids {
-			runs = t.appendRuns(runs, kid, level+1, path<<uint(t.fbits)|uint64(kid.idx), lo, last)
+			t.eachRunUnder(kid, level+1, path<<uint(t.fbits)|uint64(kid.idx), lo, last, fn)
 		}
-		return runs
+		return
 	}
 	run := nd.run
 	if lo > first || last < end {
@@ -380,9 +398,8 @@ func (t *DigestTree) appendRuns(runs [][]encoding.Digest, nd treeNode, level int
 		run = run[i:j:j]
 	}
 	if len(run) > 0 {
-		runs = append(runs, run)
+		fn(run)
 	}
-	return runs
 }
 
 // stripeTree returns stripe i's digest tree at the replica's own shape

@@ -175,13 +175,20 @@ func TestRunRangeUnaligned(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("RunRange(%+v) = %d digests, want %d", rg, len(got), len(want))
 		}
+		if n := tr.rangeLen(rg); n != len(want) {
+			t.Fatalf("rangeLen(%+v) = %d, want %d", rg, n, len(want))
+		}
 	}
-	// A range inside one leaf is that leaf's run, sliced rather than copied.
+	// A range inside one leaf is that leaf's run, sliced rather than copied,
+	// and costs nothing.
 	leaf := tr.Run(2, mid>>56)
 	part := tr.RunRange(TreeRange{Lo: mid, Hi: mid + 1})
 	i := slices.IndexFunc(leaf, func(d encoding.Digest) bool { return d.Key == all[250].Key })
 	if len(part) == 0 || i < 0 || &part[0] != &leaf[i] || cap(part) != len(part) {
 		t.Fatal("a range inside one leaf was not served as a capped subslice of its run")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = tr.Run(2, mid>>56) }); allocs != 0 {
+		t.Errorf("a one-leaf run allocates %.2f/op, want 0", allocs)
 	}
 }
 
