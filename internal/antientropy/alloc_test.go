@@ -201,8 +201,9 @@ const quorumWriteAllocs = 0
 // TestQuorumWriteAllocBudget: a quorum write allocates the value copies
 // its owners store and nothing else. Each run writes a key the setup wrote
 // once, so every run has a stamp of the same shape and no map grows; a
-// key written over and over grows its stamp (each push forks the
-// coordinator's id again), and that cost is not what this gate pins.
+// key written over and over grows its stamp (each write's one reconcile
+// forks the coordinator's id once more; TestQuorumWriteStampGrowth pins
+// that), and that cost is not what this gate pins.
 func TestQuorumWriteAllocBudget(t *testing.T) {
 	const runs, replication = 300, 3
 	value := bytes.Repeat([]byte("v"), 128)

@@ -107,11 +107,14 @@ type Cluster struct {
 	// per round.
 	peerScratch []int
 	taskScratch []gossipTask
-	// readLive and readMeta are Read's scratch: the live owners it asks and
-	// their copies' metadata, reused so a quorum read allocates only the
-	// value it returns.
-	readLive []*node
-	readMeta []ownerMeta
+	// quorumOwners, readMeta, hintSlots and hintTargets are the quorum
+	// paths' scratch, reused so a quorum op allocates only value copies:
+	// the owner replicas a Write or Read converges, the copies' metadata a
+	// Read compares, and a Write's hint slots with the owner each is for.
+	quorumOwners []*kvstore.Replica
+	readMeta     []ownerMeta
+	hintSlots    []kvstore.Versioned
+	hintTargets  []string
 	// workers caps the gossip worker pool; 0 means GOMAXPROCS. Scenario
 	// runs set 1 so a round's exchange order is deterministic.
 	workers int

@@ -679,12 +679,18 @@ func (c *Cluster) ownersLocked(stripe int) []string {
 }
 
 // Write performs a quorum write: the first up owner of the key's stripe
-// coordinates, applying locally and pushing the key (SyncKey) to each
-// other live owner; owners that are down or judged dead get a durable hint
-// instead (a hint is a promise, not an ack). It returns the ack count,
-// with ErrQuorum when that is below the write quorum — the write is still
-// applied wherever it reached, and anti-entropy plus hint drains finish
-// the job, but the caller knows durability is degraded.
+// coordinates. It applies the write and converges the key over itself and
+// every other live owner in one kvstore.ConvergeKey call, so each owner logs
+// the key once. Owners that are down, judged dead, across a partition or
+// quarantined get a durable hint instead, filled by a hint slot of the same
+// call (a hint is a promise, not an ack). It returns the ack count: 1 plus
+// the live owners converged, or 1 alone when the converge fails, in which
+// case no push is acked and the write stands at the coordinator. Under a
+// nil resolver, an owner whose copy is concurrent with the write keeps it
+// for a resolver to settle and does not ack; the other owners and the hints
+// still receive the write. Below the write quorum the error is ErrQuorum —
+// the write is still applied wherever it reached, and anti-entropy plus
+// hint drains finish the job, but the caller knows durability is degraded.
 func (c *Cluster) Write(key string, value []byte) (int, error) {
 	return c.write(key, value, false)
 }
@@ -714,12 +720,13 @@ func (c *Cluster) write(key string, value []byte, del bool) (int, error) {
 	if coord == nil {
 		return 0, fmt.Errorf("%w: no owner of stripe %d is up", ErrQuorum, stripe)
 	}
-	if del {
-		coord.replica.Delete(key)
-	} else {
-		coord.replica.Put(key, value)
-	}
-	acks := 1
+	rs, slots, targets := append(c.quorumOwners[:0], coord.replica), c.hintSlots[:0], c.hintTargets[:0]
+	defer func() {
+		// Zeroed, the kept scratch pins no replica or stamp past the call.
+		clear(rs)
+		clear(slots)
+		c.quorumOwners, c.hintSlots, c.hintTargets = rs[:0], slots[:0], targets[:0]
+	}()
 	for _, oid := range owners {
 		if oid == coord.id {
 			continue
@@ -738,33 +745,55 @@ func (c *Cluster) write(key string, value []byte, del bool) (int, error) {
 		// fails the write.
 		if target.down || c.group[j] != coordGroup || coord.view.State(oid) == membership.Dead ||
 			target.replica.StripeQuarantined(stripe) {
-			cp, ok := coord.replica.ForkCopy(key)
-			if !ok {
-				continue
-			}
-			if err := coord.hints.Add(hints.Hint{
-				Target: oid, Key: key, Value: cp.Value, Deleted: cp.Deleted, Stamp: cp.Stamp,
-			}); err != nil {
-				return acks, err
-			}
+			slots, targets = append(slots, kvstore.Versioned{}), append(targets, oid)
 			continue
 		}
-		if _, err := kvstore.SyncKey(coord.replica, target.replica, key, c.resolve); err == nil {
-			acks++
+		rs = append(rs, target.replica)
+	}
+	w := kvstore.KeyWrite{Value: value, Delete: del}
+	acks := len(rs)
+	res, err := kvstore.ConvergeKey(rs, key, &w, slots, c.resolve)
+	switch {
+	case err != nil:
+		acks = 1
+	case len(res.Conflicts) > 0:
+		// The owners whose copies stand concurrent with the write kept
+		// them; only those whose copy is now Equal to the coordinator's
+		// hold the write.
+		acks = 1
+		cv, _ := rs[0].Meta(key)
+		for _, r := range rs[1:] {
+			if v, ok := r.Meta(key); ok && core.Compare(v.Stamp, cv.Stamp) == core.Equal {
+				acks++
+			}
 		}
 	}
-	if acks < c.quorum {
-		return acks, fmt.Errorf("%w: %d of %d acks", ErrQuorum, acks, c.quorum)
+	for x, cp := range slots {
+		if cp.Stamp.IsZero() {
+			continue
+		}
+		if err := coord.hints.Add(hints.Hint{
+			Target: targets[x], Key: key, Value: cp.Value, Deleted: cp.Deleted, Stamp: cp.Stamp,
+		}); err != nil {
+			return acks, err
+		}
 	}
-	return acks, nil
+	switch {
+	case acks >= c.quorum:
+		return acks, nil
+	case err != nil:
+		return acks, fmt.Errorf("%w: %d of %d acks: %w", ErrQuorum, acks, c.quorum, err)
+	}
+	return acks, fmt.Errorf("%w: %d of %d acks", ErrQuorum, acks, c.quorum)
 }
 
 // Read performs a quorum read: it gathers the key's copies from the live
 // owners of its stripe, and when the stamps show divergence (or some owner
-// lacks the key) it read-repairs by converging the owners pairwise before
-// answering — the stamps prove which copies are obsolete, so repair moves
-// only stale ones. ok=false means the key is absent (or tombstoned) at the
-// quorum. ErrQuorum means fewer than a majority of the owners are up.
+// lacks the key) it read-repairs by converging every live owner's copy in
+// one kvstore.ConvergeKey call before answering — the stamps prove which
+// copies are obsolete, so repair moves only stale ones. ok=false means the
+// key is absent (or tombstoned) at the quorum. ErrQuorum means fewer than a
+// majority of the owners are up.
 //
 // The owners are compared by their copies' metadata alone (Replica.Meta),
 // gathered into scratch the Cluster keeps under mu; only the answering Get
@@ -777,12 +806,12 @@ func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 	owners := c.ownersLocked(stripe)
 	// The first up owner coordinates; owners across a partition are
 	// unreachable from it and cannot serve the quorum.
-	live, copies := c.readLive[:0], c.readMeta[:0]
+	live, copies := c.quorumOwners[:0], c.readMeta[:0]
 	defer func() {
-		// Zeroed, the kept scratch pins no node or stamp past the call.
+		// Zeroed, the kept scratch pins no replica or stamp past the call.
 		clear(live)
 		clear(copies)
-		c.readLive, c.readMeta = live[:0], copies[:0]
+		c.quorumOwners, c.readMeta = live[:0], copies[:0]
 	}()
 	coordGroup, haveCoord := 0, false
 	for _, oid := range owners {
@@ -799,7 +828,7 @@ func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 			coordGroup, haveCoord = c.group[j], true
 		}
 		if c.group[j] == coordGroup {
-			live = append(live, c.nodes[j])
+			live = append(live, c.nodes[j].replica)
 		}
 	}
 	if len(live) < c.quorum {
@@ -807,8 +836,8 @@ func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 	}
 
 	anyPresent, divergent := false, false
-	for _, nd := range live {
-		v, present := nd.replica.Meta(key)
+	for _, r := range live {
+		v, present := r.Meta(key)
 		copies = append(copies, ownerMeta{v, present})
 		anyPresent = anyPresent || present
 	}
@@ -823,13 +852,11 @@ func (c *Cluster) Read(key string) (value []byte, ok bool, err error) {
 		}
 	}
 	if divergent {
-		for _, other := range live[1:] {
-			if _, err := kvstore.SyncKey(live[0].replica, other.replica, key, c.resolve); err != nil {
-				return nil, false, err
-			}
+		if _, err := kvstore.ConvergeKey(live, key, nil, nil, c.resolve); err != nil {
+			return nil, false, err
 		}
 	}
-	v, ok := live[0].replica.Get(key)
+	v, ok := live[0].Get(key)
 	return v, ok, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"versionstamp/internal/core"
 	"versionstamp/internal/kvstore"
 	"versionstamp/internal/membership"
 	"versionstamp/internal/storage/faultfs"
@@ -801,4 +802,91 @@ func TestScrubQuarantinesLiveStripe(t *testing.T) {
 	if q := r.Quarantined(); len(q) != 0 {
 		t.Fatalf("Quarantined = %v after repair", q)
 	}
+}
+
+// nilResolverRing is a five-node in-memory R=3 ring with no resolver, the
+// configuration the simulator runs, and the owners of key's stripe,
+// coordinator first. key is written to all three owners.
+func nilResolverRing(t *testing.T, key string) (*Cluster, []int, []*kvstore.Replica) {
+	t.Helper()
+	c, err := NewRingCluster(RingConfig{Nodes: 5, Replication: 3, Stripes: 16, Seed: 1, GossipWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	owners := stripeOwners(t, c, key)
+	rs := make([]*kvstore.Replica, len(owners))
+	for i, o := range owners {
+		if rs[i], err = c.Replica(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if acks, err := c.Write(key, []byte("base")); err != nil || acks != 3 {
+		t.Fatalf("Write = %d acks, %v", acks, err)
+	}
+	return c, owners, rs
+}
+
+// holds checks that r holds key with value under a stamp Equal to want's.
+func holds(t *testing.T, what string, r *kvstore.Replica, key, value string, want *kvstore.Replica) {
+	t.Helper()
+	v, ok := r.Version(key)
+	w, _ := want.Version(key)
+	if !ok || string(v.Value) != value || core.Compare(v.Stamp, w.Stamp) != core.Equal {
+		t.Errorf("%s holds %q %v (ok %v), want %q under a stamp Equal to %v", what, v.Value, v.Stamp, ok, value, w.Stamp)
+	}
+}
+
+// TestQuorumWriteConflictReachesOrderedOwners: under a nil resolver, a write
+// to a key one owner holds a concurrent copy of still reaches the owner
+// whose copy it dominates, and the hint of a down owner carries it. The
+// concurrent owner keeps its copy, and only the owners holding the write
+// ack.
+func TestQuorumWriteConflictReachesOrderedOwners(t *testing.T) {
+	const key = "key-0000"
+	c, owners, rs := nilResolverRing(t, key)
+	rs[2].Put(key, []byte("at-conc"))
+
+	acks, err := c.Write(key, []byte("w1"))
+	if err != nil || acks != 2 {
+		t.Fatalf("Write = %d acks, %v; want 2, the coordinator and the stale owner", acks, err)
+	}
+	holds(t, "the stale owner", rs[1], key, "w1", rs[0])
+	holds(t, "the concurrent owner", rs[2], key, "at-conc", rs[2])
+
+	if err := c.Kill(owners[1]); err != nil {
+		t.Fatal(err)
+	}
+	acks, err = c.Write(key, []byte("w2"))
+	if !errors.Is(err, ErrQuorum) || acks != 1 {
+		t.Fatalf("Write with the stale owner down = %d acks, %v; want 1 and ErrQuorum", acks, err)
+	}
+	c.mu.Lock()
+	hs, err := c.nodes[owners[0]].hints.Take(c.nodes[owners[1]].id)
+	c.mu.Unlock()
+	if err != nil || len(hs) != 1 {
+		t.Fatalf("hints for the down owner = %v, %v; want one", hs, err)
+	}
+	cv, _ := rs[0].Version(key)
+	if string(hs[0].Value) != "w2" || core.Compare(hs[0].Stamp, cv.Stamp) != core.Equal {
+		t.Errorf("hint carries %q %v, want w2 under a stamp Equal to %v", hs[0].Value, hs[0].Stamp, cv.Stamp)
+	}
+	holds(t, "the concurrent owner", rs[2], key, "at-conc", rs[2])
+}
+
+// TestQuorumReadRepairsOrderedOwners: under a nil resolver, read-repair of
+// a key whose owners hold a newer copy, a stale one and a concurrent one
+// repairs the stale owner and leaves the concurrent copy standing.
+func TestQuorumReadRepairsOrderedOwners(t *testing.T) {
+	const key = "key-0000"
+	c, _, rs := nilResolverRing(t, key)
+	rs[0].Put(key, []byte("newer"))
+	rs[2].Put(key, []byte("at-conc"))
+
+	v, ok, err := c.Read(key)
+	if err != nil || !ok || string(v) != "newer" {
+		t.Fatalf("Read = %q, %v, %v; want the coordinator's copy", v, ok, err)
+	}
+	holds(t, "the stale owner", rs[1], key, "newer", rs[0])
+	holds(t, "the concurrent owner", rs[2], key, "at-conc", rs[2])
 }

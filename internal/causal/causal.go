@@ -21,6 +21,15 @@
 //	a equivalent to b      iff A = B
 //	a obsolete relative to b iff A ⊂ B
 //	a inconsistent with b  iff A ⊄ B and B ⊄ A
+//
+// Section 1.2 of the paper separates this frontier ordering, between
+// elements that coexist, from an ordering of all elements of a distributed
+// evolution — the question a debugger of a recorded run asks, such as
+// whether an element lies in the past of another it never coexisted with.
+// Version stamps answer only the first, and only the first is needed to
+// manage replicas. The second needs a global view of the whole run, the view
+// stamps exist to avoid; a History kept from any point of a run answers
+// inclusion against any other, which is as far as this model goes.
 package causal
 
 import (

@@ -1,7 +1,8 @@
 // Package hints is the durable hinted-handoff queue of the partitioned
 // cluster: when a quorum write cannot reach one of a stripe's owners, the
-// coordinator forks the key's stamp (kvstore.ForkCopy) and queues the
-// detached copy here, addressed to the unreachable owner. When the owner's
+// owner gets a result slot in the write's one kvstore.ConvergeKey call,
+// which fills it with a fork of the converged copy, and the coordinator
+// queues that detached copy here, addressed to the unreachable owner. When the owner's
 // heartbeats resume, the queue drains: each copy is delivered by
 // MergeVersioned, which reconciles it as a detached copy against the
 // owner's (see kvstore's reconcile) and so joins the hint's stamp into the
@@ -34,7 +35,8 @@ type Hint struct {
 	Target string
 	// Key is the store key.
 	Key string
-	// Value, Deleted and Stamp are the detached copy (a ForkCopy result).
+	// Value, Deleted and Stamp are the detached copy (a ConvergeKey hint
+	// slot).
 	Value   []byte
 	Deleted bool
 	Stamp   core.Stamp

@@ -9,14 +9,14 @@ import (
 
 // This file holds the one per-key sync decision, reconcile, and the
 // single-key primitives under the partitioned cluster's quorum paths:
-// SyncKey converges one key between two replicas (a quorum write pushing to
-// each live owner, read-repair converging owner copies), ForkCopy detaches a
-// stamped copy for handoff to a currently unreachable owner, and
-// MergeVersioned folds such a copy back in when the owner revives. Sync and
-// the anti-entropy apply (ApplyDeltaRanges) call reconcile too. All of them
-// honor the fork-join discipline — a copy that leaves a replica does so by
-// Fork, and one that arrives is absorbed by Join — so the id space stays
-// exactly as wide as the set of live copies.
+// ConvergeKey converges one key's copies over n replicas in one call (a
+// quorum write, which applies the write at its coordinator and leaves one
+// result slot per hinted owner; read-repair), SyncKey is its two-replica
+// case, and MergeVersioned folds a hinted copy back in when its owner
+// revives. Sync and the anti-entropy apply (ApplyDeltaRanges) call reconcile
+// too. All of them honor the fork-join discipline — a copy that leaves a
+// replica does so by Fork, and one that arrives is absorbed by Join — so the
+// id space stays exactly as wide as the set of live copies.
 
 // independent is what classify reports for two copies whose ids overlap:
 // they descend from no common seed, so their stamps have no causal order
@@ -36,20 +36,24 @@ func classify(cmp *core.Comparer, a, b core.Stamp) core.Ordering {
 }
 
 // keyCopy is one copy of a key taking part in a reconcile. A held copy is a
-// slot that receives the result (either side of a sync, the local and peer
-// sides of a delta apply); a detached one (a ForkCopy being absorbed) is
-// consumed. When r is set the slot is stripe si of r, write lock held: the
-// value is faulted in there only once an outcome needs it, and the result is
-// stored and logged there. Any other copy carries its value and receives its
-// result in place.
+// slot that receives the result (every replica of a ConvergeKey, the local
+// and peer sides of a delta apply, and ConvergeKey's hint slots); a detached
+// one (a hint being absorbed by MergeVersioned) is consumed. When r is set
+// the slot is stripe si of r, write lock held: the value is faulted in there
+// only once an outcome needs it, and the result is stored and logged there.
+// Any other copy carries its value and receives its result in place.
 type keyCopy struct {
 	Versioned
 	ok, held bool
 	// Scratch of reconcile: lost is a held copy another held copy dominates
 	// (rule 2); shadowed is a copy whose value another survivor supersedes.
 	lost, shadowed bool
-	r              *Replica
-	si             int
+	// stored records that set installed a result in the slot.
+	stored bool
+	// rel is ConvergeKey's scratch: the copy's order against the greatest.
+	rel core.Ordering
+	r   *Replica
+	si  int
 }
 
 // heldLocked returns r's copy of key as a held slot, metadata only. The
@@ -75,7 +79,7 @@ func (c *keyCopy) load(key string) error {
 
 // set installs a held slot's result, persisting it for a replica slot.
 func (c *keyCopy) set(key string, v Versioned) {
-	c.Versioned = v
+	c.Versioned, c.stored = v, true
 	if c.r == nil {
 		return
 	}
@@ -86,21 +90,24 @@ func (c *keyCopy) set(key string, v Versioned) {
 }
 
 // reconcile converges one key's copies; cs holds at least one held slot.
-// It is the single sync decision: Sync, SyncKey, ApplyDeltaRanges and
-// MergeVersioned all call it. It decides from the stamps, by these rules in
-// order:
+// It is the single sync decision: Sync, ConvergeKey (and so SyncKey),
+// ApplyDeltaRanges and MergeVersioned all call it. It decides from the
+// stamps, by these rules in order:
 //
 //  1. No copy is present: nothing happens.
 //  2. A held copy that another held copy dominates counts as absent: the
 //     winner forks and the loser's id is abandoned. Joining the loser in and
-//     re-forking looks tidier, but under rotating sync partners (a quorum
-//     write pushing to R-1 owners in turn) the interleaved forks leave ids
-//     no reduction collapses, compounding ~3x per write. Abandoning is
-//     sound: the winner's history contains the loser's, so its fork
-//     dominates everything the abandoned stamp proved.
+//     re-forking looks tidier, but under rotating sync partners
+//     (anti-entropy pairing an owner with each co-owner in turn; the
+//     quorum write's former chain of pairwise pushes measured ~3x per
+//     write) the interleaved forks leave ids no reduction collapses.
+//     Abandoning is sound: the winner's history contains the loser's, so
+//     its fork dominates everything the abandoned stamp proved.
 //  3. All held copies are present and Equal, and none is detached: nothing
 //     happens. Joining and re-forking equivalent copies would grow the ids
-//     on every idle sync.
+//     on every idle sync. ConvergeKey, the one caller holding more than two
+//     copies, applies the same reason before it calls reconcile: copies
+//     Equal to the greatest sit out (settle).
 //  4. Some ids overlap (the key was created independently at two replicas):
 //     the value is the copies' shared bytes or the resolver's, and the key's
 //     stamp system restarts at Seed().Update(). That is sound only while
@@ -261,64 +268,199 @@ func reconcile(key string, cs []keyCopy, resolve Resolver) (SyncResult, error) {
 	return res, nil
 }
 
-// SyncKey converges a single key between two replicas, with the same
-// semantics one key of a full Sync would get: transfer to the side lacking
-// it, reconcile when one side dominates, resolve (or report) conflicts.
-// Only the key's two stripe locks are taken, in the global replica order,
-// so concurrent SyncKey/Sync calls over overlapping pairs cannot deadlock.
+// KeyWrite is the local write ConvergeKey applies at its coordinator before
+// converging: a Put of Value, or a Delete when Delete is set.
+type KeyWrite struct {
+	Value  []byte
+	Delete bool
+}
+
+// convergeInline is the copy count (replicas plus hint slots) ConvergeKey
+// handles in stack arrays; a wider call allocates its scratch.
+const convergeInline = 8
+
+// ConvergeKey converges one key's copies over the replicas rs in a single
+// reconcile, with the semantics one key of a full Sync would get: transfer to
+// the sides lacking it, reconcile when one side dominates, resolve (or
+// report) conflicts. rs[0] coordinates. When w is not nil, the write is
+// applied at rs[0] first, under the same locks; a Delete of a key rs[0]
+// holds absent or tombstoned writes nothing. detached holds one result slot
+// per hinted owner, a copy with no replica: each slot receives its fork of
+// rs[0]'s result, exactly what the hint must carry, and is left zero
+// (IsZero stamp) when nothing landed — no replica held the key, or the call
+// failed. The slots' input contents are ignored.
+//
+// The copies are ordered against the greatest one a scan from rs[0] meets
+// (see settle). When every copy is ordered against it, the copies Equal to
+// it already hold the result and sit the reconcile out. When some copy is
+// not and a nil resolver leaves the conflict standing, the copies ordered
+// against the greatest still converge, with the hint slots, as a chain of
+// pairwise syncs from rs[0] would converge them; the concurrent copies keep
+// theirs and the key is reported in Conflicts.
+//
+// Every replica logs the key at most once, in the state the reconcile
+// leaves it. When the reconcile leaves rs[0] untouched (an error, a conflict
+// with nothing ordered against rs[0] to converge), the write is logged by
+// itself and stands at rs[0] exactly as a Put would. One stripe lock per
+// replica is taken, in the global replica order, so concurrent
+// ConvergeKey/SyncKey/Sync calls over overlapping replicas cannot deadlock.
+func ConvergeKey(rs []*Replica, key string, w *KeyWrite, detached []Versioned, resolve Resolver) (SyncResult, error) {
+	if len(rs) == 0 {
+		return SyncResult{}, fmt.Errorf("kvstore: converge %q over no replica", key)
+	}
+	for i := range rs {
+		for _, o := range rs[:i] {
+			if o == rs[i] {
+				return SyncResult{}, fmt.Errorf("kvstore: sync of a replica with itself")
+			}
+		}
+	}
+	var csBuf [convergeInline]keyCopy
+	cs := csBuf[:0]
+	if n := len(rs) + len(detached); n > convergeInline {
+		cs = make([]keyCopy, 0, n)
+	}
+	for _, r := range rs {
+		cs = append(cs, keyCopy{held: true, r: r, si: ShardIndex(key, len(r.shards))})
+	}
+	// One stripe per replica, locked in the global replica order: each pass
+	// takes the first replica after the last one locked.
+	var last *Replica
+	for range rs {
+		next := -1
+		for i, r := range rs {
+			if (last == nil || replicaBefore(last, r)) && (next < 0 || replicaBefore(r, rs[next])) {
+				next = i
+			}
+		}
+		cs[next].r.shards[cs[next].si].lockMut()
+		last = rs[next]
+	}
+	defer releaseConverge(rs, key)
+
+	var wrote Versioned
+	written := false
+	if c := &cs[0]; w != nil && w.Delete {
+		wrote, written = c.r.deleteLocked(c.si, key)
+	} else if w != nil {
+		wrote, written = c.r.putLocked(c.si, key, w.Value), true
+	}
+	for i := range cs {
+		c := &cs[i]
+		c.Versioned, c.ok = c.r.shards[c.si].metaLocked(key)
+	}
+	top, split := order(cs)
+	n := len(cs)
+	if !split {
+		n = settle(cs, top, false)
+	}
+	res, err := reconcileSlots(key, cs[:n], detached, resolve)
+	if split && err == nil && len(res.Conflicts) > 0 {
+		// Only a nil resolver leaves a conflict, and it changed nothing.
+		// Converge what is ordered against the greatest copy.
+		if n = settle(cs[:len(rs)], top, true); n > 1 || len(detached) > 0 {
+			conflicts := res.Conflicts
+			res, err = reconcileSlots(key, cs[:n], detached, nil)
+			res.Conflicts = conflicts
+		}
+	}
+	if written && !cs[0].stored {
+		cs[0].r.logSet(cs[0].si, key, wrote)
+	}
+	return res, err
+}
+
+// reconcileSlots runs reconcile over cs and one fresh held slot per detached
+// copy, then hands each slot's result out to detached.
+func reconcileSlots(key string, cs []keyCopy, detached []Versioned, resolve Resolver) (SyncResult, error) {
+	for range detached {
+		cs = append(cs, keyCopy{held: true})
+	}
+	res, err := reconcile(key, cs, resolve)
+	for i := range detached {
+		detached[i] = cs[len(cs)-len(detached)+i].Versioned
+	}
+	return res, err
+}
+
+// order scans the present copies in cs from the first, taking each copy
+// that dominates the greatest one so far as the new greatest, and returns
+// the last greatest (-1 when no copy is present). It records each present
+// copy's relation to it in rel; split reports a copy it neither dominates
+// nor equals. The scan only climbs, so cs[0], when present, is ordered
+// against the greatest.
+func order(cs []keyCopy) (top int, split bool) {
+	top = -1
+	for i := range cs {
+		if cs[i].ok && (top < 0 || classify(nil, cs[top].Stamp, cs[i].Stamp) == core.Before) {
+			top = i
+		}
+	}
+	for i := range cs {
+		c := &cs[i]
+		switch {
+		case !c.ok:
+		case i == top:
+			c.rel = core.Equal
+		default:
+			c.rel = classify(nil, cs[top].Stamp, c.Stamp)
+			split = split || c.rel != core.After && c.rel != core.Equal
+		}
+	}
+	return top, split
+}
+
+// settle compacts cs, whose relations order recorded against cs[top], to the
+// copies ConvergeKey reconciles, keeping their order, and returns their
+// count. It keeps top, the absent copies and the copies top dominates. A
+// copy Equal to top already holds the result and sits out, as rule 3 leaves
+// settled copies alone; joining Equal copies only to fork them again
+// fragments their ids. When conflicted — a nil resolver left copies
+// unordered against top standing, and reconcile faulted every value in —
+// those copies stay out too, except ones whose value and deleted flag match
+// top's: rule 5 joins those byte-identical copies, and the Equal copies then
+// take part so they receive the joined stamp.
+func settle(cs []keyCopy, top int, conflicted bool) int {
+	same := func(c *keyCopy) bool {
+		return conflicted && c.rel != core.After && c.rel != core.Equal &&
+			c.Deleted == cs[top].Deleted && bytes.Equal(c.Value, cs[top].Value)
+	}
+	joins := false
+	for i := range cs {
+		joins = joins || cs[i].ok && same(&cs[i])
+	}
+	n := 0
+	for i := range cs {
+		c := &cs[i]
+		if i == top || !c.ok || c.rel == core.After || c.rel == core.Equal && joins || same(c) {
+			c.lost, c.shadowed = false, false
+			cs[n] = *c
+			n++
+		}
+	}
+	return n
+}
+
+// releaseConverge unlocks ConvergeKey's stripes and then drains every
+// replica's group-commit barriers, so no lock is held across an fsync.
+func releaseConverge(rs []*Replica, key string) {
+	for _, r := range rs {
+		r.shardFor(key).mu.Unlock()
+	}
+	for _, r := range rs {
+		r.awaitDurable()
+	}
+}
+
+// SyncKey converges a single key between two replicas: ConvergeKey over a
+// and b with no write and no hint slot.
 func SyncKey(a, b *Replica, key string, resolve Resolver) (SyncResult, error) {
-	if a == b {
-		return SyncResult{}, fmt.Errorf("kvstore: sync of a replica with itself")
-	}
-	sa, sb := a.shardFor(key), b.shardFor(key)
-	first, second := sa, sb
-	if !replicaBefore(a, b) {
-		first, second = sb, sa
-	}
-	// Registered first so the barrier drain runs after the locks release.
-	defer a.awaitDurable()
-	defer b.awaitDurable()
-	first.lockMut()
-	second.lockMut()
-	defer second.mu.Unlock()
-	defer first.mu.Unlock()
-	cs := [2]keyCopy{a.heldLocked(key), b.heldLocked(key)}
-	return reconcile(key, cs[:], resolve)
+	rs := [2]*Replica{a, b}
+	return ConvergeKey(rs[:], key, nil, nil, resolve)
 }
 
-// ForkCopy forks the key's stamp and returns a detached copy carrying the
-// forked descendant, leaving the other descendant on the replica — the
-// copy a hinted write queues for a dead owner. The detached copy is a live
-// frontier element: it must eventually be absorbed somewhere (normally by
-// MergeVersioned at the revived owner), or its id is abandoned. Returns
-// ok=false if the replica does not hold the key.
-func (r *Replica) ForkCopy(key string) (Versioned, bool) {
-	si := ShardIndex(key, len(r.shards))
-	sh := &r.shards[si]
-	defer r.awaitDurable()
-	sh.lockMut()
-	defer sh.mu.Unlock()
-	if err := r.promoteLocked(si, key); err != nil {
-		r.notePersistErr(err)
-		return Versioned{}, false
-	}
-	v, ok := sh.data[key]
-	if !ok {
-		return Versioned{}, false
-	}
-	mine, theirs := v.Stamp.Fork()
-	v.Stamp = mine
-	sh.data[key] = v
-	r.logSet(si, key, v)
-	return Versioned{
-		Value:   append([]byte(nil), v.Value...),
-		Deleted: v.Deleted,
-		Stamp:   theirs,
-	}, true
-}
-
-// MergeVersioned absorbs a detached stamped copy (a ForkCopy, typically a
-// drained hint) into the replica: reconcile with the local copy held and the
+// MergeVersioned absorbs a detached stamped copy (typically a drained hint,
+// filled by one of ConvergeKey's hint slots) into the replica: reconcile with the local copy held and the
 // incoming one detached. The incoming stamp is joined into the local one, so
 // its id is reclaimed rather than leaked, and the values merge by stamp
 // order — install when absent (Transferred), adopt when the incoming copy

@@ -12,7 +12,8 @@ import (
 // both copies' values and tombstone flags, and their exact stamps, so fork
 // orientation is pinned too. Each case runs twice from the same setup: as two
 // held copies (SyncKey(a, b)) and as a held copy absorbing a detached one
-// (b's ForkCopy merged into a by MergeVersioned).
+// (b's copy, detached through a ConvergeKey hint slot, merged into a by
+// MergeVersioned).
 func TestReconcileDecisionTable(t *testing.T) {
 	keepBoth := KeepBoth([]byte("|"))
 	put := func(r *Replica, v string) { r.Put("k", []byte(v)) }
@@ -101,7 +102,7 @@ func TestReconcileDecisionTable(t *testing.T) {
 		a, b = NewReplica("a"), NewReplica("b")
 		c.setup(a, b)
 		res = SyncResult{}
-		if cp, ok := b.ForkCopy("k"); ok {
+		if cp, ok := forkCopy(t, b, "k"); ok {
 			if res, err = a.MergeVersioned("k", cp, c.resolve); err != nil {
 				t.Fatal(err)
 			}
@@ -190,16 +191,30 @@ func TestSyncKeySelf(t *testing.T) {
 	}
 }
 
+// forkCopy detaches a copy of key from r the way a quorum write fills the
+// hint slot of an unreachable owner: ConvergeKey over r alone, with one
+// detached slot. ok is false when the slot received nothing.
+func forkCopy(t *testing.T, r *Replica, key string) (Versioned, bool) {
+	t.Helper()
+	var slot [1]Versioned
+	if _, err := ConvergeKey([]*Replica{r}, key, nil, slot[:], nil); err != nil {
+		t.Fatal(err)
+	}
+	return slot[0], !slot[0].Stamp.IsZero()
+}
+
+// TestForkCopyKeepsFrontier: a hint slot of ConvergeKey receives a fork of
+// the held copy, and the replica keeps the other half.
 func TestForkCopyKeepsFrontier(t *testing.T) {
 	r := NewReplica("r")
-	if _, ok := r.ForkCopy("missing"); ok {
-		t.Fatal("ForkCopy of a missing key should report ok=false")
+	if _, ok := forkCopy(t, r, "missing"); ok {
+		t.Fatal("a hint slot for a missing key should receive nothing")
 	}
 	r.Put("k", []byte("v"))
 	before, _ := r.Version("k")
-	cp, ok := r.ForkCopy("k")
+	cp, ok := forkCopy(t, r, "k")
 	if !ok {
-		t.Fatal("ForkCopy failed")
+		t.Fatal("the hint slot received nothing")
 	}
 	after, _ := r.Version("k")
 	if string(cp.Value) != "v" || cp.Deleted {
@@ -228,7 +243,7 @@ func TestMergeVersionedInstallsWhenAbsent(t *testing.T) {
 	src := NewReplica("src")
 	dst := NewReplica("dst")
 	src.Put("k", []byte("v"))
-	cp, _ := src.ForkCopy("k")
+	cp, _ := forkCopy(t, src, "k")
 
 	res, err := dst.MergeVersioned("k", cp, nil)
 	if err != nil {
@@ -259,7 +274,7 @@ func TestMergeVersionedDominatesAndAbsorbs(t *testing.T) {
 
 	// Incoming dominates: hint carries a newer write.
 	src.Put("k", []byte("new"))
-	cp, _ := src.ForkCopy("k")
+	cp, _ := forkCopy(t, src, "k")
 	res, err := dst.MergeVersioned("k", cp, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +288,7 @@ func TestMergeVersionedDominatesAndAbsorbs(t *testing.T) {
 
 	// Incoming obsolete: local wrote past it meanwhile. Local value stays;
 	// the stale copy's id is still absorbed (Pruned).
-	cp2, _ := src.ForkCopy("k")
+	cp2, _ := forkCopy(t, src, "k")
 	dst.Put("k", []byte("newer"))
 	res, err = dst.MergeVersioned("k", cp2, nil)
 	if err != nil {
@@ -296,7 +311,7 @@ func TestMergeVersionedConflict(t *testing.T) {
 	}
 	src.Put("k", []byte("from-src"))
 	dst.Put("k", []byte("at-dst"))
-	cp, _ := src.ForkCopy("k")
+	cp, _ := forkCopy(t, src, "k")
 
 	// Nil resolver: conflict reported, nothing consumed or changed.
 	res, err := dst.MergeVersioned("k", cp, nil)
@@ -359,14 +374,15 @@ func TestMergeVersionedIndependentCopies(t *testing.T) {
 	}
 }
 
-// Drain symmetry: ForkCopy then MergeVersioned at another replica leaves
+// Drain symmetry: a hint slot's copy merged by MergeVersioned at another
+// replica leaves
 // the pair in the same relation a direct SyncKey would have produced —
 // stamps Equal, values equal, and a follow-up sync moves nothing.
 func TestForkCopyMergeEquivalentToSync(t *testing.T) {
 	a := NewReplica("a")
 	b := NewReplica("b")
 	a.Put("k", []byte("v"))
-	cp, _ := a.ForkCopy("k")
+	cp, _ := forkCopy(t, a, "k")
 	if _, err := b.MergeVersioned("k", cp, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -439,9 +455,9 @@ func TestConflictResolvedTwiceMergesOnce(t *testing.T) {
 	}
 	// A drained hint carrying the other pair's identical merge is absorbed
 	// the same way.
-	cp, ok := r[3].ForkCopy("k")
+	cp, ok := forkCopy(t, r[3], "k")
 	if !ok {
-		t.Fatal("ForkCopy failed")
+		t.Fatal("the hint slot received nothing")
 	}
 	if res, err := r[2].MergeVersioned("k", cp, nil); err != nil || len(res.Conflicts) != 0 || res.Merged != 0 {
 		t.Fatalf("MergeVersioned of an identical merge: %+v, %v", res, err)

@@ -182,7 +182,7 @@ func (sh *shard) countLocked() int {
 }
 
 // promoteLocked faults key's cold entry into the hot map so a mutation path
-// (reconcile, ForkCopy) can work on it in place. No-op for
+// (reconcile) can work on it in place. No-op for
 // non-paged replicas, hot keys, and keys the cold index does not hold.
 // Stripe write lock held. The tombstone ledger is untouched — promotion
 // changes residency, not state.

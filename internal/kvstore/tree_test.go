@@ -502,9 +502,15 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 					for _, k := range someKeys(1+rng.Intn(20), 1000) {
 						r.Delete(k)
 					}
-				case op == 4 || op == 5:
+				case op == 4:
 					what = "SyncKey"
 					if _, err := SyncKey(r, o, key(rng.Intn(1000)), resolve); err != nil {
+						t.Fatal(err)
+					}
+				case op == 5:
+					what = "ConvergeKey write"
+					w := KeyWrite{Value: []byte(fmt.Sprintf("c%d", step))}
+					if _, err := ConvergeKey([]*Replica{r, o}, key(rng.Intn(1000)), &w, nil, resolve); err != nil {
 						t.Fatal(err)
 					}
 				case op == 6:
@@ -525,9 +531,9 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 						t.Fatal(err)
 					}
 				default:
-					what = "ForkCopy+MergeVersioned"
+					what = "hint slot+MergeVersioned"
 					k := key(rng.Intn(1000))
-					if cp, ok := r.ForkCopy(k); ok {
+					if cp, ok := forkCopy(t, r, k); ok {
 						if _, err := o.MergeVersioned(k, cp, resolve); err != nil {
 							t.Fatal(err)
 						}
