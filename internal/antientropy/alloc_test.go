@@ -200,10 +200,7 @@ const quorumWriteAllocs = 0
 
 // TestQuorumWriteAllocBudget: a quorum write allocates the value copies
 // its owners store and nothing else. Each run writes a key the setup wrote
-// once, so every run has a stamp of the same shape and no map grows; a
-// key written over and over grows its stamp (each write's one reconcile
-// forks the coordinator's id once more; TestQuorumWriteStampGrowth pins
-// that), and that cost is not what this gate pins.
+// once, so every run has a stamp of the same shape and no map grows.
 func TestQuorumWriteAllocBudget(t *testing.T) {
 	const runs, replication = 300, 3
 	value := bytes.Repeat([]byte("v"), 128)
@@ -219,5 +216,49 @@ func TestQuorumWriteAllocBudget(t *testing.T) {
 	t.Logf("quorum write: %.2f allocs", allocs)
 	if budget := float64(replication + quorumWriteAllocs); allocs > budget {
 		t.Errorf("quorum write allocates %.2f/op; budget is %d value copies + %d", allocs, replication, quorumWriteAllocs)
+	}
+}
+
+// quorumHintWriteAllocs is what a quorum write with one owner down
+// allocates besides the three copies of the value the two live owners and
+// the hint store: the hint record's key (target and key joined). Measured
+// on a five-node R=3 durable ring: 1 (4 allocs in all). Splitting the
+// owners' part through core.ForkN's slice made it 3 (6 in all).
+const quorumHintWriteAllocs = 1
+
+// TestQuorumWriteHintAllocBudget: a quorum write whose converge fills one
+// hint slot allocates the value copies and the queued hint's key, and
+// nothing for the fork that splits the result between the live owners and
+// the hint. Each run writes, with the same owner down, a key the setup
+// wrote once with every owner up, so every run's stamps have one shape.
+func TestQuorumWriteHintAllocBudget(t *testing.T) {
+	const runs, live = 300, 2
+	value := bytes.Repeat([]byte("v"), 128)
+	c := quorumCluster(t, nil, value)
+	victim := stripeOwners(t, c, "key-0000")[2]
+	var keys []string
+	for i := 0; len(keys) <= runs; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		if owners := stripeOwners(t, c, k); owners[1] == victim || owners[2] == victim {
+			if acks, err := c.Write(k, value); err != nil || acks != 3 {
+				t.Fatalf("Write(%s) = %d acks, %v", k, acks, err)
+			}
+			keys = append(keys, k)
+		}
+	}
+	if err := c.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if acks, err := c.Write(keys[next], value); err != nil || acks != live {
+			t.Fatalf("Write = %d acks, %v", acks, err)
+		}
+		next++
+	})
+	t.Logf("quorum write with one owner down: %.2f allocs", allocs)
+	if budget := float64(live + 1 + quorumHintWriteAllocs); allocs > budget {
+		t.Errorf("quorum write with one owner down allocates %.2f/op; budget is %d value copies + %d",
+			allocs, live+1, quorumHintWriteAllocs)
 	}
 }

@@ -118,12 +118,34 @@ func TestQuorumWriteLogsOnce(t *testing.T) {
 	}
 }
 
+// ownerStampMax returns the largest stored stamp of key, in Stamp.BinaryLen
+// bytes, over the nodes idx, each of which must hold the key.
+func ownerStampMax(t *testing.T, c *Cluster, key string, idx []int) int {
+	t.Helper()
+	largest := 0
+	for _, i := range idx {
+		r, err := c.Replica(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := r.Version(key)
+		if !ok {
+			t.Fatalf("owner %d lacks %s", i, key)
+		}
+		largest = max(largest, v.Stamp.BinaryLen())
+	}
+	return largest
+}
+
 // quorumWriteStampMax is the largest stored stamp, in Stamp.BinaryLen bytes,
 // over a key's three owners after 64 quorum writes with no gossip between
-// them: the coordinator's id deepens by one level per write, because the
-// single reconcile forks it once. The pairwise chain it replaced forked the
-// coordinator once per push, two levels per write, and ended at 102 bytes.
-const quorumWriteStampMax = 54
+// them. Each write's one reconcile joins the owners' copies, so their ids
+// reunite and reduce to {ε}, and forks the result three ways: the stamps
+// are ([ε|1], [ε|00], [ε|01]) after every write. When the reconcile
+// abandoned each dominated owner's id, the coordinator's id deepened one
+// level per write and this ended at 54 bytes (102 under the pairwise chain
+// before that).
+const quorumWriteStampMax = 5
 
 // TestQuorumWriteStampGrowth gates how fast repeated quorum writes of one
 // key grow its stamps when nothing else runs.
@@ -135,20 +157,65 @@ func TestQuorumWriteStampGrowth(t *testing.T) {
 			t.Fatalf("Write %d = %d acks, %v", n, acks, err)
 		}
 	}
-	largest := 0
-	for _, i := range owners {
-		r, err := c.Replica(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, ok := r.Version(key)
-		if !ok {
-			t.Fatalf("owner %d lacks %s", i, key)
-		}
-		largest = max(largest, v.Stamp.BinaryLen())
-	}
+	largest := ownerStampMax(t, c, key, owners)
 	t.Logf("largest stored stamp after 64 writes: %d B", largest)
 	if largest != quorumWriteStampMax {
 		t.Errorf("largest stored stamp after 64 writes is %d B, want %d", largest, quorumWriteStampMax)
+	}
+}
+
+// hintedStampSlack is the linear bound on the live owners' largest stamp,
+// in Stamp.BinaryLen bytes, after n quorum writes of one key with one owner
+// down: at most hintedStampSlack + n. Each write joins the two live copies
+// back into the part they were forked from and forks the hint its outer
+// half, so the live ids deepen by one level per write (measured: 5 B after
+// the first write, 54 B after the 64th, never more than 4 + n). A hint
+// slot holding a sibling of an owner's part instead leaves the live parts
+// unjoinable, and the live stamps double on every write (9 KiB after 13).
+const hintedStampSlack = 4
+
+// reclaimedStampMax bounds every owner's stamp, in bytes, once the hints
+// are drained and one more write reaches all three owners: the join
+// reunites the whole id space and the result is forked afresh.
+const reclaimedStampMax = 6
+
+// TestQuorumWriteHintedStampGrowth gates the stamps of one key written 64
+// times with one owner down, checking after every write, and their reclaim
+// once the owner is back: after a hint drain and one full write, all three
+// owners' stamps are small again (55 B when the reconcile abandoned the
+// dominated owners' ids).
+func TestQuorumWriteHintedStampGrowth(t *testing.T) {
+	const key = "key-0000"
+	c, _, owners := quorumRing(t, key)
+	if err := c.Kill(owners[2]); err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= 64; n++ {
+		if acks, err := c.Write(key, []byte{byte(n)}); err != nil || acks != 2 {
+			t.Fatalf("Write %d = %d acks, %v", n, acks, err)
+		}
+		if got := ownerStampMax(t, c, key, owners[:2]); got > hintedStampSlack+n {
+			t.Fatalf("largest live stamp after %d writes with an owner down is %d B, want at most %d",
+				n, got, hintedStampSlack+n)
+		}
+	}
+	if err := c.Revive(owners[2]); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	var stats RoundStats
+	err := c.drainHintsLocked(&stats)
+	c.mu.Unlock()
+	if err != nil || stats.HintsDrained != 64 || c.HintsPending() != 0 {
+		t.Fatalf("drain: %v; %d drained, %d pending, want 64 and 0", err, stats.HintsDrained, c.HintsPending())
+	}
+	if acks, err := c.Write(key, []byte("last")); err != nil || acks != 3 {
+		t.Fatalf("Write after revive = %d acks, %v", acks, err)
+	}
+	largest := ownerStampMax(t, c, key, owners)
+	t.Logf("largest stored stamp after the drain and a full write: %d B", largest)
+	if largest > reclaimedStampMax {
+		t.Errorf("largest stored stamp after the drain and a full write is %d B, want at most %d",
+			largest, reclaimedStampMax)
 	}
 }

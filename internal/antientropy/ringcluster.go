@@ -681,9 +681,13 @@ func (c *Cluster) ownersLocked(stripe int) []string {
 // Write performs a quorum write: the first up owner of the key's stripe
 // coordinates. It applies the write and converges the key over itself and
 // every other live owner in one kvstore.ConvergeKey call, so each owner logs
-// the key once. Owners that are down, judged dead, across a partition or
-// quarantined get a durable hint instead, filled by a hint slot of the same
-// call (a hint is a promise, not an ack). It returns the ack count: 1 plus
+// the key once. The call joins the owners' stamps and forks the result back
+// out, so with every owner live the owners' ids reduce to one on each write
+// and the key's stamps stay as small as three forked ids. Owners that are
+// down, judged dead, across a partition or quarantined get a durable hint
+// instead, filled by a hint slot of the same call with the outer half of the
+// result (a hint is a promise, not an ack); the first full write after the
+// hints drain reclaims their ids. It returns the ack count: 1 plus
 // the live owners converged, or 1 alone when the converge fails, in which
 // case no push is acked and the write stands at the coordinator. Under a
 // nil resolver, an owner whose copy is concurrent with the write keeps it

@@ -2,13 +2,17 @@
 // cluster: when a quorum write cannot reach one of a stripe's owners, the
 // owner gets a result slot in the write's one kvstore.ConvergeKey call,
 // which fills it with a fork of the converged copy, and the coordinator
-// queues that detached copy here, addressed to the unreachable owner. When the owner's
+// queues that detached copy here, addressed to the unreachable owner. The
+// slot's fork is the outer half of the write's joined stamp, so the live
+// owners keep one subtree of the id space that their next write rejoins
+// whole; the hint's part is outstanding until it drains. When the owner's
 // heartbeats resume, the queue drains: each copy is delivered by
 // MergeVersioned, which reconciles it as a detached copy against the
 // owner's (see kvstore's reconcile) and so joins the hint's stamp into the
 // owner's — the handoff is exactly a deferred synchronization in the paper's
 // fork-join model, and the stamps prove on delivery whether the hinted write
-// is still news, already obsolete, or in conflict.
+// is still news, already obsolete, or in conflict. The owner's next quorum
+// write over all R owners joins the drained ids back with the others'.
 //
 // A queue opened over a WAL persists exactly like the store itself: every
 // Add appends a record, and a drain checkpoints the survivors, so a

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -196,6 +197,18 @@ func stampsOf(vs []Versioned) []core.Stamp {
 	return out
 }
 
+// checkConserved fails unless after, the owners' and filled hint slots'
+// copies once a quorum write returns, has lost exactly the share of the id
+// space the owners' copies had lost before it (before): the write joins the
+// copies it converges and forks the result to the owners and hint slots, so
+// no id is abandoned and none is made up.
+func checkConserved(t *testing.T, c convergeCase, before float64, after []Versioned) {
+	t.Helper()
+	if l := core.Leaked(stampsOf(after)); math.Abs(l-before) > 1e-12 {
+		t.Fatalf("%v: the owners and hints have lost %g of the id space, the owners %g before the write", c, l, before)
+	}
+}
+
 // TestConvergeKeyMatchesPairwiseChain runs random quorum writes (R = 3
 // owners plus up to two hint slots) through ConvergeKey and through the
 // pairwise chain it replaced, on equal starting states. The one call must
@@ -221,10 +234,14 @@ func TestConvergeKeyMatchesPairwiseChain(t *testing.T) {
 		chainHints := chainWrite(t, chain, c.hints, "k", c.write, unionResolve)
 
 		rs := c.build()
+		before := core.Leaked(stampsOf(copiesOf(rs, nil)))
 		slots := make([]Versioned, c.hints)
 		w := c.write
 		if _, err := ConvergeKey(rs, "k", &w, slots, unionResolve); err != nil {
 			t.Fatalf("%v: %v", c, err)
+		}
+		if !indep {
+			checkConserved(t, c, before, copiesOf(rs, slots))
 		}
 
 		got := copiesOf(rs, slots)
@@ -292,6 +309,7 @@ func TestConvergeKeyMatchesPairwiseChainNilResolver(t *testing.T) {
 		chainHints := chainWrite(t, chain, c.hints, "k", c.write, nil)
 
 		rs := c.build()
+		before := core.Leaked(stampsOf(copiesOf(rs, nil)))
 		slots := make([]Versioned, c.hints)
 		w := c.write
 		res, err := ConvergeKey(rs, "k", &w, slots, nil)
@@ -302,6 +320,7 @@ func TestConvergeKeyMatchesPairwiseChainNilResolver(t *testing.T) {
 		if c.independent() {
 			continue
 		}
+		checkConserved(t, c, before, copiesOf(rs, slots))
 
 		v0, _ := rs[0].Version("k")
 		cv0, _ := chain[0].Version("k")

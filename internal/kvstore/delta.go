@@ -349,7 +349,7 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peerDigest []encoding.Diges
 		case !cs[0].ok:
 			return nil // left the stripe since its tree saw it; the peer never had it
 		}
-		part, err := reconcile(k, cs[:], resolve)
+		part, err := reconcile(k, cs[:], resolve, false)
 		res.add(part)
 		if err != nil {
 			return err

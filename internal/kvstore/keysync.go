@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 
 	"versionstamp/internal/core"
 )
@@ -17,6 +18,13 @@ import (
 // too. All of them honor the fork-join discipline — a copy that leaves a
 // replica does so by Fork, and one that arrives is absorbed by Join — so the
 // id space stays exactly as wide as the set of live copies.
+//
+// ConvergeKey holds every copy it can reach at once, so it runs the paper's
+// "Sync = Join then Fork" R ways: the owners' dominated copies are joined
+// into the result, §6 reduction collapses the reunited ids, and the result
+// is forked back out. With every owner reachable a quorum write reclaims the
+// whole id space and a key's stamps stay the size of its R copies' ids. The
+// pairwise paths abandon a dominated copy's id instead (rule 2).
 
 // independent is what classify reports for two copies whose ids overlap:
 // they descend from no common seed, so their stamps have no causal order
@@ -46,7 +54,8 @@ type keyCopy struct {
 	Versioned
 	ok, held bool
 	// Scratch of reconcile: lost is a held copy another held copy dominates
-	// (rule 2); shadowed is a copy whose value another survivor supersedes.
+	// (rule 2; ConvergeKey joins its stamp all the same); shadowed is a copy
+	// whose value another survivor supersedes.
 	lost, shadowed bool
 	// stored records that set installed a result in the slot.
 	stored bool
@@ -91,18 +100,24 @@ func (c *keyCopy) set(key string, v Versioned) {
 
 // reconcile converges one key's copies; cs holds at least one held slot.
 // It is the single sync decision: Sync, ConvergeKey (and so SyncKey),
-// ApplyDeltaRanges and MergeVersioned all call it. It decides from the
-// stamps, by these rules in order:
+// ApplyDeltaRanges and MergeVersioned all call it. reunite is set by
+// ConvergeKey alone, the one caller that holds every copy of the key it can
+// reach at once; its held slots with no replica are hint slots. It decides
+// from the stamps, by these rules in order:
 //
 //  1. No copy is present: nothing happens.
-//  2. A held copy that another held copy dominates counts as absent: the
-//     winner forks and the loser's id is abandoned. Joining the loser in and
-//     re-forking looks tidier, but under rotating sync partners
-//     (anti-entropy pairing an owner with each co-owner in turn; the
-//     quorum write's former chain of pairwise pushes measured ~3x per
-//     write) the interleaved forks leave ids no reduction collapses.
-//     Abandoning is sound: the winner's history contains the loser's, so
-//     its fork dominates everything the abandoned stamp proved.
+//  2. A held copy that another held copy dominates counts as absent for the
+//     value. Under reunite its stamp is joined into the result (rule 6), so
+//     its id reunites with the others and §6 reduction collapses them: a
+//     quorum write over all R owners reduces their ids back to the one they
+//     were forked from. Otherwise the winner forks and the loser's id is
+//     abandoned: a pairwise caller sees two copies at a time, and under
+//     rotating sync partners (anti-entropy pairing an owner with each
+//     co-owner in turn; a quorum write once chained pairwise pushes and
+//     measured ~3x per write) joining and re-forking interleaves forks that
+//     no reduction collapses. Abandoning is sound: the winner's history
+//     contains the loser's, so its fork dominates everything the abandoned
+//     stamp proved.
 //  3. All held copies are present and Equal, and none is detached: nothing
 //     happens. Joining and re-forking equivalent copies would grow the ids
 //     on every idle sync. ConvergeKey, the one caller holding more than two
@@ -118,10 +133,15 @@ func (c *keyCopy) set(key string, v Versioned) {
 //     of byte-identical Concurrent copies, with no resolver call and no
 //     update (two pairs of replicas already resolved the conflict alike); or
 //     the resolver's, recorded as a new update.
-//  6. The result stamp is the Join of the surviving copies; a detached copy
-//     is always joined, because nobody else holds its id. It is forked into
-//     one part per held slot: the first part goes to the winner or, when
-//     copies were joined, to the first held slot.
+//  6. The result stamp is the Join of the surviving copies (under reunite,
+//     of every present copy); a detached copy is always joined, because
+//     nobody else holds its id. It is forked into one part per held slot.
+//     Under reunite each hint slot first takes the outer half (r·1) and
+//     leaves r·0, so the replica slots' parts stay one subtree that the
+//     next write's join reduces back whole, even with the hinted owner
+//     still away. The remaining parts are split breadth-first, as
+//     core.ForkN splits, the shallowest to the winner or, when copies were
+//     joined, to the first held slot.
 //
 // A conflict with a nil resolver changes nothing and is reported in
 // Conflicts. Otherwise the key counts as Merged when the resolver ran,
@@ -129,7 +149,7 @@ func (c *keyCopy) set(key string, v Versioned) {
 // absorbed into current held copies, and Reconciled else. TombstonesLive
 // counts a key that ends a tombstone with no detached copy involved.
 // Values are faulted in only past rule 3, so converged keys fault nothing.
-func reconcile(key string, cs []keyCopy, resolve Resolver) (SyncResult, error) {
+func reconcile(key string, cs []keyCopy, resolve Resolver, reunite bool) (SyncResult, error) {
 	var res SyncResult
 	present, missing, settled, absorbing, indep := false, false, true, false, false
 	held, first := 0, -1
@@ -211,7 +231,7 @@ func reconcile(key string, cs []keyCopy, resolve Resolver) (SyncResult, error) {
 	var stamp core.Stamp
 	survivors, winner := 0, first
 	for i := range cs {
-		if c := &cs[i]; c.ok && !c.lost && !indep {
+		if c := &cs[i]; c.ok && (reunite || !c.lost) && !indep {
 			if survivors++; survivors == 1 {
 				stamp = c.Stamp
 				if c.held {
@@ -232,23 +252,32 @@ func reconcile(key string, cs []keyCopy, resolve Resolver) (SyncResult, error) {
 	case src < 0:
 		stamp = stamp.Update()
 	}
-	deposit := func(i int) {
-		var part core.Stamp
-		if held--; held == 0 {
-			part = stamp
-		} else {
-			part, stamp = stamp.Fork()
-		}
+	// hint reports a ConvergeKey hint slot: a held slot with no replica.
+	hint := func(c *keyCopy) bool { return reunite && c.held && c.r == nil }
+	deposit := func(i int, part core.Stamp) {
 		v := Versioned{Value: value, Deleted: deleted, Stamp: part}
 		if i != src {
 			v.Value = append([]byte(nil), value...)
 		}
 		cs[i].set(key, v)
 	}
-	deposit(winner)
 	for i := range cs {
-		if i != winner && cs[i].held {
-			deposit(i)
+		if hint(&cs[i]) {
+			var part core.Stamp
+			stamp, part = stamp.Fork()
+			deposit(i, part)
+			held--
+		}
+	}
+	j := 0
+	split := func(i int) {
+		deposit(i, forkPart(stamp, held, j))
+		j++
+	}
+	split(winner)
+	for i := range cs {
+		if c := &cs[i]; i != winner && c.held && !hint(c) {
+			split(i)
 		}
 	}
 
@@ -268,6 +297,28 @@ func reconcile(key string, cs []keyCopy, resolve Resolver) (SyncResult, error) {
 	return res, nil
 }
 
+// forkPart returns part j of the n parts s.ForkN(n) splits s into, without
+// building the slice. ForkN's breadth-first queue ends holding the nodes of
+// depth d = ⌊log2 n⌋ from index k = n − 2^d on, then the children of the
+// first k of them; part j is the node at that depth and index, reached from
+// s by one fork per level.
+func forkPart(s core.Stamp, n, j int) core.Stamp {
+	d := bits.Len(uint(n)) - 1
+	k := n - 1<<d
+	idx := k + j
+	if j >= 1<<d-k {
+		idx = j - (1<<d - k)
+		d++
+	}
+	for b := d - 1; b >= 0; b-- {
+		s0, s1 := s.Fork()
+		if s = s0; idx>>b&1 == 1 {
+			s = s1
+		}
+	}
+	return s
+}
+
 // KeyWrite is the local write ConvergeKey applies at its coordinator before
 // converging: a Put of Value, or a Delete when Delete is set.
 type KeyWrite struct {
@@ -282,13 +333,18 @@ const convergeInline = 8
 // ConvergeKey converges one key's copies over the replicas rs in a single
 // reconcile, with the semantics one key of a full Sync would get: transfer to
 // the sides lacking it, reconcile when one side dominates, resolve (or
-// report) conflicts. rs[0] coordinates. When w is not nil, the write is
-// applied at rs[0] first, under the same locks; a Delete of a key rs[0]
-// holds absent or tombstoned writes nothing. detached holds one result slot
-// per hinted owner, a copy with no replica: each slot receives its fork of
-// rs[0]'s result, exactly what the hint must carry, and is left zero
-// (IsZero stamp) when nothing landed — no replica held the key, or the call
-// failed. The slots' input contents are ignored.
+// report) conflicts. rs[0] coordinates. Unlike the pairwise paths it
+// reclaims ids: the stamps of the copies it converges, dominated ones
+// included, are joined, and the result is forked back out — first the outer
+// half r·1 to each hint slot, then the remainder breadth-first over the
+// replicas — so the ids of all R owners reduce to one whenever every owner
+// takes part. When w is not nil, the write is applied at rs[0] first, under
+// the same locks; a Delete of a key rs[0] holds absent or tombstoned writes
+// nothing. detached holds one result slot per hinted owner, a copy with no
+// replica: each slot receives its fork of rs[0]'s result, exactly what the
+// hint must carry, and is left zero (IsZero stamp) when nothing landed — no
+// replica held the key, or the call failed. The slots' input contents are
+// ignored.
 //
 // The copies are ordered against the greatest one a scan from rs[0] meets
 // (see settle). When every copy is ordered against it, the copies Equal to
@@ -376,7 +432,7 @@ func reconcileSlots(key string, cs []keyCopy, detached []Versioned, resolve Reso
 	for range detached {
 		cs = append(cs, keyCopy{held: true})
 	}
-	res, err := reconcile(key, cs, resolve)
+	res, err := reconcile(key, cs, resolve, true)
 	for i := range detached {
 		detached[i] = cs[len(cs)-len(detached)+i].Versioned
 	}
@@ -478,5 +534,5 @@ func (r *Replica) MergeVersioned(key string, in Versioned, resolve Resolver) (Sy
 	sh.lockMut()
 	defer sh.mu.Unlock()
 	cs := [2]keyCopy{r.heldLocked(key), {Versioned: in, ok: true}}
-	return reconcile(key, cs[:], resolve)
+	return reconcile(key, cs[:], resolve, false)
 }

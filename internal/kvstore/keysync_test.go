@@ -58,13 +58,13 @@ func TestReconcileDecisionTable(t *testing.T) {
 			`T0 R0 M0 P0 TL0 C[] | a="base" [ε|0] | b="base" [ε|1]`,
 			`T0 R0 M0 P1 TL0 C[] | a="base" [ε|0+11] | b="base" [ε|10]`},
 		{"before", func(a, b *Replica) { shared(a, b); put(b, "new") }, nil,
-			`T0 R1 M0 P0 TL0 C[] | a="new" [1|11] | b="new" [1|10]`,
+			`T0 R1 M0 P0 TL0 C[] | a="new" [ε|0] | b="new" [ε|1]`,
 			`T0 R1 M0 P0 TL0 C[] | a="new" [1|0+11] | b="new" [1|10]`},
 		{"after", func(a, b *Replica) { shared(a, b); put(a, "new") }, nil,
-			`T0 R1 M0 P0 TL0 C[] | a="new" [0|00] | b="new" [0|01]`,
+			`T0 R1 M0 P0 TL0 C[] | a="new" [ε|0] | b="new" [ε|1]`,
 			`T0 R0 M0 P1 TL0 C[] | a="new" [0|0+11] | b="base" [ε|10]`},
 		{"after, tombstone", func(a, b *Replica) { shared(a, b); a.Delete("k") }, nil,
-			`T0 R1 M0 P0 TL1 C[] | a=deleted [0|00] | b=deleted [0|01]`,
+			`T0 R1 M0 P0 TL1 C[] | a=deleted [ε|0] | b=deleted [ε|1]`,
 			`T0 R0 M0 P1 TL0 C[] | a=deleted [0|0+11] | b="base" [ε|10]`},
 		{"concurrent, identical", func(a, b *Replica) { shared(a, b); put(a, "same"); put(b, "same") }, nil,
 			`T0 R1 M0 P0 TL0 C[] | a="same" [ε|0] | b="same" [ε|1]`,
@@ -201,6 +201,55 @@ func forkCopy(t *testing.T, r *Replica, key string) (Versioned, bool) {
 		t.Fatal(err)
 	}
 	return slot[0], !slot[0].Stamp.IsZero()
+}
+
+// TestForkPartMatchesForkN: forkPart hands out exactly core.ForkN's parts,
+// in ForkN's order.
+func TestForkPartMatchesForkN(t *testing.T) {
+	s := core.MustParse("[0|0+11]")
+	for n := 1; n <= 17; n++ {
+		for j, want := range s.ForkN(n) {
+			if got := forkPart(s, n, j); !got.Equal(want) {
+				t.Fatalf("forkPart(%v, %d, %d) = %v, ForkN gives %v", s, n, j, got, want)
+			}
+		}
+	}
+}
+
+// TestConvergeKeyReclaimsIDs: a write at an owner ahead of the other two
+// joins all three ids back into the seed's and forks it again; each hint
+// slot takes the outer half of what is left, and the owners split the rest
+// breadth-first, the shallowest part to the coordinator.
+func TestConvergeKeyReclaimsIDs(t *testing.T) {
+	for _, c := range []struct {
+		hints int
+		want  []string
+	}{
+		{0, []string{"[ε|1]", "[ε|00]", "[ε|01]"}},
+		{1, []string{"[ε|01]", "[ε|000]", "[ε|001]", "[ε|1]"}},
+		{2, []string{"[ε|001]", "[ε|0000]", "[ε|0001]", "[ε|1]", "[ε|01]"}},
+	} {
+		a := NewReplica("a")
+		a.Put("k", []byte("v0"))
+		b, d := a.Clone("b"), a.Clone("d")
+		a.Put("k", []byte("v1"))
+		slots := make([]Versioned, c.hints)
+		w := KeyWrite{Value: []byte("v2")}
+		if _, err := ConvergeKey([]*Replica{a, b, d}, "k", &w, slots, nil); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range []*Replica{a, b, d} {
+			v, _ := r.Version("k")
+			got = append(got, v.Stamp.String())
+		}
+		for _, h := range slots {
+			got = append(got, h.Stamp.String())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%d hints: stamps %v, want %v", c.hints, got, c.want)
+		}
+	}
 }
 
 // TestForkCopyKeepsFrontier: a hint slot of ConvergeKey receives a fork of

@@ -780,7 +780,7 @@ func syncStripe(a, b *Replica, i int, resolve Resolver) (SyncResult, error) {
 	var res SyncResult
 	for _, k := range sortedKeys(keys) {
 		cs := [2]keyCopy{a.heldLocked(k), b.heldLocked(k)}
-		part, err := reconcile(k, cs[:], resolve)
+		part, err := reconcile(k, cs[:], resolve, false)
 		res.add(part)
 		if err != nil {
 			return res, err

@@ -6,10 +6,15 @@ import (
 	"testing"
 )
 
-// stampCapBytes bounds the largest binary-encoded stamp any scenario may end with.
-// It is a blow-up alarm, not the paper's bound: ROADMAP item 2 replaces it
-// with a function of the replication factor.
-const stampCapBytes = 4096
+// stampCapBytes bounds the largest binary-encoded stamp a scenario with
+// replication factor r may end with: 40 bytes per owner copy, 120 B at
+// R = 3. A quorum write joins the owners' copies and forks them R ways, so a
+// key's stamps grow only while copies are outstanding — a hint that has not
+// drained, or an id a pairwise sync abandoned. Over the seven small
+// scenarios at seeds 1–12 the largest stamp was 98 B (owner-set-failure,
+// seed 1: a revived owner absorbed some 40 hints of one key after a sync had
+// abandoned its id) and the 1000-node run's 18 B.
+func stampCapBytes(r int) int { return 40 * r }
 
 // runScenario runs s and asserts the system invariants every chaos scenario
 // must hold, whatever fault it injects. It is their one statement: a
@@ -26,8 +31,8 @@ func runScenario(t *testing.T, s Scenario) *ScenarioMetrics {
 	if m.Writes == 0 || m.Exchanges == 0 {
 		t.Fatalf("%s: scenario did no work: %+v", s.Name, m)
 	}
-	if m.KeysTotal == 0 || m.StampBytesMax == 0 || m.StampBytesMax > stampCapBytes {
-		t.Fatalf("%s: max stamp %d B over %d keys, want 1..%d B", s.Name, m.StampBytesMax, m.KeysTotal, stampCapBytes)
+	if limit := stampCapBytes(s.Replication); m.KeysTotal == 0 || m.StampBytesMax == 0 || m.StampBytesMax > limit {
+		t.Fatalf("%s: max stamp %d B over %d keys, want 1..%d B", s.Name, m.StampBytesMax, m.KeysTotal, limit)
 	}
 	// Converging around standing disk damage is not convergence.
 	if m.QuarantinedEnd != 0 || m.PersistErrsEnd != 0 {
