@@ -61,15 +61,18 @@ func TestConvergedRoundAllocs(t *testing.T) {
 
 // hot1RoundAllocBudget is what a pooled round after one client write may
 // allocate across both ends, the write included: the -race figure plus
-// about 10 %. Measured at 32 stripes of 2 000 keys: 58 (67 under -race),
-// and 55 (60) at 200 keys under -short. Before each end took the wire keys
+// about 10 %. Measured at 32 stripes of 2 000 keys: 37 (46 under -race),
+// and 37 (41) at 200 keys under -short. Before both ends released their
+// round's trees before folding, so the folds patch in place, and the stores
+// took the values the wire had already copied, 58 (67) against a budget of
+// 74, and 55 (60) under -short. Before each end took the wire keys
 // it already held from its own tree snapshots, and RunRange and
 // DecodeTreeNode stopped allocating, 79 (88) against a budget of 100; before
 // DigestTree.Children appended into session scratch and the result
 // restamped the written copy instead of echoing it, 93 (96) against a budget
 // of 120; before sessions kept their frame buffers and the store walked its
 // trees, 216.
-const hot1RoundAllocBudget = 74
+const hot1RoundAllocBudget = 51
 
 // TestHot1RoundAllocs: a round that reconciles one written key stays within
 // its recorded budget.
@@ -88,6 +91,38 @@ func TestHot1RoundAllocs(t *testing.T) {
 	if allocs > hot1RoundAllocBudget {
 		t.Errorf("hot1 round allocates %.1f/op; budget is %d", allocs, hot1RoundAllocBudget)
 	}
+}
+
+// TestRoundFoldsInPlace: both ends release a round's trees after the apply
+// and before the fold that follows it, so the fold patches the stripe's
+// maintained tree in place. A round that reconciles one written key leaves
+// each end's tree of that stripe the very tree it was before the round; a
+// fold under a hold would have patched a copy.
+func TestRoundFoldsInPlace(t *testing.T) {
+	server, client, p, addr := allocPair(t, 200)
+	const key = "key-000007"
+	idx := kvstore.ShardIndex(key, client.Shards())
+	tree := func(r *kvstore.Replica) *kvstore.DigestTree {
+		t.Helper()
+		tr, err := r.StripeTree(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.ReleaseStripeTree(idx)
+		return tr
+	}
+	srv, cli := tree(server), tree(client)
+	client.Put(key, []byte("edited"))
+	if res, err := p.SyncWith(addr, client); err != nil || res.Reconciled != 1 {
+		t.Fatalf("round over one written key: %+v, %v", res, err)
+	}
+	if tree(server) != srv {
+		t.Error("the server folded the round's write into a copy of its tree")
+	}
+	if tree(client) != cli {
+		t.Error("the client folded the round's restamp into a copy of its tree")
+	}
+	requireConverged(t, server, client)
 }
 
 // TestFrameLengthPrefixCannotPinMemory: a peer that declares a maxFrame body,
@@ -260,5 +295,74 @@ func TestQuorumWriteHintAllocBudget(t *testing.T) {
 	if budget := float64(live + 1 + quorumHintWriteAllocs); allocs > budget {
 		t.Errorf("quorum write with one owner down allocates %.2f/op; budget is %d value copies + %d",
 			allocs, live+1, quorumHintWriteAllocs)
+	}
+}
+
+// ringFoldAllocs is what folding one quorum write per stripe into every
+// owner's digest trees may add to a root-only ring round: a constant, the
+// same at 16 and at 64 stripes. Measured on a five-node R=3 ring: 0, with
+// and without -race. While every fold copied the touched paths it grew with
+// the stripe count: 257 at 16 stripes, 1 012 at 64.
+const ringFoldAllocs = 4
+
+// TestRingRootOnlyRoundAllocs: after a quorum write to every stripe, the
+// owners' copies are converged but their trees are not, so the next gossip
+// round folds every stripe's write into its owners' trees and then settles
+// each exchange on its stripe root. Each run compares that round with a
+// quiet one; what the writes add must not grow with the stripe count, as it
+// does when the folds copy what they patch.
+func TestRingRootOnlyRoundAllocs(t *testing.T) {
+	roundAllocs := func(c *Cluster) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, err := c.GossipRoundStats(2)
+		runtime.ReadMemStats(&after)
+		if err != nil || st.Moved != 0 || st.StripesSkipped != st.Exchanges {
+			t.Fatalf("root-only round: %+v, %v", st, err)
+		}
+		return after.Mallocs - before.Mallocs
+	}
+	for _, stripes := range []int{16, 64} {
+		c := newRingCluster(t, RingConfig{Nodes: 5, Replication: 3, Stripes: stripes, Seed: 1, GossipWorkers: 1})
+		perStripe := make([]string, stripes)
+		for i, n := 0, 0; n < stripes; i++ {
+			k := fmt.Sprintf("key-%05d", i)
+			if s := kvstore.ShardIndex(k, stripes); perStripe[s] == "" {
+				perStripe[s] = k
+				n++
+			}
+			if _, err := c.Write(k, []byte("v0")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.GossipUntilConverged(40); err != nil {
+			t.Fatal(err)
+		}
+		writeEach := func(run int) {
+			for _, k := range perStripe {
+				if acks, err := c.Write(k, []byte(fmt.Sprintf("v%d", run))); err != nil || acks != 3 {
+					t.Fatalf("Write(%s) = %d acks, %v", k, acks, err)
+				}
+			}
+		}
+		// The first folds after a build size the stripes' kept dirty sets
+		// and scratch.
+		writeEach(0)
+		roundAllocs(c)
+		const runs = 5
+		var quiet, written uint64
+		for run := 1; run <= runs; run++ {
+			quiet += roundAllocs(c)
+			writeEach(run)
+			written += roundAllocs(c)
+		}
+		added := (float64(written) - float64(quiet)) / runs
+		t.Logf("%d stripes: quiet root-only round %.1f allocs, after a write per stripe %.1f more",
+			stripes, float64(quiet)/runs, added)
+		if added > ringFoldAllocs {
+			t.Errorf("%d stripes: folding a write per stripe adds %.1f allocs to a root-only round; budget is %d",
+				stripes, added, ringFoldAllocs)
+		}
 	}
 }

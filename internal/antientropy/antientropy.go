@@ -88,8 +88,19 @@
 // are built in, with a slot for the length so that every frame goes out in
 // one Write without a copy. Both keep at most 64 KiB between frames; a
 // larger frame gets a buffer of its own, dropped after use. The client also
-// keeps a stripe-indexed slot per stripe tree, cleared after each round, so
-// a converged round allocates nothing at either end.
+// keeps a stripe-indexed slot per stripe tree, so a converged round
+// allocates nothing at either end.
+//
+// A stripe's tree handed to a round is held (kvstore.Replica.StripeTree)
+// until the round releases it, and the store patches the stripe's tree in
+// place only while no hold is out. Each slot the client loads holds its
+// stripe; the server holds each divergent stripe's tree from the stripe-root
+// phase to the apply, and releases a converged stripe's at once. Both ends
+// release after the apply step — the server's ApplyDeltaRanges, the client's
+// ApplyDeltaReply, which still reads the digests it shipped off its trees —
+// and before the fold that precedes the result or probe frame, so that fold
+// patches in place and no hold is out by the time the peer can act on the
+// round. A round that ends early releases its holds on the way out.
 //
 // A key named on the wire is mostly one the receiver already holds, and it
 // takes its own string for it instead of copying the bytes: the server

@@ -58,8 +58,10 @@ type poolConn struct {
 	probedRoot   uint64
 
 	// trees holds the round's stripe trees, indexed by stripe: loaded (and
-	// the stripe set validated against it) before the round, cleared after it
-	// so the session pins no snapshot. all is 0..n-1, the whole-replica set.
+	// the stripe set validated against it) before the round, each slot
+	// holding its stripe (kvstore.Replica.StripeTree) until release empties
+	// it, so the session pins no snapshot past the round. all is 0..n-1, the
+	// whole-replica set.
 	trees []*kvstore.DigestTree
 	all   []int
 
@@ -101,6 +103,16 @@ func (pc *poolConn) load(local *kvstore.Replica, stripes []int) error {
 		pc.trees[idx] = t
 	}
 	return nil
+}
+
+// release releases and empties every tree slot load filled.
+func (pc *poolConn) release(local *kvstore.Replica) {
+	for idx, t := range pc.trees {
+		if t != nil {
+			local.ReleaseStripeTree(idx)
+			pc.trees[idx] = nil
+		}
+	}
 }
 
 // BackoffPolicy skips rounds to a repeatedly-failing peer, so one dead or
@@ -341,7 +353,7 @@ func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstor
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	defer func() {
-		clear(pc.trees)
+		pc.release(local)
 		pc.out = keepBuf(pc.out)
 	}()
 	if err := pc.load(local, stripes); err != nil {

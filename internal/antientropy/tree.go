@@ -102,20 +102,19 @@ func (s *Server) treeRootMatch(of int, peerRoot uint64, probe bool) (byte, error
 	}
 	root := encoding.RootSummarySeed
 	for i := 0; i < of; i++ {
-		var t *kvstore.DigestTree
+		var r uint64
 		if probe {
-			folded, ok := s.replica.FoldedStripeTree(i)
-			if !ok {
+			var ok bool
+			if r, ok = s.replica.FoldedStripeRoot(i); !ok {
 				return 0, nil
 			}
-			t = folded
 		} else {
 			var err error
-			if t, err = s.replica.StripeTree(i); err != nil {
+			if r, err = s.replica.StripeRoot(i); err != nil {
 				return 0, err
 			}
 		}
-		root = encoding.FoldSummary(root, t.Root())
+		root = encoding.FoldSummary(root, r)
 	}
 	if root == peerRoot {
 		return 1, nil
@@ -227,6 +226,15 @@ func (ss *serverSession) treeRound(opening []byte) bool {
 	}
 	body = body[used:]
 	stripes := make(map[int]*treeStripeState, 8)
+	// Every divergent stripe's tree is held until the apply is done; a round
+	// that ends before then releases them here.
+	defer func() {
+		for idx, st := range stripes {
+			if st != nil && st.tree != nil {
+				s.replica.ReleaseStripeTree(idx)
+			}
+		}
+	}()
 	var divergent []int
 	for i := uint64(0); i < count; i++ {
 		idx64, used := binary.Uvarint(body)
@@ -257,6 +265,7 @@ func (ss *serverSession) treeRound(opening []byte) bool {
 			divergent = append(divergent, idx)
 		} else {
 			stripes[idx] = nil // declared and converged
+			s.replica.ReleaseStripeTree(idx)
 		}
 	}
 	ss.out = startFrame(ss.out, kindStripeRootDiff, lenSlot*(1+len(divergent)))
@@ -499,11 +508,18 @@ descend:
 	// Each stripe's part is sorted by key; the frame's lists are sorted whole.
 	slices.SortFunc(reply.Restamps, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
 	slices.SortFunc(reply.Entries, func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
+	// The round's snapshots are done with. Releasing them before the fold
+	// lets it patch the trees in place, and before the result frame leaves
+	// no hold out once the client can act on the round.
+	for _, idx := range divergent {
+		s.replica.ReleaseStripeTree(idx)
+		stripes[idx].tree = nil
+	}
 	// Fold this round's writes into the maintained trees before answering:
 	// the root probe that follows the result then finds them current, and
 	// the patch never races the writes that come after the round.
 	for _, idx := range order {
-		if _, err := s.replica.StripeTree(idx); err != nil {
+		if _, err := s.replica.StripeRoot(idx); err != nil {
 			return fail(err)
 		}
 	}
@@ -545,11 +561,14 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		}
 		return nil
 	}
-	// sendProbe pipelines the next round's root check behind this round.
-	// A write failure is deliberately swallowed: the round itself already
-	// succeeded on both sides, and the dead connection is discovered (and
-	// redialed) by the next round's opening instead.
+	// sendProbe ends a successful round: it releases the round's stripe
+	// trees, so none is held once the server can act on the round, and
+	// pipelines the next round's root check behind this round. A write
+	// failure is deliberately swallowed: the round itself already succeeded
+	// on both sides, and the dead connection is discovered (and redialed)
+	// by the next round's opening instead.
 	sendProbe := func(root uint64) {
+		pc.release(local)
 		if !wholeReplica {
 			return
 		}
@@ -785,7 +804,7 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 			return res, fmt.Errorf("%w: bad need key", ErrProtocol)
 		}
 		body = body[n:]
-		v, ok := local.Version(k)
+		v, ok := local.Stored(k)
 		if !ok {
 			// Vanished since the digest (a tombstone GC can drop keys); the
 			// next round reconciles it.
@@ -842,15 +861,17 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		return res, err
 	}
 	// The shipped copies pin every reply copy to the exact copy this round
-	// sent.
+	// sent. They are read off the round's trees, which are released only
+	// once the reply is in, and before the fold, so it patches in place.
 	local.ApplyDeltaReply(reply, sends, shipped.stamp)
+	pc.release(local)
 	root = encoding.RootSummarySeed
 	for _, idx := range stripes {
-		t, err := local.StripeTree(idx)
+		r, err := local.StripeRoot(idx)
 		if err != nil {
 			return res, fmt.Errorf("antientropy: %w", err)
 		}
-		root = encoding.FoldSummary(root, t.Root())
+		root = encoding.FoldSummary(root, r)
 	}
 	sendProbe(root)
 	return res, nil

@@ -93,7 +93,8 @@ func TestTreeHotKeyWireSavings(t *testing.T) {
 		}
 		wire := res.BytesSent + res.BytesReceived
 
-		stripe, err := client.StripeTree(kvstore.ShardIndex("key-0000", client.Shards()))
+		idx := kvstore.ShardIndex("key-0000", client.Shards())
+		stripe, err := client.StripeTree(idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,6 +102,7 @@ func TestTreeHotKeyWireSavings(t *testing.T) {
 		for _, d := range stripe.RunRange(kvstore.TreeRange{}) {
 			digestList = encoding.AppendDigest(digestList, d)
 		}
+		client.ReleaseStripeTree(idx)
 		if wire >= int64(len(digestList)) {
 			t.Errorf("hot key at %d keys: round %dB, the stripe's digest list alone %dB",
 				keys, wire, len(digestList))
@@ -170,22 +172,22 @@ func TestTreeProbeNeverFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	of := server.Shards()
-	before := make([]*kvstore.DigestTree, of)
+	before := make([]uint64, of)
 	for i := range before {
-		tr, ok := server.FoldedStripeTree(i)
+		r, ok := server.FoldedStripeRoot(i)
 		if !ok {
 			t.Fatalf("stripe %d not folded after a round", i)
 		}
-		before[i] = tr
+		before[i] = r
 	}
 	clientRoot := func() uint64 {
 		root := encoding.RootSummarySeed
 		for i := 0; i < of; i++ {
-			tr, err := client.StripeTree(i)
+			r, err := client.StripeRoot(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			root = encoding.FoldSummary(root, tr.Root())
+			root = encoding.FoldSummary(root, r)
 		}
 		return root
 	}
@@ -231,12 +233,12 @@ func TestTreeProbeNeverFolds(t *testing.T) {
 		t.Fatalf("probe with a written stripe pending answered %d, want 0", m)
 	}
 	for i := 0; i < of; i++ {
-		tr, ok := server.FoldedStripeTree(i)
+		r, ok := server.FoldedStripeRoot(i)
 		switch {
 		case i == written && ok:
 			t.Fatalf("the probe folded written stripe %d", i)
-		case i != written && (!ok || tr != before[i]):
-			t.Fatalf("the probe replaced quiet stripe %d's tree", i)
+		case i != written && (!ok || r != before[i]):
+			t.Fatalf("the probe moved quiet stripe %d's root", i)
 		}
 	}
 
@@ -250,7 +252,7 @@ func TestTreeProbeNeverFolds(t *testing.T) {
 		t.Fatalf("round after the probe: %+v", res)
 	}
 	requireConverged(t, server, client)
-	if _, ok := server.FoldedStripeTree(written); !ok {
+	if _, ok := server.FoldedStripeRoot(written); !ok {
 		t.Fatal("the round left the written stripe unfolded")
 	}
 	if m := probe(); m != 1 {
@@ -507,6 +509,7 @@ func treeDepth(t *testing.T, r *kvstore.Replica) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.ReleaseStripeTree(0)
 	return tree.Depth()
 }
 

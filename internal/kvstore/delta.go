@@ -202,9 +202,10 @@ func (r *Replica) DiffRanges(peer []encoding.Digest, idx int, ranges []TreeRange
 	var d Diff
 	var cmp core.Comparer
 	matched := 0
-	// The tree is brought current before the read lock: a tree request
-	// takes it itself.
+	// The tree is brought current and held before the read lock: a tree
+	// request takes it itself, and so does the release.
 	t := r.stripeTree(idx)
+	defer r.ReleaseStripeTree(idx)
 	sh := &r.shards[idx]
 	sh.mu.RLock()
 	localInScope := sc.count(t)
@@ -292,6 +293,12 @@ func (d DeltaReply) Len() int { return len(d.Restamps) + len(d.Entries) }
 // Keys whose digest says this side should dominate but whose local copy
 // moved since DiffRanges (a concurrent writer) are skipped this round; the
 // next digest exchange reconciles them.
+//
+// The call takes ownership of peerEntries' values, which a decoder has
+// already copied out of its frame: a value the local copy adopts is stored
+// as it is, so the caller must not modify it afterwards, nor hand it to
+// another replica. Reply values are this side's copies, and the caller's to
+// keep.
 func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peerDigest []encoding.Digest, peerEntries []encoding.Entry,
 	resolve Resolver, idx int, ranges []TreeRange) (DeltaReply, SyncResult, error) {
 	sc, err := r.deltaScope(idx, ranges)
@@ -305,10 +312,12 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peerDigest []encoding.Diges
 		return reply, SyncResult{}, err
 	}
 
-	t := r.stripeTree(idx)
-	// Registered before the lock so it runs after it releases: group-commit
-	// barriers must never be awaited under stripe locks.
+	// Registered before the lock so they run after it releases: group-commit
+	// barriers must never be awaited under stripe locks, and the tree's
+	// release takes cacheMu, which is ordered before the stripe lock.
 	defer r.awaitDurable()
+	t := r.stripeTree(idx)
+	defer r.ReleaseStripeTree(idx)
 	sh := &r.shards[idx]
 	sh.lockMut()
 	defer sh.mu.Unlock()
@@ -324,7 +333,7 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peerDigest []encoding.Diges
 		switch {
 		case pe != nil:
 			cs[1].Versioned = Versioned{Value: pe.Value, Deleted: pe.Deleted, Stamp: pe.Stamp}
-			cs[1].ok = true
+			cs[1].ok, cs[1].owned = true, true
 		case pd != nil:
 			if !cs[0].ok {
 				// Peer-only key that did not arrive in full: under-sent or
@@ -407,6 +416,10 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peerDigest []encoding.Diges
 // Refused copies are left alone — the round's fork is simply abandoned on
 // this side, which only discards id space, never causality — and the next
 // round reconciles them. Returns how many reply copies were applied.
+//
+// The call takes ownership of the values in reply.Entries: an applied one is
+// stored as it is, so the caller must not modify it afterwards, nor hand it
+// to another replica.
 func (r *Replica) ApplyDeltaReply(reply DeltaReply, full []encoding.Entry, sent func(key string) (core.Stamp, bool)) int {
 	shipped := func(key string) (encoding.Entry, bool) {
 		i, ok := slices.BinarySearchFunc(full, key, func(e encoding.Entry, k string) int { return strings.Compare(e.Key, k) })
@@ -432,11 +445,7 @@ func (r *Replica) ApplyDeltaReply(reply DeltaReply, full []encoding.Entry, sent 
 			ok = !r.overwrittenLocked(si, f)
 		}
 		if ok {
-			v := Versioned{
-				Value:   append([]byte(nil), e.Value...),
-				Deleted: e.Deleted,
-				Stamp:   e.Stamp,
-			}
+			v := Versioned{Value: e.Value, Deleted: e.Deleted, Stamp: e.Stamp}
 			sh.data[e.Key] = v
 			sh.noteTombLocked(e.Key)
 			r.logSet(si, e.Key, v)

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -58,16 +59,13 @@ func deltaRound(t *testing.T, a, b *Replica, resolve Resolver) SyncResult {
 	return res
 }
 
-// stripeRuns returns r's digests stripe by stripe, each in tree order.
+// stripeRuns returns r's digests stripe by stripe, each in tree order,
+// copied out of trees it releases.
 func stripeRuns(t testing.TB, r *Replica) [][]encoding.Digest {
 	t.Helper()
 	out := make([][]encoding.Digest, r.Shards())
 	for i := range out {
-		tree, err := r.StripeTree(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = tree.RunRange(TreeRange{})
+		out[i] = stripeTreeRun(t, r, i)
 	}
 	return out
 }
@@ -146,14 +144,15 @@ func TestDigestSortedAndComplete(t *testing.T) {
 	}
 }
 
-// stripeTreeRun returns the digests of stripe idx, read off its tree.
-func stripeTreeRun(t *testing.T, r *Replica, idx int) []encoding.Digest {
+// stripeTreeRun returns the digests of stripe idx, copied off its tree.
+func stripeTreeRun(t testing.TB, r *Replica, idx int) []encoding.Digest {
 	t.Helper()
 	tree, err := r.StripeTree(idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree.RunRange(TreeRange{})
+	defer r.ReleaseStripeTree(idx)
+	return slices.Clone(tree.RunRange(TreeRange{}))
 }
 
 func TestDiffAgainstClassification(t *testing.T) {

@@ -50,9 +50,14 @@ func classify(cmp *core.Comparer, a, b core.Stamp) core.Ordering {
 // the slot is stripe si of r, write lock held: the value is faulted in there
 // only once an outcome needs it, and the result is stored and logged there.
 // Any other copy carries its value and receives its result in place.
+//
+// A result value is copied into every slot but the one it came from, so no
+// two replicas share a buffer, unless the copy it came from is owned: its
+// buffer is the reconcile's to give away (a delta apply's peer entry, freshly
+// decoded), and the first replica slot takes it as it is.
 type keyCopy struct {
 	Versioned
-	ok, held bool
+	ok, held, owned bool
 	// Scratch of reconcile: lost is a held copy another held copy dominates
 	// (rule 2; ConvergeKey joins its stamp all the same); shadowed is a copy
 	// whose value another survivor supersedes.
@@ -254,9 +259,14 @@ func reconcile(key string, cs []keyCopy, resolve Resolver, reunite bool) (SyncRe
 	}
 	// hint reports a ConvergeKey hint slot: a held slot with no replica.
 	hint := func(c *keyCopy) bool { return reunite && c.held && c.r == nil }
+	give := src >= 0 && cs[src].owned
 	deposit := func(i int, part core.Stamp) {
 		v := Versioned{Value: value, Deleted: deleted, Stamp: part}
-		if i != src {
+		switch {
+		case i == src:
+		case give && cs[i].r != nil:
+			give = false
+		default:
 			v.Value = append([]byte(nil), value...)
 		}
 		cs[i].set(key, v)

@@ -150,11 +150,17 @@ type shard struct {
 	// deadlock against writers, which take mu alone.
 	//
 	// tree is the stripe's digest tree (tree.go) at the replica's own shape
-	// for its key count: built by the first request, patched from the dirty
-	// set by each later one, immutable in between. scratch is the patch's.
+	// for its key count: built by the first request and patched from the
+	// dirty set by each later one. holds counts the trees StripeTree and
+	// StripeTreeAt handed out that are not yet released: while it is zero
+	// no earlier tree sharing nodes with this one can be reached, and the
+	// patch rewrites the tree in place; otherwise it patches a copy.
+	// scratch is the patch's, allocated with the first tree, so a stripe
+	// that never builds one carries none.
 	cacheMu sync.Mutex
 	tree    *DigestTree
-	scratch treeScratch
+	holds   int
+	scratch *treeScratch
 
 	// quar mirrors the replica's quarantine set for this stripe as a lock-
 	// free flag, so the per-write logSet check costs one atomic load. The
@@ -571,12 +577,21 @@ func keysOf(m map[string][]byte) []string {
 // Version returns the stored copy of a key including its stamp and
 // tombstone state. Unlike Get, the returned value is the caller's own copy.
 func (r *Replica) Version(key string) (Versioned, bool) {
+	v, ok := r.Stored(key)
+	if ok {
+		v.Value = append([]byte(nil), v.Value...)
+	}
+	return v, ok
+}
+
+// Stored is Version without the copy: the returned value is the stored
+// buffer (or a paged copy's page-cache buffer), immutable by Get's contract.
+func (r *Replica) Stored(key string) (Versioned, bool) {
 	si := ShardIndex(key, len(r.shards))
 	sh := &r.shards[si]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if v, found := sh.data[key]; found {
-		v.Value = append([]byte(nil), v.Value...)
 		return v, true
 	}
 	cs := sh.cold
@@ -594,7 +609,7 @@ func (r *Replica) Version(key string) (Versioned, bool) {
 			r.notePersistErr(fmt.Errorf("kvstore: version %q (shard %d): %w", key, si, err))
 			return Versioned{}, false
 		}
-		v.Value = append([]byte(nil), buf...)
+		v.Value = buf
 	}
 	return v, true
 }

@@ -22,8 +22,13 @@ import (
 //
 // Each stripe keeps its tree once a peer has asked for it: writers note the
 // keys they touch and the next request patches just those leaves and their
-// paths to the root (stripeTree), so converged stripes answer in O(1) and a
-// written one in O(dirty keys × depth), without re-reading the stripe. When a
+// paths to the root (foldLocked), so converged stripes answer in O(1) and a
+// written one in O(dirty keys × depth), without re-reading the stripe. The
+// stripe owns its tree. A caller that keeps a tree past the request holds
+// it (StripeTree, StripeTreeAt) until it calls ReleaseStripeTree; while no
+// hold is out the patch overwrites leaf runs and child arrays where they
+// are, and while one is, it copies the touched paths and shares the rest,
+// so a held tree never moves. When a
 // stripe's key count crosses a width threshold the request re-levels the
 // tree at the deeper (or shallower) shape — an online rebalance that needs
 // no coordination, because the wire protocol always descends at the
@@ -99,8 +104,9 @@ func NodeRange(fanout, level int, path uint64) TreeRange {
 // treeNode is one non-empty node: its child index under its parent, its
 // subtree hash, and either its non-empty children in ascending index order
 // (level < depth) or its digest run ordered by (TreePos, key) (level ==
-// depth). A node is never modified once the tree holding it is handed out:
-// patch copies the path to each touched leaf and shares everything else.
+// depth). A node is modified only while its stripe has no hold out: then no
+// tree that shares it can still be reached. Otherwise patch copies the path
+// to each touched leaf and shares everything else.
 type treeNode struct {
 	hash uint64
 	idx  uint8
@@ -108,12 +114,15 @@ type treeNode struct {
 	run  []encoding.Digest
 }
 
-// DigestTree is an immutable k-ary hash tree over one stripe's digests,
-// ordered by (TreePos, key). Leaf nodes (level == depth) hash their digest
-// run with encoding.SummarizeDigestsBuf; internal nodes fold each non-empty
-// child's (index, hash) pair, so the root pins the whole stripe — and
-// depends on the declared shape, which is why the wire always compares trees
-// at one agreed shape. Safe for concurrent use once built.
+// DigestTree is a k-ary hash tree over one stripe's digests, ordered by
+// (TreePos, key). Leaf nodes (level == depth) hash their digest run with
+// encoding.SummarizeDigestsBuf; internal nodes fold each non-empty child's
+// (index, hash) pair, so the root pins the whole stripe — and depends on the
+// declared shape, which is why the wire always compares trees at one agreed
+// shape. A tree handed out by StripeTree or StripeTreeAt stays exactly as it
+// was, and is safe for concurrent reads, until its holder releases it; after
+// that the stripe may patch it in place, so the holder must not read it, or
+// any run it returned, again.
 type DigestTree struct {
 	fanout, depth, fbits int
 	n                    int      // digests spanned
@@ -177,7 +186,15 @@ func (t *DigestTree) level(ups []treeUpdate, level int, sc *treeScratch) treeNod
 		t.leafHashes++
 		return nd
 	}
-	nd := treeNode{kids: make([]treeNode, 0, min(t.fanout, len(ups)))}
+	// Room for exactly the node's children: an in-place patch keeps the
+	// array, so spare room would stay with the tree.
+	kids := 1
+	for i := 1; i < len(ups); i++ {
+		if t.childIndex(ups[i].pos, level) != t.childIndex(ups[i-1].pos, level) {
+			kids++
+		}
+	}
+	nd := treeNode{kids: make([]treeNode, 0, kids)}
 	for len(ups) > 0 {
 		c, j := t.childIndex(ups[0].pos, level), 1
 		for j < len(ups) && t.childIndex(ups[j].pos, level) == c {
@@ -209,26 +226,35 @@ func foldKids(kids []treeNode) uint64 {
 // leaf and, kept by the stripe, from one request to the next.
 type treeScratch struct {
 	hash []byte            // SummarizeDigestsBuf's encoding buffer
-	run  []encoding.Digest // a patched leaf's run, merged here before it is sized
+	run  []encoding.Digest // a patched leaf's run, merged here before it is placed
+	ups  []treeUpdate      // the dirty keys' updates, kept up to dirtyKeep of them
 }
 
-// patch returns the tree with ups applied, leaving t as it was: only the
-// paths to the touched leaves are copied, only leaves whose key set or update
-// components moved are rehashed (an id-only change — a fork — just swaps the
-// stamp in the run), and the result equals buildDigestTree over the updated
-// digest set bit for bit. ups is non-empty, holds each key once, and is
-// reordered.
-func (t *DigestTree) patch(ups []treeUpdate, sc *treeScratch) *DigestTree {
+// patch applies ups to the tree. In place, it overwrites t: a leaf run that
+// keeps its length and a child array that gains no child are rewritten in
+// their own arrays, and only a leaf that gains or loses keys, or a node that
+// gains a child, gets a new array. Otherwise it returns a new tree and leaves
+// t as it was, copying only the paths to the touched leaves. Either way only
+// leaves whose key set or update components moved are rehashed (an id-only
+// change — a fork — just swaps the stamp in the run), and the result equals
+// buildDigestTree over the updated digest set bit for bit. ups is non-empty,
+// holds each key once, and is reordered.
+func (t *DigestTree) patch(ups []treeUpdate, sc *treeScratch, inPlace bool) *DigestTree {
 	slices.SortFunc(ups, cmpUpdates)
-	nt := *t
-	nt.root, _ = nt.patchNode(t.root, 0, ups, sc)
+	nt := t
+	if !inPlace {
+		cp := *t
+		nt = &cp
+	}
+	nt.root, _ = nt.patchNode(t.root, 0, ups, sc, inPlace)
 	clear(sc.run[:cap(sc.run)]) // keep the buffer, not what it pointed at
-	return &nt
+	return nt
 }
 
 // patchNode returns nd (the zero node when the subtree was empty) with ups,
 // all of which fall under it, applied, and whether anything is left of it.
-func (t *DigestTree) patchNode(nd treeNode, level int, ups []treeUpdate, sc *treeScratch) (treeNode, bool) {
+// In place, nd's own arrays are rewritten where the result fits them.
+func (t *DigestTree) patchNode(nd treeNode, level int, ups []treeUpdate, sc *treeScratch, inPlace bool) (treeNode, bool) {
 	if level == t.depth {
 		run, old, rehash := sc.run[:0], nd.run, false
 		for _, u := range ups {
@@ -247,15 +273,27 @@ func (t *DigestTree) patchNode(nd treeNode, level int, ups []treeUpdate, sc *tre
 		}
 		run = append(run, old...)
 		t.n += len(run) - len(nd.run)
-		sc.run, nd.run = run, slices.Clone(run) // exactly sized: the tree keeps it
+		sc.run = run
+		if inPlace && len(run) == len(nd.run) {
+			copy(nd.run, run)
+		} else {
+			nd.run = slices.Clone(run) // exactly sized: the tree keeps it
+		}
 		if rehash && len(run) > 0 {
 			nd.hash, sc.hash = encoding.SummarizeDigestsBuf(run, sc.hash)
 			t.leafHashes++
 		}
 		return nd, len(run) > 0
 	}
-	kids := make([]treeNode, 0, min(t.fanout, len(nd.kids)+len(ups)))
-	old := nd.kids
+	// In place and with no child added, the merge writes into nd's own
+	// array: its write cursor never passes its read cursor. A node that
+	// gains a child takes a new array; its children are still patched in
+	// place.
+	old, kids := nd.kids, nd.kids[:0]
+	own := inPlace && !t.addsKid(old, ups, level)
+	if !own {
+		kids = make([]treeNode, 0, min(t.fanout, len(nd.kids)+len(ups)))
+	}
 	for len(ups) > 0 {
 		c, j := t.childIndex(ups[0].pos, level), 1
 		for j < len(ups) && t.childIndex(ups[j].pos, level) == c {
@@ -268,14 +306,33 @@ func (t *DigestTree) patchNode(nd treeNode, level int, ups []treeUpdate, sc *tre
 		if len(old) > 0 && old[0].idx == c {
 			kid, old = old[0], old[1:]
 		}
-		if kid, ok := t.patchNode(kid, level+1, ups[:j], sc); ok {
+		if kid, ok := t.patchNode(kid, level+1, ups[:j], sc, inPlace); ok {
 			kids = append(kids, kid)
 		}
 		ups = ups[j:]
 	}
+	was := nd.kids
 	nd.kids = append(kids, old...)
+	if own && len(nd.kids) < len(was) {
+		clear(was[len(nd.kids):]) // pin no subtree the node dropped
+	}
 	nd.hash = foldKids(nd.kids)
 	return nd, len(nd.kids) > 0
+}
+
+// addsKid reports whether ups, sorted and all under a node at level with the
+// given children, name a child index the node has no child at.
+func (t *DigestTree) addsKid(kids []treeNode, ups []treeUpdate, level int) bool {
+	for _, u := range ups {
+		c := t.childIndex(u.pos, level)
+		for len(kids) > 0 && kids[0].idx < c {
+			kids = kids[1:]
+		}
+		if len(kids) == 0 || kids[0].idx != c {
+			return true
+		}
+	}
+	return false
 }
 
 // relevel arranges the tree's digests under another shape. They are already
@@ -402,19 +459,17 @@ func (t *DigestTree) eachRunUnder(nd treeNode, level int, path, lo, last uint64,
 	}
 }
 
-// stripeTree returns stripe i's digest tree at the replica's own shape
+// foldLocked returns the stripe's digest tree at the replica's own shape
 // (TreeShape of the live count), brought up to date. The first request
 // collects, sorts and hashes the stripe once; from then on writers note the
 // keys they touch (shard.noteDirtyLocked) and a request folds only those in:
 // O(dirty keys × depth), nothing when the stripe was quiet. A full build
 // recurs only after a whole-stripe replacement or a dirty-set overflow;
 // crossing a TreeShape depth threshold re-levels the digests the tree
-// already holds in order. The result is immutable, so a round descends a
-// consistent snapshot while later requests patch copies.
-func (r *Replica) stripeTree(i int) *DigestTree {
-	sh := &r.shards[i]
-	sh.cacheMu.Lock()
-	defer sh.cacheMu.Unlock()
+// already holds in order. The fold patches the tree in place while no hold
+// is out, and otherwise patches a copy, so a round descends a consistent
+// snapshot. cacheMu held.
+func (sh *shard) foldLocked() *DigestTree {
 	sh.mu.RLock()
 	if sh.tree == nil || sh.dirtyCap == 0 {
 		ds := make([]encoding.Digest, 0, sh.countLocked())
@@ -425,6 +480,9 @@ func (r *Replica) stripeTree(i int) *DigestTree {
 		// noted against the snapshot it is built from.
 		sh.dirty, sh.dirtyCap = make(map[string]struct{}), dirtyCapFor(len(ds))
 		sh.mu.RUnlock()
+		if sh.scratch == nil {
+			sh.scratch = new(treeScratch)
+		}
 		fanout, depth := TreeShape(len(ds))
 		sh.tree = buildDigestTree(ds, fanout, depth)
 		return sh.tree
@@ -434,19 +492,28 @@ func (r *Replica) stripeTree(i int) *DigestTree {
 		sh.mu.RUnlock()
 		return sh.tree
 	}
-	ups := make([]treeUpdate, 0, len(sh.dirty))
+	ups := sh.scratch.ups[:0]
 	for k := range sh.dirty {
 		v, ok := sh.metaLocked(k)
 		ups = append(ups, treeUpdate{encoding.TreePos(k), encoding.Digest{Key: k, Stamp: v.Stamp}, ok})
 	}
-	// A fresh set rather than a cleared one: a burst's worth of buckets
-	// should not stay with the stripe.
-	sh.dirty = make(map[string]struct{})
+	// A small set is cleared and kept; a burst's worth of buckets does not
+	// stay with the stripe.
+	if len(sh.dirty) > dirtyKeep {
+		sh.dirty = make(map[string]struct{})
+	} else {
+		clear(sh.dirty)
+	}
 	sh.mu.RUnlock()
 	// Patching happens outside the stripe lock: the dirty keys' states are
 	// already read, and a writer that sneaks in meanwhile notes its key for
 	// the next request.
-	t := sh.tree.patch(ups, &sh.scratch)
+	t := sh.tree.patch(ups, sh.scratch, sh.holds == 0)
+	clear(ups)
+	if cap(ups) > dirtyKeep {
+		ups = nil
+	}
+	sh.scratch.ups = ups
 	if fanout, depth := TreeShape(t.n); fanout != t.fanout || depth != t.depth {
 		t = t.relevel(fanout, depth)
 	}
@@ -459,8 +526,30 @@ func (r *Replica) stripeTree(i int) *DigestTree {
 // (about 3x the patch it replaces) rather than hold a set the tree's size.
 func dirtyCapFor(n int) int { return n/4 + 64 }
 
+// dirtyKeep is the most dirty keys a stripe's fold keeps room for between
+// folds, in its dirty set and its update scratch: a map group's worth, the
+// room a fresh set takes for its first keys anyway. A larger burst's room is
+// dropped once folded, so the stripes' idle sets stay no larger than fresh
+// ones.
+const dirtyKeep = 8
+
+// stripeTree returns stripe i's digest tree, brought up to date, and counts
+// a hold on it: the stripe patches no tree in place until the caller's
+// ReleaseStripeTree.
+func (r *Replica) stripeTree(i int) *DigestTree {
+	sh := &r.shards[i]
+	sh.cacheMu.Lock()
+	defer sh.cacheMu.Unlock()
+	t := sh.foldLocked()
+	sh.holds++
+	return t
+}
+
 // StripeTree returns stripe idx's digest tree at the replica's own shape,
-// brought up to date with the keys written since the last request.
+// brought up to date with the keys written since the last request, and holds
+// it: the tree, and every run read from it, stays as it is until the caller
+// calls ReleaseStripeTree(idx), once per StripeTree call. A hold never
+// released costs later requests their in-place patches, never correctness.
 func (r *Replica) StripeTree(idx int) (*DigestTree, error) {
 	if idx < 0 || idx >= len(r.shards) {
 		return nil, fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
@@ -468,14 +557,41 @@ func (r *Replica) StripeTree(idx int) (*DigestTree, error) {
 	return r.stripeTree(idx), nil
 }
 
-// FoldedStripeTree returns stripe idx's digest tree only when it is already
-// current: built, with no write noted since its last fold. Otherwise ok is
-// false. Unlike StripeTree it never builds or patches, so a caller that
-// only asks whether anything moved (a pipelined root probe) never folds
-// part of a burst of writes that is still landing.
-func (r *Replica) FoldedStripeTree(idx int) (t *DigestTree, ok bool) {
+// ReleaseStripeTree releases a hold StripeTree or StripeTreeAt took on
+// stripe idx. The caller must not read the tree, or any run read from it,
+// afterwards. A release with no hold out is a caller bug that would let a
+// held tree move, so it panics.
+func (r *Replica) ReleaseStripeTree(idx int) {
+	sh := &r.shards[idx]
+	sh.cacheMu.Lock()
+	defer sh.cacheMu.Unlock()
+	if sh.holds == 0 {
+		panic(fmt.Sprintf("kvstore: stripe %d tree released with no hold out", idx))
+	}
+	sh.holds--
+}
+
+// StripeRoot returns stripe idx's digest-tree root at the replica's own
+// shape, brought up to date with the keys written since the last request.
+// It holds nothing.
+func (r *Replica) StripeRoot(idx int) (uint64, error) {
 	if idx < 0 || idx >= len(r.shards) {
-		return nil, false
+		return 0, fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
+	}
+	sh := &r.shards[idx]
+	sh.cacheMu.Lock()
+	defer sh.cacheMu.Unlock()
+	return sh.foldLocked().Root(), nil
+}
+
+// FoldedStripeRoot returns stripe idx's digest-tree root only when the tree
+// is already current: built, with no write noted since its last fold.
+// Otherwise ok is false. Unlike StripeRoot it never builds or patches, so a
+// caller that only asks whether anything moved (a pipelined root probe)
+// never folds part of a burst of writes that is still landing.
+func (r *Replica) FoldedStripeRoot(idx int) (root uint64, ok bool) {
+	if idx < 0 || idx >= len(r.shards) {
+		return 0, false
 	}
 	sh := &r.shards[idx]
 	sh.cacheMu.Lock()
@@ -483,14 +599,16 @@ func (r *Replica) FoldedStripeTree(idx int) (t *DigestTree, ok bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if sh.tree == nil || sh.dirtyCap == 0 || len(sh.dirty) > 0 {
-		return nil, false
+		return 0, false
 	}
-	return sh.tree, true
+	return sh.tree.Root(), true
 }
 
 // StripeTreeAt returns stripe idx's digest tree evaluated at a peer-declared
 // (fanout, depth): the maintained tree when that is the stripe's own shape,
 // as it is between converged replicas, and otherwise its digests re-leveled.
+// Either way it holds the stripe as StripeTree does, until the caller's
+// ReleaseStripeTree(idx).
 func (r *Replica) StripeTreeAt(idx, fanout, depth int) (*DigestTree, error) {
 	if !encoding.ValidTreeShape(fanout, depth) {
 		return nil, fmt.Errorf("kvstore: bad tree shape fanout=%d depth=%d", fanout, depth)
@@ -510,7 +628,9 @@ func (r *Replica) StripeTreeAt(idx, fanout, depth int) (*DigestTree, error) {
 func (r *Replica) Digest() []encoding.Digest {
 	var out []encoding.Digest
 	for i := range r.shards {
-		r.stripeTree(i).root.each(func(d encoding.Digest) { out = append(out, d) })
+		t := r.stripeTree(i)
+		t.root.each(func(d encoding.Digest) { out = append(out, d) })
+		r.ReleaseStripeTree(i)
 	}
 	slices.SortFunc(out, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
 	return out
@@ -533,7 +653,7 @@ func (nd *treeNode) each(fn func(encoding.Digest)) {
 func (r *Replica) Summaries() []uint64 {
 	out := make([]uint64, len(r.shards))
 	for i := range r.shards {
-		out[i] = r.stripeTree(i).Root()
+		out[i], _ = r.StripeRoot(i)
 	}
 	return out
 }

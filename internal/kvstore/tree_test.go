@@ -366,28 +366,51 @@ func requireSameTree(t *testing.T, what string, got, want *DigestTree) {
 
 // requireTreesMatchOracle checks every stripe's maintained tree against
 // buildDigestTree over a fresh collection at the stripe's own shape, and
-// returns the depths it saw.
+// returns the depths it saw. It releases every tree it takes.
 func requireTreesMatchOracle(t *testing.T, what string, r *Replica) []int {
 	t.Helper()
 	depths := make([]int, r.Shards())
 	for i := 0; i < r.Shards(); i++ {
-		got, err := r.StripeTree(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := stripeDigests(r, i)
-		fanout, depth := TreeShape(len(ds))
-		requireSameTree(t, fmt.Sprintf("%s: %s stripe %d", what, r.Label(), i), got, buildDigestTree(ds, fanout, depth))
-		depths[i] = depth
+		_, want := foldAgainstOracle(t, what, r, i)
+		r.ReleaseStripeTree(i)
+		depths[i] = want.Depth()
 	}
 	return depths
+}
+
+// foldAgainstOracle takes stripe i's tree, which folds in the stripe's
+// pending writes, and fails unless it equals a fresh build at the stripe's
+// own shape. It returns the tree, held, and the build.
+func foldAgainstOracle(t *testing.T, what string, r *Replica, i int) (got, want *DigestTree) {
+	t.Helper()
+	got, err := r.StripeTree(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := stripeDigests(r, i)
+	fanout, depth := TreeShape(len(ds))
+	want = buildDigestTree(ds, fanout, depth)
+	requireSameTree(t, fmt.Sprintf("%s: %s stripe %d", what, r.Label(), i), got, want)
+	return got, want
+}
+
+// heldTree is a tree a test holds, and the fresh build of its moment that it
+// must keep equalling until it is released.
+type heldTree struct {
+	r          *Replica
+	idx        int
+	tree, want *DigestTree
 }
 
 // TestMaintainedTreeMatchesFreshBuild is the differential property of the
 // maintained tree: after every step of a seeded random sequence over every
 // mutation path, each stripe's patched tree must equal a from-scratch build
 // — over in-memory, durable and paged replicas, across a dirty-set overflow
-// and across the TreeShape depth threshold in both directions.
+// and across the TreeShape depth threshold in both directions. Holds are
+// taken and released at random between the steps, so folds run both in
+// place (no hold out) and on a copy (some hold out), and every held tree
+// must keep equalling the build of the moment it was taken until it is
+// released.
 func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 	const shards = 2
 	kinds := map[string]func(t *testing.T, label string) *Replica{
@@ -435,11 +458,43 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 			}
 			resolve := KeepBoth([]byte("|"))
 			sawDepth := map[int]bool{}
+			holdRng := rand.New(rand.NewSource(19700101))
+			var held []heldTree
+			inPlace, copied := 0, 0
 			check := func(what string) {
 				t.Helper()
+				for _, h := range held {
+					requireSameTree(t, fmt.Sprintf("%s: %s stripe %d held", what, h.r.Label(), h.idx), h.tree, h.want)
+				}
 				for _, r := range pair {
-					for _, d := range requireTreesMatchOracle(t, what, r) {
-						sawDepth[d] = true
+					for i := 0; i < r.Shards(); i++ {
+						sh := &r.shards[i]
+						before, folds := sh.tree, sh.tree != nil && sh.dirtyCap > 0 && len(sh.dirty) > 0
+						holding := sh.holds > 0
+						got, want := foldAgainstOracle(t, what, r, i)
+						switch {
+						case folds && !holding && got != before && got.Depth() == before.Depth():
+							t.Fatalf("%s: %s stripe %d: a fold with no hold out copied the tree", what, r.Label(), i)
+						case folds && holding && got == before:
+							t.Fatalf("%s: %s stripe %d: a fold under a hold patched the held tree", what, r.Label(), i)
+						case folds && !holding:
+							inPlace++
+						case folds && got.Depth() == before.Depth():
+							copied++
+						}
+						sawDepth[want.Depth()] = true
+						if len(held) < 4 && holdRng.Intn(8) == 0 {
+							held = append(held, heldTree{r, i, got, want})
+						} else {
+							r.ReleaseStripeTree(i)
+						}
+					}
+				}
+				for j := 0; j < len(held); j++ {
+					if holdRng.Intn(2) == 0 {
+						held[j].r.ReleaseStripeTree(held[j].idx)
+						held = slices.Delete(held, j, j+1)
+						j--
 					}
 				}
 			}
@@ -544,6 +599,10 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 			if !sawDepth[1] || !sawDepth[2] {
 				t.Fatalf("sequence never crossed the depth threshold: depths seen %v", sawDepth)
 			}
+			if inPlace == 0 || copied == 0 {
+				t.Fatalf("folds in place %d, on a copy %d: the sequence must take both paths", inPlace, copied)
+			}
+			t.Logf("folds in place %d, on a copy %d", inPlace, copied)
 		})
 	}
 }
