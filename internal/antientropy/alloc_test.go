@@ -305,12 +305,27 @@ func TestQuorumWriteHintAllocBudget(t *testing.T) {
 // the stripe count: 257 at 16 stripes, 1 012 at 64.
 const ringFoldAllocs = 4
 
+// ringQuietRoundAllocs bounds a quiet root-only ring round itself: the
+// round's stats and exchange tally, its worker and channel, and nothing
+// per stripe, since chain planning and the tombstone GC reuse the
+// cluster's scratch and a converged exchange allocates nothing. Measured:
+// 18.0 at 16 and at 64 stripes (18.2 under -race). While the planning and
+// the GC rebuilt their slices and copied every owner's tombstone ledger
+// each round it was 184 at 16 stripes and 668 at 64. ringQuietGrowth is
+// how many more the 64-stripe round may take than the 16-stripe one.
+const (
+	ringQuietRoundAllocs = 20
+	ringQuietGrowth      = 2
+)
+
 // TestRingRootOnlyRoundAllocs: after a quorum write to every stripe, the
 // owners' copies are converged but their trees are not, so the next gossip
 // round folds every stripe's write into its owners' trees and then settles
 // each exchange on its stripe root. Each run compares that round with a
 // quiet one; what the writes add must not grow with the stripe count, as it
-// does when the folds copy what they patch.
+// does when the folds copy what they patch. The quiet round itself must
+// stay within its own budget and must not grow with the stripe count
+// either.
 func TestRingRootOnlyRoundAllocs(t *testing.T) {
 	roundAllocs := func(c *Cluster) uint64 {
 		t.Helper()
@@ -323,6 +338,7 @@ func TestRingRootOnlyRoundAllocs(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs
 	}
+	quietAt := make(map[int]float64)
 	for _, stripes := range []int{16, 64} {
 		c := newRingCluster(t, RingConfig{Nodes: 5, Replication: 3, Stripes: stripes, Seed: 1, GossipWorkers: 1})
 		perStripe := make([]string, stripes)
@@ -364,5 +380,14 @@ func TestRingRootOnlyRoundAllocs(t *testing.T) {
 			t.Errorf("%d stripes: folding a write per stripe adds %.1f allocs to a root-only round; budget is %d",
 				stripes, added, ringFoldAllocs)
 		}
+		quietAt[stripes] = float64(quiet) / runs
+		if quietAt[stripes] > ringQuietRoundAllocs {
+			t.Errorf("%d stripes: a quiet root-only round allocates %.1f; budget is %d",
+				stripes, quietAt[stripes], ringQuietRoundAllocs)
+		}
+	}
+	if growth := quietAt[64] - quietAt[16]; growth > ringQuietGrowth {
+		t.Errorf("a quiet root-only round allocates %.1f more at 64 stripes than at 16; budget is %d",
+			growth, ringQuietGrowth)
 	}
 }

@@ -107,6 +107,18 @@ type Cluster struct {
 	// per round.
 	peerScratch []int
 	taskScratch []gossipTask
+	// chainOf and chains are runGossip's: a round's tasks grouped into one
+	// chain per stripe (chainOf[s] is stripe s's chain index plus one, 0
+	// for none), truncated and refilled each round.
+	chainOf []int
+	chains  [][]gossipTask
+	// gcIdxs, gcConf, gcTombs and gcExpect are gcTombstonesLocked's
+	// per-stripe owner indexes, propagation horizons, ledger copies and
+	// discard sets, so a stripe it cannot collect costs no allocation.
+	gcIdxs   []int
+	gcConf   []uint64
+	gcTombs  []map[string]uint64
+	gcExpect []map[string]uint64
 	// quorumOwners, readMeta, hintSlots and hintTargets are the quorum
 	// paths' scratch, reused so a quorum op allocates only value copies:
 	// the owner replicas a Write or Read converges, the copies' metadata a
@@ -487,20 +499,34 @@ type exTally struct {
 // causally-unrelated copies and reseed, silently discarding causality. With
 // R owners per stripe every pair of same-stripe exchanges shares a node, so
 // per-stripe serialization is exactly the needed exclusion, while different
-// stripes touch disjoint keys and parallelize freely.
+// stripes touch disjoint keys and parallelize freely. The chains are
+// dispatched in order of their stripe's first task, and reuse the cluster's
+// chain scratch: rounds do not overlap, as the task list they group is
+// already the cluster's scratch.
 func (c *Cluster) runGossip(tasks []gossipTask, stats *RoundStats, track map[exKey]*exTally) error {
-	chains := make([][]gossipTask, 0, len(tasks))
-	byStripe := make(map[int]int)
+	c.mu.Lock()
+	if len(c.chainOf) < c.stripes {
+		c.chainOf = make([]int, c.stripes)
+	}
+	chains := c.chains[:0]
 	for _, t := range tasks {
-		ci, ok := byStripe[t.stripe]
-		if !ok {
+		ci := c.chainOf[t.stripe] - 1
+		if ci < 0 {
 			ci = len(chains)
-			byStripe[t.stripe] = ci
-			chains = append(chains, nil)
+			c.chainOf[t.stripe] = ci + 1
+			if ci < cap(chains) {
+				chains = chains[:ci+1]
+				chains[ci] = chains[ci][:0]
+			} else {
+				chains = append(chains, nil)
+			}
 		}
 		chains[ci] = append(chains[ci], t)
 	}
-	c.mu.Lock()
+	for _, t := range tasks {
+		c.chainOf[t.stripe] = 0
+	}
+	c.chains = chains
 	workers := c.workers
 	c.mu.Unlock()
 	if workers <= 0 {

@@ -525,7 +525,7 @@ func (c *Cluster) gcTombstonesLocked(stats *RoundStats) {
 		if err != nil {
 			continue
 		}
-		idxs := make([]int, 0, len(owners))
+		idxs := c.gcIdxs[:0]
 		ok := true
 		for _, oid := range owners {
 			j, known := c.index[oid]
@@ -536,32 +536,45 @@ func (c *Cluster) gcTombstonesLocked(stats *RoundStats) {
 			}
 			idxs = append(idxs, j)
 		}
+		c.gcIdxs = idxs
 		if !ok {
 			continue
 		}
-		// Each owner's tombstone ledger and the epoch up to which its state
-		// is proven propagated to every co-owner (~uint64(0) = no co-owners).
-		tombs := make([]map[string]uint64, len(idxs))
-		minConf := make([]uint64, len(idxs))
-		for x, j := range idxs {
-			tombs[x] = c.nodes[j].replica.Tombstones(s)
-			minConf[x] = ^uint64(0)
+		// The epoch up to which each owner's state is proven propagated to
+		// every co-owner (~uint64(0) = no co-owners).
+		minConf := c.gcConf[:0]
+		for _, j := range idxs {
+			m := ^uint64(0)
 			for _, p := range idxs {
 				if p == j {
 					continue
 				}
 				e, have := c.conf[confKey{j, s, p}]
 				if !have {
-					minConf[x] = 0
 					ok = false // no evidence at all: nothing here can qualify
 					break
 				}
-				if e < minConf[x] {
-					minConf[x] = e
-				}
+				m = min(m, e)
 			}
+			minConf = append(minConf, m)
+		}
+		c.gcConf = minConf
+		if !ok {
+			continue
+		}
+		// Each owner's tombstone ledger, copied into the cluster's reused
+		// maps; an empty one empties the intersection, so the stripe is
+		// skipped before the remaining owners' ledgers are copied.
+		for len(c.gcTombs) < len(idxs) {
+			c.gcTombs = append(c.gcTombs, nil)
+			c.gcExpect = append(c.gcExpect, nil)
+		}
+		tombs := c.gcTombs[:len(idxs)]
+		for x, j := range idxs {
+			tombs[x] = c.nodes[j].replica.Tombstones(s, tombs[x])
 			if len(tombs[x]) == 0 {
-				ok = false // intersection is empty; skip the stripe cheaply
+				ok = false
+				break
 			}
 		}
 		if !ok {
@@ -569,7 +582,10 @@ func (c *Cluster) gcTombstonesLocked(stats *RoundStats) {
 		}
 		// Candidates: tombstoned at every owner, each owner's tombstone
 		// epoch within that owner's proven-propagation horizon.
-		expect := make([]map[string]uint64, len(idxs))
+		expect := c.gcExpect[:len(idxs)]
+		for x := range expect {
+			clear(expect[x])
+		}
 		any := false
 		for k, e0 := range tombs[0] {
 			if e0 > minConf[0] {

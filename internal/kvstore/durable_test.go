@@ -451,7 +451,7 @@ func TestRemovalForcesFullCheckpoint(t *testing.T) {
 		checkpoint()
 		r.Delete("k")
 		checkpoint()
-		if n := r.DiscardTombstones(0, r.Tombstones(0)); n != 1 {
+		if n := r.DiscardTombstones(0, r.Tombstones(0, nil)); n != 1 {
 			t.Fatalf("DiscardTombstones dropped %d tombstones, want 1", n)
 		}
 		checkpoint()

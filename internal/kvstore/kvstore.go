@@ -154,13 +154,12 @@ type shard struct {
 	// dirty set by each later one. holds counts the trees StripeTree and
 	// StripeTreeAt handed out that are not yet released: while it is zero
 	// no earlier tree sharing nodes with this one can be reached, and the
-	// patch rewrites the tree in place; otherwise it patches a copy.
-	// scratch is the patch's, allocated with the first tree, so a stripe
-	// that never builds one carries none.
+	// patch rewrites the tree in place; otherwise it patches a copy. The
+	// fold's buffers are borrowed per call (treeScratch), so a stripe
+	// keeps only its tree and its dirty set between folds.
 	cacheMu sync.Mutex
 	tree    *DigestTree
 	holds   int
-	scratch *treeScratch
 
 	// quar mirrors the replica's quarantine set for this stripe as a lock-
 	// free flag, so the per-write logSet check costs one atomic load. The

@@ -259,22 +259,26 @@ func (r *Replica) StripeEpoch(i int) uint64 {
 	return r.shards[i].epoch.Load()
 }
 
-// Tombstones returns a copy of stripe i's tombstone ledger: every currently
-// tombstoned key mapped to the stripe epoch its tombstone was last
-// (re-)established at. A tombstone proven propagated to every co-owner as of
-// a later epoch is safe to discard — see DiscardTombstones.
-func (r *Replica) Tombstones(i int) map[string]uint64 {
+// Tombstones copies stripe i's tombstone ledger into dst, which it clears
+// first (nil is allowed), and returns it: every currently tombstoned key
+// mapped to the stripe epoch its tombstone was last (re-)established at. An
+// empty ledger allocates nothing. A tombstone proven propagated to every
+// co-owner as of a later epoch is safe to discard — see DiscardTombstones.
+func (r *Replica) Tombstones(i int, dst map[string]uint64) map[string]uint64 {
+	clear(dst)
 	if i < 0 || i >= len(r.shards) {
-		return nil
+		return dst
 	}
 	sh := &r.shards[i]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	out := make(map[string]uint64, len(sh.tombs))
-	for k, e := range sh.tombs {
-		out[k] = e
+	if dst == nil && len(sh.tombs) > 0 {
+		dst = make(map[string]uint64, len(sh.tombs))
 	}
-	return out
+	for k, e := range sh.tombs {
+		dst[k] = e
+	}
+	return dst
 }
 
 // TombstonesLive returns the number of tombstones currently held across all

@@ -181,9 +181,13 @@ func TestPagedDiscardTombstones(t *testing.T) {
 	r.Put("gone", []byte("v"))
 	r.Put("kept", []byte("v"))
 	r.Delete("gone")
-	tombs := r.Tombstones(0)
+	tombs := r.Tombstones(0, nil)
 	if len(tombs) != 1 {
 		t.Fatalf("Tombstones = %v", tombs)
+	}
+	// A reused destination is cleared first: only the ledger comes back.
+	if got := r.Tombstones(0, map[string]uint64{"other": 1}); len(got) != 1 || got["gone"] != tombs["gone"] {
+		t.Fatalf("Tombstones into a used map = %v, want %v", got, tombs)
 	}
 	// Stale evidence: the tombstone was re-established after the epoch the
 	// caller proved propagation for — never discard.
@@ -238,7 +242,7 @@ func TestPagedDiscardColdTombstone(t *testing.T) {
 	if err := r.Checkpoint(); err != nil { // tombstone now cold
 		t.Fatal(err)
 	}
-	tombs := r.Tombstones(0)
+	tombs := r.Tombstones(0, nil)
 	if n := r.DiscardTombstones(0, tombs); n != 1 {
 		t.Fatalf("discard = %d, want 1", n)
 	}
@@ -326,7 +330,7 @@ func TestMetaAgreesWithVersion(t *testing.T) {
 	keys = append(keys, "hot-only", "missing")
 	discarded := 0
 	for s := 0; s < r.Shards(); s++ {
-		discarded += r.DiscardTombstones(s, r.Tombstones(s))
+		discarded += r.DiscardTombstones(s, r.Tombstones(s, nil))
 	}
 	if discarded == 0 {
 		t.Fatal("no tombstone was discarded; the test covers nothing")

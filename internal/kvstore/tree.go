@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
@@ -166,7 +167,9 @@ func buildDigestTree(ds []encoding.Digest, fanout, depth int) *DigestTree {
 func levelSorted(ups []treeUpdate, fanout, depth int) *DigestTree {
 	t := &DigestTree{fanout: fanout, depth: depth, fbits: bits.TrailingZeros(uint(fanout)), n: len(ups)}
 	if len(ups) > 0 {
-		t.root = t.level(ups, 0, new(treeScratch))
+		sc := getScratch()
+		t.root = t.level(ups, 0, sc)
+		putScratch(sc)
 	}
 	return t
 }
@@ -222,12 +225,53 @@ func foldKids(kids []treeNode) uint64 {
 	return h
 }
 
-// treeScratch holds the buffers building and patching reuse from leaf to
-// leaf and, kept by the stripe, from one request to the next.
+// treeScratch holds the buffers a build or a fold reuses from leaf to leaf.
+// A call borrows one (getScratch) and gives it back (putScratch) with every
+// key and stamp it pointed at cleared, so it pins nothing, and no stripe
+// keeps one between folds: a fold reuses the room an earlier fold of any
+// stripe grew.
 type treeScratch struct {
 	hash []byte            // SummarizeDigestsBuf's encoding buffer
 	run  []encoding.Digest // a patched leaf's run, merged here before it is placed
-	ups  []treeUpdate      // the dirty keys' updates, kept up to dirtyKeep of them
+	ups  []treeUpdate      // a fold's dirty keys' updates
+}
+
+// idleScratch holds the scratch no build or fold is using, one per slot, so
+// it keeps as many as ran at once, up to its length, and a warm fold
+// allocates none. Eight covers a round's two ends on each of a few
+// workers; a fold beyond that works in a scratch of its own, which is
+// dropped after. It is not a sync.Pool: under the race detector a Pool
+// drops a quarter of what it is given, on purpose, and the counted
+// allocation gates run under the race detector too.
+var idleScratch [8]atomic.Pointer[treeScratch]
+
+// scratchKeep is the most updates' room an idle scratch keeps: a larger
+// burst's list is dropped when its fold returns the scratch, so the idle
+// slots stay small.
+const scratchKeep = 1024
+
+func getScratch() *treeScratch {
+	for i := range idleScratch {
+		if sc := idleScratch[i].Swap(nil); sc != nil {
+			return sc
+		}
+	}
+	return new(treeScratch)
+}
+
+// putScratch returns sc to an idle slot, or drops it when every slot is
+// full. Its update list must already be cleared up to its length.
+func putScratch(sc *treeScratch) {
+	if cap(sc.ups) > scratchKeep {
+		sc.ups = nil
+	}
+	clear(sc.run[:cap(sc.run)])
+	sc.ups, sc.run = sc.ups[:0], sc.run[:0]
+	for i := range idleScratch {
+		if idleScratch[i].CompareAndSwap(nil, sc) {
+			return
+		}
+	}
 }
 
 // patch applies ups to the tree. In place, it overwrites t: a leaf run that
@@ -247,7 +291,6 @@ func (t *DigestTree) patch(ups []treeUpdate, sc *treeScratch, inPlace bool) *Dig
 		nt = &cp
 	}
 	nt.root, _ = nt.patchNode(t.root, 0, ups, sc, inPlace)
-	clear(sc.run[:cap(sc.run)]) // keep the buffer, not what it pointed at
 	return nt
 }
 
@@ -468,7 +511,9 @@ func (t *DigestTree) eachRunUnder(nd treeNode, level int, path, lo, last uint64,
 // crossing a TreeShape depth threshold re-levels the digests the tree
 // already holds in order. The fold patches the tree in place while no hold
 // is out, and otherwise patches a copy, so a round descends a consistent
-// snapshot. cacheMu held.
+// snapshot. Its update list and merge buffers are a treeScratch borrowed
+// for the call, so a fold allocates only what the tree keeps. cacheMu
+// held.
 func (sh *shard) foldLocked() *DigestTree {
 	sh.mu.RLock()
 	if sh.tree == nil || sh.dirtyCap == 0 {
@@ -480,9 +525,6 @@ func (sh *shard) foldLocked() *DigestTree {
 		// noted against the snapshot it is built from.
 		sh.dirty, sh.dirtyCap = make(map[string]struct{}), dirtyCapFor(len(ds))
 		sh.mu.RUnlock()
-		if sh.scratch == nil {
-			sh.scratch = new(treeScratch)
-		}
 		fanout, depth := TreeShape(len(ds))
 		sh.tree = buildDigestTree(ds, fanout, depth)
 		return sh.tree
@@ -492,7 +534,8 @@ func (sh *shard) foldLocked() *DigestTree {
 		sh.mu.RUnlock()
 		return sh.tree
 	}
-	ups := sh.scratch.ups[:0]
+	sc := getScratch()
+	ups := slices.Grow(sc.ups[:0], len(sh.dirty))
 	for k := range sh.dirty {
 		v, ok := sh.metaLocked(k)
 		ups = append(ups, treeUpdate{encoding.TreePos(k), encoding.Digest{Key: k, Stamp: v.Stamp}, ok})
@@ -508,12 +551,10 @@ func (sh *shard) foldLocked() *DigestTree {
 	// Patching happens outside the stripe lock: the dirty keys' states are
 	// already read, and a writer that sneaks in meanwhile notes its key for
 	// the next request.
-	t := sh.tree.patch(ups, sh.scratch, sh.holds == 0)
+	t := sh.tree.patch(ups, sc, sh.holds == 0)
 	clear(ups)
-	if cap(ups) > dirtyKeep {
-		ups = nil
-	}
-	sh.scratch.ups = ups
+	sc.ups = ups
+	putScratch(sc)
 	if fanout, depth := TreeShape(t.n); fanout != t.fanout || depth != t.depth {
 		t = t.relevel(fanout, depth)
 	}
@@ -526,11 +567,17 @@ func (sh *shard) foldLocked() *DigestTree {
 // (about 3x the patch it replaces) rather than hold a set the tree's size.
 func dirtyCapFor(n int) int { return n/4 + 64 }
 
-// dirtyKeep is the most dirty keys a stripe's fold keeps room for between
-// folds, in its dirty set and its update scratch: a map group's worth, the
-// room a fresh set takes for its first keys anyway. A larger burst's room is
-// dropped once folded, so the stripes' idle sets stay no larger than fresh
-// ones.
+// dirtyKeep is the most dirty keys a stripe's dirty set keeps room for
+// between folds: a map group's worth, the room a fresh set takes for its
+// first keys anyway. A larger burst's set is dropped once folded, so the
+// stripes' idle sets stay no larger than fresh ones. (The fold's update
+// list is borrowed scratch, not the stripe's.) Both ways of keeping a
+// burst's set were measured and lost: keeping every set's room raised
+// sync-rounds' live heap by 2.9 %, because the last burst's sets are
+// still held when the phase ends; and pooling the sets cycles one map per
+// written stripe per node through the pool every round, which costs a
+// root-only ring round more allocations than its fold budget allows
+// (TestRingRootOnlyRoundAllocs).
 const dirtyKeep = 8
 
 // stripeTree returns stripe i's digest tree, brought up to date, and counts

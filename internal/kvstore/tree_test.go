@@ -537,7 +537,7 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i := 0; i < shards; i++ {
-						r.DiscardTombstones(i, r.Tombstones(i))
+						r.DiscardTombstones(i, r.Tombstones(i, nil))
 					}
 				case op == 0:
 					what = "Put"
@@ -579,7 +579,7 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 				case op == 8:
 					what = "DiscardTombstones"
 					idx := rng.Intn(shards)
-					r.DiscardTombstones(idx, r.Tombstones(idx))
+					r.DiscardTombstones(idx, r.Tombstones(idx, nil))
 				case op == 9:
 					what = "Checkpoint"
 					if err := r.Checkpoint(); err != nil {
@@ -694,6 +694,84 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 	readers.Wait()
 	requireSameTree(t, "snapshot after the writers", snap, frozen)
 	requireTreesMatchOracle(t, "after the writers", r)
+}
+
+// TestParallelTreeFoldsMatchFreshBuild: every build and fold borrows its
+// scratch from slots all stripes of all replicas share, so folds of many
+// stripes at once, on two replicas with writers running, must each get a
+// scratch no other fold is using. Folders fold in place, fold under a hold
+// and re-level at a foreign shape; once the writers stop, every stripe's
+// tree must equal a fresh build. Run with -race -count=10.
+func TestParallelTreeFoldsMatchFreshBuild(t *testing.T) {
+	const stripes, keys = 16, 3000
+	a := NewReplicaShards("a", stripes)
+	seed := make(map[string][]byte, keys)
+	for i := 0; i < keys; i++ {
+		seed[fmt.Sprintf("key-%05d", i)] = []byte("v")
+	}
+	a.PutBatch(seed)
+	reps := []*Replica{a, a.Clone("b")}
+	for _, r := range reps {
+		requireTreesMatchOracle(t, "before the writers", r)
+	}
+	var writers, folders sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 600; i++ {
+				r, k := reps[rng.Intn(len(reps))], fmt.Sprintf("key-%05d", rng.Intn(keys*6/5))
+				if i%7 == 6 {
+					r.Delete(k)
+				} else {
+					r.Put(k, []byte(fmt.Sprintf("w%d-%d", w, i)))
+				}
+			}
+		}(w)
+	}
+	for f := 0; f < 4; f++ {
+		folders.Add(1)
+		go func(f int) {
+			defer folders.Done()
+			for n := 0; ; n++ {
+				if n >= 200 {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+				}
+				r, i := reps[(f+n)%len(reps)], (f*5+n)%stripes
+				var err error
+				switch n % 3 {
+				case 0:
+					_, err = r.StripeRoot(i)
+				case 1:
+					var tr *DigestTree
+					if tr, err = r.StripeTree(i); err == nil {
+						_ = tr.RunRange(TreeRange{})
+						r.ReleaseStripeTree(i)
+					}
+				default:
+					if _, err = r.StripeTreeAt(i, 4, 3); err == nil {
+						r.ReleaseStripeTree(i)
+					}
+				}
+				if err != nil {
+					t.Errorf("folder %d: stripe %d: %v", f, i, err)
+					return
+				}
+			}
+		}(f)
+	}
+	writers.Wait()
+	close(stop)
+	folders.Wait()
+	for _, r := range reps {
+		requireTreesMatchOracle(t, "after the writers", r)
+	}
 }
 
 // TestIDOnlyChangeRehashesNothing: the source side of a SyncKey transfer

@@ -634,7 +634,10 @@ func decodePayload(payload []byte) (encoding.Entry, error) {
 // first byte that is not part of an intact frame — len(data) for a clean
 // log. A damaged frame that runs to the end of data is a torn tail (valid
 // stops before it); a damaged frame with bytes after it is corruption.
-func scanFrames(data []byte, fn func(off int, payload []byte) error) (valid int, err error) {
+// base is data's offset in the region it was read from: error messages name
+// base+off, so a region checked a window at a time reports what a check of
+// it whole would.
+func scanFrames(data []byte, base int, fn func(off int, payload []byte) error) (valid int, err error) {
 	off := 0
 	for off < len(data) {
 		n, used := binary.Uvarint(data[off:])
@@ -644,11 +647,11 @@ func scanFrames(data []byte, fn func(off int, payload []byte) error) (valid int,
 			if used == 0 && len(data)-off < binary.MaxVarintLen64 {
 				return off, nil
 			}
-			return off, fmt.Errorf("%w: bad frame length at offset %d", ErrCorrupt, off)
+			return off, fmt.Errorf("%w: bad frame length at offset %d", ErrCorrupt, base+off)
 		}
 		frameEnd := off + used + int(n) + 4
 		if n > maxRecordLen {
-			return off, fmt.Errorf("%w: %d-byte frame at offset %d", ErrCorrupt, n, off)
+			return off, fmt.Errorf("%w: %d-byte frame at offset %d", ErrCorrupt, n, base+off)
 		}
 		if frameEnd > len(data) {
 			return off, nil // torn tail: the frame never finished writing
@@ -659,7 +662,7 @@ func scanFrames(data []byte, fn func(off int, payload []byte) error) (valid int,
 			if frameEnd == len(data) {
 				return off, nil // torn tail: final frame half-flushed
 			}
-			return off, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, off)
+			return off, fmt.Errorf("%w: checksum mismatch at offset %d", ErrCorrupt, base+off)
 		}
 		if fn != nil {
 			if err := fn(off, payload); err != nil {
@@ -674,7 +677,7 @@ func scanFrames(data []byte, fn func(off int, payload []byte) error) (valid int,
 // scanLog is scanFrames plus payload decoding: fn (when non-nil) receives
 // each intact entry with its frame's byte offset.
 func scanLog(data []byte, fn func(off int, e encoding.Entry) error) (valid int, err error) {
-	return scanFrames(data, func(off int, payload []byte) error {
+	return scanFrames(data, 0, func(off int, payload []byte) error {
 		e, err := decodePayload(payload)
 		if err != nil {
 			return fmt.Errorf("%w (offset %d)", err, off)
@@ -689,10 +692,10 @@ func scanLog(data []byte, fn func(off int, e encoding.Entry) error) (valid int, 
 // checkFrames is scanFrames with each payload's kind and key prefix checked
 // and nothing decoded: the pass Open's recovery and the scrub make, which
 // costs a CRC per frame rather than a stamp decode.
-func checkFrames(data []byte) (valid int, err error) {
-	return scanFrames(data, func(off int, payload []byte) error {
+func checkFrames(data []byte, base int) (valid int, err error) {
+	return scanFrames(data, base, func(off int, payload []byte) error {
 		if _, ok := frameKey(payload); !ok {
-			return fmt.Errorf("%w: not a set record (offset %d)", ErrCorrupt, off)
+			return fmt.Errorf("%w: not a set record (offset %d)", ErrCorrupt, base+off)
 		}
 		return nil
 	})
@@ -713,12 +716,12 @@ func frameKey(payload []byte) ([]byte, bool) {
 	return payload[1+used : 1+used+int(n)], true
 }
 
-// foldErr is the scan result err for a committed fold region whose intact
-// frames end at valid. A fold has no torn tail — its header names its bytes
-// only once they are durable — so frames that stop short of the region's
-// end are corruption too.
-func foldErr(region []byte, valid int, err error) error {
-	if err == nil && valid < len(region) {
+// foldErr is the scan result err for a committed fold region of end bytes
+// whose intact frames end at valid. A fold has no torn tail — its header
+// names its bytes only once they are durable — so frames that stop short of
+// the region's end are corruption too.
+func foldErr(valid, end int, err error) error {
+	if err == nil && valid < end {
 		return fmt.Errorf("%w: damaged fold frame at offset %d", ErrCorrupt, valid)
 	}
 	return err
@@ -735,7 +738,7 @@ func recoverTail(path string) (int64, error) {
 		}
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	valid, err := checkFrames(data)
+	valid, err := checkFrames(data, 0)
 	if err != nil {
 		return int64(valid), err
 	}
@@ -764,8 +767,8 @@ func recoverFolds(path string) (int64, error) {
 		}
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	valid, err := checkFrames(region)
-	if err = foldErr(region, valid, err); err != nil {
+	valid, err := checkFrames(region, 0)
+	if err = foldErr(valid, len(region), err); err != nil {
 		return base + int64(valid), err
 	}
 	if end := base + int64(len(region)); size > end {
@@ -1093,7 +1096,7 @@ func (w *WAL) ReplayShard(shard int, ckpt func([]byte) error, rec func(encoding.
 			return rec(e)
 		})
 		if fold {
-			err = foldErr(region, valid, err)
+			err = foldErr(valid, len(region), err)
 		}
 		if errors.Is(err, ErrCorrupt) {
 			if damage == nil {
@@ -1299,7 +1302,7 @@ func lastFrames(log []byte) (frames []byte, ok bool) {
 		off, end int
 	}
 	var all []frame
-	valid, err := scanFrames(log, func(off int, payload []byte) error {
+	valid, err := scanFrames(log, 0, func(off int, payload []byte) error {
 		key, ok := frameKey(payload)
 		if !ok {
 			return ErrCorrupt
@@ -1394,7 +1397,10 @@ func (w *WAL) CheckpointPayload(shard int, gen uint32) ([]byte, error) {
 // quarantines the shard — a live stripe demotes the moment a bad sector is
 // found, not at the next restart — and returns the *CorruptError. A torn
 // tail is not damage (Open repairs those silently); neither is a missing
-// file.
+// file. Both files stream through one fixed scrubWindow borrowed for the
+// pass, so a pass allocates the same few bytes whatever the files' size;
+// each check sees only the bytes read for it, and a damage report holds
+// offsets, never a slice of the window.
 func (w *WAL) VerifyShard(shard int) error {
 	sh, err := w.shard(shard)
 	if err != nil {
@@ -1404,31 +1410,161 @@ func (w *WAL) VerifyShard(shard int) error {
 	if sh.quar != nil {
 		return sh.quar
 	}
-	data, err := os.ReadFile(w.ckptPath(shard))
-	switch {
-	case err == nil:
-		snap, fold, cerr := splitCheckpoint(data)
-		if cerr != nil {
-			return corrupt(sh, shard, w.ckptPath(shard), 0, cerr)
-		}
-		valid, err := checkFrames(fold)
-		if err = foldErr(fold, valid, err); err != nil {
-			return corrupt(sh, shard, w.ckptPath(shard), int64(ckptHeaderLen+len(snap)+valid), err)
-		}
-	case !errors.Is(err, fs.ErrNotExist):
-		return fmt.Errorf("wal: %w", err)
+	win := getScrubWindow()
+	defer putScrubWindow(win)
+	if err := verifyCheckpoint(sh, shard, w.ckptPath(shard), win); err != nil {
+		return err
 	}
-	data, err = os.ReadFile(w.logPath(shard))
+	f, err := os.Open(w.logPath(shard))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil
 		}
 		return fmt.Errorf("wal: %w", err)
 	}
-	if valid, err := checkFrames(data); err != nil {
-		return corrupt(sh, shard, w.logPath(shard), int64(valid), err)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	valid, err := checkFramesAt(f, 0, fi.Size(), win, false)
+	if errors.Is(err, ErrCorrupt) {
+		return corrupt(sh, shard, w.logPath(shard), valid, err)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	return nil
+}
+
+// verifyCheckpoint is VerifyShard's pass over the checkpoint at path: its
+// header, its snapshot's checksum and its committed fold frames. A missing
+// file is no damage. sh.mu held.
+func verifyCheckpoint(sh *walShard, shard int, path string, win *[]byte) error {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	h, _, err := readHeader(f)
+	if errors.Is(err, ErrCorrupt) {
+		return corrupt(sh, shard, path, 0, err)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	sum, err := crcAt(f, int64(ckptHeaderLen), h.snap, win)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	if sum != h.sum {
+		return corrupt(sh, shard, path, 0, fmt.Errorf("%w: checkpoint checksum mismatch", ErrCorrupt))
+	}
+	valid, err := checkFramesAt(f, h.folds(), h.folded, win, true)
+	if errors.Is(err, ErrCorrupt) {
+		return corrupt(sh, shard, path, h.folds()+valid, err)
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
+}
+
+// scrubWindow is the size of the window VerifyShard reads files through.
+// A frame longer than the window grows it for that pass only.
+const scrubWindow = 32 << 10
+
+// idleScrubWindow is the scrub's window while no pass is using it. A pass
+// takes it (or makes one when another pass has it) and puts it back, so no
+// WAL keeps a buffer of its own and no pass allocates one once warm. It is
+// not a sync.Pool, whose drops under the race detector would make the
+// scrub's allocation gate flaky.
+var idleScrubWindow atomic.Pointer[[]byte]
+
+func getScrubWindow() *[]byte {
+	if win := idleScrubWindow.Swap(nil); win != nil {
+		return win
+	}
+	win := make([]byte, 0, scrubWindow)
+	return &win
+}
+
+// putScrubWindow makes win the idle window, unless a long frame grew it.
+func putScrubWindow(win *[]byte) {
+	if cap(*win) == scrubWindow {
+		idleScrubWindow.Store(win)
+	}
+}
+
+// readFull reads len(p) bytes of f at off; fewer, at the end of the file,
+// is not an error.
+func readFull(f io.ReaderAt, p []byte, off int64) (int, error) {
+	n, err := f.ReadAt(p, off)
+	if errors.Is(err, io.EOF) {
+		err = nil
+	}
+	return n, err
+}
+
+// crcAt returns the CRC32-Castagnoli of the n bytes of f from off, read
+// through *win. A file that ends first yields the checksum of what there
+// is, which cannot match a checksum taken over n bytes.
+func crcAt(f io.ReaderAt, off, n int64, win *[]byte) (uint32, error) {
+	buf := (*win)[:cap(*win)]
+	var sum uint32
+	for n > 0 {
+		m, err := readFull(f, buf[:min(n, int64(len(buf)))], off)
+		if err != nil {
+			return 0, err
+		}
+		if m == 0 {
+			break
+		}
+		sum = crc32.Update(sum, crcTable, buf[:m])
+		off, n = off+int64(m), n-int64(m)
+	}
+	return sum, nil
+}
+
+// checkFramesAt is checkFrames over the n bytes of f from off, read through
+// the window *win a window at a time: a frame cut off at a window's end is
+// carried into the next, and one longer than the window grows it. fold
+// marks a committed fold region, where frames that stop short of the end
+// are corruption (foldErr). It returns where the intact frames end,
+// relative to off; a file that ends first ends the region there.
+func checkFramesAt(f io.ReaderAt, off, n int64, win *[]byte, fold bool) (int64, error) {
+	buf, base := (*win)[:0], int64(0) // buf holds the region's bytes from base
+	defer func() { *win = buf[:0] }()
+	for {
+		want := min(int64(cap(buf)-len(buf)), n-base-int64(len(buf)))
+		m, err := readFull(f, buf[len(buf):len(buf)+int(want)], off+base+int64(len(buf)))
+		if err != nil {
+			return base, err
+		}
+		buf = buf[:len(buf)+m]
+		if int64(m) < want {
+			n = base + int64(len(buf)) // the file ended early
+		}
+		valid, err := checkFrames(buf, int(base))
+		if base+int64(len(buf)) == n {
+			if fold {
+				err = foldErr(int(base)+valid, int(n), err)
+			}
+			return base + int64(valid), err
+		}
+		if err != nil {
+			return base + int64(valid), err
+		}
+		if valid == 0 && len(buf) == cap(buf) {
+			buf = slices.Grow(buf, cap(buf)) // a frame longer than the window
+			continue
+		}
+		base += int64(valid)
+		buf = buf[:copy(buf, buf[valid:])]
+	}
 }
 
 // Quarantined returns the damage report of every quarantined shard, keyed
@@ -1466,7 +1602,7 @@ func FrameOffsets(path string) ([]int64, error) {
 		return nil, err
 	}
 	var offs []int64
-	_, _ = scanFrames(region, func(off int, _ []byte) error {
+	_, _ = scanFrames(region, 0, func(off int, _ []byte) error {
 		offs = append(offs, base+int64(off))
 		return nil
 	})

@@ -9,7 +9,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"versionstamp/internal/core"
@@ -797,6 +799,163 @@ func TestVerifyShardAllocsFlat(t *testing.T) {
 	small, large := allocs(100), allocs(10_000)
 	if large > small+4 {
 		t.Fatalf("VerifyShard allocates %.0f times on 10 000 frames, %.0f on 100", large, small)
+	}
+}
+
+// verifyShardPassBytes bounds the bytes a warm VerifyShard pass allocates:
+// the two files' handles, their stats and the checkpoint header, whatever
+// the files' size. Measured: 960 B (1 080 under -race) on a 100-frame and
+// on a 10 000-frame shard alike; reading each file whole cost 5 408 B and
+// 418 807 B.
+const verifyShardPassBytes = 1200
+
+// TestVerifyShardAllocs: a warm scrub pass streams the checkpoint and the
+// log through the idle window, so its allocated bytes are a constant, not
+// the files' size.
+func TestVerifyShardAllocs(t *testing.T) {
+	perPass := func(frames int) (float64, int64) {
+		dir := t.TempDir()
+		w := open(t, dir)
+		defer w.Close()
+		if err := w.Checkpoint(0, bytes.Repeat([]byte("s"), 16*frames)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < frames; i++ {
+			if err := w.Append(0, rec(fmt.Sprintf("key-%d", i%100), "value")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.VerifyShard(0); err != nil {
+			t.Fatal(err)
+		}
+		const passes = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < passes; i++ {
+			if err := w.VerifyShard(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		size := int64(len(fileBytes(t, CheckpointPath(dir, 0))) + len(fileBytes(t, LogPath(dir, 0))))
+		return float64(after.TotalAlloc-before.TotalAlloc) / passes, size
+	}
+	for _, frames := range []int{100, 10_000} {
+		got, size := perPass(frames)
+		t.Logf("%d frames (%d B on disk): %.0f B per scrub pass", frames, size, got)
+		if got > verifyShardPassBytes {
+			t.Errorf("%d frames: a scrub pass allocates %.0f B of %d on disk; budget is %d B",
+				frames, got, size, verifyShardPassBytes)
+		}
+	}
+}
+
+// TestCheckFramesAtMatchesWholeScan: checking a region a window at a time
+// must report exactly what checking it whole does — where the intact
+// frames end and the same error — for a clean region, a byte flipped near
+// every window boundary and at random, a cut (torn) tail near every
+// boundary, a frame longer than the window, a region that starts inside
+// the file, and a fold region, which has no torn tail.
+func TestCheckFramesAtMatchesWholeScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var log []byte
+	for i := 0; i < 1500; i++ {
+		value := strings.Repeat("v", rng.Intn(200))
+		if i == 700 {
+			value = strings.Repeat("V", 3*scrubWindow/2)
+		}
+		log = appendFrame(log, rec(fmt.Sprintf("key-%d", i), value))
+	}
+	var cuts []int
+	for b := scrubWindow; b < len(log); b += scrubWindow {
+		for d := -12; d <= 12; d++ {
+			cuts = append(cuts, b+d)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cuts = append(cuts, rng.Intn(len(log)))
+	}
+	const prefix = 100 // the region's offset in the file
+	check := func(what string, region []byte) {
+		t.Helper()
+		file := append(bytes.Repeat([]byte{0xAA}, prefix), region...)
+		for _, fold := range []bool{false, true} {
+			want, wantErr := checkFrames(region, 0)
+			if fold {
+				wantErr = foldErr(want, len(region), wantErr)
+			}
+			win := getScrubWindow()
+			got, gotErr := checkFramesAt(bytes.NewReader(file), prefix, int64(len(region)), win, fold)
+			putScrubWindow(win)
+			if got != int64(want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s, fold %v: windowed check = %d, %v; whole = %d, %v", what, fold, got, gotErr, want, wantErr)
+			}
+		}
+	}
+	check("clean", log)
+	for _, pos := range cuts {
+		flipped := slices.Clone(log)
+		flipped[pos] ^= 0x5A
+		check(fmt.Sprintf("byte %d flipped", pos), flipped)
+		check(fmt.Sprintf("cut at %d", pos), log[:pos])
+	}
+}
+
+// TestScrubWindowReuse: the scrub reads every stripe through one reused
+// window, so a pass over a small stripe right after a large one must see
+// only the small stripe's bytes. A flipped byte is reported at its frame's
+// exact offset, and a torn tail still reads as torn, not as a frame the
+// large stripe's stale bytes complete or extend.
+func TestScrubWindowReuse(t *testing.T) {
+	dir := t.TempDir()
+	w := open(t, dir)
+	defer w.Close()
+	if err := w.Checkpoint(0, bytes.Repeat([]byte("s"), 3*scrubWindow)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4000; i++ {
+		if err := w.Append(0, rec(fmt.Sprintf("large-%d", i), "value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, shard := range []int{1, 2} {
+		for i := 0; i < 5; i++ {
+			if err := w.Append(shard, rec(fmt.Sprintf("k%d", i), "v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	scrubLarge := func() {
+		t.Helper()
+		if err := w.VerifyShard(0); err != nil {
+			t.Fatalf("large clean stripe: %v", err)
+		}
+	}
+
+	scrubLarge()
+	flipped := LogPath(dir, 1)
+	offs, err := FrameOffsets(flipped)
+	if err != nil || len(offs) != 5 {
+		t.Fatalf("FrameOffsets = %v, %v", offs, err)
+	}
+	data := fileBytes(t, flipped)
+	data[offs[2]+3] ^= 0xFF
+	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if err := w.VerifyShard(1); !errors.As(err, &ce) || ce.Path != flipped || ce.Offset != offs[2] {
+		t.Fatalf("small stripe with a flipped byte: VerifyShard = %v, want damage at %s+%d", err, flipped, offs[2])
+	}
+
+	scrubLarge()
+	torn := LogPath(dir, 2)
+	data = fileBytes(t, torn)
+	if err := os.WriteFile(torn, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.VerifyShard(2); err != nil {
+		t.Fatalf("small stripe with a torn tail: VerifyShard = %v, want nil", err)
 	}
 }
 
