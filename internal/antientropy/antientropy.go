@@ -82,14 +82,22 @@
 // waits with a generous idle deadline and drops silent sessions; during a
 // round the usual tight deadline applies.
 //
-// Each end of a session owns its buffers: a frame reader whose body buffer
-// is reused from frame to frame (a body is valid until the next read on the
-// session, and decoders copy what outlives it), and a buffer outgoing frames
-// are built in, with a slot for the length so that every frame goes out in
-// one Write without a copy. Both keep at most 64 KiB between frames; a
-// larger frame gets a buffer of its own, dropped after use. The client also
-// keeps a stripe-indexed slot per stripe tree, so a converged round
-// allocates nothing at either end.
+// Each end of a session owns its buffers: a 64 KiB window its frames are
+// read through and one they are written through, both kept from frame to
+// frame and grown only as far as its frames need; a round whose frames
+// needed a full window drops it once it ends, so a session idling between
+// long rounds keeps only what its short frames need. A frame is sized exactly before it is encoded, so its length goes
+// out first and its elements stream through the window behind it: up to
+// 64 KiB a frame is one Write, and a longer one is written a window at a
+// time. The reader decodes a frame element by element from its window (a
+// digest, leaf run, need key, entry or tree node); an element cut at the
+// window's end moves to its front before the window is refilled, and only
+// an element longer than the window gets a buffer of its own, dropped once
+// it is decoded. So neither end ever holds a long frame whole, and the
+// bytes an element is decoded from are valid only until the next element:
+// decoders copy what outlives them. The client also keeps a stripe-indexed
+// slot per stripe tree, so a converged round allocates nothing at either
+// end.
 //
 // A stripe's tree handed to a round is held (kvstore.Replica.StripeTree)
 // until the round releases it, and the store patches the stripe's tree in

@@ -254,7 +254,7 @@ func TestGarbageRequestRejected(t *testing.T) {
 			// client is reading when the answer and the close arrive.
 			fr := frameReader{br: bufio.NewReader(conn)}
 			_, _ = fr.br.ReadByte()
-			_, _ = fr.read()
+			_, _, _ = readFrame(&fr)
 			_, _ = conn.Write([]byte("{\"v\":1,\"error\":\"bad request\"}\n"))
 			conn.Close()
 		}
@@ -295,12 +295,8 @@ func TestBadFrameRejected(t *testing.T) {
 	if b, err := fr.br.ReadByte(); err != nil || b != protocolVersion {
 		t.Fatalf("ack = 0x%02x, %v", b, err)
 	}
-	body, err := fr.read()
-	if err != nil {
-		t.Fatalf("read error frame: %v", err)
-	}
-	if _, err := expectKind(body, kindStripeRootDiff); !errors.Is(err, ErrProtocol) {
-		t.Errorf("server accepted a zero-stripe layout: body %x, err %v", body, err)
+	if err := fr.expect(kindStripeRootDiff); !errors.Is(err, ErrProtocol) {
+		t.Errorf("server accepted a zero-stripe layout: %v", err)
 	}
 	if _, err := fr.br.ReadByte(); err != io.EOF {
 		t.Errorf("session stayed open after an error frame: %v", err)
@@ -327,8 +323,8 @@ func TestProtocolErrorSurfacedToClient(t *testing.T) {
 		fr := frameReader{br: bufio.NewReader(conn)}
 		_, _ = fr.br.ReadByte()
 		_, _ = conn.Write([]byte{protocolVersion})
-		_, _ = fr.read()
-		_ = writeFrame(conn, appendString(startFrame(nil, kindError, 0), "nope"))
+		_, _, _ = readFrame(&fr)
+		_, _ = conn.Write(appendFrame(nil, kindError, appendString(nil, "nope")))
 	}()
 	client := kvstore.NewReplica("client")
 	_, err = SyncWith(ln.Addr().String(), client)

@@ -12,25 +12,29 @@ import (
 	"versionstamp/internal/kvstore"
 )
 
-// FuzzDecodeResultFrame feeds hostile bytes to the result decoder: it must
-// error or return a reply, never panic, and the restamp and entry counts it
-// preallocates for must stay within what the body can hold (capCount). A
-// second decode resolves keys against strings held apart from the body —
-// every other key the first decode named, while a lying resolver answers
-// the rest with other bytes — and must return the same reply and error.
+// fuzzWindow is the window the result fuzzer reads frames through: small, so
+// most elements are cut at its end and some are longer than it.
+const fuzzWindow = 16
+
+// FuzzDecodeResultFrame feeds hostile bytes to the result decoder, read
+// through a small window: it must error or return a reply, never panic, and
+// the restamp and entry counts it preallocates for must stay within what the
+// body can hold (capCount). A second decode resolves keys against strings
+// held apart from the body — every other key the first decode named, while
+// a lying resolver answers the rest with other bytes — and must return the
+// same reply and error.
 func FuzzDecodeResultFrame(f *testing.F) {
 	s, _ := core.Seed().Update().Fork()
-	frame := encodeResultFrame(nil, kvstore.SyncResult{Transferred: 1, Reconciled: 1, Conflicts: []string{"c"}},
+	f.Add(resultBody(f, kvstore.SyncResult{Transferred: 1, Reconciled: 1, Conflicts: []string{"c"}},
 		kvstore.DeltaReply{
 			Restamps: []encoding.Digest{{Key: "a", Stamp: s}},
 			Entries:  []encoding.Entry{{Key: "b", Value: []byte("v"), Stamp: s}, {Key: "d", Deleted: true, Stamp: s}},
-		})
-	f.Add(frame[lenSlot+1:])
+		}))
 	f.Add([]byte{0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f, 1})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		res, reply, err := decodeResultFrame(body, nil)
+		res, reply, err := decodeResultThrough(body, fuzzWindow, nil)
 		if cap(reply.Restamps) > len(body) || cap(reply.Entries) > len(body) {
 			t.Fatalf("preallocated %d restamps and %d entries for a %d-byte body",
 				cap(reply.Restamps), cap(reply.Entries), len(body))
@@ -47,7 +51,7 @@ func FuzzDecodeResultFrame(f *testing.F) {
 			}
 			return string(b) + "?", true
 		}
-		res2, reply2, err2 := decodeResultFrame(slices.Clone(body), resolve)
+		res2, reply2, err2 := decodeResultThrough(slices.Clone(body), fuzzWindow, resolve)
 		if fmt.Sprint(err) != fmt.Sprint(err2) {
 			t.Fatalf("resolving decode: error %v, copying decode: %v", err2, err)
 		}
@@ -68,7 +72,7 @@ func FuzzDecodeResultFrame(f *testing.F) {
 			return
 		}
 		// What decodes re-encodes to a frame that decodes the same way.
-		res, reply2, err = decodeResultFrame(encodeResultFrame(nil, kvstore.SyncResult{}, reply)[lenSlot+1:], nil)
+		res, reply2, err = decodeResultThrough(resultBody(t, kvstore.SyncResult{}, reply), fuzzWindow, nil)
 		if err != nil || res.Transferred != 0 || reply2.Len() != reply.Len() {
 			t.Fatalf("re-encoded reply of %d copies decodes to %d: %v", reply.Len(), reply2.Len(), err)
 		}

@@ -43,8 +43,8 @@ type Pool struct {
 type poolConn struct {
 	mu       sync.Mutex // serializes rounds on this session
 	conn     *countingConn
-	fr       frameReader // the session's frames in; keeps its buffer across rounds
-	out      []byte      // outgoing frames are built here; kept up to frameKeep
+	fr       frameReader // the session's frames in; keeps its window across rounds
+	fw       frameWriter // the session's frames out; keeps its window across rounds
 	lastUsed time.Time
 	rounds   int // rounds completed on the current connection
 	fails    int // consecutive failed rounds (armed backoff)
@@ -276,6 +276,7 @@ func (p *Pool) ensure(pc *poolConn, addr string) (fresh bool, err error) {
 		return false, fmt.Errorf("antientropy: open session %s: %w", addr, err)
 	}
 	pc.conn = conn
+	pc.fw.w = conn
 	if pc.fr.br == nil {
 		pc.fr.br = bufio.NewReader(conn)
 	} else {
@@ -354,7 +355,8 @@ func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstor
 	defer pc.mu.Unlock()
 	defer func() {
 		pc.release(local)
-		pc.out = keepBuf(pc.out)
+		pc.fr.trim()
+		pc.fw.trim()
 	}()
 	if err := pc.load(local, stripes); err != nil {
 		return kvstore.SyncResult{}, info, err

@@ -181,12 +181,8 @@ func TestShardScopedRequestValidation(t *testing.T) {
 	if b, err := fr.br.ReadByte(); err != nil || b != protocolVersion {
 		t.Fatalf("ack = 0x%02x, %v", b, err)
 	}
-	body, err := fr.read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := expectKind(body, kindStripeRootDiff); !errors.Is(err, ErrProtocol) {
-		t.Errorf("server accepted an out-of-range stripe: body %x, err %v", body, err)
+	if err := fr.expect(kindStripeRootDiff); !errors.Is(err, ErrProtocol) {
+		t.Errorf("server accepted an out-of-range stripe: %v", err)
 	}
 }
 

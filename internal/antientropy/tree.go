@@ -31,15 +31,13 @@ import (
 // next round. The stripe layout is not a choice: both ends must stripe the
 // keyspace the same way, and the server refuses any other peer (checkLayout).
 
-// serverSession is the server's state for one connection: the frame reader,
-// the buffer replies are built in, the scratch tree-node children are read
-// into and the scratch the client's node hashes are decoded into, all kept
-// from round to round.
+// serverSession is the server's state for one connection: the frame reader
+// and writer, the scratch tree-node children are read into and the scratch
+// the client's node hashes are decoded into, all kept from round to round.
 type serverSession struct {
 	*Server
-	conn      net.Conn
 	fr        frameReader
-	out       []byte
+	fw        frameWriter
 	bm        []byte   // DigestTree.Children scratch: child bitmap
 	hashes    []uint64 // DigestTree.Children scratch: child hashes
 	cliHashes []uint64 // encoding.DecodeTreeNode scratch: the client's child hashes
@@ -51,7 +49,7 @@ type serverSession struct {
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
-	ss := &serverSession{Server: s, conn: conn, fr: frameReader{br: bufio.NewReader(conn)}}
+	ss := &serverSession{Server: s, fr: frameReader{br: bufio.NewReader(conn)}, fw: frameWriter{w: conn}}
 	if b, err := ss.fr.br.ReadByte(); err != nil || b != protocolVersion {
 		return // not a session opening: closed unanswered
 	}
@@ -60,21 +58,21 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	for {
 		_ = conn.SetDeadline(time.Now().Add(serverSessionIdle))
-		body, err := ss.fr.read()
+		kind, err := ss.fr.next()
 		if err != nil {
 			return // session over: peer closed, or idled out
 		}
 		_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
-		ok := ss.treeRound(body)
-		ss.out = keepBuf(ss.out)
-		if !ok {
+		if !ss.treeRound(kind) {
 			return
 		}
+		ss.fr.trim()
+		ss.fw.trim()
 	}
 }
 
-// send writes the frame built in ss.out, reporting success.
-func (ss *serverSession) send() bool { return writeFrame(ss.conn, ss.out) == nil }
+// send ends the frame being written, reporting success.
+func (ss *serverSession) send() bool { return ss.fw.end() == nil }
 
 // checkLayout refuses a peer whose stripe count `of` is not this replica's:
 // every tree a round compares is one stripe's, so both ends must agree on
@@ -124,107 +122,101 @@ func (s *Server) treeRootMatch(of int, peerRoot uint64, probe bool) (byte, error
 
 // treeStripeState is the server's per-round state for one divergent stripe:
 // the tree snapshot evaluated at the client's declared shape (consistent
-// across the whole round), and — once leaf runs arrive — the client's runs,
-// then their ranges and digests in tree order, the keys this side needs and
-// the entries that came for them.
+// across the whole round), and — once leaf runs arrive — the client's runs in
+// position order, the diff they drew and the entries that came for its
+// needs.
 type treeStripeState struct {
 	tree    *kvstore.DigestTree
 	depth   int
-	runs    []leafRun
-	digests []encoding.Digest
-	ranges  []kvstore.TreeRange
-	need    []string
+	leaf    bool // leaf runs arrived
+	runs    []kvstore.DigestRun
+	diff    kvstore.Diff
 	entries []encoding.Entry
 }
 
-// leafRun is one shipped digest run and the position range it covers.
+// leafRun is one shipped digest run, with its stripe.
 type leafRun struct {
-	stripe  int
-	rg      kvstore.TreeRange
-	digests []encoding.Digest
+	stripe int
+	kvstore.DigestRun
 }
 
 // cmpLeafRuns orders runs by stripe, then position.
 func cmpLeafRuns(a, b leafRun) int {
-	return cmp.Or(cmp.Compare(a.stripe, b.stripe), cmp.Compare(a.rg.Lo, b.rg.Lo))
+	return cmp.Or(cmp.Compare(a.stripe, b.stripe), cmp.Compare(a.Range.Lo, b.Range.Lo))
 }
 
-// treeRound serves one round, the opening frame already read. It reports
-// whether the session should continue.
-func (ss *serverSession) treeRound(opening []byte) bool {
-	s := ss.Server
+// treeRound serves one round, the opening frame's kind byte already read. It
+// reports whether the session should continue.
+func (ss *serverSession) treeRound(kind byte) bool {
+	s, fr, fw := ss.Server, &ss.fr, &ss.fw
 	fail := func(err error) bool {
+		if fw.midFrame() {
+			return false // part of a reply is on the wire: no frame can follow it
+		}
 		msg := err.Error()
-		ss.out = appendString(startFrame(ss.out, kindError, lenSlot+len(msg)), msg)
-		_ = ss.send()
+		fw.begin(kindError, stringLen(msg))
+		fw.buf = appendString(fw.buf, msg)
+		_ = fw.end()
 		return false
+	}
+	// rootMatch answers a root or probe frame.
+	rootMatch := func(probe bool) (byte, bool) {
+		of, root, err := readRoot(fr)
+		if err != nil {
+			return 0, fail(err)
+		}
+		match, err := s.treeRootMatch(of, root, probe)
+		if err != nil {
+			return 0, fail(err)
+		}
+		fw.begin(kindRootMatch, 1)
+		fw.buf = append(fw.buf, match)
+		return match, ss.send()
 	}
 
 	// A probe is answered without opening any round state: the session stays
 	// at the round boundary, and the next frame opens a real round (or
 	// another probe).
-	if len(opening) > 0 && opening[0] == kindRootProbe {
-		of, root, err := decodeRootBody(opening[1:])
-		if err != nil {
-			return fail(err)
-		}
-		match, err := s.treeRootMatch(of, root, true)
-		if err != nil {
-			return fail(err)
-		}
-		ss.out = append(startFrame(ss.out, kindRootMatch, 1), match)
-		return ss.send()
+	if kind == kindRootProbe {
+		_, ok := rootMatch(true)
+		return ok
 	}
 
 	// Whole-replica rounds open with the root fold; matching roots end the
 	// round right there. Scoped rounds open with kindStripeRoots directly.
-	if len(opening) > 0 && opening[0] == kindRoot {
-		of, root, err := decodeRootBody(opening[1:])
-		if err != nil {
-			return fail(err)
+	if kind == kindRoot {
+		match, ok := rootMatch(false)
+		if !ok || match == 1 {
+			return ok // converged: round over, session stays open
 		}
-		match, err := s.treeRootMatch(of, root, false)
-		if err != nil {
-			return fail(err)
-		}
-		ss.out = append(startFrame(ss.out, kindRootMatch, 1), match)
-		if !ss.send() {
-			return false
-		}
-		if match == 1 {
-			return true // converged: round over, session stays open
-		}
-		if opening, err = ss.fr.read(); err != nil {
+		var err error
+		if kind, err = fr.next(); err != nil {
 			return fail(fmt.Errorf("bad stripe roots frame: %v", err))
 		}
 	}
 
 	// Stripe-root phase: compare each declared stripe's tree root at the
 	// client's declared shape, reply with the divergent stripes.
-	body, err := expectKind(opening, kindStripeRoots)
-	if err != nil {
+	if err := fr.is(kind, kindStripeRoots); err != nil {
 		return fail(err)
 	}
-	of64, used := binary.Uvarint(body)
-	if used <= 0 || of64 < 1 || of64 > maxWireStripes {
+	of64, err := fr.uvarint()
+	if err != nil || of64 < 1 || of64 > maxWireStripes {
 		return fail(errors.New("bad stripe roots layout"))
 	}
-	body = body[used:]
 	of := int(of64)
 	if err := s.checkLayout(of); err != nil {
 		return fail(err)
 	}
-	fan64, used := binary.Uvarint(body)
-	if used <= 0 || !encoding.ValidTreeShape(int(fan64), 1) {
+	fan64, err := fr.uvarint()
+	if err != nil || !encoding.ValidTreeShape(int(fan64), 1) {
 		return fail(errors.New("bad tree fanout"))
 	}
-	body = body[used:]
 	fanout := int(fan64)
-	count, used := binary.Uvarint(body)
-	if used <= 0 || count > of64 {
+	count, err := fr.uvarint()
+	if err != nil || count > of64 {
 		return fail(errors.New("bad stripe roots count"))
 	}
-	body = body[used:]
 	stripes := make(map[int]*treeStripeState, 8)
 	// Every divergent stripe's tree is held until the apply is done; a round
 	// that ends before then releases them here.
@@ -237,21 +229,19 @@ func (ss *serverSession) treeRound(opening []byte) bool {
 	}()
 	var divergent []int
 	for i := uint64(0); i < count; i++ {
-		idx64, used := binary.Uvarint(body)
-		if used <= 0 || idx64 >= of64 {
+		idx64, err := fr.uvarint()
+		if err != nil || idx64 >= of64 {
 			return fail(errors.New("bad stripe roots stripe"))
 		}
-		body = body[used:]
-		depth64, used := binary.Uvarint(body)
-		if used <= 0 || !encoding.ValidTreeShape(fanout, int(depth64)) {
+		depth64, err := fr.uvarint()
+		if err != nil || !encoding.ValidTreeShape(fanout, int(depth64)) {
 			return fail(errors.New("bad stripe tree depth"))
 		}
-		body = body[used:]
-		if len(body) < 8 {
+		b, err := fr.bytes(8)
+		if err != nil {
 			return fail(errors.New("truncated stripe root"))
 		}
-		root := binary.BigEndian.Uint64(body)
-		body = body[8:]
+		root := binary.BigEndian.Uint64(b)
 		idx := int(idx64)
 		if _, dup := stripes[idx]; dup {
 			return fail(errors.New("duplicate stripe"))
@@ -268,10 +258,17 @@ func (ss *serverSession) treeRound(opening []byte) bool {
 			s.replica.ReleaseStripeTree(idx)
 		}
 	}
-	ss.out = startFrame(ss.out, kindStripeRootDiff, lenSlot*(1+len(divergent)))
-	ss.out = binary.AppendUvarint(ss.out, uint64(len(divergent)))
+	if fr.remaining() != 0 {
+		return fail(errors.New("trailing bytes in stripe roots frame"))
+	}
+	size := encoding.UvarintLen(uint64(len(divergent)))
 	for _, idx := range divergent {
-		ss.out = binary.AppendUvarint(ss.out, uint64(idx))
+		size += encoding.UvarintLen(uint64(idx))
+	}
+	fw.begin(kindStripeRootDiff, size)
+	fw.buf = binary.AppendUvarint(fw.buf, uint64(len(divergent)))
+	for _, idx := range divergent {
+		fw.buf = binary.AppendUvarint(fw.room(binary.MaxVarintLen64), uint64(idx))
 	}
 	if !ss.send() {
 		return false
@@ -281,43 +278,40 @@ func (ss *serverSession) treeRound(opening []byte) bool {
 	}
 
 	// Descent: any number of kindTreeNodes queries, answered from the
-	// per-round tree snapshots, until the leaf runs arrive.
+	// per-round tree snapshots node by node, until the leaf runs arrive.
 	nb := encoding.TreeBitmapLen(fanout)
 descend:
 	for {
-		if body, err = ss.fr.read(); err != nil {
+		if kind, err = fr.next(); err != nil {
 			return fail(fmt.Errorf("bad descent frame: %v", err))
 		}
-		switch {
-		case len(body) > 0 && body[0] == kindTreeNodes:
-			body = body[1:]
-		case len(body) > 0 && body[0] == kindLeafDigests:
-			body = body[1:]
+		switch kind {
+		case kindTreeNodes:
+		case kindLeafDigests:
 			break descend
 		default:
-			if _, err := expectKind(body, kindTreeNodes); err != nil {
-				return fail(err)
-			}
+			return fail(fr.is(kind, kindTreeNodes))
 		}
-		fan64, used := binary.Uvarint(body)
-		if used <= 0 || int(fan64) != fanout {
+		fan64, err := fr.uvarint()
+		if err != nil || int(fan64) != fanout {
 			return fail(errors.New("bad tree nodes fanout"))
 		}
-		body = body[used:]
-		n, used := binary.Uvarint(body)
-		if used <= 0 {
+		// Every node takes at least its four coordinates and its bitmap.
+		n, err := fr.uvarint()
+		if err != nil || n > uint64(fr.remaining()/(4+nb)) {
 			return fail(errors.New("bad tree nodes count"))
 		}
-		body = body[used:]
-		ss.out = startFrame(ss.out, kindTreeDiff, lenSlot+capCount(n, body)*2*nb)
-		ss.out = binary.AppendUvarint(ss.out, n)
+		fw.begin(kindTreeDiff, encoding.UvarintLen(n)+int(n)*2*nb)
+		fw.buf = binary.AppendUvarint(fw.buf, n)
 		for i := uint64(0); i < n; i++ {
-			node, used, err := encoding.DecodeTreeNode(body, fanout, of, ss.cliHashes[:0])
-			if err != nil {
+			var node encoding.TreeNode
+			if err := fr.elem(func(b []byte) (used int, err error) {
+				node, used, err = encoding.DecodeTreeNode(b, fanout, of, ss.cliHashes[:0])
+				return used, err
+			}); err != nil {
 				return fail(err)
 			}
 			ss.cliHashes = node.Hashes
-			body = body[used:]
 			st := stripes[node.Stripe]
 			if st == nil {
 				return fail(fmt.Errorf("tree node for undeclared stripe %d", node.Stripe))
@@ -329,8 +323,8 @@ descend:
 			srvBm, srvHashes := ss.bm, ss.hashes
 			// differ bit c: exactly one side has child c, or both do with
 			// different hashes.
-			ss.out = append(ss.out, make([]byte, nb)...)
-			differ := ss.out[len(ss.out)-nb:]
+			fw.buf = append(fw.room(2*nb), make([]byte, nb)...)
+			differ := fw.buf[len(fw.buf)-nb:]
 			ci, si := 0, 0
 			for c := 0; c < fanout; c++ {
 				cliHas, srvHas := encoding.BitmapGet(node.Bitmap, c), encoding.BitmapGet(srvBm, c)
@@ -347,9 +341,9 @@ descend:
 					encoding.BitmapSet(differ, c)
 				}
 			}
-			ss.out = append(ss.out, srvBm...)
+			fw.buf = append(fw.buf, srvBm...)
 		}
-		if len(body) != 0 {
+		if fr.remaining() != 0 {
 			return fail(errors.New("trailing bytes in tree nodes frame"))
 		}
 		if !ss.send() {
@@ -358,27 +352,30 @@ descend:
 	}
 
 	// Leaf phase: the client's digest runs for the still-divergent leaf
-	// ranges. Every digest must belong to its run's stripe and fall inside
-	// the run's position range. A key this side holds under the run's node
-	// is taken from the round's tree snapshot rather than copied.
-	n, used := binary.Uvarint(body)
-	if used <= 0 {
+	// ranges, decoded one at a time. A key this side holds under the run's
+	// node is taken from the round's tree snapshot rather than copied; that
+	// every digest lies in its run's stripe and range is the store's to
+	// check (DiffRanges).
+	n, err := fr.uvarint()
+	if err != nil {
 		return fail(errors.New("bad leaf run count"))
 	}
-	body = body[used:]
 	local := func(stripe, level int, path uint64) []encoding.Digest {
 		if st := stripes[stripe]; st != nil {
 			return st.tree.RunRange(kvstore.NodeRange(fanout, level, path))
 		}
 		return nil
 	}
+	runs := make([]leafRun, 0, fr.capCount(n))
 	var order []int // stripes with leaf runs, first-seen order
 	for i := uint64(0); i < n; i++ {
-		run, usedRun, err := encoding.DecodeLeafRun(body, fanout, of, local)
-		if err != nil {
+		var run encoding.LeafRun
+		if err := fr.elem(func(b []byte) (used int, err error) {
+			run, used, err = encoding.DecodeLeafRun(b, fanout, of, local)
+			return used, err
+		}); err != nil {
 			return fail(err)
 		}
-		body = body[usedRun:]
 		st := stripes[run.Stripe]
 		if st == nil {
 			return fail(fmt.Errorf("leaf run for undeclared stripe %d", run.Stripe))
@@ -386,60 +383,46 @@ descend:
 		if run.Depth != st.depth {
 			return fail(fmt.Errorf("leaf run depth %d, stripe declared %d", run.Depth, st.depth))
 		}
-		rg := kvstore.NodeRange(fanout, run.Level, run.Path)
-		for _, d := range run.Digests {
-			if kvstore.ShardIndex(d.Key, of) != run.Stripe {
-				return fail(fmt.Errorf("leaf digest %q outside stripe %d", d.Key, run.Stripe))
-			}
-			if !rg.Contains(encoding.TreePos(d.Key)) {
-				return fail(fmt.Errorf("leaf digest %q outside its run range", d.Key))
-			}
-		}
-		if len(st.runs) == 0 {
+		if !st.leaf {
+			st.leaf = true
 			order = append(order, run.Stripe)
 		}
-		st.runs = append(st.runs, leafRun{stripe: run.Stripe, rg: rg, digests: run.Digests})
+		runs = append(runs, leafRun{run.Stripe, kvstore.DigestRun{
+			Range: kvstore.NodeRange(fanout, run.Level, run.Path), Digests: run.Digests}})
 	}
-	if len(body) != 0 {
+	if fr.remaining() != 0 {
 		return fail(errors.New("trailing bytes in leaf digests frame"))
 	}
 
-	// Each stripe's runs, put in position order, give the store its ranges
-	// and its digests in tree order. Runs of one descent never overlap; two
-	// that do are the same node sent twice.
+	// The runs, put in stripe and position order, hand each stripe's store
+	// its runs as they came. Runs of one descent never overlap; two that
+	// start at one position are the same node sent twice.
+	slices.SortFunc(runs, cmpLeafRuns)
+	byStripe := make([]kvstore.DigestRun, len(runs))
+	for i, run := range runs {
+		if i > 0 && run.stripe == runs[i-1].stripe && run.Range.Lo == runs[i-1].Range.Lo {
+			return fail(errors.New("duplicate leaf run"))
+		}
+		byStripe[i] = run.DigestRun
+		st := stripes[run.stripe] // its runs are contiguous: extend them by one
+		st.runs = byStripe[i-len(st.runs) : i+1]
+	}
 	needCount, needSize := 0, 0
 	for _, idx := range order {
 		st := stripes[idx]
-		slices.SortFunc(st.runs, cmpLeafRuns)
-		total := 0
-		for i, run := range st.runs {
-			if i > 0 && run.rg.Lo == st.runs[i-1].rg.Lo {
-				return fail(errors.New("duplicate leaf run"))
-			}
-			total += len(run.digests)
-		}
-		st.ranges = make([]kvstore.TreeRange, len(st.runs))
-		st.digests = make([]encoding.Digest, 0, total)
-		for i, run := range st.runs {
-			st.ranges[i] = run.rg
-			st.digests = append(st.digests, run.digests...)
-		}
-		st.runs = nil
-		diff, err := s.replica.DiffRanges(st.digests, idx, st.ranges)
-		if err != nil {
+		if st.diff, err = s.replica.DiffRanges(st.runs, idx); err != nil {
 			return fail(err)
 		}
-		st.need = diff.Need
-		for _, k := range diff.Need {
-			needSize += encoding.UvarintLen(uint64(len(k))) + len(k)
+		for _, k := range st.diff.Need {
+			needSize += stringLen(k)
 		}
-		needCount += len(diff.Need)
+		needCount += len(st.diff.Need)
 	}
-	ss.out = startFrame(ss.out, kindNeed, encoding.UvarintLen(uint64(needCount))+needSize)
-	ss.out = binary.AppendUvarint(ss.out, uint64(needCount))
+	fw.begin(kindNeed, encoding.UvarintLen(uint64(needCount))+needSize)
+	fw.buf = binary.AppendUvarint(fw.buf, uint64(needCount))
 	for _, idx := range order {
-		for _, k := range stripes[idx].need {
-			ss.out = appendString(ss.out, k)
+		for _, k := range stripes[idx].diff.Need {
+			fw.buf = appendString(fw.room(stringLen(k)), k)
 		}
 	}
 	if !ss.send() {
@@ -447,17 +430,15 @@ descend:
 	}
 
 	// Tail: full entries in, range-scoped applies per stripe, one result.
-	if body, err = ss.fr.read(); err != nil {
+	if kind, err = fr.next(); err != nil {
 		return fail(fmt.Errorf("bad entries frame: %v", err))
 	}
-	if body, err = expectKind(body, kindEntries); err != nil {
+	if err := fr.is(kind, kindEntries); err != nil {
 		return fail(err)
 	}
-	count, used = binary.Uvarint(body)
-	if used <= 0 {
+	if count, err = fr.uvarint(); err != nil {
 		return fail(errors.New("bad entry count"))
 	}
-	body = body[used:]
 	// The client sends the entries stripe by stripe, in the need frame's
 	// order; each stripe's run of them is handed to the store as it stands.
 	// A key is taken from its stripe's need list, where this side asked
@@ -467,23 +448,25 @@ descend:
 		if st == nil {
 			return "", false
 		}
-		i := sort.Search(len(st.need), func(i int) bool { return st.need[i] >= string(key) })
-		if i == len(st.need) || st.need[i] != string(key) {
+		need := st.diff.Need
+		i := sort.Search(len(need), func(i int) bool { return need[i] >= string(key) })
+		if i == len(need) || need[i] != string(key) {
 			return "", false
 		}
-		return st.need[i], true
+		return need[i], true
 	}
-	entries := make([]encoding.Entry, 0, capCount(count, body))
+	entries := make([]encoding.Entry, 0, fr.capCount(count))
 	for i := uint64(0); i < count; i++ {
-		e, n, err := encoding.DecodeEntry(body, needed)
-		if err != nil {
+		var e encoding.Entry
+		if err := fr.elem(func(b []byte) (n int, err error) {
+			e, n, err = encoding.DecodeEntry(b, needed)
+			return n, err
+		}); err != nil {
 			return fail(err)
 		}
-		body = body[n:]
 		idx := kvstore.ShardIndex(e.Key, of)
 		st := stripes[idx]
-		if st == nil || len(st.ranges) == 0 ||
-			!kvstore.RangesContain(st.ranges, encoding.TreePos(e.Key)) {
+		if st == nil || !kvstore.RangesContain(st.runs, encoding.TreePos(e.Key)) {
 			return fail(fmt.Errorf("entry %q outside the divergent leaf ranges", e.Key))
 		}
 		if len(st.entries) > 0 && kvstore.ShardIndex(entries[len(entries)-1].Key, of) != idx {
@@ -492,14 +475,26 @@ descend:
 		entries = append(entries, e)
 		st.entries = entries[len(entries)-len(st.entries)-1:]
 	}
+	if fr.remaining() != 0 {
+		return fail(errors.New("trailing bytes in entries frame"))
+	}
 
+	// One reply spans the stripes, sized once from what their diffs bound.
+	restamps, full := 0, 0
+	for _, idx := range order {
+		st := stripes[idx]
+		r, f := st.diff.ReplyRoom(len(st.entries))
+		restamps, full = restamps+r, full+f
+	}
+	reply := kvstore.DeltaReply{
+		Restamps: make([]encoding.Digest, 0, restamps),
+		Entries:  make([]encoding.Entry, 0, full),
+	}
 	var res kvstore.SyncResult
-	var reply kvstore.DeltaReply
 	for _, idx := range order {
 		st := stripes[idx]
 		var part kvstore.SyncResult
-		reply, part, err = s.replica.ApplyDeltaRanges(reply,
-			st.digests, st.entries, s.resolve, idx, st.ranges)
+		reply, part, err = s.replica.ApplyDeltaRanges(reply, st.runs, st.entries, s.resolve, idx)
 		if err != nil {
 			return fail(err)
 		}
@@ -523,8 +518,7 @@ descend:
 			return fail(err)
 		}
 	}
-	ss.out = encodeResultFrame(ss.out, res, reply)
-	return ss.send()
+	return writeResultFrame(fw, res, reply) == nil
 }
 
 // treeClientRound runs one round over pc's established session, on the
@@ -532,7 +526,7 @@ descend:
 // stripe set; nil means every local stripe (a whole-replica round, with the
 // root fast path and probe pipelining).
 func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, error) {
-	conn, trees := pc.conn, pc.trees
+	fr, fw, trees := &pc.fr, &pc.fw, pc.trees
 	of := local.Shards()
 	wholeReplica := stripes == nil
 	if wholeReplica {
@@ -551,7 +545,7 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 			return nil
 		}
 		pc.ackPending = false
-		b, err := pc.fr.br.ReadByte()
+		b, err := fr.br.ReadByte()
 		if err != nil {
 			return fmt.Errorf("antientropy: session ack: %w", err)
 		}
@@ -572,26 +566,20 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		if !wholeReplica {
 			return
 		}
-		pc.out = startFrame(pc.out, kindRootProbe, lenSlot+8)
-		pc.out = binary.AppendUvarint(pc.out, uint64(of))
-		pc.out = binary.BigEndian.AppendUint64(pc.out, root)
-		if writeFrame(conn, pc.out) == nil {
+		if writeRoot(fw, kindRootProbe, of, root) == nil {
 			pc.probePending, pc.probedRoot = true, root
 		}
 	}
 	// readRootMatch reads a kindRootMatch answer: true when the roots agree.
 	readRootMatch := func() (bool, error) {
-		body, err := pc.fr.read()
-		if err != nil {
-			return false, fmt.Errorf("antientropy: receive: %w", err)
-		}
-		if body, err = expectKind(body, kindRootMatch); err != nil {
+		if err := fr.expect(kindRootMatch); err != nil {
 			return false, err
 		}
-		if len(body) != 1 || body[0] > 1 {
-			return false, fmt.Errorf("%w: bad root match frame", ErrProtocol)
+		b, err := fr.bytes(1)
+		if err != nil || fr.remaining() != 0 || b[0] > 1 {
+			return false, badFrame(err, "bad root match frame")
 		}
-		return body[0] == 1, nil
+		return b[0] == 1, nil
 	}
 
 	skipRoot := false
@@ -623,10 +611,7 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	}
 
 	if wholeReplica && !skipRoot {
-		pc.out = startFrame(pc.out, kindRoot, lenSlot+8)
-		pc.out = binary.AppendUvarint(pc.out, uint64(of))
-		pc.out = binary.BigEndian.AppendUint64(pc.out, root)
-		if err := writeFrame(conn, pc.out); err != nil {
+		if err := writeRoot(fw, kindRoot, of, root); err != nil {
 			return kvstore.SyncResult{}, fmt.Errorf("antientropy: send root: %w", err)
 		}
 		if err := readAck(); err != nil {
@@ -643,43 +628,43 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	}
 
 	// Stripe-root phase: one (stripe, depth, root) triple per scoped stripe.
-	pc.out = startFrame(pc.out, kindStripeRoots, 3*lenSlot+len(stripes)*(2*lenSlot+8))
-	pc.out = binary.AppendUvarint(pc.out, uint64(of))
-	pc.out = binary.AppendUvarint(pc.out, uint64(fanout))
-	pc.out = binary.AppendUvarint(pc.out, uint64(len(stripes)))
+	size := encoding.UvarintLen(uint64(of)) + encoding.UvarintLen(uint64(fanout)) + encoding.UvarintLen(uint64(len(stripes)))
+	for _, idx := range stripes {
+		size += encoding.UvarintLen(uint64(idx)) + encoding.UvarintLen(uint64(trees[idx].Depth())) + 8
+	}
+	fw.begin(kindStripeRoots, size)
+	fw.buf = binary.AppendUvarint(fw.buf, uint64(of))
+	fw.buf = binary.AppendUvarint(fw.buf, uint64(fanout))
+	fw.buf = binary.AppendUvarint(fw.buf, uint64(len(stripes)))
 	for _, idx := range stripes {
 		t := trees[idx]
-		pc.out = binary.AppendUvarint(pc.out, uint64(idx))
-		pc.out = binary.AppendUvarint(pc.out, uint64(t.Depth()))
-		pc.out = binary.BigEndian.AppendUint64(pc.out, t.Root())
+		fw.buf = binary.AppendUvarint(fw.room(2*binary.MaxVarintLen64+8), uint64(idx))
+		fw.buf = binary.AppendUvarint(fw.buf, uint64(t.Depth()))
+		fw.buf = binary.BigEndian.AppendUint64(fw.buf, t.Root())
 	}
-	if err := writeFrame(conn, pc.out); err != nil {
+	if err := fw.end(); err != nil {
 		return kvstore.SyncResult{}, fmt.Errorf("antientropy: send stripe roots: %w", err)
 	}
 	if err := readAck(); err != nil {
 		return kvstore.SyncResult{}, err
 	}
-	body, err := pc.fr.read()
-	if err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: receive: %w", err)
-	}
-	body, err = expectKind(body, kindStripeRootDiff)
-	if err != nil {
+	if err := fr.expect(kindStripeRootDiff); err != nil {
 		return kvstore.SyncResult{}, err
 	}
-	count, used := binary.Uvarint(body)
-	if used <= 0 || count > uint64(len(stripes)) {
-		return kvstore.SyncResult{}, fmt.Errorf("%w: bad stripe root diff count", ErrProtocol)
+	count, err := fr.uvarint()
+	if err != nil || count > uint64(len(stripes)) {
+		return kvstore.SyncResult{}, badFrame(err, "bad stripe root diff count")
 	}
-	body = body[used:]
 	divergent := make([]int, 0, count)
 	for i := uint64(0); i < count; i++ {
-		idx64, used := binary.Uvarint(body)
-		if used <= 0 || idx64 >= uint64(of) || trees[idx64] == nil { // only stripes this round sent
-			return kvstore.SyncResult{}, fmt.Errorf("%w: bad stripe root diff stripe", ErrProtocol)
+		idx64, err := fr.uvarint()
+		if err != nil || idx64 >= uint64(of) || trees[idx64] == nil { // only stripes this round sent
+			return kvstore.SyncResult{}, badFrame(err, "bad stripe root diff stripe")
 		}
-		body = body[used:]
 		divergent = append(divergent, int(idx64))
+	}
+	if fr.remaining() != 0 {
+		return kvstore.SyncResult{}, fmt.Errorf("%w: trailing bytes in stripe root diff frame", ErrProtocol)
 	}
 	var res kvstore.SyncResult
 	res.StripesSkipped = len(stripes) - len(divergent)
@@ -702,43 +687,47 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	for _, idx := range divergent {
 		frontier = append(frontier, nodeCoord{stripe: idx})
 	}
+	// node reads the frontier node nc's children off its tree.
+	node := func(nc nodeCoord) encoding.TreeNode {
+		t := trees[nc.stripe]
+		pc.bm, pc.hashes = t.Children(pc.bm[:0], pc.hashes[:0], nc.level, nc.path)
+		return encoding.TreeNode{Stripe: nc.stripe, Depth: t.Depth(), Level: nc.level, Path: nc.path,
+			Bitmap: pc.bm, Hashes: pc.hashes}
+	}
 	var leafReqs []nodeCoord
 	for len(frontier) > 0 {
-		pc.out = startFrame(pc.out, kindTreeNodes, 2*lenSlot+len(frontier)*(4*lenSlot+nb+8*fanout))
-		pc.out = binary.AppendUvarint(pc.out, uint64(fanout))
-		pc.out = binary.AppendUvarint(pc.out, uint64(len(frontier)))
+		size := encoding.UvarintLen(uint64(fanout)) + encoding.UvarintLen(uint64(len(frontier)))
 		for _, nc := range frontier {
-			t := trees[nc.stripe]
-			pc.bm, pc.hashes = t.Children(pc.bm[:0], pc.hashes[:0], nc.level, nc.path)
-			pc.out = encoding.AppendTreeNode(pc.out, encoding.TreeNode{
-				Stripe: nc.stripe, Depth: t.Depth(), Level: nc.level, Path: nc.path,
-				Bitmap: pc.bm, Hashes: pc.hashes,
-			})
+			size += encoding.TreeNodeLen(node(nc))
 		}
-		if err := writeFrame(conn, pc.out); err != nil {
+		fw.begin(kindTreeNodes, size)
+		fw.buf = binary.AppendUvarint(fw.buf, uint64(fanout))
+		fw.buf = binary.AppendUvarint(fw.buf, uint64(len(frontier)))
+		for _, nc := range frontier {
+			n := node(nc)
+			fw.buf = encoding.AppendTreeNode(fw.room(encoding.TreeNodeLen(n)), n)
+		}
+		if err := fw.end(); err != nil {
 			return res, fmt.Errorf("antientropy: send tree nodes: %w", err)
 		}
-		if body, err = pc.fr.read(); err != nil {
-			return res, fmt.Errorf("antientropy: receive: %w", err)
-		}
-		if body, err = expectKind(body, kindTreeDiff); err != nil {
+		if err := fr.expect(kindTreeDiff); err != nil {
 			return res, err
 		}
-		n, used := binary.Uvarint(body)
-		if used <= 0 || n != uint64(len(frontier)) {
-			return res, fmt.Errorf("%w: tree diff count %d, want %d", ErrProtocol, n, len(frontier))
+		n, err := fr.uvarint()
+		if err != nil || n != uint64(len(frontier)) {
+			return res, badFrame(err, fmt.Sprintf("tree diff count %d, want %d", n, len(frontier)))
 		}
-		body = body[used:]
-		if len(body) != len(frontier)*2*nb {
+		if fr.remaining() != len(frontier)*2*nb {
 			return res, fmt.Errorf("%w: bad tree diff frame length", ErrProtocol)
 		}
 		var next []nodeCoord
 		for _, nc := range frontier {
-			differ, srvBm := body[:nb], body[nb:2*nb]
-			body = body[2*nb:]
-			t := trees[nc.stripe]
-			pc.bm, pc.hashes = t.Children(pc.bm[:0], pc.hashes[:0], nc.level, nc.path)
-			cliBm := pc.bm
+			b, err := fr.bytes(2 * nb)
+			if err != nil {
+				return res, err
+			}
+			differ, srvBm := b[:nb], b[nb:]
+			cliBm := node(nc).Bitmap
 			for c := 0; c < fanout; c++ {
 				if !encoding.BitmapGet(differ, c) {
 					continue
@@ -747,7 +736,7 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 					stripe: nc.stripe, level: nc.level + 1,
 					path: nc.path<<uint(fbits) | uint64(c),
 				}
-				if child.level == t.Depth() || !encoding.BitmapGet(cliBm, c) ||
+				if child.level == trees[nc.stripe].Depth() || !encoding.BitmapGet(cliBm, c) ||
 					!encoding.BitmapGet(srvBm, c) {
 					leafReqs = append(leafReqs, child)
 				} else {
@@ -762,48 +751,43 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	// before they are encoded. The runs are kept: the reply may only touch
 	// their ranges, and is applied against the stamps they carried.
 	shipped := shippedRuns{of: of, runs: make([]leafRun, len(leafReqs))}
-	size := lenSlot
-	for i, nc := range leafReqs {
-		ds := trees[nc.stripe].Run(nc.level, nc.path)
-		shipped.runs[i] = leafRun{stripe: nc.stripe, rg: kvstore.NodeRange(fanout, nc.level, nc.path), digests: ds}
-		size += 5 * lenSlot
-		for _, d := range ds {
-			size += encoding.DigestLen(d)
-		}
+	wireRun := func(i int) encoding.LeafRun {
+		nc := leafReqs[i]
+		return encoding.LeafRun{Stripe: nc.stripe, Depth: trees[nc.stripe].Depth(), Level: nc.level, Path: nc.path,
+			Digests: shipped.runs[i].Digests}
 	}
-	pc.out = startFrame(pc.out, kindLeafDigests, size)
-	pc.out = binary.AppendUvarint(pc.out, uint64(len(leafReqs)))
+	size = encoding.UvarintLen(uint64(len(leafReqs)))
 	for i, nc := range leafReqs {
-		pc.out = encoding.AppendLeafRun(pc.out, encoding.LeafRun{
-			Stripe: nc.stripe, Depth: trees[nc.stripe].Depth(), Level: nc.level, Path: nc.path,
-			Digests: shipped.runs[i].digests,
-		})
+		shipped.runs[i].stripe = nc.stripe
+		shipped.runs[i].Range = kvstore.NodeRange(fanout, nc.level, nc.path)
+		shipped.runs[i].Digests = trees[nc.stripe].Run(nc.level, nc.path)
+		size += encoding.LeafRunLen(wireRun(i))
 	}
-	if err := writeFrame(conn, pc.out); err != nil {
+	fw.begin(kindLeafDigests, size)
+	fw.buf = binary.AppendUvarint(fw.buf, uint64(len(leafReqs)))
+	for i := range leafReqs {
+		r := wireRun(i)
+		fw.buf = encoding.AppendLeafRun(fw.room(encoding.LeafRunLen(r)), r)
+	}
+	if err := fw.end(); err != nil {
 		return res, fmt.Errorf("antientropy: send leaf digests: %w", err)
 	}
 	slices.SortFunc(shipped.runs, cmpLeafRuns)
 
 	// Tail: needs in, entries out, result in.
-	if body, err = pc.fr.read(); err != nil {
-		return res, fmt.Errorf("antientropy: receive: %w", err)
-	}
-	if body, err = expectKind(body, kindNeed); err != nil {
+	if err := fr.expect(kindNeed); err != nil {
 		return res, err
 	}
-	count, used = binary.Uvarint(body)
-	if used <= 0 {
-		return res, fmt.Errorf("%w: bad need count", ErrProtocol)
+	if count, err = fr.uvarint(); err != nil {
+		return res, badFrame(err, "bad need count")
 	}
-	body = body[used:]
-	sends := make([]encoding.Entry, 0, capCount(count, body))
-	size = lenSlot
+	sends := make([]encoding.Entry, 0, fr.capCount(count))
+	size = 0
 	for i := uint64(0); i < count; i++ {
-		k, n, err := readString(body, shipped.key)
+		k, err := fr.str(shipped.key)
 		if err != nil {
-			return res, fmt.Errorf("%w: bad need key", ErrProtocol)
+			return res, badFrame(err, "bad need key")
 		}
-		body = body[n:]
 		v, ok := local.Stored(k)
 		if !ok {
 			// Vanished since the digest (a tombstone GC can drop keys); the
@@ -818,10 +802,8 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		sends = append(sends, e)
 		size += encoding.EntryLen(e)
 	}
-	pc.out = startFrame(pc.out, kindEntries, size)
-	pc.out = binary.AppendUvarint(pc.out, uint64(len(sends)))
-	for _, e := range sends {
-		pc.out = encoding.AppendEntry(pc.out, e)
+	if fr.remaining() != 0 {
+		return res, fmt.Errorf("%w: trailing bytes in need frame", ErrProtocol)
 	}
 	// Point of no return: once any byte of the entries frame is on the wire,
 	// the server may receive the complete frame and apply it even if this
@@ -832,17 +814,16 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 	// marked ErrRetryUnsafe; the pool surfaces it instead of redialing, and
 	// the next round's digest exchange reconciles whatever state the server
 	// actually reached.
-	if err := writeFrame(conn, pc.out); err != nil {
+	fw.begin(kindEntries, encoding.UvarintLen(uint64(len(sends)))+size)
+	fw.buf = binary.AppendUvarint(fw.buf, uint64(len(sends)))
+	for _, e := range sends {
+		fw.buf = encoding.AppendEntry(fw.room(encoding.EntryLen(e)), e)
+	}
+	if err := fw.end(); err != nil {
 		return res, fmt.Errorf("%w: send entries: %w", ErrRetryUnsafe, err)
 	}
 	slices.SortFunc(sends, func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
 
-	if body, err = pc.fr.read(); err != nil {
-		return res, fmt.Errorf("%w: receive result: %w", ErrRetryUnsafe, err)
-	}
-	if body, err = expectKind(body, kindResult); err != nil {
-		return res, err
-	}
 	// A reply key is taken from the entries this round sent, or else from
 	// the digest runs it shipped.
 	sent := func(key []byte) (string, bool) {
@@ -852,7 +833,15 @@ func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvsto
 		}
 		return shipped.key(key)
 	}
-	part, reply, err := decodeResultFrame(body, sent)
+	err = fr.expect(kindResult)
+	var part kvstore.SyncResult
+	var reply kvstore.DeltaReply
+	if err == nil {
+		part, reply, err = decodeResultFrame(fr, sent)
+	}
+	if errors.Is(err, errRecv) {
+		return res, fmt.Errorf("%w: %w", ErrRetryUnsafe, err)
+	}
 	if err != nil {
 		return res, err
 	}
@@ -939,9 +928,9 @@ func (sr *shippedRuns) find(key string) int {
 func (sr *shippedRuns) runAt(stripe int, pos uint64) int {
 	i := sort.Search(len(sr.runs), func(i int) bool {
 		r := sr.runs[i]
-		return r.stripe > stripe || r.stripe == stripe && (r.rg.Hi == 0 || r.rg.Hi > pos)
+		return r.stripe > stripe || r.stripe == stripe && (r.Range.Hi == 0 || r.Range.Hi > pos)
 	})
-	if i == len(sr.runs) || sr.runs[i].stripe != stripe || !sr.runs[i].rg.Contains(pos) {
+	if i == len(sr.runs) || sr.runs[i].stripe != stripe || !sr.runs[i].Range.Contains(pos) {
 		return -1
 	}
 	return i
@@ -957,7 +946,7 @@ func (sr *shippedRuns) stamp(key string) (core.Stamp, bool) {
 	if i < 0 {
 		return core.Stamp{}, false
 	}
-	ds, pos := sr.runs[i].digests, encoding.TreePos(key)
+	ds, pos := sr.runs[i].Digests, encoding.TreePos(key)
 	j := sort.Search(len(ds), func(j int) bool {
 		p := encoding.TreePos(ds[j].Key)
 		return p > pos || p == pos && ds[j].Key >= key
@@ -977,7 +966,7 @@ func (sr *shippedRuns) key(b []byte) (string, bool) {
 	if i < 0 {
 		return "", false
 	}
-	ds := sr.runs[i].digests
+	ds := sr.runs[i].Digests
 	j := sort.Search(len(ds), func(j int) bool {
 		p := encoding.TreePos(ds[j].Key)
 		return p > pos || p == pos && ds[j].Key >= string(b)

@@ -206,19 +206,15 @@ func TestTreeProbeNeverFolds(t *testing.T) {
 	}
 	probe := func() byte {
 		t.Helper()
-		frame := startFrame(nil, kindRootProbe, lenSlot+8)
-		frame = binary.AppendUvarint(frame, uint64(of))
-		frame = binary.BigEndian.AppendUint64(frame, clientRoot())
-		if err := writeFrame(conn, frame); err != nil {
+		if err := writeRoot(&frameWriter{w: conn}, kindRootProbe, of, clientRoot()); err != nil {
 			t.Fatal(err)
 		}
-		body, err := fr.read()
+		kind, body, err := readFrame(&fr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err = expectKind(body, kindRootMatch)
-		if err != nil || len(body) != 1 {
-			t.Fatalf("probe answer %x, %v", body, err)
+		if kind != kindRootMatch || len(body) != 1 {
+			t.Fatalf("probe answer 0x%02x %x", kind, body)
 		}
 		return body[0]
 	}
@@ -349,25 +345,17 @@ func TestTreeLayoutMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	frame := startFrame(nil, kindRootProbe, lenSlot+8)
-	frame = binary.AppendUvarint(frame, uint64(client.Shards()))
-	frame = binary.BigEndian.AppendUint64(frame, encoding.RootSummarySeed)
 	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, frame); err != nil {
+	if err := writeRoot(&frameWriter{w: conn}, kindRootProbe, client.Shards(), encoding.RootSummarySeed); err != nil {
 		t.Fatal(err)
 	}
 	fr := frameReader{br: bufio.NewReader(conn)}
 	if b, err := fr.br.ReadByte(); err != nil || b != protocolVersion {
 		t.Fatalf("ack = 0x%02x, %v", b, err)
 	}
-	body, err := fr.read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = expectKind(body, kindRootMatch)
-	refused("root probe", err)
+	refused("root probe", fr.expect(kindRootMatch))
 
 	if !bytes.Equal(snapshot(server), serverBefore) || !bytes.Equal(snapshot(client), clientBefore) {
 		t.Fatal("a refused round changed a replica")
@@ -613,12 +601,13 @@ func resultTamperer(t *testing.T, serverAddr string, forge func(shipped []encodi
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ln.Close() })
-	forward := func(fr *frameReader, to net.Conn) ([]byte, error) {
-		body, err := fr.read()
+	forward := func(fr *frameReader, to net.Conn) error {
+		kind, body, err := readFrame(fr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return body, writeFrame(to, append(make([]byte, lenSlot), body...))
+		_, err = to.Write(appendFrame(nil, kind, body))
+		return err
 	}
 	go func() {
 		for {
@@ -648,20 +637,19 @@ func resultTamperer(t *testing.T, serverAddr string, forge func(shipped []encodi
 					return
 				}
 				for {
-					body, err := cfr.read()
+					kind, body, err := readFrame(cfr)
 					if err != nil {
 						return
 					}
-					if body[0] != kindEntries {
-						if err := writeFrame(srv, append(make([]byte, lenSlot), body...)); err != nil {
+					if kind != kindEntries {
+						if _, err := srv.Write(appendFrame(nil, kind, body)); err != nil {
 							return
 						}
-						if _, err := forward(sfr, cli); err != nil {
+						if err := forward(sfr, cli); err != nil {
 							return
 						}
 						continue
 					}
-					body = body[1:]
 					n, used := binary.Uvarint(body)
 					body = body[used:]
 					var shipped []encoding.Entry
@@ -673,7 +661,7 @@ func resultTamperer(t *testing.T, serverAddr string, forge func(shipped []encodi
 						body = body[used:]
 						shipped = append(shipped, e)
 					}
-					_ = writeFrame(cli, encodeResultFrame(nil, kvstore.SyncResult{}, forge(shipped)))
+					_ = writeResultFrame(&frameWriter{w: cli}, kvstore.SyncResult{}, forge(shipped))
 					return
 				}
 			}()

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"versionstamp/internal/name"
@@ -54,10 +54,11 @@ func (s Stamp) EncodedSize() int {
 // Both components intern on arrival (trie.InternEncoded): a component
 // already known to the process costs a map probe on the raw bytes, builds
 // nothing, and yields the handle the local copies already hold, so
-// downstream comparison is pointer equality.
+// downstream comparison is pointer equality. Input that ends inside the
+// stamp is an error that is io.ErrUnexpectedEOF: more bytes may complete it.
 func DecodeBinary(src []byte) (Stamp, int, error) {
 	if len(src) == 0 {
-		return Stamp{}, 0, errors.New("core: empty input")
+		return Stamp{}, 0, fmt.Errorf("core: empty input: %w", io.ErrUnexpectedEOF)
 	}
 	if src[0] != binaryFormat {
 		return Stamp{}, 0, fmt.Errorf("core: stamp format byte 0x%02x, want 0x%02x", src[0], binaryFormat)

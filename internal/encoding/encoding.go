@@ -15,6 +15,15 @@
 // every key, and no decoded key, value or string ever aliases the input, so
 // the input buffer may be reused as soon as the decode returns. The one
 // exception is a tree node's child bitmap (DecodeTreeNode), documented there.
+//
+// Every element decoder reads its element from the front of its input and
+// tells a short input apart from a corrupt one: input that ends inside the
+// element is an error that is io.ErrUnexpectedEOF, and more bytes may
+// complete it; any other error is final, whatever follows. An element that
+// decodes takes the same bytes, with the same result, from any longer input.
+// So a reader may hand a decoder as much of a stream as it holds and, on a
+// short input, retry with more — which is how the sync protocol decodes
+// frames longer than the window it reads them through.
 package encoding
 
 import "versionstamp/internal/core"

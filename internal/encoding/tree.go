@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 )
 
@@ -90,6 +91,17 @@ type TreeNode struct {
 	Hashes []uint64
 }
 
+// treeCoordLen returns the length of a node or run's (stripe, depth, level,
+// path) prefix.
+func treeCoordLen(stripe, depth, level int, path uint64) int {
+	return UvarintLen(uint64(stripe)) + UvarintLen(uint64(depth)) + UvarintLen(uint64(level)) + UvarintLen(path)
+}
+
+// TreeNodeLen returns the length of AppendTreeNode's output for n.
+func TreeNodeLen(n TreeNode) int {
+	return treeCoordLen(n.Stripe, n.Depth, n.Level, n.Path) + len(n.Bitmap) + 8*len(n.Hashes)
+}
+
 // AppendTreeNode appends one node element: stripe, depth, level, path
 // (uvarints), the child bitmap (TreeBitmapLen(fanout) bytes), then one
 // 8-byte big-endian hash per set bitmap bit.
@@ -105,10 +117,13 @@ func AppendTreeNode(dst []byte, n TreeNode) []byte {
 	return dst
 }
 
-// treeUvarint reads one uvarint field, rejecting truncation.
+// treeUvarint reads one uvarint field.
 func treeUvarint(data []byte, what string) (uint64, []byte, error) {
 	v, used := binary.Uvarint(data)
-	if used <= 0 {
+	switch {
+	case used == 0:
+		return 0, nil, fmt.Errorf("encoding: tree frame: truncated %s: %w", what, io.ErrUnexpectedEOF)
+	case used < 0:
 		return 0, nil, fmt.Errorf("encoding: tree frame: bad %s", what)
 	}
 	return v, data[used:], nil
@@ -172,7 +187,7 @@ func DecodeTreeNode(data []byte, fanout, maxStripe int, hashes []uint64) (TreeNo
 	}
 	nb := TreeBitmapLen(fanout)
 	if len(data) < nb {
-		return TreeNode{}, 0, errors.New("encoding: tree frame: truncated bitmap")
+		return TreeNode{}, 0, fmt.Errorf("encoding: tree frame: truncated bitmap: %w", io.ErrUnexpectedEOF)
 	}
 	bm := data[:nb:nb]
 	data = data[nb:]
@@ -184,7 +199,7 @@ func DecodeTreeNode(data []byte, fanout, maxStripe int, hashes []uint64) (TreeNo
 		}
 	}
 	if len(data) < 8*set {
-		return TreeNode{}, 0, errors.New("encoding: tree frame: truncated hashes")
+		return TreeNode{}, 0, fmt.Errorf("encoding: tree frame: truncated hashes: %w", io.ErrUnexpectedEOF)
 	}
 	for i := 0; i < set; i++ {
 		hashes = append(hashes, binary.BigEndian.Uint64(data[8*i:]))
@@ -205,6 +220,15 @@ type LeafRun struct {
 	Level   int
 	Path    uint64
 	Digests []Digest
+}
+
+// LeafRunLen returns the length of AppendLeafRun's output for r.
+func LeafRunLen(r LeafRun) int {
+	n := treeCoordLen(r.Stripe, r.Depth, r.Level, r.Path) + UvarintLen(uint64(len(r.Digests)))
+	for _, d := range r.Digests {
+		n += DigestLen(d)
+	}
+	return n
 }
 
 // AppendLeafRun appends one leaf run: the coordinate prefix, a digest count,

@@ -3,7 +3,9 @@ package encoding
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -144,9 +146,24 @@ func TestTreePosDeterministic(t *testing.T) {
 	}
 }
 
+// decodeThroughWindow decodes the element at the front of data the way a
+// reader with a small window does: from the first step bytes, and again
+// with step more each time the decoder reports that its input ends inside
+// the element.
+func decodeThroughWindow[T any](data []byte, step int, dec func([]byte) (T, int, error)) (T, int, error) {
+	for n := min(step, len(data)); ; n = min(n+step, len(data)) {
+		v, used, err := dec(data[:n])
+		if err == nil || n == len(data) || !errors.Is(err, io.ErrUnexpectedEOF) {
+			return v, used, err
+		}
+	}
+}
+
 // FuzzDecodeTreeNode feeds hostile bytes to the tree-node decoder: it must
 // error or return a structurally valid node, never panic or allocate
 // unbounded memory (hash counts are pinned to the bitmap's population).
+// Decoded through a small window, it must read the same node or fail with
+// the same error.
 func FuzzDecodeTreeNode(f *testing.F) {
 	bm := make([]byte, TreeBitmapLen(16))
 	BitmapSet(bm, 3)
@@ -156,6 +173,12 @@ func FuzzDecodeTreeNode(f *testing.F) {
 	f.Add([]byte{0}, 2, 1)
 	f.Fuzz(func(t *testing.T, data []byte, fanout, maxStripe int) {
 		node, used, err := DecodeTreeNode(data, fanout, maxStripe, nil)
+		wnode, wused, werr := decodeThroughWindow(data, 5, func(b []byte) (TreeNode, int, error) {
+			return DecodeTreeNode(b, fanout, maxStripe, nil)
+		})
+		if fmt.Sprint(werr) != fmt.Sprint(err) || wused != used || fmt.Sprint(wnode) != fmt.Sprint(node) {
+			t.Fatalf("through a window: %+v, %d bytes, %v; whole: %+v, %d bytes, %v", wnode, wused, werr, node, used, err)
+		}
 		if err != nil {
 			return
 		}
@@ -182,7 +205,8 @@ func FuzzDecodeTreeNode(f *testing.F) {
 // input is decoded twice, once copying every key and once resolving keys
 // against a local run derived from the input — unsorted, with duplicates,
 // partly matching or reversed — and both must return the same digests,
-// length and error, with no key aliasing the input.
+// length and error, with no key aliasing the input, and so must a decode
+// through a small window.
 func FuzzDecodeLeafRun(f *testing.F) {
 	st := core.Seed().Update()
 	f.Add([]byte{1, 3, 3, 0, 0}, 16, 32)
@@ -213,12 +237,20 @@ func FuzzDecodeLeafRun(f *testing.F) {
 		if fmt.Sprint(err) != fmt.Sprint(err2) || used != used2 {
 			t.Fatalf("resolving decode: %d bytes, error %v; copying decode: %d bytes, error %v", used2, err2, used, err)
 		}
-		if len(run2.Digests) != len(run.Digests) {
-			t.Fatalf("resolving decode: %d digests, copying decode %d", len(run2.Digests), len(run.Digests))
+		run3, used3, err3 := decodeThroughWindow(data, 7, func(b []byte) (LeafRun, int, error) {
+			return DecodeLeafRun(b, fanout, maxStripe, nil)
+		})
+		if fmt.Sprint(err) != fmt.Sprint(err3) || used != used3 {
+			t.Fatalf("decode through a window: %d bytes, error %v; whole: %d bytes, error %v", used3, err3, used, err)
 		}
-		for i, d := range run2.Digests {
-			if want := run.Digests[i]; d.Key != want.Key || !d.Stamp.Equal(want.Stamp) {
-				t.Fatalf("digest %d: resolving decode %q, copying decode %q", i, d.Key, want.Key)
+		for _, other := range []LeafRun{run2, run3} {
+			if len(other.Digests) != len(run.Digests) {
+				t.Fatalf("%d digests, copying decode %d", len(other.Digests), len(run.Digests))
+			}
+			for i, d := range other.Digests {
+				if want := run.Digests[i]; d.Key != want.Key || !d.Stamp.Equal(want.Stamp) {
+					t.Fatalf("digest %d: %q, copying decode %q", i, d.Key, want.Key)
+				}
 			}
 		}
 	})

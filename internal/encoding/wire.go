@@ -3,6 +3,7 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 
 	"versionstamp/internal/core"
@@ -110,7 +111,7 @@ func DecodeEntryMeta(data []byte) (e Entry, valOff, valLen, used int, err error)
 		return Entry{}, 0, 0, 0, fmt.Errorf("encoding: entry: %w", err)
 	}
 	if off >= len(data) {
-		return Entry{}, 0, 0, 0, fmt.Errorf("encoding: entry %q: truncated flags", key)
+		return Entry{}, 0, 0, 0, fmt.Errorf("encoding: entry %q: truncated flags: %w", key, io.ErrUnexpectedEOF)
 	}
 	flags := data[off]
 	off++
@@ -121,12 +122,12 @@ func DecodeEntryMeta(data []byte) (e Entry, valOff, valLen, used int, err error)
 		e.Deleted = true
 	case 0:
 		n, u := binary.Uvarint(data[off:])
-		if u <= 0 || n > maxValueLen {
-			return Entry{}, 0, 0, 0, fmt.Errorf("encoding: entry %q: bad value length", key)
+		if err := valueLenErr(key, n, u); err != nil {
+			return Entry{}, 0, 0, 0, err
 		}
 		off += u
 		if uint64(len(data)-off) < n {
-			return Entry{}, 0, 0, 0, fmt.Errorf("encoding: entry %q: truncated value", key)
+			return Entry{}, 0, 0, 0, fmt.Errorf("encoding: entry %q: truncated value: %w", key, io.ErrUnexpectedEOF)
 		}
 		valOff, valLen = off, int(n)
 		off += int(n)
@@ -150,7 +151,7 @@ func DecodeEntry(data []byte, known func(key []byte) (string, bool)) (Entry, int
 		return Entry{}, 0, fmt.Errorf("encoding: entry: %w", err)
 	}
 	if off >= len(data) {
-		return Entry{}, 0, fmt.Errorf("encoding: entry %q: truncated flags", key)
+		return Entry{}, 0, fmt.Errorf("encoding: entry %q: truncated flags: %w", key, io.ErrUnexpectedEOF)
 	}
 	flags := data[off]
 	off++
@@ -160,12 +161,12 @@ func DecodeEntry(data []byte, known func(key []byte) (string, bool)) (Entry, int
 		e.Deleted = true
 	case 0:
 		n, used := binary.Uvarint(data[off:])
-		if used <= 0 || n > maxValueLen {
-			return Entry{}, 0, fmt.Errorf("encoding: entry %q: bad value length", key)
+		if err := valueLenErr(key, n, used); err != nil {
+			return Entry{}, 0, err
 		}
 		off += used
 		if uint64(len(data)-off) < n {
-			return Entry{}, 0, fmt.Errorf("encoding: entry %q: truncated value", key)
+			return Entry{}, 0, fmt.Errorf("encoding: entry %q: truncated value: %w", key, io.ErrUnexpectedEOF)
 		}
 		e.Value = append([]byte(nil), data[off:off+int(n)]...)
 		off += int(n)
@@ -180,17 +181,32 @@ func DecodeEntry(data []byte, known func(key []byte) (string, bool)) (Entry, int
 	return e, off + used, nil
 }
 
+// valueLenErr checks an entry's value length field: n as binary.Uvarint
+// read it in used bytes.
+func valueLenErr(key string, n uint64, used int) error {
+	switch {
+	case used == 0:
+		return fmt.Errorf("encoding: entry %q: truncated value length: %w", key, io.ErrUnexpectedEOF)
+	case used < 0 || n > maxValueLen:
+		return fmt.Errorf("encoding: entry %q: bad value length", key)
+	}
+	return nil
+}
+
 // decodeKey parses a uvarint-prefixed key from the front of data. The key
 // never aliases data: it is known's answer when that equals the key's bytes
 // exactly, and a copy otherwise.
 func decodeKey(data []byte, known func(key []byte) (string, bool)) (string, int, error) {
 	n, used := binary.Uvarint(data)
-	if used <= 0 || n > maxKeyLen {
+	switch {
+	case used == 0:
+		return "", 0, fmt.Errorf("truncated key length: %w", io.ErrUnexpectedEOF)
+	case used < 0 || n > maxKeyLen:
 		return "", 0, fmt.Errorf("bad key length")
 	}
 	off := used
 	if uint64(len(data)-off) < n {
-		return "", 0, fmt.Errorf("truncated key")
+		return "", 0, fmt.Errorf("truncated key: %w", io.ErrUnexpectedEOF)
 	}
 	end := off + int(n)
 	b := data[off:end]

@@ -19,11 +19,13 @@ import (
 // in full. The paper's whole point is that stamp comparison classifies two
 // copies as equivalent, obsolete or conflicting without looking at the data.
 //
-// Every call is scoped to one stripe of this replica and to position ranges
-// of that stripe's digest tree, sorted by Lo and disjoint; the zero TreeRange
-// covers the whole stripe. The peer stripes the keyspace the same way (the
-// wire layer refuses any other peer), so the scope's keys all live in the
-// one local stripe, and only its lock is taken.
+// Every call is scoped to one stripe of this replica and to the position
+// ranges of the peer's digest runs (DigestRun) in that stripe's digest tree,
+// disjoint; the zero TreeRange covers the whole stripe. The runs are taken
+// as the wire delivered them, one per divergent node, never concatenated.
+// The peer stripes the keyspace the same way (the wire layer refuses any
+// other peer), so the scope's keys all live in the one local stripe, and
+// only its lock is taken.
 //
 // The reply is split the same way. A stamp identifies a version, so a copy
 // whose outcome value is the one the peer shipped in full goes back as a
@@ -38,37 +40,60 @@ type Diff struct {
 	// keys unknown here, keys where the peer dominates, and keys the stamps
 	// call concurrent or causally unrelated. Sorted.
 	Need []string
+	// Concurrent counts the keys of Need whose stamps are concurrent or
+	// causally unrelated: their merged copies travel back in full.
+	Concurrent int
 	// Equivalent counts peer keys whose stamps proved the copies identical;
 	// they are pruned from the wire entirely.
 	Equivalent int
+	// Stale counts peer keys whose copies this side's dominate: this side's
+	// copies travel back in full, and the peer's need not come.
+	Stale int
 	// LocalOnly counts in-scope local keys the peer digest does not
 	// mention; their copies must travel to the peer.
 	LocalOnly int
 }
 
-// deltaScope is a delta call's (stripe, ranges) scope. Both halves of the
-// leaf phase walk it in tree order, by (position, key) — the order of the
+// ReplyRoom bounds what the apply that follows the diff hands back, given
+// the number of peer entries that arrived for Need: a restamp only for a key
+// shipped in full, and a full copy for each stale, concurrent and local-only
+// key. Local state that moves in between can exceed it; it sizes a reply,
+// and decides nothing.
+func (d Diff) ReplyRoom(entries int) (restamps, full int) {
+	return entries, d.Stale + d.Concurrent + d.LocalOnly
+}
+
+// DigestRun is a peer's digests for one position range of a stripe, in tree
+// order: the run a tree round ships for one divergent node. The zero Range
+// covers the whole stripe.
+type DigestRun struct {
+	Range   TreeRange
+	Digests []encoding.Digest
+}
+
+// deltaScope is a delta call's (stripe, runs) scope. Both halves of the leaf
+// phase walk it in tree order, by (position, key) — the order of the
 // stripe's digest tree, so the in-range local keys come straight off RunRange.
 type deltaScope struct {
 	idx, of int         // the stripe, and this replica's stripe count
-	ranges  []TreeRange // sorted and disjoint
+	runs    []DigestRun // sorted by Range.Lo and disjoint
 }
 
-func (r *Replica) deltaScope(idx int, ranges []TreeRange) (deltaScope, error) {
+func (r *Replica) deltaScope(idx int, runs []DigestRun) (deltaScope, error) {
 	if idx < 0 || idx >= len(r.shards) {
 		return deltaScope{}, fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
 	}
-	cmpLo := func(a, b TreeRange) int { return cmp.Compare(a.Lo, b.Lo) }
-	if !slices.IsSortedFunc(ranges, cmpLo) {
-		ranges = slices.Clone(ranges)
-		slices.SortFunc(ranges, cmpLo)
+	cmpLo := func(a, b DigestRun) int { return cmp.Compare(a.Range.Lo, b.Range.Lo) }
+	if !slices.IsSortedFunc(runs, cmpLo) {
+		runs = slices.Clone(runs)
+		slices.SortFunc(runs, cmpLo)
 	}
-	for i := 1; i < len(ranges); i++ {
-		if prev := ranges[i-1]; prev.Hi == 0 || prev.Hi > ranges[i].Lo {
+	for i := 1; i < len(runs); i++ {
+		if prev := runs[i-1].Range; prev.Hi == 0 || prev.Hi > runs[i].Range.Lo {
 			return deltaScope{}, fmt.Errorf("kvstore: delta shard %d: overlapping ranges", idx)
 		}
 	}
-	return deltaScope{idx: idx, of: len(r.shards), ranges: ranges}, nil
+	return deltaScope{idx: idx, of: len(r.shards), runs: runs}, nil
 }
 
 // cmpTreeOrder orders keys in tree order.
@@ -82,8 +107,8 @@ func entryKey(e encoding.Entry) string   { return e.Key }
 // inWalkOrder puts the peer's xs into tree order in place — input that
 // already is, as every digest run a tree round ships, is only checked — and
 // verifies in one pass, with a range cursor, that each key belongs to the
-// scope's stripe and falls inside its ranges.
-func inWalkOrder[T any](sc *deltaScope, what string, xs []T, key func(T) string) error {
+// scope's stripe and falls inside one of the ranges of runs.
+func inWalkOrder[T any](sc *deltaScope, what string, runs []DigestRun, xs []T, key func(T) string) error {
 	f := func(a, b T) int { return cmpTreeOrder(key(a), key(b)) }
 	if !slices.IsSortedFunc(xs, f) {
 		slices.SortFunc(xs, f)
@@ -95,11 +120,22 @@ func inWalkOrder[T any](sc *deltaScope, what string, xs []T, key func(T) string)
 			return fmt.Errorf("kvstore: %s shard %d: key %q belongs to shard %d", what, sc.idx, k, s)
 		}
 		p := encoding.TreePos(k)
-		for c < len(sc.ranges) && sc.ranges[c].Hi != 0 && sc.ranges[c].Hi <= p {
+		for c < len(runs) && runs[c].Range.Hi != 0 && runs[c].Range.Hi <= p {
 			c++
 		}
-		if c == len(sc.ranges) || !sc.ranges[c].Contains(p) {
+		if c == len(runs) || !runs[c].Range.Contains(p) {
 			return fmt.Errorf("kvstore: %s shard %d: key %q outside the scoped ranges", what, sc.idx, k)
+		}
+	}
+	return nil
+}
+
+// checkRuns puts each of the scope's runs into tree order and checks that
+// its digests lie inside its range.
+func (sc *deltaScope) checkRuns(what string) error {
+	for i := range sc.runs {
+		if err := inWalkOrder(sc, what, sc.runs[i:i+1], sc.runs[i].Digests, digestKey); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -108,11 +144,11 @@ func inWalkOrder[T any](sc *deltaScope, what string, xs []T, key func(T) string)
 // count returns how many of t's digests are in scope, gathering no runs.
 func (sc *deltaScope) count(t *DigestTree) int {
 	n := 0
-	for _, rg := range sc.ranges {
-		if rg == (TreeRange{}) {
+	for _, run := range sc.runs {
+		if run.Range == (TreeRange{}) {
 			n += t.Len() // the whole stripe, without visiting its leaves
 		} else {
-			n += t.rangeLen(rg)
+			n += t.rangeLen(run.Range)
 		}
 	}
 	return n
@@ -120,12 +156,14 @@ func (sc *deltaScope) count(t *DigestTree) int {
 
 // walk calls fn once per in-scope key, in tree order: the keys of the
 // stripe's tree t and of extra (keys written since t, in tree order), and the
-// peer's digests ds and entries es (tree-ordered, checked to lie in scope).
-// fn gets the peer's digest and entry for the key, or nil where the peer sent
-// none. Each range is one merge of four sorted runs; no key set is built.
-func (sc *deltaScope) walk(t *DigestTree, extra []string, ds []encoding.Digest, es []encoding.Entry,
+// peer's digests (each run's, checked to lie in its range) and entries es
+// (tree-ordered, checked to lie in scope). fn gets the peer's digest and
+// entry for the key, or nil where the peer sent none. Each range is one merge
+// of four sorted runs; no key set is built.
+func (sc *deltaScope) walk(t *DigestTree, extra []string, es []encoding.Entry,
 	fn func(key string, d *encoding.Digest, e *encoding.Entry) error) error {
-	for _, rg := range sc.ranges {
+	for _, run := range sc.runs {
+		rg, ds := run.Range, run.Digests
 		local := t.RunRange(rg)
 		for len(extra) > 0 && encoding.TreePos(extra[0]) < rg.Lo {
 			extra = extra[1:]
@@ -147,7 +185,7 @@ func (sc *deltaScope) walk(t *DigestTree, extra []string, ds []encoding.Digest, 
 				least(extra[0], rg.Contains(encoding.TreePos(extra[0])))
 			}
 			if len(ds) > 0 {
-				least(ds[0].Key, rg.Contains(encoding.TreePos(ds[0].Key)))
+				least(ds[0].Key, true)
 			}
 			if len(es) > 0 {
 				least(es[0].Key, rg.Contains(encoding.TreePos(es[0].Key)))
@@ -177,26 +215,26 @@ func (sc *deltaScope) walk(t *DigestTree, extra []string, ds []encoding.Digest, 
 	return nil
 }
 
-// DiffRanges compares a peer digest of stripe idx with local state and
-// reports which peer copies must travel in full. Only peer digests and local
-// keys whose encoding.TreePos falls inside ranges take part — the tree
-// descent has already narrowed divergence to a few position intervals. Read
-// locks only; the comparison is advisory — ApplyDeltaRanges re-validates
-// every key under the write lock, so state changing between the two calls
-// costs at most one extra round, never correctness.
+// DiffRanges compares a peer's digest runs of stripe idx with local state
+// and reports which peer copies must travel in full. Only the runs' ranges
+// take part — the tree descent has already narrowed divergence to a few
+// position intervals — and each run's digests must lie inside its range.
+// Read locks only; the comparison is advisory — ApplyDeltaRanges
+// re-validates every key under the write lock, so state changing between
+// the two calls costs at most one extra round, never correctness.
 //
-// peer is put into tree order in place (a round's digests already are). The
+// Each run is put into tree order in place (a round's runs already are). The
 // stripe is read-locked once while the peer digests are probed against the
 // stripe map, stamp classification runs through a batch Comparer — converged
 // copies share interned update handles, so the common outcome is a pointer
 // comparison — and the in-scope local keys are counted off the stripe's
 // digest tree, never by scanning the stripe.
-func (r *Replica) DiffRanges(peer []encoding.Digest, idx int, ranges []TreeRange) (Diff, error) {
-	sc, err := r.deltaScope(idx, ranges)
+func (r *Replica) DiffRanges(peer []DigestRun, idx int) (Diff, error) {
+	sc, err := r.deltaScope(idx, peer)
 	if err != nil {
 		return Diff{}, err
 	}
-	if err := inWalkOrder(&sc, "diff", peer, digestKey); err != nil {
+	if err := sc.checkRuns("diff"); err != nil {
 		return Diff{}, err
 	}
 	var d Diff
@@ -209,23 +247,29 @@ func (r *Replica) DiffRanges(peer []encoding.Digest, idx int, ranges []TreeRange
 	sh := &r.shards[idx]
 	sh.mu.RLock()
 	localInScope := sc.count(t)
-	for i := range peer {
-		pd := &peer[i]
-		v, ok := sh.metaLocked(pd.Key)
-		if !ok {
-			d.Need = append(d.Need, pd.Key) // unknown here: the copy must travel
-			continue
-		}
-		matched++
-		switch classify(&cmp, v.Stamp, pd.Stamp) {
-		case core.Equal:
-			d.Equivalent++
-		case core.After:
-			// We dominate: our copy travels in the reply, theirs need not.
-		default:
-			// Before, Concurrent, or independent copies with no causal
-			// order: reconciliation needs the peer's value.
-			d.Need = append(d.Need, pd.Key)
+	for _, run := range sc.runs {
+		for i := range run.Digests {
+			pd := &run.Digests[i]
+			v, ok := sh.metaLocked(pd.Key)
+			if !ok {
+				d.Need = append(d.Need, pd.Key) // unknown here: the copy must travel
+				continue
+			}
+			matched++
+			switch classify(&cmp, v.Stamp, pd.Stamp) {
+			case core.Equal:
+				d.Equivalent++
+			case core.After:
+				// We dominate: our copy travels in the reply, theirs need not.
+				d.Stale++
+			case core.Before:
+				d.Need = append(d.Need, pd.Key)
+			default:
+				// Concurrent, or independent copies with no causal order:
+				// reconciliation needs the peer's value.
+				d.Need = append(d.Need, pd.Key)
+				d.Concurrent++
+			}
 		}
 	}
 	sh.mu.RUnlock()
@@ -255,7 +299,8 @@ func compactSorted(ss []string) []string {
 }
 
 // DeltaReply is what a responder's apply hands the initiator to adopt. Each
-// ApplyDeltaRanges call appends its part of each list sorted by key.
+// ApplyDeltaRanges call appends its part of each list sorted by key; a reply
+// given the room its diffs bound (Diff.ReplyRoom) takes it without growing.
 type DeltaReply struct {
 	// Restamps are copies whose outcome value is the one the peer shipped
 	// in full: the peer keeps its value and takes only the new stamp.
@@ -278,13 +323,14 @@ func (d DeltaReply) Len() int { return len(d.Restamps) + len(d.Entries) }
 // mutate it — transfers fork stamps, dominance reconciles,
 // conflicts use the resolver or stay reported — and every key the stamps
 // already prove equivalent is pruned: it is neither touched nor returned.
-// Peer digests and entries must fall inside ranges, and only in-range local
-// keys are enumerated as local-only — so the local keys of the divergent
-// subtrees transfer without every unmentioned in-stripe key being treated as
-// missing on the peer.
+// The scope is the ranges of the peer's digest runs: each run's digests must
+// fall inside its range, and the peer entries inside one of them, and only
+// in-range local keys are enumerated as local-only — so the local keys of
+// the divergent subtrees transfer without every unmentioned in-stripe key
+// being treated as missing on the peer.
 //
-// The walk is a merge in tree order, with peerDigest and peerEntries put
-// into that order in place: the stripe's digest tree is brought current just
+// The walk is a merge in tree order, with the runs and peerEntries put into
+// that order in place: the stripe's digest tree is brought current just
 // before the write lock is taken, and under it its in-range keys plus the
 // keys writers noted in the stripe's dirty set since are exactly the
 // stripe's current keys. (A dirty set that overflowed in that window is
@@ -299,16 +345,16 @@ func (d DeltaReply) Len() int { return len(d.Restamps) + len(d.Entries) }
 // as it is, so the caller must not modify it afterwards, nor hand it to
 // another replica. Reply values are this side's copies, and the caller's to
 // keep.
-func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peerDigest []encoding.Digest, peerEntries []encoding.Entry,
-	resolve Resolver, idx int, ranges []TreeRange) (DeltaReply, SyncResult, error) {
-	sc, err := r.deltaScope(idx, ranges)
+func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntries []encoding.Entry,
+	resolve Resolver, idx int) (DeltaReply, SyncResult, error) {
+	sc, err := r.deltaScope(idx, peer)
 	if err != nil {
 		return reply, SyncResult{}, err
 	}
-	if err := inWalkOrder(&sc, "delta", peerEntries, entryKey); err != nil {
+	if err := inWalkOrder(&sc, "delta", sc.runs, peerEntries, entryKey); err != nil {
 		return reply, SyncResult{}, err
 	}
-	if err := inWalkOrder(&sc, "delta", peerDigest, digestKey); err != nil {
+	if err := sc.checkRuns("delta"); err != nil {
 		return reply, SyncResult{}, err
 	}
 
@@ -386,7 +432,7 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peerDigest []encoding.Diges
 		extra = append(extra, k)
 	}
 	slices.SortFunc(extra, cmpTreeOrder)
-	err = sc.walk(t, extra, peerDigest, peerEntries, apply)
+	err = sc.walk(t, extra, peerEntries, apply)
 	sort.Strings(res.Conflicts)
 	slices.SortFunc(reply.Restamps[startR:], func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
 	slices.SortFunc(reply.Entries[startE:], func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })

@@ -33,8 +33,9 @@ func entriesFor(r *Replica, keys []string) []encoding.Entry {
 	return out
 }
 
-// wholeStripe is the range scope of a whole stripe.
-var wholeStripe = []TreeRange{{}}
+// wholeStripe scopes a stripe's digests to the whole stripe: one run over
+// the zero range.
+func wholeStripe(ds []encoding.Digest) []DigestRun { return []DigestRun{{Digests: ds}} }
 
 // deltaRound runs a full in-process two-phase round with b as initiator and
 // a as responder, stripe by stripe over whole stripes, applying each
@@ -43,12 +44,12 @@ func deltaRound(t *testing.T, a, b *Replica, resolve Resolver) SyncResult {
 	t.Helper()
 	var res SyncResult
 	for idx, digest := range stripeRuns(t, b) {
-		diff, err := a.DiffRanges(digest, idx, wholeStripe)
+		diff, err := a.DiffRanges(wholeStripe(digest), idx)
 		if err != nil {
 			t.Fatalf("DiffRanges: %v", err)
 		}
 		entries := entriesFor(b, diff.Need)
-		reply, part, err := a.ApplyDeltaRanges(DeltaReply{}, digest, entries, resolve, idx, wholeStripe)
+		reply, part, err := a.ApplyDeltaRanges(DeltaReply{}, wholeStripe(digest), entries, resolve, idx)
 		if err != nil {
 			t.Fatalf("ApplyDeltaRanges: %v", err)
 		}
@@ -75,7 +76,8 @@ func stripeRuns(t testing.TB, r *Replica) [][]encoding.Digest {
 func diffStripes(r *Replica, digests [][]encoding.Digest) (Diff, error) {
 	var d Diff
 	for i, ds := range digests {
-		part, err := r.DiffRanges(ds, i, wholeStripe)
+		runs := [1]DigestRun{{Digests: ds}}
+		part, err := r.DiffRanges(runs[:], i)
 		if err != nil {
 			return d, err
 		}
@@ -284,12 +286,12 @@ func TestDeltaShardScoped(t *testing.T) {
 	var total SyncResult
 	for idx := 0; idx < of; idx++ {
 		digest := stripeTreeRun(t, b, idx)
-		diff, err := a.DiffRanges(digest, idx, wholeStripe)
+		diff, err := a.DiffRanges(wholeStripe(digest), idx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		entries := entriesFor(b, diff.Need)
-		reply, res, err := a.ApplyDeltaRanges(DeltaReply{}, digest, entries, nil, idx, wholeStripe)
+		reply, res, err := a.ApplyDeltaRanges(DeltaReply{}, wholeStripe(digest), entries, nil, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,13 +307,13 @@ func TestDeltaShardScoped(t *testing.T) {
 	// this replica does not have.
 	badDigest := []encoding.Digest{{Key: "key-000", Stamp: core.Seed()}}
 	wrong := (ShardIndex("key-000", of) + 1) % of
-	if _, err := a.DiffRanges(badDigest, wrong, wholeStripe); err == nil {
+	if _, err := a.DiffRanges(wholeStripe(badDigest), wrong); err == nil {
 		t.Error("DiffRanges accepted a foreign key")
 	}
-	if _, _, err := a.ApplyDeltaRanges(DeltaReply{}, badDigest, nil, nil, wrong, wholeStripe); err == nil {
+	if _, _, err := a.ApplyDeltaRanges(DeltaReply{}, wholeStripe(badDigest), nil, nil, wrong); err == nil {
 		t.Error("ApplyDeltaRanges accepted a foreign digest key")
 	}
-	if _, err := a.DiffRanges(nil, of, wholeStripe); err == nil {
+	if _, err := a.DiffRanges(wholeStripe(nil), of); err == nil {
 		t.Error("DiffRanges accepted an out-of-range stripe")
 	}
 }
@@ -336,12 +338,12 @@ func replyFor(t *testing.T, a, b *Replica, resolve Resolver) (DeltaReply, shippe
 	var sr shippedRound
 	var reply DeltaReply
 	for idx, ds := range stripeRuns(t, b) {
-		diff, err := a.DiffRanges(ds, idx, wholeStripe)
+		diff, err := a.DiffRanges(wholeStripe(ds), idx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		entries := entriesFor(b, diff.Need)
-		if reply, _, err = a.ApplyDeltaRanges(reply, ds, entries, resolve, idx, wholeStripe); err != nil {
+		if reply, _, err = a.ApplyDeltaRanges(reply, wholeStripe(ds), entries, resolve, idx); err != nil {
 			t.Fatal(err)
 		}
 		sr.digest = append(sr.digest, ds...)

@@ -300,15 +300,15 @@ func TestDeltaPairOneKeyAllocBudget(t *testing.T) {
 			}
 			shift := uint(64 - tb.Depth()*encoding.TreeFanoutBits(tb.Fanout()))
 			rg := NodeRange(tb.Fanout(), tb.Depth(), encoding.TreePos(k)>>shift)
-			ranges := []TreeRange{rg}
 			digest := tb.RunRange(rg)
-			diff, err := a.DiffRanges(digest, 0, ranges)
+			runs := []DigestRun{{Range: rg, Digests: digest}}
+			diff, err := a.DiffRanges(runs, 0)
 			if err != nil || len(diff.Need) != 1 {
 				t.Fatalf("diff over one written key: %+v, %v", diff, err)
 			}
 			v, _ := b.Version(k)
 			entries := []encoding.Entry{{Key: k, Value: v.Value, Stamp: v.Stamp}}
-			reply, res, err := a.ApplyDeltaRanges(DeltaReply{}, digest, entries, nil, 0, ranges)
+			reply, res, err := a.ApplyDeltaRanges(DeltaReply{}, runs, entries, nil, 0)
 			if err != nil || res.Reconciled != 1 || reply.Len() != 1 {
 				t.Fatalf("apply over one written key: %+v, %d reply copies, %v", res, reply.Len(), err)
 			}

@@ -81,15 +81,12 @@ func (rg TreeRange) Contains(p uint64) bool {
 	return p >= rg.Lo && (rg.Hi == 0 || p < rg.Hi)
 }
 
-// RangesContain reports whether any of ranges — sorted by Lo and disjoint,
-// as a tree descent's leaf ranges are once put in position order — contains
-// p, by binary search. A nil slice means "unscoped" and contains everything.
-func RangesContain(ranges []TreeRange, p uint64) bool {
-	if ranges == nil {
-		return true
-	}
-	i := sort.Search(len(ranges), func(i int) bool { return ranges[i].Hi == 0 || ranges[i].Hi > p })
-	return i < len(ranges) && ranges[i].Contains(p)
+// RangesContain reports whether the range of any of runs — sorted by
+// Range.Lo and disjoint, as a tree descent's leaf runs are once put in
+// position order — contains p, by binary search.
+func RangesContain(runs []DigestRun, p uint64) bool {
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].Range.Hi == 0 || runs[i].Range.Hi > p })
+	return i < len(runs) && runs[i].Range.Contains(p)
 }
 
 // NodeRange returns the position interval covered by the node at (level,

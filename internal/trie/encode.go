@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // Structural bit encoding. Each node costs:
@@ -19,6 +20,10 @@ import (
 
 // errCorrupt is returned for syntactically invalid encodings.
 var errCorrupt = errors.New("trie: corrupt encoding")
+
+// errTruncated is returned for input that ends inside an encoding; more
+// bytes may complete it, so it is io.ErrUnexpectedEOF.
+var errTruncated = fmt.Errorf("trie: truncated encoding: %w", io.ErrUnexpectedEOF)
 
 // maxEncodedBits bounds decoder work against adversarial input.
 const maxEncodedBits = 1 << 26
@@ -121,18 +126,21 @@ func (t *Interned) EncodedLen() int {
 }
 
 // frameLen reads the uvarint bit count at the front of src and returns the
-// encoding's total byte length and its bit count, or 0 when the frame is
-// malformed or truncated.
-func frameLen(src []byte) (int, int) {
+// encoding's total byte length and its bit count: errCorrupt when the count
+// is malformed, errTruncated when src ends before the encoding does.
+func frameLen(src []byte) (int, int, error) {
 	nbits, off := binary.Uvarint(src)
-	if off <= 0 || nbits > maxEncodedBits {
-		return 0, 0
+	switch {
+	case off == 0:
+		return 0, 0, errTruncated
+	case off < 0 || nbits > maxEncodedBits:
+		return 0, 0, errCorrupt
 	}
 	total := off + (int(nbits)+7)/8
 	if total > len(src) {
-		return 0, 0
+		return 0, 0, errTruncated
 	}
-	return total, int(nbits)
+	return total, int(nbits), nil
 }
 
 // bitReader consumes MSB-first bits.

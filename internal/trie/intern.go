@@ -168,10 +168,12 @@ func encSlot(h uint64) *atomic.Pointer[Interned] {
 // makes wire ingestion dedup on arrival. Misses decode through the
 // normalizing constructor, which allocates only for nodes the table does
 // not hold, and non-canonical padding bits still land on the canonical node.
+// Input that ends inside the encoding is an error that is
+// io.ErrUnexpectedEOF: more bytes may complete it.
 func InternEncoded(src []byte) (*Interned, int, error) {
-	n, nbits := frameLen(src)
-	if n <= 0 {
-		return nil, 0, errCorrupt
+	n, nbits, err := frameLen(src)
+	if err != nil {
+		return nil, 0, err
 	}
 	raw := src[:n]
 	if t := encSlot(maphash.Bytes(encSeed, raw)).Load(); t != nil && *t.enc.Load() == string(raw) {
