@@ -70,6 +70,18 @@
 // answers a root, probe or stripe-roots opening declaring any other count
 // with kindError naming both counts, before either replica is touched.
 //
+// # Sessions
+//
+// Each end of a round is a machine that holds no connection, deadline or
+// goroutine (serverRound, clientRound). It takes one received frame at a
+// time, decodes its body through the session's frame reader and begins its
+// answer in the session's frame writer; its receive checks, for every frame,
+// that the body decoded to its last byte before anything goes out or is
+// applied. Two drivers step the machines over a connection, Server.handle
+// and Pool.round: they own the version byte and its ack, the deadlines and,
+// on the client, which failures may be retried. Tests step both machines
+// over two in-memory buffers.
+//
 // The client pipelines its first round behind the version byte and reads the
 // ack before the first reply frame, so opening a session costs no round
 // trip. Each completed whole-replica round also pipelines a root probe for
@@ -139,6 +151,7 @@
 package antientropy
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -284,6 +297,39 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return err
+}
+
+// handle serves one connection: it checks and acks the version byte, then
+// steps the session's round machine over each frame the client sends. The
+// deadline is relaxed to serverSessionIdle while waiting for a round to open
+// and tightened to defaultTimeout while one is in flight.
+func (s *Server) handle(conn net.Conn) {
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
+	m := &serverRound{replica: s.replica, resolve: s.resolve, fr: frameReader{br: bufio.NewReader(conn)}, fw: frameWriter{w: conn}}
+	defer m.reset()
+	if b, err := m.fr.br.ReadByte(); err != nil || b != protocolVersion {
+		return // not a session opening: closed unanswered
+	}
+	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
+		return
+	}
+	for ok := true; ok; {
+		m.fr.trim()
+		m.fw.trim()
+		_ = conn.SetDeadline(time.Now().Add(serverSessionIdle))
+		kind, err := m.fr.next()
+		if err != nil {
+			return // session over: peer closed, or idled out
+		}
+		_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
+		// A round's later frames follow until the machine is idle again.
+		for ok = m.receive(kind); ok && m.phase != serverIdle; ok = m.receive(kind) {
+			if kind, err = m.fr.next(); err != nil {
+				return // the deferred reset ends the round
+			}
+		}
+	}
 }
 
 // SyncWith performs one anti-entropy round between the local replica and

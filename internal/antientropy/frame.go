@@ -109,7 +109,9 @@ func (fw *frameWriter) room(n int) []byte {
 // flush writes what buf holds and starts it over in the kept buffer.
 func (fw *frameWriter) flush() {
 	if fw.err == nil {
-		_, fw.err = fw.w.Write(fw.buf)
+		if _, err := fw.w.Write(fw.buf); err != nil {
+			fw.err = fmt.Errorf("antientropy: send: %w", err)
+		}
 	}
 	fw.sent += len(fw.buf)
 	fw.buf = fw.keep[:0]
@@ -313,15 +315,6 @@ func (fr *frameReader) capCount(count uint64) int {
 	return int(min(count, uint64(fr.got)))
 }
 
-// expect reads the next frame's kind byte and checks it is kind (is).
-func (fr *frameReader) expect(kind byte) error {
-	got, err := fr.next()
-	if err != nil {
-		return err
-	}
-	return fr.is(got, kind)
-}
-
 // is checks that got, the kind byte next returned, is want. An error frame
 // instead is ErrProtocol carrying the peer's text.
 func (fr *frameReader) is(got, want byte) error {
@@ -377,35 +370,20 @@ func badFrame(err error, what string) error {
 	return fmt.Errorf("%w: %s", ErrProtocol, what)
 }
 
-// readRoot reads the body of a kindRoot or kindRootProbe frame: of (uvarint)
-// and an 8-byte root.
-func readRoot(fr *frameReader) (of int, root uint64, err error) {
-	of64, err := fr.uvarint()
-	if err != nil || of64 < 1 || of64 > maxWireStripes || fr.remaining() != 8 {
-		return 0, 0, errors.New("bad root frame")
-	}
-	b, err := fr.bytes(8)
-	if err != nil {
-		return 0, 0, err
-	}
-	return int(of64), binary.BigEndian.Uint64(b), nil
-}
-
-// writeRoot sends a kindRoot or kindRootProbe frame.
-func writeRoot(fw *frameWriter, kind byte, of int, root uint64) error {
+// beginRoot begins a kindRoot or kindRootProbe frame.
+func beginRoot(fw *frameWriter, kind byte, of int, root uint64) {
 	fw.begin(kind, encoding.UvarintLen(uint64(of))+8)
 	fw.buf = binary.AppendUvarint(fw.buf, uint64(of))
 	fw.buf = binary.BigEndian.AppendUint64(fw.buf, root)
-	return fw.end()
 }
 
-// writeResultFrame sends the kindResult frame: four counters, conflicts,
+// beginResult begins the kindResult frame: four counters, conflicts,
 // counted restamps, then the reply entries to the end of the frame.
 //
 // The entries carry no count of their own: the frame's length delimits them.
 // So a result is never longer than the same copies all sent in full would
 // be, since the restamp count is no wider than a count of every copy.
-func writeResultFrame(fw *frameWriter, res kvstore.SyncResult, reply kvstore.DeltaReply) error {
+func beginResult(fw *frameWriter, res kvstore.SyncResult, reply kvstore.DeltaReply) {
 	counts := [...]uint64{uint64(res.Transferred), uint64(res.Reconciled), uint64(res.Merged),
 		uint64(res.Pruned), uint64(len(res.Conflicts))}
 	size := encoding.UvarintLen(uint64(len(reply.Restamps)))
@@ -436,7 +414,6 @@ func writeResultFrame(fw *frameWriter, res kvstore.SyncResult, reply kvstore.Del
 	for _, e := range reply.Entries {
 		fw.buf = encoding.AppendEntry(fw.room(encoding.EntryLen(e)), e)
 	}
-	return fw.end()
 }
 
 // decodeResultFrame reads a kindResult body, its kind byte already read. It

@@ -21,6 +21,27 @@ func appendFrame(dst []byte, kind byte, body []byte) []byte {
 	return append(dst, body...)
 }
 
+// writeRoot sends a kindRoot or kindRootProbe frame.
+func writeRoot(fw *frameWriter, kind byte, of int, root uint64) error {
+	beginRoot(fw, kind, of, root)
+	return fw.end()
+}
+
+// writeResultFrame sends the kindResult frame for res and reply.
+func writeResultFrame(fw *frameWriter, res kvstore.SyncResult, reply kvstore.DeltaReply) error {
+	beginResult(fw, res, reply)
+	return fw.end()
+}
+
+// expect reads the next frame's kind byte and checks it is kind (is).
+func (fr *frameReader) expect(kind byte) error {
+	got, err := fr.next()
+	if err != nil {
+		return err
+	}
+	return fr.is(got, kind)
+}
+
 // readFrame reads a whole frame through fr: its kind byte and the body
 // after it, valid until the next read.
 func readFrame(fr *frameReader) (byte, []byte, error) {

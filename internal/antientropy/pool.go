@@ -39,80 +39,16 @@ type Pool struct {
 	dials atomic.Int64
 }
 
-// poolConn is the pool's state for one peer: at most one live session.
+// poolConn is the pool's state for one peer: at most one live session, and
+// the round machine its rounds step, kept from round to round.
 type poolConn struct {
 	mu       sync.Mutex // serializes rounds on this session
 	conn     *countingConn
-	fr       frameReader // the session's frames in; keeps its window across rounds
-	fw       frameWriter // the session's frames out; keeps its window across rounds
 	lastUsed time.Time
 	rounds   int // rounds completed on the current connection
 	fails    int // consecutive failed rounds (armed backoff)
 	skip     int // rounds left to skip before trying this peer again
-
-	// ackPending means the server's one-byte session ack has not been read
-	// yet; probePending means a kindRootProbe for probedRoot is in flight and
-	// its answer is the next frame on the wire.
-	ackPending   bool
-	probePending bool
-	probedRoot   uint64
-
-	// trees holds the round's stripe trees, indexed by stripe: loaded (and
-	// the stripe set validated against it) before the round, each slot
-	// holding its stripe (kvstore.Replica.StripeTree) until release empties
-	// it, so the session pins no snapshot past the round. all is 0..n-1, the
-	// whole-replica set.
-	trees []*kvstore.DigestTree
-	all   []int
-
-	// bm and hashes are the descent's DigestTree.Children scratch.
-	bm     []byte
-	hashes []uint64
-}
-
-// every returns the stripe set 0..of-1, kept by the session.
-func (pc *poolConn) every(of int) []int {
-	for len(pc.all) < of {
-		pc.all = append(pc.all, len(pc.all))
-	}
-	return pc.all[:of]
-}
-
-// load fills pc.trees with local's trees for the round's stripes (nil: all
-// of them), rejecting a stripe outside the layout or named twice.
-func (pc *poolConn) load(local *kvstore.Replica, stripes []int) error {
-	of := local.Shards()
-	if cap(pc.trees) < of {
-		pc.trees = make([]*kvstore.DigestTree, of)
-	}
-	pc.trees = pc.trees[:of]
-	if stripes == nil {
-		stripes = pc.every(of)
-	}
-	for _, idx := range stripes {
-		if idx < 0 || idx >= of {
-			return fmt.Errorf("antientropy: stripe %d out of range of %d", idx, of)
-		}
-		if pc.trees[idx] != nil {
-			return fmt.Errorf("antientropy: duplicate stripe %d", idx)
-		}
-		t, err := local.StripeTree(idx)
-		if err != nil {
-			return fmt.Errorf("antientropy: %w", err)
-		}
-		pc.trees[idx] = t
-	}
-	return nil
-}
-
-// release releases and empties every tree slot load filled.
-func (pc *poolConn) release(local *kvstore.Replica) {
-	for idx, t := range pc.trees {
-		if t != nil {
-			local.ReleaseStripeTree(idx)
-			pc.trees[idx] = nil
-		}
-	}
+	clientRound
 }
 
 // BackoffPolicy skips rounds to a repeatedly-failing peer, so one dead or
@@ -283,8 +219,6 @@ func (p *Pool) ensure(pc *poolConn, addr string) (fresh bool, err error) {
 		pc.fr.br.Reset(conn)
 	}
 	pc.rounds = 0
-	pc.ackPending = true
-	pc.probePending = false
 	return true, nil
 }
 
@@ -295,7 +229,6 @@ func (p *Pool) drop(pc *poolConn) {
 		pc.conn = nil
 		pc.fr.br.Reset(nil)
 	}
-	pc.ackPending = false
 	pc.probePending = false
 }
 
@@ -354,7 +287,7 @@ func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstor
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	defer func() {
-		pc.release(local)
+		pc.release()
 		pc.fr.trim()
 		pc.fw.trim()
 	}()
@@ -388,14 +321,34 @@ func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstor
 		}
 		_ = pc.conn.SetDeadline(time.Now().Add(p.timeout))
 		startSent, startRecv := pc.conn.sent.Load(), pc.conn.recv.Load()
-		res, err := treeClientRound(pc, local, stripes)
+		// The round's opening rides the session opening: a fresh session's
+		// one-byte ack is read after the round's first frame is sent.
+		if err = pc.start(); err == nil && fresh {
+			var ack byte
+			if ack, err = pc.fr.br.ReadByte(); err != nil {
+				err = fmt.Errorf("antientropy: session ack: %w", err)
+			} else if ack != protocolVersion {
+				err = fmt.Errorf("%w: session opening answered with 0x%02x, not the 0x%02x ack",
+					ErrProtocol, ack, protocolVersion)
+			}
+		}
+		for done := false; err == nil && !done; {
+			var kind byte
+			if kind, err = pc.fr.next(); err == nil {
+				done, err = pc.receive(kind)
+			}
+		}
 		if err == nil {
+			res := pc.result
 			res.BytesSent = pc.conn.sent.Load() - startSent
 			res.BytesReceived = pc.conn.recv.Load() - startRecv
 			pc.rounds++
 			pc.lastUsed = time.Now()
 			pc.fails, pc.skip = 0, 0
 			return res, info, nil
+		}
+		if pc.entriesSent && !errors.Is(err, ErrProtocol) {
+			err = fmt.Errorf("%w: %w", ErrRetryUnsafe, err)
 		}
 		retry := retriable(err, fresh, pc.rounds)
 		p.drop(pc)

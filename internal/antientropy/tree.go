@@ -1,26 +1,23 @@
 package antientropy
 
 import (
-	"bufio"
 	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
 	"versionstamp/internal/kvstore"
 )
 
-// The session: the server's round loop and the client's round, both walking
+// The round: one machine per end, serverRound and clientRound, both walking
 // the stripes' digest trees (kvstore.DigestTree) from the replica root
 // toward the leaves that differ. See the package comment for the frame
-// grammar.
+// grammar and the drivers that step the machines.
 //
 // The tree shape (fanout, depth) is the *client's* choice, declared on the
 // wire per stripe; the server evaluates its own data under that shape
@@ -29,95 +26,158 @@ import (
 // per-stripe key counts (and therefore TreeShape results) agree. A stripe
 // whose count crosses a shape threshold simply descends at the new depth
 // next round. The stripe layout is not a choice: both ends must stripe the
-// keyspace the same way, and the server refuses any other peer (checkLayout).
+// keyspace the same way, and the server refuses any other peer (layout).
 
-// serverSession is the server's state for one connection: the frame reader
-// and writer, the scratch tree-node children are read into and the scratch
-// the client's node hashes are decoded into, all kept from round to round.
-type serverSession struct {
-	*Server
+// serverPhase is the frame a server's session takes next.
+type serverPhase uint8
+
+const (
+	serverIdle    serverPhase = iota // between rounds: a probe, a root or the stripe roots
+	serverRoots                      // the roots differed: the stripe roots
+	serverDescent                    // tree nodes, or the leaf digests that end the descent
+	serverEntries                    // the entries its need asked for
+	serverApply                      // none: the entries are in, to be applied and answered
+)
+
+// serverRound is the server's end of a session: its frame reader and writer
+// and the round's state, kept from round to round.
+type serverRound struct {
+	replica   *kvstore.Replica
+	resolve   kvstore.Resolver
 	fr        frameReader
 	fw        frameWriter
-	bm        []byte   // DigestTree.Children scratch: child bitmap
-	hashes    []uint64 // DigestTree.Children scratch: child hashes
-	cliHashes []uint64 // encoding.DecodeTreeNode scratch: the client's child hashes
+	phase     serverPhase
+	of        int
+	fanout    int
+	stripes   map[int]*treeStripeState // every declared stripe; nil for a converged one
+	order     []int                    // stripes with leaf runs, first-seen order
+	bm        []byte                   // DigestTree.Children scratch: child bitmap
+	hashes    []uint64                 // DigestTree.Children scratch: child hashes
+	cliHashes []uint64                 // encoding.DecodeTreeNode scratch: the client's child hashes
 }
 
-// handle serves one connection: check and ack the version byte, then a loop
-// of rounds. The deadline is relaxed to serverSessionIdle while waiting for
-// a round to open and tightened to defaultTimeout while one is in flight.
-func (s *Server) handle(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
-	ss := &serverSession{Server: s, fr: frameReader{br: bufio.NewReader(conn)}, fw: frameWriter{w: conn}}
-	if b, err := ss.fr.br.ReadByte(); err != nil || b != protocolVersion {
-		return // not a session opening: closed unanswered
+// receive steps the session over one frame, its body waiting in fr, and
+// sends the answer the step began once the body decoded to its last byte
+// (the apply waits for that too); an error ends the session (fail). It
+// reports whether the session goes on.
+func (m *serverRound) receive(kind byte) bool {
+	err := m.step(kind)
+	if err == nil && m.fr.remaining() != 0 {
+		err = fmt.Errorf("trailing bytes in frame 0x%02x", kind)
 	}
-	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
+	if err == nil && m.phase == serverApply {
+		err = m.apply()
+	}
+	if err != nil {
+		m.fail(err)
+		return false
+	}
+	return m.fw.end() == nil
+}
+
+// fail ends the round on err, sending err as an error frame unless part of
+// an answer is on the wire.
+func (m *serverRound) fail(err error) {
+	m.reset()
+	if m.fw.midFrame() {
 		return
 	}
-	for {
-		_ = conn.SetDeadline(time.Now().Add(serverSessionIdle))
-		kind, err := ss.fr.next()
-		if err != nil {
-			return // session over: peer closed, or idled out
-		}
-		_ = conn.SetDeadline(time.Now().Add(defaultTimeout))
-		if !ss.treeRound(kind) {
-			return
-		}
-		ss.fr.trim()
-		ss.fw.trim()
-	}
+	msg := err.Error()
+	m.fw.begin(kindError, stringLen(msg))
+	m.fw.buf = appendString(m.fw.buf, msg)
+	_ = m.fw.end()
 }
 
-// send ends the frame being written, reporting success.
-func (ss *serverSession) send() bool { return ss.fw.end() == nil }
+// reset releases the round's stripe trees and idles the session.
+func (m *serverRound) reset() {
+	for idx, st := range m.stripes {
+		if st != nil && st.tree != nil {
+			m.replica.ReleaseStripeTree(idx)
+		}
+	}
+	clear(m.stripes)
+	m.phase = serverIdle
+}
 
-// checkLayout refuses a peer whose stripe count `of` is not this replica's:
-// every tree a round compares is one stripe's, so both ends must agree on
-// which keys each stripe holds.
-func (s *Server) checkLayout(of int) error {
-	if n := s.replica.Shards(); of != n {
+// serverWants is the frame kind each phase names when it refuses a frame.
+var serverWants = [...]byte{kindStripeRoots, kindStripeRoots, kindTreeNodes, kindEntries}
+
+// step decodes one frame's body and begins the answer to it.
+func (m *serverRound) step(kind byte) error {
+	switch p := m.phase; {
+	case p == serverIdle && (kind == kindRoot || kind == kindRootProbe):
+		return m.rootMatch(kind == kindRootProbe)
+	case p <= serverRoots && kind == kindStripeRoots:
+		return m.stripeRoots()
+	case p == serverDescent && kind == kindTreeNodes:
+		return m.treeNodes()
+	case p == serverDescent && kind == kindLeafDigests:
+		return m.leafDigests()
+	case p == serverEntries && kind == kindEntries:
+		return m.readEntries()
+	}
+	return m.fr.is(kind, serverWants[m.phase])
+}
+
+// layout reads the stripe count `of` a frame opens with, refusing one that
+// is not this replica's: every tree a round compares is one stripe's, so
+// both ends must agree on which keys each stripe holds.
+func (m *serverRound) layout(frame string) error {
+	of, err := m.fr.uvarint()
+	if err != nil || of < 1 || of > maxWireStripes {
+		return fmt.Errorf("bad %s layout", frame)
+	}
+	if n := m.replica.Shards(); int(of) != n {
 		return fmt.Errorf("stripe layout mismatch: peer has %d stripes, this replica %d", of, n)
 	}
+	m.of = int(of)
 	return nil
 }
 
-// treeRootMatch answers a root or probe body: 1 when the peer's root equals
-// the fold of this replica's stripe tree roots, folded as the maintained
-// trees yield them, with nothing collected.
+// rootMatch answers a root or probe frame: 1 when the peer's root equals the
+// fold of this replica's stripe tree roots, folded as the maintained trees
+// yield them, with nothing collected. Whole-replica rounds open with the
+// root; matching roots end the round right there, and other roots send it
+// to the stripe roots. Scoped rounds open with the stripe roots. A probe is
+// answered without opening any round state: the session stays idle, and
+// the next frame opens a real round (or another probe).
 //
-// A probe never folds writes into the trees. It arrives after a round, at
-// a time the round does not decide, and may race writes still landing; a
-// fold then would split one burst over two patches, so the work a later
-// round does would depend on timing. A probe that finds a stripe with
-// unfolded writes answers 0 instead. That sends the client to the stripe
-// roots, whose round folds them.
-func (s *Server) treeRootMatch(of int, peerRoot uint64, probe bool) (byte, error) {
-	if err := s.checkLayout(of); err != nil {
-		return 0, err
+// A probe never folds writes into the trees. It arrives after a round, at a
+// time the round does not decide, and may race writes still landing; a fold
+// then would split one burst over two patches, so the work a later round
+// does would depend on timing. A probe that finds a stripe with unfolded
+// writes answers 0 instead. That sends the client to the stripe roots, whose
+// round folds them.
+func (m *serverRound) rootMatch(probe bool) error {
+	if err := m.layout("root"); err != nil {
+		return err
 	}
-	root := encoding.RootSummarySeed
-	for i := 0; i < of; i++ {
+	b, err := m.fr.bytes(8)
+	if err != nil {
+		return errors.New("truncated root")
+	}
+	root, match := encoding.RootSummarySeed, byte(1)
+	for i := 0; i < m.of && match == 1; i++ {
 		var r uint64
 		if probe {
 			var ok bool
-			if r, ok = s.replica.FoldedStripeRoot(i); !ok {
-				return 0, nil
+			if r, ok = m.replica.FoldedStripeRoot(i); !ok {
+				match = 0
 			}
-		} else {
-			var err error
-			if r, err = s.replica.StripeRoot(i); err != nil {
-				return 0, err
-			}
+		} else if r, err = m.replica.StripeRoot(i); err != nil {
+			return err
 		}
 		root = encoding.FoldSummary(root, r)
 	}
-	if root == peerRoot {
-		return 1, nil
+	if root != binary.BigEndian.Uint64(b) {
+		match = 0
 	}
-	return 0, nil
+	if !probe && match == 0 {
+		m.phase = serverRoots
+	}
+	m.fw.begin(kindRootMatch, 1)
+	m.fw.buf = append(m.fw.buf, match)
+	return nil
 }
 
 // treeStripeState is the server's per-round state for one divergent stripe:
@@ -145,253 +205,175 @@ func cmpLeafRuns(a, b leafRun) int {
 	return cmp.Or(cmp.Compare(a.stripe, b.stripe), cmp.Compare(a.Range.Lo, b.Range.Lo))
 }
 
-// treeRound serves one round, the opening frame's kind byte already read. It
-// reports whether the session should continue.
-func (ss *serverSession) treeRound(kind byte) bool {
-	s, fr, fw := ss.Server, &ss.fr, &ss.fw
-	fail := func(err error) bool {
-		if fw.midFrame() {
-			return false // part of a reply is on the wire: no frame can follow it
-		}
-		msg := err.Error()
-		fw.begin(kindError, stringLen(msg))
-		fw.buf = appendString(fw.buf, msg)
-		_ = fw.end()
-		return false
-	}
-	// rootMatch answers a root or probe frame.
-	rootMatch := func(probe bool) (byte, bool) {
-		of, root, err := readRoot(fr)
-		if err != nil {
-			return 0, fail(err)
-		}
-		match, err := s.treeRootMatch(of, root, probe)
-		if err != nil {
-			return 0, fail(err)
-		}
-		fw.begin(kindRootMatch, 1)
-		fw.buf = append(fw.buf, match)
-		return match, ss.send()
-	}
-
-	// A probe is answered without opening any round state: the session stays
-	// at the round boundary, and the next frame opens a real round (or
-	// another probe).
-	if kind == kindRootProbe {
-		_, ok := rootMatch(true)
-		return ok
-	}
-
-	// Whole-replica rounds open with the root fold; matching roots end the
-	// round right there. Scoped rounds open with kindStripeRoots directly.
-	if kind == kindRoot {
-		match, ok := rootMatch(false)
-		if !ok || match == 1 {
-			return ok // converged: round over, session stays open
-		}
-		var err error
-		if kind, err = fr.next(); err != nil {
-			return fail(fmt.Errorf("bad stripe roots frame: %v", err))
-		}
-	}
-
-	// Stripe-root phase: compare each declared stripe's tree root at the
-	// client's declared shape, reply with the divergent stripes.
-	if err := fr.is(kind, kindStripeRoots); err != nil {
-		return fail(err)
-	}
-	of64, err := fr.uvarint()
-	if err != nil || of64 < 1 || of64 > maxWireStripes {
-		return fail(errors.New("bad stripe roots layout"))
-	}
-	of := int(of64)
-	if err := s.checkLayout(of); err != nil {
-		return fail(err)
+// stripeRoots takes the stripe-root phase: each declared stripe's tree root
+// is compared at the client's declared shape, and the answer names the
+// divergent stripes. Every divergent stripe's tree is held until the apply
+// is done (reset releases them if the round ends first); a round with none
+// ends here.
+func (m *serverRound) stripeRoots() error {
+	fr := &m.fr
+	if err := m.layout("stripe roots"); err != nil {
+		return err
 	}
 	fan64, err := fr.uvarint()
 	if err != nil || !encoding.ValidTreeShape(int(fan64), 1) {
-		return fail(errors.New("bad tree fanout"))
+		return errors.New("bad tree fanout")
 	}
-	fanout := int(fan64)
+	m.fanout = int(fan64)
 	count, err := fr.uvarint()
-	if err != nil || count > of64 {
-		return fail(errors.New("bad stripe roots count"))
+	if err != nil || count > uint64(m.of) {
+		return errors.New("bad stripe roots count")
 	}
-	stripes := make(map[int]*treeStripeState, 8)
-	// Every divergent stripe's tree is held until the apply is done; a round
-	// that ends before then releases them here.
-	defer func() {
-		for idx, st := range stripes {
-			if st != nil && st.tree != nil {
-				s.replica.ReleaseStripeTree(idx)
-			}
-		}
-	}()
+	if m.stripes == nil {
+		m.stripes = make(map[int]*treeStripeState, 8)
+	}
 	var divergent []int
 	for i := uint64(0); i < count; i++ {
 		idx64, err := fr.uvarint()
-		if err != nil || idx64 >= of64 {
-			return fail(errors.New("bad stripe roots stripe"))
+		if err != nil || idx64 >= uint64(m.of) {
+			return errors.New("bad stripe roots stripe")
 		}
 		depth64, err := fr.uvarint()
-		if err != nil || !encoding.ValidTreeShape(fanout, int(depth64)) {
-			return fail(errors.New("bad stripe tree depth"))
+		if err != nil || !encoding.ValidTreeShape(m.fanout, int(depth64)) {
+			return errors.New("bad stripe tree depth")
 		}
 		b, err := fr.bytes(8)
 		if err != nil {
-			return fail(errors.New("truncated stripe root"))
+			return errors.New("truncated stripe root")
 		}
 		root := binary.BigEndian.Uint64(b)
 		idx := int(idx64)
-		if _, dup := stripes[idx]; dup {
-			return fail(errors.New("duplicate stripe"))
+		if _, dup := m.stripes[idx]; dup {
+			return errors.New("duplicate stripe")
 		}
-		tree, err := s.replica.StripeTreeAt(idx, fanout, int(depth64))
+		tree, err := m.replica.StripeTreeAt(idx, m.fanout, int(depth64))
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		if tree.Root() != root {
-			stripes[idx] = &treeStripeState{tree: tree, depth: int(depth64)}
+			m.stripes[idx] = &treeStripeState{tree: tree, depth: int(depth64)}
 			divergent = append(divergent, idx)
 		} else {
-			stripes[idx] = nil // declared and converged
-			s.replica.ReleaseStripeTree(idx)
+			m.stripes[idx] = nil // declared and converged
+			m.replica.ReleaseStripeTree(idx)
 		}
-	}
-	if fr.remaining() != 0 {
-		return fail(errors.New("trailing bytes in stripe roots frame"))
 	}
 	size := encoding.UvarintLen(uint64(len(divergent)))
 	for _, idx := range divergent {
 		size += encoding.UvarintLen(uint64(idx))
 	}
-	fw.begin(kindStripeRootDiff, size)
-	fw.buf = binary.AppendUvarint(fw.buf, uint64(len(divergent)))
+	m.fw.begin(kindStripeRootDiff, size)
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(len(divergent)))
 	for _, idx := range divergent {
-		fw.buf = binary.AppendUvarint(fw.room(binary.MaxVarintLen64), uint64(idx))
-	}
-	if !ss.send() {
-		return false
+		m.fw.buf = binary.AppendUvarint(m.fw.room(binary.MaxVarintLen64), uint64(idx))
 	}
 	if len(divergent) == 0 {
-		return true // round over; the session stays open for the next one
+		m.reset() // round over; the session stays open for the next one
+	} else {
+		m.phase = serverDescent
 	}
+	return nil
+}
 
-	// Descent: any number of kindTreeNodes queries, answered from the
-	// per-round tree snapshots node by node, until the leaf runs arrive.
-	nb := encoding.TreeBitmapLen(fanout)
-descend:
-	for {
-		if kind, err = fr.next(); err != nil {
-			return fail(fmt.Errorf("bad descent frame: %v", err))
-		}
-		switch kind {
-		case kindTreeNodes:
-		case kindLeafDigests:
-			break descend
-		default:
-			return fail(fr.is(kind, kindTreeNodes))
-		}
-		fan64, err := fr.uvarint()
-		if err != nil || int(fan64) != fanout {
-			return fail(errors.New("bad tree nodes fanout"))
-		}
-		// Every node takes at least its four coordinates and its bitmap.
-		n, err := fr.uvarint()
-		if err != nil || n > uint64(fr.remaining()/(4+nb)) {
-			return fail(errors.New("bad tree nodes count"))
-		}
-		fw.begin(kindTreeDiff, encoding.UvarintLen(n)+int(n)*2*nb)
-		fw.buf = binary.AppendUvarint(fw.buf, n)
-		for i := uint64(0); i < n; i++ {
-			var node encoding.TreeNode
-			if err := fr.elem(func(b []byte) (used int, err error) {
-				node, used, err = encoding.DecodeTreeNode(b, fanout, of, ss.cliHashes[:0])
-				return used, err
-			}); err != nil {
-				return fail(err)
-			}
-			ss.cliHashes = node.Hashes
-			st := stripes[node.Stripe]
-			if st == nil {
-				return fail(fmt.Errorf("tree node for undeclared stripe %d", node.Stripe))
-			}
-			if node.Depth != st.depth {
-				return fail(fmt.Errorf("tree node depth %d, stripe declared %d", node.Depth, st.depth))
-			}
-			ss.bm, ss.hashes = st.tree.Children(ss.bm[:0], ss.hashes[:0], node.Level, node.Path)
-			srvBm, srvHashes := ss.bm, ss.hashes
-			// differ bit c: exactly one side has child c, or both do with
-			// different hashes.
-			fw.buf = append(fw.room(2*nb), make([]byte, nb)...)
-			differ := fw.buf[len(fw.buf)-nb:]
-			ci, si := 0, 0
-			for c := 0; c < fanout; c++ {
-				cliHas, srvHas := encoding.BitmapGet(node.Bitmap, c), encoding.BitmapGet(srvBm, c)
-				var ch, sh uint64
-				if cliHas {
-					ch = node.Hashes[ci]
-					ci++
-				}
-				if srvHas {
-					sh = srvHashes[si]
-					si++
-				}
-				if cliHas != srvHas || (cliHas && ch != sh) {
-					encoding.BitmapSet(differ, c)
-				}
-			}
-			fw.buf = append(fw.buf, srvBm...)
-		}
-		if fr.remaining() != 0 {
-			return fail(errors.New("trailing bytes in tree nodes frame"))
-		}
-		if !ss.send() {
-			return false
-		}
+// treeNodes answers one level of the descent from the per-round tree
+// snapshots, node by node: for each queried node, which children differ and
+// which this side holds.
+func (m *serverRound) treeNodes() error {
+	fr, fw, nb := &m.fr, &m.fw, encoding.TreeBitmapLen(m.fanout)
+	fan64, err := fr.uvarint()
+	if err != nil || int(fan64) != m.fanout {
+		return errors.New("bad tree nodes fanout")
 	}
+	// Every node takes at least its four coordinates and its bitmap.
+	n, err := fr.uvarint()
+	if err != nil || n > uint64(fr.remaining()/(4+nb)) {
+		return errors.New("bad tree nodes count")
+	}
+	fw.begin(kindTreeDiff, encoding.UvarintLen(n)+int(n)*2*nb)
+	fw.buf = binary.AppendUvarint(fw.buf, n)
+	for i := uint64(0); i < n; i++ {
+		var node encoding.TreeNode
+		if err := fr.elem(func(b []byte) (used int, err error) {
+			node, used, err = encoding.DecodeTreeNode(b, m.fanout, m.of, m.cliHashes[:0])
+			return used, err
+		}); err != nil {
+			return err
+		}
+		m.cliHashes = node.Hashes
+		st := m.stripes[node.Stripe]
+		if st == nil {
+			return fmt.Errorf("tree node for undeclared stripe %d", node.Stripe)
+		}
+		if node.Depth != st.depth {
+			return fmt.Errorf("tree node depth %d, stripe declared %d", node.Depth, st.depth)
+		}
+		m.bm, m.hashes = st.tree.Children(m.bm[:0], m.hashes[:0], node.Level, node.Path)
+		srvBm, srvHashes := m.bm, m.hashes
+		// differ bit c: exactly one side has child c, or both do with
+		// different hashes.
+		fw.buf = append(fw.room(2*nb), make([]byte, nb)...)
+		differ := fw.buf[len(fw.buf)-nb:]
+		ci, si := 0, 0
+		for c := 0; c < m.fanout; c++ {
+			cliHas, srvHas := encoding.BitmapGet(node.Bitmap, c), encoding.BitmapGet(srvBm, c)
+			var ch, sh uint64
+			if cliHas {
+				ch = node.Hashes[ci]
+				ci++
+			}
+			if srvHas {
+				sh = srvHashes[si]
+				si++
+			}
+			if cliHas != srvHas || (cliHas && ch != sh) {
+				encoding.BitmapSet(differ, c)
+			}
+		}
+		fw.buf = append(fw.buf, srvBm...)
+	}
+	return nil
+}
 
-	// Leaf phase: the client's digest runs for the still-divergent leaf
-	// ranges, decoded one at a time. A key this side holds under the run's
-	// node is taken from the round's tree snapshot rather than copied; that
-	// every digest lies in its run's stripe and range is the store's to
-	// check (DiffRanges).
+// leafDigests takes the client's digest runs for the still-divergent leaf
+// ranges, decoded one at a time, and answers with the keys whose full copies
+// this side needs. A key this side holds under the run's node is taken from
+// the round's tree snapshot rather than copied; that every digest lies in
+// its run's stripe and range is the store's to check (DiffRanges).
+func (m *serverRound) leafDigests() error {
+	fr, fanout := &m.fr, m.fanout
 	n, err := fr.uvarint()
 	if err != nil {
-		return fail(errors.New("bad leaf run count"))
+		return errors.New("bad leaf run count")
 	}
 	local := func(stripe, level int, path uint64) []encoding.Digest {
-		if st := stripes[stripe]; st != nil {
+		if st := m.stripes[stripe]; st != nil {
 			return st.tree.RunRange(kvstore.NodeRange(fanout, level, path))
 		}
 		return nil
 	}
 	runs := make([]leafRun, 0, fr.capCount(n))
-	var order []int // stripes with leaf runs, first-seen order
+	m.order = m.order[:0]
 	for i := uint64(0); i < n; i++ {
 		var run encoding.LeafRun
 		if err := fr.elem(func(b []byte) (used int, err error) {
-			run, used, err = encoding.DecodeLeafRun(b, fanout, of, local)
+			run, used, err = encoding.DecodeLeafRun(b, fanout, m.of, local)
 			return used, err
 		}); err != nil {
-			return fail(err)
+			return err
 		}
-		st := stripes[run.Stripe]
+		st := m.stripes[run.Stripe]
 		if st == nil {
-			return fail(fmt.Errorf("leaf run for undeclared stripe %d", run.Stripe))
+			return fmt.Errorf("leaf run for undeclared stripe %d", run.Stripe)
 		}
 		if run.Depth != st.depth {
-			return fail(fmt.Errorf("leaf run depth %d, stripe declared %d", run.Depth, st.depth))
+			return fmt.Errorf("leaf run depth %d, stripe declared %d", run.Depth, st.depth)
 		}
 		if !st.leaf {
 			st.leaf = true
-			order = append(order, run.Stripe)
+			m.order = append(m.order, run.Stripe)
 		}
 		runs = append(runs, leafRun{run.Stripe, kvstore.DigestRun{
 			Range: kvstore.NodeRange(fanout, run.Level, run.Path), Digests: run.Digests}})
-	}
-	if fr.remaining() != 0 {
-		return fail(errors.New("trailing bytes in leaf digests frame"))
 	}
 
 	// The runs, put in stripe and position order, hand each stripe's store
@@ -401,50 +383,46 @@ descend:
 	byStripe := make([]kvstore.DigestRun, len(runs))
 	for i, run := range runs {
 		if i > 0 && run.stripe == runs[i-1].stripe && run.Range.Lo == runs[i-1].Range.Lo {
-			return fail(errors.New("duplicate leaf run"))
+			return errors.New("duplicate leaf run")
 		}
 		byStripe[i] = run.DigestRun
-		st := stripes[run.stripe] // its runs are contiguous: extend them by one
+		st := m.stripes[run.stripe] // its runs are contiguous: extend them by one
 		st.runs = byStripe[i-len(st.runs) : i+1]
 	}
 	needCount, needSize := 0, 0
-	for _, idx := range order {
-		st := stripes[idx]
-		if st.diff, err = s.replica.DiffRanges(st.runs, idx); err != nil {
-			return fail(err)
+	for _, idx := range m.order {
+		st := m.stripes[idx]
+		if st.diff, err = m.replica.DiffRanges(st.runs, idx); err != nil {
+			return err
 		}
 		for _, k := range st.diff.Need {
 			needSize += stringLen(k)
 		}
 		needCount += len(st.diff.Need)
 	}
-	fw.begin(kindNeed, encoding.UvarintLen(uint64(needCount))+needSize)
-	fw.buf = binary.AppendUvarint(fw.buf, uint64(needCount))
-	for _, idx := range order {
-		for _, k := range stripes[idx].diff.Need {
-			fw.buf = appendString(fw.room(stringLen(k)), k)
+	m.fw.begin(kindNeed, encoding.UvarintLen(uint64(needCount))+needSize)
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(needCount))
+	for _, idx := range m.order {
+		for _, k := range m.stripes[idx].diff.Need {
+			m.fw.buf = appendString(m.fw.room(stringLen(k)), k)
 		}
 	}
-	if !ss.send() {
-		return false
-	}
+	m.phase = serverEntries
+	return nil
+}
 
-	// Tail: full entries in, range-scoped applies per stripe, one result.
-	if kind, err = fr.next(); err != nil {
-		return fail(fmt.Errorf("bad entries frame: %v", err))
+// readEntries takes the full entries the need asked for. The client sends
+// them stripe by stripe, in the need frame's order; each stripe's run of
+// them is handed to the store as it stands. A key is taken from its stripe's
+// need list, where this side asked for it.
+func (m *serverRound) readEntries() error {
+	fr, of := &m.fr, m.of
+	count, err := fr.uvarint()
+	if err != nil {
+		return errors.New("bad entry count")
 	}
-	if err := fr.is(kind, kindEntries); err != nil {
-		return fail(err)
-	}
-	if count, err = fr.uvarint(); err != nil {
-		return fail(errors.New("bad entry count"))
-	}
-	// The client sends the entries stripe by stripe, in the need frame's
-	// order; each stripe's run of them is handed to the store as it stands.
-	// A key is taken from its stripe's need list, where this side asked
-	// for it.
 	needed := func(key []byte) (string, bool) {
-		st := stripes[kvstore.ShardIndex(key, of)]
+		st := m.stripes[kvstore.ShardIndex(key, of)]
 		if st == nil {
 			return "", false
 		}
@@ -462,27 +440,29 @@ descend:
 			e, n, err = encoding.DecodeEntry(b, needed)
 			return n, err
 		}); err != nil {
-			return fail(err)
+			return err
 		}
 		idx := kvstore.ShardIndex(e.Key, of)
-		st := stripes[idx]
+		st := m.stripes[idx]
 		if st == nil || !kvstore.RangesContain(st.runs, encoding.TreePos(e.Key)) {
-			return fail(fmt.Errorf("entry %q outside the divergent leaf ranges", e.Key))
+			return fmt.Errorf("entry %q outside the divergent leaf ranges", e.Key)
 		}
 		if len(st.entries) > 0 && kvstore.ShardIndex(entries[len(entries)-1].Key, of) != idx {
-			return fail(fmt.Errorf("entry %q out of stripe order", e.Key))
+			return fmt.Errorf("entry %q out of stripe order", e.Key)
 		}
 		entries = append(entries, e)
 		st.entries = entries[len(entries)-len(st.entries)-1:]
 	}
-	if fr.remaining() != 0 {
-		return fail(errors.New("trailing bytes in entries frame"))
-	}
+	m.phase = serverApply
+	return nil
+}
 
+// apply ends the round: range-scoped applies per stripe, then one result.
+func (m *serverRound) apply() error {
 	// One reply spans the stripes, sized once from what their diffs bound.
 	restamps, full := 0, 0
-	for _, idx := range order {
-		st := stripes[idx]
+	for _, idx := range m.order {
+		st := m.stripes[idx]
 		r, f := st.diff.ReplyRoom(len(st.entries))
 		restamps, full = restamps+r, full+f
 	}
@@ -491,12 +471,13 @@ descend:
 		Entries:  make([]encoding.Entry, 0, full),
 	}
 	var res kvstore.SyncResult
-	for _, idx := range order {
-		st := stripes[idx]
+	for _, idx := range m.order {
+		st := m.stripes[idx]
 		var part kvstore.SyncResult
-		reply, part, err = s.replica.ApplyDeltaRanges(reply, st.runs, st.entries, s.resolve, idx)
+		var err error
+		reply, part, err = m.replica.ApplyDeltaRanges(reply, st.runs, st.entries, m.resolve, idx)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		res.Add(part)
 	}
@@ -506,364 +487,403 @@ descend:
 	// The round's snapshots are done with. Releasing them before the fold
 	// lets it patch the trees in place, and before the result frame leaves
 	// no hold out once the client can act on the round.
-	for _, idx := range divergent {
-		s.replica.ReleaseStripeTree(idx)
-		stripes[idx].tree = nil
-	}
+	m.reset()
 	// Fold this round's writes into the maintained trees before answering:
 	// the root probe that follows the result then finds them current, and
 	// the patch never races the writes that come after the round.
-	for _, idx := range order {
-		if _, err := s.replica.StripeRoot(idx); err != nil {
-			return fail(err)
+	for _, idx := range m.order {
+		if _, err := m.replica.StripeRoot(idx); err != nil {
+			return err
 		}
 	}
-	return writeResultFrame(fw, res, reply) == nil
+	beginResult(&m.fw, res, reply)
+	return nil
 }
 
-// treeClientRound runs one round over pc's established session, on the
-// stripe trees the pool loaded into pc.trees. stripes selects the scoped
-// stripe set; nil means every local stripe (a whole-replica round, with the
-// root fast path and probe pipelining).
-func treeClientRound(pc *poolConn, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, error) {
-	fr, fw, trees := &pc.fr, &pc.fw, pc.trees
-	of := local.Shards()
-	wholeReplica := stripes == nil
-	if wholeReplica {
-		stripes = pc.every(of)
-	}
-	fanout := treeFanout
-	if len(stripes) > 0 {
-		fanout = trees[stripes[0]].Fanout() // TreeShape picks one fan-out for every stripe
-	}
+// nodeCoord names one tree node of the descent.
+type nodeCoord struct {
+	stripe, level int
+	path          uint64
+}
 
-	// readAck consumes the server's one-byte session ack the first time a
-	// frame reply is awaited on a fresh session. Called after the opening
-	// frame is written, so the session opening rides the same round trip.
-	readAck := func() error {
-		if !pc.ackPending {
-			return nil
+// clientRound is the client's end of a session: its frame reader and writer,
+// the probe in flight between rounds, and the round's state.
+type clientRound struct {
+	fr   frameReader
+	fw   frameWriter
+	want byte // the kind of the frame the round waits for
+	// probePending: a kindRootProbe is in flight, its answer the next frame
+	// on the wire. askedRoot is the root the awaited root match answers.
+	probePending bool
+	askedRoot    uint64
+	// The round: its replica and stripes (all of them in a whole-replica
+	// round), the fold of their roots and the result so far. entriesSent: the
+	// entries frame has begun, so the server may have applied the round.
+	local       *kvstore.Replica
+	of, fanout  int
+	stripes     []int
+	whole       bool
+	root        uint64
+	result      kvstore.SyncResult
+	entriesSent bool
+	// trees holds the round's stripe trees, indexed by stripe, each slot
+	// holding its stripe (kvstore.Replica.StripeTree) from load until release
+	// empties it, so the session pins no snapshot past the round.
+	trees            []*kvstore.DigestTree
+	frontier, deeper []nodeCoord // the descent's level and the next
+	leafReqs         []nodeCoord // the divergent leaf ranges, in descent order
+	shipped          shippedRuns // the digest runs shipped for them
+	sends            []encoding.Entry
+	bm               []byte   // DigestTree.Children scratch: child bitmap
+	hashes           []uint64 // DigestTree.Children scratch: child hashes
+}
+
+// load readies a round of local's stripes (nil: all of them): it fills the
+// tree slots, rejecting a stripe outside the layout or named twice.
+func (m *clientRound) load(local *kvstore.Replica, stripes []int) error {
+	m.local, m.of, m.whole = local, local.Shards(), stripes == nil
+	if cap(m.trees) < m.of {
+		m.trees = make([]*kvstore.DigestTree, m.of)
+	}
+	m.trees = m.trees[:m.of]
+	m.stripes = append(m.stripes[:0], stripes...) // kept, so the caller's stays its own
+	for i := 0; m.whole && i < m.of; i++ {
+		m.stripes = append(m.stripes, i)
+	}
+	for _, idx := range m.stripes {
+		if idx < 0 || idx >= m.of {
+			return fmt.Errorf("antientropy: stripe %d out of range of %d", idx, m.of)
 		}
-		pc.ackPending = false
-		b, err := fr.br.ReadByte()
+		if m.trees[idx] != nil {
+			return fmt.Errorf("antientropy: duplicate stripe %d", idx)
+		}
+		t, err := local.StripeTree(idx)
 		if err != nil {
-			return fmt.Errorf("antientropy: session ack: %w", err)
+			return fmt.Errorf("antientropy: %w", err)
 		}
-		if b != protocolVersion {
-			return fmt.Errorf("%w: session opening answered with 0x%02x, not the 0x%02x ack",
-				ErrProtocol, b, protocolVersion)
+		m.trees[idx] = t
+	}
+	return nil
+}
+
+// release releases and empties every tree slot load filled, and drops what
+// the round shipped.
+func (m *clientRound) release() {
+	for idx, t := range m.trees {
+		if t != nil {
+			m.local.ReleaseStripeTree(idx)
+			m.trees[idx] = nil
 		}
+	}
+	m.shipped, m.sends = shippedRuns{}, nil
+}
+
+// start opens the round load readied. It begins and sends the round's
+// opening frame, unless the previous round's probe is still to be answered:
+// that answer opens the round instead.
+func (m *clientRound) start() error {
+	m.fanout = m.trees[m.stripes[0]].Fanout() // TreeShape picks one fan-out for every stripe
+	m.result, m.entriesSent = kvstore.SyncResult{}, false
+	m.root = encoding.RootSummarySeed
+	for _, idx := range m.stripes {
+		m.root = encoding.FoldSummary(m.root, m.trees[idx].Root())
+	}
+	if m.probePending {
+		m.probePending, m.want = false, kindRootMatch
 		return nil
 	}
-	// sendProbe ends a successful round: it releases the round's stripe
-	// trees, so none is held once the server can act on the round, and
-	// pipelines the next round's root check behind this round. A write
-	// failure is deliberately swallowed: the round itself already succeeded
-	// on both sides, and the dead connection is discovered (and redialed)
-	// by the next round's opening instead.
-	sendProbe := func(root uint64) {
-		pc.release(local)
-		if !wholeReplica {
-			return
-		}
-		if writeRoot(fw, kindRootProbe, of, root) == nil {
-			pc.probePending, pc.probedRoot = true, root
-		}
-	}
-	// readRootMatch reads a kindRootMatch answer: true when the roots agree.
-	readRootMatch := func() (bool, error) {
-		if err := fr.expect(kindRootMatch); err != nil {
-			return false, err
-		}
-		b, err := fr.bytes(1)
-		if err != nil || fr.remaining() != 0 || b[0] > 1 {
-			return false, badFrame(err, "bad root match frame")
-		}
-		return b[0] == 1, nil
-	}
+	m.open(false)
+	return m.fw.end()
+}
 
-	skipRoot := false
-	root := encoding.RootSummarySeed
-	if wholeReplica {
-		for _, idx := range stripes {
-			root = encoding.FoldSummary(root, trees[idx].Root())
-		}
+// receive steps the round over one frame, its body waiting in fr, and sends
+// what the step began, once the body decoded to its last byte. It reports
+// whether the round is over.
+func (m *clientRound) receive(kind byte) (bool, error) {
+	done, err := m.step(kind)
+	if err == nil && m.fr.remaining() != 0 {
+		err = fmt.Errorf("%w: trailing bytes in frame 0x%02x", ErrProtocol, kind)
 	}
-	if pc.probePending {
-		// The previous round left a probe in flight; its answer is the next
-		// frame on the wire and must be consumed before anything else.
-		pc.probePending = false
-		match, err := readRootMatch()
-		if err != nil {
-			return kvstore.SyncResult{}, err
-		}
-		if wholeReplica && root == pc.probedRoot {
-			if match {
-				// The probe *was* this round's root exchange: converged, and
-				// nothing moved locally since. Re-arm and finish without a
-				// single unanswered frame on the wire.
-				sendProbe(root)
-				return kvstore.SyncResult{StripesSkipped: of}, nil
-			}
-			skipRoot = true // known mismatch: go straight to the stripe roots
-		}
-		// Otherwise local state moved since the probe; run the full round.
+	switch {
+	case err != nil:
+		return false, err
+	case !done:
+		return false, m.fw.end()
 	}
+	// The round succeeded. Its trees are released, so none is held once the
+	// server can act on the round, and a whole-replica round pipelines the
+	// next round's root check behind it. A probe that fails to go out is
+	// dropped: the round already succeeded on both sides, and the dead
+	// connection is discovered (and redialed) by the next round's opening.
+	m.release()
+	if m.whole {
+		beginRoot(&m.fw, kindRootProbe, m.of, m.root)
+		m.probePending, m.askedRoot = m.fw.end() == nil, m.root
+	}
+	return true, nil
+}
 
-	if wholeReplica && !skipRoot {
-		if err := writeRoot(fw, kindRoot, of, root); err != nil {
-			return kvstore.SyncResult{}, fmt.Errorf("antientropy: send root: %w", err)
-		}
-		if err := readAck(); err != nil {
-			return kvstore.SyncResult{}, err
-		}
-		match, err := readRootMatch()
-		if err != nil {
-			return kvstore.SyncResult{}, err
-		}
-		if match {
-			sendProbe(root)
-			return kvstore.SyncResult{StripesSkipped: of}, nil
-		}
+// step decodes one frame's body and begins what the client sends next.
+func (m *clientRound) step(kind byte) (bool, error) {
+	if err := m.fr.is(kind, m.want); err != nil {
+		return false, err
 	}
+	switch m.want {
+	case kindRootMatch:
+		return m.rootMatch()
+	case kindStripeRootDiff:
+		return m.stripeDiff()
+	case kindTreeDiff:
+		return false, m.treeDiff()
+	case kindNeed:
+		return false, m.need()
+	default:
+		return true, m.applyResult()
+	}
+}
 
-	// Stripe-root phase: one (stripe, depth, root) triple per scoped stripe.
-	size := encoding.UvarintLen(uint64(of)) + encoding.UvarintLen(uint64(fanout)) + encoding.UvarintLen(uint64(len(stripes)))
-	for _, idx := range stripes {
-		size += encoding.UvarintLen(uint64(idx)) + encoding.UvarintLen(uint64(trees[idx].Depth())) + 8
+// rootMatch takes a root match. A probe's answer stands for this round only
+// if nothing moved here since the probe was sent; otherwise the round opens
+// as if no probe had been in flight. A known mismatch goes straight to the
+// stripe roots.
+func (m *clientRound) rootMatch() (bool, error) {
+	b, err := m.fr.bytes(1)
+	if err != nil || b[0] > 1 {
+		return false, badFrame(err, "bad root match frame")
 	}
-	fw.begin(kindStripeRoots, size)
-	fw.buf = binary.AppendUvarint(fw.buf, uint64(of))
-	fw.buf = binary.AppendUvarint(fw.buf, uint64(fanout))
-	fw.buf = binary.AppendUvarint(fw.buf, uint64(len(stripes)))
-	for _, idx := range stripes {
-		t := trees[idx]
-		fw.buf = binary.AppendUvarint(fw.room(2*binary.MaxVarintLen64+8), uint64(idx))
-		fw.buf = binary.AppendUvarint(fw.buf, uint64(t.Depth()))
-		fw.buf = binary.BigEndian.AppendUint64(fw.buf, t.Root())
+	current := m.whole && m.root == m.askedRoot
+	if current && b[0] == 1 {
+		m.result.StripesSkipped = m.of
+		return true, nil
 	}
-	if err := fw.end(); err != nil {
-		return kvstore.SyncResult{}, fmt.Errorf("antientropy: send stripe roots: %w", err)
+	m.open(current)
+	return false, nil
+}
+
+// open begins the round's root frame, or, in a scoped round or once the
+// roots are known to differ, its stripe roots: one (stripe, depth, root)
+// triple per stripe.
+func (m *clientRound) open(mismatch bool) {
+	if m.whole && !mismatch {
+		beginRoot(&m.fw, kindRoot, m.of, m.root)
+		m.want, m.askedRoot = kindRootMatch, m.root
+		return
 	}
-	if err := readAck(); err != nil {
-		return kvstore.SyncResult{}, err
+	size := encoding.UvarintLen(uint64(m.of)) + encoding.UvarintLen(uint64(m.fanout)) + encoding.UvarintLen(uint64(len(m.stripes)))
+	for _, idx := range m.stripes {
+		size += encoding.UvarintLen(uint64(idx)) + encoding.UvarintLen(uint64(m.trees[idx].Depth())) + 8
 	}
-	if err := fr.expect(kindStripeRootDiff); err != nil {
-		return kvstore.SyncResult{}, err
+	m.fw.begin(kindStripeRoots, size)
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(m.of))
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(m.fanout))
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(len(m.stripes)))
+	for _, idx := range m.stripes {
+		t := m.trees[idx]
+		m.fw.buf = binary.AppendUvarint(m.fw.room(2*binary.MaxVarintLen64+8), uint64(idx))
+		m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(t.Depth()))
+		m.fw.buf = binary.BigEndian.AppendUint64(m.fw.buf, t.Root())
 	}
-	count, err := fr.uvarint()
-	if err != nil || count > uint64(len(stripes)) {
-		return kvstore.SyncResult{}, badFrame(err, "bad stripe root diff count")
+	m.want = kindStripeRootDiff
+}
+
+// stripeDiff takes the divergent stripes, whose roots start the descent. A
+// round with none is over.
+func (m *clientRound) stripeDiff() (bool, error) {
+	count, err := m.fr.uvarint()
+	if err != nil || count > uint64(len(m.stripes)) {
+		return false, badFrame(err, "bad stripe root diff count")
 	}
-	divergent := make([]int, 0, count)
+	m.frontier, m.leafReqs = m.frontier[:0], m.leafReqs[:0]
 	for i := uint64(0); i < count; i++ {
-		idx64, err := fr.uvarint()
-		if err != nil || idx64 >= uint64(of) || trees[idx64] == nil { // only stripes this round sent
-			return kvstore.SyncResult{}, badFrame(err, "bad stripe root diff stripe")
+		idx64, err := m.fr.uvarint()
+		if err != nil || idx64 >= uint64(m.of) || m.trees[idx64] == nil { // only stripes this round sent
+			return false, badFrame(err, "bad stripe root diff stripe")
 		}
-		divergent = append(divergent, int(idx64))
+		m.frontier = append(m.frontier, nodeCoord{stripe: int(idx64)})
 	}
-	if fr.remaining() != 0 {
-		return kvstore.SyncResult{}, fmt.Errorf("%w: trailing bytes in stripe root diff frame", ErrProtocol)
+	m.result.StripesSkipped = len(m.stripes) - int(count)
+	if count == 0 {
+		return true, nil
 	}
-	var res kvstore.SyncResult
-	res.StripesSkipped = len(stripes) - len(divergent)
-	if len(divergent) == 0 {
-		sendProbe(root)
-		return res, nil
-	}
+	m.sendNodes()
+	return false, nil
+}
 
-	// Descent: walk the divergent stripes' trees level by level, querying
-	// only the children the server flagged as differing. A child that
-	// differs becomes a leaf request when it sits at the bottom, or when
-	// either side's subtree is empty (nothing left to narrow).
-	type nodeCoord struct {
-		stripe, level int
-		path          uint64
+// node reads the frontier node nc's children off its tree.
+func (m *clientRound) node(nc nodeCoord) encoding.TreeNode {
+	t := m.trees[nc.stripe]
+	m.bm, m.hashes = t.Children(m.bm[:0], m.hashes[:0], nc.level, nc.path)
+	return encoding.TreeNode{Stripe: nc.stripe, Depth: t.Depth(), Level: nc.level, Path: nc.path,
+		Bitmap: m.bm, Hashes: m.hashes}
+}
+
+// sendNodes begins the tree-nodes query of the frontier.
+func (m *clientRound) sendNodes() {
+	size := encoding.UvarintLen(uint64(m.fanout)) + encoding.UvarintLen(uint64(len(m.frontier)))
+	for _, nc := range m.frontier {
+		size += encoding.TreeNodeLen(m.node(nc))
 	}
-	fbits := encoding.TreeFanoutBits(fanout)
-	nb := encoding.TreeBitmapLen(fanout)
-	frontier := make([]nodeCoord, 0, len(divergent))
-	for _, idx := range divergent {
-		frontier = append(frontier, nodeCoord{stripe: idx})
+	m.fw.begin(kindTreeNodes, size)
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(m.fanout))
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(len(m.frontier)))
+	for _, nc := range m.frontier {
+		n := m.node(nc)
+		m.fw.buf = encoding.AppendTreeNode(m.fw.room(encoding.TreeNodeLen(n)), n)
 	}
-	// node reads the frontier node nc's children off its tree.
-	node := func(nc nodeCoord) encoding.TreeNode {
-		t := trees[nc.stripe]
-		pc.bm, pc.hashes = t.Children(pc.bm[:0], pc.hashes[:0], nc.level, nc.path)
-		return encoding.TreeNode{Stripe: nc.stripe, Depth: t.Depth(), Level: nc.level, Path: nc.path,
-			Bitmap: pc.bm, Hashes: pc.hashes}
+	m.want = kindTreeDiff
+}
+
+// treeDiff takes one level of the descent: of the frontier's children, only
+// those the server flagged as differing are walked further. A child that
+// differs becomes a leaf request when it sits at the bottom, or when either
+// side's subtree is empty (nothing left to narrow).
+func (m *clientRound) treeDiff() error {
+	nb := encoding.TreeBitmapLen(m.fanout)
+	n, err := m.fr.uvarint()
+	if err != nil || n != uint64(len(m.frontier)) {
+		return badFrame(err, fmt.Sprintf("tree diff count %d, want %d", n, len(m.frontier)))
 	}
-	var leafReqs []nodeCoord
-	for len(frontier) > 0 {
-		size := encoding.UvarintLen(uint64(fanout)) + encoding.UvarintLen(uint64(len(frontier)))
-		for _, nc := range frontier {
-			size += encoding.TreeNodeLen(node(nc))
+	fbits := encoding.TreeFanoutBits(m.fanout)
+	m.deeper = m.deeper[:0]
+	for _, nc := range m.frontier {
+		b, err := m.fr.bytes(2 * nb)
+		if err != nil {
+			return badFrame(err, "truncated tree diff")
 		}
-		fw.begin(kindTreeNodes, size)
-		fw.buf = binary.AppendUvarint(fw.buf, uint64(fanout))
-		fw.buf = binary.AppendUvarint(fw.buf, uint64(len(frontier)))
-		for _, nc := range frontier {
-			n := node(nc)
-			fw.buf = encoding.AppendTreeNode(fw.room(encoding.TreeNodeLen(n)), n)
-		}
-		if err := fw.end(); err != nil {
-			return res, fmt.Errorf("antientropy: send tree nodes: %w", err)
-		}
-		if err := fr.expect(kindTreeDiff); err != nil {
-			return res, err
-		}
-		n, err := fr.uvarint()
-		if err != nil || n != uint64(len(frontier)) {
-			return res, badFrame(err, fmt.Sprintf("tree diff count %d, want %d", n, len(frontier)))
-		}
-		if fr.remaining() != len(frontier)*2*nb {
-			return res, fmt.Errorf("%w: bad tree diff frame length", ErrProtocol)
-		}
-		var next []nodeCoord
-		for _, nc := range frontier {
-			b, err := fr.bytes(2 * nb)
-			if err != nil {
-				return res, err
+		differ, srvBm := b[:nb], b[nb:]
+		cliBm := m.node(nc).Bitmap
+		for c := 0; c < m.fanout; c++ {
+			if !encoding.BitmapGet(differ, c) {
+				continue
 			}
-			differ, srvBm := b[:nb], b[nb:]
-			cliBm := node(nc).Bitmap
-			for c := 0; c < fanout; c++ {
-				if !encoding.BitmapGet(differ, c) {
-					continue
-				}
-				child := nodeCoord{
-					stripe: nc.stripe, level: nc.level + 1,
-					path: nc.path<<uint(fbits) | uint64(c),
-				}
-				if child.level == trees[nc.stripe].Depth() || !encoding.BitmapGet(cliBm, c) ||
-					!encoding.BitmapGet(srvBm, c) {
-					leafReqs = append(leafReqs, child)
-				} else {
-					next = append(next, child)
-				}
+			child := nodeCoord{stripe: nc.stripe, level: nc.level + 1, path: nc.path<<uint(fbits) | uint64(c)}
+			if child.level == m.trees[nc.stripe].Depth() || !encoding.BitmapGet(cliBm, c) ||
+				!encoding.BitmapGet(srvBm, c) {
+				m.leafReqs = append(m.leafReqs, child)
+			} else {
+				m.deeper = append(m.deeper, child)
 			}
 		}
-		frontier = next
 	}
+	m.frontier, m.deeper = m.deeper, m.frontier
+	if len(m.frontier) > 0 {
+		m.sendNodes()
+	} else {
+		m.sendLeafRuns()
+	}
+	return nil
+}
 
-	// Leaf phase: ship the digest runs under the divergent leaf ranges, sized
-	// before they are encoded. The runs are kept: the reply may only touch
-	// their ranges, and is applied against the stamps they carried.
-	shipped := shippedRuns{of: of, runs: make([]leafRun, len(leafReqs))}
+// sendLeafRuns begins the digest runs under the divergent leaf ranges, sized
+// before they are encoded. The runs are kept: the reply may only touch
+// their ranges, and is applied against the stamps they carried.
+func (m *clientRound) sendLeafRuns() {
+	m.shipped = shippedRuns{of: m.of, runs: make([]leafRun, len(m.leafReqs))}
 	wireRun := func(i int) encoding.LeafRun {
-		nc := leafReqs[i]
-		return encoding.LeafRun{Stripe: nc.stripe, Depth: trees[nc.stripe].Depth(), Level: nc.level, Path: nc.path,
-			Digests: shipped.runs[i].Digests}
+		nc := m.leafReqs[i]
+		return encoding.LeafRun{Stripe: nc.stripe, Depth: m.trees[nc.stripe].Depth(), Level: nc.level, Path: nc.path,
+			Digests: m.shipped.runs[i].Digests}
 	}
-	size = encoding.UvarintLen(uint64(len(leafReqs)))
-	for i, nc := range leafReqs {
-		shipped.runs[i].stripe = nc.stripe
-		shipped.runs[i].Range = kvstore.NodeRange(fanout, nc.level, nc.path)
-		shipped.runs[i].Digests = trees[nc.stripe].Run(nc.level, nc.path)
+	size := encoding.UvarintLen(uint64(len(m.leafReqs)))
+	for i, nc := range m.leafReqs {
+		m.shipped.runs[i].stripe = nc.stripe
+		m.shipped.runs[i].Range = kvstore.NodeRange(m.fanout, nc.level, nc.path)
+		m.shipped.runs[i].Digests = m.trees[nc.stripe].Run(nc.level, nc.path)
 		size += encoding.LeafRunLen(wireRun(i))
 	}
-	fw.begin(kindLeafDigests, size)
-	fw.buf = binary.AppendUvarint(fw.buf, uint64(len(leafReqs)))
-	for i := range leafReqs {
+	m.fw.begin(kindLeafDigests, size)
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(len(m.leafReqs)))
+	for i := range m.leafReqs {
 		r := wireRun(i)
-		fw.buf = encoding.AppendLeafRun(fw.room(encoding.LeafRunLen(r)), r)
+		m.fw.buf = encoding.AppendLeafRun(m.fw.room(encoding.LeafRunLen(r)), r)
 	}
-	if err := fw.end(); err != nil {
-		return res, fmt.Errorf("antientropy: send leaf digests: %w", err)
-	}
-	slices.SortFunc(shipped.runs, cmpLeafRuns)
+	slices.SortFunc(m.shipped.runs, cmpLeafRuns)
+	m.want = kindNeed
+}
 
-	// Tail: needs in, entries out, result in.
-	if err := fr.expect(kindNeed); err != nil {
-		return res, err
+// need takes the keys the server needs in full and begins the entries frame
+// that carries them.
+func (m *clientRound) need() error {
+	count, err := m.fr.uvarint()
+	if err != nil {
+		return badFrame(err, "bad need count")
 	}
-	if count, err = fr.uvarint(); err != nil {
-		return res, badFrame(err, "bad need count")
-	}
-	sends := make([]encoding.Entry, 0, fr.capCount(count))
-	size = 0
+	m.sends = make([]encoding.Entry, 0, m.fr.capCount(count))
+	size := 0
 	for i := uint64(0); i < count; i++ {
-		k, err := fr.str(shipped.key)
+		k, err := m.fr.str(m.shipped.key)
 		if err != nil {
-			return res, badFrame(err, "bad need key")
+			return badFrame(err, "bad need key")
 		}
-		v, ok := local.Stored(k)
+		v, ok := m.local.Stored(k)
 		if !ok {
 			// Vanished since the digest (a tombstone GC can drop keys); the
 			// next round reconciles it.
-			shipped.note(k, core.Stamp{}, false)
+			m.shipped.note(k, core.Stamp{}, false)
 			continue
 		}
-		if st, sent := shipped.stamp(k); !sent || !st.Equal(v.Stamp) {
-			shipped.note(k, v.Stamp, true) // moved since its digest
+		if st, sent := m.shipped.stamp(k); !sent || !st.Equal(v.Stamp) {
+			m.shipped.note(k, v.Stamp, true) // moved since its digest
 		}
 		e := encoding.Entry{Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp}
-		sends = append(sends, e)
+		m.sends = append(m.sends, e)
 		size += encoding.EntryLen(e)
-	}
-	if fr.remaining() != 0 {
-		return res, fmt.Errorf("%w: trailing bytes in need frame", ErrProtocol)
 	}
 	// Point of no return: once any byte of the entries frame is on the wire,
 	// the server may receive the complete frame and apply it even if this
 	// side only sees a dead connection. Retrying such a round on a fresh
 	// dial would ship the same entries against already-forked server stamps
 	// — the copies would compare as causally unrelated and reconcile by
-	// reseeding (double-apply). Every failure from here on is therefore
-	// marked ErrRetryUnsafe; the pool surfaces it instead of redialing, and
-	// the next round's digest exchange reconciles whatever state the server
-	// actually reached.
-	fw.begin(kindEntries, encoding.UvarintLen(uint64(len(sends)))+size)
-	fw.buf = binary.AppendUvarint(fw.buf, uint64(len(sends)))
-	for _, e := range sends {
-		fw.buf = encoding.AppendEntry(fw.room(encoding.EntryLen(e)), e)
+	// reseeding (double-apply). So from here on the round reports that its
+	// entries may have gone out (entriesSent); the pool surfaces its failure
+	// instead of redialing (ErrRetryUnsafe), and the next round's digest
+	// exchange reconciles whatever state the server actually reached.
+	m.fw.begin(kindEntries, encoding.UvarintLen(uint64(len(m.sends)))+size)
+	m.entriesSent = true
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(len(m.sends)))
+	for _, e := range m.sends {
+		m.fw.buf = encoding.AppendEntry(m.fw.room(encoding.EntryLen(e)), e)
 	}
-	if err := fw.end(); err != nil {
-		return res, fmt.Errorf("%w: send entries: %w", ErrRetryUnsafe, err)
-	}
-	slices.SortFunc(sends, func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
+	slices.SortFunc(m.sends, func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
+	m.want = kindResult
+	return nil
+}
 
-	// A reply key is taken from the entries this round sent, or else from
-	// the digest runs it shipped.
-	sent := func(key []byte) (string, bool) {
-		i := sort.Search(len(sends), func(i int) bool { return sends[i].Key >= string(key) })
-		if i < len(sends) && sends[i].Key == string(key) {
-			return sends[i].Key, true
-		}
-		return shipped.key(key)
+// sent resolves a reply key: from the entries this round sent, or else from
+// the digest runs it shipped.
+func (m *clientRound) sent(key []byte) (string, bool) {
+	i := sort.Search(len(m.sends), func(i int) bool { return m.sends[i].Key >= string(key) })
+	if i < len(m.sends) && m.sends[i].Key == string(key) {
+		return m.sends[i].Key, true
 	}
-	err = fr.expect(kindResult)
-	var part kvstore.SyncResult
-	var reply kvstore.DeltaReply
-	if err == nil {
-		part, reply, err = decodeResultFrame(fr, sent)
-	}
-	if errors.Is(err, errRecv) {
-		return res, fmt.Errorf("%w: %w", ErrRetryUnsafe, err)
-	}
+	return m.shipped.key(key)
+}
+
+// applyResult takes the result: it checks the reply against what the round
+// shipped and applies it. The shipped copies pin every reply copy to the
+// exact copy this round sent. They are read off the round's trees, which
+// are released only once the reply is in, and before the fold, so it
+// patches in place.
+func (m *clientRound) applyResult() error {
+	part, reply, err := decodeResultFrame(&m.fr, m.sent)
 	if err != nil {
-		return res, err
+		return err
 	}
-	res.Add(part)
-	if err := checkReply(reply, sends, &shipped); err != nil {
-		return res, err
+	m.result.Add(part)
+	if err := checkReply(reply, m.sends, &m.shipped); err != nil {
+		return err
 	}
-	// The shipped copies pin every reply copy to the exact copy this round
-	// sent. They are read off the round's trees, which are released only
-	// once the reply is in, and before the fold, so it patches in place.
-	local.ApplyDeltaReply(reply, sends, shipped.stamp)
-	pc.release(local)
-	root = encoding.RootSummarySeed
-	for _, idx := range stripes {
-		r, err := local.StripeRoot(idx)
+	m.local.ApplyDeltaReply(reply, m.sends, m.shipped.stamp)
+	m.release()
+	m.root = encoding.RootSummarySeed
+	for _, idx := range m.stripes {
+		r, err := m.local.StripeRoot(idx)
 		if err != nil {
-			return res, fmt.Errorf("antientropy: %w", err)
+			return fmt.Errorf("antientropy: %w", err)
 		}
-		root = encoding.FoldSummary(root, r)
+		m.root = encoding.FoldSummary(m.root, r)
 	}
-	sendProbe(root)
-	return res, nil
+	return nil
 }
 
 // checkReply refuses, before anything is applied, a result that names a key
@@ -942,39 +962,35 @@ func (sr *shippedRuns) stamp(key string) (core.Stamp, bool) {
 	if m, ok := sr.moved[key]; ok {
 		return m.stamp, m.ok
 	}
-	i := sr.find(key)
-	if i < 0 {
-		return core.Stamp{}, false
-	}
-	ds, pos := sr.runs[i].Digests, encoding.TreePos(key)
-	j := sort.Search(len(ds), func(j int) bool {
-		p := encoding.TreePos(ds[j].Key)
-		return p > pos || p == pos && ds[j].Key >= key
-	})
-	if j == len(ds) || ds[j].Key != key {
-		return core.Stamp{}, false
-	}
-	return ds[j].Stamp, true
+	d, ok := shippedDigest(sr, key)
+	return d.Stamp, ok
 }
 
 // key returns the string the round's digest runs hold for the key spelled
 // b, if they hold it: the client's own copy of the key, from its tree
 // snapshot.
 func (sr *shippedRuns) key(b []byte) (string, bool) {
-	pos := encoding.TreePos(b)
-	i := sr.runAt(kvstore.ShardIndex(b, sr.of), pos)
+	d, ok := shippedDigest(sr, b)
+	return d.Key, ok
+}
+
+// shippedDigest returns the digest the round's runs shipped for key, if
+// they shipped one.
+func shippedDigest[K string | []byte](sr *shippedRuns, key K) (encoding.Digest, bool) {
+	pos := encoding.TreePos(key)
+	i := sr.runAt(kvstore.ShardIndex(key, sr.of), pos)
 	if i < 0 {
-		return "", false
+		return encoding.Digest{}, false
 	}
 	ds := sr.runs[i].Digests
 	j := sort.Search(len(ds), func(j int) bool {
 		p := encoding.TreePos(ds[j].Key)
-		return p > pos || p == pos && ds[j].Key >= string(b)
+		return p > pos || p == pos && ds[j].Key >= string(key)
 	})
-	if j == len(ds) || ds[j].Key != string(b) {
-		return "", false
+	if j == len(ds) || ds[j].Key != string(key) {
+		return encoding.Digest{}, false
 	}
-	return ds[j].Key, true
+	return ds[j], true
 }
 
 // note records that key shipped as stamp (ok), or not at all (!ok), whatever
@@ -985,7 +1001,3 @@ func (sr *shippedRuns) note(key string, stamp core.Stamp, ok bool) {
 	}
 	sr.moved[key] = shippedStamp{stamp, ok}
 }
-
-// treeFanout mirrors kvstore's local fan-out policy for the degenerate
-// empty-round fallback above.
-const treeFanout = 16

@@ -39,7 +39,10 @@
 // Sync detects this (their stamp ids overlap, which Invariant I2 rules out
 // within one system), reconciles by value and restarts the key's stamp
 // system — sound for a two-replica deployment, best-effort beyond that
-// (rule 4 of reconcile).
+// (rule 4 of reconcile). The anti-entropy wire round does not detect it yet
+// when the two creations' update components are equal, as two first writes'
+// are: the digest tree hashes keys and update components only, so its
+// hashes agree and the round never descends to the key (see Summaries).
 package kvstore
 
 import (

@@ -693,7 +693,9 @@ func (nd *treeNode) each(fn func(encoding.Digest)) {
 // Summaries returns one hash per stripe under the replica's own layout: the
 // stripe's digest-tree root, which covers every key and the update component
 // of every stamp in it. Two same-layout replicas whose summaries are equal
-// hold equivalent copies of every key.
+// hold equivalent copies of every key, except keys created at both whose
+// update components are equal: independent first writes hash alike whatever
+// their values.
 func (r *Replica) Summaries() []uint64 {
 	out := make([]uint64, len(r.shards))
 	for i := range r.shards {
