@@ -24,7 +24,7 @@
 // # Wire protocol
 //
 // There is one protocol. A connection is a session: the client opens it with
-// the version byte 0x05, the server acks with the same byte, and any number
+// the version byte 0x06, the server acks with the same byte, and any number
 // of rounds (whole-replica, or scoped to chosen stripes) ride it back to
 // back. A server closes a connection that opens with anything else; a client
 // whose opening is answered by anything else reports ErrProtocol. After the
@@ -46,23 +46,37 @@
 //	                  server child bitmap
 //	— at the bottom (or where either side's subtree is empty) —
 //	client -> server  kindLeafDigests   (0x0E): count, count×(stripe, depth,
-//	                  level, path, digest run)
-//	server -> client  kindNeed          (0x02): count, count×key
-//	client -> server  kindEntries       (0x03): count, count×entry
+//	                  level, path, digest run), in walk order
+//	server -> client  kindNeed          (0x02): count, count×ordinal
+//	client -> server  kindEntries       (0x03): count, count×body, in need
+//	                  order
 //	server -> client  kindResult        (0x04): transferred, reconciled,
-//	                  merged, pruned, conflicts, count×restamp, then
-//	                  entries to the end of the frame
+//	                  merged, pruned, conflicts, count×(ordinal, stamp),
+//	                  then (reference, body) entries to the end of the frame
 //	— between rounds, on pooled whole-replica sessions —
 //	client -> server  kindRootProbe     (0x0F): of, root; answered with
 //	                  kindRootMatch, outside any round
 //	— instead of any reply —
 //	server -> client  kindError         (0x7F): error text, ending the session
 //
-// where digest = key + stamp (encoding.AppendDigest) and entry = key +
-// tombstone flag + value + stamp (encoding.AppendEntry); a restamp is a
-// digest. The result's restamps name keys the entries frame shipped in full
-// whose outcome kept that value; its entries are everything else. Each list
-// is sorted by key, and no key is in both. The tree shape on
+// where digest = key + stamp (encoding.AppendDigest) and a digest run lists
+// its node's digests in tree order. The client ships its runs in walk order:
+// by stripe, then position. That order numbers the digests — a digest's
+// ordinal is its place in the frame, counted from 0 across the runs — and
+// from there on the round names a key the client shipped by its ordinal,
+// never by its bytes. Every list of ordinals is strictly ascending and
+// delta-coded: each goes as its distance from the one before, the first as
+// its distance from -1, so no distance is 0. The need frame
+// lists the digest ordinals whose full copies the server needs. The entries
+// frame answers each need in need order with a body (encoding.AppendEntryBody:
+// flags, the value unless a tombstone, and the stamp only where the copy
+// moved since its digest, the server holding the digest's) or with the body
+// of a key that vanished. The result's restamps, for the needs answered in
+// full whose outcome kept that value, are need ordinals (places in the need
+// frame) with the new stamp; its entries, everything else, each carry a
+// reference — the digest ordinal of a key the client shipped, or 0 and the
+// key's bytes for one it did not — and a body with its stamp. The reply is
+// in walk order, and no key is in both lists. The tree shape on
 // the wire is the client's choice; the server evaluates its own stripes
 // under that shape (kvstore.Replica.StripeTreeAt — the maintained tree when
 // it matches its own, which converged replicas' does). The layout is not:
@@ -98,11 +112,12 @@
 // read through and one they are written through, both kept from frame to
 // frame and grown only as far as its frames need; a round whose frames
 // needed a full window drops it once it ends, so a session idling between
-// long rounds keeps only what its short frames need. A frame is sized exactly before it is encoded, so its length goes
-// out first and its elements stream through the window behind it: up to
-// 64 KiB a frame is one Write, and a longer one is written a window at a
-// time. The reader decodes a frame element by element from its window (a
-// digest, leaf run, need key, entry or tree node); an element cut at the
+// long rounds keeps only what its short frames need. A frame is sized
+// exactly before it is encoded, so its length goes out first and its
+// elements stream through the window behind it: up to 64 KiB a frame is one
+// Write, and a longer one is written a window at a time. The reader decodes
+// a frame element by element from its window (a digest, leaf run, ordinal,
+// entry body or tree node); an element cut at the
 // window's end moves to its front before the window is refilled, and only
 // an element longer than the window gets a buffer of its own, dropped once
 // it is decoded. So neither end ever holds a long frame whole, and the
@@ -122,23 +137,25 @@
 // patches in place and no hold is out by the time the peer can act on the
 // round. A round that ends early releases its holds on the way out.
 //
-// A key named on the wire is mostly one the receiver already holds, and it
-// takes its own string for it instead of copying the bytes: the server
-// resolves leaf-digest keys against the round's tree snapshot of the run's
-// node and entry keys against the stripe's need list, and the client
-// resolves need keys against the digest runs it shipped (its own tree
-// snapshot) and result keys against the entries it sent, then those runs.
-// Only an exact byte match is taken; every other key is copied, and each is
-// checked as before.
+// A key is on the wire in full only in the leaf digests, and in a result
+// entry the client shipped no digest of. The server takes a leaf-digest key
+// it holds under the run's node from the round's tree snapshot instead of
+// copying it (an exact byte match only); each end resolves an ordinal to
+// the digest's own key string, so no other key is copied. The server checks
+// the leaf runs' walk order instead of sorting them, so both ends number the
+// same digests alike.
 //
-// Before applying anything the client checks the result against what it
-// shipped: entries only inside the leaf ranges this round sent, restamps
-// only for keys its entries frame carried in full, each list sorted, no key
-// in both; anything else is ErrProtocol. It installs a reply copy only while
-// its own copy still carries the stamp it shipped; copies that moved
-// mid-round are left alone for the next round, which makes concurrent rounds
-// against one replica safe (see kvstore.Replica.ApplyDeltaReply for the one
-// move a stamp cannot show).
+// Before answering or applying anything the client checks the need and the
+// result against what it shipped: ordinals in range and ascending, restamps
+// only of needs its entries frame answered in full, entries named by key
+// only inside the leaf ranges this round sent and only for keys it shipped
+// no digest of, no key in both lists; anything else is ErrProtocol. The server likewise refuses leaf runs out of walk
+// order and an entries frame whose count is not the need's, before anything
+// is applied. The client installs a reply copy only while its own copy
+// still carries the stamp it shipped; copies that moved mid-round are left
+// alone for the next round, which makes concurrent rounds against one
+// replica safe (see kvstore.Replica.ApplyDeltaReply for the one move a stamp
+// cannot show).
 //
 // A Pool keeps one session per peer address: rounds to the same peer are
 // framed back to back over the pooled connection (a 100-round gossip session

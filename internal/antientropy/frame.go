@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
 	"versionstamp/internal/kvstore"
 )
@@ -18,6 +19,11 @@ import (
 // codec of internal/encoding. See the package comment for
 // which kind follows which.
 //
+// From the leaf digests on, a round names a key the client shipped a digest
+// of by the digest's ordinal: its place in the leaf-digest frame, counted
+// from 0 across the runs, which the client ships in walk order. A list of
+// ordinals is strictly ascending and delta-coded (ordinals).
+//
 // Neither end holds a long frame whole. A sender sizes each frame exactly
 // from the counts in hand, so the length prefix goes out first, and writes
 // it through a fixed window (frameWriter); a receiver decodes it element by
@@ -26,13 +32,13 @@ import (
 
 // protocolVersion is the first byte of a session, and the byte the server
 // acks the opening with.
-const protocolVersion = 0x05
+const protocolVersion = 0x06
 
 // Frame kinds. The numbering has gaps where retired protocols had frames of
 // their own.
 const (
-	kindNeed           = 0x02 // server: keys whose full copies it needs
-	kindEntries        = 0x03 // client: the requested full entries
+	kindNeed           = 0x02 // server: ordinals of the digests whose full copies it needs
+	kindEntries        = 0x03 // client: one entry body per need, in need order
 	kindResult         = 0x04 // server: sync counters, restamps + entries the client adopts
 	kindRoot           = 0x08 // client: layout + fold of its stripe tree roots
 	kindRootMatch      = 0x09 // server: 1 = roots agree (round over), 0 = diverged
@@ -150,7 +156,7 @@ var errRecv = errors.New("antientropy: receive")
 // element at a time. next reads a frame's length prefix and kind byte and
 // fills the window with as much of the body as it holds; a body of at most
 // frameKeep bytes is then read whole. elem decodes the body's next element
-// (a digest, leaf run, need key, entry, tree node or count) from the
+// (a digest, leaf run, ordinal, entry body, tree node or count) from the
 // window; an element cut at the window's end moves to the front and the
 // window is refilled behind it. Only an element longer than the window gets
 // a buffer of its own, grown at most frameGrowth-fold per step as its bytes
@@ -297,12 +303,11 @@ func (fr *frameReader) bytes(n int) ([]byte, error) {
 	return out, err
 }
 
-// str decodes a uvarint-prefixed string element, resolving it with known as
-// readString does.
-func (fr *frameReader) str(known func(key []byte) (string, bool)) (string, error) {
+// str decodes a uvarint-prefixed string element (readString).
+func (fr *frameReader) str() (string, error) {
 	var s string
 	err := fr.elem(func(b []byte) (n int, err error) {
-		s, n, err = readString(b, known)
+		s, n, err = readString(b)
 		return n, err
 	})
 	return s, err
@@ -319,7 +324,7 @@ func (fr *frameReader) capCount(count uint64) int {
 // instead is ErrProtocol carrying the peer's text.
 func (fr *frameReader) is(got, want byte) error {
 	if got == kindError {
-		msg, err := fr.str(nil)
+		msg, err := fr.str()
 		if err != nil {
 			return fmt.Errorf("%w: unreadable error frame", ErrProtocol)
 		}
@@ -340,11 +345,9 @@ func appendString(dst []byte, s string) []byte {
 // stringLen returns the length of appendString's output for s.
 func stringLen(s string) int { return encoding.UvarintLen(uint64(len(s))) + len(s) }
 
-// readString consumes a uvarint-prefixed string from data. known resolves
-// it as encoding.DecodeDigest resolves a key: a string it returns with
-// exactly these bytes is taken as it is, and anything else is copied. nil
-// copies. Data that ends inside the string is io.ErrUnexpectedEOF.
-func readString(data []byte, known func(key []byte) (string, bool)) (string, int, error) {
+// readString consumes a uvarint-prefixed string from data, copying it.
+// Data that ends inside the string is io.ErrUnexpectedEOF.
+func readString(data []byte) (string, int, error) {
 	n, used := binary.Uvarint(data)
 	switch {
 	case used == 0 || used > 0 && uint64(len(data)-used) < n:
@@ -352,13 +355,7 @@ func readString(data []byte, known func(key []byte) (string, bool)) (string, int
 	case used < 0:
 		return "", 0, errors.New("bad string")
 	}
-	b := data[used : used+int(n)]
-	if known != nil {
-		if k, ok := known(b); ok && k == string(b) {
-			return k, used + int(n), nil
-		}
-	}
-	return string(b), used + int(n), nil
+	return string(data[used : used+int(n)]), used + int(n), nil
 }
 
 // badFrame reports an element that did not decode: a failure to receive it
@@ -377,13 +374,86 @@ func beginRoot(fw *frameWriter, kind byte, of int, root uint64) {
 	fw.buf = binary.BigEndian.AppendUint64(fw.buf, root)
 }
 
+// ordinals delta-codes a strictly ascending list of ordinals: each goes on
+// the wire as its distance from the one before, the first as its distance
+// from -1, so no distance is 0. The zero value starts a list.
+type ordinals struct{ next int } // the least ordinal the next may be
+
+// put returns ord's distance, ord being at least next.
+func (o *ordinals) put(ord int) uint64 {
+	d := uint64(ord-o.next) + 1
+	o.next = ord + 1
+	return d
+}
+
+// take returns the ordinal the distance d leads to, refusing a repeated
+// ordinal (d = 0), one that does not ascend (a distance that wraps past the
+// top) and one at or past limit.
+func (o *ordinals) take(d uint64, limit int) (int, error) {
+	ord := uint64(o.next) + d - 1
+	switch {
+	case d == 0:
+		return 0, errors.New("repeated ordinal")
+	case ord < uint64(o.next):
+		return 0, errors.New("ordinals not ascending")
+	case ord >= uint64(limit):
+		return 0, fmt.Errorf("ordinal %d out of range of %d", ord, limit)
+	}
+	o.next = int(ord) + 1
+	return int(ord), nil
+}
+
+// decodeEntriesFrame reads a kindEntries body, its kind byte already read:
+// a count that must be the need's, then one entry body per ordinal of need,
+// in need order. It returns the entries of the keys that did not vanish,
+// each under the key of its need's digest in runs and, unless its body
+// carries a stamp, under that digest's stamp. It runs on the server, whose
+// errors go back to the client as an error frame's text.
+func decodeEntriesFrame(fr *frameReader, runs *shippedRuns, need []int) ([]encoding.Entry, error) {
+	count, err := fr.uvarint()
+	if err != nil {
+		return nil, fmt.Errorf("bad entry count: %w", err)
+	}
+	if count != uint64(len(need)) {
+		return nil, fmt.Errorf("%d entries for %d needs", count, len(need))
+	}
+	entries := make([]encoding.Entry, 0, fr.capCount(count))
+	for _, ord := range need {
+		var e encoding.Entry
+		var withStamp, vanished bool
+		if err := fr.elem(func(b []byte) (n int, err error) {
+			e, withStamp, vanished, n, err = encoding.DecodeEntryBody(b)
+			return n, err
+		}); err != nil {
+			return nil, err
+		}
+		if vanished {
+			continue
+		}
+		d := runs.digest(ord)
+		e.Key = d.Key
+		if !withStamp {
+			e.Stamp = d.Stamp
+		}
+		entries = append(entries, e)
+	}
+	return entries, nil
+}
+
+// replyRefs names each copy of a reply by its place in the round.
+type replyRefs struct {
+	restamps []int // per restamp: its need's ordinal, its place in the need frame
+	entries  []int // per entry: its key's digest ordinal, or -1 for a key the client shipped no digest of
+}
+
 // beginResult begins the kindResult frame: four counters, conflicts,
-// counted restamps, then the reply entries to the end of the frame.
+// counted restamps, then the reply entries to the end of the frame. A
+// restamp is its need ordinal's distance and the stamp; an entry is a
+// reference — 0 and the key, for a key the client shipped no digest of, or
+// else its digest ordinal's distance — and the entry's body, stamp included.
 //
 // The entries carry no count of their own: the frame's length delimits them.
-// So a result is never longer than the same copies all sent in full would
-// be, since the restamp count is no wider than a count of every copy.
-func beginResult(fw *frameWriter, res kvstore.SyncResult, reply kvstore.DeltaReply) {
+func beginResult(fw *frameWriter, res kvstore.SyncResult, reply kvstore.DeltaReply, refs replyRefs) {
 	counts := [...]uint64{uint64(res.Transferred), uint64(res.Reconciled), uint64(res.Merged),
 		uint64(res.Pruned), uint64(len(res.Conflicts))}
 	size := encoding.UvarintLen(uint64(len(reply.Restamps)))
@@ -393,11 +463,17 @@ func beginResult(fw *frameWriter, res kvstore.SyncResult, reply kvstore.DeltaRep
 	for _, k := range res.Conflicts {
 		size += stringLen(k)
 	}
-	for _, d := range reply.Restamps {
-		size += encoding.DigestLen(d)
+	var ro, eo ordinals
+	for i, d := range reply.Restamps {
+		size += encoding.UvarintLen(ro.put(refs.restamps[i])) + d.Stamp.BinaryLen()
 	}
-	for _, e := range reply.Entries {
-		size += encoding.EntryLen(e)
+	for i, e := range reply.Entries {
+		if ord := refs.entries[i]; ord < 0 {
+			size += 1 + stringLen(e.Key)
+		} else {
+			size += encoding.UvarintLen(eo.put(ord))
+		}
+		size += encoding.EntryBodyLen(e, true)
 	}
 	fw.begin(kindResult, size)
 	for _, c := range counts {
@@ -408,69 +484,112 @@ func beginResult(fw *frameWriter, res kvstore.SyncResult, reply kvstore.DeltaRep
 	}
 	n := uint64(len(reply.Restamps))
 	fw.buf = binary.AppendUvarint(fw.room(encoding.UvarintLen(n)), n)
-	for _, d := range reply.Restamps {
-		fw.buf = encoding.AppendDigest(fw.room(encoding.DigestLen(d)), d)
+	ro = ordinals{}
+	for i, d := range reply.Restamps {
+		fw.buf = binary.AppendUvarint(fw.room(binary.MaxVarintLen64+d.Stamp.BinaryLen()), ro.put(refs.restamps[i]))
+		fw.buf = d.Stamp.AppendBinary(fw.buf)
 	}
-	for _, e := range reply.Entries {
-		fw.buf = encoding.AppendEntry(fw.room(encoding.EntryLen(e)), e)
+	eo = ordinals{}
+	for i, e := range reply.Entries {
+		ord := refs.entries[i]
+		if ord < 0 {
+			fw.buf = appendString(append(fw.room(1+stringLen(e.Key)), 0), e.Key)
+		} else {
+			fw.buf = binary.AppendUvarint(fw.room(binary.MaxVarintLen64), eo.put(ord))
+		}
+		fw.buf = encoding.AppendEntryBody(fw.room(encoding.EntryBodyLen(e, true)), e, true)
 	}
 }
 
-// decodeResultFrame reads a kindResult body, its kind byte already read. It
-// checks the grammar only; what the reply may name is the round's to check
-// (checkReply). The counters size the entries list: each key the round
-// transferred, reconciled or merged is one reply copy, so their sum less the
-// restamps is the entry count. It is only a capacity hint, bounded by the
-// bytes received like every wire-supplied count. known resolves the keys it
-// names, as for readString.
-func decodeResultFrame(fr *frameReader, known func(key []byte) (string, bool)) (kvstore.SyncResult, kvstore.DeltaReply, error) {
+// decodeResultFrame reads a kindResult body, its kind byte already read, for
+// a round of needs needs and digests shipped digests. It checks the grammar
+// and that each ordinal is in range and each list of them ascends; what the
+// reply may name is the round's to check (clientRound.checkReply). A reply
+// copy named by an ordinal is returned without its key. The counters size the
+// entries list: each key the round transferred, reconciled or merged is one
+// reply copy, so their sum less the restamps is the entry count. It is only
+// a capacity hint, bounded by the bytes received like every wire-supplied
+// count.
+func decodeResultFrame(fr *frameReader, needs, digests int) (kvstore.SyncResult, kvstore.DeltaReply, replyRefs, error) {
 	var res kvstore.SyncResult
 	var reply kvstore.DeltaReply
+	var refs replyRefs
 	for _, c := range [...]*int{&res.Transferred, &res.Reconciled, &res.Merged, &res.Pruned} {
 		v, err := fr.uvarint()
 		if err != nil {
-			return res, reply, badFrame(err, "bad result counters")
+			return res, reply, refs, badFrame(err, "bad result counters")
 		}
 		*c = int(v)
 	}
 	nConf, err := fr.uvarint()
 	if err != nil {
-		return res, reply, badFrame(err, "bad conflict count")
+		return res, reply, refs, badFrame(err, "bad conflict count")
 	}
 	for i := uint64(0); i < nConf; i++ {
-		k, err := fr.str(known)
+		k, err := fr.str()
 		if err != nil {
-			return res, reply, badFrame(err, "bad conflict key")
+			return res, reply, refs, badFrame(err, "bad conflict key")
 		}
 		res.Conflicts = append(res.Conflicts, k)
 	}
 	nRestamps, err := fr.uvarint()
-	if err != nil {
-		return res, reply, badFrame(err, "bad restamp count")
+	if err != nil || nRestamps > uint64(needs) {
+		return res, reply, refs, badFrame(err, "bad restamp count")
 	}
 	reply.Restamps = make([]encoding.Digest, 0, fr.capCount(nRestamps))
+	refs.restamps = make([]int, 0, fr.capCount(nRestamps))
+	var ro ordinals
 	for i := uint64(0); i < nRestamps; i++ {
-		var d encoding.Digest
+		d, err := fr.uvarint()
+		if err != nil {
+			return res, reply, refs, badFrame(err, "bad restamp ordinal")
+		}
+		ord, err := ro.take(d, needs)
+		if err != nil {
+			return res, reply, refs, fmt.Errorf("%w: restamp: %v", ErrProtocol, err)
+		}
+		var s core.Stamp
 		if err := fr.elem(func(b []byte) (n int, err error) {
-			d, n, err = encoding.DecodeDigest(b, known)
+			s, n, err = core.DecodeBinary(b)
 			return n, err
 		}); err != nil {
-			return res, reply, badFrame(err, err.Error())
+			return res, reply, refs, badFrame(err, err.Error())
 		}
-		reply.Restamps = append(reply.Restamps, d)
+		reply.Restamps = append(reply.Restamps, encoding.Digest{Stamp: s})
+		refs.restamps = append(refs.restamps, ord)
 	}
 	if copies := uint64(res.Transferred + res.Reconciled + res.Merged); copies > nRestamps && fr.remaining() > 0 {
 		reply.Entries = make([]encoding.Entry, 0, fr.capCount(copies-nRestamps))
+		refs.entries = make([]int, 0, fr.capCount(copies-nRestamps))
 	}
+	var eo ordinals
 	for fr.remaining() > 0 {
+		tag, err := fr.uvarint()
+		if err != nil {
+			return res, reply, refs, badFrame(err, "bad reply entry reference")
+		}
+		ord, key := -1, ""
+		if tag == 0 {
+			if key, err = fr.str(); err != nil {
+				return res, reply, refs, badFrame(err, "bad reply entry key")
+			}
+		} else if ord, err = eo.take(tag, digests); err != nil {
+			return res, reply, refs, fmt.Errorf("%w: reply entry: %v", ErrProtocol, err)
+		}
 		var e encoding.Entry
+		var withStamp, vanished bool
 		if err := fr.elem(func(b []byte) (n int, err error) {
-			e, n, err = encoding.DecodeEntry(b, known)
+			e, withStamp, vanished, n, err = encoding.DecodeEntryBody(b)
 			return n, err
 		}); err != nil {
-			return res, reply, badFrame(err, err.Error())
+			return res, reply, refs, badFrame(err, err.Error())
 		}
+		if !withStamp || vanished {
+			return res, reply, refs, fmt.Errorf("%w: reply entry body without a stamp", ErrProtocol)
+		}
+		e.Key = key
 		reply.Entries = append(reply.Entries, e)
+		refs.entries = append(refs.entries, ord)
 	}
-	return res, reply, nil
+	return res, reply, refs, nil
 }

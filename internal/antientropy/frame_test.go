@@ -27,9 +27,10 @@ func writeRoot(fw *frameWriter, kind byte, of int, root uint64) error {
 	return fw.end()
 }
 
-// writeResultFrame sends the kindResult frame for res and reply.
-func writeResultFrame(fw *frameWriter, res kvstore.SyncResult, reply kvstore.DeltaReply) error {
-	beginResult(fw, res, reply)
+// writeResultFrame sends the kindResult frame for res and reply, its copies
+// named as refs says.
+func writeResultFrame(fw *frameWriter, res kvstore.SyncResult, reply kvstore.DeltaReply, refs replyRefs) error {
+	beginResult(fw, res, reply, refs)
 	return fw.end()
 }
 
@@ -71,18 +72,28 @@ func frameBody(t testing.TB, write func(fw *frameWriter) error) []byte {
 }
 
 // resultBody is the body of the kindResult frame for res and reply.
-func resultBody(t testing.TB, res kvstore.SyncResult, reply kvstore.DeltaReply) []byte {
-	return frameBody(t, func(fw *frameWriter) error { return writeResultFrame(fw, res, reply) })
+func resultBody(t testing.TB, res kvstore.SyncResult, reply kvstore.DeltaReply, refs replyRefs) []byte {
+	return frameBody(t, func(fw *frameWriter) error { return writeResultFrame(fw, res, reply, refs) })
 }
 
-// decodeResultThrough decodes a kindResult body read through a window of the
-// given size.
-func decodeResultThrough(body []byte, window int, known func(key []byte) (string, bool)) (kvstore.SyncResult, kvstore.DeltaReply, error) {
+// decodeResultThrough decodes a kindResult body of a round of needs needs
+// and digests digests, read through a window of the given size.
+func decodeResultThrough(body []byte, window, needs, digests int) (kvstore.SyncResult, kvstore.DeltaReply, replyRefs, error) {
 	fr := readerOver(appendFrame(nil, kindResult, body), window)
 	if _, err := fr.next(); err != nil {
-		return kvstore.SyncResult{}, kvstore.DeltaReply{}, err
+		return kvstore.SyncResult{}, kvstore.DeltaReply{}, replyRefs{}, err
 	}
-	return decodeResultFrame(fr, known)
+	return decodeResultFrame(fr, needs, digests)
+}
+
+// decodeEntriesOf decodes an entries frame against the needs need: one run
+// of their digests, each of which is needed.
+func decodeEntriesOf(fr *frameReader, need []encoding.Digest) ([]encoding.Entry, error) {
+	ords := make([]int, len(need))
+	for i := range ords {
+		ords[i] = i
+	}
+	return decodeEntriesFrame(fr, &shippedRuns{runs: []leafRun{{DigestRun: kvstore.DigestRun{Digests: need}}}, n: len(need)}, ords)
 }
 
 // bulkFrame is one bulk frame kind's test body: the body, the offsets at
@@ -158,58 +169,73 @@ func bulkFrames(t *testing.T) []bulkFrame {
 		return out, err
 	}})
 
-	// Needs (0x02): keys.
+	// Needs (0x02): delta-coded ordinals, some gaps wide.
 	var nb bodyParts
-	var keys []string
-	for i := 0; i < 30; i++ {
-		keys = append(keys, key(i, i%9))
+	var ords []int
+	for i, ord := 0, 0; i < 40; i++ {
+		ords = append(ords, ord)
+		ord += 1 + i%3 + (i%7)*(i%7)*(i%7)*300
 	}
-	for _, size := range bigs {
-		keys = append(keys, key(size, size))
-	}
-	keys = append(keys, "last")
-	nb.add(uv(len(keys)))
-	for _, k := range keys {
-		nb.add(appendString(nil, k))
+	nb.add(uv(len(ords)))
+	var o ordinals
+	for _, ord := range ords {
+		nb.add(uv(int(o.put(ord))))
 	}
 	frames = append(frames, bulkFrame{"need", kindNeed, nb.body, nb.bounds, func(fr *frameReader) ([]byte, error) {
 		n, err := fr.uvarint()
 		out := binary.AppendUvarint(nil, n)
 		for i := uint64(0); err == nil && i < n; i++ {
-			var k string
-			k, err = fr.str(nil)
-			out = appendString(out, k)
+			var gap uint64
+			gap, err = fr.uvarint()
+			out = binary.AppendUvarint(out, gap)
 		}
 		return out, err
 	}})
 
-	// Entries (0x03): a long entry is a long value.
+	// Entries (0x03): a body per need; a long body is a long value. A body
+	// carries its stamp when it is not its need digest's, and some keys have
+	// vanished.
 	var eb bodyParts
+	var need []encoding.Digest
 	var entries []encoding.Entry
+	body := func(i int, e encoding.Entry) []byte {
+		switch {
+		case i%9 == 4:
+			return encoding.AppendVanishedBody(nil)
+		case e.Stamp.Equal(need[i].Stamp):
+			return encoding.AppendEntryBody(nil, e, false)
+		}
+		return encoding.AppendEntryBody(nil, e, true)
+	}
 	for i := 0; i < 30; i++ {
-		entries = append(entries, encoding.Entry{Key: key(i, i%5), Value: bytes.Repeat([]byte{byte(i)}, i%11),
+		need = append(need, encoding.Digest{Key: key(i, i%5), Stamp: stamp(i / 2)})
+		entries = append(entries, encoding.Entry{Key: need[i].Key, Value: bytes.Repeat([]byte{byte(i)}, i%11),
 			Deleted: i%6 == 5, Stamp: stamp(i)})
 	}
 	for i, size := range bigs {
+		need = append(need, encoding.Digest{Key: key(i, 1), Stamp: stamp(i)})
 		entries = append(entries, encoding.Entry{Key: key(i, 1), Value: bytes.Repeat([]byte("v"), size), Stamp: stamp(i)})
 	}
+	need = append(need, encoding.Digest{Key: "last", Stamp: stamp(0)})
 	entries = append(entries, encoding.Entry{Key: "last", Deleted: true, Stamp: stamp(1)})
 	eb.add(uv(len(entries)))
-	for _, e := range entries {
-		eb.add(encoding.AppendEntry(nil, e))
+	for i, e := range entries {
+		eb.add(body(i, e))
 	}
 	frames = append(frames, bulkFrame{"entries", kindEntries, eb.body, eb.bounds, func(fr *frameReader) ([]byte, error) {
-		n, err := fr.uvarint()
-		out := binary.AppendUvarint(nil, n)
-		for i := uint64(0); err == nil && i < n; i++ {
-			var e encoding.Entry
-			err = fr.elem(func(b []byte) (used int, err error) {
-				e, used, err = encoding.DecodeEntry(b, nil)
-				return used, err
-			})
-			out = encoding.AppendEntry(out, e)
+		got, err := decodeEntriesOf(fr, need)
+		if err != nil {
+			return nil, err
 		}
-		return out, err
+		out := binary.AppendUvarint(nil, uint64(len(need)))
+		for i, d := range need {
+			if len(got) == 0 || got[0].Key != d.Key {
+				out = encoding.AppendVanishedBody(out)
+				continue
+			}
+			out, got = append(out, body(i, got[0])...), got[1:]
+		}
+		return out, nil
 	}})
 
 	// Result (0x04): counters, conflicts, restamps and entries, the body
@@ -217,24 +243,43 @@ func bulkFrames(t *testing.T) []bulkFrame {
 	var rb bodyParts
 	res := kvstore.SyncResult{Transferred: 20, Reconciled: 7, Merged: 3, Pruned: 2, Conflicts: []string{"c1", "c2"}}
 	var reply kvstore.DeltaReply
+	var refs replyRefs
 	for i := 0; i < 12; i++ {
-		reply.Restamps = append(reply.Restamps, encoding.Digest{Key: key(i, i%4), Stamp: stamp(i)})
+		reply.Restamps = append(reply.Restamps, encoding.Digest{Stamp: stamp(i)})
+		refs.restamps = append(refs.restamps, 3*i+i%2)
 	}
-	reply.Entries = entries
-	body := resultBody(t, res, reply)
-	rb.add(body[:len(body)-len(eb.body)+len(uv(len(entries)))])
-	for _, e := range entries {
-		rb.add(encoding.AppendEntry(nil, e))
+	for i, e := range entries {
+		if i%4 == 1 {
+			refs.entries = append(refs.entries, -1)
+		} else {
+			e.Key = ""
+			refs.entries = append(refs.entries, 5*i+i%3)
+		}
+		reply.Entries = append(reply.Entries, e)
 	}
-	if !bytes.Equal(rb.body, body) {
-		t.Fatal("result body does not end in the entries")
+	const needs, digests = 40, 200
+	rb.add([]byte{20, 7, 3, 2, 2, 2, 'c', '1', 2, 'c', '2', 12})
+	o = ordinals{}
+	for i, d := range reply.Restamps {
+		rb.add(d.Stamp.AppendBinary(uv(int(o.put(refs.restamps[i])))))
+	}
+	o = ordinals{}
+	for i, e := range reply.Entries {
+		ref := append([]byte{0}, appendString(nil, e.Key)...)
+		if refs.entries[i] >= 0 {
+			ref = uv(int(o.put(refs.entries[i])))
+		}
+		rb.add(encoding.AppendEntryBody(ref, e, true))
+	}
+	if !bytes.Equal(rb.body, resultBody(t, res, reply, refs)) {
+		t.Fatal("result body is not the restamps and entries")
 	}
 	frames = append(frames, bulkFrame{"result", kindResult, rb.body, rb.bounds, func(fr *frameReader) ([]byte, error) {
-		res, reply, err := decodeResultFrame(fr, nil)
+		res, reply, refs, err := decodeResultFrame(fr, needs, digests)
 		if err != nil {
 			return nil, err
 		}
-		return resultBody(t, res, reply), nil
+		return resultBody(t, res, reply, refs), nil
 	}})
 
 	// Tree nodes (0x0C): a node is at most a bitmap and 16 hashes, so only
@@ -361,21 +406,23 @@ func TestFrameWriterWindows(t *testing.T) {
 	res := kvstore.SyncResult{Transferred: 3, Merged: 1, Conflicts: []string{"c"}}
 	for _, values := range [][]int{{10, 20}, {frameKeep / 3, frameKeep / 3}, {frameKeep - 200, 900, frameKeep, 10}, {3 * frameKeep / 2, 7}} {
 		var reply kvstore.DeltaReply
-		reply.Restamps = []encoding.Digest{{Key: "r", Stamp: s}}
-		body := []byte{3, 0, 1, 0, 1, 1, 'c', 1} // counters, one conflict, one restamp
-		body = encoding.AppendDigest(body, reply.Restamps[0])
+		refs := replyRefs{restamps: []int{0}}
+		reply.Restamps = []encoding.Digest{{Stamp: s}}
+		body := []byte{3, 0, 1, 0, 1, 1, 'c', 1, 1} // counters, one conflict, one restamp of need 0
+		body = s.AppendBinary(body)
 		long := false
 		for i, n := range values {
 			e := encoding.Entry{Key: fmt.Sprint("e", i), Value: bytes.Repeat([]byte{byte(i)}, n), Stamp: s}
 			reply.Entries = append(reply.Entries, e)
-			body = encoding.AppendEntry(body, e)
-			long = long || encoding.EntryLen(e) > frameKeep
+			refs.entries = append(refs.entries, -1)
+			body = encoding.AppendEntryBody(appendString(append(body, 0), e.Key), e, true)
+			long = long || encoding.EntryBodyLen(e, true) > frameKeep
 		}
 		res.Reconciled = len(values) - 1
 		body[1] = byte(res.Reconciled)
 		var out writeRecorder
 		fw := frameWriter{w: &out}
-		if err := writeResultFrame(&fw, res, reply); err != nil {
+		if err := writeResultFrame(&fw, res, reply, refs); err != nil {
 			t.Fatal(err)
 		}
 		want := appendFrame(nil, kindResult, body)

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
-	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
 	"versionstamp/internal/kvstore"
 )
@@ -50,7 +48,9 @@ type serverRound struct {
 	of        int
 	fanout    int
 	stripes   map[int]*treeStripeState // every declared stripe; nil for a converged one
-	order     []int                    // stripes with leaf runs, first-seen order
+	order     []int                    // stripes with leaf runs, in ascending order
+	runs      shippedRuns              // the client's leaf runs, which number its digests
+	need      []int                    // the ordinals the need frame named
 	bm        []byte                   // DigestTree.Children scratch: child bitmap
 	hashes    []uint64                 // DigestTree.Children scratch: child hashes
 	cliHashes []uint64                 // encoding.DecodeTreeNode scratch: the client's child hashes
@@ -96,6 +96,7 @@ func (m *serverRound) reset() {
 		}
 	}
 	clear(m.stripes)
+	m.runs, m.need = shippedRuns{}, nil
 	m.phase = serverIdle
 }
 
@@ -184,7 +185,7 @@ func (m *serverRound) rootMatch(probe bool) error {
 // the tree snapshot evaluated at the client's declared shape (consistent
 // across the whole round), and — once leaf runs arrive — the client's runs in
 // position order, the diff they drew and the entries that came for its
-// needs.
+// needs, in need order.
 type treeStripeState struct {
 	tree    *kvstore.DigestTree
 	depth   int
@@ -194,9 +195,10 @@ type treeStripeState struct {
 	entries []encoding.Entry
 }
 
-// leafRun is one shipped digest run, with its stripe.
+// leafRun is one shipped digest run, with its stripe and the ordinal of its
+// first digest.
 type leafRun struct {
-	stripe int
+	stripe, first int
 	kvstore.DigestRun
 }
 
@@ -335,10 +337,12 @@ func (m *serverRound) treeNodes() error {
 }
 
 // leafDigests takes the client's digest runs for the still-divergent leaf
-// ranges, decoded one at a time, and answers with the keys whose full copies
-// this side needs. A key this side holds under the run's node is taken from
-// the round's tree snapshot rather than copied; that every digest lies in
-// its run's stripe and range is the store's to check (DiffRanges).
+// ranges, decoded one at a time, and answers with the ordinals of the
+// digests whose full copies this side needs. A key this side holds under the
+// run's node is taken from the round's tree snapshot rather than copied. The
+// runs must come in walk order — stripe, then position, each run's digests in
+// tree order — since that order numbers the digests; that every digest lies
+// in its run's stripe and range is the store's to check (DiffRanges).
 func (m *serverRound) leafDigests() error {
 	fr, fanout := &m.fr, m.fanout
 	n, err := fr.uvarint()
@@ -351,7 +355,7 @@ func (m *serverRound) leafDigests() error {
 		}
 		return nil
 	}
-	runs := make([]leafRun, 0, fr.capCount(n))
+	m.runs = shippedRuns{runs: make([]leafRun, 0, fr.capCount(n))}
 	m.order = m.order[:0]
 	for i := uint64(0); i < n; i++ {
 		var run encoding.LeafRun
@@ -368,96 +372,108 @@ func (m *serverRound) leafDigests() error {
 		if run.Depth != st.depth {
 			return fmt.Errorf("leaf run depth %d, stripe declared %d", run.Depth, st.depth)
 		}
+		r := leafRun{run.Stripe, m.runs.n, kvstore.DigestRun{
+			Range: kvstore.NodeRange(fanout, run.Level, run.Path), Digests: run.Digests}}
+		if k := len(m.runs.runs); k > 0 && cmpLeafRuns(m.runs.runs[k-1], r) >= 0 {
+			return errors.New("leaf runs out of walk order")
+		}
+		if !inTreeOrder(r.Digests) {
+			return errors.New("leaf run digests out of tree order")
+		}
 		if !st.leaf {
 			st.leaf = true
 			m.order = append(m.order, run.Stripe)
 		}
-		runs = append(runs, leafRun{run.Stripe, kvstore.DigestRun{
-			Range: kvstore.NodeRange(fanout, run.Level, run.Path), Digests: run.Digests}})
+		m.runs.runs = append(m.runs.runs, r)
+		m.runs.n += len(r.Digests)
 	}
 
-	// The runs, put in stripe and position order, hand each stripe's store
-	// its runs as they came. Runs of one descent never overlap; two that
-	// start at one position are the same node sent twice.
-	slices.SortFunc(runs, cmpLeafRuns)
-	byStripe := make([]kvstore.DigestRun, len(runs))
-	for i, run := range runs {
-		if i > 0 && run.stripe == runs[i-1].stripe && run.Range.Lo == runs[i-1].Range.Lo {
-			return errors.New("duplicate leaf run")
-		}
+	// Each stripe's runs are contiguous: hand its store them as they came.
+	byStripe := make([]kvstore.DigestRun, len(m.runs.runs))
+	for i, run := range m.runs.runs {
 		byStripe[i] = run.DigestRun
-		st := m.stripes[run.stripe] // its runs are contiguous: extend them by one
+		st := m.stripes[run.stripe]
 		st.runs = byStripe[i-len(st.runs) : i+1]
 	}
-	needCount, needSize := 0, 0
+	needs := 0
 	for _, idx := range m.order {
 		st := m.stripes[idx]
 		if st.diff, err = m.replica.DiffRanges(st.runs, idx); err != nil {
 			return err
 		}
-		for _, k := range st.diff.Need {
-			needSize += stringLen(k)
-		}
-		needCount += len(st.diff.Need)
+		needs += len(st.diff.Need)
 	}
-	m.fw.begin(kindNeed, encoding.UvarintLen(uint64(needCount))+needSize)
-	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(needCount))
-	for _, idx := range m.order {
-		for _, k := range m.stripes[idx].diff.Need {
-			m.fw.buf = appendString(m.fw.room(stringLen(k)), k)
+	// Each stripe's Need is its digests' keys in walk order: one pass over
+	// the runs finds each one's ordinal.
+	m.need = make([]int, 0, needs)
+	stripe := -1
+	var need []string
+	for _, run := range m.runs.runs {
+		if run.stripe != stripe {
+			stripe, need = run.stripe, m.stripes[run.stripe].diff.Need
 		}
+		for i, d := range run.Digests {
+			if len(need) > 0 && d.Key == need[0] {
+				m.need, need = append(m.need, run.first+i), need[1:]
+			}
+		}
+	}
+	if len(m.need) != needs {
+		return fmt.Errorf("%d of %d needed keys found in the leaf runs", len(m.need), needs)
+	}
+	size, o := encoding.UvarintLen(uint64(needs)), ordinals{}
+	for _, ord := range m.need {
+		size += encoding.UvarintLen(o.put(ord))
+	}
+	m.fw.begin(kindNeed, size)
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(needs))
+	o = ordinals{}
+	for _, ord := range m.need {
+		m.fw.buf = binary.AppendUvarint(m.fw.room(binary.MaxVarintLen64), o.put(ord))
 	}
 	m.phase = serverEntries
 	return nil
 }
 
-// readEntries takes the full entries the need asked for. The client sends
-// them stripe by stripe, in the need frame's order; each stripe's run of
-// them is handed to the store as it stands. A key is taken from its stripe's
-// need list, where this side asked for it.
+// inTreeOrder reports whether ds is strictly ascending in tree order, by
+// position and then key.
+func inTreeOrder(ds []encoding.Digest) bool {
+	var prev uint64
+	for i, d := range ds {
+		p := encoding.TreePos(d.Key)
+		if i > 0 && (p < prev || p == prev && d.Key <= ds[i-1].Key) {
+			return false
+		}
+		prev = p
+	}
+	return true
+}
+
+// readEntries takes one entry body per need, in need order
+// (decodeEntriesFrame). Each stripe's needs are contiguous, so its entries
+// are too, and are handed to its store as they stand.
 func (m *serverRound) readEntries() error {
-	fr, of := &m.fr, m.of
-	count, err := fr.uvarint()
+	entries, err := decodeEntriesFrame(&m.fr, &m.runs, m.need)
 	if err != nil {
-		return errors.New("bad entry count")
+		return err
 	}
-	needed := func(key []byte) (string, bool) {
-		st := m.stripes[kvstore.ShardIndex(key, of)]
-		if st == nil {
-			return "", false
+	for _, idx := range m.order {
+		st, n := m.stripes[idx], 0
+		for _, k := range st.diff.Need {
+			if n < len(entries) && entries[n].Key == k {
+				n++
+			}
 		}
-		need := st.diff.Need
-		i := sort.Search(len(need), func(i int) bool { return need[i] >= string(key) })
-		if i == len(need) || need[i] != string(key) {
-			return "", false
-		}
-		return need[i], true
-	}
-	entries := make([]encoding.Entry, 0, fr.capCount(count))
-	for i := uint64(0); i < count; i++ {
-		var e encoding.Entry
-		if err := fr.elem(func(b []byte) (n int, err error) {
-			e, n, err = encoding.DecodeEntry(b, needed)
-			return n, err
-		}); err != nil {
-			return err
-		}
-		idx := kvstore.ShardIndex(e.Key, of)
-		st := m.stripes[idx]
-		if st == nil || !kvstore.RangesContain(st.runs, encoding.TreePos(e.Key)) {
-			return fmt.Errorf("entry %q outside the divergent leaf ranges", e.Key)
-		}
-		if len(st.entries) > 0 && kvstore.ShardIndex(entries[len(entries)-1].Key, of) != idx {
-			return fmt.Errorf("entry %q out of stripe order", e.Key)
-		}
-		entries = append(entries, e)
-		st.entries = entries[len(entries)-len(st.entries)-1:]
+		st.entries, entries = entries[:n], entries[n:]
 	}
 	m.phase = serverApply
 	return nil
 }
 
 // apply ends the round: range-scoped applies per stripe, then one result.
+// Each stripe's part of the reply is in walk order and the stripes go in
+// ascending order, so the reply is in walk order, and each copy is named by
+// its place in the round as it comes (replyRefs).
 func (m *serverRound) apply() error {
 	// One reply spans the stripes, sized once from what their diffs bound.
 	restamps, full := 0, 0
@@ -470,9 +486,12 @@ func (m *serverRound) apply() error {
 		Restamps: make([]encoding.Digest, 0, restamps),
 		Entries:  make([]encoding.Entry, 0, full),
 	}
+	refs := replyRefs{restamps: make([]int, 0, restamps), entries: make([]int, 0, full)}
 	var res kvstore.SyncResult
+	needAt := 0
 	for _, idx := range m.order {
 		st := m.stripes[idx]
+		r0, e0 := len(reply.Restamps), len(reply.Entries)
 		var part kvstore.SyncResult
 		var err error
 		reply, part, err = m.replica.ApplyDeltaRanges(reply, st.runs, st.entries, m.resolve, idx)
@@ -480,10 +499,20 @@ func (m *serverRound) apply() error {
 			return err
 		}
 		res.Add(part)
+		// A restamp is of a key whose entry came, so of a need.
+		for _, d := range reply.Restamps[r0:] {
+			for needAt < len(m.need) && m.runs.digest(m.need[needAt]).Key != d.Key {
+				needAt++
+			}
+			if needAt == len(m.need) {
+				return fmt.Errorf("restamp of %q, which no need named", d.Key)
+			}
+			refs.restamps = append(refs.restamps, needAt)
+		}
+		for _, e := range reply.Entries[e0:] {
+			refs.entries = append(refs.entries, m.runs.ordinal(idx, encoding.TreePos(e.Key), e.Key))
+		}
 	}
-	// Each stripe's part is sorted by key; the frame's lists are sorted whole.
-	slices.SortFunc(reply.Restamps, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
-	slices.SortFunc(reply.Entries, func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
 	// The round's snapshots are done with. Releasing them before the fold
 	// lets it patch the trees in place, and before the result frame leaves
 	// no hold out once the client can act on the round.
@@ -496,7 +525,7 @@ func (m *serverRound) apply() error {
 			return err
 		}
 	}
-	beginResult(&m.fw, res, reply)
+	beginResult(&m.fw, res, reply, refs)
 	return nil
 }
 
@@ -531,11 +560,11 @@ type clientRound struct {
 	// empties it, so the session pins no snapshot past the round.
 	trees            []*kvstore.DigestTree
 	frontier, deeper []nodeCoord // the descent's level and the next
-	leafReqs         []nodeCoord // the divergent leaf ranges, in descent order
+	leafReqs         []nodeCoord // the divergent leaf ranges, in walk order once shipped
 	shipped          shippedRuns // the digest runs shipped for them
-	sends            []encoding.Entry
-	bm               []byte   // DigestTree.Children scratch: child bitmap
-	hashes           []uint64 // DigestTree.Children scratch: child hashes
+	sends            []sentCopy  // what went for each need, in need order
+	bm               []byte      // DigestTree.Children scratch: child bitmap
+	hashes           []uint64    // DigestTree.Children scratch: child hashes
 }
 
 // load readies a round of local's stripes (nil: all of them): it fills the
@@ -774,11 +803,18 @@ func (m *clientRound) treeDiff() error {
 	return nil
 }
 
-// sendLeafRuns begins the digest runs under the divergent leaf ranges, sized
-// before they are encoded. The runs are kept: the reply may only touch
-// their ranges, and is applied against the stamps they carried.
+// sendLeafRuns begins the digest runs under the divergent leaf ranges, in
+// walk order — stripe, then position — sized before they are encoded. The
+// runs are kept: their order numbers the digests the rest of the round names
+// by ordinal, the reply may only touch their ranges, and it is applied
+// against the stamps they carried.
 func (m *clientRound) sendLeafRuns() {
-	m.shipped = shippedRuns{of: m.of, runs: make([]leafRun, len(m.leafReqs))}
+	fanout := m.fanout
+	slices.SortFunc(m.leafReqs, func(a, b nodeCoord) int {
+		return cmp.Or(cmp.Compare(a.stripe, b.stripe),
+			cmp.Compare(kvstore.NodeRange(fanout, a.level, a.path).Lo, kvstore.NodeRange(fanout, b.level, b.path).Lo))
+	})
+	m.shipped = shippedRuns{runs: make([]leafRun, len(m.leafReqs))}
 	wireRun := func(i int) encoding.LeafRun {
 		nc := m.leafReqs[i]
 		return encoding.LeafRun{Stripe: nc.stripe, Depth: m.trees[nc.stripe].Depth(), Level: nc.level, Path: nc.path,
@@ -786,9 +822,10 @@ func (m *clientRound) sendLeafRuns() {
 	}
 	size := encoding.UvarintLen(uint64(len(m.leafReqs)))
 	for i, nc := range m.leafReqs {
-		m.shipped.runs[i].stripe = nc.stripe
-		m.shipped.runs[i].Range = kvstore.NodeRange(m.fanout, nc.level, nc.path)
-		m.shipped.runs[i].Digests = m.trees[nc.stripe].Run(nc.level, nc.path)
+		r := &m.shipped.runs[i]
+		r.stripe, r.first, r.Range = nc.stripe, m.shipped.n, kvstore.NodeRange(fanout, nc.level, nc.path)
+		r.Digests = m.trees[nc.stripe].Run(nc.level, nc.path)
+		m.shipped.n += len(r.Digests)
 		size += encoding.LeafRunLen(wireRun(i))
 	}
 	m.fw.begin(kindLeafDigests, size)
@@ -797,37 +834,52 @@ func (m *clientRound) sendLeafRuns() {
 		r := wireRun(i)
 		m.fw.buf = encoding.AppendLeafRun(m.fw.room(encoding.LeafRunLen(r)), r)
 	}
-	slices.SortFunc(m.shipped.runs, cmpLeafRuns)
 	m.want = kindNeed
 }
 
-// need takes the keys the server needs in full and begins the entries frame
-// that carries them.
+// sentCopy is what the client shipped for one need: the need's digest
+// ordinal and the key's copy, or only its key if it had vanished.
+type sentCopy struct {
+	ord   int
+	entry encoding.Entry
+	moved bool // the copy's stamp is not its digest's, so it went on the wire
+	gone  bool // vanished since its digest: no copy went
+}
+
+// need takes the ordinals of the digests whose keys the server needs in full
+// and begins the entries frame that answers them, one body each, in need
+// order. A copy whose stamp is still its digest's goes without it.
 func (m *clientRound) need() error {
 	count, err := m.fr.uvarint()
-	if err != nil {
+	if err != nil || count > uint64(m.shipped.n) {
 		return badFrame(err, "bad need count")
 	}
-	m.sends = make([]encoding.Entry, 0, m.fr.capCount(count))
-	size := 0
-	for i := uint64(0); i < count; i++ {
-		k, err := m.fr.str(m.shipped.key)
+	m.sends = make([]sentCopy, count)
+	size := encoding.UvarintLen(count)
+	var o ordinals
+	for i := range m.sends {
+		gap, err := m.fr.uvarint()
 		if err != nil {
-			return badFrame(err, "bad need key")
+			return badFrame(err, "bad need ordinal")
 		}
-		v, ok := m.local.Stored(k)
+		ord, err := o.take(gap, m.shipped.n)
+		if err != nil {
+			return fmt.Errorf("%w: need: %v", ErrProtocol, err)
+		}
+		d := m.shipped.digest(ord)
+		s := &m.sends[i]
+		s.ord, s.entry.Key = ord, d.Key
+		v, ok := m.local.Stored(d.Key)
 		if !ok {
 			// Vanished since the digest (a tombstone GC can drop keys); the
 			// next round reconciles it.
-			m.shipped.note(k, core.Stamp{}, false)
+			s.gone = true
+			size++
 			continue
 		}
-		if st, sent := m.shipped.stamp(k); !sent || !st.Equal(v.Stamp) {
-			m.shipped.note(k, v.Stamp, true) // moved since its digest
-		}
-		e := encoding.Entry{Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp}
-		m.sends = append(m.sends, e)
-		size += encoding.EntryLen(e)
+		s.entry = encoding.Entry{Key: d.Key, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp}
+		s.moved = !v.Stamp.Equal(d.Stamp)
+		size += encoding.EntryBodyLen(s.entry, s.moved)
 	}
 	// Point of no return: once any byte of the entries frame is on the wire,
 	// the server may receive the complete frame and apply it even if this
@@ -838,25 +890,19 @@ func (m *clientRound) need() error {
 	// entries may have gone out (entriesSent); the pool surfaces its failure
 	// instead of redialing (ErrRetryUnsafe), and the next round's digest
 	// exchange reconciles whatever state the server actually reached.
-	m.fw.begin(kindEntries, encoding.UvarintLen(uint64(len(m.sends)))+size)
+	m.fw.begin(kindEntries, size)
 	m.entriesSent = true
-	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(len(m.sends)))
-	for _, e := range m.sends {
-		m.fw.buf = encoding.AppendEntry(m.fw.room(encoding.EntryLen(e)), e)
+	m.fw.buf = binary.AppendUvarint(m.fw.buf, count)
+	for i := range m.sends {
+		s := &m.sends[i]
+		if s.gone {
+			m.fw.buf = encoding.AppendVanishedBody(m.fw.room(1))
+		} else {
+			m.fw.buf = encoding.AppendEntryBody(m.fw.room(encoding.EntryBodyLen(s.entry, s.moved)), s.entry, s.moved)
+		}
 	}
-	slices.SortFunc(m.sends, func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
 	m.want = kindResult
 	return nil
-}
-
-// sent resolves a reply key: from the entries this round sent, or else from
-// the digest runs it shipped.
-func (m *clientRound) sent(key []byte) (string, bool) {
-	i := sort.Search(len(m.sends), func(i int) bool { return m.sends[i].Key >= string(key) })
-	if i < len(m.sends) && m.sends[i].Key == string(key) {
-		return m.sends[i].Key, true
-	}
-	return m.shipped.key(key)
 }
 
 // applyResult takes the result: it checks the reply against what the round
@@ -865,15 +911,17 @@ func (m *clientRound) sent(key []byte) (string, bool) {
 // are released only once the reply is in, and before the fold, so it
 // patches in place.
 func (m *clientRound) applyResult() error {
-	part, reply, err := decodeResultFrame(&m.fr, m.sent)
+	part, reply, refs, err := decodeResultFrame(&m.fr, len(m.sends), m.shipped.n)
 	if err != nil {
 		return err
 	}
 	m.result.Add(part)
-	if err := checkReply(reply, m.sends, &m.shipped); err != nil {
+	if err := m.checkReply(reply, refs); err != nil {
 		return err
 	}
-	m.local.ApplyDeltaReply(reply, m.sends, m.shipped.stamp)
+	m.local.ApplyDeltaReply(reply,
+		func(i int) *encoding.Entry { return &m.sends[refs.restamps[i]].entry },
+		func(i int) kvstore.Shipped { return m.shippedOf(refs.entries[i]) })
 	m.release()
 	m.root = encoding.RootSummarySeed
 	for _, idx := range m.stripes {
@@ -886,62 +934,74 @@ func (m *clientRound) applyResult() error {
 	return nil
 }
 
-// checkReply refuses, before anything is applied, a result that names a key
-// the round did not hand the server. The server may only reply about the
-// leaf ranges this round shipped — mirroring the server's own check, so a
-// faulty peer cannot slip keys into subtrees this round declared converged —
-// and may restamp only a key whose entry this round shipped in full (sent,
-// sorted by key): a restamp carries no value, so the client must already
-// hold the one it names. Each list must be strictly sorted by key, and no
-// key may be in both.
-func checkReply(reply kvstore.DeltaReply, sent []encoding.Entry, shipped *shippedRuns) error {
-	for i, d := range reply.Restamps {
-		if i > 0 && reply.Restamps[i-1].Key >= d.Key {
-			return fmt.Errorf("%w: reply restamps not sorted by key at %q", ErrProtocol, d.Key)
+// checkReply gives each reply copy the result names by ordinal its key, and
+// refuses, before anything is applied, a result that names a key the round
+// did not hand the server. A restamp may only be of a need this round
+// answered with an entry: a restamp carries no value, so the client must
+// already hold the one it names. An entry named by its key must lie inside
+// the leaf ranges this round shipped — mirroring the server's own check, so
+// a faulty peer cannot slip keys into subtrees this round declared converged
+// — and be a key they did not hold, as those the result names by ordinal.
+// No key may be in both lists.
+func (m *clientRound) checkReply(reply kvstore.DeltaReply, refs replyRefs) error {
+	for i, need := range refs.restamps {
+		s := &m.sends[need]
+		if s.gone {
+			return fmt.Errorf("%w: reply restamp of %q, which this round did not ship in full", ErrProtocol, s.entry.Key)
 		}
-		for len(sent) > 0 && sent[0].Key < d.Key {
-			sent = sent[1:]
-		}
-		if len(sent) == 0 || sent[0].Key != d.Key || shipped.find(d.Key) < 0 {
-			return fmt.Errorf("%w: reply restamp %q for a copy this round did not ship in full",
-				ErrProtocol, d.Key)
-		}
+		reply.Restamps[i].Key = s.entry.Key
 	}
-	restamps := reply.Restamps
-	for i, e := range reply.Entries {
-		if i > 0 && reply.Entries[i-1].Key >= e.Key {
-			return fmt.Errorf("%w: reply entries not sorted by key at %q", ErrProtocol, e.Key)
+	for i, ord := range refs.entries {
+		e := &reply.Entries[i]
+		if ord >= 0 {
+			e.Key = m.shipped.digest(ord).Key
+			if need, ok := m.needOf(ord); ok {
+				if _, both := slices.BinarySearch(refs.restamps, need); both {
+					return fmt.Errorf("%w: reply names %q as both a restamp and an entry", ErrProtocol, e.Key)
+				}
+			}
+			continue
 		}
-		if shipped.find(e.Key) < 0 {
+		stripe, pos := kvstore.ShardIndex(e.Key, m.of), encoding.TreePos(e.Key)
+		if m.shipped.runAt(stripe, pos) < 0 {
 			return fmt.Errorf("%w: reply entry %q outside the divergent leaf ranges", ErrProtocol, e.Key)
 		}
-		for len(restamps) > 0 && restamps[0].Key < e.Key {
-			restamps = restamps[1:]
-		}
-		if len(restamps) > 0 && restamps[0].Key == e.Key {
-			return fmt.Errorf("%w: reply names %q as both a restamp and an entry", ErrProtocol, e.Key)
+		if m.shipped.ordinal(stripe, pos, e.Key) >= 0 {
+			return fmt.Errorf("%w: reply names shipped key %q by its bytes", ErrProtocol, e.Key)
 		}
 	}
 	return nil
 }
 
-// shippedRuns is what a client round sent for the server to reconcile: its
-// digest runs, sorted by stripe and position, plus the keys whose entry
-// shipped with a stamp other than their digest's (or that had vanished).
+// needOf returns the place in the need frame of the need for digest ordinal
+// ord, if the server needed that key.
+func (m *clientRound) needOf(ord int) (int, bool) {
+	return slices.BinarySearchFunc(m.sends, ord, func(s sentCopy, ord int) int { return cmp.Compare(s.ord, ord) })
+}
+
+// shippedOf returns what the round shipped of the key a reply entry names by
+// digest ordinal ord, or by its key (-1): the entry that answered its need,
+// if the server needed it, or else its digest.
+func (m *clientRound) shippedOf(ord int) kvstore.Shipped {
+	if ord < 0 {
+		return kvstore.Shipped{}
+	}
+	if need, ok := m.needOf(ord); ok {
+		if s := &m.sends[need]; !s.gone {
+			return kvstore.Shipped{Stamp: s.entry.Stamp, Ok: true, Full: &s.entry}
+		}
+		return kvstore.Shipped{}
+	}
+	return kvstore.Shipped{Stamp: m.shipped.digest(ord).Stamp, Ok: true}
+}
+
+// shippedRuns is the digest runs a round's client shipped, in walk order:
+// stripe, then position, each run's digests in tree order. That order
+// numbers the digests: a digest's ordinal is its place in it, counted from 0
+// across the runs.
 type shippedRuns struct {
-	of    int
-	runs  []leafRun
-	moved map[string]shippedStamp // nil until a copy moves mid-round
-}
-
-type shippedStamp struct {
-	stamp core.Stamp
-	ok    bool
-}
-
-// find returns the index of the run whose range holds key, or -1.
-func (sr *shippedRuns) find(key string) int {
-	return sr.runAt(kvstore.ShardIndex(key, sr.of), encoding.TreePos(key))
+	runs []leafRun
+	n    int // digests across the runs
 }
 
 // runAt returns the index of the run of stripe whose range holds pos, or -1.
@@ -956,48 +1016,26 @@ func (sr *shippedRuns) runAt(stripe int, pos uint64) int {
 	return i
 }
 
-// stamp returns the stamp the round shipped for key, and whether it shipped
-// one at all — the guard ApplyDeltaReply installs the reply under.
-func (sr *shippedRuns) stamp(key string) (core.Stamp, bool) {
-	if m, ok := sr.moved[key]; ok {
-		return m.stamp, m.ok
-	}
-	d, ok := shippedDigest(sr, key)
-	return d.Stamp, ok
+// digest returns the digest of ordinal ord, which must be below n.
+func (sr *shippedRuns) digest(ord int) *encoding.Digest {
+	r := &sr.runs[sort.Search(len(sr.runs), func(i int) bool { return sr.runs[i].first > ord })-1]
+	return &r.Digests[ord-r.first]
 }
 
-// key returns the string the round's digest runs hold for the key spelled
-// b, if they hold it: the client's own copy of the key, from its tree
-// snapshot.
-func (sr *shippedRuns) key(b []byte) (string, bool) {
-	d, ok := shippedDigest(sr, b)
-	return d.Key, ok
-}
-
-// shippedDigest returns the digest the round's runs shipped for key, if
-// they shipped one.
-func shippedDigest[K string | []byte](sr *shippedRuns, key K) (encoding.Digest, bool) {
-	pos := encoding.TreePos(key)
-	i := sr.runAt(kvstore.ShardIndex(key, sr.of), pos)
-	if i < 0 {
-		return encoding.Digest{}, false
+// ordinal returns the ordinal of the digest of key, at pos in stripe, or -1
+// if the runs shipped none.
+func (sr *shippedRuns) ordinal(stripe int, pos uint64, key string) int {
+	r := sr.runAt(stripe, pos)
+	if r < 0 {
+		return -1
 	}
-	ds := sr.runs[i].Digests
+	ds := sr.runs[r].Digests
 	j := sort.Search(len(ds), func(j int) bool {
 		p := encoding.TreePos(ds[j].Key)
-		return p > pos || p == pos && ds[j].Key >= string(key)
+		return p > pos || p == pos && ds[j].Key >= key
 	})
-	if j == len(ds) || ds[j].Key != string(key) {
-		return encoding.Digest{}, false
+	if j == len(ds) || ds[j].Key != key {
+		return -1
 	}
-	return ds[j], true
-}
-
-// note records that key shipped as stamp (ok), or not at all (!ok), whatever
-// its digest said.
-func (sr *shippedRuns) note(key string, stamp core.Stamp, ok bool) {
-	if sr.moved == nil {
-		sr.moved = make(map[string]shippedStamp)
-	}
-	sr.moved[key] = shippedStamp{stamp, ok}
+	return sr.runs[r].first + j
 }

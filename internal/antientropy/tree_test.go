@@ -590,96 +590,72 @@ func TestRestampRepliesCarryNoValue(t *testing.T) {
 	}
 }
 
-// resultTamperer sits between a client and a real server and forwards every
-// frame of a round until the client's entries frame. That frame it keeps
-// from the server, which therefore applies nothing, and answers the client
-// with the result frame forge builds from the entries the client shipped.
-func resultTamperer(t *testing.T, serverAddr string, forge func(shipped []encoding.Entry) kvstore.DeltaReply) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	forward := func(fr *frameReader, to net.Conn) error {
-		kind, body, err := readFrame(fr)
-		if err != nil {
-			return err
-		}
-		_, err = to.Write(appendFrame(nil, kind, body))
-		return err
-	}
-	go func() {
-		for {
-			cli, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer cli.Close()
-				srv, err := net.Dial("tcp", serverAddr)
-				if err != nil {
-					return
-				}
-				defer srv.Close()
-				cfr, sfr := &frameReader{br: bufio.NewReader(cli)}, &frameReader{br: bufio.NewReader(srv)}
-				v, err := cfr.br.ReadByte()
-				if err != nil {
-					return
-				}
-				if _, err := srv.Write([]byte{v}); err != nil {
-					return
-				}
-				if v, err = sfr.br.ReadByte(); err != nil {
-					return
-				}
-				if _, err := cli.Write([]byte{v}); err != nil {
-					return
-				}
-				for {
-					kind, body, err := readFrame(cfr)
-					if err != nil {
-						return
-					}
-					if kind != kindEntries {
-						if _, err := srv.Write(appendFrame(nil, kind, body)); err != nil {
-							return
-						}
-						if err := forward(sfr, cli); err != nil {
-							return
-						}
-						continue
-					}
-					n, used := binary.Uvarint(body)
-					body = body[used:]
-					var shipped []encoding.Entry
-					for i := uint64(0); i < n; i++ {
-						e, used, err := encoding.DecodeEntry(body, nil)
-						if err != nil {
-							return
-						}
-						body = body[used:]
-						shipped = append(shipped, e)
-					}
-					_ = writeResultFrame(&frameWriter{w: cli}, kvstore.SyncResult{}, forge(shipped))
-					return
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
+// frameAt returns the kind and body of the frame unread starts with.
+func frameAt(unread *bytes.Buffer) (byte, []byte) {
+	b := unread.Bytes()
+	n, used := binary.Uvarint(b)
+	return b[used], b[used+1 : used+int(n)]
 }
 
-// TestClientRefusesForgedRestamps: the client checks a result against what
-// its round shipped before applying any of it, and refuses with ErrProtocol a
-// restamp for a key it did not ship in full (it may not hold the value the
-// stamp names), a key in both lists, and either list out of key order.
-// Neither replica changes.
-func TestClientRefusesForgedRestamps(t *testing.T) {
+// forgeFrame replaces the frame unread starts with by one of kind and body.
+func forgeFrame(unread *bytes.Buffer, kind byte, body []byte) {
+	b := unread.Bytes()
+	n, used := binary.Uvarint(b)
+	rest := bytes.Clone(b[used+int(n):])
+	unread.Reset()
+	unread.Write(appendFrame(nil, kind, body))
+	unread.Write(rest)
+}
+
+// ordinalsBody is a need frame's body naming ords, delta-coded as they come.
+func ordinalsBody(count int, ords ...int) []byte {
+	body := binary.AppendUvarint(nil, uint64(count))
+	var o ordinals
+	for _, ord := range ords {
+		body = binary.AppendUvarint(body, o.put(ord))
+	}
+	return body
+}
+
+// digestOrdinal returns the ordinal of the digest of key the client machine
+// shipped.
+func digestOrdinal(t *testing.T, c *clientRound, key string) int {
+	ord := 0
+	for _, r := range c.shipped.runs {
+		for _, d := range r.Digests {
+			if d.Key == key {
+				return ord
+			}
+			ord++
+		}
+	}
+	t.Fatalf("the round shipped no digest of %q", key)
+	return -1
+}
+
+// needOrdinal returns the place in the need frame of the need for key.
+func needOrdinal(t *testing.T, c *clientRound, key string) int {
+	for i, s := range c.sends {
+		if s.entry.Key == key {
+			return i
+		}
+	}
+	t.Fatalf("the round shipped no entry of %q", key)
+	return -1
+}
+
+// forgedPair builds the pair the forged-frame tests run a round over — the
+// client ships key-0001 and key-0002 in full and key-0005 as a digest only,
+// in three leaves — and runs one round through the lockstep driver, with
+// forge called before each frame is received. The round must fail with
+// ErrProtocol and change neither replica. A forge that writes at the client
+// itself says so (wrote), and the client is then held to what it held after
+// that write.
+func forgedPair(t *testing.T, forge func(l *lockstep, kind byte, unread *bytes.Buffer) (wrote bool)) error {
 	server, client := clonedPair(64)
-	client.Put("key-0001", []byte("client-1")) // shipped in full
-	client.Put("key-0002", []byte("client-2")) // shipped in full
-	server.Put("key-0005", []byte("server-5")) // shipped as a digest only
+	client.Put("key-0001", []byte("client-1"))
+	client.Put("key-0002", []byte("client-2"))
+	server.Put("key-0005", []byte("server-5"))
 	snapshot := func(r *kvstore.Replica) []byte {
 		snap, err := r.Snapshot()
 		if err != nil {
@@ -688,51 +664,203 @@ func TestClientRefusesForgedRestamps(t *testing.T) {
 		return snap
 	}
 	serverBefore, clientBefore := snapshot(server), snapshot(client)
-	_, addr := startServer(t, server, nil)
+	l := newLockstep(server, client, nil)
+	l.before = func(_ int, unread *bytes.Buffer) {
+		if unread.Len() == 0 {
+			return
+		}
+		if kind, _ := frameAt(unread); forge(l, kind, unread) {
+			clientBefore = snapshot(client)
+		}
+	}
+	_, err := l.round(t, nil)
+	if !errors.Is(err, ErrProtocol) {
+		t.Errorf("forged round: %v, want ErrProtocol", err)
+	}
+	if !bytes.Equal(snapshot(server), serverBefore) || !bytes.Equal(snapshot(client), clientBefore) {
+		t.Errorf("a refused round changed a replica (%v)", err)
+	}
+	return err
+}
 
-	restamp := func(shipped []encoding.Entry, key string) encoding.Digest {
-		for _, e := range shipped {
-			if e.Key == key {
-				a, _ := e.Stamp.Fork()
-				return encoding.Digest{Key: key, Stamp: a}
+// TestClientRefusesForgedRestamps: the client checks the need and result
+// frames against what its round shipped before answering or applying any of
+// them, and refuses with ErrProtocol a need ordinal past its digests, a
+// repeated or descending need ordinal, a restamp of a need past the needs or
+// of one whose key had vanished (so no entry answered it), a key in both
+// lists, repeated or descending restamp ordinals, a reply
+// ordinal past its digests or descending, and an entry named by its key
+// outside the leaf ranges it shipped or for a key it shipped a digest of.
+// Neither replica changes.
+func TestClientRefusesForgedRestamps(t *testing.T) {
+	s := core.Seed().Update()
+	entry := func(key string) encoding.Entry { return encoding.Entry{Key: key, Value: []byte("forged"), Stamp: s} }
+	type forgery struct {
+		name   string
+		need   func(c *clientRound) []byte                          // the need frame's body, nil: the server's
+		vanish bool                                                 // key-0001 vanishes at the client before the need arrives
+		result func(c *clientRound) (kvstore.DeltaReply, replyRefs) // the result, instead of the entries reaching the server
+	}
+	// unshipped returns a key outside every leaf range the round shipped.
+	unshipped := func(c *clientRound) string {
+		for i := 0; ; i++ {
+			if k := fmt.Sprint("new-", i); c.shipped.runAt(kvstore.ShardIndex(k, c.of), encoding.TreePos(k)) < 0 {
+				return k
 			}
 		}
-		t.Errorf("the round did not ship %q in full", key)
-		return encoding.Digest{Key: key}
 	}
-	entry := func(key string) encoding.Entry {
-		return encoding.Entry{Key: key, Value: []byte("forged"), Stamp: core.Seed().Update()}
+	restamp := func(refs ...int) (kvstore.DeltaReply, replyRefs) {
+		reply := kvstore.DeltaReply{Restamps: make([]encoding.Digest, len(refs))}
+		for i := range reply.Restamps {
+			reply.Restamps[i].Stamp = s
+		}
+		return reply, replyRefs{restamps: refs}
+	}
+	entries := func(refs []int, keys ...string) (kvstore.DeltaReply, replyRefs) {
+		var reply kvstore.DeltaReply
+		for i := range refs {
+			k := ""
+			if refs[i] < 0 {
+				k, keys = keys[0], keys[1:]
+			}
+			reply.Entries = append(reply.Entries, entry(k))
+		}
+		return reply, replyRefs{entries: refs}
+	}
+	for _, tc := range []forgery{
+		{"need ordinal past the digests", func(c *clientRound) []byte { return ordinalsBody(1, c.shipped.n) }, false, nil},
+		{"need count past the digests", func(c *clientRound) []byte { return ordinalsBody(c.shipped.n+1, 0) }, false, nil},
+		{"repeated need ordinal", func(c *clientRound) []byte { return ordinalsBody(2, 1, 1) }, false, nil},
+		{"descending need ordinals", func(c *clientRound) []byte { return ordinalsBody(2, 2, 1) }, false, nil},
+		{"restamp of a need past the needs", nil, false, func(c *clientRound) (kvstore.DeltaReply, replyRefs) {
+			return restamp(len(c.sends))
+		}},
+		{"restamp of a need whose key vanished", nil, true, func(c *clientRound) (kvstore.DeltaReply, replyRefs) {
+			return restamp(needOrdinal(t, c, "key-0001"))
+		}},
+		{"key in both lists", nil, false, func(c *clientRound) (kvstore.DeltaReply, replyRefs) {
+			reply, refs := restamp(needOrdinal(t, c, "key-0001"))
+			reply.Entries = []encoding.Entry{entry("")}
+			refs.entries = []int{digestOrdinal(t, c, "key-0001")}
+			return reply, refs
+		}},
+		{"repeated restamp ordinal", nil, false, func(c *clientRound) (kvstore.DeltaReply, replyRefs) {
+			n := needOrdinal(t, c, "key-0001")
+			return restamp(n, n)
+		}},
+		{"descending restamp ordinals", nil, false, func(c *clientRound) (kvstore.DeltaReply, replyRefs) {
+			a, b := needOrdinal(t, c, "key-0001"), needOrdinal(t, c, "key-0002")
+			return restamp(max(a, b), min(a, b))
+		}},
+		{"reply ordinal past the digests", nil, false, func(c *clientRound) (kvstore.DeltaReply, replyRefs) {
+			return entries([]int{c.shipped.n})
+		}},
+		{"descending reply ordinals", nil, false, func(c *clientRound) (kvstore.DeltaReply, replyRefs) {
+			return entries([]int{digestOrdinal(t, c, "key-0005"), digestOrdinal(t, c, "key-0005") - 1})
+		}},
+		{"entry outside the leaf ranges", nil, false, func(c *clientRound) (kvstore.DeltaReply, replyRefs) {
+			return entries([]int{-1}, unshipped(c))
+		}},
+		{"shipped key named by its bytes", nil, false, func(c *clientRound) (kvstore.DeltaReply, replyRefs) {
+			return entries([]int{-1}, "key-0005")
+		}},
+	} {
+		err := forgedPair(t, func(l *lockstep, kind byte, unread *bytes.Buffer) bool {
+			switch {
+			case kind == kindNeed && tc.need != nil:
+				forgeFrame(unread, kindNeed, tc.need(&l.c))
+			case kind == kindNeed && tc.vanish:
+				// A tombstone GC drops the key between its digest and the need.
+				l.client.Delete("key-0001")
+				i := kvstore.ShardIndex("key-0001", l.client.Shards())
+				if l.client.DiscardTombstones(i, l.client.Tombstones(i, nil)) != 1 {
+					t.Fatal("key-0001 did not vanish")
+				}
+				return true
+			case kind == kindEntries && tc.result != nil:
+				unread.Reset() // the server never sees the entries
+				reply, refs := tc.result(&l.c)
+				l.s2c.Write(appendFrame(nil, kindResult, resultBody(t, kvstore.SyncResult{}, reply, refs)))
+			}
+			return false
+		})
+		t.Logf("%s: %v", tc.name, err)
+	}
+}
+
+// TestServerRefusesForgedEntries is the server's twin of
+// TestClientRefusesForgedRestamps: an entries frame whose count is not the
+// need count, one whose body carries unknown flags or trailing bytes, and
+// leaf runs or digests out of walk order are refused with an error frame
+// before anything is applied. Neither replica changes.
+func TestServerRefusesForgedEntries(t *testing.T) {
+	count := func(body []byte) (uint64, []byte) {
+		n, used := binary.Uvarint(body)
+		return n, body[used:]
+	}
+	// leafRuns rewrites the leaf-digest frame's runs with edit.
+	leafRuns := func(l *lockstep, body []byte, edit func(runs []encoding.LeafRun)) []byte {
+		n, rest := count(body)
+		runs := make([]encoding.LeafRun, n)
+		for i := range runs {
+			r, used, err := encoding.DecodeLeafRun(rest, l.c.fanout, l.c.of, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i], rest = r, rest[used:]
+		}
+		edit(runs)
+		out := binary.AppendUvarint(nil, n)
+		for _, r := range runs {
+			out = encoding.AppendLeafRun(out, r)
+		}
+		return out
 	}
 	for _, tc := range []struct {
 		name  string
-		forge func(shipped []encoding.Entry) kvstore.DeltaReply
+		kind  byte
+		forge func(l *lockstep, body []byte) []byte
 	}{
-		{"restamp of a digest-only key", func(sh []encoding.Entry) kvstore.DeltaReply {
-			s := restamp(sh, "key-0001")
-			return kvstore.DeltaReply{Restamps: []encoding.Digest{s, {Key: "key-0005", Stamp: s.Stamp}}}
+		{"one entry more than the needs", kindEntries, func(_ *lockstep, body []byte) []byte {
+			n, rest := count(body)
+			return encoding.AppendVanishedBody(append(binary.AppendUvarint(nil, n+1), rest...))
 		}},
-		{"key in both lists", func(sh []encoding.Entry) kvstore.DeltaReply {
-			return kvstore.DeltaReply{
-				Restamps: []encoding.Digest{restamp(sh, "key-0001")},
-				Entries:  []encoding.Entry{entry("key-0001")},
-			}
+		{"one entry fewer than the needs", kindEntries, func(_ *lockstep, body []byte) []byte {
+			n, rest := count(body)
+			return append(binary.AppendUvarint(nil, n-1), rest...)
 		}},
-		{"unsorted restamps", func(sh []encoding.Entry) kvstore.DeltaReply {
-			return kvstore.DeltaReply{Restamps: []encoding.Digest{restamp(sh, "key-0002"), restamp(sh, "key-0001")}}
+		{"unknown entry flags", kindEntries, func(_ *lockstep, body []byte) []byte {
+			n, rest := count(body)
+			return append(binary.AppendUvarint(nil, n), append([]byte{0x40}, rest[1:]...)...)
 		}},
-		{"unsorted entries", func(sh []encoding.Entry) kvstore.DeltaReply {
-			return kvstore.DeltaReply{Entries: []encoding.Entry{entry("key-0005"), entry("key-0001")}}
+		{"trailing bytes", kindEntries, func(_ *lockstep, body []byte) []byte { return append(bytes.Clone(body), 0) }},
+		{"leaf runs out of walk order", kindLeafDigests, func(l *lockstep, body []byte) []byte {
+			return leafRuns(l, body, func(runs []encoding.LeafRun) {
+				if len(runs) < 2 {
+					t.Fatalf("%d leaf runs, want several", len(runs))
+				}
+				runs[0], runs[1] = runs[1], runs[0]
+			})
+		}},
+		{"digests out of tree order", kindLeafDigests, func(l *lockstep, body []byte) []byte {
+			return leafRuns(l, body, func(runs []encoding.LeafRun) {
+				for _, r := range runs {
+					if ds := r.Digests; len(ds) > 1 {
+						ds[0], ds[1] = ds[1], ds[0]
+						return
+					}
+				}
+				t.Fatal("no leaf run holds two digests")
+			})
 		}},
 	} {
-		p := NewPool()
-		_, err := p.SyncWith(resultTamperer(t, addr, tc.forge), client)
-		_ = p.Close()
+		err := forgedPair(t, func(l *lockstep, kind byte, unread *bytes.Buffer) bool {
+			if kind == tc.kind && unread == &l.c2s {
+				_, body := frameAt(unread)
+				forgeFrame(unread, kind, tc.forge(l, body))
+			}
+			return false
+		})
 		t.Logf("%s: %v", tc.name, err)
-		if !errors.Is(err, ErrProtocol) {
-			t.Errorf("%s: %v, want ErrProtocol", tc.name, err)
-		}
-	}
-	if !bytes.Equal(snapshot(server), serverBefore) || !bytes.Equal(snapshot(client), clientBefore) {
-		t.Fatal("a refused result changed a replica")
 	}
 }

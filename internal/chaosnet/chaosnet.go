@@ -195,16 +195,26 @@ func (f *Fabric) ClearLinkFaults(from, to string) {
 // Partition splits hosts into numbered groups; traffic crossing a group
 // boundary is cut (existing connections reset, new dials refused). Hosts
 // not named stay in group 0. Heal undoes it.
+//
+// Each connection it cuts counts as one reset, and only if it was still
+// open at both ends and not reset already: whether a closed end's peer has
+// closed too, and so unregistered its last pipe, depends on when that
+// peer's goroutine ran, so a count of pipes would too.
 func (f *Fabric) Partition(groups map[string]int) {
 	f.mu.Lock()
 	f.group = make(map[string]int, len(groups))
 	for id, g := range groups {
 		f.group[id] = g
 	}
+	cut := func(p *pipe) bool { return f.group[p.from] != f.group[p.to] }
 	for p := range f.pipes {
-		if f.group[p.from] != f.group[p.to] {
-			p.resetLocked()
+		if cut(p) && p.dialed && p.live() && p.peer.live() {
 			f.stats.Resets++
+		}
+	}
+	for p := range f.pipes {
+		if cut(p) {
+			p.resetLocked()
 		}
 	}
 	f.cond.Broadcast()
@@ -303,6 +313,7 @@ func (h *Host) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	}
 	ab := newPipe(f, h.id, addr, seq, fwd)
 	ba := newPipe(f, addr, h.id, seq, rev)
+	ab.peer, ba.peer, ab.dialed = ba, ab, true
 	f.pipes[ab] = struct{}{}
 	f.pipes[ba] = struct{}{}
 	client := &Conn{f: f, local: h.id, remote: addr, out: ab, in: ba}
@@ -387,7 +398,12 @@ type pipe struct {
 	reset      bool      // connection reset: reads/writes error
 	wclosed    bool      // writer closed cleanly: reads drain then EOF
 	drops      int       // consecutive drops (retransmission counter)
+	peer       *pipe     // the connection's other direction
+	dialed     bool      // the dialer's outgoing direction, which stands for the connection
 }
+
+// live reports whether the pipe's writer has neither closed nor been reset.
+func (p *pipe) live() bool { return !p.reset && !p.wclosed }
 
 func newPipe(f *Fabric, from, to string, connSeq uint64, fl Faults) *pipe {
 	p := &pipe{f: f, from: from, to: to, connSeq: connSeq, faults: fl}

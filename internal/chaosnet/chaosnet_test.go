@@ -343,3 +343,45 @@ func TestCleanCloseEOF(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
+
+// TestPartitionCountsEachCutConnectionOnce: a partition counts one reset per
+// connection it cuts that both ends still held open and nothing had reset,
+// so the count does not depend on whether a closed end's peer has closed
+// its side yet, and a second partition does not count the same connections
+// again.
+func TestPartitionCountsEachCutConnectionOnce(t *testing.T) {
+	for _, peerClosed := range []bool{false, true} {
+		f := New(9)
+		ln, err := f.Node("b").Listen(":0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dial := func() (client, server net.Conn) {
+			c, err := f.Node("a").Dial("b", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c, s
+		}
+		_, _ = dial() // open at both ends: cut
+		closed, peer := dial()
+		_ = closed.Close() // closed at one end: not counted
+		if peerClosed {
+			_ = peer.Close()
+		}
+		f.Partition(map[string]int{"a": 0, "b": 1})
+		if got := f.Stats().Resets; got != 1 {
+			t.Errorf("peer closed %v: %d resets after the partition, want 1", peerClosed, got)
+		}
+		f.Heal()
+		f.Partition(map[string]int{"a": 1, "b": 0})
+		if got := f.Stats().Resets; got != 1 {
+			t.Errorf("peer closed %v: %d resets after a second partition, want still 1", peerClosed, got)
+		}
+		f.Close()
+	}
+}

@@ -7,8 +7,8 @@
 // All decoders re-validate what they read: no frame can smuggle in a
 // non-antichain component or an I1 violation.
 //
-// Decoders that read keys take an optional resolver, known (DecodeDigest,
-// DecodeEntry; DecodeLeafRun's local run): a receiver that already holds a
+// Decoders that read digest keys take an optional resolver, known
+// (DecodeDigest; DecodeLeafRun's local run): a receiver that already holds a
 // key as a string hands that string back and the decode copies nothing. The
 // contract: an answer is taken only when its bytes equal the key's exactly
 // (any other answer is ignored and the key copied), a nil resolver copies

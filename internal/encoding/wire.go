@@ -16,11 +16,20 @@ import (
 //
 //	digest := uvarint(len(key)) key stamp
 //	entry  := uvarint(len(key)) key flags [uvarint(len(value)) value] stamp
+//	body   := flags [uvarint(len(value)) value] [stamp]
 //
-// flags bit 0 marks a tombstone; tombstones carry no value field.
+// flags bit 0 marks a tombstone; tombstones carry no value field. A body is
+// an entry without its key, for a receiver that already knows which key it
+// is: bit 1 marks a stamp that follows (without it the receiver already
+// holds the stamp), and bit 2 a key that has no copy to ship (vanished),
+// whose body is its flags byte alone.
 
-// entryFlagDeleted marks a tombstone entry (no value field follows).
-const entryFlagDeleted = 0x01
+// Entry and body flags.
+const (
+	entryFlagDeleted = 0x01 // a tombstone: no value field follows
+	bodyFlagStamp    = 0x02 // the body's stamp follows its value
+	bodyFlagVanished = 0x04 // the body's key has no copy: nothing follows
+)
 
 // maxKeyLen bounds decoded key sizes so a corrupt length prefix cannot force
 // a huge allocation.
@@ -99,6 +108,88 @@ func AppendEntry(dst []byte, e Entry) []byte {
 	return e.Stamp.AppendBinary(dst)
 }
 
+// EntryBodyLen returns the length of AppendEntryBody's output for e.
+func EntryBodyLen(e Entry, withStamp bool) int {
+	n := 1
+	if !e.Deleted {
+		n += UvarintLen(uint64(len(e.Value))) + len(e.Value)
+	}
+	if withStamp {
+		n += e.Stamp.BinaryLen()
+	}
+	return n
+}
+
+// AppendEntryBody appends e's body: its flags, its value unless it is a
+// tombstone, and its stamp if withStamp. The key is not written.
+func AppendEntryBody(dst []byte, e Entry, withStamp bool) []byte {
+	flags := byte(0)
+	if e.Deleted {
+		flags |= entryFlagDeleted
+	}
+	if withStamp {
+		flags |= bodyFlagStamp
+	}
+	dst = append(dst, flags)
+	if !e.Deleted {
+		dst = binary.AppendUvarint(dst, uint64(len(e.Value)))
+		dst = append(dst, e.Value...)
+	}
+	if withStamp {
+		dst = e.Stamp.AppendBinary(dst)
+	}
+	return dst
+}
+
+// AppendVanishedBody appends the body of a key that has no copy to ship.
+func AppendVanishedBody(dst []byte) []byte { return append(dst, bodyFlagVanished) }
+
+// DecodeEntryBody parses one body from the front of data, returning the
+// bytes consumed. The entry has no key, and a zero stamp unless one followed
+// (withStamp); vanished reports the body of a key with no copy, which
+// carries nothing else. The value is copied.
+func DecodeEntryBody(data []byte) (e Entry, withStamp, vanished bool, used int, err error) {
+	if len(data) == 0 {
+		return Entry{}, false, false, 0, fmt.Errorf("encoding: entry body: truncated flags: %w", io.ErrUnexpectedEOF)
+	}
+	flags := data[0]
+	switch {
+	case flags == bodyFlagVanished:
+		return Entry{}, false, true, 1, nil
+	case flags&^(entryFlagDeleted|bodyFlagStamp) != 0:
+		return Entry{}, false, false, 0, fmt.Errorf("encoding: entry body: unknown flags 0x%02x", flags)
+	}
+	e.Deleted, withStamp = flags&entryFlagDeleted != 0, flags&bodyFlagStamp != 0
+	off := 1
+	if !e.Deleted {
+		if e.Value, off, err = decodeValue(data, off, ""); err != nil {
+			return Entry{}, false, false, 0, err
+		}
+	}
+	if withStamp {
+		s, n, err := core.DecodeBinary(data[off:])
+		if err != nil {
+			return Entry{}, false, false, 0, fmt.Errorf("encoding: entry body: %w", err)
+		}
+		e.Stamp, off = s, off+n
+	}
+	return e, withStamp, false, off, nil
+}
+
+// decodeValue copies the value field at data[off:] of key's entry or body,
+// returning the offset past it.
+func decodeValue(data []byte, off int, key string) ([]byte, int, error) {
+	n, used := binary.Uvarint(data[off:])
+	if err := valueLenErr(key, n, used); err != nil {
+		return nil, 0, err
+	}
+	off += used
+	if uint64(len(data)-off) < n {
+		return nil, 0, fmt.Errorf("encoding: entry %q: truncated value: %w", key, io.ErrUnexpectedEOF)
+	}
+	return append([]byte(nil), data[off:off+int(n)]...), off + int(n), nil
+}
+
 // DecodeEntryMeta parses one entry from the front of data like DecodeEntry,
 // but does not copy the value bytes: the returned entry has a nil Value, and
 // valOff/valLen locate the value field within data (valOff = -1 for
@@ -143,10 +234,9 @@ func DecodeEntryMeta(data []byte) (e Entry, valOff, valLen, used int, err error)
 }
 
 // DecodeEntry parses one entry from the front of data, returning the bytes
-// consumed. known resolves the key as for DecodeDigest; the value is always
-// copied.
-func DecodeEntry(data []byte, known func(key []byte) (string, bool)) (Entry, int, error) {
-	key, off, err := decodeKey(data, known)
+// consumed. The key and the value are copied.
+func DecodeEntry(data []byte) (Entry, int, error) {
+	key, off, err := decodeKey(data, nil)
 	if err != nil {
 		return Entry{}, 0, fmt.Errorf("encoding: entry: %w", err)
 	}
@@ -160,16 +250,9 @@ func DecodeEntry(data []byte, known func(key []byte) (string, bool)) (Entry, int
 	case entryFlagDeleted:
 		e.Deleted = true
 	case 0:
-		n, used := binary.Uvarint(data[off:])
-		if err := valueLenErr(key, n, used); err != nil {
+		if e.Value, off, err = decodeValue(data, off, key); err != nil {
 			return Entry{}, 0, err
 		}
-		off += used
-		if uint64(len(data)-off) < n {
-			return Entry{}, 0, fmt.Errorf("encoding: entry %q: truncated value: %w", key, io.ErrUnexpectedEOF)
-		}
-		e.Value = append([]byte(nil), data[off:off+int(n)]...)
-		off += int(n)
 	default:
 		return Entry{}, 0, fmt.Errorf("encoding: entry %q: unknown flags 0x%02x", key, flags)
 	}

@@ -2,6 +2,8 @@ package encoding
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 
 	"versionstamp/internal/core"
@@ -56,7 +58,7 @@ func TestEntryRoundTrip(t *testing.T) {
 		buf = AppendEntry(buf, e)
 	}
 	for _, want := range entries {
-		got, used, err := DecodeEntry(buf, nil)
+		got, used, err := DecodeEntry(buf)
 		if err != nil {
 			t.Fatalf("DecodeEntry(%q): %v", want.Key, err)
 		}
@@ -89,7 +91,7 @@ func TestEntrySmallerThanJSONStamp(t *testing.T) {
 func TestDecodeTruncated(t *testing.T) {
 	full := AppendEntry(nil, Entry{Key: "k", Value: []byte("vvv"), Stamp: core.Seed().Update()})
 	for n := 0; n < len(full); n++ {
-		if _, _, err := DecodeEntry(full[:n], nil); err == nil {
+		if _, _, err := DecodeEntry(full[:n]); err == nil {
 			t.Errorf("truncation at %d accepted", n)
 		}
 	}
@@ -104,7 +106,53 @@ func TestDecodeTruncated(t *testing.T) {
 func TestDecodeBadFlags(t *testing.T) {
 	buf := AppendEntry(nil, Entry{Key: "k", Value: []byte("v"), Stamp: core.Seed()})
 	buf[2] = 0x40 // flags byte of a 1-byte key
-	if _, _, err := DecodeEntry(buf, nil); err == nil {
+	if _, _, err := DecodeEntry(buf); err == nil {
 		t.Error("unknown flags accepted")
+	}
+}
+
+func TestEntryBodyRoundTrip(t *testing.T) {
+	s := core.Seed().Update()
+	entries := []Entry{
+		{Value: []byte("payload"), Stamp: s},
+		{Value: []byte{}, Stamp: s},
+		{Deleted: true, Stamp: s.Update()},
+	}
+	var buf []byte
+	for i, e := range entries {
+		withStamp := i%2 == 0
+		if n := len(AppendEntryBody(nil, e, withStamp)); EntryBodyLen(e, withStamp) != n {
+			t.Errorf("EntryBodyLen = %d, encoding is %d bytes", EntryBodyLen(e, withStamp), n)
+		}
+		buf = AppendEntryBody(buf, e, withStamp)
+	}
+	buf = AppendVanishedBody(buf)
+	for i, want := range entries {
+		got, withStamp, vanished, used, err := DecodeEntryBody(buf)
+		if err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		buf = buf[used:]
+		if vanished || withStamp != (i%2 == 0) || got.Deleted != want.Deleted || !bytes.Equal(got.Value, want.Value) ||
+			withStamp && !got.Stamp.Equal(want.Stamp) {
+			t.Errorf("body %d: got %+v (stamp %v), want %+v", i, got, withStamp, want)
+		}
+	}
+	if _, _, vanished, used, err := DecodeEntryBody(buf); err != nil || !vanished || used != len(buf) {
+		t.Errorf("vanished body: vanished %v, %d of %d bytes, %v", vanished, used, len(buf), err)
+	}
+}
+
+func TestEntryBodyTruncatedAndBadFlags(t *testing.T) {
+	full := AppendEntryBody(nil, Entry{Value: []byte("vvv"), Stamp: core.Seed().Update()}, true)
+	for n := 0; n < len(full); n++ {
+		if _, _, _, _, err := DecodeEntryBody(full[:n]); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("truncation at %d: %v, want io.ErrUnexpectedEOF", n, err)
+		}
+	}
+	for _, flags := range []byte{0x08, 0x40, bodyFlagVanished | entryFlagDeleted, bodyFlagVanished | bodyFlagStamp} {
+		if _, _, _, _, err := DecodeEntryBody([]byte{flags, 0}); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("flags 0x%02x: %v, want a final error", flags, err)
+		}
 	}
 }

@@ -256,7 +256,7 @@ func (q *Queue) loadSnapshot(snapshot []byte) error {
 	q.pending = make(map[string][]Hint)
 	q.count = 0
 	for i := uint64(0); i < n; i++ {
-		e, used, err := encoding.DecodeEntry(data, nil)
+		e, used, err := encoding.DecodeEntry(data)
 		if err != nil {
 			return fmt.Errorf("hints: snapshot entry %d: %w", i, err)
 		}

@@ -112,7 +112,7 @@ func decodeBinarySnapshot(data []byte) (label string, shards int, entries []enco
 	off += used
 	entries = make([]encoding.Entry, 0, capEntries(count, data[off:]))
 	for i := uint64(0); i < count; i++ {
-		e, used, err := encoding.DecodeEntry(data[off:], nil)
+		e, used, err := encoding.DecodeEntry(data[off:])
 		if err != nil {
 			return "", 0, nil, fmt.Errorf("kvstore: restore entry %d: %w", i, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
@@ -38,7 +37,10 @@ import (
 type Diff struct {
 	// Need lists peer keys whose full copies are required to reconcile:
 	// keys unknown here, keys where the peer dominates, and keys the stamps
-	// call concurrent or causally unrelated. Sorted.
+	// call concurrent or causally unrelated. In walk order — the peer's runs
+	// in position order, each run's digests in tree order — and each Need
+	// string is the peer digest's own Key, so a caller can name a needed key
+	// by its digest's place in the runs.
 	Need []string
 	// Concurrent counts the keys of Need whose stamps are concurrent or
 	// causally unrelated: their merged copies travel back in full.
@@ -279,28 +281,19 @@ func (r *Replica) DiffRanges(peer []DigestRun, idx int) (Diff, error) {
 	if d.LocalOnly = localInScope - matched; d.LocalOnly < 0 {
 		d.LocalOnly = 0
 	}
-	sort.Strings(d.Need)
 	// A malformed duplicate-keyed digest would also duplicate its key in
-	// Need (each entry is probed independently); compact the sorted list so
-	// the need frame never requests a key twice.
-	d.Need = compactSorted(d.Need)
+	// Need (each entry is probed independently). The runs are in tree order,
+	// so duplicates are adjacent: compact them, so Need never names a key
+	// twice.
+	d.Need = slices.Compact(d.Need)
 	return d, nil
 }
 
-// compactSorted removes adjacent duplicates from a sorted slice in place.
-func compactSorted(ss []string) []string {
-	out := ss[:0]
-	for i, s := range ss {
-		if i == 0 || s != ss[i-1] {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // DeltaReply is what a responder's apply hands the initiator to adopt. Each
-// ApplyDeltaRanges call appends its part of each list sorted by key; a reply
-// given the room its diffs bound (Diff.ReplyRoom) takes it without growing.
+// ApplyDeltaRanges call appends its part of each list in walk order (tree
+// order within the stripe), so calls made stripe by stripe in ascending
+// order build lists in (stripe, position, key) order; a reply given the room
+// its diffs bound (Diff.ReplyRoom) takes it without growing.
 type DeltaReply struct {
 	// Restamps are copies whose outcome value is the one the peer shipped
 	// in full: the peer keeps its value and takes only the new stamp.
@@ -316,7 +309,7 @@ func (d DeltaReply) Len() int { return len(d.Restamps) + len(d.Entries) }
 // ApplyDeltaRanges runs the responder's apply for stripe idx: it reconciles
 // the peer's full entries (and, for keys this side dominates, just their
 // digest stamps) against local state and appends to reply what the peer must
-// adopt to converge, each list sorted by key. A key goes into Restamps when
+// adopt to converge, each list in tree order. A key goes into Restamps when
 // the peer shipped its entry and the outcome keeps that entry's value — a
 // peer-won transfer or reconcile, or a byte-identical concurrent pair — and
 // into Entries otherwise. Local state is mutated exactly as Sync would
@@ -370,7 +363,6 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntri
 
 	var res SyncResult
 	var cmp core.Comparer // batch memo: digest stamps recur across keys
-	startR, startE := len(reply.Restamps), len(reply.Entries)
 	apply := func(k string, pd *encoding.Digest, pe *encoding.Entry) error {
 		// The peer's side of the reconcile is a held slot whose result is
 		// the reply entry; it is absent for a local-only key, which then
@@ -434,15 +426,20 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntri
 	slices.SortFunc(extra, cmpTreeOrder)
 	err = sc.walk(t, extra, peerEntries, apply)
 	sort.Strings(res.Conflicts)
-	slices.SortFunc(reply.Restamps[startR:], func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
-	slices.SortFunc(reply.Entries[startE:], func(a, b encoding.Entry) int { return strings.Compare(a.Key, b.Key) })
 	return reply, res, err
 }
 
+// Shipped is what an initiator shipped of a key a reply entry names.
+type Shipped struct {
+	Stamp core.Stamp      // the stamp its digest or entry carried
+	Ok    bool            // false: no digest named the key, or it had vanished
+	Full  *encoding.Entry // the entry, when the copy went in full
+}
+
 // ApplyDeltaReply installs the responder's reply — the initiator half of the
-// apply. full lists the entries this replica shipped in full, sorted by key,
-// and sent reports the stamp it shipped for a key in its digest or full
-// entry, and whether it shipped one.
+// apply. It is told what this replica shipped of each key the reply names,
+// by the copy's place in its list: full(i) is the entry it shipped in full
+// for reply.Restamps[i], and sent(i) what it shipped for reply.Entries[i].
 //
 // A reply copy is applied only if the local copy still carries exactly the
 // stamp shipped (or, for an entry, the key is still absent, for keys the
@@ -466,29 +463,22 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntri
 // The call takes ownership of the values in reply.Entries: an applied one is
 // stored as it is, so the caller must not modify it afterwards, nor hand it
 // to another replica.
-func (r *Replica) ApplyDeltaReply(reply DeltaReply, full []encoding.Entry, sent func(key string) (core.Stamp, bool)) int {
-	shipped := func(key string) (encoding.Entry, bool) {
-		i, ok := slices.BinarySearchFunc(full, key, func(e encoding.Entry, k string) int { return strings.Compare(e.Key, k) })
-		if !ok {
-			return encoding.Entry{}, false
-		}
-		return full[i], true
-	}
+func (r *Replica) ApplyDeltaReply(reply DeltaReply, full func(i int) *encoding.Entry, sent func(i int) Shipped) int {
 	applied := 0
-	for _, d := range reply.Restamps {
-		if f, ok := shipped(d.Key); ok && r.restamp(d, f) {
+	for i, d := range reply.Restamps {
+		if r.restamp(d, *full(i)) {
 			applied++
 		}
 	}
-	for _, e := range reply.Entries {
+	for i, e := range reply.Entries {
 		si := ShardIndex(e.Key, len(r.shards))
 		sh := &r.shards[si]
 		sh.lockMut()
 		cur, has := sh.metaLocked(e.Key)
-		want, wasSent := sent(e.Key)
-		ok := (wasSent && has && cur.Stamp.Equal(want)) || (!wasSent && !has)
-		if f, inFull := shipped(e.Key); ok && inFull {
-			ok = !r.overwrittenLocked(si, f)
+		s := sent(i)
+		ok := (s.Ok && has && cur.Stamp.Equal(s.Stamp)) || (!s.Ok && !has)
+		if ok && s.Full != nil {
+			ok = !r.overwrittenLocked(si, *s.Full)
 		}
 		if ok {
 			v := Versioned{Value: e.Value, Deleted: e.Deleted, Stamp: e.Stamp}

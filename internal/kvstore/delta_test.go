@@ -53,7 +53,7 @@ func deltaRound(t *testing.T, a, b *Replica, resolve Resolver) SyncResult {
 		if err != nil {
 			t.Fatalf("ApplyDeltaRanges: %v", err)
 		}
-		b.ApplyDeltaReply(reply, entries, shippedIn(digest))
+		applyReply(b, reply, entries, digest)
 		res.Add(part)
 	}
 	sort.Strings(res.Conflicts)
@@ -89,13 +89,33 @@ func diffStripes(r *Replica, digests [][]encoding.Digest) (Diff, error) {
 	return d, nil
 }
 
-// shippedIn is ApplyDeltaReply's guard for a round that shipped digest.
-func shippedIn(digest []encoding.Digest) func(string) (core.Stamp, bool) {
-	sent := make(map[string]core.Stamp, len(digest))
-	for _, d := range digest {
-		sent[d.Key] = d.Stamp
+// applyReply installs reply on b, as ApplyDeltaReply does for a round that
+// shipped digest and, in full, the entries full.
+func applyReply(b *Replica, reply DeltaReply, full []encoding.Entry, digest []encoding.Digest) int {
+	inFull := make(map[string]*encoding.Entry, len(full))
+	for i := range full {
+		inFull[full[i].Key] = &full[i]
 	}
-	return func(k string) (core.Stamp, bool) { st, ok := sent[k]; return st, ok }
+	inDigest := make(map[string]core.Stamp, len(digest))
+	for _, d := range digest {
+		inDigest[d.Key] = d.Stamp
+	}
+	restamped := make([]*encoding.Entry, len(reply.Restamps))
+	for i, d := range reply.Restamps {
+		if restamped[i] = inFull[d.Key]; restamped[i] == nil {
+			panic("a restamp of a key not shipped in full")
+		}
+	}
+	sent := make([]Shipped, len(reply.Entries))
+	for i, e := range reply.Entries {
+		if f := inFull[e.Key]; f != nil {
+			sent[i] = Shipped{Stamp: f.Stamp, Ok: true, Full: f}
+		} else {
+			sent[i].Stamp, sent[i].Ok = inDigest[e.Key]
+		}
+	}
+	return b.ApplyDeltaReply(reply, func(i int) *encoding.Entry { return restamped[i] },
+		func(i int) Shipped { return sent[i] })
 }
 
 func requireSameContents(t *testing.T, a, b *Replica) {
@@ -295,7 +315,7 @@ func TestDeltaShardScoped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.ApplyDeltaReply(reply, entries, shippedIn(digest))
+		applyReply(b, reply, entries, digest)
 		total.Add(res)
 	}
 	if total.Reconciled != 1 || total.Pruned != 31 {
@@ -327,7 +347,7 @@ type shippedRound struct {
 
 // apply installs reply on b under the round's guard.
 func (sr shippedRound) apply(b *Replica, reply DeltaReply) int {
-	return b.ApplyDeltaReply(reply, sr.full, shippedIn(sr.digest))
+	return applyReply(b, reply, sr.full, sr.digest)
 }
 
 // replyFor runs the responder half of a round with b as initiator and a as

@@ -619,7 +619,7 @@ func decodePayload(payload []byte) (encoding.Entry, error) {
 	if len(payload) == 0 || payload[0] != recSet {
 		return encoding.Entry{}, fmt.Errorf("%w: not a set record", ErrCorrupt)
 	}
-	e, used, err := encoding.DecodeEntry(payload[1:], nil)
+	e, used, err := encoding.DecodeEntry(payload[1:])
 	if err != nil {
 		return encoding.Entry{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
