@@ -11,8 +11,9 @@
 // children, and (fanout, depth) follow the stripe's live key count
 // (kvstore.TreeShape). A round descends from the replica root toward the
 // handful of leaves that actually differ, exchanges per-key digests (key +
-// stamp, no value) for just those leaves, and ships full copies only where
-// the digests leave the server unable to reconcile. The server applies them
+// stamp, no value) for just those leaves — a key whose update component the
+// server already holds goes as its stamp's id alone — and ships full copies
+// only where the digests leave the server unable to reconcile. The server applies them
 // exactly as an in-process kvstore.Sync would — transfers fork stamps,
 // dominance reconciles, conflicts use the server's resolver or stay reported
 // — and replies with what the client must adopt: for a copy whose value the
@@ -24,7 +25,7 @@
 // # Wire protocol
 //
 // There is one protocol. A connection is a session: the client opens it with
-// the version byte 0x06, the server acks with the same byte, and any number
+// the version byte 0x07, the server acks with the same byte, and any number
 // of rounds (whole-replica, or scoped to chosen stripes) ride it back to
 // back. A server closes a connection that opens with anything else; a client
 // whose opening is answered by anything else reports ErrProtocol. After the
@@ -43,10 +44,12 @@
 //	client -> server  kindTreeNodes     (0x0C): fanout, count, count×(stripe,
 //	                  depth, level, path, child bitmap, child hashes)
 //	server -> client  kindTreeDiff      (0x0D): per node: differ bitmap +
-//	                  server child bitmap
+//	                  server child bitmap, then per leaf child both sides
+//	                  hold that differs: count, count×term
 //	— at the bottom (or where either side's subtree is empty) —
 //	client -> server  kindLeafDigests   (0x0E): count, count×(stripe, depth,
-//	                  level, path, digest run), in walk order
+//	                  level, path, [term bitmap, matched ids,] digest run),
+//	                  in walk order
 //	server -> client  kindNeed          (0x02): count, count×ordinal
 //	client -> server  kindEntries       (0x03): count, count×body, in need
 //	                  order
@@ -59,12 +62,24 @@
 //	— instead of any reply —
 //	server -> client  kindError         (0x7F): error text, ending the session
 //
-// where digest = key + stamp (encoding.AppendDigest) and a digest run lists
-// its node's digests in tree order. The client ships its runs in walk order:
-// by stripe, then position. That order numbers the digests — a digest's
-// ordinal is its place in the frame, counted from 0 across the runs — and
-// from there on the round names a key the client shipped by its ordinal,
-// never by its bytes. Every list of ordinals is strictly ascending and
+// where digest = key + stamp (encoding.AppendDigest) and a digest run is a
+// count and that many digests, in tree order. A term is 8 bytes: the hash of
+// one key and its stamp's update component (encoding.DigestTerm, the chunk a
+// leaf hash folds in for the key), one per key the server holds under the
+// leaf, in tree order. A leaf run answers its leaf's terms, if the tree diff
+// sent any: a bitmap over them (one bit a term, as a child bitmap lays its
+// bits out) marks the terms of the client's keys, then each marked key's id
+// component (its trie encoding) goes in term order, and the digest run holds
+// only the keys whose terms were not marked. The server rebuilds a marked
+// key's digest — its own key, its own update component, the client's id —
+// so the run it decodes is the client's whole run, and every key of it
+// reaches the per-key decision (kvstore.Replica.DiffRanges), the overlap of
+// ids included. Two keys whose terms collide (about 2^-64 a pair, as for
+// the tree's hashes) would be taken one for the other. The client ships
+// its runs in walk order: by stripe, then position. That order numbers the
+// digests, marked or not — a digest's ordinal is its place in the client's
+// whole runs, counted from 0 across them — and from there on the round names
+// a key the client shipped by its ordinal, never by its bytes. Every list of ordinals is strictly ascending and
 // delta-coded: each goes as its distance from the one before, the first as
 // its distance from -1, so no distance is 0. The need frame
 // lists the digest ordinals whose full copies the server needs. The entries
@@ -137,21 +152,27 @@
 // patches in place and no hold is out by the time the peer can act on the
 // round. A round that ends early releases its holds on the way out.
 //
-// A key is on the wire in full only in the leaf digests, and in a result
-// entry the client shipped no digest of. The server takes a leaf-digest key
-// it holds under the run's node from the round's tree snapshot instead of
-// copying it (an exact byte match only); each end resolves an ordinal to
-// the digest's own key string, so no other key is copied. The server checks
-// the leaf runs' walk order instead of sorting them, so both ends number the
-// same digests alike.
+// A key is on the wire in full only in the leaf digests, unless its term
+// was marked, and in a result entry the client shipped no digest of. The
+// server takes a leaf-digest key it holds under the run's leaf from the
+// round's tree snapshot instead of copying it (an exact byte match only), as
+// it does every marked key; each end resolves an ordinal to the digest's own
+// key string, so no other key is copied. The server checks the leaf runs'
+// walk order instead of sorting them, so both ends number the same digests
+// alike.
 //
 // Before answering or applying anything the client checks the need and the
 // result against what it shipped: ordinals in range and ascending, restamps
 // only of needs its entries frame answered in full, entries named by key
 // only inside the leaf ranges this round sent and only for keys it shipped
-// no digest of, no key in both lists; anything else is ErrProtocol. The server likewise refuses leaf runs out of walk
-// order and an entries frame whose count is not the need's, before anything
-// is applied. The client installs a reply copy only while its own copy
+// no digest of, no key in both lists; terms only for a leaf child that
+// differs and that both sides hold, each list within the frame; anything
+// else is ErrProtocol. The server likewise refuses leaf runs out of walk
+// order, a run that does not rebuild to one in strict tree order, term
+// bitmap padding bits, an id that does not decode to a valid stamp with its
+// update component (core.Stamp.DecodeID), a key both marked and shipped,
+// and an entries frame whose count is not the need's, before anything is
+// applied. The client installs a reply copy only while its own copy
 // still carries the stamp it shipped; copies that moved mid-round are left
 // alone for the next round, which makes concurrent rounds against one
 // replica safe (see kvstore.Replica.ApplyDeltaReply for the one move a stamp

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 
 	"versionstamp/internal/core"
 	"versionstamp/internal/encoding"
@@ -20,9 +21,11 @@ import (
 // which kind follows which.
 //
 // From the leaf digests on, a round names a key the client shipped a digest
-// of by the digest's ordinal: its place in the leaf-digest frame, counted
-// from 0 across the runs, which the client ships in walk order. A list of
-// ordinals is strictly ascending and delta-coded (ordinals).
+// of by the digest's ordinal: its place in the client's whole leaf runs,
+// counted from 0 across the runs, which the client ships in walk order; a
+// key it shipped as its id alone, answering the server's term for it, has
+// an ordinal too. A list of ordinals is strictly ascending and delta-coded
+// (ordinals).
 //
 // Neither end holds a long frame whole. A sender sizes each frame exactly
 // from the counts in hand, so the length prefix goes out first, and writes
@@ -32,7 +35,7 @@ import (
 
 // protocolVersion is the first byte of a session, and the byte the server
 // acks the opening with.
-const protocolVersion = 0x06
+const protocolVersion = 0x07
 
 // Frame kinds. The numbering has gaps where retired protocols had frames of
 // their own.
@@ -45,8 +48,8 @@ const (
 	kindStripeRoots    = 0x0A // client: of, fanout, count×(stripe, depth, root)
 	kindStripeRootDiff = 0x0B // server: stripes whose tree roots differ
 	kindTreeNodes      = 0x0C // client: fanout, count×tree-node (child bitmap + hashes)
-	kindTreeDiff       = 0x0D // server: per queried node: differ bitmap + server bitmap
-	kindLeafDigests    = 0x0E // client: count×leaf digest run
+	kindTreeDiff       = 0x0D // server: per queried node: differ bitmap + server bitmap + leaf terms
+	kindLeafDigests    = 0x0E // client: count×leaf digest run, answering the terms
 	kindRootProbe      = 0x0F // client: of, root; answered kindRootMatch, no round state
 	kindError          = 0x7F // server: error text; terminates the session
 )
@@ -95,7 +98,7 @@ func (fw *frameWriter) begin(kind byte, size int) {
 	fw.want = encoding.UvarintLen(uint64(size)+1) + 1 + size
 	fw.long = fw.long || fw.want > frameKeep
 	if c := min(fw.want, frameKeep); cap(fw.keep) < c {
-		fw.keep = make([]byte, 0, max(c, min(2*cap(fw.keep), frameKeep)))
+		fw.keep = grown(max(c, min(2*cap(fw.keep), frameKeep)))
 	}
 	fw.buf = binary.AppendUvarint(fw.keep[:0], uint64(size)+1)
 	fw.buf = append(fw.buf, kind)
@@ -147,6 +150,12 @@ func (fw *frameWriter) trim() {
 		fw.buf, fw.keep, fw.long = nil, nil, false
 	}
 }
+
+// grown returns an empty buffer for at least n bytes, n > 0, its capacity
+// rounded up to a power of two, so that a later frame a little longer than
+// the one it was grown for still fits. frameKeep is a power of two, so a
+// buffer grown for at most frameKeep bytes stays within it.
+func grown(n int) []byte { return make([]byte, 0, 1<<bits.Len(uint(n-1))) }
 
 // errRecv marks a frame whose bytes stopped arriving: the session's
 // transport failed, whatever the peer meant to send.
@@ -232,9 +241,9 @@ func (fr *frameReader) fill() error {
 	var buf []byte
 	if have < w {
 		if c := min(rest, w); cap(fr.keep) < c {
-			fr.keep = make([]byte, max(c, min(2*cap(fr.keep), w)))
+			fr.keep = grown(max(c, min(2*cap(fr.keep), w)))
 		}
-		buf = fr.keep[:min(rest, cap(fr.keep))]
+		buf = fr.keep[:min(rest, cap(fr.keep), w)]
 	} else {
 		buf = make([]byte, min(frameGrowth*have, rest))
 	}

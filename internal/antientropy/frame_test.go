@@ -3,9 +3,11 @@ package antientropy
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,27 +135,54 @@ func bulkFrames(t *testing.T) []bulkFrame {
 	uv := func(n int) []byte { return binary.AppendUvarint(nil, uint64(n)) }
 	var frames []bulkFrame
 
-	// Leaf digest runs (0x0E): a long run is many digests.
+	// Leaf digest runs (0x0E): a long run is many digests. Every third
+	// short run answers the receiver's terms for mine: it holds mine's keys
+	// under their siblings' ids, so each matches.
 	var lb bodyParts
 	var runs [][]byte
+	a, b := stamps[0].Fork()
+	var mine, siblings []encoding.Digest
+	for j := 0; j < 5; j++ {
+		mine = append(mine, encoding.Digest{Key: key(1000+j, 2), Stamp: a})
+		siblings = append(siblings, encoding.Digest{Key: key(1000+j, 2), Stamp: b})
+	}
+	mine, siblings = inTreeOrder(mine), inTreeOrder(siblings)
+	var terms []uint64
+	for _, d := range mine {
+		term, _ := encoding.DigestTerm(d, nil)
+		terms = append(terms, term)
+	}
+	termed := func(level int, path uint64) bool { return level == 2 && path%3 == 0 }
 	for i := 0; i < 24; i++ {
 		var ds []encoding.Digest
 		for j := 0; j < i%4; j++ {
 			ds = append(ds, encoding.Digest{Key: key(i*10+j, i%7), Stamp: stamp(i + j)})
 		}
-		runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: i % 8, Depth: 2, Level: 2, Path: uint64(i), Digests: ds}))
+		run := encoding.LeafRun{Stripe: i % 8, Depth: 2, Level: 2, Path: uint64(i), Digests: inTreeOrder(ds)}
+		if termed(run.Level, run.Path) {
+			run.Digests = inTreeOrder(append(run.Digests, siblings...))
+			run.Terms = len(terms)
+			run.Match, _ = encoding.MatchTerms(nil, run.Digests, terms, nil)
+		}
+		runs = append(runs, encoding.AppendLeafRun(nil, run))
 	}
 	for _, size := range bigs {
 		var ds []encoding.Digest
 		for n := 0; n < size; n += encoding.DigestLen(ds[len(ds)-1]) {
 			ds = append(ds, encoding.Digest{Key: key(len(ds), size/24), Stamp: stamp(len(ds))})
 		}
-		runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: 3, Depth: 1, Level: 1, Path: 5, Digests: ds}))
+		runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: 3, Depth: 1, Level: 1, Path: 5, Digests: inTreeOrder(ds)}))
 	}
 	runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: 1, Depth: 1, Level: 0}))
 	lb.add(uv(len(runs)))
 	for _, r := range runs {
 		lb.add(r)
+	}
+	local := func(stripe, level int, path uint64) ([]encoding.Digest, bool) {
+		if termed(level, path) {
+			return mine, true
+		}
+		return nil, false
 	}
 	frames = append(frames, bulkFrame{"leaf digests", kindLeafDigests, lb.body, lb.bounds, func(fr *frameReader) ([]byte, error) {
 		n, err := fr.uvarint()
@@ -161,9 +190,12 @@ func bulkFrames(t *testing.T) []bulkFrame {
 		for i := uint64(0); err == nil && i < n; i++ {
 			var run encoding.LeafRun
 			err = fr.elem(func(b []byte) (used int, err error) {
-				run, used, err = encoding.DecodeLeafRun(b, 16, 8, nil)
+				run, used, err = encoding.DecodeLeafRun(b, 16, 8, local)
 				return used, err
 			})
+			if run.Terms > 0 {
+				run.Match, _ = encoding.MatchTerms(nil, run.Digests, terms, nil)
+			}
 			out = encoding.AppendLeafRun(out, run)
 		}
 		return out, err
@@ -319,6 +351,14 @@ func bulkFrames(t *testing.T) []bulkFrame {
 		return out, err
 	}})
 	return frames
+}
+
+// inTreeOrder sorts ds into tree order, by position and then key.
+func inTreeOrder(ds []encoding.Digest) []encoding.Digest {
+	slices.SortFunc(ds, func(a, b encoding.Digest) int {
+		return cmp.Or(cmp.Compare(encoding.TreePos(a.Key), encoding.TreePos(b.Key)), strings.Compare(a.Key, b.Key))
+	})
+	return ds
 }
 
 // decodeBulk reads stream's one frame through a window of the given size

@@ -3,6 +3,7 @@ package antientropy
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -284,6 +285,59 @@ func TestRoundWritesBetweenFrames(t *testing.T) {
 	t.Logf("%d schedules", schedules)
 }
 
+// TestRoundChecksMatchedKeysIds guards the id check of a key the client
+// ships as its id alone. Both ends create one fresh key, so its two copies
+// carry equal update components under overlapping ids, and the client also
+// writes a key sharing its leaf, so the round descends to that leaf. The
+// fresh key's term then matches the server's, and only its id travels: the
+// server must rebuild the client's exact stamp for it, whose overlap with
+// its own makes the key's copies independent, so that the round merges the
+// key as kvstore.Sync does, and needs no other key than it and the mate:
+// the leaf's other keys are equivalent copies, which a stamp of the wrong
+// id would make independent. Both ends must hold what Sync gives from the
+// same start, every key's stamps Equal.
+func TestRoundChecksMatchedKeysIds(t *testing.T) {
+	keepBoth := kvstore.KeepBoth([]byte("|"))
+	// In key-007's leaf, with a mate and other keys the pair holds.
+	fresh := leafMate("key-007", func(i int) string { return fmt.Sprintf("fresh-%d", i) })
+	mate := leafMate(fresh, func(i int) string { return fmt.Sprintf("key-%03d", i) })
+	build := func() (server, client *kvstore.Replica) {
+		server, client = roundPair()
+		server.Put(fresh, []byte("from server"))
+		client.Put(fresh, []byte("from client"))
+		client.Put(mate, []byte("mate edit"))
+		return server, client
+	}
+	oracleS, oracleC := build()
+	want, err := kvstore.Sync(oracleS, oracleC, keepBoth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Merged != 1 {
+		t.Fatalf("kvstore.Sync merged %d keys, want the fresh one", want.Merged)
+	}
+	server, client := build()
+	l := newLockstep(server, client, keepBoth)
+	needs := uint64(0)
+	l.before = func(_ int, unread *bytes.Buffer) {
+		if unread.Len() > 0 && unread == &l.s2c {
+			if kind, body := frameAt(unread); kind == kindNeed {
+				needs, _ = binary.Uvarint(body)
+			}
+		}
+	}
+	res, err := l.round(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Merged != want.Merged || res.Reconciled != want.Reconciled || res.Transferred != want.Transferred || needs != 2 {
+		t.Errorf("round %+v needing %d keys, kvstore.Sync %+v", res, needs, want)
+	}
+	if d := differs(server, client, oracleS, oracleC, ""); d != "" {
+		t.Errorf("the round and kvstore.Sync differ: %s", d)
+	}
+}
+
 // certified returns value with a checksum of key and value appended, so a
 // copy whose bytes changed on the wire shows (intact).
 func certified(key, value string) []byte {
@@ -359,6 +413,11 @@ func FuzzRound(f *testing.F) {
 	f.Add(uint8(8), []byte{1})
 	f.Add(uint8(9), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4})
 	f.Add(uint8(10), []byte{0, 0, 9})
+	// Frame 5 is the tree diff. Its first term list opens at byte 8 of the
+	// frame, length prefix and kind included, with the count: a term that
+	// no longer matches (its key goes whole), and a count past the frame.
+	f.Add(uint8(5), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0x01})
+	f.Add(uint8(5), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0x01})
 	keepBoth := kvstore.KeepBoth([]byte("|"))
 	f.Fuzz(func(t *testing.T, frame uint8, mut []byte) {
 		server, client, deleted := fuzzPair()

@@ -121,32 +121,32 @@ func TestRoundBytesPinned(t *testing.T) {
 		sent, recvd pinnedStream
 	}{
 		{"converged", func() {}, whole,
-			pinnedStream{23, "c31ac0ca085fb7806fc93118b26c7cee8ab11d5a8006bee9f9b77f05cb239ce0"},
-			pinnedStream{4, "86481452ad6734d46c1291f7338c24460894e167fc60e2601ca29439f33cdab5"}},
+			pinnedStream{23, "4fe6552e56b71f62fe6b53ab146605493d94ed045e81745c84cab743023f56fb"},
+			pinnedStream{4, "72d137926541d39533bc56aa9c5b2e582c0dd16425ae8659c56c0f10ddc26b0b"}},
 		{"probe-answered", func() {}, whole,
 			pinnedStream{11, "93b35778698e4fcb32bd52f2d0f5f4f816d84cab36df961cc835eb53ecfb95e1"},
 			pinnedStream{3, "b7fbc578a842cdef76732a99b255beb9f9ddd630ffc4ee73557d2afc85ad8e32"}},
 		{"1 key", func() { writeSome(1) }, whole,
-			pinnedStream{563, "6c1a932b560aae7960aa136332543c1a38b2184c618f78c2d3bbc9a7d5d00b1b"},
-			pinnedStream{35, "391809de7135821ce1f281b83f4f375e037587a53368322887eb22730988b7e9"}},
+			pinnedStream{486, "f10044528119aecaf58a9487082c091af1adbaa4e8822726bffeb5da60305288"},
+			pinnedStream{92, "157ef249c2695e0e0f50919958ce620e73c0c4eb6344c009d0d2adb52920a12e"}},
 		{"1 %", func() { writeSome(keys / 100) }, whole,
-			pinnedStream{6254, "4b6a19c7b8f46ad6adec40d77bbb3760ab05e120acf3bfb0286dcab4bc46319c"},
-			pinnedStream{248, "62a374d7c8483eab22f42cf65bc43cc801dcad5f745c0a9fcd0744e85df26b78"}},
+			pinnedStream{4833, "7ccc96acc36dfc57d45eb3afaf9d38d57f16f45bb301646728e6263e6996bfd1"},
+			pinnedStream{1317, "d7e03537ba51b6bdc23a19b1e567838d846b49707ec2255a927a61c9d2ccf220"}},
 		{"25 %", func() { writeSome(keys / 4) }, whole,
-			pinnedStream{89399, "da2cf0eb591ffa2c4a3f78cedc4186a42aa869f5c7b996275d21cc811df4f8aa"},
-			pinnedStream{3772, "e52d6f32e46bfe6e9d7facb819a445e68351d4196de7ae010e87b68dc5899cb0"}},
+			pinnedStream{74981, "2503f768f2a7fe851d5761ba01fa9e419e750253c92bc41abef94f1e0463783f"},
+			pinnedStream{17182, "1231a83d863bc943965882b96350d92513a6102e4b50a82fec9091934e28d7c1"}},
 		{"scoped", func() { writeSome(16) }, func() (kvstore.SyncResult, error) {
 			res, _, err := p.SyncStripes(addr, client, []int{3, 9, 17, 30})
 			return res, err
 		},
-			pinnedStream{361, "4ebfe47d417bc94a512829345952a65dd0267f9b424efb302e002f0f7fae0325"},
-			pinnedStream{32, "4ceecbd482800f84c2d6a2d0c90fdf5bcbfeaa9b0f54881a330834516fcadd8f"}},
+			pinnedStream{310, "bcc695be8d0440f4327f39533ac96a438a502b35c502296a82197e21e57a20a3"},
+			pinnedStream{73, "5c963d336ed046ced742f5c821746e5f46c04cf450ea73f7219c6ae3f56ecf84"}},
 		{"conflict", func() {
 			server.Put(key(7), []byte("server side"))
 			client.Put(key(7), []byte("client side"))
 		}, whole,
-			pinnedStream{5011, "5133c6001d39957c7a8fc931c4f24e521fff62b6d7e0a8ba71fe0e6d15559e60"},
-			pinnedStream{227, "8f7c210bf2b5d3f64c0c911d3d62c43db24dfd08d472915b18fce72fa97d1e45"}},
+			pinnedStream{3937, "66081417dbccd2ab4f0526503855a06a1ee1a33c62067c9df9b4014049120536"},
+			pinnedStream{1044, "e431237aff59fdbf362dede994b3ae92f5d9401a2ec5574f05fc9b7a7cad3fc4"}},
 	}
 	for _, r := range rounds {
 		r.before()
@@ -170,15 +170,19 @@ func TestRoundBytesPinned(t *testing.T) {
 	}
 }
 
-// TestRoundWireBytesPerKey is the counted gate of naming keys by ordinal: on
-// a seeded 20 000-key, 8-stripe pair with 128-byte values, a round after 1 %
-// and one after 25 % of the keys were written (half at each end, a tenth of
-// those at both) must spend at most 2 bytes per needed key in its need
-// frame, ship an entry whose stamp is still its digest's in at most its
-// value and 4 bytes, and restamp in at most the stamp and 2 bytes — so a
-// round that names a key its peer already knows by the key's bytes, or
-// resends a stamp its digest carried, fails here. It logs the bytes of each
-// frame kind.
+// TestRoundWireBytesPerKey is the counted gate of naming keys by ordinal
+// and of answering terms: on a seeded 20 000-key, 8-stripe pair with
+// 128-byte values, a round after 1 % and one after 25 % of the keys were
+// written (half at each end, a tenth of those at both) must spend at most 8
+// bytes per term plus its leaf's count in its tree diffs, ship a leaf key
+// whose term matched in at most its id and 1 byte (its share of the term
+// bitmap included), spend at most 2 bytes per needed key in its need frame,
+// ship an entry whose stamp is still its digest's in at most its value and
+// 4 bytes, and restamp in at most the stamp and 2 bytes — so a round that
+// ships a key its peer holds under the same update component as more than
+// its id, names a key its peer already knows by the key's bytes, or resends
+// a stamp its digest carried, fails here. It logs the bytes of each frame
+// kind.
 func TestRoundWireBytesPerKey(t *testing.T) {
 	const keys = 20000
 	rng := rand.New(rand.NewSource(47))
@@ -208,6 +212,7 @@ func TestRoundWireBytesPerKey(t *testing.T) {
 		}
 		perKind := map[byte]int{}
 		bodies := map[byte][]byte{}
+		terms, matched := 0, 0
 		l.before = func(_ int, unread *bytes.Buffer) {
 			if unread.Len() == 0 {
 				return
@@ -215,6 +220,44 @@ func TestRoundWireBytesPerKey(t *testing.T) {
 			kind, body := frameAt(unread)
 			perKind[kind] += unread.Len()
 			bodies[kind] = bytes.Clone(body)
+			switch kind {
+			case kindTreeDiff: // a term list := count, count×8 bytes
+				for _, tl := range termLists(t, &l.c, body) {
+					k, _ := binary.Uvarint(body[tl.at:])
+					if tl.end-tl.at > 8*int(k)+encoding.UvarintLen(k) {
+						t.Errorf("%s round: %d terms in %d bytes, budget 8 a term and the count", class.name, k, tl.end-tl.at)
+					}
+					terms += int(k)
+				}
+			case kindLeafDigests: // the matched keys' share of each run
+				n, used := binary.Uvarint(body)
+				rest := body[used:]
+				for i := 0; i < int(n); i++ {
+					r, used, err := encoding.DecodeLeafRun(rest, l.c.fanout, l.c.of, l.s.localRun)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rest = rest[used:]
+					if r.Terms == 0 {
+						continue
+					}
+					match := l.c.match[l.c.leafReqs[i].at:]
+					share, budget, shipped := used, 0, 0
+					share -= len(encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Depth: r.Depth, Level: r.Level, Path: r.Path})) - 1
+					for j, d := range r.Digests {
+						if match[j] >= 0 {
+							budget += d.Stamp.IDHandle().EncodedLen() + 1
+							matched++
+						} else {
+							share -= encoding.DigestLen(d)
+							shipped++
+						}
+					}
+					if share -= encoding.UvarintLen(uint64(shipped)); share > budget {
+						t.Errorf("%s round: %d matched keys of a run in %d bytes, budget their ids and 1 a key", class.name, len(r.Digests)-shipped, share)
+					}
+				}
+			}
 		}
 		res, err := l.round(t, nil)
 		l.before = nil
@@ -272,9 +315,9 @@ func TestRoundWireBytesPerKey(t *testing.T) {
 			}
 			b = b[n:]
 		}
-		if needs == 0 || count != needs || unmoved == 0 || restamps == 0 {
-			t.Errorf("%s round: %d needs, %d entries (%d unmoved), %d restamps: the gates measured nothing",
-				class.name, needs, count, unmoved, restamps)
+		if terms == 0 || matched == 0 || needs == 0 || count != needs || unmoved == 0 || restamps == 0 {
+			t.Errorf("%s round: %d terms, %d matched keys, %d needs, %d entries (%d unmoved), %d restamps: the gates measured nothing",
+				class.name, terms, matched, needs, count, unmoved, restamps)
 		}
 
 		var kinds []int
@@ -283,7 +326,8 @@ func TestRoundWireBytesPerKey(t *testing.T) {
 			kinds, total = append(kinds, int(k)), total+n
 		}
 		slices.Sort(kinds)
-		t.Logf("%s round, %d B: %d needs, %d unmoved entries, %d restamps, %+v", class.name, total, needs, unmoved, restamps, res)
+		t.Logf("%s round, %d B: %d terms, %d matched keys, %d needs, %d unmoved entries, %d restamps, %+v",
+			class.name, total, terms, matched, needs, unmoved, restamps, res)
 		for _, k := range kinds {
 			t.Logf("  frame 0x%02x: %7d B", k, perKind[byte(k)])
 		}

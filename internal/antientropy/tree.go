@@ -51,9 +51,23 @@ type serverRound struct {
 	order     []int                    // stripes with leaf runs, in ascending order
 	runs      shippedRuns              // the client's leaf runs, which number its digests
 	need      []int                    // the ordinals the need frame named
+	termed    []leafCoord              // the leaves the round sent terms for, sorted
 	bm        []byte                   // DigestTree.Children scratch: child bitmap
 	hashes    []uint64                 // DigestTree.Children scratch: child hashes
 	cliHashes []uint64                 // encoding.DecodeTreeNode scratch: the client's child hashes
+	answers   []byte                   // treeNodes scratch: each node's differ and server bitmaps
+	nodeTerms []int                    // treeNodes scratch: how many of each node's children get terms
+	chunk     []byte                   // encoding.DigestTerm scratch
+}
+
+// leafCoord names a leaf of a stripe's tree by its path.
+type leafCoord struct {
+	stripe int
+	path   uint64
+}
+
+func cmpLeafCoords(a, b leafCoord) int {
+	return cmp.Or(cmp.Compare(a.stripe, b.stripe), cmp.Compare(a.path, b.path))
 }
 
 // receive steps the session over one frame, its body waiting in fr, and
@@ -96,7 +110,7 @@ func (m *serverRound) reset() {
 		}
 	}
 	clear(m.stripes)
-	m.runs, m.need = shippedRuns{}, nil
+	m.runs, m.need, m.termed = shippedRuns{}, nil, m.termed[:0]
 	m.phase = serverIdle
 }
 
@@ -279,7 +293,10 @@ func (m *serverRound) stripeRoots() error {
 
 // treeNodes answers one level of the descent from the per-round tree
 // snapshots, node by node: for each queried node, which children differ and
-// which this side holds.
+// which this side holds, then the terms of each leaf child that differs and
+// that both sides hold (one per key under it here, in tree order), which the
+// client's leaf run answers. The nodes are read first and the answer, sized
+// from them, written after.
 func (m *serverRound) treeNodes() error {
 	fr, fw, nb := &m.fr, &m.fw, encoding.TreeBitmapLen(m.fanout)
 	fan64, err := fr.uvarint()
@@ -291,8 +308,9 @@ func (m *serverRound) treeNodes() error {
 	if err != nil || n > uint64(fr.remaining()/(4+nb)) {
 		return errors.New("bad tree nodes count")
 	}
-	fw.begin(kindTreeDiff, encoding.UvarintLen(n)+int(n)*2*nb)
-	fw.buf = binary.AppendUvarint(fw.buf, n)
+	fbits := encoding.TreeFanoutBits(m.fanout)
+	size, first := encoding.UvarintLen(n)+int(n)*2*nb, len(m.termed)
+	m.answers, m.nodeTerms = m.answers[:0], m.nodeTerms[:0]
 	for i := uint64(0); i < n; i++ {
 		var node encoding.TreeNode
 		if err := fr.elem(func(b []byte) (used int, err error) {
@@ -313,9 +331,9 @@ func (m *serverRound) treeNodes() error {
 		srvBm, srvHashes := m.bm, m.hashes
 		// differ bit c: exactly one side has child c, or both do with
 		// different hashes.
-		fw.buf = append(fw.room(2*nb), make([]byte, nb)...)
-		differ := fw.buf[len(fw.buf)-nb:]
-		ci, si := 0, 0
+		m.answers = append(m.answers, make([]byte, nb)...)
+		differ := m.answers[len(m.answers)-nb:]
+		ci, si, terms := 0, 0, 0
 		for c := 0; c < m.fanout; c++ {
 			cliHas, srvHas := encoding.BitmapGet(node.Bitmap, c), encoding.BitmapGet(srvBm, c)
 			var ch, sh uint64
@@ -329,38 +347,80 @@ func (m *serverRound) treeNodes() error {
 			}
 			if cliHas != srvHas || (cliHas && ch != sh) {
 				encoding.BitmapSet(differ, c)
+				if cliHas && srvHas && node.Level+1 == st.depth {
+					leaf := leafCoord{node.Stripe, node.Path<<uint(fbits) | uint64(c)}
+					k := len(st.tree.Run(st.depth, leaf.path))
+					size += encoding.UvarintLen(uint64(k)) + 8*k
+					m.termed = append(m.termed, leaf)
+					terms++
+				}
 			}
 		}
-		fw.buf = append(fw.buf, srvBm...)
+		m.answers = append(m.answers, srvBm...)
+		m.nodeTerms = append(m.nodeTerms, terms)
+	}
+	fw.begin(kindTreeDiff, size)
+	fw.buf = binary.AppendUvarint(fw.buf, n)
+	leaves := m.termed[first:]
+	for i, terms := range m.nodeTerms {
+		fw.buf = append(fw.room(2*nb), m.answers[i*2*nb:(i+1)*2*nb]...)
+		for _, leaf := range leaves[:terms] {
+			st := m.stripes[leaf.stripe]
+			run := st.tree.Run(st.depth, leaf.path)
+			fw.buf = binary.AppendUvarint(fw.room(binary.MaxVarintLen64), uint64(len(run)))
+			for _, d := range run {
+				var term uint64
+				term, m.chunk = encoding.DigestTerm(d, m.chunk)
+				fw.buf = binary.BigEndian.AppendUint64(fw.room(8), term)
+			}
+		}
+		leaves = leaves[terms:]
+	}
+	// Stripes of different depths have their leaves' terms sent in
+	// different frames.
+	if !slices.IsSortedFunc(m.termed, cmpLeafCoords) {
+		slices.SortFunc(m.termed, cmpLeafCoords)
 	}
 	return nil
 }
 
+// localRun returns this side's digests under the node at (level, path) of
+// stripe, and whether the round sent terms for it, for a leaf run the
+// client shipped there (encoding.DecodeLeafRun's local). Only a leaf's run
+// can hold keys at both ends: the descent stops above the leaves only where
+// one end's subtree is empty.
+func (m *serverRound) localRun(stripe, level int, path uint64) ([]encoding.Digest, bool) {
+	st := m.stripes[stripe]
+	if st == nil || level != st.depth {
+		return nil, false
+	}
+	_, termed := slices.BinarySearchFunc(m.termed, leafCoord{stripe, path}, cmpLeafCoords)
+	return st.tree.Run(level, path), termed
+}
+
 // leafDigests takes the client's digest runs for the still-divergent leaf
 // ranges, decoded one at a time, and answers with the ordinals of the
-// digests whose full copies this side needs. A key this side holds under the
-// run's node is taken from the round's tree snapshot rather than copied. The
-// runs must come in walk order — stripe, then position, each run's digests in
-// tree order — since that order numbers the digests; that every digest lies
-// in its run's stripe and range is the store's to check (DiffRanges).
+// digests whose full copies this side needs. A run of a leaf this side sent
+// terms for is decoded against them (encoding.DecodeLeafRun): each key whose
+// term the client matched comes as its id alone, and is rebuilt from this
+// side's key and update component under that id, so each run is the
+// client's whole run, in tree order. A key this side holds under the leaf is
+// taken from the round's tree snapshot rather than copied. The runs must
+// come in walk order — stripe, then position, each run's digests in tree
+// order — since that order numbers the digests; that every digest lies in
+// its run's stripe and range is the store's to check (DiffRanges).
 func (m *serverRound) leafDigests() error {
 	fr, fanout := &m.fr, m.fanout
 	n, err := fr.uvarint()
 	if err != nil {
 		return errors.New("bad leaf run count")
 	}
-	local := func(stripe, level int, path uint64) []encoding.Digest {
-		if st := m.stripes[stripe]; st != nil {
-			return st.tree.RunRange(kvstore.NodeRange(fanout, level, path))
-		}
-		return nil
-	}
 	m.runs = shippedRuns{runs: make([]leafRun, 0, fr.capCount(n))}
 	m.order = m.order[:0]
 	for i := uint64(0); i < n; i++ {
 		var run encoding.LeafRun
 		if err := fr.elem(func(b []byte) (used int, err error) {
-			run, used, err = encoding.DecodeLeafRun(b, fanout, m.of, local)
+			run, used, err = encoding.DecodeLeafRun(b, fanout, m.of, m.localRun)
 			return used, err
 		}); err != nil {
 			return err
@@ -376,9 +436,6 @@ func (m *serverRound) leafDigests() error {
 			Range: kvstore.NodeRange(fanout, run.Level, run.Path), Digests: run.Digests}}
 		if k := len(m.runs.runs); k > 0 && cmpLeafRuns(m.runs.runs[k-1], r) >= 0 {
 			return errors.New("leaf runs out of walk order")
-		}
-		if !inTreeOrder(r.Digests) {
-			return errors.New("leaf run digests out of tree order")
 		}
 		if !st.leaf {
 			st.leaf = true
@@ -433,20 +490,6 @@ func (m *serverRound) leafDigests() error {
 	}
 	m.phase = serverEntries
 	return nil
-}
-
-// inTreeOrder reports whether ds is strictly ascending in tree order, by
-// position and then key.
-func inTreeOrder(ds []encoding.Digest) bool {
-	var prev uint64
-	for i, d := range ds {
-		p := encoding.TreePos(d.Key)
-		if i > 0 && (p < prev || p == prev && d.Key <= ds[i-1].Key) {
-			return false
-		}
-		prev = p
-	}
-	return true
 }
 
 // readEntries takes one entry body per need, in need order
@@ -560,11 +603,23 @@ type clientRound struct {
 	// empties it, so the session pins no snapshot past the round.
 	trees            []*kvstore.DigestTree
 	frontier, deeper []nodeCoord // the descent's level and the next
-	leafReqs         []nodeCoord // the divergent leaf ranges, in walk order once shipped
+	leafReqs         []leafReq   // the divergent leaf ranges, in walk order once shipped
+	match            []int32     // the leaves' digests that answer terms: the term each matched
 	shipped          shippedRuns // the digest runs shipped for them
 	sends            []sentCopy  // what went for each need, in need order
 	bm               []byte      // DigestTree.Children scratch: child bitmap
 	hashes           []uint64    // DigestTree.Children scratch: child hashes
+	diff             []byte      // treeDiff scratch: a node's differ and server bitmaps
+	terms            []uint64    // matchTerms scratch: one leaf's terms
+	chunk            []byte      // encoding.DigestTerm scratch
+}
+
+// leafReq is a divergent leaf range the descent ended at, and the n terms
+// the server sent for it (none when n is 0), which its run's digests
+// matched as match[at:] says, one a digest.
+type leafReq struct {
+	nodeCoord
+	at, n int
 }
 
 // load readies a round of local's stripes (nil: all of them): it fills the
@@ -722,7 +777,7 @@ func (m *clientRound) stripeDiff() (bool, error) {
 	if err != nil || count > uint64(len(m.stripes)) {
 		return false, badFrame(err, "bad stripe root diff count")
 	}
-	m.frontier, m.leafReqs = m.frontier[:0], m.leafReqs[:0]
+	m.frontier, m.leafReqs, m.match = m.frontier[:0], m.leafReqs[:0], m.match[:0]
 	for i := uint64(0); i < count; i++ {
 		idx64, err := m.fr.uvarint()
 		if err != nil || idx64 >= uint64(m.of) || m.trees[idx64] == nil { // only stripes this round sent
@@ -765,7 +820,9 @@ func (m *clientRound) sendNodes() {
 // treeDiff takes one level of the descent: of the frontier's children, only
 // those the server flagged as differing are walked further. A child that
 // differs becomes a leaf request when it sits at the bottom, or when either
-// side's subtree is empty (nothing left to narrow).
+// side's subtree is empty (nothing left to narrow). A bottom child both sides
+// hold comes with the server's terms for it, which its run is matched
+// against at once, so no term outlives its leaf.
 func (m *clientRound) treeDiff() error {
 	nb := encoding.TreeBitmapLen(m.fanout)
 	n, err := m.fr.uvarint()
@@ -779,18 +836,26 @@ func (m *clientRound) treeDiff() error {
 		if err != nil {
 			return badFrame(err, "truncated tree diff")
 		}
-		differ, srvBm := b[:nb], b[nb:]
-		cliBm := m.node(nc).Bitmap
+		m.diff = append(m.diff[:0], b...) // the terms that follow may refill the window
+		differ, srvBm := m.diff[:nb], m.diff[nb:]
+		cliBm, depth := m.node(nc).Bitmap, m.trees[nc.stripe].Depth()
 		for c := 0; c < m.fanout; c++ {
 			if !encoding.BitmapGet(differ, c) {
 				continue
 			}
 			child := nodeCoord{stripe: nc.stripe, level: nc.level + 1, path: nc.path<<uint(fbits) | uint64(c)}
-			if child.level == m.trees[nc.stripe].Depth() || !encoding.BitmapGet(cliBm, c) ||
-				!encoding.BitmapGet(srvBm, c) {
-				m.leafReqs = append(m.leafReqs, child)
-			} else {
+			both := encoding.BitmapGet(cliBm, c) && encoding.BitmapGet(srvBm, c)
+			switch {
+			case child.level < depth && both:
 				m.deeper = append(m.deeper, child)
+			case both:
+				req := leafReq{nodeCoord: child, at: len(m.match)}
+				if req.n, err = m.matchTerms(child); err != nil {
+					return err
+				}
+				m.leafReqs = append(m.leafReqs, req)
+			default:
+				m.leafReqs = append(m.leafReqs, leafReq{nodeCoord: child})
 			}
 		}
 	}
@@ -803,28 +868,52 @@ func (m *clientRound) treeDiff() error {
 	return nil
 }
 
+// matchTerms reads the terms of leaf, a count and 8 bytes each, matches its
+// run against them onto match (encoding.MatchTerms), and returns the count.
+func (m *clientRound) matchTerms(leaf nodeCoord) (int, error) {
+	count, err := m.fr.uvarint()
+	if err != nil || count > uint64(m.fr.remaining()/8) {
+		return 0, badFrame(err, "bad term count")
+	}
+	m.terms = m.terms[:0]
+	for i := uint64(0); i < count; i++ {
+		b, err := m.fr.bytes(8)
+		if err != nil {
+			return 0, badFrame(err, "truncated terms")
+		}
+		m.terms = append(m.terms, binary.BigEndian.Uint64(b))
+	}
+	m.match, m.chunk = encoding.MatchTerms(m.match, m.trees[leaf.stripe].Run(leaf.level, leaf.path), m.terms, m.chunk)
+	return int(count), nil
+}
+
 // sendLeafRuns begins the digest runs under the divergent leaf ranges, in
-// walk order — stripe, then position — sized before they are encoded. The
-// runs are kept: their order numbers the digests the rest of the round names
-// by ordinal, the reply may only touch their ranges, and it is applied
-// against the stamps they carried.
+// walk order — stripe, then position — sized before they are encoded. A run
+// of a leaf the server sent terms for ships each key whose term it matched
+// as its id alone. The runs are kept whole: their order numbers every digest
+// the rest of the round names by ordinal, matched or not, the reply may only
+// touch their ranges, and it is applied against the stamps they carried.
 func (m *clientRound) sendLeafRuns() {
 	fanout := m.fanout
-	slices.SortFunc(m.leafReqs, func(a, b nodeCoord) int {
+	slices.SortFunc(m.leafReqs, func(a, b leafReq) int {
 		return cmp.Or(cmp.Compare(a.stripe, b.stripe),
 			cmp.Compare(kvstore.NodeRange(fanout, a.level, a.path).Lo, kvstore.NodeRange(fanout, b.level, b.path).Lo))
 	})
 	m.shipped = shippedRuns{runs: make([]leafRun, len(m.leafReqs))}
 	wireRun := func(i int) encoding.LeafRun {
-		nc := m.leafReqs[i]
-		return encoding.LeafRun{Stripe: nc.stripe, Depth: m.trees[nc.stripe].Depth(), Level: nc.level, Path: nc.path,
-			Digests: m.shipped.runs[i].Digests}
+		req, r := m.leafReqs[i], &m.shipped.runs[i]
+		run := encoding.LeafRun{Stripe: req.stripe, Depth: m.trees[req.stripe].Depth(), Level: req.level, Path: req.path,
+			Digests: r.Digests, Terms: req.n}
+		if req.n > 0 {
+			run.Match = m.match[req.at : req.at+len(r.Digests)]
+		}
+		return run
 	}
 	size := encoding.UvarintLen(uint64(len(m.leafReqs)))
-	for i, nc := range m.leafReqs {
+	for i, req := range m.leafReqs {
 		r := &m.shipped.runs[i]
-		r.stripe, r.first, r.Range = nc.stripe, m.shipped.n, kvstore.NodeRange(fanout, nc.level, nc.path)
-		r.Digests = m.trees[nc.stripe].Run(nc.level, nc.path)
+		r.stripe, r.first, r.Range = req.stripe, m.shipped.n, kvstore.NodeRange(fanout, req.level, req.path)
+		r.Digests = m.trees[req.stripe].Run(req.level, req.path)
 		m.shipped.n += len(r.Digests)
 		size += encoding.LeafRunLen(wireRun(i))
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -646,13 +647,14 @@ func needOrdinal(t *testing.T, c *clientRound, key string) int {
 
 // forgedPair builds the pair the forged-frame tests run a round over — the
 // client ships key-0001 and key-0002 in full and key-0005 as a digest only,
-// in three leaves — and runs one round through the lockstep driver, with
+// in three leaves of about four keys, whose other keys answer the server's
+// terms — and runs one round through the lockstep driver, with
 // forge called before each frame is received. The round must fail with
 // ErrProtocol and change neither replica. A forge that writes at the client
 // itself says so (wrote), and the client is then held to what it held after
 // that write.
 func forgedPair(t *testing.T, forge func(l *lockstep, kind byte, unread *bytes.Buffer) (wrote bool)) error {
-	server, client := clonedPair(64)
+	server, client := clonedPair(2048)
 	client.Put("key-0001", []byte("client-1"))
 	client.Put("key-0002", []byte("client-2"))
 	server.Put("key-0005", []byte("server-5"))
@@ -788,33 +790,172 @@ func TestClientRefusesForgedRestamps(t *testing.T) {
 	}
 }
 
+// termList is where one term list of a tree diff body lies: its count's
+// offset and its end, and the child c it is for, whose node's server bitmap
+// is at srvBm.
+type termList struct {
+	at, end  int
+	srvBm, c int
+}
+
+// termLists returns the term lists of a tree diff body the client machine c
+// is about to take.
+func termLists(t *testing.T, c *clientRound, body []byte) []termList {
+	nb := encoding.TreeBitmapLen(c.fanout)
+	n, off := binary.Uvarint(body)
+	if int(n) != len(c.frontier) {
+		t.Fatalf("tree diff of %d nodes, %d queried", n, len(c.frontier))
+	}
+	var lists []termList
+	for _, nc := range c.frontier {
+		differ, srvBm := body[off:off+nb], body[off+nb:off+2*nb]
+		at := off + nb
+		off += 2 * nb
+		cliBm := c.node(nc).Bitmap
+		for ch := 0; ch < c.fanout; ch++ {
+			if nc.level+1 == c.trees[nc.stripe].Depth() && encoding.BitmapGet(differ, ch) &&
+				encoding.BitmapGet(cliBm, ch) && encoding.BitmapGet(srvBm, ch) {
+				k, used := binary.Uvarint(body[off:])
+				lists = append(lists, termList{off, off + used + 8*int(k), at, ch})
+				off += used + 8*int(k)
+			}
+		}
+	}
+	if off != len(body) {
+		t.Fatalf("tree diff body of %d bytes parsed to %d", len(body), off)
+	}
+	return lists
+}
+
+// TestClientRefusesForgedTerms: the client reads the terms of a tree diff
+// only for a bottom child that differs and that both ends hold, and refuses
+// with ErrProtocol a frame that carries terms for a child it says the
+// server lacks, a term count past the frame, and a term list cut short,
+// before anything is applied. Neither replica changes.
+func TestClientRefusesForgedTerms(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		forge func(body []byte, lists []termList) []byte
+	}{
+		{"terms for a child the server lacks", func(body []byte, lists []termList) []byte {
+			l := lists[len(lists)-1]
+			body = bytes.Clone(body)
+			body[l.srvBm+l.c/8] &^= 1 << (l.c % 8)
+			return body
+		}},
+		{"a term count past the frame", func(body []byte, lists []termList) []byte {
+			l := lists[0]
+			n := binary.AppendUvarint(nil, uint64((len(body)-l.at)/8+1))
+			_, used := binary.Uvarint(body[l.at:])
+			return slices.Concat(body[:l.at], n, body[l.at+used:])
+		}},
+		{"a term list cut short", func(body []byte, lists []termList) []byte {
+			return body[:lists[len(lists)-1].end-3]
+		}},
+	} {
+		err := forgedPair(t, func(l *lockstep, kind byte, unread *bytes.Buffer) bool {
+			if kind == kindTreeDiff && unread == &l.s2c {
+				_, body := frameAt(unread)
+				lists := termLists(t, &l.c, body)
+				if len(lists) == 0 {
+					t.Fatal("the tree diff carries no terms")
+				}
+				forgeFrame(unread, kind, tc.forge(body, lists))
+			}
+			return false
+		})
+		t.Logf("%s: %v", tc.name, err)
+	}
+}
+
 // TestServerRefusesForgedEntries is the server's twin of
 // TestClientRefusesForgedRestamps: an entries frame whose count is not the
-// need count, one whose body carries unknown flags or trailing bytes, and
-// leaf runs or digests out of walk order are refused with an error frame
-// before anything is applied. Neither replica changes.
+// need count, one whose body carries unknown flags or trailing bytes, leaf
+// runs out of walk order, and a leaf run that answers the server's terms
+// with bitmap padding bits set, with an id that fails core.DecodeBinary's
+// validation, with a key both matched and shipped, or that rebuilds out of
+// tree order are refused with an error frame before anything is applied.
+// Neither replica changes.
 func TestServerRefusesForgedEntries(t *testing.T) {
 	count := func(body []byte) (uint64, []byte) {
 		n, used := binary.Uvarint(body)
 		return n, body[used:]
 	}
-	// leafRuns rewrites the leaf-digest frame's runs with edit.
-	leafRuns := func(l *lockstep, body []byte, edit func(runs []encoding.LeafRun)) []byte {
+	// leafRuns rewrites the leaf-digest frame's runs: each is decoded
+	// against the server's terms, and edit returns each run's bytes, the
+	// run re-encoded (encode) unless it forges them.
+	encode := func(l *lockstep, r encoding.LeafRun) []byte {
+		if r.Terms > 0 {
+			mine, _ := l.s.localRun(r.Stripe, r.Level, r.Path)
+			r.Match, _ = encoding.MatchTerms(nil, r.Digests, termsOf(mine), nil)
+		}
+		return encoding.AppendLeafRun(nil, r)
+	}
+	leafRuns := func(l *lockstep, body []byte, edit func(runs []encoding.LeafRun) [][]byte) []byte {
 		n, rest := count(body)
 		runs := make([]encoding.LeafRun, n)
 		for i := range runs {
-			r, used, err := encoding.DecodeLeafRun(rest, l.c.fanout, l.c.of, nil)
+			r, used, err := encoding.DecodeLeafRun(rest, l.c.fanout, l.c.of, l.s.localRun)
 			if err != nil {
 				t.Fatal(err)
 			}
 			runs[i], rest = r, rest[used:]
 		}
-		edit(runs)
-		out := binary.AppendUvarint(nil, n)
-		for _, r := range runs {
-			out = encoding.AppendLeafRun(out, r)
+		return slices.Concat(append([][]byte{binary.AppendUvarint(nil, n)}, edit(runs)...)...)
+	}
+	// forgeTermed re-encodes every run, the first that answers terms and
+	// holds a matched and a shipped key forged by forge.
+	forgeTermed := func(l *lockstep, forge func(r encoding.LeafRun, match []int32) []byte) func([]encoding.LeafRun) [][]byte {
+		return func(runs []encoding.LeafRun) [][]byte {
+			out, forged := make([][]byte, len(runs)), false
+			for i, r := range runs {
+				out[i] = encode(l, r)
+				if r.Terms == 0 || forged {
+					continue
+				}
+				mine, _ := l.s.localRun(r.Stripe, r.Level, r.Path)
+				match, _ := encoding.MatchTerms(nil, r.Digests, termsOf(mine), nil)
+				if slices.Contains(match, -1) && slices.ContainsFunc(match, func(m int32) bool { return m >= 0 }) {
+					out[i], forged = forge(r, match), true
+				}
+			}
+			if !forged {
+				t.Fatal("no leaf run holds a matched and a shipped key")
+			}
+			return out
 		}
-		return out
+	}
+	// answer encodes r's coordinate, the bitmap of the terms its matched
+	// digests match and their ids, then shipped as they come.
+	answer := func(r encoding.LeafRun, match []int32, shipped []encoding.Digest) []byte {
+		var ds []encoding.Digest
+		var m []int32
+		for i, d := range r.Digests {
+			if match[i] >= 0 {
+				ds, m = append(ds, d), append(m, match[i])
+			}
+		}
+		b := encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Depth: r.Depth, Level: r.Level, Path: r.Path,
+			Digests: ds, Terms: r.Terms, Match: m})
+		b = binary.AppendUvarint(b[:len(b)-1], uint64(len(shipped))) // the count of none
+		for _, d := range shipped {
+			b = encoding.AppendDigest(b, d)
+		}
+		return b
+	}
+	// shippedOf returns r's digests match leaves unmatched.
+	shippedOf := func(r encoding.LeafRun, match []int32) []encoding.Digest {
+		var ds []encoding.Digest
+		for i, d := range r.Digests {
+			if match[i] < 0 {
+				ds = append(ds, d)
+			}
+		}
+		return ds
+	}
+	// coordLen returns the length of r's coordinate prefix.
+	coordLen := func(r encoding.LeafRun) int {
+		return len(encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Depth: r.Depth, Level: r.Level, Path: r.Path})) - 1
 	}
 	for _, tc := range []struct {
 		name  string
@@ -835,23 +976,53 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 		}},
 		{"trailing bytes", kindEntries, func(_ *lockstep, body []byte) []byte { return append(bytes.Clone(body), 0) }},
 		{"leaf runs out of walk order", kindLeafDigests, func(l *lockstep, body []byte) []byte {
-			return leafRuns(l, body, func(runs []encoding.LeafRun) {
+			return leafRuns(l, body, func(runs []encoding.LeafRun) [][]byte {
 				if len(runs) < 2 {
 					t.Fatalf("%d leaf runs, want several", len(runs))
 				}
 				runs[0], runs[1] = runs[1], runs[0]
+				var out [][]byte
+				for _, r := range runs {
+					out = append(out, encode(l, r))
+				}
+				return out
 			})
 		}},
-		{"digests out of tree order", kindLeafDigests, func(l *lockstep, body []byte) []byte {
-			return leafRuns(l, body, func(runs []encoding.LeafRun) {
-				for _, r := range runs {
-					if ds := r.Digests; len(ds) > 1 {
-						ds[0], ds[1] = ds[1], ds[0]
-						return
-					}
+		{"term bitmap padding bits", kindLeafDigests, func(l *lockstep, body []byte) []byte {
+			return leafRuns(l, body, forgeTermed(l, func(r encoding.LeafRun, match []int32) []byte {
+				if r.Terms%8 == 0 {
+					t.Fatalf("%d terms leave no padding bits", r.Terms)
 				}
-				t.Fatal("no leaf run holds two digests")
-			})
+				b := answer(r, match, shippedOf(r, match))
+				b[coordLen(r)+encoding.TreeBitmapLen(r.Terms)-1] |= 0x80
+				return b
+			}))
+		}},
+		{"an id that fails validation", kindLeafDigests, func(l *lockstep, body []byte) []byte {
+			return leafRuns(l, body, forgeTermed(l, func(r encoding.LeafRun, match []int32) []byte {
+				// The first id becomes ∅, which covers no update component (I1).
+				b := answer(r, match, shippedOf(r, match))
+				at := coordLen(r) + encoding.TreeBitmapLen(r.Terms)
+				first := r.Digests[slices.IndexFunc(match, func(m int32) bool { return m >= 0 })]
+				return slices.Concat(b[:at], []byte{0x01, 0x00}, b[at+first.Stamp.IDHandle().EncodedLen():])
+			}))
+		}},
+		{"a key both matched and shipped", kindLeafDigests, func(l *lockstep, body []byte) []byte {
+			return leafRuns(l, body, forgeTermed(l, func(r encoding.LeafRun, match []int32) []byte {
+				return answer(r, match, r.Digests)
+			}))
+		}},
+		{"a rebuilt run out of tree order", kindLeafDigests, func(l *lockstep, body []byte) []byte {
+			return leafRuns(l, body, forgeTermed(l, func(r encoding.LeafRun, match []int32) []byte {
+				// One matched key goes shipped instead, the shipped keys
+				// in reverse tree order.
+				k := slices.IndexFunc(match, func(m int32) bool { return m >= 0 })
+				match = slices.Clone(match)
+				match[k] = -1
+				shipped := shippedOf(r, match)
+				slices.Reverse(shipped)
+				return answer(r, match, shipped)
+			}))
 		}},
 	} {
 		err := forgedPair(t, func(l *lockstep, kind byte, unread *bytes.Buffer) bool {
@@ -863,4 +1034,14 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 		})
 		t.Logf("%s: %v", tc.name, err)
 	}
+}
+
+// termsOf returns the terms of ds, in order.
+func termsOf(ds []encoding.Digest) []uint64 {
+	var terms []uint64
+	for _, d := range ds {
+		term, _ := encoding.DigestTerm(d, nil)
+		terms = append(terms, term)
+	}
+	return terms
 }

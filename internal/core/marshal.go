@@ -81,6 +81,26 @@ func DecodeBinary(src []byte) (Stamp, int, error) {
 	return s, off, nil
 }
 
+// DecodeID reads one id component from the front of src, in the trie
+// encoding AppendBinary writes it in, and returns it paired with s's update
+// component, and the number of bytes consumed. It validates what
+// DecodeBinary validates: the trie decodes and interns, and the pair
+// satisfies Invariant I1. A receiver that already holds a copy's update
+// component uses it to take a peer's stamp whose update component is known
+// to equal its own, so only the id travels. Input that ends inside the id
+// is an error that is io.ErrUnexpectedEOF.
+func (s Stamp) DecodeID(src []byte) (Stamp, int, error) {
+	i, used, err := trie.InternEncoded(src)
+	if err != nil {
+		return Stamp{}, 0, fmt.Errorf("core: id component: %w", err)
+	}
+	t, err := NewInterned(s.u, i)
+	if err != nil {
+		return Stamp{}, 0, err
+	}
+	return t, used, nil
+}
+
 // UnmarshalBinary implements encoding.BinaryUnmarshaler. The input must
 // contain exactly one encoded stamp.
 func (s *Stamp) UnmarshalBinary(data []byte) error {

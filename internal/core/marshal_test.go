@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -124,6 +126,35 @@ func TestDecodeBinaryRejects(t *testing.T) {
 	for _, data := range cases {
 		if _, _, err := DecodeBinary(data); err == nil {
 			t.Errorf("DecodeBinary(%x) accepted invalid input", data)
+		}
+	}
+}
+
+// TestDecodeIDPairsAndValidates: DecodeID takes back the id AppendBinary
+// writes, paired with the receiver's update component, and refuses what
+// DecodeBinary refuses of an id: a trie that does not decode, and a pair
+// that violates I1.
+func TestDecodeIDPairsAndValidates(t *testing.T) {
+	for _, s := range []Stamp{Seed(), MustParse("[1|0+1]"), MustParse("[ε|00]"), MustParse("[1|1]")} {
+		enc := s.IDHandle().AppendEncoding(nil)
+		got, used, err := s.DecodeID(append(enc, 0xff))
+		if err != nil || used != len(enc) || !got.Equal(s) {
+			t.Errorf("%v: DecodeID = %v, %d of %d bytes, %v", s, got, used, len(enc), err)
+		}
+	}
+	u1 := MustParse("[1|1]")
+	for _, tc := range []struct {
+		data []byte
+		eof  bool
+	}{
+		{nil, true},
+		{[]byte{0x05}, true},        // truncated trie
+		{[]byte{0x00}, false},       // id trie with no bits
+		{[]byte{0x05, 0xa8}, false}, // i={0} under u={1}: I1 violated
+	} {
+		_, _, err := u1.DecodeID(tc.data)
+		if err == nil || errors.Is(err, io.ErrUnexpectedEOF) != tc.eof {
+			t.Errorf("DecodeID(%x) = %v; want an error, short input %v", tc.data, err, tc.eof)
 		}
 	}
 }

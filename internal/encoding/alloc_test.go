@@ -11,9 +11,10 @@ import (
 
 // TestDecodeKnownKeyAllocs pins what a decode costs when the receiver
 // already holds the keys it names: a leaf run of 16 held keys allocates only
-// its digest slice, each key sharing the bytes of the receiver's string, and
-// a held digest allocates nothing. A key the receiver does not hold costs
-// one copy more; an entry copies its key and its value.
+// its digest slice, each key sharing the bytes of the receiver's string,
+// whether the keys come whole or as the ids that answer the receiver's
+// terms, and a held digest allocates nothing. A key the receiver does not
+// hold costs one copy more; an entry copies its key and its value.
 func TestDecodeKnownKeyAllocs(t *testing.T) {
 	st := testStamp(t)
 	local := make([]Digest, 16)
@@ -31,7 +32,8 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 		}
 		return "", false
 	}
-	mine := func(int, int, uint64) []Digest { return local }
+	mine := func(int, int, uint64) ([]Digest, bool) { return local, false }
+	termed := func(int, int, uint64) ([]Digest, bool) { return local, true }
 	shared := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
 
 	run := AppendLeafRun(nil, LeafRun{Stripe: 3, Depth: 2, Level: 2, Path: 0x41, Digests: local})
@@ -56,6 +58,16 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 		return cmp.Or(cmp.Compare(TreePos(a.Key), TreePos(b.Key)), strings.Compare(a.Key, b.Key))
 	})
 	unknownRun := AppendLeafRun(nil, LeafRun{Stripe: 3, Depth: 2, Level: 2, Path: 0x41, Digests: newRun})
+	var terms []uint64
+	for _, d := range local {
+		term, _ := DigestTerm(d, nil)
+		terms = append(terms, term)
+	}
+	answer := func(ds []Digest) []byte {
+		match, _ := MatchTerms(nil, ds, terms, nil)
+		return AppendLeafRun(nil, LeafRun{Stripe: 3, Depth: 2, Level: 2, Path: 0x41, Digests: ds, Terms: len(terms), Match: match})
+	}
+	matchedRun, matchedUnknownRun := answer(local), answer(newRun)
 	unknownDigest := AppendDigest(nil, Digest{Key: "key-not-held", Stamp: st})
 	entry := AppendEntry(nil, Entry{Key: "key-not-held", Value: []byte("value"), Stamp: st})
 
@@ -67,6 +79,11 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 		{"leaf run of 16 held keys", 1, func() error { _, _, err := DecodeLeafRun(run, 16, 32, mine); return err }},
 		{"held digest", 0, func() error { _, _, err := DecodeDigest(digest, held); return err }},
 		{"leaf run, one key not held", 2, func() error { _, _, err := DecodeLeafRun(unknownRun, 16, 32, mine); return err }},
+		{"leaf run of 16 matched terms", 1, func() error { _, _, err := DecodeLeafRun(matchedRun, 16, 32, termed); return err }},
+		{"leaf run of 15 matched terms and a key not held", 2, func() error {
+			_, _, err := DecodeLeafRun(matchedUnknownRun, 16, 32, termed)
+			return err
+		}},
 		{"digest not held", 1, func() error { _, _, err := DecodeDigest(unknownDigest, held); return err }},
 		{"entry", 2, func() error { _, _, err := DecodeEntry(entry); return err }},
 	}

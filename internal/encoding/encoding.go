@@ -2,7 +2,9 @@
 // build around stamps: the length-prefixed digest and entry codec (wire.go),
 // the digest-tree hashes (summary.go) and the digest-tree frames (tree.go).
 // Every stamp inside them is written in core's one binary format
-// (core.Stamp.AppendBinary, read back by core.DecodeBinary).
+// (core.Stamp.AppendBinary, read back by core.DecodeBinary), but for the id
+// component a leaf run ships alone for a key that answers the receiver's
+// term (its trie encoding, read back by core.Stamp.DecodeID).
 //
 // All decoders re-validate what they read: no frame can smuggle in a
 // non-antichain component or an I1 violation.

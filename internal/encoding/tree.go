@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+
+	"versionstamp/internal/core"
 )
 
 // Digest-tree frames: the wire shapes of the adaptive k-ary hash tree the
@@ -17,8 +19,9 @@ import (
 //
 // Three shapes travel: tree nodes (a node coordinate plus a child bitmap and
 // one 8-byte hash per present child), leaf digest runs (a node coordinate
-// plus the digests whose positions fall under it), and the shape parameters
-// themselves (fanout, depth). All appenders extend a caller-owned buffer —
+// plus the digests whose positions fall under it, a digest whose term the
+// receiver sent going as its id alone), and the shape parameters themselves
+// (fanout, depth). All appenders extend a caller-owned buffer —
 // same buffer-reuse discipline as AppendDigest/AppendEntry — and all
 // decoders bound every allocation by the bytes actually present, so hostile
 // depth/fanout/count fields error out instead of allocating.
@@ -212,94 +215,228 @@ func DecodeTreeNode(data []byte, fanout, maxStripe int, hashes []uint64) (TreeNo
 }
 
 // LeafRun is one leaf digest-run frame element: a node coordinate plus the
-// digests whose tree positions fall under that node, in (position, key)
-// order.
+// digests whose tree positions fall under that node, in tree order.
+//
+// A run may answer terms (DigestTerm): the receiver sent Terms of them for
+// the run's leaf, one per key it holds there, in tree order. Then Match gives
+// each digest the index of the term it matched, or -1 (MatchTerms), and a
+// matched digest goes as its stamp's id component alone: the receiver holds
+// its key and its update component under that term. A run with no terms
+// (Terms 0) ships every digest whole, and its Match is not read.
 type LeafRun struct {
 	Stripe  int
 	Depth   int
 	Level   int
 	Path    uint64
 	Digests []Digest
+	Terms   int
+	Match   []int32
 }
+
+// matched reports whether r's digest i goes as its id alone.
+func (r LeafRun) matched(i int) bool { return r.Terms > 0 && r.Match[i] >= 0 }
 
 // LeafRunLen returns the length of AppendLeafRun's output for r.
 func LeafRunLen(r LeafRun) int {
-	n := treeCoordLen(r.Stripe, r.Depth, r.Level, r.Path) + UvarintLen(uint64(len(r.Digests)))
-	for _, d := range r.Digests {
-		n += DigestLen(d)
+	n, shipped := treeCoordLen(r.Stripe, r.Depth, r.Level, r.Path), 0
+	if r.Terms > 0 {
+		n += TreeBitmapLen(r.Terms)
 	}
-	return n
+	for i, d := range r.Digests {
+		if r.matched(i) {
+			n += d.Stamp.IDHandle().EncodedLen()
+		} else {
+			n += DigestLen(d)
+			shipped++
+		}
+	}
+	return n + UvarintLen(uint64(shipped))
 }
 
-// AppendLeafRun appends one leaf run: the coordinate prefix, a digest count,
-// then the digests (AppendDigest).
+// AppendLeafRun appends one leaf run: the coordinate prefix; for a run that
+// answers terms, a bitmap over the terms (TreeBitmapLen(Terms) bytes, the
+// layout of a child bitmap) marking those matched, then each matched
+// digest's id component (its trie encoding) in term order; then a count and
+// the digests not matched (AppendDigest), in tree order. Match's indices
+// must ascend over the matched digests, as MatchTerms makes them.
 func AppendLeafRun(dst []byte, r LeafRun) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.Stripe))
 	dst = binary.AppendUvarint(dst, uint64(r.Depth))
 	dst = binary.AppendUvarint(dst, uint64(r.Level))
 	dst = binary.AppendUvarint(dst, r.Path)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Digests)))
-	for _, d := range r.Digests {
-		dst = AppendDigest(dst, d)
+	shipped := len(r.Digests)
+	if r.Terms > 0 {
+		at := len(dst)
+		dst = append(dst, make([]byte, TreeBitmapLen(r.Terms))...)
+		for i, d := range r.Digests {
+			if r.matched(i) {
+				BitmapSet(dst[at:], int(r.Match[i]))
+				dst = d.Stamp.IDHandle().AppendEncoding(dst)
+				shipped--
+			}
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(shipped))
+	for i, d := range r.Digests {
+		if !r.matched(i) {
+			dst = AppendDigest(dst, d)
+		}
 	}
 	return dst
 }
 
+// MatchTerms appends to match, for each digest of ds in order, the index of
+// the term of terms it matches (DigestTerm), or -1. The terms are a peer's
+// for one leaf and ds the keys under it here, both in tree order, so a key
+// both hold comes at the same place in both orders: the search for each
+// digest's term starts past the last match, and the matched indices ascend.
+// A term out of order only goes unmatched. scratch is as for DigestTerm.
+func MatchTerms(match []int32, ds []Digest, terms []uint64, scratch []byte) ([]int32, []byte) {
+	next := 0
+	for _, d := range ds {
+		at := int32(-1)
+		if next < len(terms) {
+			var t uint64
+			t, scratch = DigestTerm(d, scratch)
+			for k := next; k < len(terms); k++ {
+				if terms[k] == t {
+					at, next = int32(k), k+1
+					break
+				}
+			}
+		}
+		match = append(match, at)
+	}
+	return match, scratch
+}
+
 // DecodeLeafRun parses one leaf run from the front of data, returning the
-// bytes consumed. The digest slice is made once, its capacity bounded by the
-// bytes present, so a hostile count cannot force a huge allocation.
+// bytes consumed. The run must be in tree order, strictly: a run out of it,
+// or naming a key twice, is refused.
 //
 // local, when not nil, returns the receiver's own digests under the run's
-// node, in (position, key) order, as its digest tree holds them. A digest
-// key that matches one of them exactly is taken from it, found with a
-// cursor that moves forward only (the run is in the same order), and any
-// other key is copied (decodeKey). So a run the receiver mostly holds
-// copies only the keys that are new to it, and an unsorted or hostile run
-// decodes to the same digests, copying more. A nil local copies every key.
-func DecodeLeafRun(data []byte, fanout, maxStripe int, local func(stripe, level int, path uint64) []Digest) (LeafRun, int, error) {
+// node, in tree order, as its digest tree holds them, and whether it sent
+// terms for the run's leaf, one per digest of them. A run that answers terms
+// is decoded against them: each term its bitmap marks gives a digest of the
+// term's key — the receiver's own key string — under the receiver's update
+// component and the id component the run carries for it
+// (core.Stamp.DecodeID, which validates the pair as core.DecodeBinary
+// would). The run's bitmap padding bits must be zero, and no key may be
+// both matched and shipped. The decoded run is the matched and shipped
+// digests merged, in tree order, with Terms set. A shipped key that equals
+// one of local's exactly is taken from it, and any other is copied
+// (decodeKey); a nil local copies every key, and decodes the run as one
+// with no terms.
+//
+// Every key's position (TreePos) is computed once. The digest slice is made
+// once, its capacity bounded by the bytes present, so a hostile count
+// cannot force a huge allocation.
+func DecodeLeafRun(data []byte, fanout, maxStripe int, local func(stripe, level int, path uint64) (mine []Digest, terms bool)) (LeafRun, int, error) {
 	total := len(data)
 	stripe, depth, level, path, data, err := decodeTreeCoord(data, fanout, maxStripe, true)
 	if err != nil {
 		return LeafRun{}, 0, err
 	}
+	var mine []Digest
+	var termed bool
+	if local != nil {
+		mine, termed = local(stripe, level, path)
+	}
+	var bm, ids []byte
+	matched := 0
+	if termed {
+		nb := TreeBitmapLen(len(mine))
+		if len(data) < nb {
+			return LeafRun{}, 0, fmt.Errorf("encoding: leaf run: truncated term bitmap: %w", io.ErrUnexpectedEOF)
+		}
+		bm, data = data[:nb], data[nb:]
+		if pad := len(mine) % 8; pad != 0 && bm[nb-1]>>pad != 0 {
+			return LeafRun{}, 0, errors.New("encoding: leaf run: term bitmap padding bits set")
+		}
+		// The ids are checked here and taken in the merge below.
+		ids = data
+		for i := range mine {
+			if BitmapGet(bm, i) {
+				_, n, err := mine[i].Stamp.DecodeID(data)
+				if err != nil {
+					return LeafRun{}, 0, fmt.Errorf("encoding: leaf run: id of %q: %w", mine[i].Key, err)
+				}
+				data = data[n:]
+				matched++
+			}
+		}
+		ids = ids[:len(ids)-len(data)]
+	}
 	count, data, err := treeUvarint(data, "digest count")
 	if err != nil {
 		return LeafRun{}, 0, err
 	}
-	capped := count
-	if capped > uint64(len(data)) { // every digest takes >= 1 byte
-		capped = uint64(len(data))
+	capped := min(count, uint64(len(data))) // every digest takes >= 1 byte
+	ds := make([]Digest, 0, capped+uint64(matched))
+
+	// One merge in tree order: the shipped digests, and the matched keys
+	// among the receiver's, which also resolve the shipped keys. mine[j] is
+	// the receiver's next key, at position mpos; last is the position of
+	// the last digest merged.
+	j, mpos, last := 0, uint64(0), uint64(0)
+	if len(mine) > 0 {
+		mpos = TreePos(mine[0].Key)
 	}
-	var known func(key []byte) (string, bool)
-	if local != nil && count > 0 {
-		mine := local(stripe, level, path)
-		known = func(key []byte) (string, bool) {
-			pos := TreePos(key)
-			for len(mine) > 0 {
-				p := TreePos(mine[0].Key)
-				if p > pos || p == pos && mine[0].Key >= string(key) {
-					break
-				}
-				mine = mine[1:]
+	advance := func() error {
+		if bm != nil && BitmapGet(bm, j) {
+			s, n, err := mine[j].Stamp.DecodeID(ids)
+			if err != nil {
+				return fmt.Errorf("encoding: leaf run: id of %q: %w", mine[j].Key, err)
 			}
-			if len(mine) == 0 || mine[0].Key != string(key) {
-				return "", false
-			}
-			k := mine[0].Key
-			mine = mine[1:]
-			return k, true
+			ids = ids[n:]
+			ds, last = append(ds, Digest{Key: mine[j].Key, Stamp: s}), mpos
 		}
+		if j++; j < len(mine) {
+			mpos = TreePos(mine[j].Key)
+		}
+		return nil
 	}
-	ds := make([]Digest, 0, capped)
 	for i := uint64(0); i < count; i++ {
-		d, n, err := DecodeDigest(data, known)
+		key, off, err := keyBytes(data)
 		if err != nil {
+			return LeafRun{}, 0, fmt.Errorf("encoding: digest: %w", err)
+		}
+		pos := TreePos(key)
+		for j < len(mine) && (mpos < pos || mpos == pos && mine[j].Key < string(key)) {
+			if err := advance(); err != nil {
+				return LeafRun{}, 0, err
+			}
+		}
+		if n := len(ds); n > 0 && (pos < last || pos == last && string(key) <= ds[n-1].Key) {
+			return LeafRun{}, 0, fmt.Errorf("encoding: leaf run: digest %q out of tree order", key)
+		}
+		k := ""
+		if j < len(mine) && mine[j].Key == string(key) {
+			if bm != nil && BitmapGet(bm, j) {
+				return LeafRun{}, 0, fmt.Errorf("encoding: leaf run: key %q both matched and shipped", key)
+			}
+			k = mine[j].Key
+			if err := advance(); err != nil {
+				return LeafRun{}, 0, err
+			}
+		} else {
+			k = string(key)
+		}
+		s, used, err := core.DecodeBinary(data[off:])
+		if err != nil {
+			return LeafRun{}, 0, fmt.Errorf("encoding: digest %q: %w", k, err)
+		}
+		data = data[off+used:]
+		ds, last = append(ds, Digest{Key: k, Stamp: s}), pos
+	}
+	for bm != nil && j < len(mine) {
+		if err := advance(); err != nil {
 			return LeafRun{}, 0, err
 		}
-		data = data[n:]
-		ds = append(ds, d)
 	}
-	return LeafRun{
-		Stripe: stripe, Depth: depth, Level: level, Path: path, Digests: ds,
-	}, total - len(data), nil
+	r := LeafRun{Stripe: stripe, Depth: depth, Level: level, Path: path, Digests: ds}
+	if termed {
+		r.Terms = len(mine)
+	}
+	return r, total - len(data), nil
 }

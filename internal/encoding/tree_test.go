@@ -113,7 +113,7 @@ func TestLeafRunRoundtrip(t *testing.T) {
 	st := testStamp(t)
 	run := LeafRun{
 		Stripe: 7, Depth: 3, Level: 3, Path: 0x123,
-		Digests: []Digest{{Key: "a", Stamp: st}, {Key: "bb", Stamp: st}},
+		Digests: inTreeOrder([]Digest{{Key: "a", Stamp: st}, {Key: "bb", Stamp: st}}),
 	}
 	buf := AppendLeafRun(nil, run)
 	got, used, err := DecodeLeafRun(buf, 16, 32, nil)
@@ -127,14 +127,135 @@ func TestLeafRunRoundtrip(t *testing.T) {
 		got.Level != run.Level || got.Path != run.Path {
 		t.Fatalf("coords: got %+v", got)
 	}
-	if len(got.Digests) != 2 || got.Digests[0].Key != "a" || got.Digests[1].Key != "bb" {
+	if !sameDigests(got.Digests, run.Digests) {
 		t.Fatalf("digests: got %v", got.Digests)
 	}
-	for _, d := range got.Digests {
-		if !d.Stamp.Leq(st) || !st.Leq(d.Stamp) {
-			t.Fatalf("digest %q stamp did not round-trip", d.Key)
+	// Out of tree order, or with a key twice, the run is refused.
+	run.Digests = []Digest{run.Digests[1], run.Digests[0]}
+	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, run), 16, 32, nil); err == nil {
+		t.Error("a run out of tree order decoded")
+	}
+	run.Digests[1] = run.Digests[0]
+	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, run), 16, 32, nil); err == nil {
+		t.Error("a run naming a key twice decoded")
+	}
+}
+
+// inTreeOrder sorts ds into tree order, by position and then key.
+func inTreeOrder(ds []Digest) []Digest {
+	slices.SortFunc(ds, func(a, b Digest) int {
+		return cmp.Or(cmp.Compare(TreePos(a.Key), TreePos(b.Key)), strings.Compare(a.Key, b.Key))
+	})
+	return ds
+}
+
+// sameDigests reports whether two runs hold the same keys under Equal
+// stamps, in the same order.
+func sameDigests(a, b []Digest) bool {
+	return slices.EqualFunc(a, b, func(x, y Digest) bool { return x.Key == y.Key && x.Stamp.Equal(y.Stamp) })
+}
+
+// termsOf returns the terms of ds, in order.
+func termsOf(ds []Digest) []uint64 {
+	var terms []uint64
+	for _, d := range ds {
+		term, _ := DigestTerm(d, nil)
+		terms = append(terms, term)
+	}
+	return terms
+}
+
+// TestLeafRunAnswersTerms: a run that answers a receiver's terms ships a
+// matched key as its id alone and decodes, against the receiver's run, to
+// exactly the sender's digests: matched keys under the receiver's update
+// component and the sender's id, the rest as shipped. A key is matched when
+// its key and update component are the receiver's, whatever its id. The
+// decoder refuses bitmap padding bits, an id that fails validation, a key
+// both matched and shipped, and a run out of tree order.
+func TestLeafRunAnswersTerms(t *testing.T) {
+	a, b := core.Seed().Update().Fork() // one update component, two ids
+	key := func(i int) string { return fmt.Sprintf("key-%03d", i) }
+	var mine, theirs []Digest
+	for i := 0; i < 10; i++ {
+		mine = append(mine, Digest{Key: key(i), Stamp: a})
+		switch i {
+		case 3: // edited there: another update component
+			theirs = append(theirs, Digest{Key: key(i), Stamp: b.Update()})
+		case 6: // not there
+		default:
+			theirs = append(theirs, Digest{Key: key(i), Stamp: b})
 		}
 	}
+	theirs = append(theirs, Digest{Key: "not-here", Stamp: b})
+	mine, theirs = inTreeOrder(mine), inTreeOrder(theirs)
+	terms := termsOf(mine)
+	match, _ := MatchTerms(nil, theirs, terms, nil)
+	matched := 0
+	for i, m := range match {
+		if m >= 0 {
+			matched++
+			if mine[m].Key != theirs[i].Key {
+				t.Fatalf("digest %q matched the term of %q", theirs[i].Key, mine[m].Key)
+			}
+		}
+	}
+	if matched != 8 {
+		t.Fatalf("%d of %d digests matched, want 8", matched, len(theirs))
+	}
+	run := LeafRun{Stripe: 1, Depth: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms), Match: match}
+	buf := AppendLeafRun(nil, run)
+	if len(buf) != LeafRunLen(run) {
+		t.Fatalf("LeafRunLen %d, appended %d", LeafRunLen(run), len(buf))
+	}
+	if whole := AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 1, Level: 1, Path: 5, Digests: theirs}); len(buf) >= len(whole)/2 {
+		t.Errorf("answering terms took %d B, the whole run %d", len(buf), len(whole))
+	}
+	local := func(stripe, level int, path uint64) ([]Digest, bool) { return mine, true }
+	got, used, err := DecodeLeafRun(buf, 16, 4, local)
+	if err != nil || used != len(buf) || got.Terms != len(terms) || !sameDigests(got.Digests, theirs) {
+		t.Fatalf("decoded %d of %d bytes, %v: %v", used, len(buf), err, got.Digests)
+	}
+
+	// refused decodes buf, edited, and wants an error that is not a short
+	// input's.
+	coord := treeCoordLen(1, 1, 1, 5)
+	refused := func(what string, buf []byte) {
+		t.Helper()
+		if _, _, err := DecodeLeafRun(buf, 16, 4, local); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: %v, want a refusal", what, err)
+		}
+	}
+	pad := bytes.Clone(buf)
+	pad[coord+1] |= 0x80 // ten terms: bits 10-15 of the bitmap pad it
+	refused("bitmap padding bits", pad)
+
+	first := slices.IndexFunc(match, func(m int32) bool { return m >= 0 })
+	// The first id, after the two bitmap bytes, becomes ∅ (bit count 1, a
+	// zero bit): a trie that decodes, under an update component it does not
+	// cover (I1).
+	idLen := theirs[first].Stamp.IDHandle().EncodedLen()
+	bad := slices.Concat(buf[:coord+2], []byte{0x01, 0x00}, buf[coord+2+idLen:])
+	refused("an id that violates I1", bad)
+	refused("an id that does not decode", slices.Concat(buf[:coord+2], []byte{0x00}, buf[coord+2+idLen:]))
+
+	both := slices.Clone(match)
+	both[first] = -1
+	twice := AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms), Match: both})
+	// Mark the unmatched digest's term again: it is both matched and shipped.
+	BitmapSet(twice[coord:], int(match[first]))
+	twice = slices.Insert(twice, coord+2, theirs[first].Stamp.IDHandle().AppendEncoding(nil)...)
+	refused("a key both matched and shipped", twice)
+
+	unordered := slices.Clone(theirs)
+	var shipped []int
+	for i, m := range match {
+		if m < 0 {
+			shipped = append(shipped, i)
+		}
+	}
+	unordered[shipped[0]], unordered[shipped[1]] = unordered[shipped[1]], unordered[shipped[0]]
+	refused("shipped digests out of tree order",
+		AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 1, Level: 1, Path: 5, Digests: unordered, Terms: len(terms), Match: match}))
 }
 
 func TestTreePosDeterministic(t *testing.T) {
@@ -200,90 +321,134 @@ func FuzzDecodeTreeNode(f *testing.F) {
 	})
 }
 
-// FuzzDecodeLeafRun feeds hostile bytes to the leaf-run decoder: declared
-// digest counts must never make it allocate past the input's own size. Each
-// input is decoded twice, once copying every key and once resolving keys
-// against a local run derived from the input — unsorted, with duplicates,
-// partly matching or reversed — and both must return the same digests,
-// length and error, with no key aliasing the input, and so must a decode
-// through a small window.
+// fuzzBaseRun is the fixed part of the receiver's run FuzzDecodeLeafRun
+// decodes against: ten keys, in tree order, under one stamp.
+var fuzzBaseRun = func() []Digest {
+	st, _ := core.Seed().Update().Fork()
+	var ds []Digest
+	for i := 0; i < 10; i++ {
+		ds = append(ds, Digest{Key: fmt.Sprintf("key-%03d", i), Stamp: st})
+	}
+	return inTreeOrder(ds)
+}()
+
+// FuzzDecodeLeafRun feeds hostile bytes to the leaf-run decoder. Each input
+// is decoded copying every key, and against a receiver's run derived from
+// the input: as a run with no terms, which must return exactly what the
+// copying decode does, or (termed) as one that answers the receiver's terms.
+// Either way a decode must error or return a run in strict tree order whose
+// preallocation the body bounds (a matched key takes at least one byte of
+// id), with no key aliasing the input; through a small window it must read
+// the same run or fail with the same error; and a run that decodes
+// re-encodes, answering the same terms, to one that decodes the same.
 func FuzzDecodeLeafRun(f *testing.F) {
 	st := core.Seed().Update()
-	f.Add([]byte{1, 3, 3, 0, 0}, 16, 32)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0}, 2, 4)
-	f.Add(AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 2, Level: 2, Path: 9, Digests: []Digest{
-		{Key: "k1", Stamp: st}, {Key: "k2", Stamp: st}, {Key: "k1", Stamp: st}, {Key: "zz", Stamp: st}}}), 16, 32)
-	f.Fuzz(func(t *testing.T, data []byte, fanout, maxStripe int) {
-		run, used, err := DecodeLeafRun(data, fanout, maxStripe, nil)
-		if err == nil {
-			if used <= 0 || used > len(data) {
-				t.Fatalf("used %d of %d bytes", used, len(data))
-			}
-			if len(run.Digests) > len(data) {
-				t.Fatalf("%d digests out of %d input bytes", len(run.Digests), len(data))
-			}
+	f.Add([]byte{1, 3, 3, 0, 0}, 16, 32, false)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0}, 2, 4, false)
+	f.Add(AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 2, Level: 2, Path: 9, Digests: inTreeOrder([]Digest{
+		{Key: "k1", Stamp: st}, {Key: "k2", Stamp: st}, {Key: "zz", Stamp: st}})}), 16, 32, false)
+	// Answering the fixed run's terms: two keys edited, one new, one lacking.
+	_, other := fuzzBaseRun[0].Stamp.Fork()
+	theirs := []Digest{{Key: "key-new", Stamp: other}}
+	for i, d := range fuzzBaseRun[1:] {
+		if i%4 == 1 {
+			d.Stamp = d.Stamp.Update()
 		}
+		theirs = append(theirs, Digest{Key: d.Key, Stamp: d.Stamp})
+	}
+	theirs = inTreeOrder(theirs)
+	match, _ := MatchTerms(nil, theirs, termsOf(fuzzBaseRun), nil)
+	for _, n := range []int{2, 5} { // input lengths ≡ 2 (mod 3): the fixed run alone
+		run := AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 2, Level: 2, Path: 9, Digests: theirs,
+			Terms: len(fuzzBaseRun), Match: match})
+		f.Add(append(run, make([]byte, (n-len(run)%3+3)%3)...), 16, 32, true)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, fanout, maxStripe int, termed bool) {
+		run, used, err := DecodeLeafRun(data, fanout, maxStripe, nil)
 		mine := fuzzLocalRun(run.Digests, data)
-		input := slices.Clone(data)
-		local := func(stripe, level int, path uint64) []Digest {
+		local := func(stripe, level int, path uint64) ([]Digest, bool) {
 			if err == nil && (stripe != run.Stripe || level != run.Level || path != run.Path) {
 				t.Fatalf("local asked for (%d, %d, %#x), run is at (%d, %d, %#x)",
 					stripe, level, path, run.Stripe, run.Level, run.Path)
 			}
-			return mine
+			return mine, termed
 		}
+		input := slices.Clone(data)
 		run2, used2, err2 := DecodeLeafRun(input, fanout, maxStripe, local)
+		var keys []string
+		for _, d := range run2.Digests {
+			keys = append(keys, strings.Clone(d.Key))
+		}
 		clear(input) // a key that aliased the input would change here
-		if fmt.Sprint(err) != fmt.Sprint(err2) || used != used2 {
+		for i, d := range run2.Digests {
+			if d.Key != keys[i] {
+				t.Fatalf("digest %d: key %q aliases the input", i, keys[i])
+			}
+		}
+		if !termed && (fmt.Sprint(err) != fmt.Sprint(err2) || used != used2 || !sameDigests(run.Digests, run2.Digests)) {
 			t.Fatalf("resolving decode: %d bytes, error %v; copying decode: %d bytes, error %v", used2, err2, used, err)
 		}
 		run3, used3, err3 := decodeThroughWindow(data, 7, func(b []byte) (LeafRun, int, error) {
-			return DecodeLeafRun(b, fanout, maxStripe, nil)
+			return DecodeLeafRun(b, fanout, maxStripe, local)
 		})
-		if fmt.Sprint(err) != fmt.Sprint(err3) || used != used3 {
-			t.Fatalf("decode through a window: %d bytes, error %v; whole: %d bytes, error %v", used3, err3, used, err)
+		if fmt.Sprint(err2) != fmt.Sprint(err3) || used2 != used3 || !sameDigests(run2.Digests, run3.Digests) {
+			t.Fatalf("decode through a window: %d bytes, error %v; whole: %d bytes, error %v", used3, err3, used2, err2)
 		}
-		for _, other := range []LeafRun{run2, run3} {
-			if len(other.Digests) != len(run.Digests) {
-				t.Fatalf("%d digests, copying decode %d", len(other.Digests), len(run.Digests))
-			}
-			for i, d := range other.Digests {
-				if want := run.Digests[i]; d.Key != want.Key || !d.Stamp.Equal(want.Stamp) {
-					t.Fatalf("digest %d: %q, copying decode %q", i, d.Key, want.Key)
-				}
-			}
+		if err2 != nil {
+			return
+		}
+		if used2 <= 0 || used2 > len(data) || cap(run2.Digests) > len(data) {
+			t.Fatalf("used %d of %d bytes, preallocated %d digests", used2, len(data), cap(run2.Digests))
+		}
+		if !slices.IsSortedFunc(run2.Digests, cmpTreeOrder) || len(slices.CompactFunc(slices.Clone(run2.Digests), sameKey)) != len(run2.Digests) {
+			t.Fatalf("decoded a run out of tree order: %v", run2.Digests)
+		}
+		if (run2.Terms > 0) != termed {
+			t.Fatalf("a run decoded with %d terms, %d sent (%v)", run2.Terms, len(mine), termed)
+		}
+		again := run2
+		if termed {
+			again.Match, _ = MatchTerms(nil, run2.Digests, termsOf(mine), nil)
+		}
+		buf := AppendLeafRun(nil, again)
+		run4, used4, err4 := DecodeLeafRun(buf, fanout, maxStripe, local)
+		if err4 != nil || used4 != len(buf) || len(buf) != LeafRunLen(again) || !sameDigests(run4.Digests, run2.Digests) {
+			t.Fatalf("re-encoded run of %d B (%d sized) decodes to %d digests of %d, %d bytes, %v",
+				len(buf), LeafRunLen(again), len(run4.Digests), len(run2.Digests), used4, err4)
 		}
 	})
 }
 
-// fuzzLocalRun derives a receiver's run from a decoded one (or, when the
-// input did not decode, from snippets of the input), shaped by the input's
-// length: as decoded, sorted with every digest twice, every other digest
-// plus a key the run lacks, or reversed.
+func cmpTreeOrder(a, b Digest) int {
+	return cmp.Or(cmp.Compare(TreePos(a.Key), TreePos(b.Key)), strings.Compare(a.Key, b.Key))
+}
+
+func sameKey(a, b Digest) bool { return a.Key == b.Key }
+
+// fuzzLocalRun derives a receiver's run, in tree order and naming each key
+// once, as its digest tree holds one: the fixed run and the digests of a
+// decoded run (or, when the input did not decode, snippets of the input),
+// shaped by the input's length: all of them, every other one, or the fixed
+// run alone.
 func fuzzLocalRun(ds []Digest, data []byte) []Digest {
-	local := slices.Clone(ds)
-	if len(local) == 0 {
+	extra := slices.Clone(ds)
+	if len(extra) == 0 {
 		for i := 0; i < len(data) && i < 8; i++ {
-			local = append(local, Digest{Key: string(data[i:min(i+3, len(data))])})
+			extra = append(extra, Digest{Key: string(data[i:min(i+3, len(data))]), Stamp: fuzzBaseRun[0].Stamp})
 		}
 	}
-	byPos := func(a, b Digest) int {
-		return cmp.Or(cmp.Compare(TreePos(a.Key), TreePos(b.Key)), strings.Compare(a.Key, b.Key))
-	}
-	switch len(data) % 4 {
+	switch len(data) % 3 {
 	case 1:
-		local = append(local, local...)
-		slices.SortFunc(local, byPos)
-	case 2:
 		var half []Digest
-		for i := 0; i < len(local); i += 2 {
-			half = append(half, local[i])
+		for i := 0; i < len(extra); i += 2 {
+			half = append(half, extra[i])
 		}
-		local = append(half, Digest{Key: "not-in-the-run"})
-		slices.SortFunc(local, byPos)
-	case 3:
-		slices.Reverse(local)
+		extra = half
+	case 2:
+		extra = nil
 	}
+	local := inTreeOrder(append(slices.Clone(fuzzBaseRun), extra...))
+	local = slices.CompactFunc(local, sameKey)
 	for i := range local {
 		local[i].Key = strings.Clone(local[i].Key)
 	}

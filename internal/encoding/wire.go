@@ -280,23 +280,31 @@ func valueLenErr(key string, n uint64, used int) error {
 // never aliases data: it is known's answer when that equals the key's bytes
 // exactly, and a copy otherwise.
 func decodeKey(data []byte, known func(key []byte) (string, bool)) (string, int, error) {
-	n, used := binary.Uvarint(data)
-	switch {
-	case used == 0:
-		return "", 0, fmt.Errorf("truncated key length: %w", io.ErrUnexpectedEOF)
-	case used < 0 || n > maxKeyLen:
-		return "", 0, fmt.Errorf("bad key length")
+	b, end, err := keyBytes(data)
+	if err != nil {
+		return "", 0, err
 	}
-	off := used
-	if uint64(len(data)-off) < n {
-		return "", 0, fmt.Errorf("truncated key: %w", io.ErrUnexpectedEOF)
-	}
-	end := off + int(n)
-	b := data[off:end]
 	if known != nil {
 		if k, ok := known(b); ok && k == string(b) {
 			return k, end, nil
 		}
 	}
 	return string(b), end, nil
+}
+
+// keyBytes returns the bytes of the uvarint-prefixed key at the front of
+// data, aliasing it, and the offset past the key.
+func keyBytes(data []byte) ([]byte, int, error) {
+	n, used := binary.Uvarint(data)
+	switch {
+	case used == 0:
+		return nil, 0, fmt.Errorf("truncated key length: %w", io.ErrUnexpectedEOF)
+	case used < 0 || n > maxKeyLen:
+		return nil, 0, fmt.Errorf("bad key length")
+	}
+	if uint64(len(data)-used) < n {
+		return nil, 0, fmt.Errorf("truncated key: %w", io.ErrUnexpectedEOF)
+	}
+	end := used + int(n)
+	return data[used:end], end, nil
 }

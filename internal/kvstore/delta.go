@@ -108,28 +108,42 @@ func entryKey(e encoding.Entry) string   { return e.Key }
 
 // inWalkOrder puts the peer's xs into tree order in place — input that
 // already is, as every digest run a tree round ships, is only checked — and
-// verifies in one pass, with a range cursor, that each key belongs to the
-// scope's stripe and falls inside one of the ranges of runs.
+// verifies, with a range cursor, that each key belongs to the scope's stripe
+// and falls inside one of the ranges of runs. Input in tree order takes one
+// pass, which hashes each key's position once; input out of it is sorted
+// and checked again.
 func inWalkOrder[T any](sc *deltaScope, what string, runs []DigestRun, xs []T, key func(T) string) error {
-	f := func(a, b T) int { return cmpTreeOrder(key(a), key(b)) }
-	if !slices.IsSortedFunc(xs, f) {
-		slices.SortFunc(xs, f)
+	ordered, err := checkWalk(sc, what, runs, xs, key)
+	if ordered || err != nil {
+		return err
 	}
-	c := 0
-	for _, x := range xs {
+	slices.SortFunc(xs, func(a, b T) int { return cmpTreeOrder(key(a), key(b)) })
+	_, err = checkWalk(sc, what, runs, xs, key)
+	return err
+}
+
+// checkWalk makes inWalkOrder's checks of xs in one pass, and reports false,
+// unchecked from there on, at the first key out of tree order.
+func checkWalk[T any](sc *deltaScope, what string, runs []DigestRun, xs []T, key func(T) string) (bool, error) {
+	c, prev := 0, uint64(0)
+	for i, x := range xs {
 		k := key(x)
-		if s := ShardIndex(k, sc.of); s != sc.idx {
-			return fmt.Errorf("kvstore: %s shard %d: key %q belongs to shard %d", what, sc.idx, k, s)
-		}
 		p := encoding.TreePos(k)
+		if i > 0 && cmpPosKey(prev, key(xs[i-1]), p, k) > 0 {
+			return false, nil
+		}
+		prev = p
+		if s := ShardIndex(k, sc.of); s != sc.idx {
+			return true, fmt.Errorf("kvstore: %s shard %d: key %q belongs to shard %d", what, sc.idx, k, s)
+		}
 		for c < len(runs) && runs[c].Range.Hi != 0 && runs[c].Range.Hi <= p {
 			c++
 		}
 		if c == len(runs) || !runs[c].Range.Contains(p) {
-			return fmt.Errorf("kvstore: %s shard %d: key %q outside the scoped ranges", what, sc.idx, k)
+			return true, fmt.Errorf("kvstore: %s shard %d: key %q outside the scoped ranges", what, sc.idx, k)
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // checkRuns puts each of the scope's runs into tree order and checks that
