@@ -14,7 +14,8 @@ import (
 	"versionstamp/internal/ring"
 )
 
-// DefaultFanout is how many peers each node contacts per gossip round.
+// DefaultFanout is how many co-owners each node contacts per stripe in a
+// GossipUntilConverged round.
 const DefaultFanout = 2
 
 // node is one cluster member: its replica, its server endpoint, its pooled
@@ -41,38 +42,24 @@ type node struct {
 	frozenHints int
 }
 
-// divKey identifies one unit of divergence-bias state: an unordered node
-// pair plus the stripe their last exchange covered. Keying by node ID
-// rather than index keeps the state meaningful across membership churn —
-// nodes joining or dying never shift another pair's entry.
-type divKey struct {
-	a, b   string // node IDs, a < b
-	stripe int
-}
-
-func pairKey(x, y string, stripe int) divKey {
-	if x > y {
-		x, y = y, x
-	}
-	return divKey{a: x, b: y, stripe: stripe}
-}
-
 // Cluster manages a set of replicas that gossip over TCP: each node runs a
-// Server, and every gossip round each node pushes/pulls with a handful of
-// peers through its pooled sessions. Every stripe of the keyspace has R
-// owners on a consistent-hash ring, gossip rounds are stripe-scoped and run
-// only between a stripe's owners, and reads/writes go through quorums with
-// hinted handoff for dead owners (see ringcluster.go). Full replication —
+// Server, and every gossip round each node pushes/pulls through its pooled
+// sessions with a few co-owners, drawn uniformly, of each stripe it owns.
+// Every stripe of the keyspace has R owners on a consistent-hash ring,
+// gossip rounds are stripe-scoped and run only between a stripe's owners,
+// and reads/writes go through quorums with hinted handoff for dead owners
+// (see ringcluster.go). No schedule is needed: the stamps alone order any
+// two copies, so any pair of owners that meets can sync. Full replication —
 // every node holds every key — is the ring at Replication == Nodes.
 //
 // Partitions can be injected to model the paper's operating environment:
 // gossip simply never selects pairs that cannot reach each other, and
 // convergence resumes when the partition heals.
 type Cluster struct {
-	// mu guards all topology and scheduling state below: group, fanout,
-	// node liveness and endpoints, the divergence map, wire accounting and
-	// the scratch slices. Exchange workers take it only for brief result
-	// recording; the network rounds themselves run outside it.
+	// mu guards all topology and scheduling state below: group, node
+	// liveness and endpoints, wire accounting and the scratch slices.
+	// Exchange workers take it only for brief result recording; the network
+	// rounds themselves run outside it.
 	mu      sync.Mutex
 	resolve kvstore.Resolver
 	nodes   []*node
@@ -80,16 +67,7 @@ type Cluster struct {
 	// group assigns each node to a partition group; nodes in different
 	// groups cannot gossip. All zero = fully connected.
 	group []int
-	// fanout is the per-node peer count of GossipUntilConverged rounds.
-	fanout int
-	rng    *rand.Rand
-	// div records whether the last exchange of a (pair, stripe) found
-	// divergence (data moved or conflicted). Peer selection prefers hot
-	// entries — convergence-aware choice: keep pulling from whoever last
-	// had news instead of re-verifying converged pairs. Entries for dead
-	// peers are cleared when a view reports the death, so a departed
-	// node's last-known heat cannot keep attracting picks.
-	div map[divKey]bool
+	rng   *rand.Rand
 	// wire accumulates per-node wire bytes (sent+received, both ends of
 	// every exchange) since the cluster started; WireBytes snapshots it.
 	wire []int64
@@ -238,18 +216,6 @@ func (c *Cluster) Heal() {
 	}
 }
 
-// SetFanout changes how many peers each node contacts per
-// GossipUntilConverged round. k must be positive.
-func (c *Cluster) SetFanout(k int) error {
-	if k <= 0 {
-		return fmt.Errorf("antientropy: fanout %d is not positive", k)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.fanout = k
-	return nil
-}
-
 // WireBytes returns cumulative per-node wire bytes (payload sent plus
 // received, attributed to both endpoints of every exchange).
 func (c *Cluster) WireBytes() []int64 {
@@ -393,11 +359,11 @@ type RoundStats struct {
 //
 // The round is owner-scoped: membership heartbeats gossip first, rings
 // rebuild if the member set changed, pending hints drain to revived owners,
-// and then every node runs stripe-scoped exchanges with up to k co-owners
-// in its partition group of each stripe it owns — wire cost O(stripes it
-// owns), not O(cluster keyspace). Nodes with no reachable peer are skipped —
-// gossip does not fail, it just cannot happen, exactly like mobile nodes out
-// of range.
+// and then every node runs stripe-scoped exchanges with up to k co-owners,
+// drawn uniformly from those in its partition group, of each stripe it owns
+// — wire cost O(stripes it owns), not O(cluster keyspace). Nodes with no
+// reachable peer are skipped — gossip does not fail, it just cannot happen,
+// exactly like mobile nodes out of range.
 //
 // Exchanges that share a stripe run one after the other within a round —
 // see runGossip; writers racing a round are safe: the responder reconciles
@@ -408,66 +374,16 @@ func (c *Cluster) GossipRound(k int) (int, error) {
 	return stats.Exchanges, err
 }
 
-// hotBias is the per-round probability of applying the hot-first partition
-// in pickPeers; the complementary rounds select uniformly. Biased-but-not-
-// deterministic choice (ε-greedy) keeps convergence fast where divergence
-// was last seen while guaranteeing every reachable pair is still selected
-// with positive probability each round — a deterministic hot preference
-// could starve cold-but-divergent pairs under sustained churn.
-const hotBias = 3.0 / 4
-
-// pickPeers picks node i's gossip partners for stripe s from cand, its
-// reachable co-owners: a uniform shuffle and, when cand is capped at k, on
-// hotBias of the rounds a partition that moves peers whose previous exchange
-// with i over s reported divergence to the front — a node chasing known
-// divergence converges in fewer rounds than one re-verifying converged
-// pairs. The shuffle keeps choice within (and beyond) the hot set random,
-// and the uniform rounds keep cold pairs live. all lifts the cap (a
-// quarantined stripe contacts every co-owner). Reorders cand in place.
-// Caller holds mu.
-func (c *Cluster) pickPeers(i, s, k int, cand []int, all bool) []int {
+// pickPeers picks a node's gossip partners for one stripe from cand, its
+// reachable co-owners: a uniform shuffle capped at k, so every reachable
+// pair has the same chance each round. all lifts the cap (a quarantined stripe
+// contacts every co-owner). Reorders cand in place. Caller holds mu.
+func (c *Cluster) pickPeers(k int, cand []int, all bool) []int {
 	c.rng.Shuffle(len(cand), func(a, b int) { cand[a], cand[b] = cand[b], cand[a] })
 	if len(cand) > k && !all {
-		if c.rng.Float64() < hotBias {
-			front := 0
-			for x := 0; x < len(cand); x++ {
-				if c.divergent(i, cand[x], s) {
-					cand[front], cand[x] = cand[x], cand[front]
-					front++
-				}
-			}
-		}
 		cand = cand[:k]
 	}
 	return cand
-}
-
-// markDiv records divergence state for a (pair, stripe). Caller holds mu.
-func (c *Cluster) markDiv(i, j, stripe int, hot bool) {
-	key := pairKey(c.nodes[i].id, c.nodes[j].id, stripe)
-	if hot {
-		c.div[key] = true
-	} else {
-		delete(c.div, key)
-	}
-}
-
-// divergent reports the recorded divergence state. Caller holds mu (tests
-// call it single-threaded).
-func (c *Cluster) divergent(i, j, stripe int) bool {
-	return c.div[pairKey(c.nodes[i].id, c.nodes[j].id, stripe)]
-}
-
-// clearDivFor drops every divergence entry involving the given node ID —
-// the bugfix for departed peers: a dead node's last-known heat must not
-// keep attracting gossip picks (and would otherwise survive forever, since
-// no future exchange with it can cool the entry). Caller holds mu.
-func (c *Cluster) clearDivFor(id string) {
-	for k := range c.div {
-		if k.a == id || k.b == id {
-			delete(c.div, k)
-		}
-	}
 }
 
 // exKey identifies one node's exchanges for one stripe within a round —
@@ -596,11 +512,7 @@ func (c *Cluster) runChain(chain []gossipTask, stats *RoundStats, mu *sync.Mutex
 			bytes := res.BytesSent + res.BytesReceived
 			stats.BytesPerNode[t.i] += bytes
 			stats.BytesPerNode[t.j] += bytes
-			// Record whether the exchange found divergence, feeding the next
-			// round's convergence-aware peer choice. The relation is
-			// symmetric: a round reconciles both sides.
 			c.mu.Lock()
-			c.markDiv(t.i, t.j, t.stripe, moved+len(res.Conflicts) > 0)
 			if len(res.Conflicts) == 0 {
 				// The two owners now agree on the stripe (no conflict was
 				// left standing), so each side's pre-exchange state is
@@ -636,15 +548,16 @@ func (c *Cluster) nodeID(j int) string {
 // out before all reachable nodes agree.
 var ErrNotConverged = errors.New("antientropy: cluster did not converge")
 
-// GossipUntilConverged runs fan-out gossip rounds until convergence, or
-// maxRounds is exhausted. It returns the number of rounds used.
+// GossipUntilConverged runs gossip rounds of fan-out DefaultFanout until
+// convergence, or maxRounds is exhausted. It returns the number of rounds
+// used.
 //
 // The cluster has converged when every stripe's up owners in one partition
 // group agree on the stripe's live contents, all up nodes have the same
 // ring, and no hints remain queued for up targets.
 func (c *Cluster) GossipUntilConverged(maxRounds int) (int, error) {
 	for round := 1; round <= maxRounds; round++ {
-		if _, err := c.GossipRound(c.Fanout()); err != nil {
+		if _, err := c.GossipRound(DefaultFanout); err != nil {
 			return round, err
 		}
 		if c.Converged() {
@@ -652,13 +565,6 @@ func (c *Cluster) GossipUntilConverged(maxRounds int) (int, error) {
 		}
 	}
 	return maxRounds, ErrNotConverged
-}
-
-// Fanout returns the per-round fan-out used by GossipUntilConverged.
-func (c *Cluster) Fanout() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fanout
 }
 
 // Converged reports whether the cluster currently satisfies its

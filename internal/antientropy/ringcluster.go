@@ -26,8 +26,7 @@ import (
 //     with a few up peers. Death is detected here, never declared — a
 //     revived node's resumed counter re-alives it with no extra protocol.
 //  2. Placement: a node whose view learned new member IDs rebuilds its
-//     ring (deterministically — same members, same ring everywhere), and
-//     divergence-bias entries involving dead peers are dropped.
+//     ring (deterministically — same members, same ring everywhere).
 //  3. Handoff: hints queued for targets whose heartbeats resumed drain by
 //     MergeVersioned, which runs kvstore's one per-key reconcile with the
 //     hint as a detached copy — the stamps decide on delivery whether each
@@ -35,13 +34,13 @@ import (
 //  4. Scrub: each durable up node re-verifies one stripe's at-rest bytes
 //     (frame CRCs, checkpoint checksum) per round, quarantining a live
 //     stripe the moment rot is found instead of at the next restart.
-//  5. Anti-entropy: each node runs stripe-scoped rounds with co-owners
-//     of the stripes it owns. A converged stripe costs one tree-root frame,
-//     so a node's idle wire cost is O(stripes it owns), independent of the
-//     keyspace and of cluster size. A quarantined stripe is treated as
-//     maximally divergent: its holder exchanges with every live co-owner
-//     (the fan-out cap does not apply) so the rebuild finishes in as few
-//     rounds as possible.
+//  5. Anti-entropy: for each stripe it owns, each node runs stripe-scoped
+//     rounds with up to k of its reachable co-owners, drawn uniformly. A
+//     converged stripe costs one tree-root frame, so a node's idle wire
+//     cost is O(stripes it owns), independent of the keyspace and of
+//     cluster size. A quarantined stripe's holder exchanges with every
+//     live co-owner (the fan-out cap does not apply) so the rebuild
+//     finishes in as few rounds as possible.
 //  6. Repair: a quarantined stripe whose holder completed every exchange
 //     it scheduled for it this round has been rebuilt in memory from the
 //     other owners — the stamps arbitrated every key on the way in, so
@@ -124,9 +123,7 @@ func NewRingCluster(cfg RingConfig) (*Cluster, error) {
 		resolve:      cfg.Resolver,
 		index:        make(map[string]int, cfg.Nodes),
 		group:        make([]int, cfg.Nodes),
-		fanout:       DefaultFanout,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		div:          make(map[divKey]bool),
 		wire:         make([]int64, cfg.Nodes),
 		workers:      cfg.GossipWorkers,
 		replication:  cfg.Replication,
@@ -328,10 +325,7 @@ func (c *Cluster) GossipRoundStats(k int) (RoundStats, error) {
 		c.peerScratch = peers
 	}
 
-	// Phase 2: placement. Rebuild rings whose member set grew; drop
-	// divergence bias involving peers this node now believes dead (the
-	// stale-heat bugfix — no future exchange could ever cool those
-	// entries).
+	// Phase 2: placement. Rebuild rings whose member set grew.
 	var firstErr error
 	for _, nd := range c.nodes {
 		if nd.down {
@@ -353,11 +347,6 @@ func (c *Cluster) GossipRoundStats(k int) (RoundStats, error) {
 			}
 			nd.ring = rg
 			nd.ringVer = v
-		}
-		for _, id := range nd.view.Members() {
-			if nd.view.State(id) == membership.Dead {
-				c.clearDivFor(id)
-			}
 		}
 	}
 
@@ -387,10 +376,10 @@ func (c *Cluster) GossipRoundStats(k int) (RoundStats, error) {
 	}
 
 	// Phase 5: schedule stripe-scoped exchanges. For each stripe a node
-	// owns, it contacts up to k co-owners, divergence-hot ones first on
-	// hotBias of the draws (see pickPeers). A quarantined stripe bypasses
-	// the cap: its holder contacts every live co-owner, marks each pairing
-	// divergence-hot, and the repair pass watches the outcomes.
+	// owns, it contacts up to k reachable co-owners, drawn uniformly (see
+	// pickPeers). A quarantined stripe bypasses the cap: its holder
+	// contacts every live co-owner, and the repair pass watches the
+	// outcomes.
 	tasks := c.taskScratch[:0]
 	track := make(map[exKey]*exTally)
 	for i, nd := range c.nodes {
@@ -415,12 +404,9 @@ func (c *Cluster) GossipRoundStats(k int) (RoundStats, error) {
 				}
 				cand = append(cand, j)
 			}
-			cand = c.pickPeers(i, s, k, cand, quar)
+			cand = c.pickPeers(k, cand, quar)
 			if quar {
 				track[exKey{i, s}] = &exTally{}
-				for _, j := range cand {
-					c.markDiv(i, j, s, true)
-				}
 			}
 			for _, j := range cand {
 				tasks = append(tasks, c.task(i, j, s))

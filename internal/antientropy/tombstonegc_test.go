@@ -14,7 +14,7 @@ import (
 func gcRounds(t *testing.T, c *Cluster, n int) (discarded, live int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		stats, err := c.GossipRoundStats(c.Fanout())
+		stats, err := c.GossipRoundStats(DefaultFanout)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -124,7 +124,7 @@ func TestTombstoneGCWaitsForDownOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		stats, err := c.GossipRoundStats(c.Fanout())
+		stats, err := c.GossipRoundStats(DefaultFanout)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -168,7 +168,7 @@ func TestTombstoneGCWaitsForHints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := c.GossipRound(c.Fanout()); err != nil {
+		if _, err := c.GossipRound(DefaultFanout); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestTombstoneGCWaitsForHints(t *testing.T) {
 		t.Skip("layout gave no hinted stripe or no fully-live stripe")
 	}
 	for i := 0; i < 10; i++ {
-		stats, err := c.GossipRoundStats(c.Fanout())
+		stats, err := c.GossipRoundStats(DefaultFanout)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestTombstoneGCNoResurrection(t *testing.T) {
 				}
 				live := -1
 				for i := 0; i < 200; i++ {
-					stats, err := c.GossipRoundStats(c.Fanout())
+					stats, err := c.GossipRoundStats(DefaultFanout)
 					if err != nil {
 						t.Fatalf("epoch %d quiesce round %d: %v", epoch, i, err)
 					}
@@ -337,7 +337,7 @@ func TestTombstoneGCNoResurrection(t *testing.T) {
 						c.Heal()
 					}
 				default: // gossip
-					if _, err := c.GossipRoundStats(c.Fanout()); err != nil {
+					if _, err := c.GossipRoundStats(DefaultFanout); err != nil {
 						t.Fatal(err)
 					}
 				}

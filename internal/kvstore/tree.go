@@ -81,14 +81,6 @@ func (rg TreeRange) Contains(p uint64) bool {
 	return p >= rg.Lo && (rg.Hi == 0 || p < rg.Hi)
 }
 
-// RangesContain reports whether the range of any of runs — sorted by
-// Range.Lo and disjoint, as a tree descent's leaf runs are once put in
-// position order — contains p, by binary search.
-func RangesContain(runs []DigestRun, p uint64) bool {
-	i := sort.Search(len(runs), func(i int) bool { return runs[i].Range.Hi == 0 || runs[i].Range.Hi > p })
-	return i < len(runs) && runs[i].Range.Contains(p)
-}
-
 // NodeRange returns the position interval covered by the node at (level,
 // path) in a tree of the given fanout. Level 0 path 0 is the whole space.
 func NodeRange(fanout, level int, path uint64) TreeRange {

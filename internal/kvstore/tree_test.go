@@ -54,19 +54,6 @@ func TestNodeRange(t *testing.T) {
 	}
 }
 
-func TestRangesContain(t *testing.T) {
-	rs := []DigestRun{{Range: TreeRange{Lo: 10, Hi: 20}}, {Range: TreeRange{Lo: 100, Hi: 0}}}
-	for p, want := range map[uint64]bool{9: false, 10: true, 19: true, 20: false,
-		99: false, 100: true, ^uint64(0): true} {
-		if RangesContain(rs, p) != want {
-			t.Fatalf("RangesContain(%d) != %v", p, want)
-		}
-	}
-	if RangesContain(nil, 5) {
-		t.Fatal("no runs must contain nothing")
-	}
-}
-
 // treeDigests builds n distinct digests for tree tests.
 func treeDigests(t *testing.T, n int) []encoding.Digest {
 	t.Helper()

@@ -13,8 +13,8 @@
 // exactly reproducible, which the cluster tests rely on.
 //
 // The view separates two kinds of change. StateVersion bumps on any state
-// transition (alive→suspect→dead→alive) — the cluster uses it to invalidate
-// per-peer scheduling state such as divergence bias. MemberVersion bumps
+// transition (alive→suspect→dead→alive), so a reader can tell whether any
+// peer's liveness changed since it last looked. MemberVersion bumps
 // only when the set of known node IDs grows — the event that triggers a
 // deterministic consistent-hash ring rebuild. Death deliberately does NOT
 // rebuild the ring: a dead node keeps its stripe ownership so that writes

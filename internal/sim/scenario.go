@@ -93,7 +93,7 @@ type Scenario struct {
 	Nodes        int
 	Replication  int
 	Stripes      int
-	Fanout       int // gossip fan-out per round (default 1)
+	Fanout       int // co-owners each node syncs per owned stripe a round (default 1)
 	HintCap      int
 	DataDir      string // non-empty enables WAL-backed nodes
 	DurableCount int    // limits durability to the first N nodes
@@ -246,9 +246,6 @@ func (s Scenario) Run() (*ScenarioMetrics, error) {
 		return nil, fmt.Errorf("sim: scenario %q: %w", s.Name, err)
 	}
 	defer c.Close()
-	if err := c.SetFanout(s.Fanout); err != nil {
-		return nil, err
-	}
 
 	// The write stream: seeded Zipf over a fixed keyspace. Derived from
 	// Seed but decoupled from the cluster's own rng.

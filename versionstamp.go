@@ -236,7 +236,9 @@
 //     only among its R owners, as stripe-scoped digest-tree rounds,
 //     so a converged round costs a node wire bytes proportional to the
 //     stripes it owns — not to the keyspace and not to the cluster size.
-//     Divergence bias is tracked per (peer, stripe) and survives churn.
+//     Each owner picks its partners for a stripe uniformly from the
+//     reachable co-owners: the stamps alone order any two copies, so any
+//     pair that meets can sync, and there is no schedule to keep.
 //   - Membership is gossiped heartbeats with alive/suspect/dead states.
 //     Ring ownership changes only when the member set grows; a dead node
 //     KEEPS its stripes, because handing them elsewhere would make every
@@ -328,9 +330,8 @@
 //     demotes the live stripe to quarantine on the spot. A full sweep
 //     costs one stripe per round, so scrubbing is steady background load.
 //   - Repair is anti-entropy, because the stamps make it sound. A
-//     quarantined stripe is treated as maximally divergent: its holder
-//     exchanges with every live co-owner (the fan-out cap does not
-//     apply), and the stamp-arbitrated merges rebuild exactly the records
+//     quarantined stripe's holder exchanges with every live co-owner
+//     (the fan-out cap does not apply), and the stamp-arbitrated merges rebuild exactly the records
 //     the damage lost — dominance proves which copies are news, so
 //     rebuilding from R-1 peers cannot resurrect obsolete data or drop
 //     concurrent edits. When every exchange for the stripe succeeds, the
