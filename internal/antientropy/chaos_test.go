@@ -1,7 +1,6 @@
 package antientropy
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -111,63 +110,6 @@ func TestPoolSyncSurvivesLossyLink(t *testing.T) {
 	}
 }
 
-func TestPoolBackoffSkipsDeadPeer(t *testing.T) {
-	fab := chaosnet.New(3)
-	defer fab.Close()
-	client := kvstore.NewReplicaShards("cli", 8)
-	pool := NewPoolOptions(PoolOptions{
-		Transport: fab.Node("cli"),
-		Idle:      -1,
-		Backoff:   BackoffPolicy{Base: 2, Max: 8, Seed: 7},
-	})
-	defer pool.Close()
-
-	// No listener for "ghost": every real attempt fails at dial.
-	_, info, err := pool.SyncStripes("ghost", client, nil)
-	if err == nil {
-		t.Fatal("dial to missing host succeeded")
-	}
-	if info.Backoff {
-		t.Fatal("first failure cannot be a backoff skip")
-	}
-	// The next rounds are inside the backoff window: ErrPeerBackoff, no
-	// traffic, no new dial attempts.
-	dialsFailed := fab.Stats().DialsFailed
-	skips := 0
-	for i := 0; i < 3; i++ {
-		_, info, err = pool.SyncStripes("ghost", client, nil)
-		if errors.Is(err, ErrPeerBackoff) {
-			if !info.Backoff || info.Attempts != 0 {
-				t.Fatalf("backoff round did work: %+v", info)
-			}
-			skips++
-		}
-	}
-	if skips == 0 {
-		t.Fatal("no rounds were skipped by backoff")
-	}
-	if fab.Stats().DialsFailed != dialsFailed {
-		t.Fatal("backoff rounds still dialed")
-	}
-
-	// Once the host exists and the window expires, rounds succeed and the
-	// failure counter resets.
-	server := kvstore.NewReplicaShards("srv", 8)
-	srv := NewServer(server, nil)
-	if _, err := srv.ListenTransport(fab.Node("ghost"), ":0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ok := false
-	for i := 0; i < 30 && !ok; i++ {
-		_, _, err := pool.SyncStripes("ghost", client, nil)
-		ok = err == nil
-	}
-	if !ok {
-		t.Fatal("peer never recovered after backoff")
-	}
-}
-
 func TestRingClusterOverChaosnet(t *testing.T) {
 	fab := chaosnet.New(4)
 	defer fab.Close()
@@ -199,6 +141,73 @@ func TestRingClusterOverChaosnet(t *testing.T) {
 	}
 }
 
+// TestGossipNeverContactsUnreachablePeer checks the schedule, not the pool:
+// with one node killed and the ring partitioned, a round exchanges only with
+// co-owners that are up and on its side of the split, so no exchange fails
+// and no dial crosses the partition.
+func TestGossipNeverContactsUnreachablePeer(t *testing.T) {
+	fab := chaosnet.New(6)
+	defer fab.Close()
+	c, err := NewRingCluster(RingConfig{
+		Nodes: 7, Replication: 3, Stripes: 16, Seed: 6,
+		Transport:     chaosProvider(fab),
+		PoolIdle:      -1,
+		GossipWorkers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 40; i++ {
+		if _, err := c.Write(fmt.Sprintf("key-%03d", i), []byte("before")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.GossipUntilConverged(40); err != nil {
+		t.Fatal(err)
+	}
+
+	victim := 6
+	if err := c.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	fab.Partition(map[string]int{"node-0": 0, "node-1": 0, "node-2": 0, "node-3": 0,
+		"node-4": 1, "node-5": 1, "node-6": 1})
+	if err := c.Partition([]int{0, 0, 0, 0, 1, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		c.Write(fmt.Sprintf("part-%03d", i), []byte("during")) // quorum may fail
+	}
+	dialsFailed := fab.Stats().DialsFailed
+	exchanges := 0
+	for r := 0; r < 6; r++ {
+		stats, err := c.GossipRoundStats(2)
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if len(stats.Errors) != 0 {
+			t.Fatalf("round %d contacted an unreachable peer: %+v", r, stats.Errors)
+		}
+		exchanges += stats.Exchanges
+	}
+	if exchanges == 0 {
+		t.Fatal("no exchanges ran during the partition")
+	}
+	if got := fab.Stats().DialsFailed; got != dialsFailed {
+		t.Fatalf("gossip dialed across the partition: DialsFailed %d -> %d", dialsFailed, got)
+	}
+
+	if err := c.Revive(victim); err != nil {
+		t.Fatal(err)
+	}
+	fab.Heal()
+	c.Heal()
+	if _, err := c.GossipUntilConverged(60); err != nil {
+		t.Fatalf("no convergence after revive and heal: %v", err)
+	}
+}
+
 func TestRingClusterPartitionHealOverChaosnet(t *testing.T) {
 	fab := chaosnet.New(5)
 	defer fab.Close()
@@ -207,7 +216,6 @@ func TestRingClusterPartitionHealOverChaosnet(t *testing.T) {
 		Transport:     chaosProvider(fab),
 		PoolIdle:      -1,
 		GossipWorkers: 1,
-		Backoff:       BackoffPolicy{Base: 1, Max: 4, Seed: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,7 @@ func ExampleSyncWith() {
 	// ships a single copy, on the same session.
 	edge2.Put("sensor:2", []byte("17.4C"))
 	stripe := kvstore.ShardIndex("sensor:2", edge2.Shards())
-	res, _, err := pool.SyncStripes(hubAddr, edge2, []int{stripe})
+	res, err := pool.SyncStripes(hubAddr, edge2, []int{stripe})
 	if err != nil {
 		panic(err)
 	}

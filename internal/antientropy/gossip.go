@@ -120,7 +120,6 @@ type Cluster struct {
 	// Transport and pool configuration.
 	transport    TransportProvider
 	poolIdle     time.Duration
-	backoff      BackoffPolicy
 	hintCap      int
 	durableCount int
 }
@@ -288,21 +287,15 @@ func (c *Cluster) confClearFor(n int) {
 	}
 }
 
-// RoundError is one failed (or skipped) exchange of a gossip round: which
-// peer, which stripe, what happened. Operators and the chaos lab both need
-// the breakdown — a round that "mostly worked" is the normal case under
-// faults, and a bare success count hides who is struggling.
+// RoundError is one failed exchange of a gossip round: which peer, which
+// stripe, what happened. Operators and the chaos lab both need the
+// breakdown — a round that "mostly worked" is the normal case under faults,
+// and a bare success count hides who is struggling.
 type RoundError struct {
 	From   string // initiating node ID
 	To     string // peer node ID
 	Stripe int    // stripe the exchange was scoped to
 	Err    string // error text
-	// Retried reports that the pool transparently retried the exchange on
-	// a fresh dial before giving up.
-	Retried bool
-	// Backoff marks an exchange skipped by the peer's backoff window — no
-	// traffic happened, the peer was temporarily excused.
-	Backoff bool
 	// PeerDown marks a failure against a peer the cluster already knows is
 	// down — expected churn, not an anomaly.
 	PeerDown bool
@@ -347,10 +340,9 @@ type RoundStats struct {
 	// BytesPerNode is this round's wire bytes per node (both endpoints of
 	// an exchange are charged its full sent+received payload).
 	BytesPerNode []int64
-	// Errors lists every exchange that failed or was skipped this round,
-	// one entry per (peer, stripe) attempt. The round itself still returns
-	// a nil error unless a failure is unexpected (peer not known dead, not
-	// a backoff skip).
+	// Errors lists every exchange that failed this round, one entry per
+	// (peer, stripe) attempt. The round itself still returns a nil error
+	// unless a failure is unexpected (the peer is not known to be down).
 	Errors []RoundError
 }
 
@@ -480,19 +472,17 @@ func (c *Cluster) runChain(chain []gossipTask, stats *RoundStats, mu *sync.Mutex
 		// Every exchange is a round over the initiator's pooled session to
 		// the peer, scoped to one stripe so only that stripe's tree root
 		// travels.
-		res, info, err := t.pool.SyncStripes(t.addr, t.rep, []int{t.stripe})
+		res, err := t.pool.SyncStripes(t.addr, t.rep, []int{t.stripe})
 		mu.Lock()
 		if err != nil {
 			down := c.nodeDown(t.j)
 			stats.Errors = append(stats.Errors, RoundError{
 				From: c.nodeID(t.i), To: c.nodeID(t.j), Stripe: t.stripe,
-				Err: err.Error(), Retried: info.Retried,
-				Backoff: info.Backoff, PeerDown: down,
+				Err: err.Error(), PeerDown: down,
 			})
-			// A peer that died mid-round is expected churn, and a backoff
-			// skip is the pool doing its job — neither fails the round:
-			// membership notices the death, and the backoff window expires.
-			if *firstErr == nil && !down && !info.Backoff {
+			// A peer that died mid-round is expected churn and does not
+			// fail the round: membership notices the death.
+			if *firstErr == nil && !down {
 				*firstErr = fmt.Errorf("antientropy: gossip %d->%d: %w", t.i, t.j, err)
 			}
 			if tl := track[exKey{t.i, t.stripe}]; tl != nil {

@@ -30,7 +30,6 @@ type Pool struct {
 	idle      time.Duration
 	timeout   time.Duration
 	transport Transport
-	backoff   BackoffPolicy
 
 	mu     sync.Mutex
 	conns  map[string]*poolConn
@@ -46,64 +45,8 @@ type poolConn struct {
 	conn     *countingConn
 	lastUsed time.Time
 	rounds   int // rounds completed on the current connection
-	fails    int // consecutive failed rounds (armed backoff)
-	skip     int // rounds left to skip before trying this peer again
 	clientRound
 }
-
-// BackoffPolicy skips rounds to a repeatedly-failing peer, so one dead or
-// partitioned address does not stall every gossip round on a full dial
-// timeout. It counts round attempts, not wall-clock time — deterministic
-// under logical-time transports and exactly as effective over TCP, where
-// each gossip round is one attempt.
-//
-// After the n-th consecutive failure the pool skips min(Base<<(n-1), Max)
-// subsequent rounds to that peer, plus a jitter in [0, Base] seeded by
-// (Seed, peer address, n) so a cohort of nodes that lost the same peer at
-// the same time does not retry in lockstep. Skipped rounds fail fast with
-// ErrPeerBackoff. A successful round resets the counter. The zero policy
-// (Base == 0) disables backoff.
-type BackoffPolicy struct {
-	Base int   // rounds skipped after the first failure; 0 disables
-	Max  int   // cap on skipped rounds; 0 means Base<<6
-	Seed int64 // jitter seed
-}
-
-// skipAfter returns how many rounds to skip after the fails-th consecutive
-// failure of addr.
-func (b BackoffPolicy) skipAfter(addr string, fails int) int {
-	if b.Base <= 0 || fails <= 0 {
-		return 0
-	}
-	max := b.Max
-	if max <= 0 {
-		max = b.Base << 6
-	}
-	n := b.Base
-	for i := 1; i < fails && n < max; i++ {
-		n <<= 1
-	}
-	if n > max {
-		n = max
-	}
-	// Seeded jitter: fold the seed, peer and failure count through a
-	// splitmix64 finalizer.
-	h := uint64(b.Seed) ^ uint64(fails)*0x9e3779b97f4a7c15
-	for i := 0; i < len(addr); i++ {
-		h = (h ^ uint64(addr[i])) * 0x100000001b3
-	}
-	h += 0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	return n + int(h%uint64(b.Base+1))
-}
-
-// ErrPeerBackoff marks a round skipped because the peer's backoff window is
-// open: the peer failed recently and the pool is not ready to retry it yet.
-// No network traffic happened; callers treat it as "peer temporarily
-// excused", not as a new failure.
-var ErrPeerBackoff = errors.New("antientropy: peer in backoff")
 
 // PoolOptions configures a Pool. The zero value of every field selects the
 // default, so callers set only what they need.
@@ -116,13 +59,10 @@ type PoolOptions struct {
 	// negative disables idle expiry (for logical-time transports, whose
 	// sessions should never age by wall clock).
 	Idle time.Duration
-	// Backoff skips rounds to repeatedly-failing peers; the zero policy
-	// disables it.
-	Backoff BackoffPolicy
 }
 
 // NewPool creates an empty pool with the default transport (TCP), idle and
-// per-round timeouts, and no backoff.
+// per-round timeouts.
 func NewPool() *Pool {
 	return NewPoolOptions(PoolOptions{})
 }
@@ -133,7 +73,6 @@ func NewPoolOptions(opts PoolOptions) *Pool {
 		idle:      opts.Idle,
 		timeout:   opts.Timeout,
 		transport: opts.Transport,
-		backoff:   opts.Backoff,
 		conns:     make(map[string]*poolConn),
 	}
 	if p.idle == 0 {
@@ -260,29 +199,16 @@ func retriable(err error, fresh bool, rounds int) bool {
 		!errors.Is(err, ErrRetryUnsafe)
 }
 
-// RoundInfo describes how a pooled round went, beyond its SyncResult — the
-// raw material of structured round reports.
-type RoundInfo struct {
-	Attempts   int  // protocol attempts made (0 when skipped by backoff)
-	FreshDials int  // attempts that required a fresh dial
-	Retried    bool // a failed attempt was transparently retried
-	Backoff    bool // the round was skipped by the peer's backoff window
-}
-
 // round runs one tree round of local's stripes (nil: all of them) over
 // addr's pooled session, redialing transparently: a round that fails on a
 // session that had already served rounds (the server restarted, or idled
 // the session out under our idle threshold) is retried exactly once on a
 // fresh dial, unless retrying could double-apply the round's entries (see
-// retriable). With a backoff policy configured, repeated failures make
-// subsequent rounds to the same peer fail fast with ErrPeerBackoff instead
-// of re-paying the dial timeout. An invalid stripe set fails before anything
-// is dialed.
-func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, RoundInfo, error) {
-	var info RoundInfo
+// retriable). An invalid stripe set fails before anything is dialed.
+func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, error) {
 	pc, err := p.entry(addr)
 	if err != nil {
-		return kvstore.SyncResult{}, info, err
+		return kvstore.SyncResult{}, err
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -292,12 +218,7 @@ func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstor
 		pc.fw.trim()
 	}()
 	if err := pc.load(local, stripes); err != nil {
-		return kvstore.SyncResult{}, info, err
-	}
-	if pc.skip > 0 {
-		pc.skip--
-		info.Backoff = true
-		return kvstore.SyncResult{}, info, fmt.Errorf("%w: %s (%d rounds left)", ErrPeerBackoff, addr, pc.skip)
+		return kvstore.SyncResult{}, err
 	}
 	for {
 		// Re-checked under pc.mu on every attempt: once Close has set
@@ -308,16 +229,11 @@ func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstor
 		closed := p.closed
 		p.mu.Unlock()
 		if closed {
-			return kvstore.SyncResult{}, info, errors.New("antientropy: pool closed")
+			return kvstore.SyncResult{}, errors.New("antientropy: pool closed")
 		}
 		fresh, err := p.ensure(pc, addr)
 		if err != nil {
-			p.armBackoff(pc, addr)
-			return kvstore.SyncResult{}, info, err
-		}
-		info.Attempts++
-		if fresh {
-			info.FreshDials++
+			return kvstore.SyncResult{}, err
 		}
 		_ = pc.conn.SetDeadline(time.Now().Add(p.timeout))
 		startSent, startRecv := pc.conn.sent.Load(), pc.conn.recv.Load()
@@ -344,8 +260,7 @@ func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstor
 			res.BytesReceived = pc.conn.recv.Load() - startRecv
 			pc.rounds++
 			pc.lastUsed = time.Now()
-			pc.fails, pc.skip = 0, 0
-			return res, info, nil
+			return res, nil
 		}
 		if pc.entriesSent && !errors.Is(err, ErrProtocol) {
 			err = fmt.Errorf("%w: %w", ErrRetryUnsafe, err)
@@ -353,18 +268,9 @@ func (p *Pool) round(addr string, local *kvstore.Replica, stripes []int) (kvstor
 		retry := retriable(err, fresh, pc.rounds)
 		p.drop(pc)
 		if !retry {
-			p.armBackoff(pc, addr)
-			return kvstore.SyncResult{}, info, err
+			return kvstore.SyncResult{}, err
 		}
-		info.Retried = true
 	}
-}
-
-// armBackoff records a failed round against addr and opens its skip window
-// per the pool's backoff policy. pc.mu must be held.
-func (p *Pool) armBackoff(pc *poolConn, addr string) {
-	pc.fails++
-	pc.skip = p.backoff.skipAfter(addr, pc.fails)
 }
 
 // SyncWith performs one anti-entropy round between the local replica and
@@ -372,16 +278,14 @@ func (p *Pool) armBackoff(pc *poolConn, addr string) {
 // nodes, then leaf digest runs, copies only where stamps require them. The
 // byte counters in the result cover exactly this round's frames.
 func (p *Pool) SyncWith(addr string, local *kvstore.Replica) (kvstore.SyncResult, error) {
-	res, _, err := p.round(addr, local, nil)
-	return res, err
+	return p.round(addr, local, nil)
 }
 
 // SyncStripes performs one round scoped to the given local stripes — the
 // pooled, multiplexed replacement for dialing one connection per stripe:
 // all scoped exchanges ride the same session. Nil or empty stripes mean
-// the whole replica, as SyncWith. Beside the result it returns the round's
-// RoundInfo (attempts, fresh dials, retry and backoff verdicts).
-func (p *Pool) SyncStripes(addr string, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, RoundInfo, error) {
+// the whole replica, as SyncWith.
+func (p *Pool) SyncStripes(addr string, local *kvstore.Replica, stripes []int) (kvstore.SyncResult, error) {
 	if len(stripes) == 0 {
 		stripes = nil
 	}

@@ -88,9 +88,6 @@ type RingConfig struct {
 	// PoolIdle is the pooled-session idle expiry (0 = the 90s default,
 	// negative = never expire — for logical-time transports).
 	PoolIdle time.Duration
-	// Backoff makes every node's pool skip rounds to repeatedly-failing
-	// peers; the zero policy disables it.
-	Backoff BackoffPolicy
 	// GossipWorkers caps the per-round exchange worker pool (0 =
 	// GOMAXPROCS). Deterministic scenarios set 1: exchange order then
 	// follows schedule order exactly.
@@ -134,7 +131,6 @@ func NewRingCluster(cfg RingConfig) (*Cluster, error) {
 		ringCache:    make(map[string]*ring.Ring),
 		transport:    cfg.Transport,
 		poolIdle:     cfg.PoolIdle,
-		backoff:      cfg.Backoff,
 		hintCap:      cfg.HintCap,
 		durableCount: cfg.DurableCount,
 	}
@@ -248,7 +244,6 @@ func (c *Cluster) startNode(nd *node) error {
 	nd.pool = NewPoolOptions(PoolOptions{
 		Transport: tr,
 		Idle:      c.poolIdle,
-		Backoff:   c.backoff,
 	})
 	return nil
 }
@@ -1012,8 +1007,8 @@ type MemberStatus struct {
 	State string
 }
 
-// NodeStatus is a point-in-time report of one node — the ring-status
-// surface behind `panasync serve -join` and ExampleNewRingCluster.
+// NodeStatus is a point-in-time report of one node, as ExampleNewRingCluster
+// prints it and the chaos lab reads it at the end of a run.
 type NodeStatus struct {
 	ID           string
 	Addr         string

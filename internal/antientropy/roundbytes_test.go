@@ -136,7 +136,7 @@ func TestRoundBytesPinned(t *testing.T) {
 			pinnedStream{74981, "2503f768f2a7fe851d5761ba01fa9e419e750253c92bc41abef94f1e0463783f"},
 			pinnedStream{17182, "1231a83d863bc943965882b96350d92513a6102e4b50a82fec9091934e28d7c1"}},
 		{"scoped", func() { writeSome(16) }, func() (kvstore.SyncResult, error) {
-			res, _, err := p.SyncStripes(addr, client, []int{3, 9, 17, 30})
+			res, err := p.SyncStripes(addr, client, []int{3, 9, 17, 30})
 			return res, err
 		},
 			pinnedStream{310, "bcc695be8d0440f4327f39533ac96a438a502b35c502296a82197e21e57a20a3"},

@@ -277,7 +277,7 @@ func TestTreeScopedStripes(t *testing.T) {
 	if in == out {
 		t.Fatalf("test keys landed in one stripe; pick different keys")
 	}
-	res, _, err := p.SyncStripes(addr, client, []int{in})
+	res, err := p.SyncStripes(addr, client, []int{in})
 	if err != nil {
 		t.Fatalf("SyncStripes: %v", err)
 	}
@@ -336,7 +336,7 @@ func TestTreeLayoutMismatch(t *testing.T) {
 	refused("whole-replica round", err)
 	p := NewPool()
 	defer p.Close()
-	_, _, err = p.SyncStripes(addr, client, []int{0, 5})
+	_, err = p.SyncStripes(addr, client, []int{0, 5})
 	refused("stripe-scoped round", err)
 
 	// A root probe is only ever pipelined behind a completed round, which a

@@ -11,7 +11,7 @@ import (
 // layers rely on:
 //
 //   - counters never regress;
-//   - StateVersion and MemberVersion never regress;
+//   - MemberVersion never regresses;
 //   - a Dead member is never resurrected by a stale counter (one not
 //     strictly fresher than what the view already held);
 //   - the view's judgment of every member equals the model's.
@@ -45,14 +45,9 @@ func FuzzViewAgainstModel(f *testing.F) {
 			{"n0": 0, "n1": 1, "n2": 1, "n3": 1},
 		}
 
-		var lastState, lastMember uint64
+		var lastMember uint64
 		check := func(op string) {
 			t.Helper()
-			if sv := v.StateVersion(); sv < lastState {
-				t.Fatalf("%s: StateVersion regressed %d -> %d", op, lastState, sv)
-			} else {
-				lastState = sv
-			}
 			if mv := v.MemberVersion(); mv < lastMember {
 				t.Fatalf("%s: MemberVersion regressed %d -> %d", op, lastMember, mv)
 			} else {

@@ -12,14 +12,11 @@
 // counter propagates. There is no wall clock and no randomness: runs are
 // exactly reproducible, which the cluster tests rely on.
 //
-// The view separates two kinds of change. StateVersion bumps on any state
-// transition (alive→suspect→dead→alive), so a reader can tell whether any
-// peer's liveness changed since it last looked. MemberVersion bumps
-// only when the set of known node IDs grows — the event that triggers a
-// deterministic consistent-hash ring rebuild. Death deliberately does NOT
-// rebuild the ring: a dead node keeps its stripe ownership so that writes
-// which miss it are hint-queued for its revival, Dynamo-style, rather than
-// silently re-homed.
+// MemberVersion bumps only when the set of known node IDs grows — the event
+// that triggers a deterministic consistent-hash ring rebuild. Death
+// deliberately does NOT rebuild the ring: a dead node keeps its stripe
+// ownership so that writes which miss it are hint-queued for its revival,
+// Dynamo-style, rather than silently re-homed.
 package membership
 
 import (
@@ -97,7 +94,6 @@ type View struct {
 	self          string
 	cfg           Config
 	tick          int
-	stateVersion  uint64
 	memberVersion uint64
 	peers         map[string]*member
 }
@@ -142,20 +138,15 @@ func (v *View) Tick() {
 			continue
 		}
 		age := v.tick - m.seenAt
-		next := m.state
 		switch {
 		case age >= v.cfg.DeadAfter:
-			next = Dead
+			m.state = Dead
 		case age >= v.cfg.SuspectAfter:
 			if m.state != Dead {
-				next = Suspect
+				m.state = Suspect
 			}
 		default:
-			next = Alive
-		}
-		if next != m.state {
-			m.state = next
-			v.stateVersion++
+			m.state = Alive
 		}
 	}
 }
@@ -188,16 +179,12 @@ func (v *View) Merge(table []Heartbeat) {
 		if !ok {
 			v.peers[hb.ID] = &member{counter: hb.Counter, seenAt: v.tick, state: Alive}
 			v.memberVersion++
-			v.stateVersion++
 			continue
 		}
 		if hb.Counter > m.counter {
 			m.counter = hb.Counter
 			m.seenAt = v.tick
-			if m.state != Alive && hb.ID != v.self {
-				m.state = Alive
-				v.stateVersion++
-			}
+			m.state = Alive // self is always Alive
 		}
 	}
 }
@@ -226,16 +213,12 @@ func (v *View) MergeFrom(o *View) {
 		if !ok {
 			v.peers[id] = &member{counter: om.counter, seenAt: v.tick, state: Alive}
 			v.memberVersion++
-			v.stateVersion++
 			continue
 		}
 		if om.counter > m.counter {
 			m.counter = om.counter
 			m.seenAt = v.tick
-			if m.state != Alive && id != v.self {
-				m.state = Alive
-				v.stateVersion++
-			}
+			m.state = Alive
 		}
 	}
 }
@@ -249,10 +232,7 @@ func (v *View) Refresh() {
 	defer v.mu.Unlock()
 	for _, m := range v.peers {
 		m.seenAt = v.tick
-		if m.state != Alive {
-			m.state = Alive
-			v.stateVersion++
-		}
+		m.state = Alive
 	}
 }
 
@@ -291,14 +271,6 @@ func (v *View) Alive() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// StateVersion counts state transitions; any change of any member's
-// liveness bumps it.
-func (v *View) StateVersion() uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.stateVersion
 }
 
 // MemberVersion counts growth of the known-ID set; a change means rings

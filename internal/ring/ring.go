@@ -22,18 +22,17 @@ import (
 	"sort"
 )
 
-// DefaultVirtualPoints is how many points each node projects onto the ring.
-// 64 points keep per-node stripe counts within a few percent of even for
+// virtualPoints is how many points each node projects onto the ring. 64
+// points keep per-node stripe counts within a few percent of even for
 // cluster sizes up to several hundred nodes.
-const DefaultVirtualPoints = 64
+const virtualPoints = 64
 
 // Ring is an immutable placement of stripes onto nodes. Build a new Ring on
-// membership change (WithNodes); lookups are precomputed and read-only, so
-// a Ring is safe for concurrent use.
+// membership change; lookups are precomputed and read-only, so a Ring is
+// safe for concurrent use.
 type Ring struct {
 	stripes     int
 	replication int
-	vpoints     int
 	nodes       []string   // sorted, distinct
 	owners      [][]string // stripe -> ordered owner IDs (walk order)
 	ownedBy     map[string][]int
@@ -45,23 +44,15 @@ type point struct {
 	node string
 }
 
-// New builds a ring of the given nodes with DefaultVirtualPoints per node.
-// Each stripe is owned by min(replication, len(nodes)) distinct nodes, in
+// New builds a ring of the given nodes with virtualPoints per node. Each
+// stripe is owned by min(replication, len(nodes)) distinct nodes, in
 // clockwise walk order from the stripe's position.
 func New(nodes []string, stripes, replication int) (*Ring, error) {
-	return NewVirtual(nodes, stripes, replication, DefaultVirtualPoints)
-}
-
-// NewVirtual is New with an explicit virtual-point count per node.
-func NewVirtual(nodes []string, stripes, replication, vpoints int) (*Ring, error) {
 	if stripes < 1 {
 		return nil, fmt.Errorf("ring: need >= 1 stripe, got %d", stripes)
 	}
 	if replication < 1 {
 		return nil, fmt.Errorf("ring: need replication >= 1, got %d", replication)
-	}
-	if vpoints < 1 {
-		return nil, fmt.Errorf("ring: need >= 1 virtual point, got %d", vpoints)
 	}
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("ring: need at least one node")
@@ -80,9 +71,9 @@ func NewVirtual(nodes []string, stripes, replication, vpoints int) (*Ring, error
 		replication = len(sorted)
 	}
 
-	points := make([]point, 0, len(sorted)*vpoints)
+	points := make([]point, 0, len(sorted)*virtualPoints)
 	for _, id := range sorted {
-		for v := 0; v < vpoints; v++ {
+		for v := 0; v < virtualPoints; v++ {
 			points = append(points, point{hash: hash64(fmt.Sprintf("%s#%d", id, v)), node: id})
 		}
 	}
@@ -98,7 +89,6 @@ func NewVirtual(nodes []string, stripes, replication, vpoints int) (*Ring, error
 	r := &Ring{
 		stripes:     stripes,
 		replication: replication,
-		vpoints:     vpoints,
 		nodes:       sorted,
 		owners:      make([][]string, stripes),
 		ownedBy:     make(map[string][]int, len(sorted)),
@@ -130,14 +120,6 @@ func walk(points []point, h uint64, want int) []string {
 		}
 	}
 	return owners
-}
-
-// WithNodes rebuilds the ring for a changed member set, keeping stripes,
-// replication and virtual-point count — the deterministic rebuild the
-// membership layer triggers. Stripes whose owner walk does not pass the
-// changed nodes keep their exact owner lists.
-func (r *Ring) WithNodes(nodes []string) (*Ring, error) {
-	return NewVirtual(nodes, r.stripes, r.replication, r.vpoints)
 }
 
 // Stripes returns the virtual stripe count.

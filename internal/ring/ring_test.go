@@ -18,19 +18,18 @@ func ids(n int) []string {
 
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
-		name                          string
-		nodes                         []string
-		stripes, replication, vpoints int
+		name                 string
+		nodes                []string
+		stripes, replication int
 	}{
-		{"no nodes", nil, 8, 2, 4},
-		{"zero stripes", ids(3), 0, 2, 4},
-		{"zero replication", ids(3), 8, 0, 4},
-		{"zero vpoints", ids(3), 8, 2, 0},
-		{"duplicate id", []string{"a", "b", "a"}, 8, 2, 4},
-		{"empty id", []string{"a", ""}, 8, 2, 4},
+		{"no nodes", nil, 8, 2},
+		{"zero stripes", ids(3), 0, 2},
+		{"zero replication", ids(3), 8, 0},
+		{"duplicate id", []string{"a", "b", "a"}, 8, 2},
+		{"empty id", []string{"a", ""}, 8, 2},
 	}
 	for _, tc := range cases {
-		if _, err := NewVirtual(tc.nodes, tc.stripes, tc.replication, tc.vpoints); err == nil {
+		if _, err := New(tc.nodes, tc.stripes, tc.replication); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
@@ -137,7 +136,7 @@ func TestRemovalOnlyRemapsOwnedStripes(t *testing.T) {
 			rest = append(rest, id)
 		}
 	}
-	after, err := before.WithNodes(rest)
+	after, err := New(rest, 128, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestAdditionShiftsAtMostOneOwnerPerStripe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := before.WithNodes(append(ids(9), "node-9"))
+	after, err := New(append(ids(9), "node-9"), 64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

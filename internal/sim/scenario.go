@@ -82,6 +82,17 @@ type Action struct {
 	Faults chaosnet.Faults // ActFaults: new default link faults
 }
 
+// Every scenario gossips with one co-owner per owned stripe a round
+// (fanout), draws its write keys Zipf(s=zipfS), and ends once the cluster
+// has held convergence for quiesceRounds consecutive rounds; membership
+// runs at RingConfig's defaults (Suspect after 3 silent rounds, Dead after
+// 6).
+const (
+	fanout        = 1
+	zipfS         = 1.2
+	quiesceRounds = 2
+)
+
 // Scenario is one deterministic chaos experiment over a ring cluster.
 type Scenario struct {
 	Name string
@@ -93,22 +104,17 @@ type Scenario struct {
 	Nodes        int
 	Replication  int
 	Stripes      int
-	Fanout       int // co-owners each node syncs per owned stripe a round (default 1)
 	HintCap      int
 	DataDir      string // non-empty enables WAL-backed nodes
 	DurableCount int    // limits durability to the first N nodes
-	SuspectAfter int
-	DeadAfter    int
-	Backoff      antientropy.BackoffPolicy
 
 	// Faults are the fabric's initial default link faults.
 	Faults chaosnet.Faults
 
-	// Write workload: keys are drawn Zipf(s=ZipfS) from a KeySpace-sized
+	// Write workload: keys are drawn Zipf(s=zipfS) from a KeySpace-sized
 	// keyspace, so a few hot keys are written many times (stamp reuse) and
 	// a long tail once (stamp churn).
-	KeySpace int     // default 256
-	ZipfS    float64 // default 1.2 (must be > 1)
+	KeySpace int // default 256
 
 	// DeleteWins resolves conflicting copies in favor of deletion. The
 	// default is no resolver at all: conflicts are reported and left
@@ -121,27 +127,17 @@ type Scenario struct {
 
 	// Script is the fault schedule. Rounds past the last scripted action
 	// are quiescence: the run ends once the cluster reports convergence
-	// (and empty hint queues) for QuiesceRounds consecutive rounds.
-	Script        []Action
-	RoundBudget   int // hard round cap (default 64)
-	QuiesceRounds int // consecutive converged rounds required (default 2)
+	// (and empty hint queues) for quiesceRounds consecutive rounds.
+	Script      []Action
+	RoundBudget int // hard round cap (default 64)
 }
 
 func (s Scenario) withDefaults() Scenario {
-	if s.Fanout <= 0 {
-		s.Fanout = 1
-	}
 	if s.KeySpace <= 0 {
 		s.KeySpace = 256
 	}
-	if s.ZipfS <= 1 {
-		s.ZipfS = 1.2
-	}
 	if s.RoundBudget <= 0 {
 		s.RoundBudget = 64
-	}
-	if s.QuiesceRounds <= 0 {
-		s.QuiesceRounds = 2
 	}
 	return s
 }
@@ -175,8 +171,7 @@ type ScenarioMetrics struct {
 	Resurrections       int `json:"resurrections"`
 
 	Exchanges      int   `json:"exchanges"`
-	ExchangeErrors int   `json:"exchange_errors"` // failed or skipped exchanges
-	BackoffSkips   int   `json:"backoff_skips"`
+	ExchangeErrors int   `json:"exchange_errors"` // failed exchanges
 	KeysMoved      int   `json:"keys_moved"`
 	WireBytes      int64 `json:"wire_bytes"`
 
@@ -235,9 +230,6 @@ func (s Scenario) Run() (*ScenarioMetrics, error) {
 		HintCap:       s.HintCap,
 		DataDir:       s.DataDir,
 		DurableCount:  s.DurableCount,
-		SuspectAfter:  s.SuspectAfter,
-		DeadAfter:     s.DeadAfter,
-		Backoff:       s.Backoff,
 		Transport:     func(id string) antientropy.Transport { return fab.Node(id) },
 		PoolIdle:      -1, // logical time: pooled sessions never expire
 		GossipWorkers: 1,  // serial exchanges — schedule order is run order
@@ -250,7 +242,7 @@ func (s Scenario) Run() (*ScenarioMetrics, error) {
 	// The write stream: seeded Zipf over a fixed keyspace. Derived from
 	// Seed but decoupled from the cluster's own rng.
 	wrng := rand.New(rand.NewSource(s.Seed ^ 0x5eed5eed))
-	zipf := rand.NewZipf(wrng, s.ZipfS, 1, uint64(s.KeySpace-1))
+	zipf := rand.NewZipf(wrng, zipfS, 1, uint64(s.KeySpace-1))
 	writeSeq := 0
 
 	byRound := make(map[int][]Action)
@@ -274,7 +266,7 @@ func (s Scenario) Run() (*ScenarioMetrics, error) {
 		// Fault-induced round errors (resets on links, unreachable peers)
 		// are the experiment, not a failure: they land in stats.Errors and
 		// the error return is ignored.
-		stats, _ := c.GossipRoundStats(s.Fanout)
+		stats, _ := c.GossipRoundStats(fanout)
 		m.Rounds = round + 1
 		m.Exchanges += stats.Exchanges
 		m.KeysMoved += stats.Moved
@@ -290,12 +282,7 @@ func (s Scenario) Run() (*ScenarioMetrics, error) {
 		if q := stats.StripesQuarantined + stats.StripesRepaired; q > m.QuarantinedPeak {
 			m.QuarantinedPeak = q
 		}
-		for _, re := range stats.Errors {
-			m.ExchangeErrors++
-			if re.Backoff {
-				m.BackoffSkips++
-			}
-		}
+		m.ExchangeErrors += len(stats.Errors)
 		if p := c.HintsPending(); p > m.HintsPeak {
 			m.HintsPeak = p
 		}
@@ -305,7 +292,7 @@ func (s Scenario) Run() (*ScenarioMetrics, error) {
 		if round > lastScripted && c.Converged() && c.HintsPending() == 0 &&
 			stats.TombstonesLive == 0 {
 			quiet++
-			if quiet >= s.QuiesceRounds {
+			if quiet >= quiesceRounds {
 				m.Converged = true
 				break
 			}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"versionstamp/internal/antientropy"
 	"versionstamp/internal/chaosnet"
 	"versionstamp/internal/ring"
 )
@@ -20,7 +19,6 @@ func PartitionHeal(seed int64) Scenario {
 	return Scenario{
 		Name: "partition-heal", Seed: seed,
 		Nodes: 12, Replication: 3, Stripes: 32,
-		Backoff: antientropy.BackoffPolicy{Base: 1, Max: 4, Seed: seed},
 		Script: []Action{
 			{Round: 0, Kind: ActWrite, Count: 120},
 			{Round: 3, Kind: ActPartition, Groups: []int{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1}},
@@ -43,7 +41,6 @@ func LossyQuorum(seed int64) Scenario {
 			DelayTicks: 1, JitterTicks: 2,
 			DropProb: 0.05, DupProb: 0.05, ReorderProb: 0.1,
 		},
-		Backoff: antientropy.BackoffPolicy{Base: 1, Max: 4, Seed: seed},
 		Script: []Action{
 			{Round: 0, Kind: ActWrite, Count: 100},
 			{Round: 3, Kind: ActWrite, Count: 100},
@@ -64,7 +61,6 @@ func CrashRestart(seed int64, dataDir string) Scenario {
 		Name: "crash-restart", Seed: seed,
 		Nodes: 8, Replication: 3, Stripes: 32,
 		DataDir: dataDir, HintCap: 32,
-		Backoff: antientropy.BackoffPolicy{Base: 1, Max: 4, Seed: seed},
 		Script: []Action{
 			{Round: 0, Kind: ActWrite, Count: 100},
 			{Round: 3, Kind: ActKill, Node: 2},
@@ -85,7 +81,6 @@ func Churn(seed int64) Scenario {
 	return Scenario{
 		Name: "churn", Seed: seed,
 		Nodes: 8, Replication: 3, Stripes: 32,
-		Backoff: antientropy.BackoffPolicy{Base: 1, Max: 4, Seed: seed},
 		Script: []Action{
 			{Round: 0, Kind: ActWrite, Count: 120},
 			{Round: 3, Kind: ActAddNode},
@@ -115,7 +110,6 @@ func ThousandNode(seed int64, dataDir string) Scenario {
 		Nodes: 1000, Replication: 3, Stripes: 128,
 		DataDir: dataDir, DurableCount: 8,
 		HintCap: 64, KeySpace: 512,
-		Backoff: antientropy.BackoffPolicy{Base: 1, Max: 4, Seed: seed},
 		Script: []Action{
 			{Round: 0, Kind: ActWrite, Count: 300},
 			{Round: 2, Kind: ActPartition, Groups: groups},
@@ -130,8 +124,7 @@ func ThousandNode(seed int64, dataDir string) Scenario {
 			{Round: 11, Kind: ActAddNode},
 			{Round: 12, Kind: ActWrite, Count: 100},
 		},
-		RoundBudget:   48,
-		QuiesceRounds: 2,
+		RoundBudget: 48,
 	}
 }
 
@@ -146,7 +139,6 @@ func DiskCorrupt(seed int64, dataDir string) Scenario {
 		Name: "disk-corrupt", Seed: seed,
 		Nodes: 9, Replication: 3, Stripes: 32,
 		DataDir: dataDir, HintCap: 32,
-		Backoff: antientropy.BackoffPolicy{Base: 1, Max: 4, Seed: seed},
 		Script: []Action{
 			{Round: 0, Kind: ActWrite, Count: 150},
 			{Round: 3, Kind: ActKill, Node: 2},
@@ -203,8 +195,7 @@ func OwnerSetFailure(seed int64, dataDir string) Scenario {
 		Name: "owner-set-failure", Seed: seed,
 		Nodes: 9, Replication: 3, Stripes: 32,
 		DataDir: dataDir, HintCap: 32,
-		Backoff: antientropy.BackoffPolicy{Base: 1, Max: 4, Seed: seed},
-		Script:  script, RoundBudget: 64,
+		Script: script, RoundBudget: 64,
 	}
 }
 
@@ -221,7 +212,6 @@ func TombstoneGC(seed int64) Scenario {
 		Name: "tombstone-gc", Seed: seed,
 		Nodes: 9, Replication: 3, Stripes: 16,
 		KeySpace: 64, DeleteWins: true,
-		Backoff: antientropy.BackoffPolicy{Base: 1, Max: 4, Seed: seed},
 		Script: []Action{
 			{Round: 0, Kind: ActWrite, Count: 150},
 			// Deletes while an owner is down: those tombstones cannot be

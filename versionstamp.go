@@ -292,11 +292,11 @@
 //     (ErrQuorum) while still hinting the unreachable owners; after heal,
 //     hint drains and owner-scoped anti-entropy reconverge both sides, the
 //     stamps proving per key which copies are obsolete and which conflict.
-//   - Failing peers back off. A pool that repeatedly fails to reach a peer
-//     skips it for exponentially growing (seeded-jittered) round windows —
-//     ErrPeerBackoff rounds cost zero traffic — and one success resets the
-//     ledger. Round outcomes are reported per exchange (RoundStats.Errors)
-//     with the failure's class: retried, backoff-skipped, or known-dead.
+//   - Unreachable peers are not contacted. A round schedules exchanges only
+//     with co-owners that are up, in the node's partition group and not
+//     Dead in its membership view, so a dead or partitioned peer costs no
+//     dial. Round outcomes are reported per exchange (RoundStats.Errors),
+//     a failure against a peer known to be down marked as such.
 //   - Bounded hint queues. Hints are capped per target, dropping oldest
 //     first; a dropped hint is a lost promise, not lost data, because the
 //     write's value and stamp remain on the coordinator's replica and
@@ -346,9 +346,9 @@
 //
 // Convergence under all of the above is measured, not hoped for. A scenario
 // run yields one sim.ScenarioMetrics document: rounds to convergence
-// against the round budget, quorum writes attempted and failed, exchange,
-// conflict and backoff counts, wire bytes, hint-queue peak/drain/drop
-// counts, binary stamp size max and mean, and the fabric's fault ledger
+// against the round budget, quorum writes attempted and failed, exchange
+// and conflict counts, wire bytes, hint-queue peak/drain/drop counts,
+// binary stamp size max and mean, and the fabric's fault ledger
 // (delivered, dropped, duplicated, reordered, cut, reset). The sim tests
 // fail unless every scenario converges within budget, ends healed with its
 // tombstones collected and no delete resurrected, keeps its stamps under a
