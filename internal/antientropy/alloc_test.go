@@ -99,19 +99,21 @@ func TestHot1RoundAllocs(t *testing.T) {
 
 // bulkRoundBytesPerKey bounds what a round that moves 1 % of a 20 000-key,
 // 32-stripe pair allocates across both ends, per key moved, the writes
-// excluded: the -race figure plus about 10 %. Measured: 636 B (721 under
-// -race), with the ordinals each end keeps to name keys by (591 (676)
-// before). Before the round became two machines, 732 B (817) against a
-// bound of 900. Before both ends streamed frames through their windows, the
-// server handed the store the leaf runs as they came instead of
-// concatenating them, and sized its reply once from the diffs, 1 064 B
+// excluded: the -race figure plus about 10 %. Measured: 630 B (731 under
+// -race) once the session warms up until its windows stop growing; 636 B
+// (721) with one warm-up round and the ordinals each end keeps to name keys
+// by (591 (676) before). Before the round became two machines, 732 B (817)
+// against a bound of 900. Before both ends streamed frames through their
+// windows, the server handed the store the leaf runs as they came instead
+// of concatenating them, and sized its reply once from the diffs, 1 064 B
 // (1 134).
 const bulkRoundBytesPerKey = 800
 
 // TestBulkRoundAllocBytes: a round after 100 writes on each side of a
-// 20 000-key pair allocates within its per-moved-key bound.
+// 20 000-key pair allocates within its per-moved-key bound once the session
+// is warm.
 func TestBulkRoundAllocBytes(t *testing.T) {
-	const keys, rounds = 20_000, 4
+	const keys, rounds, maxWarmup = 20_000, 4, 8
 	key := func(i int) string { return fmt.Sprintf("key-%06d", i%keys) }
 	value := bytes.Repeat([]byte("v"), 128)
 	server := kvstore.NewReplicaShards("server", 32)
@@ -120,14 +122,26 @@ func TestBulkRoundAllocBytes(t *testing.T) {
 	}
 	client := server.Clone("client")
 	_, addr := startServer(t, server, nil)
-	p := NewPool()
+	var sent, recv frameLens
+	tr := &tapTransport{tap: func(isSent bool, p []byte) {
+		if isSent {
+			sent.feed(p)
+		} else {
+			recv.feed(p)
+		}
+	}}
+	longest := func() [2]int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return [2]int{sent.longest, recv.longest}
+	}
+	p := NewPoolOptions(PoolOptions{Transport: tr})
 	t.Cleanup(func() { _ = p.Close() })
-	var allocated, moved uint64
-	for round := -1; round < rounds; round++ { // round -1 warms the session
+	round := func(r int) uint64 {
 		for i := 0; i < keys/200; i++ {
-			at := (round+1)*keys/8 + 37*i
-			client.Put(key(at), []byte(fmt.Sprintf("client %d", round)))
-			server.Put(key(at+18), []byte(fmt.Sprintf("server %d", round)))
+			at := r*keys/8 + 37*i
+			client.Put(key(at), []byte(fmt.Sprintf("client %d", r)))
+			server.Put(key(at+18), []byte(fmt.Sprintf("server %d", r)))
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -136,16 +150,61 @@ func TestBulkRoundAllocBytes(t *testing.T) {
 		if n := res.Transferred + res.Reconciled + res.Merged; err != nil || n != keys/100 {
 			t.Fatalf("1 %% round moved %d keys, %v; want %d", n, err, keys/100)
 		}
-		if round >= 0 {
-			allocated += after.TotalAlloc - before.TotalAlloc
-			moved += keys / 100
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// Warm up until a round grows neither end's kept frame windows. A window
+	// grows only for a frame longer than every frame before it in its
+	// direction, and that growth is paid once per session, not per round.
+	r := 0
+	for before := longest(); ; before = longest() {
+		round(r)
+		if r++; longest() == before {
+			break
+		}
+		if r == maxWarmup {
+			t.Fatalf("frames still growing after %d rounds: %v", r, longest())
 		}
 	}
+	var allocated uint64
+	for end := r + rounds; r < end; r++ {
+		allocated += round(r)
+	}
 	requireConverged(t, server, client)
-	perKey := allocated / moved
-	t.Logf("1 %% round of a %d-key pair: %d B allocated per key moved", keys, perKey)
+	perKey := allocated / (rounds * keys / 100)
+	t.Logf("1 %% round of a %d-key pair: %d B allocated per key moved (%d warm-up rounds; longest frames sent, received %v)",
+		keys, perKey, r-rounds, longest())
 	if perKey > bulkRoundBytesPerKey {
 		t.Errorf("a 1 %% round allocates %d B per key moved; bound is %d", perKey, bulkRoundBytesPerKey)
+	}
+}
+
+// frameLens follows one direction of a session past its opening byte and
+// keeps its longest frame's length, without allocating as the bytes pass.
+type frameLens struct {
+	opened  bool
+	body    int    // the current frame's body bytes still to come
+	prefix  uint64 // the length prefix read so far
+	shift   uint
+	longest int
+}
+
+func (f *frameLens) feed(p []byte) {
+	for len(p) > 0 {
+		switch {
+		case !f.opened:
+			f.opened, p = true, p[1:]
+		case f.body > 0:
+			n := min(f.body, len(p))
+			f.body, p = f.body-n, p[n:]
+		default:
+			f.prefix |= uint64(p[0]&0x7f) << f.shift
+			f.shift += 7
+			if p[0] < 0x80 {
+				f.body, f.prefix, f.shift = int(f.prefix), 0, 0
+				f.longest = max(f.longest, f.body)
+			}
+			p = p[1:]
+		}
 	}
 }
 

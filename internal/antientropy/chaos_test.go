@@ -1,7 +1,12 @@
 package antientropy
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"regexp"
+	"slices"
+	"strconv"
 	"testing"
 
 	"versionstamp/internal/chaosnet"
@@ -208,6 +213,57 @@ func TestGossipNeverContactsUnreachablePeer(t *testing.T) {
 	}
 }
 
+// TestRoundErrorsNamePeerAndStripe cuts the network under a cluster that
+// still believes every node is reachable: each failed exchange is listed
+// with its initiator, peer and stripe and wraps the transport's error, and
+// the round fails with the first of them.
+func TestRoundErrorsNamePeerAndStripe(t *testing.T) {
+	fab := chaosnet.New(7)
+	defer fab.Close()
+	c, err := NewRingCluster(RingConfig{
+		Nodes: 4, Replication: 3, Stripes: 8, Seed: 7,
+		Transport:     chaosProvider(fab),
+		PoolIdle:      -1,
+		GossipWorkers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	fab.Partition(map[string]int{"node-0": 0, "node-1": 0, "node-2": 1, "node-3": 1})
+	stats, err := c.GossipRoundStats(2)
+	if len(stats.Errors) == 0 {
+		t.Fatal("no exchange failed across the cut")
+	}
+	if err != stats.Errors[0] {
+		t.Fatalf("round error %v, want the first listed %v", err, stats.Errors[0])
+	}
+	named := regexp.MustCompile(`^antientropy: gossip (\d)->(\d) stripe (\d+): `)
+	for _, e := range stats.Errors {
+		m := named.FindStringSubmatch(e.Error())
+		if m == nil {
+			t.Fatalf("error does not name its exchange: %v", e)
+		}
+		i, _ := strconv.Atoi(m[1])
+		j, _ := strconv.Atoi(m[2])
+		s, _ := strconv.Atoi(m[3])
+		if i/2 == j/2 || !owned(c, i, s) || !owned(c, j, s) {
+			t.Errorf("%v: not a cross-cut exchange between owners of the stripe", e)
+		}
+		var ne net.Error
+		if !errors.As(e, &ne) {
+			t.Errorf("%v: does not wrap the transport's net.Error", e)
+		}
+	}
+	t.Logf("%d exchanges failed across the cut", len(stats.Errors))
+
+	fab.Heal()
+	if _, err := c.GossipUntilConverged(20); err != nil {
+		t.Fatalf("no convergence after heal: %v", err)
+	}
+}
+
 func TestRingClusterPartitionHealOverChaosnet(t *testing.T) {
 	fab := chaosnet.New(5)
 	defer fab.Close()
@@ -242,7 +298,7 @@ func TestRingClusterPartitionHealOverChaosnet(t *testing.T) {
 		c.Write(fmt.Sprintf("part-%03d", i), []byte("during")) // quorum may fail; that's the point
 	}
 	for r := 0; r < 6; r++ {
-		c.GossipRound(2) // rounds during the partition must not wedge
+		c.GossipRoundStats(2) // rounds during the partition must not wedge
 	}
 
 	fab.Heal()
@@ -277,7 +333,7 @@ func TestHintOverflowConvergesViaAntiEntropy(t *testing.T) {
 	// Let membership declare the victim dead so writes hint instead of
 	// failing their push.
 	for r := 0; r < 8; r++ {
-		c.GossipRound(2)
+		c.GossipRoundStats(2)
 	}
 	// Far more writes than the cap can hold as hints.
 	for i := 0; i < 200; i++ {
@@ -308,7 +364,7 @@ func TestHintOverflowConvergesViaAntiEntropy(t *testing.T) {
 	missing := 0
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("flood-%03d", i)
-		if owned(c, victim, key) {
+		if owned(c, victim, kvstore.ShardIndex(key, c.stripes)) {
 			if _, ok := rep.Get(key); !ok {
 				missing++
 			}
@@ -319,17 +375,5 @@ func TestHintOverflowConvergesViaAntiEntropy(t *testing.T) {
 	}
 }
 
-// owned reports whether node i owns key's stripe per its own ring.
-func owned(c *Cluster, i int, key string) bool {
-	st, err := c.Status(i)
-	if err != nil {
-		return false
-	}
-	stripe := kvstore.ShardIndex(key, c.stripes)
-	for _, s := range st.OwnedStripes {
-		if s == stripe {
-			return true
-		}
-	}
-	return false
-}
+// owned reports whether node i owns stripe s per its own ring.
+func owned(c *Cluster, i, s int) bool { return slices.Contains(OwnedStripes(c, i), s) }

@@ -133,13 +133,6 @@ func ExampleNewRingCluster() {
 		panic(err)
 	}
 	defer c.Close()
-	status := func(node int) antientropy.NodeStatus {
-		st, err := c.Status(node)
-		if err != nil {
-			panic(err)
-		}
-		return st
-	}
 	write := func(suffix string) {
 		for i := 0; i < 12; i++ {
 			key := fmt.Sprintf("sensor-%02d", i)
@@ -157,7 +150,7 @@ func ExampleNewRingCluster() {
 	}
 
 	write("")
-	fmt.Printf("wrote 12 keys; node-0 owns %d of 64 stripes\n", len(status(0).OwnedStripes))
+	fmt.Printf("wrote 12 keys; node-0 owns %d of 64 stripes\n", len(antientropy.OwnedStripes(c, 0)))
 
 	// Any node will do for the demo — every node owns ~R*stripes/N of the
 	// keyspace, so node-4 is some keys' coordinator and others' replica.
@@ -170,15 +163,12 @@ func ExampleNewRingCluster() {
 	// the node dead. Ownership does NOT move — hinted handoff bridges the
 	// outage instead of reshuffling the ring.
 	for i := 0; i < 4; i++ {
-		if _, err := c.GossipRound(2); err != nil {
+		if _, err := c.GossipRoundStats(2); err != nil {
 			panic(err)
 		}
 	}
-	for _, m := range status(0).Members {
-		if m.ID == fmt.Sprintf("node-%d", victim) {
-			fmt.Printf("node-0's opinion of node-%d: %s\n", victim, m.State)
-		}
-	}
+	fmt.Printf("node-0's opinion of node-%d: %s\n", victim,
+		antientropy.MemberState(c, 0, fmt.Sprintf("node-%d", victim)))
 
 	// Writes to stripes the dead node owns still reach quorum: the
 	// coordinator applies locally, syncs the other live owner, and queues a
@@ -196,7 +186,7 @@ func ExampleNewRingCluster() {
 		panic(err)
 	}
 	fmt.Printf("converged in %d gossip rounds; pending hints: %d\n", rounds, c.HintsPending())
-	fmt.Printf("node-%d is back, owning %d stripes again\n", victim, len(status(victim).OwnedStripes))
+	fmt.Printf("node-%d is back, owning %d stripes again\n", victim, len(antientropy.OwnedStripes(c, victim)))
 	read("sensor-03")
 	// Output:
 	// == a 9-node ring, R=3, quorum 2-of-3 ==

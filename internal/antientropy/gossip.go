@@ -80,7 +80,7 @@ type Cluster struct {
 	// and Revive (its epochs restart / its state may predate the evidence),
 	// and the whole map clears when any ring rebuilds (ownership moved).
 	conf map[confKey]uint64
-	// peerScratch and taskScratch are reused across GossipRound calls so a
+	// peerScratch and taskScratch are reused across gossip rounds so a
 	// steady gossip loop does not allocate fresh selection slices per node
 	// per round.
 	peerScratch []int
@@ -193,7 +193,7 @@ func (c *Cluster) Replica(i int) (*kvstore.Replica, error) {
 
 // Partition assigns nodes to connectivity groups; nodes gossip only within
 // their group. Pass all zeros (or call Heal) to reconnect everyone. Safe to
-// call concurrently with GossipRound: the new topology applies from the
+// call concurrently with GossipRoundStats: the new topology applies from the
 // next selection.
 func (c *Cluster) Partition(groups []int) error {
 	c.mu.Lock()
@@ -206,7 +206,7 @@ func (c *Cluster) Partition(groups []int) error {
 	return nil
 }
 
-// Heal removes all partitions. Safe concurrently with GossipRound.
+// Heal removes all partitions. Safe concurrently with GossipRoundStats.
 func (c *Cluster) Heal() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -287,20 +287,6 @@ func (c *Cluster) confClearFor(n int) {
 	}
 }
 
-// RoundError is one failed exchange of a gossip round: which peer, which
-// stripe, what happened. Operators and the chaos lab both need the
-// breakdown — a round that "mostly worked" is the normal case under faults,
-// and a bare success count hides who is struggling.
-type RoundError struct {
-	From   string // initiating node ID
-	To     string // peer node ID
-	Stripe int    // stripe the exchange was scoped to
-	Err    string // error text
-	// PeerDown marks a failure against a peer the cluster already knows is
-	// down — expected churn, not an anomaly.
-	PeerDown bool
-}
-
 // RoundStats reports one gossip round's work.
 type RoundStats struct {
 	// Exchanges counts sync rounds that completed.
@@ -340,30 +326,11 @@ type RoundStats struct {
 	// BytesPerNode is this round's wire bytes per node (both endpoints of
 	// an exchange are charged its full sent+received payload).
 	BytesPerNode []int64
-	// Errors lists every exchange that failed this round, one entry per
-	// (peer, stripe) attempt. The round itself still returns a nil error
-	// unless a failure is unexpected (the peer is not known to be down).
-	Errors []RoundError
-}
-
-// GossipRound performs one fan-out round and returns how many exchanges
-// ran. k must be positive.
-//
-// The round is owner-scoped: membership heartbeats gossip first, rings
-// rebuild if the member set changed, pending hints drain to revived owners,
-// and then every node runs stripe-scoped exchanges with up to k co-owners,
-// drawn uniformly from those in its partition group, of each stripe it owns
-// — wire cost O(stripes it owns), not O(cluster keyspace). Nodes with no
-// reachable peer are skipped — gossip does not fail, it just cannot happen,
-// exactly like mobile nodes out of range.
-//
-// Exchanges that share a stripe run one after the other within a round —
-// see runGossip; writers racing a round are safe: the responder reconciles
-// under its stripe locks, and an initiator installs a round's outcome only
-// over copies that did not move while it was in flight.
-func (c *Cluster) GossipRound(k int) (int, error) {
-	stats, err := c.GossipRoundStats(k)
-	return stats.Exchanges, err
+	// Errors lists every exchange that failed this round, one per
+	// (peer, stripe) attempt, each naming its nodes and stripe and wrapping
+	// the cause. The round returns the first of them whose peer is not
+	// known to be down; failures against a down peer are only listed.
+	Errors []error
 }
 
 // pickPeers picks a node's gossip partners for one stripe from cand, its
@@ -475,15 +442,12 @@ func (c *Cluster) runChain(chain []gossipTask, stats *RoundStats, mu *sync.Mutex
 		res, err := t.pool.SyncStripes(t.addr, t.rep, []int{t.stripe})
 		mu.Lock()
 		if err != nil {
-			down := c.nodeDown(t.j)
-			stats.Errors = append(stats.Errors, RoundError{
-				From: c.nodeID(t.i), To: c.nodeID(t.j), Stripe: t.stripe,
-				Err: err.Error(), PeerDown: down,
-			})
+			err = fmt.Errorf("antientropy: gossip %d->%d stripe %d: %w", t.i, t.j, t.stripe, err)
+			stats.Errors = append(stats.Errors, err)
 			// A peer that died mid-round is expected churn and does not
 			// fail the round: membership notices the death.
-			if *firstErr == nil && !down {
-				*firstErr = fmt.Errorf("antientropy: gossip %d->%d: %w", t.i, t.j, err)
+			if *firstErr == nil && !c.nodeDown(t.j) {
+				*firstErr = err
 			}
 			if tl := track[exKey{t.i, t.stripe}]; tl != nil {
 				tl.failed++
@@ -524,16 +488,6 @@ func (c *Cluster) nodeDown(j int) bool {
 	return j >= 0 && j < len(c.nodes) && c.nodes[j].down
 }
 
-// nodeID returns node j's stable ID.
-func (c *Cluster) nodeID(j int) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j >= 0 && j < len(c.nodes) {
-		return c.nodes[j].id
-	}
-	return fmt.Sprintf("node-%d?", j)
-}
-
 // ErrNotConverged is returned by GossipUntilConverged when the budget runs
 // out before all reachable nodes agree.
 var ErrNotConverged = errors.New("antientropy: cluster did not converge")
@@ -547,7 +501,7 @@ var ErrNotConverged = errors.New("antientropy: cluster did not converge")
 // ring, and no hints remain queued for up targets.
 func (c *Cluster) GossipUntilConverged(maxRounds int) (int, error) {
 	for round := 1; round <= maxRounds; round++ {
-		if _, err := c.GossipRound(DefaultFanout); err != nil {
+		if _, err := c.GossipRoundStats(DefaultFanout); err != nil {
 			return round, err
 		}
 		if c.Converged() {

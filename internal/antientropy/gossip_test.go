@@ -98,12 +98,12 @@ func TestGossipRoundSkipsPartitionedPairs(t *testing.T) {
 	if err := c.Partition([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	ran, err := c.GossipRound(10)
+	stats, err := c.GossipRoundStats(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ran != 0 {
-		t.Errorf("%d syncs ran across a full partition", ran)
+	if stats.Exchanges != 0 {
+		t.Errorf("%d syncs ran across a full partition", stats.Exchanges)
 	}
 	// Convergence across the partition is impossible; within groups of one
 	// it is trivially true.

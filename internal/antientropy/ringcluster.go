@@ -20,7 +20,7 @@ import (
 // on a consistent-hash ring with R owners each, gossip is owner-scoped, and
 // reads/writes run through quorums with hinted handoff.
 //
-// The division of labor per GossipRound:
+// The division of labor per gossip round:
 //
 //  1. Membership: every up node ticks its view and swaps heartbeat tables
 //     with a few up peers. Death is detected here, never declared — a
@@ -276,8 +276,20 @@ func (c *Cluster) releaseNode(nd *node) error {
 	return firstErr
 }
 
-// GossipRoundStats is GossipRound with the round's statistics; see the file
-// comment for the phases.
+// GossipRoundStats performs one fan-out round and reports its work. k must
+// be positive.
+//
+// The round is owner-scoped (see the file comment for the phases): every
+// node runs stripe-scoped exchanges with up to k co-owners, drawn uniformly
+// from those in its partition group, of each stripe it owns — wire cost
+// O(stripes it owns), not O(cluster keyspace). Nodes with no reachable peer
+// are skipped — gossip does not fail, it just cannot happen, exactly like
+// mobile nodes out of range.
+//
+// Exchanges that share a stripe run one after the other within a round —
+// see runGossip; writers racing a round are safe: the responder reconciles
+// under its stripe locks, and an initiator installs a round's outcome only
+// over copies that did not move while it was in flight.
 func (c *Cluster) GossipRoundStats(k int) (RoundStats, error) {
 	if k <= 0 {
 		return RoundStats{}, fmt.Errorf("antientropy: fanout %d is not positive", k)
@@ -1001,20 +1013,10 @@ func (c *Cluster) HintsDropped() int64 {
 	return total
 }
 
-// MemberStatus is one row of a node's membership opinion.
-type MemberStatus struct {
-	ID    string
-	State string
-}
-
-// NodeStatus is a point-in-time report of one node, as ExampleNewRingCluster
-// prints it and the chaos lab reads it at the end of a run.
+// NodeStatus is a point-in-time report of one node's liveness and storage
+// health, as the chaos lab reads it at the end of a run.
 type NodeStatus struct {
-	ID           string
-	Addr         string
-	Down         bool
-	OwnedStripes []int
-	HintsPending int
+	Down bool
 	// Quarantined lists the node's stripes whose durable bytes are damaged
 	// and awaiting repair from ring peers; empty on a healthy node.
 	Quarantined []int
@@ -1025,11 +1027,10 @@ type NodeStatus struct {
 	// holds — retained until the gossip rounds' GC phase proves each one
 	// propagated to every owner of its stripe.
 	TombstonesLive int
-	Members        []MemberStatus
 }
 
-// Status reports node i's identity, liveness, owned stripes, queued hints,
-// storage health and membership opinion.
+// Status reports node i's liveness, quarantined stripes, durability error
+// and live tombstones.
 func (c *Cluster) Status(i int) (NodeStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1038,20 +1039,12 @@ func (c *Cluster) Status(i int) (NodeStatus, error) {
 	}
 	nd := c.nodes[i]
 	st := NodeStatus{
-		ID: nd.id, Addr: nd.addr, Down: nd.down,
-		OwnedStripes:   nd.ring.StripesOwnedBy(nd.id),
+		Down:           nd.down,
 		Quarantined:    nd.replica.Quarantined(),
 		TombstonesLive: nd.replica.TombstonesLive(),
 	}
-	// A killed durable node's queue is closed until Revive reopens it.
-	if nd.hints != nil {
-		st.HintsPending = nd.hints.Len()
-	}
 	if pe := nd.replica.PersistErr(); pe != nil {
 		st.PersistErr = pe.Error()
-	}
-	for _, id := range nd.view.Members() {
-		st.Members = append(st.Members, MemberStatus{ID: id, State: nd.view.State(id).String()})
 	}
 	return st, nil
 }

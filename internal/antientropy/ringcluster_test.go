@@ -42,18 +42,18 @@ func TestRingConfigValidation(t *testing.T) {
 	}
 }
 
-// GossipRound rejects a fan-out that is not positive.
+// GossipRoundStats rejects a fan-out that is not positive.
 func TestClusterArgValidation(t *testing.T) {
 	c := newCluster(t, 2)
-	if _, err := c.GossipRound(0); err == nil {
-		t.Error("GossipRound(0) accepted")
+	if _, err := c.GossipRoundStats(0); err == nil {
+		t.Error("GossipRoundStats(0) accepted")
 	}
-	if _, err := c.GossipRound(-1); err == nil {
-		t.Error("GossipRound(-1) accepted")
+	if _, err := c.GossipRoundStats(-1); err == nil {
+		t.Error("GossipRoundStats(-1) accepted")
 	}
 }
 
-// Partition/Heal racing GossipRound must be safe (run with -race).
+// Partition/Heal racing GossipRoundStats must be safe (run with -race).
 func TestPartitionHealConcurrentWithGossip(t *testing.T) {
 	c := newCluster(t, 4)
 	for i := 0; i < 4; i++ {
@@ -69,7 +69,7 @@ func TestPartitionHealConcurrentWithGossip(t *testing.T) {
 		}
 	}()
 	for n := 0; n < 10; n++ {
-		if _, err := c.GossipRound(2); err != nil {
+		if _, err := c.GossipRoundStats(2); err != nil {
 			t.Errorf("round %d: %v", n, err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestRingQuorumConvergesLikeFullSync(t *testing.T) {
 func tickUntilDead(t *testing.T, c *Cluster, rounds int) {
 	t.Helper()
 	for i := 0; i < rounds; i++ {
-		if _, err := c.GossipRound(2); err != nil {
+		if _, err := c.GossipRoundStats(2); err != nil {
 			t.Fatalf("churn round %d: %v", i, err)
 		}
 	}
@@ -346,25 +346,22 @@ func TestAddNodeJoinsRing(t *testing.T) {
 	if _, err := c.GossipUntilConverged(120); err != nil {
 		t.Fatalf("post-join convergence: %v", err)
 	}
-	st, err := c.Status(idx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.OwnedStripes) == 0 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	newbie := c.nodes[idx]
+	ownedStripes := newbie.ring.StripesOwnedBy(newbie.id)
+	if len(ownedStripes) == 0 {
 		t.Fatal("newcomer owns no stripes")
 	}
 	// Everyone agrees on a 5-node ring.
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for i, nd := range c.nodes {
 		if got := len(nd.ring.Nodes()); got != 5 {
 			t.Errorf("node %d ring has %d members", i, got)
 		}
 	}
 	// The newcomer's replica holds every key of every stripe it owns.
-	newbie := c.nodes[idx]
 	owned := make(map[int]bool)
-	for _, s := range st.OwnedStripes {
+	for _, s := range ownedStripes {
 		owned[s] = true
 	}
 	for i, nd := range c.nodes {
@@ -422,26 +419,35 @@ func TestStatusReportsMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ID != "node-0" || st.Addr == "" || st.Down {
+	if st.Down {
 		t.Errorf("Status(0) = %+v", st)
 	}
-	if len(st.Members) != 3 {
-		t.Fatalf("Members = %v", st.Members)
+	// states returns node 0's membership opinion, member ID to state.
+	states := func() map[string]membership.State {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		view := c.nodes[0].view
+		out := make(map[string]membership.State)
+		for _, id := range view.Members() {
+			out[id] = view.State(id)
+		}
+		return out
 	}
-	for _, m := range st.Members {
-		if m.State != membership.Alive.String() {
-			t.Errorf("member %s state %s at start", m.ID, m.State)
+	members := states()
+	if len(members) != 3 {
+		t.Fatalf("Members = %v", members)
+	}
+	for id, state := range members {
+		if state != membership.Alive {
+			t.Errorf("member %s state %s at start", id, state)
 		}
 	}
 	if err := c.Kill(2); err != nil {
 		t.Fatal(err)
 	}
 	tickUntilDead(t, c, 4)
-	st, _ = c.Status(0)
-	for _, m := range st.Members {
-		if m.ID == "node-2" && m.State != membership.Dead.String() {
-			t.Errorf("dead peer reported %s", m.State)
-		}
+	if state := states()["node-2"]; state != membership.Dead {
+		t.Errorf("dead peer reported %s", state)
 	}
 }
 

@@ -18,47 +18,40 @@ import (
 	"versionstamp/internal/kvstore"
 )
 
-// recordingTransport is TCP with every byte each dialed connection sends and
-// receives kept, in order.
-type recordingTransport struct {
-	mu         sync.Mutex
-	sent, recv []byte
+// tapTransport is TCP that hands every byte each dialed connection sends
+// and receives to tap, in order, holding mu.
+type tapTransport struct {
+	mu  sync.Mutex
+	tap func(sent bool, p []byte)
 }
 
-func (tr *recordingTransport) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+func (tr *tapTransport) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	c, err := TCP.Dial(addr, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return &recordingConn{Conn: c, tr: tr}, nil
+	return &tapConn{Conn: c, tr: tr}, nil
 }
 
-func (tr *recordingTransport) Listen(addr string) (net.Listener, error) { return TCP.Listen(addr) }
+func (tr *tapTransport) Listen(addr string) (net.Listener, error) { return TCP.Listen(addr) }
 
-// streams returns the bytes each direction has carried so far.
-func (tr *recordingTransport) streams() (sent, recv []byte) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.sent, tr.recv
-}
-
-type recordingConn struct {
+type tapConn struct {
 	net.Conn
-	tr *recordingTransport
+	tr *tapTransport
 }
 
-func (c *recordingConn) Read(p []byte) (int, error) {
+func (c *tapConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	c.tr.mu.Lock()
-	c.tr.recv = append(c.tr.recv, p[:n]...)
+	c.tr.tap(false, p[:n])
 	c.tr.mu.Unlock()
 	return n, err
 }
 
-func (c *recordingConn) Write(p []byte) (int, error) {
+func (c *tapConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	c.tr.mu.Lock()
-	c.tr.sent = append(c.tr.sent, p[:n]...)
+	c.tr.tap(true, p[:n])
 	c.tr.mu.Unlock()
 	return n, err
 }
@@ -100,7 +93,20 @@ func TestRoundBytesPinned(t *testing.T) {
 	}
 	client := server.Clone("client")
 	_, addr := startServer(t, server, kvstore.KeepBoth([]byte("|")))
-	tr := &recordingTransport{}
+	var out, in []byte
+	tr := &tapTransport{tap: func(sent bool, p []byte) {
+		if sent {
+			out = append(out, p...)
+		} else {
+			in = append(in, p...)
+		}
+	}}
+	// streams returns the bytes each direction has carried so far.
+	streams := func() (sent, recv []byte) {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return out, in
+	}
 	p := NewPoolOptions(PoolOptions{Transport: tr})
 	defer p.Close()
 
@@ -150,12 +156,12 @@ func TestRoundBytesPinned(t *testing.T) {
 	}
 	for _, r := range rounds {
 		r.before()
-		sent0, recv0 := tr.streams()
+		sent0, recv0 := streams()
 		res, err := r.round()
 		if err != nil {
 			t.Fatalf("%s round: %v", r.name, err)
 		}
-		sent, recv := tr.streams()
+		sent, recv := streams()
 		gotSent, gotRecv := pinStream(sent[len(sent0):]), pinStream(recv[len(recv0):])
 		t.Logf("%s: %+v", r.name, res)
 		if gotSent != r.sent || gotRecv != r.recvd {

@@ -168,7 +168,7 @@ func TestTombstoneGCWaitsForHints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := c.GossipRound(DefaultFanout); err != nil {
+		if _, err := c.GossipRoundStats(DefaultFanout); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -151,8 +151,7 @@ func (c *keyCopy) set(key string, v Versioned) {
 // A conflict with a nil resolver changes nothing and is reported in
 // Conflicts. Otherwise the key counts as Merged when the resolver ran,
 // Transferred when a held slot lacked it, Pruned when detached copies were
-// absorbed into current held copies, and Reconciled else. TombstonesLive
-// counts a key that ends a tombstone with no detached copy involved.
+// absorbed into current held copies, and Reconciled else.
 // Values are faulted in only past rule 3, so converged keys fault nothing.
 func reconcile(key string, cs []keyCopy, resolve Resolver, reunite bool) (SyncResult, error) {
 	var res SyncResult
@@ -190,9 +189,6 @@ func reconcile(key string, cs []keyCopy, resolve Resolver, reunite bool) (SyncRe
 		return res, nil
 	}
 	if settled && !missing && !absorbing {
-		if cs[0].Deleted {
-			res.TombstonesLive++
-		}
 		return res, nil
 	}
 	for i := range cs {
@@ -300,9 +296,6 @@ func reconcile(key string, cs []keyCopy, resolve Resolver, reunite bool) (SyncRe
 		res.Pruned++
 	default:
 		res.Reconciled++
-	}
-	if deleted && !absorbing {
-		res.TombstonesLive++
 	}
 	return res, nil
 }

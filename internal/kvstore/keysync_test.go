@@ -35,8 +35,8 @@ func TestReconcileDecisionTable(t *testing.T) {
 		return fmt.Sprintf("%q %s", v.Value, v.Stamp)
 	}
 	render := func(res SyncResult, a, b *Replica) string {
-		return fmt.Sprintf("T%d R%d M%d P%d TL%d C%v | a=%s | b=%s",
-			res.Transferred, res.Reconciled, res.Merged, res.Pruned, res.TombstonesLive,
+		return fmt.Sprintf("T%d R%d M%d P%d C%v | a=%s | b=%s",
+			res.Transferred, res.Reconciled, res.Merged, res.Pruned,
 			res.Conflicts, show(a), show(b))
 	}
 	cases := []struct {
@@ -46,47 +46,47 @@ func TestReconcileDecisionTable(t *testing.T) {
 		held, detached string
 	}{
 		{"both absent", func(a, b *Replica) {}, nil,
-			`T0 R0 M0 P0 TL0 C[] | a=absent | b=absent`,
-			`T0 R0 M0 P0 TL0 C[] | a=absent | b=absent`},
+			`T0 R0 M0 P0 C[] | a=absent | b=absent`,
+			`T0 R0 M0 P0 C[] | a=absent | b=absent`},
 		{"transfer a to b", func(a, b *Replica) { put(a, "v") }, nil,
-			`T1 R0 M0 P0 TL0 C[] | a="v" [ε|0] | b="v" [ε|1]`,
-			`T0 R0 M0 P0 TL0 C[] | a="v" [ε|ε] | b=absent`},
+			`T1 R0 M0 P0 C[] | a="v" [ε|0] | b="v" [ε|1]`,
+			`T0 R0 M0 P0 C[] | a="v" [ε|ε] | b=absent`},
 		{"transfer b to a", func(a, b *Replica) { put(b, "v") }, nil,
-			`T1 R0 M0 P0 TL0 C[] | a="v" [ε|1] | b="v" [ε|0]`,
-			`T1 R0 M0 P0 TL0 C[] | a="v" [ε|1] | b="v" [ε|0]`},
+			`T1 R0 M0 P0 C[] | a="v" [ε|1] | b="v" [ε|0]`,
+			`T1 R0 M0 P0 C[] | a="v" [ε|1] | b="v" [ε|0]`},
 		{"equal", shared, nil,
-			`T0 R0 M0 P0 TL0 C[] | a="base" [ε|0] | b="base" [ε|1]`,
-			`T0 R0 M0 P1 TL0 C[] | a="base" [ε|0+11] | b="base" [ε|10]`},
+			`T0 R0 M0 P0 C[] | a="base" [ε|0] | b="base" [ε|1]`,
+			`T0 R0 M0 P1 C[] | a="base" [ε|0+11] | b="base" [ε|10]`},
 		{"before", func(a, b *Replica) { shared(a, b); put(b, "new") }, nil,
-			`T0 R1 M0 P0 TL0 C[] | a="new" [ε|0] | b="new" [ε|1]`,
-			`T0 R1 M0 P0 TL0 C[] | a="new" [1|0+11] | b="new" [1|10]`},
+			`T0 R1 M0 P0 C[] | a="new" [ε|0] | b="new" [ε|1]`,
+			`T0 R1 M0 P0 C[] | a="new" [1|0+11] | b="new" [1|10]`},
 		{"after", func(a, b *Replica) { shared(a, b); put(a, "new") }, nil,
-			`T0 R1 M0 P0 TL0 C[] | a="new" [ε|0] | b="new" [ε|1]`,
-			`T0 R0 M0 P1 TL0 C[] | a="new" [0|0+11] | b="base" [ε|10]`},
+			`T0 R1 M0 P0 C[] | a="new" [ε|0] | b="new" [ε|1]`,
+			`T0 R0 M0 P1 C[] | a="new" [0|0+11] | b="base" [ε|10]`},
 		{"after, tombstone", func(a, b *Replica) { shared(a, b); a.Delete("k") }, nil,
-			`T0 R1 M0 P0 TL1 C[] | a=deleted [ε|0] | b=deleted [ε|1]`,
-			`T0 R0 M0 P1 TL0 C[] | a=deleted [0|0+11] | b="base" [ε|10]`},
+			`T0 R1 M0 P0 C[] | a=deleted [ε|0] | b=deleted [ε|1]`,
+			`T0 R0 M0 P1 C[] | a=deleted [0|0+11] | b="base" [ε|10]`},
 		{"concurrent, identical", func(a, b *Replica) { shared(a, b); put(a, "same"); put(b, "same") }, nil,
-			`T0 R1 M0 P0 TL0 C[] | a="same" [ε|0] | b="same" [ε|1]`,
-			`T0 R0 M0 P1 TL0 C[] | a="same" [0+1|0+11] | b="same" [1|10]`},
+			`T0 R1 M0 P0 C[] | a="same" [ε|0] | b="same" [ε|1]`,
+			`T0 R0 M0 P1 C[] | a="same" [0+1|0+11] | b="same" [1|10]`},
 		{"concurrent, nil resolver", func(a, b *Replica) { shared(a, b); put(a, "left"); put(b, "right") }, nil,
-			`T0 R0 M0 P0 TL0 C[k] | a="left" [0|0] | b="right" [1|1]`,
-			`T0 R0 M0 P0 TL0 C[k] | a="left" [0|0] | b="right" [1|10]`},
+			`T0 R0 M0 P0 C[k] | a="left" [0|0] | b="right" [1|1]`,
+			`T0 R0 M0 P0 C[k] | a="left" [0|0] | b="right" [1|10]`},
 		{"concurrent, KeepBoth", func(a, b *Replica) { shared(a, b); put(a, "left"); put(b, "right") }, keepBoth,
-			`T0 R0 M1 P0 TL0 C[] | a="left|right" [ε|0] | b="left|right" [ε|1]`,
-			`T0 R0 M1 P0 TL0 C[] | a="left|right" [0+11|0+11] | b="right" [1|10]`},
+			`T0 R0 M1 P0 C[] | a="left|right" [ε|0] | b="left|right" [ε|1]`,
+			`T0 R0 M1 P0 C[] | a="left|right" [0+11|0+11] | b="right" [1|10]`},
 		{"concurrent tombstone, KeepBoth", func(a, b *Replica) { shared(a, b); a.Delete("k"); put(b, "right") }, keepBoth,
-			`T0 R0 M1 P0 TL0 C[] | a="right" [ε|0] | b="right" [ε|1]`,
-			`T0 R0 M1 P0 TL0 C[] | a="right" [0+11|0+11] | b="right" [1|10]`},
+			`T0 R0 M1 P0 C[] | a="right" [ε|0] | b="right" [ε|1]`,
+			`T0 R0 M1 P0 C[] | a="right" [0+11|0+11] | b="right" [1|10]`},
 		{"independent, identical", func(a, b *Replica) { put(a, "same"); put(b, "same") }, nil,
-			`T0 R1 M0 P0 TL0 C[] | a="same" [ε|0] | b="same" [ε|1]`,
-			`T0 R1 M0 P0 TL0 C[] | a="same" [ε|ε] | b="same" [ε|0]`},
+			`T0 R1 M0 P0 C[] | a="same" [ε|0] | b="same" [ε|1]`,
+			`T0 R1 M0 P0 C[] | a="same" [ε|ε] | b="same" [ε|0]`},
 		{"independent, nil resolver", func(a, b *Replica) { put(a, "left"); put(b, "right") }, nil,
-			`T0 R0 M0 P0 TL0 C[k] | a="left" [ε|ε] | b="right" [ε|ε]`,
-			`T0 R0 M0 P0 TL0 C[k] | a="left" [ε|ε] | b="right" [ε|0]`},
+			`T0 R0 M0 P0 C[k] | a="left" [ε|ε] | b="right" [ε|ε]`,
+			`T0 R0 M0 P0 C[k] | a="left" [ε|ε] | b="right" [ε|0]`},
 		{"independent, KeepBoth", func(a, b *Replica) { put(a, "left"); put(b, "right") }, keepBoth,
-			`T0 R0 M1 P0 TL0 C[] | a="left|right" [ε|0] | b="left|right" [ε|1]`,
-			`T0 R0 M1 P0 TL0 C[] | a="left|right" [ε|ε] | b="right" [ε|0]`},
+			`T0 R0 M1 P0 C[] | a="left|right" [ε|0] | b="left|right" [ε|1]`,
+			`T0 R0 M1 P0 C[] | a="left|right" [ε|ε] | b="right" [ε|0]`},
 	}
 	for _, c := range cases {
 		a, b := NewReplica("a"), NewReplica("b")

@@ -667,24 +667,21 @@ type SyncResult struct {
 	Reconciled int
 	// Merged counts conflicting keys merged by the resolver.
 	Merged int
-	// Pruned counts keys whose digests traveled and whose stamps proved the
-	// copies equivalent, so no data moved. Only wire rounds prune;
-	// in-process syncs report zero.
-	Pruned int `json:"Pruned,omitempty"`
+	// Pruned counts keys whose stamps proved that no data needed to move:
+	// keys whose digests traveled in a wire round, and detached copies that
+	// MergeVersioned absorbed into a current local copy. In-process syncs of
+	// held copies report zero.
+	Pruned int
 	// StripesSkipped counts stripes whose digest-tree roots matched in a
 	// wire round, so nothing below the root traveled. Keys in skipped
 	// stripes are not counted in Pruned — the whole point is that nobody
 	// enumerated them.
-	StripesSkipped int `json:"StripesSkipped,omitempty"`
+	StripesSkipped int
 	// BytesSent and BytesReceived count wire payload bytes from the
 	// initiator's perspective. In-process syncs report zero; the network
 	// anti-entropy layer fills them in.
-	BytesSent     int64 `json:"BytesSent,omitempty"`
-	BytesReceived int64 `json:"BytesReceived,omitempty"`
-	// TombstonesLive counts keys that remained tombstones after convergence
-	// — the deletes still waiting on the tombstone GC. Informational, like
-	// Pruned; only full in-process sync paths count it.
-	TombstonesLive int `json:"TombstonesLive,omitempty"`
+	BytesSent     int64
+	BytesReceived int64
 	// Conflicts lists conflicting keys left untouched (nil resolver),
 	// sorted.
 	Conflicts []string
@@ -699,7 +696,6 @@ func (r *SyncResult) add(o SyncResult) {
 	r.StripesSkipped += o.StripesSkipped
 	r.BytesSent += o.BytesSent
 	r.BytesReceived += o.BytesReceived
-	r.TombstonesLive += o.TombstonesLive
 	r.Conflicts = append(r.Conflicts, o.Conflicts...)
 }
 

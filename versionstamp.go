@@ -295,8 +295,9 @@
 //   - Unreachable peers are not contacted. A round schedules exchanges only
 //     with co-owners that are up, in the node's partition group and not
 //     Dead in its membership view, so a dead or partitioned peer costs no
-//     dial. Round outcomes are reported per exchange (RoundStats.Errors),
-//     a failure against a peer known to be down marked as such.
+//     dial. Round outcomes are reported per exchange (RoundStats.Errors);
+//     a failure against a peer known to be down is listed, but it does not
+//     fail the round.
 //   - Bounded hint queues. Hints are capped per target, dropping oldest
 //     first; a dropped hint is a lost promise, not lost data, because the
 //     write's value and stamp remain on the coordinator's replica and
