@@ -6,10 +6,10 @@
 // A round moves only what the stamps cannot prove equivalent — the paper's
 // central property (stamp comparison classifies two copies without looking
 // at the data) applied to the wire. Each stripe of a replica keeps an
-// adaptive k-ary digest tree (kvstore.DigestTree): keys hash to 64-bit
-// positions, leaves cover equal position ranges, internal nodes hash their
-// children, and (fanout, depth) follow the stripe's live key count
-// (kvstore.TreeShape). A round descends from the replica root toward the
+// adaptive digest tree of fan-out 16 (kvstore.DigestTree): keys hash to
+// 64-bit positions, leaves cover equal position ranges, internal nodes hash
+// their children, and the depth follows the stripe's live key count
+// (kvstore.TreeDepth). A round descends from the replica root toward the
 // handful of leaves that actually differ, exchanges per-key digests (key +
 // stamp, no value) for just those leaves — a key whose update component the
 // server already holds goes as its stamp's id alone — and ships full copies
@@ -25,7 +25,7 @@
 // # Wire protocol
 //
 // There is one protocol. A connection is a session: the client opens it with
-// the version byte 0x07, the server acks with the same byte, and any number
+// the version byte 0x08, the server acks with the same byte, and any number
 // of rounds (whole-replica, or scoped to chosen stripes) ride it back to
 // back. A server closes a connection that opens with anything else; a client
 // whose opening is answered by anything else reports ErrProtocol. After the
@@ -36,19 +36,19 @@
 //	client -> server  kindRoot          (0x08): of, root (the fold of the
 //	                  stripe tree roots; whole-replica rounds only)
 //	server -> client  kindRootMatch     (0x09): 1 = converged, round over
-//	client -> server  kindStripeRoots   (0x0A): of, fanout, count,
+//	client -> server  kindStripeRoots   (0x0A): of, count,
 //	                  count×(stripe, depth, tree root)
 //	server -> client  kindStripeRootDiff(0x0B): count, count×stripe
 //	— round ends here when no stripe differs; otherwise, repeated one level
 //	  at a time for the divergent stripes —
-//	client -> server  kindTreeNodes     (0x0C): fanout, count, count×(stripe,
-//	                  depth, level, path, child bitmap, child hashes)
+//	client -> server  kindTreeNodes     (0x0C): count, count×(stripe, level,
+//	                  path, child bitmap, child hashes)
 //	server -> client  kindTreeDiff      (0x0D): per node: differ bitmap +
 //	                  server child bitmap, then per leaf child both sides
 //	                  hold that differs: count, count×term
 //	— at the bottom (or where either side's subtree is empty) —
-//	client -> server  kindLeafDigests   (0x0E): count, count×(stripe, depth,
-//	                  level, path, [term bitmap, matched ids,] digest run),
+//	client -> server  kindLeafDigests   (0x0E): count, count×(stripe, level,
+//	                  path, [term bitmap, matched ids,] digest run),
 //	                  in walk order
 //	server -> client  kindNeed          (0x02): count, count×ordinal
 //	client -> server  kindEntries       (0x03): count, count×body, in need
@@ -91,10 +91,14 @@
 // frame) with the new stamp; its entries, everything else, each carry a
 // reference — the digest ordinal of a key the client shipped, or 0 and the
 // key's bytes for one it did not — and a body with its stamp. The reply is
-// in walk order, and no key is in both lists. The tree shape on
-// the wire is the client's choice; the server evaluates its own stripes
-// under that shape (kvstore.Replica.StripeTreeAt — the maintained tree when
-// it matches its own, which converged replicas' does). The layout is not:
+// in walk order, and no key is in both lists. Every tree has fan-out 16,
+// so a child bitmap is 2 bytes, children 0–7 in the first, least significant
+// bit first. Each stripe's depth is the client's choice, declared once a
+// round in the stripe roots; the server evaluates its own stripes at that
+// depth (kvstore.Replica.StripeTreeAt — the maintained tree when it matches
+// its own, which converged replicas' does), and refuses a tree node at or
+// below its stripe's declared depth, a leaf run below it, and either for a
+// stripe that did not diverge. The layout is not a choice:
 // `of`, the client's stripe count, must equal the server's, and a server
 // answers a root, probe or stripe-roots opening declaring any other count
 // with kindError naming both counts, before either replica is touched.

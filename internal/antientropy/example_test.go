@@ -97,7 +97,7 @@ func ExampleSyncWith() {
 	// edge-2 <-> hub (pooled round 1): 32/32 stripes skipped at the root, 26B on the wire, 1 dial(s) so far
 	// edge-2 <-> hub (pooled round 2): 32/32 stripes skipped at the root, 14B on the wire, 1 dial(s) so far
 	// edge-2 <-> hub (pooled round 3): 32/32 stripes skipped at the root, 14B on the wire, 1 dial(s) so far
-	// edge-2 <-> hub (stripe 19 of 32 only): 1 reconciled, 107B on the wire
+	// edge-2 <-> hub (stripe 19 of 32 only): 1 reconciled, 103B on the wire
 	// edge-2 <-> edge-1: 3 keys transferred
 	// config after conflicting edits and sync: "v2-hub | v2-edge"
 	// [hub]

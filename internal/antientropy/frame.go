@@ -35,7 +35,7 @@ import (
 
 // protocolVersion is the first byte of a session, and the byte the server
 // acks the opening with.
-const protocolVersion = 0x07
+const protocolVersion = 0x08
 
 // Frame kinds. The numbering has gaps where retired protocols had frames of
 // their own.
@@ -45,9 +45,9 @@ const (
 	kindResult         = 0x04 // server: sync counters, restamps + entries the client adopts
 	kindRoot           = 0x08 // client: layout + fold of its stripe tree roots
 	kindRootMatch      = 0x09 // server: 1 = roots agree (round over), 0 = diverged
-	kindStripeRoots    = 0x0A // client: of, fanout, count×(stripe, depth, root)
+	kindStripeRoots    = 0x0A // client: of, count×(stripe, depth, root): each stripe's depth, once a round
 	kindStripeRootDiff = 0x0B // server: stripes whose tree roots differ
-	kindTreeNodes      = 0x0C // client: fanout, count×tree-node (child bitmap + hashes)
+	kindTreeNodes      = 0x0C // client: count×tree-node (stripe, level, path, child bitmap + hashes)
 	kindTreeDiff       = 0x0D // server: per queried node: differ bitmap + server bitmap + leaf terms
 	kindLeafDigests    = 0x0E // client: count×leaf digest run, answering the terms
 	kindRootProbe      = 0x0F // client: of, root; answered kindRootMatch, no round state
@@ -176,8 +176,7 @@ var errRecv = errors.New("antientropy: receive")
 // Bytes an element decoder sees are valid only until the next element.
 // Nothing a round keeps aliases them: values and strings are copied out, a
 // key is copied or resolved to a string the receiver already holds
-// (encoding.DecodeDigest), stamps are interned, and a decoded tree node's
-// bitmap, which does alias the window, is used before the next element.
+// (encoding.DecodeDigest), and stamps are interned.
 type frameReader struct {
 	br     *bufio.Reader
 	window int    // the window's size; 0 means frameKeep (tests pass smaller ones)

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -158,7 +157,7 @@ func bulkFrames(t *testing.T) []bulkFrame {
 		for j := 0; j < i%4; j++ {
 			ds = append(ds, encoding.Digest{Key: key(i*10+j, i%7), Stamp: stamp(i + j)})
 		}
-		run := encoding.LeafRun{Stripe: i % 8, Depth: 2, Level: 2, Path: uint64(i), Digests: inTreeOrder(ds)}
+		run := encoding.LeafRun{Stripe: i % 8, Level: 2, Path: uint64(i), Digests: inTreeOrder(ds)}
 		if termed(run.Level, run.Path) {
 			run.Digests = inTreeOrder(append(run.Digests, siblings...))
 			run.Terms = len(terms)
@@ -171,9 +170,9 @@ func bulkFrames(t *testing.T) []bulkFrame {
 		for n := 0; n < size; n += encoding.DigestLen(ds[len(ds)-1]) {
 			ds = append(ds, encoding.Digest{Key: key(len(ds), size/24), Stamp: stamp(len(ds))})
 		}
-		runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: 3, Depth: 1, Level: 1, Path: 5, Digests: inTreeOrder(ds)}))
+		runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: 3, Level: 1, Path: 5, Digests: inTreeOrder(ds)}))
 	}
-	runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: 1, Depth: 1, Level: 0}))
+	runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: 1, Level: 0}))
 	lb.add(uv(len(runs)))
 	for _, r := range runs {
 		lb.add(r)
@@ -190,7 +189,7 @@ func bulkFrames(t *testing.T) []bulkFrame {
 		for i := uint64(0); err == nil && i < n; i++ {
 			var run encoding.LeafRun
 			err = fr.elem(func(b []byte) (used int, err error) {
-				run, used, err = encoding.DecodeLeafRun(b, 16, 8, local)
+				run, used, err = encoding.DecodeLeafRun(b, 8, local)
 				return used, err
 			})
 			if run.Terms > 0 {
@@ -317,32 +316,27 @@ func bulkFrames(t *testing.T) []bulkFrame {
 	// Tree nodes (0x0C): a node is at most a bitmap and 16 hashes, so only
 	// the smallest window sees one longer than itself.
 	var tb bodyParts
-	tb.add(uv(16))
 	tb.add(uv(40))
 	for i := 0; i < 40; i++ {
-		bm := make([]byte, encoding.TreeBitmapLen(16))
+		var bm uint16
 		var hs []uint64
-		for c := 0; c < 16; c++ {
+		for c := 0; c < encoding.TreeFanout; c++ {
 			if (i+c)%(1+i%5) == 0 {
-				encoding.BitmapSet(bm, c)
+				bm |= 1 << c
 				hs = append(hs, uint64(i)<<32|uint64(c))
 			}
 		}
-		tb.add(encoding.AppendTreeNode(nil, encoding.TreeNode{Stripe: i % 8, Depth: 3, Level: i % 3, Path: uint64(i % 3),
+		tb.add(encoding.AppendTreeNode(nil, encoding.TreeNode{Stripe: i % 8, Level: i % 3, Path: uint64(i % 3),
 			Bitmap: bm, Hashes: hs}))
 	}
 	frames = append(frames, bulkFrame{"tree nodes", kindTreeNodes, tb.body, tb.bounds, func(fr *frameReader) ([]byte, error) {
-		fanout, err := fr.uvarint()
-		if err != nil || !encoding.ValidTreeShape(int(fanout), 1) {
-			return nil, errors.New("bad fanout")
-		}
 		n, err := fr.uvarint()
-		out := binary.AppendUvarint(binary.AppendUvarint(nil, fanout), n)
+		out := binary.AppendUvarint(nil, n)
 		var hashes []uint64
 		for i := uint64(0); err == nil && i < n; i++ {
 			var node encoding.TreeNode
 			err = fr.elem(func(b []byte) (used int, err error) {
-				node, used, err = encoding.DecodeTreeNode(b, int(fanout), 8, hashes[:0])
+				node, used, err = encoding.DecodeTreeNode(b, 8, hashes[:0])
 				return used, err
 			})
 			hashes = node.Hashes

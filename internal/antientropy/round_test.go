@@ -109,7 +109,7 @@ func leafMate(key string, name func(i int) string) string {
 	for i := 0; ; i++ {
 		k := name(i)
 		if k != key && kvstore.ShardIndex(k, 2) == kvstore.ShardIndex(key, 2) &&
-			kvstore.NodeRange(16, 1, encoding.TreePos(k)>>60).Contains(encoding.TreePos(key)) {
+			kvstore.NodeRange(1, encoding.TreePos(k)>>60).Contains(encoding.TreePos(key)) {
 			return k
 		}
 	}

@@ -127,31 +127,31 @@ func TestRoundBytesPinned(t *testing.T) {
 		sent, recvd pinnedStream
 	}{
 		{"converged", func() {}, whole,
-			pinnedStream{23, "4fe6552e56b71f62fe6b53ab146605493d94ed045e81745c84cab743023f56fb"},
-			pinnedStream{4, "72d137926541d39533bc56aa9c5b2e582c0dd16425ae8659c56c0f10ddc26b0b"}},
+			pinnedStream{23, "121fb1bb2d5a9325d105599afbe425ee40a6deeec6eb08534eb8b2f503f781d2"},
+			pinnedStream{4, "032b1c4b4a858b5553c71127a3ba8d6d4f08b653da6211065ce99d968594c1a1"}},
 		{"probe-answered", func() {}, whole,
 			pinnedStream{11, "93b35778698e4fcb32bd52f2d0f5f4f816d84cab36df961cc835eb53ecfb95e1"},
 			pinnedStream{3, "b7fbc578a842cdef76732a99b255beb9f9ddd630ffc4ee73557d2afc85ad8e32"}},
 		{"1 key", func() { writeSome(1) }, whole,
-			pinnedStream{486, "f10044528119aecaf58a9487082c091af1adbaa4e8822726bffeb5da60305288"},
+			pinnedStream{482, "ccb27f4828eaeea9a9a65f1b9d79824838b2487975ff23aaa8e88fc3c39c3c7a"},
 			pinnedStream{92, "157ef249c2695e0e0f50919958ce620e73c0c4eb6344c009d0d2adb52920a12e"}},
 		{"1 %", func() { writeSome(keys / 100) }, whole,
-			pinnedStream{4833, "7ccc96acc36dfc57d45eb3afaf9d38d57f16f45bb301646728e6263e6996bfd1"},
+			pinnedStream{4794, "8275a0d51bd6dc6278235ff7ca63a30163d630e950382d3b55ccc7714af16a44"},
 			pinnedStream{1317, "d7e03537ba51b6bdc23a19b1e567838d846b49707ec2255a927a61c9d2ccf220"}},
 		{"25 %", func() { writeSome(keys / 4) }, whole,
-			pinnedStream{74981, "2503f768f2a7fe851d5761ba01fa9e419e750253c92bc41abef94f1e0463783f"},
+			pinnedStream{74681, "3326d917c2b3bd3fd8cf233dff255019c30cd561298c99d372c97537aa8aa74d"},
 			pinnedStream{17182, "1231a83d863bc943965882b96350d92513a6102e4b50a82fec9091934e28d7c1"}},
 		{"scoped", func() { writeSome(16) }, func() (kvstore.SyncResult, error) {
 			res, err := p.SyncStripes(addr, client, []int{3, 9, 17, 30})
 			return res, err
 		},
-			pinnedStream{310, "bcc695be8d0440f4327f39533ac96a438a502b35c502296a82197e21e57a20a3"},
+			pinnedStream{306, "5be618a447832e95e85e14453dcd05cc78f2495dec9ce0fdf832a857cfa6a9b3"},
 			pinnedStream{73, "5c963d336ed046ced742f5c821746e5f46c04cf450ea73f7219c6ae3f56ecf84"}},
 		{"conflict", func() {
 			server.Put(key(7), []byte("server side"))
 			client.Put(key(7), []byte("client side"))
 		}, whole,
-			pinnedStream{3937, "66081417dbccd2ab4f0526503855a06a1ee1a33c62067c9df9b4014049120536"},
+			pinnedStream{3906, "ec582b3ec926f2a394cb6b421c92eab2bfb0c584ae36c43ecac5dde1988d7a67"},
 			pinnedStream{1044, "e431237aff59fdbf362dede994b3ae92f5d9401a2ec5574f05fc9b7a7cad3fc4"}},
 	}
 	for _, r := range rounds {
@@ -239,7 +239,7 @@ func TestRoundWireBytesPerKey(t *testing.T) {
 				n, used := binary.Uvarint(body)
 				rest := body[used:]
 				for i := 0; i < int(n); i++ {
-					r, used, err := encoding.DecodeLeafRun(rest, l.c.fanout, l.c.of, l.s.localRun)
+					r, used, err := encoding.DecodeLeafRun(rest, l.c.of, l.s.localRun)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -249,7 +249,7 @@ func TestRoundWireBytesPerKey(t *testing.T) {
 					}
 					match := l.c.match[l.c.leafReqs[i].at:]
 					share, budget, shipped := used, 0, 0
-					share -= len(encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Depth: r.Depth, Level: r.Level, Path: r.Path})) - 1
+					share -= len(encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path})) - 1
 					for j, d := range r.Digests {
 						if match[j] >= 0 {
 							budget += d.Stamp.IDHandle().EncodedLen() + 1

@@ -171,9 +171,9 @@ func TestShardScopedRequestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// kindStripeRoots: of=32 (the server's layout), fanout=16, count=1, then
-	// stripe 99 (depth 1, a root).
-	frame := []byte{kindStripeRoots, 32, 16, 1, 99, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+	// kindStripeRoots: of=32 (the server's layout), count=1, then stripe 99
+	// (depth 1, a root).
+	frame := []byte{kindStripeRoots, 32, 1, 99, 1, 0, 0, 0, 0, 0, 0, 0, 0}
 	if _, err := conn.Write(append([]byte{protocolVersion, byte(len(frame))}, frame...)); err != nil {
 		t.Fatal(err)
 	}

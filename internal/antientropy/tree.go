@@ -17,14 +17,15 @@ import (
 // toward the leaves that differ. See the package comment for the frame
 // grammar and the drivers that step the machines.
 //
-// The tree shape (fanout, depth) is the *client's* choice, declared on the
-// wire per stripe; the server evaluates its own data under that shape
-// (kvstore.Replica.StripeTreeAt), the maintained tree whenever the shape
-// matches its own policy — which it does between converged replicas, whose
-// per-stripe key counts (and therefore TreeShape results) agree. A stripe
-// whose count crosses a shape threshold simply descends at the new depth
-// next round. The stripe layout is not a choice: both ends must stripe the
-// keyspace the same way, and the server refuses any other peer (layout).
+// Every tree has fan-out encoding.TreeFanout. A stripe tree's depth is the
+// *client's* choice, declared once per round in the stripe roots; the server
+// evaluates its own data at that depth (kvstore.Replica.StripeTreeAt), the
+// maintained tree whenever the depth matches its own policy — which it does
+// between converged replicas, whose per-stripe key counts (and therefore
+// TreeDepth results) agree. A stripe whose count crosses a depth threshold
+// simply descends at the new depth next round. The stripe layout is not a
+// choice: both ends must stripe the keyspace the same way, and the server
+// refuses any other peer (layout).
 
 // serverPhase is the frame a server's session takes next.
 type serverPhase uint8
@@ -46,16 +47,14 @@ type serverRound struct {
 	fw        frameWriter
 	phase     serverPhase
 	of        int
-	fanout    int
 	stripes   map[int]*treeStripeState // every declared stripe; nil for a converged one
 	order     []int                    // stripes with leaf runs, in ascending order
 	runs      shippedRuns              // the client's leaf runs, which number its digests
 	need      []int                    // the ordinals the need frame named
 	termed    []leafCoord              // the leaves the round sent terms for, sorted
-	bm        []byte                   // DigestTree.Children scratch: child bitmap
 	hashes    []uint64                 // DigestTree.Children scratch: child hashes
 	cliHashes []uint64                 // encoding.DecodeTreeNode scratch: the client's child hashes
-	answers   []byte                   // treeNodes scratch: each node's differ and server bitmaps
+	answers   []uint16                 // treeNodes scratch: each node's differ and server bitmaps
 	nodeTerms []int                    // treeNodes scratch: how many of each node's children get terms
 	chunk     []byte                   // encoding.DigestTerm scratch
 }
@@ -196,7 +195,7 @@ func (m *serverRound) rootMatch(probe bool) error {
 }
 
 // treeStripeState is the server's per-round state for one divergent stripe:
-// the tree snapshot evaluated at the client's declared shape (consistent
+// the tree snapshot evaluated at the client's declared depth (consistent
 // across the whole round), and — once leaf runs arrive — the client's runs in
 // position order, the diff they drew and the entries that came for its
 // needs, in need order.
@@ -222,7 +221,7 @@ func cmpLeafRuns(a, b leafRun) int {
 }
 
 // stripeRoots takes the stripe-root phase: each declared stripe's tree root
-// is compared at the client's declared shape, and the answer names the
+// is compared at the client's declared depth, and the answer names the
 // divergent stripes. Every divergent stripe's tree is held until the apply
 // is done (reset releases them if the round ends first); a round with none
 // ends here.
@@ -231,11 +230,6 @@ func (m *serverRound) stripeRoots() error {
 	if err := m.layout("stripe roots"); err != nil {
 		return err
 	}
-	fan64, err := fr.uvarint()
-	if err != nil || !encoding.ValidTreeShape(int(fan64), 1) {
-		return errors.New("bad tree fanout")
-	}
-	m.fanout = int(fan64)
 	count, err := fr.uvarint()
 	if err != nil || count > uint64(m.of) {
 		return errors.New("bad stripe roots count")
@@ -250,7 +244,7 @@ func (m *serverRound) stripeRoots() error {
 			return errors.New("bad stripe roots stripe")
 		}
 		depth64, err := fr.uvarint()
-		if err != nil || !encoding.ValidTreeShape(m.fanout, int(depth64)) {
+		if err != nil || !encoding.ValidTreeDepth(int(depth64)) {
 			return errors.New("bad stripe tree depth")
 		}
 		b, err := fr.bytes(8)
@@ -262,7 +256,7 @@ func (m *serverRound) stripeRoots() error {
 		if _, dup := m.stripes[idx]; dup {
 			return errors.New("duplicate stripe")
 		}
-		tree, err := m.replica.StripeTreeAt(idx, m.fanout, int(depth64))
+		tree, err := m.replica.StripeTreeAt(idx, int(depth64))
 		if err != nil {
 			return err
 		}
@@ -298,23 +292,18 @@ func (m *serverRound) stripeRoots() error {
 // client's leaf run answers. The nodes are read first and the answer, sized
 // from them, written after.
 func (m *serverRound) treeNodes() error {
-	fr, fw, nb := &m.fr, &m.fw, encoding.TreeBitmapLen(m.fanout)
-	fan64, err := fr.uvarint()
-	if err != nil || int(fan64) != m.fanout {
-		return errors.New("bad tree nodes fanout")
-	}
-	// Every node takes at least its four coordinates and its bitmap.
+	fr, fw := &m.fr, &m.fw
+	// Every node takes at least its three coordinates and its bitmap.
 	n, err := fr.uvarint()
-	if err != nil || n > uint64(fr.remaining()/(4+nb)) {
+	if err != nil || n > uint64(fr.remaining()/5) {
 		return errors.New("bad tree nodes count")
 	}
-	fbits := encoding.TreeFanoutBits(m.fanout)
-	size, first := encoding.UvarintLen(n)+int(n)*2*nb, len(m.termed)
+	size, first := encoding.UvarintLen(n)+int(n)*4, len(m.termed)
 	m.answers, m.nodeTerms = m.answers[:0], m.nodeTerms[:0]
 	for i := uint64(0); i < n; i++ {
 		var node encoding.TreeNode
 		if err := fr.elem(func(b []byte) (used int, err error) {
-			node, used, err = encoding.DecodeTreeNode(b, m.fanout, m.of, m.cliHashes[:0])
+			node, used, err = encoding.DecodeTreeNode(b, m.of, m.cliHashes[:0])
 			return used, err
 		}); err != nil {
 			return err
@@ -324,18 +313,18 @@ func (m *serverRound) treeNodes() error {
 		if st == nil {
 			return fmt.Errorf("tree node for undeclared stripe %d", node.Stripe)
 		}
-		if node.Depth != st.depth {
-			return fmt.Errorf("tree node depth %d, stripe declared %d", node.Depth, st.depth)
+		if node.Level >= st.depth {
+			return fmt.Errorf("tree node at level %d, stripe %d declared depth %d", node.Level, node.Stripe, st.depth)
 		}
-		m.bm, m.hashes = st.tree.Children(m.bm[:0], m.hashes[:0], node.Level, node.Path)
-		srvBm, srvHashes := m.bm, m.hashes
+		srvBm, srvHashes := st.tree.Children(m.hashes[:0], node.Level, node.Path)
+		m.hashes = srvHashes
 		// differ bit c: exactly one side has child c, or both do with
 		// different hashes.
-		m.answers = append(m.answers, make([]byte, nb)...)
-		differ := m.answers[len(m.answers)-nb:]
+		var differ uint16
 		ci, si, terms := 0, 0, 0
-		for c := 0; c < m.fanout; c++ {
-			cliHas, srvHas := encoding.BitmapGet(node.Bitmap, c), encoding.BitmapGet(srvBm, c)
+		for c := 0; c < encoding.TreeFanout; c++ {
+			bit := uint16(1) << c
+			cliHas, srvHas := node.Bitmap&bit != 0, srvBm&bit != 0
 			var ch, sh uint64
 			if cliHas {
 				ch = node.Hashes[ci]
@@ -346,9 +335,9 @@ func (m *serverRound) treeNodes() error {
 				si++
 			}
 			if cliHas != srvHas || (cliHas && ch != sh) {
-				encoding.BitmapSet(differ, c)
+				differ |= bit
 				if cliHas && srvHas && node.Level+1 == st.depth {
-					leaf := leafCoord{node.Stripe, node.Path<<uint(fbits) | uint64(c)}
+					leaf := leafCoord{node.Stripe, node.Path<<encoding.TreeFanoutBits | uint64(c)}
 					k := len(st.tree.Run(st.depth, leaf.path))
 					size += encoding.UvarintLen(uint64(k)) + 8*k
 					m.termed = append(m.termed, leaf)
@@ -356,14 +345,15 @@ func (m *serverRound) treeNodes() error {
 				}
 			}
 		}
-		m.answers = append(m.answers, srvBm...)
+		m.answers = append(m.answers, differ, srvBm)
 		m.nodeTerms = append(m.nodeTerms, terms)
 	}
 	fw.begin(kindTreeDiff, size)
 	fw.buf = binary.AppendUvarint(fw.buf, n)
 	leaves := m.termed[first:]
 	for i, terms := range m.nodeTerms {
-		fw.buf = append(fw.room(2*nb), m.answers[i*2*nb:(i+1)*2*nb]...)
+		fw.buf = binary.LittleEndian.AppendUint16(fw.room(4), m.answers[2*i])
+		fw.buf = binary.LittleEndian.AppendUint16(fw.buf, m.answers[2*i+1])
 		for _, leaf := range leaves[:terms] {
 			st := m.stripes[leaf.stripe]
 			run := st.tree.Run(st.depth, leaf.path)
@@ -410,7 +400,7 @@ func (m *serverRound) localRun(stripe, level int, path uint64) ([]encoding.Diges
 // order — since that order numbers the digests; that every digest lies in
 // its run's stripe and range is the store's to check (DiffRanges).
 func (m *serverRound) leafDigests() error {
-	fr, fanout := &m.fr, m.fanout
+	fr := &m.fr
 	n, err := fr.uvarint()
 	if err != nil {
 		return errors.New("bad leaf run count")
@@ -420,7 +410,7 @@ func (m *serverRound) leafDigests() error {
 	for i := uint64(0); i < n; i++ {
 		var run encoding.LeafRun
 		if err := fr.elem(func(b []byte) (used int, err error) {
-			run, used, err = encoding.DecodeLeafRun(b, fanout, m.of, m.localRun)
+			run, used, err = encoding.DecodeLeafRun(b, m.of, m.localRun)
 			return used, err
 		}); err != nil {
 			return err
@@ -429,11 +419,11 @@ func (m *serverRound) leafDigests() error {
 		if st == nil {
 			return fmt.Errorf("leaf run for undeclared stripe %d", run.Stripe)
 		}
-		if run.Depth != st.depth {
-			return fmt.Errorf("leaf run depth %d, stripe declared %d", run.Depth, st.depth)
+		if run.Level > st.depth {
+			return fmt.Errorf("leaf run at level %d, stripe %d declared depth %d", run.Level, run.Stripe, st.depth)
 		}
 		r := leafRun{run.Stripe, m.runs.n, kvstore.DigestRun{
-			Range: kvstore.NodeRange(fanout, run.Level, run.Path), Digests: run.Digests}}
+			Range: kvstore.NodeRange(run.Level, run.Path), Digests: run.Digests}}
 		if k := len(m.runs.runs); k > 0 && cmpLeafRuns(m.runs.runs[k-1], r) >= 0 {
 			return errors.New("leaf runs out of walk order")
 		}
@@ -592,7 +582,7 @@ type clientRound struct {
 	// round), the fold of their roots and the result so far. entriesSent: the
 	// entries frame has begun, so the server may have applied the round.
 	local       *kvstore.Replica
-	of, fanout  int
+	of          int
 	stripes     []int
 	whole       bool
 	root        uint64
@@ -607,9 +597,7 @@ type clientRound struct {
 	match            []int32     // the leaves' digests that answer terms: the term each matched
 	shipped          shippedRuns // the digest runs shipped for them
 	sends            []sentCopy  // what went for each need, in need order
-	bm               []byte      // DigestTree.Children scratch: child bitmap
 	hashes           []uint64    // DigestTree.Children scratch: child hashes
-	diff             []byte      // treeDiff scratch: a node's differ and server bitmaps
 	terms            []uint64    // matchTerms scratch: one leaf's terms
 	chunk            []byte      // encoding.DigestTerm scratch
 }
@@ -666,7 +654,6 @@ func (m *clientRound) release() {
 // opening frame, unless the previous round's probe is still to be answered:
 // that answer opens the round instead.
 func (m *clientRound) start() error {
-	m.fanout = m.trees[m.stripes[0]].Fanout() // TreeShape picks one fan-out for every stripe
 	m.result, m.entriesSent = kvstore.SyncResult{}, false
 	m.root = encoding.RootSummarySeed
 	for _, idx := range m.stripes {
@@ -753,13 +740,12 @@ func (m *clientRound) open(mismatch bool) {
 		m.want, m.askedRoot = kindRootMatch, m.root
 		return
 	}
-	size := encoding.UvarintLen(uint64(m.of)) + encoding.UvarintLen(uint64(m.fanout)) + encoding.UvarintLen(uint64(len(m.stripes)))
+	size := encoding.UvarintLen(uint64(m.of)) + encoding.UvarintLen(uint64(len(m.stripes)))
 	for _, idx := range m.stripes {
 		size += encoding.UvarintLen(uint64(idx)) + encoding.UvarintLen(uint64(m.trees[idx].Depth())) + 8
 	}
 	m.fw.begin(kindStripeRoots, size)
 	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(m.of))
-	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(m.fanout))
 	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(len(m.stripes)))
 	for _, idx := range m.stripes {
 		t := m.trees[idx]
@@ -795,20 +781,18 @@ func (m *clientRound) stripeDiff() (bool, error) {
 
 // node reads the frontier node nc's children off its tree.
 func (m *clientRound) node(nc nodeCoord) encoding.TreeNode {
-	t := m.trees[nc.stripe]
-	m.bm, m.hashes = t.Children(m.bm[:0], m.hashes[:0], nc.level, nc.path)
-	return encoding.TreeNode{Stripe: nc.stripe, Depth: t.Depth(), Level: nc.level, Path: nc.path,
-		Bitmap: m.bm, Hashes: m.hashes}
+	var bm uint16
+	bm, m.hashes = m.trees[nc.stripe].Children(m.hashes[:0], nc.level, nc.path)
+	return encoding.TreeNode{Stripe: nc.stripe, Level: nc.level, Path: nc.path, Bitmap: bm, Hashes: m.hashes}
 }
 
 // sendNodes begins the tree-nodes query of the frontier.
 func (m *clientRound) sendNodes() {
-	size := encoding.UvarintLen(uint64(m.fanout)) + encoding.UvarintLen(uint64(len(m.frontier)))
+	size := encoding.UvarintLen(uint64(len(m.frontier)))
 	for _, nc := range m.frontier {
 		size += encoding.TreeNodeLen(m.node(nc))
 	}
 	m.fw.begin(kindTreeNodes, size)
-	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(m.fanout))
 	m.fw.buf = binary.AppendUvarint(m.fw.buf, uint64(len(m.frontier)))
 	for _, nc := range m.frontier {
 		n := m.node(nc)
@@ -824,27 +808,25 @@ func (m *clientRound) sendNodes() {
 // hold comes with the server's terms for it, which its run is matched
 // against at once, so no term outlives its leaf.
 func (m *clientRound) treeDiff() error {
-	nb := encoding.TreeBitmapLen(m.fanout)
 	n, err := m.fr.uvarint()
 	if err != nil || n != uint64(len(m.frontier)) {
 		return badFrame(err, fmt.Sprintf("tree diff count %d, want %d", n, len(m.frontier)))
 	}
-	fbits := encoding.TreeFanoutBits(m.fanout)
 	m.deeper = m.deeper[:0]
 	for _, nc := range m.frontier {
-		b, err := m.fr.bytes(2 * nb)
+		b, err := m.fr.bytes(4)
 		if err != nil {
 			return badFrame(err, "truncated tree diff")
 		}
-		m.diff = append(m.diff[:0], b...) // the terms that follow may refill the window
-		differ, srvBm := m.diff[:nb], m.diff[nb:]
+		differ, srvBm := binary.LittleEndian.Uint16(b), binary.LittleEndian.Uint16(b[2:])
 		cliBm, depth := m.node(nc).Bitmap, m.trees[nc.stripe].Depth()
-		for c := 0; c < m.fanout; c++ {
-			if !encoding.BitmapGet(differ, c) {
+		for c := 0; c < encoding.TreeFanout; c++ {
+			bit := uint16(1) << c
+			if differ&bit == 0 {
 				continue
 			}
-			child := nodeCoord{stripe: nc.stripe, level: nc.level + 1, path: nc.path<<uint(fbits) | uint64(c)}
-			both := encoding.BitmapGet(cliBm, c) && encoding.BitmapGet(srvBm, c)
+			child := nodeCoord{stripe: nc.stripe, level: nc.level + 1, path: nc.path<<encoding.TreeFanoutBits | uint64(c)}
+			both := cliBm&bit != 0 && srvBm&bit != 0
 			switch {
 			case child.level < depth && both:
 				m.deeper = append(m.deeper, child)
@@ -894,16 +876,14 @@ func (m *clientRound) matchTerms(leaf nodeCoord) (int, error) {
 // the rest of the round names by ordinal, matched or not, the reply may only
 // touch their ranges, and it is applied against the stamps they carried.
 func (m *clientRound) sendLeafRuns() {
-	fanout := m.fanout
 	slices.SortFunc(m.leafReqs, func(a, b leafReq) int {
 		return cmp.Or(cmp.Compare(a.stripe, b.stripe),
-			cmp.Compare(kvstore.NodeRange(fanout, a.level, a.path).Lo, kvstore.NodeRange(fanout, b.level, b.path).Lo))
+			cmp.Compare(kvstore.NodeRange(a.level, a.path).Lo, kvstore.NodeRange(b.level, b.path).Lo))
 	})
 	m.shipped = shippedRuns{runs: make([]leafRun, len(m.leafReqs))}
 	wireRun := func(i int) encoding.LeafRun {
 		req, r := m.leafReqs[i], &m.shipped.runs[i]
-		run := encoding.LeafRun{Stripe: req.stripe, Depth: m.trees[req.stripe].Depth(), Level: req.level, Path: req.path,
-			Digests: r.Digests, Terms: req.n}
+		run := encoding.LeafRun{Stripe: req.stripe, Level: req.level, Path: req.path, Digests: r.Digests, Terms: req.n}
 		if req.n > 0 {
 			run.Match = m.match[req.at : req.at+len(r.Digests)]
 		}
@@ -912,7 +892,7 @@ func (m *clientRound) sendLeafRuns() {
 	size := encoding.UvarintLen(uint64(len(m.leafReqs)))
 	for i, req := range m.leafReqs {
 		r := &m.shipped.runs[i]
-		r.stripe, r.first, r.Range = req.stripe, m.shipped.n, kvstore.NodeRange(fanout, req.level, req.path)
+		r.stripe, r.first, r.Range = req.stripe, m.shipped.n, kvstore.NodeRange(req.level, req.path)
 		r.Digests = m.trees[req.stripe].Run(req.level, req.path)
 		m.shipped.n += len(r.Digests)
 		size += encoding.LeafRunLen(wireRun(i))

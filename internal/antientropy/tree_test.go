@@ -801,20 +801,19 @@ type termList struct {
 // termLists returns the term lists of a tree diff body the client machine c
 // is about to take.
 func termLists(t *testing.T, c *clientRound, body []byte) []termList {
-	nb := encoding.TreeBitmapLen(c.fanout)
 	n, off := binary.Uvarint(body)
 	if int(n) != len(c.frontier) {
 		t.Fatalf("tree diff of %d nodes, %d queried", n, len(c.frontier))
 	}
 	var lists []termList
 	for _, nc := range c.frontier {
-		differ, srvBm := body[off:off+nb], body[off+nb:off+2*nb]
-		at := off + nb
-		off += 2 * nb
+		differ, srvBm := binary.LittleEndian.Uint16(body[off:]), binary.LittleEndian.Uint16(body[off+2:])
+		at := off + 2
+		off += 4
 		cliBm := c.node(nc).Bitmap
-		for ch := 0; ch < c.fanout; ch++ {
-			if nc.level+1 == c.trees[nc.stripe].Depth() && encoding.BitmapGet(differ, ch) &&
-				encoding.BitmapGet(cliBm, ch) && encoding.BitmapGet(srvBm, ch) {
+		for ch := 0; ch < encoding.TreeFanout; ch++ {
+			if bit := uint16(1) << ch; nc.level+1 == c.trees[nc.stripe].Depth() && differ&bit != 0 &&
+				cliBm&bit != 0 && srvBm&bit != 0 {
 				k, used := binary.Uvarint(body[off:])
 				lists = append(lists, termList{off, off + used + 8*int(k), at, ch})
 				off += used + 8*int(k)
@@ -875,6 +874,10 @@ func TestClientRefusesForgedTerms(t *testing.T) {
 // with bitmap padding bits set, with an id that fails core.DecodeBinary's
 // validation, with a key both matched and shipped, or that rebuilds out of
 // tree order are refused with an error frame before anything is applied.
+// So are, each stripe's depth travelling once in the stripe roots, a tree
+// node for a stripe with no divergent tree (declared converged) or at or
+// below its stripe's declared depth, and a leaf run for such a stripe or
+// below its stripe's declared depth; their error frames name the check.
 // Neither replica changes.
 func TestServerRefusesForgedEntries(t *testing.T) {
 	count := func(body []byte) (uint64, []byte) {
@@ -895,7 +898,7 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 		n, rest := count(body)
 		runs := make([]encoding.LeafRun, n)
 		for i := range runs {
-			r, used, err := encoding.DecodeLeafRun(rest, l.c.fanout, l.c.of, l.s.localRun)
+			r, used, err := encoding.DecodeLeafRun(rest, l.c.of, l.s.localRun)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -935,7 +938,7 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 				ds, m = append(ds, d), append(m, match[i])
 			}
 		}
-		b := encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Depth: r.Depth, Level: r.Level, Path: r.Path,
+		b := encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path,
 			Digests: ds, Terms: r.Terms, Match: m})
 		b = binary.AppendUvarint(b[:len(b)-1], uint64(len(shipped))) // the count of none
 		for _, d := range shipped {
@@ -955,26 +958,66 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 	}
 	// coordLen returns the length of r's coordinate prefix.
 	coordLen := func(r encoding.LeafRun) int {
-		return len(encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Depth: r.Depth, Level: r.Level, Path: r.Path})) - 1
+		return len(encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path})) - 1
+	}
+	// converged returns a stripe the server holds no divergent tree of.
+	converged := func(l *lockstep) int {
+		for i := 0; i < l.c.of; i++ {
+			if l.s.stripes[i] == nil {
+				return i
+			}
+		}
+		t.Fatal("every stripe diverged")
+		return -1
+	}
+	// firstNode re-encodes a tree-nodes body with its first node edited.
+	firstNode := func(body []byte, edit func(n *encoding.TreeNode)) []byte {
+		n, rest := count(body)
+		out := binary.AppendUvarint(nil, n)
+		for i := uint64(0); i < n; i++ {
+			node, used, err := encoding.DecodeTreeNode(rest, maxWireStripes, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rest = rest[used:]; i == 0 {
+				edit(&node)
+			}
+			out = encoding.AppendTreeNode(out, node)
+		}
+		return out
+	}
+	// firstRun re-encodes every run, the first edited and answering no
+	// terms.
+	firstRun := func(l *lockstep, edit func(r *encoding.LeafRun)) func([]encoding.LeafRun) [][]byte {
+		return func(runs []encoding.LeafRun) [][]byte {
+			edit(&runs[0])
+			runs[0].Terms = 0
+			var out [][]byte
+			for _, r := range runs {
+				out = append(out, encode(l, r))
+			}
+			return out
+		}
 	}
 	for _, tc := range []struct {
 		name  string
 		kind  byte
 		forge func(l *lockstep, body []byte) []byte
+		want  string // what the refusal names, if the case pins it
 	}{
 		{"one entry more than the needs", kindEntries, func(_ *lockstep, body []byte) []byte {
 			n, rest := count(body)
 			return encoding.AppendVanishedBody(append(binary.AppendUvarint(nil, n+1), rest...))
-		}},
+		}, ""},
 		{"one entry fewer than the needs", kindEntries, func(_ *lockstep, body []byte) []byte {
 			n, rest := count(body)
 			return append(binary.AppendUvarint(nil, n-1), rest...)
-		}},
+		}, ""},
 		{"unknown entry flags", kindEntries, func(_ *lockstep, body []byte) []byte {
 			n, rest := count(body)
 			return append(binary.AppendUvarint(nil, n), append([]byte{0x40}, rest[1:]...)...)
-		}},
-		{"trailing bytes", kindEntries, func(_ *lockstep, body []byte) []byte { return append(bytes.Clone(body), 0) }},
+		}, ""},
+		{"trailing bytes", kindEntries, func(_ *lockstep, body []byte) []byte { return append(bytes.Clone(body), 0) }, ""},
 		{"leaf runs out of walk order", kindLeafDigests, func(l *lockstep, body []byte) []byte {
 			return leafRuns(l, body, func(runs []encoding.LeafRun) [][]byte {
 				if len(runs) < 2 {
@@ -987,7 +1030,7 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 				}
 				return out
 			})
-		}},
+		}, ""},
 		{"term bitmap padding bits", kindLeafDigests, func(l *lockstep, body []byte) []byte {
 			return leafRuns(l, body, forgeTermed(l, func(r encoding.LeafRun, match []int32) []byte {
 				if r.Terms%8 == 0 {
@@ -997,7 +1040,7 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 				b[coordLen(r)+encoding.TreeBitmapLen(r.Terms)-1] |= 0x80
 				return b
 			}))
-		}},
+		}, ""},
 		{"an id that fails validation", kindLeafDigests, func(l *lockstep, body []byte) []byte {
 			return leafRuns(l, body, forgeTermed(l, func(r encoding.LeafRun, match []int32) []byte {
 				// The first id becomes ∅, which covers no update component (I1).
@@ -1006,12 +1049,12 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 				first := r.Digests[slices.IndexFunc(match, func(m int32) bool { return m >= 0 })]
 				return slices.Concat(b[:at], []byte{0x01, 0x00}, b[at+first.Stamp.IDHandle().EncodedLen():])
 			}))
-		}},
+		}, ""},
 		{"a key both matched and shipped", kindLeafDigests, func(l *lockstep, body []byte) []byte {
 			return leafRuns(l, body, forgeTermed(l, func(r encoding.LeafRun, match []int32) []byte {
 				return answer(r, match, r.Digests)
 			}))
-		}},
+		}, ""},
 		{"a rebuilt run out of tree order", kindLeafDigests, func(l *lockstep, body []byte) []byte {
 			return leafRuns(l, body, forgeTermed(l, func(r encoding.LeafRun, match []int32) []byte {
 				// One matched key goes shipped instead, the shipped keys
@@ -1023,7 +1066,27 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 				slices.Reverse(shipped)
 				return answer(r, match, shipped)
 			}))
-		}},
+		}, ""},
+		{"a tree node for a converged stripe", kindTreeNodes, func(l *lockstep, body []byte) []byte {
+			return firstNode(body, func(n *encoding.TreeNode) { n.Stripe = converged(l) })
+		}, "undeclared stripe"},
+		{"a tree node at its stripe's depth", kindTreeNodes, func(l *lockstep, body []byte) []byte {
+			return firstNode(body, func(n *encoding.TreeNode) { n.Level, n.Path = l.s.stripes[n.Stripe].depth, 0 })
+		}, "declared depth"},
+		{"a leaf run for a converged stripe", kindLeafDigests, func(l *lockstep, body []byte) []byte {
+			return leafRuns(l, body, firstRun(l, func(r *encoding.LeafRun) { r.Stripe = converged(l) }))
+		}, "undeclared stripe"},
+		{"a leaf run below its stripe's depth", kindLeafDigests, func(l *lockstep, body []byte) []byte {
+			// One child of the leaf, holding the run's keys under it.
+			return leafRuns(l, body, firstRun(l, func(r *encoding.LeafRun) {
+				r.Level++
+				r.Path = encoding.TreePos(r.Digests[0].Key) >> (64 - r.Level*encoding.TreeFanoutBits)
+				rg := kvstore.NodeRange(r.Level, r.Path)
+				r.Digests = slices.DeleteFunc(slices.Clone(r.Digests), func(d encoding.Digest) bool {
+					return !rg.Contains(encoding.TreePos(d.Key))
+				})
+			}))
+		}, "declared depth"},
 	} {
 		err := forgedPair(t, func(l *lockstep, kind byte, unread *bytes.Buffer) bool {
 			if kind == tc.kind && unread == &l.c2s {
@@ -1032,6 +1095,9 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 			}
 			return false
 		})
+		if err != nil && !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
 		t.Logf("%s: %v", tc.name, err)
 	}
 }

@@ -36,8 +36,8 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 	termed := func(int, int, uint64) ([]Digest, bool) { return local, true }
 	shared := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
 
-	run := AppendLeafRun(nil, LeafRun{Stripe: 3, Depth: 2, Level: 2, Path: 0x41, Digests: local})
-	got, _, err := DecodeLeafRun(run, 16, 32, mine)
+	run := AppendLeafRun(nil, LeafRun{Stripe: 3, Level: 2, Path: 0x41, Digests: local})
+	got, _, err := DecodeLeafRun(run, 32, mine)
 	if err != nil || len(got.Digests) != len(local) {
 		t.Fatalf("DecodeLeafRun: %d digests, %v", len(got.Digests), err)
 	}
@@ -57,7 +57,7 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 	slices.SortFunc(newRun, func(a, b Digest) int {
 		return cmp.Or(cmp.Compare(TreePos(a.Key), TreePos(b.Key)), strings.Compare(a.Key, b.Key))
 	})
-	unknownRun := AppendLeafRun(nil, LeafRun{Stripe: 3, Depth: 2, Level: 2, Path: 0x41, Digests: newRun})
+	unknownRun := AppendLeafRun(nil, LeafRun{Stripe: 3, Level: 2, Path: 0x41, Digests: newRun})
 	var terms []uint64
 	for _, d := range local {
 		term, _ := DigestTerm(d, nil)
@@ -65,7 +65,7 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 	}
 	answer := func(ds []Digest) []byte {
 		match, _ := MatchTerms(nil, ds, terms, nil)
-		return AppendLeafRun(nil, LeafRun{Stripe: 3, Depth: 2, Level: 2, Path: 0x41, Digests: ds, Terms: len(terms), Match: match})
+		return AppendLeafRun(nil, LeafRun{Stripe: 3, Level: 2, Path: 0x41, Digests: ds, Terms: len(terms), Match: match})
 	}
 	matchedRun, matchedUnknownRun := answer(local), answer(newRun)
 	unknownDigest := AppendDigest(nil, Digest{Key: "key-not-held", Stamp: st})
@@ -76,12 +76,12 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 		want float64
 		fn   func() error
 	}{
-		{"leaf run of 16 held keys", 1, func() error { _, _, err := DecodeLeafRun(run, 16, 32, mine); return err }},
+		{"leaf run of 16 held keys", 1, func() error { _, _, err := DecodeLeafRun(run, 32, mine); return err }},
 		{"held digest", 0, func() error { _, _, err := DecodeDigest(digest, held); return err }},
-		{"leaf run, one key not held", 2, func() error { _, _, err := DecodeLeafRun(unknownRun, 16, 32, mine); return err }},
-		{"leaf run of 16 matched terms", 1, func() error { _, _, err := DecodeLeafRun(matchedRun, 16, 32, termed); return err }},
+		{"leaf run, one key not held", 2, func() error { _, _, err := DecodeLeafRun(unknownRun, 32, mine); return err }},
+		{"leaf run of 16 matched terms", 1, func() error { _, _, err := DecodeLeafRun(matchedRun, 32, termed); return err }},
 		{"leaf run of 15 matched terms and a key not held", 2, func() error {
-			_, _, err := DecodeLeafRun(matchedUnknownRun, 16, 32, termed)
+			_, _, err := DecodeLeafRun(matchedUnknownRun, 32, termed)
 			return err
 		}},
 		{"digest not held", 1, func() error { _, _, err := DecodeDigest(unknownDigest, held); return err }},
@@ -100,19 +100,18 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 }
 
 // TestDecodeTreeNodeAllocs: a tree node decodes into the caller's hash
-// scratch, its bitmap aliasing the input, and allocates nothing.
+// scratch and allocates nothing.
 func TestDecodeTreeNodeAllocs(t *testing.T) {
-	const fanout = 16
-	bm := make([]byte, TreeBitmapLen(fanout))
-	hashes := make([]uint64, 0, fanout)
-	for c := 0; c < fanout; c += 3 {
-		BitmapSet(bm, c)
+	var bm uint16
+	hashes := make([]uint64, 0, TreeFanout)
+	for c := 0; c < TreeFanout; c += 3 {
+		bm |= 1 << c
 		hashes = append(hashes, uint64(c)<<40|uint64(c))
 	}
-	buf := AppendTreeNode(nil, TreeNode{Stripe: 5, Depth: 3, Level: 2, Path: 0x3c, Bitmap: bm, Hashes: hashes})
-	scratch := make([]uint64, 0, fanout)
+	buf := AppendTreeNode(nil, TreeNode{Stripe: 5, Level: 2, Path: 0x3c, Bitmap: bm, Hashes: hashes})
+	scratch := make([]uint64, 0, TreeFanout)
 	allocs := testing.AllocsPerRun(200, func() {
-		node, _, err := DecodeTreeNode(buf, fanout, 32, scratch[:0])
+		node, _, err := DecodeTreeNode(buf, 32, scratch[:0])
 		if err != nil || len(node.Hashes) != len(hashes) || node.Hashes[1] != hashes[1] {
 			t.Fatalf("DecodeTreeNode: %+v, %v", node, err)
 		}

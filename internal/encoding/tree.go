@@ -10,21 +10,23 @@ import (
 	"versionstamp/internal/core"
 )
 
-// Digest-tree frames: the wire shapes of the adaptive k-ary hash tree the
+// Digest-tree frames: the wire shapes of the adaptive hash tree the
 // anti-entropy protocol descends. A stripe's digests are ordered by TreePos
-// (a 64-bit hash of the key), the position space is partitioned k ways per
-// level, and every node is a fixed-size hash over its subtree — so two
-// endpoints locate a divergent key by exchanging O(depth) small node frames
-// instead of a whole stripe's digest list.
+// (a 64-bit hash of the key), the position space is partitioned TreeFanout
+// ways per level, and every node is a fixed-size hash over its subtree — so
+// two endpoints locate a divergent key by exchanging O(depth) small node
+// frames instead of a whole stripe's digest list.
 //
-// Three shapes travel: tree nodes (a node coordinate plus a child bitmap and
-// one 8-byte hash per present child), leaf digest runs (a node coordinate
-// plus the digests whose positions fall under it, a digest whose term the
-// receiver sent going as its id alone), and the shape parameters themselves
-// (fanout, depth). All appenders extend a caller-owned buffer —
-// same buffer-reuse discipline as AppendDigest/AppendEntry — and all
-// decoders bound every allocation by the bytes actually present, so hostile
-// depth/fanout/count fields error out instead of allocating.
+// Two shapes travel: tree nodes (a node coordinate plus a child bitmap and
+// one 8-byte hash per present child), and leaf digest runs (a node
+// coordinate plus the digests whose positions fall under it, a digest whose
+// term the receiver sent going as its id alone). A coordinate is (stripe,
+// level, path); the stripe's depth is declared once per round, in the
+// stripe roots, and the fan-out is TreeFanout on every replica. All
+// appenders extend a caller-owned buffer — same buffer-reuse discipline as
+// AppendDigest/AppendEntry — and all decoders bound every allocation by the
+// bytes actually present, so hostile level/count fields error out instead
+// of allocating.
 
 // TreePos maps a key to its position in the 64-bit tree keyspace (FNV-64a
 // over the key bytes). Both endpoints order and partition a stripe's digests
@@ -40,43 +42,32 @@ func TreePos[K string | []byte](key K) uint64 {
 	return h
 }
 
-// Tree shape bounds. Fanout must be a power of two so node paths pack into
-// bit fields of a 64-bit position; depth × log2(fanout) may not exceed the
-// 64 position bits. The caps bound what a hostile frame can make a decoder
-// allocate or a server recompute.
+// Tree shape. A node has up to TreeFanout children on every replica, so one
+// level consumes TreeFanoutBits bits of a node path and a child bitmap fits
+// a uint16. MaxTreeDepth caps a tree's depth, which bounds what a hostile
+// frame can make a server recompute; 16^8 leaves outruns any keyspace a
+// store can hold.
 const (
-	MinTreeFanout = 2
-	MaxTreeFanout = 64
-	MaxTreeDepth  = 12
+	TreeFanoutBits = 4
+	TreeFanout     = 1 << TreeFanoutBits // 16
+	MaxTreeDepth   = 8
 )
 
-// ValidTreeShape reports whether (fanout, depth) is a tree shape this codec
-// speaks: power-of-two fanout in [MinTreeFanout, MaxTreeFanout], depth in
-// [1, MaxTreeDepth], and paths at every level fitting in 64 bits.
-func ValidTreeShape(fanout, depth int) bool {
-	if fanout < MinTreeFanout || fanout > MaxTreeFanout || bits.OnesCount(uint(fanout)) != 1 {
-		return false
-	}
-	if depth < 1 || depth > MaxTreeDepth {
-		return false
-	}
-	return depth*bits.TrailingZeros(uint(fanout)) <= 64
-}
+// ValidTreeDepth reports whether depth is a tree depth this codec speaks:
+// in [1, MaxTreeDepth].
+func ValidTreeDepth(depth int) bool { return depth >= 1 && depth <= MaxTreeDepth }
 
-// TreeFanoutBits returns log2(fanout): the bits one level consumes of a
-// node path.
-func TreeFanoutBits(fanout int) int { return bits.TrailingZeros(uint(fanout)) }
+// TreeBitmapLen returns the byte length of a bitmap of n bits.
+func TreeBitmapLen(n int) int { return (n + 7) / 8 }
 
-// TreeBitmapLen returns the byte length of a child bitmap for a fanout.
-func TreeBitmapLen(fanout int) int { return (fanout + 7) / 8 }
-
-// BitmapGet reports bit i of a child bitmap (LSB-first within each byte —
-// the layout every tree frame uses).
+// BitmapGet reports bit i of a bitmap (LSB-first within each byte — the
+// layout every tree frame uses, a child bitmap being a little-endian
+// uint16).
 func BitmapGet(bm []byte, i int) bool {
 	return bm[i>>3]&(1<<(i&7)) != 0
 }
 
-// BitmapSet sets bit i of a child bitmap.
+// BitmapSet sets bit i of a bitmap.
 func BitmapSet(bm []byte, i int) {
 	bm[i>>3] |= 1 << (i & 7)
 }
@@ -87,33 +78,31 @@ func BitmapSet(bm []byte, i int) {
 // ascending child order.
 type TreeNode struct {
 	Stripe int
-	Depth  int    // the stripe tree's declared total depth
 	Level  int    // 0 = root; children live at Level+1
-	Path   uint64 // node index at Level: the top Level×log2(fanout) position bits
-	Bitmap []byte
+	Path   uint64 // node index at Level: the top Level×TreeFanoutBits position bits
+	Bitmap uint16
 	Hashes []uint64
 }
 
-// treeCoordLen returns the length of a node or run's (stripe, depth, level,
-// path) prefix.
-func treeCoordLen(stripe, depth, level int, path uint64) int {
-	return UvarintLen(uint64(stripe)) + UvarintLen(uint64(depth)) + UvarintLen(uint64(level)) + UvarintLen(path)
+// treeCoordLen returns the length of a node or run's (stripe, level, path)
+// prefix.
+func treeCoordLen(stripe, level int, path uint64) int {
+	return UvarintLen(uint64(stripe)) + UvarintLen(uint64(level)) + UvarintLen(path)
 }
 
 // TreeNodeLen returns the length of AppendTreeNode's output for n.
 func TreeNodeLen(n TreeNode) int {
-	return treeCoordLen(n.Stripe, n.Depth, n.Level, n.Path) + len(n.Bitmap) + 8*len(n.Hashes)
+	return treeCoordLen(n.Stripe, n.Level, n.Path) + 2 + 8*len(n.Hashes)
 }
 
-// AppendTreeNode appends one node element: stripe, depth, level, path
-// (uvarints), the child bitmap (TreeBitmapLen(fanout) bytes), then one
-// 8-byte big-endian hash per set bitmap bit.
+// AppendTreeNode appends one node element: stripe, level, path (uvarints),
+// the child bitmap (2 bytes, little-endian), then one 8-byte big-endian hash
+// per set bitmap bit.
 func AppendTreeNode(dst []byte, n TreeNode) []byte {
 	dst = binary.AppendUvarint(dst, uint64(n.Stripe))
-	dst = binary.AppendUvarint(dst, uint64(n.Depth))
 	dst = binary.AppendUvarint(dst, uint64(n.Level))
 	dst = binary.AppendUvarint(dst, n.Path)
-	dst = append(dst, n.Bitmap...)
+	dst = binary.LittleEndian.AppendUint16(dst, n.Bitmap)
 	for _, h := range n.Hashes {
 		dst = binary.BigEndian.AppendUint64(dst, h)
 	}
@@ -132,75 +121,55 @@ func treeUvarint(data []byte, what string) (uint64, []byte, error) {
 	return v, data[used:], nil
 }
 
-// decodeTreeCoord reads and validates the (stripe, depth, level, path)
-// prefix shared by node and leaf-run elements. leaf selects the level bound:
-// a node must have children below it (level < depth), a leaf run may sit at
-// the bottom (level <= depth).
-func decodeTreeCoord(data []byte, fanout, maxStripe int, leaf bool) (stripe, depth, level int, path uint64, rest []byte, err error) {
+// decodeTreeCoord reads and validates the (stripe, level, path) prefix
+// shared by node and leaf-run elements. leaf selects the level bound: a
+// node must have children below it (level < MaxTreeDepth), a leaf run may
+// sit at the bottom (level <= MaxTreeDepth). Whether the level fits its
+// stripe's declared depth is the receiver's to check.
+func decodeTreeCoord(data []byte, maxStripe int, leaf bool) (stripe, level int, path uint64, rest []byte, err error) {
 	s64, data, err := treeUvarint(data, "stripe")
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
 	if s64 >= uint64(maxStripe) {
-		return 0, 0, 0, 0, nil, fmt.Errorf("encoding: tree frame: stripe %d out of range of %d", s64, maxStripe)
-	}
-	d64, data, err := treeUvarint(data, "depth")
-	if err != nil {
-		return 0, 0, 0, 0, nil, err
-	}
-	if !ValidTreeShape(fanout, int(d64)) {
-		return 0, 0, 0, 0, nil, fmt.Errorf("encoding: tree frame: bad shape fanout=%d depth=%d", fanout, d64)
+		return 0, 0, 0, nil, fmt.Errorf("encoding: tree frame: stripe %d out of range of %d", s64, maxStripe)
 	}
 	l64, data, err := treeUvarint(data, "level")
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
-	bound := d64
-	if !leaf {
-		bound = d64 - 1 // a node's children live at level+1 <= depth
-	}
-	if l64 > bound {
-		return 0, 0, 0, 0, nil, fmt.Errorf("encoding: tree frame: level %d exceeds depth %d", l64, d64)
+	if l64 > MaxTreeDepth || !leaf && l64 == MaxTreeDepth {
+		return 0, 0, 0, nil, fmt.Errorf("encoding: tree frame: level %d too deep", l64)
 	}
 	path, data, err = treeUvarint(data, "path")
 	if err != nil {
-		return 0, 0, 0, 0, nil, err
+		return 0, 0, 0, nil, err
 	}
-	if shift := uint(l64) * uint(TreeFanoutBits(fanout)); shift < 64 && path>>shift != 0 {
-		return 0, 0, 0, 0, nil, fmt.Errorf("encoding: tree frame: path %#x too wide for level %d", path, l64)
+	if path>>(l64*TreeFanoutBits) != 0 {
+		return 0, 0, 0, nil, fmt.Errorf("encoding: tree frame: path %#x too wide for level %d", path, l64)
 	}
-	return int(s64), int(d64), int(l64), path, data, nil
+	return int(s64), int(l64), path, data, nil
 }
 
 // DecodeTreeNode parses one node element from the front of data, returning
-// the bytes consumed. fanout is the frame-level fanout (already validated by
-// the caller); maxStripe bounds the stripe field. Padding bits of the bitmap
-// beyond fanout must be zero, and exactly popcount(Bitmap) hashes must be
-// present — a hostile frame errors before anything is allocated.
+// the bytes consumed. maxStripe bounds the stripe field. Exactly
+// popcount(Bitmap) hashes must be present — a hostile frame errors before
+// anything is allocated.
 //
-// The node allocates nothing: its Bitmap aliases data, so it is valid only
-// until the buffer data came from is reused (for a frame body, the next
-// frame read), and its Hashes are appended to hashes, the caller's scratch,
-// which grows to at most fanout entries.
-func DecodeTreeNode(data []byte, fanout, maxStripe int, hashes []uint64) (TreeNode, int, error) {
+// The node allocates nothing: its Hashes are appended to hashes, the
+// caller's scratch, which grows to at most TreeFanout entries.
+func DecodeTreeNode(data []byte, maxStripe int, hashes []uint64) (TreeNode, int, error) {
 	total := len(data)
-	stripe, depth, level, path, data, err := decodeTreeCoord(data, fanout, maxStripe, false)
+	stripe, level, path, data, err := decodeTreeCoord(data, maxStripe, false)
 	if err != nil {
 		return TreeNode{}, 0, err
 	}
-	nb := TreeBitmapLen(fanout)
-	if len(data) < nb {
+	if len(data) < 2 {
 		return TreeNode{}, 0, fmt.Errorf("encoding: tree frame: truncated bitmap: %w", io.ErrUnexpectedEOF)
 	}
-	bm := data[:nb:nb]
-	data = data[nb:]
-	set := 0
-	for i, b := range bm {
-		set += bits.OnesCount8(b)
-		if hi := (i + 1) * 8; hi > fanout && b>>(8-(hi-fanout)) != 0 {
-			return TreeNode{}, 0, errors.New("encoding: tree frame: bitmap padding bits set")
-		}
-	}
+	bm := binary.LittleEndian.Uint16(data)
+	data = data[2:]
+	set := bits.OnesCount16(bm)
 	if len(data) < 8*set {
 		return TreeNode{}, 0, fmt.Errorf("encoding: tree frame: truncated hashes: %w", io.ErrUnexpectedEOF)
 	}
@@ -208,10 +177,7 @@ func DecodeTreeNode(data []byte, fanout, maxStripe int, hashes []uint64) (TreeNo
 		hashes = append(hashes, binary.BigEndian.Uint64(data[8*i:]))
 	}
 	data = data[8*set:]
-	return TreeNode{
-		Stripe: stripe, Depth: depth, Level: level, Path: path,
-		Bitmap: bm, Hashes: hashes,
-	}, total - len(data), nil
+	return TreeNode{Stripe: stripe, Level: level, Path: path, Bitmap: bm, Hashes: hashes}, total - len(data), nil
 }
 
 // LeafRun is one leaf digest-run frame element: a node coordinate plus the
@@ -225,7 +191,6 @@ func DecodeTreeNode(data []byte, fanout, maxStripe int, hashes []uint64) (TreeNo
 // (Terms 0) ships every digest whole, and its Match is not read.
 type LeafRun struct {
 	Stripe  int
-	Depth   int
 	Level   int
 	Path    uint64
 	Digests []Digest
@@ -238,7 +203,7 @@ func (r LeafRun) matched(i int) bool { return r.Terms > 0 && r.Match[i] >= 0 }
 
 // LeafRunLen returns the length of AppendLeafRun's output for r.
 func LeafRunLen(r LeafRun) int {
-	n, shipped := treeCoordLen(r.Stripe, r.Depth, r.Level, r.Path), 0
+	n, shipped := treeCoordLen(r.Stripe, r.Level, r.Path), 0
 	if r.Terms > 0 {
 		n += TreeBitmapLen(r.Terms)
 	}
@@ -261,7 +226,6 @@ func LeafRunLen(r LeafRun) int {
 // must ascend over the matched digests, as MatchTerms makes them.
 func AppendLeafRun(dst []byte, r LeafRun) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.Stripe))
-	dst = binary.AppendUvarint(dst, uint64(r.Depth))
 	dst = binary.AppendUvarint(dst, uint64(r.Level))
 	dst = binary.AppendUvarint(dst, r.Path)
 	shipped := len(r.Digests)
@@ -331,9 +295,9 @@ func MatchTerms(match []int32, ds []Digest, terms []uint64, scratch []byte) ([]i
 // Every key's position (TreePos) is computed once. The digest slice is made
 // once, its capacity bounded by the bytes present, so a hostile count
 // cannot force a huge allocation.
-func DecodeLeafRun(data []byte, fanout, maxStripe int, local func(stripe, level int, path uint64) (mine []Digest, terms bool)) (LeafRun, int, error) {
+func DecodeLeafRun(data []byte, maxStripe int, local func(stripe, level int, path uint64) (mine []Digest, terms bool)) (LeafRun, int, error) {
 	total := len(data)
-	stripe, depth, level, path, data, err := decodeTreeCoord(data, fanout, maxStripe, true)
+	stripe, level, path, data, err := decodeTreeCoord(data, maxStripe, true)
 	if err != nil {
 		return LeafRun{}, 0, err
 	}
@@ -434,7 +398,7 @@ func DecodeLeafRun(data []byte, fanout, maxStripe int, local func(stripe, level 
 			return LeafRun{}, 0, err
 		}
 	}
-	r := LeafRun{Stripe: stripe, Depth: depth, Level: level, Path: path, Digests: ds}
+	r := LeafRun{Stripe: stripe, Level: level, Path: path, Digests: ds}
 	if termed {
 		r.Terms = len(mine)
 	}

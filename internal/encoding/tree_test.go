@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -13,34 +14,28 @@ import (
 	"versionstamp/internal/core"
 )
 
-func TestValidTreeShape(t *testing.T) {
-	valid := [][2]int{{2, 1}, {16, 1}, {16, 8}, {64, 10}, {2, 12}, {16, 12}}
-	for _, s := range valid {
-		if !ValidTreeShape(s[0], s[1]) {
-			t.Errorf("ValidTreeShape(%d, %d) = false, want true", s[0], s[1])
+func TestValidTreeDepth(t *testing.T) {
+	for _, d := range []int{1, 2, 8} {
+		if !ValidTreeDepth(d) {
+			t.Errorf("ValidTreeDepth(%d) = false, want true", d)
 		}
 	}
-	invalid := [][2]int{
-		{0, 1}, {1, 1}, {3, 2}, {128, 1}, {16, 0}, {16, -1}, {16, 13},
-		{64, 11}, // 11×6 = 66 position bits > 64
-		{-16, 2},
-	}
-	for _, s := range invalid {
-		if ValidTreeShape(s[0], s[1]) {
-			t.Errorf("ValidTreeShape(%d, %d) = true, want false", s[0], s[1])
+	for _, d := range []int{-1, 0, 9, 12} {
+		if ValidTreeDepth(d) {
+			t.Errorf("ValidTreeDepth(%d) = true, want false", d)
 		}
 	}
 }
 
 func TestBitmapHelpers(t *testing.T) {
-	for _, fanout := range []int{2, 8, 16, 64} {
-		bm := make([]byte, TreeBitmapLen(fanout))
-		for c := 0; c < fanout; c += 3 {
+	for _, n := range []int{2, 8, 16, 64} {
+		bm := make([]byte, TreeBitmapLen(n))
+		for c := 0; c < n; c += 3 {
 			BitmapSet(bm, c)
 		}
-		for c := 0; c < fanout; c++ {
+		for c := 0; c < n; c++ {
 			if got, want := BitmapGet(bm, c), c%3 == 0; got != want {
-				t.Fatalf("fanout %d bit %d = %v, want %v", fanout, c, got, want)
+				t.Fatalf("%d bits: bit %d = %v, want %v", n, c, got, want)
 			}
 		}
 	}
@@ -52,29 +47,24 @@ func testStamp(t *testing.T) core.Stamp {
 }
 
 func TestTreeNodeRoundtrip(t *testing.T) {
-	const fanout = 16
-	bm := make([]byte, TreeBitmapLen(fanout))
-	BitmapSet(bm, 0)
-	BitmapSet(bm, 7)
-	BitmapSet(bm, 15)
 	node := TreeNode{
-		Stripe: 3, Depth: 4, Level: 2, Path: 0x47,
-		Bitmap: bm, Hashes: []uint64{1, 1 << 40, ^uint64(0)},
+		Stripe: 3, Level: 2, Path: 0x47,
+		Bitmap: 1<<0 | 1<<7 | 1<<15, Hashes: []uint64{1, 1 << 40, ^uint64(0)},
 	}
 	buf := AppendTreeNode(nil, node)
-	got, used, err := DecodeTreeNode(buf, fanout, 32, nil)
+	got, used, err := DecodeTreeNode(buf, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if used != len(buf) {
-		t.Fatalf("used %d of %d bytes", used, len(buf))
+	if used != len(buf) || used != TreeNodeLen(node) {
+		t.Fatalf("used %d of %d bytes, %d sized", used, len(buf), TreeNodeLen(node))
 	}
-	if got.Stripe != node.Stripe || got.Depth != node.Depth ||
-		got.Level != node.Level || got.Path != node.Path {
+	if got.Stripe != node.Stripe || got.Level != node.Level || got.Path != node.Path {
 		t.Fatalf("coords: got %+v, want %+v", got, node)
 	}
-	if !bytes.Equal(got.Bitmap, node.Bitmap) {
-		t.Fatalf("bitmap: got %x, want %x", got.Bitmap, node.Bitmap)
+	// The bitmap's two bytes hold children 0-7, then 8-15, LSB first.
+	if bm := buf[len(buf)-2-8*3:][:2]; got.Bitmap != node.Bitmap || !bytes.Equal(bm, []byte{0x81, 0x80}) {
+		t.Fatalf("bitmap: got %#x (%x on the wire), want %#x", got.Bitmap, bm, node.Bitmap)
 	}
 	if len(got.Hashes) != 3 || got.Hashes[0] != 1 || got.Hashes[2] != ^uint64(0) {
 		t.Fatalf("hashes: got %v", got.Hashes)
@@ -82,49 +72,37 @@ func TestTreeNodeRoundtrip(t *testing.T) {
 }
 
 func TestDecodeTreeNodeRejects(t *testing.T) {
-	const fanout = 16
-	good := AppendTreeNode(nil, TreeNode{
-		Stripe: 1, Depth: 3, Level: 1, Path: 5,
-		Bitmap: make([]byte, TreeBitmapLen(fanout)),
-	})
+	good := AppendTreeNode(nil, TreeNode{Stripe: 1, Level: 1, Path: 5})
 	cases := map[string][]byte{
-		"empty":      nil,
-		"truncated":  good[:len(good)-1],
-		"bad stripe": AppendTreeNode(nil, TreeNode{Stripe: 99, Depth: 3, Level: 1, Bitmap: make([]byte, 2)}),
-		"level at depth": AppendTreeNode(nil, TreeNode{
-			Stripe: 1, Depth: 3, Level: 3, Bitmap: make([]byte, 2)}),
-		"path beyond level": AppendTreeNode(nil, TreeNode{
-			Stripe: 1, Depth: 3, Level: 1, Path: 16, Bitmap: make([]byte, 2)}),
+		"empty":             nil,
+		"truncated":         good[:len(good)-1],
+		"bad stripe":        AppendTreeNode(nil, TreeNode{Stripe: 99, Level: 1}),
+		"level at max":      AppendTreeNode(nil, TreeNode{Stripe: 1, Level: MaxTreeDepth}),
+		"path beyond level": AppendTreeNode(nil, TreeNode{Stripe: 1, Level: 1, Path: 16}),
+		"missing hash":      AppendTreeNode(nil, TreeNode{Stripe: 1, Level: 1, Bitmap: 3, Hashes: []uint64{7}}),
 	}
 	for name, buf := range cases {
-		if _, _, err := DecodeTreeNode(buf, fanout, 32, nil); err == nil {
+		if _, _, err := DecodeTreeNode(buf, 32, nil); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
-	}
-	// Padding bits beyond the fan-out must be zero (fanout 2: 6 spare bits).
-	pad := AppendTreeNode(nil, TreeNode{Stripe: 1, Depth: 3, Level: 1, Path: 1,
-		Bitmap: []byte{0x80}})
-	if _, _, err := DecodeTreeNode(pad, 2, 32, nil); err == nil {
-		t.Error("padding bits set: decoded without error")
 	}
 }
 
 func TestLeafRunRoundtrip(t *testing.T) {
 	st := testStamp(t)
 	run := LeafRun{
-		Stripe: 7, Depth: 3, Level: 3, Path: 0x123,
+		Stripe: 7, Level: 3, Path: 0x123,
 		Digests: inTreeOrder([]Digest{{Key: "a", Stamp: st}, {Key: "bb", Stamp: st}}),
 	}
 	buf := AppendLeafRun(nil, run)
-	got, used, err := DecodeLeafRun(buf, 16, 32, nil)
+	got, used, err := DecodeLeafRun(buf, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if used != len(buf) {
 		t.Fatalf("used %d of %d bytes", used, len(buf))
 	}
-	if got.Stripe != run.Stripe || got.Depth != run.Depth ||
-		got.Level != run.Level || got.Path != run.Path {
+	if got.Stripe != run.Stripe || got.Level != run.Level || got.Path != run.Path {
 		t.Fatalf("coords: got %+v", got)
 	}
 	if !sameDigests(got.Digests, run.Digests) {
@@ -132,11 +110,11 @@ func TestLeafRunRoundtrip(t *testing.T) {
 	}
 	// Out of tree order, or with a key twice, the run is refused.
 	run.Digests = []Digest{run.Digests[1], run.Digests[0]}
-	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, run), 16, 32, nil); err == nil {
+	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, run), 32, nil); err == nil {
 		t.Error("a run out of tree order decoded")
 	}
 	run.Digests[1] = run.Digests[0]
-	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, run), 16, 32, nil); err == nil {
+	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, run), 32, nil); err == nil {
 		t.Error("a run naming a key twice decoded")
 	}
 }
@@ -202,26 +180,26 @@ func TestLeafRunAnswersTerms(t *testing.T) {
 	if matched != 8 {
 		t.Fatalf("%d of %d digests matched, want 8", matched, len(theirs))
 	}
-	run := LeafRun{Stripe: 1, Depth: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms), Match: match}
+	run := LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms), Match: match}
 	buf := AppendLeafRun(nil, run)
 	if len(buf) != LeafRunLen(run) {
 		t.Fatalf("LeafRunLen %d, appended %d", LeafRunLen(run), len(buf))
 	}
-	if whole := AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 1, Level: 1, Path: 5, Digests: theirs}); len(buf) >= len(whole)/2 {
+	if whole := AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: theirs}); len(buf) >= len(whole)/2 {
 		t.Errorf("answering terms took %d B, the whole run %d", len(buf), len(whole))
 	}
 	local := func(stripe, level int, path uint64) ([]Digest, bool) { return mine, true }
-	got, used, err := DecodeLeafRun(buf, 16, 4, local)
+	got, used, err := DecodeLeafRun(buf, 4, local)
 	if err != nil || used != len(buf) || got.Terms != len(terms) || !sameDigests(got.Digests, theirs) {
 		t.Fatalf("decoded %d of %d bytes, %v: %v", used, len(buf), err, got.Digests)
 	}
 
 	// refused decodes buf, edited, and wants an error that is not a short
 	// input's.
-	coord := treeCoordLen(1, 1, 1, 5)
+	coord := treeCoordLen(1, 1, 5)
 	refused := func(what string, buf []byte) {
 		t.Helper()
-		if _, _, err := DecodeLeafRun(buf, 16, 4, local); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, _, err := DecodeLeafRun(buf, 4, local); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("%s: %v, want a refusal", what, err)
 		}
 	}
@@ -240,7 +218,7 @@ func TestLeafRunAnswersTerms(t *testing.T) {
 
 	both := slices.Clone(match)
 	both[first] = -1
-	twice := AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms), Match: both})
+	twice := AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms), Match: both})
 	// Mark the unmatched digest's term again: it is both matched and shipped.
 	BitmapSet(twice[coord:], int(match[first]))
 	twice = slices.Insert(twice, coord+2, theirs[first].Stamp.IDHandle().AppendEncoding(nil)...)
@@ -255,7 +233,7 @@ func TestLeafRunAnswersTerms(t *testing.T) {
 	}
 	unordered[shipped[0]], unordered[shipped[1]] = unordered[shipped[1]], unordered[shipped[0]]
 	refused("shipped digests out of tree order",
-		AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 1, Level: 1, Path: 5, Digests: unordered, Terms: len(terms), Match: match}))
+		AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: unordered, Terms: len(terms), Match: match}))
 }
 
 func TestTreePosDeterministic(t *testing.T) {
@@ -282,20 +260,18 @@ func decodeThroughWindow[T any](data []byte, step int, dec func([]byte) (T, int,
 
 // FuzzDecodeTreeNode feeds hostile bytes to the tree-node decoder: it must
 // error or return a structurally valid node, never panic or allocate
-// unbounded memory (hash counts are pinned to the bitmap's population).
-// Decoded through a small window, it must read the same node or fail with
-// the same error.
+// unbounded memory (hash counts are pinned to the bitmap's population), and
+// a node that decodes re-encodes to one that decodes the same. Decoded
+// through a small window, it must read the same node or fail with the same
+// error.
 func FuzzDecodeTreeNode(f *testing.F) {
-	bm := make([]byte, TreeBitmapLen(16))
-	BitmapSet(bm, 3)
-	f.Add(AppendTreeNode(nil, TreeNode{Stripe: 1, Depth: 3, Level: 1, Path: 2,
-		Bitmap: bm, Hashes: []uint64{42}}), 16, 32)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 64, 65536)
-	f.Add([]byte{0}, 2, 1)
-	f.Fuzz(func(t *testing.T, data []byte, fanout, maxStripe int) {
-		node, used, err := DecodeTreeNode(data, fanout, maxStripe, nil)
+	f.Add(AppendTreeNode(nil, TreeNode{Stripe: 1, Level: 1, Path: 2, Bitmap: 1 << 3, Hashes: []uint64{42}}), 32)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 65536)
+	f.Add([]byte{0}, 1)
+	f.Fuzz(func(t *testing.T, data []byte, maxStripe int) {
+		node, used, err := DecodeTreeNode(data, maxStripe, nil)
 		wnode, wused, werr := decodeThroughWindow(data, 5, func(b []byte) (TreeNode, int, error) {
-			return DecodeTreeNode(b, fanout, maxStripe, nil)
+			return DecodeTreeNode(b, maxStripe, nil)
 		})
 		if fmt.Sprint(werr) != fmt.Sprint(err) || wused != used || fmt.Sprint(wnode) != fmt.Sprint(node) {
 			t.Fatalf("through a window: %+v, %d bytes, %v; whole: %+v, %d bytes, %v", wnode, wused, werr, node, used, err)
@@ -306,17 +282,16 @@ func FuzzDecodeTreeNode(f *testing.F) {
 		if used <= 0 || used > len(data) {
 			t.Fatalf("used %d of %d bytes", used, len(data))
 		}
-		if len(node.Bitmap) != TreeBitmapLen(fanout) {
-			t.Fatalf("bitmap length %d for fanout %d", len(node.Bitmap), fanout)
+		buf := AppendTreeNode(nil, node)
+		again, used2, err := DecodeTreeNode(buf, maxStripe, nil)
+		if err != nil || used2 != len(buf) || len(buf) != TreeNodeLen(node) || fmt.Sprint(again) != fmt.Sprint(node) {
+			t.Fatalf("re-encoded node of %d B (%d sized) decodes to %+v, %d bytes, %v", len(buf), TreeNodeLen(node), again, used2, err)
 		}
-		pop := 0
-		for c := 0; c < fanout; c++ {
-			if BitmapGet(node.Bitmap, c) {
-				pop++
-			}
+		if len(node.Hashes) != bits.OnesCount16(node.Bitmap) {
+			t.Fatalf("%d hashes for bitmap %#x", len(node.Hashes), node.Bitmap)
 		}
-		if len(node.Hashes) != pop {
-			t.Fatalf("%d hashes for %d set bits", len(node.Hashes), pop)
+		if node.Level >= MaxTreeDepth || node.Path>>(node.Level*TreeFanoutBits) != 0 {
+			t.Fatalf("node at level %d, path %#x", node.Level, node.Path)
 		}
 	})
 }
@@ -343,10 +318,10 @@ var fuzzBaseRun = func() []Digest {
 // re-encodes, answering the same terms, to one that decodes the same.
 func FuzzDecodeLeafRun(f *testing.F) {
 	st := core.Seed().Update()
-	f.Add([]byte{1, 3, 3, 0, 0}, 16, 32, false)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0}, 2, 4, false)
-	f.Add(AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 2, Level: 2, Path: 9, Digests: inTreeOrder([]Digest{
-		{Key: "k1", Stamp: st}, {Key: "k2", Stamp: st}, {Key: "zz", Stamp: st}})}), 16, 32, false)
+	f.Add([]byte{1, 3, 0, 0}, 32, false)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0}, 4, false)
+	f.Add(AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 2, Path: 9, Digests: inTreeOrder([]Digest{
+		{Key: "k1", Stamp: st}, {Key: "k2", Stamp: st}, {Key: "zz", Stamp: st}})}), 32, false)
 	// Answering the fixed run's terms: two keys edited, one new, one lacking.
 	_, other := fuzzBaseRun[0].Stamp.Fork()
 	theirs := []Digest{{Key: "key-new", Stamp: other}}
@@ -359,12 +334,12 @@ func FuzzDecodeLeafRun(f *testing.F) {
 	theirs = inTreeOrder(theirs)
 	match, _ := MatchTerms(nil, theirs, termsOf(fuzzBaseRun), nil)
 	for _, n := range []int{2, 5} { // input lengths ≡ 2 (mod 3): the fixed run alone
-		run := AppendLeafRun(nil, LeafRun{Stripe: 1, Depth: 2, Level: 2, Path: 9, Digests: theirs,
+		run := AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 2, Path: 9, Digests: theirs,
 			Terms: len(fuzzBaseRun), Match: match})
-		f.Add(append(run, make([]byte, (n-len(run)%3+3)%3)...), 16, 32, true)
+		f.Add(append(run, make([]byte, (n-len(run)%3+3)%3)...), 32, true)
 	}
-	f.Fuzz(func(t *testing.T, data []byte, fanout, maxStripe int, termed bool) {
-		run, used, err := DecodeLeafRun(data, fanout, maxStripe, nil)
+	f.Fuzz(func(t *testing.T, data []byte, maxStripe int, termed bool) {
+		run, used, err := DecodeLeafRun(data, maxStripe, nil)
 		mine := fuzzLocalRun(run.Digests, data)
 		local := func(stripe, level int, path uint64) ([]Digest, bool) {
 			if err == nil && (stripe != run.Stripe || level != run.Level || path != run.Path) {
@@ -374,7 +349,7 @@ func FuzzDecodeLeafRun(f *testing.F) {
 			return mine, termed
 		}
 		input := slices.Clone(data)
-		run2, used2, err2 := DecodeLeafRun(input, fanout, maxStripe, local)
+		run2, used2, err2 := DecodeLeafRun(input, maxStripe, local)
 		var keys []string
 		for _, d := range run2.Digests {
 			keys = append(keys, strings.Clone(d.Key))
@@ -389,7 +364,7 @@ func FuzzDecodeLeafRun(f *testing.F) {
 			t.Fatalf("resolving decode: %d bytes, error %v; copying decode: %d bytes, error %v", used2, err2, used, err)
 		}
 		run3, used3, err3 := decodeThroughWindow(data, 7, func(b []byte) (LeafRun, int, error) {
-			return DecodeLeafRun(b, fanout, maxStripe, local)
+			return DecodeLeafRun(b, maxStripe, local)
 		})
 		if fmt.Sprint(err2) != fmt.Sprint(err3) || used2 != used3 || !sameDigests(run2.Digests, run3.Digests) {
 			t.Fatalf("decode through a window: %d bytes, error %v; whole: %d bytes, error %v", used3, err3, used2, err2)
@@ -411,7 +386,7 @@ func FuzzDecodeLeafRun(f *testing.F) {
 			again.Match, _ = MatchTerms(nil, run2.Digests, termsOf(mine), nil)
 		}
 		buf := AppendLeafRun(nil, again)
-		run4, used4, err4 := DecodeLeafRun(buf, fanout, maxStripe, local)
+		run4, used4, err4 := DecodeLeafRun(buf, maxStripe, local)
 		if err4 != nil || used4 != len(buf) || len(buf) != LeafRunLen(again) || !sameDigests(run4.Digests, run2.Digests) {
 			t.Fatalf("re-encoded run of %d B (%d sized) decodes to %d digests of %d, %d bytes, %v",
 				len(buf), LeafRunLen(again), len(run4.Digests), len(run2.Digests), used4, err4)

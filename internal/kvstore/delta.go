@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -20,8 +19,9 @@ import (
 //
 // Every call is scoped to one stripe of this replica and to the position
 // ranges of the peer's digest runs (DigestRun) in that stripe's digest tree,
-// disjoint; the zero TreeRange covers the whole stripe. The runs are taken
-// as the wire delivered them, one per divergent node, never concatenated.
+// disjoint and in position order, each run's digests in strict tree order;
+// the zero TreeRange covers the whole stripe. The runs are taken as the wire
+// delivered them, one per divergent node, never concatenated or sorted.
 // The peer stripes the keyspace the same way (the wire layer refuses any
 // other peer), so the scope's keys all live in the one local stripe, and
 // only its lock is taken.
@@ -78,21 +78,18 @@ type DigestRun struct {
 // stripe's digest tree, so the in-range local keys come straight off RunRange.
 type deltaScope struct {
 	idx, of int         // the stripe, and this replica's stripe count
-	runs    []DigestRun // sorted by Range.Lo and disjoint
+	runs    []DigestRun // ascending by Range.Lo and disjoint
 }
 
+// deltaScope scopes a delta call to stripe idx and runs, refusing runs out
+// of position order or overlapping.
 func (r *Replica) deltaScope(idx int, runs []DigestRun) (deltaScope, error) {
 	if idx < 0 || idx >= len(r.shards) {
 		return deltaScope{}, fmt.Errorf("kvstore: shard %d out of range of %d", idx, len(r.shards))
 	}
-	cmpLo := func(a, b DigestRun) int { return cmp.Compare(a.Range.Lo, b.Range.Lo) }
-	if !slices.IsSortedFunc(runs, cmpLo) {
-		runs = slices.Clone(runs)
-		slices.SortFunc(runs, cmpLo)
-	}
 	for i := 1; i < len(runs); i++ {
 		if prev := runs[i-1].Range; prev.Hi == 0 || prev.Hi > runs[i].Range.Lo {
-			return deltaScope{}, fmt.Errorf("kvstore: delta shard %d: overlapping ranges", idx)
+			return deltaScope{}, fmt.Errorf("kvstore: delta shard %d: ranges out of order or overlapping", idx)
 		}
 	}
 	return deltaScope{idx: idx, of: len(r.shards), runs: runs}, nil
@@ -106,48 +103,34 @@ func cmpTreeOrder(a, b string) int {
 func digestKey(d encoding.Digest) string { return d.Key }
 func entryKey(e encoding.Entry) string   { return e.Key }
 
-// inWalkOrder puts the peer's xs into tree order in place — input that
-// already is, as every digest run a tree round ships, is only checked — and
-// verifies, with a range cursor, that each key belongs to the scope's stripe
-// and falls inside one of the ranges of runs. Input in tree order takes one
-// pass, which hashes each key's position once; input out of it is sorted
-// and checked again.
+// inWalkOrder checks, in one pass that hashes each key's position once, that
+// the peer's xs are in strict tree order — a key equal to the one before it,
+// or ordered before it, is refused — and, with a range cursor, that each key
+// belongs to the scope's stripe and falls inside one of the ranges of runs.
 func inWalkOrder[T any](sc *deltaScope, what string, runs []DigestRun, xs []T, key func(T) string) error {
-	ordered, err := checkWalk(sc, what, runs, xs, key)
-	if ordered || err != nil {
-		return err
-	}
-	slices.SortFunc(xs, func(a, b T) int { return cmpTreeOrder(key(a), key(b)) })
-	_, err = checkWalk(sc, what, runs, xs, key)
-	return err
-}
-
-// checkWalk makes inWalkOrder's checks of xs in one pass, and reports false,
-// unchecked from there on, at the first key out of tree order.
-func checkWalk[T any](sc *deltaScope, what string, runs []DigestRun, xs []T, key func(T) string) (bool, error) {
 	c, prev := 0, uint64(0)
 	for i, x := range xs {
 		k := key(x)
 		p := encoding.TreePos(k)
-		if i > 0 && cmpPosKey(prev, key(xs[i-1]), p, k) > 0 {
-			return false, nil
+		if i > 0 && cmpPosKey(prev, key(xs[i-1]), p, k) >= 0 {
+			return fmt.Errorf("kvstore: %s shard %d: key %q out of strict tree order", what, sc.idx, k)
 		}
 		prev = p
 		if s := ShardIndex(k, sc.of); s != sc.idx {
-			return true, fmt.Errorf("kvstore: %s shard %d: key %q belongs to shard %d", what, sc.idx, k, s)
+			return fmt.Errorf("kvstore: %s shard %d: key %q belongs to shard %d", what, sc.idx, k, s)
 		}
 		for c < len(runs) && runs[c].Range.Hi != 0 && runs[c].Range.Hi <= p {
 			c++
 		}
 		if c == len(runs) || !runs[c].Range.Contains(p) {
-			return true, fmt.Errorf("kvstore: %s shard %d: key %q outside the scoped ranges", what, sc.idx, k)
+			return fmt.Errorf("kvstore: %s shard %d: key %q outside the scoped ranges", what, sc.idx, k)
 		}
 	}
-	return true, nil
+	return nil
 }
 
-// checkRuns puts each of the scope's runs into tree order and checks that
-// its digests lie inside its range.
+// checkRuns checks that each of the scope's runs is in strict tree order
+// and that its digests lie inside its range.
 func (sc *deltaScope) checkRuns(what string) error {
 	for i := range sc.runs {
 		if err := inWalkOrder(sc, what, sc.runs[i:i+1], sc.runs[i].Digests, digestKey); err != nil {
@@ -239,7 +222,8 @@ func (sc *deltaScope) walk(t *DigestTree, extra []string, es []encoding.Entry,
 // re-validates every key under the write lock, so state changing between
 // the two calls costs at most one extra round, never correctness.
 //
-// Each run is put into tree order in place (a round's runs already are). The
+// The runs must come in position order, disjoint, and each run's digests in
+// strict tree order, as a round's runs do; anything else is refused. The
 // stripe is read-locked once while the peer digests are probed against the
 // stripe map, stamp classification runs through a batch Comparer — converged
 // copies share interned update handles, so the common outcome is a pointer
@@ -289,17 +273,15 @@ func (r *Replica) DiffRanges(peer []DigestRun, idx int) (Diff, error) {
 		}
 	}
 	sh.mu.RUnlock()
-	// Peer digests are unique-keyed (a tree's runs hold each key once),
-	// so every in-scope local key the probes did not match is local-only.
-	// Clamped so a malformed duplicate-keyed digest cannot report negative.
+	// Peer digests are unique-keyed (checkRuns refuses a key twice), so every
+	// in-scope local key the probes did not match is local-only. The local
+	// keys are counted off the tree folded before the read lock and the
+	// probes read the stripe under it, so a key a writer added in between
+	// can be matched without being counted: clamped, so that cannot report
+	// negative.
 	if d.LocalOnly = localInScope - matched; d.LocalOnly < 0 {
 		d.LocalOnly = 0
 	}
-	// A malformed duplicate-keyed digest would also duplicate its key in
-	// Need (each entry is probed independently). The runs are in tree order,
-	// so duplicates are adjacent: compact them, so Need never names a key
-	// twice.
-	d.Need = slices.Compact(d.Need)
 	return d, nil
 }
 
@@ -336,11 +318,11 @@ func (d DeltaReply) Len() int { return len(d.Restamps) + len(d.Entries) }
 // the divergent subtrees transfer without every unmentioned in-stripe key
 // being treated as missing on the peer.
 //
-// The walk is a merge in tree order, with the runs and peerEntries put into
-// that order in place: the stripe's digest tree is brought current just
-// before the write lock is taken, and under it its in-range keys plus the
-// keys writers noted in the stripe's dirty set since are exactly the
-// stripe's current keys. (A dirty set that overflowed in that window is
+// The runs must be as DiffRanges takes them, and peerEntries in strict tree
+// order too. The walk is a merge in tree order: the stripe's digest tree is
+// brought current just before the write lock is taken, and under it its
+// in-range keys plus the keys writers noted in the stripe's dirty set since
+// are exactly the stripe's current keys. (A dirty set that overflowed in that window is
 // gone; a local-only key written then waits for the next round.)
 //
 // Keys whose digest says this side should dominate but whose local copy

@@ -152,7 +152,7 @@ type shard struct {
 	// touch these fields, so the lock order cacheMu -> mu.RLock can never
 	// deadlock against writers, which take mu alone.
 	//
-	// tree is the stripe's digest tree (tree.go) at the replica's own shape
+	// tree is the stripe's digest tree (tree.go) at the replica's own depth
 	// for its key count: built by the first request and patched from the
 	// dirty set by each later one. holds counts the trees StripeTree and
 	// StripeTreeAt handed out that are not yet released: while it is zero

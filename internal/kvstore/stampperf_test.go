@@ -75,31 +75,41 @@ func BenchmarkDiffAgainstDivergent(b *testing.B) {
 	}
 }
 
-// TestDiffAgainstDuplicateDigestKeys: a malformed peer digest listing a key
-// twice must not duplicate it in Need (nor corrupt the counters).
+// TestDiffAgainstDuplicateDigestKeys: the delta calls take a peer's runs in
+// strict tree order, as the wire decoder delivers them, and refuse anything
+// else: a key twice, digests or entries out of tree order, runs out of
+// position order.
 func TestDiffAgainstDuplicateDigestKeys(t *testing.T) {
-	server := NewReplica("server")
+	server := NewReplicaShards("server", 1)
 	server.Put("known", []byte("v"))
+	server.Put("other", []byte("v"))
 	client := server.Clone("client")
 	client.Put("known", []byte("edited")) // client dominates
-	digest := client.Digest()
-	dup := append(append([]encoding.Digest(nil), digest...), digest...)
-	dup = append(dup, encoding.Digest{Key: "unknown", Stamp: digest[0].Stamp})
-	dup = append(dup, encoding.Digest{Key: "unknown", Stamp: digest[0].Stamp})
-	byStripe := make([][]encoding.Digest, server.Shards())
-	for _, d := range dup {
-		i := ShardIndex(d.Key, server.Shards())
-		byStripe[i] = append(byStripe[i], d)
+	digest := stripeTreeRun(t, client, 0)
+	entries := entriesFor(client, []string{digest[0].Key, digest[1].Key})
+	for name, ds := range map[string][]encoding.Digest{
+		"a key twice":         {digest[0], digest[0], digest[1]},
+		"out of tree order":   {digest[1], digest[0]},
+		"a key twice, at end": {digest[0], digest[1], digest[1]},
+	} {
+		if d, err := server.DiffRanges(wholeStripe(ds), 0); err == nil {
+			t.Errorf("%s: DiffRanges accepted the run: %+v", name, d)
+		}
+		if _, _, err := server.ApplyDeltaRanges(DeltaReply{}, wholeStripe(ds), nil, nil, 0); err == nil {
+			t.Errorf("%s: ApplyDeltaRanges accepted the run", name)
+		}
 	}
-	d, err := diffStripes(server, byStripe)
-	if err != nil {
-		t.Fatal(err)
+	twice := []encoding.Entry{entries[0], entries[0]}
+	if _, _, err := server.ApplyDeltaRanges(DeltaReply{}, wholeStripe(digest), twice, nil, 0); err == nil {
+		t.Error("ApplyDeltaRanges accepted an entry twice")
 	}
-	if len(d.Need) != 2 || d.Need[0] != "known" || d.Need[1] != "unknown" {
-		t.Errorf("Need = %v, want [known unknown] exactly once each", d.Need)
+	// Runs must come in position order.
+	if _, err := server.DiffRanges([]DigestRun{{Range: NodeRange(1, 1)}, {Range: NodeRange(1, 0)}}, 0); err == nil {
+		t.Error("DiffRanges accepted runs out of position order")
 	}
-	if d.LocalOnly != 0 {
-		t.Errorf("LocalOnly = %d, want 0", d.LocalOnly)
+	d, err := server.DiffRanges(wholeStripe(digest), 0)
+	if err != nil || len(d.Need) != 1 || d.Need[0] != "known" || d.LocalOnly != 0 {
+		t.Errorf("the run in tree order: %+v, %v; want Need [known]", d, err)
 	}
 }
 
@@ -151,7 +161,7 @@ func TestStripeTreeAfterOneWriteAllocBudget(t *testing.T) {
 			budget := stripeTreeAfterOneWriteBudget
 			if held {
 				snap, _ = r.StripeTree(0)
-				frozen = buildDigestTree(stripeDigests(r, 0), snap.Fanout(), snap.Depth())
+				frozen = buildDigestTree(stripeDigests(r, 0), snap.Depth())
 				budget = stripeTreeAfterOneWriteHeldBudget
 			}
 			value := []byte("edited")
@@ -298,8 +308,8 @@ func TestDeltaPairOneKeyAllocBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shift := uint(64 - tb.Depth()*encoding.TreeFanoutBits(tb.Fanout()))
-			rg := NodeRange(tb.Fanout(), tb.Depth(), encoding.TreePos(k)>>shift)
+			shift := uint(64 - tb.Depth()*encoding.TreeFanoutBits)
+			rg := NodeRange(tb.Depth(), encoding.TreePos(k)>>shift)
 			digest := tb.RunRange(rg)
 			runs := []DigestRun{{Range: rg, Digests: digest}}
 			diff, err := a.DiffRanges(runs, 0)

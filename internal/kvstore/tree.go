@@ -3,7 +3,6 @@ package kvstore
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -14,12 +13,12 @@ import (
 )
 
 // Adaptive digest trees: the store half of the anti-entropy protocol. Each
-// stripe's digests (key + stamp) are arranged into a k-ary hash tree over
-// their 64-bit tree positions (encoding.TreePos): every node hashes its
-// subtree, the leaf width and depth are derived from the stripe's live key
-// count (TreeShape), and a divergent key is located by descending only the
-// differing children — O(log n) fixed-size frames instead of the stripe's
-// whole O(n) digest list.
+// stripe's digests (key + stamp) are arranged into a hash tree of fan-out
+// encoding.TreeFanout over their 64-bit tree positions (encoding.TreePos):
+// every node hashes its subtree, the depth is derived from the stripe's live
+// key count (TreeDepth), and a divergent key is located by descending only
+// the differing children — O(log n) fixed-size frames instead of the
+// stripe's whole O(n) digest list.
 //
 // Each stripe keeps its tree once a peer has asked for it: writers note the
 // keys they touch and the next request patches just those leaves and their
@@ -31,43 +30,31 @@ import (
 // are, and while one is, it copies the touched paths and shares the rest,
 // so a held tree never moves. When a
 // stripe's key count crosses a width threshold the request re-levels the
-// tree at the deeper (or shallower) shape — an online rebalance that needs
+// tree at the deeper (or shallower) depth — an online rebalance that needs
 // no coordination, because the wire protocol always descends at the
-// *client's* declared shape: a server whose own shape differs evaluates its
-// data under the client's (fanout, depth) on demand (StripeTreeAt).
-// Converged replicas hold equal per-stripe key counts, so their shapes agree
-// and both sides answer from the trees they hold.
+// *client's* declared depth: a server whose own depth differs evaluates its
+// data at the client's on demand (StripeTreeAt). Converged replicas hold
+// equal per-stripe key counts, so their depths agree and both sides answer
+// from the trees they hold.
 
-const (
-	// treeFanout is the fan-out of locally built trees: 4 position bits per
-	// level. The wire codec accepts any power of two in [2, 64]; a constant
-	// local fan-out keeps converged peers' shapes equal whenever their key
-	// counts are.
-	treeFanout = 16
+// treeLeafTarget is the key count a leaf aims to hold: small enough that a
+// leaf's digest run is a cheap frame, large enough that the tree stays
+// shallow.
+const treeLeafTarget = 32
 
-	// treeLeafTarget is the key count a leaf aims to hold: small enough
-	// that a leaf's digest run is a cheap frame, large enough that the tree
-	// stays shallow.
-	treeLeafTarget = 32
-
-	// maxOwnTreeDepth caps locally chosen depth well under the codec's
-	// MaxTreeDepth; 16^8 leaves outruns any keyspace this store can hold.
-	maxOwnTreeDepth = 8
-)
-
-// TreeShape returns the (fanout, depth) this replica builds a digest tree
-// with for a stripe of n keys: the shallowest depth whose leaf count keeps
-// leaves near treeLeafTarget keys. Deterministic in n, so converged
-// replicas (equal counts) always agree on shape, and a stripe crossing a
-// count threshold rebalances to the new depth on its next request.
-func TreeShape(n int) (fanout, depth int) {
-	fanout = treeFanout
+// TreeDepth returns the depth this replica builds a digest tree at for a
+// stripe of n keys: the shallowest, up to encoding.MaxTreeDepth, whose leaf
+// count keeps leaves near treeLeafTarget keys. Deterministic in n, so
+// converged replicas (equal counts) always agree on depth, and a stripe
+// crossing a count threshold rebalances to the new depth on its next
+// request.
+func TreeDepth(n int) int {
 	leaves := (n + treeLeafTarget - 1) / treeLeafTarget
-	depth = 1
-	for span := fanout; span < leaves && depth < maxOwnTreeDepth; span *= fanout {
+	depth := 1
+	for span := encoding.TreeFanout; span < leaves && depth < encoding.MaxTreeDepth; span *= encoding.TreeFanout {
 		depth++
 	}
-	return fanout, depth
+	return depth
 }
 
 // TreeRange is a half-open interval [Lo, Hi) of tree positions; Hi == 0
@@ -82,9 +69,9 @@ func (rg TreeRange) Contains(p uint64) bool {
 }
 
 // NodeRange returns the position interval covered by the node at (level,
-// path) in a tree of the given fanout. Level 0 path 0 is the whole space.
-func NodeRange(fanout, level int, path uint64) TreeRange {
-	shift := uint(64 - level*bits.TrailingZeros(uint(fanout)))
+// path). Level 0 path 0 is the whole space.
+func NodeRange(level int, path uint64) TreeRange {
+	shift := uint(64 - level*encoding.TreeFanoutBits)
 	if shift >= 64 {
 		return TreeRange{}
 	}
@@ -104,20 +91,20 @@ type treeNode struct {
 	run  []encoding.Digest
 }
 
-// DigestTree is a k-ary hash tree over one stripe's digests, ordered by
+// DigestTree is a hash tree over one stripe's digests, ordered by
 // (TreePos, key). Leaf nodes (level == depth) hash their digest run with
 // encoding.SummarizeDigestsBuf; internal nodes fold each non-empty child's
 // (index, hash) pair, so the root pins the whole stripe — and depends on the
-// declared shape, which is why the wire always compares trees at one agreed
-// shape. A tree handed out by StripeTree or StripeTreeAt stays exactly as it
-// was, and is safe for concurrent reads, until its holder releases it; after
-// that the stripe may patch it in place, so the holder must not read it, or
-// any run it returned, again.
+// depth, which is why the wire always compares trees at one agreed depth. A
+// tree handed out by StripeTree or StripeTreeAt stays exactly as it was, and
+// is safe for concurrent reads, until its holder releases it; after that the
+// stripe may patch it in place, so the holder must not read it, or any run
+// it returned, again.
 type DigestTree struct {
-	fanout, depth, fbits int
-	n                    int      // digests spanned
-	root                 treeNode // zero while n == 0
-	leafHashes           int      // leaf runs hashed to build and patch this tree so far
+	depth      int
+	n          int      // digests spanned
+	root       treeNode // zero while n == 0
+	leafHashes int      // leaf runs hashed to build and patch this tree so far
 }
 
 // treeUpdate is one key's digest at its tree position — or, in a patch, its
@@ -144,17 +131,17 @@ func cmpPosKey(ap uint64, ak string, bp uint64, bk string) int {
 func cmpUpdates(a, b treeUpdate) int { return cmpPosKey(a.pos, a.d.Key, b.pos, b.d.Key) }
 
 // buildDigestTree arranges ds (any order, left alone) into a tree of the
-// given shape, which must satisfy encoding.ValidTreeShape. This is the first
+// given depth, which must satisfy encoding.ValidTreeDepth. This is the first
 // build of a stripe's tree and the oracle the patched tree is tested against.
-func buildDigestTree(ds []encoding.Digest, fanout, depth int) *DigestTree {
+func buildDigestTree(ds []encoding.Digest, depth int) *DigestTree {
 	ups := treeUpdates(ds)
 	slices.SortFunc(ups, cmpUpdates)
-	return levelSorted(ups, fanout, depth)
+	return levelSorted(ups, depth)
 }
 
 // levelSorted builds the tree over digests already in tree order.
-func levelSorted(ups []treeUpdate, fanout, depth int) *DigestTree {
-	t := &DigestTree{fanout: fanout, depth: depth, fbits: bits.TrailingZeros(uint(fanout)), n: len(ups)}
+func levelSorted(ups []treeUpdate, depth int) *DigestTree {
+	t := &DigestTree{depth: depth, n: len(ups)}
 	if len(ups) > 0 {
 		sc := getScratch()
 		t.root = t.level(ups, 0, sc)
@@ -165,9 +152,9 @@ func levelSorted(ups []treeUpdate, fanout, depth int) *DigestTree {
 
 // level builds the node at the given level over its (non-empty) span of
 // digests: a leaf hashes the span, an internal node groups it by the next
-// fbits position bits and folds the children. Every leaf owns its run, so
-// that patching one later frees the old run instead of pinning a shared
-// array.
+// encoding.TreeFanoutBits position bits and folds the children. Every leaf
+// owns its run, so that patching one later frees the old run instead of
+// pinning a shared array.
 func (t *DigestTree) level(ups []treeUpdate, level int, sc *treeScratch) treeNode {
 	if level == t.depth {
 		nd := treeNode{run: make([]encoding.Digest, len(ups))}
@@ -202,7 +189,7 @@ func (t *DigestTree) level(ups []treeUpdate, level int, sc *treeScratch) treeNod
 
 // childIndex returns which child of a node at `level` position p falls under.
 func (t *DigestTree) childIndex(p uint64, level int) uint8 {
-	return uint8(p >> uint(64-(level+1)*t.fbits) & uint64(t.fanout-1))
+	return uint8(p >> uint(64-(level+1)*encoding.TreeFanoutBits) & (encoding.TreeFanout - 1))
 }
 
 func foldKids(kids []treeNode) uint64 {
@@ -324,7 +311,7 @@ func (t *DigestTree) patchNode(nd treeNode, level int, ups []treeUpdate, sc *tre
 	old, kids := nd.kids, nd.kids[:0]
 	own := inPlace && !t.addsKid(old, ups, level)
 	if !own {
-		kids = make([]treeNode, 0, min(t.fanout, len(nd.kids)+len(ups)))
+		kids = make([]treeNode, 0, min(encoding.TreeFanout, len(nd.kids)+len(ups)))
 	}
 	for len(ups) > 0 {
 		c, j := t.childIndex(ups[0].pos, level), 1
@@ -367,14 +354,11 @@ func (t *DigestTree) addsKid(kids []treeNode, ups []treeUpdate, level int) bool 
 	return false
 }
 
-// relevel arranges the tree's digests under another shape. They are already
-// in tree order, so nothing is collected from the stripe or sorted.
-func (t *DigestTree) relevel(fanout, depth int) *DigestTree {
-	return levelSorted(treeUpdates(t.RunRange(TreeRange{})), fanout, depth)
+// relevel arranges the tree's digests at another depth. They are already in
+// tree order, so nothing is collected from the stripe or sorted.
+func (t *DigestTree) relevel(depth int) *DigestTree {
+	return levelSorted(treeUpdates(t.RunRange(TreeRange{})), depth)
 }
-
-// Fanout returns the tree's fan-out.
-func (t *DigestTree) Fanout() int { return t.fanout }
 
 // Depth returns the tree's leaf level.
 func (t *DigestTree) Depth() int { return t.depth }
@@ -383,7 +367,7 @@ func (t *DigestTree) Depth() int { return t.depth }
 func (t *DigestTree) Len() int { return t.n }
 
 // Root returns the tree's root hash; an empty stripe roots at
-// encoding.RootSummarySeed regardless of shape.
+// encoding.RootSummarySeed at any depth.
 func (t *DigestTree) Root() uint64 {
 	if t.n == 0 {
 		return encoding.RootSummarySeed
@@ -391,31 +375,30 @@ func (t *DigestTree) Root() uint64 {
 	return t.root.hash
 }
 
-// Children appends to bitmap and hashes a snapshot of the children of the
-// node at (level, path): TreeBitmapLen(fanout) bitmap bytes, bit c set iff
-// child c is non-empty, and one hash per set bit in child order. An absent
-// or bottom-level node appends an all-zero bitmap and no hashes. Callers pass
-// their own scratch (truncated) so a round's descent allocates nothing.
-func (t *DigestTree) Children(bitmap []byte, hashes []uint64, level int, path uint64) ([]byte, []uint64) {
-	at := len(bitmap)
-	bitmap = append(bitmap, make([]byte, encoding.TreeBitmapLen(t.fanout))...)
+// Children returns a snapshot of the children of the node at (level, path):
+// a bitmap, bit c set iff child c is non-empty, and hashes with one hash per
+// set bit appended, in child order. An absent or bottom-level node has an
+// all-zero bitmap and no hashes. Callers pass their own scratch (truncated)
+// so a round's descent allocates nothing.
+func (t *DigestTree) Children(hashes []uint64, level int, path uint64) (uint16, []uint64) {
 	if t.n == 0 || level < 0 || level >= t.depth {
-		return bitmap, hashes
+		return 0, hashes
 	}
-	if used := uint(level * t.fbits); used < 64 && path>>used != 0 {
-		return bitmap, hashes // no node of this level has such a path
+	if path>>uint(level*encoding.TreeFanoutBits) != 0 {
+		return 0, hashes // no node of this level has such a path
 	}
 	nd := t.root
 	for l := level - 1; l >= 0; l-- {
-		c := uint8(path >> uint(l*t.fbits) & uint64(t.fanout-1))
+		c := uint8(path >> uint(l*encoding.TreeFanoutBits) & (encoding.TreeFanout - 1))
 		i := slices.IndexFunc(nd.kids, func(k treeNode) bool { return k.idx >= c })
 		if i < 0 || nd.kids[i].idx != c {
-			return bitmap, hashes
+			return 0, hashes
 		}
 		nd = nd.kids[i]
 	}
+	var bitmap uint16
 	for _, kid := range nd.kids {
-		encoding.BitmapSet(bitmap[at:], int(kid.idx))
+		bitmap |= 1 << kid.idx
 		hashes = append(hashes, kid.hash)
 	}
 	return bitmap, hashes
@@ -424,7 +407,7 @@ func (t *DigestTree) Children(bitmap []byte, hashes []uint64, level int, path ui
 // Run returns the digest run (tree order) under the node at (level, path).
 // The slice may alias the tree; callers must treat it as read-only.
 func (t *DigestTree) Run(level int, path uint64) []encoding.Digest {
-	return t.RunRange(NodeRange(t.fanout, level, path))
+	return t.RunRange(NodeRange(level, path))
 }
 
 // RunRange returns the digests whose positions fall inside rg (tree order).
@@ -467,7 +450,7 @@ func (t *DigestTree) eachRun(rg TreeRange, fn func([]encoding.Digest)) {
 // inside the interval is contiguous and found by binary search.
 func (t *DigestTree) eachRunUnder(nd treeNode, level int, path, lo, last uint64, fn func([]encoding.Digest)) {
 	first, end := uint64(0), ^uint64(0) // the node's own interval, inclusive
-	if shift := uint(64 - level*t.fbits); shift < 64 {
+	if shift := uint(64 - level*encoding.TreeFanoutBits); shift < 64 {
 		first = path << shift
 		end = first | (1<<shift - 1)
 	}
@@ -476,7 +459,7 @@ func (t *DigestTree) eachRunUnder(nd treeNode, level int, path, lo, last uint64,
 	}
 	if level < t.depth {
 		for _, kid := range nd.kids {
-			t.eachRunUnder(kid, level+1, path<<uint(t.fbits)|uint64(kid.idx), lo, last, fn)
+			t.eachRunUnder(kid, level+1, path<<encoding.TreeFanoutBits|uint64(kid.idx), lo, last, fn)
 		}
 		return
 	}
@@ -491,13 +474,13 @@ func (t *DigestTree) eachRunUnder(nd treeNode, level int, path, lo, last uint64,
 	}
 }
 
-// foldLocked returns the stripe's digest tree at the replica's own shape
-// (TreeShape of the live count), brought up to date. The first request
+// foldLocked returns the stripe's digest tree at the replica's own depth
+// (TreeDepth of the live count), brought up to date. The first request
 // collects, sorts and hashes the stripe once; from then on writers note the
 // keys they touch (shard.noteDirtyLocked) and a request folds only those in:
 // O(dirty keys × depth), nothing when the stripe was quiet. A full build
 // recurs only after a whole-stripe replacement or a dirty-set overflow;
-// crossing a TreeShape depth threshold re-levels the digests the tree
+// crossing a TreeDepth threshold re-levels the digests the tree
 // already holds in order. The fold patches the tree in place while no hold
 // is out, and otherwise patches a copy, so a round descends a consistent
 // snapshot. Its update list and merge buffers are a treeScratch borrowed
@@ -514,8 +497,7 @@ func (sh *shard) foldLocked() *DigestTree {
 		// noted against the snapshot it is built from.
 		sh.dirty, sh.dirtyCap = make(map[string]struct{}), dirtyCapFor(len(ds))
 		sh.mu.RUnlock()
-		fanout, depth := TreeShape(len(ds))
-		sh.tree = buildDigestTree(ds, fanout, depth)
+		sh.tree = buildDigestTree(ds, TreeDepth(len(ds)))
 		return sh.tree
 	}
 	sh.dirtyCap = dirtyCapFor(sh.tree.n)
@@ -544,8 +526,8 @@ func (sh *shard) foldLocked() *DigestTree {
 	clear(ups)
 	sc.ups = ups
 	putScratch(sc)
-	if fanout, depth := TreeShape(t.n); fanout != t.fanout || depth != t.depth {
-		t = t.relevel(fanout, depth)
+	if depth := TreeDepth(t.n); depth != t.depth {
+		t = t.relevel(depth)
 	}
 	sh.tree = t
 	return t
@@ -581,7 +563,7 @@ func (r *Replica) stripeTree(i int) *DigestTree {
 	return t
 }
 
-// StripeTree returns stripe idx's digest tree at the replica's own shape,
+// StripeTree returns stripe idx's digest tree at the replica's own depth,
 // brought up to date with the keys written since the last request, and holds
 // it: the tree, and every run read from it, stays as it is until the caller
 // calls ReleaseStripeTree(idx), once per StripeTree call. A hold never
@@ -608,7 +590,7 @@ func (r *Replica) ReleaseStripeTree(idx int) {
 }
 
 // StripeRoot returns stripe idx's digest-tree root at the replica's own
-// shape, brought up to date with the keys written since the last request.
+// depth, brought up to date with the keys written since the last request.
 // It holds nothing.
 func (r *Replica) StripeRoot(idx int) (uint64, error) {
 	if idx < 0 || idx >= len(r.shards) {
@@ -641,20 +623,20 @@ func (r *Replica) FoldedStripeRoot(idx int) (root uint64, ok bool) {
 }
 
 // StripeTreeAt returns stripe idx's digest tree evaluated at a peer-declared
-// (fanout, depth): the maintained tree when that is the stripe's own shape,
-// as it is between converged replicas, and otherwise its digests re-leveled.
-// Either way it holds the stripe as StripeTree does, until the caller's
+// depth: the maintained tree when that is the stripe's own depth, as it is
+// between converged replicas, and otherwise its digests re-leveled. Either
+// way it holds the stripe as StripeTree does, until the caller's
 // ReleaseStripeTree(idx).
-func (r *Replica) StripeTreeAt(idx, fanout, depth int) (*DigestTree, error) {
-	if !encoding.ValidTreeShape(fanout, depth) {
-		return nil, fmt.Errorf("kvstore: bad tree shape fanout=%d depth=%d", fanout, depth)
+func (r *Replica) StripeTreeAt(idx, depth int) (*DigestTree, error) {
+	if !encoding.ValidTreeDepth(depth) {
+		return nil, fmt.Errorf("kvstore: bad tree depth %d", depth)
 	}
 	t, err := r.StripeTree(idx)
 	if err != nil {
 		return nil, err
 	}
-	if t.fanout != fanout || t.depth != depth {
-		t = t.relevel(fanout, depth)
+	if t.depth != depth {
+		t = t.relevel(depth)
 	}
 	return t, nil
 }

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -14,29 +13,27 @@ import (
 	"versionstamp/internal/storage/wal"
 )
 
-func TestTreeShape(t *testing.T) {
+func TestTreeDepth(t *testing.T) {
 	cases := []struct{ n, depth int }{
 		{0, 1}, {1, 1}, {32, 1}, {512, 1}, // ≤ 16 leaves of ≤ 32 keys
 		{513, 2}, {8192, 2}, // up to 256 leaves
 		{8193, 3}, {31250, 3}, // a 1M-key store's per-stripe count
 		{1 << 30, 7},
+		{1 << 40, encoding.MaxTreeDepth}, // capped
 	}
 	for _, c := range cases {
-		fanout, depth := TreeShape(c.n)
-		if fanout != treeFanout {
-			t.Errorf("TreeShape(%d) fanout = %d, want %d", c.n, fanout, treeFanout)
-		}
+		depth := TreeDepth(c.n)
 		if depth != c.depth {
-			t.Errorf("TreeShape(%d) depth = %d, want %d", c.n, depth, c.depth)
+			t.Errorf("TreeDepth(%d) = %d, want %d", c.n, depth, c.depth)
 		}
-		if !encoding.ValidTreeShape(fanout, depth) {
-			t.Errorf("TreeShape(%d) = (%d, %d): invalid on the wire", c.n, fanout, depth)
+		if !encoding.ValidTreeDepth(depth) {
+			t.Errorf("TreeDepth(%d) = %d: invalid on the wire", c.n, depth)
 		}
 	}
 }
 
 func TestNodeRange(t *testing.T) {
-	if rg := NodeRange(16, 0, 0); rg.Lo != 0 || rg.Hi != 0 {
+	if rg := NodeRange(0, 0); rg.Lo != 0 || rg.Hi != 0 {
 		t.Fatalf("level-0 range = %+v, want the whole space", rg)
 	}
 	// A level's node ranges must partition the space: each position falls in
@@ -45,7 +42,7 @@ func TestNodeRange(t *testing.T) {
 		for level := 1; level <= 3; level++ {
 			path := p >> (64 - 4*level)
 			for cand := uint64(0); cand < 1<<(4*level); cand += 7 {
-				in := NodeRange(16, level, cand).Contains(p)
+				in := NodeRange(level, cand).Contains(p)
 				if in != (cand == path) {
 					t.Fatalf("pos %x level %d path %x: Contains = %v", p, level, cand, in)
 				}
@@ -66,10 +63,10 @@ func treeDigests(t *testing.T, n int) []encoding.Digest {
 
 func TestDigestTreeStructure(t *testing.T) {
 	ds := treeDigests(t, 500)
-	tr := buildDigestTree(ds, 16, 2)
+	tr := buildDigestTree(ds, 2)
 
-	if tr.Len() != 500 || tr.Fanout() != 16 || tr.Depth() != 2 {
-		t.Fatalf("shape: len=%d fanout=%d depth=%d", tr.Len(), tr.Fanout(), tr.Depth())
+	if tr.Len() != 500 || tr.Depth() != 2 {
+		t.Fatalf("shape: len=%d depth=%d", tr.Len(), tr.Depth())
 	}
 	if tr.Root() == encoding.RootSummarySeed {
 		t.Fatal("non-empty tree roots at RootSummarySeed")
@@ -79,22 +76,22 @@ func TestDigestTreeStructure(t *testing.T) {
 	// equal the summary of its run — the invariant the wire descent relies
 	// on to stop at matching subtrees.
 	total := 0
-	bm, _ := tr.Children(nil, nil, 0, 0)
+	bm, _ := tr.Children(nil, 0, 0)
 	for c := 0; c < 16; c++ {
-		if !encoding.BitmapGet(bm, c) {
+		if bm&(1<<c) == 0 {
 			continue
 		}
 		run := tr.Run(1, uint64(c))
 		total += len(run)
 		for _, d := range run {
-			if !NodeRange(16, 1, uint64(c)).Contains(encoding.TreePos(d.Key)) {
+			if !NodeRange(1, uint64(c)).Contains(encoding.TreePos(d.Key)) {
 				t.Fatalf("digest %q leaked outside child %d", d.Key, c)
 			}
 		}
-		lbm, lhashes := tr.Children(nil, nil, 1, uint64(c))
+		lbm, lhashes := tr.Children(nil, 1, uint64(c))
 		li := 0
 		for l := 0; l < 16; l++ {
-			if !encoding.BitmapGet(lbm, l) {
+			if lbm&(1<<l) == 0 {
 				continue
 			}
 			leafPath := uint64(c)<<4 | uint64(l)
@@ -116,18 +113,18 @@ func TestDigestTreeStructure(t *testing.T) {
 	for i, d := range ds {
 		rev[len(ds)-1-i] = d
 	}
-	if got := buildDigestTree(rev, 16, 2).Root(); got != tr.Root() {
+	if got := buildDigestTree(rev, 2).Root(); got != tr.Root() {
 		t.Fatal("input order changed the root")
 	}
 	// A different digest set roots differently.
 	ds2 := append(append([]encoding.Digest(nil), ds[:499]...), encoding.Digest{
 		Key: "other", Stamp: ds[0].Stamp})
-	if buildDigestTree(ds2, 16, 2).Root() == tr.Root() {
+	if buildDigestTree(ds2, 2).Root() == tr.Root() {
 		t.Fatal("different digest sets share a root")
 	}
-	// The same set at a different shape roots differently too — shape is
-	// part of the hash domain, which is why the wire pins one shape.
-	if buildDigestTree(ds, 16, 3).Root() == tr.Root() {
+	// The same set at a different depth roots differently too — depth is
+	// part of the hash domain, which is why the wire pins one depth.
+	if buildDigestTree(ds, 3).Root() == tr.Root() {
 		t.Fatal("depth 2 and depth 3 trees share a root")
 	}
 }
@@ -136,7 +133,7 @@ func TestDigestTreeStructure(t *testing.T) {
 // the space or are empty must select exactly the digests Contains selects,
 // in tree order.
 func TestRunRangeUnaligned(t *testing.T) {
-	tr := buildDigestTree(treeDigests(t, 500), 16, 2)
+	tr := buildDigestTree(treeDigests(t, 500), 2)
 	all := tr.RunRange(TreeRange{})
 	if len(all) != 500 {
 		t.Fatalf("whole range holds %d digests", len(all))
@@ -177,15 +174,13 @@ func TestRunRangeUnaligned(t *testing.T) {
 }
 
 func TestDigestTreeEmpty(t *testing.T) {
-	tr := buildDigestTree(nil, 16, 2)
+	tr := buildDigestTree(nil, 2)
 	if tr.Root() != encoding.RootSummarySeed {
 		t.Fatal("empty tree must root at RootSummarySeed")
 	}
-	bm, hashes := tr.Children(nil, nil, 0, 0)
-	for _, b := range bm {
-		if b != 0 {
-			t.Fatal("empty tree has children")
-		}
+	bm, hashes := tr.Children(nil, 0, 0)
+	if bm != 0 {
+		t.Fatal("empty tree has children")
 	}
 	if len(hashes) != 0 {
 		t.Fatal("empty tree has child hashes")
@@ -244,23 +239,24 @@ func TestStripeTreeRebalance(t *testing.T) {
 	if t2.Len() != 1000 {
 		t.Fatalf("rebalanced tree spans %d keys", t2.Len())
 	}
-	// Converged replicas with equal counts agree on shape and root across
-	// the rebalance threshold.
+	// Converged replicas with equal counts agree on depth across the
+	// rebalance threshold.
 	o := NewReplicaShards("b", 1)
 	for i := 0; i < 1000; i++ {
 		o.Put(fmt.Sprintf("k%d", i), []byte("v"))
 	}
 	// Different stamps, same keys: roots differ (stamps are hashed) but the
-	// shapes agree.
+	// depths agree.
 	t3, _ := o.StripeTree(0)
-	if t3.Depth() != t2.Depth() || t3.Fanout() != t2.Fanout() {
-		t.Fatal("equal counts picked different shapes")
+	if t3.Depth() != t2.Depth() {
+		t.Fatal("equal counts picked different depths")
 	}
 }
 
-// TestStripeTreeAtForeignShape: at the stripe's own shape StripeTreeAt is
-// the maintained tree itself; at a peer's other shape it spans the same
-// digests and equals a fresh build at that shape.
+// TestStripeTreeAtForeignShape: at the stripe's own depth StripeTreeAt is
+// the maintained tree itself; at a peer's other depth it spans the same
+// digests and equals a fresh build at that depth. A depth the codec does
+// not speak is refused.
 func TestStripeTreeAtForeignShape(t *testing.T) {
 	r := NewReplicaShards("a", 4)
 	for i := 0; i < 200; i++ {
@@ -270,21 +266,23 @@ func TestStripeTreeAtForeignShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if at, err := r.StripeTreeAt(0, own.Fanout(), own.Depth()); err != nil || at != own {
-		t.Fatalf("own shape: not the maintained tree (err %v)", err)
+	if at, err := r.StripeTreeAt(0, own.Depth()); err != nil || at != own {
+		t.Fatalf("own depth: not the maintained tree (err %v)", err)
 	}
-	tr, err := r.StripeTreeAt(0, 4, 3)
+	tr, err := r.StripeTreeAt(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != own.Len() {
-		t.Fatalf("foreign-shape tree spans %d keys, want %d", tr.Len(), own.Len())
+	if tr.Len() != own.Len() || tr.Depth() == own.Depth() {
+		t.Fatalf("foreign-depth tree spans %d keys at depth %d, want %d keys not at %d", tr.Len(), tr.Depth(), own.Len(), own.Depth())
 	}
-	requireSameTree(t, "foreign shape", tr, buildDigestTree(stripeDigests(r, 0), 4, 3))
-	if _, err := r.StripeTreeAt(0, 3, 1); err == nil {
-		t.Fatal("invalid fanout accepted")
+	requireSameTree(t, "foreign depth", tr, buildDigestTree(stripeDigests(r, 0), 3))
+	for _, depth := range []int{0, encoding.MaxTreeDepth + 1} {
+		if _, err := r.StripeTreeAt(0, depth); err == nil {
+			t.Fatalf("invalid depth %d accepted", depth)
+		}
 	}
-	if _, err := r.StripeTreeAt(5, 16, 1); err == nil {
+	if _, err := r.StripeTreeAt(5, 1); err == nil {
 		t.Fatal("out-of-range stripe accepted")
 	}
 }
@@ -307,9 +305,9 @@ func stripeDigests(r *Replica, i int) []encoding.Digest {
 // full stamps, ids included) and the whole-tree run.
 func requireSameTree(t *testing.T, what string, got, want *DigestTree) {
 	t.Helper()
-	if got.Fanout() != want.Fanout() || got.Depth() != want.Depth() || got.Len() != want.Len() {
-		t.Fatalf("%s: shape (%d,%d) over %d digests, want (%d,%d) over %d", what,
-			got.Fanout(), got.Depth(), got.Len(), want.Fanout(), want.Depth(), want.Len())
+	if got.Depth() != want.Depth() || got.Len() != want.Len() {
+		t.Fatalf("%s: depth %d over %d digests, want %d over %d", what,
+			got.Depth(), got.Len(), want.Depth(), want.Len())
 	}
 	if got.Root() != want.Root() {
 		t.Fatalf("%s: root %x, want %x", what, got.Root(), want.Root())
@@ -325,7 +323,6 @@ func requireSameTree(t *testing.T, what string, got, want *DigestTree) {
 			}
 		}
 	}
-	fbits := encoding.TreeFanoutBits(want.Fanout())
 	var walk func(level int, path uint64)
 	walk = func(level int, path uint64) {
 		where := fmt.Sprintf("node (%d,%x)", level, path)
@@ -333,14 +330,14 @@ func requireSameTree(t *testing.T, what string, got, want *DigestTree) {
 			sameRun(where, got.Run(level, path), want.Run(level, path))
 			return
 		}
-		gbm, gh := got.Children(nil, nil, level, path)
-		wbm, wh := want.Children(nil, nil, level, path)
-		if !bytes.Equal(gbm, wbm) || !slices.Equal(gh, wh) {
+		gbm, gh := got.Children(nil, level, path)
+		wbm, wh := want.Children(nil, level, path)
+		if gbm != wbm || !slices.Equal(gh, wh) {
 			t.Fatalf("%s: %s children %x %x, want %x %x", what, where, gbm, gh, wbm, wh)
 		}
-		for c := 0; c < want.Fanout(); c++ {
-			if encoding.BitmapGet(wbm, c) {
-				walk(level+1, path<<uint(fbits)|uint64(c))
+		for c := 0; c < encoding.TreeFanout; c++ {
+			if wbm&(1<<c) != 0 {
+				walk(level+1, path<<encoding.TreeFanoutBits|uint64(c))
 			}
 		}
 	}
@@ -349,7 +346,7 @@ func requireSameTree(t *testing.T, what string, got, want *DigestTree) {
 }
 
 // requireTreesMatchOracle checks every stripe's maintained tree against
-// buildDigestTree over a fresh collection at the stripe's own shape, and
+// buildDigestTree over a fresh collection at the stripe's own depth, and
 // returns the depths it saw. It releases every tree it takes.
 func requireTreesMatchOracle(t *testing.T, what string, r *Replica) []int {
 	t.Helper()
@@ -364,7 +361,7 @@ func requireTreesMatchOracle(t *testing.T, what string, r *Replica) []int {
 
 // foldAgainstOracle takes stripe i's tree, which folds in the stripe's
 // pending writes, and fails unless it equals a fresh build at the stripe's
-// own shape. It returns the tree, held, and the build.
+// own depth. It returns the tree, held, and the build.
 func foldAgainstOracle(t *testing.T, what string, r *Replica, i int) (got, want *DigestTree) {
 	t.Helper()
 	got, err := r.StripeTree(i)
@@ -372,8 +369,7 @@ func foldAgainstOracle(t *testing.T, what string, r *Replica, i int) (got, want 
 		t.Fatal(err)
 	}
 	ds := stripeDigests(r, i)
-	fanout, depth := TreeShape(len(ds))
-	want = buildDigestTree(ds, fanout, depth)
+	want = buildDigestTree(ds, TreeDepth(len(ds)))
 	requireSameTree(t, fmt.Sprintf("%s: %s stripe %d", what, r.Label(), i), got, want)
 	return got, want
 }
@@ -605,7 +601,7 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 	r.PutBatch(seed)
 	_ = r.Clone("peer") // forked stamps: every later Put moves an update component
 	snap, _ := r.StripeTree(0)
-	frozen := buildDigestTree(stripeDigests(r, 0), snap.Fanout(), snap.Depth())
+	frozen := buildDigestTree(stripeDigests(r, 0), snap.Depth())
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -637,13 +633,13 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 				t.Error("descent snapshot moved under its holder")
 				return
 			}
-			bm, hashes := snap.Children(nil, nil, 0, 0)
-			wbm, whashes := frozen.Children(nil, nil, 0, 0)
-			if !bytes.Equal(bm, wbm) || !slices.Equal(hashes, whashes) {
+			bm, hashes := snap.Children(nil, 0, 0)
+			wbm, whashes := frozen.Children(nil, 0, 0)
+			if bm != wbm || !slices.Equal(hashes, whashes) {
 				t.Error("descent snapshot's children moved under its holder")
 				return
 			}
-			for c := 0; c < snap.Fanout(); c++ {
+			for c := 0; c < encoding.TreeFanout; c++ {
 				run, want := snap.Run(1, uint64(c)), frozen.Run(1, uint64(c))
 				if len(run) != len(want) {
 					t.Error("descent snapshot's runs moved under its holder")
@@ -739,7 +735,7 @@ func TestParallelTreeFoldsMatchFreshBuild(t *testing.T) {
 						r.ReleaseStripeTree(i)
 					}
 				default:
-					if _, err = r.StripeTreeAt(i, 4, 3); err == nil {
+					if _, err = r.StripeTreeAt(i, 3); err == nil {
 						r.ReleaseStripeTree(i)
 					}
 				}

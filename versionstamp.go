@@ -100,12 +100,14 @@
 // that still differ, full copies only where the digests leave a copy
 // unreconciled. The cost model:
 //
-//   - Tree shape follows the data. Each stripe hashes its keys to 64-bit
-//     positions and summarizes them under a fan-out-16 tree whose depth is
-//     the shallowest that bounds expected leaf runs to ~32 keys, so the
-//     tree deepens as the stripe grows. Shape is part of the hash domain; a
-//     session pins the client's shape, and a peer with a different live
-//     shape or stripe count evaluates the client's layout on the fly.
+//   - Tree depth follows the data. Each stripe hashes its keys to 64-bit
+//     positions and summarizes them under a fan-out-16 tree (on every
+//     replica, so the fan-out never travels) whose depth is the shallowest
+//     that bounds expected leaf runs to ~32 keys, so the tree deepens as the
+//     stripe grows. Depth is part of the hash domain; a round declares the
+//     client's depth per stripe once, and a peer whose live depth differs
+//     evaluates the client's on the fly. Both ends must stripe the keyspace
+//     alike: a peer with another stripe count is refused.
 //   - The tree is maintained, not rebuilt. The first round to ask collects,
 //     sorts and hashes the stripe once, O(n log n). After that every write
 //     notes its key under the stripe lock it already holds, and the next
