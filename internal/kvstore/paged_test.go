@@ -354,3 +354,64 @@ func TestMetaAgreesWithVersion(t *testing.T) {
 		}
 	}
 }
+
+// TestPagedColdGetAllocs is the counted gate of the paged read path: once
+// the page cache is full, a Get of a cold key that misses allocates exactly
+// one buffer, the value the WAL reads, and a Get that hits allocates
+// nothing.
+func TestPagedColdGetAllocs(t *testing.T) {
+	be, err := wal.Open(t.TempDir(), wal.Options{GroupCommit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenBackendPaged(be, "paged", 4, 16<<10) // 16 values per cache shard
+	if err != nil {
+		_ = be.Close()
+		t.Fatal(err)
+	}
+	defer r.Close()
+	keys := make([]string, 2000)
+	value := make([]byte, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%04d", i)
+		r.Put(keys[i], value)
+	}
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	get := func() {
+		if v, ok := r.Get(keys[i%len(keys)]); !ok || len(v) != len(value) {
+			t.Fatalf("Get(%q) = %d bytes, %v", keys[i%len(keys)], len(v), ok)
+		}
+		i++
+	}
+	for i < 2*len(keys) {
+		get() // fills the cache and sizes its maps
+	}
+	before := r.CacheStats()
+	miss := testing.AllocsPerRun(500, get)
+	st := r.CacheStats()
+	if st.Hits != before.Hits || st.Misses-before.Misses != 501 {
+		t.Fatalf("the cold loop hit the cache: %+v, then %+v", before, st)
+	}
+	hot := keys[(i-1)%len(keys)]
+	hit := testing.AllocsPerRun(500, func() {
+		if _, ok := r.Get(hot); !ok {
+			t.Fatalf("Get(%q) found nothing", hot)
+		}
+	})
+	if got := r.CacheStats(); got.Misses != st.Misses {
+		t.Fatalf("the hit loop missed: %+v", got)
+	}
+	if err := r.PersistErr(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("cold Get: miss %.2f allocs, hit %.2f", miss, hit)
+	if miss != 1 {
+		t.Errorf("a cold Get that misses allocates %.2f/op, want 1 (its value)", miss)
+	}
+	if hit != 0 {
+		t.Errorf("a cold Get that hits allocates %.2f/op, want 0", hit)
+	}
+}

@@ -6,6 +6,13 @@
 // fills so a hot key being faulted by many readers costs one disk read, and
 // hit/miss/byte counters the memory benchmark reports.
 //
+// A fault costs one read and one allocation: the value buffer the fill
+// returns. Everything else a miss needs is recycled. The in-flight fill
+// record comes from a free list on its cache shard; readers of a key that
+// is being filled wait on the shard's condition variable, tied to the
+// shard lock; and admitting a value into a full shard reuses the LRU node
+// it evicted, so a node is allocated only while its shard has room.
+//
 // Buffers handed out by Get are immutable by contract: the cache retains
 // them and returns the same slice to every hit, so callers must not write
 // into them. That is what makes a cache hit a zero-copy read — the replica
@@ -51,17 +58,17 @@ type Cache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	bytes     atomic.Int64
-	entries   atomic.Int64
 }
 
 type cacheShard struct {
 	mu       sync.Mutex
+	filled   sync.Cond // L is &mu; broadcast when a fill with waiters ends
 	entries  map[Key]*node
 	head     *node // most recently used
 	tail     *node // least recently used
 	bytes    int64
-	inflight map[Key]*call
+	inflight map[Key]*fillRec
+	free     *fillRec // finished fill records, linked through next
 }
 
 type node struct {
@@ -70,11 +77,15 @@ type node struct {
 	prev, next *node
 }
 
-// call is one in-progress fill other readers of the same key wait on.
-type call struct {
-	done chan struct{}
-	buf  []byte
-	err  error
+// fillRec is one in-progress fill other readers of the same key wait on.
+// Every field is guarded by the shard's mu. The record goes back on the
+// shard's free list once its fill is done and its last waiter has read it.
+type fillRec struct {
+	buf     []byte
+	err     error
+	done    bool
+	waiters int
+	next    *fillRec
 }
 
 // New returns a cache holding at most budgetBytes of value bytes. A budget
@@ -83,50 +94,81 @@ type call struct {
 func New(budgetBytes int64) *Cache {
 	c := &Cache{shardBudget: budgetBytes / numShards}
 	for i := range c.shards {
-		c.shards[i].entries = make(map[Key]*node)
-		c.shards[i].inflight = make(map[Key]*call)
+		sh := &c.shards[i]
+		sh.filled.L = &sh.mu
+		sh.entries = make(map[Key]*node)
+		sh.inflight = make(map[Key]*fillRec)
 	}
 	return c
 }
 
 // Get returns the buffer cached under key, running fill to produce it on a
-// miss. Concurrent misses on the same key share one fill. The returned
+// miss. Concurrent misses on the same key share one fill and its error; a
+// failed fill is not cached, so the next Get fills again. The returned
 // buffer is owned by the cache and MUST NOT be modified.
+//
+// A miss allocates only what fill does: readers that find the key being
+// filled block on the shard's condition variable until the filler, holding
+// the shard lock, has published its result and admitted the buffer.
 func (c *Cache) Get(key Key, fill func() ([]byte, error)) ([]byte, error) {
 	sh := &c.shards[shardOf(key)]
 
 	sh.mu.Lock()
 	if n, ok := sh.entries[key]; ok {
 		sh.moveToFront(n)
+		buf := n.buf
 		sh.mu.Unlock()
 		c.hits.Add(1)
-		return n.buf, nil
+		return buf, nil
 	}
-	if cl, ok := sh.inflight[key]; ok {
+	if f, ok := sh.inflight[key]; ok {
+		f.waiters++
+		for !f.done {
+			sh.filled.Wait()
+		}
+		buf, err := f.buf, f.err
+		if f.waiters--; f.waiters == 0 {
+			sh.release(f)
+		}
 		sh.mu.Unlock()
-		<-cl.done
-		if cl.err != nil {
-			return nil, cl.err
+		if err != nil {
+			return nil, err
 		}
 		c.hits.Add(1)
-		return cl.buf, nil
+		return buf, nil
 	}
-	cl := &call{done: make(chan struct{})}
-	sh.inflight[key] = cl
+	f := sh.free
+	if f != nil {
+		sh.free, f.next = f.next, nil
+	} else {
+		f = new(fillRec)
+	}
+	sh.inflight[key] = f
 	sh.mu.Unlock()
 
 	c.misses.Add(1)
 	buf, err := fill()
-	cl.buf, cl.err = buf, err
-	close(cl.done)
 
 	sh.mu.Lock()
 	delete(sh.inflight, key)
 	if err == nil {
 		c.admit(sh, key, buf)
 	}
+	f.buf, f.err, f.done = buf, err, true
+	if f.waiters == 0 {
+		sh.release(f)
+	} else {
+		sh.filled.Broadcast()
+	}
 	sh.mu.Unlock()
 	return buf, err
+}
+
+// release clears a finished fill record and puts it on the free list.
+// Caller holds sh.mu.
+func (sh *cacheShard) release(f *fillRec) {
+	*f = fillRec{next: sh.free}
+	sh.free = f
 }
 
 // Lookup returns the buffer cached under key without filling on a miss —
@@ -141,9 +183,10 @@ func (c *Cache) Lookup(key Key) ([]byte, bool) {
 		return nil, false
 	}
 	sh.moveToFront(n)
+	buf := n.buf
 	sh.mu.Unlock()
 	c.hits.Add(1)
-	return n.buf, true
+	return buf, true
 }
 
 // Peek returns the cached buffer without filling on a miss. The hit/miss
@@ -172,29 +215,35 @@ func (c *Cache) InvalidateShard(shard int) {
 				sh.unlink(n)
 				delete(sh.entries, k)
 				sh.bytes -= int64(len(n.buf))
-				c.bytes.Add(-int64(len(n.buf)))
-				c.entries.Add(-1)
 			}
 		}
 		sh.mu.Unlock()
 	}
 }
 
-// Stats returns a snapshot of the cache's counters.
+// Stats returns a snapshot of the cache's counters. Bytes and Entries are
+// summed over the shards, each read under its own lock.
 func (c *Cache) Stats() Stats {
-	return Stats{
+	st := Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Bytes:     c.bytes.Load(),
-		Entries:   c.entries.Load(),
 	}
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		st.Bytes += sh.bytes
+		st.Entries += int64(len(sh.entries))
+		sh.mu.Unlock()
+	}
+	return st
 }
 
 // admit inserts buf under key, evicting from the cold end until the shard
-// fits its budget slice. Buffers larger than the whole slice are not
-// admitted at all — caching one would evict everything else for a buffer
-// unlikely to be re-read before its own eviction. Caller holds sh.mu.
+// fits its budget slice, and reuses the last evicted node for the new
+// entry. Buffers larger than the whole slice are not admitted at all —
+// caching one would evict everything else for a buffer unlikely to be
+// re-read before its own eviction. Caller holds sh.mu.
 func (c *Cache) admit(sh *cacheShard, key Key, buf []byte) {
 	if n, ok := sh.entries[key]; ok {
 		// A racing fill already admitted this key; refresh recency only.
@@ -204,21 +253,21 @@ func (c *Cache) admit(sh *cacheShard, key Key, buf []byte) {
 	if int64(len(buf)) > c.shardBudget {
 		return
 	}
+	var n *node
 	for sh.bytes+int64(len(buf)) > c.shardBudget && sh.tail != nil {
-		old := sh.tail
-		sh.unlink(old)
-		delete(sh.entries, old.key)
-		sh.bytes -= int64(len(old.buf))
-		c.bytes.Add(-int64(len(old.buf)))
-		c.entries.Add(-1)
+		n = sh.tail
+		sh.unlink(n)
+		delete(sh.entries, n.key)
+		sh.bytes -= int64(len(n.buf))
 		c.evictions.Add(1)
 	}
-	n := &node{key: key, buf: buf}
+	if n == nil {
+		n = new(node)
+	}
+	n.key, n.buf = key, buf
 	sh.entries[key] = n
 	sh.pushFront(n)
 	sh.bytes += int64(len(buf))
-	c.bytes.Add(int64(len(buf)))
-	c.entries.Add(1)
 }
 
 func (sh *cacheShard) pushFront(n *node) {

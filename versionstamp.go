@@ -202,7 +202,11 @@
 //     reads fault values back in through a sized sharded-LRU cache
 //     (internal/pagecache) keyed by name, so a cache hit skips even the
 //     cold-index search. Cache fills are singleflighted, and hits return
-//     the cached buffer zero-copy.
+//     the cached buffer zero-copy and allocate nothing. A fault costs one
+//     read and one allocation, the value buffer itself: readers of a key
+//     being filled wait on their cache shard's condition variable, the
+//     fill record is recycled, and admission into a full cache reuses the
+//     LRU node it evicts.
 //
 // On the write path, group commit (the wal package's GroupCommit option)
 // decouples acknowledgment from fsync frequency: appends from concurrent
