@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"versionstamp/internal/core"
+	"versionstamp/internal/encoding"
 	"versionstamp/internal/kvstore"
 	"versionstamp/internal/membership"
 	"versionstamp/internal/storage/faultfs"
@@ -455,7 +456,7 @@ func TestStatusReportsMembership(t *testing.T) {
 // owner being killed and revived — quorum-readable throughout for keys with
 // 2 live owners, hinted handoff drains on revival — and a converged round's
 // per-node wire cost is O(owned stripes): at least 3x below what shipping
-// the same keyspace whole (a binary snapshot each way) costs a node.
+// the same keyspace whole (every encoded entry each way) costs a node.
 func TestRingAcceptance9Nodes(t *testing.T) {
 	const (
 		nodes   = 9
@@ -525,18 +526,19 @@ func TestRingAcceptance9Nodes(t *testing.T) {
 		t.Fatal("idle round recorded no wire bytes")
 	}
 
-	// Baseline: one whole-keyspace exchange, a binary snapshot each way —
+	// Baseline: one whole-keyspace exchange, every encoded entry each way —
 	// what shipping state instead of digests costs a node per round
 	// regardless of convergence.
 	full := kvstore.NewReplicaShards("full", stripes)
 	for i := 0; i < keyN; i++ {
 		full.Put(fmt.Sprintf("key-%d", i), val(i))
 	}
-	snap, err := full.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	var entries []byte
+	for _, k := range full.Keys() {
+		v, _ := full.Version(k)
+		entries = encoding.AppendEntry(entries, encoding.Entry{Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp})
 	}
-	baseline := 2 * int64(len(snap))
+	baseline := 2 * int64(len(entries))
 	t.Logf("idle ring round max per-node bytes = %d; whole-keyspace exchange = %d (%.1fx)",
 		idleMax, baseline, float64(baseline)/float64(idleMax))
 	if idleMax*3 > baseline {

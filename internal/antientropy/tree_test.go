@@ -312,14 +312,7 @@ func TestTreeLayoutMismatch(t *testing.T) {
 	}
 	client.Put("key-0000", []byte("edited"))
 	client.Put("extra", []byte("client-side"))
-	snapshot := func(r *kvstore.Replica) []byte {
-		snap, err := r.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-	serverBefore, clientBefore := snapshot(server), snapshot(client)
+	serverBefore, clientBefore := storedCopies(server), storedCopies(client)
 	_, addr := startServer(t, server, kvstore.KeepBoth([]byte("|")))
 	refused := func(what string, err error) {
 		t.Helper()
@@ -358,7 +351,7 @@ func TestTreeLayoutMismatch(t *testing.T) {
 	}
 	refused("root probe", fr.expect(kindRootMatch))
 
-	if !bytes.Equal(snapshot(server), serverBefore) || !bytes.Equal(snapshot(client), clientBefore) {
+	if !sameCopies(storedCopies(server), serverBefore) || !sameCopies(storedCopies(client), clientBefore) {
 		t.Fatal("a refused round changed a replica")
 	}
 }
@@ -489,6 +482,34 @@ func requireSameStamps(t *testing.T, a, b *kvstore.Replica) {
 			t.Errorf("%s %q %v vs %s %q %v", a.Label(), da[i].Key, da[i].Stamp, b.Label(), db[i].Key, db[i].Stamp)
 		}
 	}
+}
+
+// storedCopies captures every copy r stores, tombstones included: value,
+// tombstone flag and full stamp, by key.
+func storedCopies(r *kvstore.Replica) map[string]kvstore.Versioned {
+	out := make(map[string]kvstore.Versioned)
+	for _, k := range r.Keys() {
+		if v, ok := r.Version(k); ok {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// sameCopies reports whether two captures hold the same keys with the same
+// values, tombstone flags and stamps — the same ids, not merely stamps that
+// compare Equal.
+func sameCopies(a, b map[string]kvstore.Versioned) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, va := range a {
+		vb, ok := b[k]
+		if !ok || va.Deleted != vb.Deleted || !bytes.Equal(va.Value, vb.Value) || !va.Stamp.Equal(vb.Stamp) {
+			return false
+		}
+	}
+	return true
 }
 
 // treeDepth returns the depth of r's stripe-0 digest tree.
@@ -658,28 +679,21 @@ func forgedPair(t *testing.T, forge func(l *lockstep, kind byte, unread *bytes.B
 	client.Put("key-0001", []byte("client-1"))
 	client.Put("key-0002", []byte("client-2"))
 	server.Put("key-0005", []byte("server-5"))
-	snapshot := func(r *kvstore.Replica) []byte {
-		snap, err := r.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-	serverBefore, clientBefore := snapshot(server), snapshot(client)
+	serverBefore, clientBefore := storedCopies(server), storedCopies(client)
 	l := newLockstep(server, client, nil)
 	l.before = func(_ int, unread *bytes.Buffer) {
 		if unread.Len() == 0 {
 			return
 		}
 		if kind, _ := frameAt(unread); forge(l, kind, unread) {
-			clientBefore = snapshot(client)
+			clientBefore = storedCopies(client)
 		}
 	}
 	_, err := l.round(t, nil)
 	if !errors.Is(err, ErrProtocol) {
 		t.Errorf("forged round: %v, want ErrProtocol", err)
 	}
-	if !bytes.Equal(snapshot(server), serverBefore) || !bytes.Equal(snapshot(client), clientBefore) {
+	if !sameCopies(storedCopies(server), serverBefore) || !sameCopies(storedCopies(client), clientBefore) {
 		t.Errorf("a refused round changed a replica (%v)", err)
 	}
 	return err

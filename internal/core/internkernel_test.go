@@ -66,24 +66,18 @@ func randomTrace(rng *rand.Rand, ops int) []Stamp {
 
 // TestInternedKernelMatchesNaive is the semantics-preservation property:
 // across random Compare/Join/Fork traces, the interned kernel (handle fast
-// paths, pairwise cache, batch Comparer) agrees with the name-level
-// specification on every pair — including repeated queries that exercise
-// cache hits.
+// paths, pairwise cache) agrees with the name-level specification on every
+// pair — including repeated queries that exercise cache hits.
 func TestInternedKernelMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		stamps := randomTrace(rng, 60)
-		var cmp Comparer
 		for pass := 0; pass < 2; pass++ { // second pass hits the caches
 			for i := range stamps {
 				for j := range stamps {
 					want := naiveCompare(stamps[i], stamps[j])
 					if got := Compare(stamps[i], stamps[j]); got != want {
 						t.Fatalf("seed %d: Compare(%v, %v) = %v, naive %v",
-							seed, stamps[i], stamps[j], got, want)
-					}
-					if got := cmp.Compare(stamps[i], stamps[j]); got != want {
-						t.Fatalf("seed %d: Comparer(%v, %v) = %v, naive %v",
 							seed, stamps[i], stamps[j], got, want)
 					}
 				}

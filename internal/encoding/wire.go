@@ -193,9 +193,9 @@ func decodeValue(data []byte, off int, key string) ([]byte, int, error) {
 // DecodeEntryMeta parses one entry from the front of data like DecodeEntry,
 // but does not copy the value bytes: the returned entry has a nil Value, and
 // valOff/valLen locate the value field within data (valOff = -1 for
-// tombstones, which encode none). This is the decoder of paged restarts —
-// the caller keeps keys, stamps and value locations resident and leaves the
-// bytes where they are.
+// tombstones, which encode none). This is the decoder of checkpoint loads —
+// a paged stripe keeps keys, stamps and value locations resident and leaves
+// the bytes where they are, a hot one copies each value out.
 func DecodeEntryMeta(data []byte) (e Entry, valOff, valLen, used int, err error) {
 	key, off, err := decodeKey(data, nil)
 	if err != nil {

@@ -225,10 +225,10 @@ func (sc *deltaScope) walk(t *DigestTree, extra []string, es []encoding.Entry,
 // The runs must come in position order, disjoint, and each run's digests in
 // strict tree order, as a round's runs do; anything else is refused. The
 // stripe is read-locked once while the peer digests are probed against the
-// stripe map, stamp classification runs through a batch Comparer — converged
-// copies share interned update handles, so the common outcome is a pointer
-// comparison — and the in-scope local keys are counted off the stripe's
-// digest tree, never by scanning the stripe.
+// stripe map, stamp classification runs through core.Compare's shared cache —
+// converged copies share interned update handles, so the common outcome is a
+// pointer comparison — and the in-scope local keys are counted off the
+// stripe's digest tree, never by scanning the stripe.
 func (r *Replica) DiffRanges(peer []DigestRun, idx int) (Diff, error) {
 	sc, err := r.deltaScope(idx, peer)
 	if err != nil {
@@ -238,7 +238,6 @@ func (r *Replica) DiffRanges(peer []DigestRun, idx int) (Diff, error) {
 		return Diff{}, err
 	}
 	var d Diff
-	var cmp core.Comparer
 	matched := 0
 	// The tree is brought current and held before the read lock: a tree
 	// request takes it itself, and so does the release.
@@ -256,7 +255,7 @@ func (r *Replica) DiffRanges(peer []DigestRun, idx int) (Diff, error) {
 				continue
 			}
 			matched++
-			switch classify(&cmp, v.Stamp, pd.Stamp) {
+			switch classify(v.Stamp, pd.Stamp) {
 			case core.Equal:
 				d.Equivalent++
 			case core.After:
@@ -332,8 +331,8 @@ func (d DeltaReply) Len() int { return len(d.Restamps) + len(d.Entries) }
 // The call takes ownership of peerEntries' values, which a decoder has
 // already copied out of its frame: a value the local copy adopts is stored
 // as it is, so the caller must not modify it afterwards, nor hand it to
-// another replica. Reply values are this side's copies, and the caller's to
-// keep.
+// another replica. A reply value may be this side's stored buffer: it is
+// read-only.
 func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntries []encoding.Entry,
 	resolve Resolver, idx int) (DeltaReply, SyncResult, error) {
 	sc, err := r.deltaScope(idx, peer)
@@ -358,7 +357,6 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntri
 	defer sh.mu.Unlock()
 
 	var res SyncResult
-	var cmp core.Comparer // batch memo: digest stamps recur across keys
 	apply := func(k string, pd *encoding.Digest, pe *encoding.Entry) error {
 		// The peer's side of the reconcile is a held slot whose result is
 		// the reply entry; it is absent for a local-only key, which then
@@ -374,7 +372,7 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntri
 				// tombstone-raced; leave for the next round.
 				return nil
 			}
-			switch classify(&cmp, cs[0].Stamp, pd.Stamp) {
+			switch classify(cs[0].Stamp, pd.Stamp) {
 			case core.Equal:
 				res.Pruned++
 				return nil
@@ -457,8 +455,10 @@ type Shipped struct {
 // round reconciles them. Returns how many reply copies were applied.
 //
 // The call takes ownership of the values in reply.Entries: an applied one is
-// stored as it is, so the caller must not modify it afterwards, nor hand it
-// to another replica.
+// stored as it is, so the caller must not modify it afterwards. A value
+// ApplyDeltaRanges handed out in process may be the responder's stored
+// buffer; the two replicas then share it, which is sound because neither
+// ever writes a stored value.
 func (r *Replica) ApplyDeltaReply(reply DeltaReply, full func(i int) *encoding.Entry, sent func(i int) Shipped) int {
 	applied := 0
 	for i, d := range reply.Restamps {

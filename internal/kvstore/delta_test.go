@@ -557,38 +557,3 @@ func TestApplyDeltaReplyRestampsColdCopy(t *testing.T) {
 		t.Errorf("reopened stamp %v does not match the responder's %v", v.Stamp, va.Stamp)
 	}
 }
-
-func TestBinarySnapshotRoundTrip(t *testing.T) {
-	a, _ := pairFromClone(24)
-	a.Delete("key-007")
-	bin, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bin[0] != binarySnapshotVersion {
-		t.Fatalf("leading byte 0x%02x", bin[0])
-	}
-	restored, err := Restore(bin)
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	requireSameContents(t, a, restored)
-	if restored.Label() != a.Label() || restored.Shards() != a.Shards() {
-		t.Errorf("label/shards lost: %q/%d", restored.Label(), restored.Shards())
-	}
-	if _, ok := restored.Get("key-007"); ok {
-		t.Error("tombstone lost in round trip")
-	}
-	// Stamps survive verbatim.
-	for _, k := range a.Keys() {
-		va, _ := a.Version(k)
-		vr, _ := restored.Version(k)
-		if !va.Stamp.Equal(vr.Stamp) {
-			t.Errorf("stamp of %q changed", k)
-		}
-	}
-
-	if _, err := Restore(bin[:len(bin)/2]); err == nil {
-		t.Error("truncated snapshot accepted")
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"versionstamp/internal/encoding"
 	"versionstamp/internal/pagecache"
@@ -161,12 +160,7 @@ func openBackend(be *wal.WAL, label string, shards int, paged bool, cacheBytes i
 	for i := 0; i < n; i++ {
 		sh := &r.shards[i]
 		err := be.ReplayShard(i,
-			func(snap []byte) error {
-				if r.paged {
-					return r.loadShardCheckpointPaged(i, snap)
-				}
-				return r.loadShardCheckpoint(i, snap)
-			},
+			func(snap []byte) error { return r.loadShardCheckpoint(i, snap) },
 			func(e encoding.Entry) error {
 				if ShardIndex(e.Key, n) != i {
 					return fmt.Errorf("kvstore: replay shard %d: key %q belongs to shard %d",
@@ -210,63 +204,56 @@ func openBackend(be *wal.WAL, label string, shards int, paged bool, cacheBytes i
 	return r, nil
 }
 
-// loadShardCheckpoint installs a per-shard binary snapshot into stripe i.
-// The entry list is decoded directly — building a throwaway Replica per
-// stripe just to tear it apart again would cost O(stripes²) shard structs
-// on the startup path.
+// loadShardCheckpoint installs stripe i's checkpoint, reading it once. A
+// hot stripe stores its own copy of each value. A paged stripe keeps keys,
+// stamps, tombstone flags and value locations resident as its cold index,
+// and the value bytes stay in the checkpoint file; the offsets are
+// payload-relative here, and openBackend anchors them against the checkpoint
+// region once the replay returns.
+//
+// A checkpoint that does not decode is at-rest damage the WAL's checksum did
+// not catch (it guards the bytes, not what they mean): it is scoped to the
+// stripe like any other corruption. A key that belongs to another stripe is
+// a layout mistake, not damage: it fails the open, as the log replay's own
+// check does.
 func (r *Replica) loadShardCheckpoint(i int, snap []byte) error {
 	if len(snap) == 0 {
 		return nil
 	}
-	if snap[0] != binarySnapshotVersion {
-		// A checkpoint that is not a snapshot at all is at-rest damage the
-		// WAL's checksum did not catch (it guards the bytes, not what they
-		// mean): scope it to the stripe like any other corruption.
-		return &wal.CorruptError{Shard: i,
-			Err: fmt.Errorf("kvstore: shard %d checkpoint: not a binary snapshot", i)}
-	}
-	_, _, entries, err := decodeBinarySnapshot(snap)
-	if err != nil {
-		return &wal.CorruptError{Shard: i,
-			Err: fmt.Errorf("kvstore: shard %d checkpoint: %w", i, err)}
-	}
-	for _, e := range entries {
-		if ShardIndex(e.Key, len(r.shards)) != i {
-			return fmt.Errorf("kvstore: shard %d checkpoint: key %q belongs to shard %d",
-				i, e.Key, ShardIndex(e.Key, len(r.shards)))
-		}
-		r.shards[i].data[e.Key] = Versioned{Value: e.Value, Deleted: e.Deleted, Stamp: e.Stamp}
-		if e.Deleted {
-			r.shards[i].tombs[e.Key] = 0
-		}
-	}
-	return nil
-}
-
-// loadShardCheckpointPaged installs a per-shard snapshot as a cold index:
-// keys, stamps, tombstone flags and value locations become resident, the
-// value bytes stay in the checkpoint file. Offsets are payload-relative
-// here; openBackend anchors them against the checkpoint region once the
-// replay returns.
-func (r *Replica) loadShardCheckpointPaged(i int, snap []byte) error {
-	if len(snap) == 0 {
-		return nil
-	}
-	if snap[0] != binarySnapshotVersion {
-		return &wal.CorruptError{Shard: i,
-			Err: fmt.Errorf("kvstore: shard %d checkpoint: not a binary snapshot", i)}
-	}
-	cs, err := buildColdStripe(i, len(r.shards), snap, 0, 0)
-	if err != nil {
-		return &wal.CorruptError{Shard: i,
-			Err: fmt.Errorf("kvstore: shard %d checkpoint: %w", i, err)}
-	}
 	sh := &r.shards[i]
-	sh.cold = cs
-	for x := 0; x < cs.count(); x++ {
-		if cs.deleted[x] {
-			sh.tombs[strings.Clone(cs.key(x))] = 0
+	var cs *coldStripe
+	var blob []byte
+	if r.paged {
+		cs = &coldStripe{koffs: []uint32{0}}
+	}
+	var misplaced error
+	err := decodeBinarySnapshotMeta(snap, func(e checkpointEntry) error {
+		if j := ShardIndex(e.key, len(r.shards)); j != i {
+			misplaced = fmt.Errorf("kvstore: shard %d checkpoint: key %q belongs to shard %d", i, e.key, j)
+			return misplaced
 		}
+		if e.deleted {
+			sh.tombs[e.key] = 0
+		}
+		if cs != nil {
+			blob = cs.add(blob, e)
+			return nil
+		}
+		v := Versioned{Deleted: e.deleted, Stamp: e.stamp}
+		if e.valOff >= 0 {
+			v.Value = append([]byte(nil), snap[e.valOff:e.valOff+e.valLen]...)
+		}
+		sh.data[e.key] = v
+		return nil
+	})
+	switch {
+	case misplaced != nil:
+		return misplaced
+	case err != nil:
+		return &wal.CorruptError{Shard: i, Err: fmt.Errorf("kvstore: shard %d checkpoint: %w", i, err)}
+	case cs != nil:
+		cs.seal(blob)
+		sh.cold = cs
 	}
 	return nil
 }
@@ -351,8 +338,8 @@ func (r *Replica) checkpointShard(i int) error {
 
 // checkpointShardLocked builds stripe i's binary snapshot and hands it to
 // the backend: a full checkpoint. The stripe's lock must be held — shared
-// by the Checkpoint path, RepairStripe and the wholesale-adoption
-// persistence path, so all of them produce identical checkpoint documents.
+// by the Checkpoint path and RepairStripe, so both produce identical
+// checkpoint documents.
 func (r *Replica) checkpointShardLocked(i int) error {
 	sh := &r.shards[i]
 	if r.paged {
@@ -426,7 +413,7 @@ func (r *Replica) checkpointShardPagedLocked(i int) error {
 	if err != nil {
 		return err
 	}
-	ncs, err := buildColdStripe(i, len(r.shards), snap, gen, base)
+	ncs, err := buildColdStripe(snap, gen, base)
 	if err != nil {
 		return err
 	}

@@ -155,6 +155,56 @@ func TestOpenRejectsLayoutChange(t *testing.T) {
 	}
 }
 
+// TestCheckpointLayoutMismatchFailsOpen: a checkpoint that holds a key of
+// another stripe is a layout mistake, not disk damage. A directory
+// checkpointed at 4 stripes and reopened at 8 holds, in stripes 0–3, keys
+// that hash to stripes 4–7 (ShardIndex is h % n). The hot and the paged open
+// both fail with the same error, and neither quarantines a stripe.
+func TestCheckpointLayoutMismatchFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	be, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenBackend(be, "r", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		r.Put(fmt.Sprintf("key-%02d", i), []byte("v"))
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var msgs []string
+	for _, paged := range []bool{false, true} {
+		be, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r *Replica
+		if paged {
+			r, err = OpenBackendPaged(be, "r", 8, 0)
+		} else {
+			r, err = OpenBackend(be, "r", 8)
+		}
+		if err == nil {
+			t.Errorf("paged %v: a 4-stripe checkpoint opened at 8 stripes (quarantined %v)", paged, r.Quarantined())
+			_ = r.Abandon()
+			continue
+		}
+		_ = be.Close()
+		var ce *wal.CorruptError
+		if errors.As(err, &ce) {
+			t.Errorf("paged %v: a layout mistake reported as damage: %v", paged, err)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if len(msgs) == 2 && msgs[0] != msgs[1] {
+		t.Errorf("the opens fail differently:\n hot:   %s\n paged: %s", msgs[0], msgs[1])
+	}
+}
+
 // TestCrashRecoveryProperty is the satellite crash property: a random op
 // sequence against a single-stripe durable replica, with one full
 // checkpoint partway through and one fold a few ops later, then a crash

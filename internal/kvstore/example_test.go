@@ -215,26 +215,6 @@ func ExampleSync() {
 	dump("node-a", nodeA)
 	dump("node-b", nodeB)
 
-	// Crash/restart: stamps survive serialization.
-	snap, err := nodeB.Snapshot()
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	restored, err := kvstore.Restore(snap)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	nodeA.Put("cart:90", []byte("3×mug,1×spoon"))
-	res, err = kvstore.Sync(nodeA, restored, nil)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Printf("after node-b restart, sync reconciled %d keys\n", res.Reconciled)
-	dump("restored", restored)
-
 	// Output:
 	// node-b cloned from node-a (32 shards each)
 	// sync #1: 1 transferred, 2 reconciled, 0 conflicts
@@ -256,11 +236,6 @@ func ExampleSync() {
 	//     cart:42  = 2×book,1×lamp,1×rug & 2×book,1×lamp,6×candle
 	//     cart:77  = (deleted)
 	//     cart:90  = 3×mug
-	// after node-b restart, sync reconciled 1 keys
-	//   [restored]
-	//     cart:42  = 2×book,1×lamp,1×rug & 2×book,1×lamp,6×candle
-	//     cart:77  = (deleted)
-	//     cart:90  = 3×mug,1×spoon
 }
 
 // dump prints a replica's keys in order, tombstones included.

@@ -32,13 +32,10 @@ import (
 const independent core.Ordering = 0
 
 // classify relates two copies of a key by their stamps alone: independent,
-// or their causal order. cmp, when not nil, is the caller's batch memo.
-func classify(cmp *core.Comparer, a, b core.Stamp) core.Ordering {
+// or their causal order.
+func classify(a, b core.Stamp) core.Ordering {
 	if !a.IDHandle().IncomparableTo(b.IDHandle()) {
 		return independent
-	}
-	if cmp != nil {
-		return cmp.Compare(a, b)
 	}
 	return core.Compare(a, b)
 }
@@ -51,10 +48,13 @@ func classify(cmp *core.Comparer, a, b core.Stamp) core.Ordering {
 // only once an outcome needs it, and the result is stored and logged there.
 // Any other copy carries its value and receives its result in place.
 //
-// A result value is copied into every slot but the one it came from, so no
-// two replicas share a buffer, unless the copy it came from is owned: its
-// buffer is the reconcile's to give away (a delta apply's peer entry, freshly
-// decoded), and the first replica slot takes it as it is.
+// A result value is copied into every replica and hint slot but the one it
+// came from, unless the copy it came from is owned: its buffer is the
+// reconcile's to give away (a delta apply's peer entry, freshly decoded), and
+// the first replica slot takes it as it is. A delta apply's reply slot (a
+// held slot with no replica, outside ConvergeKey) takes the value as it is
+// too: it may be a replica's stored buffer, which never changes (Get's
+// contract), and the reply only reads it.
 type keyCopy struct {
 	Versioned
 	ok, held, owned bool
@@ -174,7 +174,7 @@ func reconcile(key string, cs []keyCopy, resolve Resolver, reunite bool) (SyncRe
 			if !b.ok {
 				continue
 			}
-			rel := classify(nil, a.Stamp, b.Stamp)
+			rel := classify(a.Stamp, b.Stamp)
 			indep = indep || rel == independent
 			if a.held && b.held {
 				settled = settled && rel == core.Equal
@@ -259,7 +259,7 @@ func reconcile(key string, cs []keyCopy, resolve Resolver, reunite bool) (SyncRe
 	deposit := func(i int, part core.Stamp) {
 		v := Versioned{Value: value, Deleted: deleted, Stamp: part}
 		switch {
-		case i == src:
+		case i == src, !reunite && cs[i].r == nil: // the source, or the reply slot
 		case give && cs[i].r != nil:
 			give = false
 		default:
@@ -451,7 +451,7 @@ func reconcileSlots(key string, cs []keyCopy, detached []Versioned, resolve Reso
 func order(cs []keyCopy) (top int, split bool) {
 	top = -1
 	for i := range cs {
-		if cs[i].ok && (top < 0 || classify(nil, cs[top].Stamp, cs[i].Stamp) == core.Before) {
+		if cs[i].ok && (top < 0 || classify(cs[top].Stamp, cs[i].Stamp) == core.Before) {
 			top = i
 		}
 	}
@@ -462,7 +462,7 @@ func order(cs []keyCopy) (top int, split bool) {
 		case i == top:
 			c.rel = core.Equal
 		default:
-			c.rel = classify(nil, cs[top].Stamp, c.Stamp)
+			c.rel = classify(cs[top].Stamp, c.Stamp)
 			split = split || c.rel != core.After && c.rel != core.Equal
 		}
 	}

@@ -328,75 +328,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	a := NewReplica("a")
-	a.Put("x", []byte("1"))
-	a.Put("y", []byte("2"))
-	a.Delete("y")
-	data, err := a.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	back, err := Restore(data)
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if back.Label() != "a" {
-		t.Errorf("label = %q", back.Label())
-	}
-	got, ok := back.Get("x")
-	if !ok || string(got) != "1" {
-		t.Errorf("x = %q, %v", got, ok)
-	}
-	if _, ok := back.Get("y"); ok {
-		t.Error("tombstone lost in restore")
-	}
-	vOrig, _ := a.Version("x")
-	vBack, _ := back.Version("x")
-	if !vOrig.Stamp.Equal(vBack.Stamp) {
-		t.Error("stamp changed across snapshot/restore")
-	}
-}
-
-func TestRestoreRejectsGarbage(t *testing.T) {
-	for _, in := range []string{"", "not a snapshot", `{"label":"x","entries":[]}`} {
-		if _, err := Restore([]byte(in)); err == nil {
-			t.Errorf("Restore(%q) accepted", in)
-		}
-	}
-}
-
-// TestCrashRestartSync: a replica crashes, restores from its snapshot, and
-// continues synchronizing correctly — stamps survive serialization.
-func TestCrashRestartSync(t *testing.T) {
-	a, b := NewReplica("a"), NewReplica("b")
-	a.Put("k", []byte("v1"))
-	if _, err := Sync(a, b, nil); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// b crashes; a keeps writing.
-	a.Put("k", []byte("v2"))
-	b2, err := Restore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Sync(a, b2, nil)
-	if err != nil {
-		t.Fatalf("sync after restart: %v", err)
-	}
-	if res.Reconciled != 1 {
-		t.Fatalf("result = %+v", res)
-	}
-	got, _ := b2.Get("k")
-	if string(got) != "v2" {
-		t.Errorf("restored replica = %q", got)
-	}
-}
-
 // TestConvergenceRandom drives random puts/deletes/syncs across several
 // replicas and verifies that a final round of full pairwise syncs converges
 // every replica to identical contents.

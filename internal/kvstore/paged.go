@@ -69,38 +69,45 @@ func (cs *coldStripe) find(key string) int {
 	return -1
 }
 
-// buildColdStripe decodes a binary snapshot into a cold index for stripe i.
-// Value offsets inside the snapshot become absolute file offsets against
-// base. Keys are packed into the index's own blob, so the snapshot buffer is
-// not retained.
-func buildColdStripe(i, nshards int, snap []byte, gen uint32, base int64) (*coldStripe, error) {
+// buildColdStripe decodes a binary snapshot into a cold index. Value
+// offsets inside the snapshot become absolute file offsets against base.
+func buildColdStripe(snap []byte, gen uint32, base int64) (*coldStripe, error) {
 	cs := &coldStripe{gen: gen, base: base, koffs: []uint32{0}}
 	var blob []byte
-	err := decodeBinarySnapshotMeta(snap, func(e coldEntryMeta) error {
-		if ShardIndex(e.key, nshards) != i {
-			return fmt.Errorf("kvstore: shard %d checkpoint: key %q belongs to shard %d",
-				i, e.key, ShardIndex(e.key, nshards))
-		}
-		blob = append(blob, e.key...)
-		cs.koffs = append(cs.koffs, uint32(len(blob)))
-		cs.stamps = append(cs.stamps, e.stamp)
-		cs.deleted = append(cs.deleted, e.deleted)
-		cs.dropped = append(cs.dropped, false)
-		if e.valOff >= 0 {
-			cs.offs = append(cs.offs, base+int64(e.valOff))
-			cs.lens = append(cs.lens, uint32(e.valLen))
-		} else {
-			cs.offs = append(cs.offs, 0)
-			cs.lens = append(cs.lens, 0)
-		}
+	err := decodeBinarySnapshotMeta(snap, func(e checkpointEntry) error {
+		blob = cs.add(blob, e)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	cs.seal(blob)
+	return cs, nil
+}
+
+// add appends checkpoint entry e, in key order, to an index being built,
+// and its key to blob, which it returns. Once every entry is in, seal packs
+// blob into the index's own key string, so the snapshot buffer is not
+// retained.
+func (cs *coldStripe) add(blob []byte, e checkpointEntry) []byte {
+	blob = append(blob, e.key...)
+	cs.koffs = append(cs.koffs, uint32(len(blob)))
+	cs.stamps = append(cs.stamps, e.stamp)
+	cs.deleted = append(cs.deleted, e.deleted)
+	cs.dropped = append(cs.dropped, false)
+	off, n := int64(0), uint32(0)
+	if e.valOff >= 0 {
+		off, n = cs.base+int64(e.valOff), uint32(e.valLen)
+	}
+	cs.offs = append(cs.offs, off)
+	cs.lens = append(cs.lens, n)
+	return blob
+}
+
+// seal finishes an index add built: its keys become blob.
+func (cs *coldStripe) seal(blob []byte) {
 	cs.kblob = string(blob)
 	cs.live = cs.count()
-	return cs, nil
 }
 
 // coldValue faults the value bytes of cold entry x of stripe si through the
@@ -215,7 +222,7 @@ func (r *Replica) promoteLocked(si int, key string) error {
 }
 
 // promoteStripeLocked faults every cold entry of stripe i into the hot map —
-// the whole-stripe promotion Clone and wholesale snapshot paths need.
+// the whole-stripe promotion Clone needs.
 // Stripe write lock held.
 func (r *Replica) promoteStripeLocked(i int) error {
 	if !r.paged {

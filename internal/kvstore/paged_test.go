@@ -275,19 +275,12 @@ func TestPagedSnapshotAndClone(t *testing.T) {
 	if err := r.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := r.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	got := storedCopies(r)
+	if len(got) != 50 || !got["key-013"].Deleted {
+		t.Fatalf("%d stored copies, key-013 %+v; want 50 and a tombstone", len(got), got["key-013"])
 	}
-	got, err := Restore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 49 {
-		t.Fatalf("restored Len = %d", got.Len())
-	}
-	if v, ok := got.Get("key-025"); !ok || string(v) != "v025" {
-		t.Fatalf("restored Get = %q, %v", v, ok)
+	if v := got["key-025"]; v.Deleted || string(v.Value) != "v025" {
+		t.Fatalf("cold copy of key-025 = %+v", v)
 	}
 	c := r.Clone("c")
 	if c.Len() != 49 {

@@ -318,8 +318,13 @@ func TestInternOversizedNamesNotPinned(t *testing.T) {
 // not grow the resident table past maxInterned, rotation must actually
 // evict, and handles that were rotated out must keep comparing exactly like
 // their naive name counterparts — including against freshly re-interned
-// copies of themselves.
+// copies of themselves. It takes ~16 s on one goroutine, so the race
+// detector finds nothing in it: it skips under -short, and CI runs it
+// without -short and without -race.
 func TestInternRotationBoundsResidency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 340 000-fork storm; run without -short")
+	}
 	// Enough distinct names to force second rotations (the evicting kind) in
 	// most shards: eviction needs more than maxInterned names issued.
 	const steps = 340000

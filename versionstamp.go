@@ -44,8 +44,8 @@
 //
 // Stamps serialize with MarshalBinary (read back with Decode) and
 // MarshalText (read back with Parse). The binary form is the one this
-// repository's own store keeps in its WAL, checkpoints and snapshots and
-// ships on its sync wire: a format byte 0x02, then each component as a
+// repository's own store keeps in its WAL and checkpoints and ships on its
+// sync wire: a format byte 0x02, then each component as a
 // structural trie whose shared prefixes are written once, so [ε|ε] and
 // [1|0+1] each take 5 bytes.
 //
@@ -429,8 +429,8 @@ func Parse(text string) (Stamp, error) { return core.Parse(text) }
 func MustParse(text string) Stamp { return core.MustParse(text) }
 
 // Decode reads one binary-encoded stamp from the front of data, returning
-// the bytes consumed. The format is the one the WAL, snapshots and sync wire
-// store (format byte 0x02); any other format byte is an error that names
+// the bytes consumed. The format is the one the WAL, checkpoints and sync
+// wire store (format byte 0x02); any other format byte is an error that names
 // it. Stamps encode with Stamp.MarshalBinary or Stamp.AppendBinary.
 func Decode(data []byte) (Stamp, int, error) { return core.DecodeBinary(data) }
 
