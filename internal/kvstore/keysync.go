@@ -48,13 +48,13 @@ func classify(a, b core.Stamp) core.Ordering {
 // only once an outcome needs it, and the result is stored and logged there.
 // Any other copy carries its value and receives its result in place.
 //
-// A result value is copied into every replica and hint slot but the one it
-// came from, unless the copy it came from is owned: its buffer is the
-// reconcile's to give away (a delta apply's peer entry, freshly decoded), and
-// the first replica slot takes it as it is. A delta apply's reply slot (a
-// held slot with no replica, outside ConvergeKey) takes the value as it is
-// too: it may be a replica's stored buffer, which never changes (Get's
-// contract), and the reply only reads it.
+// Every replica slot and a delta apply's reply slot share the result's
+// buffer. It is the source's as it is when the source is a replica's stored
+// buffer, which no path writes into (Get's contract), or an owned copy's,
+// whose buffer is the reconcile's to give away (a delta apply's peer entry,
+// freshly decoded). A resolver's output or a detached caller's copy may
+// still belong to its caller, so it is copied once first. A ConvergeKey hint
+// slot leaves the store through detached and gets a copy of its own.
 type keyCopy struct {
 	Versioned
 	ok, held, owned bool
@@ -255,14 +255,12 @@ func reconcile(key string, cs []keyCopy, resolve Resolver, reunite bool) (SyncRe
 	}
 	// hint reports a ConvergeKey hint slot: a held slot with no replica.
 	hint := func(c *keyCopy) bool { return reunite && c.held && c.r == nil }
-	give := src >= 0 && cs[src].owned
+	if src < 0 || cs[src].r == nil && !cs[src].owned {
+		value = append([]byte(nil), value...)
+	}
 	deposit := func(i int, part core.Stamp) {
 		v := Versioned{Value: value, Deleted: deleted, Stamp: part}
-		switch {
-		case i == src, !reunite && cs[i].r == nil: // the source, or the reply slot
-		case give && cs[i].r != nil:
-			give = false
-		default:
+		if hint(&cs[i]) {
 			v.Value = append([]byte(nil), value...)
 		}
 		cs[i].set(key, v)

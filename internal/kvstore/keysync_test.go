@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"versionstamp/internal/core"
 )
@@ -286,6 +287,108 @@ func TestForkCopyKeepsFrontier(t *testing.T) {
 	if v, _ := r.Get("k"); string(v) != "v" {
 		t.Fatalf("stored value aliased: %q", v)
 	}
+}
+
+// TestReplicasShareStoredValue pins which buffers replicas share: a
+// reconcile's replica slots share one buffer, which is never one a caller
+// still holds (a write's value, a resolver's output, a detached copy, a
+// hint slot's copy), and a Clone shares its source's buffers until either
+// side writes.
+func TestReplicasShareStoredValue(t *testing.T) {
+	data := func(r *Replica) *byte {
+		t.Helper()
+		v, ok := r.Stored("k")
+		if !ok || len(v.Value) == 0 {
+			t.Fatalf("%s holds no value for k", r.Label())
+		}
+		return unsafe.SliceData(v.Value)
+	}
+	value := func(r *Replica) string {
+		v, _ := r.Get("k")
+		return string(v)
+	}
+
+	t.Run("ConvergeKey", func(t *testing.T) {
+		rs := []*Replica{NewReplica("a"), NewReplica("b"), NewReplica("c")}
+		w := KeyWrite{Value: []byte("written")}
+		hint := make([]Versioned, 1)
+		if _, err := ConvergeKey(rs, "k", &w, hint, nil); err != nil {
+			t.Fatal(err)
+		}
+		shared := data(rs[0])
+		for _, r := range rs[1:] {
+			if data(r) != shared {
+				t.Errorf("%s holds its own buffer, not the one its co-owners share", r.Label())
+			}
+		}
+		if shared == unsafe.SliceData(w.Value) {
+			t.Error("the replicas store the caller's write buffer")
+		}
+		if unsafe.SliceData(hint[0].Value) == shared {
+			t.Error("the hint slot shares the replicas' buffer")
+		}
+		hint[0].Value[0] = 'X'
+		w.Value[0] = 'X'
+		for _, r := range rs {
+			if got := value(r); got != "written" {
+				t.Errorf("%s reads %q after the caller wrote into its buffers", r.Label(), got)
+			}
+		}
+	})
+
+	t.Run("KeepBoth", func(t *testing.T) {
+		a, b := NewReplica("a"), NewReplica("b")
+		a.Put("k", []byte("base"))
+		if _, err := SyncKey(a, b, "k", nil); err != nil {
+			t.Fatal(err)
+		}
+		a.Put("k", []byte("from-a"))
+		b.Put("k", []byte("from-b"))
+		ina, inb := data(a), data(b)
+		res, err := SyncKey(a, b, "k", KeepBoth([]byte("|")))
+		if err != nil || res.Merged != 1 {
+			t.Fatalf("SyncKey = %+v, %v", res, err)
+		}
+		if data(a) != data(b) {
+			t.Error("the merged value is installed as two copies")
+		}
+		if data(a) == ina || data(a) == inb {
+			t.Error("the merged value is one of the resolver's inputs")
+		}
+		if value(a) != "from-a|from-b" {
+			t.Errorf("merged value = %q", value(a))
+		}
+	})
+
+	t.Run("MergeVersioned", func(t *testing.T) {
+		src, dst := NewReplica("src"), NewReplica("dst")
+		src.Put("k", []byte("hinted"))
+		in, _ := forkCopy(t, src, "k")
+		if _, err := dst.MergeVersioned("k", in, nil); err != nil {
+			t.Fatal(err)
+		}
+		in.Value[0] = 'X'
+		if got := value(dst); got != "hinted" {
+			t.Errorf("dst reads %q after the caller wrote into the merged copy", got)
+		}
+	})
+
+	t.Run("Clone", func(t *testing.T) {
+		src := NewReplica("src")
+		src.Put("k", []byte("v0"))
+		clone := src.Clone("clone")
+		if data(src) != data(clone) {
+			t.Error("the clone copied a stored buffer")
+		}
+		src.Put("k", []byte("src"))
+		if got := value(clone); got != "v0" {
+			t.Errorf("clone reads %q after its source wrote", got)
+		}
+		clone.Put("k", []byte("clone"))
+		if got := value(src); got != "src" {
+			t.Errorf("source reads %q after its clone wrote", got)
+		}
+	})
 }
 
 func TestMergeVersionedInstallsWhenAbsent(t *testing.T) {

@@ -83,9 +83,11 @@ type Versioned struct {
 // of replicas meet the same two copies before they meet each other — so a
 // Resolver must be deterministic (a function of the copies' values and
 // tombstone flags alone), commutative (the same bytes whichever copy arrives
-// as a) and idempotent over its own output. Copies that already agree byte
-// for byte never reach it: they join without it (rule 5 of reconcile). A
-// resolver short of the contract still converges, one more merge at a time.
+// as a) and idempotent over its own output. It must not write into its
+// inputs' buffers, their spare capacity included: they are stored buffers
+// that replicas share. Copies that already agree byte for byte never reach
+// it: they join without it (rule 5 of reconcile). A resolver short of the
+// contract still converges, one more merge at a time.
 //
 // What counts as a conflict is decided by the stamps, and stamp order only
 // holds between copies of one fork-join frontier. A copy restored from an
@@ -360,8 +362,9 @@ func (r *Replica) PersistErr() error {
 // Clone forks a full new replica from r: every key's stamp forks, the new
 // replica receiving one descendant. This is replica creation under
 // partition: no identifiers are requested from anywhere. The clone has the
-// same shard count. Each stripe is cloned atomically; concurrent writers
-// touching other stripes are not blocked.
+// same shard count and shares each stored value buffer, which no path
+// writes into (Get's contract). Each stripe is cloned atomically;
+// concurrent writers touching other stripes are not blocked.
 func (r *Replica) Clone(label string) *Replica {
 	clone := NewReplicaShards(label, len(r.shards))
 	for i := range r.shards {
@@ -381,7 +384,6 @@ func (r *Replica) Clone(label string) *Replica {
 			r.logSet(i, k, v)
 			cv := v
 			cv.Stamp = theirs
-			cv.Value = append([]byte(nil), v.Value...)
 			clone.shards[i].data[k] = cv
 			if cv.Deleted {
 				clone.shards[i].tombs[k] = ce
@@ -397,9 +399,9 @@ func (r *Replica) Clone(label string) *Replica {
 //
 // The returned slice is immutable by contract and must not be modified: hot
 // reads hand out the stored buffer itself and paged reads hand out the page
-// cache's buffer, so a Get is zero-copy. Every mutation path installs a
-// freshly allocated value, so a buffer obtained here never changes under the
-// caller.
+// cache's buffer, so a Get is zero-copy. No path writes into a stored
+// buffer, and replicas in one process may share one, so a buffer obtained
+// here never changes under the caller.
 func (r *Replica) Get(key string) (value []byte, ok bool) {
 	si := ShardIndex(key, len(r.shards))
 	sh := &r.shards[si]

@@ -52,9 +52,9 @@ func TestPutGetDelete(t *testing.T) {
 
 func TestGetBuffersStable(t *testing.T) {
 	// Get hands out the stored buffer itself (zero-copy; callers must treat
-	// it as immutable). The contract that makes this safe: every mutation
-	// installs a freshly allocated value, so a buffer already handed out
-	// never changes underneath its holder.
+	// it as immutable). The contract that makes this safe: no path writes
+	// into a stored buffer, so a buffer already handed out never changes
+	// underneath its holder.
 	r := NewReplica("a")
 	r.Put("k", []byte("abc"))
 	got, _ := r.Get("k")

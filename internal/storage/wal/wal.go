@@ -152,6 +152,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"versionstamp/internal/encoding"
 )
@@ -271,7 +272,9 @@ type FaultInjector interface {
 	Sync(shard int) error
 	// Checkpoint is consulted before a checkpoint write with the snapshot,
 	// and before a fold with exactly the frames the fold appends; an error
-	// fails the checkpoint or fold before anything on disk changes.
+	// fails the checkpoint or fold before anything on disk changes. data is
+	// valid only during the call (a fold's frames are built in reused
+	// scratch): an injector that keeps the bytes copies them.
 	Checkpoint(shard int, data []byte) error
 }
 
@@ -1222,7 +1225,9 @@ func (w *WAL) truncateLogLocked(sh *walShard, shard int) error {
 // raw frames after the checkpoint's snapshot and committed folds and fsyncs
 // them, commits them by rewriting the header with the longer fold length and
 // fsyncing again, and only then truncates the log. An empty log folds
-// nothing and writes nothing.
+// nothing and writes nothing. The log is read, and the frames built, in the
+// idle fold scratch (idleFold), so a warm fold's allocations do not grow
+// with the log.
 //
 // ok is false, with nothing written, when there is no checkpoint to fold
 // into or its header does not check, the shard is latched or quarantined,
@@ -1256,14 +1261,15 @@ func (w *WAL) Fold(shard int) (bool, error) {
 		}
 		return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
 	}
-	log, err := os.ReadFile(w.logPath(shard))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+	sc := getFoldScratch()
+	defer putFoldScratch(sc)
+	if err := sc.readLog(w.logPath(shard), sh.size); err != nil {
 		return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
 	}
-	if len(log) == 0 {
+	if len(sc.log) == 0 {
 		return true, nil
 	}
-	frames, ok := lastFrames(log)
+	frames, ok := sc.lastFrames()
 	if !ok || h.folded+int64(len(frames)) > h.snap {
 		return false, nil
 	}
@@ -1293,15 +1299,78 @@ func (w *WAL) Fold(shard int) (bool, error) {
 	return true, w.truncateLogLocked(sh, shard)
 }
 
-// lastFrames returns the last frame of each key in log, in key order. ok
-// is false unless log is entirely intact set frames: a fold must never skip
-// past damage or a torn tail.
-func lastFrames(log []byte) (frames []byte, ok bool) {
-	type frame struct {
-		key      []byte // aliases log
-		off, end int
+// foldScratch is the memory a fold reads the log into and builds its
+// frames in.
+type foldScratch struct {
+	log, frames []byte
+	all         []logFrame
+}
+
+// logFrame is one frame of a fold's log: its key, which aliases the log,
+// and its byte range.
+type logFrame struct {
+	key      []byte
+	off, end int
+}
+
+// foldKeep bounds the scratch idleFold keeps, in bytes: a fold of a longer
+// log leaves what it grew to the collector.
+const foldKeep = 256 << 10
+
+// idleFold is the fold scratch while no fold is using it, shared by every
+// WAL in the process as idleScrubWindow is: a fold takes it (or makes one
+// when another fold has it) and puts it back, so a warm fold allocates the
+// same whatever the log's size.
+var idleFold atomic.Pointer[foldScratch]
+
+func getFoldScratch() *foldScratch {
+	if sc := idleFold.Swap(nil); sc != nil {
+		return sc
 	}
-	var all []frame
+	return new(foldScratch)
+}
+
+// putFoldScratch makes sc the idle scratch, unless it outgrew foldKeep.
+func putFoldScratch(sc *foldScratch) {
+	if cap(sc.log)+cap(sc.frames)+cap(sc.all)*int(unsafe.Sizeof(logFrame{})) <= foldKeep {
+		idleFold.Store(sc)
+	}
+}
+
+// readLog reads the log at path whole into sc.log; a missing log reads as
+// empty. size is the log's length as the WAL last knew it (0 before the
+// stripe's first append since Open): the buffer is sized from it up front,
+// and grown as the read needs when it is short.
+func (sc *foldScratch) readLog(path string, size int64) error {
+	sc.log = slices.Grow(sc.log[:0], int(size)+512)
+	f, err := os.Open(path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		return err
+	}
+	defer f.Close()
+	for {
+		if len(sc.log) == cap(sc.log) {
+			sc.log = slices.Grow(sc.log, 512)
+		}
+		n, err := f.Read(sc.log[len(sc.log):cap(sc.log)])
+		sc.log = sc.log[:len(sc.log)+n]
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// lastFrames returns the last frame of each key in sc.log, in key order,
+// built in sc.frames. ok is false unless the log is entirely intact set
+// frames: a fold must never skip past damage or a torn tail.
+func (sc *foldScratch) lastFrames() (frames []byte, ok bool) {
+	log, all := sc.log, sc.all[:0]
 	valid, err := scanFrames(log, 0, func(off int, payload []byte) error {
 		key, ok := frameKey(payload)
 		if !ok {
@@ -1310,21 +1379,23 @@ func lastFrames(log []byte) (frames []byte, ok bool) {
 		if n := len(all); n > 0 {
 			all[n-1].end = off
 		}
-		all = append(all, frame{key: key, off: off, end: len(log)})
+		all = append(all, logFrame{key: key, off: off, end: len(log)})
 		return nil
 	})
+	sc.all = all
 	if err != nil || valid != len(log) {
 		return nil, false
 	}
 	// Sorted stably, each key's frames stay in log order: the last of a run
 	// of equal keys is that key's latest state.
-	slices.SortStableFunc(all, func(a, b frame) int { return bytes.Compare(a.key, b.key) })
-	frames = make([]byte, 0, len(log))
+	slices.SortStableFunc(all, func(a, b logFrame) int { return bytes.Compare(a.key, b.key) })
+	frames = slices.Grow(sc.frames[:0], len(log))
 	for i, f := range all {
 		if i+1 == len(all) || !bytes.Equal(f.key, all[i+1].key) {
 			frames = append(frames, log[f.off:f.end]...)
 		}
 	}
+	sc.frames = frames
 	return frames, true
 }
 

@@ -208,6 +208,15 @@
 //     fill record is recycled, and admission into a full cache reuses the
 //     LRU node it evicts.
 //
+// Value bytes are opaque to the stamps, as they are in the paper: Update,
+// Fork and Join touch only the stamp. No path writes into a stored value,
+// so replicas in one process share one buffer. A reconcile installs one
+// buffer in every replica it converges, and a Clone shares its source's.
+// A quorum write therefore allocates the coordinator's copy of the
+// caller's value and nothing per owner. Only a buffer that may still
+// belong to a caller is copied, once: a resolver's output, a detached copy
+// being merged, and the copy a hint carries out of the store.
+//
 // On the write path, group commit (the wal package's GroupCommit option)
 // decouples acknowledgment from fsync frequency: appends from concurrent
 // writers coalesce into a commit window, the window fsyncs each stripe log
