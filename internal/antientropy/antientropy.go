@@ -4,19 +4,19 @@
 // membership, no coordinator, no identifier service.
 //
 // A round moves only what the stamps cannot prove equivalent — the paper's
-// central property (stamp comparison classifies two copies without looking
-// at the data) applied to the wire. Each stripe of a replica keeps an
-// adaptive digest tree of fan-out 16 (kvstore.DigestTree): keys hash to
-// 64-bit positions, leaves cover equal position ranges, internal nodes hash
-// their children, and the depth follows the stripe's live key count
+// central property (stamp comparison classifies two copies without looking at
+// the data) applied to the wire. Each stripe of a replica keeps an adaptive
+// digest tree of fan-out 16 (kvstore.DigestTree): keys hash to 64-bit
+// positions, leaves cover equal position ranges, a node's hash is the XOR of
+// its keys' terms, and the depth follows the stripe's live key count
 // (kvstore.TreeDepth). A round descends from the replica root toward the
 // handful of leaves that actually differ, exchanges per-key digests (key +
-// stamp, no value) for just those leaves — a key whose update component the
-// server already holds goes as its stamp's id alone — and ships full copies
-// only where the digests leave the server unable to reconcile. The server applies them
+// stamp, no value) for just those leaves — a key whose term the server already
+// holds goes as its stamp's id alone — and ships full copies only where the
+// digests leave the server unable to reconcile. The server applies them
 // exactly as an in-process kvstore.Sync would — transfers fork stamps,
-// dominance reconciles, conflicts use the server's resolver or stay reported
-// — and replies with what the client must adopt: for a copy whose value the
+// dominance reconciles, conflicts use the server's resolver or stay reported —
+// and replies with what the client must adopt: for a copy whose value the
 // client shipped and the server kept, only the client's half of the fork (a
 // restamp), as the client already holds the value; every other copy in full.
 // Converged replicas therefore exchange one 8-byte root; isolating one
@@ -25,7 +25,7 @@
 // # Wire protocol
 //
 // There is one protocol. A connection is a session: the client opens it with
-// the version byte 0x08, the server acks with the same byte, and any number
+// the version byte 0x09, the server acks with the same byte, and any number
 // of rounds (whole-replica, or scoped to chosen stripes) ride it back to
 // back. A server closes a connection that opens with anything else; a client
 // whose opening is answered by anything else reports ErrProtocol. After the
@@ -33,7 +33,7 @@
 // integers uvarint-encoded, hashes 8 bytes big-endian, stamps in core's
 // binary format (core.Stamp.AppendBinary):
 //
-//	client -> server  kindRoot          (0x08): of, root (the fold of the
+//	client -> server  kindRoot          (0x08): of, root (the XOR of the
 //	                  stripe tree roots; whole-replica rounds only)
 //	server -> client  kindRootMatch     (0x09): 1 = converged, round over
 //	client -> server  kindStripeRoots   (0x0A): of, count,
@@ -64,44 +64,48 @@
 //
 // where digest = key + stamp (encoding.AppendDigest) and a digest run is a
 // count and that many digests, in tree order. A term is 8 bytes: the hash of
-// one key and its stamp's update component (encoding.DigestTerm, the chunk a
-// leaf hash folds in for the key), one per key the server holds under the
+// one key, its stamp's update component and its content (encoding.DigestTerm),
+// kept with the key in its tree's leaf run; a tree hash is the XOR of the
+// terms under it. The tree diff sends one per key the server holds under the
 // leaf, in tree order. A leaf run answers its leaf's terms, if the tree diff
 // sent any: a bitmap over them (one bit a term, as a child bitmap lays its
 // bits out) marks the terms of the client's keys, then each marked key's id
 // component (its trie encoding) goes in term order, and the digest run holds
 // only the keys whose terms were not marked. The server rebuilds a marked
-// key's digest — its own key, its own update component, the client's id —
-// so the run it decodes is the client's whole run, and every key of it
-// reaches the per-key decision (kvstore.Replica.DiffRanges), the overlap of
-// ids included. Two keys whose terms collide (about 2^-64 a pair, as for
-// the tree's hashes) would be taken one for the other. The client ships
-// its runs in walk order: by stripe, then position. That order numbers the
-// digests, marked or not — a digest's ordinal is its place in the client's
-// whole runs, counted from 0 across them — and from there on the round names
-// a key the client shipped by its ordinal, never by its bytes. Every list of ordinals is strictly ascending and
-// delta-coded: each goes as its distance from the one before, the first as
-// its distance from -1, so no distance is 0. The need frame
-// lists the digest ordinals whose full copies the server needs. The entries
-// frame answers each need in need order with a body (encoding.AppendEntryBody:
-// flags, the value unless a tombstone, and the stamp only where the copy
-// moved since its digest, the server holding the digest's) or with the body
-// of a key that vanished. The result's restamps, for the needs answered in
-// full whose outcome kept that value, are need ordinals (places in the need
-// frame) with the new stamp; its entries, everything else, each carry a
-// reference — the digest ordinal of a key the client shipped, or 0 and the
-// key's bytes for one it did not — and a body with its stamp. The reply is
-// in walk order, and no key is in both lists. Every tree has fan-out 16,
-// so a child bitmap is 2 bytes, children 0–7 in the first, least significant
-// bit first. Each stripe's depth is the client's choice, declared once a
-// round in the stripe roots; the server evaluates its own stripes at that
-// depth (kvstore.Replica.StripeTreeAt — the maintained tree when it matches
-// its own, which converged replicas' does), and refuses a tree node at or
+// key's digest — its own key, its own update component, the client's id — so
+// the run it decodes is the client's whole run, and every key of it reaches
+// the per-key decision (kvstore.Replica.DiffRanges), the overlap of ids
+// included: a key created at both ends with one value goes marked, and its ids
+// tell the two creations apart. Two keys whose terms collide (about 2^-64 a
+// pair, as for the tree's hashes) would be taken one for the other. The client
+// ships its runs in walk order: by stripe, then position. That order numbers
+// the digests, marked or not — a digest's ordinal is its place in the client's
+// whole runs, counted from 0 across them — and from there on the round names a
+// key the client shipped by its ordinal, never by its bytes. Every list of
+// ordinals is strictly ascending and delta-coded: each goes as its distance
+// from the one before, the first as its distance from -1, so no distance is 0.
+// The need frame lists the digest ordinals whose full copies the server needs.
+// The entries frame answers each need in need order with a body
+// (encoding.AppendEntryBody: flags, the value unless a tombstone, and the
+// stamp only where the copy moved since its digest, the server holding the
+// digest's) or with the body of a key that vanished. The result's restamps,
+// for the needs answered in full whose outcome kept that value, are need
+// ordinals (places in the need frame) with the new stamp; its entries,
+// everything else, each carry a reference — the digest ordinal of a key the
+// client shipped, or 0 and the key's bytes for one it did not — and a body
+// with its stamp. The reply is in walk order, and no key is in both lists.
+// Every tree has fan-out 16, so a child bitmap is 2 bytes, children 0–7 in the
+// first, least significant bit first. Each stripe's depth is the client's
+// choice, declared once a round in the stripe roots: it places the client's
+// leaves, where the descent ends and which leaves get terms. A node's hash
+// does not depend on the depth of the tree that holds it, so the server
+// answers any node from its own maintained tree (kvstore.DigestTree.Children
+// reads one below its leaves off a leaf's run). It refuses a tree node at or
 // below its stripe's declared depth, a leaf run below it, and either for a
-// stripe that did not diverge. The layout is not a choice:
-// `of`, the client's stripe count, must equal the server's, and a server
-// answers a root, probe or stripe-roots opening declaring any other count
-// with kindError naming both counts, before either replica is touched.
+// stripe that did not diverge. The layout is not a choice: `of`, the client's
+// stripe count, must equal the server's, and a server answers a root, probe or
+// stripe-roots opening declaring any other count with kindError naming both
+// counts, before either replica is touched.
 //
 // # Sessions
 //

@@ -35,7 +35,7 @@ import (
 
 // protocolVersion is the first byte of a session, and the byte the server
 // acks the opening with.
-const protocolVersion = 0x08
+const protocolVersion = 0x09
 
 // Frame kinds. The numbering has gaps where retired protocols had frames of
 // their own.
@@ -43,7 +43,7 @@ const (
 	kindNeed           = 0x02 // server: ordinals of the digests whose full copies it needs
 	kindEntries        = 0x03 // client: one entry body per need, in need order
 	kindResult         = 0x04 // server: sync counters, restamps + entries the client adopts
-	kindRoot           = 0x08 // client: layout + fold of its stripe tree roots
+	kindRoot           = 0x08 // client: layout + XOR of its stripe tree roots
 	kindRootMatch      = 0x09 // server: 1 = roots agree (round over), 0 = diverged
 	kindStripeRoots    = 0x0A // client: of, count×(stripe, depth, root): each stripe's depth, once a round
 	kindStripeRootDiff = 0x0B // server: stripes whose tree roots differ

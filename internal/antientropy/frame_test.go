@@ -146,11 +146,7 @@ func bulkFrames(t *testing.T) []bulkFrame {
 		siblings = append(siblings, encoding.Digest{Key: key(1000+j, 2), Stamp: b})
 	}
 	mine, siblings = inTreeOrder(mine), inTreeOrder(siblings)
-	var terms []uint64
-	for _, d := range mine {
-		term, _ := encoding.DigestTerm(d, nil)
-		terms = append(terms, term)
-	}
+	mineKeys := withTerms(mine)
 	termed := func(level int, path uint64) bool { return level == 2 && path%3 == 0 }
 	for i := 0; i < 24; i++ {
 		var ds []encoding.Digest
@@ -158,28 +154,29 @@ func bulkFrames(t *testing.T) []bulkFrame {
 			ds = append(ds, encoding.Digest{Key: key(i*10+j, i%7), Stamp: stamp(i + j)})
 		}
 		run := encoding.LeafRun{Stripe: i % 8, Level: 2, Path: uint64(i), Digests: inTreeOrder(ds)}
+		var match []int32
 		if termed(run.Level, run.Path) {
 			run.Digests = inTreeOrder(append(run.Digests, siblings...))
-			run.Terms = len(terms)
-			run.Match, _ = encoding.MatchTerms(nil, run.Digests, terms, nil)
+			run.Terms = len(mineKeys)
+			match = matchOf(run.Digests, mineKeys)
 		}
-		runs = append(runs, encoding.AppendLeafRun(nil, run))
+		runs = append(runs, encoding.AppendLeafRun(nil, sent(run, match)))
 	}
 	for _, size := range bigs {
 		var ds []encoding.Digest
 		for n := 0; n < size; n += encoding.DigestLen(ds[len(ds)-1]) {
 			ds = append(ds, encoding.Digest{Key: key(len(ds), size/24), Stamp: stamp(len(ds))})
 		}
-		runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: 3, Level: 1, Path: 5, Digests: inTreeOrder(ds)}))
+		runs = append(runs, encoding.AppendLeafRun(nil, sent(encoding.LeafRun{Stripe: 3, Level: 1, Path: 5, Digests: inTreeOrder(ds)}, nil)))
 	}
-	runs = append(runs, encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: 1, Level: 0}))
+	runs = append(runs, encoding.AppendLeafRun(nil, encoding.SentRun{Stripe: 1, Level: 0}))
 	lb.add(uv(len(runs)))
 	for _, r := range runs {
 		lb.add(r)
 	}
-	local := func(stripe, level int, path uint64) ([]encoding.Digest, bool) {
+	local := func(stripe, level int, path uint64) ([]encoding.Termed, bool) {
 		if termed(level, path) {
-			return mine, true
+			return mineKeys, true
 		}
 		return nil, false
 	}
@@ -192,10 +189,11 @@ func bulkFrames(t *testing.T) []bulkFrame {
 				run, used, err = encoding.DecodeLeafRun(b, 8, local)
 				return used, err
 			})
+			var match []int32
 			if run.Terms > 0 {
-				run.Match, _ = encoding.MatchTerms(nil, run.Digests, terms, nil)
+				match = matchOf(run.Digests, mineKeys)
 			}
-			out = encoding.AppendLeafRun(out, run)
+			out = encoding.AppendLeafRun(out, sent(run, match))
 		}
 		return out, err
 	}})

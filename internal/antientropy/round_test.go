@@ -147,26 +147,27 @@ func differs(server, client, oracleServer, oracleClient *kvstore.Replica, loose 
 
 // TestRoundWritesBetweenFrames is a bounded-exhaustive check of a round
 // against writes made while it is in flight. From a converged pair that
-// then diverges by one key, or by two (one written at each end), every
-// schedule runs one round through the lockstep driver with one write made
-// before one of its frames is received: a Put or a Delete at either end of a
-// divergent key or of a key sharing its leaf, or the first Put at either end
-// of a key no replica held. After the round and one quiescent round, both
+// then diverges by one key, by two (one written at each end), or by a key
+// the client creates, every schedule runs one round through the lockstep
+// driver with one write made before one of its frames is received: a Put
+// or a Delete at either end of a divergent key or of a key sharing its
+// leaf, or the first Put at either end of a key no replica held. After the round and one quiescent round, both
 // ends must hold every acknowledged write (a Delete may lose to a racing
 // edit at the other end, as KeepBoth has it), and both ends must
 // hold exactly what the in-process kvstore.Sync gives from the same start
 // with the write made before the round or after it: values, tombstones and
 // stamps (Equal), but for the written key's stamps (see differs).
 //
-// Left out: a first Put of a key the other end already holds. Both copies
-// are then independent creations whose stamps carry equal update
-// components, which the digest tree cannot tell apart, so no round
-// descends to them; such schedules fail until the tree hashes content too.
+// A Put at the server of the key the client creates is a first Put of a key
+// the other end already holds: the two copies are then independent
+// creations whose stamps carry equal update components, told apart by their
+// content alone.
 func TestRoundWritesBetweenFrames(t *testing.T) {
 	keepBoth := kvstore.KeepBoth([]byte("|"))
 	const k1, k2 = "key-007", "key-100"
 	near1 := leafMate(k1, func(i int) string { return fmt.Sprintf("key-%03d", i) })
 	fresh := leafMate(k1, func(i int) string { return fmt.Sprintf("fresh-%d", i) })
+	twin := leafMate(k1, func(i int) string { return fmt.Sprintf("twin-%d", i) })
 	type write struct {
 		name     string
 		atServer bool
@@ -181,6 +182,8 @@ func TestRoundWritesBetweenFrames(t *testing.T) {
 		{"1 key", []write{{"", false, k1, []byte("client edit")}}, []string{k1, near1}},
 		{"2 keys", []write{{"", false, k1, []byte("client edit")}, {"", true, k2, []byte("server edit")}},
 			[]string{k1, k2, near1}},
+		// Its Puts at the server are first Puts of a key the client holds.
+		{"1 key created", []write{{"", false, twin, []byte("created client")}}, []string{twin}},
 	}
 	schedules := 0
 	for _, base := range bases {
@@ -286,16 +289,17 @@ func TestRoundWritesBetweenFrames(t *testing.T) {
 }
 
 // TestRoundChecksMatchedKeysIds guards the id check of a key the client
-// ships as its id alone. Both ends create one fresh key, so its two copies
-// carry equal update components under overlapping ids, and the client also
-// writes a key sharing its leaf, so the round descends to that leaf. The
-// fresh key's term then matches the server's, and only its id travels: the
-// server must rebuild the client's exact stamp for it, whose overlap with
-// its own makes the key's copies independent, so that the round merges the
-// key as kvstore.Sync does, and needs no other key than it and the mate:
-// the leaf's other keys are equivalent copies, which a stamp of the wrong
-// id would make independent. Both ends must hold what Sync gives from the
-// same start, every key's stamps Equal.
+// ships as its id alone. Both ends create one fresh key with one value, so
+// its two copies carry equal update components and equal content under
+// overlapping ids — the one pair of independent copies whose terms are
+// equal — and the client also writes a key sharing its leaf, so the round
+// descends to that leaf. The fresh key's term then matches the server's,
+// and only its id travels: the server must rebuild the client's exact stamp
+// for it, whose overlap with its own makes the key's copies independent, so
+// that the round reconciles the key as kvstore.Sync does, and needs no
+// other key than it and the mate: the leaf's other keys are equivalent
+// copies, which a stamp of the wrong id would make independent. Both ends
+// must hold what Sync gives from the same start, every key's stamps Equal.
 func TestRoundChecksMatchedKeysIds(t *testing.T) {
 	keepBoth := kvstore.KeepBoth([]byte("|"))
 	// In key-007's leaf, with a mate and other keys the pair holds.
@@ -303,8 +307,8 @@ func TestRoundChecksMatchedKeysIds(t *testing.T) {
 	mate := leafMate(fresh, func(i int) string { return fmt.Sprintf("key-%03d", i) })
 	build := func() (server, client *kvstore.Replica) {
 		server, client = roundPair()
-		server.Put(fresh, []byte("from server"))
-		client.Put(fresh, []byte("from client"))
+		server.Put(fresh, []byte("created twice"))
+		client.Put(fresh, []byte("created twice"))
 		client.Put(mate, []byte("mate edit"))
 		return server, client
 	}
@@ -313,22 +317,34 @@ func TestRoundChecksMatchedKeysIds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Merged != 1 {
-		t.Fatalf("kvstore.Sync merged %d keys, want the fresh one", want.Merged)
+	if want.Reconciled != 2 {
+		t.Fatalf("kvstore.Sync reconciled %d keys, want the fresh one and the mate", want.Reconciled)
 	}
 	server, client := build()
 	l := newLockstep(server, client, keepBoth)
-	needs := uint64(0)
+	needs, idOnly := uint64(0), false
 	l.before = func(_ int, unread *bytes.Buffer) {
-		if unread.Len() > 0 && unread == &l.s2c {
-			if kind, body := frameAt(unread); kind == kindNeed {
-				needs, _ = binary.Uvarint(body)
+		if unread.Len() == 0 {
+			return
+		}
+		switch kind, body := frameAt(unread); {
+		case unread == &l.s2c && kind == kindNeed:
+			needs, _ = binary.Uvarint(body)
+		case unread == &l.c2s && kind == kindLeafDigests:
+			for i, req := range l.c.leafReqs {
+				r := &l.c.shipped.runs[i]
+				for j := 0; j < r.len(); j++ {
+					idOnly = idOnly || r.digest(j).Key == fresh && req.n > 0 && l.c.match[req.at+j] >= 0
+				}
 			}
 		}
 	}
 	res, err := l.round(t, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !idOnly {
+		t.Error("the fresh key did not go as its id alone")
 	}
 	if res.Merged != want.Merged || res.Reconciled != want.Reconciled || res.Transferred != want.Transferred || needs != 2 {
 		t.Errorf("round %+v needing %d keys, kvstore.Sync %+v", res, needs, want)

@@ -127,32 +127,32 @@ func TestRoundBytesPinned(t *testing.T) {
 		sent, recvd pinnedStream
 	}{
 		{"converged", func() {}, whole,
-			pinnedStream{23, "121fb1bb2d5a9325d105599afbe425ee40a6deeec6eb08534eb8b2f503f781d2"},
-			pinnedStream{4, "032b1c4b4a858b5553c71127a3ba8d6d4f08b653da6211065ce99d968594c1a1"}},
+			pinnedStream{23, "745727141270e0cd63f9e3df2716abe7881d18e7901c25154db2fa0140aef883"},
+			pinnedStream{4, "6301aeb7b2111dd56f2e4917272284bb7ffdeb7ce1d2da19c8e31b9dd2ed4e82"}},
 		{"probe-answered", func() {}, whole,
-			pinnedStream{11, "93b35778698e4fcb32bd52f2d0f5f4f816d84cab36df961cc835eb53ecfb95e1"},
+			pinnedStream{11, "f2875adbb014cd1b37caddea15d7284efc3f0202fcf432e212881f1f3ea075c9"},
 			pinnedStream{3, "b7fbc578a842cdef76732a99b255beb9f9ddd630ffc4ee73557d2afc85ad8e32"}},
 		{"1 key", func() { writeSome(1) }, whole,
-			pinnedStream{482, "ccb27f4828eaeea9a9a65f1b9d79824838b2487975ff23aaa8e88fc3c39c3c7a"},
-			pinnedStream{92, "157ef249c2695e0e0f50919958ce620e73c0c4eb6344c009d0d2adb52920a12e"}},
+			pinnedStream{482, "94931b32737111a6a17de9aa8597cc800d0c0cd140acac40ef5c3a51c66b4be1"},
+			pinnedStream{92, "2a2621cb2b2d2a90b568db04aaad6119150c71b9b9956da564e1e7c6e356857b"}},
 		{"1 %", func() { writeSome(keys / 100) }, whole,
-			pinnedStream{4794, "8275a0d51bd6dc6278235ff7ca63a30163d630e950382d3b55ccc7714af16a44"},
-			pinnedStream{1317, "d7e03537ba51b6bdc23a19b1e567838d846b49707ec2255a927a61c9d2ccf220"}},
+			pinnedStream{4794, "fbc2a3e52e7ccd97bcfe00aea8ffb747b89373bd4da046760dd29ae25775b450"},
+			pinnedStream{1317, "7691f031814a4a9ba4eea22235fb01a1d65fef1671604d52979266acbf8ae572"}},
 		{"25 %", func() { writeSome(keys / 4) }, whole,
-			pinnedStream{74681, "3326d917c2b3bd3fd8cf233dff255019c30cd561298c99d372c97537aa8aa74d"},
-			pinnedStream{17182, "1231a83d863bc943965882b96350d92513a6102e4b50a82fec9091934e28d7c1"}},
+			pinnedStream{74681, "24a6cccd702b2adbe8bc556030669ad6bdbaa8290a68fbcb1e4e77a03aa16acc"},
+			pinnedStream{17182, "9ea617449f5c2229472b537e08f0ac1e1ac31537e69869f2396b3e00f10e4c1c"}},
 		{"scoped", func() { writeSome(16) }, func() (kvstore.SyncResult, error) {
 			res, err := p.SyncStripes(addr, client, []int{3, 9, 17, 30})
 			return res, err
 		},
-			pinnedStream{306, "5be618a447832e95e85e14453dcd05cc78f2495dec9ce0fdf832a857cfa6a9b3"},
-			pinnedStream{73, "5c963d336ed046ced742f5c821746e5f46c04cf450ea73f7219c6ae3f56ecf84"}},
+			pinnedStream{306, "f06b1a7cc5e1ceca62f38318e47366fbc70c3ba0f557922806928d79ac217520"},
+			pinnedStream{73, "cbdb3c1e9908609a4cdb2a4a2ae05e9e0885a98c57a32710408468573ecf7e9e"}},
 		{"conflict", func() {
 			server.Put(key(7), []byte("server side"))
 			client.Put(key(7), []byte("client side"))
 		}, whole,
-			pinnedStream{3906, "ec582b3ec926f2a394cb6b421c92eab2bfb0c584ae36c43ecac5dde1988d7a67"},
-			pinnedStream{1044, "e431237aff59fdbf362dede994b3ae92f5d9401a2ec5574f05fc9b7a7cad3fc4"}},
+			pinnedStream{3906, "523aa7ddf27d799e36de306662b5f2457a04e88a8619751abaedc68b9e6bdcc0"},
+			pinnedStream{1044, "35c801988f3b2af2d2a64c96a33e9beab4ca9b43d47a77dd2bec1c3dec1b05b5"}},
 	}
 	for _, r := range rounds {
 		r.before()
@@ -249,7 +249,7 @@ func TestRoundWireBytesPerKey(t *testing.T) {
 					}
 					match := l.c.match[l.c.leafReqs[i].at:]
 					share, budget, shipped := used, 0, 0
-					share -= len(encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path})) - 1
+					share -= len(encoding.AppendLeafRun(nil, encoding.SentRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path})) - 1
 					for j, d := range r.Digests {
 						if match[j] >= 0 {
 							budget += d.Stamp.IDHandle().EncodedLen() + 1

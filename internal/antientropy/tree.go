@@ -17,15 +17,14 @@ import (
 // toward the leaves that differ. See the package comment for the frame
 // grammar and the drivers that step the machines.
 //
-// Every tree has fan-out encoding.TreeFanout. A stripe tree's depth is the
-// *client's* choice, declared once per round in the stripe roots; the server
-// evaluates its own data at that depth (kvstore.Replica.StripeTreeAt), the
-// maintained tree whenever the depth matches its own policy — which it does
-// between converged replicas, whose per-stripe key counts (and therefore
-// TreeDepth results) agree. A stripe whose count crosses a depth threshold
-// simply descends at the new depth next round. The stripe layout is not a
-// choice: both ends must stripe the keyspace the same way, and the server
-// refuses any other peer (layout).
+// Every tree has fan-out encoding.TreeFanout, and every tree hash is the XOR
+// of the terms of the keys under it, which each tree keeps with its keys, so
+// both ends read terms off their runs and hash nothing during a round. A
+// stripe tree's depth is the *client's* choice, declared once per round in
+// the stripe roots; a node's hash does not depend on a tree's depth, so the
+// server answers at the client's levels from its own maintained tree. The
+// stripe layout is not a choice: both ends must stripe the keyspace the same
+// way, and the server refuses any other peer (layout).
 
 // serverPhase is the frame a server's session takes next.
 type serverPhase uint8
@@ -56,7 +55,6 @@ type serverRound struct {
 	cliHashes []uint64                 // encoding.DecodeTreeNode scratch: the client's child hashes
 	answers   []uint16                 // treeNodes scratch: each node's differ and server bitmaps
 	nodeTerms []int                    // treeNodes scratch: how many of each node's children get terms
-	chunk     []byte                   // encoding.DigestTerm scratch
 }
 
 // leafCoord names a leaf of a stripe's tree by its path.
@@ -149,8 +147,8 @@ func (m *serverRound) layout(frame string) error {
 }
 
 // rootMatch answers a root or probe frame: 1 when the peer's root equals the
-// fold of this replica's stripe tree roots, folded as the maintained trees
-// yield them, with nothing collected. Whole-replica rounds open with the
+// XOR of this replica's stripe tree roots, as the maintained trees yield
+// them, with nothing collected. Whole-replica rounds open with the
 // root; matching roots end the round right there, and other roots send it
 // to the stripe roots. Scoped rounds open with the stripe roots. A probe is
 // answered without opening any round state: the session stays idle, and
@@ -170,7 +168,7 @@ func (m *serverRound) rootMatch(probe bool) error {
 	if err != nil {
 		return errors.New("truncated root")
 	}
-	root, match := encoding.RootSummarySeed, byte(1)
+	root, match := uint64(0), byte(1)
 	for i := 0; i < m.of && match == 1; i++ {
 		var r uint64
 		if probe {
@@ -181,7 +179,7 @@ func (m *serverRound) rootMatch(probe bool) error {
 		} else if r, err = m.replica.StripeRoot(i); err != nil {
 			return err
 		}
-		root = encoding.FoldSummary(root, r)
+		root ^= r
 	}
 	if root != binary.BigEndian.Uint64(b) {
 		match = 0
@@ -195,10 +193,10 @@ func (m *serverRound) rootMatch(probe bool) error {
 }
 
 // treeStripeState is the server's per-round state for one divergent stripe:
-// the tree snapshot evaluated at the client's declared depth (consistent
-// across the whole round), and — once leaf runs arrive — the client's runs in
-// position order, the diff they drew and the entries that came for its
-// needs, in need order.
+// the tree snapshot (consistent across the whole round) and the client's
+// declared depth, at which the round reads it, and — once leaf runs arrive —
+// the client's runs in position order, the diff they drew and the entries
+// that came for its needs, in need order.
 type treeStripeState struct {
 	tree    *kvstore.DigestTree
 	depth   int
@@ -209,10 +207,21 @@ type treeStripeState struct {
 }
 
 // leafRun is one shipped digest run, with its stripe and the ordinal of its
-// first digest.
+// first digest: at the server, the digests it decoded (Digests); at the
+// client, its own tree's keys as it shipped them (keys).
 type leafRun struct {
 	stripe, first int
 	kvstore.DigestRun
+	keys []encoding.Termed
+}
+
+func (r *leafRun) len() int { return len(r.Digests) + len(r.keys) }
+
+func (r *leafRun) digest(i int) *encoding.Digest {
+	if r.keys != nil {
+		return &r.keys[i].Digest
+	}
+	return &r.Digests[i]
 }
 
 // cmpLeafRuns orders runs by stripe, then position.
@@ -221,10 +230,9 @@ func cmpLeafRuns(a, b leafRun) int {
 }
 
 // stripeRoots takes the stripe-root phase: each declared stripe's tree root
-// is compared at the client's declared depth, and the answer names the
-// divergent stripes. Every divergent stripe's tree is held until the apply
-// is done (reset releases them if the round ends first); a round with none
-// ends here.
+// is compared, and the answer names the divergent stripes. Every divergent
+// stripe's tree is held until the apply is done (reset releases them if the
+// round ends first); a round with none ends here.
 func (m *serverRound) stripeRoots() error {
 	fr := &m.fr
 	if err := m.layout("stripe roots"); err != nil {
@@ -256,7 +264,7 @@ func (m *serverRound) stripeRoots() error {
 		if _, dup := m.stripes[idx]; dup {
 			return errors.New("duplicate stripe")
 		}
-		tree, err := m.replica.StripeTreeAt(idx, int(depth64))
+		tree, err := m.replica.StripeTree(idx)
 		if err != nil {
 			return err
 		}
@@ -286,11 +294,12 @@ func (m *serverRound) stripeRoots() error {
 }
 
 // treeNodes answers one level of the descent from the per-round tree
-// snapshots, node by node: for each queried node, which children differ and
-// which this side holds, then the terms of each leaf child that differs and
-// that both sides hold (one per key under it here, in tree order), which the
-// client's leaf run answers. The nodes are read first and the answer, sized
-// from them, written after.
+// snapshots, node by node, at the client's levels: for each queried node,
+// which children differ and which this side holds, then the terms of each
+// leaf child that differs and that both sides hold (one per key under it
+// here, in tree order, read off the run), which the client's leaf run
+// answers. The nodes are read first and the answer, sized from them,
+// written after.
 func (m *serverRound) treeNodes() error {
 	fr, fw := &m.fr, &m.fw
 	// Every node takes at least its three coordinates and its bitmap.
@@ -358,10 +367,8 @@ func (m *serverRound) treeNodes() error {
 			st := m.stripes[leaf.stripe]
 			run := st.tree.Run(st.depth, leaf.path)
 			fw.buf = binary.AppendUvarint(fw.room(binary.MaxVarintLen64), uint64(len(run)))
-			for _, d := range run {
-				var term uint64
-				term, m.chunk = encoding.DigestTerm(d, m.chunk)
-				fw.buf = binary.BigEndian.AppendUint64(fw.room(8), term)
+			for _, k := range run {
+				fw.buf = binary.BigEndian.AppendUint64(fw.room(8), k.Term)
 			}
 		}
 		leaves = leaves[terms:]
@@ -379,7 +386,7 @@ func (m *serverRound) treeNodes() error {
 // client shipped there (encoding.DecodeLeafRun's local). Only a leaf's run
 // can hold keys at both ends: the descent stops above the leaves only where
 // one end's subtree is empty.
-func (m *serverRound) localRun(stripe, level int, path uint64) ([]encoding.Digest, bool) {
+func (m *serverRound) localRun(stripe, level int, path uint64) ([]encoding.Termed, bool) {
 	st := m.stripes[stripe]
 	if st == nil || level != st.depth {
 		return nil, false
@@ -422,7 +429,7 @@ func (m *serverRound) leafDigests() error {
 		if run.Level > st.depth {
 			return fmt.Errorf("leaf run at level %d, stripe %d declared depth %d", run.Level, run.Stripe, st.depth)
 		}
-		r := leafRun{run.Stripe, m.runs.n, kvstore.DigestRun{
+		r := leafRun{stripe: run.Stripe, first: m.runs.n, DigestRun: kvstore.DigestRun{
 			Range: kvstore.NodeRange(run.Level, run.Path), Digests: run.Digests}}
 		if k := len(m.runs.runs); k > 0 && cmpLeafRuns(m.runs.runs[k-1], r) >= 0 {
 			return errors.New("leaf runs out of walk order")
@@ -579,7 +586,7 @@ type clientRound struct {
 	probePending bool
 	askedRoot    uint64
 	// The round: its replica and stripes (all of them in a whole-replica
-	// round), the fold of their roots and the result so far. entriesSent: the
+	// round), the XOR of their roots and the result so far. entriesSent: the
 	// entries frame has begun, so the server may have applied the round.
 	local       *kvstore.Replica
 	of          int
@@ -599,7 +606,6 @@ type clientRound struct {
 	sends            []sentCopy  // what went for each need, in need order
 	hashes           []uint64    // DigestTree.Children scratch: child hashes
 	terms            []uint64    // matchTerms scratch: one leaf's terms
-	chunk            []byte      // encoding.DigestTerm scratch
 }
 
 // leafReq is a divergent leaf range the descent ended at, and the n terms
@@ -655,9 +661,9 @@ func (m *clientRound) release() {
 // that answer opens the round instead.
 func (m *clientRound) start() error {
 	m.result, m.entriesSent = kvstore.SyncResult{}, false
-	m.root = encoding.RootSummarySeed
+	m.root = 0
 	for _, idx := range m.stripes {
-		m.root = encoding.FoldSummary(m.root, m.trees[idx].Root())
+		m.root ^= m.trees[idx].Root()
 	}
 	if m.probePending {
 		m.probePending, m.want = false, kindRootMatch
@@ -865,7 +871,7 @@ func (m *clientRound) matchTerms(leaf nodeCoord) (int, error) {
 		}
 		m.terms = append(m.terms, binary.BigEndian.Uint64(b))
 	}
-	m.match, m.chunk = encoding.MatchTerms(m.match, m.trees[leaf.stripe].Run(leaf.level, leaf.path), m.terms, m.chunk)
+	m.match = encoding.MatchTerms(m.match, m.trees[leaf.stripe].Run(leaf.level, leaf.path), m.terms)
 	return int(count), nil
 }
 
@@ -881,11 +887,11 @@ func (m *clientRound) sendLeafRuns() {
 			cmp.Compare(kvstore.NodeRange(a.level, a.path).Lo, kvstore.NodeRange(b.level, b.path).Lo))
 	})
 	m.shipped = shippedRuns{runs: make([]leafRun, len(m.leafReqs))}
-	wireRun := func(i int) encoding.LeafRun {
+	wireRun := func(i int) encoding.SentRun {
 		req, r := m.leafReqs[i], &m.shipped.runs[i]
-		run := encoding.LeafRun{Stripe: req.stripe, Level: req.level, Path: req.path, Digests: r.Digests, Terms: req.n}
+		run := encoding.SentRun{Stripe: req.stripe, Level: req.level, Path: req.path, Keys: r.keys, Terms: req.n}
 		if req.n > 0 {
-			run.Match = m.match[req.at : req.at+len(r.Digests)]
+			run.Match = m.match[req.at : req.at+len(r.keys)]
 		}
 		return run
 	}
@@ -893,8 +899,8 @@ func (m *clientRound) sendLeafRuns() {
 	for i, req := range m.leafReqs {
 		r := &m.shipped.runs[i]
 		r.stripe, r.first, r.Range = req.stripe, m.shipped.n, kvstore.NodeRange(req.level, req.path)
-		r.Digests = m.trees[req.stripe].Run(req.level, req.path)
-		m.shipped.n += len(r.Digests)
+		r.keys = m.trees[req.stripe].Run(req.level, req.path)
+		m.shipped.n += len(r.keys)
 		size += encoding.LeafRunLen(wireRun(i))
 	}
 	m.fw.begin(kindLeafDigests, size)
@@ -992,13 +998,13 @@ func (m *clientRound) applyResult() error {
 		func(i int) *encoding.Entry { return &m.sends[refs.restamps[i]].entry },
 		func(i int) kvstore.Shipped { return m.shippedOf(refs.entries[i]) })
 	m.release()
-	m.root = encoding.RootSummarySeed
+	m.root = 0
 	for _, idx := range m.stripes {
 		r, err := m.local.StripeRoot(idx)
 		if err != nil {
 			return fmt.Errorf("antientropy: %w", err)
 		}
-		m.root = encoding.FoldSummary(m.root, r)
+		m.root ^= r
 	}
 	return nil
 }
@@ -1088,7 +1094,7 @@ func (sr *shippedRuns) runAt(stripe int, pos uint64) int {
 // digest returns the digest of ordinal ord, which must be below n.
 func (sr *shippedRuns) digest(ord int) *encoding.Digest {
 	r := &sr.runs[sort.Search(len(sr.runs), func(i int) bool { return sr.runs[i].first > ord })-1]
-	return &r.Digests[ord-r.first]
+	return r.digest(ord - r.first)
 }
 
 // ordinal returns the ordinal of the digest of key, at pos in stripe, or -1
@@ -1098,13 +1104,14 @@ func (sr *shippedRuns) ordinal(stripe int, pos uint64, key string) int {
 	if r < 0 {
 		return -1
 	}
-	ds := sr.runs[r].Digests
-	j := sort.Search(len(ds), func(j int) bool {
-		p := encoding.TreePos(ds[j].Key)
-		return p > pos || p == pos && ds[j].Key >= key
+	run := &sr.runs[r]
+	j := sort.Search(run.len(), func(j int) bool {
+		k := run.digest(j).Key
+		p := encoding.TreePos(k)
+		return p > pos || p == pos && k >= key
 	})
-	if j == len(ds) || ds[j].Key != key {
+	if j == run.len() || run.digest(j).Key != key {
 		return -1
 	}
-	return sr.runs[r].first + j
+	return run.first + j
 }

@@ -17,6 +17,54 @@ import (
 	"versionstamp/internal/kvstore"
 )
 
+// TestTreeFindsKeysCreatedAtBothEnds: two fresh replicas each create one
+// key with their own value. Both copies are Seed().Update(), equal update
+// components under overlapping ids, and only their content tells them
+// apart. One round over the wire must find the key and leave both ends with
+// the value and stamp order the in-process kvstore.Sync gives, and the
+// next round must find the pair converged at the root.
+func TestTreeFindsKeysCreatedAtBothEnds(t *testing.T) {
+	keepBoth := kvstore.KeepBoth([]byte("|"))
+	create := func() (server, client *kvstore.Replica) {
+		server, client = kvstore.NewReplica("b"), kvstore.NewReplica("a")
+		client.Put("k", []byte("from-a"))
+		server.Put("k", []byte("from-b"))
+		return server, client
+	}
+	oracleS, oracleC := create()
+	want, err := kvstore.Sync(oracleS, oracleC, keepBoth)
+	if err != nil || want.Merged != 1 {
+		t.Fatalf("kvstore.Sync: %+v, %v; want the key merged", want, err)
+	}
+	server, client := create()
+	_, addr := startServer(t, server, keepBoth)
+	res, err := SyncWith(addr, client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Merged != 1 || res.StripesSkipped != client.Shards()-1 {
+		t.Errorf("round %+v; want the key merged in its one stripe", res)
+	}
+	for _, p := range [][2]*kvstore.Replica{{server, oracleS}, {client, oracleC}} {
+		got, _ := p[0].Stored("k")
+		exp, _ := p[1].Stored("k")
+		if !bytes.Equal(got.Value, exp.Value) {
+			t.Errorf("%s holds %q, kvstore.Sync gives %q", p[0].Label(), got.Value, exp.Value)
+		}
+	}
+	s, _ := server.Stored("k")
+	c, _ := client.Stored("k")
+	os, _ := oracleS.Stored("k")
+	oc, _ := oracleC.Stored("k")
+	if core.Compare(s.Stamp, c.Stamp) != core.Compare(os.Stamp, oc.Stamp) {
+		t.Errorf("the ends' stamps compare %v, kvstore.Sync's %v", core.Compare(s.Stamp, c.Stamp), core.Compare(os.Stamp, oc.Stamp))
+	}
+	requireConverged(t, server, client)
+	if res, err := SyncWith(addr, client); err != nil || res.StripesSkipped != client.Shards() {
+		t.Errorf("the next round: %+v, %v; want a root match", res, err)
+	}
+}
+
 func TestSyncWithTreeConverges(t *testing.T) {
 	server, client := clonedPair(32)
 	server.Put("key-0000", []byte("newer-on-server"))
@@ -101,7 +149,7 @@ func TestTreeHotKeyWireSavings(t *testing.T) {
 		}
 		var digestList []byte
 		for _, d := range stripe.RunRange(kvstore.TreeRange{}) {
-			digestList = encoding.AppendDigest(digestList, d)
+			digestList = encoding.AppendDigest(digestList, d.Digest)
 		}
 		client.ReleaseStripeTree(idx)
 		if wire >= int64(len(digestList)) {
@@ -182,13 +230,13 @@ func TestTreeProbeNeverFolds(t *testing.T) {
 		before[i] = r
 	}
 	clientRoot := func() uint64 {
-		root := encoding.RootSummarySeed
+		var root uint64
 		for i := 0; i < of; i++ {
 			r, err := client.StripeRoot(i)
 			if err != nil {
 				t.Fatal(err)
 			}
-			root = encoding.FoldSummary(root, r)
+			root ^= r
 		}
 		return root
 	}
@@ -342,7 +390,7 @@ func TestTreeLayoutMismatch(t *testing.T) {
 	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRoot(&frameWriter{w: conn}, kindRootProbe, client.Shards(), encoding.RootSummarySeed); err != nil {
+	if err := writeRoot(&frameWriter{w: conn}, kindRootProbe, client.Shards(), 0); err != nil {
 		t.Fatal(err)
 	}
 	fr := frameReader{br: bufio.NewReader(conn)}
@@ -414,6 +462,14 @@ func TestTreeDifferentialProperty(t *testing.T) {
 				}
 			}
 			client.Put(fmt.Sprintf("fresh-%d", seed), []byte("new"))
+			// Keys created at both ends, with different values: independent
+			// copies under equal update components, which only their
+			// content tells apart.
+			for i := 0; i < 1+next(20); i++ {
+				k := fmt.Sprintf("both-%d-%d", seed, i)
+				server.Put(k, []byte(fmt.Sprintf("s%d", next(100))))
+				client.Put(k, []byte(fmt.Sprintf("c%d", next(100))))
+			}
 			return server, client
 		}
 		grow := func(r *kvstore.Replica, from, to int) {
@@ -644,8 +700,8 @@ func ordinalsBody(count int, ords ...int) []byte {
 func digestOrdinal(t *testing.T, c *clientRound, key string) int {
 	ord := 0
 	for _, r := range c.shipped.runs {
-		for _, d := range r.Digests {
-			if d.Key == key {
+		for i := 0; i < r.len(); i++ {
+			if r.digest(i).Key == key {
 				return ord
 			}
 			ord++
@@ -902,11 +958,12 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 	// against the server's terms, and edit returns each run's bytes, the
 	// run re-encoded (encode) unless it forges them.
 	encode := func(l *lockstep, r encoding.LeafRun) []byte {
+		var match []int32
 		if r.Terms > 0 {
 			mine, _ := l.s.localRun(r.Stripe, r.Level, r.Path)
-			r.Match, _ = encoding.MatchTerms(nil, r.Digests, termsOf(mine), nil)
+			match = matchOf(r.Digests, mine)
 		}
-		return encoding.AppendLeafRun(nil, r)
+		return encoding.AppendLeafRun(nil, sent(r, match))
 	}
 	leafRuns := func(l *lockstep, body []byte, edit func(runs []encoding.LeafRun) [][]byte) []byte {
 		n, rest := count(body)
@@ -931,7 +988,7 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 					continue
 				}
 				mine, _ := l.s.localRun(r.Stripe, r.Level, r.Path)
-				match, _ := encoding.MatchTerms(nil, r.Digests, termsOf(mine), nil)
+				match := matchOf(r.Digests, mine)
 				if slices.Contains(match, -1) && slices.ContainsFunc(match, func(m int32) bool { return m >= 0 }) {
 					out[i], forged = forge(r, match), true
 				}
@@ -952,8 +1009,8 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 				ds, m = append(ds, d), append(m, match[i])
 			}
 		}
-		b := encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path,
-			Digests: ds, Terms: r.Terms, Match: m})
+		b := encoding.AppendLeafRun(nil, sent(encoding.LeafRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path,
+			Digests: ds, Terms: r.Terms}, m))
 		b = binary.AppendUvarint(b[:len(b)-1], uint64(len(shipped))) // the count of none
 		for _, d := range shipped {
 			b = encoding.AppendDigest(b, d)
@@ -972,7 +1029,7 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 	}
 	// coordLen returns the length of r's coordinate prefix.
 	coordLen := func(r encoding.LeafRun) int {
-		return len(encoding.AppendLeafRun(nil, encoding.LeafRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path})) - 1
+		return len(encoding.AppendLeafRun(nil, encoding.SentRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path})) - 1
 	}
 	// converged returns a stripe the server holds no divergent tree of.
 	converged := func(l *lockstep) int {
@@ -1116,12 +1173,47 @@ func TestServerRefusesForgedEntries(t *testing.T) {
 	}
 }
 
-// termsOf returns the terms of ds, in order.
-func termsOf(ds []encoding.Digest) []uint64 {
+// termsOf returns the terms of ks, in order.
+func termsOf(ks []encoding.Termed) []uint64 {
 	var terms []uint64
-	for _, d := range ds {
-		term, _ := encoding.DigestTerm(d, nil)
-		terms = append(terms, term)
+	for _, k := range ks {
+		terms = append(terms, k.Term)
 	}
 	return terms
+}
+
+// withTerms gives each of ds the term of a live copy holding no value.
+func withTerms(ds []encoding.Digest) []encoding.Termed {
+	ks := make([]encoding.Termed, len(ds))
+	for i, d := range ds {
+		ks[i] = encoding.Termed{Digest: d, Term: encoding.DigestTerm(d, encoding.ContentHash(false, nil))}
+	}
+	return ks
+}
+
+// matchOf matches ds, a client's run, against mine, the server's keys of its
+// leaf, as the client's MatchTerms does, a digest taking the term of the
+// server's key of the same key and update component: what a digest decoded
+// off a run answering terms shows of its match.
+func matchOf(ds []encoding.Digest, mine []encoding.Termed) []int32 {
+	ks := make([]encoding.Termed, len(ds))
+	for i, d := range ds {
+		ks[i].Digest = d
+		if j := slices.IndexFunc(mine, func(k encoding.Termed) bool {
+			return k.Key == d.Key && k.Stamp.UpdateHandle().Equal(d.Stamp.UpdateHandle())
+		}); j >= 0 {
+			ks[i].Term = mine[j].Term
+		}
+	}
+	return encoding.MatchTerms(nil, ks, termsOf(mine))
+}
+
+// sent is the decoded run r as its sender ships it, answering r.Terms
+// terms as match says.
+func sent(r encoding.LeafRun, match []int32) encoding.SentRun {
+	ks := make([]encoding.Termed, len(r.Digests))
+	for i, d := range r.Digests {
+		ks[i].Digest = d
+	}
+	return encoding.SentRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path, Keys: ks, Terms: r.Terms, Match: match}
 }

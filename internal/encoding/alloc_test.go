@@ -32,11 +32,12 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 		}
 		return "", false
 	}
-	mine := func(int, int, uint64) ([]Digest, bool) { return local, false }
-	termed := func(int, int, uint64) ([]Digest, bool) { return local, true }
+	keys := withTerms(local)
+	mine := func(int, int, uint64) ([]Termed, bool) { return keys, false }
+	termed := func(int, int, uint64) ([]Termed, bool) { return keys, true }
 	shared := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
 
-	run := AppendLeafRun(nil, LeafRun{Stripe: 3, Level: 2, Path: 0x41, Digests: local})
+	run := AppendLeafRun(nil, sentRun(LeafRun{Stripe: 3, Level: 2, Path: 0x41, Digests: local}, nil))
 	got, _, err := DecodeLeafRun(run, 32, mine)
 	if err != nil || len(got.Digests) != len(local) {
 		t.Fatalf("DecodeLeafRun: %d digests, %v", len(got.Digests), err)
@@ -57,15 +58,11 @@ func TestDecodeKnownKeyAllocs(t *testing.T) {
 	slices.SortFunc(newRun, func(a, b Digest) int {
 		return cmp.Or(cmp.Compare(TreePos(a.Key), TreePos(b.Key)), strings.Compare(a.Key, b.Key))
 	})
-	unknownRun := AppendLeafRun(nil, LeafRun{Stripe: 3, Level: 2, Path: 0x41, Digests: newRun})
-	var terms []uint64
-	for _, d := range local {
-		term, _ := DigestTerm(d, nil)
-		terms = append(terms, term)
-	}
+	unknownRun := AppendLeafRun(nil, sentRun(LeafRun{Stripe: 3, Level: 2, Path: 0x41, Digests: newRun}, nil))
+	terms := termsOf(local)
 	answer := func(ds []Digest) []byte {
-		match, _ := MatchTerms(nil, ds, terms, nil)
-		return AppendLeafRun(nil, LeafRun{Stripe: 3, Level: 2, Path: 0x41, Digests: ds, Terms: len(terms), Match: match})
+		match := MatchTerms(nil, withTerms(ds), terms)
+		return AppendLeafRun(nil, sentRun(LeafRun{Stripe: 3, Level: 2, Path: 0x41, Digests: ds, Terms: len(terms)}, match))
 	}
 	matchedRun, matchedUnknownRun := answer(local), answer(newRun)
 	unknownDigest := AppendDigest(nil, Digest{Key: "key-not-held", Stamp: st})

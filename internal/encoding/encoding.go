@@ -38,13 +38,3 @@ func AppendCompact(dst []byte, s core.Stamp) []byte { return s.AppendBinary(dst)
 
 // UnmarshalCompact forwards to core.DecodeBinary.
 func UnmarshalCompact(data []byte) (core.Stamp, int, error) { return core.DecodeBinary(data) }
-
-// AppendUpdateTrie appends the trie encoding of the stamp's update component
-// alone. Compare relates stamps by their update components only, so this is
-// the part of a stamp that two equivalent copies share byte for byte — the
-// input digest-tree leaves hash over (the id components always differ
-// between replicas, every transfer forks them). Served from the handle's
-// cached encoding: rehashing a leaf re-encodes no tries.
-func AppendUpdateTrie(dst []byte, s core.Stamp) []byte {
-	return s.UpdateHandle().AppendEncoding(dst)
-}

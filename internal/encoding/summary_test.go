@@ -12,8 +12,13 @@ func forkedPair() (core.Stamp, core.Stamp) {
 	return core.Seed().Update().Fork()
 }
 
+// summarize hashes ds as a digest tree's node over them does: the XOR of
+// their terms, every copy holding the same content.
 func summarize(ds []Digest) uint64 {
-	h, _ := SummarizeDigestsBuf(ds, nil)
+	var h uint64
+	for _, k := range withTerms(ds) {
+		h ^= k.Term
+	}
 	return h
 }
 
@@ -29,6 +34,10 @@ func TestSummarizeEquivalentCopiesMatch(t *testing.T) {
 	}
 	if summarize(mine) != summarize(theirs) {
 		t.Error("equivalent stripes summarize differently")
+	}
+	// The XOR takes the terms in any order.
+	if summarize(mine) != summarize([]Digest{mine[2], mine[0], mine[1]}) {
+		t.Error("the order of the keys moved the summary")
 	}
 }
 
@@ -47,11 +56,27 @@ func TestSummarizeDivergenceDetected(t *testing.T) {
 	if summarize(base) == summarize(extra) {
 		t.Error("extra key summarized as unchanged")
 	}
+	// Two creations of one key share their update component, Seed().Update(),
+	// and only their content tells them apart; the ids never count.
+	s := core.Seed().Update()
+	d := Digest{Key: "k", Stamp: s}
+	if DigestTerm(d, ContentHash(false, []byte("from-a"))) == DigestTerm(d, ContentHash(false, []byte("from-b"))) {
+		t.Error("two values of one key and update component share a term")
+	}
+	if DigestTerm(d, ContentHash(false, nil)) == DigestTerm(d, ContentHash(true, nil)) {
+		t.Error("a tombstone and an empty value share a term")
+	}
+	if DigestTerm(Digest{Key: "k", Stamp: a}, testContent) != DigestTerm(Digest{Key: "k", Stamp: b}, testContent) {
+		t.Error("an id-only difference moved the term")
+	}
+	if ContentHash(false, nil) != ContentHash(false, []byte{}) {
+		t.Error("a nil and an empty value hash apart")
+	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if summarize(nil) != RootSummarySeed {
-		t.Errorf("empty summary = %d, want RootSummarySeed", summarize(nil))
+	if summarize(nil) != 0 {
+		t.Errorf("empty summary = %d, want 0", summarize(nil))
 	}
 }
 

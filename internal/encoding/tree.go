@@ -13,8 +13,9 @@ import (
 // Digest-tree frames: the wire shapes of the adaptive hash tree the
 // anti-entropy protocol descends. A stripe's digests are ordered by TreePos
 // (a 64-bit hash of the key), the position space is partitioned TreeFanout
-// ways per level, and every node is a fixed-size hash over its subtree — so
-// two endpoints locate a divergent key by exchanging O(depth) small node
+// ways per level, and every node's hash is the XOR of the terms of the keys
+// under it (summary.go), the same at whatever depth a tree is cut — so two
+// endpoints locate a divergent key by exchanging O(depth) small node
 // frames instead of a whole stripe's digest list.
 //
 // Two shapes travel: tree nodes (a node coordinate plus a child bitmap and
@@ -33,14 +34,7 @@ import (
 // by this position, which — unlike positional splits of a sorted list — is
 // stable across replicas whose key sets differ. A key still in a frame body
 // is hashed in place, as bytes, to the same position.
-func TreePos[K string | []byte](key K) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return h
-}
+func TreePos[K string | []byte](key K) uint64 { return fnvMix(fnvOffset64, key) }
 
 // Tree shape. A node has up to TreeFanout children on every replica, so one
 // level consumes TreeFanoutBits bits of a node path and a child bitmap fits
@@ -180,38 +174,50 @@ func DecodeTreeNode(data []byte, maxStripe int, hashes []uint64) (TreeNode, int,
 	return TreeNode{Stripe: stripe, Level: level, Path: path, Bitmap: bm, Hashes: hashes}, total - len(data), nil
 }
 
-// LeafRun is one leaf digest-run frame element: a node coordinate plus the
-// digests whose tree positions fall under that node, in tree order.
-//
-// A run may answer terms (DigestTerm): the receiver sent Terms of them for
-// the run's leaf, one per key it holds there, in tree order. Then Match gives
-// each digest the index of the term it matched, or -1 (MatchTerms), and a
-// matched digest goes as its stamp's id component alone: the receiver holds
-// its key and its update component under that term. A run with no terms
-// (Terms 0) ships every digest whole, and its Match is not read.
+// LeafRun is one leaf digest-run frame element as its receiver decodes it: a
+// node coordinate plus the digests whose tree positions fall under that
+// node, in tree order. Terms is how many terms the receiver sent for the
+// run's leaf, which the run answered (DecodeLeafRun), or 0.
 type LeafRun struct {
 	Stripe  int
 	Level   int
 	Path    uint64
 	Digests []Digest
 	Terms   int
-	Match   []int32
 }
 
-// matched reports whether r's digest i goes as its id alone.
-func (r LeafRun) matched(i int) bool { return r.Terms > 0 && r.Match[i] >= 0 }
+// SentRun is one leaf run as its sender holds it: a node coordinate plus its
+// own tree's keys under that node, in tree order.
+//
+// A run may answer terms: the receiver sent Terms of them for the run's
+// leaf, one per key it holds there, in tree order. Then Match gives each key
+// the index of the term it matched, or -1 (MatchTerms), and a matched key
+// goes as its stamp's id component alone: the receiver holds its key and its
+// update component under that term. A run with no terms (Terms 0) ships
+// every digest whole, and its Match is not read.
+type SentRun struct {
+	Stripe int
+	Level  int
+	Path   uint64
+	Keys   []Termed
+	Terms  int
+	Match  []int32
+}
+
+// matched reports whether r's key i goes as its id alone.
+func (r SentRun) matched(i int) bool { return r.Terms > 0 && r.Match[i] >= 0 }
 
 // LeafRunLen returns the length of AppendLeafRun's output for r.
-func LeafRunLen(r LeafRun) int {
+func LeafRunLen(r SentRun) int {
 	n, shipped := treeCoordLen(r.Stripe, r.Level, r.Path), 0
 	if r.Terms > 0 {
 		n += TreeBitmapLen(r.Terms)
 	}
-	for i, d := range r.Digests {
+	for i, k := range r.Keys {
 		if r.matched(i) {
-			n += d.Stamp.IDHandle().EncodedLen()
+			n += k.Stamp.IDHandle().EncodedLen()
 		} else {
-			n += DigestLen(d)
+			n += DigestLen(k.Digest)
 			shipped++
 		}
 	}
@@ -220,58 +226,54 @@ func LeafRunLen(r LeafRun) int {
 
 // AppendLeafRun appends one leaf run: the coordinate prefix; for a run that
 // answers terms, a bitmap over the terms (TreeBitmapLen(Terms) bytes, the
-// layout of a child bitmap) marking those matched, then each matched
-// digest's id component (its trie encoding) in term order; then a count and
-// the digests not matched (AppendDigest), in tree order. Match's indices
-// must ascend over the matched digests, as MatchTerms makes them.
-func AppendLeafRun(dst []byte, r LeafRun) []byte {
+// layout of a child bitmap) marking those matched, then each matched key's
+// id component (its trie encoding) in term order; then a count and the
+// digests not matched (AppendDigest), in tree order. Match's indices must
+// ascend over the matched keys, as MatchTerms makes them.
+func AppendLeafRun(dst []byte, r SentRun) []byte {
 	dst = binary.AppendUvarint(dst, uint64(r.Stripe))
 	dst = binary.AppendUvarint(dst, uint64(r.Level))
 	dst = binary.AppendUvarint(dst, r.Path)
-	shipped := len(r.Digests)
+	shipped := len(r.Keys)
 	if r.Terms > 0 {
 		at := len(dst)
 		dst = append(dst, make([]byte, TreeBitmapLen(r.Terms))...)
-		for i, d := range r.Digests {
+		for i, k := range r.Keys {
 			if r.matched(i) {
 				BitmapSet(dst[at:], int(r.Match[i]))
-				dst = d.Stamp.IDHandle().AppendEncoding(dst)
+				dst = k.Stamp.IDHandle().AppendEncoding(dst)
 				shipped--
 			}
 		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(shipped))
-	for i, d := range r.Digests {
+	for i, k := range r.Keys {
 		if !r.matched(i) {
-			dst = AppendDigest(dst, d)
+			dst = AppendDigest(dst, k.Digest)
 		}
 	}
 	return dst
 }
 
-// MatchTerms appends to match, for each digest of ds in order, the index of
-// the term of terms it matches (DigestTerm), or -1. The terms are a peer's
-// for one leaf and ds the keys under it here, both in tree order, so a key
-// both hold comes at the same place in both orders: the search for each
-// digest's term starts past the last match, and the matched indices ascend.
-// A term out of order only goes unmatched. scratch is as for DigestTerm.
-func MatchTerms(match []int32, ds []Digest, terms []uint64, scratch []byte) ([]int32, []byte) {
+// MatchTerms appends to match, for each of keys in order, the index of the
+// term of terms it matches, or -1. The terms are a peer's for one leaf and
+// keys the keys under it here, both in tree order, so a key both hold comes
+// at the same place in both orders: the search for each key's term starts
+// past the last match, and the matched indices ascend. A term out of order
+// only goes unmatched.
+func MatchTerms(match []int32, keys []Termed, terms []uint64) []int32 {
 	next := 0
-	for _, d := range ds {
+	for _, k := range keys {
 		at := int32(-1)
-		if next < len(terms) {
-			var t uint64
-			t, scratch = DigestTerm(d, scratch)
-			for k := next; k < len(terms); k++ {
-				if terms[k] == t {
-					at, next = int32(k), k+1
-					break
-				}
+		for j := next; j < len(terms); j++ {
+			if terms[j] == k.Term {
+				at, next = int32(j), j+1
+				break
 			}
 		}
 		match = append(match, at)
 	}
-	return match, scratch
+	return match
 }
 
 // DecodeLeafRun parses one leaf run from the front of data, returning the
@@ -295,13 +297,13 @@ func MatchTerms(match []int32, ds []Digest, terms []uint64, scratch []byte) ([]i
 // Every key's position (TreePos) is computed once. The digest slice is made
 // once, its capacity bounded by the bytes present, so a hostile count
 // cannot force a huge allocation.
-func DecodeLeafRun(data []byte, maxStripe int, local func(stripe, level int, path uint64) (mine []Digest, terms bool)) (LeafRun, int, error) {
+func DecodeLeafRun(data []byte, maxStripe int, local func(stripe, level int, path uint64) (mine []Termed, terms bool)) (LeafRun, int, error) {
 	total := len(data)
 	stripe, level, path, data, err := decodeTreeCoord(data, maxStripe, true)
 	if err != nil {
 		return LeafRun{}, 0, err
 	}
-	var mine []Digest
+	var mine []Termed
 	var termed bool
 	if local != nil {
 		mine, termed = local(stripe, level, path)

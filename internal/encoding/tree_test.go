@@ -94,7 +94,7 @@ func TestLeafRunRoundtrip(t *testing.T) {
 		Stripe: 7, Level: 3, Path: 0x123,
 		Digests: inTreeOrder([]Digest{{Key: "a", Stamp: st}, {Key: "bb", Stamp: st}}),
 	}
-	buf := AppendLeafRun(nil, run)
+	buf := AppendLeafRun(nil, sentRun(run, nil))
 	got, used, err := DecodeLeafRun(buf, 32, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -110,11 +110,11 @@ func TestLeafRunRoundtrip(t *testing.T) {
 	}
 	// Out of tree order, or with a key twice, the run is refused.
 	run.Digests = []Digest{run.Digests[1], run.Digests[0]}
-	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, run), 32, nil); err == nil {
+	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, sentRun(run, nil)), 32, nil); err == nil {
 		t.Error("a run out of tree order decoded")
 	}
 	run.Digests[1] = run.Digests[0]
-	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, run), 32, nil); err == nil {
+	if _, _, err := DecodeLeafRun(AppendLeafRun(nil, sentRun(run, nil)), 32, nil); err == nil {
 		t.Error("a run naming a key twice decoded")
 	}
 }
@@ -133,14 +133,30 @@ func sameDigests(a, b []Digest) bool {
 	return slices.EqualFunc(a, b, func(x, y Digest) bool { return x.Key == y.Key && x.Stamp.Equal(y.Stamp) })
 }
 
+// testContent is the content hash of every copy these tests build.
+var testContent = ContentHash(false, []byte("v"))
+
+// withTerms gives each of ds its term, as a digest tree holds its keys.
+func withTerms(ds []Digest) []Termed {
+	ks := make([]Termed, len(ds))
+	for i, d := range ds {
+		ks[i] = Termed{Digest: d, Term: DigestTerm(d, testContent)}
+	}
+	return ks
+}
+
 // termsOf returns the terms of ds, in order.
 func termsOf(ds []Digest) []uint64 {
 	var terms []uint64
-	for _, d := range ds {
-		term, _ := DigestTerm(d, nil)
-		terms = append(terms, term)
+	for _, k := range withTerms(ds) {
+		terms = append(terms, k.Term)
 	}
 	return terms
+}
+
+// sentRun is r as its sender ships it, answering r.Terms terms as match says.
+func sentRun(r LeafRun, match []int32) SentRun {
+	return SentRun{Stripe: r.Stripe, Level: r.Level, Path: r.Path, Keys: withTerms(r.Digests), Terms: r.Terms, Match: match}
 }
 
 // TestLeafRunAnswersTerms: a run that answers a receiver's terms ships a
@@ -167,7 +183,7 @@ func TestLeafRunAnswersTerms(t *testing.T) {
 	theirs = append(theirs, Digest{Key: "not-here", Stamp: b})
 	mine, theirs = inTreeOrder(mine), inTreeOrder(theirs)
 	terms := termsOf(mine)
-	match, _ := MatchTerms(nil, theirs, terms, nil)
+	match := MatchTerms(nil, withTerms(theirs), terms)
 	matched := 0
 	for i, m := range match {
 		if m >= 0 {
@@ -180,15 +196,15 @@ func TestLeafRunAnswersTerms(t *testing.T) {
 	if matched != 8 {
 		t.Fatalf("%d of %d digests matched, want 8", matched, len(theirs))
 	}
-	run := LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms), Match: match}
+	run := sentRun(LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms)}, match)
 	buf := AppendLeafRun(nil, run)
 	if len(buf) != LeafRunLen(run) {
 		t.Fatalf("LeafRunLen %d, appended %d", LeafRunLen(run), len(buf))
 	}
-	if whole := AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: theirs}); len(buf) >= len(whole)/2 {
+	if whole := AppendLeafRun(nil, sentRun(LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: theirs}, nil)); len(buf) >= len(whole)/2 {
 		t.Errorf("answering terms took %d B, the whole run %d", len(buf), len(whole))
 	}
-	local := func(stripe, level int, path uint64) ([]Digest, bool) { return mine, true }
+	local := func(stripe, level int, path uint64) ([]Termed, bool) { return withTerms(mine), true }
 	got, used, err := DecodeLeafRun(buf, 4, local)
 	if err != nil || used != len(buf) || got.Terms != len(terms) || !sameDigests(got.Digests, theirs) {
 		t.Fatalf("decoded %d of %d bytes, %v: %v", used, len(buf), err, got.Digests)
@@ -218,7 +234,7 @@ func TestLeafRunAnswersTerms(t *testing.T) {
 
 	both := slices.Clone(match)
 	both[first] = -1
-	twice := AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms), Match: both})
+	twice := AppendLeafRun(nil, sentRun(LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: theirs, Terms: len(terms)}, both))
 	// Mark the unmatched digest's term again: it is both matched and shipped.
 	BitmapSet(twice[coord:], int(match[first]))
 	twice = slices.Insert(twice, coord+2, theirs[first].Stamp.IDHandle().AppendEncoding(nil)...)
@@ -233,7 +249,7 @@ func TestLeafRunAnswersTerms(t *testing.T) {
 	}
 	unordered[shipped[0]], unordered[shipped[1]] = unordered[shipped[1]], unordered[shipped[0]]
 	refused("shipped digests out of tree order",
-		AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: unordered, Terms: len(terms), Match: match}))
+		AppendLeafRun(nil, sentRun(LeafRun{Stripe: 1, Level: 1, Path: 5, Digests: unordered, Terms: len(terms)}, match)))
 }
 
 func TestTreePosDeterministic(t *testing.T) {
@@ -320,8 +336,8 @@ func FuzzDecodeLeafRun(f *testing.F) {
 	st := core.Seed().Update()
 	f.Add([]byte{1, 3, 0, 0}, 32, false)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0}, 4, false)
-	f.Add(AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 2, Path: 9, Digests: inTreeOrder([]Digest{
-		{Key: "k1", Stamp: st}, {Key: "k2", Stamp: st}, {Key: "zz", Stamp: st}})}), 32, false)
+	f.Add(AppendLeafRun(nil, sentRun(LeafRun{Stripe: 1, Level: 2, Path: 9, Digests: inTreeOrder([]Digest{
+		{Key: "k1", Stamp: st}, {Key: "k2", Stamp: st}, {Key: "zz", Stamp: st}})}, nil)), 32, false)
 	// Answering the fixed run's terms: two keys edited, one new, one lacking.
 	_, other := fuzzBaseRun[0].Stamp.Fork()
 	theirs := []Digest{{Key: "key-new", Stamp: other}}
@@ -332,21 +348,21 @@ func FuzzDecodeLeafRun(f *testing.F) {
 		theirs = append(theirs, Digest{Key: d.Key, Stamp: d.Stamp})
 	}
 	theirs = inTreeOrder(theirs)
-	match, _ := MatchTerms(nil, theirs, termsOf(fuzzBaseRun), nil)
+	match := MatchTerms(nil, withTerms(theirs), termsOf(fuzzBaseRun))
 	for _, n := range []int{2, 5} { // input lengths ≡ 2 (mod 3): the fixed run alone
-		run := AppendLeafRun(nil, LeafRun{Stripe: 1, Level: 2, Path: 9, Digests: theirs,
-			Terms: len(fuzzBaseRun), Match: match})
+		run := AppendLeafRun(nil, sentRun(LeafRun{Stripe: 1, Level: 2, Path: 9, Digests: theirs,
+			Terms: len(fuzzBaseRun)}, match))
 		f.Add(append(run, make([]byte, (n-len(run)%3+3)%3)...), 32, true)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, maxStripe int, termed bool) {
 		run, used, err := DecodeLeafRun(data, maxStripe, nil)
 		mine := fuzzLocalRun(run.Digests, data)
-		local := func(stripe, level int, path uint64) ([]Digest, bool) {
+		local := func(stripe, level int, path uint64) ([]Termed, bool) {
 			if err == nil && (stripe != run.Stripe || level != run.Level || path != run.Path) {
 				t.Fatalf("local asked for (%d, %d, %#x), run is at (%d, %d, %#x)",
 					stripe, level, path, run.Stripe, run.Level, run.Path)
 			}
-			return mine, termed
+			return withTerms(mine), termed
 		}
 		input := slices.Clone(data)
 		run2, used2, err2 := DecodeLeafRun(input, maxStripe, local)
@@ -381,10 +397,11 @@ func FuzzDecodeLeafRun(f *testing.F) {
 		if (run2.Terms > 0) != termed {
 			t.Fatalf("a run decoded with %d terms, %d sent (%v)", run2.Terms, len(mine), termed)
 		}
-		again := run2
+		var match []int32
 		if termed {
-			again.Match, _ = MatchTerms(nil, run2.Digests, termsOf(mine), nil)
+			match = MatchTerms(nil, withTerms(run2.Digests), termsOf(mine))
 		}
+		again := sentRun(run2, match)
 		buf := AppendLeafRun(nil, again)
 		run4, used4, err4 := DecodeLeafRun(buf, maxStripe, local)
 		if err4 != nil || used4 != len(buf) || len(buf) != LeafRunLen(again) || !sameDigests(run4.Digests, run2.Digests) {

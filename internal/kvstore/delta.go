@@ -102,6 +102,8 @@ func cmpTreeOrder(a, b string) int {
 
 func digestKey(d encoding.Digest) string { return d.Key }
 func entryKey(e encoding.Entry) string   { return e.Key }
+func termedKey(k encoding.Termed) string { return k.Key }
+func stringKey(k string) string          { return k }
 
 // inWalkOrder checks, in one pass that hashes each key's position once, that
 // the peer's xs are in strict tree order — a key equal to the one before it,
@@ -158,60 +160,78 @@ func (sc *deltaScope) count(t *DigestTree) int {
 // peer's digests (each run's, checked to lie in its range) and entries es
 // (tree-ordered, checked to lie in scope). fn gets the peer's digest and
 // entry for the key, or nil where the peer sent none. Each range is one merge
-// of four sorted runs; no key set is built.
+// of four sorted inputs, each hashing a key's position once; no key set is
+// built.
 func (sc *deltaScope) walk(t *DigestTree, extra []string, es []encoding.Entry,
 	fn func(key string, d *encoding.Digest, e *encoding.Entry) error) error {
+	xs, ps := newCursor(extra, stringKey), newCursor(es, entryKey)
 	for _, run := range sc.runs {
-		rg, ds := run.Range, run.Digests
-		local := t.RunRange(rg)
-		for len(extra) > 0 && encoding.TreePos(extra[0]) < rg.Lo {
-			extra = extra[1:]
+		rg := run.Range
+		ls, ds := newCursor(t.RunRange(rg), termedKey), newCursor(run.Digests, digestKey)
+		for len(xs.xs) > 0 && xs.pos < rg.Lo {
+			xs.take(xs.xs[0])
 		}
 		for {
 			key, pos, ok := "", uint64(0), false
-			least := func(k string, inRange bool) {
-				if !inRange {
-					return
-				}
-				if p := encoding.TreePos(k); !ok || cmpPosKey(p, k, pos, key) < 0 {
+			least := func(k string, p uint64) {
+				if !ok || cmpPosKey(p, k, pos, key) < 0 {
 					key, pos, ok = k, p, true
 				}
 			}
-			if len(local) > 0 {
-				least(local[0].Key, true)
+			if len(ls.xs) > 0 {
+				least(ls.xs[0].Key, ls.pos)
 			}
-			if len(extra) > 0 {
-				least(extra[0], rg.Contains(encoding.TreePos(extra[0])))
+			if len(xs.xs) > 0 && rg.Contains(xs.pos) {
+				least(xs.xs[0], xs.pos)
 			}
-			if len(ds) > 0 {
-				least(ds[0].Key, true)
+			if len(ds.xs) > 0 {
+				least(ds.xs[0].Key, ds.pos)
 			}
-			if len(es) > 0 {
-				least(es[0].Key, rg.Contains(encoding.TreePos(es[0].Key)))
+			if len(ps.xs) > 0 && rg.Contains(ps.pos) {
+				least(ps.xs[0].Key, ps.pos)
 			}
 			if !ok {
 				break
 			}
-			var d *encoding.Digest
-			var e *encoding.Entry
-			for len(local) > 0 && local[0].Key == key {
-				local = local[1:]
-			}
-			for len(extra) > 0 && extra[0] == key {
-				extra = extra[1:]
-			}
-			for len(ds) > 0 && ds[0].Key == key {
-				d, ds = &ds[0], ds[1:]
-			}
-			for len(es) > 0 && es[0].Key == key {
-				e, es = &es[0], es[1:]
-			}
-			if err := fn(key, d, e); err != nil {
+			ls.take(key)
+			xs.take(key)
+			if err := fn(key, ds.take(key), ps.take(key)); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// cursor reads one input of a merge in tree order (a walk, a leaf patch):
+// xs from its head on, and pos, the tree position of its head, hashed once
+// the cursor reaches it.
+type cursor[T any] struct {
+	xs  []T
+	key func(T) string
+	pos uint64
+}
+
+func newCursor[T any](xs []T, key func(T) string) cursor[T] {
+	return cursor[T]{xs: xs, key: key, pos: headPos(xs, key)}
+}
+
+// take moves the cursor past every element of key at its head and returns
+// the last of them, or nil if its head is another key.
+func (c *cursor[T]) take(key string) (got *T) {
+	for len(c.xs) > 0 && c.key(c.xs[0]) == key {
+		got, c.xs = &c.xs[0], c.xs[1:]
+		c.pos = headPos(c.xs, c.key)
+	}
+	return got
+}
+
+// headPos returns the tree position of xs's first key, or 0 if it is empty.
+func headPos[T any](xs []T, key func(T) string) uint64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return encoding.TreePos(key(xs[0]))
 }
 
 // DiffRanges compares a peer's digest runs of stripe idx with local state

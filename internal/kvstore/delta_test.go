@@ -3,7 +3,6 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 	"testing"
 
@@ -174,7 +173,7 @@ func stripeTreeRun(t testing.TB, r *Replica, idx int) []encoding.Digest {
 		t.Fatal(err)
 	}
 	defer r.ReleaseStripeTree(idx)
-	return slices.Clone(tree.RunRange(TreeRange{}))
+	return digestsOf(tree.RunRange(TreeRange{}))
 }
 
 func TestDiffAgainstClassification(t *testing.T) {

@@ -39,10 +39,14 @@
 // Sync detects this (their stamp ids overlap, which Invariant I2 rules out
 // within one system), reconciles by value and restarts the key's stamp
 // system — sound for a two-replica deployment, best-effort beyond that
-// (rule 4 of reconcile). The anti-entropy wire round does not detect it yet
-// when the two creations' update components are equal, as two first writes'
-// are: the digest tree hashes keys and update components only, so its
-// hashes agree and the round never descends to the key (see Summaries).
+// (rule 4 of reconcile). The anti-entropy wire round detects it too: two
+// first writes carry equal update components, Seed().Update(), but each
+// key's digest-tree term covers its content as well as its key and update
+// component, so two creations that wrote different values hash apart and
+// the round descends to the key. Two creations of one value hash alike, so
+// the round meets their overlapping ids only once either end writes the key
+// again or the round descends to its leaf for another key (see Summaries);
+// until then the two copies hold the same bytes.
 package kvstore
 
 import (
@@ -142,7 +146,7 @@ type shard struct {
 	// ledger.
 	epoch atomic.Uint64
 
-	// dirty holds the keys whose stamp or presence changed since the stripe's
+	// dirty holds the keys whose stored copy changed since the stripe's
 	// digest tree last folded them in (noteDirtyLocked). dirtyCap bounds it,
 	// and is zero while there is no tree to maintain: nobody has asked for
 	// one, or a whole-stripe change left it due a full build. Guarded by mu:
@@ -156,12 +160,12 @@ type shard struct {
 	//
 	// tree is the stripe's digest tree (tree.go) at the replica's own depth
 	// for its key count: built by the first request and patched from the
-	// dirty set by each later one. holds counts the trees StripeTree and
-	// StripeTreeAt handed out that are not yet released: while it is zero
-	// no earlier tree sharing nodes with this one can be reached, and the
-	// patch rewrites the tree in place; otherwise it patches a copy. The
-	// fold's buffers are borrowed per call (treeScratch), so a stripe
-	// keeps only its tree and its dirty set between folds.
+	// dirty set by each later one. holds counts the trees StripeTree handed
+	// out that are not yet released: while it is zero no earlier tree
+	// sharing nodes with this one can be reached, and the patch rewrites
+	// the tree in place; otherwise it patches a copy. The fold's buffers
+	// are borrowed per call (treeScratch), so a stripe keeps only its tree
+	// and its dirty set between folds.
 	cacheMu sync.Mutex
 	tree    *DigestTree
 	holds   int
@@ -185,10 +189,10 @@ func (sh *shard) lockMut() {
 	sh.epoch.Add(1)
 }
 
-// noteDirtyLocked records that key's stored stamp or presence changed, for
-// the stripe's digest tree to fold in on its next request. Forks are noted
-// too: an id-only change moves no hash, but leaf runs ship full stamps. A
-// set past its cap is dropped for one full build. Stripe write lock held.
+// noteDirtyLocked records that key's stored copy changed, for the stripe's
+// digest tree to fold in on its next request. Forks are noted too: an
+// id-only change moves no hash, but leaf runs ship full stamps. A set past
+// its cap is dropped for one full build. Stripe write lock held.
 func (sh *shard) noteDirtyLocked(key string) {
 	switch {
 	case sh.dirtyCap == 0:
@@ -595,27 +599,13 @@ func (r *Replica) Stored(key string) (Versioned, bool) {
 	sh := &r.shards[si]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if v, found := sh.data[key]; found {
-		return v, true
-	}
-	cs := sh.cold
-	if cs == nil {
+	v, cold, ok := sh.storedLocked(key)
+	v, err := r.loadLocked(si, key, v, cold)
+	if err != nil {
+		r.notePersistErr(fmt.Errorf("kvstore: version %q (shard %d): %w", key, si, err))
 		return Versioned{}, false
 	}
-	x := cs.find(key)
-	if x < 0 || cs.dropped[x] {
-		return Versioned{}, false
-	}
-	v := Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}
-	if !v.Deleted {
-		buf, err := r.coldValue(si, cs, x, key)
-		if err != nil {
-			r.notePersistErr(fmt.Errorf("kvstore: version %q (shard %d): %w", key, si, err))
-			return Versioned{}, false
-		}
-		v.Value = buf
-	}
-	return v, true
+	return v, ok
 }
 
 // Meta returns key's stored stamp and tombstone flag, and whether the key
@@ -636,7 +626,7 @@ func (r *Replica) Keys() []string {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		sh.eachMetaLocked(func(k string, _ bool, _ core.Stamp) {
+		sh.eachLocked(func(k string, _ Versioned, _ int) {
 			out = append(out, k)
 		})
 		sh.mu.RUnlock()
@@ -651,8 +641,8 @@ func (r *Replica) Len() int {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		sh.eachMetaLocked(func(_ string, deleted bool, _ core.Stamp) {
-			if !deleted {
+		sh.eachLocked(func(_ string, v Versioned, _ int) {
+			if !v.Deleted {
 				n++
 			}
 		})
@@ -789,9 +779,9 @@ func syncStriped(a, b *Replica, resolve Resolver) (SyncResult, error) {
 func syncStripe(a, b *Replica, i int, resolve Resolver) (SyncResult, error) {
 	as, bs := &a.shards[i], &b.shards[i]
 	keys := make(map[string]struct{}, as.countLocked()+bs.countLocked())
-	collect := func(k string, _ bool, _ core.Stamp) { keys[k] = struct{}{} }
-	as.eachMetaLocked(collect)
-	bs.eachMetaLocked(collect)
+	collect := func(k string, _ Versioned, _ int) { keys[k] = struct{}{} }
+	as.eachLocked(collect)
+	bs.eachLocked(collect)
 	var res SyncResult
 	for _, k := range sortedKeys(keys) {
 		cs := [2]keyCopy{a.heldLocked(k), b.heldLocked(k)}

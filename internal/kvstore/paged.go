@@ -131,25 +131,47 @@ func (r *Replica) coldValue(si int, cs *coldStripe, x int, key string) ([]byte, 
 	})
 }
 
-// metaLocked returns key's stored copy without its value — hot map first,
-// then the cold index. Stripe lock (read suffices) held.
-func (sh *shard) metaLocked(key string) (Versioned, bool) {
+// storedLocked returns key's stored copy — hot map first, then the cold
+// index, whose copies come without their values — and cold, its entry in
+// the cold index or -1. Stripe lock (read suffices) held.
+func (sh *shard) storedLocked(key string) (v Versioned, cold int, ok bool) {
 	if v, ok := sh.data[key]; ok {
-		return Versioned{Deleted: v.Deleted, Stamp: v.Stamp}, true
+		return v, -1, true
 	}
 	if cs := sh.cold; cs != nil {
 		if x := cs.find(key); x >= 0 && !cs.dropped[x] {
-			return Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}, true
+			return Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}, x, true
 		}
 	}
-	return Versioned{}, false
+	return Versioned{}, -1, false
 }
 
-// eachMetaLocked calls fn for every key with stored state in the stripe
-// (hot ∪ cold, tombstones included). Stripe lock (read suffices) held.
-func (sh *shard) eachMetaLocked(fn func(key string, deleted bool, stamp core.Stamp)) {
+// loadLocked reads the value of key's copy v, when it is a cold one's (its
+// entry cold >= 0), through the page cache; a hot copy is returned as it is.
+// A read that fails returns v without its value. Stripe si's lock (read
+// suffices) held.
+func (r *Replica) loadLocked(si int, key string, v Versioned, cold int) (Versioned, error) {
+	if cold < 0 || v.Deleted {
+		return v, nil
+	}
+	buf, err := r.coldValue(si, r.shards[si].cold, cold, key)
+	v.Value = buf
+	return v, err
+}
+
+// metaLocked returns key's stored copy without its value.
+func (sh *shard) metaLocked(key string) (Versioned, bool) {
+	v, _, ok := sh.storedLocked(key)
+	v.Value = nil
+	return v, ok
+}
+
+// eachLocked calls fn for every key with stored state in the stripe (hot ∪
+// cold, tombstones included), as storedLocked returns it. Stripe lock (read
+// suffices) held.
+func (sh *shard) eachLocked(fn func(key string, v Versioned, cold int)) {
 	for k, v := range sh.data {
-		fn(k, v.Deleted, v.Stamp)
+		fn(k, v, -1)
 	}
 	cs := sh.cold
 	if cs == nil {
@@ -163,7 +185,7 @@ func (sh *shard) eachMetaLocked(fn func(key string, deleted bool, stamp core.Sta
 		if _, shadowed := sh.data[k]; shadowed {
 			continue
 		}
-		fn(k, cs.deleted[x], cs.stamps[x])
+		fn(k, Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}, x)
 	}
 }
 
@@ -198,24 +220,13 @@ func (r *Replica) promoteLocked(si int, key string) error {
 		return nil
 	}
 	sh := &r.shards[si]
-	if _, ok := sh.data[key]; ok {
+	v, cold, ok := sh.storedLocked(key)
+	if !ok || cold < 0 {
 		return nil
 	}
-	cs := sh.cold
-	if cs == nil {
-		return nil
-	}
-	x := cs.find(key)
-	if x < 0 || cs.dropped[x] {
-		return nil
-	}
-	v := Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}
-	if !v.Deleted {
-		buf, err := r.coldValue(si, cs, x, key)
-		if err != nil {
-			return fmt.Errorf("kvstore: promote %q (shard %d): %w", key, si, err)
-		}
-		v.Value = buf
+	v, err := r.loadLocked(si, key, v, cold)
+	if err != nil {
+		return fmt.Errorf("kvstore: promote %q (shard %d): %w", key, si, err)
 	}
 	sh.data[strings.Clone(key)] = v
 	return nil

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"testing"
 
@@ -161,19 +162,26 @@ func TestStripeTreeAfterOneWriteAllocBudget(t *testing.T) {
 			budget := stripeTreeAfterOneWriteBudget
 			if held {
 				snap, _ = r.StripeTree(0)
-				frozen = buildDigestTree(stripeDigests(r, 0), snap.Depth())
+				frozen = buildDigestTree(stripeKeys(r, 0), snap.Depth())
 				budget = stripeTreeAfterOneWriteHeldBudget
 			}
 			value := []byte("edited")
 			next := 0
+			scratch := make([]uint64, 0, encoding.TreeFanout)
 			allocs := testing.AllocsPerRun(50, func() {
+				// The patch XORs one term delta into every node of the
+				// written key's path: the root and the key's leaf move by
+				// the same delta.
+				before, depth := r.shards[0].tree, r.shards[0].tree.Depth()
+				leaf := encoding.TreePos(keys[next]) >> (64 - depth*encoding.TreeFanoutBits)
+				root0, leaf0 := before.Root(), nodeHash(before, depth, leaf, scratch)
 				r.Put(keys[next], value)
 				next += 97
-				before, hashed := r.shards[0].tree, r.shards[0].tree.leafHashes
 				tr, err := r.StripeTree(0)
-				if err != nil || (tr == before) == held || tr.leafHashes != hashed+1 {
-					t.Fatalf("one Put, held %v: tree %p (was %p), %d leaves hashed, err %v",
-						held, tr, before, tr.leafHashes-hashed, err)
+				if err != nil || (tr == before) == held || tr.Root() == root0 ||
+					tr.Root()^root0 != nodeHash(tr, depth, leaf, scratch)^leaf0 {
+					t.Fatalf("one Put, held %v: tree %p (was %p), root %x (was %x), err %v",
+						held, tr, before, tr.Root(), root0, err)
 				}
 				r.ReleaseStripeTree(0)
 			})
@@ -189,6 +197,20 @@ func TestStripeTreeAfterOneWriteAllocBudget(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nodeHash returns the hash of the node at (level, path) of tr, or 0 if it is
+// absent, read off its parent's children into scratch.
+func nodeHash(tr *DigestTree, level int, path uint64, scratch []uint64) uint64 {
+	if level == 0 {
+		return tr.Root()
+	}
+	bm, hashes := tr.Children(scratch[:0], level-1, path>>encoding.TreeFanoutBits)
+	bit := uint16(1) << (path & (encoding.TreeFanout - 1))
+	if bm&bit == 0 {
+		return 0
+	}
+	return hashes[bits.OnesCount16(bm&(bit-1))]
 }
 
 // stripeTreeBurstFoldAllocs bounds what folding a 64-key burst into an
@@ -300,6 +322,7 @@ func TestDeltaPairOneKeyAllocBudget(t *testing.T) {
 		a, keys := warmedSingleStripe(t, n)
 		b := a.Clone("peer")
 		next := 0
+		digest := make([]encoding.Digest, 0, 4*treeLeafTarget)
 		allocs := testing.AllocsPerRun(50, func() {
 			k := keys[next]
 			next += 97
@@ -310,7 +333,10 @@ func TestDeltaPairOneKeyAllocBudget(t *testing.T) {
 			}
 			shift := uint(64 - tb.Depth()*encoding.TreeFanoutBits)
 			rg := NodeRange(tb.Depth(), encoding.TreePos(k)>>shift)
-			digest := tb.RunRange(rg)
+			digest = digest[:0]
+			for _, tk := range tb.RunRange(rg) {
+				digest = append(digest, tk.Digest)
+			}
 			runs := []DigestRun{{Range: rg, Digests: digest}}
 			diff, err := a.DiffRanges(runs, 0)
 			if err != nil || len(diff.Need) != 1 {

@@ -19,7 +19,7 @@ import (
 func freshDigest(r *Replica) []encoding.Digest {
 	var ds []encoding.Digest
 	for i := range r.shards {
-		ds = append(ds, stripeDigests(r, i)...)
+		ds = append(ds, digestsOf(stripeKeys(r, i))...)
 	}
 	slices.SortFunc(ds, func(a, b encoding.Digest) int { return strings.Compare(a.Key, b.Key) })
 	return ds
@@ -135,14 +135,14 @@ func TestSummariesEquivalentAcrossSync(t *testing.T) {
 func TestSummariesTrackMutations(t *testing.T) {
 	r := NewReplicaShards("r", 4)
 	for i, sum := range r.Summaries() {
-		if sum != encoding.RootSummarySeed {
-			t.Errorf("empty stripe %d summary = %d, want RootSummarySeed", i, sum)
+		if sum != 0 {
+			t.Errorf("empty stripe %d summary = %d, want 0", i, sum)
 		}
 	}
 	r.Put("k", []byte("v"))
 	idx := ShardIndex("k", 4)
 	afterPut := r.Summaries()[idx]
-	if afterPut == encoding.RootSummarySeed {
+	if afterPut == 0 {
 		t.Error("summary unchanged after Put")
 	}
 	if again := r.Summaries()[idx]; again != afterPut {

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -51,30 +52,56 @@ func TestNodeRange(t *testing.T) {
 	}
 }
 
-// treeDigests builds n distinct digests for tree tests.
-func treeDigests(t *testing.T, n int) []encoding.Digest {
+// buildDigestTree arranges keys (any order, left alone) into a tree of the
+// given depth: the fresh build the maintained tree is checked against.
+func buildDigestTree(keys []encoding.Termed, depth int) *DigestTree {
+	ups := treeUpdates(keys)
+	slices.SortFunc(ups, cmpUpdates)
+	return levelSorted(ups, depth)
+}
+
+// treeKeys builds n distinct tree keys, each with its term, for tree tests.
+func treeKeys(t *testing.T, n int) []encoding.Termed {
 	t.Helper()
-	r := NewReplica("t")
+	r := NewReplicaShards("t", 1)
 	for i := 0; i < n; i++ {
 		r.Put(fmt.Sprintf("key-%d", i), []byte("v"))
 	}
-	return r.Digest()
+	return stripeKeys(r, 0)
+}
+
+// xorTerms returns the XOR of ks's terms: the hash of a node over them.
+func xorTerms(ks []encoding.Termed) uint64 {
+	var h uint64
+	for _, k := range ks {
+		h ^= k.Term
+	}
+	return h
+}
+
+// digestsOf returns the digests of ks, without their terms.
+func digestsOf(ks []encoding.Termed) []encoding.Digest {
+	ds := make([]encoding.Digest, len(ks))
+	for i, k := range ks {
+		ds[i] = k.Digest
+	}
+	return ds
 }
 
 func TestDigestTreeStructure(t *testing.T) {
-	ds := treeDigests(t, 500)
+	ds := treeKeys(t, 500)
 	tr := buildDigestTree(ds, 2)
 
 	if tr.Len() != 500 || tr.Depth() != 2 {
 		t.Fatalf("shape: len=%d depth=%d", tr.Len(), tr.Depth())
 	}
-	if tr.Root() == encoding.RootSummarySeed {
-		t.Fatal("non-empty tree roots at RootSummarySeed")
+	if tr.Root() == 0 || tr.Root() != xorTerms(ds) {
+		t.Fatalf("root %x, want the XOR of every term, %x", tr.Root(), xorTerms(ds))
 	}
 	// Descending every child from the root must reach all digests exactly
 	// once, each inside its node's position range, and every leaf hash must
-	// equal the summary of its run — the invariant the wire descent relies
-	// on to stop at matching subtrees.
+	// equal the XOR of its run's terms — the invariant the wire descent
+	// relies on to stop at matching subtrees.
 	total := 0
 	bm, _ := tr.Children(nil, 0, 0)
 	for c := 0; c < 16; c++ {
@@ -99,8 +126,8 @@ func TestDigestTreeStructure(t *testing.T) {
 			if len(leafRun) == 0 {
 				t.Fatalf("leaf %x flagged non-empty with an empty run", leafPath)
 			}
-			if h, _ := encoding.SummarizeDigestsBuf(leafRun, nil); lhashes[li] != h {
-				t.Fatalf("leaf %x hash != summary of its run", leafPath)
+			if lhashes[li] != xorTerms(leafRun) {
+				t.Fatalf("leaf %x hash != XOR of its run's terms", leafPath)
 			}
 			li++
 		}
@@ -109,7 +136,7 @@ func TestDigestTreeStructure(t *testing.T) {
 		t.Fatalf("children partition %d of 500 digests", total)
 	}
 	// Equal digest sets, any input order, build identical trees.
-	rev := make([]encoding.Digest, len(ds))
+	rev := make([]encoding.Termed, len(ds))
 	for i, d := range ds {
 		rev[len(ds)-1-i] = d
 	}
@@ -117,15 +144,16 @@ func TestDigestTreeStructure(t *testing.T) {
 		t.Fatal("input order changed the root")
 	}
 	// A different digest set roots differently.
-	ds2 := append(append([]encoding.Digest(nil), ds[:499]...), encoding.Digest{
-		Key: "other", Stamp: ds[0].Stamp})
+	other := encoding.Digest{Key: "other", Stamp: ds[0].Stamp}
+	ds2 := append(slices.Clone(ds[:499]), encoding.Termed{Digest: other,
+		Term: encoding.DigestTerm(other, encoding.ContentHash(false, []byte("v")))})
 	if buildDigestTree(ds2, 2).Root() == tr.Root() {
 		t.Fatal("different digest sets share a root")
 	}
-	// The same set at a different depth roots differently too — depth is
-	// part of the hash domain, which is why the wire pins one depth.
-	if buildDigestTree(ds, 3).Root() == tr.Root() {
-		t.Fatal("depth 2 and depth 3 trees share a root")
+	// The same set at another depth roots alike: a hash covers the keys
+	// under it, not the tree's shape.
+	if buildDigestTree(ds, 3).Root() != tr.Root() {
+		t.Fatal("depth 2 and depth 3 trees root apart")
 	}
 }
 
@@ -133,7 +161,7 @@ func TestDigestTreeStructure(t *testing.T) {
 // the space or are empty must select exactly the digests Contains selects,
 // in tree order.
 func TestRunRangeUnaligned(t *testing.T) {
-	tr := buildDigestTree(treeDigests(t, 500), 2)
+	tr := buildDigestTree(treeKeys(t, 500), 2)
 	all := tr.RunRange(TreeRange{})
 	if len(all) != 500 {
 		t.Fatalf("whole range holds %d digests", len(all))
@@ -164,7 +192,7 @@ func TestRunRangeUnaligned(t *testing.T) {
 	// and costs nothing.
 	leaf := tr.Run(2, mid>>56)
 	part := tr.RunRange(TreeRange{Lo: mid, Hi: mid + 1})
-	i := slices.IndexFunc(leaf, func(d encoding.Digest) bool { return d.Key == all[250].Key })
+	i := slices.IndexFunc(leaf, func(k encoding.Termed) bool { return k.Key == all[250].Key })
 	if len(part) == 0 || i < 0 || &part[0] != &leaf[i] || cap(part) != len(part) {
 		t.Fatal("a range inside one leaf was not served as a capped subslice of its run")
 	}
@@ -175,8 +203,8 @@ func TestRunRangeUnaligned(t *testing.T) {
 
 func TestDigestTreeEmpty(t *testing.T) {
 	tr := buildDigestTree(nil, 2)
-	if tr.Root() != encoding.RootSummarySeed {
-		t.Fatal("empty tree must root at RootSummarySeed")
+	if tr.Root() != 0 {
+		t.Fatal("empty tree must root at 0")
 	}
 	bm, hashes := tr.Children(nil, 0, 0)
 	if bm != 0 {
@@ -253,56 +281,71 @@ func TestStripeTreeRebalance(t *testing.T) {
 	}
 }
 
-// TestStripeTreeAtForeignShape: at the stripe's own depth StripeTreeAt is
-// the maintained tree itself; at a peer's other depth it spans the same
-// digests and equals a fresh build at that depth. A depth the codec does
-// not speak is refused.
-func TestStripeTreeAtForeignShape(t *testing.T) {
-	r := NewReplicaShards("a", 4)
-	for i := 0; i < 200; i++ {
-		r.Put(fmt.Sprintf("k%d", i), []byte("v"))
+// TestTreeHashesIgnoreDepth: one key set built at depths 1–4 answers every
+// node alike, so a peer of any depth compares with a tree node for node:
+// every (level, path) child bitmap and hash, read at or below a tree's own
+// leaves as above them, and every leaf range's keys and terms.
+func TestTreeHashesIgnoreDepth(t *testing.T) {
+	ks := treeKeys(t, 700)
+	var trees []*DigestTree
+	for depth := 1; depth <= 4; depth++ {
+		trees = append(trees, buildDigestTree(ks, depth))
 	}
-	own, err := r.StripeTree(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at, err := r.StripeTreeAt(0, own.Depth()); err != nil || at != own {
-		t.Fatalf("own depth: not the maintained tree (err %v)", err)
-	}
-	tr, err := r.StripeTreeAt(0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != own.Len() || tr.Depth() == own.Depth() {
-		t.Fatalf("foreign-depth tree spans %d keys at depth %d, want %d keys not at %d", tr.Len(), tr.Depth(), own.Len(), own.Depth())
-	}
-	requireSameTree(t, "foreign depth", tr, buildDigestTree(stripeDigests(r, 0), 3))
-	for _, depth := range []int{0, encoding.MaxTreeDepth + 1} {
-		if _, err := r.StripeTreeAt(0, depth); err == nil {
-			t.Fatalf("invalid depth %d accepted", depth)
+	reached := 0 // keys under the deepest nodes walked
+	var walk func(level int, path uint64)
+	walk = func(level int, path uint64) {
+		wbm, wh := trees[0].Children(nil, level, path)
+		want := trees[0].Run(level, path)
+		for _, tr := range trees[1:] {
+			if bm, h := tr.Children(nil, level, path); bm != wbm || !slices.Equal(h, wh) {
+				t.Fatalf("node (%d,%x): depth %d reads %x %x, depth 1 %x %x", level, path, tr.Depth(), bm, h, wbm, wh)
+			}
+			if run := tr.Run(level, path); !slices.EqualFunc(run, want, func(a, b encoding.Termed) bool {
+				return a.Key == b.Key && a.Term == b.Term && a.Stamp.Equal(b.Stamp)
+			}) {
+				t.Fatalf("range (%d,%x): depth %d holds %d keys, depth 1 %d", level, path, tr.Depth(), len(run), len(want))
+			}
+		}
+		if xorTerms(want) != trees[0].Root() && level == 0 {
+			t.Fatal("the root is not the XOR of the terms")
+		}
+		if level == 4 {
+			reached += len(want)
+			return
+		}
+		for c := 0; c < encoding.TreeFanout; c++ {
+			if wbm&(1<<c) != 0 {
+				walk(level+1, path<<encoding.TreeFanoutBits|uint64(c))
+			}
 		}
 	}
-	if _, err := r.StripeTreeAt(5, 1); err == nil {
-		t.Fatal("out-of-range stripe accepted")
+	walk(0, 0)
+	if reached != len(ks) {
+		t.Fatalf("the walk reached %d of %d keys at level 4", reached, len(ks))
 	}
 }
 
-// stripeDigests collects stripe i's digests straight off the stripe — the
-// fresh collection the maintained tree is checked against.
-func stripeDigests(r *Replica, i int) []encoding.Digest {
+// stripeKeys collects stripe i's keys straight off the stripe, each with the
+// term of its stored copy — the fresh collection the maintained tree is
+// checked against.
+func stripeKeys(r *Replica, i int) []encoding.Termed {
 	sh := &r.shards[i]
+	var keys []string
 	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	var ds []encoding.Digest
-	sh.eachMetaLocked(func(k string, _ bool, st core.Stamp) {
-		ds = append(ds, encoding.Digest{Key: strings.Clone(k), Stamp: st})
-	})
-	return ds
+	sh.eachLocked(func(k string, _ Versioned, _ int) { keys = append(keys, strings.Clone(k)) })
+	sh.mu.RUnlock()
+	ks := make([]encoding.Termed, len(keys))
+	for j, k := range keys {
+		v, _ := r.Stored(k)
+		ks[j].Digest = encoding.Digest{Key: k, Stamp: v.Stamp}
+		ks[j].Term = encoding.DigestTerm(ks[j].Digest, encoding.ContentHash(v.Deleted, v.Value))
+	}
+	return ks
 }
 
 // requireSameTree fails unless got answers exactly as want does: length,
-// root, every node's Children at every level, every leaf's Run (keys and
-// full stamps, ids included) and the whole-tree run.
+// root, every node's Children at every level, every leaf's Run (keys, terms
+// and full stamps, ids included) and the whole-tree run.
 func requireSameTree(t *testing.T, what string, got, want *DigestTree) {
 	t.Helper()
 	if got.Depth() != want.Depth() || got.Len() != want.Len() {
@@ -312,12 +355,12 @@ func requireSameTree(t *testing.T, what string, got, want *DigestTree) {
 	if got.Root() != want.Root() {
 		t.Fatalf("%s: root %x, want %x", what, got.Root(), want.Root())
 	}
-	sameRun := func(where string, g, w []encoding.Digest) {
+	sameRun := func(where string, g, w []encoding.Termed) {
 		if len(g) != len(w) {
 			t.Fatalf("%s: %s holds %d digests, want %d", what, where, len(g), len(w))
 		}
 		for i := range w {
-			if g[i].Key != w[i].Key || !g[i].Stamp.Equal(w[i].Stamp) {
+			if g[i].Key != w[i].Key || g[i].Term != w[i].Term || !g[i].Stamp.Equal(w[i].Stamp) {
 				t.Fatalf("%s: %s[%d] = %q %v, want %q %v", what, where, i,
 					g[i].Key, g[i].Stamp, w[i].Key, w[i].Stamp)
 			}
@@ -368,8 +411,8 @@ func foldAgainstOracle(t *testing.T, what string, r *Replica, i int) (got, want 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := stripeDigests(r, i)
-	want = buildDigestTree(ds, TreeDepth(len(ds)))
+	ks := stripeKeys(r, i)
+	want = buildDigestTree(ks, TreeDepth(len(ks)))
 	requireSameTree(t, fmt.Sprintf("%s: %s stripe %d", what, r.Label(), i), got, want)
 	return got, want
 }
@@ -601,7 +644,7 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 	r.PutBatch(seed)
 	_ = r.Clone("peer") // forked stamps: every later Put moves an update component
 	snap, _ := r.StripeTree(0)
-	frozen := buildDigestTree(stripeDigests(r, 0), snap.Depth())
+	frozen := buildDigestTree(stripeKeys(r, 0), snap.Depth())
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -646,7 +689,7 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 					return
 				}
 				for i := range run {
-					if run[i].Key != want[i].Key || !run[i].Stamp.Equal(want[i].Stamp) {
+					if run[i].Key != want[i].Key || run[i].Term != want[i].Term || !run[i].Stamp.Equal(want[i].Stamp) {
 						t.Error("descent snapshot's digests moved under its holder")
 						return
 					}
@@ -663,7 +706,7 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 			default:
 			}
 			cur, err := r.StripeTree(0)
-			if err != nil || cur.Root() == encoding.RootSummarySeed {
+			if err != nil || cur.Root() == 0 {
 				t.Errorf("polled root: tree %v, err %v", cur, err)
 				return
 			}
@@ -676,12 +719,13 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 	requireTreesMatchOracle(t, "after the writers", r)
 }
 
-// TestParallelTreeFoldsMatchFreshBuild: every build and fold borrows its
-// scratch from slots all stripes of all replicas share, so folds of many
-// stripes at once, on two replicas with writers running, must each get a
-// scratch no other fold is using. Folders fold in place, fold under a hold
-// and re-level at a foreign shape; once the writers stop, every stripe's
-// tree must equal a fresh build. Run with -race -count=10.
+// TestParallelTreeFoldsMatchFreshBuild: every fold borrows its scratch from
+// slots all stripes of all replicas share, so folds of many stripes at
+// once, on two replicas with writers running, must each get a scratch no
+// other fold is using. Folders fold in place, fold under a hold and read
+// the held tree at a foreign depth, below its own leaves; once the writers
+// stop, every stripe's tree must equal a fresh build. Run with -race
+// -count=10.
 func TestParallelTreeFoldsMatchFreshBuild(t *testing.T) {
 	const stripes, keys = 16, 3000
 	a := NewReplicaShards("a", stripes)
@@ -735,7 +779,14 @@ func TestParallelTreeFoldsMatchFreshBuild(t *testing.T) {
 						r.ReleaseStripeTree(i)
 					}
 				default:
-					if _, err = r.StripeTreeAt(i, 3); err == nil {
+					var tr *DigestTree
+					if tr, err = r.StripeTree(i); err == nil {
+						for level := tr.Depth(); level < tr.Depth()+2; level++ {
+							bm, hashes := tr.Children(nil, level, 0)
+							if bits.OnesCount16(bm) != len(hashes) {
+								t.Errorf("folder %d: stripe %d node (%d,0): bitmap %x with %d hashes", f, i, level, bm, len(hashes))
+							}
+						}
 						r.ReleaseStripeTree(i)
 					}
 				}
@@ -755,9 +806,10 @@ func TestParallelTreeFoldsMatchFreshBuild(t *testing.T) {
 }
 
 // TestIDOnlyChangeRehashesNothing: the source side of a SyncKey transfer
-// only forks its stamp. The tree must ship the new stamp from its leaf run,
-// keep its root, and hash no leaf to get there; the tree handed out before
-// keeps the stamp it was built with.
+// only forks its stamp. The tree must ship the new stamp from its leaf run
+// and move no hash to get there — the fork leaves the key's term as it was —
+// and the tree handed out before keeps the stamp it was built with. A write
+// of a new value then moves exactly the hashes on its key's path.
 func TestIDOnlyChangeRehashesNothing(t *testing.T) {
 	a, b := NewReplicaShards("a", 1), NewReplicaShards("b", 1)
 	for i := 0; i < 600; i++ {
@@ -773,11 +825,8 @@ func TestIDOnlyChangeRehashesNothing(t *testing.T) {
 		t.Fatal("transfer did not fork the source stamp")
 	}
 	after, _ := a.StripeTree(0)
-	if after.Root() != before.Root() {
-		t.Fatal("an id-only change moved the root")
-	}
-	if after.leafHashes != before.leafHashes {
-		t.Fatalf("an id-only change hashed %d leaves", after.leafHashes-before.leafHashes)
+	if moved := movedNodes(before, after); len(moved) != 0 {
+		t.Fatalf("an id-only change moved the hashes of nodes %v", moved)
 	}
 	stampIn := func(tr *DigestTree) core.Stamp {
 		for _, d := range tr.RunRange(TreeRange{}) {
@@ -795,4 +844,49 @@ func TestIDOnlyChangeRehashesNothing(t *testing.T) {
 		t.Fatal("the tree handed out earlier was modified")
 	}
 	requireTreesMatchOracle(t, "after the transfer", a)
+
+	a.Put("key-007", []byte("edited"))
+	edited, _ := a.StripeTree(0)
+	pos, want := encoding.TreePos("key-007"), []string{"(0,0)"}
+	for level := 1; level <= edited.Depth(); level++ {
+		want = append(want, fmt.Sprintf("(%d,%x)", level, pos>>(64-level*encoding.TreeFanoutBits)))
+	}
+	if moved := movedNodes(after, edited); !slices.Equal(moved, want) {
+		t.Fatalf("a write moved the hashes of nodes %v, want its path %v", moved, want)
+	}
+}
+
+// movedNodes returns the nodes, as "(level,path)", whose hash differs
+// between two trees of one depth, in walk order.
+func movedNodes(x, y *DigestTree) []string {
+	var moved []string
+	var walk func(level int, path uint64)
+	walk = func(level int, path uint64) {
+		if level == 0 && x.Root() != y.Root() {
+			moved = append(moved, "(0,0)")
+		}
+		if level == x.Depth() {
+			return
+		}
+		xbm, xh := x.Children(nil, level, path)
+		ybm, yh := y.Children(nil, level, path)
+		for c, xi, yi := 0, 0, 0; c < encoding.TreeFanout; c++ {
+			var hx, hy uint64
+			if xbm&(1<<c) != 0 {
+				hx, xi = xh[xi], xi+1
+			}
+			if ybm&(1<<c) != 0 {
+				hy, yi = yh[yi], yi+1
+			}
+			kid := path<<encoding.TreeFanoutBits | uint64(c)
+			if hx != hy {
+				moved = append(moved, fmt.Sprintf("(%d,%x)", level+1, kid))
+			}
+			if (xbm|ybm)&(1<<c) != 0 {
+				walk(level+1, kid)
+			}
+		}
+	}
+	walk(0, 0)
+	return moved
 }

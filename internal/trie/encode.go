@@ -106,6 +106,19 @@ func (t *Interned) AppendEncoding(dst []byte) []byte {
 	return append(dst, t.encoding()...)
 }
 
+// Encoding returns the canonical encoding AppendEncoding appends. A
+// table-resident node's is its cached string, returned without a copy; an
+// unshared node's is built for the call.
+func (t *Interned) Encoding() string {
+	if t == nil {
+		return emptyEncoding
+	}
+	if t.id == 0 {
+		return string(appendEncoding(nil, int(t.nbits), t.zero, t.one))
+	}
+	return t.encoding()
+}
+
 // encoding returns the table-resident node's encoding, computing and
 // caching it on first use. Concurrent first uses store equal strings.
 func (t *Interned) encoding() string {
