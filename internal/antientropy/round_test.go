@@ -151,12 +151,13 @@ func differs(server, client, oracleServer, oracleClient *kvstore.Replica, loose 
 // the client creates, every schedule runs one round through the lockstep
 // driver with one write made before one of its frames is received: a Put
 // or a Delete at either end of a divergent key or of a key sharing its
-// leaf, or the first Put at either end of a key no replica held. After the round and one quiescent round, both
-// ends must hold every acknowledged write (a Delete may lose to a racing
-// edit at the other end, as KeepBoth has it), and both ends must
-// hold exactly what the in-process kvstore.Sync gives from the same start
-// with the write made before the round or after it: values, tombstones and
-// stamps (Equal), but for the written key's stamps (see differs).
+// leaf, or the first Put at either end of a key no replica held. After the
+// round and one quiescent round, both ends must hold every acknowledged
+// write (a Delete may lose to a racing edit at the other end, as KeepBoth
+// has it), and both ends must hold exactly what the in-process kvstore.Sync
+// gives from the same start with the write made before the round or after
+// it: values, tombstones and stamps (Equal), but for the written key's
+// stamps (see differs).
 //
 // A Put at the server of the key the client creates is a first Put of a key
 // the other end already holds: the two copies are then independent

@@ -109,8 +109,13 @@ type treeUpdate struct {
 }
 
 // cmpPosKey is the tree order: by position, ties (hash collisions) by key.
+// The keys are compared only on a tie: cmp.Or would compare them on every
+// call, reading both keys' bytes.
 func cmpPosKey(ap uint64, ak string, bp uint64, bk string) int {
-	return cmp.Or(cmp.Compare(ap, bp), strings.Compare(ak, bk))
+	if ap != bp {
+		return cmp.Compare(ap, bp)
+	}
+	return strings.Compare(ak, bk)
 }
 
 func cmpUpdates(a, b treeUpdate) int { return cmpPosKey(a.pos, a.k.Key, b.pos, b.k.Key) }
