@@ -512,8 +512,8 @@ func TestRingRootOnlyRoundAllocs(t *testing.T) {
 				}
 			}
 		}
-		// The first folds after a build size the stripes' kept dirty sets
-		// and scratch.
+		// The first round after the build settles anything a first fold
+		// allocates once.
 		writeEach(0)
 		roundAllocs(c)
 		const runs = 5

@@ -150,15 +150,20 @@
 // end.
 //
 // A stripe's tree handed to a round is held (kvstore.Replica.StripeTree)
-// until the round releases it, and the store patches the stripe's tree in
-// place only while no hold is out. Each slot the client loads holds its
-// stripe; the server holds each divergent stripe's tree from the stripe-root
-// phase to the apply, and releases a converged stripe's at once. Both ends
-// release after the apply step — the server's ApplyDeltaRanges, the client's
-// ApplyDeltaReply, which still reads the digests it shipped off its trees —
-// and before the fold that precedes the result or probe frame, so that fold
-// patches in place and no hold is out by the time the peer can act on the
-// round. A round that ends early releases its holds on the way out.
+// until the round releases it. While a hold is out the store writes neither
+// the stripe's base nor its tree: other writers land in its overlay, and a
+// fold that must take them in copies the stripe first. Each slot the client
+// loads holds its stripe; the server holds each divergent stripe's tree from
+// the stripe-root phase to the apply, and releases a converged stripe's at
+// once. Both ends release after the apply step — the server's
+// ApplyDeltaRanges, the client's ApplyDeltaReply, which still reads the
+// digests it shipped off its trees. Each apply is the last reader of its
+// round's snapshot, so where its own hold is the only one out it writes the
+// base in place, and the overlay sees only what another writer did
+// mid-round; that is how the client tells a copy that moved. Both release
+// before the fold that precedes the result or probe frame, so no hold is out
+// by the time the peer can act on the round. A round that ends early
+// releases its holds on the way out.
 //
 // A key is on the wire in full only in the leaf digests, unless its term
 // was marked, and in a result entry the client shipped no digest of. The

@@ -155,11 +155,10 @@ func (m *serverRound) layout(frame string) error {
 // the next frame opens a real round (or another probe).
 //
 // A probe never folds writes into the trees. It arrives after a round, at a
-// time the round does not decide, and may race writes still landing; a fold
-// then would split one burst over two patches, so the work a later round
-// does would depend on timing. A probe that finds a stripe with unfolded
-// writes answers 0 instead. That sends the client to the stripe roots, whose
-// round folds them.
+// time the round does not decide, and may race writes still landing, so
+// what it matched would depend on timing. A probe that finds a stripe
+// written since its tree was last requested answers 0 instead. That sends
+// the client to the stripe roots, whose round folds the writes.
 func (m *serverRound) rootMatch(probe bool) error {
 	if err := m.layout("root"); err != nil {
 		return err
@@ -554,12 +553,12 @@ func (m *serverRound) apply() error {
 		}
 	}
 	// The round's snapshots are done with. Releasing them before the fold
-	// lets it patch the trees in place, and before the result frame leaves
-	// no hold out once the client can act on the round.
+	// lets it merge in place, and before the result frame leaves no hold out
+	// once the client can act on the round.
 	m.reset()
 	// Fold this round's writes into the maintained trees before answering:
 	// the root probe that follows the result then finds them current, and
-	// the patch never races the writes that come after the round.
+	// the fold never races the writes that come after the round.
 	for _, idx := range m.order {
 		if _, err := m.replica.StripeRoot(idx); err != nil {
 			return err
@@ -983,8 +982,8 @@ func (m *clientRound) need() error {
 // applyResult takes the result: it checks the reply against what the round
 // shipped and applies it. The shipped copies pin every reply copy to the
 // exact copy this round sent. They are read off the round's trees, which
-// are released only once the reply is in, and before the fold, so it
-// patches in place.
+// are released only once the reply is applied, and before the fold, so it
+// merges in place.
 func (m *clientRound) applyResult() error {
 	part, reply, refs, err := decodeResultFrame(&m.fr, len(m.sends), m.shipped.n)
 	if err != nil {

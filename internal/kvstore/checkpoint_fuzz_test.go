@@ -83,17 +83,24 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if !maps.Equal(hs.tombs, ps.tombs) {
 			t.Fatalf("tombstone ledgers differ: hot %v, paged %v", hs.tombs, ps.tombs)
 		}
+		hotKeys := make(map[string]Versioned)
+		hs.eachLocked(func(k string, v Versioned, _ int) { hotKeys[k] = v })
+		for x := 1; x < len(hs.keys); x++ {
+			if cmpTreeOrder(hs.keys[x-1].Key, hs.keys[x].Key) >= 0 {
+				t.Fatalf("hot base out of tree order at %d: %q, %q", x, hs.keys[x-1].Key, hs.keys[x].Key)
+			}
+		}
 		cs := ps.cold
 		if cs == nil {
-			if len(hs.data) != 0 {
-				t.Fatalf("hot load holds %d keys, paged none", len(hs.data))
+			if len(hotKeys) != 0 {
+				t.Fatalf("hot load holds %d keys, paged none", len(hotKeys))
 			}
 			return
 		}
-		if len(hs.data) != cs.count() {
-			t.Fatalf("hot load holds %d keys, paged %d", len(hs.data), cs.count())
+		if len(hotKeys) != cs.count() {
+			t.Fatalf("hot load holds %d keys, paged %d", len(hotKeys), cs.count())
 		}
-		for k, v := range hs.data {
+		for k, v := range hotKeys {
 			x := cs.find(k)
 			if x < 0 {
 				t.Fatalf("key %q loads hot but cannot be found in the cold index", k)

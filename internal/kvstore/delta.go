@@ -75,7 +75,7 @@ type DigestRun struct {
 
 // deltaScope is a delta call's (stripe, runs) scope. Both halves of the leaf
 // phase walk it in tree order, by (position, key) — the order of the
-// stripe's digest tree, so the in-range local keys come straight off RunRange.
+// stripe's base, so the in-range local keys come straight off it.
 type deltaScope struct {
 	idx, of int         // the stripe, and this replica's stripe count
 	runs    []DigestRun // ascending by Range.Lo and disjoint
@@ -142,35 +142,52 @@ func (sc *deltaScope) checkRuns(what string) error {
 	return nil
 }
 
-// count returns how many of t's digests are in scope, gathering no runs.
-func (sc *deltaScope) count(t *DigestTree) int {
-	n := 0
-	for _, run := range sc.runs {
-		if run.Range == (TreeRange{}) {
-			n += t.Len() // the whole stripe, without visiting its leaves
-		} else {
-			n += t.rangeLen(run.Range)
+// local returns the stripe's keys inside rg, in tree order: the base's run
+// of them, and the overlay's keys that the base lacks, appended to extra.
+// A paged stripe's base has no tree order, so all of its in-range keys come
+// in extra. Stripe lock (read suffices) held.
+func (sh *shard) local(rg TreeRange, extra []string) ([]encoding.Termed, []string) {
+	from := len(extra)
+	var run []encoding.Termed
+	if sh.cold == nil {
+		lo, _ := sh.search(rg.Lo, "")
+		hi := len(sh.keys)
+		if rg.Hi != 0 {
+			hi, _ = sh.search(rg.Hi, "")
 		}
+		run = sh.keys[lo:max(lo, hi)]
+		for k := range sh.over {
+			if p := encoding.TreePos(k); rg.Contains(p) {
+				if _, ok := sh.search(p, k); !ok {
+					extra = append(extra, k)
+				}
+			}
+		}
+	} else {
+		sh.eachLocked(func(k string, _ Versioned, _ int) {
+			if rg.Contains(encoding.TreePos(k)) {
+				extra = append(extra, k)
+			}
+		})
 	}
-	return n
+	slices.SortFunc(extra[from:], cmpTreeOrder)
+	return run, extra
 }
 
-// walk calls fn once per in-scope key, in tree order: the keys of the
-// stripe's tree t and of extra (keys written since t, in tree order), and the
-// peer's digests (each run's, checked to lie in its range) and entries es
-// (tree-ordered, checked to lie in scope). fn gets the peer's digest and
-// entry for the key, or nil where the peer sent none. Each range is one merge
-// of four sorted inputs, each hashing a key's position once; no key set is
-// built.
-func (sc *deltaScope) walk(t *DigestTree, extra []string, es []encoding.Entry,
+// walk calls fn once per in-scope key, in tree order: the stripe's keys
+// (local), and the peer's digests (each run's, checked to lie in its range)
+// and entries es (tree-ordered, checked to lie in scope). fn gets the peer's
+// digest and entry for the key, or nil where the peer sent none. Each range
+// is one merge of four sorted inputs, each hashing a key's position once; no
+// key set is built. fn may write the stripe's base slots in place and its
+// overlay, but may not move the base. Stripe write lock held.
+func (sc *deltaScope) walk(sh *shard, es []encoding.Entry,
 	fn func(key string, d *encoding.Digest, e *encoding.Entry) error) error {
-	xs, ps := newCursor(extra, stringKey), newCursor(es, entryKey)
+	ps := newCursor(es, entryKey)
 	for _, run := range sc.runs {
 		rg := run.Range
-		ls, ds := newCursor(t.RunRange(rg), termedKey), newCursor(run.Digests, digestKey)
-		for len(xs.xs) > 0 && xs.pos < rg.Lo {
-			xs.take(xs.xs[0])
-		}
+		base, extra := sh.local(rg, nil)
+		ls, xs, ds := newCursor(base, termedKey), newCursor(extra, stringKey), newCursor(run.Digests, digestKey)
 		for {
 			key, pos, ok := "", uint64(0), false
 			least := func(k string, p uint64) {
@@ -181,7 +198,7 @@ func (sc *deltaScope) walk(t *DigestTree, extra []string, es []encoding.Entry,
 			if len(ls.xs) > 0 {
 				least(ls.xs[0].Key, ls.pos)
 			}
-			if len(xs.xs) > 0 && rg.Contains(xs.pos) {
+			if len(xs.xs) > 0 {
 				least(xs.xs[0], xs.pos)
 			}
 			if len(ds.xs) > 0 {
@@ -245,10 +262,10 @@ func headPos[T any](xs []T, key func(T) string) uint64 {
 // The runs must come in position order, disjoint, and each run's digests in
 // strict tree order, as a round's runs do; anything else is refused. The
 // stripe is read-locked once while the peer digests are probed against the
-// stripe map, stamp classification runs through core.Compare's shared cache —
+// stripe, stamp classification runs through core.Compare's shared cache —
 // converged copies share interned update handles, so the common outcome is a
 // pointer comparison — and the in-scope local keys are counted off the
-// stripe's digest tree, never by scanning the stripe.
+// stripe's base, never by scanning a hot stripe.
 func (r *Replica) DiffRanges(peer []DigestRun, idx int) (Diff, error) {
 	sc, err := r.deltaScope(idx, peer)
 	if err != nil {
@@ -258,14 +275,16 @@ func (r *Replica) DiffRanges(peer []DigestRun, idx int) (Diff, error) {
 		return Diff{}, err
 	}
 	var d Diff
-	matched := 0
-	// The tree is brought current and held before the read lock: a tree
-	// request takes it itself, and so does the release.
-	t := r.stripeTree(idx)
-	defer r.ReleaseStripeTree(idx)
+	matched, localInScope := 0, 0
 	sh := &r.shards[idx]
 	sh.mu.RLock()
-	localInScope := sc.count(t)
+	defer sh.mu.RUnlock()
+	var extra []string
+	for _, run := range sc.runs {
+		var base []encoding.Termed
+		base, extra = sh.local(run.Range, extra[:0])
+		localInScope += len(base) + len(extra)
+	}
 	for _, run := range sc.runs {
 		for i := range run.Digests {
 			pd := &run.Digests[i]
@@ -291,16 +310,9 @@ func (r *Replica) DiffRanges(peer []DigestRun, idx int) (Diff, error) {
 			}
 		}
 	}
-	sh.mu.RUnlock()
 	// Peer digests are unique-keyed (checkRuns refuses a key twice), so every
-	// in-scope local key the probes did not match is local-only. The local
-	// keys are counted off the tree folded before the read lock and the
-	// probes read the stripe under it, so a key a writer added in between
-	// can be matched without being counted: clamped, so that cannot report
-	// negative.
-	if d.LocalOnly = localInScope - matched; d.LocalOnly < 0 {
-		d.LocalOnly = 0
-	}
+	// in-scope local key the probes did not match is local-only.
+	d.LocalOnly = localInScope - matched
 	return d, nil
 }
 
@@ -338,11 +350,15 @@ func (d DeltaReply) Len() int { return len(d.Restamps) + len(d.Entries) }
 // being treated as missing on the peer.
 //
 // The runs must be as DiffRanges takes them, and peerEntries in strict tree
-// order too. The walk is a merge in tree order: the stripe's digest tree is
-// brought current just before the write lock is taken, and under it its
-// in-range keys plus the keys writers noted in the stripe's dirty set since
-// are exactly the stripe's current keys. (A dirty set that overflowed in that window is
-// gone; a local-only key written then waits for the next round.)
+// order too. The walk is a merge in tree order, under the write lock, of the
+// stripe's in-range base keys and the overlay's keys the base lacks: exactly
+// the stripe's current keys.
+//
+// The caller holds stripe idx's tree, the round's snapshot (StripeTree), and
+// releases it after the call. The apply is the last reader of that snapshot,
+// so when no other hold is out it writes the keys the base holds in their
+// slots; a key new to the stripe lands in the overlay, so the base does not
+// move under the walk, and the next tree request merges it.
 //
 // Keys whose digest says this side should dominate but whose local copy
 // moved since DiffRanges (a concurrent writer) are skipped this round; the
@@ -366,12 +382,9 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntri
 		return reply, SyncResult{}, err
 	}
 
-	// Registered before the lock so they run after it releases: group-commit
-	// barriers must never be awaited under stripe locks, and the tree's
-	// release takes cacheMu, which is ordered before the stripe lock.
+	// Registered before the lock so it runs after it releases: group-commit
+	// barriers must never be awaited under stripe locks.
 	defer r.awaitDurable()
-	t := r.stripeTree(idx)
-	defer r.ReleaseStripeTree(idx)
 	sh := &r.shards[idx]
 	sh.lockMut()
 	defer sh.mu.Unlock()
@@ -382,6 +395,7 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntri
 		// the reply entry; it is absent for a local-only key, which then
 		// transfers.
 		cs := [2]keyCopy{r.heldLocked(k), {held: true}}
+		cs[0].own = 1
 		switch {
 		case pe != nil:
 			cs[1].Versioned = Versioned{Value: pe.Value, Deleted: pe.Deleted, Stamp: pe.Stamp}
@@ -433,12 +447,7 @@ func (r *Replica) ApplyDeltaRanges(reply DeltaReply, peer []DigestRun, peerEntri
 		})
 		return nil
 	}
-	var extra []string
-	for k := range sh.dirty {
-		extra = append(extra, k)
-	}
-	slices.SortFunc(extra, cmpTreeOrder)
-	err = sc.walk(t, extra, peerEntries, apply)
+	err = sc.walk(sh, peerEntries, apply)
 	sort.Strings(res.Conflicts)
 	return reply, res, err
 }
@@ -474,6 +483,12 @@ type Shipped struct {
 // this side, which only discards id space, never causality — and the next
 // round reconciles them. Returns how many reply copies were applied.
 //
+// The caller holds the trees its round read the shipped copies off, one
+// hold on each stripe the reply names (StripeTree), and releases them after
+// the call. It reads each copy's shipped stamp before that copy is written,
+// and no two reply copies name one key, so when no other hold is out the
+// call writes the copies the base holds in their slots.
+//
 // The call takes ownership of the values in reply.Entries: an applied one is
 // stored as it is, so the caller must not modify it afterwards. A value
 // ApplyDeltaRanges handed out in process may be the responder's stored
@@ -494,13 +509,16 @@ func (r *Replica) ApplyDeltaReply(reply DeltaReply, full func(i int) *encoding.E
 		s := sent(i)
 		ok := (s.Ok && has && cur.Stamp.Equal(s.Stamp)) || (!s.Ok && !has)
 		if ok && s.Full != nil {
-			ok = !r.overwrittenLocked(si, *s.Full)
+			// A copy that cannot be faulted in counts as overwritten.
+			v, _, err := r.loadedLocked(si, e.Key)
+			if err != nil {
+				r.notePersistErr(err)
+			}
+			ok = err == nil && v.Deleted == s.Full.Deleted && bytes.Equal(v.Value, s.Full.Value)
 		}
 		if ok {
 			v := Versioned{Value: e.Value, Deleted: e.Deleted, Stamp: e.Stamp}
-			sh.data[e.Key] = v
-			sh.noteTombLocked(e.Key)
-			r.logSet(si, e.Key, v)
+			r.storeLocked(si, e.Key, v, 1)
 			applied++
 		}
 		sh.mu.Unlock()
@@ -510,7 +528,9 @@ func (r *Replica) ApplyDeltaReply(reply DeltaReply, full func(i int) *encoding.E
 }
 
 // restamp installs d's stamp over the local copy of d.Key if that copy
-// still carries the stamp of f, the entry this replica shipped.
+// still carries the stamp of f, the entry this replica shipped. A cold copy
+// is faulted in, so that its log record carries the value; one that cannot
+// be is left alone.
 func (r *Replica) restamp(d encoding.Digest, f encoding.Entry) bool {
 	si := ShardIndex(d.Key, len(r.shards))
 	sh := &r.shards[si]
@@ -519,30 +539,27 @@ func (r *Replica) restamp(d encoding.Digest, f encoding.Entry) bool {
 	if cur, has := sh.metaLocked(d.Key); !has || !cur.Stamp.Equal(f.Stamp) {
 		return false
 	}
-	overwritten := r.overwrittenLocked(si, f)
-	v, ok := sh.data[d.Key]
-	if !ok {
-		return false // the cold copy could not be faulted in
+	v, _, err := r.loadedLocked(si, d.Key)
+	if err != nil {
+		r.notePersistErr(err)
+		return false
 	}
 	v.Stamp = d.Stamp
-	if overwritten {
+	if v.Deleted != f.Deleted || !bytes.Equal(v.Value, f.Value) {
 		v.Stamp = v.Stamp.Update()
 	}
-	sh.data[d.Key] = v
-	sh.noteTombLocked(d.Key)
-	r.logSet(si, d.Key, v)
+	r.storeLocked(si, d.Key, v, 1)
 	return true
 }
 
-// overwrittenLocked faults in the local copy of f.Key, which still carries
-// the stamp f shipped with, and reports whether its value is no longer f's.
-// A copy that cannot be faulted in counts as overwritten. Stripe write lock
-// held.
-func (r *Replica) overwrittenLocked(si int, f encoding.Entry) bool {
-	if err := r.promoteLocked(si, f.Key); err != nil {
-		r.notePersistErr(err)
-		return true
+// loadedLocked returns key's stored copy in stripe si with its value,
+// faulted in from the cold index if it is a cold one. Stripe lock (read
+// suffices) held.
+func (r *Replica) loadedLocked(si int, key string) (Versioned, bool, error) {
+	v, cold, ok := r.shards[si].storedLocked(key)
+	v, err := r.loadLocked(si, key, v, cold)
+	if err != nil {
+		return v, ok, fmt.Errorf("kvstore: load %q (shard %d): %w", key, si, err)
 	}
-	v := r.shards[si].data[f.Key]
-	return v.Deleted != f.Deleted || !bytes.Equal(v.Value, f.Value)
+	return v, ok, nil
 }

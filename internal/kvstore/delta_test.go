@@ -48,11 +48,20 @@ func deltaRound(t *testing.T, a, b *Replica, resolve Resolver) SyncResult {
 			t.Fatalf("DiffRanges: %v", err)
 		}
 		entries := entriesFor(b, diff.Need)
+		// Each end holds the stripe's tree across its apply, as a round does.
+		if _, err := a.StripeTree(idx); err != nil {
+			t.Fatal(err)
+		}
 		reply, part, err := a.ApplyDeltaRanges(DeltaReply{}, wholeStripe(digest), entries, resolve, idx)
+		a.ReleaseStripeTree(idx)
 		if err != nil {
 			t.Fatalf("ApplyDeltaRanges: %v", err)
 		}
+		if _, err := b.StripeTree(idx); err != nil {
+			t.Fatal(err)
+		}
 		applyReply(b, reply, entries, digest)
+		b.ReleaseStripeTree(idx)
 		res.Add(part)
 	}
 	sort.Strings(res.Conflicts)
@@ -530,7 +539,7 @@ func TestApplyDeltaReplyRestampsColdCopy(t *testing.T) {
 	if err := b.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if _, hot := b.shardFor("key-000").data["key-000"]; hot {
+	if _, hot := b.shardFor("key-000").over["key-000"]; hot {
 		t.Fatal("the shipped copy is still hot after a paged checkpoint")
 	}
 	if n := shipped.apply(b, reply); n != 1 {

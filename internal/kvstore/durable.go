@@ -159,6 +159,7 @@ func openBackend(be *wal.WAL, label string, shards int, paged bool, cacheBytes i
 	damaged := make(map[int]error)
 	for i := 0; i < n; i++ {
 		sh := &r.shards[i]
+		r.emptyStripe(sh)
 		err := be.ReplayShard(i,
 			func(snap []byte) error { return r.loadShardCheckpoint(i, snap) },
 			func(e encoding.Entry) error {
@@ -166,7 +167,7 @@ func openBackend(be *wal.WAL, label string, shards int, paged bool, cacheBytes i
 					return fmt.Errorf("kvstore: replay shard %d: key %q belongs to shard %d",
 						i, e.Key, ShardIndex(e.Key, n))
 				}
-				sh.data[e.Key] = Versioned{Value: e.Value, Deleted: e.Deleted, Stamp: e.Stamp}
+				sh.setLocked(e.Key, Versioned{Value: e.Value, Deleted: e.Deleted, Stamp: e.Stamp}, 0)
 				if e.Deleted {
 					sh.tombs[e.Key] = 0
 				} else {
@@ -180,9 +181,7 @@ func openBackend(be *wal.WAL, label string, shards int, paged bool, cacheBytes i
 				return nil, err
 			}
 			damaged[i] = err
-			sh.data = make(map[string]Versioned)
-			sh.cold = nil
-			sh.tombs = make(map[string]uint64)
+			r.emptyStripe(sh)
 		}
 		if r.paged && sh.cold != nil {
 			// The checkpoint callback stored payload-relative value offsets
@@ -204,8 +203,20 @@ func openBackend(be *wal.WAL, label string, shards int, paged bool, cacheBytes i
 	return r, nil
 }
 
+// emptyStripe empties sh: a paged replica's stripe gets an empty cold index
+// as its base, which makes it paged.
+func (r *Replica) emptyStripe(sh *shard) {
+	sh.keys, sh.pos, sh.vals, sh.cold = nil, nil, nil, nil
+	if r.paged {
+		sh.cold = &coldStripe{koffs: []uint32{0}}
+	}
+	sh.over = make(map[string]Versioned)
+	sh.tombs = make(map[string]uint64)
+}
+
 // loadShardCheckpoint installs stripe i's checkpoint, reading it once. A
-// hot stripe stores its own copy of each value. A paged stripe keeps keys,
+// hot stripe's base takes its own copy of each value, in tree order. A paged
+// stripe keeps keys,
 // stamps, tombstone flags and value locations resident as its cold index,
 // and the value bytes stay in the checkpoint file; the offsets are
 // payload-relative here, and openBackend anchors them against the checkpoint
@@ -223,6 +234,7 @@ func (r *Replica) loadShardCheckpoint(i int, snap []byte) error {
 	sh := &r.shards[i]
 	var cs *coldStripe
 	var blob []byte
+	var ps []pending
 	if r.paged {
 		cs = &coldStripe{koffs: []uint32{0}}
 	}
@@ -243,7 +255,7 @@ func (r *Replica) loadShardCheckpoint(i int, snap []byte) error {
 		if e.valOff >= 0 {
 			v.Value = append([]byte(nil), snap[e.valOff:e.valOff+e.valLen]...)
 		}
-		sh.data[e.key] = v
+		ps = append(ps, pending{pos: encoding.TreePos(e.key), key: e.key, v: v})
 		return nil
 	})
 	switch {
@@ -254,6 +266,8 @@ func (r *Replica) loadShardCheckpoint(i int, snap []byte) error {
 	case cs != nil:
 		cs.seal(blob)
 		sh.cold = cs
+	default:
+		sh.installBase(ps)
 	}
 	return nil
 }
@@ -321,6 +335,9 @@ func (r *Replica) checkpointShard(i int) error {
 	sh := &r.shards[i]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.cold == nil && sh.holds.Load() == 0 {
+		sh.mergeLocked() // the new keys join the base
+	}
 	if !r.paged && !sh.removed && r.PersistErr() == nil {
 		ok, err := r.backend.Fold(i)
 		if err != nil {
@@ -345,12 +362,10 @@ func (r *Replica) checkpointShardLocked(i int) error {
 	if r.paged {
 		return r.checkpointShardPagedLocked(i)
 	}
-	entries := make([]encoding.Entry, 0, len(sh.data))
-	for k, v := range sh.data {
-		entries = append(entries, encoding.Entry{
-			Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp,
-		})
-	}
+	entries := make([]encoding.Entry, 0, sh.countLocked())
+	sh.eachLocked(func(k string, v Versioned, _ int) {
+		entries = append(entries, encoding.Entry{Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp})
+	})
 	if err := r.backend.Checkpoint(i, encodeBinarySnapshot(r.label, len(r.shards), entries)); err != nil {
 		return err
 	}
@@ -360,20 +375,20 @@ func (r *Replica) checkpointShardLocked(i int) error {
 
 // checkpointShardPagedLocked is the paged checkpoint: cold values are bulk
 // re-read from the current checkpoint payload (one read, not one fault per
-// key), merged with the hot overlay, and the stripe's memory drops to the
-// fresh cold index — after a checkpoint every value byte is pageable again.
-// A stripe whose hot map is empty and whose cold index is clean still
-// matches its on-disk checkpoint, so the rewrite is skipped entirely.
+// key), merged with the overlay, and the stripe's memory drops to the fresh
+// cold index — after a checkpoint every value byte is pageable again. A
+// stripe whose overlay is empty and whose cold index is clean still matches
+// its on-disk checkpoint, so the rewrite is skipped entirely.
 func (r *Replica) checkpointShardPagedLocked(i int) error {
 	sh := &r.shards[i]
 	cs := sh.cold
-	if len(sh.data) == 0 && cs != nil && !cs.dirty {
+	if len(sh.over) == 0 && cs != nil && !cs.dirty {
 		if gen, _ := r.backend.CheckpointRegion(i); gen == cs.gen {
 			return nil
 		}
 	}
 	entries := make([]encoding.Entry, 0, sh.countLocked())
-	for k, v := range sh.data {
+	for k, v := range sh.over {
 		entries = append(entries, encoding.Entry{
 			Key: k, Value: v.Value, Deleted: v.Deleted, Stamp: v.Stamp,
 		})
@@ -385,7 +400,7 @@ func (r *Replica) checkpointShardPagedLocked(i int) error {
 				continue
 			}
 			k := cs.key(x)
-			if _, shadowed := sh.data[k]; shadowed {
+			if _, shadowed := sh.over[k]; shadowed {
 				continue
 			}
 			e := encoding.Entry{Key: k, Deleted: cs.deleted[x], Stamp: cs.stamps[x]}
@@ -418,7 +433,7 @@ func (r *Replica) checkpointShardPagedLocked(i int) error {
 		return err
 	}
 	sh.cold = ncs
-	sh.data = make(map[string]Versioned)
+	sh.over = make(map[string]Versioned)
 	r.cache.InvalidateShard(i)
 	return nil
 }

@@ -68,6 +68,9 @@ type keyCopy struct {
 	rel core.Ordering
 	r   *Replica
 	si  int
+	// own is the holds the caller itself has on the replica slot's stripe
+	// (see shard.setLocked).
+	own int32
 }
 
 // heldLocked returns r's copy of key as a held slot, metadata only. The
@@ -84,11 +87,9 @@ func (c *keyCopy) load(key string) error {
 	if !c.ok || c.r == nil {
 		return nil
 	}
-	if err := c.r.promoteLocked(c.si, key); err != nil {
-		return err
-	}
-	c.Value = c.r.shards[c.si].data[key].Value
-	return nil
+	v, _, err := c.r.loadedLocked(c.si, key)
+	c.Value = v.Value
+	return err
 }
 
 // set installs a held slot's result, persisting it for a replica slot.
@@ -97,10 +98,7 @@ func (c *keyCopy) set(key string, v Versioned) {
 	if c.r == nil {
 		return
 	}
-	sh := &c.r.shards[c.si]
-	sh.data[key] = v
-	sh.noteTombLocked(key)
-	c.r.logSet(c.si, key, v)
+	c.r.storeLocked(c.si, key, v, c.own)
 }
 
 // reconcile converges one key's copies; cs holds at least one held slot.

@@ -18,7 +18,7 @@
 // A Replica is striped over N lock-per-shard partitions (DefaultShards
 // unless NewReplicaShards says otherwise). Every key is owned by exactly
 // one shard, chosen by ShardIndex — an FNV-1a hash of the key modulo the
-// shard count — and each shard guards its own map with its own
+// shard count — and each shard guards its own keys with its own
 // sync.RWMutex. Point operations (Put/Get/Delete/Version) therefore
 // contend only with operations on the same shard; PutBatch groups keys
 // by shard and takes each shard lock once; and Sync reconciles shard pairs
@@ -27,6 +27,18 @@
 // key, no cross-shard coordination is ever needed for correctness —
 // sharding changes only the locking granularity, never the
 // fork/update/join semantics.
+//
+// A shard keeps its keys as an overlay over a base. The base is sorted in
+// tree order (the digest tree's order, see tree.go) and holds each key's
+// stamp, term, position and value — or, in a paged stripe (paged.go), it is
+// a cold index holding each value's location on disk. The overlay is a map
+// that shadows the base: a lookup reads it first, and enumeration takes the
+// overlay and the base keys it does not shadow. A write to a key the base
+// holds rewrites the key's slot in place. The overlay takes what cannot go
+// there: new keys, which the next tree request, checkpoint or Clone merges
+// in as one batch; writes that land while a round holds the stripe's tree,
+// so that the snapshot it reads never moves; and every write to a paged
+// stripe until its next checkpoint.
 //
 // Syncing replicas must stripe the keyspace the same way: Sync refuses a
 // pair with unequal shard counts, and the anti-entropy wire protocol refuses
@@ -52,7 +64,9 @@ package kvstore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -124,15 +138,21 @@ func KeepBoth(sep []byte) Resolver {
 }
 
 // shard is one stripe of a replica: an independently locked partition of
-// the keyspace.
+// the keyspace, kept as an overlay over a base (see the package comment).
 type shard struct {
-	mu   sync.RWMutex
-	data map[string]Versioned
+	mu sync.RWMutex
 
-	// cold is the checkpoint-resident index of a paged stripe (nil
-	// otherwise): per-key metadata whose value bytes live in the checkpoint
-	// file, faulted in on demand. See paged.go. Keys in data shadow cold.
+	// keys, pos and vals are a hot stripe's base, its keys in tree order:
+	// keys[x] holds key x, its stamp and, once the stripe has a tree, its
+	// term; pos[x] its tree position; vals[x] its value. Allocated exactly
+	// sized; a discard leaves room at the end for the next insertion. cold
+	// is a paged stripe's base instead (paged.go). over is the overlay that
+	// shadows either.
+	keys []encoding.Termed
+	pos  []uint64
+	vals []cell
 	cold *coldStripe
+	over map[string]Versioned
 
 	// tombs maps every currently tombstoned key to the stripe epoch its
 	// tombstone was last (re-)established at — the ledger the stamp-safe
@@ -146,29 +166,15 @@ type shard struct {
 	// ledger.
 	epoch atomic.Uint64
 
-	// dirty holds the keys whose stored copy changed since the stripe's
-	// digest tree last folded them in (noteDirtyLocked). dirtyCap bounds it,
-	// and is zero while there is no tree to maintain: nobody has asked for
-	// one, or a whole-stripe change left it due a full build. Guarded by mu:
-	// writers hold the write lock, a tree request cacheMu plus the read lock.
-	dirty    map[string]struct{}
-	dirtyCap int
-
-	// cacheMu guards what readers derive from the stripe. Mutators never
-	// touch these fields, so the lock order cacheMu -> mu.RLock can never
-	// deadlock against writers, which take mu alone.
-	//
-	// tree is the stripe's digest tree (tree.go) at the replica's own depth
-	// for its key count: built by the first request and patched from the
-	// dirty set by each later one. holds counts the trees StripeTree handed
-	// out that are not yet released: while it is zero no earlier tree
-	// sharing nodes with this one can be reached, and the patch rewrites
-	// the tree in place; otherwise it patches a copy. The fold's buffers
-	// are borrowed per call (treeScratch), so a stripe keeps only its tree
-	// and its dirty set between folds.
-	cacheMu sync.Mutex
-	tree    *DigestTree
-	holds   int
+	// tree is the stripe's digest tree (tree.go), nil until a peer asks for
+	// one; a hot stripe's indexes its base. moved records a write since the
+	// last tree request. holds counts the trees StripeTree handed out and
+	// not yet released: while one is out, the base and the tree are frozen.
+	// Writers read holds under the write lock, and a hold is taken under the
+	// lock too (read suffices).
+	tree  *DigestTree
+	moved bool
+	holds atomic.Int32
 
 	// quar mirrors the replica's quarantine set for this stripe as a lock-
 	// free flag, so the per-write logSet check costs one atomic load. The
@@ -182,6 +188,12 @@ type shard struct {
 	removed bool
 }
 
+// cell is a base slot's value half.
+type cell struct {
+	value   []byte
+	deleted bool
+}
+
 // lockMut write-locks the stripe for a mutation and advances its epoch.
 // Unlock with mu.Unlock.
 func (sh *shard) lockMut() {
@@ -189,23 +201,180 @@ func (sh *shard) lockMut() {
 	sh.epoch.Add(1)
 }
 
-// noteDirtyLocked records that key's stored copy changed, for the stripe's
-// digest tree to fold in on its next request. Forks are noted too: an
-// id-only change moves no hash, but leaf runs ship full stamps. A set past
-// its cap is dropped for one full build. Stripe write lock held.
-func (sh *shard) noteDirtyLocked(key string) {
-	switch {
-	case sh.dirtyCap == 0:
-	case len(sh.dirty) < sh.dirtyCap:
-		sh.dirty[key] = struct{}{}
-	default:
-		sh.dropTreeLocked()
+// overKeep is the largest overlay whose room a merge keeps for the next.
+const overKeep = 64
+
+// search returns the place of key, at tree position pos, in the base: its
+// index and true, or where it would go and false. A stripe with a tree
+// searches only the key's leaf. Hot stripes only.
+func (sh *shard) search(pos uint64, key string) (int, bool) {
+	lo, hi := 0, len(sh.keys)
+	if sh.tree != nil {
+		lo, hi = sh.tree.leafSpan(pos)
+	}
+	x := seek(sh.keys, sh.pos, lo, hi, pos, key)
+	return x, x < len(sh.keys) && sh.keys[x].Key == key
+}
+
+// setLocked stores v as key's copy: in place when the key is in a hot
+// stripe's base, the overlay does not shadow it and no more than own holds
+// are out — own being the holds the caller has itself, 1 for a round's
+// apply, which is the last reader of its snapshot — and else in the overlay.
+// Stripe write lock held.
+func (sh *shard) setLocked(key string, v Versioned, own int32) {
+	sh.moved = true
+	if sh.cold == nil && sh.holds.Load() <= own {
+		if _, shadowed := sh.over[key]; !shadowed {
+			if x, ok := sh.search(encoding.TreePos(key), key); ok {
+				sh.writeSlot(x, v)
+				return
+			}
+		}
+	}
+	sh.over[key] = v
+}
+
+// writeSlot overwrites base slot x with v. Under a tree it re-terms the key
+// and XORs the change into the key's path; a fork, which moves no term,
+// moves no hash.
+func (sh *shard) writeSlot(x int, v Versioned) {
+	k := &sh.keys[x]
+	k.Stamp = v.Stamp
+	sh.vals[x] = cell{v.Value, v.Deleted}
+	if t := sh.tree; t != nil {
+		old := k.Term
+		k.Term = term(k.Digest, v.Deleted, v.Value)
+		t.patch(sh.pos[x], old^k.Term)
 	}
 }
 
-// dropTreeLocked leaves the stripe's digest tree due a full build, as any
-// wholesale replacement of the stripe must. Stripe write lock held.
-func (sh *shard) dropTreeLocked() { sh.dirty, sh.dirtyCap = nil, 0 }
+// pending is a key on its way into a base: its tree position, copy and
+// (insertLocked) the index in the old base it goes before.
+type pending struct {
+	pos uint64
+	at  int
+	key string
+	v   Versioned
+}
+
+func cmpPending(a, b pending) int { return cmpPosKey(a.pos, a.key, b.pos, b.key) }
+
+// mergeLocked folds a hot stripe's overlay into its base in place: a key the
+// base holds is rewritten in its slot, and the new keys are inserted in one
+// pass, into the base's own arrays when they have room and else into
+// exactly sized new ones. No hold may be out on the base (detachLocked
+// makes one that none is on). Stripe write lock held.
+func (sh *shard) mergeLocked() {
+	if len(sh.over) == 0 {
+		return
+	}
+	var ins []pending
+	for k, v := range sh.over {
+		pos := encoding.TreePos(k)
+		if x, ok := sh.search(pos, k); ok {
+			sh.writeSlot(x, v)
+			continue
+		}
+		ins = append(ins, pending{pos: pos, key: k, v: v})
+	}
+	if len(sh.over) > overKeep {
+		sh.over = make(map[string]Versioned)
+	} else {
+		clear(sh.over)
+	}
+	if len(ins) > 0 {
+		sh.insertLocked(ins)
+	}
+}
+
+// insertLocked inserts ins, none of which the base holds, into the base.
+func (sh *shard) insertLocked(ins []pending) {
+	slices.SortFunc(ins, cmpPending)
+	for j := range ins {
+		ins[j].at, _ = sh.search(ins[j].pos, ins[j].key)
+	}
+	old, n := len(sh.keys), len(sh.keys)+len(ins)
+	keys, pos, vals := sh.keys[:cap(sh.keys)], sh.pos[:cap(sh.pos)], sh.vals[:cap(sh.vals)]
+	if len(keys) < n || len(pos) < n || len(vals) < n {
+		keys, pos, vals = make([]encoding.Termed, n), make([]uint64, n), make([]cell, n)
+		at := ins[0].at
+		copy(keys, sh.keys[:at])
+		copy(pos, sh.pos[:at])
+		copy(vals, sh.vals[:at])
+	}
+	keys, pos, vals = keys[:n], pos[:n], vals[:n]
+	// From the back, so that in the base's own arrays no slot is written
+	// before it is moved.
+	end := old
+	for j := len(ins) - 1; j >= 0; j-- {
+		in, at := &ins[j], ins[j].at
+		copy(keys[at+j+1:], sh.keys[at:end])
+		copy(pos[at+j+1:], sh.pos[at:end])
+		copy(vals[at+j+1:], sh.vals[at:end])
+		k := encoding.Termed{Digest: encoding.Digest{Key: in.key, Stamp: in.v.Stamp}}
+		if sh.tree != nil {
+			k.Term = term(k.Digest, in.v.Deleted, in.v.Value)
+		}
+		keys[at+j], pos[at+j], vals[at+j] = k, in.pos, cell{in.v.Value, in.v.Deleted}
+		end = at
+	}
+	sh.keys, sh.pos, sh.vals = keys, pos, vals
+	sh.reindexLocked()
+}
+
+// removeLocked drops base slots xs (ascending) in place. The room they leave
+// stays with the base. No hold may be out on the base. Stripe write lock
+// held.
+func (sh *shard) removeLocked(xs []int) {
+	w := xs[0]
+	for i, x := range xs {
+		end := len(sh.keys)
+		if i+1 < len(xs) {
+			end = xs[i+1]
+		}
+		copy(sh.keys[w:], sh.keys[x+1:end])
+		copy(sh.pos[w:], sh.pos[x+1:end])
+		copy(sh.vals[w:], sh.vals[x+1:end])
+		w += end - x - 1
+	}
+	clear(sh.keys[w:]) // pin no key, stamp or value the base dropped
+	clear(sh.vals[w:])
+	sh.keys, sh.pos, sh.vals = sh.keys[:w], sh.pos[:w], sh.vals[:w]
+	sh.reindexLocked()
+}
+
+// reindexLocked lays the stripe's tree, if it has one, over its base again
+// after keys were inserted or removed, at the depth the new count calls
+// for: one pass over the base, which is in the arrays the tree had unless
+// the depth moved.
+func (sh *shard) reindexLocked() {
+	if sh.tree != nil {
+		sh.tree.index(sh.keys, sh.pos, TreeDepth(len(sh.keys)))
+	}
+}
+
+// detachLocked gives a hot stripe a copy of its base and tree, so that the
+// merge or removal that follows writes nothing a hold can still read. The
+// holds stay counted: they hold the old base.
+func (sh *shard) detachLocked() {
+	sh.keys, sh.pos, sh.vals = slices.Clone(sh.keys), slices.Clone(sh.pos), slices.Clone(sh.vals)
+	if t := sh.tree; t != nil {
+		sh.tree = &DigestTree{depth: t.depth, keys: sh.keys, pos: sh.pos, hash: slices.Clone(t.hash), ends: slices.Clone(t.ends)}
+	}
+}
+
+// installBase makes ps, in any order, a hot stripe's base, sized exactly,
+// with no tree. Stripe write lock held, or the stripe not yet shared.
+func (sh *shard) installBase(ps []pending) {
+	slices.SortFunc(ps, cmpPending)
+	sh.keys, sh.pos, sh.vals = make([]encoding.Termed, len(ps)), make([]uint64, len(ps)), make([]cell, len(ps))
+	for i := range ps {
+		p := &ps[i]
+		sh.keys[i].Digest = encoding.Digest{Key: p.key, Stamp: p.v.Stamp}
+		sh.pos[i], sh.vals[i] = p.pos, cell{p.v.Value, p.v.Deleted}
+	}
+	sh.tree = nil
+}
 
 // Replica is one store replica. The label is purely cosmetic — replicas
 // have no identity beyond their stamps, which is the point of the paper.
@@ -279,7 +448,7 @@ func NewReplicaShards(label string, n int) *Replica {
 	}
 	r := &Replica{label: label, shards: make([]shard, n), seq: replicaSeq.Add(1)}
 	for i := range r.shards {
-		r.shards[i].data = make(map[string]Versioned)
+		r.shards[i].over = make(map[string]Versioned)
 		r.shards[i].tombs = make(map[string]uint64)
 	}
 	return r
@@ -313,13 +482,12 @@ func (r *Replica) shardFor(key string) *shard {
 	return &r.shards[ShardIndex(key, len(r.shards))]
 }
 
-// logSet is the one door every per-key mutation leaves through: it notes the
-// key for the stripe's digest tree and appends its new state to stripe si's
-// durable log. Called with the stripe's write lock held, so the log order is
-// exactly the apply order. A backend failure is recorded (first one wins)
-// and the in-memory write stands; see PersistErr.
+// logSet is the one door every per-key mutation leaves through: it appends
+// the key's new state to stripe si's durable log. Called with the stripe's
+// write lock held, so the log order is exactly the apply order. A backend
+// failure is recorded (first one wins) and the in-memory write stands; see
+// PersistErr.
 func (r *Replica) logSet(si int, key string, v Versioned) {
-	r.shards[si].noteDirtyLocked(key)
 	if r.backend == nil {
 		return
 	}
@@ -343,6 +511,21 @@ func (r *Replica) logSet(si int, key string, v Versioned) {
 	if wait != nil {
 		r.enqueueWait(wait)
 	}
+}
+
+// storeLocked installs v as key's copy in stripe si (shard.setLocked),
+// re-stamps the key's tombstone ledger entry — a tombstone at the current
+// epoch, a live copy none — and logs it. Stripe write lock held, epoch
+// bumped by lockMut.
+func (r *Replica) storeLocked(si int, key string, v Versioned, own int32) {
+	sh := &r.shards[si]
+	sh.setLocked(key, v, own)
+	if v.Deleted {
+		sh.tombs[key] = sh.epoch.Load()
+	} else {
+		delete(sh.tombs, key)
+	}
+	r.logSet(si, key, v)
 }
 
 func (r *Replica) notePersistErr(err error) {
@@ -369,28 +552,58 @@ func (r *Replica) PersistErr() error {
 // same shard count and shares each stored value buffer, which no path
 // writes into (Get's contract). Each stripe is cloned atomically;
 // concurrent writers touching other stripes are not blocked.
+//
+// A fork moves ids only, which no digest-tree term covers, so a hot stripe's
+// clone takes a copy of its base with the terms and the tree's hashes: the
+// stripe's tree is built first if it has none, and neither replica's next
+// round hashes anything. A paged stripe's keys are faulted in and forked
+// into its overlay, so after a Clone the source stripe is fully resident
+// until its next checkpoint.
 func (r *Replica) Clone(label string) *Replica {
 	clone := NewReplicaShards(label, len(r.shards))
 	for i := range r.shards {
-		sh := &r.shards[i]
+		sh, csh := &r.shards[i], &clone.shards[i]
 		sh.lockMut()
-		// Forking mutates every key's stamp, so a paged stripe is promoted
-		// wholesale: after a Clone the source stripe is fully hot until its
-		// next checkpoint.
-		if err := r.promoteStripeLocked(i); err != nil {
-			r.notePersistErr(err)
-		}
-		ce := clone.shards[i].epoch.Load()
-		for k, v := range sh.data {
-			mine, theirs := v.Stamp.Fork()
+		sh.moved = true
+		ce := csh.epoch.Load()
+		// fork forks v's stamp, logs the source's half and returns the
+		// clone's.
+		fork := func(k string, v Versioned) (mine, theirs core.Stamp) {
+			mine, theirs = v.Stamp.Fork()
 			v.Stamp = mine
-			sh.data[k] = v
 			r.logSet(i, k, v)
-			cv := v
-			cv.Stamp = theirs
-			clone.shards[i].data[k] = cv
-			if cv.Deleted {
-				clone.shards[i].tombs[k] = ce
+			if v.Deleted {
+				csh.tombs[k] = ce
+			}
+			return mine, theirs
+		}
+		if sh.cold != nil {
+			var ps []pending
+			sh.eachLocked(func(k string, v Versioned, cold int) {
+				if v, err := r.loadLocked(i, k, v, cold); err != nil {
+					r.notePersistErr(fmt.Errorf("kvstore: clone %q (shard %d): %w", k, i, err))
+				} else {
+					ps = append(ps, pending{pos: encoding.TreePos(k), key: strings.Clone(k), v: v})
+				}
+			})
+			for j := range ps {
+				p := &ps[j]
+				mine := p.v
+				mine.Stamp, p.v.Stamp = fork(p.key, p.v)
+				sh.over[p.key] = mine
+			}
+			csh.installBase(ps)
+		} else {
+			if sh.holds.Load() > 0 {
+				sh.detachLocked()
+			}
+			sh.mergeLocked()
+			sh.termLocked()
+			csh.keys, csh.pos, csh.vals, csh.tree = sh.keys, sh.pos, sh.vals, sh.tree
+			csh.detachLocked()
+			for x := range sh.keys {
+				k, c := &sh.keys[x], sh.vals[x]
+				k.Stamp, csh.keys[x].Stamp = fork(k.Key, Versioned{Value: c.value, Deleted: c.deleted, Stamp: k.Stamp})
 			}
 		}
 		sh.mu.Unlock()
@@ -410,17 +623,20 @@ func (r *Replica) Get(key string) (value []byte, ok bool) {
 	si := ShardIndex(key, len(r.shards))
 	sh := &r.shards[si]
 	sh.mu.RLock()
-	if v, found := sh.data[key]; found {
+	v, found := sh.over[key]
+	cs := sh.cold
+	if !found && cs == nil {
+		var x int
+		if x, found = sh.search(encoding.TreePos(key), key); found {
+			v = sh.slot(x)
+		}
+	}
+	if found || cs == nil {
 		sh.mu.RUnlock()
-		if v.Deleted {
+		if !found || v.Deleted {
 			return nil, false
 		}
 		return v.Value, true
-	}
-	cs := sh.cold
-	if cs == nil {
-		sh.mu.RUnlock()
-		return nil, false
 	}
 	// Cache probe before the index: a hot key that is already faulted in
 	// skips the binary search entirely (see coldValue for why a name hit is
@@ -455,25 +671,18 @@ func (r *Replica) Put(key string, value []byte) {
 }
 
 // putLocked applies one write to stripe si. The prior stamp is taken from
-// the hot map or, for paged stripes, the cold index — overwriting a paged
-// key never faults its old value in. Stripe write lock held.
+// the stripe's metadata — overwriting a paged key never faults its old value
+// in. Stripe write lock held.
 func (r *Replica) putLocked(si int, key string, value []byte) Versioned {
 	sh := &r.shards[si]
-	v, found := sh.data[key]
-	if !found {
-		if cs := sh.cold; cs != nil {
-			if x := cs.find(key); x >= 0 && !cs.dropped[x] {
-				v, found = Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}, true
-			}
-		}
-	}
+	v, found := sh.metaLocked(key)
 	if !found {
 		v = Versioned{Stamp: core.Seed()}
 	}
 	v.Value = append([]byte(nil), value...)
 	v.Deleted = false
 	v.Stamp = v.Stamp.Update()
-	sh.data[key] = v
+	sh.setLocked(key, v, 0)
 	delete(sh.tombs, key)
 	return v
 }
@@ -487,9 +696,7 @@ func (r *Replica) PutVersion(key string, v Versioned) {
 	sh := &r.shards[si]
 	sh.lockMut()
 	v.Value = append([]byte(nil), v.Value...)
-	sh.data[key] = v
-	sh.noteTombLocked(key)
-	r.logSet(si, key, v)
+	r.storeLocked(si, key, v, 0)
 	sh.mu.Unlock()
 	r.awaitDurable()
 }
@@ -510,26 +717,18 @@ func (r *Replica) Delete(key string) bool {
 }
 
 // deleteLocked tombstones key in stripe si, recording the delete in the
-// tombstone ledger at the current epoch. Like putLocked, the prior stamp may
-// come from the cold index without faulting the old value. Stripe write lock
-// held (epoch bumped by lockMut).
+// tombstone ledger at the current epoch. Like putLocked, it reads the prior
+// stamp without faulting the old value. Stripe write lock held (epoch bumped
+// by lockMut).
 func (r *Replica) deleteLocked(si int, key string) (Versioned, bool) {
 	sh := &r.shards[si]
-	v, found := sh.data[key]
-	if !found {
-		if cs := sh.cold; cs != nil {
-			if x := cs.find(key); x >= 0 && !cs.dropped[x] {
-				v, found = Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}, true
-			}
-		}
-	}
+	v, found := sh.metaLocked(key)
 	if !found || v.Deleted {
 		return Versioned{}, false
 	}
-	v.Value = nil
 	v.Deleted = true
 	v.Stamp = v.Stamp.Update()
-	sh.data[key] = v
+	sh.setLocked(key, v, 0)
 	sh.tombs[key] = sh.epoch.Load()
 	return v, true
 }

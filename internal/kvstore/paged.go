@@ -1,11 +1,11 @@
 package kvstore
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"versionstamp/internal/core"
+	"versionstamp/internal/encoding"
 	"versionstamp/internal/pagecache"
 	"versionstamp/internal/storage/wal"
 )
@@ -13,17 +13,18 @@ import (
 // Paged residency: a replica opened with OpenBackendPaged keeps only per-key
 // metadata resident for the entries of each stripe's checkpoint — key, stamp,
 // tombstone flag and the value's location inside the checkpoint file — while
-// the value bytes stay on disk and fault in through a sized page cache.
-// Entries written since the last checkpoint live in the ordinary hot map,
-// values included (they are needed for the WAL append anyway); a checkpoint
-// migrates them into the cold index and drops their heap copies. The memory
-// bound is therefore a post-checkpoint property: after Checkpoint, a stripe
-// costs ~(key + interned stamp + location) per key, independent of value
-// sizes.
+// the value bytes stay on disk and fault in through a sized page cache. That
+// index (coldStripe) is a paged stripe's base. Entries written since the
+// last checkpoint live in the stripe's overlay, values included (they are
+// needed for the WAL append anyway); a checkpoint migrates them into a new
+// cold index and drops their heap copies. The memory bound is therefore a
+// post-checkpoint property: after Checkpoint, a stripe costs ~(key +
+// interned stamp + location) per key, independent of value sizes.
 //
-// The cold index never shadows the hot map: a key present in sh.data — even
-// as a tombstone — hides any cold entry of the same name. Lookups consult hot
-// first, then cold; enumeration is hot ∪ (cold minus dropped minus shadowed).
+// Every stripe, hot or paged, follows one rule: the overlay shadows the
+// base. A lookup reads the overlay first, then the base; enumeration is the
+// overlay ∪ (the base minus what the overlay shadows), and for a paged base
+// minus its dropped entries.
 
 // DefaultCacheBytes is the paged read cache budget when OpenBackendPaged's
 // cacheBytes is not positive.
@@ -55,7 +56,7 @@ type coldStripe struct {
 func (cs *coldStripe) count() int { return len(cs.stamps) }
 
 // key returns entry x's key — a substring of the shared blob. Callers that
-// store it beyond the life of this index (hot maps, tombstone ledgers) must
+// store it beyond the life of this index (overlays, tombstone ledgers) must
 // strings.Clone it, or the 12-byte key pins the whole stripe's blob.
 func (cs *coldStripe) key(x int) string { return cs.kblob[cs.koffs[x]:cs.koffs[x+1]] }
 
@@ -119,8 +120,8 @@ func (cs *coldStripe) seal(blob []byte) {
 // is what lets Get probe the cache before running the index's binary
 // search. A cached entry therefore always describes a live cold value at
 // its generation: only live values are ever admitted, and within one
-// generation a cold value can only stop being current by gaining a hot
-// shadow — which the read path checks before the cache.
+// generation a cold value can only stop being current by gaining an
+// overlay shadow — which the read path checks before the cache.
 func (r *Replica) coldValue(si int, cs *coldStripe, x int, key string) ([]byte, error) {
 	if cs.lens[x] == 0 {
 		return nil, nil
@@ -131,25 +132,25 @@ func (r *Replica) coldValue(si int, cs *coldStripe, x int, key string) ([]byte, 
 	})
 }
 
-// storedLocked returns key's stored copy — hot map first, then the cold
-// index, whose copies come without their values — and cold, its entry in
-// the cold index or -1. Stripe lock (read suffices) held.
+// storedLocked returns key's stored copy — the overlay's, else the base's,
+// whose copies come without their values in a paged stripe — and cold, its
+// entry in the cold index or -1. Stripe lock (read suffices) held.
 func (sh *shard) storedLocked(key string) (v Versioned, cold int, ok bool) {
-	if v, ok := sh.data[key]; ok {
+	if v, ok := sh.over[key]; ok {
 		return v, -1, true
 	}
-	if cs := sh.cold; cs != nil {
-		if x := cs.find(key); x >= 0 && !cs.dropped[x] {
-			return Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}, x, true
-		}
-	}
-	return Versioned{}, -1, false
+	return sh.baseLocked(key)
+}
+
+// slot returns base slot x of a hot stripe as a copy.
+func (sh *shard) slot(x int) Versioned {
+	return Versioned{Value: sh.vals[x].value, Deleted: sh.vals[x].deleted, Stamp: sh.keys[x].Stamp}
 }
 
 // loadLocked reads the value of key's copy v, when it is a cold one's (its
-// entry cold >= 0), through the page cache; a hot copy is returned as it is.
-// A read that fails returns v without its value. Stripe si's lock (read
-// suffices) held.
+// entry cold >= 0), through the page cache; a resident copy is returned as
+// it is. A read that fails returns v without its value. Stripe si's lock
+// (read suffices) held.
 func (r *Replica) loadLocked(si int, key string, v Versioned, cold int) (Versioned, error) {
 	if cold < 0 || v.Deleted {
 		return v, nil
@@ -166,104 +167,46 @@ func (sh *shard) metaLocked(key string) (Versioned, bool) {
 	return v, ok
 }
 
-// eachLocked calls fn for every key with stored state in the stripe (hot ∪
-// cold, tombstones included), as storedLocked returns it. Stripe lock (read
-// suffices) held.
+// eachLocked calls fn for every key with stored state in the stripe (the
+// overlay ∪ the base it does not shadow, tombstones included), as
+// storedLocked returns it. Stripe lock (read suffices) held.
 func (sh *shard) eachLocked(fn func(key string, v Versioned, cold int)) {
-	for k, v := range sh.data {
+	for k, v := range sh.over {
 		fn(k, v, -1)
 	}
-	cs := sh.cold
-	if cs == nil {
-		return
+	for x := range sh.keys {
+		if _, shadowed := sh.over[sh.keys[x].Key]; !shadowed {
+			fn(sh.keys[x].Key, sh.slot(x), -1)
+		}
 	}
-	for x := 0; x < cs.count(); x++ {
-		if cs.dropped[x] {
-			continue
+	if cs := sh.cold; cs != nil {
+		for x := 0; x < cs.count(); x++ {
+			if _, shadowed := sh.over[cs.key(x)]; !cs.dropped[x] && !shadowed {
+				fn(cs.key(x), Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}, x)
+			}
 		}
-		k := cs.key(x)
-		if _, shadowed := sh.data[k]; shadowed {
-			continue
-		}
-		fn(k, Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}, x)
 	}
 }
 
-// countLocked returns the stripe's stored-state key count (hot ∪ cold).
+// countLocked returns the stripe's stored-state key count.
 func (sh *shard) countLocked() int {
-	n := len(sh.data)
-	cs := sh.cold
-	if cs == nil {
-		return n
-	}
-	if len(sh.data) == 0 {
-		return cs.live
-	}
-	for x := 0; x < cs.count(); x++ {
-		if cs.dropped[x] {
-			continue
-		}
-		if _, shadowed := sh.data[cs.key(x)]; !shadowed {
-			n++
-		}
-	}
+	n := 0
+	sh.eachLocked(func(string, Versioned, int) { n++ })
 	return n
 }
 
-// promoteLocked faults key's cold entry into the hot map so a mutation path
-// (reconcile) can work on it in place. No-op for
-// non-paged replicas, hot keys, and keys the cold index does not hold.
-// Stripe write lock held. The tombstone ledger is untouched — promotion
-// changes residency, not state.
-func (r *Replica) promoteLocked(si int, key string) error {
-	if !r.paged {
-		return nil
-	}
-	sh := &r.shards[si]
-	v, cold, ok := sh.storedLocked(key)
-	if !ok || cold < 0 {
-		return nil
-	}
-	v, err := r.loadLocked(si, key, v, cold)
-	if err != nil {
-		return fmt.Errorf("kvstore: promote %q (shard %d): %w", key, si, err)
-	}
-	sh.data[strings.Clone(key)] = v
-	return nil
-}
-
-// promoteStripeLocked faults every cold entry of stripe i into the hot map —
-// the whole-stripe promotion Clone needs.
-// Stripe write lock held.
-func (r *Replica) promoteStripeLocked(i int) error {
-	if !r.paged {
-		return nil
-	}
-	cs := r.shards[i].cold
-	if cs == nil {
-		return nil
-	}
-	for x := 0; x < cs.count(); x++ {
-		if err := r.promoteLocked(i, cs.key(x)); err != nil {
-			return err
+// baseLocked is storedLocked past the overlay: key's copy in the base.
+func (sh *shard) baseLocked(key string) (Versioned, int, bool) {
+	if cs := sh.cold; cs != nil {
+		if x := cs.find(key); x >= 0 && !cs.dropped[x] {
+			return Versioned{Deleted: cs.deleted[x], Stamp: cs.stamps[x]}, x, true
 		}
+		return Versioned{}, -1, false
 	}
-	return nil
-}
-
-// noteTombLocked re-stamps key's entry in the stripe's tombstone ledger from
-// its current hot state: tombstone → recorded at the current epoch, live →
-// removed. Keys not in the hot map are left alone (their ledger entry, if
-// any, still describes the cold copy). Stripe write lock held, epoch already
-// bumped by lockMut.
-func (sh *shard) noteTombLocked(key string) {
-	v, ok := sh.data[key]
-	switch {
-	case ok && v.Deleted:
-		sh.tombs[key] = sh.epoch.Load()
-	case ok:
-		delete(sh.tombs, key)
+	if x, ok := sh.search(encoding.TreePos(key), key); ok {
+		return sh.slot(x), -1, true
 	}
+	return Versioned{}, -1, false
 }
 
 // StripeEpoch returns stripe i's current mutation epoch — the clock the
@@ -329,37 +272,39 @@ func (r *Replica) DiscardTombstones(i int, expect map[string]uint64) int {
 	sh.lockMut()
 	defer sh.mu.Unlock()
 	n := 0
+	var drop []int // base slots to remove
 	for k, want := range expect {
 		cur, ok := sh.tombs[k]
 		if !ok || cur != want {
 			continue
 		}
-		if v, hot := sh.data[k]; hot {
-			if !v.Deleted {
-				continue // revived without a ledger update; never discard
-			}
-			delete(sh.data, k)
-		} else if cs := sh.cold; cs != nil {
-			x := cs.find(k)
-			if x < 0 || cs.dropped[x] || !cs.deleted[x] {
-				continue
-			}
-		} else {
-			continue
+		v, _, ok := sh.storedLocked(k)
+		if !ok || !v.Deleted {
+			continue // revived without a ledger update; never discard
 		}
-		// Drop the cold entry too (it may sit under a just-removed hot
-		// shadow); the next checkpoint persists the discard.
+		// Drop every copy of the key: the overlay's, and the base's it may
+		// shadow. The next checkpoint persists the discard.
+		delete(sh.over, k)
 		if cs := sh.cold; cs != nil {
 			if x := cs.find(k); x >= 0 && !cs.dropped[x] {
 				cs.dropped[x] = true
 				cs.live--
 				cs.dirty = true
 			}
+		} else if x, ok := sh.search(encoding.TreePos(k), k); ok {
+			drop = append(drop, x)
 		}
 		delete(sh.tombs, k)
-		sh.noteDirtyLocked(k)
+		sh.moved = true
 		sh.removed = true
 		n++
+	}
+	if len(drop) > 0 {
+		if sh.holds.Load() > 0 {
+			sh.detachLocked()
+		}
+		slices.Sort(drop)
+		sh.removeLocked(drop)
 	}
 	return n
 }

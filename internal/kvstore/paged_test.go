@@ -45,11 +45,11 @@ func TestPagedCheckpointDropsValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After a checkpoint every stripe's state lives in the cold index; the
-	// hot maps hold no value bytes at all.
+	// overlays hold no value bytes at all.
 	for i := range r.shards {
 		sh := &r.shards[i]
-		if len(sh.data) != 0 {
-			t.Fatalf("stripe %d hot map holds %d entries after checkpoint", i, len(sh.data))
+		if len(sh.over) != 0 {
+			t.Fatalf("stripe %d overlay holds %d entries after checkpoint", i, len(sh.over))
 		}
 		if sh.cold == nil {
 			t.Fatalf("stripe %d has no cold index after checkpoint", i)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"versionstamp/internal/encoding"
+	"versionstamp/internal/storage/wal"
 )
 
 // Performance acceptance for the interned stamp kernel on the store's
@@ -136,24 +137,25 @@ func warmedSingleStripe(tb testing.TB, n int) (*Replica, []string) {
 }
 
 // stripeTreeAfterOneWriteBudget bounds the allocations of one Put plus the
-// tree request that folds it in, while no tree is held: the Put's value
-// copy, and nothing for the fold, which rewrites the leaf and its path where
-// they are, keeps its dirty set and works in an idle scratch. Measured: 1,
-// with and without -race. Before the fold patched in place it was the held
-// budget.
+// tree request after it, while no tree is held: the Put's value copy, and
+// nothing for writing the key's base slot and tree path in place, nor for
+// the request, which finds the tree current. Measured: 1, with and without
+// -race.
 const stripeTreeAfterOneWriteBudget = 1
 
 // stripeTreeAfterOneWriteHeldBudget is the same bound while an earlier tree
-// is held: the fold then copies the path to the leaf (one leaf run, one
-// child slice per level, the new tree header). Measured: 6 at depth 3, and
-// 9 before the stripe kept its dirty set and update scratch.
-const stripeTreeAfterOneWriteHeldBudget = 16
+// is held: the Put then lands in the overlay, and the request copies the
+// stripe (its base's two arrays, the tree header, its hash and leaf-end
+// arrays) before it merges the write in, so that the held tree never moves.
+// Measured: 6 at depth 3, with and without -race, as the path copies of the
+// tree it replaced measured.
+const stripeTreeAfterOneWriteHeldBudget = 8
 
-// TestStripeTreeAfterOneWriteAllocBudget is the counted gate for "O(dirty),
-// not O(stripe)": the same budgets hold at 10 000 and at 100 000 keys. The
-// released variant releases its tree every iteration, so every fold patches
-// in place; the held variant keeps a snapshot it checks never moves, so
-// every fold copies.
+// TestStripeTreeAfterOneWriteAllocBudget is the counted gate for "a write
+// costs O(1) allocations, not O(stripe)": the same budgets hold at 10 000 and
+// at 100 000 keys. The released variant releases its tree every iteration,
+// so every write goes in place; the held variant keeps a snapshot it checks
+// never moves, so every request copies the stripe.
 func TestStripeTreeAfterOneWriteAllocBudget(t *testing.T) {
 	for _, held := range []bool{false, true} {
 		for _, n := range []int{10_000, 100_000} {
@@ -213,21 +215,19 @@ func nodeHash(tr *DigestTree, level int, path uint64, scratch []uint64) uint64 {
 	return hashes[bits.OnesCount16(bm&(bit-1))]
 }
 
-// stripeTreeBurstFoldAllocs bounds what folding a 64-key burst into an
-// unheld tree allocates: the empty dirty set that replaces the burst's
-// (dirtyKeep), and nothing for the update list, which comes from an idle
-// scratch. stripeTreeBurstFoldBytes bounds the same fold's bytes, far
-// below the 3 KiB a 64-key update list takes. Measured: 1.0 allocs and
-// 48 B, with and without -race (now and then one run picks up one more
-// small allocation, hence 2); while each stripe dropped its update list
-// after a burst, 8.1 allocs and 7 554 B.
+// stripeTreeBurstFoldAllocs and stripeTreeBurstFoldBytes bound what the
+// tree request after a 64-key burst of writes to an unheld stripe
+// allocates: nothing, as the writes went into their base slots and tree
+// paths in place, with one allocation's room for a stray runtime one.
+// Measured: 0 allocs and 0 B, with and without -race; while a fold patched
+// a tree from a dirty-key set, 1.0 allocs and 48 B.
 const (
-	stripeTreeBurstFoldAllocs = 2
-	stripeTreeBurstFoldBytes  = 256
+	stripeTreeBurstFoldAllocs = 1
+	stripeTreeBurstFoldBytes  = 64
 )
 
-// TestStripeTreeBurstFoldAllocs: once warm, each 64-key burst's fold reuses
-// the update list's room instead of growing a new one.
+// TestStripeTreeBurstFoldAllocs: a burst of writes to keys the base holds
+// leaves the tree request after it nothing to fold.
 func TestStripeTreeBurstFoldAllocs(t *testing.T) {
 	r, keys := warmedSingleStripe(t, 10_000)
 	value := []byte("edited")
@@ -246,8 +246,7 @@ func TestStripeTreeBurstFoldAllocs(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 	}
-	// Warm-up bursts grow the scratch's update list and leaf hash buffer
-	// to their working size.
+	// Warm-up bursts settle anything a first burst allocates once.
 	for i := 0; i < 4; i++ {
 		burstAndFold()
 	}
@@ -356,4 +355,139 @@ func TestDeltaPairOneKeyAllocBudget(t *testing.T) {
 				n, allocs, deltaPairOneKeyBudget)
 		}
 	}
+}
+
+// residentKeys is the key count TestStripeResidentBytes measures at: 4 000
+// keys a stripe over 8 stripes, depth-2 trees.
+const residentKeys, residentStripes = 32_000, 8
+
+// Resident metadata per key, value bytes excluded, the bound of
+// TestStripeResidentBytes: a hot replica's with every stripe's tree built
+// (measured 82.9 B: the base's 80 B of key, stamp, term, tree position,
+// value slice and tombstone flag, and under 3 B of tree and stripe), and a
+// paged replica's after Checkpoint (measured 53.3-53.5 B: the cold index's
+// packed key, offset, stamp, flags and value location). Each is its
+// measurement plus under 5 %. Before the base, the same hot replica
+// measured 193.8 B — each stripe's map, and the built tree's leaf runs —
+// and the paged one 53.4 B.
+const (
+	hotResidentBytes   = 87
+	pagedResidentBytes = 55
+)
+
+// residentBytes returns the heap bytes per key that build leaves reachable
+// through what it returns, each side measured after two collections.
+func residentBytes(build func() any) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	keep := build()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(keep)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / residentKeys
+}
+
+// TestStripeResidentBytes bounds what a key costs a replica beside its
+// value: a hot replica's with its trees built, and a paged replica's after a
+// checkpoint has paged every value out.
+func TestStripeResidentBytes(t *testing.T) {
+	keys := make([]string, residentKeys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%07d", i)
+	}
+	batch := make(map[string][]byte, len(keys))
+	for _, k := range keys {
+		batch[k] = nil // empty values: what stays is metadata
+	}
+	hot := residentBytes(func() any {
+		r := NewReplicaShards("hot", residentStripes)
+		r.PutBatch(batch)
+		for i := 0; i < residentStripes; i++ {
+			if _, err := r.StripeRoot(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	})
+
+	be, err := wal.Open(t.TempDir(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenBackendPaged(be, "paged", residentStripes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	value := []byte("paged-out value")
+	for k := range batch {
+		batch[k] = value
+	}
+	paged := residentBytes(func() any {
+		r.PutBatch(batch)
+		if err := r.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	})
+	runtime.KeepAlive(keys) // live across both measurements, so neither counts them freed
+	runtime.KeepAlive(batch)
+	t.Logf("resident per key: hot %.1f B with trees built, paged %.1f B after Checkpoint", hot, paged)
+	if hot > hotResidentBytes {
+		t.Errorf("a hot key costs %.1f B resident; budget is %d B", hot, hotResidentBytes)
+	}
+	if paged > pagedResidentBytes {
+		t.Errorf("a paged key costs %.1f B resident after Checkpoint; budget is %d B", paged, pagedResidentBytes)
+	}
+}
+
+// TestCloneKeepsTrees: a clone takes its source's terms and tree hashes with
+// its base, a fork moving ids only, which no term covers. So on every stripe
+// the clone's root equals the source's, and the first tree request at
+// either end after the Clone hashes nothing and allocates nothing — also on
+// the stripes that had no tree before it, whose tree the Clone built once
+// for both.
+func TestCloneKeepsTrees(t *testing.T) {
+	const stripes = 8
+	a := NewReplicaShards("a", stripes)
+	batch := make(map[string][]byte)
+	for i := 0; i < 4000; i++ {
+		batch[fmt.Sprintf("key-%05d", i)] = fmt.Appendf(nil, "value %d", i)
+	}
+	a.PutBatch(batch)
+	if _, err := a.StripeRoot(0); err != nil { // stripe 0 alone has a tree
+		t.Fatal(err)
+	}
+	b := a.Clone("b")
+	for i := 0; i < stripes; i++ {
+		var ra, rb uint64
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if ra, err = a.StripeRoot(i); err == nil {
+			rb, err = b.StripeRoot(i)
+		}
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra != rb {
+			t.Errorf("stripe %d: the clone roots at %x, its source at %x", i, rb, ra)
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("stripe %d: the first folds after a Clone allocate %d times, want 0", i, n)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < stripes; i++ {
+			_, _ = b.StripeRoot(i)
+		}
+	}); allocs != 0 {
+		t.Errorf("the clone's folds allocate %.1f/op, want 0", allocs)
+	}
+	requireTreesMatchOracle(t, "source after Clone", a)
+	requireTreesMatchOracle(t, "clone", b)
 }

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -55,9 +56,13 @@ func TestNodeRange(t *testing.T) {
 // buildDigestTree arranges keys (any order, left alone) into a tree of the
 // given depth: the fresh build the maintained tree is checked against.
 func buildDigestTree(keys []encoding.Termed, depth int) *DigestTree {
-	ups := treeUpdates(keys)
-	slices.SortFunc(ups, cmpUpdates)
-	return levelSorted(ups, depth)
+	sorted := slices.Clone(keys)
+	slices.SortFunc(sorted, func(a, b encoding.Termed) int { return cmpTreeOrder(a.Key, b.Key) })
+	pos := make([]uint64, len(sorted))
+	for i, k := range sorted {
+		pos[i] = encoding.TreePos(k.Key)
+	}
+	return newDigestTree(sorted, pos, depth)
 }
 
 // treeKeys builds n distinct tree keys, each with its term, for tree tests.
@@ -184,12 +189,9 @@ func TestRunRangeUnaligned(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("RunRange(%+v) = %d digests, want %d", rg, len(got), len(want))
 		}
-		if n := tr.rangeLen(rg); n != len(want) {
-			t.Fatalf("rangeLen(%+v) = %d, want %d", rg, n, len(want))
-		}
 	}
-	// A range inside one leaf is that leaf's run, sliced rather than copied,
-	// and costs nothing.
+	// A range is a run of the key column, sliced rather than copied, and
+	// costs nothing.
 	leaf := tr.Run(2, mid>>56)
 	part := tr.RunRange(TreeRange{Lo: mid, Hi: mid + 1})
 	i := slices.IndexFunc(leaf, func(k encoding.Termed) bool { return k.Key == all[250].Key })
@@ -427,13 +429,13 @@ type heldTree struct {
 
 // TestMaintainedTreeMatchesFreshBuild is the differential property of the
 // maintained tree: after every step of a seeded random sequence over every
-// mutation path, each stripe's patched tree must equal a from-scratch build
-// — over in-memory, durable and paged replicas, across a dirty-set overflow
-// and across the TreeShape depth threshold in both directions. Holds are
-// taken and released at random between the steps, so folds run both in
-// place (no hold out) and on a copy (some hold out), and every held tree
-// must keep equalling the build of the moment it was taken until it is
-// released.
+// mutation path, each stripe's tree must equal a from-scratch build — over
+// in-memory, durable and paged replicas, across a burst of new keys and
+// across the TreeShape depth threshold in both directions. Holds are taken
+// and released at random between the steps, so hot stripes fold their
+// overlays both in place (no hold out) and into a copy (some hold out), and
+// every held tree must keep equalling the build of the moment it was taken
+// until it is released.
 func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 	const shards = 2
 	kinds := map[string]func(t *testing.T, label string) *Replica{
@@ -492,17 +494,17 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 				for _, r := range pair {
 					for i := 0; i < r.Shards(); i++ {
 						sh := &r.shards[i]
-						before, folds := sh.tree, sh.tree != nil && sh.dirtyCap > 0 && len(sh.dirty) > 0
-						holding := sh.holds > 0
+						before, folds := sh.tree, sh.cold == nil && sh.tree != nil && len(sh.over) > 0
+						holding := sh.holds.Load() > 0
 						got, want := foldAgainstOracle(t, what, r, i)
 						switch {
-						case folds && !holding && got != before && got.Depth() == before.Depth():
+						case folds && !holding && got != before:
 							t.Fatalf("%s: %s stripe %d: a fold with no hold out copied the tree", what, r.Label(), i)
 						case folds && holding && got == before:
-							t.Fatalf("%s: %s stripe %d: a fold under a hold patched the held tree", what, r.Label(), i)
+							t.Fatalf("%s: %s stripe %d: a fold under a hold wrote the held tree", what, r.Label(), i)
 						case folds && !holding:
 							inPlace++
-						case folds && got.Depth() == before.Depth():
+						case folds:
 							copied++
 						}
 						sawDepth[want.Depth()] = true
@@ -538,7 +540,7 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 				switch op := rng.Intn(11); {
 				case step == steps/3:
 					// Grow both stripes past the depth threshold in one
-					// batch big enough to overflow the dirty set.
+					// batch of new keys big enough to merge mid-batch.
 					what = "grow"
 					grow := make(map[string][]byte)
 					for i := 800; i < 1400; i++ {
@@ -622,7 +624,7 @@ func TestMaintainedTreeMatchesFreshBuild(t *testing.T) {
 			if !sawDepth[1] || !sawDepth[2] {
 				t.Fatalf("sequence never crossed the depth threshold: depths seen %v", sawDepth)
 			}
-			if inPlace == 0 || copied == 0 {
+			if kind != "paged" && (inPlace == 0 || copied == 0) {
 				t.Fatalf("folds in place %d, on a copy %d: the sequence must take both paths", inPlace, copied)
 			}
 			t.Logf("folds in place %d, on a copy %d", inPlace, copied)
@@ -719,13 +721,12 @@ func TestMaintainedTreeUnderRace(t *testing.T) {
 	requireTreesMatchOracle(t, "after the writers", r)
 }
 
-// TestParallelTreeFoldsMatchFreshBuild: every fold borrows its scratch from
-// slots all stripes of all replicas share, so folds of many stripes at
-// once, on two replicas with writers running, must each get a scratch no
-// other fold is using. Folders fold in place, fold under a hold and read
-// the held tree at a foreign depth, below its own leaves; once the writers
-// stop, every stripe's tree must equal a fresh build. Run with -race
-// -count=10.
+// TestParallelTreeFoldsMatchFreshBuild: folds of many stripes at once, on
+// two replicas with writers running, while the writers switch between
+// writing in place and into the overlay as holds come and go. Folders fold
+// with no hold out, fold under a hold and read the held tree at a foreign
+// depth, below its own leaves; once the writers stop, every stripe's tree
+// must equal a fresh build. Run with -race -count=10.
 func TestParallelTreeFoldsMatchFreshBuild(t *testing.T) {
 	const stripes, keys = 16, 3000
 	a := NewReplicaShards("a", stripes)
@@ -889,4 +890,266 @@ func movedNodes(x, y *DigestTree) []string {
 	}
 	walk(0, 0)
 	return moved
+}
+
+// TestTreeOrderedStripeModel checks the stripe layout — a base in tree order
+// with an overlay over it, and a tree of hashes over the base — against a
+// plain map of every key's copy. A seeded random sequence runs Put, Delete,
+// PutVersion, bursts of new keys, DiscardTombstones, Clone, tree requests,
+// holds and releases in any order, and both delta applies with this replica
+// at either end. After every step: each stripe's base is in strict tree
+// order; Get, Meta, Keys and Len agree with the map; every held tree still
+// equals the fresh build of the moment it was taken; and whenever no hold is
+// out, every stripe's stored terms and every node of its tree equal a
+// from-scratch build over its base.
+func TestTreeOrderedStripeModel(t *testing.T) {
+	const shards, universe = 2, 1300
+	steps := 500
+	if testing.Short() {
+		steps = 200
+	}
+	rng := rand.New(rand.NewSource(26))
+	r := NewReplicaShards("r", shards)
+	model := make(map[string]Versioned)
+	key := func() string { return fmt.Sprintf("key-%04d", rng.Intn(universe)) }
+	resolve := KeepBoth([]byte("|"))
+	type hold struct {
+		idx        int
+		tree, want *DigestTree
+	}
+	var held []hold
+
+	// oracle builds stripe i's tree from the model alone.
+	oracle := func(i int) *DigestTree {
+		var ks []encoding.Termed
+		for k, v := range model {
+			if ShardIndex(k, shards) == i {
+				d := encoding.Digest{Key: k, Stamp: v.Stamp}
+				ks = append(ks, encoding.Termed{Digest: d, Term: encoding.DigestTerm(d, encoding.ContentHash(v.Deleted, v.Value))})
+			}
+		}
+		return buildDigestTree(ks, TreeDepth(len(ks)))
+	}
+	// written records what r's copy of k became, its stamp read back: the
+	// model of a path whose stamps it does not compute (a delta apply).
+	written := func(k string, value []byte, deleted bool) {
+		m, _ := r.Meta(k)
+		model[k] = Versioned{Value: value, Deleted: deleted, Stamp: m.Stamp}
+	}
+	// peerRound makes a peer of r, writes some keys there, and runs a delta
+	// round with r as the responder or as the initiator.
+	peerRound := func(responder bool) {
+		peer := r.Clone("peer")
+		for k, v := range model {
+			mine, _ := v.Stamp.Fork()
+			v.Stamp = mine
+			model[k] = v
+		}
+		wrote := make(map[string]Versioned)
+		for n := 1 + rng.Intn(12); n > 0; n-- {
+			k := key()
+			if rng.Intn(4) == 0 {
+				if peer.Delete(k) {
+					wrote[k] = Versioned{Deleted: true}
+				}
+				continue
+			}
+			v := fmt.Appendf(nil, "peer-%d", rng.Int())
+			peer.Put(k, v)
+			wrote[k] = Versioned{Value: v}
+		}
+		if responder {
+			deltaRound(t, r, peer, resolve)
+		} else {
+			deltaRound(t, peer, r, resolve)
+		}
+		for k := range model {
+			written(k, model[k].Value, model[k].Deleted)
+		}
+		for k, v := range wrote {
+			written(k, v.Value, v.Deleted)
+		}
+	}
+
+	check := func(what string) {
+		t.Helper()
+		holds := 0
+		for i := range r.shards {
+			sh := &r.shards[i]
+			sh.mu.RLock()
+			for x := 1; x < len(sh.keys); x++ {
+				if cmpTreeOrder(sh.keys[x-1].Key, sh.keys[x].Key) >= 0 {
+					sh.mu.RUnlock()
+					t.Fatalf("%s: stripe %d base out of strict tree order at %d: %q, %q", what, i, x, sh.keys[x-1].Key, sh.keys[x].Key)
+				}
+			}
+			holds += int(sh.holds.Load())
+			sh.mu.RUnlock()
+		}
+		live := 0
+		for i := 0; i < universe; i++ {
+			k := fmt.Sprintf("key-%04d", i)
+			want, has := model[k]
+			if has && !want.Deleted {
+				live++
+			}
+			v, ok := r.Get(k)
+			if ok != (has && !want.Deleted) || !bytes.Equal(v, want.Value) {
+				t.Fatalf("%s: Get(%q) = %q %v, model %+v %v", what, k, v, ok, want, has)
+			}
+			m, ok := r.Meta(k)
+			if ok != has || m.Deleted != want.Deleted || (has && !m.Stamp.Equal(want.Stamp)) || m.Value != nil {
+				t.Fatalf("%s: Meta(%q) = %+v %v, model %+v %v", what, k, m, ok, want, has)
+			}
+		}
+		keys := make([]string, 0, len(model))
+		for k := range model {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		if got := r.Keys(); !slices.Equal(got, keys) {
+			t.Fatalf("%s: Keys = %d keys, model %d", what, len(got), len(keys))
+		}
+		if n := r.Len(); n != live {
+			t.Fatalf("%s: Len = %d, model %d", what, n, live)
+		}
+		for _, h := range held {
+			requireSameTree(t, fmt.Sprintf("%s: held stripe %d", what, h.idx), h.tree, h.want)
+		}
+		if holds > 0 {
+			return
+		}
+		for i := range r.shards {
+			sh := &r.shards[i]
+			sh.mu.RLock()
+			if tr := sh.tree; tr != nil {
+				fresh := make([]encoding.Termed, len(sh.keys))
+				for x, k := range sh.keys {
+					fresh[x] = encoding.Termed{Digest: k.Digest, Term: encoding.DigestTerm(k.Digest, encoding.ContentHash(sh.vals[x].deleted, sh.vals[x].value))}
+				}
+				want := buildDigestTree(fresh, TreeDepth(len(fresh)))
+				switch {
+				case len(tr.keys) != len(sh.keys) || len(sh.keys) > 0 && (&tr.keys[0] != &sh.keys[0] || &tr.pos[0] != &sh.pos[0]):
+					t.Errorf("%s: stripe %d: the tree does not index the base", what, i)
+				case !slices.Equal(sh.pos, want.pos):
+					t.Errorf("%s: stripe %d: a stored position is not its key's", what, i)
+				case !slices.EqualFunc(sh.keys, fresh, func(a, b encoding.Termed) bool { return a.Term == b.Term }):
+					t.Errorf("%s: stripe %d: a stored term is not its copy's", what, i)
+				case tr.depth != want.depth || !slices.Equal(tr.hash, want.hash) || !slices.Equal(tr.ends, want.ends):
+					t.Errorf("%s: stripe %d: the tree is not the fresh build over the base", what, i)
+				}
+			}
+			sh.mu.RUnlock()
+			if t.Failed() {
+				t.FailNow()
+			}
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		var what string
+		switch op := rng.Intn(14); op {
+		case 0, 1, 2:
+			what = "Put"
+			k, v := key(), fmt.Appendf(nil, "v%d", step)
+			r.Put(k, v)
+			s := core.Seed()
+			if old, ok := model[k]; ok {
+				s = old.Stamp
+			}
+			model[k] = Versioned{Value: v, Stamp: s.Update()}
+		case 3:
+			what = "Delete"
+			k := key()
+			old, ok := model[k]
+			if r.Delete(k) != (ok && !old.Deleted) {
+				t.Fatalf("step %d: Delete(%q) disagrees with the model", step, k)
+			}
+			if ok && !old.Deleted {
+				model[k] = Versioned{Deleted: true, Stamp: old.Stamp.Update()}
+			}
+		case 4:
+			what = "PutVersion"
+			k, s := key(), core.Seed()
+			if old, ok := model[k]; ok {
+				s = old.Stamp
+			}
+			v := Versioned{Deleted: rng.Intn(3) == 0, Stamp: s.Update()}
+			if !v.Deleted {
+				v.Value = fmt.Appendf(nil, "pv%d", step)
+			}
+			r.PutVersion(k, v)
+			model[k] = v
+		case 5:
+			what = "burst of new keys"
+			batch := make(map[string][]byte)
+			for n := rng.Intn(150); n > 0; n-- {
+				batch[key()] = fmt.Appendf(nil, "b%d", step)
+			}
+			r.PutBatch(batch)
+			for k, v := range batch {
+				s := core.Seed()
+				if old, ok := model[k]; ok {
+					s = old.Stamp
+				}
+				model[k] = Versioned{Value: v, Stamp: s.Update()}
+			}
+		case 6:
+			what = "DiscardTombstones"
+			i := rng.Intn(shards)
+			expect := r.Tombstones(i, nil)
+			if n := r.DiscardTombstones(i, expect); n != len(expect) {
+				t.Fatalf("step %d: discarded %d of %d tombstones", step, n, len(expect))
+			}
+			for k := range expect {
+				if !model[k].Deleted {
+					t.Fatalf("step %d: %q discarded but live in the model", step, k)
+				}
+				delete(model, k)
+			}
+		case 7:
+			what = "Clone"
+			c := r.Clone("c")
+			for k, v := range model {
+				mine, theirs := v.Stamp.Fork()
+				if m, ok := c.Meta(k); !ok || !m.Stamp.Equal(theirs) || m.Deleted != v.Deleted {
+					t.Fatalf("step %d: the clone holds %q as %+v %v, want stamp %v", step, k, m, ok, theirs)
+				}
+				v.Stamp = mine
+				model[k] = v
+			}
+		case 8:
+			what = "hold"
+			if len(held) < 3 {
+				i := rng.Intn(shards)
+				tr, err := r.StripeTree(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := oracle(i)
+				requireSameTree(t, fmt.Sprintf("step %d: stripe %d taken", step, i), tr, want)
+				held = append(held, hold{i, tr, want})
+			}
+		case 9, 10:
+			what = "release"
+			if len(held) > 0 {
+				j := rng.Intn(len(held))
+				r.ReleaseStripeTree(held[j].idx)
+				held = slices.Delete(held, j, j+1)
+			}
+		case 11:
+			what = "StripeRoot"
+			i := rng.Intn(shards)
+			if got, err := r.StripeRoot(i); err != nil || got != oracle(i).Root() {
+				t.Fatalf("step %d: stripe %d root %x, %v; want %x", step, i, got, err, oracle(i).Root())
+			}
+		case 12:
+			what = "ApplyDeltaRanges"
+			peerRound(true)
+		default:
+			what = "ApplyDeltaReply"
+			peerRound(false)
+		}
+		check(fmt.Sprintf("step %d (%s)", step, what))
+	}
 }

@@ -306,7 +306,7 @@ type WAL struct {
 
 type walShard struct {
 	mu     sync.Mutex
-	f      *os.File // append handle, opened lazily
+	f      *os.File // append and read handle, opened lazily (openLogLocked)
 	size   int64    // current log length, maintained so a partial write can be undone
 	failed error    // set when a partial frame could not be rolled back: shard read-only
 	// quar records proven corruption scoped to this shard: appends refuse
@@ -793,17 +793,8 @@ func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) error {
 	if sh.failed != nil {
 		return sh.failed
 	}
-	if sh.f == nil {
-		f, err := w.openAppend(w.logPath(shard))
-		if err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			_ = f.Close()
-			return fmt.Errorf("wal: %w", err)
-		}
-		sh.f, sh.size = f, fi.Size()
+	if err := w.openLogLocked(sh, shard, true); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	frame := appendFrame(sh.frameBuf(frameLen(e)), e)
 	allow, injected := len(frame), error(nil)
@@ -851,6 +842,32 @@ func (w *WAL) appendLocked(sh *walShard, shard int, e encoding.Entry) error {
 		return fmt.Errorf("wal: append shard %d: %w", shard, werr)
 	}
 	sh.size += int64(len(frame))
+	return nil
+}
+
+// openLogLocked opens the shard's log handle, sh.f, unless it is open, and
+// records the log's length. A missing log is created when create is set, and
+// otherwise left missing, sh.f nil. Callers hold sh.mu.
+func (w *WAL) openLogLocked(sh *walShard, shard int, create bool) error {
+	if sh.f != nil {
+		return nil
+	}
+	var f *os.File
+	var err error
+	if create {
+		f, err = w.openAppend(w.logPath(shard))
+	} else if f, err = os.OpenFile(w.logPath(shard), os.O_RDWR|os.O_APPEND, 0); errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		_ = f.Close()
+		return err
+	}
+	sh.f, sh.size = f, fi.Size()
 	return nil
 }
 
@@ -1263,7 +1280,10 @@ func (w *WAL) Fold(shard int) (bool, error) {
 	}
 	sc := getFoldScratch()
 	defer putFoldScratch(sc)
-	if err := sc.readLog(w.logPath(shard), sh.size); err != nil {
+	if err := w.openLogLocked(sh, shard, false); err != nil {
+		return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
+	}
+	if err := sc.readLog(sh.f, sh.size); err != nil {
 		return false, fmt.Errorf("wal: fold shard %d: %w", shard, err)
 	}
 	if len(sc.log) == 0 {
@@ -1337,33 +1357,20 @@ func putFoldScratch(sc *foldScratch) {
 	}
 }
 
-// readLog reads the log at path whole into sc.log; a missing log reads as
-// empty. size is the log's length as the WAL last knew it (0 before the
-// stripe's first append since Open): the buffer is sized from it up front,
-// and grown as the read needs when it is short.
-func (sc *foldScratch) readLog(path string, size int64) error {
-	sc.log = slices.Grow(sc.log[:0], int(size)+512)
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
+// readLog reads the log whole into sc.log, through the shard's own handle f
+// (nil: there is no log, which reads as empty). size is the log's length.
+func (sc *foldScratch) readLog(f *os.File, size int64) error {
+	sc.log = slices.Grow(sc.log[:0], int(size))[:size]
+	if f == nil {
+		sc.log = sc.log[:0]
+		return nil
+	}
+	n, err := f.ReadAt(sc.log, 0)
+	sc.log = sc.log[:n]
+	if err != nil && !errors.Is(err, io.EOF) {
 		return err
 	}
-	defer f.Close()
-	for {
-		if len(sc.log) == cap(sc.log) {
-			sc.log = slices.Grow(sc.log, 512)
-		}
-		n, err := f.Read(sc.log[len(sc.log):cap(sc.log)])
-		sc.log = sc.log[:len(sc.log)+n]
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
+	return nil
 }
 
 // lastFrames returns the last frame of each key in sc.log, in key order,
@@ -1739,18 +1746,19 @@ func WriteFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// openAppend opens path for appending, creating it if it is missing. In
+// openAppend opens path for appending and reading, creating it if it is
+// missing. In
 // group-commit mode a file it creates is made durable by name: fsyncing a
 // new file does not persist the directory entry that names it, so a power
 // cut could drop the whole file, acked frames included, unless the
 // directory is fsynced too. That costs one directory fsync per file ever
 // created and none per append.
 func (w *WAL) openAppend(path string) (*os.File, error) {
-	flag := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	flag := os.O_CREATE | os.O_RDWR | os.O_APPEND
 	if w.group == nil {
 		return os.OpenFile(path, flag, 0o644)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
 	if !errors.Is(err, fs.ErrNotExist) {
 		return f, err
 	}
